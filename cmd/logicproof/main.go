@@ -128,7 +128,7 @@ func run(flow string) error {
 		fmt.Println("Residual compilation: the same joint write decided twice.")
 		fmt.Println("First decision replays the full Section 4.3 derivation (cold")
 		fmt.Println("certificate cache); the second runs the residual checklist")
-		fmt.Println("compiled at snapshot publish — recorded invariant steps spliced")
+		fmt.Println("compiled on the group's first use — recorded invariant steps spliced")
 		fmt.Println("with fresh request-variable leaf checks. The proofs coincide.")
 		fmt.Println()
 		req, err := a.NewRequest(jointadmin.RequestSpec{

@@ -89,18 +89,14 @@ type UserRequest struct {
 // allocation-free encoder in encode.go (byte-equivalence with
 // encoding/json is pinned by test, since signatures are over these
 // exact bytes).
-func requestBody(r UserRequest) ([]byte, error) {
-	return appendRequestBody(nil, &r), nil
+func requestBody(r UserRequest) []byte {
+	return appendRequestBody(nil, &r)
 }
 
 // SignRequest produces a signed request component for a user key pair.
 func SignRequest(user string, at clock.Time, op acl.Permission, object string, payload []byte, kp *pki.KeyPair) (UserRequest, error) {
 	r := UserRequest{User: user, At: at, Op: op, Object: object, Payload: payload}
-	body, err := requestBody(r)
-	if err != nil {
-		return UserRequest{}, err
-	}
-	sig := kp.Sign(body)
+	sig := kp.Sign(requestBody(r))
 	r.SigS = sig.S.Text(16)
 	return r, nil
 }
@@ -196,13 +192,7 @@ func NewServer(name string, clk *clock.Clock, anchors TrustAnchors, objects *acl
 	}
 	s.parallelism.Store(int32(defaultParallelism()))
 	s.buildHotMetrics()
-	eng := freshEngine(name, clk, anchors)
-	s.state.Store(&state{
-		anchors:  anchors,
-		eng:      eng,
-		cache:    newCertCache(),
-		residues: s.compileResiduals(eng),
-	})
+	s.state.Store(newState(anchors, freshEngine(name, clk, anchors), 0, 0))
 	return s
 }
 
@@ -331,13 +321,12 @@ func ctxErr(err error) bool {
 // evaluation is traced: each protocol step becomes a timed span in the
 // audit entry, correlated by the decision's RequestID.
 //
-// Authorize first attempts the precompiled residual checklist for the
-// requested (object, group) pair (residual.go): the snapshot-invariant
-// proof steps were recorded at publish time, so only the
-// request-variable leaf checks run, and the full proof is emitted by
-// splicing. When no residue applies — unknown object, cold certificate
-// cache, unsupported membership shape, or residuals disabled — it falls
-// back to the full derivation replay below.
+// Authorize first attempts the residual checklist for the requesting
+// group (residual.go): the snapshot-invariant proof steps are recorded
+// once per snapshot, so only the request-variable leaf checks run, and
+// the full proof is emitted by splicing. When no residue applies — cold
+// certificate cache, unsupported membership shape, or residuals disabled
+// — it falls back to the full derivation replay below.
 //
 // Authorize is lock-free and safe for arbitrary concurrency: it evaluates
 // against the belief snapshot current at entry. The context cancels the
@@ -351,7 +340,7 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 		if dec, err, ok := s.tryResidual(ctx, st, &req); ok {
 			return dec, err
 		}
-		s.reg.Counter(MetricResidualFallbacks).Inc()
+		s.hot.residualFallbacks.Inc()
 	}
 	eng := s.fork(st)
 	// The decision escapes only the proof (never pooled); the engine and
@@ -494,7 +483,7 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 			r.fp = pki.Fingerprint(idc)
 			if e, ok := st.cache.get(r.fp); ok {
 				r.cached, r.hit = true, e
-				s.reg.Counter(MetricCacheHits, "kind", "identity").Inc()
+				s.hot.cacheHitIdentity.Inc()
 				return nil
 			}
 			s.reg.Counter(MetricCacheMisses, "kind", "identity").Inc()
@@ -596,7 +585,7 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 	}
 
 	if e, ok := st.cache.get(fp); ok {
-		s.reg.Counter(MetricCacheHits, "kind", "attribute").Inc()
+		s.hot.cacheHitAttribute.Inc()
 		mem, isMem := e.formula.(logic.MemberOf)
 		if !isMem || !e.validity.Contains(now) {
 			return out, fmt.Errorf("%s certificate invalid: %v", certKind(req), pki.ErrExpired)
@@ -660,7 +649,7 @@ func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *Ac
 	}
 	fp := pki.Fingerprint(req.Delegation)
 	if _, ok := st.cache.get(fp); ok {
-		s.reg.Counter(MetricCacheHits, "kind", "delegation").Inc()
+		s.hot.cacheHitDelegation.Inc()
 	} else {
 		s.reg.Counter(MetricCacheMisses, "kind", "delegation").Inc()
 		if err := pki.VerifyDelegation(req.Delegation, st.anchors.AAKey, now); err != nil {
@@ -741,15 +730,11 @@ func (s *Server) verifyCosigners(ctx context.Context, eng *logic.Engine, req *Ac
 		if upk.KeyID() != want {
 			return nil, nil, errors.New(r.User + "'s identity key differs from the certificate binding")
 		}
-		body, err := requestBody(r)
-		if err != nil {
-			return nil, nil, err
-		}
 		sigVal, ok := new(big.Int).SetString(r.SigS, 16)
 		if !ok {
 			return nil, nil, errors.New(r.User + ": malformed signature")
 		}
-		items[i] = cosignItem{user: r.User, body: body, sig: sharedrsa.Signature{S: sigVal}, upk: upk}
+		items[i] = cosignItem{user: r.User, body: requestBody(r), sig: sharedrsa.Signature{S: sigVal}, upk: upk}
 	}
 
 	err := forEachParallel(ctx, len(items), s.verifyParallelism(), func(_ context.Context, i int) error {

@@ -154,10 +154,17 @@ func (f *fixture) newServerFreshness(log *audit.Log, freshness int64) *Server {
 // named users.
 func (f *fixture) writeRequest(t *testing.T, payload []byte, signers ...string) AccessRequest {
 	t.Helper()
-	req := AccessRequest{Threshold: f.writeAC}
+	return f.thresholdRequest(t, f.writeAC, acl.Write, "O", payload, signers...)
+}
+
+// thresholdRequest builds a joint request under an arbitrary threshold
+// certificate, for an arbitrary operation and object.
+func (f *fixture) thresholdRequest(t *testing.T, ac pki.Signed[pki.ThresholdAttribute], op acl.Permission, object string, payload []byte, signers ...string) AccessRequest {
+	t.Helper()
+	req := AccessRequest{Threshold: ac}
 	for _, u := range signers {
 		req.Identities = append(req.Identities, f.idCerts[u])
-		r, err := SignRequest(u, f.clk.Now(), acl.Write, "O", payload, f.users[u])
+		r, err := SignRequest(u, f.clk.Now(), op, object, payload, f.users[u])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func (s *Server) verifyIdentitiesBatched(st *state, ids []pki.Signed[pki.Identit
 		r.fp = pki.Fingerprint(*idc)
 		if e, ok := st.cache.get(r.fp); ok {
 			r.cached, r.hit = true, e
-			s.reg.Counter(MetricCacheHits, "kind", "identity").Inc()
+			s.hot.cacheHitIdentity.Inc()
 			continue
 		}
 		s.reg.Counter(MetricCacheMisses, "kind", "identity").Inc()

@@ -29,9 +29,15 @@ func (f *fixture) issueDelegation(t *testing.T, delegator, subject, group string
 // the chain's leaf subject.
 func (f *fixture) delegatedReadRequest(t *testing.T, user string, cert pki.Signed[pki.Delegation]) AccessRequest {
 	t.Helper()
+	return f.delegatedReadOf(t, "O", user, cert)
+}
+
+// delegatedReadOf is delegatedReadRequest for an arbitrary object.
+func (f *fixture) delegatedReadOf(t *testing.T, object, user string, cert pki.Signed[pki.Delegation]) AccessRequest {
+	t.Helper()
 	req := AccessRequest{Delegated: true, Delegation: cert}
 	req.Identities = append(req.Identities, f.idCerts[user])
-	r, err := SignRequest(user, f.clk.Now(), acl.Read, "O", nil, f.users[user])
+	r, err := SignRequest(user, f.clk.Now(), acl.Read, object, nil, f.users[user])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +103,42 @@ func TestDelegationResidualFastPath(t *testing.T) {
 	}
 	if hits := reg.Snapshot().CounterValue(MetricResidualHits); hits == 0 {
 		t.Fatal("no delegated request hit the residual fast path")
+	}
+}
+
+// TestDelegationResidualMatchesReplay: the residual-vs-replay differential
+// for delegation-backed requests, including the Step-4 leaves the object
+// decides — an unknown object and a delegation into a group that is not
+// on the ACL.
+func TestDelegationResidualMatchesReplay(t *testing.T) {
+	f := newFixture(t)
+	srv, reg := f.instrumentedServer(audit.NewLog())
+	ctx := context.Background()
+	onACL := f.issueDelegation(t, "", "User_D1", "G_read", 0, "read")
+	offACL := f.issueDelegation(t, "", "User_D2", "G_elsewhere", 0, "read")
+	for _, cert := range []pki.Signed[pki.Delegation]{onACL, offACL} {
+		if err := srv.Apply(ctx, Delegation{Cert: cert}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm both leaf certificates (the outcomes do not matter).
+	srv.Authorize(ctx, f.delegatedReadRequest(t, "User_D1", onACL))  //nolint:errcheck // warming only
+	srv.Authorize(ctx, f.delegatedReadRequest(t, "User_D2", offACL)) //nolint:errcheck // warming only
+	for _, tc := range []struct {
+		name string
+		req  AccessRequest
+		want string // DeniedStep; "" = allowed
+	}{
+		{"known object", f.delegatedReadRequest(t, "User_D1", onACL), ""},
+		{"unknown object", f.delegatedReadOf(t, "Nope", "User_D1", onACL), StepACL},
+		{"group not on the ACL", f.delegatedReadRequest(t, "User_D2", offACL), StepACL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dec := requireResidualAgreesWithReplay(t, srv, reg, tc.req)
+			if dec.DeniedStep != tc.want || dec.Allowed != (tc.want == "") {
+				t.Fatalf("decision = %+v, want denied step %q", dec, tc.want)
+			}
+		})
 	}
 }
 

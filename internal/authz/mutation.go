@@ -1,9 +1,10 @@
 // The unified mutation API: every operation that changes the server's
 // belief state — group links, membership and identity revocations, CRLs,
-// re-anchoring — is a Mutation variant applied through Server.Apply.
+// re-anchoring, delegations, group-graph links — is a Mutation variant
+// applied through Server.Apply.
 // Apply is the single choke point in front of the snapshot publish, so
-// journaling, metrics, audit and the residual compile stage run
-// identically no matter where a mutation originates: a live delivery,
+// journaling, metrics and audit run identically no matter where a
+// mutation originates: a live delivery,
 // the daemon, a WAL replay on recovery, or a replication follower
 // (whose Applier feeds shipped records through the same variants via
 // Replay). The legacy Process*/Reanchor entry points survive as thin
@@ -108,8 +109,8 @@ func (GroupGraphLink) Verb() string     { return VerbGroupGraphLink }
 func (Reanchor) Verb() string           { return VerbReanchor }
 
 // Apply verifies and applies one belief mutation, publishing a new
-// snapshot (journaled first when a journal is attached) with recompiled
-// residual checklists and a fresh certificate cache. It is the single
+// snapshot (journaled first when a journal is attached) with an empty
+// certificate cache and residue memo. It is the single
 // entry point for belief changes; the Process*/Reanchor methods are
 // deprecated wrappers around it.
 func (s *Server) Apply(ctx context.Context, m Mutation) error {

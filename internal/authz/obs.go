@@ -59,7 +59,7 @@ const (
 	// neither approvals nor denials.
 	MetricCanceled = "authz_canceled_total"
 	// MetricCacheHits counts verified-certificate cache hits, labeled by
-	// certificate kind (identity, attribute).
+	// certificate kind (identity, attribute, delegation).
 	MetricCacheHits = "authz_cert_cache_hits_total"
 	// MetricCacheMisses counts verified-certificate cache misses, labeled
 	// by certificate kind (identity, attribute).
@@ -72,12 +72,12 @@ const (
 	// MetricResidualHits counts requests decided on the precompiled
 	// residual fast path.
 	MetricResidualHits = "authz_residual_hits_total"
-	// MetricResidualCompiles counts residual checklists compiled at
-	// snapshot publish (one per protected (object, group) pair).
+	// MetricResidualCompiles counts residual checklists compiled on first
+	// use (one per requesting group per snapshot).
 	MetricResidualCompiles = "authz_residual_compiles_total"
 	// MetricResidualFallbacks counts requests that fell back to the full
-	// derivation replay (no residue for the object, cold certificate
-	// cache, or an unsupported membership shape).
+	// derivation replay (cold certificate cache or an unsupported
+	// membership shape).
 	MetricResidualFallbacks = "authz_residual_fallbacks_total"
 	// MetricBatchVerifyBatches counts k-way batched certificate checks
 	// run in Step 1 (one per issuing CA with ≥ 1 cache-miss certificate
@@ -122,6 +122,9 @@ type hotMetrics struct {
 	reqSeconds *obs.Histogram
 	requests   *obs.Counter
 	allowed    *obs.Counter
+
+	residualHits, residualFallbacks                         *obs.Counter
+	cacheHitIdentity, cacheHitAttribute, cacheHitDelegation *obs.Counter
 }
 
 // buildHotMetrics resolves the per-request metric handles against the
@@ -133,6 +136,12 @@ func (s *Server) buildHotMetrics() {
 		reqSeconds: s.reg.Histogram(MetricRequestSeconds, nil),
 		requests:   s.reg.Counter(MetricRequests),
 		allowed:    s.reg.Counter(MetricAllowed),
+
+		residualHits:       s.reg.Counter(MetricResidualHits),
+		residualFallbacks:  s.reg.Counter(MetricResidualFallbacks),
+		cacheHitIdentity:   s.reg.Counter(MetricCacheHits, "kind", "identity"),
+		cacheHitAttribute:  s.reg.Counter(MetricCacheHits, "kind", "attribute"),
+		cacheHitDelegation: s.reg.Counter(MetricCacheHits, "kind", "delegation"),
 	}
 	for _, step := range traceSteps {
 		h.steps[step] = stepHandles{

@@ -128,6 +128,12 @@ func TestPoolingConcurrent(t *testing.T) {
 	read := readRequest(t, f, "User_D3")
 	uni := f.writeRequest(t, []byte("u"), "User_D1")
 
+	// Land one write first: every write stores the same content, so the
+	// readers' expectation no longer depends on which worker runs first.
+	if dec, err := s.Authorize(context.Background(), write); err != nil || !dec.Allowed {
+		t.Fatalf("seeding write denied: dec=%+v err=%v", dec, err)
+	}
+
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

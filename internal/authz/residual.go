@@ -1,26 +1,30 @@
 // Residual compilation: partial evaluation of the authorization
-// derivation at snapshot publish.
+// derivation, once per (snapshot, group), on first use.
 //
-// The 4-step derivation of Section 4.3 has a shape fixed by the
-// protected object's (resource, group, threshold) policy — only the
-// request-specific leaves vary (the observation Halpern–van der Meyden
-// exploit when reducing SPKI authorization to tuple-reduction over a
-// fixed chain shape). So every snapshot publish compiles, per protected
-// (object, group) pair, a residual checklist: the invariant proof steps
-// — the believed group-link closure that Step 4's privilege inheritance
-// will walk — recorded once as a logic.Segment, plus the ordered leaf
-// checks Authorize must still discharge per request (identity validity
-// and key revocation, membership validity and revocation, co-signature
-// count, freshness window, the live ACL, the temporal condition).
+// Steps 1–3 of Section 4.3 derive "G says op O" from the certificates
+// alone; the object enters only at Step 4's ACL lookup. The shape of the
+// derivation is therefore fixed by the requesting group's certificates —
+// the observation Halpern–van der Meyden exploit when reducing SPKI
+// authorization to tuple-reduction over a fixed chain shape — and only
+// the request-specific leaves vary. A residue is that shape for one
+// group: the invariant proof steps (the believed relation closure Step
+// 4's privilege inheritance will walk, the composed delegation chains
+// targeting the group) recorded once as a logic.Segment, plus the
+// ordered leaf checks Authorize must still discharge per request
+// (identity validity and key revocation, membership validity and
+// revocation, co-signature count, freshness window, the live ACL, the
+// temporal condition).
 //
-// Soundness is inherited from the snapshot discipline: residues live in
-// the immutable state, so every belief mutation publishes recompiled
-// residues and invalidation is free — a residue can never outlive the
-// belief set it was compiled from, exactly the guarantee the verified-
-// certificate cache already pins. The object store, by contrast,
-// mutates outside snapshot publishes (writes, ACL changes), so the ACL
-// check stays a live leaf and object creation or ACL modification
-// triggers RecompileResiduals.
+// A residue is a pure function of the immutable snapshot and the group,
+// so nothing is compiled at publish: the first warm request for a group
+// compiles its residue into the snapshot's memo, which has exactly the
+// lifecycle of the verified-certificate cache — a residue can never
+// outlive the belief set it was compiled from. The memo is filled only
+// for a group named by a certificate already verified in the same
+// snapshot's cache, so it is bounded by issued certificates, never by
+// request input. The object store mutates outside snapshot publishes
+// (writes, ACL changes, new objects) and no residue depends on it: the
+// ACL lookup is a live Step-4 leaf.
 
 package authz
 
@@ -30,7 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
+	"sync"
 
 	"jointadmin/internal/acl"
 	"jointadmin/internal/audit"
@@ -53,45 +57,45 @@ type residualEdge struct {
 	depth   int
 }
 
-// residualDeleg is one believed root-anchored composed delegation
-// absorbed into a residue. The invariant chain-composition steps are in
-// the segment; interval freshness, the op-in-perms check and per-link
-// revocation stay request-time leaves.
-type residualDeleg struct {
-	d logic.Delegates
+// cross returns the traversal budget left after crossing e with budget
+// in hand — group links preserve it, graph edges cost one unit and clamp
+// to their depth bound — and whether the edge can be crossed at all.
+func (e residualEdge) cross(budget int) (int, bool) {
+	if !e.bounded {
+		return budget, true
+	}
+	if budget < 1 {
+		return 0, false
+	}
+	return min(budget-1, e.depth), true
 }
 
-// residue is the compiled checklist for one (object, group) pair.
+// residue is the compiled checklist for one requesting group.
 type residue struct {
-	object, group string
 	// seg is the recorded invariant portion of the derivation: the
 	// relation-graph closure steps (group links and graph edges), the
 	// absorbed delegation chains, and the compile summary, spliceable
 	// onto any proof cloned from the same sealed base.
 	seg logic.Segment
-	// edges is the relation closure reachable from group, for Step 4's
-	// budget-bounded inheritance walk.
+	// edges is the relation closure reachable from the group, for Step
+	// 4's budget-bounded inheritance walk.
 	edges []residualEdge
-	// delegs maps a subject name to its believed composed delegations for
-	// this residue's group, deepest remaining bound first (mirroring
-	// BeliefStore.DelegationFor's preference).
-	delegs map[string][]residualDeleg
-	// prefixLen and tracePrefix cache the rendering of the base proof
-	// plus the spliced segment, so an approved request renders only its
-	// leaf steps.
-	prefixLen   int
-	tracePrefix string
+	// delegs maps a subject name to its believed root-anchored composed
+	// delegations for the group, deepest remaining bound first (mirroring
+	// BeliefStore.DelegationFor's preference). Interval freshness, the
+	// op-in-perms check and per-link revocation stay request-time leaves.
+	delegs map[string][]logic.Delegates
+	// prefixLen and segTrace cache the rendering of the spliced segment,
+	// so an approved request renders only its leaf steps (the base proof's
+	// rendering is shared by the whole snapshot, residueMemo.baseTrace).
+	prefixLen int
+	segTrace  string
 }
-
-// resKey indexes residues by object and requesting group.
-func resKey(object, group string) string { return object + "\x00" + group }
 
 // reachable returns group plus every group reachable from it through
 // recorded edges whose validity covers now — the residual counterpart of
 // BeliefStore.EffectiveGroups, running the same budget-relaxation walk:
-// group links preserve the budget, graph edges cost one unit and clamp
-// to their depth bound, and a node is re-relaxed only on a strict
-// budget improvement (cycle-safe).
+// a node is re-relaxed only on a strict budget improvement (cycle-safe).
 func (r *residue) reachable(group string, now clock.Time) []string {
 	out := []string{group}
 	if len(r.edges) == 0 {
@@ -102,25 +106,19 @@ func (r *residue) reachable(group string, now clock.Time) []string {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		budget := best[cur]
 		for _, e := range r.edges {
 			if e.from != cur || !e.t.Covers(now) {
 				continue
 			}
-			nb := budget
-			if e.bounded {
-				if budget < 1 {
-					continue
-				}
-				nb = budget - 1
-				if e.depth < nb {
-					nb = e.depth
-				}
+			nb, ok := e.cross(best[cur])
+			if !ok {
+				continue
 			}
-			if prev, seen := best[e.to]; !seen || nb > prev {
-				if _, seen := best[e.to]; !seen {
-					out = append(out, e.to)
-				}
+			prev, seen := best[e.to]
+			if !seen {
+				out = append(out, e.to)
+			}
+			if !seen || nb > prev {
 				best[e.to] = nb
 				queue = append(queue, e.to)
 			}
@@ -129,235 +127,199 @@ func (r *residue) reachable(group string, now clock.Time) []string {
 	return out
 }
 
-// compileResiduals partially evaluates the derivation of every protected
-// object against the engine's belief set. eng must be sealed (it is the
-// engine about to be — or already — published). For each object, the
-// candidate requesting groups are those on its ACL plus any group whose
-// believed link closure reaches one; each candidate gets a residue.
-func (s *Server) compileResiduals(eng *logic.Engine) map[string]*residue {
-	if s.objects == nil {
-		return nil
-	}
-	names := s.objects.Names()
-	if len(names) == 0 {
-		return nil
-	}
+// relEdge is a believed relation edge with the base-proof step that
+// recorded it.
+type relEdge struct {
+	residualEdge
+	entry logic.Entry
+}
 
-	// The believed relation graph — plain group links plus bounded
-	// group-graph edges — recording steps and validity intact.
-	type linkEdge struct {
-		from, to string
-		t        logic.TimeSpec
-		bounded  bool
-		depth    int
-		baseStep int
-		f        logic.Formula
+// relIndex is what residues are compiled from: the sealed engine's
+// believed relation graph (plain group links plus bounded group-graph
+// edges) and its composed delegation chains by target group. It is a
+// function of the snapshot alone, built once on the snapshot's first
+// compile.
+type relIndex struct {
+	base   *logic.Proof
+	edges  []relEdge
+	adj    map[string][]int // group → indices of the edges leaving it
+	delegs map[string][]logic.Entry
+}
+
+func buildRelIndex(eng *logic.Engine) *relIndex {
+	ix := &relIndex{
+		base:   eng.Proof(),
+		adj:    make(map[string][]int),
+		delegs: make(map[string][]logic.Entry),
 	}
-	var edges []linkEdge
-	adj := make(map[string][]int)
-	nodes := make(map[string]bool)
+	add := func(e residualEdge, entry logic.Entry) {
+		ix.adj[e.from] = append(ix.adj[e.from], len(ix.edges))
+		ix.edges = append(ix.edges, relEdge{e, entry})
+	}
 	for _, e := range eng.Store().GroupLinks() {
 		l := e.F.(logic.GroupSpeaksFor)
-		edges = append(edges, linkEdge{from: l.Sub.Name, to: l.Sup.Name, t: l.T, baseStep: e.Step, f: e.F})
-		adj[l.Sub.Name] = append(adj[l.Sub.Name], len(edges)-1)
-		nodes[l.Sub.Name], nodes[l.Sup.Name] = true, true
+		add(residualEdge{from: l.Sub.Name, to: l.Sup.Name, t: l.T}, e)
 	}
 	for _, e := range eng.Store().GraphEdges() {
 		l := e.F.(logic.GroupGraphEdge)
-		edges = append(edges, linkEdge{from: l.Sub.Name, to: l.Sup.Name, t: l.T, bounded: true, depth: l.Depth, baseStep: e.Step, f: e.F})
-		adj[l.Sub.Name] = append(adj[l.Sub.Name], len(edges)-1)
-		nodes[l.Sub.Name], nodes[l.Sup.Name] = true, true
+		add(residualEdge{from: l.Sub.Name, to: l.Sup.Name, t: l.T, bounded: true, depth: l.Depth}, e)
 	}
-	// reach collects every edge index crossable from g under the budget
-	// walk (validity windows are checked per request), plus the groups
-	// reached. An edge is recorded when it leaves a reachable node with
-	// budget to spare, so a residue never bakes in a hop the live walk
-	// could not take.
-	reach := func(g string) ([]int, map[string]bool) {
-		best := map[string]int{g: delegation.Unbounded}
-		frontier := []string{g}
-		var out []int
-		used := make(map[int]bool)
-		for len(frontier) > 0 {
-			n := frontier[0]
-			frontier = frontier[1:]
-			budget := best[n]
-			for _, ei := range adj[n] {
-				e := edges[ei]
-				nb := budget
-				if e.bounded {
-					if budget < 1 {
-						continue
-					}
-					nb = budget - 1
-					if e.depth < nb {
-						nb = e.depth
-					}
-				}
-				if !used[ei] {
-					used[ei] = true
-					out = append(out, ei)
-				}
-				if prev, seen := best[e.to]; !seen || nb > prev {
-					best[e.to] = nb
-					frontier = append(frontier, e.to)
-				}
-			}
-		}
-		seen := make(map[string]bool, len(best))
-		for n := range best {
-			seen[n] = true
-		}
-		return out, seen
-	}
-
-	// The believed composed delegation chains, grouped by target group and
-	// subject, deepest remaining bound first (mirroring DelegationFor's
-	// preference so the residual and full paths pick the same chain).
-	delegsByGroup := make(map[string]map[string][]logic.Entry)
 	for _, e := range eng.Store().Delegations() {
-		d := e.F.(logic.Delegates)
-		byName := delegsByGroup[d.G.Name]
-		if byName == nil {
-			byName = make(map[string][]logic.Entry)
-			delegsByGroup[d.G.Name] = byName
-		}
-		chain := byName[d.To.Name]
-		at := len(chain)
-		for at > 0 && chain[at-1].F.(logic.Delegates).Depth < d.Depth {
-			at--
-		}
-		chain = append(chain, logic.Entry{})
-		copy(chain[at+1:], chain[at:])
-		chain[at] = e
-		byName[d.To.Name] = chain
+		g := e.F.(logic.Delegates).G.Name
+		ix.delegs[g] = append(ix.delegs[g], e)
 	}
+	return ix
+}
 
-	baseProof := eng.Proof()
-	baseStr := baseProof.String() // rendered once, shared by every trace prefix
-	now := s.clk.Now()
-	out := make(map[string]*residue)
-	for _, object := range names {
-		a, err := s.objects.ACLOf(object)
-		if err != nil {
-			continue
-		}
-		onACL := make(map[string]bool)
-		for _, g := range a.Groups() {
-			onACL[g] = true
-		}
-		if len(onACL) == 0 {
-			continue
-		}
-		cands := make(map[string]bool, len(onACL))
-		for g := range onACL {
-			cands[g] = true
-		}
-		for g := range nodes {
-			if cands[g] {
+// reach returns every edge crossable from g under the budget walk
+// (validity windows are checked per request). An edge is recorded when
+// it leaves a reachable node with budget to spare, so a residue never
+// bakes in a hop the live walk could not take.
+func (ix *relIndex) reach(g string) []relEdge {
+	best := map[string]int{g: delegation.Unbounded}
+	frontier := []string{g}
+	used := make(map[int]bool)
+	var out []relEdge
+	for len(frontier) > 0 {
+		n := frontier[0]
+		frontier = frontier[1:]
+		for _, ei := range ix.adj[n] {
+			e := ix.edges[ei]
+			nb, ok := e.cross(best[n])
+			if !ok {
 				continue
 			}
-			if _, seen := reach(g); func() bool {
-				for n := range seen {
-					if onACL[n] {
-						return true
-					}
-				}
-				return false
-			}() {
-				cands[g] = true
+			if !used[ei] {
+				used[ei] = true
+				out = append(out, e)
+			}
+			if prev, seen := best[e.to]; !seen || nb > prev {
+				best[e.to] = nb
+				frontier = append(frontier, e.to)
 			}
 		}
-		for g := range cands {
-			eidx, _ := reach(g)
-			p := baseProof.Clone()
-			from := p.Len()
-			redges := make([]residualEdge, 0, len(eidx))
-			premises := make([]int, 0, len(eidx))
-			for _, ei := range eidx {
-				e := edges[ei]
-				id := p.Append(logic.RuleResidualLink, []int{e.baseStep}, e.f, now,
-					fmt.Sprintf("recorded for residue (%s, %s): %s ⇒ %s", object, g, e.from, e.to))
-				redges = append(redges, residualEdge{from: e.from, to: e.to, t: e.t, bounded: e.bounded, depth: e.depth})
-				premises = append(premises, id)
-			}
-			// Absorb the composed delegation chains targeting g: the
-			// chain-composition derivation is snapshot-invariant, so only
-			// the op/interval/per-link-revocation leaves remain per request.
-			var rdelegs map[string][]residualDeleg
-			if byName := delegsByGroup[g]; len(byName) > 0 {
-				rdelegs = make(map[string][]residualDeleg, len(byName))
-				subjects := make([]string, 0, len(byName))
-				for name := range byName {
-					subjects = append(subjects, name)
-				}
-				sort.Strings(subjects)
-				for _, name := range subjects {
-					for _, e := range byName[name] {
-						d := e.F.(logic.Delegates)
-						id := p.Append(logic.RuleResidualLink, []int{e.Step}, d, now,
-							fmt.Sprintf("recorded for residue (%s, %s): delegation chain to %s", object, g, name))
-						rdelegs[name] = append(rdelegs[name], residualDeleg{d: d})
-						premises = append(premises, id)
-					}
-				}
-			}
-			p.Append(logic.RuleResidualCompile, premises,
-				logic.Prop{Name: fmt.Sprintf("residual(%s, %s)", object, g)}, now,
-				"invariant steps compiled at snapshot publish; request-variable leaf checks follow per request")
-			seg, err := p.Record(from)
-			if err != nil {
-				continue // unreachable: from is the clone's own length
-			}
-			var sb strings.Builder
-			sb.WriteString(baseStr)
-			sb.WriteString(p.StringFrom(from))
-			out[resKey(object, g)] = &residue{
-				object: object, group: g,
-				seg:         seg,
-				edges:       redges,
-				delegs:      rdelegs,
-				prefixLen:   p.Len(),
-				tracePrefix: sb.String(),
-			}
-		}
-	}
-	if n := len(out); n > 0 {
-		s.reg.Counter(MetricResidualCompiles).Add(int64(n))
 	}
 	return out
 }
 
-// RecompileResiduals recompiles the current snapshot's residual
-// checklists against the current object set without touching the belief
-// state: object creation and ACL modification change which (object,
-// group) pairs need residues, not the beliefs they are compiled from —
-// so the engine, epoch, watermark and certificate cache all survive.
-func (s *Server) RecompileResiduals() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.state.Load()
-	next := *cur
-	next.residues = s.compileResiduals(cur.eng)
-	s.state.Store(&next)
+// compile partially evaluates the derivation for requesting group g
+// against the snapshot's belief set: the invariant steps are recorded
+// onto a clone of the base proof and cut into a spliceable segment.
+func (ix *relIndex) compile(g string, now clock.Time) *residue {
+	p := ix.base.Clone()
+	from := p.Len()
+	res := &residue{}
+	var premises []int
+	for _, e := range ix.reach(g) {
+		premises = append(premises, p.Append(logic.RuleResidualLink, []int{e.entry.Step}, e.entry.F, now,
+			"recorded for residue "+g+": "+e.from+" ⇒ "+e.to))
+		res.edges = append(res.edges, e.residualEdge)
+	}
+	// Absorb the composed delegation chains targeting g: the chain-
+	// composition derivation is snapshot-invariant, so only the
+	// op/interval/per-link-revocation leaves remain per request. Subjects
+	// in name order, each subject's chains deepest first (stable, so the
+	// residual and full paths pick the same chain).
+	if chains := ix.delegs[g]; len(chains) > 0 {
+		chains = append([]logic.Entry(nil), chains...)
+		sort.SliceStable(chains, func(i, j int) bool {
+			a, b := chains[i].F.(logic.Delegates), chains[j].F.(logic.Delegates)
+			if a.To.Name != b.To.Name {
+				return a.To.Name < b.To.Name
+			}
+			return a.Depth > b.Depth
+		})
+		res.delegs = make(map[string][]logic.Delegates)
+		for _, e := range chains {
+			d := e.F.(logic.Delegates)
+			premises = append(premises, p.Append(logic.RuleResidualLink, []int{e.Step}, d, now,
+				"recorded for residue "+g+": delegation chain to "+d.To.Name))
+			res.delegs[d.To.Name] = append(res.delegs[d.To.Name], d)
+		}
+	}
+	p.Append(logic.RuleResidualCompile, premises, logic.Prop{Name: "residual(" + g + ")"}, now,
+		"invariant steps compiled on the group's first use in this snapshot; request-variable leaf checks follow per request")
+	seg, err := p.Record(from)
+	if err != nil {
+		return nil // unreachable: from is the clone's own length
+	}
+	res.seg, res.prefixLen, res.segTrace = seg, p.Len(), p.StringFrom(from)
+	return res
 }
 
-// SetResidualsEnabled toggles the precompiled-residue fast path in
-// Authorize (enabled by default). Disabling forces every request down
-// the full derivation replay; residues are still compiled at publish,
-// so re-enabling needs no recompilation. Benchmarks use this to compare
+// residueMemo holds the residues compiled so far against one snapshot,
+// keyed by requesting group. Like the certificate cache it is bound to
+// exactly one state and discarded with it.
+type residueMemo struct {
+	index func() *relIndex // built on first compile
+	// baseTrace renders the snapshot's base proof, once, for the first
+	// approved residual decision an audit sink will read.
+	baseTrace func() string
+	mu        sync.RWMutex
+	m         map[string]*residue
+}
+
+func newResidueMemo(eng *logic.Engine) *residueMemo {
+	return &residueMemo{
+		index:     sync.OnceValue(func() *relIndex { return buildRelIndex(eng) }),
+		baseTrace: sync.OnceValue(eng.Proof().String),
+		m:         make(map[string]*residue),
+	}
+}
+
+// residueFor returns the snapshot's residue for group, compiling it on
+// first use. Callers must have found a verified certificate naming group
+// in st.cache first: that is what bounds the memo by issued certificates.
+// Racing first requests compile once — the loser waits on the lock.
+func (s *Server) residueFor(st *state, group string) *residue {
+	rm := st.residues
+	rm.mu.RLock()
+	res := rm.m[group]
+	rm.mu.RUnlock()
+	if res != nil {
+		return res
+	}
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	if res = rm.m[group]; res != nil {
+		return res
+	}
+	if res = rm.index().compile(group, s.clk.Now()); res != nil {
+		rm.m[group] = res
+		s.reg.Counter(MetricResidualCompiles).Inc()
+	}
+	return res
+}
+
+// RecompileResiduals discards the current snapshot's memoized residues;
+// each is recompiled on its group's next warm request. Nothing in this
+// module needs it — residues do not depend on the object store, and
+// belief mutations publish a snapshot with an empty memo — and it has no
+// caller outside tests: it survives only because the frozen benchmark
+// module times it, and goes with that probe.
+func (s *Server) RecompileResiduals() {
+	rm := s.state.Load().residues
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	clear(rm.m)
+}
+
+// SetResidualsEnabled toggles the residual fast path in Authorize
+// (enabled by default). Disabling forces every request down the full
+// derivation replay, the reference path; memoized residues are kept, so
+// re-enabling needs no recompilation. Benchmarks use this to compare
 // both paths on one harness run.
 func (s *Server) SetResidualsEnabled(on bool) { s.noResidual.Store(!on) }
 
-// tryResidual attempts the residual fast path: look up the residue for
-// (object, group), discharge the leaf checks against the cached
-// certificate verifications, and emit the full proof by splicing the
-// recorded segment with fresh leaf steps. ok=false means the request
-// could not be decided residually — no residue, cold cache, or an
-// unsupported membership shape — and nothing was traced or counted: the
-// caller falls back to the full replay, which re-runs everything.
+// tryResidual attempts the residual fast path: find the cached
+// certificate verifications, look up (or compile) the residue for the
+// requesting group, discharge the leaf checks, and emit the full proof by
+// splicing the recorded segment with fresh leaf steps. ok=false means the
+// request could not be decided residually — cold cache or an unsupported
+// membership shape — and nothing was traced or counted: the caller falls
+// back to the full replay, which re-runs everything.
 func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest) (Decision, error, bool) {
-	if len(st.residues) == 0 || len(req.Requests) == 0 {
+	if len(req.Requests) == 0 {
 		return Decision{}, nil, false
 	}
 	now := s.clk.Now()
@@ -403,17 +365,19 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 	if issuer != st.anchors.AAName {
 		return Decision{}, nil, false // full path renders the exact denial
 	}
-	res := st.residues[resKey(object, group)]
-	if res == nil {
-		return Decision{}, nil, false
-	}
+	// The fingerprint covers the certificate body, so a hit means a
+	// verified certificate names exactly this group.
 	memHit, ok := st.cache.get(memFP)
 	if !ok {
 		return Decision{}, nil, false
 	}
+	res := s.residueFor(st, group)
+	if res == nil {
+		return Decision{}, nil, false
+	}
 	var (
 		mem    logic.MemberOf
-		dcands []residualDeleg
+		dcands []logic.Delegates
 	)
 	if req.Delegated {
 		// The cached leaf must be a delegation link and the residue must
@@ -466,11 +430,9 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 	// Committed to the fast path: from here every outcome is decided
 	// residually, with the same traces, metrics and denial reasons the
 	// full path produces.
-	s.reg.Counter(MetricResidualHits).Inc()
-	s.reg.Counter(MetricCacheHits, "kind", "attribute").Inc()
-	for range req.Identities {
-		s.reg.Counter(MetricCacheHits, "kind", "identity").Inc()
-	}
+	s.hot.residualHits.Inc()
+	s.hot.cacheHitAttribute.Inc()
+	s.hot.cacheHitIdentity.Add(int64(len(req.Identities)))
 	tr := s.beginTrace()
 	deny := func(group, reason string) (Decision, error, bool) {
 		dec, err := s.deny(tr, req, group, reason, pr)
@@ -535,7 +497,7 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 		var chain *logic.Delegates
 		revokedSeen := false
 		for i := range dcands {
-			d := &dcands[i].d
+			d := &dcands[i]
 			if !d.T.Covers(now) {
 				continue
 			}
@@ -681,8 +643,9 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 	sc.premises = premises
 	pr.Append(rule, premises, gs, now, "statement 25: G says X")
 
-	// ---- Step 4: the live ACL against the residue's link closure, plus
-	// the temporal condition tb' ≤ t1 ∧ t6 ≤ te'. ----
+	// ---- Step 4: the live ACL (the only place the object enters)
+	// against the residue's link closure, plus the temporal condition
+	// tb' ≤ t1 ∧ t6 ≤ te'. ----
 	tr.begin(StepACL)
 	if err := ctx.Err(); err != nil {
 		return abort(err)
@@ -715,11 +678,11 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 	tr.endOK()
 	tr.finish(true, "")
 	trace := ""
-	if s.log != nil || s.journalRef() != nil {
-		// Splice the pre-rendered prefix (base proof + recorded segment)
-		// with the leaf steps rendered fresh — the rendering analogue of
-		// the proof splice itself.
-		trace = res.tracePrefix + pr.StringFrom(res.prefixLen)
+	if tr.sink {
+		// Splice the pre-rendered base proof and recorded segment with the
+		// leaf steps rendered fresh — the rendering analogue of the proof
+		// splice itself.
+		trace = st.residues.baseTrace() + res.segTrace + pr.StringFrom(res.prefixLen)
 	}
 	s.audit(audit.Entry{
 		At: now, Outcome: audit.Approved, Server: s.name,
@@ -734,10 +697,7 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 }
 
 // execute performs the approved operation on the object store (shared by
-// the residual fast path and the full replay path). A successful ACL
-// modification recompiles the residual checklists: the candidate
-// (object, group) pairs depend on the ACLs, though the beliefs they are
-// compiled from do not change.
+// the residual fast path and the full replay path).
 func (s *Server) execute(op acl.Permission, object string, payload []byte, group string) ([]byte, error) {
 	switch op {
 	case acl.Read:
@@ -753,11 +713,7 @@ func (s *Server) execute(op acl.Permission, object string, payload []byte, group
 		if err != nil {
 			return nil, err
 		}
-		if err := s.objects.SetACL(object, newACL, group); err != nil {
-			return nil, err
-		}
-		s.RecompileResiduals()
-		return nil, nil
+		return nil, s.objects.SetACL(object, newACL, group)
 	default:
 		return nil, fmt.Errorf("unsupported operation %q", op)
 	}

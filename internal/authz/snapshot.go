@@ -10,8 +10,9 @@
 // certificate fingerprint). Because the cache lives inside the snapshot,
 // every belief mutation discards it wholesale — a cached certificate can
 // never outlive the belief set it was verified under. Each snapshot also
-// carries the residual checklists compiled against its belief set
-// (residual.go), so residue invalidation rides the same swap.
+// carries the memo of residual checklists compiled, on first use, against
+// its belief set (residual.go), so residue invalidation rides the same
+// swap.
 
 package authz
 
@@ -26,8 +27,8 @@ import (
 )
 
 // state is one immutable belief snapshot. All fields are fixed after
-// publication except the cache, which only memoizes conclusions already
-// derivable from the snapshot's beliefs.
+// publication except the cache and the residue memo, which only memoize
+// conclusions already derivable from the snapshot's beliefs.
 type state struct {
 	anchors TrustAnchors
 	eng     *logic.Engine // sealed base engine; fork before deriving
@@ -37,11 +38,23 @@ type state struct {
 	epoch     uint64
 	watermark uint64
 	cache     *certCache
-	// residues are the checklists compiled against this snapshot's belief
-	// set at publish time (residual.go), keyed by (object, group). They
-	// are invalidated by construction: the next publish carries fresh
-	// ones.
-	residues map[string]*residue
+	// residues memoizes the checklists compiled against this snapshot's
+	// belief set (residual.go), keyed by requesting group. They are
+	// invalidated by construction: the next publish starts an empty memo.
+	residues *residueMemo
+}
+
+// newState is the one place a snapshot is built: eng must be sealed, and
+// the certificate cache and residue memo start empty.
+func newState(anchors TrustAnchors, eng *logic.Engine, epoch, watermark uint64) *state {
+	return &state{
+		anchors:   anchors,
+		eng:       eng,
+		epoch:     epoch,
+		watermark: watermark,
+		cache:     newCertCache(),
+		residues:  newResidueMemo(eng),
+	}
 }
 
 // Snapshot is a read-only view of the server's current belief state,
@@ -115,11 +128,11 @@ func (c *certCache) len() int {
 
 // mutate runs fn against a fork of the current base engine and, on
 // success, seals the fork and publishes it as the new snapshot with a
-// fresh certificate cache. Sealing folds the mutation's overlay into the
-// immutable base layers, so Authorize's per-request forks of the new
-// snapshot stay O(1). On error the fork is discarded and the published
-// state is untouched. Mutators are serialized by s.mu; Authorize never
-// takes it.
+// fresh certificate cache and residue memo. Sealing folds the mutation's
+// overlay into the immutable base layers, so Authorize's per-request
+// forks of the new snapshot stay O(1). On error the fork is discarded and
+// the published state is untouched. Mutators are serialized by s.mu;
+// Authorize never takes it.
 //
 // fn may return a WAL record describing the mutation; when a journal is
 // attached the record is written — and fsynced — before the snapshot is
@@ -142,14 +155,7 @@ func (s *Server) mutate(fn func(cur *state, eng *logic.Engine) (*wal.Record, err
 		}
 	}
 	eng.Seal()
-	s.publish(&state{
-		anchors:   cur.anchors,
-		eng:       eng,
-		epoch:     cur.epoch,
-		watermark: cur.watermark + 1,
-		cache:     newCertCache(),
-		residues:  s.compileResiduals(eng),
-	}, cur)
+	s.publish(newState(cur.anchors, eng, cur.epoch, cur.watermark+1), cur)
 	return nil
 }
 
@@ -184,15 +190,7 @@ func (s *Server) applyReanchor(anchors TrustAnchors) error {
 			return fmt.Errorf("authz: journal re-anchoring: %w", err)
 		}
 	}
-	eng := freshEngine(s.name, s.clk, anchors)
-	s.publish(&state{
-		anchors:   anchors,
-		eng:       eng,
-		epoch:     cur.epoch + 1,
-		watermark: 0,
-		cache:     newCertCache(),
-		residues:  s.compileResiduals(eng),
-	}, cur)
+	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), cur.epoch+1, 0), cur)
 	return nil
 }
 
@@ -202,14 +200,5 @@ func (s *Server) applyReanchor(anchors TrustAnchors) error {
 func (s *Server) restoreAt(anchors TrustAnchors, epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.state.Load()
-	eng := freshEngine(s.name, s.clk, anchors)
-	s.publish(&state{
-		anchors:   anchors,
-		eng:       eng,
-		epoch:     epoch,
-		watermark: 0,
-		cache:     newCertCache(),
-		residues:  s.compileResiduals(eng),
-	}, cur)
+	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), epoch, 0), s.state.Load())
 }

@@ -378,30 +378,38 @@ func errClass(err error) string {
 // context cancels in-flight authorization work; a nil context is treated
 // as context.Background.
 func (d *Daemon) Handle(ctx context.Context, cmd Command) Reply {
+	return observed(ctx, d.reg, cmd, d.handle)
+}
+
+// observed runs one command handler under the daemon metric vocabulary
+// shared by both roles: the in-flight gauge, the per-command counter and
+// latency histogram, and the error-class counter when the reply fails. A
+// nil context is treated as context.Background.
+func observed(ctx context.Context, reg *obs.Registry, cmd Command, handle func(context.Context, Command) (Reply, string)) Reply {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inflight := d.reg.Gauge(MetricInflight)
+	inflight := reg.Gauge(MetricInflight)
 	inflight.Inc()
 	defer inflight.Dec()
-	if d.handleStarted != nil {
-		d.handleStarted(cmd)
-	}
 	start := time.Now()
-	reply, errKind := d.handle(ctx, cmd)
-	d.reg.Counter(MetricCommands, "cmd", cmd.Cmd).Inc()
-	d.reg.Histogram(MetricCommandSeconds, nil, "cmd", cmd.Cmd).ObserveSince(start)
+	reply, errKind := handle(ctx, cmd)
+	reg.Counter(MetricCommands, "cmd", cmd.Cmd).Inc()
+	reg.Histogram(MetricCommandSeconds, nil, "cmd", cmd.Cmd).ObserveSince(start)
 	if !reply.OK {
 		if errKind == "" {
 			errKind = "internal"
 		}
-		d.reg.Counter(MetricCommandErrors, "cmd", cmd.Cmd, "kind", errKind).Inc()
+		reg.Counter(MetricCommandErrors, "cmd", cmd.Cmd, "kind", errKind).Inc()
 	}
 	return reply
 }
 
 // handle dispatches one command and reports the error class on failure.
 func (d *Daemon) handle(ctx context.Context, cmd Command) (Reply, string) {
+	if d.handleStarted != nil {
+		d.handleStarted(cmd)
+	}
 	a, srv := d.alliance, d.server
 	switch cmd.Cmd {
 	case "revoke", "mutate", "join", "leave":
@@ -433,16 +441,14 @@ func (d *Daemon) handle(ctx context.Context, cmd Command) (Reply, string) {
 			return Reply{Detail: err.Error()}, errClass(err)
 		}
 		return Reply{OK: true, Detail: fmt.Sprintf("approved via %s [%s]", dec.Group, dec.RequestID), Data: string(dec.Data)}, ""
-	case "revoke":
-		if err := a.Revoke(group(cmd.Group, "G_write"), srv); err != nil {
-			return Reply{Detail: err.Error()}, errClass(err)
-		}
-		d.maybeCompact()
-		return Reply{OK: true, Detail: "revoked " + group(cmd.Group, "G_write")}, ""
-	case "mutate":
+	case "revoke", "mutate":
 		// One verb per authz.Mutation variant, applied through the unified
 		// Server.Apply path (via the alliance helpers, which build and
-		// deliver the certificates).
+		// deliver the certificates). The legacy revoke command is the
+		// group-revocation verb.
+		if cmd.Cmd == "revoke" {
+			cmd.Op, cmd.Data = authz.VerbRevocation, ""
+		}
 		reply, kind := d.mutate(cmd)
 		if reply.OK {
 			d.maybeCompact()

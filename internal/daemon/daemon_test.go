@@ -52,7 +52,9 @@ func TestDaemonRevokeAndAudit(t *testing.T) {
 	if r := d.Handle(context.Background(), Command{Cmd: "write", Signers: []string{"alice", "bob"}, Data: "v2"}); !r.OK {
 		t.Fatalf("write: %+v", r)
 	}
-	if r := d.Handle(context.Background(), Command{Cmd: "revoke"}); !r.OK {
+	// The legacy command is the group-revocation verb: its data field was
+	// never read, so it must not select mutate's per-delegate revocation.
+	if r := d.Handle(context.Background(), Command{Cmd: "revoke", Data: "alice"}); !r.OK || r.Detail != "revoked G_write" {
 		t.Fatalf("revoke: %+v", r)
 	}
 	if r := d.Handle(context.Background(), Command{Cmd: "write", Signers: []string{"alice", "bob"}, Data: "v3"}); r.OK {
@@ -165,6 +167,27 @@ func TestDaemonUnknownCommand(t *testing.T) {
 	d := newDaemon(t)
 	if r := d.Handle(context.Background(), Command{Cmd: "fly"}); r.OK || !strings.Contains(r.Detail, "unknown") {
 		t.Fatalf("unknown command: %+v", r)
+	}
+}
+
+// TestFollowerRejectsWriterCommands: every writer-only command — the
+// mutate verb family included — is refused with the read_only class, not
+// mistaken for an unknown command.
+func TestFollowerRejectsWriterCommands(t *testing.T) {
+	reg := obs.NewRegistry()
+	f, err := NewFollower(FollowerConfig{WriterAddr: "127.0.0.1:1", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"write", "read", "revoke", "mutate", "join", "leave", "sign"} {
+		r := f.Handle(context.Background(), Command{Cmd: name, Op: "link"})
+		if r.OK || !strings.Contains(r.Detail, "read-only follower") {
+			t.Errorf("%s on a follower: %+v", name, r)
+		}
+		key := fmt.Sprintf(`daemon_command_errors_total{cmd=%q,kind="read_only"}`, name)
+		if got := reg.Snapshot().CounterValue(key); got != 1 {
+			t.Errorf("%s = %d, want 1", key, got)
+		}
 	}
 }
 

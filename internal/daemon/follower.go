@@ -1,7 +1,7 @@
 // Follower role: a read-only daemon that mirrors a writer's belief
 // state over the replication protocol and serves authorization
 // decisions at its replayed watermark. A follower holds no keys and
-// accepts no dynamics — write/revoke/join/leave are rejected — so a
+// accepts no dynamics — write/revoke/mutate/join/leave are rejected — so a
 // compromised or lagging follower can at worst serve stale reads, never
 // mint new authority. Clients obtain a signed wire AccessRequest from
 // the writer's `sign` command and evaluate it here with `authorize`.
@@ -154,23 +154,7 @@ func (f *Follower) Serve(ctx context.Context, node CommandNode) error {
 // vocabulary (daemon_commands_total etc.), so fleet dashboards aggregate
 // across roles.
 func (f *Follower) Handle(ctx context.Context, cmd Command) Reply {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	inflight := f.reg.Gauge(MetricInflight)
-	inflight.Inc()
-	defer inflight.Dec()
-	start := time.Now()
-	reply, errKind := f.handle(ctx, cmd)
-	f.reg.Counter(MetricCommands, "cmd", cmd.Cmd).Inc()
-	f.reg.Histogram(MetricCommandSeconds, nil, "cmd", cmd.Cmd).ObserveSince(start)
-	if !reply.OK {
-		if errKind == "" {
-			errKind = "internal"
-		}
-		f.reg.Counter(MetricCommandErrors, "cmd", cmd.Cmd, "kind", errKind).Inc()
-	}
-	return reply
+	return observed(ctx, f.reg, cmd, f.handle)
 }
 
 // handle dispatches one follower command.
@@ -214,7 +198,7 @@ func (f *Follower) handle(ctx context.Context, cmd Command) (Reply, string) {
 			return Reply{Detail: "encode status: " + err.Error()}, "internal"
 		}
 		return Reply{OK: true, Data: string(body)}, ""
-	case "write", "read", "revoke", "join", "leave", "sign":
+	case "write", "read", "revoke", "mutate", "join", "leave", "sign":
 		return Reply{Detail: "read-only follower: " + cmd.Cmd + " must go to the writer"}, "read_only"
 	default:
 		return Reply{Detail: "unknown command " + cmd.Cmd}, "unknown_command"

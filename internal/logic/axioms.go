@@ -43,12 +43,12 @@ const (
 	// certificate was first verified under the same belief snapshot.
 	RuleCachedDerivation = "cached (verified-certificate cache)"
 	// RuleResidualLink marks a believed group link re-recorded into a
-	// residual checklist when the snapshot was published; its premise is
+	// residual checklist when the residue was compiled; its premise is
 	// the base-proof step that originally concluded the link.
 	RuleResidualLink = "residual (recorded group link)"
 	// RuleResidualCompile marks the summary step that closes a residual
 	// checklist's recorded segment: the invariant portion of one
-	// (object, group) derivation, compiled once per snapshot.
+	// requesting group's derivation, compiled once per snapshot.
 	RuleResidualCompile = "residual (compiled checklist)"
 	// RuleResidualLeaf marks a request-variable leaf check discharged on
 	// the residual fast path (identity validity, membership validity,

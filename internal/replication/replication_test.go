@@ -43,6 +43,14 @@ func (n *fakeNode) Send(to, kind string, payload []byte) error {
 	return nil
 }
 
+// frames returns a copy of the frames sent so far (the shipper's stream
+// goroutine keeps appending while tests read).
+func (n *fakeNode) frames() []sentFrame {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]sentFrame(nil), n.sent...)
+}
+
 // kinds returns the kinds of all frames sent so far.
 func (n *fakeNode) kinds() []string {
 	n.mu.Lock()
@@ -338,7 +346,8 @@ func TestApplierRestartMidStream(t *testing.T) {
 		t.Fatalf("expected 1 recovery hello, got %d", got)
 	}
 	var h helloMsg
-	if err := json.Unmarshal(node.sent[len(node.sent)-1].payload, &h); err != nil {
+	sent := node.frames()
+	if err := json.Unmarshal(sent[len(sent)-1].payload, &h); err != nil {
 		t.Fatal(err)
 	}
 	if !h.Full {
@@ -507,7 +516,7 @@ func TestShipperSnapshotHandoffAndTail(t *testing.T) {
 	sh.Handle(KindHello, mustJSON(t, helloMsg{Follower: "f1", Addr: "127.0.0.1:9", Full: true}))
 	node.waitKind(t, KindSnapshot, 1)
 	var snap snapshotMsg
-	for _, f := range node.sent {
+	for _, f := range node.frames() {
 		if f.kind == KindSnapshot {
 			if err := json.Unmarshal(f.payload, &snap); err != nil {
 				t.Fatal(err)
@@ -541,7 +550,7 @@ func TestShipperSnapshotHandoffAndTail(t *testing.T) {
 	w.mutate(t, "ship")
 	node.waitKind(t, KindRecords, 1)
 	var rm recordsMsg
-	for _, f := range node.sent {
+	for _, f := range node.frames() {
 		if f.kind == KindRecords {
 			if err := json.Unmarshal(f.payload, &rm); err != nil {
 				t.Fatal(err)

@@ -449,7 +449,7 @@ func (f *LoadFixture) buildRequest(kind string, o int, oc objCerts, seq int) (Po
 // Churn applies one belief mutation through the server's Mutation API,
 // cycling joins (group links), identity revocations of cold principals,
 // and CRL publishes. Every mutation swaps the belief snapshot, empties
-// the certificate cache and recompiles residues — the cost the load
+// the certificate cache and the memoized residues — the cost the load
 // harness is after. Returns the applied verb.
 func (f *LoadFixture) Churn(ctx context.Context) (string, error) {
 	seq := f.churnSeq.Add(1)

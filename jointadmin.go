@@ -376,9 +376,6 @@ func (s *Server) CreateObject(name string, aclSpec map[string][]string, content 
 	if err := s.store.Create(name, built, content, "G_policy"); err != nil {
 		return fmt.Errorf("jointadmin: create %s: %w", name, err)
 	}
-	// The object store changed under the published snapshot: recompile the
-	// residual checklists so the new object gets a fast path immediately.
-	s.inner.RecompileResiduals()
 	return nil
 }
 

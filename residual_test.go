@@ -1,7 +1,7 @@
 package jointadmin
 
-// Residual-soundness regressions: the precompiled fast path (residual.go)
-// must never outlive the belief snapshot it was compiled against. For each
+// Residual-soundness regressions: a residue (residual.go) must never
+// outlive the belief snapshot it was compiled in. For each
 // Mutation variant we authorize a request on the warm residual path, apply
 // the mutation, and require the very next decision — taken against the
 // freshly published snapshot — to deny. The -race stress test interleaves
@@ -142,8 +142,8 @@ func TestResidualReanchorInvalidates(t *testing.T) {
 }
 
 // TestResidualGroupLinkEnables is the dual direction: a group absent from
-// the ACL is denied (no residue exists for it), and the GroupLink mutation
-// both authorizes it and compiles a fresh residue for the inherited pair.
+// the ACL is denied, and the GroupLink mutation both authorizes it and
+// lets the new snapshot compile a residue that walks the inherited link.
 func TestResidualGroupLinkEnables(t *testing.T) {
 	a, srv, reg, _ := residualFixture(t)
 	if err := a.GrantThreshold("G_sub", 2, "u1", "u2", "u3"); err != nil {
@@ -171,7 +171,7 @@ func TestResidualGroupLinkEnables(t *testing.T) {
 		t.Fatalf("linked group denied on warm pass: %v", err)
 	}
 	if after := reg.Counter(authz.MetricResidualHits).Value(); after <= hitsBefore {
-		t.Fatalf("no residue compiled for inherited pair (hits %d -> %d)", hitsBefore, after)
+		t.Fatalf("inherited group not decided residually (hits %d -> %d)", hitsBefore, after)
 	}
 }
 
@@ -244,4 +244,64 @@ func TestResidualApplyRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireDeniedNext(t, srv, reg, req)
+}
+
+// TestResidualObjectStoreIsALeaf: objects are no input of a residue. An
+// object created after the last publish is decided on the residual path
+// at once with nothing recompiled, and for an unknown object or a group
+// missing from the ACL the residual path and the full replay
+// (SetResidualsEnabled(false)) return the same decision.
+func TestResidualObjectStoreIsALeaf(t *testing.T) {
+	a, srv, reg, req := residualFixture(t)
+	warmResidual(t, srv, reg, req)
+	if err := a.GrantThreshold("G_other", 2, "u1", "u2", "u3"); err != nil {
+		t.Fatal(err)
+	}
+	compiles := reg.Counter(authz.MetricResidualCompiles).Value() // G_write's residue
+	if err := srv.CreateObject("O2", map[string][]string{"G_write": {"write"}}, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	spec := RequestSpec{Group: "G_write", Op: "write", Object: "O2", Payload: []byte("v2"), Signers: []string{"u1", "u2"}}
+	offACL := spec
+	offACL.Group, offACL.Object = "G_other", "O"
+	unknown := spec
+	unknown.Object = "O3"
+	for _, tc := range []struct {
+		name    string
+		spec    RequestSpec
+		allowed bool
+	}{
+		{"object created after the last publish", spec, true},
+		{"unknown object", unknown, false},
+		{"group not on the ACL", offACL, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := a.NewRequest(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.spec.Group != "G_write" {
+				srv.Request(ctx, req) //nolint:errcheck // warms the new group's certificate
+			}
+			hits := reg.Counter(authz.MetricResidualHits).Value()
+			res, resErr := srv.Request(ctx, req)
+			if got := reg.Counter(authz.MetricResidualHits).Value(); got != hits+1 {
+				t.Fatalf("not decided on the residual path (hits %d -> %d): %v", hits, got, resErr)
+			}
+			if tc.spec.Group == "G_write" {
+				if got := reg.Counter(authz.MetricResidualCompiles).Value(); got != compiles {
+					t.Fatalf("object store change recompiled residues (%d -> %d)", compiles, got)
+				}
+			}
+			srv.Authz().SetResidualsEnabled(false)
+			defer srv.Authz().SetResidualsEnabled(true)
+			full, fullErr := srv.Request(ctx, req)
+			if res.Allowed != tc.allowed || res.Allowed != full.Allowed || res.Group != full.Group ||
+				res.DeniedStep != full.DeniedStep || res.Reason != full.Reason || (resErr == nil) != (fullErr == nil) {
+				t.Fatalf("residual and replay diverge (want allowed=%v):\nresidual: %+v (%v)\nreplay:   %+v (%v)",
+					tc.allowed, res, resErr, full, fullErr)
+			}
+		})
+	}
 }

@@ -25,6 +25,12 @@ go test ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> benchmark module (cd benchmark && go vet ./... && go test ./...)"
+# The nested module is outside ./...: build and self-test it here (-quick
+# suite plus the contract-name checks), so an internal/ API change that
+# breaks the frozen benchmark fails CI, not the benchmark pipeline.
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "==> crash recovery under race (go test -race -run 'CrashRecovery|Recovery')"
 go test -race -run 'CrashRecovery|Recovery' ./internal/authz/ ./internal/daemon/
 
