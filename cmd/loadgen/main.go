@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"jointadmin/internal/obs"
@@ -60,6 +61,11 @@ type report struct {
 		CacheHitsIdentity   int64 `json:"cert_cache_hits_identity"`
 		CacheMissesIdentity int64 `json:"cert_cache_misses_identity"`
 		SnapshotSwaps       int64 `json:"snapshot_swaps"`
+		// The cold window a publish opens: certificate re-verifications
+		// (all kinds) and full-replay fallbacks per snapshot swap, first
+		// touches included; 0 when nothing was published.
+		CacheMissesPerSwap       float64 `json:"cache_misses_per_swap"`
+		ResidualFallbacksPerSwap float64 `json:"residual_fallbacks_per_swap"`
 	} `json:"authz"`
 }
 
@@ -176,6 +182,16 @@ func main() {
 	rep.Authz.CacheHitsIdentity = snap.CounterValue(`authz_cert_cache_hits_total{kind="identity"}`)
 	rep.Authz.CacheMissesIdentity = snap.CounterValue(`authz_cert_cache_misses_total{kind="identity"}`)
 	rep.Authz.SnapshotSwaps = snap.CounterValue("authz_snapshot_swaps_total")
+	if swaps := float64(rep.Authz.SnapshotSwaps); swaps > 0 {
+		var misses int64
+		for _, c := range snap.Counters {
+			if strings.HasPrefix(c.Name, "authz_cert_cache_misses_total") {
+				misses += c.Value
+			}
+		}
+		rep.Authz.CacheMissesPerSwap = float64(misses) / swaps
+		rep.Authz.ResidualFallbacksPerSwap = float64(rep.Authz.ResidualFallbacks) / swaps
+	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

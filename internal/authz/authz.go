@@ -18,8 +18,9 @@
 // Authorize is lock-free — it forks the snapshot's engine into per-request
 // scratch, verifies co-signer signatures on a bounded parallel fan-out
 // (first failure cancels the rest), and memoizes certificate verifications
-// in the snapshot's fingerprint-keyed cache. Steps 1–3 are independent per
-// request given a fixed belief set, which is exactly what makes this safe.
+// in the key epoch's fingerprint-keyed cache (snapshot.go). Steps 1–3 are
+// independent per request given a fixed belief set, which is exactly what
+// makes this safe.
 package authz
 
 import (
@@ -192,7 +193,7 @@ func NewServer(name string, clk *clock.Clock, anchors TrustAnchors, objects *acl
 	}
 	s.parallelism.Store(int32(defaultParallelism()))
 	s.buildHotMetrics()
-	s.state.Store(newState(anchors, freshEngine(name, clk, anchors), 0, 0))
+	s.state.Store(newState(anchors, freshEngine(name, clk, anchors), 0, 0, newCertCache()))
 	return s
 }
 
@@ -335,9 +336,21 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	st := s.state.Load()
+	return s.authorizeAt(ctx, s.state.Load(), req)
+}
+
+// authorizeAt decides req against snapshot st, the one Authorize found
+// current at entry. A publish may overtake a running request: it keeps
+// deciding against st, and what it memoizes in st.cache stays sound for
+// the snapshots that follow (snapshot.go).
+func (s *Server) authorizeAt(ctx context.Context, st *state, req AccessRequest) (Decision, error) {
+	// The request's working set comes from the scratch pool and is cleared
+	// on return; it also carries the certificate fingerprints from the
+	// residual attempt to the replay, so each is computed once.
+	sc := s.getScratch()
+	defer s.putScratch(sc)
 	if !s.noResidual.Load() {
-		if dec, err, ok := s.tryResidual(ctx, st, &req); ok {
+		if dec, err, ok := s.tryResidual(ctx, st, sc, &req); ok {
 			return dec, err
 		}
 		s.hot.residualFallbacks.Inc()
@@ -375,7 +388,8 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 
 	// ---- Step 1: verify the signing keys (messages 1-1, 1-2). ----
 	tr.begin(StepCerts)
-	userKeys, err := s.verifyIdentities(ctx, st, eng, req.Identities, now)
+	sc.fingerprint(&req)
+	userKeys, err := s.verifyIdentities(ctx, st, eng, req.Identities, sc.idFPs, now)
 	if err != nil {
 		if ctxErr(err) {
 			return s.abort(tr, err)
@@ -388,7 +402,7 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 	if err := ctx.Err(); err != nil {
 		return s.abort(tr, err)
 	}
-	memR, err := s.verifyMembership(st, eng, &req, now)
+	memR, err := s.verifyMembership(st, eng, &req, sc.memFP, now)
 	if err != nil {
 		return s.deny(tr, &req, memR.group, err.Error(), eng.Proof())
 	}
@@ -445,6 +459,10 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 
 	tr.endOK()
 	tr.finish(true, "")
+	trace := ""
+	if tr.sink {
+		trace = eng.Proof().String()
+	}
 	s.audit(audit.Entry{
 		At: now, Outcome: audit.Approved, Server: s.name,
 		Requestor: req.Requests[0].User, Operation: string(op),
@@ -452,7 +470,7 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 		Reason:     gs.String(),
 		RequestID:  tr.id,
 		Spans:      tr.spans,
-		ProofTrace: eng.Proof().String(),
+		ProofTrace: trace,
 	})
 	return Decision{Allowed: true, Group: group, Reason: gs.String(), RequestID: tr.id, Proof: eng.Proof(), Data: data}, nil
 }
@@ -460,7 +478,6 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 // idResult carries one identity certificate through the two verification
 // phases: the parallel cryptographic phase and the serial derivation.
 type idResult struct {
-	fp     string
 	cached bool
 	hit    cachedCert
 	upk    sharedrsa.PublicKey
@@ -468,22 +485,26 @@ type idResult struct {
 
 // verifyIdentities runs Step 1: the cryptographic checks (RSA-FDH
 // signature per certificate) on the parallel fan-out with cache lookups by
-// fingerprint, then the logical derivations serially into the request's
-// fork. Cache hits skip both the RSA verification and the re-derivation;
-// validity and key-revocation are still re-checked at the current time.
-func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Engine, ids []pki.Signed[pki.Identity], now clock.Time) (map[string]sharedrsa.PublicKey, error) {
+// fingerprint (fps[i] is ids[i]'s), then the logical derivations serially
+// into the request's fork. Cache hits skip both the RSA verification and
+// the re-derivation; validity, the issuing CA's key and key revocation are
+// live leaves, re-checked against this snapshot at the current time where
+// the cold path checks them, and deny with its reasons.
+func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Engine, ids []pki.Signed[pki.Identity], fps []string, now clock.Time) (map[string]sharedrsa.PublicKey, error) {
 	results := make([]idResult, len(ids))
 	var err error
 	if s.batchVerify.Load() {
-		err = s.verifyIdentitiesBatched(st, ids, results, now)
+		err = s.verifyIdentitiesBatched(st, ids, fps, results, now)
 	} else {
 		err = forEachParallel(ctx, len(ids), s.verifyParallelism(), func(_ context.Context, i int) error {
 			idc := ids[i]
 			r := &results[i]
-			r.fp = pki.Fingerprint(idc)
-			if e, ok := st.cache.get(r.fp); ok {
-				r.cached, r.hit = true, e
+			if e, ok := st.cache.get(fps[i]); ok {
 				s.hot.cacheHitIdentity.Inc()
+				if !e.validity.Contains(now) {
+					return errors.New("identity certificate invalid: " + s.expiredHit(st, fps[i], e, now).Error())
+				}
+				r.cached, r.hit = true, e
 				return nil
 			}
 			s.reg.Counter(MetricCacheMisses, "kind", "identity").Inc()
@@ -511,11 +532,11 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 		r := &results[i]
 		if r.cached {
 			ks, ok := r.hit.formula.(logic.KeySpeaksFor)
-			if !ok || !r.hit.validity.Contains(now) {
-				return nil, fmt.Errorf("identity certificate invalid: %v", pki.ErrExpired)
+			if !ok {
+				return nil, errors.New("identity derivation failed: cached formula is not a key binding")
 			}
-			if eng.Store().KeyRevoked(ks.K, now) {
-				return nil, fmt.Errorf("identity derivation failed: key %s revoked as of %s", ks.K, now)
+			if reason := identityLeafDenial(eng.Store(), &ids[i], ks, now); reason != "" {
+				return nil, errors.New(reason)
 			}
 			eng.Replay(ks, r.hit.note)
 			userKeys[idc.Cert.Subject] = r.hit.subjectKey
@@ -529,15 +550,47 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 		if err != nil {
 			return nil, errors.New("identity derivation failed: " + err.Error())
 		}
-		st.cache.put(r.fp, cachedCert{
+		s.cachePut(st, fps[i], cachedCert{
 			formula:    f,
 			validity:   clock.NewInterval(idc.Cert.NotBefore, idc.Cert.NotAfter),
 			subjectKey: r.upk,
-			note:       "cached: identity of " + idc.Cert.Subject + " (fp " + r.fp + ")",
+			note:       "cached: identity of " + idc.Cert.Subject + " (fp " + fps[i] + ")",
 		})
 		userKeys[idc.Cert.Subject] = r.upk
 	}
 	return userKeys, nil
+}
+
+// identityLeafDenial and membershipLeafDenial check, against one
+// snapshot's store, what a cached verification does not contain: the
+// belief-dependent conditions of the cold derivation, in its order and
+// with its reasons (internal/logic's AcceptKeyCertificate /
+// AcceptMembershipCertificate under VerifyCertificate), so a decision
+// reads the same whether its certificates were cached or not — pinned by
+// the cold-rebuild differential test. First the issuer: the cold path
+// looks its key belief up with KeyFor, which skips a key revoked as of
+// now, and the fingerprint pins the certificate's SignerKey to the anchor
+// key it was verified under. Then the subject's own revocation. ""
+// means every leaf holds.
+func identityLeafDenial(store *logic.BeliefStore, idc *pki.Signed[pki.Identity], ks logic.KeySpeaksFor, now clock.Time) string {
+	if store.KeyRevoked(logic.KeyID(idc.SignerKey), now) {
+		return "no key belief for CA " + idc.Cert.Issuer
+	}
+	if store.KeyRevoked(ks.K, now) {
+		return fmt.Sprintf("identity derivation failed: verify certificate: key certificate: key %s revoked as of %s", ks.K, now)
+	}
+	return ""
+}
+
+func membershipLeafDenial(store *logic.BeliefStore, signerKey string, mem logic.MemberOf, now clock.Time) string {
+	if store.KeyRevoked(logic.KeyID(signerKey), now) {
+		return "no key belief for AA"
+	}
+	if store.Revoked(mem.Who, mem.G, now) {
+		return fmt.Sprintf("membership derivation failed: verify certificate: attribute certificate: membership of %s in %s revoked as of %s",
+			mem.Who, mem.G.Name, now)
+	}
+	return ""
 }
 
 // membershipResult is the outcome of Step 2.
@@ -551,24 +604,26 @@ type membershipResult struct {
 
 // verifyMembership runs Step 2 for the attribute certificate — threshold
 // (A38 path) or single-subject (A35 path) — consulting the verified-
-// certificate cache by fingerprint.
-func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessRequest, now clock.Time) (membershipResult, error) {
+// certificate cache by the certificate's fingerprint fp. On a hit,
+// validity, the AA's key and membership revocation are live leaves
+// re-checked against this snapshot.
+func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessRequest, fp string, now clock.Time) (membershipResult, error) {
 	if req.Delegated {
-		return s.verifyDelegatedMembership(st, eng, req, now)
+		return s.verifyDelegatedMembership(st, eng, req, fp, now)
 	}
 	var (
-		out      membershipResult
-		fp       string
-		ideal    logic.Signed
-		issuer   string
-		issuedTo string
+		out       membershipResult
+		ideal     logic.Signed
+		issuer    string
+		issuedTo  string
+		signerKey = req.Threshold.SignerKey
 	)
 	if req.SingleSubject {
+		signerKey = req.Single.SignerKey
 		c := req.Single.Cert
 		out.group, issuer, issuedTo = c.Group, c.Issuer, c.Subject.Name
 		out.boundKey = map[string]string{c.Subject.Name: c.Subject.KeyID}
 		out.certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
-		fp = pki.Fingerprint(req.Single)
 	} else {
 		c := req.Threshold.Cert
 		out.group, issuer = c.Group, c.Issuer
@@ -578,7 +633,6 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 			out.boundKey[sub.Name] = sub.KeyID
 		}
 		out.certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
-		fp = pki.Fingerprint(req.Threshold)
 	}
 	if issuer != st.anchors.AAName {
 		return out, fmt.Errorf("%s certificate from unexpected issuer %s", certKind(req), issuer)
@@ -587,12 +641,14 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 	if e, ok := st.cache.get(fp); ok {
 		s.hot.cacheHitAttribute.Inc()
 		mem, isMem := e.formula.(logic.MemberOf)
-		if !isMem || !e.validity.Contains(now) {
-			return out, fmt.Errorf("%s certificate invalid: %v", certKind(req), pki.ErrExpired)
+		if !isMem {
+			return out, errors.New("membership derivation produced unexpected formula")
 		}
-		if eng.Store().Revoked(mem.Who, mem.G, now) {
-			return out, fmt.Errorf("membership derivation failed: membership of %s in %s revoked as of %s",
-				mem.Who, mem.G.Name, now)
+		if !e.validity.Contains(now) {
+			return out, fmt.Errorf("%s certificate invalid: %v", certKind(req), s.expiredHit(st, fp, e, now))
+		}
+		if reason := membershipLeafDenial(eng.Store(), signerKey, mem, now); reason != "" {
+			return out, errors.New(reason)
 		}
 		out.mem = mem
 		out.memStep = eng.Replay(mem, e.note)
@@ -624,7 +680,7 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 		return out, errors.New("membership derivation produced unexpected formula")
 	}
 	out.mem, out.memStep = mem, memStep
-	st.cache.put(fp, cachedCert{
+	s.cachePut(st, fp, cachedCert{
 		formula:  mem,
 		validity: out.certValidity,
 		note:     "cached: membership of " + issuedTo + " in " + out.group + " (fp " + fp + ")",
@@ -633,13 +689,14 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 }
 
 // verifyDelegatedMembership runs Step 2 for a delegation-backed request:
-// the leaf certificate (signature cached by fingerprint) identifies the
-// subject, and the membership is derived from the server's believed
-// root-anchored composed chain — the op must be inside the attenuated
+// the leaf certificate (signature cached by fingerprint fp; its validity
+// re-checked on a hit) identifies the subject, and the membership is
+// derived from the believed root-anchored composed chain of this
+// snapshot, never from the cache — the op must be inside the attenuated
 // permission set, the composed validity interval must cover now, and
 // every chain link (subject and each delegator on the path) must be
 // unrevoked.
-func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *AccessRequest, now clock.Time) (membershipResult, error) {
+func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *AccessRequest, fp string, now clock.Time) (membershipResult, error) {
 	var out membershipResult
 	c := req.Delegation.Cert
 	out.group = c.Group
@@ -647,15 +704,17 @@ func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *Ac
 	if c.Issuer != st.anchors.AAName {
 		return out, fmt.Errorf("delegation certificate from unexpected issuer %s", c.Issuer)
 	}
-	fp := pki.Fingerprint(req.Delegation)
-	if _, ok := st.cache.get(fp); ok {
+	if e, ok := st.cache.get(fp); ok {
 		s.hot.cacheHitDelegation.Inc()
+		if !e.validity.Contains(now) {
+			return out, fmt.Errorf("delegation certificate invalid: %v", s.expiredHit(st, fp, e, now))
+		}
 	} else {
 		s.reg.Counter(MetricCacheMisses, "kind", "delegation").Inc()
 		if err := pki.VerifyDelegation(req.Delegation, st.anchors.AAKey, now); err != nil {
 			return out, errors.New("delegation certificate invalid: " + err.Error())
 		}
-		st.cache.put(fp, cachedCert{
+		s.cachePut(st, fp, cachedCert{
 			formula:  pki.DelegationLinkFormula(req.Delegation),
 			validity: clock.NewInterval(c.NotBefore, c.NotAfter),
 			note:     "cached: delegation leaf for " + c.Subject.Name + " in " + c.Group + " (fp " + fp + ")",
@@ -689,7 +748,8 @@ func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *Ac
 	return out, nil
 }
 
-// certKind names the attribute certificate kind in denial reasons.
+// certKind names the membership certificate kind in denial reasons, as
+// the cold verification of each kind words it.
 func certKind(req *AccessRequest) string {
 	if req.Delegated {
 		return "delegation"
@@ -697,7 +757,7 @@ func certKind(req *AccessRequest) string {
 	if req.SingleSubject {
 		return "attribute"
 	}
-	return "threshold"
+	return "threshold attribute"
 }
 
 // cosignItem is one co-signer's request component prepared for the

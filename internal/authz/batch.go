@@ -1,14 +1,14 @@
 // Batched certificate verification for Step 1.
 //
-// On a warm certificate cache Step 1 costs no RSA at all, but every
-// belief mutation (a revocation, a CRL, a group link) publishes a fresh
-// snapshot with an empty cache, so under churn each request re-verifies
-// its k co-signer identity certificates. Grouped by issuing CA those k
-// verifications share one public key, which is exactly the shape the
-// k-way screening check in internal/sharedrsa exploits — see the package
-// comment there for the soundness argument and for what the blinded
-// strict mode adds. Measured on the load harness, batching cuts the
-// churn-path Step-1 cost roughly in half at k = 2 and more as k grows.
+// On a warm certificate cache Step 1 costs no RSA at all, but a request
+// seen for the first time in a key epoch (first touch, after a re-key, or
+// after eviction) verifies its k co-signer identity certificates. Grouped
+// by issuing CA those k verifications share one public key, which is
+// exactly the shape the k-way screening check in internal/sharedrsa
+// exploits — see the package comment there for the soundness argument and
+// for what the blinded strict mode adds. Measured on the load harness,
+// batching cuts the cold Step-1 cost roughly in half at k = 2 and more as
+// k grows.
 
 package authz
 
@@ -40,10 +40,10 @@ func (s *Server) SetBatchVerifyBlinding(bits int) {
 
 // verifyIdentitiesBatched is the batched Step-1 cryptographic phase:
 // cache lookups first, then one k-way batched check per issuing CA over
-// the misses. It fills results exactly like the per-certificate parallel
-// phase and reports the lowest-index failure, matching forEachParallel's
-// deterministic error selection.
-func (s *Server) verifyIdentitiesBatched(st *state, ids []pki.Signed[pki.Identity], results []idResult, now clock.Time) error {
+// the misses (fps[i] is ids[i]'s fingerprint). It fills results exactly
+// like the per-certificate parallel phase and reports the lowest-index
+// failure, matching forEachParallel's deterministic error selection.
+func (s *Server) verifyIdentitiesBatched(st *state, ids []pki.Signed[pki.Identity], fps []string, results []idResult, now clock.Time) error {
 	type caGroup struct {
 		key sharedrsa.PublicKey
 		idx []int
@@ -62,10 +62,13 @@ func (s *Server) verifyIdentitiesBatched(st *state, ids []pki.Signed[pki.Identit
 	for i := range ids {
 		idc := &ids[i]
 		r := &results[i]
-		r.fp = pki.Fingerprint(*idc)
-		if e, ok := st.cache.get(r.fp); ok {
-			r.cached, r.hit = true, e
+		if e, ok := st.cache.get(fps[i]); ok {
 			s.hot.cacheHitIdentity.Inc()
+			if !e.validity.Contains(now) {
+				fail(i, errors.New("identity certificate invalid: "+s.expiredHit(st, fps[i], e, now).Error()))
+				continue
+			}
+			r.cached, r.hit = true, e
 			continue
 		}
 		s.reg.Counter(MetricCacheMisses, "kind", "identity").Inc()

@@ -88,9 +88,10 @@ func TestAuthorizeConcurrentWithMutations(t *testing.T) {
 }
 
 // TestCacheNeverServesRevokedCertificate is the soundness regression for
-// the verified-certificate cache: a warm cache (hits observed) must be
-// discarded by ProcessRevocation, and the previously cached request must
-// be denied afterwards — never approved from stale entries.
+// the verified-certificate cache: a revocation keeps the warm entries (the
+// cache belongs to the key epoch) and still the previously cached request
+// is denied — on cache hits, by the live revocation leaf, with the reason
+// a server that never cached anything gives.
 func TestCacheNeverServesRevokedCertificate(t *testing.T) {
 	f := newFixture(t)
 	reg := obs.NewRegistry()
@@ -106,8 +107,7 @@ func TestCacheNeverServesRevokedCertificate(t *testing.T) {
 	if _, err := server.Authorize(context.Background(), req); err != nil {
 		t.Fatalf("warm authorize: %v", err)
 	}
-	hits := counterTotal(reg, MetricCacheHits)
-	if hits == 0 {
+	if counterTotal(reg, MetricCacheHits) == 0 {
 		t.Fatal("warm authorize recorded no cache hits")
 	}
 
@@ -115,11 +115,15 @@ func TestCacheNeverServesRevokedCertificate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries := server.state.Load().cache.len()
 	if err := server.ProcessRevocation(rev); err != nil {
 		t.Fatalf("process revocation: %v", err)
 	}
-	if inv := counterTotal(reg, MetricCacheInvalidated); inv == 0 {
-		t.Fatal("revocation discarded no cache entries")
+	if got := server.state.Load().cache.len(); got != entries || entries == 0 {
+		t.Fatalf("revocation changed the cache: %d entries -> %d", entries, got)
+	}
+	if inv := counterTotal(reg, MetricCacheInvalidated); inv != 0 {
+		t.Fatalf("revocation counted %d dropped cache entries, want 0", inv)
 	}
 
 	f.clk.Tick()
@@ -127,10 +131,23 @@ func TestCacheNeverServesRevokedCertificate(t *testing.T) {
 	if _, err := server.Authorize(context.Background(), req2); !errors.Is(err, ErrDenied) {
 		t.Fatalf("revoked certificate honored after cache warm-up: %v", err)
 	}
-	// The identical pre-revocation request must be denied too (its cached
-	// verification died with the old snapshot).
-	if _, err := server.Authorize(context.Background(), req); !errors.Is(err, ErrDenied) {
+	// The identical pre-revocation request is denied too, although every
+	// one of its certificates is still cached.
+	hits, misses := counterTotal(reg, MetricCacheHits), counterTotal(reg, MetricCacheMisses)
+	dec, err := server.Authorize(context.Background(), req)
+	if !errors.Is(err, ErrDenied) {
 		t.Fatalf("stale cached request honored after revocation: %v", err)
+	}
+	if counterTotal(reg, MetricCacheHits) <= hits || counterTotal(reg, MetricCacheMisses) != misses {
+		t.Fatal("post-revocation denial did not run on the carried cache entries")
+	}
+	cold := f.newServer(nil)
+	if err := cold.ProcessRevocation(rev); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := cold.Authorize(context.Background(), req)
+	if dec.DeniedStep != want.DeniedStep || dec.Reason != want.Reason {
+		t.Fatalf("warm denial (%s: %s) differs from the cold one (%s: %s)", dec.DeniedStep, dec.Reason, want.DeniedStep, want.Reason)
 	}
 }
 

@@ -110,9 +110,10 @@ func (Reanchor) Verb() string           { return VerbReanchor }
 
 // Apply verifies and applies one belief mutation, publishing a new
 // snapshot (journaled first when a journal is attached) with an empty
-// certificate cache and residue memo. It is the single
-// entry point for belief changes; the Process*/Reanchor methods are
-// deprecated wrappers around it.
+// residue memo; the verified-certificate cache is kept unless the
+// mutation is a Reanchor (snapshot.go). It is the single entry point for
+// belief changes; the Process*/Reanchor methods are deprecated wrappers
+// around it.
 func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -211,8 +212,9 @@ func (s *Server) applyGroupLink(link pki.Signed[pki.GroupLink]) error {
 // applyIdentityRevocation verifies and applies an IdentityRevocation
 // mutation: requests signed with the revoked key are denied from the
 // effective time on (identity revocation per Stubblebine–Wright, which
-// the paper defers to). The snapshot swap discards every cached
-// certificate verification.
+// the paper defers to): cached verifications of the key's certificates
+// stay, and every hit on them re-checks KeyRevoked against the new
+// snapshot.
 func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("identity", start, err) }(time.Now())
 	err = s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
@@ -283,8 +285,8 @@ func (s *Server) applyCRL(crl pki.SignedCRL) (applied int, err error) {
 // applyRevocation verifies a revocation certificate (from the RA or the
 // AA itself) and records the negative belief in a new snapshot;
 // subsequent derivations for the revoked membership fail
-// (believe-until-revoked), and every cached certificate verification is
-// discarded with the old snapshot.
+// (believe-until-revoked) — cold, and on every hit of a cached
+// verification, which re-checks Revoked against the new snapshot.
 func (s *Server) applyRevocation(rev pki.Signed[pki.Revocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("membership", start, err) }(time.Now())
 	var trace string

@@ -62,10 +62,12 @@ const (
 	// certificate kind (identity, attribute, delegation).
 	MetricCacheHits = "authz_cert_cache_hits_total"
 	// MetricCacheMisses counts verified-certificate cache misses, labeled
-	// by certificate kind (identity, attribute).
+	// by certificate kind (identity, attribute, delegation).
 	MetricCacheMisses = "authz_cert_cache_misses_total"
-	// MetricCacheInvalidated counts cache entries discarded by belief
-	// mutations (revocations, group links, re-anchoring).
+	// MetricCacheInvalidated counts cache entries dropped by re-anchoring
+	// (the outgoing key epoch's whole cache) or by eviction (the
+	// certCacheCap bound, or a hit that found its entry expired). Belief
+	// mutations within an epoch drop nothing.
 	MetricCacheInvalidated = "authz_cert_cache_invalidated_total"
 	// MetricSnapshotSwaps counts published belief snapshots.
 	MetricSnapshotSwaps = "authz_snapshot_swaps_total"

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"jointadmin/internal/logic"
+	"jointadmin/internal/pki"
 	"jointadmin/internal/sharedrsa"
 )
 
@@ -43,8 +44,9 @@ func (s *Server) fork(st *state) *logic.Engine {
 	return st.eng.ForkPooled()
 }
 
-// reqScratch is the reusable per-request working set of the residual
-// fast path. Fields are truncated, never shrunk, so a warm scratch
+// reqScratch is the reusable per-request working set of Authorize: the
+// residual fast path's lookup state and the certificate fingerprints both
+// paths use. Fields are truncated, never shrunk, so a warm scratch
 // serves a request of the same shape without allocating.
 type reqScratch struct {
 	boundKey map[string]string
@@ -60,6 +62,32 @@ type reqScratch struct {
 
 	bodyBuf []byte // backing for every co-signer's canonical request body
 	bodyOff []int  // start/end offset pairs into bodyBuf
+
+	// memFP and idFPs are the fingerprints of the request's membership
+	// certificate and of req.Identities, in order (fingerprint).
+	memFP string
+	idFPs []string
+}
+
+// fingerprint computes the request's certificate fingerprints once: the
+// residual attempt fills them and, on a miss, the full replay reuses them
+// (a fingerprint is a json.Marshal and a sha256 over the certificate).
+func (sc *reqScratch) fingerprint(req *AccessRequest) {
+	if sc.memFP != "" {
+		return
+	}
+	switch {
+	case req.Delegated:
+		sc.memFP = pki.Fingerprint(req.Delegation)
+	case req.SingleSubject:
+		sc.memFP = pki.Fingerprint(req.Single)
+	default:
+		sc.memFP = pki.Fingerprint(req.Threshold)
+	}
+	sc.idFPs = grow(sc.idFPs, len(req.Identities))
+	for i := range req.Identities {
+		sc.idFPs[i] = pki.Fingerprint(req.Identities[i])
+	}
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -107,6 +135,9 @@ func (s *Server) putScratch(sc *reqScratch) {
 	sc.premises = sc.premises[:0]
 	sc.bodyBuf = sc.bodyBuf[:0]
 	sc.bodyOff = sc.bodyOff[:0]
+	sc.memFP = ""
+	clear(sc.idFPs[:cap(sc.idFPs)])
+	sc.idFPs = sc.idFPs[:0]
 	scratchPool.Put(sc)
 }
 

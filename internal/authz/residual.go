@@ -17,14 +17,17 @@
 //
 // A residue is a pure function of the immutable snapshot and the group,
 // so nothing is compiled at publish: the first warm request for a group
-// compiles its residue into the snapshot's memo, which has exactly the
-// lifecycle of the verified-certificate cache — a residue can never
-// outlive the belief set it was compiled from. The memo is filled only
-// for a group named by a certificate already verified in the same
-// snapshot's cache, so it is bounded by issued certificates, never by
-// request input. The object store mutates outside snapshot publishes
-// (writes, ACL changes, new objects) and no residue depends on it: the
-// ACL lookup is a live Step-4 leaf.
+// compiles its residue into the snapshot's memo, which is discarded with
+// the snapshot — a residue can never outlive the belief set it was
+// compiled from. (The verified-certificate cache outlives the snapshot,
+// snapshot.go; a residue does not ride along, because the relation
+// closure and the composed chains it records are beliefs, and compiling
+// one costs a few microseconds.) The memo is filled only for a group
+// named by a certificate already verified in the key epoch's cache, so it
+// is bounded by issued certificates, never by request input. The object
+// store mutates outside snapshot publishes (writes, ACL changes, new
+// objects) and no residue depends on it: the ACL lookup is a live Step-4
+// leaf.
 
 package authz
 
@@ -41,7 +44,6 @@ import (
 	"jointadmin/internal/clock"
 	"jointadmin/internal/delegation"
 	"jointadmin/internal/logic"
-	"jointadmin/internal/pki"
 	"jointadmin/internal/sharedrsa"
 )
 
@@ -248,8 +250,8 @@ func (ix *relIndex) compile(g string, now clock.Time) *residue {
 }
 
 // residueMemo holds the residues compiled so far against one snapshot,
-// keyed by requesting group. Like the certificate cache it is bound to
-// exactly one state and discarded with it.
+// keyed by requesting group. It is bound to exactly one state and
+// discarded with it.
 type residueMemo struct {
 	index func() *relIndex // built on first compile
 	// baseTrace renders the snapshot's base proof, once, for the first
@@ -317,8 +319,11 @@ func (s *Server) SetResidualsEnabled(on bool) { s.noResidual.Store(!on) }
 // splicing the recorded segment with fresh leaf steps. ok=false means the
 // request could not be decided residually — cold cache or an unsupported
 // membership shape — and nothing was traced or counted: the caller falls
-// back to the full replay, which re-runs everything.
-func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest) (Decision, error, bool) {
+// back to the full replay, which re-runs everything but the fingerprints
+// left in sc. Cached verifications may predate this snapshot (the cache
+// belongs to the key epoch); everything a mutation can change is a leaf
+// checked below against st, and the residue is st's own.
+func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req *AccessRequest) (Decision, error, bool) {
 	if len(req.Requests) == 0 {
 		return Decision{}, nil, false
 	}
@@ -327,18 +332,18 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 	object := req.Requests[0].Object
 
 	// The request's working set — lookup maps, leaf-check slices, body
-	// encodings — comes from the scratch pool and is cleared on return;
-	// only the proof (and the strings on the Decision) escape.
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	// encodings — lives in the caller's pooled scratch; only the proof (and
+	// the strings on the Decision) escape.
+	sc.fingerprint(req)
+	memFP := sc.memFP
 
 	// The attribute certificate names the requesting group and binds the
 	// co-signers' keys; its verification must be cached.
 	var (
 		group        string
 		issuer       string
+		signerKey    string
 		certValidity clock.Interval
-		memFP        string
 	)
 	boundKey := sc.boundKey
 	if req.Delegated {
@@ -346,21 +351,18 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 		group, issuer = c.Group, c.Issuer
 		boundKey[c.Subject.Name] = c.Subject.KeyID
 		certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
-		memFP = pki.Fingerprint(req.Delegation)
 	} else if req.SingleSubject {
 		c := req.Single.Cert
-		group, issuer = c.Group, c.Issuer
+		group, issuer, signerKey = c.Group, c.Issuer, req.Single.SignerKey
 		boundKey[c.Subject.Name] = c.Subject.KeyID
 		certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
-		memFP = pki.Fingerprint(req.Single)
 	} else {
 		c := req.Threshold.Cert
-		group, issuer = c.Group, c.Issuer
+		group, issuer, signerKey = c.Group, c.Issuer, req.Threshold.SignerKey
 		for _, sub := range c.Subjects {
 			boundKey[sub.Name] = sub.KeyID
 		}
 		certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
-		memFP = pki.Fingerprint(req.Threshold)
 	}
 	if issuer != st.anchors.AAName {
 		return Decision{}, nil, false // full path renders the exact denial
@@ -410,7 +412,7 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 	idHits := grow(sc.idHits, len(req.Identities))
 	sc.idHits = idHits
 	for i := range req.Identities {
-		e, ok := st.cache.get(pki.Fingerprint(req.Identities[i]))
+		e, ok := st.cache.get(sc.idFPs[i])
 		if !ok {
 			return Decision{}, nil, false
 		}
@@ -462,34 +464,38 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 
 	store := st.eng.Store()
 
-	// ---- Step 1 leaves: cached identity verifications, re-checked for
-	// validity and key revocation at the current time. ----
+	// ---- Step 1 leaves: cached identity verifications, re-checked at the
+	// current time against this snapshot — validity of every certificate
+	// first (the replay checks it with the signatures, before any
+	// derivation), then issuer and key revocation in certificate order. ----
 	tr.begin(StepCerts)
-	userKeys, userKS := sc.userKeys, sc.userKS
-	for i, idc := range req.Identities {
-		e := idHits[i]
-		ks := e.formula.(logic.KeySpeaksFor)
+	for i, e := range idHits {
 		if !e.validity.Contains(now) {
-			return deny("", fmt.Sprintf("identity certificate invalid: %v", pki.ErrExpired))
+			return deny("", fmt.Sprintf("identity certificate invalid: %v", s.expiredHit(st, sc.idFPs[i], e, now)))
 		}
-		if store.KeyRevoked(ks.K, now) {
-			return deny("", fmt.Sprintf("identity derivation failed: key %s revoked as of %s", ks.K, now))
+	}
+	userKeys, userKS := sc.userKeys, sc.userKS
+	for i := range req.Identities {
+		idc, e := &req.Identities[i], idHits[i]
+		ks := e.formula.(logic.KeySpeaksFor)
+		if reason := identityLeafDenial(store, idc, ks, now); reason != "" {
+			return deny("", reason)
 		}
 		pr.Append(logic.RuleResidualLeaf, nil, ks, now, e.note)
 		userKeys[idc.Cert.Subject] = e.subjectKey
 		userKS[idc.Cert.Subject] = ks
 	}
 
-	// ---- Step 2 leaf: cached membership, re-checked for validity and
-	// revocation. On the delegated path the leaves are the absorbed
-	// chain's interval, the op-in-perms check, and per-link revocation
-	// (subject plus every delegator on the path). ----
+	// ---- Step 2 leaf: cached membership, re-checked for validity, the
+	// AA's key and revocation. On the delegated path the leaves are the
+	// absorbed chain's interval, the op-in-perms check, and per-link
+	// revocation (subject plus every delegator on the path). ----
 	tr.begin(StepThreshold)
 	if err := ctx.Err(); err != nil {
 		return abort(err)
 	}
 	if !memHit.validity.Contains(now) {
-		return deny(group, fmt.Sprintf("%s certificate invalid: %v", certKind(req), pki.ErrExpired))
+		return deny(group, fmt.Sprintf("%s certificate invalid: %v", certKind(req), s.expiredHit(st, memFP, memHit, now)))
 	}
 	var memStep int
 	if req.Delegated {
@@ -533,9 +539,8 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 		memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now,
 			"membership of "+subject+" in "+group+" derived from the absorbed delegation chain ["+chain.Path+"]")
 	} else {
-		if store.Revoked(mem.Who, mem.G, now) {
-			return deny(group, fmt.Sprintf("membership derivation failed: membership of %s in %s revoked as of %s",
-				mem.Who, mem.G.Name, now))
+		if reason := membershipLeafDenial(store, signerKey, mem, now); reason != "" {
+			return deny(group, reason)
 		}
 		memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now, memHit.note)
 	}

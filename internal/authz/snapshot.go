@@ -6,13 +6,45 @@
 // Process*/Reanchor wrappers). Authorize loads the current snapshot once
 // and runs lock-free against it: certificate derivations go into a
 // per-request fork of the snapshot's engine, and successful
-// verifications are memoized in the snapshot's certificate cache (keyed by
-// certificate fingerprint). Because the cache lives inside the snapshot,
-// every belief mutation discards it wholesale — a cached certificate can
-// never outlive the belief set it was verified under. Each snapshot also
-// carries the memo of residual checklists compiled, on first use, against
-// its belief set (residual.go), so residue invalidation rides the same
-// swap.
+// verifications are memoized in the certificate cache the snapshot points
+// at (keyed by certificate fingerprint).
+//
+// The cache belongs to the key epoch, not to the snapshot. The paper's
+// certificate acceptance (statements 12–22) concludes K ⇒ Q / W ⇒ G from
+// the certificate and the trust anchors alone and holds it until revoked;
+// revocation is a separate, time-stamped belief. The cache keeps exactly
+// that split:
+//
+//   - An entry is a pure function of (trust anchors, certificate bytes):
+//     the RSA check against an anchor key, the formula the certificate
+//     idealizes to, its validity interval and the subject's parsed key. No
+//     belief a mutation can add or withdraw is baked into it.
+//   - Every belief-dependent condition is a live leaf, re-checked against
+//     the reader's own snapshot on every hit: validity at the current
+//     time; the issuer's own key not revoked (the cold derivation looks
+//     the CA's or AA's key belief up with KeyFor, which skips a revoked
+//     key — the one belief besides the subject's standing a verification
+//     rests on); KeyRevoked for an identity's subject key, Revoked for a
+//     membership, the believed chain and per-link revocation for a
+//     delegation (verifyIdentities, verifyMembership,
+//     verifyDelegatedMembership, tryResidual; identityLeafDenial and
+//     membershipLeafDenial hold the shared checks). A hit therefore
+//     decides exactly what re-verifying the certificate under that
+//     snapshot would, reason included.
+//
+// So mutate (live Apply, WAL replay, ApplyReplicated) hands the current
+// cache to the next snapshot, and only the constructors that change the
+// anchors start an empty one: NewServer, applyReanchor and restoreAt
+// (through which NewReplica and every replayed anchors record go). A put
+// by a request still running on the previous snapshot is sound for the
+// same reason: within an epoch all snapshots share the anchors, so the
+// entry it stores is the one a request on the newest snapshot would
+// store; a request still running on a previous epoch holds that epoch's
+// cache, never the new one.
+//
+// Each snapshot also carries the memo of residual checklists compiled, on
+// first use, against its belief set (residual.go). Residues do depend on
+// beliefs (relation closure, composed chains), so they stay per snapshot.
 
 package authz
 
@@ -22,13 +54,15 @@ import (
 
 	"jointadmin/internal/clock"
 	"jointadmin/internal/logic"
+	"jointadmin/internal/pki"
 	"jointadmin/internal/sharedrsa"
 	"jointadmin/internal/wal"
 )
 
 // state is one immutable belief snapshot. All fields are fixed after
 // publication except the cache and the residue memo, which only memoize
-// conclusions already derivable from the snapshot's beliefs.
+// conclusions already derivable from the anchors (cache) or from the
+// snapshot's beliefs (residues).
 type state struct {
 	anchors TrustAnchors
 	eng     *logic.Engine // sealed base engine; fork before deriving
@@ -37,22 +71,25 @@ type state struct {
 	// version the belief set.
 	epoch     uint64
 	watermark uint64
-	cache     *certCache
+	// cache is the key epoch's verified-certificate cache, shared by every
+	// snapshot of the epoch (see the file comment for why that is sound).
+	cache *certCache
 	// residues memoizes the checklists compiled against this snapshot's
 	// belief set (residual.go), keyed by requesting group. They are
 	// invalidated by construction: the next publish starts an empty memo.
 	residues *residueMemo
 }
 
-// newState is the one place a snapshot is built: eng must be sealed, and
-// the certificate cache and residue memo start empty.
-func newState(anchors TrustAnchors, eng *logic.Engine, epoch, watermark uint64) *state {
+// newState is the one place a snapshot is built: eng must be sealed, cache
+// is the key epoch's (a fresh one exactly when anchors changed), and the
+// residue memo starts empty.
+func newState(anchors TrustAnchors, eng *logic.Engine, epoch, watermark uint64, cache *certCache) *state {
 	return &state{
 		anchors:   anchors,
 		eng:       eng,
 		epoch:     epoch,
 		watermark: watermark,
-		cache:     newCertCache(),
+		cache:     cache,
 		residues:  newResidueMemo(eng),
 	}
 }
@@ -86,7 +123,7 @@ func (s *Server) Snapshot() Snapshot {
 
 // cachedCert is one memoized certificate verification: the formula the
 // derivation concluded, the certificate's validity interval (re-checked at
-// hit time — the clock advances within a snapshot's lifetime), and, for
+// hit time — the clock advances within an epoch's lifetime), and, for
 // identity certificates, the subject's parsed verification key.
 type cachedCert struct {
 	formula    logic.Formula
@@ -95,12 +132,30 @@ type cachedCert struct {
 	note       string
 }
 
-// certCache memoizes successful certificate verifications by fingerprint.
-// It is bound to exactly one state: belief mutations publish a new state
-// with a fresh cache, so entries are invalidated wholesale.
+// certCacheCap bounds the entries of one key epoch's cache. An epoch lasts
+// until the next re-key — days — so without a bound the cache would grow
+// with every certificate ever presented. An identity entry measures about
+// 0.6 KB at 512-bit keys, map and ring slots included (formula, note,
+// parsed key; 2048-bit keys add 0.2 KB), so a full cache stays under
+// 64 MB: the zipfian hot set of a million-principal coalition fits, and a
+// principal colder than that re-verifies as it always did.
+const certCacheCap = 1 << 16
+
+// certCache memoizes successful certificate verifications by fingerprint
+// for one key epoch (see the file comment). It holds at most certCacheCap
+// entries, evicting in insertion order: a hit writes nothing (no recency
+// bookkeeping, read lock only), and a put past the bound overwrites the
+// oldest slot of the ring, O(1). Nothing is preallocated; map and ring
+// grow with the entries.
 type certCache struct {
 	mu sync.RWMutex
 	m  map[string]cachedCert
+	// ring lists the fingerprints in insertion order; once certCacheCap
+	// long it is circular and next is the oldest slot. A slot whose entry
+	// was dropped on expiry is stale until it is overwritten, so
+	// len(m) ≤ len(ring) ≤ certCacheCap.
+	ring []string
+	next int
 }
 
 func newCertCache() *certCache {
@@ -114,10 +169,39 @@ func (c *certCache) get(fp string) (cachedCert, bool) {
 	return e, ok
 }
 
-func (c *certCache) put(fp string, e cachedCert) {
+// put stores a verification and reports whether it evicted the oldest
+// entry to make room. Racing misses on one certificate store equal
+// entries (an entry is a function of anchors and certificate bytes), so
+// the first one stands.
+func (c *certCache) put(fp string, e cachedCert) (evicted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, ok := c.m[fp]; ok {
+		return false
+	}
+	if len(c.ring) < certCacheCap {
+		c.ring = append(c.ring, fp)
+	} else {
+		oldest := c.ring[c.next]
+		if _, ok := c.m[oldest]; ok {
+			delete(c.m, oldest)
+			evicted = true
+		}
+		c.ring[c.next] = fp
+		c.next = (c.next + 1) % certCacheCap
+	}
 	c.m[fp] = e
+	return evicted
+}
+
+// drop removes an entry a hit found expired (the clock is monotonic, so it
+// can never verify again) and reports whether it was still there.
+func (c *certCache) drop(fp string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.m[fp]
+	delete(c.m, fp)
+	return ok
 }
 
 func (c *certCache) len() int {
@@ -126,13 +210,31 @@ func (c *certCache) len() int {
 	return len(c.m)
 }
 
+// cachePut memoizes a verification in the epoch's cache, counting an
+// eviction it caused.
+func (s *Server) cachePut(st *state, fp string, e cachedCert) {
+	if st.cache.put(fp, e) {
+		s.reg.Counter(MetricCacheInvalidated).Inc()
+	}
+}
+
+// expiredHit handles a cache hit on a certificate whose validity no longer
+// covers now: the entry is dropped (counted as an eviction) and the denial
+// reads exactly as re-verifying the certificate would render it.
+func (s *Server) expiredHit(st *state, fp string, e cachedCert, now clock.Time) error {
+	if st.cache.drop(fp) {
+		s.reg.Counter(MetricCacheInvalidated).Inc()
+	}
+	return fmt.Errorf("%w: %s outside [%s, %s]", pki.ErrExpired, now, e.validity.Begin, e.validity.End)
+}
+
 // mutate runs fn against a fork of the current base engine and, on
-// success, seals the fork and publishes it as the new snapshot with a
-// fresh certificate cache and residue memo. Sealing folds the mutation's
-// overlay into the immutable base layers, so Authorize's per-request
-// forks of the new snapshot stay O(1). On error the fork is discarded and
-// the published state is untouched. Mutators are serialized by s.mu;
-// Authorize never takes it.
+// success, seals the fork and publishes it as the new snapshot — same
+// anchors, so the same verified-certificate cache, and a fresh residue
+// memo. Sealing folds the mutation's overlay into the immutable base
+// layers, so Authorize's per-request forks of the new snapshot stay O(1).
+// On error the fork is discarded and the published state is untouched.
+// Mutators are serialized by s.mu; Authorize never takes it.
 //
 // fn may return a WAL record describing the mutation; when a journal is
 // attached the record is written — and fsynced — before the snapshot is
@@ -155,16 +257,17 @@ func (s *Server) mutate(fn func(cur *state, eng *logic.Engine) (*wal.Record, err
 		}
 	}
 	eng.Seal()
-	s.publish(newState(cur.anchors, eng, cur.epoch, cur.watermark+1), cur)
+	s.publish(newState(cur.anchors, eng, cur.epoch, cur.watermark+1, cur.cache), cur)
 	return nil
 }
 
-// publish swaps in the new state, accounting the discarded cache entries.
+// publish swaps in the new state. A new key epoch brings its own empty
+// cache; the entries of the outgoing one are accounted as dropped.
 func (s *Server) publish(next, prev *state) {
 	s.state.Store(next)
 	if prev != nil {
-		if n := prev.cache.len(); n > 0 {
-			s.reg.Counter(MetricCacheInvalidated).Add(int64(n))
+		if next.cache != prev.cache {
+			s.reg.Counter(MetricCacheInvalidated).Add(int64(prev.cache.len()))
 		}
 		s.reg.Counter(MetricSnapshotSwaps).Inc()
 	}
@@ -172,8 +275,8 @@ func (s *Server) publish(next, prev *state) {
 
 // applyReanchor replaces the server's trust anchors — the re-anchoring a
 // coalition rekey (Join/Leave) requires — bumping the key epoch. The belief
-// set is rebuilt from the new anchors and the certificate cache is
-// discarded: nothing verified under the old epoch survives. With a
+// set is rebuilt from the new anchors and the new epoch starts an empty
+// certificate cache: nothing verified under the old anchors survives. With a
 // journal attached, the new anchors are recorded (and fsynced) before
 // the epoch is published; a journal failure leaves the old epoch in
 // place.
@@ -190,15 +293,16 @@ func (s *Server) applyReanchor(anchors TrustAnchors) error {
 			return fmt.Errorf("authz: journal re-anchoring: %w", err)
 		}
 	}
-	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), cur.epoch+1, 0), cur)
+	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), cur.epoch+1, 0, newCertCache()), cur)
 	return nil
 }
 
 // restoreAt installs recorded trust anchors at their recorded epoch —
 // the replay counterpart of Reanchor (ReplayExact), which never
-// journals: the record being replayed is already durable.
+// journals: the record being replayed is already durable. Like every
+// anchor change it starts an empty certificate cache.
 func (s *Server) restoreAt(anchors TrustAnchors, epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), epoch, 0), s.state.Load())
+	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), epoch, 0, newCertCache()), s.state.Load())
 }

@@ -3,6 +3,7 @@ package replication
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"jointadmin"
+	"jointadmin/internal/authz"
 	"jointadmin/internal/obs"
 	"jointadmin/internal/wal"
 )
@@ -585,5 +587,99 @@ func TestIsReplication(t *testing.T) {
 		if IsReplication(k) {
 			t.Fatalf("IsReplication(%q) = true", k)
 		}
+	}
+}
+
+// cacheCounts sums the replica's verified-certificate cache counters over
+// their kind labels.
+func cacheCounts(reg *obs.Registry) (hits, misses int64) {
+	for _, c := range reg.Snapshot().Counters {
+		switch {
+		case strings.HasPrefix(c.Name, authz.MetricCacheHits):
+			hits += c.Value
+		case strings.HasPrefix(c.Name, authz.MetricCacheMisses):
+			misses += c.Value
+		}
+	}
+	return hits, misses
+}
+
+// TestFollowerKeepsCacheAcrossShippedMutations is the follower side of
+// the epoch cache: a follower replays shipped records through the same
+// mutate as the writer, so after a shipped link and a shipped revocation
+// its next decision for an untouched pre-signed request is a cache hit on
+// the residual path — not a re-verification — while the revoked victim is
+// denied at the writer's watermark.
+func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
+	w := newWriter(t)
+	reg := obs.NewRegistry()
+	ap := newTestApplier(newFakeNode(), reg)
+	ctx := context.Background()
+
+	if err := w.a.GrantThreshold("G_parity_victim", 1, "bob"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.a.LinkGroups("G_parity_victim", "G_read", w.srv); err != nil {
+		t.Fatal(err)
+	}
+	untouched, err := w.a.NewRequest(jointadmin.RequestSpec{
+		Group: "G_read", Op: "read", Object: "O", Signers: []string{"alice"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := w.a.NewRequest(jointadmin.RequestSpec{
+		Group: "G_parity_victim", Op: "read", Object: "O", Signers: []string{"bob"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ap.Handle(KindSnapshot, mustJSON(t, snapshotFrom(t, w)))
+	follower := ap.Replica().Srv
+	for _, req := range []authz.AccessRequest{untouched, victim} {
+		if _, err := follower.Authorize(ctx, req); err != nil {
+			t.Fatalf("follower denied a valid request after the handoff: %v", err)
+		}
+	}
+
+	// ship applies one writer-side mutation and ships its tail; the
+	// follower must then decide the untouched request from its cache.
+	ship := func(verb string, mutate func() error) {
+		t.Helper()
+		cursor := ap.Status().LastSeq
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		ap.Handle(KindRecords, mustJSON(t, recordsFrom(t, w, cursor)))
+		if ap.Replica().Srv != follower {
+			t.Fatalf("shipped %s replaced the replica", verb)
+		}
+		hits, misses := cacheCounts(reg)
+		fallbacks := reg.Snapshot().CounterValue(authz.MetricResidualFallbacks)
+		if _, err := follower.Authorize(ctx, untouched); err != nil {
+			t.Fatalf("untouched request denied after shipped %s: %v", verb, err)
+		}
+		gotHits, gotMisses := cacheCounts(reg)
+		if gotHits <= hits || gotMisses != misses {
+			t.Fatalf("after shipped %s the follower re-verified an untouched request: hits %d -> %d, misses %d -> %d",
+				verb, hits, gotHits, misses, gotMisses)
+		}
+		if got := reg.Snapshot().CounterValue(authz.MetricResidualFallbacks); got != fallbacks {
+			t.Fatalf("after shipped %s the untouched request fell back to the full replay (%d -> %d)", verb, fallbacks, got)
+		}
+	}
+	ship("link", func() error { return w.a.LinkGroups("G_parity_sub", "G_read", w.srv) })
+	ship("revoke", func() error { return w.a.Revoke("G_parity_victim", w.srv) })
+
+	st, wst := ap.Status(), w.srv.Authz().Snapshot()
+	if st.Epoch != wst.Epoch || st.Watermark != wst.Watermark {
+		t.Fatalf("follower at %d/%d, writer at %d/%d", st.Epoch, st.Watermark, wst.Epoch, wst.Watermark)
+	}
+	fdec, ferr := follower.Authorize(ctx, victim)
+	wdec, werr := w.srv.Authz().Authorize(ctx, victim)
+	if !errors.Is(ferr, authz.ErrDenied) || !errors.Is(werr, authz.ErrDenied) {
+		t.Fatalf("revoked victim not denied at watermark %d: follower %v, writer %v", st.Watermark, ferr, werr)
+	}
+	if fdec.DeniedStep != wdec.DeniedStep {
+		t.Fatalf("victim denied at %s on the follower, %s on the writer", fdec.DeniedStep, wdec.DeniedStep)
 	}
 }

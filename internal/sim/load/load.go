@@ -448,9 +448,10 @@ func (f *LoadFixture) buildRequest(kind string, o int, oc objCerts, seq int) (Po
 
 // Churn applies one belief mutation through the server's Mutation API,
 // cycling joins (group links), identity revocations of cold principals,
-// and CRL publishes. Every mutation swaps the belief snapshot, empties
-// the certificate cache and the memoized residues — the cost the load
-// harness is after. Returns the applied verb.
+// and CRL publishes. Every mutation swaps the belief snapshot and with it
+// the memoized residues (the verified-certificate cache survives: none of
+// these re-anchors) — the cost the load harness is after. Returns the
+// applied verb.
 func (f *LoadFixture) Churn(ctx context.Context) (string, error) {
 	seq := f.churnSeq.Add(1)
 	switch seq % 3 {

@@ -1,11 +1,13 @@
 package jointadmin
 
 // Residual-soundness regressions: a residue (residual.go) must never
-// outlive the belief snapshot it was compiled in. For each
-// Mutation variant we authorize a request on the warm residual path, apply
-// the mutation, and require the very next decision — taken against the
-// freshly published snapshot — to deny. The -race stress test interleaves
-// Apply with warm Authorize calls to check the snapshot swap itself.
+// outlive the belief snapshot it was compiled in, although the verified
+// certificates it is decided from do (they belong to the key epoch). For
+// each Mutation variant we authorize a request on the warm residual path,
+// apply the mutation, and require the very next decision — taken against
+// the freshly published snapshot — to deny exactly as the full replay
+// does. The -race stress test interleaves Apply with warm Authorize calls
+// to check the snapshot swap itself.
 
 import (
 	"context"
@@ -75,19 +77,41 @@ func warmResidual(t *testing.T, srv *Server, reg *obs.Registry, req AccessReques
 	}
 }
 
-// requireDeniedNext asserts the very next decision after a mutation denies,
-// and that it did NOT ride a stale residue: the mutation discarded the
-// certificate cache, so the first post-mutation request must fall back.
-func requireDeniedNext(t *testing.T, srv *Server, reg *obs.Registry, req AccessRequest) {
+// requireDeniedLikeReplay asserts the very next decision denies, and with
+// the DeniedStep and reason the full replay of the same request gives.
+func requireDeniedLikeReplay(t *testing.T, srv *Server, req AccessRequest) {
 	t.Helper()
-	fallbacksBefore := reg.Counter(authz.MetricResidualFallbacks).Value()
-	dec, err := srv.Request(context.Background(), req)
-	if err == nil || dec.Allowed {
+	ctx := context.Background()
+	dec, err := srv.Request(ctx, req)
+	if !errors.Is(err, ErrDenied) || dec.Allowed {
 		t.Fatalf("request allowed after mutation: allowed=%v err=%v", dec.Allowed, err)
 	}
-	if after := reg.Counter(authz.MetricResidualFallbacks).Value(); after <= fallbacksBefore {
-		t.Fatalf("post-mutation decision did not fall back (fallbacks %d -> %d): stale residue?",
-			fallbacksBefore, after)
+	srv.Authz().SetResidualsEnabled(false)
+	defer srv.Authz().SetResidualsEnabled(true)
+	replay, err := srv.Request(ctx, req)
+	if !errors.Is(err, ErrDenied) {
+		t.Fatalf("full replay allowed after mutation: %v", err)
+	}
+	if dec.DeniedStep == "" || dec.DeniedStep != replay.DeniedStep || dec.Reason != replay.Reason {
+		t.Fatalf("post-mutation denial diverges from the replay:\nnext:   %s: %s\nreplay: %s: %s",
+			dec.DeniedStep, dec.Reason, replay.DeniedStep, replay.Reason)
+	}
+}
+
+// requireDeniedNext is requireDeniedLikeReplay for a mutation within the
+// key epoch: the request's certificates stay cached, so the decision is
+// residual — and must have been taken on a residue compiled against the
+// new snapshot, not on the one the warm-up used.
+func requireDeniedNext(t *testing.T, srv *Server, reg *obs.Registry, req AccessRequest) {
+	t.Helper()
+	compiles := reg.Counter(authz.MetricResidualCompiles).Value()
+	hits := reg.Counter(authz.MetricResidualHits).Value()
+	requireDeniedLikeReplay(t, srv, req)
+	if after := reg.Counter(authz.MetricResidualCompiles).Value(); after <= compiles {
+		t.Fatalf("post-mutation decision compiled no residue (compiles %d -> %d): stale residue?", compiles, after)
+	}
+	if after := reg.Counter(authz.MetricResidualHits).Value(); after <= hits {
+		t.Fatalf("post-mutation decision left the residual path (hits %d -> %d): cache not carried?", hits, after)
 	}
 }
 
@@ -138,7 +162,16 @@ func TestResidualReanchorInvalidates(t *testing.T) {
 	if err := a.Reanchor(srv); err != nil {
 		t.Fatal(err)
 	}
-	requireDeniedNext(t, srv, reg, req)
+	// The new key epoch starts with an empty certificate cache, so here —
+	// and only here — the next decision is a full replay.
+	fallbacks := reg.Counter(authz.MetricResidualFallbacks).Value()
+	requireDeniedLikeReplay(t, srv, req)
+	if after := reg.Counter(authz.MetricResidualFallbacks).Value(); after <= fallbacks {
+		t.Fatalf("decision after re-anchoring did not fall back (fallbacks %d -> %d): cache survived the epoch?", fallbacks, after)
+	}
+	if reg.Counter(authz.MetricCacheInvalidated).Value() == 0 {
+		t.Fatal("re-anchoring dropped no cache entries")
+	}
 }
 
 // TestResidualGroupLinkEnables is the dual direction: a group absent from

@@ -49,8 +49,17 @@ echo "==> bench smoke (go test -bench=FollowerFleet -benchtime=1x ./internal/dae
 go test -run '^$' -bench=FollowerFleet -benchtime=1x ./internal/daemon
 
 echo "==> loadgen smoke (tiny coalition, 2s closed loop with churn)"
-go run ./cmd/loadgen -principals 2000 -objects 16 -keys 8 -pool 48 \
-    -duration 2s -concurrency 2 -churn-every 300ms -label smoke > /dev/null
+# The report must show the post-publish cold window (both per-swap keys),
+# churn actually flowing, and no decision contradicting its expectation.
+smoke=$(go run ./cmd/loadgen -principals 2000 -objects 16 -keys 8 -pool 48 \
+    -duration 2s -concurrency 2 -churn-every 300ms -label smoke)
+for want in '"cache_misses_per_swap":' '"residual_fallbacks_per_swap":' \
+    '"unexpected": 0,' '"churn_applied": [1-9]'; do
+    if ! printf '%s\n' "$smoke" | grep -q -- "$want"; then
+        echo "loadgen smoke: report lacks $want" >&2
+        exit 1
+    fi
+done
 
 echo "==> loadgen wire smoke (same coalition over localhost TCP via mux clients)"
 go run ./cmd/loadgen -principals 2000 -objects 16 -keys 8 -pool 48 \
