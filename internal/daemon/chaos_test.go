@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -31,10 +30,7 @@ func chaosPlan(seed int64) transport.FaultPlan {
 func chaosClient(t *testing.T, client *transport.TCPNode, id string, cmd Command) Reply {
 	t.Helper()
 	cmd.ID = id
-	body, err := json.Marshal(cmd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := EncodeCommand(cmd)
 	deadline := time.Now().Add(20 * time.Second)
 	for attempt := 0; time.Now().Before(deadline); attempt++ {
 		if err := client.Send("coalitiond", "cmd@"+client.Addr(), body); err != nil {
@@ -50,8 +46,7 @@ func chaosClient(t *testing.T, client *transport.TCPNode, id string, cmd Command
 			if err != nil {
 				break
 			}
-			var rep Reply
-			if json.Unmarshal(env.Payload, &rep) == nil && rep.ID == id {
+			if rep, err := DecodeReply(env.Payload); err == nil && rep.ID == id {
 				return rep
 			}
 		}

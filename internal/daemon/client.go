@@ -1,9 +1,10 @@
 // The multiplexing command client: N concurrent in-flight requests over
 // one shared connection, demultiplexed by Command.ID.
 //
-// The daemon protocol is one JSON Command per envelope with the Reply
-// routed back by sender name, so nothing in the transport orders replies
-// or pairs them with requests — a client that treats "the next envelope"
+// The daemon protocol is one binary Command per envelope (codec.go gives
+// the layout field by field) with the binary Reply routed back by sender
+// name, so nothing in the transport orders replies or pairs them with
+// requests — a client that treats "the next envelope"
 // as "my reply" cross-wires the moment a retry duplicates a frame or a
 // second request goes out before the first answer returns. Client fixes
 // the correlation end-to-end: every call carries a unique ID, replies
@@ -19,9 +20,9 @@ import (
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,7 +159,7 @@ func NewClient(ep ClientEndpoint, serverName, replyAddr string, resend time.Dura
 
 // nextID mints a unique correlation ID: per-instance nonce + sequence.
 func (c *Client) nextID() string {
-	return fmt.Sprintf("%s-%d", c.nonce, c.seq.Add(1))
+	return c.nonce + "-" + strconv.FormatUint(c.seq.Add(1), 10)
 }
 
 // recvLoop demultiplexes inbound envelopes into per-call channels by
@@ -177,7 +178,10 @@ func (c *Client) recvLoop() {
 			return
 		}
 		var reply Reply
-		if env.Kind != "reply" || json.Unmarshal(env.Payload, &reply) != nil || reply.ID == "" {
+		if env.Kind == "reply" {
+			reply, _ = DecodeReply(env.Payload) // undecodable: zero Reply, shed below
+		}
+		if reply.ID == "" {
 			c.reg.Counter(MetricMuxStale).Inc()
 			continue
 		}
@@ -226,10 +230,7 @@ func (c *Client) Call(ctx context.Context, cmd Command) (Reply, error) {
 	if cmd.ID == "" {
 		cmd.ID = c.nextID()
 	}
-	body, err := json.Marshal(cmd)
-	if err != nil {
-		return Reply{}, fmt.Errorf("daemon: encode command: %w", err)
-	}
+	body := EncodeCommand(cmd)
 
 	ch := make(chan Reply, 1)
 	c.mu.Lock()

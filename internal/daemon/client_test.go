@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -30,11 +29,11 @@ func echoServer(t *testing.T, ep transport.Endpoint, jitter time.Duration) {
 			if err != nil {
 				return
 			}
-			var cmd Command
-			if err := json.Unmarshal(env.Payload, &cmd); err != nil {
+			cmd, err := DecodeCommand(env.Payload)
+			if err != nil {
 				continue
 			}
-			body, _ := json.Marshal(Reply{ID: cmd.ID, OK: true, Detail: "echo:" + cmd.Data})
+			body := EncodeReply(Reply{ID: cmd.ID, OK: true, Detail: "echo:" + cmd.Data})
 			mu.Lock()
 			d := time.Duration(rng.Int63n(int64(jitter) + 1))
 			mu.Unlock()
@@ -108,11 +107,11 @@ func TestClientShedsStaleEnvelopes(t *testing.T) {
 	c := NewClient(net.Endpoint("cli"), "srv", "", 0, reg)
 	defer c.Close()
 
-	ghost, _ := json.Marshal(Reply{ID: "ghost", OK: true})
-	noID, _ := json.Marshal(Reply{OK: true})
+	ghost := EncodeReply(Reply{ID: "ghost", OK: true})
+	noID := EncodeReply(Reply{OK: true})
 	for _, env := range []struct{ kind, body string }{
 		{"reply", string(ghost)},  // no pending call under this ID
-		{"reply", "not json"},     // undecodable
+		{"reply", "not a reply"},  // undecodable
 		{"reply", string(noID)},   // reply without correlation ID
 		{"gossip", string(ghost)}, // wrong kind entirely
 	} {
@@ -219,15 +218,15 @@ func TestClientResendHealsLostRequest(t *testing.T) {
 			if err != nil {
 				return
 			}
-			var cmd Command
-			if json.Unmarshal(env.Payload, &cmd) != nil {
+			cmd, err := DecodeCommand(env.Payload)
+			if err != nil {
 				continue
 			}
 			seen[cmd.ID]++
 			if seen[cmd.ID] < 2 {
 				continue // first copy vanishes
 			}
-			body, _ := json.Marshal(Reply{ID: cmd.ID, OK: true, Detail: "second time"})
+			body := EncodeReply(Reply{ID: cmd.ID, OK: true, Detail: "second time"})
 			_ = srv.Send(env.From, "reply", body)
 		}
 	}()

@@ -10,7 +10,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -70,11 +69,7 @@ func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
 
 	naiveCall := func(id string) Reply {
 		t.Helper()
-		body, err := json.Marshal(Command{ID: id, Cmd: "audit"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ep.Send("coalitiond", "cmd", body); err != nil {
+		if err := ep.Send("coalitiond", "cmd", EncodeCommand(Command{ID: id, Cmd: "audit"})); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -84,8 +79,8 @@ func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep Reply
-		if err := json.Unmarshal(env.Payload, &rep); err != nil {
+		rep, err := DecodeReply(env.Payload)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return rep

@@ -218,10 +218,7 @@ func TestDaemonOverTCP(t *testing.T) {
 	defer client.Close()
 	client.AddPeer("coalitiond", node.Addr())
 
-	body, err := json.Marshal(Command{Cmd: "write", Signers: []string{"alice", "bob"}, Data: "over tcp"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := EncodeCommand(Command{Cmd: "write", Signers: []string{"alice", "bob"}, Data: "over tcp"})
 	if err := client.Send("coalitiond", "cmd@"+client.Addr(), body); err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +226,8 @@ func TestDaemonOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reply Reply
-	if err := json.Unmarshal(env.Payload, &reply); err != nil {
+	reply, err := DecodeReply(env.Payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reply.OK {
@@ -376,10 +373,7 @@ func TestDaemonServeConcurrent(t *testing.T) {
 	}
 
 	node := newFakeNode(nil)
-	body, err := json.Marshal(Command{Cmd: "read", Signers: []string{"carol"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := EncodeCommand(Command{Cmd: "read", Signers: []string{"carol"}})
 	for i := 0; i < n; i++ {
 		node.envs <- transport.Envelope{
 			From:    fmt.Sprintf("c%d", i),
@@ -421,8 +415,8 @@ func TestDaemonServeConcurrent(t *testing.T) {
 		if len(rs) != 1 {
 			t.Fatalf("client %s got %d replies, want 1", from, len(rs))
 		}
-		var reply Reply
-		if err := json.Unmarshal([]byte(rs[0]), &reply); err != nil {
+		reply, err := DecodeReply([]byte(rs[0]))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !reply.OK {
@@ -453,8 +447,8 @@ func TestDaemonServeMixedDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := newFakeNode(nil)
-	read, _ := json.Marshal(Command{Cmd: "read", Signers: []string{"carol"}})
-	join, _ := json.Marshal(Command{Cmd: "join", Domain: "D4"})
+	read := EncodeCommand(Command{Cmd: "read", Signers: []string{"carol"}})
+	join := EncodeCommand(Command{Cmd: "join", Domain: "D4"})
 	for i := 0; i < 8; i++ {
 		payload := read
 		if i == 3 {
@@ -471,8 +465,8 @@ func TestDaemonServeMixedDynamics(t *testing.T) {
 		if len(node.replies[from]) != 1 {
 			t.Fatalf("client %s got %d replies, want 1", from, len(node.replies[from]))
 		}
-		var reply Reply
-		if err := json.Unmarshal([]byte(node.replies[from][0]), &reply); err != nil {
+		reply, err := DecodeReply([]byte(node.replies[from][0]))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !reply.OK {

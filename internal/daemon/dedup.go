@@ -20,8 +20,7 @@ const DefaultDedupCap = 1024
 
 // dedupEntry is one command's slot in the cache. done closes when the
 // leader (the first arrival of the ID) has recorded its reply; body is
-// the marshaled Reply duplicates replay (nil if the leader failed to
-// encode one).
+// the encoded Reply (EncodeReply) duplicates replay.
 type dedupEntry struct {
 	done chan struct{}
 	body []byte
@@ -68,7 +67,7 @@ func (c *dedupCache) begin(key string) (entry *dedupEntry, leader bool) {
 	return e, true
 }
 
-// finish records the leader's marshaled reply, releases waiting
+// finish records the leader's encoded reply, releases waiting
 // duplicates, and evicts the oldest completed entries beyond cap,
 // reporting how many it aged out.
 func (c *dedupCache) finish(key string, body []byte) (evictedNow int64) {

@@ -1,15 +1,19 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"jointadmin/internal/obs"
 	"jointadmin/internal/transport"
+	"jointadmin/internal/wirefmt"
 )
 
 // allReplies snapshots the payloads fakeNode sent to one recipient.
@@ -118,8 +122,8 @@ func TestPipelineDedupReplaysDuplicates(t *testing.T) {
 		},
 	})
 	node := newFakeNode(nil)
-	body, _ := json.Marshal(Command{ID: "dup-1", Cmd: "noop"})
-	other, _ := json.Marshal(Command{ID: "dup-2", Cmd: "noop"})
+	body := EncodeCommand(Command{ID: "dup-1", Cmd: "noop"})
+	other := EncodeCommand(Command{ID: "dup-2", Cmd: "noop"})
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: other}
@@ -140,12 +144,12 @@ func TestPipelineDedupReplaysDuplicates(t *testing.T) {
 		t.Fatalf("%s = %d, want 1", MetricDedupReplays, got)
 	}
 	for _, raw := range node.allReplies("cli") {
-		var rep Reply
-		if err := json.Unmarshal([]byte(raw), &rep); err != nil {
+		rep, err := DecodeReply([]byte(raw))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.ID == "" {
-			t.Fatalf("reply without ID echo: %s", raw)
+			t.Fatalf("reply without ID echo: %q", raw)
 		}
 	}
 }
@@ -170,7 +174,7 @@ func TestPipelineConcurrentDuplicateWaitsForLeader(t *testing.T) {
 		},
 	})
 	node := newFakeNode(nil)
-	body, _ := json.Marshal(Command{ID: "slow-1", Cmd: "noop"})
+	body := EncodeCommand(Command{ID: "slow-1", Cmd: "noop"})
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- p.Serve(context.Background(), node) }()
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
@@ -204,7 +208,7 @@ func TestPipelineNoIDBypassesDedup(t *testing.T) {
 		},
 	})
 	node := newFakeNode(nil)
-	body, _ := json.Marshal(Command{Cmd: "noop"})
+	body := EncodeCommand(Command{Cmd: "noop"})
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	close(node.envs)
@@ -213,5 +217,97 @@ func TestPipelineNoIDBypassesDedup(t *testing.T) {
 	}
 	if got := executions.Load(); got != 2 {
 		t.Fatalf("handler executions = %d, want 2 (no ID, no dedup)", got)
+	}
+}
+
+// wireFrame builds a transport frame by hand, from the layout the
+// transport documents (4-byte big-endian body length; version byte; From,
+// To, Kind, Payload, each behind its uvarint length) — independently of
+// the transport's own encoder.
+func wireFrame(from, to, kind string, payload []byte) []byte {
+	body := []byte{wirefmt.Version}
+	for _, field := range [][]byte{[]byte(from), []byte(to), []byte(kind), payload} {
+		body = binary.AppendUvarint(body, uint64(len(field)))
+		body = append(body, field...)
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// TestPipelineDedupDuplicateSplitAcrossSegments: over real TCP, the
+// duplicate of a command frame arrives in two segments — the cut inside
+// the length header, inside a field, and one byte before the end — while
+// the node's buffered reader already holds the first part. The duplicate
+// must reassemble, replay the recorded reply and not re-execute.
+func TestPipelineDedupDuplicateSplitAcrossSegments(t *testing.T) {
+	reg := obs.NewRegistry()
+	var executions atomic.Int64
+	p := NewPipeline(PipelineConfig{
+		Metrics: reg,
+		Handler: func(ctx context.Context, cmd Command) Reply {
+			executions.Add(1)
+			return Reply{OK: true, Detail: "ran " + cmd.ID}
+		},
+	})
+	srv, err := transport.ListenTCP("srv", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	served := make(chan error, 1)
+	go func() { served <- p.Serve(context.Background(), srv) }()
+
+	// Replies come back to a node of our own; commands go out over a raw
+	// connection, so the test decides where the segments end.
+	back, err := transport.ListenTCP("cli", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	recvReply := func(step string) Reply {
+		t.Helper()
+		env, err := back.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		rep, err := DecodeReply(env.Payload)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		return rep
+	}
+
+	frameLen := len(wireFrame("cli", "srv", "cmd@"+back.Addr(), EncodeCommand(Command{ID: "split-0", Cmd: "noop"})))
+	for i, cut := range []int{2, 9, frameLen - 1} {
+		id := fmt.Sprintf("split-%d", i)
+		frame := wireFrame("cli", "srv", "cmd@"+back.Addr(), EncodeCommand(Command{ID: id, Cmd: "noop"}))
+		// Segment one: the command and the head of its duplicate.
+		if _, err := conn.Write(append(bytes.Clone(frame), frame[:cut]...)); err != nil {
+			t.Fatal(err)
+		}
+		first := recvReply(id + " original")
+		// The original is answered, so the reader is parked inside the
+		// duplicate. Segment two: the rest of it.
+		if _, err := conn.Write(frame[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		second := recvReply(id + " duplicate")
+		if first.ID != id || second != first {
+			t.Fatalf("cut %d: original %+v, duplicate %+v", cut, first, second)
+		}
+	}
+	if got := executions.Load(); got != 3 {
+		t.Errorf("handler executions = %d, want 3 (one per ID)", got)
+	}
+	if got := reg.Counter(MetricDedupReplays).Value(); got != 3 {
+		t.Errorf("%s = %d, want 3", MetricDedupReplays, got)
+	}
+	srv.Close()
+	if err := <-served; err != nil {
+		t.Errorf("Serve: %v", err)
 	}
 }

@@ -9,7 +9,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"log"
 	"runtime"
@@ -182,13 +181,9 @@ func (p *Pipeline) Serve(ctx context.Context, node CommandNode) error {
 // its own request context.
 func (p *Pipeline) serveOne(ctx context.Context, env transport.Envelope, replies chan<- outbound) {
 	reg := p.cfg.Metrics
-	var cmd Command
-	if err := json.Unmarshal(env.Payload, &cmd); err != nil {
-		body, merr := json.Marshal(Reply{Detail: "bad command: " + err.Error()})
-		if merr != nil {
-			log.Printf("%s: encode reply: %v", p.cfg.Tag, merr)
-			return
-		}
+	cmd, err := DecodeCommand(env.Payload)
+	if err != nil {
+		body := EncodeReply(Reply{Detail: "bad command: " + err.Error()})
 		replies <- outbound{to: env.From, addr: returnAddr(env.Kind), body: body}
 		return
 	}
@@ -212,9 +207,6 @@ func (p *Pipeline) serveOne(ctx context.Context, env transport.Envelope, replies
 		case <-ctx.Done():
 			return
 		}
-		if entry.body == nil {
-			return // the leader failed to encode a reply; nothing to replay
-		}
 		reg.Counter(MetricDedupReplays).Inc()
 		replies <- outbound{to: env.From, addr: returnAddr(env.Kind), body: entry.body}
 		return
@@ -226,17 +218,13 @@ func (p *Pipeline) serveOne(ctx context.Context, env transport.Envelope, replies
 }
 
 // execute runs the handler for one command, sends the reply, and returns
-// the marshaled reply body (nil if it could not be encoded).
+// the encoded reply body.
 func (p *Pipeline) execute(ctx context.Context, env transport.Envelope, cmd Command, replies chan<- outbound) []byte {
 	reqCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	reply := p.cfg.Handler(reqCtx, cmd)
 	reply.ID = cmd.ID // every reply echoes its command's ID
-	body, err := json.Marshal(reply)
-	if err != nil {
-		log.Printf("%s: encode reply: %v", p.cfg.Tag, err)
-		return nil
-	}
+	body := EncodeReply(reply)
 	replies <- outbound{to: env.From, addr: returnAddr(env.Kind), body: body}
 	return body
 }

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -131,10 +130,7 @@ func benchFleet(b *testing.B, followers int) {
 	signed := rep.Data
 
 	ask := func(m *fleetMember, id string) error {
-		body, err := json.Marshal(Command{ID: id, Cmd: "authorize", Data: signed})
-		if err != nil {
-			return err
-		}
+		body := EncodeCommand(Command{ID: id, Cmd: "authorize", Data: signed})
 		if err := m.client.Send(m.f.name, "cmd@"+m.client.Addr(), body); err != nil {
 			return err
 		}
@@ -143,8 +139,7 @@ func benchFleet(b *testing.B, followers int) {
 			if err != nil {
 				return err
 			}
-			var r Reply
-			if json.Unmarshal(env.Payload, &r) == nil && r.ID == id {
+			if r, err := DecodeReply(env.Payload); err == nil && r.ID == id {
 				if !r.OK {
 					return fmt.Errorf("authorize denied: %s", r.Detail)
 				}

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -124,10 +123,7 @@ func (r *replFollower) waitClock(t *testing.T, at clock.Time, within time.Durati
 func askPeer(t *testing.T, client *transport.TCPNode, peer, id string, cmd Command) Reply {
 	t.Helper()
 	cmd.ID = id
-	body, err := json.Marshal(cmd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := EncodeCommand(cmd)
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		if err := client.Send(peer, "cmd@"+client.Addr(), body); err != nil {
@@ -143,8 +139,7 @@ func askPeer(t *testing.T, client *transport.TCPNode, peer, id string, cmd Comma
 			if err != nil {
 				break
 			}
-			var rep Reply
-			if json.Unmarshal(env.Payload, &rep) == nil && rep.ID == id {
+			if rep, err := DecodeReply(env.Payload); err == nil && rep.ID == id {
 				return rep
 			}
 		}

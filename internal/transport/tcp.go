@@ -1,12 +1,13 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net"
 	"sync"
@@ -14,11 +15,15 @@ import (
 	"time"
 
 	"jointadmin/internal/obs"
+	"jointadmin/internal/wirefmt"
 )
 
 // TCPNode is a TCP-backed endpoint: it listens on its own address and
 // dials peers on demand (connections are cached per destination). Frames
-// are length-prefixed gob-encoded Envelopes.
+// are length-prefixed, hand-encoded Envelopes (the package comment has
+// the layout); each inbound connection is read through its own buffered
+// reader, so a header and its body — or several pipelined frames — cost
+// one read.
 //
 // Connection state is per peer: each peer carries its own lock that
 // serializes dials and frame writes to that destination, so two
@@ -32,10 +37,10 @@ type TCPNode struct {
 	listener net.Listener
 	opts     Options
 
-	// reg holds the node's metrics registry (Instrument); a nil pointer
-	// drops the accounting. Atomic because the accept/read loops consult
-	// it concurrently with Instrument.
-	reg atomic.Pointer[obs.Registry]
+	// met holds the node's metrics registry and the per-frame counter
+	// handles resolved from it (Instrument). Never nil; atomic because
+	// the accept/read loops consult it concurrently with Instrument.
+	met atomic.Pointer[nodeMetrics]
 
 	// rng feeds the retry jitter; guarded by rngMu (math/rand.Rand is not
 	// safe for concurrent use).
@@ -88,20 +93,46 @@ const (
 	// MetricWriteTimeouts counts frame writes that exceeded the configured
 	// write deadline, labeled by peer (also counted in send errors).
 	MetricWriteTimeouts = "transport_write_timeouts_total"
+	// MetricFrameErrors counts inbound connections dropped because a
+	// frame broke the wire format, labeled reason="oversize" (length
+	// prefix beyond the frame limit — what arbitrary bytes usually look
+	// like), "malformed" (a field runs past the frame, or bytes follow
+	// the last field) or "version" (leading byte of another format, e.g.
+	// a peer from before the binary codec). A peer that closes or dies,
+	// even mid-frame, is not a frame error.
+	MetricFrameErrors = "transport_frame_errors_total"
 )
+
+// nodeMetrics is a registry plus the counters every frame touches,
+// looked up once instead of per frame (a labeled lookup hashes its
+// labels). A nil registry yields detached counters nobody reads.
+type nodeMetrics struct {
+	reg                                    *obs.Registry
+	framesIn, framesOut, bytesIn, bytesOut *obs.Counter
+}
+
+func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
+	return &nodeMetrics{
+		reg:       reg,
+		framesIn:  reg.Counter(MetricFrames, "dir", "in"),
+		framesOut: reg.Counter(MetricFrames, "dir", "out"),
+		bytesIn:   reg.Counter(MetricBytes, "dir", "in"),
+		bytesOut:  reg.Counter(MetricBytes, "dir", "out"),
+	}
+}
 
 // Instrument injects a metrics registry for frame, byte, error and
 // connection accounting. Call it right after ListenTCP, before the node
 // carries traffic; nil (the default) disables the accounting.
 func (n *TCPNode) Instrument(reg *obs.Registry) {
 	if reg != nil {
-		n.reg.Store(reg)
+		n.met.Store(newNodeMetrics(reg))
 	}
 }
 
-// metrics returns the injected registry (nil disables accounting; the
-// obs API is nil-safe).
-func (n *TCPNode) metrics() *obs.Registry { return n.reg.Load() }
+// metrics returns the injected registry for the labeled, off-hot-path
+// series (nil disables accounting; the obs API is nil-safe).
+func (n *TCPNode) metrics() *obs.Registry { return n.met.Load().reg }
 
 var _ Endpoint = (*TCPNode)(nil)
 
@@ -128,6 +159,7 @@ func ListenTCP(name, addr string, opts ...Options) (*TCPNode, error) {
 		inbox:    make(chan Envelope, 1024),
 		closed:   make(chan struct{}),
 	}
+	n.met.Store(newNodeMetrics(nil))
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -194,13 +226,22 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 		n.metrics().Gauge(MetricAcceptedConns).Dec()
 	}()
+	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		env, size, err := readFrame(conn)
+		env, size, err := readFrame(br)
 		if err != nil {
+			// A peer that closed or died (EOF, reset, this node closing)
+			// just ends the loop; a frame that breaks the format is
+			// counted and logged, and costs the peer this connection only.
+			if reason := frameErrorReason(err); reason != "" {
+				n.metrics().Counter(MetricFrameErrors, "reason", reason).Inc()
+				log.Printf("transport: %s: dropping connection from %s: %v", n.name, conn.RemoteAddr(), err)
+			}
 			return
 		}
-		n.metrics().Counter(MetricFrames, "dir", "in").Inc()
-		n.metrics().Counter(MetricBytes, "dir", "in").Add(int64(size))
+		m := n.met.Load()
+		m.framesIn.Inc()
+		m.bytesIn.Add(int64(size))
 		select {
 		case n.inbox <- env:
 		case <-n.closed:
@@ -216,10 +257,16 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 // accept does not surface as an error when the peer recovers in time.
 // Sends to unknown peers and sends on a closed node fail immediately.
 func (n *TCPNode) Send(to, kind string, payload []byte) error {
-	frame, err := marshalFrame(Envelope{From: n.name, To: to, Kind: kind, Payload: payload})
+	// The frame is encoded once, into a pooled buffer that goes back only
+	// when Send returns: every retry resends the same bytes, and the
+	// caller's payload is not touched again.
+	buf := framePool.Get().(*[]byte)
+	defer releaseFrame(buf)
+	frame, err := appendFrame((*buf)[:0], Envelope{From: n.name, To: to, Kind: kind, Payload: payload})
 	if err != nil {
 		return fmt.Errorf("transport: encode frame to %s: %w", to, err)
 	}
+	*buf = frame
 	var lastErr error
 	for attempt := 1; attempt <= n.opts.Attempts; attempt++ {
 		if attempt > 1 {
@@ -230,8 +277,9 @@ func (n *TCPNode) Send(to, kind string, payload []byte) error {
 		}
 		err := n.sendOnce(to, frame, attempt > 1)
 		if err == nil {
-			n.metrics().Counter(MetricFrames, "dir", "out").Inc()
-			n.metrics().Counter(MetricBytes, "dir", "out").Add(int64(len(frame)))
+			m := n.met.Load()
+			m.framesOut.Inc()
+			m.bytesOut.Add(int64(len(frame)))
 			return nil
 		}
 		lastErr = err
@@ -403,64 +451,93 @@ func (n *TCPNode) Close() error {
 	return nil
 }
 
-// frame wire format: 4-byte big-endian length, then gob(Envelope).
-const maxFrame = 16 << 20
+// Framing constants; the package comment writes the layout out.
+const (
+	// frameHeader is the big-endian body length ahead of every frame.
+	frameHeader = 4
+	// maxFrame bounds a frame's body, on both the sending and the
+	// receiving side.
+	maxFrame = 16 << 20
+	// readBufSize is each inbound connection's read buffer: room for a
+	// handful of ≈2.3 KB request frames per read, small enough that a
+	// node with hundreds of peers spends a few megabytes on it.
+	readBufSize = 16 << 10
+	// maxPooledFrame keeps the occasional multi-megabyte frame (a
+	// replication snapshot) from pinning its buffer in the pool.
+	maxPooledFrame = 64 << 10
+)
 
-// marshalFrame encodes one envelope into its on-wire frame (length
-// prefix + gob body). Encoding once up front lets Send retry the same
-// bytes without re-touching the caller's payload.
-func marshalFrame(env Envelope) ([]byte, error) {
-	var buf frameBuffer
-	buf.b = append(buf.b, 0, 0, 0, 0) // length prefix placeholder
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(env); err != nil {
-		return nil, err
+var errFrameOversize = errors.New("transport: frame exceeds limit")
+
+// framePool recycles outbound frame buffers across Sends.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+func releaseFrame(buf *[]byte) {
+	if cap(*buf) <= maxPooledFrame {
+		framePool.Put(buf)
 	}
-	binary.BigEndian.PutUint32(buf.b[:4], uint32(len(buf.b)-4))
-	return buf.b, nil
 }
 
-// readFrame reads one length-prefixed frame and reports its size on the
-// wire (header + body).
-func readFrame(r io.Reader) (Envelope, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// appendFrame appends env's on-wire frame (length prefix + body) to dst.
+func appendFrame(dst []byte, env Envelope) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, wirefmt.Version) // length placeholder
+	dst = wirefmt.AppendString(dst, env.From)
+	dst = wirefmt.AppendString(dst, env.To)
+	dst = wirefmt.AppendString(dst, env.Kind)
+	dst = wirefmt.AppendBytes(dst, env.Payload)
+	size := len(dst) - start - frameHeader
+	if size > maxFrame {
+		return nil, fmt.Errorf("%w: %d bytes", errFrameOversize, size)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(size))
+	return dst, nil
+}
+
+// readFrame reads one frame and reports its size on the wire (header +
+// body). The body is allocated once per frame and never reused, so the
+// envelope's Payload aliases it; the three names are copied out.
+func readFrame(r *bufio.Reader) (Envelope, int, error) {
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
 		return Envelope{}, 0, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(hdr)
 	if size > maxFrame {
-		return Envelope{}, 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
+		return Envelope{}, 0, fmt.Errorf("%w: %d bytes", errFrameOversize, size)
 	}
+	r.Discard(frameHeader) //nolint:errcheck // just peeked
 	body := make([]byte, size)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return Envelope{}, 0, err
 	}
-	var env Envelope
-	if err := gob.NewDecoder(newByteReader(body)).Decode(&env); err != nil {
+	env, err := decodeEnvelope(body)
+	if err != nil {
 		return Envelope{}, 0, err
 	}
-	return env, len(hdr) + int(size), nil
+	return env, frameHeader + int(size), nil
 }
 
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
+// decodeEnvelope decodes a frame body; env.Payload aliases it.
+func decodeEnvelope(body []byte) (Envelope, error) {
+	r := wirefmt.NewReader(body)
+	env := Envelope{From: r.String(), To: r.String(), Kind: r.String(), Payload: r.Bytes()}
+	if err := r.Finish(); err != nil {
+		return Envelope{}, err
 	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
+	return env, nil
+}
+
+// frameErrorReason maps a readFrame failure to its MetricFrameErrors
+// label; "" for failures of the connection rather than of the format.
+func frameErrorReason(err error) string {
+	switch {
+	case errors.Is(err, errFrameOversize):
+		return "oversize"
+	case errors.Is(err, wirefmt.ErrVersion):
+		return "version"
+	case errors.Is(err, wirefmt.ErrMalformed):
+		return "malformed"
+	}
+	return ""
 }

@@ -1,9 +1,25 @@
 // Package transport provides the message-passing substrate the coalition
 // protocols run on: a deterministic in-memory network with injectable
 // latency, loss and node failures (used by simulations and benchmarks),
-// and a TCP implementation with length-prefixed gob framing (used by the
-// runnable servers). Both satisfy the same interfaces so every protocol is
-// written once.
+// and a TCP implementation (used by the runnable servers). Both satisfy
+// the same interfaces so every protocol is written once.
+//
+// On TCP an Envelope travels as one frame, encoded and decoded by hand
+// in the internal/wirefmt encoding (no reflection, no per-message codec
+// state):
+//
+//	frame := length(4 bytes, big-endian, = len(body) ≤ 16 MB) body
+//	body  := version(1 byte)
+//	         From    uvarint(n) n bytes
+//	         To      uvarint(n) n bytes
+//	         Kind    uvarint(n) n bytes
+//	         Payload uvarint(n) n bytes
+//
+// with nothing after Payload. A connection whose frame breaks this
+// layout — including one that speaks another version of it — is counted
+// (transport_frame_errors_total), logged and closed; there is no
+// negotiation and no fallback decoder. The in-memory network and the
+// Faulty wrapper pass Envelope values and never frame anything.
 package transport
 
 import (
@@ -25,7 +41,9 @@ type Envelope struct {
 	// Kind tags the message type (e.g. jointsig.request); multiplexed
 	// protocols dispatch on it.
 	Kind string
-	// Payload is the opaque message body (JSON in this repository).
+	// Payload is the opaque message body: a binary daemon Command or
+	// Reply, or a JSON protocol message (replication, joint signatures,
+	// key generation).
 	Payload []byte
 }
 

@@ -26,8 +26,8 @@ TARGET_RPS=15000
 TARGET_P99_US=5000
 
 # Wire-inclusive target: the same fully-optimized workload pushed over
-# localhost TCP (framing, JSON codecs, correlation IDs, dedup cache,
-# reply demux) must sustain TARGET_WIRE_RPS requests/second with p99 at
+# localhost TCP (hand-encoded frames, binary command/reply codec,
+# correlation IDs, dedup cache, reply demux) must sustain TARGET_WIRE_RPS requests/second with p99 at
 # or under TARGET_WIRE_P99_US microseconds.
 TARGET_WIRE_RPS=4500
 TARGET_WIRE_P99_US=7000
@@ -112,7 +112,7 @@ P991=$(val "$S1" p99_us); P992=$(val "$S2" p99_us); P993=$(val "$S3" p99_us); P9
         printf "    \"wire_vs_pooled_rps\": %.2f\n", d / c
     }'
     printf '  },\n'
-    printf '  "notes": "All three series replay the same seeded request pool over the same coalition; only the server knobs differ. baseline disables the server optimizations (per-certificate verification, per-request engine forks and allocations); batch_verify adds k-way batched RSA verification; pooled adds engine-fork/scratch pooling and allocation-free decision encoding. Residual precompilation (a prior change) is on in every series, so speedups isolate this change. p999 spikes are churn: each mutation swaps the belief snapshot and empties the verified-certificate cache, so the next requests pay full derivations. The wire series replays the pooled workload over localhost TCP through 4 multiplexed daemon connections (8 closed-loop workers): latency adds framing, JSON request decode, kernel round trips and the retry-safe correlation machinery (unique command IDs, server dedup cache, client reply demux), so wire_vs_pooled_rps bounds the transport stack cost end to end."\n'
+    printf '  "notes": "All three series replay the same seeded request pool over the same coalition; only the server knobs differ. baseline disables the server optimizations (per-certificate verification, per-request engine forks and allocations); batch_verify adds k-way batched RSA verification; pooled adds engine-fork/scratch pooling and allocation-free decision encoding. Residual precompilation (a prior change) is on in every series, so speedups isolate this change. p999 spikes are churn: each mutation swaps the belief snapshot (the verified-certificate cache survives it; the residue of each group is recompiled on its next request). The wire series replays the pooled workload over localhost TCP through 4 multiplexed daemon connections (8 closed-loop workers): latency adds framing and the binary command/reply codec (internal/wirefmt), the JSON decode of the access request in the handler, kernel round trips and the retry-safe correlation machinery (unique command IDs, server dedup cache, client reply demux), so wire_vs_pooled_rps bounds the transport stack cost end to end."\n'
     printf '}\n'
 } > "$OUT"
 

@@ -16,6 +16,20 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> wire codec import guard (no reflective codec on the request path)"
+# Frames, commands and replies are hand-encoded (internal/wirefmt). A
+# reflective codec creeping back into these files would bring back the
+# per-message decoder compilation and the double parse of the signed
+# request that the binary codec removed.
+bad=$(grep -lE '"encoding/(gob|json)"' internal/transport/*.go \
+    internal/daemon/pipeline.go internal/daemon/client.go internal/daemon/codec.go |
+    grep -v '_test\.go$' || true)
+if [ -n "$bad" ]; then
+    echo "import guard: a reflective codec is imported on the wire path:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -45,8 +59,16 @@ go test -run '^$' -bench='Authorize|ForkScaling' -benchtime=1x .
 echo "==> bench smoke (go test -bench=WALAppend -benchtime=1x ./internal/wal)"
 go test -run '^$' -bench=WALAppend -benchtime=1x ./internal/wal
 
-echo "==> bench smoke (go test -bench=FollowerFleet -benchtime=1x ./internal/daemon)"
-go test -run '^$' -bench=FollowerFleet -benchtime=1x ./internal/daemon
+echo "==> bench smoke (go test -bench='FollowerFleet|CommandCodec' -benchtime=1x ./internal/daemon)"
+go test -run '^$' -bench='FollowerFleet|CommandCodec' -benchtime=1x -benchmem ./internal/daemon
+
+echo "==> bench smoke (go test -bench=FrameCodec -benchtime=1x ./internal/transport)"
+go test -run '^$' -bench=FrameCodec -benchtime=1x -benchmem ./internal/transport
+
+echo "==> wire codec fuzz smoke (5s each: FuzzReadFrame, FuzzDecodeCommand, FuzzDecodeReply)"
+go test -run '^$' -fuzz='^FuzzReadFrame$' -fuzztime=5s ./internal/transport
+go test -run '^$' -fuzz='^FuzzDecodeCommand$' -fuzztime=5s ./internal/daemon
+go test -run '^$' -fuzz='^FuzzDecodeReply$' -fuzztime=5s ./internal/daemon
 
 echo "==> loadgen smoke (tiny coalition, 2s closed loop with churn)"
 # The report must show the post-publish cold window (both per-swap keys),
@@ -122,7 +144,7 @@ for m in $mux_metrics; do
         fail=1
     fi
 done
-backpressure_metrics=$(grep -ohE '"transport_(inbox_full|dropped)_[a-z_]+"' internal/transport/*.go | tr -d '"' | sort -u)
+backpressure_metrics=$(grep -ohE '"transport_(inbox_full|dropped|frame_errors)_[a-z_]+"' internal/transport/*.go | tr -d '"' | sort -u)
 for m in $backpressure_metrics; do
     if ! grep -rq -- "$m" docs/; then
         echo "docs lint: transport metric $m not documented anywhere in docs/" >&2
