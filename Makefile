@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the CI gate (scripts/check.sh).
 
-.PHONY: check build test bench bench-authz bench-fork bench-wal bench-repl bench-load fmt
+.PHONY: check build test bench bench-fork bench-wal bench-repl bench-load fmt
 
 check:
 	sh scripts/check.sh
@@ -14,12 +14,9 @@ test:
 bench:
 	go test -bench=. -benchmem .
 
-# Regenerates BENCH_authz.json and BENCH_fork.json (scripts/bench_authz.sh).
-bench-authz:
-	sh scripts/bench_authz.sh
-
+# Regenerates BENCH_fork.json (scripts/bench_fork.sh).
 bench-fork:
-	go test -run '^$$' -bench=ForkScaling -benchmem -benchtime=10000x .
+	sh scripts/bench_fork.sh
 
 # Regenerates BENCH_wal.json (scripts/bench_wal.sh).
 bench-wal:

@@ -196,7 +196,7 @@ func BenchmarkAuthorizeWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.a.JointRequest(d.srv, "G_write", "write", "O", []byte("v"), "u1", "u2"); err != nil {
+		if _, err := d.a.Submit(context.Background(), d.srv, spec("G_write", "write", "O", []byte("v"), "u1", "u2")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,160 +207,10 @@ func BenchmarkAuthorizeRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.a.JointRequest(d.srv, "G_read", "read", "O", nil, "u3"); err != nil {
+		if _, err := d.a.Submit(context.Background(), d.srv, spec("G_read", "read", "O", nil, "u3")); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// ---- E8: authorization hot path — serial vs parallel, cold vs warm ----
-//
-// These benchmarks isolate the server-side Authorize path from client
-// signing: one joint write request is pre-signed and replayed (freshness
-// checking is off by default, so replay is valid). scripts/bench_authz.sh
-// runs them and records the speedup in BENCH_authz.json.
-
-// benchServer creates a dedicated server (own object store, own snapshot,
-// own certificate cache) so each sub-benchmark controls its cache state.
-func benchServer(b *testing.B, d *benchDeployment, name string) *Server {
-	b.Helper()
-	srv, err := d.a.NewServer(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.CreateObject("O", map[string][]string{
-		"G_write": {"write"}, "G_read": {"read"},
-	}, []byte("content")); err != nil {
-		b.Fatal(err)
-	}
-	return srv
-}
-
-// benchWriteRequest pre-signs the reusable 2-of-3 joint write request.
-func benchWriteRequest(b *testing.B, d *benchDeployment) AccessRequest {
-	b.Helper()
-	req, err := d.a.NewRequest(RequestSpec{
-		Group: "G_write", Op: "write", Object: "O",
-		Payload: []byte("v"), Signers: []string{"u1", "u2"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return req
-}
-
-// BenchmarkAuthorizeSerial is the baseline: signature verification forced
-// serial (parallelism 1), one request at a time. The cold and warm series
-// pin the full derivation replay (residuals disabled) so they stay
-// comparable across PRs; the residual series is the same warm workload
-// decided on the precompiled fast path — its gap to warm is the payoff of
-// residual compilation on one harness run.
-func BenchmarkAuthorizeSerial(b *testing.B) {
-	d := deployment(b)
-	req := benchWriteRequest(b, d)
-	ctx := context.Background()
-	b.Run("cold", func(b *testing.B) {
-		srv := benchServer(b, d, "Pb-serial-cold")
-		b.ReportAllocs()
-		srv.Authz().SetVerifyParallelism(1)
-		srv.Authz().SetResidualsEnabled(false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			d.a.Reanchor(srv) // discard the certificate cache
-			b.StartTimer()
-			if _, err := srv.Request(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		srv := benchServer(b, d, "Pb-serial-warm")
-		b.ReportAllocs()
-		srv.Authz().SetVerifyParallelism(1)
-		srv.Authz().SetResidualsEnabled(false)
-		if _, err := srv.Request(ctx, req); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := srv.Request(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("residual", func(b *testing.B) {
-		srv := benchServer(b, d, "Pb-serial-residual")
-		b.ReportAllocs()
-		srv.Authz().SetVerifyParallelism(1)
-		if _, err := srv.Request(ctx, req); err != nil { // warm the cache
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := srv.Request(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAuthorizeParallel exercises the concurrency redesign: the
-// intra-request signature fan-out alone (fanout-warm), and many requests
-// decided concurrently against the lock-free snapshot (concurrent-warm,
-// via b.RunParallel).
-func BenchmarkAuthorizeParallel(b *testing.B) {
-	d := deployment(b)
-	req := benchWriteRequest(b, d)
-	ctx := context.Background()
-	b.Run("fanout-warm", func(b *testing.B) {
-		srv := benchServer(b, d, "Pb-fanout-warm")
-		b.ReportAllocs()
-		srv.Authz().SetResidualsEnabled(false)
-		if _, err := srv.Request(ctx, req); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := srv.Request(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("concurrent-cold", func(b *testing.B) {
-		// Per-goroutine servers re-anchored before every request, so each
-		// decision re-verifies its certificates (the re-anchor itself is
-		// cheap next to the RSA verifications it forces).
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			srv := benchServer(b, d, "Pb-concurrent-cold")
-			srv.Authz().SetVerifyParallelism(1)
-			srv.Authz().SetResidualsEnabled(false)
-			for pb.Next() {
-				d.a.Reanchor(srv)
-				if _, err := srv.Request(ctx, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-	b.Run("concurrent-warm", func(b *testing.B) {
-		srv := benchServer(b, d, "Pb-concurrent-warm")
-		b.ReportAllocs()
-		srv.Authz().SetVerifyParallelism(1)
-		srv.Authz().SetResidualsEnabled(false)
-		if _, err := srv.Request(ctx, req); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := srv.Request(ctx, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
 }
 
 // ---- E10: delegated authorization vs chain length ----
@@ -414,7 +264,6 @@ func benchDelegChain(b *testing.B, length int) (*Server, AccessRequest) {
 // through 4 and 16 principals. The store holds only composed,
 // root-anchored chains, so the lookup is length-independent; what scales
 // with length is the per-link revocation sweep over the chain's path.
-// scripts/bench_authz.sh records the series in BENCH_authz.json.
 func BenchmarkDelegationDepth(b *testing.B) {
 	ctx := context.Background()
 	for _, length := range []int{1, 4, 16} {
@@ -452,7 +301,7 @@ func BenchmarkRevocationCheck(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.a.JointRequest(d.srv, "G_read", "read", "O", nil, "u3"); err != nil {
+		if _, err := d.a.Submit(context.Background(), d.srv, spec("G_read", "read", "O", nil, "u3")); err != nil {
 			b.Fatal(err)
 		}
 	}

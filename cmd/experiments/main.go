@@ -170,15 +170,21 @@ func e11Observability() error {
 	}
 
 	const approvals, denials = 40, 10
+	write := func(content string, signers ...string) error {
+		_, err := a.Submit(context.Background(), srv, jointadmin.RequestSpec{
+			Group: "G_write", Op: "write", Object: "O", Payload: []byte(content), Signers: signers,
+		})
+		return err
+	}
 	for i := 0; i < approvals; i++ {
 		a.Clock().Tick()
-		if _, err := a.JointRequest(srv, "G_write", "write", "O", []byte("v"), "alice", "bob"); err != nil {
+		if err := write("v", "alice", "bob"); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < denials; i++ {
 		a.Clock().Tick()
-		if _, err := a.JointRequest(srv, "G_write", "write", "O", []byte("x"), "alice"); err == nil {
+		if err := write("x", "alice"); err == nil {
 			return fmt.Errorf("single-signer write unexpectedly approved")
 		}
 	}

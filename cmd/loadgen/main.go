@@ -21,10 +21,10 @@
 // includes framing, JSON codecs and kernel round trips — the
 // wire-inclusive series of BENCH_load.json.
 //
-// Server-side knobs (-batch-verify, -pooling, -parallelism, -residuals)
-// select the optimization under test; everything else shapes the
-// workload. See docs/BENCHMARKS.md for the harness guide and
-// docs/OPERATIONS.md for the runbook.
+// Server-side knobs (-batch-verify, -pooling, -residuals) select the
+// optimization under test; everything else shapes the workload. See
+// docs/BENCHMARKS.md for the harness guide and docs/OPERATIONS.md for the
+// runbook.
 package main
 
 import (
@@ -100,7 +100,6 @@ func main() {
 
 		batchVerify = flag.Bool("batch-verify", true, "enable k-way batched certificate verification")
 		pooling     = flag.Bool("pooling", true, "enable engine-fork and scratch pooling")
-		parallelism = flag.Int("parallelism", 0, "signature-verification fan-out (0 keeps the server default)")
 		residuals   = flag.Bool("residuals", true, "enable the precompiled residual fast path")
 
 		label = flag.String("label", "", "series label copied into the report")
@@ -136,9 +135,6 @@ func main() {
 	f.Server.SetBatchVerify(*batchVerify)
 	f.Server.SetPooling(*pooling)
 	f.Server.SetResidualsEnabled(*residuals)
-	if *parallelism > 0 {
-		f.Server.SetVerifyParallelism(*parallelism)
-	}
 	reg := obs.NewRegistry()
 	f.Server.Instrument(reg)
 

@@ -83,12 +83,20 @@ func run(flow string) error {
 		return err
 	}
 
+	ctx := context.Background()
+	jointWrite := func(content string) (jointadmin.Decision, error) {
+		return a.Submit(ctx, srv, jointadmin.RequestSpec{
+			Group: "G_write", Op: "write", Object: "O",
+			Payload: []byte(content), Signers: []string{"User_D1", "User_D2"},
+		})
+	}
+
 	switch flow {
 	case "write":
 		fmt.Println("Figure 2(b): User_D1 and User_D2 jointly request `write O`")
 		fmt.Println("(messages 1-1 .. 1-4, derivation steps 1–4 of Section 4.3)")
 		fmt.Println()
-		dec, err := a.JointRequest(srv, "G_write", "write", "O", []byte("new content"), "User_D1", "User_D2")
+		dec, err := jointWrite("new content")
 		if err != nil {
 			return err
 		}
@@ -98,7 +106,9 @@ func run(flow string) error {
 	case "read":
 		fmt.Println("Figure 2(d): User_D3 alone requests `read O` (1-of-3 suffices)")
 		fmt.Println()
-		dec, err := a.JointRequest(srv, "G_read", "read", "O", nil, "User_D3")
+		dec, err := a.Submit(ctx, srv, jointadmin.RequestSpec{
+			Group: "G_read", Op: "read", Object: "O", Signers: []string{"User_D3"},
+		})
 		if err != nil {
 			return err
 		}
@@ -108,14 +118,14 @@ func run(flow string) error {
 	case "revoke":
 		fmt.Println("Reasoning about revocation (Section 4.3, message 2 / statement 26)")
 		fmt.Println()
-		if _, err := a.JointRequest(srv, "G_write", "write", "O", []byte("x"), "User_D1", "User_D2"); err != nil {
+		if _, err := jointWrite("x"); err != nil {
 			return err
 		}
 		if err := a.Revoke("G_write", srv); err != nil {
 			return err
 		}
 		a.Clock().Tick()
-		_, err := a.JointRequest(srv, "G_write", "write", "O", []byte("y"), "User_D1", "User_D2")
+		_, err := jointWrite("y")
 		if !errors.Is(err, jointadmin.ErrDenied) {
 			return fmt.Errorf("expected denial after revocation, got %v", err)
 		}
@@ -138,7 +148,6 @@ func run(flow string) error {
 		if err != nil {
 			return err
 		}
-		ctx := context.Background()
 		replayed, err := srv.Request(ctx, req)
 		if err != nil {
 			return err
@@ -168,7 +177,7 @@ func run(flow string) error {
 		if err := a.Delegate("User_D1", "User_D2", "G_read", 0, []string{"read"}, srv); err != nil {
 			return err
 		}
-		dec, err := a.Submit(context.Background(), srv, jointadmin.RequestSpec{
+		dec, err := a.Submit(ctx, srv, jointadmin.RequestSpec{
 			Group: "G_read", Op: "read", Object: "O",
 			Signers: []string{"User_D2"}, Delegated: true,
 		})
@@ -182,7 +191,7 @@ func run(flow string) error {
 			return err
 		}
 		a.Clock().Tick()
-		_, err = a.Submit(context.Background(), srv, jointadmin.RequestSpec{
+		_, err = a.Submit(ctx, srv, jointadmin.RequestSpec{
 			Group: "G_read", Op: "read", Object: "O",
 			Signers: []string{"User_D2"}, Delegated: true,
 		})

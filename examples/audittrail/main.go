@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,16 +52,23 @@ func run() error {
 		return err
 	}
 
+	ctx := context.Background()
+	settle := func(balance string, signers ...string) error {
+		_, err := a.Submit(ctx, srv, jointadmin.RequestSpec{
+			Group: "G_settle", Op: "write", Object: "Settlements", Payload: []byte(balance), Signers: signers,
+		})
+		return err
+	}
 	// A legitimate 3-of-3 settlement.
-	if _, err := a.JointRequest(srv, "G_settle", "write", "Settlements",
-		[]byte("balance: 1_000_000"), users...); err != nil {
+	if err := settle("balance: 1_000_000", users...); err != nil {
 		return err
 	}
 	// Two banks trying to settle without the regulator: denied.
-	_, _ = a.JointRequest(srv, "G_settle", "write", "Settlements",
-		[]byte("balance: 2_000_000"), "ops_a", "ops_b")
+	_ = settle("balance: 2_000_000", "ops_a", "ops_b")
 	// The auditor reads the ledger.
-	if _, err := a.JointRequest(srv, "G_view", "read", "Settlements", nil, "auditor"); err != nil {
+	if _, err := a.Submit(ctx, srv, jointadmin.RequestSpec{
+		Group: "G_view", Op: "read", Object: "Settlements", Signers: []string{"auditor"},
+	}); err != nil {
 		return err
 	}
 	// Revocation after BankB's key-handling incident.
@@ -68,8 +76,7 @@ func run() error {
 		return err
 	}
 	a.Clock().Tick()
-	_, _ = a.JointRequest(srv, "G_settle", "write", "Settlements",
-		[]byte("balance: 9"), users...)
+	_ = settle("balance: 9", users...)
 
 	fmt.Println("== Audit log (one line per decision) ==")
 	fmt.Print(srv.Audit().Render())

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,14 +57,18 @@ func run() error {
 	}
 
 	fmt.Println("\n== 3-of-7 write with a minimal quorum ==")
-	dec, err := a.JointRequest(srv, "G_routes_write", "write", "RoutePlan",
-		[]byte("route plan rev B"), officers[0], officers[3], officers[6])
+	ctx := context.Background()
+	writePlan := func(srv *jointadmin.Server, plan string, signers ...string) (jointadmin.Decision, error) {
+		return a.Submit(ctx, srv, jointadmin.RequestSpec{
+			Group: "G_routes_write", Op: "write", Object: "RoutePlan", Payload: []byte(plan), Signers: signers,
+		})
+	}
+	dec, err := writePlan(srv, "route plan rev B", officers[0], officers[3], officers[6])
 	if err != nil {
 		return err
 	}
 	fmt.Printf("APPROVED via %s\n", dec.Group)
-	if _, err := a.JointRequest(srv, "G_routes_write", "write", "RoutePlan",
-		[]byte("rev C"), officers[0], officers[1]); err != nil {
+	if _, err := writePlan(srv, "rev C", officers[0], officers[1]); err != nil {
 		fmt.Printf("2-of-7 write DENIED as required: threshold is 3\n")
 	} else {
 		return fmt.Errorf("2-signer write approved")
@@ -110,8 +115,7 @@ func run() error {
 	}, []byte("route plan rev B")); err != nil {
 		return err
 	}
-	dec, err = a.JointRequest(srv2, "G_routes_write", "write", "RoutePlan",
-		[]byte("route plan rev C"), officers[0], officers[3], officers[5])
+	dec, err = writePlan(srv2, "route plan rev C", officers[0], officers[3], officers[5])
 	if err != nil {
 		return err
 	}

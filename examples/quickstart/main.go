@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -63,22 +64,31 @@ func run() error {
 	}
 	fmt.Println("\nserver P manages Object O with ACL_O = {(G_write, write), (G_read, read)}")
 
+	ctx := context.Background()
+	write := func(content string, signers ...string) (jointadmin.Decision, error) {
+		return a.Submit(ctx, srv, jointadmin.RequestSpec{
+			Group: "G_write", Op: "write", Object: "O", Payload: []byte(content), Signers: signers,
+		})
+	}
+
 	fmt.Println("\n== Figure 2(b): joint write request, 2 of 3 co-signers ==")
-	dec, err := a.JointRequest(srv, "G_write", "write", "O", []byte("gene sequence v2"), "alice", "bob")
+	dec, err := write("gene sequence v2", "alice", "bob")
 	if err != nil {
 		return err
 	}
 	fmt.Printf("APPROVED via %s — derivation ended in: %s\n", dec.Group, dec.Reason)
 
 	fmt.Println("\n== A unilateral write is denied (Requirement III) ==")
-	if _, err := a.JointRequest(srv, "G_write", "write", "O", []byte("sneaky"), "alice"); errors.Is(err, jointadmin.ErrDenied) {
+	if _, err := write("sneaky", "alice"); errors.Is(err, jointadmin.ErrDenied) {
 		fmt.Printf("DENIED as required: %v\n", err)
 	} else {
 		return fmt.Errorf("unilateral write was not denied: %v", err)
 	}
 
 	fmt.Println("\n== Figure 2(d): read request, 1 of 3 suffices ==")
-	dec, err = a.JointRequest(srv, "G_read", "read", "O", nil, "carol")
+	dec, err = a.Submit(ctx, srv, jointadmin.RequestSpec{
+		Group: "G_read", Op: "read", Object: "O", Signers: []string{"carol"},
+	})
 	if err != nil {
 		return err
 	}
@@ -89,7 +99,7 @@ func run() error {
 		return err
 	}
 	a.Clock().Tick()
-	if _, err := a.JointRequest(srv, "G_write", "write", "O", []byte("late"), "alice", "bob"); errors.Is(err, jointadmin.ErrDenied) {
+	if _, err := write("late", "alice", "bob"); errors.Is(err, jointadmin.ErrDenied) {
 		fmt.Println("post-revocation write DENIED (believe-until-revoked)")
 	} else {
 		return fmt.Errorf("post-revocation write was not denied: %v", err)

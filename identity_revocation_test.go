@@ -1,6 +1,7 @@
 package jointadmin
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -12,7 +13,7 @@ import (
 func TestIdentityRevocation(t *testing.T) {
 	a, srv := newGeneticsAlliance(t)
 	// Baseline: alice+bob write works.
-	if _, err := a.JointRequest(srv, "G_write", "write", "O", []byte("v2"), "alice", "bob"); err != nil {
+	if _, err := a.Submit(context.Background(), srv, spec("G_write", "write", "O", []byte("v2"), "alice", "bob")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -22,19 +23,19 @@ func TestIdentityRevocation(t *testing.T) {
 	a.Clock().Tick()
 
 	// bob's signature no longer counts: alice+bob is now below threshold.
-	if _, err := a.JointRequest(srv, "G_write", "write", "O", []byte("v3"), "alice", "bob"); !errors.Is(err, ErrDenied) {
+	if _, err := a.Submit(context.Background(), srv, spec("G_write", "write", "O", []byte("v3"), "alice", "bob")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("write with revoked identity: %v", err)
 	}
 	// alice+carol still form a valid quorum under the same certificate.
-	if _, err := a.JointRequest(srv, "G_write", "write", "O", []byte("v3"), "alice", "carol"); err != nil {
+	if _, err := a.Submit(context.Background(), srv, spec("G_write", "write", "O", []byte("v3"), "alice", "carol")); err != nil {
 		t.Fatalf("write after unrelated identity revocation: %v", err)
 	}
 	// bob alone cannot read either.
-	if _, err := a.JointRequest(srv, "G_read", "read", "O", nil, "bob"); !errors.Is(err, ErrDenied) {
+	if _, err := a.Submit(context.Background(), srv, spec("G_read", "read", "O", nil, "bob")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("read with revoked identity: %v", err)
 	}
 	// carol can.
-	if _, err := a.JointRequest(srv, "G_read", "read", "O", nil, "carol"); err != nil {
+	if _, err := a.Submit(context.Background(), srv, spec("G_read", "read", "O", nil, "carol")); err != nil {
 		t.Fatalf("read by unaffected user: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package jointadmin
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -14,14 +15,14 @@ func TestPrivilegeInheritance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without a link, admins cannot write.
-	if _, err := a.JointRequest(srv, "G_admins", "write", "O", []byte("x"), "alice", "bob"); !errors.Is(err, ErrDenied) {
+	if _, err := a.Submit(context.Background(), srv, spec("G_admins", "write", "O", []byte("x"), "alice", "bob")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("unlinked admin write: %v", err)
 	}
 	// All domains jointly issue G_admins ⇒ G_write.
 	if err := a.LinkGroups("G_admins", "G_write", srv); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := a.JointRequest(srv, "G_admins", "write", "O", []byte("by admins"), "alice", "bob")
+	dec, err := a.Submit(context.Background(), srv, spec("G_admins", "write", "O", []byte("by admins"), "alice", "bob"))
 	if err != nil {
 		t.Fatalf("linked admin write: %v", err)
 	}
@@ -46,7 +47,7 @@ func TestPrivilegeInheritanceTransitive(t *testing.T) {
 	if err := a.LinkGroups("G_b", "G_write", srv); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.JointRequest(srv, "G_a", "write", "O", []byte("transitive"), "alice"); err != nil {
+	if _, err := a.Submit(context.Background(), srv, spec("G_a", "write", "O", []byte("transitive"), "alice")); err != nil {
 		t.Fatalf("transitive write: %v", err)
 	}
 	// The reverse direction does NOT hold: G_write ⇒ G_a was never issued,
@@ -54,7 +55,7 @@ func TestPrivilegeInheritanceTransitive(t *testing.T) {
 	if err := a.GrantThreshold("G_c", 1, "carol"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.JointRequest(srv, "G_c", "write", "O", []byte("nope"), "carol"); !errors.Is(err, ErrDenied) {
+	if _, err := a.Submit(context.Background(), srv, spec("G_c", "write", "O", []byte("nope"), "carol")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("unlinked group write: %v", err)
 	}
 }

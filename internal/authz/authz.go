@@ -15,12 +15,12 @@
 //
 // Concurrency model: the server's belief state is an immutable snapshot
 // (snapshot.go) swapped atomically by the belief-mutating operations.
-// Authorize is lock-free — it forks the snapshot's engine into per-request
-// scratch, verifies co-signer signatures on a bounded parallel fan-out
-// (first failure cancels the rest), and memoizes certificate verifications
-// in the key epoch's fingerprint-keyed cache (snapshot.go). Steps 1–3 are
-// independent per request given a fixed belief set, which is exactly what
-// makes this safe.
+// Authorize is lock-free and starts no goroutine — it forks the snapshot's
+// engine into per-request scratch, verifies the co-signer signatures in the
+// caller's goroutine, and memoizes certificate verifications in the key
+// epoch's fingerprint-keyed cache (snapshot.go). Steps 1–3 are independent
+// per request given a fixed belief set, which is exactly what makes
+// concurrent requests safe.
 package authz
 
 import (
@@ -156,18 +156,12 @@ type Server struct {
 	hot hotMetrics
 	// reqSeq numbers evaluated requests for audit/metrics correlation.
 	reqSeq atomic.Uint64
-	// parallelism bounds the per-request signature-verification fan-out.
-	// Stored atomically: SetVerifyParallelism may be called while the
-	// lock-free Authorize path reads it.
-	parallelism atomic.Int32
 	// noResidual, when set, bypasses the precompiled-residue fast path
 	// (SetResidualsEnabled).
 	noResidual atomic.Bool
 	// batchVerify enables k-way batched verification of cache-miss
-	// identity certificates (SetBatchVerify); batchBlindBits selects the
-	// blinded strict mode (SetBatchVerifyBlinding).
-	batchVerify    atomic.Bool
-	batchBlindBits atomic.Int32
+	// identity certificates (SetBatchVerify).
+	batchVerify atomic.Bool
 	// noPool, when set, disables per-request pooling of engine forks and
 	// residual scratch (SetPooling).
 	noPool atomic.Bool
@@ -191,7 +185,6 @@ func NewServer(name string, clk *clock.Clock, anchors TrustAnchors, objects *acl
 		objects: objects,
 		log:     log,
 	}
-	s.parallelism.Store(int32(defaultParallelism()))
 	s.buildHotMetrics()
 	s.state.Store(newState(anchors, freshEngine(name, clk, anchors), 0, 0, newCertCache()))
 	return s
@@ -331,7 +324,7 @@ func ctxErr(err error) bool {
 //
 // Authorize is lock-free and safe for arbitrary concurrency: it evaluates
 // against the belief snapshot current at entry. The context cancels the
-// evaluation between steps and inside the signature-verification fan-out.
+// evaluation between steps and between signature verifications.
 func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -476,7 +469,7 @@ func (s *Server) authorizeAt(ctx context.Context, st *state, req AccessRequest) 
 }
 
 // idResult carries one identity certificate through the two verification
-// phases: the parallel cryptographic phase and the serial derivation.
+// phases: the cryptographic phase and the derivation.
 type idResult struct {
 	cached bool
 	hit    cachedCert
@@ -484,47 +477,46 @@ type idResult struct {
 }
 
 // verifyIdentities runs Step 1: the cryptographic checks (RSA-FDH
-// signature per certificate) on the parallel fan-out with cache lookups by
-// fingerprint (fps[i] is ids[i]'s), then the logical derivations serially
-// into the request's fork. Cache hits skip both the RSA verification and
-// the re-derivation; validity, the issuing CA's key and key revocation are
-// live leaves, re-checked against this snapshot at the current time where
-// the cold path checks them, and deny with its reasons.
+// signature per certificate) with cache lookups by fingerprint (fps[i] is
+// ids[i]'s), then the logical derivations into the request's fork. Cache
+// hits skip both the RSA verification and the re-derivation; validity, the
+// issuing CA's key and key revocation are live leaves, re-checked against
+// this snapshot at the current time where the cold path checks them, and
+// deny with its reasons.
 func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Engine, ids []pki.Signed[pki.Identity], fps []string, now clock.Time) (map[string]sharedrsa.PublicKey, error) {
 	results := make([]idResult, len(ids))
-	var err error
 	if s.batchVerify.Load() {
-		err = s.verifyIdentitiesBatched(st, ids, fps, results, now)
+		if err := s.verifyIdentitiesBatched(st, ids, fps, results, now); err != nil {
+			return nil, err
+		}
 	} else {
-		err = forEachParallel(ctx, len(ids), s.verifyParallelism(), func(_ context.Context, i int) error {
-			idc := ids[i]
-			r := &results[i]
+		for i := range ids {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			idc, r := &ids[i], &results[i]
 			if e, ok := st.cache.get(fps[i]); ok {
 				s.hot.cacheHitIdentity.Inc()
 				if !e.validity.Contains(now) {
-					return errors.New("identity certificate invalid: " + s.expiredHit(st, fps[i], e, now).Error())
+					return nil, errors.New("identity certificate invalid: " + s.expiredHit(st, fps[i], e, now).Error())
 				}
 				r.cached, r.hit = true, e
-				return nil
+				continue
 			}
 			s.reg.Counter(MetricCacheMisses, "kind", "identity").Inc()
 			caKey, ok := st.anchors.CAKeys[idc.Cert.Issuer]
 			if !ok {
-				return errors.New("identity certificate from untrusted CA " + idc.Cert.Issuer)
+				return nil, errors.New("identity certificate from untrusted CA " + idc.Cert.Issuer)
 			}
-			if err := pki.VerifyIdentity(idc, caKey, now); err != nil {
-				return errors.New("identity certificate invalid: " + err.Error())
+			if err := pki.VerifyIdentity(*idc, caKey, now); err != nil {
+				return nil, errors.New("identity certificate invalid: " + err.Error())
 			}
 			upk, err := idc.Cert.SubjectKey.PublicKey()
 			if err != nil {
-				return errors.New("identity certificate key malformed: " + err.Error())
+				return nil, errors.New("identity certificate key malformed: " + err.Error())
 			}
 			r.upk = upk
-			return nil
-		})
-	}
-	if err != nil {
-		return nil, err
+		}
 	}
 
 	userKeys := make(map[string]sharedrsa.PublicKey, len(ids))
@@ -761,7 +753,7 @@ func certKind(req *AccessRequest) string {
 }
 
 // cosignItem is one co-signer's request component prepared for the
-// parallel signature check.
+// signature check.
 type cosignItem struct {
 	user string
 	body []byte
@@ -769,10 +761,10 @@ type cosignItem struct {
 	upk  sharedrsa.PublicKey
 }
 
-// verifyCosigners runs Step 3: the per-signer structural checks serially
+// verifyCosigners runs Step 3: the per-signer structural checks
 // (agreement on the request, certificate binding), the RSA signature
-// verifications on the bounded parallel fan-out (first failure cancels the
-// rest), and the logical derivations serially into the request's fork.
+// verifications (the first failing signer denies), and the logical
+// derivations into the request's fork.
 func (s *Server) verifyCosigners(ctx context.Context, eng *logic.Engine, req *AccessRequest, op acl.Permission, object string, userKeys map[string]sharedrsa.PublicKey, boundKey map[string]string, now clock.Time) ([]logic.Says, []int, error) {
 	items := make([]cosignItem, len(req.Requests))
 	for i, r := range req.Requests {
@@ -797,13 +789,7 @@ func (s *Server) verifyCosigners(ctx context.Context, eng *logic.Engine, req *Ac
 		items[i] = cosignItem{user: r.User, body: requestBody(r), sig: sharedrsa.Signature{S: sigVal}, upk: upk}
 	}
 
-	err := forEachParallel(ctx, len(items), s.verifyParallelism(), func(_ context.Context, i int) error {
-		if err := sharedrsa.Verify(items[i].body, items[i].upk, items[i].sig); err != nil {
-			return errors.New(items[i].user + ": request signature invalid")
-		}
-		return nil
-	})
-	if err != nil {
+	if err := verifyCosignatures(ctx, items); err != nil {
 		return nil, nil, err
 	}
 
@@ -829,6 +815,22 @@ func (s *Server) verifyCosigners(ctx context.Context, eng *logic.Engine, req *Ac
 		utterSteps = append(utterSteps, step)
 	}
 	return utterances, utterSteps, nil
+}
+
+// verifyCosignatures checks each co-signer's RSA-FDH signature in request
+// order, in the caller's goroutine: the first failing signer is the
+// denial, and a context canceled between two checks surfaces as ctx.Err
+// (an abort, not a denial).
+func verifyCosignatures(ctx context.Context, items []cosignItem) error {
+	for i := range items {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := sharedrsa.Verify(items[i].body, items[i].upk, items[i].sig); err != nil {
+			return errors.New(items[i].user + ": request signature invalid")
+		}
+	}
+	return nil
 }
 
 // idealContent renders the request content as the logic message of the

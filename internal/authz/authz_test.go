@@ -350,7 +350,7 @@ func TestRevocationReasoning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.ProcessRevocation(rev); err != nil {
+	if err := server.Apply(context.Background(), Revocation{Cert: rev}); err != nil {
 		t.Fatalf("process revocation: %v", err)
 	}
 	f.clk.Tick()
@@ -382,7 +382,7 @@ func TestRevocationFromUntrustedIssuer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.ProcessRevocation(rev); !errors.Is(err, ErrDenied) {
+	if err := server.Apply(context.Background(), Revocation{Cert: rev}); !errors.Is(err, ErrDenied) {
 		t.Fatalf("untrusted revocation accepted: %v", err)
 	}
 }

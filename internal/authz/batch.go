@@ -27,22 +27,11 @@ import (
 // per-certificate verification to attribute the culprit.
 func (s *Server) SetBatchVerify(on bool) { s.batchVerify.Store(on) }
 
-// SetBatchVerifyBlinding selects the strict blinded batch mode with
-// random exponents of the given bit length (0, the default, uses the
-// unblinded screening check; see sharedrsa.BatchOptions.BlindBits for
-// the trade-off — blinding is a strictness knob, not a performance one).
-func (s *Server) SetBatchVerifyBlinding(bits int) {
-	if bits < 0 {
-		bits = 0
-	}
-	s.batchBlindBits.Store(int32(bits))
-}
-
 // verifyIdentitiesBatched is the batched Step-1 cryptographic phase:
 // cache lookups first, then one k-way batched check per issuing CA over
 // the misses (fps[i] is ids[i]'s fingerprint). It fills results exactly
-// like the per-certificate parallel phase and reports the lowest-index
-// failure, matching forEachParallel's deterministic error selection.
+// like the per-certificate loop and reports the lowest-index failure, as
+// that loop does.
 func (s *Server) verifyIdentitiesBatched(st *state, ids []pki.Signed[pki.Identity], fps []string, results []idResult, now clock.Time) error {
 	type caGroup struct {
 		key sharedrsa.PublicKey
@@ -89,14 +78,13 @@ func (s *Server) verifyIdentitiesBatched(st *state, ids []pki.Signed[pki.Identit
 		g.idx = append(g.idx, i)
 	}
 
-	opts := sharedrsa.BatchOptions{BlindBits: int(s.batchBlindBits.Load())}
 	for _, ca := range order {
 		g := groups[ca]
 		certs := make([]pki.Signed[pki.Identity], len(g.idx))
 		for j, i := range g.idx {
 			certs[j] = ids[i]
 		}
-		res, errs := pki.VerifyIdentityBatch(certs, g.key, now, opts)
+		res, errs := pki.VerifyIdentityBatch(certs, g.key, now, sharedrsa.BatchOptions{})
 		if res.Batched {
 			s.reg.Counter(MetricBatchVerifyBatches).Inc()
 			s.reg.Counter(MetricBatchVerifyItems).Add(int64(len(certs)))

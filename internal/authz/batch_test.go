@@ -156,15 +156,3 @@ func TestBatchVerifyDenialParity(t *testing.T) {
 		t.Errorf("unexpected denial: %v", errOn)
 	}
 }
-
-// TestBatchVerifyBlindedMode runs the strict blinded batch end to end.
-func TestBatchVerifyBlindedMode(t *testing.T) {
-	f := newBatchFixture(t)
-	s := f.newServer(t)
-	s.SetBatchVerify(true)
-	s.SetBatchVerifyBlinding(32)
-	dec, err := s.Authorize(context.Background(), f.request(t, []byte("v2")))
-	if err != nil || !dec.Allowed {
-		t.Fatalf("blinded batched authorize: dec=%+v err=%v", dec, err)
-	}
-}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"jointadmin/internal/audit"
 	"jointadmin/internal/clock"
 	"jointadmin/internal/obs"
 	"jointadmin/internal/pki"
@@ -66,11 +68,11 @@ func TestAuthorizeConcurrentWithMutations(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < rounds; j++ {
-			if err := server.ProcessGroupLink(links[j]); err != nil {
+			if err := server.Apply(context.Background(), GroupLink{Cert: links[j]}); err != nil {
 				errCh <- fmt.Errorf("group link %d: %w", j, err)
 				return
 			}
-			if err := server.ProcessRevocation(revs[j]); err != nil {
+			if err := server.Apply(context.Background(), Revocation{Cert: revs[j]}); err != nil {
 				errCh <- fmt.Errorf("revocation %d: %w", j, err)
 				return
 			}
@@ -116,7 +118,7 @@ func TestCacheNeverServesRevokedCertificate(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := server.state.Load().cache.len()
-	if err := server.ProcessRevocation(rev); err != nil {
+	if err := server.Apply(context.Background(), Revocation{Cert: rev}); err != nil {
 		t.Fatalf("process revocation: %v", err)
 	}
 	if got := server.state.Load().cache.len(); got != entries || entries == 0 {
@@ -142,7 +144,7 @@ func TestCacheNeverServesRevokedCertificate(t *testing.T) {
 		t.Fatal("post-revocation denial did not run on the carried cache entries")
 	}
 	cold := f.newServer(nil)
-	if err := cold.ProcessRevocation(rev); err != nil {
+	if err := cold.Apply(context.Background(), Revocation{Cert: rev}); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := cold.Authorize(context.Background(), req)
@@ -164,7 +166,7 @@ func TestSnapshotVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.ProcessGroupLink(link); err != nil {
+	if err := server.Apply(context.Background(), GroupLink{Cert: link}); err != nil {
 		t.Fatal(err)
 	}
 	if sn := server.Snapshot(); sn.Epoch != 0 || sn.Watermark != 1 {
@@ -173,7 +175,9 @@ func TestSnapshotVersioning(t *testing.T) {
 	// Re-anchoring bumps the epoch, resets the watermark, and drops the
 	// derived group-link belief (the belief set is rebuilt from anchors).
 	nBase := len(server.Snapshot().Beliefs())
-	server.Reanchor(f.anchors(0))
+	if err := server.Apply(context.Background(), Reanchor{Anchors: f.anchors(0)}); err != nil {
+		t.Fatal(err)
+	}
 	sn := server.Snapshot()
 	if sn.Epoch != 1 || sn.Watermark != 0 {
 		t.Fatalf("after re-anchor: %+v", sn)
@@ -211,6 +215,126 @@ func TestAuthorizeContextCanceled(t *testing.T) {
 	if got := counterTotal(reg, MetricDenied); got != 0 {
 		t.Errorf("denied counter = %d, want 0", got)
 	}
+}
+
+// forEachDecider runs fn once per way a request can be decided — the
+// residual checklist and the full derivation replay — against a server
+// already warmed with the 2-signer write req, so every certificate is
+// cached and the residual subtest really takes the residual path.
+func forEachDecider(t *testing.T, fn func(t *testing.T, srv *Server, reg *obs.Registry, log *audit.Log, req AccessRequest)) {
+	f := newFixture(t)
+	for _, residual := range []bool{true, false} {
+		name := "replay"
+		if residual {
+			name = "residual"
+		}
+		t.Run(name, func(t *testing.T) {
+			log := audit.NewLog()
+			srv, reg := f.instrumentedServer(log)
+			srv.SetResidualsEnabled(residual)
+			req := f.writeRequest(t, []byte("warm"), "User_D1", "User_D2")
+			if _, err := srv.Authorize(context.Background(), req); err != nil {
+				t.Fatalf("warming: %v", err)
+			}
+			fn(t, srv, reg, log, req)
+			hits, _, _ := residualCounts(reg)
+			if (hits > 0) != residual {
+				t.Fatalf("residual hits = %d on the %s decider", hits, name)
+			}
+		})
+	}
+}
+
+// TestFirstBadCosignerDenies: Step 3 checks the co-signatures in request
+// order, so when several are bad the denial names the first signer.
+func TestFirstBadCosignerDenies(t *testing.T) {
+	forEachDecider(t, func(t *testing.T, srv *Server, _ *obs.Registry, _ *audit.Log, req AccessRequest) {
+		bad := req
+		bad.Requests = append([]UserRequest(nil), req.Requests...)
+		// Each signer carries the other's (well-formed, wrong) signature.
+		bad.Requests[0].SigS, bad.Requests[1].SigS = req.Requests[1].SigS, req.Requests[0].SigS
+		dec, err := srv.Authorize(context.Background(), bad)
+		if !errors.Is(err, ErrDenied) || dec.DeniedStep != StepCosign {
+			t.Fatalf("dec=%+v err=%v, want a Step-3 denial", dec, err)
+		}
+		if want := "User_D1: request signature invalid"; dec.Reason != want {
+			t.Fatalf("reason = %q, want %q", dec.Reason, want)
+		}
+	})
+}
+
+// pollContext is a context whose Err turns Canceled at the (left+1)-th
+// poll and that records the most goroutines alive at any poll. Authorize
+// polls it between steps and between signature verifications, always in
+// the caller's goroutine, so it needs no lock.
+type pollContext struct {
+	context.Context
+	left          int
+	maxGoroutines int
+}
+
+func (c *pollContext) Err() error {
+	c.maxGoroutines = max(c.maxGoroutines, runtime.NumGoroutine())
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestCancellationAtEveryPoll cancels the request at each point Authorize
+// polls its context, one run per point, up to the run that is approved:
+// every earlier run must abort with context.Canceled — never deny —
+// count authz_canceled_total once and write no audit entry, and one of
+// the points must lie inside Step 3, where the signatures are verified.
+func TestCancellationAtEveryPoll(t *testing.T) {
+	forEachDecider(t, func(t *testing.T, srv *Server, reg *obs.Registry, log *audit.Log, req AccessRequest) {
+		inCosign := false
+		for polls := 0; ; polls++ {
+			if polls > 100 {
+				t.Fatal("request still canceled after 100 context polls")
+			}
+			canceled, entries := counterTotal(reg, MetricCanceled), log.Len()
+			dec, err := srv.Authorize(&pollContext{Context: context.Background(), left: polls}, req)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, context.Canceled) || errors.Is(err, ErrDenied) || dec.Allowed {
+				t.Fatalf("canceled at poll %d: dec=%+v err=%v, want an abort with context.Canceled", polls, dec, err)
+			}
+			if got := counterTotal(reg, MetricCanceled); got != canceled+1 {
+				t.Fatalf("canceled at poll %d: counter %d -> %d, want +1", polls, canceled, got)
+			}
+			if got := log.Len(); got != entries {
+				t.Fatalf("canceled at poll %d: audit log grew %d -> %d", polls, entries, got)
+			}
+			inCosign = inCosign || dec.DeniedStep == StepCosign
+		}
+		if !inCosign {
+			t.Fatal("no cancellation point inside Step 3")
+		}
+		if got := counterTotal(reg, MetricDenied); got != 0 {
+			t.Fatalf("denied counter = %d, want 0", got)
+		}
+	})
+}
+
+// TestAuthorizeStartsNoGoroutine: a decision runs entirely in the
+// caller's goroutine — no more goroutines are alive at any context poll
+// of 1000 warm 2-signer requests, or after them, than before.
+func TestAuthorizeStartsNoGoroutine(t *testing.T) {
+	forEachDecider(t, func(t *testing.T, srv *Server, _ *obs.Registry, _ *audit.Log, req AccessRequest) {
+		before := runtime.NumGoroutine()
+		ctx := &pollContext{Context: context.Background(), left: 1 << 30}
+		for i := 0; i < 1000; i++ {
+			if _, err := srv.Authorize(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := runtime.NumGoroutine(); ctx.maxGoroutines > before || after > before {
+			t.Fatalf("goroutines: %d before, up to %d during, %d after", before, ctx.maxGoroutines, after)
+		}
+	})
 }
 
 // counterTotal sums a counter across all label combinations (snapshot

@@ -72,7 +72,7 @@ func TestCrashRecoveryExactReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv1.ProcessRevocation(rev); err != nil {
+	if err := srv1.Apply(context.Background(), Revocation{Cert: rev}); err != nil {
 		t.Fatalf("process revocation: %v", err)
 	}
 	if _, err := srv1.Authorize(context.Background(), req); err == nil {
@@ -162,17 +162,17 @@ func TestReplayBeliefsSkipsSupersededMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv1.ProcessRevocation(readRev); err != nil {
+	if err := srv1.Apply(context.Background(), Revocation{Cert: readRev}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv1.Reanchor(f.anchors(0)); err != nil { // rekey clears it
+	if err := srv1.Apply(context.Background(), Reanchor{Anchors: f.anchors(0)}); err != nil { // rekey clears it
 		t.Fatal(err)
 	}
 	writeRev, err := f.ra.Revoke(f.writeAC, f.clk.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv1.ProcessRevocation(writeRev); err != nil {
+	if err := srv1.Apply(context.Background(), Revocation{Cert: writeRev}); err != nil {
 		t.Fatal(err)
 	}
 	l1.Close()
@@ -215,7 +215,7 @@ func TestJournalFailureAbortsMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := srv.Snapshot()
-	if err := srv.ProcessRevocation(rev); err == nil || !strings.Contains(err.Error(), "disk full") {
+	if err := srv.Apply(context.Background(), Revocation{Cert: rev}); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("mutation with failing journal: %v, want journal error", err)
 	}
 	after := srv.Snapshot()

@@ -7,8 +7,7 @@
 // mutation originates: a live delivery,
 // the daemon, a WAL replay on recovery, or a replication follower
 // (whose Applier feeds shipped records through the same variants via
-// Replay). The legacy Process*/Reanchor entry points survive as thin
-// deprecated wrappers.
+// Replay).
 
 package authz
 
@@ -112,8 +111,7 @@ func (Reanchor) Verb() string           { return VerbReanchor }
 // snapshot (journaled first when a journal is attached) with an empty
 // residue memo; the verified-certificate cache is kept unless the
 // mutation is a Reanchor (snapshot.go). It is the single entry point for
-// belief changes; the Process*/Reanchor methods are deprecated wrappers
-// around it.
+// belief changes.
 func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -145,46 +143,6 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	default:
 		return fmt.Errorf("authz: unsupported mutation %T", m)
 	}
-}
-
-// ProcessGroupLink verifies a privilege-inheritance certificate from the
-// AA and records the derived "Sub ⇒ Sup" belief in a new snapshot.
-//
-// Deprecated: use Apply with a GroupLink mutation.
-func (s *Server) ProcessGroupLink(link pki.Signed[pki.GroupLink]) error {
-	return s.Apply(context.Background(), GroupLink{Cert: link})
-}
-
-// ProcessIdentityRevocation verifies an identity revocation from one of
-// the trusted domain CAs and withdraws the key binding.
-//
-// Deprecated: use Apply with an IdentityRevocation mutation.
-func (s *Server) ProcessIdentityRevocation(rev pki.Signed[pki.IdentityRevocation]) error {
-	return s.Apply(context.Background(), IdentityRevocation{Cert: rev})
-}
-
-// ProcessCRL verifies a signed revocation list and feeds every entry
-// into the belief store, returning how many were newly recorded.
-//
-// Deprecated: use Apply with a CRL mutation (callers that need the
-// applied-entry count may keep using this wrapper).
-func (s *Server) ProcessCRL(crl pki.SignedCRL) (int, error) {
-	return s.applyCRL(crl)
-}
-
-// ProcessRevocation verifies a revocation certificate and records the
-// negative belief in a new snapshot.
-//
-// Deprecated: use Apply with a Revocation mutation.
-func (s *Server) ProcessRevocation(rev pki.Signed[pki.Revocation]) error {
-	return s.Apply(context.Background(), Revocation{Cert: rev})
-}
-
-// Reanchor replaces the server's trust anchors.
-//
-// Deprecated: use Apply with a Reanchor mutation.
-func (s *Server) Reanchor(anchors TrustAnchors) error {
-	return s.Apply(context.Background(), Reanchor{Anchors: anchors})
 }
 
 // applyGroupLink verifies and applies a GroupLink mutation; members of

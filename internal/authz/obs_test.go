@@ -145,7 +145,7 @@ func TestRevocationMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.ProcessRevocation(rev); err != nil {
+	if err := server.Apply(context.Background(), Revocation{Cert: rev}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

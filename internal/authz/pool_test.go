@@ -177,7 +177,6 @@ func TestResidualAllocsReduced(t *testing.T) {
 	measure := func(pool bool) float64 {
 		s := f.newServer(nil)
 		s.SetPooling(pool)
-		s.SetVerifyParallelism(1)
 		req := f.writeRequest(t, []byte("bench"), "User_D1", "User_D2")
 		if dec, err := s.Authorize(ctx, req); err != nil || !dec.Allowed {
 			t.Fatalf("warmup: dec=%+v err=%v", dec, err)
@@ -194,9 +193,11 @@ func TestResidualAllocsReduced(t *testing.T) {
 	if pooled >= plain {
 		t.Errorf("pooling does not reduce allocations: pooled=%.0f unpooled=%.0f", pooled, plain)
 	}
-	// Absolute ceiling with headroom over the measured figure; the warm
-	// residual path must stay lean even as leaf checks evolve.
-	const budget = 150
+	// Absolute ceiling with headroom over the measured figure (125 for this
+	// 2-signer write); the warm residual path must stay lean even as leaf
+	// checks evolve. A per-request goroutine fan-out, closure or derived
+	// context (12 allocations when there was one) does not fit under it.
+	const budget = 138
 	if pooled > budget {
 		t.Errorf("pooled residual path allocates %.0f/op, budget %d", pooled, budget)
 	}

@@ -34,7 +34,6 @@ package authz
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -546,7 +545,7 @@ func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req
 	}
 
 	// ---- Step 3 leaves: structural checks, RSA co-signature
-	// verification on the parallel fan-out, signed-utterance steps. ----
+	// verification, signed-utterance steps. ----
 	tr.begin(StepCosign)
 	items := grow(sc.items, len(req.Requests))
 	sc.items = items
@@ -588,12 +587,7 @@ func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req
 	for i := range items {
 		items[i].body = bodyBuf[bodyOff[2*i]:bodyOff[2*i+1]]
 	}
-	err := forEachParallel(ctx, len(items), s.verifyParallelism(), func(_ context.Context, i int) error {
-		if err := sharedrsa.Verify(items[i].body, items[i].upk, items[i].sig); err != nil {
-			return errors.New(items[i].user + ": request signature invalid")
-		}
-		return nil
-	})
+	err := verifyCosignatures(ctx, items)
 	if err != nil {
 		if ctxErr(err) {
 			return abort(err)

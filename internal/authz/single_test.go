@@ -77,7 +77,7 @@ func TestSingleSubjectRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.ProcessRevocation(rev); err != nil {
+	if err := server.Apply(context.Background(), Revocation{Cert: rev}); err != nil {
 		t.Fatal(err)
 	}
 	f.clk.Tick()

@@ -2,10 +2,9 @@
 //
 // The server's trust state — anchors, processed revocations and group
 // links — lives in an immutable snapshot swapped atomically by the
-// belief-mutating operations (Server.Apply and its deprecated
-// Process*/Reanchor wrappers). Authorize loads the current snapshot once
-// and runs lock-free against it: certificate derivations go into a
-// per-request fork of the snapshot's engine, and successful
+// belief-mutating operations (Server.Apply). Authorize loads the current
+// snapshot once and runs lock-free against it: certificate derivations go
+// into a per-request fork of the snapshot's engine, and successful
 // verifications are memoized in the certificate cache the snapshot points
 // at (keyed by certificate fingerprint).
 //

@@ -80,9 +80,9 @@ func TestAuthorizationDerivationTrace(t *testing.T) {
 	}
 }
 
-// TestProcessCRL verifies the batch revocation path: a CRL from the RA
+// TestApplyCRL verifies the batch revocation path: a CRL from the RA
 // revokes G_write; entries are applied once and the write is then denied.
-func TestProcessCRL(t *testing.T) {
+func TestApplyCRL(t *testing.T) {
 	f := newFixture(t)
 	server := f.newServer(nil)
 	if _, err := server.Authorize(context.Background(), f.writeRequest(t, []byte("ok"), "User_D1", "User_D2")); err != nil {
@@ -101,7 +101,7 @@ func TestProcessCRL(t *testing.T) {
 	// The fixture RA is shared across tests, so the CRL may carry
 	// revocations recorded by earlier tests; at least the fresh G_write
 	// revocation must apply.
-	applied, err := server.ProcessCRL(crl)
+	applied, err := server.applyCRL(crl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestProcessCRL(t *testing.T) {
 		t.Errorf("applied = %d, want ≥ 1", applied)
 	}
 	// Re-applying the same CRL is a no-op.
-	applied, err = server.ProcessCRL(crl)
+	applied, err = server.applyCRL(crl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,8 @@ func TestProcessCRL(t *testing.T) {
 	}
 }
 
-// TestProcessCRLUntrustedIssuer: a CRL signed by a foreign key is refused.
-func TestProcessCRLUntrustedIssuer(t *testing.T) {
+// TestApplyCRLUntrustedIssuer: a CRL signed by a foreign key is refused.
+func TestApplyCRLUntrustedIssuer(t *testing.T) {
 	f := newFixture(t)
 	server := f.newServer(nil)
 	rogue, err := pki.GenerateKeyPair(512, nil)
@@ -134,7 +134,7 @@ func TestProcessCRLUntrustedIssuer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.ProcessCRL(crl); err == nil {
+	if _, err := server.applyCRL(crl); err == nil {
 		t.Fatal("untrusted CRL accepted")
 	}
 	// Right issuer name, wrong key: also refused.
@@ -142,7 +142,7 @@ func TestProcessCRLUntrustedIssuer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.ProcessCRL(crl2); err == nil {
+	if _, err := server.applyCRL(crl2); err == nil {
 		t.Fatal("mis-keyed CRL accepted")
 	}
 }

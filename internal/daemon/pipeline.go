@@ -98,9 +98,9 @@ type outbound struct {
 // a name-routed transport omit it).
 //
 // Commands are pipelined: the receive loop dispatches each envelope to a
-// bounded worker pool (Workers), so slow authorizations — RSA
-// verification, co-signer fan-out — overlap instead of serializing behind
-// one another; the daemon_inflight gauge reports the pool's occupancy.
+// bounded worker pool (Workers), so slow authorizations — cold-cache RSA
+// verification — overlap instead of serializing behind one another; the
+// daemon_inflight gauge reports the pool's occupancy.
 // Replies funnel through a single sender goroutine — the transport's
 // per-peer write lock makes concurrent sends safe, but one sender keeps
 // reply order stable per client and keeps retry backoffs for one dead

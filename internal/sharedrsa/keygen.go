@@ -23,7 +23,8 @@ type Config struct {
 	// halves the error probability); 0 selects 16.
 	BiprimeRounds int
 	// MaxAttempts bounds the candidate search; 0 selects a bound scaled
-	// to the prime density at the configured size.
+	// to the prime density at the configured size that a run exhausts
+	// with probability below 2⁻⁴⁰.
 	MaxAttempts int
 	// Rand is the entropy source; nil selects crypto/rand.
 	Rand io.Reader
@@ -49,13 +50,14 @@ func (c Config) withDefaults() (Config, error) {
 		c.BiprimeRounds = 16
 	}
 	if c.MaxAttempts == 0 {
-		// Both halves must be prime: expected ~ (ln 2^{Bits/2})^2 / c for
-		// sieved candidates; generous headroom.
+		// A candidate ≡ 3 (mod 4) of half = Bits/2 bits is prime with
+		// probability 2/(half·ln 2) and an iteration succeeds when both
+		// halves are, so the search is geometric with mean (half·ln 2/2)²
+		// ≈ 0.12·half² iterations (measured: 465 at 128 bits). 4·half² is
+		// 33 means — exhaustion probability e⁻³³ < 2⁻⁴⁰ at every size; an
+		// unused budget costs nothing.
 		half := c.Bits / 2
-		c.MaxAttempts = 40 * half * half / 64
-		if c.MaxAttempts < 2000 {
-			c.MaxAttempts = 2000
-		}
+		c.MaxAttempts = 4 * half * half
 	}
 	if c.Rand == nil {
 		c.Rand = rand.Reader

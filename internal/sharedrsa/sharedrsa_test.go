@@ -2,6 +2,7 @@ package sharedrsa
 
 import (
 	"errors"
+	"math"
 	"math/big"
 	"sync"
 	"testing"
@@ -152,6 +153,28 @@ func TestConfigValidation(t *testing.T) {
 	_, err := GenerateShared(Config{Parties: 3, Bits: 256, MaxAttempts: 1, BiprimeRounds: 1})
 	if err != nil && !errors.Is(err, ErrKeygenExhausted) {
 		t.Errorf("exhaustion: %v", err)
+	}
+}
+
+// TestDefaultAttemptBudgetCannotRunOut pins the default MaxAttempts to the
+// expected length of the search it bounds. An iteration succeeds when two
+// independent candidates ≡ 3 (mod 4) of Bits/2 bits are both prime, each
+// with probability 2/(half·ln 2), so the iteration count is geometric with
+// mean (half·ln 2/2)²; a budget of r means is exhausted with probability
+// e⁻ʳ. r ≥ 30 keeps that below 2⁻⁴⁰ — the old default was r ≈ 5.5, which a
+// distributed Form or Join exhausted about once in 250 runs.
+func TestDefaultAttemptBudgetCannotRunOut(t *testing.T) {
+	for _, bits := range []int{128, 256, 512} {
+		cfg, err := Config{Parties: 3, Bits: bits}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		expected := math.Pow(float64(bits/2)*math.Ln2/2, 2)
+		ratio := float64(cfg.MaxAttempts) / expected
+		if ratio < 30 || ratio > 40 {
+			t.Errorf("bits=%d: default budget %d is %.1f× the expected %.0f attempts, want 30–40×",
+				bits, cfg.MaxAttempts, ratio, expected)
+		}
 	}
 }
 

@@ -24,7 +24,10 @@
 //	a.GrantThreshold("G_write", 2, "alice", "bob", "carol")
 //	srv, err := a.NewServer("P")
 //	srv.CreateObject("O", map[string][]string{"G_write": {"write"}}, []byte("v1"))
-//	dec, err := a.JointRequest(srv, "G_write", "write", "O", []byte("v2"), "alice", "bob")
+//	dec, err := a.Submit(ctx, srv, jointadmin.RequestSpec{
+//		Group: "G_write", Op: "write", Object: "O",
+//		Payload: []byte("v2"), Signers: []string{"alice", "bob"},
+//	})
 package jointadmin
 
 import (
@@ -165,17 +168,6 @@ func (a *Alliance) GrantSelective(group, user string) error {
 		return fmt.Errorf("jointadmin: grant selective %s: %w", group, err)
 	}
 	return nil
-}
-
-// SelectiveRequest submits a request under a single-subject certificate.
-//
-// It is a compatibility shim kept for callers of the pre-RequestSpec API:
-// new code should build a RequestSpec (with Selective set) and call Submit.
-func (a *Alliance) SelectiveRequest(s *Server, group, op, object string, payload []byte, user string) (Decision, error) {
-	return a.Submit(context.Background(), s, RequestSpec{
-		Group: group, Op: op, Object: object, Payload: payload,
-		Signers: []string{user}, Selective: true,
-	})
 }
 
 // Revoke asks the revocation authority to revoke the group's certificate
@@ -381,7 +373,7 @@ func (s *Server) CreateObject(name string, aclSpec map[string][]string, content 
 
 // ReadObject returns the object's current content (no authorization — for
 // inspection in examples and tests; access-controlled reads go through
-// JointRequest).
+// Submit).
 func (s *Server) ReadObject(name string) ([]byte, error) {
 	return s.store.Read(name)
 }
@@ -394,8 +386,7 @@ type AccessRequest = authz.AccessRequest
 
 // RequestSpec describes a joint access request to build and submit: which
 // group exercises which permission on which object, co-signed by which
-// users. It is the single request vocabulary behind JointRequest and
-// SelectiveRequest.
+// users.
 type RequestSpec struct {
 	// Group names the group whose privileges the request exercises.
 	Group string
@@ -491,26 +482,13 @@ func (a *Alliance) attachSigners(req AccessRequest, spec RequestSpec) (AccessReq
 
 // Submit builds the request for a spec and has the server decide it. The
 // context cancels the server-side evaluation between protocol steps and
-// inside the signature-verification fan-out.
+// between signature verifications.
 func (a *Alliance) Submit(ctx context.Context, s *Server, spec RequestSpec) (Decision, error) {
 	req, err := a.NewRequest(spec)
 	if err != nil {
 		return Decision{}, err
 	}
 	return s.inner.Authorize(ctx, req)
-}
-
-// JointRequest builds and submits a joint access request: the named
-// signers co-sign "op object" (with optional payload), and the request is
-// decided by the server's authorization protocol.
-//
-// It is a compatibility shim kept for callers of the pre-RequestSpec API:
-// new code should build a RequestSpec and call Submit, which accepts a
-// context and is the single documented authorize entry point.
-func (a *Alliance) JointRequest(s *Server, group, op, object string, payload []byte, signers ...string) (Decision, error) {
-	return a.Submit(context.Background(), s, RequestSpec{
-		Group: group, Op: op, Object: object, Payload: payload, Signers: signers,
-	})
 }
 
 // Request is the lower-level entry point taking a pre-built access

@@ -30,6 +30,31 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+echo "==> one-path guard (no deprecated wrappers, no new authz.Server switches)"
+# A deprecated wrapper or a compatibility shim is a second entry point to
+# keep tested and documented; delete the old one in the change that adds
+# the new one. (The frozen benchmark/ module is not ours to edit.)
+bad=$(grep -rlE '// Deprecated:|compatibility shim' --include='*.go' . |
+    grep -v -e '_test\.go$' -e '^\./benchmark/' -e '^\./\.bench_build/' || true)
+if [ -n "$bad" ]; then
+    echo "one-path guard: deprecated wrapper or compatibility shim in:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+# authz.Server's runtime switches: each is a second decision path. This
+# list may only shrink (the three left go with the next benchmark issue,
+# which is what still calls them). SetJournal attaches the WAL — wiring,
+# not a switch.
+for m in $(grep -hoE '^func \(s \*Server\) Set[A-Za-z]+' internal/authz/*.go | sed -E 's/.* //'); do
+    case "$m" in
+    SetBatchVerify | SetPooling | SetResidualsEnabled | SetJournal) ;;
+    *)
+        echo "one-path guard: authz.Server.$m is not on the setter allow-list" >&2
+        exit 1
+        ;;
+    esac
+done
+
 echo "==> go build ./..."
 go build ./...
 

@@ -1,9 +1,16 @@
 package jointadmin
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
+
+// auditRead is user's read of AuditLog under group's single-subject
+// certificate (the A35 path).
+func auditRead(group, user string) RequestSpec {
+	return RequestSpec{Group: group, Op: "read", Object: "AuditLog", Signers: []string{user}, Selective: true}
+}
 
 func TestSelectiveGrantAndRequest(t *testing.T) {
 	a, srv := newGeneticsAlliance(t)
@@ -16,7 +23,7 @@ func TestSelectiveGrantAndRequest(t *testing.T) {
 	}, []byte("audit records")); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := a.SelectiveRequest(srv, "G_audit", "read", "AuditLog", nil, "carol")
+	dec, err := a.Submit(context.Background(), srv, auditRead("G_audit", "carol"))
 	if err != nil {
 		t.Fatalf("selective read: %v", err)
 	}
@@ -24,11 +31,11 @@ func TestSelectiveGrantAndRequest(t *testing.T) {
 		t.Errorf("data = %q", dec.Data)
 	}
 	// alice does not hold the credential.
-	if _, err := a.SelectiveRequest(srv, "G_audit", "read", "AuditLog", nil, "alice"); !errors.Is(err, ErrDenied) {
+	if _, err := a.Submit(context.Background(), srv, auditRead("G_audit", "alice")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("non-subject selective read: %v", err)
 	}
 	// Unknown group.
-	if _, err := a.SelectiveRequest(srv, "G_ghost", "read", "AuditLog", nil, "carol"); !errors.Is(err, ErrNoGroup) {
+	if _, err := a.Submit(context.Background(), srv, auditRead("G_ghost", "carol")); !errors.Is(err, ErrNoGroup) {
 		t.Fatalf("unknown group: %v", err)
 	}
 }
@@ -55,7 +62,7 @@ func TestSelectiveSurvivesRekey(t *testing.T) {
 	}, []byte("records")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.SelectiveRequest(srv, "G_audit", "read", "AuditLog", nil, "carol"); err != nil {
+	if _, err := a.Submit(context.Background(), srv, auditRead("G_audit", "carol")); err != nil {
 		t.Fatalf("selective read after rekey: %v", err)
 	}
 }
@@ -70,14 +77,14 @@ func TestSelectiveRevocationViaFacade(t *testing.T) {
 	}, []byte("records")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.SelectiveRequest(srv, "G_audit", "read", "AuditLog", nil, "carol"); err != nil {
+	if _, err := a.Submit(context.Background(), srv, auditRead("G_audit", "carol")); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Revoke("G_audit", srv); err != nil {
 		t.Fatal(err)
 	}
 	a.Clock().Tick()
-	if _, err := a.SelectiveRequest(srv, "G_audit", "read", "AuditLog", nil, "carol"); !errors.Is(err, ErrDenied) {
+	if _, err := a.Submit(context.Background(), srv, auditRead("G_audit", "carol")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("selective read after revocation: %v", err)
 	}
 }
