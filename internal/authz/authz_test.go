@@ -40,7 +40,7 @@ var (
 
 // newFixture builds the deployment once; tests requiring mutation build
 // their own server over the shared crypto material.
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	fixOnce.Do(func() { fixVal, fixErr = buildFixture() })
 	if fixErr != nil {
@@ -152,14 +152,14 @@ func (f *fixture) newServerFreshness(log *audit.Log, freshness int64) *Server {
 
 // writeRequest builds the Figure 2(b) joint write request signed by the
 // named users.
-func (f *fixture) writeRequest(t *testing.T, payload []byte, signers ...string) AccessRequest {
+func (f *fixture) writeRequest(t testing.TB, payload []byte, signers ...string) AccessRequest {
 	t.Helper()
 	return f.thresholdRequest(t, f.writeAC, acl.Write, "O", payload, signers...)
 }
 
 // thresholdRequest builds a joint request under an arbitrary threshold
 // certificate, for an arbitrary operation and object.
-func (f *fixture) thresholdRequest(t *testing.T, ac pki.Signed[pki.ThresholdAttribute], op acl.Permission, object string, payload []byte, signers ...string) AccessRequest {
+func (f *fixture) thresholdRequest(t testing.TB, ac pki.Signed[pki.ThresholdAttribute], op acl.Permission, object string, payload []byte, signers ...string) AccessRequest {
 	t.Helper()
 	req := AccessRequest{Threshold: ac}
 	for _, u := range signers {

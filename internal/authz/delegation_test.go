@@ -15,7 +15,7 @@ import (
 
 // issueDelegation signs a delegation-link certificate for a fixture user
 // under the coalition AA.
-func (f *fixture) issueDelegation(t *testing.T, delegator, subject, group string, depth int, perms string) pki.Signed[pki.Delegation] {
+func (f *fixture) issueDelegation(t testing.TB, delegator, subject, group string, depth int, perms string) pki.Signed[pki.Delegation] {
 	t.Helper()
 	bound := pki.BoundSubject{Name: subject, KeyID: f.users[subject].KeyID()}
 	cert, err := f.est.AA.IssueDelegation(delegator, bound, group, depth, perms, clock.NewInterval(50, 5000))
@@ -27,13 +27,13 @@ func (f *fixture) issueDelegation(t *testing.T, delegator, subject, group string
 
 // delegatedReadRequest builds a delegation-backed read request signed by
 // the chain's leaf subject.
-func (f *fixture) delegatedReadRequest(t *testing.T, user string, cert pki.Signed[pki.Delegation]) AccessRequest {
+func (f *fixture) delegatedReadRequest(t testing.TB, user string, cert pki.Signed[pki.Delegation]) AccessRequest {
 	t.Helper()
 	return f.delegatedReadOf(t, "O", user, cert)
 }
 
 // delegatedReadOf is delegatedReadRequest for an arbitrary object.
-func (f *fixture) delegatedReadOf(t *testing.T, object, user string, cert pki.Signed[pki.Delegation]) AccessRequest {
+func (f *fixture) delegatedReadOf(t testing.TB, object, user string, cert pki.Signed[pki.Delegation]) AccessRequest {
 	t.Helper()
 	req := AccessRequest{Delegated: true, Delegation: cert}
 	req.Identities = append(req.Identities, f.idCerts[user])

@@ -6,7 +6,9 @@
 // encoding/json over the equivalent struct (including its HTML escaping
 // and base64 []byte convention) — pinned by equivalence tests — because
 // the request body is under RSA signatures: a single divergent byte
-// invalidates every signature ever produced.
+// invalidates every signature ever produced. The decode side is
+// decode.go; the certificate cache keys are not JSON at all (a hash of
+// each certificate's binary fields, pki.Fingerprint).
 
 package authz
 

@@ -71,7 +71,8 @@ type reqScratch struct {
 
 // fingerprint computes the request's certificate fingerprints once: the
 // residual attempt fills them and, on a miss, the full replay reuses them
-// (a fingerprint is a json.Marshal and a sha256 over the certificate).
+// (a fingerprint is a sha256 over the certificate's length-prefixed
+// binary fields, kind tag, signer key and signature; one allocation).
 func (sc *reqScratch) fingerprint(req *AccessRequest) {
 	if sc.memFP != "" {
 		return

@@ -13,7 +13,7 @@ import (
 
 // singleReadRequest builds an A35-path request: one key-bound subject with
 // a single-subject attribute certificate.
-func (f *fixture) singleReadRequest(t *testing.T, user string) AccessRequest {
+func (f *fixture) singleReadRequest(t testing.TB, user string) AccessRequest {
 	t.Helper()
 	cert, err := f.est.AA.IssueAttribute("G_read",
 		pki.BoundSubject{Name: user, KeyID: f.users[user].KeyID()},

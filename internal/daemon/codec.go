@@ -11,7 +11,10 @@
 // Strings cross as raw bytes, so Data — the JSON access request of an
 // authorize command, a rendered audit log, a metrics snapshot — is never
 // escaped, validated or rewritten on the way; it is parsed once, by the
-// handler that wants it.
+// handler that wants it (an access request by authz.DecodeAccessRequest,
+// single-pass and reflection-free; the certificate fingerprints the
+// server then keys its cache by hash a binary encoding of each
+// certificate's fields, not JSON).
 
 package daemon
 

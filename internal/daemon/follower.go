@@ -165,8 +165,8 @@ func (f *Follower) handle(ctx context.Context, cmd Command) (Reply, string) {
 		if rep == nil {
 			return Reply{Detail: "follower not caught up (no replica installed yet)"}, "not_ready"
 		}
-		var req authz.AccessRequest
-		if err := json.Unmarshal([]byte(cmd.Data), &req); err != nil {
+		req, err := authz.DecodeAccessRequest([]byte(cmd.Data))
+		if err != nil {
 			return Reply{Detail: "bad access request: " + err.Error()}, "bad_request"
 		}
 		dec, err := rep.Srv.Authorize(ctx, req)

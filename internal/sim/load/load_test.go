@@ -1,10 +1,16 @@
 package load
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
+	"jointadmin/internal/authz"
+	"jointadmin/internal/daemon"
 	"jointadmin/internal/obs"
 )
 
@@ -178,5 +184,61 @@ func TestLoadRunOpenLoop(t *testing.T) {
 	// runaway generator.
 	if res.Sent > 120 {
 		t.Fatalf("open loop sent %d requests at 200 Hz over 300ms", res.Sent)
+	}
+}
+
+// TestWireHandlerBadRequests feeds the loadgen wire handler the
+// follower's malformed-request table (internal/daemon's
+// malformedRequests): each is refused as a bad request before
+// Authorize, and a hand-indented valid request is evaluated.
+func TestWireHandlerBadRequests(t *testing.T) {
+	f, err := NewLoadFixture(tinyProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	f.Server.Instrument(reg)
+	var read *PooledRequest
+	for i := range f.Pool() {
+		if pr := &f.Pool()[i]; pr.Kind == "read" && pr.WantAllow {
+			read = pr
+			break
+		}
+	}
+	if read == nil {
+		t.Fatal("pool has no allowed read request")
+	}
+	b, err := json.Marshal(read.Req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := string(b)
+	at := regexp.MustCompile(`"at":(\d+)`)
+	ctx := context.Background()
+	evaluated := func() int64 { return reg.Snapshot().CounterValue(authz.MetricRequests) }
+	for _, tc := range []struct{ name, data string }{
+		{"truncated", valid[:len(valid)/2]},
+		{"trailing bytes", valid + " x"},
+		{"unknown key", `{"extra":1,` + valid[1:]},
+		{`case-folded "Identities"`, strings.Replace(valid, `"identities"`, `"Identities"`, 1)},
+		{"string time", at.ReplaceAllString(valid, `"at":"$1"`)},
+		{"1e3 time", at.ReplaceAllString(valid, `"at":1e3`)},
+		{"bad base64 payload", strings.Replace(valid, `"op":"read",`, `"op":"read","payload":"!!!",`, 1)},
+	} {
+		before := evaluated()
+		rep := f.wireHandler(ctx, daemon.Command{Cmd: "authorize", Data: tc.data})
+		if rep.OK || !strings.HasPrefix(rep.Detail, "error: bad request: ") {
+			t.Errorf("%s: reply %+v, want a bad request", tc.name, rep)
+		}
+		if after := evaluated(); after != before {
+			t.Errorf("%s: reached Authorize (%s %d→%d)", tc.name, authz.MetricRequests, before, after)
+		}
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, b, "", "    "); err != nil {
+		t.Fatal(err)
+	}
+	if rep := f.wireHandler(ctx, daemon.Command{Cmd: "authorize", Data: indented.String()}); !rep.OK {
+		t.Fatalf("indented valid request: %+v", rep)
 	}
 }

@@ -1,7 +1,8 @@
 // Wire-inclusive drive: the same pooled workload pushed through the
 // daemon's serve pipeline and mux client over real localhost TCP, so a
-// measured series pays framing, JSON encode/decode, kernel round trips
-// and the retry-safe correlation machinery (unique IDs, dedup cache,
+// measured series pays framing, the access request's single-pass JSON
+// decode (authz.DecodeAccessRequest, as on a follower), kernel round
+// trips and the retry-safe correlation machinery (unique IDs, dedup cache,
 // reply demux) — everything the in-process series deliberately skips.
 // The deltas between the two series bound the transport stack's cost.
 
@@ -55,8 +56,8 @@ func (f *LoadFixture) wireHandler(ctx context.Context, cmd daemon.Command) daemo
 	if cmd.Cmd != "authorize" {
 		return daemon.Reply{Detail: "error: unknown command " + cmd.Cmd}
 	}
-	var req authz.AccessRequest
-	if err := json.Unmarshal([]byte(cmd.Data), &req); err != nil {
+	req, err := authz.DecodeAccessRequest([]byte(cmd.Data))
+	if err != nil {
 		return daemon.Reply{Detail: "error: bad request: " + err.Error()}
 	}
 	dec, err := f.Server.Authorize(ctx, req)

@@ -29,6 +29,31 @@ if [ -n "$bad" ]; then
     echo "$bad" >&2
     exit 1
 fi
+# The access-request decoder and the certificate fingerprint run on every
+# request: no reflection, no fmt.
+bad=$(grep -lE '"(encoding/json|fmt|reflect)"' internal/authz/decode.go internal/pki/fingerprint.go || true)
+if [ -n "$bad" ]; then
+    echo "import guard: encoding/json, fmt or reflect imported by:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+# One parser for the signed request: authz.DecodeAccessRequest. A
+# json.Unmarshal (or Decoder.Decode) into a variable declared as an
+# AccessRequest is a second one. (benchmark/ is frozen and may.)
+bad=""
+for f in $(grep -rlE '\bAccessRequest\b' --include='*.go' . |
+    grep -v -e '_test\.go$' -e '^\./benchmark/' -e '^\./\.bench_build/'); do
+    for v in $(grep -ohE '(var +[A-Za-z_][A-Za-z0-9_]* +|[A-Za-z_][A-Za-z0-9_]* *:?= *&?)(authz\.)?AccessRequest\b' "$f" |
+        sed -E 's/^(var +)?([A-Za-z_][A-Za-z0-9_]*).*/\2/' | sort -u); do
+        if grep -qE "\.(Unmarshal|Decode)\((.*, *)?&$v\)" "$f"; then
+            bad="$bad $f:$v"
+        fi
+    done
+done
+if [ -n "$bad" ]; then
+    echo "import guard: json-decoded AccessRequest (use authz.DecodeAccessRequest):$bad" >&2
+    exit 1
+fi
 
 echo "==> one-path guard (no deprecated wrappers, no new authz.Server switches)"
 # A deprecated wrapper or a compatibility shim is a second entry point to
@@ -94,6 +119,9 @@ echo "==> wire codec fuzz smoke (5s each: FuzzReadFrame, FuzzDecodeCommand, Fuzz
 go test -run '^$' -fuzz='^FuzzReadFrame$' -fuzztime=5s ./internal/transport
 go test -run '^$' -fuzz='^FuzzDecodeCommand$' -fuzztime=5s ./internal/daemon
 go test -run '^$' -fuzz='^FuzzDecodeReply$' -fuzztime=5s ./internal/daemon
+
+echo "==> access-request decoder fuzz smoke (5s: FuzzDecodeAccessRequest, differential against encoding/json)"
+go test -run '^$' -fuzz='^FuzzDecodeAccessRequest$' -fuzztime=5s ./internal/authz
 
 echo "==> loadgen smoke (tiny coalition, 2s closed loop with churn)"
 # The report must show the post-publish cold window (both per-swap keys),
