@@ -380,78 +380,6 @@ func BenchmarkSignCorrection(b *testing.B) {
 	})
 }
 
-// BenchmarkBeliefStore measures belief-store lookup with a loaded store
-// (the hash-indexed design choice).
-func BenchmarkBeliefStore(b *testing.B) {
-	store := logic.NewBeliefStore()
-	for i := 0; i < 2000; i++ {
-		store.Add(logic.Prop{Name: fmt.Sprintf("p%d", i)}, 0, 1)
-	}
-	target := logic.Prop{Name: "p1500"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := store.Holds(target); !ok {
-			b.Fatal("missing belief")
-		}
-	}
-}
-
-// BenchmarkTransport compares the in-memory bus with real TCP for a
-// request/response round trip.
-func BenchmarkTransport(b *testing.B) {
-	payload := make([]byte, 1024)
-	b.Run("memory", func(b *testing.B) {
-		net := transport.NewMemory(transport.Faults{})
-		defer net.Close()
-		cli := net.Endpoint("cli")
-		srv := net.Endpoint("srv")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cli.Send("srv", "req", payload); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := srv.Recv(); err != nil {
-				b.Fatal(err)
-			}
-			if err := srv.Send("cli", "resp", payload); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := cli.Recv(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tcp", func(b *testing.B) {
-		cli, err := transport.ListenTCP("cli", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cli.Close()
-		srv, err := transport.ListenTCP("srv", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		cli.AddPeer("srv", srv.Addr())
-		srv.AddPeer("cli", cli.Addr())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cli.Send("srv", "req", payload); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := srv.Recv(); err != nil {
-				b.Fatal(err)
-			}
-			if err := srv.Send("cli", "resp", payload); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := cli.Recv(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkShareSize reports the replicated sub-share blowup of the
 // m-of-n sharing (C(n, n−m+1)).
 func BenchmarkShareSize(b *testing.B) {
@@ -534,44 +462,5 @@ func BenchmarkDerivationOnly(b *testing.B) {
 		if _, _, err := eng.VerifyCertificate(cert, key); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ---- E9: fork scaling (layered store vs deep copy) ----
-
-// BenchmarkForkScaling measures Engine.Fork for bases of 10/100/1000
-// beliefs, sealed versus unsealed. An unsealed engine keeps everything in
-// the mutable overlay, so Fork deep-copies it — the pre-layering behavior,
-// linear in base size. Sealing moves the base into immutable shared layers,
-// making Fork O(1): the sealed series should be flat from n=10 to n=1000.
-func BenchmarkForkScaling(b *testing.B) {
-	build := func(n int) *logic.Engine {
-		eng := logic.NewEngine("P", clock.New(1))
-		for i := 0; i < n; i++ {
-			eng.Assume(logic.Prop{Name: fmt.Sprintf("belief-%d", i)}, "")
-		}
-		return eng
-	}
-	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("deepcopy/n=%d", n), func(b *testing.B) {
-			eng := build(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if f := eng.Fork(); f == nil {
-					b.Fatal("nil fork")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("sealed/n=%d", n), func(b *testing.B) {
-			eng := build(n).Seal()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if f := eng.Fork(); f == nil {
-					b.Fatal("nil fork")
-				}
-			}
-		})
 	}
 }

@@ -15,8 +15,7 @@ import (
 
 // malformedRequests derives from a valid signed read request (JSON, no
 // payload) the inputs the follower must answer bad_request without
-// evaluating. TestWireHandlerBadRequests (internal/sim/load) repeats it
-// against the loadgen wire handler.
+// evaluating.
 func malformedRequests(valid string) []struct{ name, data string } {
 	at := regexp.MustCompile(`"at":(\d+)`)
 	return []struct{ name, data string }{

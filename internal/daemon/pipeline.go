@@ -1,5 +1,5 @@
-// The wire serve pipeline shared by the writer daemon, the follower and
-// the load harness's wire mode: receive loop → bounded worker pool →
+// The wire serve pipeline shared by the writer daemon and the follower:
+// receive loop → bounded worker pool →
 // ID-keyed dedup → single reply sender. Extracting it keeps the
 // request/reply semantics — every reply echoes its Command.ID, duplicate
 // commands replay the recorded answer instead of re-executing — identical

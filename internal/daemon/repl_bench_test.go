@@ -19,8 +19,7 @@ import (
 // most of its wall time on the link, followers overlap that waiting and
 // aggregate RPS grows near-linearly with fleet size until the CPU
 // saturates — the replication payoff this deployment shape exists for
-// (scripts/bench_repl.sh renders the scaling table; see
-// docs/BENCHMARKS.md for how to read it on small hosts).
+// (see docs/BENCHMARKS.md for how to read it on small hosts).
 const benchLinkDelay = 4 * time.Millisecond
 
 func BenchmarkFollowerFleet(b *testing.B) {

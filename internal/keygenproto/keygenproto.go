@@ -87,7 +87,7 @@ func (c Config) withDefaults() Config {
 		c.BiprimeRounds = 16
 	}
 	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 20000
+		c.MaxAttempts = sharedrsa.DefaultMaxAttempts(c.Bits)
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second

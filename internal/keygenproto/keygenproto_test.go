@@ -2,6 +2,7 @@ package keygenproto
 
 import (
 	"errors"
+	"math"
 	"math/big"
 	"testing"
 	"time"
@@ -147,6 +148,22 @@ func TestCoordinatorTimesOutWithoutFollowers(t *testing.T) {
 	_, err := RunCoordinator(ep, []string{"D1", "D2"}, Config{Bits: 96, Timeout: 200 * time.Millisecond})
 	if err == nil {
 		t.Fatal("coordinator succeeded with an absent follower")
+	}
+}
+
+// TestDefaultAttemptBudgetCannotRunOut holds the protocol's default
+// MaxAttempts to the ratio sharedrsa's test of the same name pins: it
+// samples with the same sieve, so its search has the same geometric mean
+// (half·ln 2/2)², and a budget of r means runs out with probability e⁻ʳ.
+// The old flat 20 000 was r ≈ 2.5 at 512 bits — about 8 % of runs.
+func TestDefaultAttemptBudgetCannotRunOut(t *testing.T) {
+	for _, bits := range []int{128, 256, 512} {
+		got := Config{Bits: bits}.withDefaults().MaxAttempts
+		expected := math.Pow(float64(bits/2)*math.Ln2/2, 2)
+		if ratio := float64(got) / expected; ratio < 30 || ratio > 40 {
+			t.Errorf("bits=%d: default budget %d is %.1f× the expected %.0f attempts, want 30–40×",
+				bits, got, ratio, expected)
+		}
 	}
 }
 

@@ -147,6 +147,27 @@ func TestForkIsolationEngine(t *testing.T) {
 	}
 }
 
+// TestForkSealedAllocsFlat: forking a sealed engine allocates the same
+// fixed handful of objects — the engine, store and proof structs — at 10
+// and at 1 000 beliefs. A regression to deep-copying the base shows up as
+// extra allocations that grow with its size.
+func TestForkSealedAllocsFlat(t *testing.T) {
+	const budget = 3
+	allocs := func(n int) float64 {
+		eng := NewEngine("P", clock.New(1))
+		for i := 0; i < n; i++ {
+			eng.Assume(Prop{Name: fmt.Sprintf("belief-%d", i)}, "")
+		}
+		eng.Seal()
+		return testing.AllocsPerRun(100, func() { eng.Fork() })
+	}
+	small, large := allocs(10), allocs(1000)
+	if small != large || large > budget {
+		t.Errorf("Fork of a sealed engine: %v allocs at 10 beliefs, %v at 1000; want equal and <= %d",
+			small, large, budget)
+	}
+}
+
 // TestSealAfterWriteResealing: writing to a sealed store starts a new
 // overlay (Sealed reports false) and a second Seal folds it back in without
 // disturbing earlier layers.

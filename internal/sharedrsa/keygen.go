@@ -50,19 +50,25 @@ func (c Config) withDefaults() (Config, error) {
 		c.BiprimeRounds = 16
 	}
 	if c.MaxAttempts == 0 {
-		// A candidate ≡ 3 (mod 4) of half = Bits/2 bits is prime with
-		// probability 2/(half·ln 2) and an iteration succeeds when both
-		// halves are, so the search is geometric with mean (half·ln 2/2)²
-		// ≈ 0.12·half² iterations (measured: 465 at 128 bits). 4·half² is
-		// 33 means — exhaustion probability e⁻³³ < 2⁻⁴⁰ at every size; an
-		// unused budget costs nothing.
-		half := c.Bits / 2
-		c.MaxAttempts = 4 * half * half
+		c.MaxAttempts = DefaultMaxAttempts(c.Bits)
 	}
 	if c.Rand == nil {
 		c.Rand = rand.Reader
 	}
 	return c, nil
+}
+
+// DefaultMaxAttempts is the candidate-search budget for a bits-bit
+// modulus, shared by the in-process keygen and the message-passing
+// protocol (internal/keygenproto), which sample alike. A candidate ≡ 3
+// (mod 4) of half = bits/2 bits is prime with probability 2/(half·ln 2)
+// and an iteration succeeds when both halves are, so the search is
+// geometric with mean (half·ln 2/2)² ≈ 0.12·half² iterations (measured:
+// 465 at 128 bits). 4·half² is 33 means — exhaustion probability
+// e⁻³³ < 2⁻⁴⁰ at every size; an unused budget costs nothing.
+func DefaultMaxAttempts(bits int) int {
+	half := bits / 2
+	return 4 * half * half
 }
 
 // PartyView is one party's complete secret state after key generation —
