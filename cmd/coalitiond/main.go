@@ -50,7 +50,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty = disabled)")
 	dataDir := flag.String("data-dir", "", "durable state directory (write-ahead log + snapshots; empty = in-memory only)")
 	walBatch := flag.Duration("wal-batch", 0, "WAL group-commit fsync window (0 = fsync every append)")
-	auditCap := flag.Int("audit-retention", 0, "cap on in-memory audit entries (0 = unbounded; evicted entries stay in the WAL)")
+	auditCap := flag.Int("audit-retention", 0, "cap on in-memory audit entries (0 = default 4096, negative = unbounded; an evicted entry survives only in a writer's WAL, with -data-dir)")
 	replBatch := flag.Int("repl-batch", 64, "writer: max WAL records per shipped replication frame")
 	replHeartbeat := flag.Duration("repl-heartbeat", time.Second, "writer: idle status heartbeat interval per follower (the staleness bound is this plus transport retry latency)")
 	replSnapEvery := flag.Int("repl-snapshot-every", 4096, "writer: re-ship a full snapshot to a follower after this many records (refreshes object content)")

@@ -4,6 +4,13 @@
 // authorization decision is recorded together with its full proof trace,
 // so an auditor can re-check the derivation that justified each approval
 // and see exactly why denials happened.
+//
+// What the paper requires is that the derivation be recoverable, not that
+// the decision render it: a decider records the proof itself (Entry's
+// Derivation) and the log renders it into ProofTrace only in the copies
+// it hands out. The log keeps the newest entries of a retention bound in
+// a ring, so recording is O(1) at any bound, and indexes them by request
+// ID.
 package audit
 
 import (
@@ -85,6 +92,20 @@ type Entry struct {
 	Spans []Span
 	// ProofTrace is the rendered derivation that justified the decision.
 	ProofTrace string
+	// Derivation, when set, is the proof itself, rendered into ProofTrace
+	// when the entry is read: every copy the Log hands out (Entries,
+	// ByRequestID, ByOutcome, the retention sink) carries the text and a
+	// nil Derivation. It must render the same text however late it is
+	// read. Entries decoded from the WAL carry text only.
+	Derivation fmt.Stringer `json:"-"`
+}
+
+// rendered returns e with its derivation rendered into ProofTrace.
+func rendered(e Entry) Entry {
+	if e.Derivation != nil {
+		e.ProofTrace, e.Derivation = e.Derivation.String(), nil
+	}
+	return e
 }
 
 // String renders a one-line summary.
@@ -111,13 +132,24 @@ func (e Entry) TraceString() string {
 }
 
 // Log is a thread-safe append-only audit log. By default it grows
-// without bound; long-running daemons cap it with SetRetention and rely
-// on a durable sink (the write-ahead log) for the full history.
+// without bound; long-running daemons cap it with SetRetention. A bounded
+// log is a ring: it grows by append up to the bound — never allocating
+// the bound ahead of use — and then each Record overwrites the oldest
+// entry in place. Evicted entries are gone from memory; whether they
+// survive elsewhere is the sink's business (a daemon's durable copy is
+// its write-ahead log).
 type Log struct {
-	mu      sync.Mutex
-	seq     int
-	entries []Entry
-	// max caps len(entries); 0 is unbounded.
+	mu  sync.Mutex
+	seq int
+	// ring holds the retained entries, oldest at ring[head]. head is 0
+	// unless the ring is full and has wrapped. Retained sequence numbers
+	// are dense: ring's logical entry i has Seq seq-len(ring)+1+i.
+	ring []Entry
+	head int
+	// byID maps a request ID to the Seq of the newest retained entry
+	// carrying it.
+	byID map[string]int
+	// max caps len(ring); 0 is unbounded.
 	max int
 	// sink receives evicted entries (outside the lock).
 	sink func(Entry)
@@ -130,50 +162,82 @@ func NewLog() *Log { return &Log{} }
 
 // SetRetention bounds the in-memory log to the newest max entries
 // (0 removes the bound). sink, when non-nil, receives each evicted entry
-// — typically a WAL append — and is called without the log's lock held.
-// If the log already exceeds the bound, the oldest entries are evicted
-// immediately.
+// — oldest first, with its derivation rendered — and is called without
+// the log's lock held. If the log already exceeds the bound, the oldest
+// entries are evicted immediately.
 func (l *Log) SetRetention(max int, sink func(Entry)) {
 	l.mu.Lock()
 	l.max = max
 	l.sink = sink
-	dropped := l.evictLocked()
+	all := l.orderedLocked()
+	var dropped []Entry
+	if max > 0 && len(all) > max {
+		dropped = all[:len(all)-max]
+		for _, e := range dropped {
+			l.unindexLocked(e)
+		}
+		l.evicted += len(dropped)
+		// A fresh array: the old one would pin the dropped entries.
+		all = append([]Entry(nil), all[len(dropped):]...)
+	}
+	l.ring, l.head = all, 0
 	l.mu.Unlock()
 	if sink != nil {
 		for _, e := range dropped {
-			sink(e)
+			sink(rendered(e))
 		}
 	}
 }
 
-// evictLocked trims to the retention bound, returning what was dropped.
-func (l *Log) evictLocked() []Entry {
-	if l.max <= 0 || len(l.entries) <= l.max {
-		return nil
-	}
-	n := len(l.entries) - l.max
-	dropped := make([]Entry, n)
-	copy(dropped, l.entries[:n])
-	l.entries = append(l.entries[:0], l.entries[n:]...)
-	l.evicted += n
-	return dropped
-}
-
-// Record appends an entry, assigning its sequence number.
+// Record appends an entry, assigning its sequence number. At the
+// retention bound it overwrites the oldest entry, which goes to the sink.
 func (l *Log) Record(e Entry) int {
 	l.mu.Lock()
 	l.seq++
 	e.Seq = l.seq
-	l.entries = append(l.entries, e)
-	dropped := l.evictLocked()
+	var dropped Entry
+	full := l.max > 0 && len(l.ring) >= l.max
+	if full {
+		dropped = l.ring[l.head]
+		l.unindexLocked(dropped)
+		l.ring[l.head] = e
+		l.head = (l.head + 1) % len(l.ring)
+		l.evicted++
+	} else {
+		l.ring = append(l.ring, e)
+	}
+	if e.RequestID != "" {
+		if l.byID == nil {
+			l.byID = make(map[string]int)
+		}
+		l.byID[e.RequestID] = e.Seq
+	}
 	sink := l.sink
 	l.mu.Unlock()
-	if sink != nil {
-		for _, d := range dropped {
-			sink(d)
-		}
+	if full && sink != nil {
+		sink(rendered(dropped))
 	}
 	return e.Seq
+}
+
+// unindexLocked drops e's request ID from the index unless a newer entry
+// has taken it over.
+func (l *Log) unindexLocked(e Entry) {
+	if seq, ok := l.byID[e.RequestID]; ok && seq == e.Seq {
+		delete(l.byID, e.RequestID)
+	}
+}
+
+// runsLocked returns the retained entries as two runs of the ring that,
+// read in order, list them oldest first.
+func (l *Log) runsLocked() [2][]Entry {
+	return [2][]Entry{l.ring[l.head:], l.ring[:l.head]}
+}
+
+// orderedLocked returns a copy of the retained entries, oldest first.
+func (l *Log) orderedLocked() []Entry {
+	runs := l.runsLocked()
+	return append(append(make([]Entry, 0, len(l.ring)), runs[0]...), runs[1]...)
 }
 
 // Evicted returns how many entries retention has dropped from memory.
@@ -186,9 +250,11 @@ func (l *Log) Evicted() int {
 // Entries returns a copy of all entries, oldest first.
 func (l *Log) Entries() []Entry {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
+	out := l.orderedLocked()
+	l.mu.Unlock()
+	for i := range out {
+		out[i] = rendered(out[i])
+	}
 	return out
 }
 
@@ -196,30 +262,41 @@ func (l *Log) Entries() []Entry {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.entries)
+	return len(l.ring)
 }
 
-// ByRequestID returns the entry recorded for the given request ID.
+// ByRequestID returns the entry recorded for the given request ID — the
+// newest one, should the ID repeat (request IDs restart with the process,
+// and a daemon replays its predecessor's entries from the WAL).
 func (l *Log) ByRequestID(id string) (Entry, bool) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, e := range l.entries {
-		if e.RequestID == id {
-			return e, true
-		}
+	seq, ok := l.byID[id]
+	var e Entry
+	if ok {
+		i := seq - (l.seq - len(l.ring) + 1)
+		e = l.ring[(l.head+i)%len(l.ring)]
 	}
-	return Entry{}, false
+	l.mu.Unlock()
+	if !ok {
+		return Entry{}, false
+	}
+	return rendered(e), true
 }
 
-// ByOutcome returns the entries with the given outcome.
+// ByOutcome returns the entries with the given outcome, oldest first.
 func (l *Log) ByOutcome(o Outcome) []Entry {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	var out []Entry
-	for _, e := range l.entries {
-		if e.Outcome == o {
-			out = append(out, e)
+	for _, run := range l.runsLocked() {
+		for _, e := range run {
+			if e.Outcome == o {
+				out = append(out, e)
+			}
 		}
+	}
+	l.mu.Unlock()
+	for i := range out {
+		out[i] = rendered(out[i])
 	}
 	return out
 }
@@ -230,13 +307,15 @@ func (l *Log) Render() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var b strings.Builder
-	for _, e := range l.entries {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-		if tr := e.TraceString(); tr != "" {
-			b.WriteString("    trace: ")
-			b.WriteString(tr)
+	for _, run := range l.runsLocked() {
+		for _, e := range run {
+			b.WriteString(e.String())
 			b.WriteByte('\n')
+			if tr := e.TraceString(); tr != "" {
+				b.WriteString("    trace: ")
+				b.WriteString(tr)
+				b.WriteByte('\n')
+			}
 		}
 	}
 	return b.String()

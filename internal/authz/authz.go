@@ -10,8 +10,8 @@
 //     statement chain of the paper and ending in "G says op O" plus the
 //     ACL check.
 //
-// A request is approved only if both layers succeed; the derivation trace
-// is recorded in the audit log.
+// A request is approved only if both layers succeed; the derivation is
+// recorded in the audit log, which renders it to text when read.
 //
 // Concurrency model: the server's belief state is an immutable snapshot
 // (snapshot.go) swapped atomically by the belief-mutating operations.
@@ -135,7 +135,9 @@ type Decision struct {
 	// RequestID correlates the decision with its audit entry and metrics.
 	RequestID string
 	// Proof is the derivation that justified the decision (nil on
-	// cryptographic rejection before any derivation started).
+	// cryptographic rejection before any derivation started). The
+	// decision's audit entry holds the same proof and renders it when
+	// read, so it is read-only.
 	Proof *logic.Proof
 	// Data carries read results.
 	Data []byte
@@ -275,17 +277,17 @@ func (s *Server) deny(tr *reqTrace, req *AccessRequest, group, reason string, pr
 		op = req.Requests[0].Op
 		object = req.Requests[0].Object
 	}
-	trace := ""
-	if proof != nil && tr.sink {
-		// Rendering the derivation is pure overhead when no audit sink
-		// will consume the entry.
-		trace = proof.String()
+	// The entry keeps the proof, not its text: the log renders it when
+	// read (a nil *logic.Proof must not become a non-nil Stringer).
+	var derivation fmt.Stringer
+	if proof != nil {
+		derivation = proof
 	}
 	s.audit(audit.Entry{
 		At: s.clk.Now(), Outcome: audit.Denied, Server: s.name,
 		Requestor: requestor, Operation: string(op), Object: object,
 		Group: group, Reason: reason,
-		RequestID: tr.id, Spans: tr.spans, ProofTrace: trace,
+		RequestID: tr.id, Spans: tr.spans, Derivation: derivation,
 	})
 	return Decision{Allowed: false, Group: group, Reason: reason, DeniedStep: step, RequestID: tr.id, Proof: proof},
 		fmt.Errorf("%w: %s", ErrDenied, reason)
@@ -452,10 +454,6 @@ func (s *Server) authorizeAt(ctx context.Context, st *state, req AccessRequest) 
 
 	tr.endOK()
 	tr.finish(true, "")
-	trace := ""
-	if tr.sink {
-		trace = eng.Proof().String()
-	}
 	s.audit(audit.Entry{
 		At: now, Outcome: audit.Approved, Server: s.name,
 		Requestor: req.Requests[0].User, Operation: string(op),
@@ -463,7 +461,7 @@ func (s *Server) authorizeAt(ctx context.Context, st *state, req AccessRequest) 
 		Reason:     gs.String(),
 		RequestID:  tr.id,
 		Spans:      tr.spans,
-		ProofTrace: trace,
+		Derivation: eng.Proof(),
 	})
 	return Decision{Allowed: true, Group: group, Reason: gs.String(), RequestID: tr.id, Proof: eng.Proof(), Data: data}, nil
 }

@@ -18,11 +18,14 @@ import (
 // TestAuthorizeConcurrentWithMutations is the -race stress test for the
 // snapshot design: many goroutines run Authorize lock-free while belief
 // mutators (group links and revocations of an unrelated group) swap
-// snapshots underneath them. Every write must still be approved — the
-// mutations never touch G_write — and the race detector must stay quiet.
+// snapshots underneath them and an auditor renders the audit log's stored
+// derivations. Every write must still be approved — the mutations never
+// touch G_write — every approval must read back with its A38 step, and
+// the race detector must stay quiet.
 func TestAuthorizeConcurrentWithMutations(t *testing.T) {
 	f := newFixture(t)
-	server := f.newServer(nil)
+	log := audit.NewLog()
+	server := f.newServer(log)
 	req := f.writeRequest(t, []byte("concurrent"), "User_D1", "User_D2")
 
 	const (
@@ -78,10 +81,33 @@ func TestAuthorizeConcurrentWithMutations(t *testing.T) {
 			}
 		}
 	}()
+	done := make(chan struct{})
+	audited := make(chan struct{})
+	go func() {
+		defer close(audited)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, e := range log.ByOutcome(audit.Approved) {
+				if !strings.Contains(e.ProofTrace, "A38") {
+					t.Errorf("approval %s read back without its A38 step", e.RequestID)
+					return
+				}
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	<-audited
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+	if got := len(log.ByOutcome(audit.Approved)); got != workers*rounds {
+		t.Errorf("%d approvals in the audit log, want %d", got, workers*rounds)
 	}
 
 	if sn := server.Snapshot(); sn.Watermark != 2*rounds {

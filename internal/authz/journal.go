@@ -235,12 +235,17 @@ func auditRecord(e audit.Entry, at clock.Time) (wal.Record, error) {
 
 // audit records an entry in the in-memory audit log and, when a journal
 // is attached, appends it as a WAL audit record on the group-commit path
-// (wait=false).
+// (wait=false). The WAL keeps text, so a journaled entry's derivation is
+// rendered here, once, for both.
 func (s *Server) audit(e audit.Entry) {
+	j := s.journalRef()
+	if j != nil && e.Derivation != nil {
+		e.ProofTrace, e.Derivation = e.Derivation.String(), nil
+	}
 	if s.log != nil {
 		s.log.Record(e)
 	}
-	if j := s.journalRef(); j != nil {
+	if j != nil {
 		if rec, err := auditRecord(e, e.At); err == nil {
 			j.Append(rec, false)
 		}

@@ -157,8 +157,8 @@ func (s *Server) buildHotMetrics() {
 
 // reqTrace accumulates the spans of one request evaluation. sink
 // records whether any audit consumer (log or journal) will read the
-// entry; when false, span accumulation and proof rendering are skipped
-// — the step and request histograms are still observed.
+// entry; when false, span accumulation is skipped — the step and request
+// histograms are still observed.
 type reqTrace struct {
 	s     *Server
 	id    string

@@ -87,8 +87,9 @@ type residue struct {
 	// op-in-perms check and per-link revocation stay request-time leaves.
 	delegs map[string][]logic.Delegates
 	// prefixLen and segTrace cache the rendering of the spliced segment,
-	// so an approved request renders only its leaf steps (the base proof's
-	// rendering is shared by the whole snapshot, residueMemo.baseTrace).
+	// so reading an approval's audit entry renders only its leaf steps
+	// (the base proof's rendering is shared by the whole snapshot,
+	// residueMemo.baseTrace).
 	prefixLen int
 	segTrace  string
 }
@@ -253,8 +254,9 @@ func (ix *relIndex) compile(g string, now clock.Time) *residue {
 // discarded with it.
 type residueMemo struct {
 	index func() *relIndex // built on first compile
-	// baseTrace renders the snapshot's base proof, once, for the first
-	// approved residual decision an audit sink will read.
+	// baseTrace renders the snapshot's base proof, once, when the first
+	// residual approval's audit entry is read; the entries keep it, not
+	// the memo.
 	baseTrace func() string
 	mu        sync.RWMutex
 	m         map[string]*residue
@@ -676,12 +678,9 @@ func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req
 
 	tr.endOK()
 	tr.finish(true, "")
-	trace := ""
+	var derivation fmt.Stringer
 	if tr.sink {
-		// Splice the pre-rendered base proof and recorded segment with the
-		// leaf steps rendered fresh — the rendering analogue of the proof
-		// splice itself.
-		trace = st.residues.baseTrace() + res.segTrace + pr.StringFrom(res.prefixLen)
+		derivation = &residualDerivation{base: st.residues.baseTrace, seg: res.segTrace, proof: pr, prefixLen: res.prefixLen}
 	}
 	s.audit(audit.Entry{
 		At: now, Outcome: audit.Approved, Server: s.name,
@@ -690,9 +689,25 @@ func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req
 		Reason:     gs.String(),
 		RequestID:  tr.id,
 		Spans:      tr.spans,
-		ProofTrace: trace,
+		Derivation: derivation,
 	})
 	return Decision{Allowed: true, Group: group, Reason: gs.String(), RequestID: tr.id, Proof: pr, Data: data}, nil, true
+}
+
+// residualDerivation is what a residual approval's audit entry keeps to
+// render its proof on read: the snapshot's shared base rendering and the
+// residue's recorded segment, spliced with the request's own leaf steps
+// rendered fresh — the rendering analogue of the proof splice itself. It
+// holds no more of the snapshot than the proof already does.
+type residualDerivation struct {
+	base      func() string
+	seg       string
+	proof     *logic.Proof
+	prefixLen int
+}
+
+func (d *residualDerivation) String() string {
+	return d.base() + d.seg + d.proof.StringFrom(d.prefixLen)
 }
 
 // execute performs the approved operation on the object store (shared by

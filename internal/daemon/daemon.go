@@ -117,9 +117,11 @@ type Config struct {
 	// WALBatchWindow is the group-commit fsync window (0 = fsync on
 	// every append; see docs/OPERATIONS.md for the trade-offs).
 	WALBatchWindow time.Duration
-	// AuditRetention caps the in-memory audit log; older entries are
-	// evicted (they remain recoverable from the WAL when DataDir is
-	// set). 0 keeps everything in memory.
+	// AuditRetention caps the in-memory audit log at its newest entries.
+	// 0 selects the default (4 096); negative keeps everything in memory.
+	// An evicted entry is recoverable only from the WAL, so only with
+	// DataDir set (compaction keeps this many audit records, every one
+	// when AuditRetention ≤ 0); without DataDir it is gone.
 	AuditRetention int
 	// CompactBytes triggers log compaction after a dynamics command once
 	// wal.log exceeds this size. 0 selects the default (4 MiB); negative
@@ -228,8 +230,8 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	srv.Authz().Instrument(cfg.Metrics)
-	if cfg.AuditRetention > 0 {
-		srv.Audit().SetRetention(cfg.AuditRetention, nil)
+	if n := auditRetention(cfg.AuditRetention); n > 0 {
+		srv.Audit().SetRetention(n, nil)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -248,6 +250,22 @@ func New(cfg Config) (*Daemon, error) {
 		}
 	}
 	return d, nil
+}
+
+// defaultAuditRetention is the in-memory audit bound AuditRetention 0
+// selects.
+const defaultAuditRetention = 4096
+
+// auditRetention resolves an AuditRetention setting to the in-memory
+// bound: 0 selects the default, a negative value means unbounded (0).
+func auditRetention(n int) int {
+	switch {
+	case n == 0:
+		return defaultAuditRetention
+	case n < 0:
+		return 0
+	}
+	return n
 }
 
 // openWAL recovers the daemon's durable state and attaches the journal.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"jointadmin/internal/audit"
 	"jointadmin/internal/obs"
 	"jointadmin/internal/transport"
 )
@@ -534,4 +535,31 @@ func newDaemonWithRegistry(t *testing.T, reg *obs.Registry) *Daemon {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestAuditRetentionDefault: AuditRetention 0 bounds the in-memory audit
+// log at the default, a negative value leaves it unbounded, and the
+// follower resolves its setting by the same rule.
+func TestAuditRetentionDefault(t *testing.T) {
+	for _, c := range []struct{ setting, wantLen int }{
+		{0, defaultAuditRetention},
+		{-1, defaultAuditRetention + 4},
+	} {
+		d, err := New(Config{Domains: []string{"D1", "D2"}, Users: []string{"alice", "bob"}, AuditRetention: c.setting})
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := d.server.Audit()
+		for log.Len()+log.Evicted() < defaultAuditRetention+4 {
+			log.Record(audit.Entry{})
+		}
+		if log.Len() != c.wantLen {
+			t.Errorf("AuditRetention %d: %d entries retained, want %d", c.setting, log.Len(), c.wantLen)
+		}
+	}
+	for setting, want := range map[int]int{0: defaultAuditRetention, -1: 0, 7: 7} {
+		if got := auditRetention(setting); got != want {
+			t.Errorf("auditRetention(%d) = %d, want %d", setting, got, want)
+		}
+	}
 }

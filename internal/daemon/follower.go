@@ -43,7 +43,10 @@ type FollowerConfig struct {
 	Metrics *obs.Registry
 	// Transport configures TCP resilience, as for the writer.
 	Transport transport.Options
-	// AuditRetention caps the replica's in-memory audit log.
+	// AuditRetention caps the replica's in-memory audit log, as for the
+	// writer (0 selects 4 096, negative is unbounded). A follower has no
+	// WAL and its own decisions are never journaled or shipped, so an
+	// evicted entry is gone.
 	AuditRetention int
 	// ResyncAfter is the writer-silence threshold before the follower
 	// re-hellos (default 3s). Lower it together with the writer's
@@ -97,7 +100,7 @@ func (f *Follower) Listen(addr string) (*transport.TCPNode, error) {
 		Addr:           node.Addr(),
 		Writer:         f.writer,
 		ResyncAfter:    f.cfg.ResyncAfter,
-		AuditRetention: f.cfg.AuditRetention,
+		AuditRetention: auditRetention(f.cfg.AuditRetention),
 		Metrics:        f.reg,
 		Logf:           log.Printf,
 	})

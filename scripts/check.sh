@@ -116,6 +116,12 @@ echo "==> transport + replication chaos under race (go test -race -count=2 -run 
 # TestChaosReplicatedFleet (writer + two followers over Faulty links).
 go test -race -count=2 -run Chaos ./internal/daemon/
 
+echo "==> audit ring under race (go test -race -count=5 ./internal/audit)"
+go test -race -count=5 ./internal/audit
+
+echo "==> bench smoke (go test -bench=LogRecord -benchtime=1x ./internal/audit)"
+go test -run '^$' -bench=LogRecord -benchtime=1x -benchmem ./internal/audit
+
 echo "==> bench smoke (go test -bench='Authorize' -benchtime=1x)"
 go test -run '^$' -bench='Authorize' -benchtime=1x .
 
