@@ -780,7 +780,7 @@ func (s *Server) verifyCosigners(ctx context.Context, eng *logic.Engine, req *Ac
 		if upk.KeyID() != want {
 			return nil, nil, errors.New(r.User + "'s identity key differs from the certificate binding")
 		}
-		sigVal, ok := new(big.Int).SetString(r.SigS, 16)
+		sigVal, ok := sharedrsa.ParseHex(new(big.Int), r.SigS)
 		if !ok {
 			return nil, nil, errors.New(r.User + ": malformed signature")
 		}

@@ -574,12 +574,12 @@ func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req
 		}
 		// All bodies append into one pooled buffer; the item slices are
 		// fixed up below, once the buffer stops growing. The signature
-		// values parse into pooled big.Ints (SetString reuses their limbs).
+		// values parse into pooled big.Ints (ParseHex reuses their limbs).
 		start := len(bodyBuf)
 		bodyBuf = appendRequestBody(bodyBuf, &req.Requests[i])
 		bodyOff = append(bodyOff, start, len(bodyBuf))
 		sig := &sigs[i]
-		if _, ok := sig.SetString(r.SigS, 16); !ok {
+		if _, ok := sharedrsa.ParseHex(sig, r.SigS); !ok {
 			sc.bodyBuf, sc.bodyOff = bodyBuf, bodyOff
 			return deny(group, r.User+": malformed signature")
 		}

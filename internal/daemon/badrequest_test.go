@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"jointadmin/internal/acl"
 	"jointadmin/internal/authz"
+	"jointadmin/internal/clock"
 	"jointadmin/internal/obs"
+	"jointadmin/internal/pki"
 )
 
 // malformedRequests derives from a valid signed read request (JSON, no
@@ -29,13 +32,10 @@ func malformedRequests(valid string) []struct{ name, data string } {
 	}
 }
 
-// TestFollowerAuthorizeBadRequests drives the follower's bad_request
-// branch through Follower.Handle: every malformed request is refused
-// once under daemon_command_errors_total{kind="bad_request"} without
-// reaching Authorize, and a hand-indented valid request is approved.
-func TestFollowerAuthorizeBadRequests(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+// startWriterAndFollower starts a replicating writer and one follower
+// serving over localhost. Both stop when the test ends.
+func startWriterAndFollower(ctx context.Context, t *testing.T) (*Daemon, *Follower, *obs.Registry) {
+	t.Helper()
 	d, err := New(Config{
 		Domains:       []string{"D1", "D2", "D3"},
 		Users:         []string{"alice", "bob", "carol"},
@@ -46,7 +46,7 @@ func TestFollowerAuthorizeBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
+	t.Cleanup(func() { d.Close() })
 	wnode, err := d.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -64,19 +64,19 @@ func TestFollowerAuthorizeBadRequests(t *testing.T) {
 	served := make(chan error, 2)
 	go func() { served <- d.Serve(serveCtx, wnode) }()
 	go func() { served <- f.Serve(serveCtx, fnode) }()
-	defer func() {
+	t.Cleanup(func() {
 		stop()
 		wnode.Close()
 		fnode.Close()
 		<-served
 		<-served
-	}()
+	})
+	return d, f, reg
+}
 
-	rep := d.Handle(ctx, Command{Cmd: "sign", Signers: []string{"carol"}})
-	if !rep.OK {
-		t.Fatalf("sign: %+v", rep)
-	}
-	valid := rep.Data
+// waitCaughtUp waits until f has installed d's state as of d's clock now.
+func waitCaughtUp(ctx context.Context, t *testing.T, d *Daemon, f *Follower) {
+	t.Helper()
 	seq, now := d.wal.Seq(), d.alliance.Clock().Now()
 	for st := f.Applier().Status(); !st.Ready || st.LastSeq < seq || st.Clock < now; st = f.Applier().Status() {
 		select {
@@ -85,6 +85,22 @@ func TestFollowerAuthorizeBadRequests(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+}
+
+// TestFollowerAuthorizeBadRequests drives the follower's bad_request
+// branch through Follower.Handle: every malformed request is refused
+// once under daemon_command_errors_total{kind="bad_request"} without
+// reaching Authorize, and a hand-indented valid request is approved.
+func TestFollowerAuthorizeBadRequests(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	d, f, reg := startWriterAndFollower(ctx, t)
+	rep := d.Handle(ctx, Command{Cmd: "sign", Signers: []string{"carol"}})
+	if !rep.OK {
+		t.Fatalf("sign: %+v", rep)
+	}
+	valid := rep.Data
+	waitCaughtUp(ctx, t, d, f)
 
 	const badKey = `daemon_command_errors_total{cmd="authorize",kind="bad_request"}`
 	counters := func() (bad, evaluated int64) {
@@ -116,5 +132,64 @@ func TestFollowerAuthorizeBadRequests(t *testing.T) {
 	}
 	if bad, eval := counters(); bad != bad0 || eval != eval0+1 {
 		t.Errorf("indented valid request: bad_request %d→%d, evaluated %d→%d", bad0, bad, eval0, eval)
+	}
+}
+
+// TestFollowerDeniesZeroModulusIdentity: a request whose identity
+// certificate is properly CA-signed but certifies the modulus 0 — and
+// whose threshold certificate binds that key, so a decider that accepted
+// it would reach the RSA check — is denied by Follower.Handle, and the
+// follower goes on serving.
+func TestFollowerDeniesZeroModulusIdentity(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	d, f, _ := startWriterAndFollower(ctx, t)
+	co := d.alliance.Coalition()
+	now := d.alliance.Clock().Now()
+	validity := clock.NewInterval(now-1, now.Add(1000))
+	if _, err := co.AddUser("D1", "mallory", validity); err != nil {
+		t.Fatal(err)
+	}
+	kp, err := co.UserKey("mallory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := authz.SignRequest("mallory", now, acl.Read, d.object, nil, kp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The enrolled key shares its modulus with the CA's registration:
+	// zero it, and the CA certifies N = 0 and the AA binds its key ID.
+	kp.Public().N.SetInt64(0)
+	idc, err := co.IdentityOf("mallory", validity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idc.Cert.SubjectKey.N != "0" {
+		t.Fatalf("certified modulus %q, want \"0\"", idc.Cert.SubjectKey.N)
+	}
+	ac, err := co.IssueThreshold("G_mallory", 1, []string{"mallory"}, validity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(authz.AccessRequest{Threshold: ac,
+		Identities: []pki.Signed[pki.Identity]{idc}, Requests: []authz.UserRequest{r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sign := d.Handle(ctx, Command{Cmd: "sign", Signers: []string{"carol"}})
+	if !sign.OK {
+		t.Fatalf("sign: %+v", sign)
+	}
+	waitCaughtUp(ctx, t, d, f)
+
+	for i := 0; i < 2; i++ {
+		rep := f.Handle(ctx, Command{Cmd: "authorize", Data: string(body)})
+		if rep.OK || !strings.Contains(rep.Detail, "identity certificate key malformed") {
+			t.Fatalf("try %d: reply %+v, want an identity-key denial", i, rep)
+		}
+	}
+	if rep := f.Handle(ctx, Command{Cmd: "authorize", Data: sign.Data}); !rep.OK {
+		t.Fatalf("valid request after the denial: %+v", rep)
 	}
 }

@@ -638,7 +638,7 @@ func opOf(cmd Command) string {
 }
 
 // Serve answers commands on the endpoint until it closes or the context
-// is canceled, running the shared serve pipeline (Pipeline.Serve:
+// is canceled, running the shared serve pipeline (pipeline.Serve:
 // bounded worker pool, ID-keyed dedup replay, single reply sender) over
 // Daemon.Handle. Replication frames are intercepted before the command
 // pool: the shipper only registers the follower and signals its stream
@@ -674,7 +674,7 @@ func (d *Daemon) Serve(ctx context.Context, node CommandNode) error {
 			return true
 		}
 	}
-	return NewPipeline(PipelineConfig{
+	return newPipeline(pipelineConfig{
 		Handler:   d.Handle,
 		Workers:   d.workers,
 		DedupCap:  d.dedupCap,

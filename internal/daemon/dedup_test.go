@@ -113,7 +113,7 @@ func TestDedupCacheInflightNotEvicted(t *testing.T) {
 func TestPipelineDedupReplaysDuplicates(t *testing.T) {
 	reg := obs.NewRegistry()
 	var executions atomic.Int64
-	p := NewPipeline(PipelineConfig{
+	p := newPipeline(pipelineConfig{
 		Workers: 2,
 		Metrics: reg,
 		Handler: func(ctx context.Context, cmd Command) Reply {
@@ -163,7 +163,7 @@ func TestPipelineConcurrentDuplicateWaitsForLeader(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	p := NewPipeline(PipelineConfig{
+	p := newPipeline(pipelineConfig{
 		Workers: 2,
 		Metrics: reg,
 		Handler: func(ctx context.Context, cmd Command) Reply {
@@ -200,7 +200,7 @@ func TestPipelineConcurrentDuplicateWaitsForLeader(t *testing.T) {
 // re-execute on every copy, as before the dedup cache existed.
 func TestPipelineNoIDBypassesDedup(t *testing.T) {
 	var executions atomic.Int64
-	p := NewPipeline(PipelineConfig{
+	p := newPipeline(pipelineConfig{
 		Workers: 1,
 		Handler: func(ctx context.Context, cmd Command) Reply {
 			executions.Add(1)
@@ -241,7 +241,7 @@ func wireFrame(from, to, kind string, payload []byte) []byte {
 func TestPipelineDedupDuplicateSplitAcrossSegments(t *testing.T) {
 	reg := obs.NewRegistry()
 	var executions atomic.Int64
-	p := NewPipeline(PipelineConfig{
+	p := newPipeline(pipelineConfig{
 		Metrics: reg,
 		Handler: func(ctx context.Context, cmd Command) Reply {
 			executions.Add(1)

@@ -116,7 +116,7 @@ func (f *Follower) Metrics() *obs.Registry { return f.reg }
 // Serve answers commands and applies replication frames until the
 // context is canceled or the listener closes. Commands run through the
 // shared serve pipeline (worker pool, ID-keyed dedup replay, single
-// reply sender — see Pipeline.Serve); replication frames are intercepted
+// reply sender — see pipeline.Serve); replication frames are intercepted
 // and applied inline in the receive loop, preserving their arrival order
 // (the protocol is sequential; the Authorize path reads the replica
 // through an atomic pointer and never blocks on it).
@@ -137,7 +137,7 @@ func (f *Follower) Serve(ctx context.Context, node CommandNode) error {
 	}()
 	defer applierWG.Wait()
 
-	return NewPipeline(PipelineConfig{
+	return newPipeline(pipelineConfig{
 		Handler:  f.Handle,
 		Workers:  f.workers,
 		DedupCap: f.cfg.DedupCap,

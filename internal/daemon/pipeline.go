@@ -43,11 +43,10 @@ const (
 	MetricDedupEntries = "daemon_dedup_entries"
 )
 
-// PipelineConfig assembles one serve pipeline.
-type PipelineConfig struct {
-	// Handler executes one decoded command (Daemon.Handle,
-	// Follower.Handle, or the load harness's authorize evaluator). It
-	// must be safe for concurrent use.
+// pipelineConfig assembles one serve pipeline.
+type pipelineConfig struct {
+	// Handler executes one decoded command (Daemon.Handle or
+	// Follower.Handle). It must be safe for concurrent use.
 	Handler func(ctx context.Context, cmd Command) Reply
 	// Workers bounds concurrent command handling (default GOMAXPROCS).
 	Workers int
@@ -64,21 +63,21 @@ type PipelineConfig struct {
 	Tag string
 }
 
-// Pipeline is one running serve loop's machinery.
-type Pipeline struct {
-	cfg   PipelineConfig
+// pipeline is one running serve loop's machinery.
+type pipeline struct {
+	cfg   pipelineConfig
 	dedup *dedupCache
 }
 
-// NewPipeline builds a pipeline; Serve runs it.
-func NewPipeline(cfg PipelineConfig) *Pipeline {
+// newPipeline builds a pipeline; Serve runs it.
+func newPipeline(cfg pipelineConfig) *pipeline {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Tag == "" {
 		cfg.Tag = "daemon"
 	}
-	p := &Pipeline{cfg: cfg}
+	p := &pipeline{cfg: cfg}
 	if cfg.DedupCap >= 0 {
 		p.dedup = newDedupCache(cfg.DedupCap)
 	}
@@ -117,7 +116,7 @@ type outbound struct {
 // Serve returns the context's error when canceled and nil on a clean
 // listener close; any other transport failure is counted in
 // daemon_serve_errors_total and returned.
-func (p *Pipeline) Serve(ctx context.Context, node CommandNode) error {
+func (p *pipeline) Serve(ctx context.Context, node CommandNode) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -179,7 +178,7 @@ func (p *Pipeline) Serve(ctx context.Context, node CommandNode) error {
 
 // serveOne decodes, dedups, handles and answers a single command under
 // its own request context.
-func (p *Pipeline) serveOne(ctx context.Context, env transport.Envelope, replies chan<- outbound) {
+func (p *pipeline) serveOne(ctx context.Context, env transport.Envelope, replies chan<- outbound) {
 	reg := p.cfg.Metrics
 	cmd, err := DecodeCommand(env.Payload)
 	if err != nil {
@@ -219,7 +218,7 @@ func (p *Pipeline) serveOne(ctx context.Context, env transport.Envelope, replies
 
 // execute runs the handler for one command, sends the reply, and returns
 // the encoded reply body.
-func (p *Pipeline) execute(ctx context.Context, env transport.Envelope, cmd Command, replies chan<- outbound) []byte {
+func (p *pipeline) execute(ctx context.Context, env transport.Envelope, cmd Command, replies chan<- outbound) []byte {
 	reqCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	reply := p.cfg.Handler(reqCtx, cmd)

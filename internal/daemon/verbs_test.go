@@ -13,7 +13,7 @@ import (
 )
 
 // TestEveryVerbOverTheWire drives every command verb of the writer and
-// of a follower through Dial → TCP → Pipeline and checks that each
+// of a follower through Dial → TCP → pipeline and checks that each
 // reply's fields arrive as the handler produced them: OK, the Detail
 // line, and Data — raw bytes a JSON envelope would have rewritten, the
 // signed request that must still parse and authorize, and the large

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/big"
 
 	"jointadmin/internal/clock"
 	"jointadmin/internal/sharedrsa"
@@ -30,18 +31,21 @@ func NewKeyInfo(pk sharedrsa.PublicKey) KeyInfo {
 	return KeyInfo{N: pk.N.Text(16), E: pk.E.Text(16)}
 }
 
-// PublicKey decodes the key info.
+// PublicKey decodes the key info. A modulus that is not odd and at least
+// 3, or an exponent below 3, is no RSA key and is ErrMalformed.
 func (ki KeyInfo) PublicKey() (sharedrsa.PublicKey, error) {
 	n, ok := newIntFromHex(ki.N)
-	if !ok {
+	if !ok || n.Bit(0) == 0 || n.Cmp(big3) < 0 {
 		return sharedrsa.PublicKey{}, fmt.Errorf("%w: bad modulus", ErrMalformed)
 	}
 	e, ok := newIntFromHex(ki.E)
-	if !ok {
+	if !ok || e.Cmp(big3) < 0 {
 		return sharedrsa.PublicKey{}, fmt.Errorf("%w: bad exponent", ErrMalformed)
 	}
 	return sharedrsa.PublicKey{N: n, E: e}, nil
 }
+
+var big3 = big.NewInt(3)
 
 // BoundSubject is one subject entry of a (threshold) attribute
 // certificate: a principal name cryptographically bound to a key id — the

@@ -4,6 +4,7 @@ import (
 	"math/big"
 
 	"jointadmin/internal/logic"
+	"jointadmin/internal/sharedrsa"
 )
 
 // This file bridges wire certificates to their idealized logic forms: the
@@ -14,8 +15,7 @@ import (
 
 // newIntFromHex parses a hex big.Int, reporting success.
 func newIntFromHex(s string) (*big.Int, bool) {
-	n, ok := new(big.Int).SetString(s, 16)
-	return n, ok
+	return sharedrsa.ParseHex(new(big.Int), s)
 }
 
 // IdealizeIdentity renders the identity certificate as

@@ -261,8 +261,27 @@ func TestKeyInfoRoundTrip(t *testing.T) {
 	if !pk.Equal(ca.Public()) {
 		t.Error("key info round trip changed the key")
 	}
-	if _, err := (KeyInfo{N: "zz", E: "3"}).PublicKey(); !errors.Is(err, ErrMalformed) {
-		t.Errorf("bad hex: %v", err)
+	for _, bad := range []KeyInfo{
+		{N: "zz", E: "3"},           // bad hex
+		{N: "0", E: "10001"},        // zero modulus
+		{N: "1", E: "10001"},        // below 3
+		{N: "-c5", E: "10001"},      // negative
+		{N: "c4", E: "10001"},       // even
+		{N: "c5", E: "1"},           // exponent below 3
+		{N: "c5", E: "-10001"},      // negative exponent
+		{N: ki.N, E: "0"},           // zero exponent
+		{N: ki.N + "0", E: ki.E},    // ×16: even
+		{N: "", E: ki.E},            // empty
+		{N: "0x" + ki.N, E: ki.E},   // prefixed
+		{N: ki.N, E: "1_0001"},      // underscore
+		{N: "+" + ki.N, E: "+0002"}, // exponent 2
+	} {
+		if _, err := bad.PublicKey(); !errors.Is(err, ErrMalformed) {
+			t.Errorf("KeyInfo{N: %.12q, E: %q}: %v, want ErrMalformed", bad.N, bad.E, err)
+		}
+	}
+	if _, err := (KeyInfo{N: "+3", E: "3"}).PublicKey(); err != nil {
+		t.Errorf("smallest accepted key: %v", err)
 	}
 }
 

@@ -121,7 +121,10 @@ func BatchVerify(items []BatchItem, pk PublicKey, opts BatchOptions) (BatchResul
 
 	// Structurally broken signatures (nil or out of range) can make the
 	// product check misattribute; weed them out up front with the exact
-	// per-item errors.
+	// per-item errors. So can a key nothing verifies under.
+	if !pk.verifiable() {
+		return fallback(items, pk, BatchResult{Fallback: true})
+	}
 	for _, it := range items {
 		if it.Sig.S == nil || it.Sig.S.Sign() < 0 || it.Sig.S.Cmp(pk.N) >= 0 {
 			return fallback(items, pk, BatchResult{Fallback: true})
@@ -151,7 +154,7 @@ func BatchVerify(items []BatchItem, pk PublicKey, opts BatchOptions) (BatchResul
 			hProd.Mul(hProd, hashToModulus(it.Msg, pk.N))
 			hProd.Mod(hProd, pk.N)
 		}
-		if sProd.Exp(sProd, pk.E, pk.N).Cmp(hProd) == 0 {
+		if expPublic(sProd, sProd, pk.E, pk.N).Cmp(hProd) == 0 {
 			return BatchResult{Batched: true}, nil
 		}
 		return fallback(items, pk, BatchResult{Batched: true, Fallback: true})
@@ -178,7 +181,7 @@ func BatchVerify(items []BatchItem, pk PublicKey, opts BatchOptions) (BatchResul
 		hProd.Mul(hProd, t.Exp(hashToModulus(it.Msg, pk.N), r, pk.N))
 		hProd.Mod(hProd, pk.N)
 	}
-	if sProd.Exp(sProd, pk.E, pk.N).Cmp(hProd) == 0 {
+	if expPublic(sProd, sProd, pk.E, pk.N).Cmp(hProd) == 0 {
 		return BatchResult{Batched: true}, nil
 	}
 	return fallback(items, pk, BatchResult{Batched: true, Fallback: true})

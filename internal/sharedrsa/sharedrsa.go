@@ -58,6 +58,14 @@ func (pk PublicKey) Equal(o PublicKey) bool {
 	return pk.N != nil && o.N != nil && pk.N.Cmp(o.N) == 0 && pk.E.Cmp(o.E) == 0
 }
 
+// verifiable reports whether signatures can be checked under pk: an odd
+// modulus of at least 3 (the Montgomery kernel's domain; a zero modulus
+// would divide by zero) and a positive exponent.
+func (pk PublicKey) verifiable() bool {
+	return pk.N != nil && pk.E != nil && pk.N.Sign() > 0 && pk.N.Bit(0) == 1 &&
+		pk.N.BitLen() >= 2 && pk.E.Sign() > 0
+}
+
 // Bits returns the modulus size in bits.
 func (pk PublicKey) Bits() int { return pk.N.BitLen() }
 

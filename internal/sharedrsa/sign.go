@@ -44,6 +44,9 @@ func Combine(msg []byte, pk PublicKey, partials []PartialSignature, parties int)
 	if len(partials) == 0 {
 		return Signature{}, fmt.Errorf("sharedrsa: no partial signatures: %w", ErrPartialMismatch)
 	}
+	if !pk.verifiable() {
+		return Signature{}, ErrBadSignature
+	}
 	seen := make(map[int]bool, len(partials))
 	s := big.NewInt(1)
 	for _, p := range partials {
@@ -65,8 +68,7 @@ func Combine(msg []byte, pk PublicKey, partials []PartialSignature, parties int)
 	cand := new(big.Int).Set(s)
 	check := new(big.Int)
 	for j := 0; j <= budget; j++ {
-		check.Exp(cand, pk.E, pk.N)
-		if check.Cmp(h) == 0 {
+		if expPublic(check, cand, pk.E, pk.N).Cmp(h) == 0 {
 			return Signature{S: cand, Correction: j}, nil
 		}
 		cand.Mul(cand, h)
@@ -75,13 +77,15 @@ func Combine(msg []byte, pk PublicKey, partials []PartialSignature, parties int)
 	return Signature{}, ErrBadSignature
 }
 
-// Verify checks the joint signature: S^e ≡ H(M) (mod N).
+// Verify checks the joint signature: S^e ≡ H(M) (mod N). A key no
+// signature can verify under (see PublicKey.verifiable) is ErrBadSignature.
 func Verify(msg []byte, pk PublicKey, sig Signature) error {
-	if sig.S == nil {
+	if sig.S == nil || !pk.verifiable() {
 		return ErrBadSignature
 	}
 	h := hashToModulus(msg, pk.N)
-	if new(big.Int).Exp(sig.S, pk.E, pk.N).Cmp(h) != 0 {
+	var s big.Int
+	if expPublic(&s, sig.S, pk.E, pk.N).Cmp(h) != 0 {
 		return ErrBadSignature
 	}
 	return nil

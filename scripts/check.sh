@@ -80,6 +80,20 @@ for m in $(grep -hoE '^func \(s \*Server\) Set[A-Za-z]+' internal/authz/*.go | s
     esac
 done
 
+echo "==> public-exponent guard (one kernel raises to e)"
+# Every S^e mod N — Verify, Combine's trial correction, BatchVerify's
+# product checks — goes through sharedrsa's Montgomery kernel
+# (internal/sharedrsa/montgomery.go). A math/big Exp by a public
+# exponent elsewhere is a second, slower verification path. Private
+# exponents stay on math/big and do not match.
+bad=$(grep -rnE '\.Exp\(.*(\bpk\.E\b|\.E,)' --include='*.go' internal |
+    grep -v -e '_test\.go:' -e '^internal/sharedrsa/montgomery\.go:' || true)
+if [ -n "$bad" ]; then
+    echo "public-exponent guard: Exp by a public exponent outside the kernel:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 echo "==> one-benchmark guard (no second performance harness)"
 # The repository's benchmark is `sh benchmark/run.sh` (BENCHMARK.json,
 # benchmark/README.md); micro-benchmarks are plain `go test -bench` in
@@ -134,6 +148,9 @@ go test -run '^$' -bench='FollowerFleet|CommandCodec' -benchtime=1x -benchmem ./
 echo "==> bench smoke (go test -bench=FrameCodec -benchtime=1x ./internal/transport)"
 go test -run '^$' -bench=FrameCodec -benchtime=1x -benchmem ./internal/transport
 
+echo "==> bench smoke (go test -bench='^BenchmarkVerify$' -benchtime=1x ./internal/sharedrsa)"
+go test -run '^$' -bench='^BenchmarkVerify$' -benchtime=1x -benchmem ./internal/sharedrsa
+
 echo "==> wire codec fuzz smoke (5s each: FuzzReadFrame, FuzzDecodeCommand, FuzzDecodeReply)"
 go test -run '^$' -fuzz='^FuzzReadFrame$' -fuzztime=5s ./internal/transport
 go test -run '^$' -fuzz='^FuzzDecodeCommand$' -fuzztime=5s ./internal/daemon
@@ -141,6 +158,10 @@ go test -run '^$' -fuzz='^FuzzDecodeReply$' -fuzztime=5s ./internal/daemon
 
 echo "==> access-request decoder fuzz smoke (5s: FuzzDecodeAccessRequest, differential against encoding/json)"
 go test -run '^$' -fuzz='^FuzzDecodeAccessRequest$' -fuzztime=5s ./internal/authz
+
+echo "==> RSA kernel and signature parser fuzz smoke (5s each: FuzzExpPublic against big.Int.Exp, FuzzParseHex against SetString)"
+go test -run '^$' -fuzz='^FuzzExpPublic$' -fuzztime=5s ./internal/sharedrsa
+go test -run '^$' -fuzz='^FuzzParseHex$' -fuzztime=5s ./internal/sharedrsa
 
 echo "==> delegation scenario smoke (8-scenario suite incl. depth bound through the daemon)"
 go run ./cmd/experiments -only e12 > /dev/null
