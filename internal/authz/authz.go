@@ -25,9 +25,10 @@ package authz
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"math/big"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,19 +86,14 @@ type UserRequest struct {
 	SigS    string         `json:"sig"`               // hex FDH-RSA signature
 }
 
-// requestBody is the canonical signed payload of a UserRequest: the
-// json.Marshal encoding of its signed fields, produced by the
-// allocation-free encoder in encode.go (byte-equivalence with
-// encoding/json is pinned by test, since signatures are over these
-// exact bytes).
-func requestBody(r UserRequest) []byte {
-	return appendRequestBody(nil, &r)
-}
-
 // SignRequest produces a signed request component for a user key pair.
+// The signature is over the component's canonical body: the json.Marshal
+// encoding of its signed fields, produced by the allocation-free encoder
+// in encode.go (byte-equivalence with encoding/json is pinned by test,
+// since signatures are over these exact bytes).
 func SignRequest(user string, at clock.Time, op acl.Permission, object string, payload []byte, kp *pki.KeyPair) (UserRequest, error) {
 	r := UserRequest{User: user, At: at, Op: op, Object: object, Payload: payload}
-	sig := kp.Sign(requestBody(r))
+	sig := kp.Sign(appendRequestBody(nil, &r))
 	r.SigS = sig.S.Text(16)
 	return r, nil
 }
@@ -260,43 +256,55 @@ func (s *Server) Engine() *logic.Engine {
 // Objects exposes the server's object store.
 func (s *Server) Objects() *acl.Store { return s.objects }
 
+// decision is one request's evaluation on either decider: what its
+// denials, aborts and approval are recorded against.
+type decision struct {
+	s   *Server
+	ctx context.Context
+	// r is the request's first component (zero while none is known): the
+	// requestor, operation and object the outcome is recorded against. It
+	// is a copy, not a pointer into the request, so that the proof leaving
+	// through d does not take the request off the caller's stack.
+	r   UserRequest
+	tr  *reqTrace
+	now clock.Time
+	// proof is the derivation every outcome carries: the request's fork
+	// on the replay, the spliced residue on the residual decider, and nil
+	// until the replay has forked.
+	proof *logic.Proof
+}
+
 // deny closes the trace's current span as denied, records the denial in
 // the metrics and the audit log (step-labeled), and returns it.
-func (s *Server) deny(tr *reqTrace, req *AccessRequest, group, reason string, proof *logic.Proof) (Decision, error) {
+func (d *decision) deny(group, reason string) (Decision, error) {
+	tr := d.tr
 	step := tr.step
 	if step == "" {
 		step = StepFreshness
 	}
 	tr.end("denied", reason)
 	tr.finish(false, step)
-	requestor := ""
-	var op acl.Permission
-	object := ""
-	if len(req.Requests) > 0 {
-		requestor = req.Requests[0].User
-		op = req.Requests[0].Op
-		object = req.Requests[0].Object
-	}
 	// The entry keeps the proof, not its text: the log renders it when
 	// read (a nil *logic.Proof must not become a non-nil Stringer).
 	var derivation fmt.Stringer
-	if proof != nil {
-		derivation = proof
+	if d.proof != nil {
+		derivation = d.proof
 	}
-	s.audit(audit.Entry{
-		At: s.clk.Now(), Outcome: audit.Denied, Server: s.name,
-		Requestor: requestor, Operation: string(op), Object: object,
+	d.s.audit(audit.Entry{
+		At: d.s.clk.Now(), Outcome: audit.Denied, Server: d.s.name,
+		Requestor: d.r.User, Operation: string(d.r.Op), Object: d.r.Object,
 		Group: group, Reason: reason,
 		RequestID: tr.id, Spans: tr.spans, Derivation: derivation,
 	})
-	return Decision{Allowed: false, Group: group, Reason: reason, DeniedStep: step, RequestID: tr.id, Proof: proof},
+	return Decision{Allowed: false, Group: group, Reason: reason, DeniedStep: step, RequestID: tr.id, Proof: d.proof},
 		fmt.Errorf("%w: %s", ErrDenied, reason)
 }
 
 // abort closes the trace for a request whose context was canceled: the
 // outcome is neither an approval nor a protocol denial, so it is counted
 // separately and not written to the audit log.
-func (s *Server) abort(tr *reqTrace, err error) (Decision, error) {
+func (d *decision) abort(err error) (Decision, error) {
+	tr := d.tr
 	step := tr.step
 	if step == "" {
 		step = StepFreshness
@@ -307,9 +315,13 @@ func (s *Server) abort(tr *reqTrace, err error) (Decision, error) {
 		fmt.Errorf("authz: request aborted at %s: %w", step, err)
 }
 
-// ctxErr reports whether err stems from context cancellation.
-func ctxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// fail ends the request on err: an abort when the context was canceled,
+// a denial with err's text otherwise.
+func (d *decision) fail(group string, err error) (Decision, error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return d.abort(err)
+	}
+	return d.deny(group, err.Error())
 }
 
 // Authorize runs the full authorization protocol on a joint access request
@@ -320,9 +332,14 @@ func ctxErr(err error) bool {
 // Authorize first attempts the residual checklist for the requesting
 // group (residual.go): the snapshot-invariant proof steps are recorded
 // once per snapshot, so only the request-variable leaf checks run, and
-// the full proof is emitted by splicing. When no residue applies — cold
-// certificate cache, unsupported membership shape, or residuals disabled
-// — it falls back to the full derivation replay below.
+// the full proof is emitted by splicing. When no residue applies — a
+// certificate not yet in the verified-certificate cache, a membership
+// certificate from a foreign issuer, a delegated subject with no absorbed
+// chain, or residuals disabled — it falls back to the 4-step replay.
+// Both deciders run the same code for everything a residue does not
+// partially evaluate: freshness, Step 3's signer checks and signature
+// verification, the statement-25 conclusion, Step 4, the operation and
+// the approval's audit entry.
 //
 // Authorize is lock-free and safe for arbitrary concurrency: it evaluates
 // against the belief snapshot current at entry. The context cancels the
@@ -340,130 +357,164 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 // the snapshots that follow (snapshot.go).
 func (s *Server) authorizeAt(ctx context.Context, st *state, req AccessRequest) (Decision, error) {
 	// The request's working set comes from the scratch pool and is cleared
-	// on return; it also carries the certificate fingerprints from the
-	// residual attempt to the replay, so each is computed once.
+	// on return. A declined residual attempt leaves nothing in it the
+	// replay reads but the certificate fingerprints, which it reuses.
 	sc := s.getScratch()
 	defer s.putScratch(sc)
+	sc.fingerprint(&req)
 	if !s.noResidual.Load() {
 		if dec, err, ok := s.tryResidual(ctx, st, sc, &req); ok {
 			return dec, err
 		}
 		s.hot.residualFallbacks.Inc()
 	}
-	eng := s.fork(st)
-	// The decision escapes only the proof (never pooled); the engine and
-	// its store go back to the fork pool once the evaluation returns.
-	defer eng.Recycle()
-	now := s.clk.Now()
-	tr := s.beginTrace()
+	return s.replay(ctx, st, sc, &req)
+}
 
-	tr.begin(StepFreshness)
+// replay decides req by the protocol's 4-step derivation in a fork of the
+// snapshot's engine: each certificate is verified, or its cached
+// verification re-derived, and each conclusion is derived from the
+// beliefs — the oracle the residual decider is tested against.
+func (s *Server) replay(ctx context.Context, st *state, sc *reqScratch, req *AccessRequest) (Decision, error) {
+	d := decision{s: s, ctx: ctx, tr: s.beginTrace(), now: s.clk.Now()}
+	d.tr.begin(StepFreshness)
 	if err := ctx.Err(); err != nil {
-		return s.abort(tr, err)
+		return d.abort(err)
 	}
 	if len(req.Requests) == 0 {
-		return s.deny(tr, &req, "", "no signed request components", nil)
+		return d.deny("", "no signed request components")
 	}
-	op := req.Requests[0].Op
-	object := req.Requests[0].Object
-
-	// Freshness (axiom A21, Stubblebine–Wright style window check).
-	if w := st.anchors.FreshnessWindow; w > 0 {
-		for _, r := range req.Requests {
-			delta := int64(now) - int64(r.At)
-			if delta < 0 {
-				delta = -delta
-			}
-			if delta > w {
-				return s.deny(tr, &req, "", fmt.Sprintf("request of %s at %s outside freshness window (now %s): %v",
-					r.User, r.At, now, ErrStale), eng.Proof())
-			}
-		}
+	d.r = req.Requests[0]
+	// The decision escapes only the proof (never pooled); the engine and
+	// its store go back to the fork pool once the evaluation returns.
+	eng := s.fork(st)
+	defer eng.Recycle()
+	d.proof = eng.Proof()
+	if reason := freshnessDenial(st.anchors.FreshnessWindow, req.Requests, d.now); reason != "" {
+		return d.deny("", reason)
 	}
 
 	// ---- Step 1: verify the signing keys (messages 1-1, 1-2). ----
-	tr.begin(StepCerts)
-	sc.fingerprint(&req)
-	userKeys, err := s.verifyIdentities(ctx, st, eng, req.Identities, sc.idFPs, now)
-	if err != nil {
-		if ctxErr(err) {
-			return s.abort(tr, err)
-		}
-		return s.deny(tr, &req, "", err.Error(), eng.Proof())
+	d.tr.begin(StepCerts)
+	if err := s.verifyIdentities(ctx, st, eng, sc, req.Identities, d.now); err != nil {
+		return d.fail("", err)
 	}
 
 	// ---- Step 2: establish group membership (message 1-3). ----
-	tr.begin(StepThreshold)
+	d.tr.begin(StepThreshold)
 	if err := ctx.Err(); err != nil {
-		return s.abort(tr, err)
+		return d.abort(err)
 	}
-	memR, err := s.verifyMembership(st, eng, &req, sc.memFP, now)
+	memR, err := s.verifyMembership(st, eng, req, sc.memFP, d.now)
 	if err != nil {
-		return s.deny(tr, &req, memR.group, err.Error(), eng.Proof())
+		return d.deny(memR.group, err.Error())
 	}
 	group := memR.group
 
-	// ---- Step 3: verify the signed request (message 1-4). ----
-	tr.begin(StepCosign)
-	utterances, utterSteps, err := s.verifyCosigners(ctx, eng, &req, op, object, userKeys, memR.boundKey, now)
-	if err != nil {
-		if ctxErr(err) {
-			return s.abort(tr, err)
-		}
-		return s.deny(tr, &req, group, err.Error(), eng.Proof())
+	// ---- Step 3: verify the signed request (message 1-4) and conclude
+	// "G says op" (statement 25). ----
+	d.tr.begin(StepCosign)
+	if err := sc.verifySigners(ctx, req); err != nil {
+		return d.fail(group, err)
 	}
-
-	// A38: conclude G says op (statement 25).
+	utterances, utterSteps, err := deriveUtterances(eng, sc, req, d.now)
+	if err != nil {
+		return d.deny(group, err.Error())
+	}
 	gs, _, err := eng.ConcludeGroupSays(memR.mem, memR.memStep, utterances, utterSteps)
 	if err != nil {
-		return s.deny(tr, &req, group, "threshold not met: "+err.Error(), eng.Proof())
+		return d.deny(group, "threshold not met: "+err.Error())
 	}
 
-	// ---- Step 4: verify the ACL. ----
-	tr.begin(StepACL)
-	if err := ctx.Err(); err != nil {
-		return s.abort(tr, err)
+	// ---- Step 4 against the believed relation closure. ----
+	return d.approve(gs, eng.Store().EffectiveGroups(logic.G(group), d.now), memR.certValidity, d.proof)
+}
+
+// freshnessDenial applies the freshness window w (axiom A21,
+// Stubblebine–Wright style) at now: the denial reason for the first
+// component stamped outside it, or "" when all are fresh or w is 0.
+func freshnessDenial(w int64, reqs []UserRequest, now clock.Time) string {
+	if w <= 0 {
+		return ""
 	}
-	a, err := s.objects.ACLOf(object)
-	if err != nil {
-		return s.deny(tr, &req, group, "object lookup: "+err.Error(), eng.Proof())
-	}
-	// Privilege inheritance: the group itself or any supergroup it speaks
-	// for (accepted group-link certificates) may appear on the ACL.
-	allowed := false
-	for _, eg := range eng.Store().EffectiveGroups(logic.G(group), now) {
-		if a.Allows(eg.Name, op) {
-			allowed = true
-			break
+	for _, r := range reqs {
+		delta := int64(now) - int64(r.At)
+		if delta < 0 {
+			delta = -delta
+		}
+		if delta > w {
+			return fmt.Sprintf("request of %s at %s outside freshness window (now %s): %v",
+				r.User, r.At, now, ErrStale)
 		}
 	}
-	if !allowed {
-		return s.deny(tr, &req, group, fmt.Sprintf("(%s, %s) ∉ ACL_%s (including inherited groups)", group, op, object), eng.Proof())
-	}
-	// Temporal condition: tb' ≤ t1 and t6 ≤ te'.
-	if memR.certValidity.Begin > req.Requests[0].At || now > memR.certValidity.End {
-		return s.deny(tr, &req, group, "certificate validity does not span the request", eng.Proof())
-	}
+	return ""
+}
 
-	// Execute.
-	tr.begin(StepExecute)
-	data, err := s.execute(op, object, req.Requests[0].Payload, group)
+// approve decides what follows statement 25 on either decider, given the
+// relation closure of gs's group that the decider computed: Step 4 — the
+// live ACL (the only place the object enters), on which the group or any
+// group it reaches may appear, and the temporal condition tb' ≤ t1 ∧
+// t6 ≤ te' over the membership's validity — then the operation and the
+// approval's audit entry, whose derivation renders when the entry is read.
+func (d *decision) approve(gs logic.GroupSays, closure []logic.Group, validity clock.Interval, derivation fmt.Stringer) (Decision, error) {
+	s, r := d.s, &d.r
+	group := gs.G.Name // statement 25 speaks for the requesting group
+	d.tr.begin(StepACL)
+	if err := d.ctx.Err(); err != nil {
+		return d.abort(err)
+	}
+	a, err := s.objects.ACLOf(r.Object)
 	if err != nil {
-		return s.deny(tr, &req, group, "execution failed: "+err.Error(), eng.Proof())
+		return d.deny(group, "object lookup: "+err.Error())
+	}
+	if !slices.ContainsFunc(closure, func(g logic.Group) bool { return a.Allows(g.Name, r.Op) }) {
+		return d.deny(group, fmt.Sprintf("(%s, %s) ∉ ACL_%s (including inherited groups)", group, r.Op, r.Object))
+	}
+	if validity.Begin > r.At || d.now > validity.End {
+		return d.deny(group, "certificate validity does not span the request")
 	}
 
-	tr.endOK()
-	tr.finish(true, "")
+	d.tr.begin(StepExecute)
+	data, err := s.execute(r.Op, r.Object, r.Payload, group)
+	if err != nil {
+		return d.deny(group, "execution failed: "+err.Error())
+	}
+
+	d.tr.endOK()
+	d.tr.finish(true, "")
+	reason := gs.String()
 	s.audit(audit.Entry{
-		At: now, Outcome: audit.Approved, Server: s.name,
-		Requestor: req.Requests[0].User, Operation: string(op),
-		Object: object, Group: group,
-		Reason:     gs.String(),
-		RequestID:  tr.id,
-		Spans:      tr.spans,
-		Derivation: eng.Proof(),
+		At: d.now, Outcome: audit.Approved, Server: s.name,
+		Requestor: r.User, Operation: string(r.Op),
+		Object: r.Object, Group: group,
+		Reason:     reason,
+		RequestID:  d.tr.id,
+		Spans:      d.tr.spans,
+		Derivation: derivation,
 	})
-	return Decision{Allowed: true, Group: group, Reason: gs.String(), RequestID: tr.id, Proof: eng.Proof(), Data: data}, nil
+	return Decision{Allowed: true, Group: group, Reason: reason, RequestID: d.tr.id, Proof: d.proof, Data: data}, nil
+}
+
+// execute performs the approved operation on the object store.
+func (s *Server) execute(op acl.Permission, object string, payload []byte, group string) ([]byte, error) {
+	switch op {
+	case acl.Read:
+		return s.objects.Read(object)
+	case acl.Write:
+		return nil, s.objects.Write(object, payload, group)
+	case acl.Modify:
+		var entries []acl.Entry
+		if err := json.Unmarshal(payload, &entries); err != nil {
+			return nil, err
+		}
+		newACL, err := acl.NewACL(entries...)
+		if err != nil {
+			return nil, err
+		}
+		return nil, s.objects.SetACL(object, newACL, group)
+	default:
+		return nil, fmt.Errorf("unsupported operation %q", op)
+	}
 }
 
 // idResult carries one identity certificate through the two verification
@@ -475,28 +526,30 @@ type idResult struct {
 }
 
 // verifyIdentities runs Step 1: the cryptographic checks (RSA-FDH
-// signature per certificate) with cache lookups by fingerprint (fps[i] is
-// ids[i]'s), then the logical derivations into the request's fork. Cache
-// hits skip both the RSA verification and the re-derivation; validity, the
-// issuing CA's key and key revocation are live leaves, re-checked against
-// this snapshot at the current time where the cold path checks them, and
-// deny with its reasons.
-func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Engine, ids []pki.Signed[pki.Identity], fps []string, now clock.Time) (map[string]sharedrsa.PublicKey, error) {
+// signature per certificate) with cache lookups by fingerprint
+// (sc.idFPs[i] is ids[i]'s), then the logical derivations into the
+// request's fork, leaving each certificate's verified key in sc.keys.
+// Cache hits skip both the RSA verification and the re-derivation;
+// validity, the issuing CA's key and key revocation are live leaves,
+// re-checked against this snapshot at the current time where the cold
+// path checks them, and deny with its reasons.
+func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Engine, sc *reqScratch, ids []pki.Signed[pki.Identity], now clock.Time) error {
+	fps := sc.idFPs
 	results := make([]idResult, len(ids))
 	if s.batchVerify.Load() {
 		if err := s.verifyIdentitiesBatched(st, ids, fps, results, now); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		for i := range ids {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			idc, r := &ids[i], &results[i]
 			if e, ok := st.cache.get(fps[i]); ok {
 				s.hot.cacheHitIdentity.Inc()
 				if !e.validity.Contains(now) {
-					return nil, errors.New("identity certificate invalid: " + s.expiredHit(st, fps[i], e, now).Error())
+					return errors.New("identity certificate invalid: " + s.expiredHit(st, fps[i], e, now).Error())
 				}
 				r.cached, r.hit = true, e
 				continue
@@ -504,51 +557,73 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 			s.reg.Counter(MetricCacheMisses, "kind", "identity").Inc()
 			caKey, ok := st.anchors.CAKeys[idc.Cert.Issuer]
 			if !ok {
-				return nil, errors.New("identity certificate from untrusted CA " + idc.Cert.Issuer)
+				return errors.New("identity certificate from untrusted CA " + idc.Cert.Issuer)
 			}
 			if err := pki.VerifyIdentity(*idc, caKey, now); err != nil {
-				return nil, errors.New("identity certificate invalid: " + err.Error())
+				return errors.New("identity certificate invalid: " + err.Error())
 			}
-			upk, err := idc.Cert.SubjectKey.PublicKey()
+			upk, err := subjectKey(idc)
 			if err != nil {
-				return nil, errors.New("identity certificate key malformed: " + err.Error())
+				return err
 			}
 			r.upk = upk
 		}
 	}
 
-	userKeys := make(map[string]sharedrsa.PublicKey, len(ids))
-	for i, idc := range ids {
-		r := &results[i]
+	keys := grow(sc.keys, len(ids))
+	sc.keys = keys
+	for i := range ids {
+		idc, r := &ids[i], &results[i]
 		if r.cached {
 			ks, ok := r.hit.formula.(logic.KeySpeaksFor)
 			if !ok {
-				return nil, errors.New("identity derivation failed: cached formula is not a key binding")
+				return errors.New("identity derivation failed: cached formula is not a key binding")
 			}
-			if reason := identityLeafDenial(eng.Store(), &ids[i], ks, now); reason != "" {
-				return nil, errors.New(reason)
+			if reason := identityLeafDenial(eng.Store(), idc, ks, now); reason != "" {
+				return errors.New(reason)
 			}
 			eng.Replay(ks, r.hit.note)
-			userKeys[idc.Cert.Subject] = r.hit.subjectKey
+			keys[i] = signerKey{upk: r.hit.subjectKey, ks: ks}
 			continue
 		}
 		caBelief, ok := eng.Store().KeyFor(idc.Cert.Issuer, now)
 		if !ok {
-			return nil, errors.New("no key belief for CA " + idc.Cert.Issuer)
+			return errors.New("no key belief for CA " + idc.Cert.Issuer)
 		}
-		f, _, err := eng.VerifyCertificate(pki.IdealizeIdentity(idc), caBelief)
+		f, _, err := eng.VerifyCertificate(pki.IdealizeIdentity(*idc), caBelief)
 		if err != nil {
-			return nil, errors.New("identity derivation failed: " + err.Error())
+			return errors.New("identity derivation failed: " + err.Error())
+		}
+		ks, ok := f.(logic.KeySpeaksFor)
+		if !ok {
+			return errors.New("identity derivation failed: certificate formula is not a key binding")
 		}
 		s.cachePut(st, fps[i], cachedCert{
-			formula:    f,
+			formula:    ks,
 			validity:   clock.NewInterval(idc.Cert.NotBefore, idc.Cert.NotAfter),
 			subjectKey: r.upk,
 			note:       "cached: identity of " + idc.Cert.Subject + " (fp " + fps[i] + ")",
 		})
-		userKeys[idc.Cert.Subject] = r.upk
+		keys[i] = signerKey{upk: r.upk, ks: ks}
 	}
-	return userKeys, nil
+	return nil
+}
+
+// subjectKey parses the subject key of an identity certificate whose
+// signature verified, and checks that the certificate's KeyID is that
+// key's ID: the ID the certificate idealizes to (K ⇒ P), and the one
+// Step 3 compares with the membership certificate's binding on either
+// decider. Both arms of the Step-1 cache miss (sequential and batched)
+// call it, so no cached verification carries a key its ID does not name.
+func subjectKey(idc *pki.Signed[pki.Identity]) (sharedrsa.PublicKey, error) {
+	upk, err := idc.Cert.SubjectKey.PublicKey()
+	if err == nil && upk.KeyID() != idc.Cert.KeyID {
+		err = fmt.Errorf("%w: key ID %s does not name the subject key", pki.ErrMalformed, idc.Cert.KeyID)
+	}
+	if err != nil {
+		return sharedrsa.PublicKey{}, errors.New("identity certificate key malformed: " + err.Error())
+	}
+	return upk, nil
 }
 
 // identityLeafDenial and membershipLeafDenial check, against one
@@ -583,12 +658,57 @@ func membershipLeafDenial(store *logic.BeliefStore, signerKey string, mem logic.
 	return ""
 }
 
+// memCert is what a request's membership certificate states about itself,
+// read before anything is verified: the requesting group, the issuer, the
+// key it claims to be signed with, and its validity interval.
+type memCert struct {
+	group, issuer, signerKey string
+	validity                 clock.Interval
+}
+
+// membershipCertOf reads the request's membership certificate: the
+// threshold certificate (A38 path), the single-subject one (A35 path), or
+// a delegated request's leaf certificate, whose validity Step 2 replaces
+// with the composed chain's.
+func membershipCertOf(req *AccessRequest) memCert {
+	switch {
+	case req.Delegated:
+		c := req.Delegation.Cert
+		return memCert{c.Group, c.Issuer, req.Delegation.SignerKey, clock.NewInterval(c.NotBefore, c.NotAfter)}
+	case req.SingleSubject:
+		c := req.Single.Cert
+		return memCert{c.Group, c.Issuer, req.Single.SignerKey, clock.NewInterval(c.NotBefore, c.NotAfter)}
+	default:
+		c := req.Threshold.Cert
+		return memCert{c.Group, c.Issuer, req.Threshold.SignerKey, clock.NewInterval(c.NotBefore, c.NotAfter)}
+	}
+}
+
+// boundKeyID returns the key ID the request's membership certificate binds
+// to the named subject (the last entry naming it), and whether it names
+// the subject at all.
+func boundKeyID(req *AccessRequest, user string) (keyID string, ok bool) {
+	switch {
+	case req.Delegated:
+		sub := req.Delegation.Cert.Subject
+		return sub.KeyID, sub.Name == user
+	case req.SingleSubject:
+		sub := req.Single.Cert.Subject
+		return sub.KeyID, sub.Name == user
+	}
+	for _, sub := range req.Threshold.Cert.Subjects {
+		if sub.Name == user {
+			keyID, ok = sub.KeyID, true
+		}
+	}
+	return keyID, ok
+}
+
 // membershipResult is the outcome of Step 2.
 type membershipResult struct {
 	group        string
 	mem          logic.MemberOf
 	memStep      int
-	boundKey     map[string]string
 	certValidity clock.Interval
 }
 
@@ -598,34 +718,13 @@ type membershipResult struct {
 // validity, the AA's key and membership revocation are live leaves
 // re-checked against this snapshot.
 func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessRequest, fp string, now clock.Time) (membershipResult, error) {
+	mc := membershipCertOf(req)
+	out := membershipResult{group: mc.group, certValidity: mc.validity}
+	if mc.issuer != st.anchors.AAName {
+		return out, fmt.Errorf("%s certificate from unexpected issuer %s", certKind(req), mc.issuer)
+	}
 	if req.Delegated {
-		return s.verifyDelegatedMembership(st, eng, req, fp, now)
-	}
-	var (
-		out       membershipResult
-		ideal     logic.Signed
-		issuer    string
-		issuedTo  string
-		signerKey = req.Threshold.SignerKey
-	)
-	if req.SingleSubject {
-		signerKey = req.Single.SignerKey
-		c := req.Single.Cert
-		out.group, issuer, issuedTo = c.Group, c.Issuer, c.Subject.Name
-		out.boundKey = map[string]string{c.Subject.Name: c.Subject.KeyID}
-		out.certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
-	} else {
-		c := req.Threshold.Cert
-		out.group, issuer = c.Group, c.Issuer
-		issuedTo = fmt.Sprintf("CP(%d,%d)", c.M, len(c.Subjects))
-		out.boundKey = make(map[string]string, len(c.Subjects))
-		for _, sub := range c.Subjects {
-			out.boundKey[sub.Name] = sub.KeyID
-		}
-		out.certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
-	}
-	if issuer != st.anchors.AAName {
-		return out, fmt.Errorf("%s certificate from unexpected issuer %s", certKind(req), issuer)
+		return s.verifyDelegatedMembership(st, eng, req, fp, now, out)
 	}
 
 	if e, ok := st.cache.get(fp); ok {
@@ -637,7 +736,7 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 		if !e.validity.Contains(now) {
 			return out, fmt.Errorf("%s certificate invalid: %v", certKind(req), s.expiredHit(st, fp, e, now))
 		}
-		if reason := membershipLeafDenial(eng.Store(), signerKey, mem, now); reason != "" {
+		if reason := membershipLeafDenial(eng.Store(), mc.signerKey, mem, now); reason != "" {
 			return out, errors.New(reason)
 		}
 		out.mem = mem
@@ -646,16 +745,21 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 	}
 	s.reg.Counter(MetricCacheMisses, "kind", "attribute").Inc()
 
+	var (
+		ideal    logic.Signed
+		issuedTo string
+	)
 	if req.SingleSubject {
 		if err := pki.VerifyAttribute(req.Single, st.anchors.AAKey, now); err != nil {
 			return out, errors.New("attribute certificate invalid: " + err.Error())
 		}
-		ideal = pki.IdealizeAttribute(req.Single)
+		ideal, issuedTo = pki.IdealizeAttribute(req.Single), req.Single.Cert.Subject.Name
 	} else {
 		if err := pki.VerifyThresholdAttribute(req.Threshold, st.anchors.AAKey, now); err != nil {
 			return out, errors.New("threshold attribute certificate invalid: " + err.Error())
 		}
-		ideal = pki.IdealizeThresholdAttribute(req.Threshold)
+		c := req.Threshold.Cert
+		ideal, issuedTo = pki.IdealizeThresholdAttribute(req.Threshold), fmt.Sprintf("CP(%d,%d)", c.M, len(c.Subjects))
 	}
 	aaBelief, ok := eng.Store().KeyFor(st.anchors.AAName, now)
 	if !ok {
@@ -678,22 +782,16 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 	return out, nil
 }
 
-// verifyDelegatedMembership runs Step 2 for a delegation-backed request:
-// the leaf certificate (signature cached by fingerprint fp; its validity
-// re-checked on a hit) identifies the subject, and the membership is
-// derived from the believed root-anchored composed chain of this
-// snapshot, never from the cache — the op must be inside the attenuated
-// permission set, the composed validity interval must cover now, and
-// every chain link (subject and each delegator on the path) must be
-// unrevoked.
-func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *AccessRequest, fp string, now clock.Time) (membershipResult, error) {
-	var out membershipResult
+// verifyDelegatedMembership runs Step 2 for a delegation-backed request
+// (out holds what verifyMembership read off the leaf): the leaf
+// certificate (signature cached by fingerprint fp; its validity re-checked
+// on a hit) identifies the subject, and the membership is derived from the
+// believed root-anchored composed chain of this snapshot, never from the
+// cache — the op must be inside the attenuated permission set, the
+// composed validity interval must cover now, and every chain link
+// (subject and each delegator on the path) must be unrevoked.
+func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *AccessRequest, fp string, now clock.Time, out membershipResult) (membershipResult, error) {
 	c := req.Delegation.Cert
-	out.group = c.Group
-	out.boundKey = map[string]string{c.Subject.Name: c.Subject.KeyID}
-	if c.Issuer != st.anchors.AAName {
-		return out, fmt.Errorf("delegation certificate from unexpected issuer %s", c.Issuer)
-	}
 	if e, ok := st.cache.get(fp); ok {
 		s.hot.cacheHitDelegation.Inc()
 		if !e.validity.Contains(now) {
@@ -706,7 +804,7 @@ func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *Ac
 		}
 		s.cachePut(st, fp, cachedCert{
 			formula:  pki.DelegationLinkFormula(req.Delegation),
-			validity: clock.NewInterval(c.NotBefore, c.NotAfter),
+			validity: out.certValidity,
 			note:     "cached: delegation leaf for " + c.Subject.Name + " in " + c.Group + " (fp " + fp + ")",
 		})
 	}
@@ -750,85 +848,99 @@ func certKind(req *AccessRequest) string {
 	return "threshold attribute"
 }
 
-// cosignItem is one co-signer's request component prepared for the
-// signature check.
-type cosignItem struct {
-	user string
-	body []byte
-	sig  sharedrsa.Signature
-	upk  sharedrsa.PublicKey
+// signerKey is one identity certificate's Step-1 outcome on either
+// decider: the subject's verified key and the key binding the certificate
+// idealizes to, whose K is that key's ID (subjectKey).
+type signerKey struct {
+	upk sharedrsa.PublicKey
+	ks  logic.KeySpeaksFor
 }
 
-// verifyCosigners runs Step 3: the per-signer structural checks
-// (agreement on the request, certificate binding), the RSA signature
-// verifications (the first failing signer denies), and the logical
-// derivations into the request's fork.
-func (s *Server) verifyCosigners(ctx context.Context, eng *logic.Engine, req *AccessRequest, op acl.Permission, object string, userKeys map[string]sharedrsa.PublicKey, boundKey map[string]string, now clock.Time) ([]logic.Says, []int, error) {
-	items := make([]cosignItem, len(req.Requests))
-	for i, r := range req.Requests {
+// verifySigners runs Step 3's checks on either decider, on the request's
+// pooled scratch, with sc.keys filled by Step 1: every component names the
+// request's operation and object, each signer has a verified identity
+// whose key ID is the one the membership certificate binds to it, and each
+// signature parses; then each signature is verified over its component's
+// canonical body, in request order, in the caller's goroutine. The first
+// failing signer is the denial, and a context canceled between two checks
+// surfaces as ctx.Err (an abort, not a denial).
+func (sc *reqScratch) verifySigners(ctx context.Context, req *AccessRequest) error {
+	op, object := req.Requests[0].Op, req.Requests[0].Object
+	sigs := grow(sc.sigs, len(req.Requests))
+	sc.sigs = sigs
+	// All bodies append into one pooled buffer, cut into slices once it
+	// stops growing. The signature values parse into pooled big.Ints
+	// (ParseHex reuses their limbs).
+	sc.bodyBuf, sc.bodyOff = sc.bodyBuf[:0], sc.bodyOff[:0]
+	for i := range req.Requests {
+		r := &req.Requests[i]
 		if r.Op != op || r.Object != object {
-			return nil, nil, errors.New("co-signers disagree on the request")
+			return errors.New("co-signers disagree on the request")
 		}
-		upk, ok := userKeys[r.User]
+		key, ok := sc.signer(req, r.User)
 		if !ok {
-			return nil, nil, fmt.Errorf("%s: %v", r.User, ErrMissingIdentity)
+			return fmt.Errorf("%s: %v", r.User, ErrMissingIdentity)
 		}
-		want, ok := boundKey[r.User]
+		want, ok := boundKeyID(req, r.User)
 		if !ok {
-			return nil, nil, errors.New(r.User + " is not a subject of the threshold certificate")
+			return errors.New(r.User + " is not a subject of the threshold certificate")
 		}
-		if upk.KeyID() != want {
-			return nil, nil, errors.New(r.User + "'s identity key differs from the certificate binding")
+		if string(key.ks.K) != want {
+			return errors.New(r.User + "'s identity key differs from the certificate binding")
 		}
-		sigVal, ok := sharedrsa.ParseHex(new(big.Int), r.SigS)
-		if !ok {
-			return nil, nil, errors.New(r.User + ": malformed signature")
+		start := len(sc.bodyBuf)
+		sc.bodyBuf = appendRequestBody(sc.bodyBuf, r)
+		sc.bodyOff = append(sc.bodyOff, start, len(sc.bodyBuf))
+		if _, ok := sharedrsa.ParseHex(&sigs[i], r.SigS); !ok {
+			return errors.New(r.User + ": malformed signature")
 		}
-		items[i] = cosignItem{user: r.User, body: requestBody(r), sig: sharedrsa.Signature{S: sigVal}, upk: upk}
 	}
-
-	if err := verifyCosignatures(ctx, items); err != nil {
-		return nil, nil, err
+	for i := range req.Requests {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r := &req.Requests[i]
+		key, _ := sc.signer(req, r.User)
+		body := sc.bodyBuf[sc.bodyOff[2*i]:sc.bodyOff[2*i+1]]
+		if err := sharedrsa.Verify(body, key.upk, sharedrsa.Signature{S: &sigs[i]}); err != nil {
+			return errors.New(r.User + ": request signature invalid")
+		}
 	}
+	return nil
+}
 
-	var utterances []logic.Says
-	var utterSteps []int
-	for i, r := range req.Requests {
-		// Idealize: ⟦User says_t ("op", object, payload-digest)⟧_Ku⁻¹.
-		content := idealContent(op, object, r.Payload)
-		ideal := logic.Sign(logic.AsMessage(logic.Says{
-			Who: logic.P(r.User),
-			T:   logic.At(r.At),
-			X:   content,
-		}), logic.KeyID(items[i].upk.KeyID()))
+// deriveUtterances runs the replay's Step-3 derivations: each component,
+// idealized as its signer's utterance signed with the key Step 1 verified,
+// through VerifySignedRequest against the signer's derived key belief
+// (statements 23–24).
+func deriveUtterances(eng *logic.Engine, sc *reqScratch, req *AccessRequest, now clock.Time) ([]logic.Says, []int, error) {
+	utterances := make([]logic.Says, len(req.Requests))
+	utterSteps := make([]int, len(req.Requests))
+	for i := range req.Requests {
+		r := &req.Requests[i]
+		key, _ := sc.signer(req, r.User)
 		keyBelief, ok := eng.Store().KeyFor(r.User, now)
 		if !ok {
 			return nil, nil, errors.New("no derived key belief for " + r.User)
 		}
-		says, step, err := eng.VerifySignedRequest(ideal, keyBelief)
+		says, step, err := eng.VerifySignedRequest(signedUtterance(r, key.ks.K), keyBelief)
 		if err != nil {
 			return nil, nil, errors.New("request derivation failed: " + err.Error())
 		}
-		utterances = append(utterances, says)
-		utterSteps = append(utterSteps, step)
+		utterances[i], utterSteps[i] = says, step
 	}
 	return utterances, utterSteps, nil
 }
 
-// verifyCosignatures checks each co-signer's RSA-FDH signature in request
-// order, in the caller's goroutine: the first failing signer is the
-// denial, and a context canceled between two checks surfaces as ctx.Err
-// (an abort, not a denial).
-func verifyCosignatures(ctx context.Context, items []cosignItem) error {
-	for i := range items {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := sharedrsa.Verify(items[i].body, items[i].upk, items[i].sig); err != nil {
-			return errors.New(items[i].user + ": request signature invalid")
-		}
-	}
-	return nil
+// signedUtterance idealizes a request component as its signer's signed
+// utterance ⟦User says_t ("op", object, payload-digest)⟧_K⁻¹, K being the
+// key ID Step 1 verified for the signer.
+func signedUtterance(r *UserRequest, k logic.KeyID) logic.Signed {
+	return logic.Sign(logic.AsMessage(logic.Says{
+		Who: logic.P(r.User),
+		T:   logic.At(r.At),
+		X:   idealContent(r.Op, r.Object, r.Payload),
+	}), k)
 }
 
 // idealContent renders the request content as the logic message of the

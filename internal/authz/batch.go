@@ -6,9 +6,9 @@
 // by issuing CA those k verifications share one public key, which is
 // exactly the shape the k-way screening check in internal/sharedrsa
 // exploits — see the package comment there for the soundness argument and
-// for what the blinded strict mode adds. Measured on the load harness,
-// batching cuts the cold Step-1 cost roughly in half at k = 2 and more as
-// k grows.
+// for what the blinded strict mode adds. Nothing in this module turns it
+// on: SetBatchVerify survives because the frozen benchmark module calls
+// it, and goes with that call.
 
 package authz
 
@@ -97,9 +97,9 @@ func (s *Server) verifyIdentitiesBatched(st *state, ids []pki.Signed[pki.Identit
 				fail(i, errors.New("identity certificate invalid: "+errs[j].Error()))
 				continue
 			}
-			upk, err := ids[i].Cert.SubjectKey.PublicKey()
+			upk, err := subjectKey(&ids[i])
 			if err != nil {
-				fail(i, errors.New("identity certificate key malformed: "+err.Error()))
+				fail(i, err)
 				continue
 			}
 			results[i].upk = upk

@@ -1,12 +1,13 @@
 // Allocation-free JSON encoding for the two hot serializations of the
 // authorize path: the canonical signed request body (hashed and signed
 // on every co-signature, re-encoded on every verification) and the
-// decision wire form consumers poll at load-harness rates. Both append
-// into caller-owned buffers and produce output byte-identical to
-// encoding/json over the equivalent struct (including its HTML escaping
-// and base64 []byte convention) — pinned by equivalence tests — because
-// the request body is under RSA signatures: a single divergent byte
-// invalidates every signature ever produced. The decode side is
+// decision wire form the benchmark's in-process workloads encode every
+// decision into (benchmark/inproc.go). Both append into caller-owned
+// buffers and produce output byte-identical to encoding/json over the
+// equivalent struct (including its HTML escaping and base64 []byte
+// convention) — pinned by equivalence tests — because the request body
+// is under RSA signatures: a single divergent byte invalidates every
+// signature ever produced. The decode side is
 // decode.go; the certificate cache keys are not JSON at all (a hash of
 // each certificate's binary fields, pki.Fingerprint).
 
@@ -102,9 +103,9 @@ func appendBase64(dst, b []byte) []byte {
 }
 
 // appendRequestBody appends the canonical signed payload of a
-// UserRequest: the exact bytes requestBody has always produced (the
-// json.Marshal of the user/at/op/object/payload struct), so existing
-// signatures keep verifying. With a caller-owned dst it allocates only
+// UserRequest: the json.Marshal of its user/at/op/object/payload
+// fields, the bytes every request signature has always covered, so
+// existing signatures keep verifying. With a caller-owned dst it allocates only
 // when the buffer must grow.
 func appendRequestBody(dst []byte, r *UserRequest) []byte {
 	dst = append(dst, `{"user":`...)
@@ -128,9 +129,8 @@ func appendRequestBody(dst []byte, r *UserRequest) []byte {
 // reason, deniedStep, requestId and data (all but allowed omitempty;
 // data base64 per the []byte convention). The proof is deliberately
 // not serialized — derivation traces go to the audit log. With a
-// pre-sized dst the call performs zero allocations, which is what lets
-// the load harness drain decisions at six-figure RPS without feeding
-// the garbage collector.
+// pre-sized dst the call performs zero allocations, so a caller that
+// encodes every decision adds nothing to the decision path's garbage.
 func AppendDecisionJSON(dst []byte, d *Decision) []byte {
 	dst = append(dst, `{"allowed":`...)
 	if d.Allowed {

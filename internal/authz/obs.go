@@ -78,8 +78,9 @@ const (
 	// use (one per requesting group per snapshot).
 	MetricResidualCompiles = "authz_residual_compiles_total"
 	// MetricResidualFallbacks counts requests that fell back to the full
-	// derivation replay (cold certificate cache or an unsupported
-	// membership shape).
+	// derivation replay: a certificate not yet in the verified-certificate
+	// cache, a membership certificate from a foreign issuer, or a
+	// delegated subject with no chain absorbed into the group's residue.
 	MetricResidualFallbacks = "authz_residual_fallbacks_total"
 	// MetricBatchVerifyBatches counts k-way batched certificate checks
 	// run in Step 1 (one per issuing CA with ≥ 1 cache-miss certificate

@@ -1,15 +1,15 @@
 // Per-request scratch pooling for the authorize hot paths.
 //
 // Two pools feed Authorize. Engine forks come from logic's fork pool
-// (ForkPooled/Recycle): the full replay path forks the snapshot engine
-// on every request, and under load those forks — engine struct, belief
-// store, overlay index — are the logic layer's entire garbage output.
-// The residual fast path never forks; its per-request garbage is the
-// scratch below: the lookup maps and slices the leaf checks fill, the
-// canonical request-body encodings the co-signature verification hashes,
-// and the big.Int signature values. Both pools are gated by SetPooling
-// so the load harness can measure the baseline against the pooled
-// configuration on one binary.
+// (ForkPooled/Recycle): the replay forks the snapshot engine on every
+// request, and under load those forks — engine struct, belief store,
+// overlay index — are the logic layer's entire garbage output. The
+// residual decider never forks. Both deciders share the scratch below:
+// Step 1's verified keys, the canonical request-body encodings Step 3's
+// signature checks hash, the big.Int signature values, and the residual
+// decider's leaf-check slices. Both pools are gated by SetPooling, which
+// survives only because the frozen benchmark module calls it; nothing in
+// this module turns pooling off outside the pooled-vs-unpooled tests.
 //
 // Soundness: nothing in a reqScratch may outlive the request. Decisions
 // escape only the proof (GC-managed, never pooled), the request ID
@@ -24,10 +24,9 @@ import (
 
 	"jointadmin/internal/logic"
 	"jointadmin/internal/pki"
-	"jointadmin/internal/sharedrsa"
 )
 
-// SetPooling toggles per-request pooling of engine forks and residual
+// SetPooling toggles per-request pooling of engine forks and request
 // scratch (default on). The value is stored atomically and may be
 // flipped while serving; each request reads it once. Decisions are
 // bit-identical either way — pooling trades GC pressure for pool
@@ -44,21 +43,18 @@ func (s *Server) fork(st *state) *logic.Engine {
 	return st.eng.ForkPooled()
 }
 
-// reqScratch is the reusable per-request working set of Authorize: the
-// residual fast path's lookup state and the certificate fingerprints both
-// paths use. Fields are truncated, never shrunk, so a warm scratch
-// serves a request of the same shape without allocating.
+// reqScratch is the reusable per-request working set of Authorize.
+// Fields are truncated, never shrunk, so a warm scratch serves a request
+// of the same shape without allocating.
 type reqScratch struct {
-	boundKey map[string]string
-	userKeys map[string]sharedrsa.PublicKey
-	userKS   map[string]logic.KeySpeaksFor
+	// keys[i] is Step 1's outcome for req.Identities[i], on either
+	// decider (signer looks it up by subject).
+	keys []signerKey
 
-	idHits     []cachedCert
-	items      []cosignItem
-	sigs       []big.Int
-	utter      []logic.Says
-	utterSteps []int
-	premises   []int
+	idHits   []cachedCert // the residual decider's cached identities
+	sigs     []big.Int
+	utter    []logic.Says
+	premises []int
 
 	bodyBuf []byte // backing for every co-signer's canonical request body
 	bodyOff []int  // start/end offset pairs into bodyBuf
@@ -69,14 +65,11 @@ type reqScratch struct {
 	idFPs []string
 }
 
-// fingerprint computes the request's certificate fingerprints once: the
-// residual attempt fills them and, on a miss, the full replay reuses them
-// (a fingerprint is a sha256 over the certificate's length-prefixed
-// binary fields, kind tag, signer key and signature; one allocation).
+// fingerprint computes the request's certificate fingerprints once, for
+// the residual attempt and, on a miss, the replay (a fingerprint is a
+// sha256 over the certificate's length-prefixed binary fields, kind tag,
+// signer key and signature; one allocation).
 func (sc *reqScratch) fingerprint(req *AccessRequest) {
-	if sc.memFP != "" {
-		return
-	}
 	switch {
 	case req.Delegated:
 		sc.memFP = pki.Fingerprint(req.Delegation)
@@ -91,18 +84,23 @@ func (sc *reqScratch) fingerprint(req *AccessRequest) {
 	}
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &reqScratch{
-		boundKey: make(map[string]string, 4),
-		userKeys: make(map[string]sharedrsa.PublicKey, 4),
-		userKS:   make(map[string]logic.KeySpeaksFor, 4),
+// signer returns Step 1's verified key for the last identity certificate
+// in req naming user, and whether there is one.
+func (sc *reqScratch) signer(req *AccessRequest, user string) (signerKey, bool) {
+	for i := len(req.Identities) - 1; i >= 0; i-- {
+		if req.Identities[i].Cert.Subject == user {
+			return sc.keys[i], true
+		}
 	}
-}}
+	return signerKey{}, false
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
 
 // getScratch draws a scratch; with pooling disabled it is a throwaway.
 func (s *Server) getScratch() *reqScratch {
 	if s.noPool.Load() {
-		return scratchPool.New().(*reqScratch)
+		return new(reqScratch)
 	}
 	return scratchPool.Get().(*reqScratch)
 }
@@ -114,32 +112,21 @@ func (s *Server) putScratch(sc *reqScratch) {
 	if s.noPool.Load() {
 		return
 	}
-	clear(sc.boundKey)
-	clear(sc.userKeys)
-	clear(sc.userKS)
-	hits := sc.idHits[:cap(sc.idHits)]
-	for i := range hits {
-		hits[i] = cachedCert{}
-	}
-	sc.idHits = sc.idHits[:0]
-	items := sc.items[:cap(sc.items)]
-	for i := range items {
-		items[i] = cosignItem{}
-	}
-	sc.items = sc.items[:0]
-	ut := sc.utter[:cap(sc.utter)]
-	for i := range ut {
-		ut[i] = logic.Says{}
-	}
-	sc.utter = sc.utter[:0]
-	sc.utterSteps = sc.utterSteps[:0]
+	clearAll(&sc.keys)
+	clearAll(&sc.idHits)
+	clearAll(&sc.utter)
+	clearAll(&sc.idFPs)
 	sc.premises = sc.premises[:0]
 	sc.bodyBuf = sc.bodyBuf[:0]
 	sc.bodyOff = sc.bodyOff[:0]
 	sc.memFP = ""
-	clear(sc.idFPs[:cap(sc.idFPs)])
-	sc.idFPs = sc.idFPs[:0]
 	scratchPool.Put(sc)
+}
+
+// clearAll zeroes *sl through its full capacity and truncates it.
+func clearAll[T any](sl *[]T) {
+	clear((*sl)[:cap(*sl)])
+	*sl = (*sl)[:0]
 }
 
 // grow returns sl resized to n, reusing capacity when possible.

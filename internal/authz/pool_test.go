@@ -109,7 +109,7 @@ func TestPooledNoLeakAcrossRequests(t *testing.T) {
 		if dec.Group != "G_write" || !strings.Contains(dec.Reason, "threshold not met") {
 			t.Fatalf("round %d denial carries stale state: %+v", round, dec)
 		}
-		// A different signer pair next — stale userKeys/boundKey entries
+		// A different signer pair next — stale signer keys
 		// from earlier requests must not satisfy (or poison) this one.
 		if dec, err := s.Authorize(ctx, f.writeRequest(t, []byte("b"), "User_D2", "User_D3")); err != nil || !dec.Allowed {
 			t.Fatalf("round %d write D2+D3: dec=%+v err=%v", round, dec, err)
@@ -193,13 +193,13 @@ func TestResidualAllocsReduced(t *testing.T) {
 	if pooled >= plain {
 		t.Errorf("pooling does not reduce allocations: pooled=%.0f unpooled=%.0f", pooled, plain)
 	}
-	// Absolute ceiling with headroom over the measured figure (98 for this
+	// Absolute ceiling with headroom over the measured figure (76 for this
 	// 2-signer write); the warm residual path must stay lean even as leaf
 	// checks evolve. A per-request goroutine fan-out, closure or derived
 	// context (12 allocations when there was one) does not fit under it,
 	// nor does a reflective certificate fingerprint (27 allocations for
 	// the three certificates when json.Marshal built it).
-	const budget = 110
+	const budget = 84
 	if pooled > budget {
 		t.Errorf("pooled residual path allocates %.0f/op, budget %d", pooled, budget)
 	}

@@ -33,42 +33,25 @@ package authz
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 
-	"jointadmin/internal/acl"
-	"jointadmin/internal/audit"
 	"jointadmin/internal/clock"
 	"jointadmin/internal/delegation"
 	"jointadmin/internal/logic"
-	"jointadmin/internal/sharedrsa"
 )
 
 // residualEdge is one believed relation edge recorded into a residue —
 // a plain group link (budget-preserving) or a bounded group-graph edge;
 // the validity term is re-checked at request time.
 type residualEdge struct {
-	from, to string
+	sub, sup logic.Group
 	t        logic.TimeSpec
 	// bounded marks a group-graph edge: crossing it costs one unit of
 	// traversal budget and clamps the remainder to depth.
 	bounded bool
 	depth   int
-}
-
-// cross returns the traversal budget left after crossing e with budget
-// in hand — group links preserve it, graph edges cost one unit and clamp
-// to their depth bound — and whether the edge can be crossed at all.
-func (e residualEdge) cross(budget int) (int, bool) {
-	if !e.bounded {
-		return budget, true
-	}
-	if budget < 1 {
-		return 0, false
-	}
-	return min(budget-1, e.depth), true
 }
 
 // residue is the compiled checklist for one requesting group.
@@ -94,39 +77,23 @@ type residue struct {
 	segTrace  string
 }
 
-// reachable returns group plus every group reachable from it through
-// recorded edges whose validity covers now — the residual counterpart of
-// BeliefStore.EffectiveGroups, running the same budget-relaxation walk:
-// a node is re-relaxed only on a strict budget improvement (cycle-safe).
-func (r *residue) reachable(group string, now clock.Time) []string {
-	out := []string{group}
+// reachable returns group plus every group the relation walk reaches from
+// it over the recorded edges whose validity covers now — what
+// BeliefStore.EffectiveGroups returns at now, in the same order, because
+// the edges were recorded in the order that walk tries them.
+func (r *residue) reachable(group string, now clock.Time) []logic.Group {
 	if len(r.edges) == 0 {
-		return out
+		return []logic.Group{logic.G(group)}
 	}
-	best := map[string]int{group: delegation.Unbounded}
-	queue := []string{group}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	w := logic.NewRelationWalk(logic.G(group))
+	for cur, ok := w.Next(); ok; cur, ok = w.Next() {
 		for _, e := range r.edges {
-			if e.from != cur || !e.t.Covers(now) {
-				continue
-			}
-			nb, ok := e.cross(best[cur])
-			if !ok {
-				continue
-			}
-			prev, seen := best[e.to]
-			if !seen {
-				out = append(out, e.to)
-			}
-			if !seen || nb > prev {
-				best[e.to] = nb
-				queue = append(queue, e.to)
+			if e.sub == cur && e.t.Covers(now) {
+				w.Cross(e.sup, e.bounded, e.depth)
 			}
 		}
 	}
-	return out
+	return w.Reached()
 }
 
 // relEdge is a believed relation edge with the base-proof step that
@@ -144,27 +111,27 @@ type relEdge struct {
 type relIndex struct {
 	base   *logic.Proof
 	edges  []relEdge
-	adj    map[string][]int // group → indices of the edges leaving it
+	adj    map[logic.Group][]int // group → indices of the edges leaving it
 	delegs map[string][]logic.Entry
 }
 
 func buildRelIndex(eng *logic.Engine) *relIndex {
 	ix := &relIndex{
 		base:   eng.Proof(),
-		adj:    make(map[string][]int),
+		adj:    make(map[logic.Group][]int),
 		delegs: make(map[string][]logic.Entry),
 	}
 	add := func(e residualEdge, entry logic.Entry) {
-		ix.adj[e.from] = append(ix.adj[e.from], len(ix.edges))
+		ix.adj[e.sub] = append(ix.adj[e.sub], len(ix.edges))
 		ix.edges = append(ix.edges, relEdge{e, entry})
 	}
 	for _, e := range eng.Store().GroupLinks() {
 		l := e.F.(logic.GroupSpeaksFor)
-		add(residualEdge{from: l.Sub.Name, to: l.Sup.Name, t: l.T}, e)
+		add(residualEdge{sub: l.Sub, sup: l.Sup, t: l.T}, e)
 	}
 	for _, e := range eng.Store().GraphEdges() {
 		l := e.F.(logic.GroupGraphEdge)
-		add(residualEdge{from: l.Sub.Name, to: l.Sup.Name, t: l.T, bounded: true, depth: l.Depth}, e)
+		add(residualEdge{sub: l.Sub, sup: l.Sup, t: l.T, bounded: true, depth: l.Depth}, e)
 	}
 	for _, e := range eng.Store().Delegations() {
 		g := e.F.(logic.Delegates).G.Name
@@ -173,31 +140,20 @@ func buildRelIndex(eng *logic.Engine) *relIndex {
 	return ix
 }
 
-// reach returns every edge crossable from g under the budget walk
-// (validity windows are checked per request). An edge is recorded when
-// it leaves a reachable node with budget to spare, so a residue never
-// bakes in a hop the live walk could not take.
+// reach returns every edge the relation walk crosses from g, in the order
+// it first crosses them, with validity windows left to each request. An
+// edge is recorded when it leaves a reachable group with budget to spare,
+// so a residue never bakes in a hop the request-time walk could not take.
 func (ix *relIndex) reach(g string) []relEdge {
-	best := map[string]int{g: delegation.Unbounded}
-	frontier := []string{g}
+	w := logic.NewRelationWalk(logic.G(g))
 	used := make(map[int]bool)
 	var out []relEdge
-	for len(frontier) > 0 {
-		n := frontier[0]
-		frontier = frontier[1:]
-		for _, ei := range ix.adj[n] {
+	for cur, ok := w.Next(); ok; cur, ok = w.Next() {
+		for _, ei := range ix.adj[cur] {
 			e := ix.edges[ei]
-			nb, ok := e.cross(best[n])
-			if !ok {
-				continue
-			}
-			if !used[ei] {
+			if w.Cross(e.sup, e.bounded, e.depth) && !used[ei] {
 				used[ei] = true
 				out = append(out, e)
-			}
-			if prev, seen := best[e.to]; !seen || nb > prev {
-				best[e.to] = nb
-				frontier = append(frontier, e.to)
 			}
 		}
 	}
@@ -214,7 +170,7 @@ func (ix *relIndex) compile(g string, now clock.Time) *residue {
 	var premises []int
 	for _, e := range ix.reach(g) {
 		premises = append(premises, p.Append(logic.RuleResidualLink, []int{e.entry.Step}, e.entry.F, now,
-			"recorded for residue "+g+": "+e.from+" ⇒ "+e.to))
+			"recorded for residue "+g+": "+e.sub.Name+" ⇒ "+e.sup.Name))
 		res.edges = append(res.edges, e.residualEdge)
 	}
 	// Absorb the composed delegation chains targeting g: the chain-
@@ -307,122 +263,62 @@ func (s *Server) RecompileResiduals() {
 	clear(rm.m)
 }
 
-// SetResidualsEnabled toggles the residual fast path in Authorize
-// (enabled by default). Disabling forces every request down the full
-// derivation replay, the reference path; memoized residues are kept, so
-// re-enabling needs no recompilation. Benchmarks use this to compare
-// both paths on one harness run.
+// SetResidualsEnabled toggles the residual decider in Authorize (enabled
+// by default). Disabling forces every request down the 4-step replay;
+// memoized residues are kept, so re-enabling needs no recompilation. The
+// differential tests use it to decide one request both ways, and the
+// frozen benchmark module to time the replay.
 func (s *Server) SetResidualsEnabled(on bool) { s.noResidual.Store(!on) }
 
-// tryResidual attempts the residual fast path: find the cached
-// certificate verifications, look up (or compile) the residue for the
-// requesting group, discharge the leaf checks, and emit the full proof by
-// splicing the recorded segment with fresh leaf steps. ok=false means the
-// request could not be decided residually — cold cache or an unsupported
-// membership shape — and nothing was traced or counted: the caller falls
-// back to the full replay, which re-runs everything but the fingerprints
-// left in sc. Cached verifications may predate this snapshot (the cache
-// belongs to the key epoch); everything a mutation can change is a leaf
-// checked below against st, and the residue is st's own.
+// tryResidual attempts the residual decider: find the cached certificate
+// verifications, look up (or compile) the residue for the requesting
+// group, and splice its recorded segment onto the base proof. ok=false
+// means the request cannot be decided residually — a certificate not yet
+// in the cache, a membership certificate from a foreign issuer, or a
+// delegated subject with no chain absorbed into the residue — and nothing
+// was traced or counted, nor left in sc for the replay to read but the
+// fingerprints: the caller falls back to the replay. Cached verifications
+// may predate this snapshot (the cache belongs to the key epoch);
+// everything a mutation can change is a leaf decideResidual checks
+// against st, and the residue is st's own.
 func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req *AccessRequest) (Decision, error, bool) {
 	if len(req.Requests) == 0 {
 		return Decision{}, nil, false
 	}
 	now := s.clk.Now()
-	op := req.Requests[0].Op
-	object := req.Requests[0].Object
-
-	// The request's working set — lookup maps, leaf-check slices, body
-	// encodings — lives in the caller's pooled scratch; only the proof (and
-	// the strings on the Decision) escape.
-	sc.fingerprint(req)
-	memFP := sc.memFP
-
-	// The attribute certificate names the requesting group and binds the
-	// co-signers' keys; its verification must be cached.
-	var (
-		group        string
-		issuer       string
-		signerKey    string
-		certValidity clock.Interval
-	)
-	boundKey := sc.boundKey
-	if req.Delegated {
-		c := req.Delegation.Cert
-		group, issuer = c.Group, c.Issuer
-		boundKey[c.Subject.Name] = c.Subject.KeyID
-		certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
-	} else if req.SingleSubject {
-		c := req.Single.Cert
-		group, issuer, signerKey = c.Group, c.Issuer, req.Single.SignerKey
-		boundKey[c.Subject.Name] = c.Subject.KeyID
-		certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
-	} else {
-		c := req.Threshold.Cert
-		group, issuer, signerKey = c.Group, c.Issuer, req.Threshold.SignerKey
-		for _, sub := range c.Subjects {
-			boundKey[sub.Name] = sub.KeyID
-		}
-		certValidity = clock.NewInterval(c.NotBefore, c.NotAfter)
+	// The membership certificate names the requesting group; its
+	// verification must be cached. The fingerprint covers the certificate
+	// body, so a hit means a verified certificate names exactly this group.
+	mc := membershipCertOf(req)
+	if mc.issuer != st.anchors.AAName {
+		return Decision{}, nil, false // the replay renders the exact denial
 	}
-	if issuer != st.anchors.AAName {
-		return Decision{}, nil, false // full path renders the exact denial
-	}
-	// The fingerprint covers the certificate body, so a hit means a
-	// verified certificate names exactly this group.
-	memHit, ok := st.cache.get(memFP)
+	memHit, ok := st.cache.get(sc.memFP)
 	if !ok {
 		return Decision{}, nil, false
 	}
-	res := s.residueFor(st, group)
+	res := s.residueFor(st, mc.group)
 	if res == nil {
 		return Decision{}, nil, false
 	}
-	var (
-		mem    logic.MemberOf
-		dcands []logic.Delegates
-	)
 	if req.Delegated {
-		// The cached leaf must be a delegation link and the residue must
-		// have absorbed a composed chain for the subject.
-		if _, ok := memHit.formula.(logic.Delegates); !ok {
-			return Decision{}, nil, false
-		}
-		dcands = res.delegs[req.Delegation.Cert.Subject.Name]
-		if len(dcands) == 0 {
-			return Decision{}, nil, false
-		}
+		_, ok = memHit.formula.(logic.Delegates)
+		ok = ok && len(res.delegs[req.Delegation.Cert.Subject.Name]) > 0
 	} else {
-		mem, ok = memHit.formula.(logic.MemberOf)
-		if !ok {
-			return Decision{}, nil, false
-		}
-		// Membership shapes with a residual conclusion: threshold compound
-		// principal (A38) and single principal (A34/A35). Anything else goes
-		// through ConcludeGroupSays's full dispatch.
-		switch who := mem.Who.(type) {
-		case logic.Principal:
-		case logic.CompoundPrincipal:
-			if !who.IsThreshold() {
-				return Decision{}, nil, false
-			}
-		default:
-			return Decision{}, nil, false
-		}
+		_, ok = memHit.formula.(logic.MemberOf)
+	}
+	if !ok {
+		return Decision{}, nil, false
 	}
 	idHits := grow(sc.idHits, len(req.Identities))
 	sc.idHits = idHits
 	for i := range req.Identities {
 		e, ok := st.cache.get(sc.idFPs[i])
-		if !ok {
-			return Decision{}, nil, false
-		}
-		if _, ok := e.formula.(logic.KeySpeaksFor); !ok {
+		if _, isKey := e.formula.(logic.KeySpeaksFor); !ok || !isKey {
 			return Decision{}, nil, false
 		}
 		idHits[i] = e
 	}
-
 	// Splice the recorded segment before committing, so a (never
 	// expected) mismatch still falls back cleanly instead of tracing.
 	pr := st.eng.Proof().Clone()
@@ -430,37 +326,29 @@ func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req
 		return Decision{}, nil, false
 	}
 
-	// Committed to the fast path: from here every outcome is decided
-	// residually, with the same traces, metrics and denial reasons the
-	// full path produces.
+	// Committed: from here every outcome is decided residually, with the
+	// traces, metrics and denial reasons the replay produces.
 	s.hot.residualHits.Inc()
 	s.hot.cacheHitAttribute.Inc()
 	s.hot.cacheHitIdentity.Add(int64(len(req.Identities)))
-	tr := s.beginTrace()
-	deny := func(group, reason string) (Decision, error, bool) {
-		dec, err := s.deny(tr, req, group, reason, pr)
-		return dec, err, true
-	}
-	abort := func(err error) (Decision, error, bool) {
-		dec, aerr := s.abort(tr, err)
-		return dec, aerr, true
-	}
+	d := decision{s: s, ctx: ctx, r: req.Requests[0], tr: s.beginTrace(), now: now, proof: pr}
+	dec, err := s.decideResidual(&d, st, sc, req, mc, memHit, res)
+	return dec, err, true
+}
 
-	tr.begin(StepFreshness)
-	if err := ctx.Err(); err != nil {
-		return abort(err)
+// decideResidual decides a request tryResidual committed to. Its own are
+// the leaf checks of Steps 1–3 against the cached verifications and the
+// residue, each appending one leaf step to d.proof; freshness, Step 3's
+// signer checks, the statement-25 conclusion and everything after it are
+// the code the replay runs.
+func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *AccessRequest, mc memCert, memHit cachedCert, res *residue) (Decision, error) {
+	now, pr, group := d.now, d.proof, mc.group
+	d.tr.begin(StepFreshness)
+	if err := d.ctx.Err(); err != nil {
+		return d.abort(err)
 	}
-	if w := st.anchors.FreshnessWindow; w > 0 {
-		for _, r := range req.Requests {
-			delta := int64(now) - int64(r.At)
-			if delta < 0 {
-				delta = -delta
-			}
-			if delta > w {
-				return deny("", fmt.Sprintf("request of %s at %s outside freshness window (now %s): %v",
-					r.User, r.At, now, ErrStale))
-			}
-		}
+	if reason := freshnessDenial(st.anchors.FreshnessWindow, req.Requests, now); reason != "" {
+		return d.deny("", reason)
 	}
 
 	store := st.eng.Store()
@@ -469,47 +357,52 @@ func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req
 	// current time against this snapshot — validity of every certificate
 	// first (the replay checks it with the signatures, before any
 	// derivation), then issuer and key revocation in certificate order. ----
-	tr.begin(StepCerts)
-	for i, e := range idHits {
+	d.tr.begin(StepCerts)
+	for i, e := range sc.idHits {
 		if !e.validity.Contains(now) {
-			return deny("", fmt.Sprintf("identity certificate invalid: %v", s.expiredHit(st, sc.idFPs[i], e, now)))
+			return d.deny("", fmt.Sprintf("identity certificate invalid: %v", s.expiredHit(st, sc.idFPs[i], e, now)))
 		}
 	}
-	userKeys, userKS := sc.userKeys, sc.userKS
+	keys := grow(sc.keys, len(req.Identities))
+	sc.keys = keys
 	for i := range req.Identities {
-		idc, e := &req.Identities[i], idHits[i]
+		idc, e := &req.Identities[i], sc.idHits[i]
 		ks := e.formula.(logic.KeySpeaksFor)
 		if reason := identityLeafDenial(store, idc, ks, now); reason != "" {
-			return deny("", reason)
+			return d.deny("", reason)
 		}
 		pr.Append(logic.RuleResidualLeaf, nil, ks, now, e.note)
-		userKeys[idc.Cert.Subject] = e.subjectKey
-		userKS[idc.Cert.Subject] = ks
+		keys[i] = signerKey{upk: e.subjectKey, ks: ks}
 	}
 
 	// ---- Step 2 leaf: cached membership, re-checked for validity, the
 	// AA's key and revocation. On the delegated path the leaves are the
 	// absorbed chain's interval, the op-in-perms check, and per-link
 	// revocation (subject plus every delegator on the path). ----
-	tr.begin(StepThreshold)
-	if err := ctx.Err(); err != nil {
-		return abort(err)
+	d.tr.begin(StepThreshold)
+	if err := d.ctx.Err(); err != nil {
+		return d.abort(err)
 	}
 	if !memHit.validity.Contains(now) {
-		return deny(group, fmt.Sprintf("%s certificate invalid: %v", certKind(req), s.expiredHit(st, memFP, memHit, now)))
+		return d.deny(group, fmt.Sprintf("%s certificate invalid: %v", certKind(req), s.expiredHit(st, sc.memFP, memHit, now)))
 	}
-	var memStep int
+	var (
+		mem      logic.MemberOf
+		memStep  int
+		validity = mc.validity
+	)
 	if req.Delegated {
 		subject := req.Delegation.Cert.Subject.Name
 		var chain *logic.Delegates
 		revokedSeen := false
+		dcands := res.delegs[subject]
 		for i := range dcands {
-			d := &dcands[i]
-			if !d.T.Covers(now) {
+			c := &dcands[i]
+			if !c.T.Covers(now) {
 				continue
 			}
 			linkRevoked := false
-			for _, name := range delegation.Links(*d) {
+			for _, name := range delegation.Links(*c) {
 				if store.Revoked(logic.P(name), logic.G(group), now) {
 					linkRevoked = true
 					break
@@ -519,179 +412,68 @@ func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req
 				revokedSeen = true
 				continue
 			}
-			chain = d
+			chain = c
 			break // deepest first: the chain DelegationFor would pick
 		}
 		if chain == nil {
 			if revokedSeen {
 				s.reg.Counter(delegation.MetricLinkRevocationDenials).Inc()
-				return deny(group, fmt.Sprintf("delegation derivation failed: a chain link for %s in %s is revoked as of %s",
+				return d.deny(group, fmt.Sprintf("delegation derivation failed: a chain link for %s in %s is revoked as of %s",
 					subject, group, now))
 			}
-			return deny(group, fmt.Sprintf("delegation derivation failed: no believed chain for %s in %s valid at %s",
+			return d.deny(group, fmt.Sprintf("delegation derivation failed: no believed chain for %s in %s valid at %s",
 				subject, group, now))
 		}
-		m, err := logic.DelegationMember(*chain, string(op), now)
+		m, err := logic.DelegationMember(*chain, string(req.Requests[0].Op), now)
 		if err != nil {
-			return deny(group, "delegation derivation failed: "+err.Error())
+			return d.deny(group, "delegation derivation failed: "+err.Error())
 		}
 		mem = m
-		certValidity = clock.NewInterval(chain.T.Time(), chain.T.End())
+		validity = clock.NewInterval(chain.T.Time(), chain.T.End())
 		memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now,
 			"membership of "+subject+" in "+group+" derived from the absorbed delegation chain ["+chain.Path+"]")
 	} else {
-		if reason := membershipLeafDenial(store, signerKey, mem, now); reason != "" {
-			return deny(group, reason)
+		mem = memHit.formula.(logic.MemberOf)
+		if reason := membershipLeafDenial(store, mc.signerKey, mem, now); reason != "" {
+			return d.deny(group, reason)
 		}
 		memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now, memHit.note)
 	}
 
-	// ---- Step 3 leaves: structural checks, RSA co-signature
-	// verification, signed-utterance steps. ----
-	tr.begin(StepCosign)
-	items := grow(sc.items, len(req.Requests))
-	sc.items = items
-	sigs := grow(sc.sigs, len(req.Requests))
-	sc.sigs = sigs
-	bodyBuf, bodyOff := sc.bodyBuf[:0], sc.bodyOff[:0]
-	for i, r := range req.Requests {
-		if r.Op != op || r.Object != object {
-			return deny(group, "co-signers disagree on the request")
-		}
-		upk, ok := userKeys[r.User]
-		if !ok {
-			return deny(group, fmt.Sprintf("%s: %v", r.User, ErrMissingIdentity))
-		}
-		want, ok := boundKey[r.User]
-		if !ok {
-			return deny(group, r.User+" is not a subject of the threshold certificate")
-		}
-		// The cached Step-1 formula's key ID is the verified ID of upk, so
-		// a string compare replaces re-hashing the key (KeyID is
-		// sha256 + hex per call — measurable at load-harness rates).
-		if string(userKS[r.User].K) != want {
-			return deny(group, r.User+"'s identity key differs from the certificate binding")
-		}
-		// All bodies append into one pooled buffer; the item slices are
-		// fixed up below, once the buffer stops growing. The signature
-		// values parse into pooled big.Ints (ParseHex reuses their limbs).
-		start := len(bodyBuf)
-		bodyBuf = appendRequestBody(bodyBuf, &req.Requests[i])
-		bodyOff = append(bodyOff, start, len(bodyBuf))
-		sig := &sigs[i]
-		if _, ok := sharedrsa.ParseHex(sig, r.SigS); !ok {
-			sc.bodyBuf, sc.bodyOff = bodyBuf, bodyOff
-			return deny(group, r.User+": malformed signature")
-		}
-		items[i] = cosignItem{user: r.User, sig: sharedrsa.Signature{S: sig}, upk: upk}
-	}
-	sc.bodyBuf, sc.bodyOff = bodyBuf, bodyOff
-	for i := range items {
-		items[i].body = bodyBuf[bodyOff[2*i]:bodyOff[2*i+1]]
-	}
-	err := verifyCosignatures(ctx, items)
-	if err != nil {
-		if ctxErr(err) {
-			return abort(err)
-		}
-		return deny(group, err.Error())
+	// ---- Step 3: the shared signer checks, then one signed-utterance
+	// leaf per co-signer and the statement-25 conclusion. ----
+	d.tr.begin(StepCosign)
+	if err := sc.verifySigners(d.ctx, req); err != nil {
+		return d.fail(group, err)
 	}
 	utterances := grow(sc.utter, len(req.Requests))
 	sc.utter = utterances
-	utterSteps := grow(sc.utterSteps, len(req.Requests))
-	sc.utterSteps = utterSteps
-	for i, r := range req.Requests {
+	premises := append(sc.premises[:0], memStep)
+	for i := range req.Requests {
+		r := &req.Requests[i]
+		key, _ := sc.signer(req, r.User)
 		// The signed form of the utterance, exactly as VerifySignedRequest
 		// records it — A38 consumes it to check each co-signer's bound key.
-		content := idealContent(op, object, r.Payload)
-		signed := logic.Sign(logic.AsMessage(logic.Says{
-			Who: logic.P(r.User),
-			T:   logic.At(r.At),
-			X:   content,
-		}), userKS[r.User].K)
-		says := logic.Says{Who: logic.P(r.User), T: logic.At(r.At), X: signed}
-		utterances[i] = says
-		utterSteps[i] = pr.Append(logic.RuleResidualLeaf, nil, says, now,
-			"signed utterance of "+r.User+" verified against the cached key binding")
+		utterances[i] = logic.Says{Who: logic.P(r.User), T: logic.At(r.At), X: signedUtterance(r, key.ks.K)}
+		premises = append(premises, pr.Append(logic.RuleResidualLeaf, nil, utterances[i], now,
+			"signed utterance of "+r.User+" verified against the cached key binding"))
 	}
-
-	// Conclude "G says X" (statement 25) with the pure axiom functions —
-	// the same rules ConcludeGroupSays dispatches to, minus its store
-	// bookkeeping.
-	var gs logic.GroupSays
-	var rule string
-	switch who := mem.Who.(type) {
-	case logic.Principal:
-		if who.IsBound() {
-			ks, ok := userKS[who.Name]
-			if !ok {
-				return deny(group, "threshold not met: group says: no key belief for bound member "+who.Name)
-			}
-			gs, err = logic.A35MemberSaysKeyBound(mem, ks, utterances[0])
-			rule = logic.RuleA35GroupSaysKey
-		} else {
-			gs, err = logic.A34MemberSays(mem, utterances[0])
-			rule = logic.RuleA34GroupSays
-		}
-	case logic.CompoundPrincipal:
-		gs, err = logic.A38Threshold(mem, utterances, now)
-		rule = logic.RuleA38Threshold
-	}
-	if err != nil {
-		return deny(group, "threshold not met: "+err.Error())
-	}
-	premises := append(append(sc.premises[:0], memStep), utterSteps...)
 	sc.premises = premises
+	gs, rule, err := logic.DeriveGroupSays(mem, utterances, now, func(who string) (logic.KeySpeaksFor, bool) {
+		key, ok := sc.signer(req, who)
+		return key.ks, ok
+	})
+	if err != nil {
+		return d.deny(group, "threshold not met: "+err.Error())
+	}
 	pr.Append(rule, premises, gs, now, "statement 25: G says X")
 
-	// ---- Step 4: the live ACL (the only place the object enters)
-	// against the residue's link closure, plus the temporal condition
-	// tb' ≤ t1 ∧ t6 ≤ te'. ----
-	tr.begin(StepACL)
-	if err := ctx.Err(); err != nil {
-		return abort(err)
-	}
-	a, err := s.objects.ACLOf(object)
-	if err != nil {
-		return deny(group, "object lookup: "+err.Error())
-	}
-	allowed := false
-	for _, g := range res.reachable(group, now) {
-		if a.Allows(g, op) {
-			allowed = true
-			break
-		}
-	}
-	if !allowed {
-		return deny(group, fmt.Sprintf("(%s, %s) ∉ ACL_%s (including inherited groups)", group, op, object))
-	}
-	if certValidity.Begin > req.Requests[0].At || now > certValidity.End {
-		return deny(group, "certificate validity does not span the request")
-	}
-
-	// Execute.
-	tr.begin(StepExecute)
-	data, err := s.execute(op, object, req.Requests[0].Payload, group)
-	if err != nil {
-		return deny(group, "execution failed: "+err.Error())
-	}
-
-	tr.endOK()
-	tr.finish(true, "")
+	// ---- Step 4 against the residue's recorded closure. ----
 	var derivation fmt.Stringer
-	if tr.sink {
+	if d.tr.sink {
 		derivation = &residualDerivation{base: st.residues.baseTrace, seg: res.segTrace, proof: pr, prefixLen: res.prefixLen}
 	}
-	s.audit(audit.Entry{
-		At: now, Outcome: audit.Approved, Server: s.name,
-		Requestor: req.Requests[0].User, Operation: string(op),
-		Object: object, Group: group,
-		Reason:     gs.String(),
-		RequestID:  tr.id,
-		Spans:      tr.spans,
-		Derivation: derivation,
-	})
-	return Decision{Allowed: true, Group: group, Reason: gs.String(), RequestID: tr.id, Proof: pr, Data: data}, nil, true
+	return d.approve(gs, res.reachable(group, now), validity, derivation)
 }
 
 // residualDerivation is what a residual approval's audit entry keeps to
@@ -708,27 +490,4 @@ type residualDerivation struct {
 
 func (d *residualDerivation) String() string {
 	return d.base() + d.seg + d.proof.StringFrom(d.prefixLen)
-}
-
-// execute performs the approved operation on the object store (shared by
-// the residual fast path and the full replay path).
-func (s *Server) execute(op acl.Permission, object string, payload []byte, group string) ([]byte, error) {
-	switch op {
-	case acl.Read:
-		return s.objects.Read(object)
-	case acl.Write:
-		return nil, s.objects.Write(object, payload, group)
-	case acl.Modify:
-		var entries []acl.Entry
-		if err := json.Unmarshal(payload, &entries); err != nil {
-			return nil, err
-		}
-		newACL, err := acl.NewACL(entries...)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.objects.SetACL(object, newACL, group)
-	default:
-		return nil, fmt.Errorf("unsupported operation %q", op)
-	}
 }

@@ -4,13 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"jointadmin/internal/acl"
 	"jointadmin/internal/audit"
 	"jointadmin/internal/clock"
+	"jointadmin/internal/delegation"
+	"jointadmin/internal/logic"
 	"jointadmin/internal/obs"
+	"jointadmin/internal/pki"
 )
 
 // instrumentedServer builds a fixture server with its own registry.
@@ -298,5 +303,142 @@ func TestResidualMatchesReplayOnACLDenials(t *testing.T) {
 				t.Fatalf("decision = %+v, want denied step %q", dec, tc.want)
 			}
 		})
+	}
+}
+
+// TestWarmRequestNeverFallsBack: once its certificates are cached, every
+// request kind the fixture serves — a 2-of-3 write, a 1-of-3 read, a
+// single-subject read (A35) and a delegated read — is decided on the
+// residual path, approvals and Step 3 / Step 4 denials alike, and each
+// decision matches the replay's. Only a cold cache, a foreign issuer or a
+// subject without an absorbed chain may fall back.
+func TestWarmRequestNeverFallsBack(t *testing.T) {
+	f := newFixture(t)
+	srv, reg := f.instrumentedServer(audit.NewLog())
+	ctx := context.Background()
+	root := f.issueDelegation(t, "", "User_D1", "G_read", 0, "read")
+	if err := srv.Apply(ctx, Delegation{Cert: root}); err != nil {
+		t.Fatal(err)
+	}
+	// One single-subject certificate for User_D3, signed for by user.
+	single := f.singleReadRequest(t, "User_D3")
+	singleRead := func(user, object string) AccessRequest {
+		req := AccessRequest{SingleSubject: true, Single: single.Single}
+		req.Identities = []pki.Signed[pki.Identity]{f.idCerts[user]}
+		r, err := SignRequest(user, f.clk.Now(), acl.Read, object, nil, f.users[user])
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Requests = []UserRequest{r}
+		return req
+	}
+	write := f.writeRequest(t, []byte("w"), "User_D1", "User_D2")
+	for _, warm := range []AccessRequest{
+		write,
+		readRequest(t, f, "User_D3"),
+		single,
+		f.delegatedReadRequest(t, "User_D1", root),
+	} {
+		if dec, err := srv.Authorize(ctx, warm); err != nil || !dec.Allowed {
+			t.Fatalf("warm-up: dec=%+v err=%v", dec, err)
+		}
+	}
+	_, fallbacks, _ := residualCounts(reg)
+
+	tampered := f.writeRequest(t, []byte("w"), "User_D1", "User_D2")
+	tampered.Requests[1].Payload = []byte("other")
+	malformed := f.writeRequest(t, []byte("w"), "User_D1", "User_D2")
+	malformed.Requests[0].SigS = "zz"
+	disagree := f.writeRequest(t, []byte("w"), "User_D1", "User_D2")
+	disagree.Requests[1].Object = "Nope"
+	missingID := f.writeRequest(t, []byte("w"), "User_D1", "User_D2")
+	missingID.Identities = missingID.Identities[:1]
+	for _, tc := range []struct {
+		name string
+		req  AccessRequest
+		want string // DeniedStep; "" = allowed
+	}{
+		{"2-of-3 write", write, ""},
+		{"1-of-3 read", readRequest(t, f, "User_D2"), ""},
+		{"single-subject read", singleRead("User_D3", "O"), ""},
+		{"delegated read", f.delegatedReadRequest(t, "User_D1", root), ""},
+		{"threshold not met", f.writeRequest(t, []byte("w"), "User_D3"), StepCosign},
+		{"signature invalid", tampered, StepCosign},
+		{"signature malformed", malformed, StepCosign},
+		{"co-signers disagree", disagree, StepCosign},
+		{"identity missing", missingID, StepCosign},
+		{"single-subject non-subject signer", singleRead("User_D1", "O"), StepCosign},
+		{"write to an unknown object", f.thresholdRequest(t, f.writeAC, acl.Write, "Nope", []byte("w"), "User_D1", "User_D2"), StepACL},
+		{"read group writing", f.thresholdRequest(t, f.readAC, acl.Write, "O", []byte("w"), "User_D3"), StepACL},
+		{"single-subject unknown object", singleRead("User_D3", "Nope"), StepACL},
+		{"delegated unknown object", f.delegatedReadOf(t, "Nope", "User_D1", root), StepACL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dec := requireResidualAgreesWithReplay(t, srv, reg, tc.req)
+			if dec.DeniedStep != tc.want || dec.Allowed != (tc.want == "") {
+				t.Fatalf("decision = %+v, want denied step %q", dec, tc.want)
+			}
+			if _, got, _ := residualCounts(reg); got != fallbacks {
+				t.Fatalf("%s fell back: %s %d -> %d", tc.name, MetricResidualFallbacks, fallbacks, got)
+			}
+		})
+	}
+}
+
+// TestResidueReachableMatchesOracle: a residue compiled from a random
+// relation graph, walked at request time, reaches exactly the groups
+// delegation.Reachable finds over the edges in force at that time — and
+// the belief store's own walk returns them in the same order — with edges
+// that start and lapse at different times.
+func TestResidueReachableMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	groups := []string{"A", "B", "C", "D", "E", "F", "G2", "H"}
+	type timedEdge struct {
+		delegation.Edge
+		validity clock.Interval
+	}
+	for trial := 0; trial < 200; trial++ {
+		eng := logic.NewEngine("P", clock.New(0))
+		var edges []timedEdge
+		for i := 0; i < 12; i++ {
+			from, to := groups[rng.Intn(len(groups))], groups[rng.Intn(len(groups))]
+			if from == to {
+				continue
+			}
+			b := clock.Time(rng.Intn(600))
+			iv := clock.NewInterval(b, b+clock.Time(rng.Intn(600)))
+			ts := logic.During(iv.Begin, iv.End).On("AA")
+			e := timedEdge{delegation.Edge{From: from, To: to}, iv}
+			if rng.Intn(2) == 0 {
+				eng.Store().Add(logic.GroupSpeaksFor{Sub: logic.G(from), T: ts, Sup: logic.G(to)}, 0, i+1)
+			} else {
+				e.Bounded, e.Depth = true, rng.Intn(4)
+				eng.Store().Add(logic.GroupGraphEdge{Sub: logic.G(from), T: ts, Depth: e.Depth, Sup: logic.G(to)}, 0, i+1)
+			}
+			edges = append(edges, e)
+		}
+		eng.Seal()
+		res := buildRelIndex(eng).compile("A", 0)
+		for _, at := range []clock.Time{0, 150, 300, 450, 600, 750, 900, 1200} {
+			var live []delegation.Edge
+			for _, e := range edges {
+				if e.validity.Contains(at) {
+					live = append(live, e.Edge)
+				}
+			}
+			want := delegation.Reachable(live, "A")
+			got := res.reachable("A", at)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d at %s: residue reaches %v, oracle %v", trial, at, got, want)
+			}
+			for _, g := range got {
+				if _, ok := want[g.Name]; !ok {
+					t.Fatalf("trial %d at %s: residue reaches %s, the oracle does not", trial, at, g.Name)
+				}
+			}
+			if store := eng.Store().EffectiveGroups(logic.G("A"), at); !slices.Equal(got, store) {
+				t.Fatalf("trial %d at %s: residue walk %v, store walk %v", trial, at, got, store)
+			}
+		}
 	}
 }

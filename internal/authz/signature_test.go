@@ -2,6 +2,7 @@ package authz
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/big"
 	"strings"
@@ -95,6 +96,70 @@ func TestSignatureParseDecisionsUnchanged(t *testing.T) {
 		}
 		if dec.Allowed || dec.DeniedStep != StepCosign || dec.Reason != "User_D3: malformed signature" {
 			t.Errorf("%s: allowed=%v step=%q reason=%q", tc.name, dec.Allowed, dec.DeniedStep, dec.Reason)
+		}
+	}
+}
+
+// TestIdentityKeyIDMustNameSubjectKey: a CA-signed identity certificate
+// whose declared KeyID ("kX") is not the ID of its subject key, for a
+// subject a threshold certificate binds to kX and who signs with the
+// certified key, is denied at Step 1 by both deciders and both Step-1
+// arms, cold and repeated. Trusted once cached, the declared ID would
+// pass the residual decider's Step-3 binding check while the replay's
+// check of the parsed key denied it.
+func TestIdentityKeyIDMustNameSubjectKey(t *testing.T) {
+	f := newFixture(t)
+	ca, err := pki.GenerateKeyPair(512, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := pki.GenerateKeyPair(512, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pki.IssueIdentity refuses this body, so sign its payload directly.
+	body := pki.Identity{Issuer: "CAX", IssuedAt: 60, Subject: "Mallory_D1",
+		SubjectKey: pki.NewKeyInfo(user.Public()), KeyID: "kX", NotBefore: 50, NotAfter: 5000}
+	if _, err := pki.IssueIdentity(body, ca.AsSigner()); !errors.Is(err, pki.ErrMalformed) {
+		t.Fatalf("IssueIdentity accepted a key ID that names no subject key: %v", err)
+	}
+	payload, err := json.Marshal(struct {
+		T    string       `json:"t"`
+		Body pki.Identity `json:"body"`
+	}{"identity", body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idc := pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: ca.Sign(payload).S.Text(16)}
+	if err := pki.VerifyIdentity(idc, ca.Public(), 100); err != nil {
+		t.Fatalf("hand-signed identity does not verify: %v", err)
+	}
+	ac, err := f.est.AA.IssueThreshold("G_read", 1,
+		[]pki.BoundSubject{{Name: "Mallory_D1", KeyID: "kX"}}, clock.NewInterval(50, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := SignRequest("Mallory_D1", f.clk.Now(), acl.Read, "O", nil, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := AccessRequest{Threshold: ac, Identities: []pki.Signed[pki.Identity]{idc}, Requests: []UserRequest{r}}
+
+	anchors := f.anchors(0)
+	anchors.CAKeys["CAX"] = ca.Public()
+	for _, residuals := range []bool{true, false} {
+		for _, batch := range []bool{false, true} {
+			srv := NewServer("P", f.clk, anchors, f.newServer(nil).Objects(), nil)
+			srv.SetResidualsEnabled(residuals)
+			srv.SetBatchVerify(batch)
+			for i := 0; i < 2; i++ {
+				dec, err := srv.Authorize(context.Background(), req)
+				if !errors.Is(err, ErrDenied) || dec.DeniedStep != StepCerts ||
+					!strings.HasPrefix(dec.Reason, "identity certificate key malformed: ") {
+					t.Fatalf("residuals=%v batch=%v try %d: allowed=%v step=%q reason=%q err=%v",
+						residuals, batch, i, dec.Allowed, dec.DeniedStep, dec.Reason, err)
+				}
+			}
 		}
 	}
 }

@@ -26,7 +26,7 @@
 //     rests on); KeyRevoked for an identity's subject key, Revoked for a
 //     membership, the believed chain and per-link revocation for a
 //     delegation (verifyIdentities, verifyMembership,
-//     verifyDelegatedMembership, tryResidual; identityLeafDenial and
+//     verifyDelegatedMembership, decideResidual; identityLeafDenial and
 //     membershipLeafDenial hold the shared checks). A hit therefore
 //     decides exactly what re-verifying the certificate under that
 //     snapshot would, reason included.

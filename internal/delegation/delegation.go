@@ -3,9 +3,10 @@
 // membership logic. The formula nodes and checked axioms live in
 // internal/logic (Delegates, GroupGraphEdge, DelegationCompose,
 // DelegationMember); this package holds the subsystem's engine-facing
-// surface — permission-set helpers, the pure reachability walk the
-// residual compiler shares with the property tests, the metric names, and
-// the catalog of the eight ReBAC scenarios the suite mirrors (the OpenFGA
+// surface — permission-set helpers, a pure reachability walk kept as the
+// independent oracle for internal/logic's RelationWalk (which the belief
+// store and the residual compiler both run), the metric names, and the
+// catalog of the eight ReBAC scenarios the suite mirrors (the OpenFGA
 // table: inheritance, guardian traversal, exclusion, wildcard, emergency
 // context, attenuation, depth exhaustion, mid-chain revocation).
 package delegation
@@ -57,9 +58,10 @@ type Edge struct {
 const Unbounded = 1 << 30
 
 // Reachable computes the best remaining traversal budget for every group
-// reachable from start: the same budget-relaxation walk the belief store
-// runs for EffectiveGroups and the residual compiler bakes into residues,
-// exposed pure so property tests can cross-check the implementations. A
+// reachable from start, with the budget-relaxation semantics of
+// logic.RelationWalk — the walk behind BeliefStore.EffectiveGroups and
+// every residue — implemented apart from it over a plain edge list, so
+// property tests can check that walk against an independent oracle. A
 // node is re-relaxed only when a new path strictly improves its budget,
 // so the walk terminates on cyclic graphs.
 func Reachable(edges []Edge, start string) map[string]int {

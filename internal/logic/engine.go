@@ -501,8 +501,9 @@ func (e *Engine) VerifySignedRequest(req Signed, signerKey KeySpeaksFor) (Says, 
 }
 
 // ConcludeGroupSays applies the appropriate access-control axiom
-// (A34–A38) given an established membership and the verified utterances,
-// producing "G says X" (statement 25). Revocation is re-checked at
+// (A34–A38, DeriveGroupSays) given an established membership and the
+// verified utterances, producing "G says X" (statement 25) with key-bound
+// members' keys looked up in the store. Revocation is re-checked at
 // conclusion time.
 func (e *Engine) ConcludeGroupSays(mem MemberOf, memStep int, utterances []Says, utterSteps []int) (GroupSays, int, error) {
 	now := e.clk.Now()
@@ -510,52 +511,9 @@ func (e *Engine) ConcludeGroupSays(mem MemberOf, memStep int, utterances []Says,
 		return GroupSays{}, 0, fmt.Errorf("group says: membership of %s in %s revoked as of %s",
 			mem.Who, mem.G.Name, now)
 	}
-	var (
-		gs   GroupSays
-		rule string
-		err  error
-	)
-	switch who := mem.Who.(type) {
-	case Principal:
-		if len(utterances) == 0 {
-			return GroupSays{}, 0, fmt.Errorf("group says: no utterance supplied: %w", ErrSchemaMismatch)
-		}
-		if who.IsBound() {
-			key, ok := e.store.KeyFor(who.Name, now)
-			if !ok {
-				return GroupSays{}, 0, fmt.Errorf("group says: no key belief for bound member %s", who.Name)
-			}
-			gs, err = A35MemberSaysKeyBound(mem, key, utterances[0])
-			rule = RuleA35GroupSaysKey
-		} else {
-			gs, err = A34MemberSays(mem, utterances[0])
-			rule = RuleA34GroupSays
-		}
-	case CompoundPrincipal:
-		switch {
-		case who.IsThreshold():
-			gs, err = A38Threshold(mem, utterances, now)
-			rule = RuleA38Threshold
-		case who.Key() != "":
-			if len(utterances) == 0 {
-				return GroupSays{}, 0, fmt.Errorf("group says: no utterance supplied: %w", ErrSchemaMismatch)
-			}
-			key, ok := e.store.KeyFor(CP(who.Members()...).String(), now)
-			if !ok {
-				return GroupSays{}, 0, fmt.Errorf("group says: no key belief for compound principal %s", who)
-			}
-			gs, err = A37CompoundSaysKeyBound(mem, key, utterances[0])
-			rule = RuleA37GroupSaysCPKey
-		default:
-			if len(utterances) == 0 {
-				return GroupSays{}, 0, fmt.Errorf("group says: no utterance supplied: %w", ErrSchemaMismatch)
-			}
-			gs, err = A36CompoundSays(mem, utterances[0])
-			rule = RuleA36GroupSaysCP
-		}
-	default:
-		return GroupSays{}, 0, fmt.Errorf("group says: unsupported subject %T: %w", mem.Who, ErrSchemaMismatch)
-	}
+	gs, rule, err := DeriveGroupSays(mem, utterances, now, func(who string) (KeySpeaksFor, bool) {
+		return e.store.KeyFor(who, now)
+	})
 	if err != nil {
 		return GroupSays{}, 0, err
 	}
@@ -563,6 +521,57 @@ func (e *Engine) ConcludeGroupSays(mem MemberOf, memStep int, utterances []Says,
 	id := e.proof.Append(rule, premises, gs, now, "statement 25: G says X")
 	e.store.Add(gs, now, id)
 	return gs, id, nil
+}
+
+// DeriveGroupSays is the statement-25 dispatch: from an established
+// membership and the verified utterances it concludes "G says X" with the
+// access-control axiom the membership's subject selects — A34 or A35 for
+// a principal, A38 for a threshold compound principal, A37 or A36 for
+// another compound principal — and names the rule it applied. keyFor
+// returns the believed key binding of a key-bound member, by the member's
+// name (a compound principal's by its rendering). It records nothing:
+// Engine.ConcludeGroupSays enters the conclusion into its own proof and
+// store, and the residual decider in internal/authz into its spliced
+// proof.
+func DeriveGroupSays(mem MemberOf, utterances []Says, at clock.Time, keyFor func(who string) (KeySpeaksFor, bool)) (GroupSays, string, error) {
+	noUtterance := func() (GroupSays, string, error) {
+		return GroupSays{}, "", fmt.Errorf("group says: no utterance supplied: %w", ErrSchemaMismatch)
+	}
+	switch who := mem.Who.(type) {
+	case Principal:
+		if len(utterances) == 0 {
+			return noUtterance()
+		}
+		if !who.IsBound() {
+			gs, err := A34MemberSays(mem, utterances[0])
+			return gs, RuleA34GroupSays, err
+		}
+		key, ok := keyFor(who.Name)
+		if !ok {
+			return GroupSays{}, "", fmt.Errorf("group says: no key belief for bound member %s", who.Name)
+		}
+		gs, err := A35MemberSaysKeyBound(mem, key, utterances[0])
+		return gs, RuleA35GroupSaysKey, err
+	case CompoundPrincipal:
+		if who.IsThreshold() {
+			gs, err := A38Threshold(mem, utterances, at)
+			return gs, RuleA38Threshold, err
+		}
+		if len(utterances) == 0 {
+			return noUtterance()
+		}
+		if who.Key() == "" {
+			gs, err := A36CompoundSays(mem, utterances[0])
+			return gs, RuleA36GroupSaysCP, err
+		}
+		key, ok := keyFor(CP(who.Members()...).String())
+		if !ok {
+			return GroupSays{}, "", fmt.Errorf("group says: no key belief for compound principal %s", who)
+		}
+		gs, err := A37CompoundSaysKeyBound(mem, key, utterances[0])
+		return gs, RuleA37GroupSaysCPKey, err
+	}
+	return GroupSays{}, "", fmt.Errorf("group says: unsupported subject %T: %w", mem.Who, ErrSchemaMismatch)
 }
 
 // ProcessRevocation handles a verified revocation statement "RA says_tRA

@@ -442,74 +442,106 @@ func (b *BeliefStore) GroupLinks() []Entry {
 	return out
 }
 
-// GroupLinksFrom returns the supergroups that sub speaks for at time t
-// (privilege inheritance, one hop; callers compute the closure).
-func (b *BeliefStore) GroupLinksFrom(sub Group, t clock.Time) []Group {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var out []Group
-	b.forEachLocked(func(e Entry) bool {
-		l, ok := e.F.(GroupSpeaksFor)
-		if !ok || l.Sub != sub {
-			return true
-		}
-		if !l.T.Covers(t) {
-			return true
-		}
-		out = append(out, l.Sup)
-		return true
-	})
-	return out
-}
-
 // unboundedBudget is the traversal budget of the start group: effectively
 // infinite, so plain GroupSpeaksFor closures behave exactly as before the
 // graph extension.
 const unboundedBudget = 1 << 30
 
-// EffectiveGroups returns the relation closure of g at time t: g itself,
-// every group reachable through GroupSpeaksFor links (which preserve the
-// traversal budget), and every group reachable through bounded
-// GroupGraphEdge links. Crossing a graph edge costs one unit of budget and
+// RelationWalk is the budget-relaxation walk over the relation graph:
+// group links (GroupSpeaksFor) preserve the traversal budget, and crossing
+// a bounded group-graph edge (GroupGraphEdge) costs one unit of budget and
 // clamps the remainder to the edge's own depth bound — SPKI's delegation
 // bit lifted to the relation graph — so the walk is depth-bounded and
 // terminates on cyclic graphs: a group is re-visited only when a new path
 // strictly improves its remaining budget.
-func (b *BeliefStore) EffectiveGroups(g Group, t clock.Time) []Group {
-	best := map[string]int{g.Name: unboundedBudget}
-	out := []Group{g}
-	queue := []Group{g}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		budget := best[cur.Name]
-		for _, sup := range b.GroupLinksFrom(cur, t) {
-			if prev, seen := best[sup.Name]; !seen || budget > prev {
-				if _, seen := best[sup.Name]; !seen {
-					out = append(out, sup)
-				}
-				best[sup.Name] = budget
-				queue = append(queue, sup)
-			}
-		}
-		if budget < 1 {
-			continue // graph edges need remaining budget
-		}
-		for _, edge := range b.GraphEdgesFrom(cur, t) {
-			nb := budget - 1
-			if edge.Depth < nb {
-				nb = edge.Depth
-			}
-			if prev, seen := best[edge.Sup.Name]; !seen || nb > prev {
-				if _, seen := best[edge.Sup.Name]; !seen {
-					out = append(out, edge.Sup)
-				}
-				best[edge.Sup.Name] = nb
-				queue = append(queue, edge.Sup)
-			}
-		}
+//
+// The caller supplies the edges: it takes groups from Next and offers
+// Cross every edge leaving the group, in the order the walk should try
+// them. BeliefStore.EffectiveGroups offers the store's edges in force at
+// a time; the residual compiler in internal/authz offers a snapshot's
+// edges regardless of time, and a residue offers the ones it recorded.
+type RelationWalk struct {
+	best    map[Group]int
+	queue   []Group
+	reached []Group
+	budget  int // of the group Next returned last
+}
+
+// NewRelationWalk starts a walk at start with an unbounded budget.
+func NewRelationWalk(start Group) RelationWalk {
+	return RelationWalk{
+		best:    map[Group]int{start: unboundedBudget},
+		queue:   []Group{start},
+		reached: []Group{start},
 	}
-	return out
+}
+
+// Next returns the next group whose leaving edges the caller must offer to
+// Cross, and false once the walk is done.
+func (w *RelationWalk) Next() (Group, bool) {
+	if len(w.queue) == 0 {
+		return Group{}, false
+	}
+	cur := w.queue[0]
+	w.queue = w.queue[1:]
+	w.budget = w.best[cur]
+	return cur, true
+}
+
+// Cross offers an edge to sup leaving the group Next returned last — a
+// group link, or a graph edge with the given depth bound when bounded —
+// and reports whether the budget in hand lets the walk cross it.
+func (w *RelationWalk) Cross(sup Group, bounded bool, depth int) bool {
+	nb := w.budget
+	if bounded {
+		if nb < 1 {
+			return false
+		}
+		nb = min(nb-1, depth)
+	}
+	prev, seen := w.best[sup]
+	if !seen {
+		w.reached = append(w.reached, sup)
+	}
+	if !seen || nb > prev {
+		w.best[sup] = nb
+		w.queue = append(w.queue, sup)
+	}
+	return true
+}
+
+// Reached returns the start group and every group crossed into so far, in
+// the order first reached.
+func (w *RelationWalk) Reached() []Group { return w.reached }
+
+// EffectiveGroups returns the relation closure of g at time t: g itself
+// and every group the relation walk reaches over the links and graph
+// edges in force at t — at each group its links first, then its graph
+// edges, each in belief order.
+func (b *BeliefStore) EffectiveGroups(g Group, t clock.Time) []Group {
+	w := NewRelationWalk(g)
+	for cur, ok := w.Next(); ok; cur, ok = w.Next() {
+		b.crossFrom(&w, cur, t)
+	}
+	return w.Reached()
+}
+
+// crossFrom offers w every relation edge leaving sub that is in force at t.
+func (b *BeliefStore) crossFrom(w *RelationWalk, sub Group, t clock.Time) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	b.forEachLocked(func(e Entry) bool {
+		if l, ok := e.F.(GroupSpeaksFor); ok && l.Sub == sub && l.T.Covers(t) {
+			w.Cross(l.Sup, false, 0)
+		}
+		return true
+	})
+	b.forEachLocked(func(e Entry) bool {
+		if l, ok := e.F.(GroupGraphEdge); ok && l.Sub == sub && l.T.Covers(t) {
+			w.Cross(l.Sup, true, l.Depth)
+		}
+		return true
+	})
 }
 
 // GraphEdges returns every believed GroupGraphEdge entry, with recording
@@ -523,26 +555,6 @@ func (b *BeliefStore) GraphEdges() []Entry {
 		if _, ok := e.F.(GroupGraphEdge); ok {
 			out = append(out, e)
 		}
-		return true
-	})
-	return out
-}
-
-// GraphEdgesFrom returns the group-graph edges leaving sub that are in
-// force at time t.
-func (b *BeliefStore) GraphEdgesFrom(sub Group, t clock.Time) []GroupGraphEdge {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var out []GroupGraphEdge
-	b.forEachLocked(func(e Entry) bool {
-		edge, ok := e.F.(GroupGraphEdge)
-		if !ok || edge.Sub != sub {
-			return true
-		}
-		if !edge.T.Covers(t) {
-			return true
-		}
-		out = append(out, edge)
 		return true
 	})
 	return out

@@ -229,13 +229,21 @@ func VerifyIdentityRevocation(sc Signed[IdentityRevocation], issuerKey sharedrsa
 	return verifyBody(tagIdentityRevoke, sc, issuerKey)
 }
 
-// IssueIdentity signs an identity certificate.
+// IssueIdentity signs an identity certificate. The body's KeyID must be
+// the ID of its SubjectKey: a certificate is refused that binds the
+// subject to one key and names another. The key itself is not judged
+// here — whether it is a usable RSA key is the verifier's question.
 func IssueIdentity(body Identity, signer Signer) (Signed[Identity], error) {
 	if body.Subject == "" || body.Issuer == "" {
 		return Signed[Identity]{}, fmt.Errorf("%w: missing subject or issuer", ErrMalformed)
 	}
 	if body.NotAfter < body.NotBefore {
 		return Signed[Identity]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
+	}
+	n, okN := newIntFromHex(body.SubjectKey.N)
+	e, okE := newIntFromHex(body.SubjectKey.E)
+	if !okN || !okE || (sharedrsa.PublicKey{N: n, E: e}).KeyID() != body.KeyID {
+		return Signed[Identity]{}, fmt.Errorf("%w: key ID %q does not name the subject key", ErrMalformed, body.KeyID)
 	}
 	return signBody(tagIdentity, body, signer)
 }

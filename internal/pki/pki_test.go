@@ -86,6 +86,12 @@ func TestIdentityValidation(t *testing.T) {
 	if _, err := IssueIdentity(rev, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
 		t.Errorf("reversed validity: %v", err)
 	}
+	// A body binding the subject to one key while naming another's ID.
+	misnamed := identityBody(ca, user)
+	misnamed.KeyID = ca.KeyID()
+	if _, err := IssueIdentity(misnamed, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
+		t.Errorf("key ID of another key: %v", err)
+	}
 }
 
 func TestAttributeIssueVerify(t *testing.T) {

@@ -374,8 +374,8 @@ func (f *LoadFixture) buildRequest(kind string, o int, oc objCerts, seq int) (Po
 // cycling joins (group links), identity revocations of cold principals,
 // and CRL publishes. Every mutation swaps the belief snapshot and with it
 // the memoized residues (the verified-certificate cache survives: none of
-// these re-anchors) — the cost the load harness is after. Returns the
-// applied verb.
+// these re-anchors) — the cost the churn_publish workload measures.
+// Returns the applied verb.
 func (f *LoadFixture) Churn(ctx context.Context) (string, error) {
 	seq := f.churnSeq.Add(1)
 	switch seq % 3 {

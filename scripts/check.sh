@@ -94,6 +94,30 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+echo "==> one-decider guard (one statement-25 dispatch, one relation walk)"
+# Both deciders conclude "G says X" through logic.DeriveGroupSays. An
+# A34–A38 axiom called outside internal/logic is a second dispatch, and
+# the two would drift apart on the membership shapes one of them skips.
+bad=$(grep -rnE 'logic\.A3[4-8][A-Za-z0-9]*\(' --include='*.go' . |
+    grep -v -e '_test\.go:' -e '^\./internal/logic/' -e '^\./benchmark/' -e '^\./\.bench_build/' || true)
+if [ -n "$bad" ]; then
+    echo "one-decider guard: statement-25 axiom called outside internal/logic:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+# The relation closure is walked by logic.RelationWalk alone (the store,
+# the residue compiler and the residue). delegation.Reachable is the
+# independent oracle the property tests compare it with. A budget seed
+# anywhere else is a third walk.
+bad=$(grep -rnE '(Unbounded|unboundedBudget)\}' --include='*.go' . |
+    grep -v -e '_test\.go:' -e '^\./internal/logic/store\.go:' \
+        -e '^\./internal/delegation/delegation\.go:' -e '^\./benchmark/' -e '^\./\.bench_build/' || true)
+if [ -n "$bad" ]; then
+    echo "one-decider guard: relation-walk budget seed outside the walk and its oracle:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 echo "==> one-benchmark guard (no second performance harness)"
 # The repository's benchmark is `sh benchmark/run.sh` (BENCHMARK.json,
 # benchmark/README.md); micro-benchmarks are plain `go test -bench` in
