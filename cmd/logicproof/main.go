@@ -2,10 +2,14 @@
 // Section 4.3 / Appendix E as numbered proof traces: the Figure 2(b)
 // write flow (2-of-3), the Figure 2(d) read flow (1-of-3), the
 // revocation reasoning, the residual flow (the same joint write decided
-// twice — first by the full replay, then on the precompiled residual
-// fast path — to show the two proofs coincide), and the delegation flow
-// (a bounded-depth chain composed link by link, exercised downstream,
-// then severed by a mid-chain revocation).
+// twice — first by the full replay, then on the serving path's warm
+// residual checklist — to show the two proofs coincide), and the
+// delegation flow (a bounded-depth chain composed link by link, exercised
+// downstream, then severed by a mid-chain revocation).
+//
+// Every first-touch decision is printed from the 4-step replay — the
+// serving decider's oracle, selected with SetResidualsEnabled(false) —
+// because its proof spells out every statement of Section 4.3.
 //
 // It can also parse and echo formulas in the logic's canonical syntax:
 //
@@ -76,6 +80,7 @@ func run(flow string) error {
 	if err != nil {
 		return err
 	}
+	srv.Authz().SetResidualsEnabled(false)
 	if err := srv.CreateObject("O", map[string][]string{
 		"G_write": {"write"},
 		"G_read":  {"read"},
@@ -155,6 +160,7 @@ func run(flow string) error {
 		fmt.Println("--- first decision (full replay) ---")
 		fmt.Println(replayed.Proof.String())
 		printTrace(srv, replayed.RequestID)
+		srv.Authz().SetResidualsEnabled(true)
 		residual, err := srv.Request(ctx, req)
 		if err != nil {
 			return err

@@ -4,9 +4,10 @@ package authz
 // its proof and the log renders it when read; the rendered text must be
 // the text the decision path used to render eagerly, byte for byte, and
 // it must stay that text however long the entry outlives its request —
-// across a snapshot publish, recycled engines and scratch, and a
+// across a snapshot publish, recycled scratch, and a
 // re-anchoring. testdata/audit_golden.txt was captured from the eager
-// renderer; its WAL section pins the journaled audit records.
+// renderer, all but its cold serving-path section, which postdates it;
+// its WAL section pins the journaled audit records.
 
 import (
 	"context"
@@ -92,8 +93,9 @@ func (h *auditHistory) decideCase(t *testing.T, name string, req AccessRequest, 
 
 // runAuditHistory drives the pinned decisions: a replay approval with
 // residuals off, the residual approval of the same request once the cache
-// is warm, a replay denial at every step that carries a proof, and a
-// freshness denial decided residually.
+// is warm, a replay denial at every step that carries a proof, a
+// freshness denial decided residually, and a cold approval on the serving
+// path.
 func runAuditHistory(t *testing.T, f *fixture) *auditHistory {
 	t.Helper()
 	h := &auditHistory{log: audit.NewLog()}
@@ -125,6 +127,18 @@ func runAuditHistory(t *testing.T, f *fixture) *auditHistory {
 	h.srv.SetResidualsEnabled(true)
 	h.decideCase(t, "residual approval", write, true, "")
 	h.decideCase(t, "residual denial at freshness", stale, false, StepFreshness)
+
+	// A re-issued identity and a membership certificate this server has
+	// not verified yet: the serving path decides on its cold arm, and the
+	// proof keeps both certificates' derivations before the spliced
+	// residue.
+	freshID, err := f.cas["CA3"].IssueIdentity("User_D3", clock.NewInterval(50, 4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := f.thresholdRequest(t, f.readAC, acl.Read, "O", nil, "User_D3")
+	cold.Identities[0] = freshID
+	h.decideCase(t, "cold serving-path approval", cold, true, "")
 	return h
 }
 
@@ -185,12 +199,11 @@ func journaledAudit(t *testing.T, f *fixture) string {
 	}
 	ctx := context.Background()
 	read := f.thresholdRequest(t, f.readAC, acl.Read, "O", nil, "User_D2")
-	for _, req := range []AccessRequest{
-		read, read,
-		f.thresholdRequest(t, f.readAC, acl.Write, "O", []byte("x"), "User_D2"),
-	} {
-		srv.Authorize(ctx, req)
-	}
+	srv.SetResidualsEnabled(false)
+	srv.Authorize(ctx, read)
+	srv.SetResidualsEnabled(true)
+	srv.Authorize(ctx, read)
+	srv.Authorize(ctx, f.thresholdRequest(t, f.readAC, acl.Write, "O", []byte("x"), "User_D2"))
 	srv.SetResidualsEnabled(false)
 	srv.Authorize(ctx, f.thresholdRequest(t, f.readAC, acl.Write, "O", []byte("y"), "User_D3"))
 
@@ -206,7 +219,7 @@ func journaledAudit(t *testing.T, f *fixture) string {
 // TestAuditDerivationsGolden: every pinned derivation reads back equal to
 // the golden text through ByRequestID and Entries — right after the
 // decisions, after a publish swapped the snapshot, after 1 000 further
-// decisions recycled engines and scratch, and after a join/leave
+// decisions recycled scratch, and after a join/leave
 // re-anchoring — and the journaled audit records equal the golden ones.
 func TestAuditDerivationsGolden(t *testing.T) {
 	golden, err := os.ReadFile(auditGoldenFile)

@@ -15,12 +15,17 @@
 //
 // Concurrency model: the server's belief state is an immutable snapshot
 // (snapshot.go) swapped atomically by the belief-mutating operations.
-// Authorize is lock-free and starts no goroutine — it forks the snapshot's
-// engine into per-request scratch, verifies the co-signer signatures in the
-// caller's goroutine, and memoizes certificate verifications in the key
-// epoch's fingerprint-keyed cache (snapshot.go). Steps 1–3 are independent
-// per request given a fixed belief set, which is exactly what makes
-// concurrent requests safe.
+// Authorize is lock-free and starts no goroutine. One decider decides
+// every request, the residual decider (residual.go): it splices the
+// snapshot's recorded derivation for the requesting group onto the
+// request's proof and checks the request-variable leaves, and it derives
+// into a per-request fork of the snapshot's engine only the certificates
+// not yet memoized in the key epoch's fingerprint-keyed cache
+// (snapshot.go). The co-signer signatures are verified in the caller's
+// goroutine. Steps 1–3 are independent per request given a fixed belief
+// set, which is exactly what makes concurrent requests safe. The 4-step
+// replay of the whole derivation remains only as the oracle the decider is
+// compared with (SetResidualsEnabled).
 package authz
 
 import (
@@ -154,14 +159,14 @@ type Server struct {
 	hot hotMetrics
 	// reqSeq numbers evaluated requests for audit/metrics correlation.
 	reqSeq atomic.Uint64
-	// noResidual, when set, bypasses the precompiled-residue fast path
-	// (SetResidualsEnabled).
+	// noResidual, when set, decides every request on the 4-step replay
+	// instead of the residual decider (SetResidualsEnabled).
 	noResidual atomic.Bool
 	// batchVerify enables k-way batched verification of cache-miss
 	// identity certificates (SetBatchVerify).
 	batchVerify atomic.Bool
-	// noPool, when set, disables per-request pooling of engine forks and
-	// residual scratch (SetPooling).
+	// noPool, when set, disables pooling of the request scratch
+	// (SetPooling).
 	noPool atomic.Bool
 
 	// mu serializes belief-mutating operations; Authorize never takes it.
@@ -246,13 +251,6 @@ func freshEngine(name string, clk *clock.Clock, a TrustAnchors) *logic.Engine {
 	return eng.Seal()
 }
 
-// Engine returns a private fork of the current belief snapshot's engine:
-// derivations on it never affect (or race with) the server. Use Snapshot
-// for versioned access.
-func (s *Server) Engine() *logic.Engine {
-	return s.Snapshot().Engine()
-}
-
 // Objects exposes the server's object store.
 func (s *Server) Objects() *acl.Store { return s.objects }
 
@@ -268,9 +266,10 @@ type decision struct {
 	r   UserRequest
 	tr  *reqTrace
 	now clock.Time
-	// proof is the derivation every outcome carries: the request's fork
-	// on the replay, the spliced residue on the residual decider, and nil
-	// until the replay has forked.
+	// proof is the derivation every outcome carries: the proof of the
+	// request's engine fork on the replay and on the residual decider's
+	// cold arm, a clone of the snapshot's on its warm arm, and nil before
+	// either decider has set it.
 	proof *logic.Proof
 }
 
@@ -329,17 +328,18 @@ func (d *decision) fail(group string, err error) (Decision, error) {
 // evaluation is traced: each protocol step becomes a timed span in the
 // audit entry, correlated by the decision's RequestID.
 //
-// Authorize first attempts the residual checklist for the requesting
-// group (residual.go): the snapshot-invariant proof steps are recorded
-// once per snapshot, so only the request-variable leaf checks run, and
-// the full proof is emitted by splicing. When no residue applies — a
-// certificate not yet in the verified-certificate cache, a membership
-// certificate from a foreign issuer, a delegated subject with no absorbed
-// chain, or residuals disabled — it falls back to the 4-step replay.
-// Both deciders run the same code for everything a residue does not
-// partially evaluate: freshness, Step 3's signer checks and signature
-// verification, the statement-25 conclusion, Step 4, the operation and
-// the approval's audit entry.
+// Authorize decides every request on the residual decider (residual.go).
+// A request whose certificates are all in the key epoch's
+// verified-certificate cache takes its warm arm: the snapshot-invariant
+// proof steps recorded once per (snapshot, group) are spliced in, and only
+// the request-variable leaf checks run. Any other request takes its cold
+// arm: Steps 1–2 verify and derive the certificates in a fork of the
+// snapshot's engine and cache them, and the same residue is spliced after
+// them. Both arms then share Step 3's signer checks and signature
+// verification, the statement-25 conclusion, Step 4, the operation and the
+// approval's audit entry — and with the 4-step replay, the oracle
+// SetResidualsEnabled(false) selects, everything but Steps 3–4's
+// derivation.
 //
 // Authorize is lock-free and safe for arbitrary concurrency: it evaluates
 // against the belief snapshot current at entry. The context cancels the
@@ -357,25 +357,14 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 // the snapshots that follow (snapshot.go).
 func (s *Server) authorizeAt(ctx context.Context, st *state, req AccessRequest) (Decision, error) {
 	// The request's working set comes from the scratch pool and is cleared
-	// on return. A declined residual attempt leaves nothing in it the
-	// replay reads but the certificate fingerprints, which it reuses.
+	// on return.
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	sc.fingerprint(&req)
-	if !s.noResidual.Load() {
-		if dec, err, ok := s.tryResidual(ctx, st, sc, &req); ok {
-			return dec, err
-		}
-		s.hot.residualFallbacks.Inc()
+	oracle := s.noResidual.Load()
+	if !oracle {
+		s.hot.residualHits.Inc()
 	}
-	return s.replay(ctx, st, sc, &req)
-}
-
-// replay decides req by the protocol's 4-step derivation in a fork of the
-// snapshot's engine: each certificate is verified, or its cached
-// verification re-derived, and each conclusion is derived from the
-// beliefs — the oracle the residual decider is tested against.
-func (s *Server) replay(ctx context.Context, st *state, sc *reqScratch, req *AccessRequest) (Decision, error) {
 	d := decision{s: s, ctx: ctx, tr: s.beginTrace(), now: s.clk.Now()}
 	d.tr.begin(StepFreshness)
 	if err := ctx.Err(); err != nil {
@@ -385,36 +374,55 @@ func (s *Server) replay(ctx context.Context, st *state, sc *reqScratch, req *Acc
 		return d.deny("", "no signed request components")
 	}
 	d.r = req.Requests[0]
-	// The decision escapes only the proof (never pooled); the engine and
-	// its store go back to the fork pool once the evaluation returns.
-	eng := s.fork(st)
-	defer eng.Recycle()
+	if oracle {
+		return s.replay(&d, st, sc, &req)
+	}
+	return s.decideResidual(&d, st, sc, &req)
+}
+
+// verifyCerts forks st's engine, whose proof becomes d's, checks
+// freshness, and runs Steps 1–2 into the fork as the protocol derives
+// them: each certificate is verified and derived, or its cached
+// verification replayed, and cached when new. On failure it returns the
+// group the denial is recorded against and the error, for d.fail.
+func (s *Server) verifyCerts(d *decision, st *state, sc *reqScratch, req *AccessRequest) (*logic.Engine, membershipResult, error) {
+	eng := st.eng.Fork()
 	d.proof = eng.Proof()
 	if reason := freshnessDenial(st.anchors.FreshnessWindow, req.Requests, d.now); reason != "" {
-		return d.deny("", reason)
+		return nil, membershipResult{}, errors.New(reason)
 	}
 
 	// ---- Step 1: verify the signing keys (messages 1-1, 1-2). ----
 	d.tr.begin(StepCerts)
-	if err := s.verifyIdentities(ctx, st, eng, sc, req.Identities, d.now); err != nil {
-		return d.fail("", err)
+	if err := s.verifyIdentities(d.ctx, st, eng, sc, req.Identities, d.now); err != nil {
+		return nil, membershipResult{}, err
 	}
 
 	// ---- Step 2: establish group membership (message 1-3). ----
 	d.tr.begin(StepThreshold)
-	if err := ctx.Err(); err != nil {
-		return d.abort(err)
+	if err := d.ctx.Err(); err != nil {
+		return nil, membershipResult{}, err
 	}
 	memR, err := s.verifyMembership(st, eng, req, sc.memFP, d.now)
+	return eng, memR, err
+}
+
+// replay decides req by the protocol's 4-step derivation in a fork of the
+// snapshot's engine: each certificate is verified, or its cached
+// verification re-derived, and each conclusion is derived from the
+// beliefs. It is the oracle the residual decider is compared with, and
+// nothing serves it but SetResidualsEnabled(false).
+func (s *Server) replay(d *decision, st *state, sc *reqScratch, req *AccessRequest) (Decision, error) {
+	eng, memR, err := s.verifyCerts(d, st, sc, req)
 	if err != nil {
-		return d.deny(memR.group, err.Error())
+		return d.fail(memR.group, err)
 	}
 	group := memR.group
 
 	// ---- Step 3: verify the signed request (message 1-4) and conclude
 	// "G says op" (statement 25). ----
 	d.tr.begin(StepCosign)
-	if err := sc.verifySigners(ctx, req); err != nil {
+	if err := sc.verifySigners(d.ctx, req); err != nil {
 		return d.fail(group, err)
 	}
 	utterances, utterSteps, err := deriveUtterances(eng, sc, req, d.now)

@@ -243,29 +243,49 @@ func TestAuthorizeContextCanceled(t *testing.T) {
 	}
 }
 
-// forEachDecider runs fn once per way a request can be decided — the
-// residual checklist and the full derivation replay — against a server
-// already warmed with the 2-signer write req, so every certificate is
-// cached and the residual subtest really takes the residual path.
-func forEachDecider(t *testing.T, fn func(t *testing.T, srv *Server, reg *obs.Registry, log *audit.Log, req AccessRequest)) {
+// authorizeFunc is Server.Authorize as forEachDecider hands it out.
+type authorizeFunc func(ctx context.Context, req AccessRequest) (Decision, error)
+
+// reset empties the cache, as a new key epoch's starts (tests only).
+func (c *certCache) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.m)
+	c.ring, c.next = c.ring[:0], 0
+}
+
+// forEachDecider runs fn once per way a request can be decided, with
+// authorize deciding on the server under test: the residual decider's
+// warm arm and the full derivation replay, each on a server already
+// warmed with the 2-signer write req so every certificate is cached, and
+// the residual decider's cold arm, on a server never warmed whose
+// certificate cache authorize empties before every decision, so each one
+// verifies every certificate it presents.
+func forEachDecider(t *testing.T, fn func(t *testing.T, authorize authorizeFunc, reg *obs.Registry, log *audit.Log, req AccessRequest)) {
 	f := newFixture(t)
-	for _, residual := range []bool{true, false} {
-		name := "replay"
-		if residual {
-			name = "residual"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, decider := range []string{"residual", "cold", "replay"} {
+		t.Run(decider, func(t *testing.T) {
 			log := audit.NewLog()
 			srv, reg := f.instrumentedServer(log)
-			srv.SetResidualsEnabled(residual)
+			srv.SetResidualsEnabled(decider != "replay")
 			req := f.writeRequest(t, []byte("warm"), "User_D1", "User_D2")
-			if _, err := srv.Authorize(context.Background(), req); err != nil {
+			authorize := srv.Authorize
+			if decider == "cold" {
+				authorize = func(ctx context.Context, req AccessRequest) (Decision, error) {
+					srv.state.Load().cache.reset()
+					return srv.Authorize(ctx, req)
+				}
+			} else if _, err := srv.Authorize(context.Background(), req); err != nil {
 				t.Fatalf("warming: %v", err)
 			}
-			fn(t, srv, reg, log, req)
-			hits, _, _ := residualCounts(reg)
-			if (hits > 0) != residual {
-				t.Fatalf("residual hits = %d on the %s decider", hits, name)
+			misses := counterTotal(reg, MetricCacheMisses)
+			fn(t, authorize, reg, log, req)
+			hits, falls, _ := residualCounts(reg)
+			if (hits > 0) != (decider != "replay") || falls != 0 {
+				t.Fatalf("residual hits = %d, fallbacks = %d on the %s decider", hits, falls, decider)
+			}
+			if got := counterTotal(reg, MetricCacheMisses); (got > misses) != (decider == "cold") {
+				t.Fatalf("cache misses %d -> %d on the %s decider", misses, got, decider)
 			}
 		})
 	}
@@ -274,12 +294,12 @@ func forEachDecider(t *testing.T, fn func(t *testing.T, srv *Server, reg *obs.Re
 // TestFirstBadCosignerDenies: Step 3 checks the co-signatures in request
 // order, so when several are bad the denial names the first signer.
 func TestFirstBadCosignerDenies(t *testing.T) {
-	forEachDecider(t, func(t *testing.T, srv *Server, _ *obs.Registry, _ *audit.Log, req AccessRequest) {
+	forEachDecider(t, func(t *testing.T, authorize authorizeFunc, _ *obs.Registry, _ *audit.Log, req AccessRequest) {
 		bad := req
 		bad.Requests = append([]UserRequest(nil), req.Requests...)
 		// Each signer carries the other's (well-formed, wrong) signature.
 		bad.Requests[0].SigS, bad.Requests[1].SigS = req.Requests[1].SigS, req.Requests[0].SigS
-		dec, err := srv.Authorize(context.Background(), bad)
+		dec, err := authorize(context.Background(), bad)
 		if !errors.Is(err, ErrDenied) || dec.DeniedStep != StepCosign {
 			t.Fatalf("dec=%+v err=%v, want a Step-3 denial", dec, err)
 		}
@@ -314,14 +334,14 @@ func (c *pollContext) Err() error {
 // count authz_canceled_total once and write no audit entry, and one of
 // the points must lie inside Step 3, where the signatures are verified.
 func TestCancellationAtEveryPoll(t *testing.T) {
-	forEachDecider(t, func(t *testing.T, srv *Server, reg *obs.Registry, log *audit.Log, req AccessRequest) {
+	forEachDecider(t, func(t *testing.T, authorize authorizeFunc, reg *obs.Registry, log *audit.Log, req AccessRequest) {
 		inCosign := false
 		for polls := 0; ; polls++ {
 			if polls > 100 {
 				t.Fatal("request still canceled after 100 context polls")
 			}
 			canceled, entries := counterTotal(reg, MetricCanceled), log.Len()
-			dec, err := srv.Authorize(&pollContext{Context: context.Background(), left: polls}, req)
+			dec, err := authorize(&pollContext{Context: context.Background(), left: polls}, req)
 			if err == nil {
 				break
 			}
@@ -349,11 +369,11 @@ func TestCancellationAtEveryPoll(t *testing.T) {
 // caller's goroutine — no more goroutines are alive at any context poll
 // of 1000 warm 2-signer requests, or after them, than before.
 func TestAuthorizeStartsNoGoroutine(t *testing.T) {
-	forEachDecider(t, func(t *testing.T, srv *Server, _ *obs.Registry, _ *audit.Log, req AccessRequest) {
+	forEachDecider(t, func(t *testing.T, authorize authorizeFunc, _ *obs.Registry, _ *audit.Log, req AccessRequest) {
 		before := runtime.NumGoroutine()
 		ctx := &pollContext{Context: context.Background(), left: 1 << 30}
 		for i := 0; i < 1000; i++ {
-			if _, err := srv.Authorize(ctx, req); err != nil {
+			if _, err := authorize(ctx, req); err != nil {
 				t.Fatal(err)
 			}
 		}

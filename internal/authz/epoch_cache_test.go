@@ -9,7 +9,9 @@ package authz
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -123,29 +125,63 @@ type outcome struct {
 	reason  string
 }
 
-func decide(s *Server, req AccessRequest) outcome {
-	dec, _ := s.Authorize(context.Background(), req)
-	return outcome{dec.Allowed, dec.DeniedStep, dec.Reason}
+// verdict is everything the differentials compare of a decision: its
+// outcome, the group it is recorded against, and the error text.
+type verdict struct {
+	outcome
+	group, err string
 }
 
-// requireColdParity decides req on a server freshly rebuilt from the
-// journal (empty cache, full replay) and twice on the long-lived one
-// (carried entries, then the residue) and requires the three decisions to
-// agree; it returns them.
+func decide(s *Server, req AccessRequest) verdict {
+	dec, err := s.Authorize(context.Background(), req)
+	v := verdict{outcome: outcome{dec.Allowed, dec.DeniedStep, dec.Reason}, group: dec.Group}
+	if err != nil {
+		v.err = err.Error()
+	}
+	return v
+}
+
+// requireServingMatchesReplay decides req on the serving path of one
+// fresh instrumented server and on the replay of another (each built by
+// newServer), requires the two verdicts to agree and the serving decision
+// to count one residual hit and no fallback, and returns the replay's
+// verdict and the serving server's registry.
+func requireServingMatchesReplay(t *testing.T, newServer func() *Server, req AccessRequest, when string) (verdict, *obs.Registry) {
+	t.Helper()
+	oracle := newServer()
+	oracle.SetResidualsEnabled(false)
+	want := decide(oracle, req)
+	serving, reg := newServer(), obs.NewRegistry()
+	serving.Instrument(reg)
+	if got := decide(serving, req); got != want {
+		t.Fatalf("%s: serving path diverges from the replay\nserving: %+v\nreplay:  %+v", when, got, want)
+	}
+	if hits, falls, _ := residualCounts(reg); hits != 1 || falls != 0 {
+		t.Fatalf("%s: serving decision counted %d residual hits, %d fallbacks; want 1, 0", when, hits, falls)
+	}
+	return want, reg
+}
+
+// requireColdParity decides req on two servers freshly rebuilt from the
+// journal — empty caches, one on the serving path and one on the replay —
+// and twice on the long-lived one (carried entries, then the residue) and
+// requires the four decisions to agree; it returns their outcome.
 func requireColdParity(t *testing.T, live *Server, f *fixture, j *memJournal, req AccessRequest, when string) outcome {
 	t.Helper()
-	cold, _, err := NewReplica("P", f.clk, diffStore(t, f.clk), nil, j.history())
-	if err != nil {
-		t.Fatalf("%s: rebuild from history: %v", when, err)
-	}
-	want := decide(cold, req)
+	want, _ := requireServingMatchesReplay(t, func() *Server {
+		cold, _, err := NewReplica("P", f.clk, diffStore(t, f.clk), nil, j.history())
+		if err != nil {
+			t.Fatalf("%s: rebuild from history: %v", when, err)
+		}
+		return cold
+	}, req, when+", cold rebuilds")
 	for pass := 0; pass < 2; pass++ {
 		if got := decide(live, req); got != want {
 			t.Fatalf("%s, pass %d: long-lived server diverges from the cold rebuild\nlong-lived: %+v\ncold:       %+v",
 				when, pass, got, want)
 		}
 	}
-	return want
+	return want.outcome
 }
 
 // journaledServer builds a long-lived instrumented server over diffStore
@@ -175,12 +211,14 @@ func (f *fixture) revokeKeyOf(t *testing.T, ca, name string, pk sharedrsa.Public
 }
 
 // TestCarriedCacheMatchesColdRebuild is the differential for the epoch
-// cache: a random sequence of every Mutation variant, with clock advances
-// across certificate expiry, is driven through one long-lived journaling
-// server; after every mutation each sampled pooled request is decided on a
-// server freshly rebuilt from the journal (empty cache, full replay) and
-// twice on the long-lived one (carried entries, then the residue), and
-// the three decisions must agree on (Allowed, DeniedStep, Reason).
+// cache and the residual decider's cold arm: a random sequence of every
+// Mutation variant, with clock advances across certificate expiry, is
+// driven through one long-lived journaling server; after every mutation
+// each sampled pooled request is decided on two servers freshly rebuilt
+// from the journal (empty caches: the serving path's cold arm, and the
+// replay) and twice on the long-lived one (carried entries, then the
+// residue), and the four decisions must agree on (Allowed, Group,
+// DeniedStep, Reason, error).
 func TestCarriedCacheMatchesColdRebuild(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runColdRebuildDifferential(t, seed) })
@@ -360,6 +398,119 @@ func runColdRebuildDifferential(t *testing.T, seed int64) {
 	}
 	t.Logf("seed %d: mutations %v, %d approvals, denials %v, cache %d hits / %d misses, %d dropped",
 		seed, verbs, approvals, denials, hits, misses, counterTotal(reg, MetricCacheInvalidated))
+}
+
+// signIdentity signs an identity body with ca's key as pki.IssueIdentity
+// would, without its check that KeyID names the subject key.
+func signIdentity(t *testing.T, body pki.Identity, ca *pki.KeyPair) pki.Signed[pki.Identity] {
+	t.Helper()
+	payload, err := json.Marshal(struct {
+		T    string       `json:"t"`
+		Body pki.Identity `json:"body"`
+	}{"identity", body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: ca.Sign(payload).S.Text(16)}
+}
+
+// TestColdDenialsMatchReplay: every way a request can be denied before
+// Step 3 is decided on a fresh server — cold, so on the residual
+// decider's cold arm — exactly as the replay decides it, counted as one
+// residual hit and no fallback, and compiles no residue: only a verified
+// membership certificate may name a group into the memo.
+func TestColdDenialsMatchReplay(t *testing.T) {
+	f := newCacheFixture(t)
+	now, valid := f.clk.Now(), clock.NewInterval(50, 5000)
+	newKey := func() *pki.KeyPair {
+		kp, err := pki.GenerateKeyPair(512, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kp
+	}
+	// CAX is trusted and signs whatever it is handed; CAY is not trusted.
+	cax, cay := newKey(), newKey()
+	anchors := f.anchors(0)
+	anchors.CAKeys["CAX"] = cax.Public()
+	objects := f.newServer(nil).Objects()
+	newServer := func() *Server { return NewServer("P", f.clk, anchors, objects, nil) }
+
+	// requestBy builds a read under a 1-of-1 threshold certificate for a
+	// subject whose identity certificate is idc, bound to keyID and signed
+	// for with signer.
+	requestBy := func(idc pki.Signed[pki.Identity], keyID string, signer *pki.KeyPair) AccessRequest {
+		ac, err := f.est.AA.IssueThreshold("G_read", 1, []pki.BoundSubject{{Name: idc.Cert.Subject, KeyID: keyID}}, valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := SignRequest(idc.Cert.Subject, now, acl.Read, "O", nil, signer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return AccessRequest{Threshold: ac, Identities: []pki.Signed[pki.Identity]{idc}, Requests: []UserRequest{r}}
+	}
+	identity := func(ca string, kp *pki.KeyPair, subject, keyID string, key sharedrsa.PublicKey) pki.Signed[pki.Identity] {
+		return signIdentity(t, pki.Identity{Issuer: ca, IssuedAt: now, Subject: subject,
+			SubjectKey: pki.NewKeyInfo(key), KeyID: keyID, NotBefore: 50, NotAfter: 5000}, kp)
+	}
+	mallory := newKey()
+	zero := sharedrsa.PublicKey{N: big.NewInt(0), E: big.NewInt(65537)}
+
+	tamperedID := f.writeRequest(t, []byte("x"), "User_D1", "User_D2")
+	tamperedID.Identities[1].SigS = tamperedID.Identities[0].SigS
+	foreign := f.writeRequest(t, []byte("x"), "User_D1", "User_D2")
+	foreign.Threshold.Cert.Issuer = "EvilAA"
+	tamperedAC := f.writeRequest(t, []byte("x"), "User_D1")
+	tamperedAC.Threshold.Cert.M = 1
+	freshGroup := f.writeRequest(t, []byte("x"), "User_D1", "User_D2")
+	freshGroup.Threshold.Cert.Group = "G_fresh"
+	tamperedSingle := f.singleReadRequest(t, "User_D3")
+	tamperedSingle.Single.Cert.NotAfter--
+	tamperedDeleg := f.delegatedReadRequest(t, "User_D1", f.issueDelegation(t, "", "User_D1", "G_read", 0, "read"))
+	tamperedDeleg.Delegation.Cert.Depth++
+	unchained := f.delegatedReadRequest(t, "User_D2", f.issueDelegation(t, "", "User_D2", "G_read", 0, "read"))
+	aaKeyRevoked := f.revokeKeyOf(t, "CA2", "AA", f.est.AA.Public())
+
+	for _, tc := range []struct {
+		name  string
+		setup Mutation // applied to both servers first, when set
+		req   AccessRequest
+		step  string
+	}{
+		{"empty request", nil, AccessRequest{Threshold: f.writeAC}, StepFreshness},
+		{"untrusted CA", nil, requestBy(identity("CAY", cay, "Mallory_D1", mallory.KeyID(), mallory.Public()), mallory.KeyID(), mallory), StepCerts},
+		{"tampered identity signature", nil, tamperedID, StepCerts},
+		{"identity KeyID mismatch", nil, requestBy(identity("CAX", cax, "Mallory_D1", "kX", mallory.Public()), "kX", mallory), StepCerts},
+		{"zero-modulus key", nil, requestBy(identity("CAX", cax, "Zero_D1", zero.KeyID(), zero), zero.KeyID(), mallory), StepCerts},
+		{"foreign membership issuer", nil, foreign, StepThreshold},
+		{"tampered threshold certificate", nil, tamperedAC, StepThreshold},
+		{"rejected certificate naming a fresh group", nil, freshGroup, StepThreshold},
+		{"tampered single-subject certificate", nil, tamperedSingle, StepThreshold},
+		{"tampered delegation certificate", nil, tamperedDeleg, StepThreshold},
+		{"delegated subject with no chain", nil, unchained, StepThreshold},
+		{"revoked AA key", aaKeyRevoked, f.writeRequest(t, []byte("x"), "User_D1", "User_D2"), StepThreshold},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			setup := newServer
+			if tc.setup != nil {
+				setup = func() *Server {
+					srv := newServer()
+					if err := srv.Apply(context.Background(), tc.setup); err != nil {
+						t.Fatal(err)
+					}
+					return srv
+				}
+			}
+			want, reg := requireServingMatchesReplay(t, setup, tc.req, tc.name)
+			if want.allowed || want.step != tc.step {
+				t.Fatalf("decided %+v, want a denial at %s", want, tc.step)
+			}
+			if _, _, compiles := residualCounts(reg); compiles != 0 {
+				t.Fatalf("a rejected request compiled %d residues", compiles)
+			}
+		})
+	}
 }
 
 // TestIssuerKeyRevocationReachesCachedCertificates pins the one belief a

@@ -1,13 +1,11 @@
-// Per-request scratch pooling for the authorize hot paths.
+// Per-request scratch pooling for the authorize hot path.
 //
-// Two pools feed Authorize. Engine forks come from logic's fork pool
-// (ForkPooled/Recycle): the replay forks the snapshot engine on every
-// request, and under load those forks — engine struct, belief store,
-// overlay index — are the logic layer's entire garbage output. The
-// residual decider never forks. Both deciders share the scratch below:
+// Every decision, on either decider, draws its working set from one pool:
 // Step 1's verified keys, the canonical request-body encodings Step 3's
 // signature checks hash, the big.Int signature values, and the residual
-// decider's leaf-check slices. Both pools are gated by SetPooling, which
+// decider's leaf-check slices. The warm arm never forks the snapshot's
+// engine; the cold arm and the replay fork it plainly (logic.Engine.Fork),
+// since a sealed fork is O(1). The pool is gated by SetPooling, which
 // survives only because the frozen benchmark module calls it; nothing in
 // this module turns pooling off outside the pooled-vs-unpooled tests.
 //
@@ -26,22 +24,11 @@ import (
 	"jointadmin/internal/pki"
 )
 
-// SetPooling toggles per-request pooling of engine forks and request
-// scratch (default on). The value is stored atomically and may be
-// flipped while serving; each request reads it once. Decisions are
-// bit-identical either way — pooling trades GC pressure for pool
-// bookkeeping, nothing semantic.
+// SetPooling toggles pooling of the request scratch (default on). The
+// value is stored atomically and may be flipped while serving; each
+// request reads it once. Decisions are bit-identical either way — pooling
+// trades GC pressure for pool bookkeeping, nothing semantic.
 func (s *Server) SetPooling(on bool) { s.noPool.Store(!on) }
-
-// fork returns the per-request fork of the snapshot engine: pooled
-// unless SetPooling(false). Callers recycle unconditionally — Recycle
-// is a no-op on plain forks.
-func (s *Server) fork(st *state) *logic.Engine {
-	if s.noPool.Load() {
-		return st.eng.Fork()
-	}
-	return st.eng.ForkPooled()
-}
 
 // reqScratch is the reusable per-request working set of Authorize.
 // Fields are truncated, never shrunk, so a warm scratch serves a request
@@ -66,7 +53,7 @@ type reqScratch struct {
 }
 
 // fingerprint computes the request's certificate fingerprints once, for
-// the residual attempt and, on a miss, the replay (a fingerprint is a
+// every cache lookup and put the decision makes (a fingerprint is a
 // sha256 over the certificate's length-prefixed binary fields, kind tag,
 // signer key and signature; one allocation).
 func (sc *reqScratch) fingerprint(req *AccessRequest) {

@@ -22,8 +22,8 @@ func readRequest(t *testing.T, f *fixture, signer string) AccessRequest {
 	return req
 }
 
-// TestPoolingDecisionParity drives an identical request sequence — cold
-// full path, warm residual path, reads, and three denial shapes —
+// TestPoolingDecisionParity drives an identical request sequence — the
+// residual decider's cold and warm arms, reads, and three denial shapes —
 // through a pooled and an unpooled server and requires bit-identical
 // decisions (fields, data, errors, and full proof traces).
 func TestPoolingDecisionParity(t *testing.T) {
@@ -33,8 +33,8 @@ func TestPoolingDecisionParity(t *testing.T) {
 	tampered.Requests[1].Payload = []byte("other")
 
 	reqs := []AccessRequest{
-		f.writeRequest(t, []byte("v2"), "User_D1", "User_D2"), // cold: full replay
-		f.writeRequest(t, []byte("v3"), "User_D1", "User_D2"), // warm: residual
+		f.writeRequest(t, []byte("v2"), "User_D1", "User_D2"), // cold arm
+		f.writeRequest(t, []byte("v3"), "User_D1", "User_D2"), // warm arm
 		readRequest(t, f, "User_D3"),                          // cold attribute cert
 		readRequest(t, f, "User_D3"),                          // warm residual read
 		f.writeRequest(t, []byte("uni"), "User_D1"),           // threshold not met
@@ -85,7 +85,7 @@ func TestPoolingDecisionParity(t *testing.T) {
 
 // TestPooledNoLeakAcrossRequests reuses one pooled server across
 // alternating allow/deny requests with different signer sets, so every
-// scratch and fork is recycled dirty, and requires each decision to
+// scratch is recycled dirty, and requires each decision to
 // reflect only its own request.
 func TestPooledNoLeakAcrossRequests(t *testing.T) {
 	f := newFixture(t)
@@ -119,7 +119,7 @@ func TestPooledNoLeakAcrossRequests(t *testing.T) {
 
 // TestPoolingConcurrent hammers a pooled server from several goroutines
 // with a mixed allow/deny workload (the -race regression for scratch
-// and fork recycling under concurrency).
+// recycling under concurrency).
 func TestPoolingConcurrent(t *testing.T) {
 	f := newFixture(t)
 	s := f.newServer(nil)

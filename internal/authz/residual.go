@@ -16,23 +16,27 @@
 // temporal condition).
 //
 // A residue is a pure function of the immutable snapshot and the group,
-// so nothing is compiled at publish: the first warm request for a group
+// so nothing is compiled at publish: the first request for a group
 // compiles its residue into the snapshot's memo, which is discarded with
 // the snapshot — a residue can never outlive the belief set it was
 // compiled from. (The verified-certificate cache outlives the snapshot,
 // snapshot.go; a residue does not ride along, because the relation
 // closure and the composed chains it records are beliefs, and compiling
 // one costs a few microseconds.) The memo is filled only for a group
-// named by a certificate already verified in the key epoch's cache, so it
+// named by a membership certificate verified in the key epoch — found in
+// its cache, or verified by the request itself before the lookup — so it
 // is bounded by issued certificates, never by request input. The object
 // store mutates outside snapshot publishes (writes, ACL changes, new
 // objects) and no residue depends on it: the ACL lookup is a live Step-4
 // leaf.
+//
+// The residual decider decides every request Authorize serves, in two
+// arms that differ only in Steps 1–2 (decideResidual, decideCold) and
+// share the rest (concludeResidual).
 
 package authz
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -70,7 +74,7 @@ type residue struct {
 	// op-in-perms check and per-link revocation stay request-time leaves.
 	delegs map[string][]logic.Delegates
 	// prefixLen and segTrace cache the rendering of the spliced segment,
-	// so reading an approval's audit entry renders only its leaf steps
+	// so reading a warm approval's audit entry renders only its leaf steps
 	// (the base proof's rendering is shared by the whole snapshot,
 	// residueMemo.baseTrace).
 	prefixLen int
@@ -227,8 +231,7 @@ func newResidueMemo(eng *logic.Engine) *residueMemo {
 }
 
 // residueFor returns the snapshot's residue for group, compiling it on
-// first use. Callers must have found a verified certificate naming group
-// in st.cache first: that is what bounds the memo by issued certificates.
+// first use; its one caller, spliceResidue, states what bounds the memo.
 // Racing first requests compile once — the loser waits on the lock.
 func (s *Server) residueFor(st *state, group string) *residue {
 	rm := st.residues
@@ -251,11 +254,11 @@ func (s *Server) residueFor(st *state, group string) *residue {
 }
 
 // RecompileResiduals discards the current snapshot's memoized residues;
-// each is recompiled on its group's next warm request. Nothing in this
-// module needs it — residues do not depend on the object store, and
-// belief mutations publish a snapshot with an empty memo — and it has no
-// caller outside tests: it survives only because the frozen benchmark
-// module times it, and goes with that probe.
+// each is recompiled on its group's next request. Nothing in this module
+// needs it — residues do not depend on the object store, and belief
+// mutations publish a snapshot with an empty memo — and it has no caller
+// outside tests: it survives only because the frozen benchmark module
+// times it, and goes with that probe.
 func (s *Server) RecompileResiduals() {
 	rm := s.state.Load().residues
 	rm.mu.Lock()
@@ -263,90 +266,64 @@ func (s *Server) RecompileResiduals() {
 	clear(rm.m)
 }
 
-// SetResidualsEnabled toggles the residual decider in Authorize (enabled
-// by default). Disabling forces every request down the 4-step replay;
-// memoized residues are kept, so re-enabling needs no recompilation. The
-// differential tests use it to decide one request both ways, and the
-// frozen benchmark module to time the replay.
+// SetResidualsEnabled selects the decider Authorize runs: the residual
+// decider (the default, and the only one any server serves) or, disabled,
+// the 4-step replay, its oracle. Memoized residues are kept, so
+// re-enabling needs no recompilation. The differential tests use it to
+// decide one request both ways, the frozen benchmark module to time the
+// replay, and cmd/logicproof to print the paper's full derivation.
 func (s *Server) SetResidualsEnabled(on bool) { s.noResidual.Store(!on) }
 
-// tryResidual attempts the residual decider: find the cached certificate
-// verifications, look up (or compile) the residue for the requesting
-// group, and splice its recorded segment onto the base proof. ok=false
-// means the request cannot be decided residually — a certificate not yet
-// in the cache, a membership certificate from a foreign issuer, or a
-// delegated subject with no chain absorbed into the residue — and nothing
-// was traced or counted, nor left in sc for the replay to read but the
-// fingerprints: the caller falls back to the replay. Cached verifications
-// may predate this snapshot (the cache belongs to the key epoch);
-// everything a mutation can change is a leaf decideResidual checks
-// against st, and the residue is st's own.
-func (s *Server) tryResidual(ctx context.Context, st *state, sc *reqScratch, req *AccessRequest) (Decision, error, bool) {
-	if len(req.Requests) == 0 {
-		return Decision{}, nil, false
-	}
-	now := s.clk.Now()
-	// The membership certificate names the requesting group; its
-	// verification must be cached. The fingerprint covers the certificate
-	// body, so a hit means a verified certificate names exactly this group.
-	mc := membershipCertOf(req)
-	if mc.issuer != st.anchors.AAName {
-		return Decision{}, nil, false // the replay renders the exact denial
-	}
-	memHit, ok := st.cache.get(sc.memFP)
-	if !ok {
-		return Decision{}, nil, false
-	}
-	res := s.residueFor(st, mc.group)
+// spliceResidue splices the snapshot's residue for group onto pr. The
+// caller must have verified a certificate naming group first — found it in
+// st.cache or verified it itself — which is what bounds the memo by
+// verified certificates. Neither failure can happen (the residue is
+// recorded from the base pr descends from); each denies, none switches
+// decider.
+func (s *Server) spliceResidue(st *state, group string, pr *logic.Proof) (*residue, error) {
+	res := s.residueFor(st, group)
 	if res == nil {
-		return Decision{}, nil, false
+		return nil, fmt.Errorf("residual compile for %s failed", group)
 	}
-	if req.Delegated {
-		_, ok = memHit.formula.(logic.Delegates)
-		ok = ok && len(res.delegs[req.Delegation.Cert.Subject.Name]) > 0
-	} else {
-		_, ok = memHit.formula.(logic.MemberOf)
-	}
-	if !ok {
-		return Decision{}, nil, false
-	}
-	idHits := grow(sc.idHits, len(req.Identities))
-	sc.idHits = idHits
-	for i := range req.Identities {
-		e, ok := st.cache.get(sc.idFPs[i])
-		if _, isKey := e.formula.(logic.KeySpeaksFor); !ok || !isKey {
-			return Decision{}, nil, false
-		}
-		idHits[i] = e
-	}
-	// Splice the recorded segment before committing, so a (never
-	// expected) mismatch still falls back cleanly instead of tracing.
-	pr := st.eng.Proof().Clone()
 	if _, err := pr.Splice(res.seg); err != nil {
-		return Decision{}, nil, false
+		return nil, err
 	}
-
-	// Committed: from here every outcome is decided residually, with the
-	// traces, metrics and denial reasons the replay produces.
-	s.hot.residualHits.Inc()
-	s.hot.cacheHitAttribute.Inc()
-	s.hot.cacheHitIdentity.Add(int64(len(req.Identities)))
-	d := decision{s: s, ctx: ctx, r: req.Requests[0], tr: s.beginTrace(), now: now, proof: pr}
-	dec, err := s.decideResidual(&d, st, sc, req, mc, memHit, res)
-	return dec, err, true
+	return res, nil
 }
 
-// decideResidual decides a request tryResidual committed to. Its own are
-// the leaf checks of Steps 1–3 against the cached verifications and the
-// residue, each appending one leaf step to d.proof; freshness, Step 3's
-// signer checks, the statement-25 conclusion and everything after it are
-// the code the replay runs.
-func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *AccessRequest, mc memCert, memHit cachedCert, res *residue) (Decision, error) {
-	now, pr, group := d.now, d.proof, mc.group
-	d.tr.begin(StepFreshness)
-	if err := d.ctx.Err(); err != nil {
-		return d.abort(err)
+// decideResidual decides a request on the residual decider, once
+// authorizeAt has checked the context and that the request has a
+// component. The warm arm — the
+// membership certificate and every identity certificate cached — splices
+// the residue onto a clone of the snapshot's proof and checks the leaves
+// of Steps 1–2 against the cached verifications and the residue, each
+// appending one leaf step to d.proof; anything else takes decideCold.
+// Cached verifications may predate this snapshot (the cache belongs to the
+// key epoch); everything a mutation can change is a leaf checked against
+// st, and the residue is st's own.
+func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *AccessRequest) (Decision, error) {
+	// The fingerprint covers the certificate body, so a membership hit
+	// means a certificate the AA verifiably issued names exactly this
+	// group.
+	memHit, warm := st.cache.get(sc.memFP)
+	idHits := grow(sc.idHits, len(req.Identities))
+	sc.idHits = idHits
+	for i := 0; warm && i < len(idHits); i++ {
+		idHits[i], warm = st.cache.get(sc.idFPs[i])
 	}
+	if !warm {
+		return s.decideCold(d, st, sc, req)
+	}
+	mc := membershipCertOf(req)
+	now, group := d.now, mc.group
+	pr := st.eng.Proof().Clone()
+	d.proof = pr
+	res, err := s.spliceResidue(st, group, pr)
+	if err != nil {
+		return d.deny(group, err.Error())
+	}
+	s.hot.cacheHitAttribute.Inc()
+	s.hot.cacheHitIdentity.Add(int64(len(req.Identities)))
 	if reason := freshnessDenial(st.anchors.FreshnessWindow, req.Requests, now); reason != "" {
 		return d.deny("", reason)
 	}
@@ -367,7 +344,10 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 	sc.keys = keys
 	for i := range req.Identities {
 		idc, e := &req.Identities[i], sc.idHits[i]
-		ks := e.formula.(logic.KeySpeaksFor)
+		ks, ok := e.formula.(logic.KeySpeaksFor)
+		if !ok {
+			return d.deny("", "identity derivation failed: cached formula is not a key binding")
+		}
 		if reason := identityLeafDenial(store, idc, ks, now); reason != "" {
 			return d.deny("", reason)
 		}
@@ -386,11 +366,7 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 	if !memHit.validity.Contains(now) {
 		return d.deny(group, fmt.Sprintf("%s certificate invalid: %v", certKind(req), s.expiredHit(st, sc.memFP, memHit, now)))
 	}
-	var (
-		mem      logic.MemberOf
-		memStep  int
-		validity = mc.validity
-	)
+	memR := membershipResult{group: group, certValidity: mc.validity}
 	if req.Delegated {
 		subject := req.Delegation.Cert.Subject.Name
 		var chain *logic.Delegates
@@ -428,27 +404,59 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 		if err != nil {
 			return d.deny(group, "delegation derivation failed: "+err.Error())
 		}
-		mem = m
-		validity = clock.NewInterval(chain.T.Time(), chain.T.End())
-		memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now,
+		memR.mem = m
+		memR.certValidity = clock.NewInterval(chain.T.Time(), chain.T.End())
+		memR.memStep = pr.Append(logic.RuleResidualLeaf, nil, m, now,
 			"membership of "+subject+" in "+group+" derived from the absorbed delegation chain ["+chain.Path+"]")
 	} else {
-		mem = memHit.formula.(logic.MemberOf)
+		mem, ok := memHit.formula.(logic.MemberOf)
+		if !ok {
+			return d.deny(group, "membership derivation produced unexpected formula")
+		}
 		if reason := membershipLeafDenial(store, mc.signerKey, mem, now); reason != "" {
 			return d.deny(group, reason)
 		}
-		memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now, memHit.note)
+		memR.mem = mem
+		memR.memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now, memHit.note)
 	}
+	return s.concludeResidual(d, st, sc, req, memR, res, true)
+}
 
-	// ---- Step 3: the shared signer checks, then one signed-utterance
-	// leaf per co-signer and the statement-25 conclusion. ----
+// decideCold is the residual decider's cold arm, for a request with a
+// certificate not yet cached: Steps 1–2 run exactly as the replay runs
+// them (verifyCerts), into a fork of the snapshot's engine whose proof
+// becomes the decision's, so the derivation of every certificate this
+// request verified stays in its proof. Only then, with the membership
+// certificate verified, is the residue looked up and spliced after them
+// (Splice remaps a segment that lands late).
+func (s *Server) decideCold(d *decision, st *state, sc *reqScratch, req *AccessRequest) (Decision, error) {
+	_, memR, err := s.verifyCerts(d, st, sc, req)
+	if err != nil {
+		return d.fail(memR.group, err)
+	}
+	res, err := s.spliceResidue(st, memR.group, d.proof)
+	if err != nil {
+		return d.deny(memR.group, err.Error())
+	}
+	return s.concludeResidual(d, st, sc, req, memR, res, false)
+}
+
+// concludeResidual is Steps 3–4 on both arms of the residual decider, once
+// Steps 1–2 have filled sc.keys and established memR and res is spliced
+// into d.proof: the signer checks the replay shares, one signed-utterance
+// leaf per co-signer, the statement-25 conclusion, and Step 4 over the
+// residue's recorded closure. A warm proof keeps the residue's segment at
+// its recorded position, so its audit entry renders from the snapshot's
+// shared renderings; a cold proof renders whole.
+func (s *Server) concludeResidual(d *decision, st *state, sc *reqScratch, req *AccessRequest, memR membershipResult, res *residue, warm bool) (Decision, error) {
+	now, pr, group := d.now, d.proof, memR.group
 	d.tr.begin(StepCosign)
 	if err := sc.verifySigners(d.ctx, req); err != nil {
 		return d.fail(group, err)
 	}
 	utterances := grow(sc.utter, len(req.Requests))
 	sc.utter = utterances
-	premises := append(sc.premises[:0], memStep)
+	premises := append(sc.premises[:0], memR.memStep)
 	for i := range req.Requests {
 		r := &req.Requests[i]
 		key, _ := sc.signer(req, r.User)
@@ -459,7 +467,7 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 			"signed utterance of "+r.User+" verified against the cached key binding"))
 	}
 	sc.premises = premises
-	gs, rule, err := logic.DeriveGroupSays(mem, utterances, now, func(who string) (logic.KeySpeaksFor, bool) {
+	gs, rule, err := logic.DeriveGroupSays(memR.mem, utterances, now, func(who string) (logic.KeySpeaksFor, bool) {
 		key, ok := sc.signer(req, who)
 		return key.ks, ok
 	})
@@ -469,11 +477,11 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 	pr.Append(rule, premises, gs, now, "statement 25: G says X")
 
 	// ---- Step 4 against the residue's recorded closure. ----
-	var derivation fmt.Stringer
-	if d.tr.sink {
+	var derivation fmt.Stringer = pr
+	if warm && d.tr.sink {
 		derivation = &residualDerivation{base: st.residues.baseTrace, seg: res.segTrace, proof: pr, prefixLen: res.prefixLen}
 	}
-	return d.approve(gs, res.reachable(group, now), validity, derivation)
+	return d.approve(gs, res.reachable(group, now), memR.certValidity, derivation)
 }
 
 // residualDerivation is what a residual approval's audit entry keeps to

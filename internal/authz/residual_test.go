@@ -34,7 +34,8 @@ func (rm *residueMemo) len() int {
 	return len(rm.m)
 }
 
-// residualCounts reads the three residual counters.
+// residualCounts reads the three residual counters. Nothing falls back
+// any more, so fallbacks must read 0 wherever a test looks.
 func residualCounts(reg *obs.Registry) (hits, fallbacks, compiles int64) {
 	snap := reg.Snapshot()
 	return snap.CounterValue(MetricResidualHits), snap.CounterValue(MetricResidualFallbacks), snap.CounterValue(MetricResidualCompiles)
@@ -74,13 +75,13 @@ func TestResidualNeedsNoRecompile(t *testing.T) {
 	srv, reg := f.instrumentedServer(nil)
 	ctx := context.Background()
 	signers := []string{"User_D1", "User_D2"}
-	for i := 0; i < 2; i++ { // cold, then warm: compiles G_write's residue
+	for i := 0; i < 2; i++ { // cold (compiles G_write's residue), then warm
 		if _, err := srv.Authorize(ctx, f.writeRequest(t, []byte("v2"), signers...)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if hits, falls, compiles := residualCounts(reg); hits != 1 || falls != 1 || compiles != 1 {
-		t.Fatalf("after warm-up: hits=%d fallbacks=%d compiles=%d, want 1/1/1", hits, falls, compiles)
+	if hits, falls, compiles := residualCounts(reg); hits != 2 || falls != 0 || compiles != 1 {
+		t.Fatalf("after warm-up: hits=%d fallbacks=%d compiles=%d, want 2/0/1", hits, falls, compiles)
 	}
 
 	// A new object, installed behind the snapshot's back, that G_write
@@ -100,12 +101,14 @@ func TestResidualNeedsNoRecompile(t *testing.T) {
 	if err == nil || dec.DeniedStep != StepACL {
 		t.Fatalf("write to O2 before the ACL change: dec=%+v err=%v", dec, err)
 	}
-	if hits, falls, _ := residualCounts(reg); hits != 2 || falls != 1 {
+	if hits, falls, _ := residualCounts(reg); hits != 3 || falls != 0 {
 		t.Fatalf("new object was not decided on the residual path: hits=%d fallbacks=%d", hits, falls)
 	}
+	writeResidue := srv.state.Load().residues.m["G_write"]
 
 	// G_policy grants G_write the permission through the modify op (cold:
-	// its certificate is new to this snapshot).
+	// its certificate is new to this snapshot, and compiles G_policy's
+	// residue).
 	policyAC, err := f.est.AA.IssueThreshold("G_policy", 2, f.subjects(), clock.NewInterval(50, 5000))
 	if err != nil {
 		t.Fatal(err)
@@ -123,15 +126,19 @@ func TestResidualNeedsNoRecompile(t *testing.T) {
 	if dec, err := srv.Authorize(ctx, writeO2); err != nil || !dec.Allowed {
 		t.Fatalf("write to O2 after the ACL change: dec=%+v err=%v", dec, err)
 	}
-	// Three residual decisions, two cold ones, and still the one residue.
-	if hits, falls, compiles := residualCounts(reg); hits != 3 || falls != 2 || compiles != 1 {
-		t.Fatalf("after the ACL change: hits=%d fallbacks=%d compiles=%d, want 3/2/1", hits, falls, compiles)
+	// Five residual decisions, two of them cold; G_write's residue is still
+	// the one compiled first, and the only other is G_policy's.
+	if hits, falls, compiles := residualCounts(reg); hits != 5 || falls != 0 || compiles != 2 {
+		t.Fatalf("after the ACL change: hits=%d fallbacks=%d compiles=%d, want 5/0/2", hits, falls, compiles)
+	}
+	if srv.state.Load().residues.m["G_write"] != writeResidue {
+		t.Fatal("an object-store change recompiled G_write's residue")
 	}
 }
 
 // TestResidueMemoBounded: the memo grows only for a group named by a
-// certificate already verified in the same snapshot — never from request
-// input alone.
+// certificate verified in the key epoch — cached, or verified by the
+// request that compiles it — never from request input alone.
 func TestResidueMemoBounded(t *testing.T) {
 	f := newFixture(t)
 	srv, reg := f.instrumentedServer(nil)
@@ -160,18 +167,17 @@ func TestResidueMemoBounded(t *testing.T) {
 	}
 	requireOneResidue("after forged groups")
 
-	// A genuine certificate the snapshot has not verified yet compiles
-	// nothing until it has been.
+	// A genuine certificate the snapshot has not verified yet compiles its
+	// group's residue on first use, once the cold arm has verified it, and
+	// the warm repeat reuses it.
 	read := readRequest(t, f, "User_D1")
-	if _, err := srv.Authorize(ctx, read); err != nil {
-		t.Fatal(err)
-	}
-	requireOneResidue("after a cold genuine certificate")
-	if _, err := srv.Authorize(ctx, read); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, compiles := residualCounts(reg); compiles != 2 || memo.len() != 2 {
-		t.Fatalf("warm genuine certificate: compiles=%d memo=%d, want 2/2", compiles, memo.len())
+	for _, when := range []string{"cold", "warm"} {
+		if _, err := srv.Authorize(ctx, read); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, compiles := residualCounts(reg); compiles != 2 || memo.len() != 2 {
+			t.Fatalf("%s genuine certificate: compiles=%d memo=%d, want 2/2", when, compiles, memo.len())
+		}
 	}
 
 	// RecompileResiduals only empties the memo; the next warm request
@@ -230,18 +236,13 @@ func TestReplayCompilesNothing(t *testing.T) {
 	}
 }
 
-// TestResidueFirstUseRace: goroutines racing the first warm request for
-// one group compile its residue once. Run with -race.
+// TestResidueFirstUseRace: goroutines racing the first request for one
+// group — each on the cold arm or, once another has cached the
+// certificates, the warm one — compile its residue once. Run with -race.
 func TestResidueFirstUseRace(t *testing.T) {
 	f := newFixture(t)
 	srv, reg := f.instrumentedServer(nil)
 	read := readRequest(t, f, "User_D3")
-	if _, err := srv.Authorize(context.Background(), read); err != nil { // cold: warms the cache only
-		t.Fatal(err)
-	}
-	if _, _, compiles := residualCounts(reg); compiles != 0 {
-		t.Fatalf("cold request compiled %d residues", compiles)
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -253,9 +254,9 @@ func TestResidueFirstUseRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, _, compiles := residualCounts(reg)
-	if n := srv.state.Load().residues.len(); n != 1 || compiles != 1 || hits != 8 {
-		t.Fatalf("memo=%d compiles=%d hits=%d, want 1/1/8", n, compiles, hits)
+	hits, falls, compiles := residualCounts(reg)
+	if n := srv.state.Load().residues.len(); n != 1 || compiles != 1 || hits != 8 || falls != 0 {
+		t.Fatalf("memo=%d compiles=%d hits=%d fallbacks=%d, want 1/1/8/0", n, compiles, hits, falls)
 	}
 }
 
@@ -309,9 +310,9 @@ func TestResidualMatchesReplayOnACLDenials(t *testing.T) {
 // TestWarmRequestNeverFallsBack: once its certificates are cached, every
 // request kind the fixture serves — a 2-of-3 write, a 1-of-3 read, a
 // single-subject read (A35) and a delegated read — is decided on the
-// residual path, approvals and Step 3 / Step 4 denials alike, and each
-// decision matches the replay's. Only a cold cache, a foreign issuer or a
-// subject without an absorbed chain may fall back.
+// residual decider's warm arm, approvals and Step 3 / Step 4 denials
+// alike: no certificate is verified again, nothing falls back, and each
+// decision matches the replay's.
 func TestWarmRequestNeverFallsBack(t *testing.T) {
 	f := newFixture(t)
 	srv, reg := f.instrumentedServer(audit.NewLog())
@@ -343,7 +344,7 @@ func TestWarmRequestNeverFallsBack(t *testing.T) {
 			t.Fatalf("warm-up: dec=%+v err=%v", dec, err)
 		}
 	}
-	_, fallbacks, _ := residualCounts(reg)
+	misses := counterTotal(reg, MetricCacheMisses)
 
 	tampered := f.writeRequest(t, []byte("w"), "User_D1", "User_D2")
 	tampered.Requests[1].Payload = []byte("other")
@@ -378,8 +379,11 @@ func TestWarmRequestNeverFallsBack(t *testing.T) {
 			if dec.DeniedStep != tc.want || dec.Allowed != (tc.want == "") {
 				t.Fatalf("decision = %+v, want denied step %q", dec, tc.want)
 			}
-			if _, got, _ := residualCounts(reg); got != fallbacks {
-				t.Fatalf("%s fell back: %s %d -> %d", tc.name, MetricResidualFallbacks, fallbacks, got)
+			if _, falls, _ := residualCounts(reg); falls != 0 {
+				t.Fatalf("%s fell back: %s = %d", tc.name, MetricResidualFallbacks, falls)
+			}
+			if got := counterTotal(reg, MetricCacheMisses); got != misses {
+				t.Fatalf("%s took the cold arm: cache misses %d -> %d", tc.name, misses, got)
 			}
 		})
 	}

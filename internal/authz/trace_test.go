@@ -12,11 +12,26 @@ import (
 // TestAuthorizationDerivationTrace is experiment E10: the approved write's
 // derivation must follow the exact statement structure of Section 4.3 —
 // initial beliefs, then per message the A10 / jurisdiction / A22 / A9
-// chain, ending in A38 producing "G_write says write O".
+// chain, ending in A38 producing "G_write says write O" — whether a fresh
+// server decides it on the serving path (the residual decider's cold arm)
+// or on the replay.
 func TestAuthorizationDerivationTrace(t *testing.T) {
 	f := newFixture(t)
-	server := f.newServer(nil)
-	req := f.writeRequest(t, []byte("traced"), "User_D1", "User_D2")
+	for _, residuals := range []bool{true, false} {
+		name := "serving path"
+		if !residuals {
+			name = "replay"
+		}
+		t.Run(name, func(t *testing.T) {
+			server := f.newServer(nil)
+			server.SetResidualsEnabled(residuals)
+			requireSection43Trace(t, server, f.writeRequest(t, []byte("traced"), "User_D1", "User_D2"))
+		})
+	}
+}
+
+func requireSection43Trace(t *testing.T, server *Server, req AccessRequest) {
+	t.Helper()
 	dec, err := server.Authorize(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,6 @@ type Engine struct {
 	clk   *clock.Clock
 	store *BeliefStore
 	proof *Proof
-	// box, when non-nil, is the pool slab this engine was carved from
-	// (ForkPooled); Recycle returns it. Plain Fork leaves it nil.
-	box *forkBox
 }
 
 // NewEngine returns an engine for the named relying principal with the
@@ -46,11 +43,13 @@ func (e *Engine) Proof() *Proof { return e.proof }
 // Fork returns an independent copy of the engine: same owner and clock,
 // cloned belief store and proof. Derivations on the fork never touch the
 // original, which makes a sealed base engine shareable across concurrent
-// request evaluations — each request forks the base and derives into its
-// own scratch (the per-request counterpart of the Section 4.3 statement
+// evaluations — a mutation forks the published base to derive the next
+// snapshot, and a request whose certificates are not yet verified forks it
+// to derive them (the per-request counterpart of the Section 4.3 statement
 // lists). Forking a sealed engine is O(1) regardless of how many beliefs
 // and proof steps the base holds: the fork shares the immutable base
-// layers and starts an empty overlay/suffix.
+// layers and starts an empty overlay/suffix, so it is an ordinary
+// allocation, not pooled.
 func (e *Engine) Fork() *Engine {
 	return &Engine{
 		owner: e.owner,

@@ -12,10 +12,11 @@ import (
 
 // This file implements a parser for the canonical (String) syntax of the
 // logic, so that formulas round-trip: Parse(f.String()) is structurally
-// equal to f. The parser covers the full concrete fragment — propositional
-// connectives, temporal comparisons, the says/said/received/believes/
-// controls/has modalities for principals and compound principals, key- and
-// group-speaks-for (including thresholds and key bindings), freshness,
+// equal to f. The parser covers the full concrete fragment — primitive
+// propositions and the propositional connectives, temporal comparisons,
+// the says/said/received/believes/controls/has modalities for principals
+// and compound principals, key- and group-speaks-for (including
+// thresholds and key bindings), freshness,
 // localization, and all message forms. The quantified jurisdiction schemas
 // (KeyJurisdiction etc.) are assumption-only surface forms and are not
 // parsed.
@@ -31,6 +32,7 @@ import (
 //	          | 'Group('G')' 'says_'timespec message
 //	          | subject modality
 //	          | lhs '⇒_'timespec (subject | 'Group('G')')
+//	          | name ('(' name ')')?
 //	modality := ('believes_'|'controls_') timespec formula
 //	          | ('says_'|'said_'|'received_') timespec message
 //	          | 'has_' timespec key
@@ -618,6 +620,7 @@ func (p *parser) subjectLed() (Formula, error) {
 	if err != nil {
 		return nil, err
 	}
+	end := p.pos
 	p.ws()
 	switch {
 	case p.eat("believes_"):
@@ -711,7 +714,28 @@ func (p *parser) subjectLed() (Formula, error) {
 			return nil, p.errf("left of ⇒ to a subject must be a key id")
 		}
 		return KeySpeaksFor{K: KeyID(pr.Name), T: ts, Who: right}, nil
-	default:
-		return nil, p.errf("expected modality after subject, found %q", p.rest())
 	}
+	// No modality: a bare name is a primitive proposition.
+	if pr, ok := sub.(Principal); ok && !pr.IsBound() {
+		p.pos = end
+		return p.prop(pr.Name)
+	}
+	return nil, p.errf("expected modality after subject, found %q", p.rest())
+}
+
+// prop completes a primitive proposition (F1) whose name has been read:
+// optionally one parenthesized name follows it directly, as in the
+// residual compiler's "residual(G)" summary.
+func (p *parser) prop(name string) (Formula, error) {
+	if !p.eat("(") {
+		return Prop{Name: name}, nil
+	}
+	arg, err := p.name()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expect(")"); err != nil {
+		return nil, err
+	}
+	return Prop{Name: name + "(" + arg + ")"}, nil
 }

@@ -46,6 +46,10 @@ func TestParseRoundTripBasics(t *testing.T) {
 		Fresh{T: At(3), Who: "P", X: Const{Value: "n1"}},
 		AtP(Says{Who: P("AA"), T: At(2), X: Const{Value: "m"}}, "P", Sometime(0, 4)),
 		Not{F: MemberOf{Who: cp, T: At(7).On("RA"), G: G("G_write")}},
+		Prop{Name: "x"},
+		Prop{Name: "residual(G_write)"},
+		And{L: Prop{Name: "a"}, R: Not{F: Prop{Name: "b"}}},
+		AtP(Prop{Name: "x"}, "P", At(1)),
 	}
 	for _, f := range formulas {
 		roundTrip(t, f)
@@ -139,6 +143,9 @@ func TestParseErrors(t *testing.T) {
 		"{A,B} ⇒_t1",             // missing target
 		"A|K ⇒_t1 B",             // bound left side of key-speaks-for
 		"A says_t1 “x” trailing", // trailing garbage
+		"A|K",                    // a bound name is no proposition
+		"residual(G",             // unclosed proposition argument
+		"residual (G)",           // the argument must follow the name
 	}
 	for _, s := range bad {
 		if _, err := ParseFormula(s); !errors.Is(err, ErrParse) {

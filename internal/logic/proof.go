@@ -239,11 +239,13 @@ func (p *Proof) Record(from int) (Segment, error) {
 // base). The returned map sends original step IDs to spliced ones.
 //
 // When the segment lands exactly at its original position — the proof's
-// length equals start−1, the residual fast path's invariant (the
-// residue was recorded from a clone of the same sealed base the request
-// proof is cloned from) — every ID maps to itself: the steps are
-// appended verbatim, sharing their premise slices with the immutable
-// segment, and the returned map is nil.
+// length equals start−1, the residual decider's warm arm (the residue
+// was recorded from a clone of the same sealed base the request proof is
+// cloned from) — every ID maps to itself: the steps are appended
+// verbatim, sharing their premise slices with the immutable segment, and
+// the returned map is nil. Its cold arm splices after the request's own
+// certificate derivations, so there the segment lands late and is
+// renumbered.
 func (p *Proof) Splice(seg Segment) (map[int]int, error) {
 	if seg.start-1 > p.Len() {
 		return nil, fmt.Errorf("logic: splice of segment starting at step %d onto a proof with only %d steps", seg.start, p.Len())

@@ -215,62 +215,6 @@ func (b *BeliefStore) Clone() *BeliefStore {
 	return c
 }
 
-// cloneInto clones b into c, reusing c's overlay allocations (the
-// pooled-fork counterpart of Clone). c must be private to the caller —
-// a store fresh from the fork pool — so its lock is not taken. The
-// immutable base is shared as in Clone; the overlay slices are
-// truncated and refilled in place and the maps cleared and refilled,
-// so cloning a sealed store into a warm pooled store allocates nothing.
-func (b *BeliefStore) cloneInto(c *BeliefStore) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	c.base = b.base
-	c.entries = append(c.entries[:0], b.entries...)
-	if c.index != nil {
-		clear(c.index)
-	}
-	if len(b.index) > 0 {
-		if c.index == nil {
-			c.index = make(map[string]int, len(b.index))
-		}
-		for k, v := range b.index {
-			c.index[k] = v
-		}
-	}
-	c.revoked = append(c.revoked[:0], b.revoked...)
-	if c.revokedKeys != nil {
-		clear(c.revokedKeys)
-	}
-	if len(b.revokedKeys) > 0 {
-		if c.revokedKeys == nil {
-			c.revokedKeys = make(map[KeyID]clock.Time, len(b.revokedKeys))
-		}
-		for k, v := range b.revokedKeys {
-			c.revokedKeys[k] = v
-		}
-	}
-}
-
-// reset drops every overlay reference (through the full backing
-// capacity, not just the current length) so a pooled store neither
-// leaks beliefs into its next user nor pins formulas for the garbage
-// collector while parked in the pool. The map allocations are kept.
-func (b *BeliefStore) reset() {
-	b.base = nil
-	ent := b.entries[:cap(b.entries)]
-	for i := range ent {
-		ent[i] = Entry{}
-	}
-	b.entries = b.entries[:0]
-	clear(b.index)
-	rev := b.revoked[:cap(b.revoked)]
-	for i := range rev {
-		rev[i] = Revocation{}
-	}
-	b.revoked = b.revoked[:0]
-	clear(b.revokedKeys)
-}
-
 // lookupLocked finds the entry for a canonical key in the overlay or any
 // base layer.
 func (b *BeliefStore) lookupLocked(key string) (Entry, bool) {

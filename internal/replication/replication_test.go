@@ -654,7 +654,7 @@ func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
 			t.Fatalf("shipped %s replaced the replica", verb)
 		}
 		hits, misses := cacheCounts(reg)
-		fallbacks := reg.Snapshot().CounterValue(authz.MetricResidualFallbacks)
+		residual := reg.Snapshot().CounterValue(authz.MetricResidualHits)
 		if _, err := follower.Authorize(ctx, untouched); err != nil {
 			t.Fatalf("untouched request denied after shipped %s: %v", verb, err)
 		}
@@ -663,8 +663,9 @@ func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
 			t.Fatalf("after shipped %s the follower re-verified an untouched request: hits %d -> %d, misses %d -> %d",
 				verb, hits, gotHits, misses, gotMisses)
 		}
-		if got := reg.Snapshot().CounterValue(authz.MetricResidualFallbacks); got != fallbacks {
-			t.Fatalf("after shipped %s the untouched request fell back to the full replay (%d -> %d)", verb, fallbacks, got)
+		snap := reg.Snapshot()
+		if got, falls := snap.CounterValue(authz.MetricResidualHits), snap.CounterValue(authz.MetricResidualFallbacks); got != residual+1 || falls != 0 {
+			t.Fatalf("after shipped %s the untouched request was not decided residually (hits %d -> %d, %d fallbacks)", verb, residual, got, falls)
 		}
 	}
 	ship("link", func() error { return w.a.LinkGroups("G_parity_sub", "G_read", w.srv) })

@@ -57,9 +57,10 @@ func residualFixture(t *testing.T, opts ...Option) (*Alliance, *Server, *obs.Reg
 	return a, srv, reg, req
 }
 
-// warmResidual replays the request twice — the first call falls back (cold
-// certificate cache) and warms it, the second must be decided on the
-// residual path — and asserts the hit counter moved.
+// warmResidual replays the request twice — the first call takes the
+// residual decider's cold arm and warms the certificate cache, the second
+// its warm arm — and asserts both were counted as residual decisions and
+// nothing fell back.
 func warmResidual(t *testing.T, srv *Server, reg *obs.Registry, req AccessRequest) {
 	t.Helper()
 	ctx := context.Background()
@@ -68,9 +69,8 @@ func warmResidual(t *testing.T, srv *Server, reg *obs.Registry, req AccessReques
 			t.Fatalf("warm-up request %d: %v", i, err)
 		}
 	}
-	if hits := reg.Counter(authz.MetricResidualHits).Value(); hits < 1 {
-		t.Fatalf("residual fast path never fired: %d hits (fallbacks: %d)",
-			hits, reg.Counter(authz.MetricResidualFallbacks).Value())
+	if hits, falls := reg.Counter(authz.MetricResidualHits).Value(), reg.Counter(authz.MetricResidualFallbacks).Value(); hits < 2 || falls != 0 {
+		t.Fatalf("warm-up was not decided residually: %d hits, %d fallbacks", hits, falls)
 	}
 	if compiles := reg.Counter(authz.MetricResidualCompiles).Value(); compiles < 1 {
 		t.Fatalf("no residues compiled after instrumentation: %d", compiles)
@@ -163,11 +163,19 @@ func TestResidualReanchorInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The new key epoch starts with an empty certificate cache, so here —
-	// and only here — the next decision is a full replay.
-	fallbacks := reg.Counter(authz.MetricResidualFallbacks).Value()
+	// and only here — the next decision re-verifies the membership
+	// certificate: the residual decider's cold arm.
+	misses := reg.Counter(authz.MetricCacheMisses, "kind", "attribute").Value()
+	hits := reg.Counter(authz.MetricResidualHits).Value()
 	requireDeniedLikeReplay(t, srv, req)
-	if after := reg.Counter(authz.MetricResidualFallbacks).Value(); after <= fallbacks {
-		t.Fatalf("decision after re-anchoring did not fall back (fallbacks %d -> %d): cache survived the epoch?", fallbacks, after)
+	if after := reg.Counter(authz.MetricCacheMisses, "kind", "attribute").Value(); after <= misses {
+		t.Fatalf("decision after re-anchoring verified nothing (misses %d -> %d): cache survived the epoch?", misses, after)
+	}
+	if after := reg.Counter(authz.MetricResidualHits).Value(); after != hits+1 {
+		t.Fatalf("decision after re-anchoring left the residual decider (hits %d -> %d)", hits, after)
+	}
+	if falls := reg.Counter(authz.MetricResidualFallbacks).Value(); falls != 0 {
+		t.Fatalf("%d decisions fell back", falls)
 	}
 	if reg.Counter(authz.MetricCacheInvalidated).Value() == 0 {
 		t.Fatal("re-anchoring dropped no cache entries")
@@ -197,7 +205,7 @@ func TestResidualGroupLinkEnables(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := srv.Request(ctx, req); err != nil {
-		t.Fatalf("linked group denied on fallback pass: %v", err)
+		t.Fatalf("linked group denied on cold pass: %v", err)
 	}
 	hitsBefore := reg.Counter(authz.MetricResidualHits).Value()
 	if _, err := srv.Request(ctx, req); err != nil {

@@ -68,8 +68,8 @@ if [ -n "$bad" ]; then
 fi
 # authz.Server's runtime switches: each is a second decision path. This
 # list may only shrink (the three left go with the next benchmark issue,
-# which is what still calls them). SetJournal attaches the WAL — wiring,
-# not a switch.
+# which is what still calls them; SetResidualsEnabled selects the oracle,
+# not a serving path). SetJournal attaches the WAL — wiring, not a switch.
 for m in $(grep -hoE '^func \(s \*Server\) Set[A-Za-z]+' internal/authz/*.go | sed -E 's/.* //'); do
     case "$m" in
     SetBatchVerify | SetPooling | SetResidualsEnabled | SetJournal) ;;
@@ -94,7 +94,25 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
-echo "==> one-decider guard (one statement-25 dispatch, one relation walk)"
+echo "==> one-decider guard (one serving decider, one statement-25 dispatch, one relation walk)"
+# The residual decider decides every request Authorize serves. The 4-step
+# replay is its oracle, entered only where authorizeAt honours
+# SetResidualsEnabled(false): a second call site is a second serving path.
+# Nothing pools engine forks any more; the fork pool existed only for the
+# replay that every cold request used to fall back to.
+n=$(grep -rnE '\bs\.replay\(' --include='*.go' . |
+    grep -v -e '_test\.go:' -e '^\./\.bench_build/' | wc -l)
+if [ "$n" -ne 1 ]; then
+    echo "one-decider guard: s.replay( has $n non-test call sites, want 1 (authorizeAt's oracle switch)" >&2
+    exit 1
+fi
+bad=$(grep -rnE 'ForkPooled|Recycle\(|cloneInto' --include='*.go' . |
+    grep -v -e '_test\.go:' -e '^\./\.bench_build/' || true)
+if [ -n "$bad" ]; then
+    echo "one-decider guard: pooled engine forks are back:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
 # Both deciders conclude "G says X" through logic.DeriveGroupSays. An
 # A34–A38 axiom called outside internal/logic is a second dispatch, and
 # the two would drift apart on the membership shapes one of them skips.
