@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"jointadmin"
-	"jointadmin/internal/sim"
 )
 
 func main() {
@@ -74,21 +73,7 @@ func run() error {
 		return fmt.Errorf("2-signer write approved")
 	}
 
-	fmt.Println("\n== Availability of m-of-n joint signing under domain outages (Section 3.3 / E3) ==")
-	fmt.Println("n=7; per-domain downtime p; measured over 200 trials of real quorum signatures:")
-	for _, m := range []int{7, 5, 4, 3} {
-		for _, p := range []float64{0.1, 0.3} {
-			res, err := sim.RunAvailability(sim.AvailabilityConfig{
-				N: 7, M: m, Downtime: p, Trials: 200, Seed: 17, Bits: 512,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("  %s\n", res)
-		}
-	}
-	fmt.Println("n-of-n (m=7) collapses under outages; lowering m restores availability,")
-	fmt.Println("at the cost of no longer requiring every domain's consent (the paper's trade-off).")
+	fmt.Println("\nm-of-n availability under domain outages (Section 3.3): go run ./cmd/experiments -only e3")
 
 	fmt.Println("\n== Coalition dynamics (Section 6 / E7) ==")
 	report, err := a.Join("NL")

@@ -27,7 +27,7 @@ type DealerResult struct {
 // DealerSplit generates a conventional RSA key and splits d into n
 // additive shares mod φ(N). Because the split is exact modulo φ, combined
 // signatures need no trial correction (Correction is always 0) — the
-// second arm of the BenchmarkSignCorrection ablation.
+// second arm of the E2 ablation.
 func DealerSplit(bits, n int, rng io.Reader) (*DealerResult, error) {
 	if n < 2 {
 		return nil, ErrTooFewParties

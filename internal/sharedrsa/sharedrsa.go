@@ -104,7 +104,7 @@ type PartialSignature struct {
 type Signature struct {
 	S *big.Int
 	// Correction is the j in S = (∏ S_i)·H^j that made the signature
-	// verify; recorded for the ablation bench E2/BenchmarkSignCorrection.
+	// verify; recorded for the E2 ablation (cmd/experiments).
 	Correction int
 }
 

@@ -111,9 +111,9 @@ func SignJointly(msg []byte, pk PublicKey, shares []Share) (Signature, error) {
 	return sig, nil
 }
 
-// CombineExact is the ablation counterpart of Combine for
-// BenchmarkSignCorrection: instead of searching the correction j, the
-// caller supplies the exact remainder k (obtainable by tracking the
+// CombineExact is Combine's counterpart in the E2 ablation
+// (cmd/experiments): instead of searching the correction j, the caller
+// supplies the exact remainder k (obtainable by tracking the
 // floor-division residues during keygen at the cost of revealing them).
 func CombineExact(msg []byte, pk PublicKey, partials []PartialSignature, k int) (Signature, error) {
 	if len(partials) == 0 {

@@ -17,8 +17,8 @@ import (
 // sign; any m−1 parties miss at least one T, so they cannot.
 //
 // The replication factor is C(n, n−m+1) sub-shares — exponential in
-// general but tiny at coalition scale (n ≤ 9), and the cost is measured by
-// BenchmarkShareSize.
+// general but tiny at coalition scale (n ≤ 9), and experiment E3
+// (cmd/experiments) checks the count.
 type ThresholdShares struct {
 	M, N   int
 	Public PublicKey
@@ -143,7 +143,7 @@ func (ts *ThresholdShares) QuorumSign(msg []byte, quorum []int) (Signature, erro
 }
 
 // SubsetCount returns the number of replicated sub-shares (the C(n,n−m+1)
-// blowup measured by BenchmarkShareSize).
+// blowup experiment E3 checks).
 func (ts *ThresholdShares) SubsetCount() int { return len(ts.subsets) }
 
 // HoldingsOf returns how many sub-shares one party stores.

@@ -85,8 +85,9 @@ echo "==> public-exponent guard (one kernel raises to e)"
 # product checks — goes through sharedrsa's Montgomery kernel
 # (internal/sharedrsa/montgomery.go). A math/big Exp by a public
 # exponent elsewhere is a second, slower verification path. Private
-# exponents stay on math/big and do not match.
-bad=$(grep -rnE '\.Exp\(.*(\bpk\.E\b|\.E,)' --include='*.go' internal |
+# exponents stay on math/big and do not match. The commands and examples
+# are held to the same rule: their checks verify with sharedrsa.Verify.
+bad=$(grep -rnE '\.Exp\(.*(\bpk\.E\b|\.E,)' --include='*.go' internal cmd examples |
     grep -v -e '_test\.go:' -e '^internal/sharedrsa/montgomery\.go:' || true)
 if [ -n "$bad" ]; then
     echo "public-exponent guard: Exp by a public exponent outside the kernel:" >&2
@@ -178,8 +179,8 @@ go test -race -count=5 ./internal/audit
 echo "==> bench smoke (go test -bench=LogRecord -benchtime=1x ./internal/audit)"
 go test -run '^$' -bench=LogRecord -benchtime=1x -benchmem ./internal/audit
 
-echo "==> bench smoke (go test -bench='Authorize' -benchtime=1x)"
-go test -run '^$' -bench='Authorize' -benchtime=1x .
+echo "==> bench smoke (go test -bench='DelegationDepth|WireKeygen' -benchtime=1x)"
+go test -run '^$' -bench='DelegationDepth|WireKeygen' -benchtime=1x .
 
 echo "==> bench smoke (go test -bench=WALAppend -benchtime=1x ./internal/wal)"
 go test -run '^$' -bench=WALAppend -benchtime=1x ./internal/wal
@@ -205,11 +206,26 @@ echo "==> RSA kernel and signature parser fuzz smoke (5s each: FuzzExpPublic aga
 go test -run '^$' -fuzz='^FuzzExpPublic$' -fuzztime=5s ./internal/sharedrsa
 go test -run '^$' -fuzz='^FuzzParseHex$' -fuzztime=5s ./internal/sharedrsa
 
-echo "==> delegation scenario smoke (8-scenario suite incl. depth bound through the daemon)"
-go run ./cmd/experiments -only e12 > /dev/null
+echo "==> reproduction record (go run ./cmd/experiments: E1–E8, E11, E12, each shape checked; 15-20s on 2 cores)"
+# Every experiment exits non-zero when the table it prints breaks the
+# paper's shape, so this step fails on a broken claim.
+record=$(go run ./cmd/experiments)
 
 echo "==> docs lint (every CLI flag and replication metric documented)"
 fail=0
+# Every experiment the command prints has a section in EXPERIMENTS.md,
+# and every section there names its experiment.
+for id in $(printf '%s\n' "$record" | grep -oE '^E[0-9]+ ' | sort -u); do
+    if ! grep -q "^## $id " EXPERIMENTS.md; then
+        echo "docs lint: experiment $id has no section in EXPERIMENTS.md" >&2
+        fail=1
+    fi
+done
+bad=$(grep -E '^## ' EXPERIMENTS.md | grep -vE '^## E[0-9]+ ' || true)
+if [ -n "$bad" ]; then
+    echo "docs lint: EXPERIMENTS.md section without an experiment ID: $bad" >&2
+    fail=1
+fi
 flags=$(grep -ohE 'flag\.[A-Za-z]+\("[a-z][a-z0-9-]*"' \
     cmd/coalitiond/main.go cmd/policyctl/main.go |
     sed -E 's/.*\("([^"]+)"/\1/' | sort -u)
