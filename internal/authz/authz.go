@@ -95,11 +95,15 @@ type UserRequest struct {
 // The signature is over the component's canonical body: the json.Marshal
 // encoding of its signed fields, produced by the allocation-free encoder
 // in encode.go (byte-equivalence with encoding/json is pinned by test,
-// since signatures are over these exact bytes).
+// since signatures are over these exact bytes). A signature that fails
+// its check before release is sharedrsa.ErrSignFault.
 func SignRequest(user string, at clock.Time, op acl.Permission, object string, payload []byte, kp *pki.KeyPair) (UserRequest, error) {
 	r := UserRequest{User: user, At: at, Op: op, Object: object, Payload: payload}
-	sig := kp.Sign(appendRequestBody(nil, &r))
-	r.SigS = sig.S.Text(16)
+	sig, err := kp.Sign(appendRequestBody(nil, &r))
+	if err != nil {
+		return UserRequest{}, fmt.Errorf("authz: sign request of %s: %w", user, err)
+	}
+	r.SigS = sharedrsa.FormatHex(sig.S)
 	return r, nil
 }
 

@@ -411,7 +411,11 @@ func signIdentity(t *testing.T, body pki.Identity, ca *pki.KeyPair) pki.Signed[p
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: ca.Sign(payload).S.Text(16)}
+	sig, err := ca.Sign(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: sig.S.Text(16)}
 }
 
 // TestColdDenialsMatchReplay: every way a request can be denied before

@@ -130,7 +130,11 @@ func TestIdentityKeyIDMustNameSubjectKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idc := pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: ca.Sign(payload).S.Text(16)}
+	sig, err := ca.Sign(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idc := pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: sig.S.Text(16)}
 	if err := pki.VerifyIdentity(idc, ca.Public(), 100); err != nil {
 		t.Fatalf("hand-signed identity does not verify: %v", err)
 	}

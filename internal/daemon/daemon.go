@@ -24,6 +24,7 @@ import (
 	"jointadmin/internal/jointsig"
 	"jointadmin/internal/obs"
 	"jointadmin/internal/replication"
+	"jointadmin/internal/sharedrsa"
 	"jointadmin/internal/transport"
 	"jointadmin/internal/wal"
 )
@@ -42,7 +43,8 @@ type Command struct {
 	// replstatus (followers).
 	Cmd string `json:"cmd"`
 	// Group overrides the default group of the command (G_write for
-	// write/revoke, G_read for read).
+	// write/revoke and for a sign with Op write or modify, G_read for read
+	// and any other sign).
 	Group string `json:"group,omitempty"`
 	// Object names the target object (default: the daemon's demo object).
 	Object string `json:"object,omitempty"`
@@ -152,6 +154,11 @@ const (
 	// MetricCommandErrors counts failed commands, labeled cmd=<name> and
 	// kind=<error class> (see errClass).
 	MetricCommandErrors = "daemon_command_errors_total"
+	// MetricRequestSignSeconds times building and co-signing the access
+	// request of a write, read or sign command (Alliance.NewRequest: the
+	// CAs' fresh identity certificates and the users' request
+	// components), before any decision.
+	MetricRequestSignSeconds = "daemon_request_sign_seconds"
 	// MetricInflight gauges commands currently being handled.
 	MetricInflight = "daemon_inflight"
 	// MetricServeErrors counts Serve loops terminated by a transport
@@ -168,6 +175,10 @@ type Daemon struct {
 	workers   int
 	dedupCap  int
 	transport transport.Options
+
+	// signSeconds is daemon_request_sign_seconds, resolved once so a
+	// request's observation allocates nothing.
+	signSeconds *obs.Histogram
 
 	// wal is the durable state log (nil without Config.DataDir).
 	wal          *wal.Log
@@ -243,7 +254,8 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{alliance: a, server: srv, object: cfg.Object, reg: cfg.Metrics,
 		workers: workers, dedupCap: cfg.DedupCap, transport: cfg.Transport,
 		replicate: cfg.Replicate, replBatch: cfg.ReplBatch,
-		replHeartbeat: cfg.ReplHeartbeat, replSnapshotEvery: cfg.ReplSnapshotEvery}
+		replHeartbeat: cfg.ReplHeartbeat, replSnapshotEvery: cfg.ReplSnapshotEvery,
+		signSeconds: cfg.Metrics.Histogram(MetricRequestSignSeconds, nil)}
 	if cfg.DataDir != "" {
 		if err := d.openWAL(cfg); err != nil {
 			return nil, err
@@ -372,6 +384,8 @@ func errClass(err error) string {
 		return "cosigner_timeout"
 	case errors.Is(err, jointsig.ErrRefused):
 		return "cosigner_refused"
+	case errors.Is(err, sharedrsa.ErrSignFault):
+		return "sign_fault"
 	case errors.Is(err, transport.ErrRecvTimeout):
 		return "recv_timeout"
 	case errors.Is(err, transport.ErrNodeDown):
@@ -439,22 +453,16 @@ func (d *Daemon) handle(ctx context.Context, cmd Command) (Reply, string) {
 	}
 	a.Clock().Tick()
 	switch cmd.Cmd {
-	case "write":
-		dec, err := a.Submit(ctx, srv, jointadmin.RequestSpec{
-			Group: group(cmd.Group, "G_write"), Op: "write",
-			Object: d.objectOf(cmd), Payload: []byte(cmd.Data), Signers: cmd.Signers,
-			Delegated: cmd.Delegated,
-		})
+	case "write", "read":
+		var payload []byte
+		if cmd.Cmd == "write" {
+			payload = []byte(cmd.Data)
+		}
+		req, err := d.signRequest(cmd, cmd.Cmd, payload)
 		if err != nil {
 			return Reply{Detail: err.Error()}, errClass(err)
 		}
-		return Reply{OK: true, Detail: fmt.Sprintf("approved via %s [%s]", dec.Group, dec.RequestID)}, ""
-	case "read":
-		dec, err := a.Submit(ctx, srv, jointadmin.RequestSpec{
-			Group: group(cmd.Group, "G_read"), Op: "read",
-			Object: d.objectOf(cmd), Signers: cmd.Signers,
-			Delegated: cmd.Delegated,
-		})
+		dec, err := srv.Request(ctx, req)
 		if err != nil {
 			return Reply{Detail: err.Error()}, errClass(err)
 		}
@@ -477,11 +485,8 @@ func (d *Daemon) handle(ctx context.Context, cmd Command) (Reply, string) {
 		// the caller submits it to replication followers via their
 		// authorize command. The daemon holds the demo users’ keys, so
 		// signing stays writer-side; followers never see private keys.
-		req, err := a.NewRequest(jointadmin.RequestSpec{
-			Group: group(cmd.Group, "G_read"), Op: opOf(cmd),
-			Object: d.objectOf(cmd), Payload: []byte(cmd.Data), Signers: cmd.Signers,
-			Delegated: cmd.Delegated,
-		})
+		op := opOf(cmd)
+		req, err := d.signRequest(cmd, op, []byte(cmd.Data))
 		if err != nil {
 			return Reply{Detail: err.Error()}, errClass(err)
 		}
@@ -489,7 +494,7 @@ func (d *Daemon) handle(ctx context.Context, cmd Command) (Reply, string) {
 		if err != nil {
 			return Reply{Detail: "encode request: " + err.Error()}, "internal"
 		}
-		return Reply{OK: true, Detail: fmt.Sprintf("signed %s request for %s", opOf(cmd), group(cmd.Group, "G_read")), Data: string(body)}, ""
+		return Reply{OK: true, Detail: fmt.Sprintf("signed %s request for %s", op, group(cmd.Group, groupFor(op))), Data: string(body)}, ""
 	case "audit":
 		return Reply{OK: true, Data: srv.Audit().Render()}, ""
 	case "stats":
@@ -628,6 +633,29 @@ func group(g, def string) string {
 		return def
 	}
 	return g
+}
+
+// groupFor is the default group of a request for op: G_write for write
+// and modify, G_read for anything else.
+func groupFor(op string) string {
+	if op == "write" || op == "modify" {
+		return "G_write"
+	}
+	return "G_read"
+}
+
+// signRequest builds and co-signs cmd's access request for op — fresh
+// identity certificates from the domain CAs and one signed component per
+// signer — and times it into daemon_request_sign_seconds.
+func (d *Daemon) signRequest(cmd Command, op string, payload []byte) (jointadmin.AccessRequest, error) {
+	start := time.Now()
+	req, err := d.alliance.NewRequest(jointadmin.RequestSpec{
+		Group: group(cmd.Group, groupFor(op)), Op: op,
+		Object: d.objectOf(cmd), Payload: payload, Signers: cmd.Signers,
+		Delegated: cmd.Delegated,
+	})
+	d.signSeconds.ObserveSince(start)
+	return req, err
 }
 
 func opOf(cmd Command) string {

@@ -28,7 +28,7 @@ type KeyInfo struct {
 
 // NewKeyInfo encodes a public key.
 func NewKeyInfo(pk sharedrsa.PublicKey) KeyInfo {
-	return KeyInfo{N: pk.N.Text(16), E: pk.E.Text(16)}
+	return KeyInfo{N: sharedrsa.FormatHex(pk.N), E: sharedrsa.FormatHex(pk.E)}
 }
 
 // PublicKey decodes the key info. A modulus that is not odd and at least
@@ -160,7 +160,7 @@ func signBody[T any](typeTag string, body T, signer Signer) (Signed[T], error) {
 	return Signed[T]{
 		Cert:      body,
 		SignerKey: signer.Public().KeyID(),
-		SigS:      sig.S.Text(16),
+		SigS:      sharedrsa.FormatHex(sig.S),
 	}, nil
 }
 

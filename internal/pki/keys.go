@@ -24,10 +24,10 @@ import (
 
 // KeyPair is a conventional (single-owner) RSA key pair used by users and
 // domain CAs. Signing uses the same full-domain-hash scheme as the shared
-// key so that all verification in the system is uniform.
+// key so that all verification in the system is uniform. The private half
+// is kept in CRT form only (sharedrsa.CRTKey): no full private exponent.
 type KeyPair struct {
-	pub sharedrsa.PublicKey
-	d   *big.Int
+	key *sharedrsa.CRTKey
 }
 
 // GenerateKeyPair creates a conventional RSA key pair of the given size.
@@ -39,22 +39,33 @@ func GenerateKeyPair(bits int, rng io.Reader) (*KeyPair, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pki: generate key: %w", err)
 	}
-	return &KeyPair{
-		pub: sharedrsa.PublicKey{N: key.N, E: big.NewInt(int64(key.E))},
-		d:   new(big.Int).Set(key.D),
-	}, nil
+	return NewKeyPair(key)
+}
+
+// NewKeyPair keeps the two primes and CRT values of an RSA key, and
+// nothing else of its private half. A key with other than two primes, or
+// without its CRT values, is refused.
+func NewKeyPair(key *rsa.PrivateKey) (*KeyPair, error) {
+	pub := sharedrsa.PublicKey{N: key.N, E: big.NewInt(int64(key.E))}
+	pre := key.Precomputed
+	k, err := sharedrsa.NewCRTKey(pub, key.Primes, pre.Dp, pre.Dq, pre.Qinv)
+	if err != nil {
+		return nil, fmt.Errorf("pki: %w", err)
+	}
+	return &KeyPair{key: k}, nil
 }
 
 // Public returns the public half.
-func (kp *KeyPair) Public() sharedrsa.PublicKey { return kp.pub }
+func (kp *KeyPair) Public() sharedrsa.PublicKey { return kp.key.Public() }
 
 // KeyID returns the key identifier (hash of N and e).
-func (kp *KeyPair) KeyID() string { return kp.pub.KeyID() }
+func (kp *KeyPair) KeyID() string { return kp.key.Public().KeyID() }
 
-// Sign produces an FDH-RSA signature over msg.
-func (kp *KeyPair) Sign(msg []byte) sharedrsa.Signature {
-	h := sharedrsa.HashMessage(msg, kp.pub)
-	return sharedrsa.Signature{S: new(big.Int).Exp(h, kp.d, kp.pub.N)}
+// Sign produces an FDH-RSA signature over msg. It fails with
+// sharedrsa.ErrSignFault, releasing nothing, when the signature does not
+// verify.
+func (kp *KeyPair) Sign(msg []byte) (sharedrsa.Signature, error) {
+	return kp.key.Sign(msg)
 }
 
 // Signer abstracts over who produces a certificate signature: a
@@ -76,7 +87,7 @@ var _ Signer = keyPairSigner{}
 func (s keyPairSigner) Public() sharedrsa.PublicKey { return s.kp.Public() }
 
 func (s keyPairSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
-	return s.kp.Sign(msg), nil
+	return s.kp.Sign(msg)
 }
 
 // AsSigner wraps a conventional key pair as a Signer.

@@ -50,6 +50,34 @@ func ParseHex(z *big.Int, s string) (*big.Int, bool) {
 	return z, true
 }
 
+// FormatHex returns x.Text(16) — lower-case hex digits, no leading zeros,
+// "-" before a negative value — built on the stack for moduli up to 4096
+// bits, so its one allocation is the string. Signatures and key moduli
+// are written with it.
+func FormatHex(x *big.Int) string {
+	w := x.Bits()
+	if len(w) == 0 {
+		return "0"
+	}
+	const digits = bits.UintSize / 4
+	var stack [1 + 4096/4]byte
+	b := stack[:0]
+	if n := 1 + len(w)*digits; n > len(stack) {
+		b = make([]byte, 0, n)
+	}
+	if x.Sign() < 0 {
+		b = append(b, '-')
+	}
+	skip := bits.LeadingZeros(uint(w[len(w)-1])) / 4
+	for i := len(w) - 1; i >= 0; i-- {
+		for j := skip; j < digits; j++ {
+			b = append(b, "0123456789abcdef"[w[i]>>(4*(digits-1-j))&0xf])
+		}
+		skip = 0
+	}
+	return string(b)
+}
+
 // hexVal returns the value of hex digit c, or 16 if c is not one.
 func hexVal(c byte) byte {
 	switch {

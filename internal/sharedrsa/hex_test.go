@@ -56,6 +56,45 @@ func TestParseHexReusesLimbs(t *testing.T) {
 	}
 }
 
+func checkFormatHex(t *testing.T, x *big.Int) {
+	t.Helper()
+	if got, want := FormatHex(x), x.Text(16); got != want {
+		t.Fatalf("FormatHex = %q, Text(16) = %q", got, want)
+	}
+}
+
+// TestFormatHexMatchesText covers zero, one word, a top word with leading
+// zero nibbles, both signs, the 4096-bit stack edge and beyond it, and
+// bounds a 512-bit signature's encoding to the string's allocation.
+func TestFormatHexMatchesText(t *testing.T) {
+	one := big.NewInt(1)
+	for _, x := range []*big.Int{
+		big.NewInt(0), one, big.NewInt(15), big.NewInt(16), big.NewInt(-255),
+		new(big.Int).Lsh(one, 64), new(big.Int).Lsh(one, 67),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 4096), one),
+		new(big.Int).Neg(new(big.Int).Sub(new(big.Int).Lsh(one, 4096), one)),
+		new(big.Int).Lsh(big.NewInt(3), 5000),
+	} {
+		checkFormatHex(t, x)
+	}
+	sig := new(big.Int).Sub(new(big.Int).Lsh(one, 511), big.NewInt(12345))
+	if allocs := testing.AllocsPerRun(100, func() { _ = FormatHex(sig) }); allocs > 1 {
+		t.Errorf("FormatHex of a 512-bit value allocates %.0f/op, want 1", allocs)
+	}
+}
+
+func FuzzFormatHex(f *testing.F) {
+	f.Add([]byte{0x0f, 0xff}, false)
+	f.Add(make([]byte, 9), true)
+	f.Fuzz(func(t *testing.T, b []byte, neg bool) {
+		x := new(big.Int).SetBytes(b)
+		if neg {
+			x.Neg(x)
+		}
+		checkFormatHex(t, x)
+	})
+}
+
 func FuzzParseHex(f *testing.F) {
 	for _, s := range []string{"", "+", "-0", "0x1f", "1_0", "ABCdef", "00000001", "-ffffffffffffffff1"} {
 		f.Add(s)

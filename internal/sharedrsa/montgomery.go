@@ -7,8 +7,9 @@ import (
 
 // expPublic sets z = x**e mod n and returns z. It is the package's only
 // exponentiation by a public exponent — Verify, Combine's trial
-// correction and BatchVerify's product checks; private exponents
-// (PartialSign, keygen, the dealer) stay on math/big.
+// correction, BatchVerify's product checks and CRTKey.Sign's check before
+// release; private exponents (PartialSign, keygen, the dealer, the CRT
+// halves) stay on math/big.
 //
 // math/big's Exp takes its Montgomery path only for exponents of more
 // than one word; for e = 65537 it reduces every one of its 17 products by
@@ -22,41 +23,65 @@ import (
 //
 // n must be odd and at least 3 and e positive (callers check with
 // PublicKey.verifiable); x may be any integer and is reduced as Exp
-// reduces it. Nothing outlives the call: its scratch is one allocation.
+// reduces it. Its scratch is one allocation, and z's words live in it.
 func expPublic(z, x, e, n *big.Int) *big.Int {
+	return expPublicIn(z, x, e, n, nil, nil)
+}
+
+// expPublicIn is expPublic with two options for a caller that raises to e
+// under one modulus more than once (CRTKey.Sign's check):
+//
+//   - rr, when not nil, is R² mod n in len(n) words, and x must lie in
+//     [0, n). x then enters the domain as REDC(x·R²) instead of by shift
+//     and division, and the scratch shrinks to 6·len(n) words.
+//   - buf supplies the scratch when it is long enough (see
+//     expPublicWords); z's words then live in it.
+func expPublicIn(z, x, e, n *big.Int, rr, buf []big.Word) *big.Int {
 	nw := n.Bits()
 	k := len(nw)
 	xk := len(x.Bits())
 
+	if need := expPublicWords(xk, k, rr != nil); len(buf) < need {
+		buf = make([]big.Word, need)
+	}
 	// Two 2k-word product buffers the ladder alternates between (REDC
-	// leaves its result in the upper half), xm, x itself, then the
-	// entry's shifted x, quotient and remainder, sized so math/big reuses
-	// them.
-	buf := make([]big.Word, 6*k+(xk+k+1)+(xk+2)+(xk+k+2))
+	// leaves its result in the upper half), xm and x itself.
 	t, u := buf[0:2*k:2*k], buf[2*k:4*k:4*k]
 	xm, xr := buf[4*k:5*k:5*k], buf[5*k:6*k:6*k]
-	rest := buf[6*k:]
-	var sh, q, r big.Int
-	sh.SetBits(rest[0 : 0 : xk+k+1])
-	rest = rest[xk+k+1:]
-	q.SetBits(rest[0 : 0 : xk+2])
-	r.SetBits(rest[xk+2 : xk+2])
+	clear(xm) // a passed buf is not zeroed; x and x·R mod n may be short
+	clear(xr)
+	k0 := montInverse(nw[0])
 
 	// Enter the domain: xm = x·R mod n, in [0, n).
-	sh.Lsh(x, uint(k*bits.UintSize))
-	q.QuoRem(&sh, n, &r)
-	copy(xm, r.Bits())
-	if r.Sign() < 0 {
-		subVV(xm, nw, xm)
-	}
-	// With e odd and x already in [0, n), the last step multiplies by x
-	// itself instead of xm, and its REDC leaves the domain.
-	leave := e.Bit(0) == 0 || e.BitLen() == 1 || x.Sign() < 0 || x.Cmp(n) >= 0
-	if !leave {
+	var leave bool
+	if rr != nil {
 		copy(xr, x.Bits())
+		mulVV(t, xr, rr)
+		copy(xm, redc(t, nw, k0))
+		leave = e.Bit(0) == 0 || e.BitLen() == 1
+	} else {
+		// The shifted x, quotient and remainder, sized so math/big reuses
+		// them.
+		rest := buf[6*k:]
+		var sh, q, r big.Int
+		sh.SetBits(rest[0 : 0 : xk+k+1])
+		rest = rest[xk+k+1:]
+		q.SetBits(rest[0 : 0 : xk+2])
+		r.SetBits(rest[xk+2 : xk+2])
+		sh.Lsh(x, uint(k*bits.UintSize))
+		q.QuoRem(&sh, n, &r)
+		copy(xm, r.Bits())
+		if r.Sign() < 0 {
+			subVV(xm, nw, xm)
+		}
+		// With e odd and x already in [0, n), the last step multiplies by
+		// x itself instead of xm, and its REDC leaves the domain.
+		leave = e.Bit(0) == 0 || e.BitLen() == 1 || x.Sign() < 0 || x.Cmp(n) >= 0
+		if !leave {
+			copy(xr, x.Bits())
+		}
 	}
 
-	k0 := montInverse(nw[0])
 	acc := xm
 	for i := e.BitLen() - 2; i >= 0; i-- {
 		t, u = u, t
@@ -79,6 +104,26 @@ func expPublic(z, x, e, n *big.Int) *big.Int {
 		acc = redc(t, nw, k0)
 	}
 	return z.SetBits(acc)
+}
+
+// expPublicWords is the scratch expPublicIn needs for an xk-word base and
+// a k-word modulus: 6k for the ladder, plus, without R², 2k + 3xk + 5 for
+// the entry's shift and division.
+func expPublicWords(xk, k int, haveRR bool) int {
+	if haveRR {
+		return 6 * k
+	}
+	return 6*k + (xk + k + 1) + (xk + 2) + (xk + k + 2)
+}
+
+// montR2 returns R² mod n in len(n) words, R = 2^(W·len(n)): the constant
+// that lets expPublicIn enter the domain without dividing.
+func montR2(n *big.Int) []big.Word {
+	k := len(n.Bits())
+	r2 := new(big.Int).Lsh(big.NewInt(1), uint(2*k*bits.UintSize))
+	rr := make([]big.Word, k)
+	copy(rr, r2.Mod(r2, n).Bits())
+	return rr
 }
 
 // montInverse returns -n0⁻¹ mod 2^W for odd n0 (Newton–Raphson, as

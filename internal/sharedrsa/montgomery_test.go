@@ -70,6 +70,30 @@ func TestExpPublicMatchesExp(t *testing.T) {
 	}
 }
 
+// TestExpPublicR2Entry: entering the domain by REDC(x·R²) gives what the
+// shift-and-divide entry gives, for every base in [0, n), with a scratch
+// of exactly 6·len(n) words that holds stale words from an earlier call.
+func TestExpPublicR2Entry(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for name, n := range kernelModuli() {
+		rr := montR2(n)
+		k := len(n.Bits())
+		buf := make([]big.Word, expPublicWords(k, k, true))
+		for i := range buf {
+			buf[i] = ^big.Word(0)
+		}
+		nm1 := new(big.Int).Sub(n, big.NewInt(1))
+		for _, x := range []*big.Int{big.NewInt(0), big.NewInt(1), nm1, new(big.Int).Rand(rng, n), new(big.Int).Rand(rng, n)} {
+			for _, e := range []*big.Int{big.NewInt(1), big.NewInt(3), big.NewInt(65536), big.NewInt(65537)} {
+				want := new(big.Int).Exp(x, e, n)
+				if got := expPublicIn(new(big.Int), x, e, n, rr, buf); got.Cmp(want) != 0 {
+					t.Errorf("n=%s x=%v e=%v: R² entry %v, Exp %v", name, x, e, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestExpPublicAliasedOperands(t *testing.T) {
 	n := kernelModuli()["512"]
 	x := new(big.Int).Sub(n, big.NewInt(12345))

@@ -27,6 +27,7 @@ package sharedrsa
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/big"
@@ -77,10 +78,23 @@ func (pk PublicKey) String() string {
 
 // KeyID returns the key identifier used in certificates: the hash of N and
 // the public exponent e, exactly the "key ID comprising the hash of N and
-// the public exponent e" of Section 3.2.
+// the public exponent e" of Section 3.2. It is the hex of the first 16
+// bytes of SHA-256 over N's and then e's big-endian bytes, hashed from
+// the stack: its one allocation is the string.
 func (pk PublicKey) KeyID() string {
-	h := sha256.Sum256(append(pk.N.Bytes(), pk.E.Bytes()...))
-	return fmt.Sprintf("%x", h[:16])
+	nb, eb := (pk.N.BitLen()+7)/8, (pk.E.BitLen()+7)/8
+	var stack [4096/8 + 8]byte
+	b := stack[:0]
+	if nb+eb > len(stack) {
+		b = make([]byte, 0, nb+eb)
+	}
+	b = b[:nb+eb]
+	pk.N.FillBytes(b[:nb])
+	pk.E.FillBytes(b[nb:])
+	h := sha256.Sum256(b)
+	var id [32]byte
+	hex.Encode(id[:], h[:16])
+	return string(id[:])
 }
 
 // Share is one party's additive share d_i of the private exponent. The sum
@@ -111,18 +125,28 @@ type Signature struct {
 // hashToModulus maps a message to a full-domain element of Z_N by
 // expanding SHA-256 with a counter (FDH-style; documented substitution for
 // whatever encoding the 1999 implementations used).
+//
+// Each block is SHA-256(ctr ‖ msg) over one buffer on the stack (for the
+// certificate and request sizes the system signs), so only the result
+// allocates.
 func hashToModulus(msg []byte, n *big.Int) *big.Int {
 	bits := n.BitLen() - 1
 	need := (bits + 7) / 8
-	out := make([]byte, 0, need+sha256.Size)
-	var ctr [4]byte
-	h := sha256.New()
+	var inStack [1024]byte
+	in := inStack[:0]
+	if 4+len(msg) > len(inStack) {
+		in = make([]byte, 0, 4+len(msg))
+	}
+	in = append(in[:4], msg...)
+	var outStack [4096/8 + sha256.Size]byte
+	out := outStack[:0]
+	if need+sha256.Size > len(outStack) {
+		out = make([]byte, 0, need+sha256.Size)
+	}
 	for i := 0; len(out) < need; i++ {
-		binary.BigEndian.PutUint32(ctr[:], uint32(i))
-		h.Reset()
-		h.Write(ctr[:])
-		h.Write(msg)
-		out = h.Sum(out)
+		binary.BigEndian.PutUint32(in, uint32(i))
+		sum := sha256.Sum256(in)
+		out = append(out, sum[:]...)
 	}
 	x := new(big.Int).SetBytes(out[:need])
 	x.Mod(x, n)

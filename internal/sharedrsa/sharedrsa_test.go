@@ -1,7 +1,9 @@
 package sharedrsa
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"sync"
@@ -178,6 +180,30 @@ func TestDefaultAttemptBudgetCannotRunOut(t *testing.T) {
 	}
 }
 
+// TestKeyIDMatchesDefinition pins KeyID to its definition, the hex of the
+// first 16 bytes of SHA-256(N.Bytes() ‖ e.Bytes()), across the stack
+// buffer's edge, and bounds it to the one allocation of its string.
+func TestKeyIDMatchesDefinition(t *testing.T) {
+	one := big.NewInt(1)
+	e := big.NewInt(65537)
+	for _, n := range []*big.Int{
+		big.NewInt(0), big.NewInt(3),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 512), one),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 4096), one),
+		new(big.Int).Lsh(one, 4096+64),
+	} {
+		pk := PublicKey{N: n, E: e}
+		h := sha256.Sum256(append(n.Bytes(), e.Bytes()...))
+		if got, want := pk.KeyID(), fmt.Sprintf("%x", h[:16]); got != want {
+			t.Errorf("%d-bit N: KeyID %s, want %s", n.BitLen(), got, want)
+		}
+	}
+	pk := PublicKey{N: new(big.Int).Lsh(one, 2047), E: e}
+	if allocs := testing.AllocsPerRun(100, func() { _ = pk.KeyID() }); allocs > 1 {
+		t.Errorf("KeyID allocates %.0f/op, want at most 1", allocs)
+	}
+}
+
 func TestKeyIDStableAndDistinct(t *testing.T) {
 	res := sharedKey(t, 128, 3)
 	id1 := res.Public.KeyID()
@@ -194,6 +220,37 @@ func TestKeyIDStableAndDistinct(t *testing.T) {
 	}
 	if !res.Public.Equal(res.Public) || res.Public.Equal(other.Public) {
 		t.Error("Equal misbehaves")
+	}
+}
+
+// TestHashToModulusMatchesDefinition pins the full-domain hash to its
+// definition, SHA-256(ctr ‖ msg) blocks concatenated and reduced mod N,
+// on both sides of the stack buffers' edges.
+func TestHashToModulusMatchesDefinition(t *testing.T) {
+	one := big.NewInt(1)
+	for _, bits := range []int{2, 64, 512, 2048, 4096, 4096 + 8*sha256.Size + 1} {
+		n := new(big.Int).Sub(new(big.Int).Lsh(one, uint(bits)), big.NewInt(3))
+		for _, size := range []int{0, 1, 200, 1020, 1021, 5000} {
+			msg := make([]byte, size)
+			for i := range msg {
+				msg[i] = byte(i * 7)
+			}
+			need := (n.BitLen() + 6) / 8
+			var out []byte
+			for i := 0; len(out) < need; i++ {
+				h := sha256.New()
+				h.Write([]byte{byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)})
+				h.Write(msg)
+				out = h.Sum(out)
+			}
+			want := new(big.Int).SetBytes(out[:need])
+			if want.Mod(want, n).Sign() == 0 {
+				want.SetInt64(1)
+			}
+			if got := hashToModulus(msg, n); got.Cmp(want) != 0 {
+				t.Errorf("%d-bit N, %d-byte msg: %v, want %v", bits, size, got, want)
+			}
+		}
 	}
 }
 

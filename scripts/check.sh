@@ -95,6 +95,24 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+echo "==> private-exponent guard (conventional keys sign in CRT form)"
+# User and domain-CA keys sign through sharedrsa.CRTKey (crt.go): two
+# half-size exponentiations, checked by the public-exponent kernel before
+# release. A math/big Exp anywhere else is a full-width private-key path
+# that skips the check — unless it is one of the paths that cannot have a
+# CRT form: the shared-key protocols (no party knows φ(N)), keygen, the
+# dealer and Case I's lock box, and the commands' ablations.
+bad=$(grep -rnE '\.Exp\(' --include='*.go' . |
+    grep -v -e '_test\.go:' -e '^\./benchmark/' -e '^\./\.bench_build/' \
+        -e '^\./internal/sharedrsa/\(crt\|sign\|dealer\|keygen\|batch\)\.go:' \
+        -e '^\./internal/keygenproto/' -e '^\./internal/authority/casei\.go:' \
+        -e '^\./cmd/experiments/main\.go:' || true)
+if [ -n "$bad" ]; then
+    echo "private-exponent guard: math/big Exp outside the CRT signer and the shared-key allow-list:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 echo "==> one-decider guard (one serving decider, one statement-25 dispatch, one relation walk)"
 # The residual decider decides every request Authorize serves. The 4-step
 # replay is its oracle, entered only where authorizeAt honours
@@ -194,6 +212,9 @@ go test -run '^$' -bench=FrameCodec -benchtime=1x -benchmem ./internal/transport
 echo "==> bench smoke (go test -bench='^BenchmarkVerify$' -benchtime=1x ./internal/sharedrsa)"
 go test -run '^$' -bench='^BenchmarkVerify$' -benchtime=1x -benchmem ./internal/sharedrsa
 
+echo "==> bench smoke (go test -bench='^BenchmarkSign$' -benchtime=1x ./internal/pki)"
+go test -run '^$' -bench='^BenchmarkSign$' -benchtime=1x -benchmem ./internal/pki
+
 echo "==> wire codec fuzz smoke (5s each: FuzzReadFrame, FuzzDecodeCommand, FuzzDecodeReply)"
 go test -run '^$' -fuzz='^FuzzReadFrame$' -fuzztime=5s ./internal/transport
 go test -run '^$' -fuzz='^FuzzDecodeCommand$' -fuzztime=5s ./internal/daemon
@@ -202,8 +223,9 @@ go test -run '^$' -fuzz='^FuzzDecodeReply$' -fuzztime=5s ./internal/daemon
 echo "==> access-request decoder fuzz smoke (5s: FuzzDecodeAccessRequest, differential against encoding/json)"
 go test -run '^$' -fuzz='^FuzzDecodeAccessRequest$' -fuzztime=5s ./internal/authz
 
-echo "==> RSA kernel and signature parser fuzz smoke (5s each: FuzzExpPublic against big.Int.Exp, FuzzParseHex against SetString)"
+echo "==> RSA kernel, CRT signer and signature parser fuzz smoke (5s each: FuzzExpPublic against big.Int.Exp, FuzzSignCRT against Exp(h, d, N), FuzzParseHex against SetString)"
 go test -run '^$' -fuzz='^FuzzExpPublic$' -fuzztime=5s ./internal/sharedrsa
+go test -run '^$' -fuzz='^FuzzSignCRT$' -fuzztime=5s ./internal/sharedrsa
 go test -run '^$' -fuzz='^FuzzParseHex$' -fuzztime=5s ./internal/sharedrsa
 
 echo "==> reproduction record (go run ./cmd/experiments: E1–E8, E11, E12, each shape checked; 15-20s on 2 cores)"
