@@ -3,16 +3,12 @@ package jointadmin
 // Micro-benchmarks of the facade. The paper's claims are reproduced and
 // checked by `go run ./cmd/experiments` (EXPERIMENTS.md), not here.
 //
-//	go test -run '^$' -bench 'DelegationDepth|WireKeygen' -benchmem .
+//	go test -run '^$' -bench DelegationDepth -benchmem .
 
 import (
 	"context"
 	"fmt"
 	"testing"
-
-	"jointadmin/internal/keygenproto"
-	"jointadmin/internal/sharedrsa"
-	"jointadmin/internal/transport"
 )
 
 // benchDelegChain builds a dedicated deployment holding one delegation
@@ -81,45 +77,4 @@ func BenchmarkDelegationDepth(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkWireKeygen compares the in-process keygen against the full
-// message-passing protocol (internal/keygenproto) at the same size — the
-// cost of actually distributing the computation.
-func BenchmarkWireKeygen(b *testing.B) {
-	const bits = 96
-	b.Run("in-process", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sharedrsa.GenerateShared(sharedrsa.Config{Parties: 3, Bits: bits}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("wire", func(b *testing.B) {
-		peers := []string{"D1", "D2", "D3"}
-		for i := 0; i < b.N; i++ {
-			net := transport.NewMemory(transport.Faults{})
-			// Register all endpoints before any party starts sending.
-			eps := make([]transport.Endpoint, 3)
-			for idx := range eps {
-				eps[idx] = net.Endpoint(peers[idx])
-			}
-			errs := make(chan error, 2)
-			for idx := 2; idx <= 3; idx++ {
-				go func(idx int) {
-					_, err := keygenproto.RunFollower(eps[idx-1], idx, peers, keygenproto.Config{Bits: bits})
-					errs <- err
-				}(idx)
-			}
-			if _, err := keygenproto.RunCoordinator(eps[0], peers, keygenproto.Config{Bits: bits}); err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < 2; j++ {
-				if err := <-errs; err != nil {
-					b.Fatal(err)
-				}
-			}
-			net.Close()
-		}
-	})
 }

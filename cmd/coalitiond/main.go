@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -55,12 +56,17 @@ func main() {
 	replHeartbeat := flag.Duration("repl-heartbeat", time.Second, "writer: idle status heartbeat interval per follower (the staleness bound is this plus transport retry latency)")
 	replSnapEvery := flag.Int("repl-snapshot-every", 4096, "writer: re-ship a full snapshot to a follower after this many records (refreshes object content)")
 	replResync := flag.Duration("repl-resync", 3*time.Second, "follower: writer-silence threshold before re-announcing (resync hello)")
-	dedupCap := flag.Int("dedup-cap", 0, "retried-command dedup cache size: completed replies remembered for replay to duplicate command IDs (0 = default 1024, negative disables)")
+	dedupCap := flag.Int("dedup-cap", 0, "retried-command dedup cache size: completed replies remembered for replay to duplicate command IDs (0 = default 1024)")
 	dialTimeout := flag.Duration("dial-timeout", transport.DefaultDialTimeout, "transport: per-connection dial deadline")
 	sendTimeout := flag.Duration("send-timeout", transport.DefaultWriteTimeout, "transport: per-frame write deadline (negative disables)")
 	sendRetries := flag.Int("send-retries", transport.DefaultAttempts, "transport: send attempts per frame (1 disables retries)")
 	retryBackoff := flag.Duration("retry-backoff", transport.DefaultRetryBase, "transport: first retry backoff (doubles per attempt, jittered)")
 	flag.Parse()
+	if *dedupCap < 0 {
+		fmt.Fprintf(os.Stderr, "coalitiond: -dedup-cap %d is negative (0 selects the default)\n", *dedupCap)
+		flag.Usage()
+		os.Exit(2)
+	}
 	topts := transport.Options{
 		DialTimeout:  *dialTimeout,
 		WriteTimeout: *sendTimeout,

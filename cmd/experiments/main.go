@@ -58,8 +58,9 @@ func main() {
 }
 
 // seeded is a deterministic random source, so a run repeats its
-// outages and its keys' work (crypto/rand.Prime, inside the key
-// generators, may skip one byte of a stream).
+// outages and its shared keys: GenerateShared reads it in fixed-width
+// draws only. DealerSplit's keys still differ run to run, because
+// crypto/rsa.GenerateKey does not reproduce a key from a seeded stream.
 func seeded(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // mean runs f reps times and returns the mean duration of one run.

@@ -98,9 +98,7 @@ type Config struct {
 	// goroutine, so reordering stays per-client even under retries.
 	Workers int
 	// DedupCap bounds the ID-keyed recently-answered cache duplicate
-	// commands are replayed from (default DefaultDedupCap); negative
-	// disables dedup, re-executing retried commands as older releases
-	// did.
+	// commands are replayed from (default DefaultDedupCap).
 	DedupCap int
 
 	// Transport configures the daemon's TCP resilience — dial and write

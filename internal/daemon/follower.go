@@ -36,7 +36,7 @@ type FollowerConfig struct {
 	// Workers bounds concurrent command handling (default GOMAXPROCS).
 	Workers int
 	// DedupCap bounds the ID-keyed recently-answered cache (default
-	// DefaultDedupCap); negative disables dedup.
+	// DefaultDedupCap).
 	DedupCap int
 	// Metrics receives the follower's metrics (replication lag gauges,
 	// authz counters). Optional.

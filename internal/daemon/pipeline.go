@@ -51,7 +51,7 @@ type pipelineConfig struct {
 	// Workers bounds concurrent command handling (default GOMAXPROCS).
 	Workers int
 	// DedupCap bounds the remembered-reply cache (default
-	// DefaultDedupCap); negative disables dedup entirely.
+	// DefaultDedupCap).
 	DedupCap int
 	// Metrics receives the dedup counters; nil drops them.
 	Metrics *obs.Registry
@@ -77,11 +77,7 @@ func newPipeline(cfg pipelineConfig) *pipeline {
 	if cfg.Tag == "" {
 		cfg.Tag = "daemon"
 	}
-	p := &pipeline{cfg: cfg}
-	if cfg.DedupCap >= 0 {
-		p.dedup = newDedupCache(cfg.DedupCap)
-	}
-	return p
+	return &pipeline{cfg: cfg, dedup: newDedupCache(cfg.DedupCap)}
 }
 
 // outbound is one reply routed back to its sender.
@@ -190,7 +186,7 @@ func (p *pipeline) serveOne(ctx context.Context, env transport.Envelope, replies
 	// Commands without an ID (legacy clients) bypass dedup: there is no
 	// correlation key to replay under, so a retry re-executes — exactly
 	// the pre-mux behavior those clients already tolerate.
-	if cmd.ID == "" || p.dedup == nil {
+	if cmd.ID == "" {
 		p.execute(ctx, env, cmd, replies)
 		return
 	}

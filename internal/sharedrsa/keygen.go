@@ -26,7 +26,9 @@ type Config struct {
 	// to the prime density at the configured size that a run exhausts
 	// with probability below 2⁻⁴⁰.
 	MaxAttempts int
-	// Rand is the entropy source; nil selects crypto/rand.
+	// Rand is the entropy source; nil selects crypto/rand. The generation
+	// reads it in fixed-width draws only, so a seeded source repeats the
+	// key, the shares and the attempt counts.
 	Rand io.Reader
 }
 
@@ -50,7 +52,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.BiprimeRounds = 16
 	}
 	if c.MaxAttempts == 0 {
-		c.MaxAttempts = DefaultMaxAttempts(c.Bits)
+		c.MaxAttempts = defaultMaxAttempts(c.Bits)
 	}
 	if c.Rand == nil {
 		c.Rand = rand.Reader
@@ -58,15 +60,14 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// DefaultMaxAttempts is the candidate-search budget for a bits-bit
-// modulus, shared by the in-process keygen and the message-passing
-// protocol (internal/keygenproto), which sample alike. A candidate ≡ 3
-// (mod 4) of half = bits/2 bits is prime with probability 2/(half·ln 2)
-// and an iteration succeeds when both halves are, so the search is
-// geometric with mean (half·ln 2/2)² ≈ 0.12·half² iterations (measured:
-// 465 at 128 bits). 4·half² is 33 means — exhaustion probability
-// e⁻³³ < 2⁻⁴⁰ at every size; an unused budget costs nothing.
-func DefaultMaxAttempts(bits int) int {
+// defaultMaxAttempts is the candidate-search budget for a bits-bit
+// modulus. A candidate ≡ 3 (mod 4) of half = bits/2 bits is prime with
+// probability 2/(half·ln 2) and an iteration succeeds when both halves
+// are, so the search is geometric with mean (half·ln 2/2)² ≈ 0.12·half²
+// iterations (measured: 465 at 128 bits). 4·half² is 33 means —
+// exhaustion probability e⁻³³ < 2⁻⁴⁰ at every size; an unused budget
+// costs nothing.
+func defaultMaxAttempts(bits int) int {
 	half := bits / 2
 	return 4 * half * half
 }
@@ -133,7 +134,7 @@ func GenerateShared(cfg Config) (*Result, error) {
 
 	// Field for the BGW multiplication: comfortably larger than any
 	// candidate N.
-	field, err := rand.Prime(cfg.Rand, cfg.Bits+16)
+	field, err := sampleFieldPrime(cfg.Bits+16, cfg.Rand)
 	if err != nil {
 		return nil, fmt.Errorf("sharedrsa: sample BGW field: %w", err)
 	}
@@ -173,7 +174,7 @@ func GenerateShared(cfg Config) (*Result, error) {
 			continue // undersized candidate (improbable)
 		}
 		// Reject perfect squares (p == q breaks the biprimality test).
-		if IsPerfectSquare(bigN) {
+		if isPerfectSquare(bigN) {
 			continue
 		}
 
@@ -211,13 +212,33 @@ func GenerateShared(cfg Config) (*Result, error) {
 		ErrKeygenExhausted, cfg.MaxAttempts, cfg.Bits, n)
 }
 
-// samplePrimeShares draws the additive candidate shares via
-// SamplePrimeShareAt (protomath.go), shared with the message-passing
-// implementation in internal/keygenproto.
+// sampleFieldPrime draws a bits-bit prime from rng: fixed-width
+// candidates with the top and low bits set until one passes
+// ProbablyPrime(20). crypto/rand.Prime would do, but it skips a byte of
+// the stream at random, so a seeded Config.Rand would not repeat.
+func sampleFieldPrime(bits int, rng io.Reader) (*big.Int, error) {
+	buf := make([]byte, (bits+7)/8)
+	excess := uint(len(buf)*8 - bits)
+	p := new(big.Int)
+	for {
+		if _, err := io.ReadFull(rng, buf); err != nil {
+			return nil, err
+		}
+		buf[0] &= 0xff >> excess
+		buf[0] |= 0x80 >> excess
+		buf[len(buf)-1] |= 1
+		if p.SetBytes(buf).ProbablyPrime(20) {
+			return p, nil
+		}
+	}
+}
+
+// samplePrimeShares draws every party's additive share of one
+// candidate prime.
 func samplePrimeShares(cfg Config, n int) ([]*big.Int, error) {
 	shares := make([]*big.Int, n)
 	for i := 1; i <= n; i++ {
-		s, err := SamplePrimeShareAt(i, n, cfg.Bits, cfg.Rand)
+		s, err := samplePrimeShareAt(i, n, cfg.Bits, cfg.Rand)
 		if err != nil {
 			return nil, err
 		}
@@ -226,11 +247,40 @@ func samplePrimeShares(cfg Config, n int) ([]*big.Int, error) {
 	return shares, nil
 }
 
+// samplePrimeShareAt draws party `index`'s additive share of a candidate
+// prime: party 1 samples ≡ 3 (mod 4) with the top bit placed so the sum
+// has bits/2 bits; other parties sample small shares ≡ 0 (mod 4).
+// index is 1-based; parties is n.
+func samplePrimeShareAt(index, parties, bits int, rng io.Reader) (*big.Int, error) {
+	half := bits / 2
+	if index == 1 {
+		lead, err := rand.Int(rng, new(big.Int).Lsh(big.NewInt(1), uint(half-2)))
+		if err != nil {
+			return nil, fmt.Errorf("sharedrsa: sample share: %w", err)
+		}
+		lead.Add(lead, new(big.Int).Lsh(big.NewInt(1), uint(half-1)))
+		lead.And(lead, new(big.Int).Not(big.NewInt(3)))
+		lead.Or(lead, big.NewInt(3))
+		return lead, nil
+	}
+	extra := uint(0)
+	for v := parties - 1; v > 1; v >>= 1 {
+		extra++
+	}
+	bound := new(big.Int).Lsh(big.NewInt(1), uint(half-2)-extra)
+	s, err := rand.Int(rng, bound)
+	if err != nil {
+		return nil, fmt.Errorf("sharedrsa: sample share: %w", err)
+	}
+	s.And(s, new(big.Int).Not(big.NewInt(3)))
+	return s, nil
+}
+
 // passesSieve runs distributed trial division: for each sieve modulus the
-// parties compute Σ shares mod ℓ by blinded secure-sum; SieveAccepts then
+// parties compute Σ shares mod ℓ by blinded secure-sum; sieveAccepts then
 // rejects candidates divisible by a small prime or ≡ 1 (mod e).
 func passesSieve(shares []*big.Int, e *big.Int, rng io.Reader, tr *Transcript) (bool, error) {
-	moduli := SieveModuli(e)
+	moduli := sieveModuli(e)
 	residues := make([]*big.Int, len(moduli))
 	vals := make([]*big.Int, len(shares))
 	for mi, m := range moduli {
@@ -243,7 +293,37 @@ func passesSieve(shares []*big.Int, e *big.Int, rng io.Reader, tr *Transcript) (
 		}
 		residues[mi] = sum
 	}
-	return SieveAccepts(residues, moduli), nil
+	return sieveAccepts(residues, moduli), nil
+}
+
+// sieveModuli returns the trial-division moduli: the odd primes below
+// 1000 plus the public exponent e (to reject p ≡ 1 mod e).
+func sieveModuli(e *big.Int) []*big.Int {
+	out := make([]*big.Int, 0, len(smallPrimes)+1)
+	for _, ell := range smallPrimes {
+		out = append(out, big.NewInt(ell))
+	}
+	out = append(out, new(big.Int).Set(e))
+	return out
+}
+
+// sieveAccepts checks the revealed residues of the candidate sums against
+// the moduli: reject when any small prime divides the candidate, or when
+// the candidate ≡ 1 mod e (the last modulus).
+func sieveAccepts(residues []*big.Int, moduli []*big.Int) bool {
+	for i, r := range residues {
+		last := i == len(moduli)-1
+		if last {
+			if r.Cmp(big.NewInt(1)) == 0 {
+				return false
+			}
+			continue
+		}
+		if r.Sign() == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // bgwMultiply computes (Σ p_i)(Σ q_i) over the field: each party Shamir-
@@ -297,19 +377,27 @@ func shareAndSum(values []*big.Int, k, n int, field *big.Int, rng io.Reader) ([]
 	return acc, nil
 }
 
-// biprimal runs the Boneh–Franklin biprimality test using the per-party
-// arithmetic of protomath.go.
+// isPerfectSquare reports whether n is a perfect square (p == q breaks the
+// biprimality test and the candidate must be rejected).
+func isPerfectSquare(n *big.Int) bool {
+	sq := new(big.Int).Sqrt(n)
+	return new(big.Int).Mul(sq, sq).Cmp(n) == 0
+}
+
+// biprimal runs the Boneh–Franklin biprimality test: each party raises a
+// common base to its own exponent share and party 1 compares the
+// products.
 func biprimal(bigN *big.Int, pShares, qShares []*big.Int, rounds int, rng io.Reader, tr *Transcript) (bool, error) {
 	exps := make([]*big.Int, len(pShares))
 	for i := range pShares {
-		e, ok := BiprimeExponent(i+1, bigN, pShares[i], qShares[i])
+		e, ok := biprimeExponent(i+1, bigN, pShares[i], qShares[i])
 		if !ok {
 			return false, nil // congruence constraints violated; resample
 		}
 		exps[i] = e
 	}
 	for round := 0; round < rounds; round++ {
-		g, ok, err := SampleBiprimeBase(bigN, rng)
+		g, ok, err := sampleBiprimeBase(bigN, rng)
 		if err != nil {
 			return false, err
 		}
@@ -325,21 +413,78 @@ func biprimal(bigN *big.Int, pShares, qShares []*big.Int, rounds int, rng io.Rea
 				tr.Observe(1, fmt.Sprintf("biprime: v_%d = %v", i+1, vi))
 			}
 		}
-		if !BiprimeAccepts(bigN, v1, others) {
+		if !biprimeAccepts(bigN, v1, others) {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
+// biprimeExponent computes party `index`'s exponent for the biprimality
+// round: (N − p₁ − q₁ + 1)/4 for party 1, (pᵢ + qᵢ)/4 otherwise. ok is
+// false when the congruence constraints are violated (candidate must be
+// resampled).
+func biprimeExponent(index int, bigN, p, q *big.Int) (*big.Int, bool) {
+	four := big.NewInt(4)
+	var num *big.Int
+	if index == 1 {
+		num = new(big.Int).Sub(bigN, p)
+		num.Sub(num, q)
+		num.Add(num, big.NewInt(1))
+	} else {
+		num = new(big.Int).Add(p, q)
+	}
+	if new(big.Int).Mod(num, four).Sign() != 0 {
+		return nil, false
+	}
+	return num.Div(num, four), true
+}
+
+// biprimeAccepts checks one round: v₁ ≡ ±∏ᵢ>₁ vᵢ (mod N).
+func biprimeAccepts(bigN, v1 *big.Int, others []*big.Int) bool {
+	w := big.NewInt(1)
+	for _, v := range others {
+		w.Mul(w, v)
+		w.Mod(w, bigN)
+	}
+	if v1.Cmp(w) == 0 {
+		return true
+	}
+	wNeg := new(big.Int).Sub(bigN, w)
+	return v1.Cmp(wNeg) == 0
+}
+
+// sampleBiprimeBase draws a base g with Jacobi symbol (g/N) = 1. ok=false
+// signals gcd(g, N) > 1, i.e. N is composite and the candidate dies.
+func sampleBiprimeBase(bigN *big.Int, rng io.Reader) (g *big.Int, ok bool, err error) {
+	for {
+		g, err = rand.Int(rng, bigN)
+		if err != nil {
+			return nil, false, fmt.Errorf("sharedrsa: sample biprime base: %w", err)
+		}
+		if g.Cmp(big.NewInt(2)) < 0 {
+			continue
+		}
+		switch big.Jacobi(g, bigN) {
+		case 1:
+			return g, true, nil
+		case 0:
+			return nil, false, nil
+		default:
+			// Jacobi symbol −1: resample.
+		}
+	}
+}
+
 // deriveExponentShares computes the additive shares of the private
-// exponent with the small-public-exponent trick (protomath.go helpers).
-// It returns ok=false if gcd(e, φ(N)) ≠ 1.
+// exponent with the small-public-exponent trick: the parties reveal only
+// φ(N) mod e, and each derives dᵢ from ζ and its own φ share. It returns
+// ok=false if gcd(e, φ(N)) ≠ 1.
 func deriveExponentShares(bigN *big.Int, pShares, qShares []*big.Int, e *big.Int, rng io.Reader, tr *Transcript) ([]Share, []PartyView, bool, error) {
 	n := len(pShares)
 	phi := make([]*big.Int, n)
 	for i := range phi {
-		phi[i] = PhiShare(i+1, bigN, pShares[i], qShares[i])
+		phi[i] = phiShare(i+1, bigN, pShares[i], qShares[i])
 	}
 
 	// Blinded secure-sum of φ mod e (only the result is revealed; it is
@@ -352,7 +497,7 @@ func deriveExponentShares(bigN *big.Int, pShares, qShares []*big.Int, e *big.Int
 	if err != nil {
 		return nil, nil, false, err
 	}
-	zeta, ok := Zeta(phiModE, e)
+	z, ok := zeta(phiModE, e)
 	if !ok {
 		return nil, nil, false, nil // e divides φ
 	}
@@ -360,7 +505,7 @@ func deriveExponentShares(bigN *big.Int, pShares, qShares []*big.Int, e *big.Int
 	shares := make([]Share, n)
 	views := make([]PartyView, n)
 	for i := range phi {
-		di := ExponentShare(zeta, phi[i], e)
+		di := exponentShare(z, phi[i], e)
 		shares[i] = Share{Index: i + 1, D: di}
 		views[i] = PartyView{
 			Index:    i + 1,
@@ -371,6 +516,40 @@ func deriveExponentShares(bigN *big.Int, pShares, qShares []*big.Int, e *big.Int
 		}
 	}
 	return shares, views, true, nil
+}
+
+// phiShare computes party `index`'s additive share of φ(N):
+// φ₁ = N − p₁ − q₁ + 1 and φᵢ = −(pᵢ + qᵢ) for i > 1.
+func phiShare(index int, bigN, p, q *big.Int) *big.Int {
+	if index == 1 {
+		out := new(big.Int).Sub(bigN, p)
+		out.Sub(out, q)
+		out.Add(out, big.NewInt(1))
+		return out
+	}
+	return new(big.Int).Neg(new(big.Int).Add(p, q))
+}
+
+// zeta computes ζ = −(φ mod e)⁻¹ mod e from the revealed residue. ok is
+// false when gcd(e, φ) ≠ 1.
+func zeta(phiModE, e *big.Int) (*big.Int, bool) {
+	if phiModE.Sign() == 0 {
+		return nil, false
+	}
+	z := new(big.Int).ModInverse(phiModE, e)
+	if z == nil {
+		return nil, false
+	}
+	z.Neg(z)
+	z.Mod(z, e)
+	return z, true
+}
+
+// exponentShare computes dᵢ = ⌊ζ·φᵢ/e⌋ (floor division; Go's Euclidean
+// Div floors for positive divisors).
+func exponentShare(zeta, phi, e *big.Int) *big.Int {
+	d := new(big.Int).Mul(zeta, phi)
+	return d.Div(d, e)
 }
 
 // trialSignature signs and verifies a fixed probe message, validating the

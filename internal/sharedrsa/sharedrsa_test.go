@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -126,18 +128,58 @@ func TestCombineRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestGenerateSharedFiveParties covers party counts other than the
+// running example's three: n = 2, where the BGW polynomial has degree
+// t = 0, and n = 5. All n shares sign jointly; any n−1 do not.
 func TestGenerateSharedFiveParties(t *testing.T) {
-	if testing.Short() {
-		t.Skip("five-party keygen in short mode")
+	for _, n := range []int{2, 5} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			if n == 5 && testing.Short() {
+				t.Skip("five-party keygen in short mode")
+			}
+			res := sharedKey(t, 128, n)
+			msg := []byte("joint certificate")
+			sig, err := SignJointly(msg, res.Public, res.Shares)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(msg, res.Public, sig); err != nil {
+				t.Fatal(err)
+			}
+			partials := make([]PartialSignature, n-1)
+			for i, sh := range res.Shares[1:] {
+				if partials[i], err = PartialSign(msg, res.Public, sh); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := Combine(msg, res.Public, partials, n); !errors.Is(err, ErrBadSignature) {
+				t.Fatalf("%d of %d shares combined: %v", n-1, n, err)
+			}
+		})
 	}
-	res := sharedKey(t, 128, 5)
-	msg := []byte("five party certificate")
-	sig, err := SignJointly(msg, res.Public, res.Shares)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestGenerateSharedSeedReproducible: one seed, one key generation — the
+// same N, the same search and the same shares — so that the experiments
+// that seed it repeat.
+func TestGenerateSharedSeedReproducible(t *testing.T) {
+	gen := func() *Result {
+		res, err := GenerateShared(Config{Parties: 3, Bits: 128, Rand: rand.New(rand.NewSource(5))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if err := Verify(msg, res.Public, sig); err != nil {
-		t.Fatal(err)
+	a, b := gen(), gen()
+	if a.Public.N.Cmp(b.Public.N) != 0 {
+		t.Errorf("N differs under one seed: %v vs %v", a.Public.N, b.Public.N)
+	}
+	if a.Attempts != b.Attempts || a.SieveRejects != b.SieveRejects || a.BiprimeRejects != b.BiprimeRejects {
+		t.Errorf("search differs under one seed: attempts %d/%d, sieve rejects %d/%d, biprime rejects %d/%d",
+			a.Attempts, b.Attempts, a.SieveRejects, b.SieveRejects, a.BiprimeRejects, b.BiprimeRejects)
+	}
+	if !reflect.DeepEqual(a.Shares, b.Shares) {
+		t.Error("exponent shares differ under one seed")
 	}
 }
 

@@ -42,8 +42,7 @@ type Envelope struct {
 	// protocols dispatch on it.
 	Kind string
 	// Payload is the opaque message body: a binary daemon Command or
-	// Reply, or a JSON protocol message (replication, joint signatures,
-	// key generation).
+	// Reply, or a JSON protocol message (replication, joint signatures).
 	Payload []byte
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jointadmin/internal/audit"
+	"jointadmin/internal/authz"
 )
 
 // newGeneticsAlliance builds the paper's running example: a genetics
@@ -140,6 +141,53 @@ func TestCoalitionDynamicsViaFacade(t *testing.T) {
 	}
 	if report.Epoch != 3 || report.Domains != 3 {
 		t.Errorf("leave report = %+v", report)
+	}
+}
+
+// TestDistributedKeygenViaFacade runs the public API on the dealerless
+// AA key: the domains generate it among themselves (Boneh–Franklin), and
+// re-generate it when a domain joins.
+func TestDistributedKeygenViaFacade(t *testing.T) {
+	a, err := NewAlliance("dealerless", []string{"D1", "D2", "D3"}, WithKeyBits(128), WithDistributedKeygen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range []string{"alice", "bob", "carol"} {
+		if err := a.EnrollUser(a.Domains()[i], u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.GrantThreshold("G_write", 2, "alice", "bob", "carol"); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := a.NewServer("P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CreateObject("O", map[string][]string{"G_write": {"write"}}, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := a.Submit(ctx, srv, spec("G_write", "write", "O", []byte("v2"), "alice", "bob")); err != nil {
+		t.Fatalf("2-of-3 write: %v", err)
+	}
+	dec, err := a.Submit(ctx, srv, spec("G_write", "write", "O", []byte("x"), "alice"))
+	if !errors.Is(err, ErrDenied) || dec.DeniedStep != authz.StepCosign {
+		t.Fatalf("lone signer: step %q, %v", dec.DeniedStep, err)
+	}
+
+	report, err := a.Join("D4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.KeygenAttempts == 0 {
+		t.Error("join re-keyed without the distributed generator")
+	}
+	if err := a.Reanchor(srv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Submit(ctx, srv, spec("G_write", "write", "O", []byte("v3"), "alice", "bob")); err != nil {
+		t.Fatalf("write under the re-keyed AA: %v", err)
 	}
 }
 

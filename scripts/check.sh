@@ -105,7 +105,7 @@ echo "==> private-exponent guard (conventional keys sign in CRT form)"
 bad=$(grep -rnE '\.Exp\(' --include='*.go' . |
     grep -v -e '_test\.go:' -e '^\./benchmark/' -e '^\./\.bench_build/' \
         -e '^\./internal/sharedrsa/\(crt\|sign\|dealer\|keygen\|batch\)\.go:' \
-        -e '^\./internal/keygenproto/' -e '^\./internal/authority/casei\.go:' \
+        -e '^\./internal/authority/casei\.go:' \
         -e '^\./cmd/experiments/main\.go:' || true)
 if [ -n "$bad" ]; then
     echo "private-exponent guard: math/big Exp outside the CRT signer and the shared-key allow-list:" >&2
@@ -197,8 +197,8 @@ go test -race -count=5 ./internal/audit
 echo "==> bench smoke (go test -bench=LogRecord -benchtime=1x ./internal/audit)"
 go test -run '^$' -bench=LogRecord -benchtime=1x -benchmem ./internal/audit
 
-echo "==> bench smoke (go test -bench='DelegationDepth|WireKeygen' -benchtime=1x)"
-go test -run '^$' -bench='DelegationDepth|WireKeygen' -benchtime=1x .
+echo "==> bench smoke (go test -bench=DelegationDepth -benchtime=1x)"
+go test -run '^$' -bench=DelegationDepth -benchtime=1x .
 
 echo "==> bench smoke (go test -bench=WALAppend -benchtime=1x ./internal/wal)"
 go test -run '^$' -bench=WALAppend -benchtime=1x ./internal/wal
