@@ -352,19 +352,6 @@ func checkForgery(n int, rows []forgeryRow) error {
 	return nil
 }
 
-// stolenShares signs with the exponent shares of compromised Case II
-// domains: their partial signatures, combined.
-type stolenShares struct {
-	pk     sharedrsa.PublicKey
-	shares []sharedrsa.Share
-}
-
-func (s stolenShares) Public() sharedrsa.PublicKey { return s.pk }
-
-func (s stolenShares) Sign(msg []byte) (sharedrsa.Signature, error) {
-	return sharedrsa.SignJointly(msg, s.pk, s.shares)
-}
-
 // forges reports whether signer issues a threshold certificate admitting
 // Mallory that verifies under the AA key pk.
 func forges(signer pki.Signer, pk sharedrsa.PublicKey, at clock.Time) bool {
@@ -394,15 +381,16 @@ func e4TrustLiability() error {
 	// One administrator with maintenance access exposes the lock box key.
 	insider := caseI.Compromise()
 	var leaked pki.Signer
-	stolen := stolenShares{pk: caseII.AA.Public()}
+	pk := caseII.AA.Public()
+	var stolen []sharedrsa.Share // exponent shares of the compromised Case II domains
 	fmt.Println("k    Case I (lock box)    Case II (shared key)")
 	var rows []forgeryRow
 	for k := 0; k <= n; k++ {
 		if k >= 1 {
 			leaked = insider
-			stolen.shares = append(stolen.shares, caseII.Domains[k-1].Share())
+			stolen = append(stolen, caseII.Domains[k-1].Share())
 		}
-		r := forgeryRow{k: k, caseI: forges(leaked, caseI.Public(), clk.Now()), caseII: forges(stolen, stolen.pk, clk.Now())}
+		r := forgeryRow{k: k, caseI: forges(leaked, caseI.Public(), clk.Now()), caseII: forges(pki.NewJointSigner(pk, stolen), pk, clk.Now())}
 		fmt.Printf("%d    %-20v %v\n", r.k, r.caseI, r.caseII)
 		rows = append(rows, r)
 	}

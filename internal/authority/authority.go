@@ -112,11 +112,12 @@ func (ca *DomainCA) RevokeIdentity(user string, effective clock.Time) (pki.Signe
 // approval policy before co-signing anything.
 type DomainAgent struct {
 	Name string
-
-	mu      sync.Mutex
+	// share and approve are fixed at construction; mu guards down.
 	share   sharedrsa.Share
 	approve func(payload []byte) error
-	down    bool
+
+	mu   sync.Mutex
+	down bool
 }
 
 // NewDomainAgent wraps a domain's share. approve may be nil (approve all).
@@ -141,44 +142,29 @@ func (d *DomainAgent) Down() bool {
 // Consents reports whether the domain is up and its policy approves the
 // payload, without computing a signature.
 func (d *DomainAgent) Consents(payload []byte) error {
-	d.mu.Lock()
-	down, approve := d.down, d.approve
-	d.mu.Unlock()
-	if down {
+	if d.Down() {
 		return fmt.Errorf("%s: %w", d.Name, ErrDomainDown)
 	}
-	if approve != nil {
-		if err := approve(payload); err != nil {
+	if d.approve != nil {
+		if err := d.approve(payload); err != nil {
 			return fmt.Errorf("%s: %w: %v", d.Name, ErrConsentWithheld, err)
 		}
 	}
 	return nil
 }
 
-// CoSign produces the domain's partial signature over the payload after
-// consulting its approval policy.
+// CoSign produces the domain's partial signature over the payload once
+// Consents approves it.
 func (d *DomainAgent) CoSign(payload []byte, pk sharedrsa.PublicKey) (sharedrsa.PartialSignature, error) {
-	d.mu.Lock()
-	down, approve, share := d.down, d.approve, d.share
-	d.mu.Unlock()
-	if down {
-		return sharedrsa.PartialSignature{}, fmt.Errorf("%s: %w", d.Name, ErrDomainDown)
+	if err := d.Consents(payload); err != nil {
+		return sharedrsa.PartialSignature{}, err
 	}
-	if approve != nil {
-		if err := approve(payload); err != nil {
-			return sharedrsa.PartialSignature{}, fmt.Errorf("%s: %w: %v", d.Name, ErrConsentWithheld, err)
-		}
-	}
-	return sharedrsa.PartialSign(payload, pk, share)
+	return sharedrsa.PartialSign(payload, pk, d.share)
 }
 
 // Share exposes the domain's share for re-keying flows (coalition
 // dynamics); a deployment would keep it sealed inside the domain.
-func (d *DomainAgent) Share() sharedrsa.Share {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.share.Clone()
-}
+func (d *DomainAgent) Share() sharedrsa.Share { return d.share.Clone() }
 
 // consensusSigner is a pki.Signer that implements Case II issuance: every
 // domain must co-sign (n-of-n). It is the cryptographic embodiment of

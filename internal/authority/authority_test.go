@@ -135,6 +135,68 @@ func TestCaseIIThresholdModeAvailability(t *testing.T) {
 	}
 }
 
+// TestCaseIIOutageAndVeto crosses the two issuance modes with the two
+// ways a domain withholds its partial — being down and vetoing the
+// payload. n-of-n fails on the first domain that withholds; 2-of-3
+// issues while a consenting quorum remains and fails with ErrQuorum
+// below it.
+func TestCaseIIOutageAndVeto(t *testing.T) {
+	key, err := sharedrsa.DealerSplit(512, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	veto := func([]byte) error { return errors.New("against domain policy") }
+	cases := []struct {
+		name       string
+		down, veto []int // domain indices
+		nOfN, mOfN error // nil: issues a verifying certificate
+	}{
+		{"one down", []int{1}, nil, ErrDomainDown, nil},
+		{"one vetoing", nil, []int{1}, ErrConsentWithheld, nil},
+		{"down and veto below quorum", []int{1}, []int{2}, ErrDomainDown, sharedrsa.ErrQuorum},
+	}
+	for _, c := range cases {
+		for _, threshold := range []bool{false, true} {
+			mode, want := "n-of-n", c.nOfN
+			if threshold {
+				mode, want = "2-of-3", c.mOfN
+			}
+			t.Run(c.name+"/"+mode, func(t *testing.T) {
+				approve := make([]func([]byte) error, 3)
+				for _, i := range c.veto {
+					approve[i] = veto
+				}
+				domains := make([]*DomainAgent, 3)
+				for i := range domains {
+					domains[i] = NewDomainAgent([]string{"D1", "D2", "D3"}[i], key.Shares[i], approve[i])
+				}
+				aa := &CoalitionAA{name: "AA", pk: key.Public, domains: domains, clk: clock.New(100)}
+				if threshold {
+					if err := aa.EnableThreshold(2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, i := range c.down {
+					domains[i].SetDown(true)
+				}
+				cert, err := aa.IssueThreshold("G_write", 2, subjects(), clock.NewInterval(50, 5000))
+				if want != nil {
+					if !errors.Is(err, want) {
+						t.Fatalf("issuance: %v, want %v", err, want)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("issuance: %v", err)
+				}
+				if err := pki.VerifyThresholdAttribute(cert, aa.Public(), 100); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 func TestIssueAttributeSingleSubject(t *testing.T) {
 	est := establishAA(t)
 	cert, err := est.AA.IssueAttribute("G_read", pki.BoundSubject{Name: "User_D3", KeyID: "k3"}, clock.NewInterval(50, 5000))

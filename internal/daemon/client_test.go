@@ -51,7 +51,7 @@ func echoServer(t *testing.T, ep transport.Endpoint, jitter time.Duration) {
 // over one connection; replies are jittered out of order, yet every call
 // gets exactly the reply to its own command.
 func TestClientConcurrentCallsCorrelate(t *testing.T) {
-	net := transport.NewMemory(transport.Faults{})
+	net := transport.NewMemory()
 	defer net.Close()
 	srv := net.Endpoint("srv")
 	echoServer(t, srv, 3*time.Millisecond)
@@ -99,7 +99,7 @@ func TestClientConcurrentCallsCorrelate(t *testing.T) {
 // replies to IDs nobody is waiting on, wrong kinds, garbage payloads —
 // are counted and shed without disturbing a live call.
 func TestClientShedsStaleEnvelopes(t *testing.T) {
-	net := transport.NewMemory(transport.Faults{})
+	net := transport.NewMemory()
 	defer net.Close()
 	srv := net.Endpoint("srv")
 
@@ -140,7 +140,7 @@ func TestClientShedsStaleEnvelopes(t *testing.T) {
 // context's error and is counted in daemon_mux_timeouts_total; the
 // pending slot is released.
 func TestClientCallTimeout(t *testing.T) {
-	net := transport.NewMemory(transport.Faults{})
+	net := transport.NewMemory()
 	defer net.Close()
 	net.Endpoint("srv") // exists but never answers
 
@@ -166,7 +166,7 @@ func TestClientCallTimeout(t *testing.T) {
 // calls in flight, every pending call fails with ErrConnLost — and so do
 // all future calls, immediately.
 func TestClientConnLostFailsPending(t *testing.T) {
-	net := transport.NewMemory(transport.Faults{})
+	net := transport.NewMemory()
 	net.Endpoint("srv") // never answers
 
 	reg := obs.NewRegistry()
@@ -208,7 +208,7 @@ func TestClientConnLostFailsPending(t *testing.T) {
 // of a command still answers — the client retransmits under the same ID
 // until the reply lands.
 func TestClientResendHealsLostRequest(t *testing.T) {
-	net := transport.NewMemory(transport.Faults{})
+	net := transport.NewMemory()
 	defer net.Close()
 	srv := net.Endpoint("srv")
 	go func() {

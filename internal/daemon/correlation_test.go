@@ -59,7 +59,7 @@ func testDaemon(t *testing.T, net *transport.Memory, reg *obs.Registry) (*Daemon
 // and the one it got back disagree. This is exactly the logic policyctl
 // shipped with before the mux client.
 func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
-	net := transport.NewMemory(transport.Faults{})
+	net := transport.NewMemory()
 	defer net.Close()
 	reg := obs.NewRegistry()
 	testDaemon(t, net, reg)
@@ -106,7 +106,7 @@ func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
 // replies are per-call distinguishable); duplicated commands must be
 // answered from the dedup cache, and duplicated replies shed as stale.
 func TestMuxCorrelationUnderDupInjection(t *testing.T) {
-	net := transport.NewMemory(transport.Faults{})
+	net := transport.NewMemory()
 	defer net.Close()
 	reg := obs.NewRegistry()
 	testDaemon(t, net, reg)
@@ -172,7 +172,7 @@ func TestMuxCorrelationUnderDupInjection(t *testing.T) {
 // daemon_dedup_replays_total), and the daemon's command counter shows a
 // single execution.
 func TestRetriedMutationAppliesOnce(t *testing.T) {
-	net := transport.NewMemory(transport.Faults{})
+	net := transport.NewMemory()
 	defer net.Close()
 	reg := obs.NewRegistry()
 	d, _ := testDaemon(t, net, reg)

@@ -21,7 +21,6 @@ import (
 	"jointadmin"
 	"jointadmin/internal/acl"
 	"jointadmin/internal/authz"
-	"jointadmin/internal/jointsig"
 	"jointadmin/internal/obs"
 	"jointadmin/internal/replication"
 	"jointadmin/internal/sharedrsa"
@@ -150,7 +149,8 @@ const (
 	// MetricCommandSeconds times command handling, labeled cmd=<name>.
 	MetricCommandSeconds = "daemon_command_seconds"
 	// MetricCommandErrors counts failed commands, labeled cmd=<name> and
-	// kind=<error class> (see errClass).
+	// kind=<error class>: errClass's label for a sentinel error, or the
+	// handler's own (bad_args, unknown_verb, wal, ...).
 	MetricCommandErrors = "daemon_command_errors_total"
 	// MetricRequestSignSeconds times building and co-signing the access
 	// request of a write, read or sign command (Alliance.NewRequest: the
@@ -378,24 +378,8 @@ func errClass(err error) string {
 		return "no_group"
 	case errors.Is(err, jointadmin.ErrDenied):
 		return "denied"
-	case errors.Is(err, jointsig.ErrTimeout):
-		return "cosigner_timeout"
-	case errors.Is(err, jointsig.ErrRefused):
-		return "cosigner_refused"
 	case errors.Is(err, sharedrsa.ErrSignFault):
 		return "sign_fault"
-	case errors.Is(err, transport.ErrRecvTimeout):
-		return "recv_timeout"
-	case errors.Is(err, transport.ErrNodeDown):
-		return "node_down"
-	case errors.Is(err, transport.ErrDropped):
-		return "dropped"
-	case errors.Is(err, transport.ErrInboxFull):
-		return "backpressure"
-	case errors.Is(err, transport.ErrUnknownPeer):
-		return "unknown_peer"
-	case errors.Is(err, transport.ErrClosed):
-		return "closed"
 	default:
 		return "internal"
 	}

@@ -91,10 +91,12 @@ func Verify(msg []byte, pk PublicKey, sig Signature) error {
 	return nil
 }
 
-// SignJointly is the whole Section 3.2 flow for an n-of-n sharing: the
-// requestor sends (M, keyID) to the co-signers, collects their partials,
-// combines and verifies. It is the signing primitive the coalition AA uses
-// on every threshold attribute certificate.
+// SignJointly is the whole Section 3.2 flow for an n-of-n sharing whose
+// shares one caller holds: every share's partial, combined and verified.
+// It serves pki.JointSigner and the experiments that model stolen or
+// colluding shares. The coalition AA does not sign through it: its
+// consensus signer collects each domain's partial only after that domain
+// consents (authority.DomainAgent.CoSign).
 func SignJointly(msg []byte, pk PublicKey, shares []Share) (Signature, error) {
 	partials := make([]PartialSignature, len(shares))
 	for i, sh := range shares {

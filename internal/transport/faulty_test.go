@@ -10,7 +10,7 @@ import (
 // faultyPair wires two in-memory endpoints with a Faulty wrapper on A.
 func faultyPair(t *testing.T, plan FaultPlan) (*Faulty, Endpoint, *Memory) {
 	t.Helper()
-	net := NewMemory(Faults{})
+	net := NewMemory()
 	t.Cleanup(net.Close)
 	a := NewFaulty(net.Endpoint("A"), plan)
 	b := net.Endpoint("B")
@@ -39,7 +39,7 @@ func TestFaultyPassthrough(t *testing.T) {
 func TestFaultyDropOutDeterministic(t *testing.T) {
 	const n = 200
 	arrived := func(seed int64) int {
-		net := NewMemory(Faults{})
+		net := NewMemory()
 		defer net.Close()
 		a := NewFaulty(net.Endpoint("A"), FaultPlan{Seed: seed, DropOut: 0.3})
 		b := net.Endpoint("B")

@@ -1,8 +1,8 @@
-// Package transport provides the message-passing substrate the coalition
-// protocols run on: a deterministic in-memory network with injectable
-// latency, loss and node failures (used by simulations and benchmarks),
-// and a TCP implementation (used by the runnable servers). Both satisfy
-// the same interfaces so every protocol is written once.
+// Package transport provides the message-passing substrate the daemon,
+// its clients and the follower fleet run on: an in-memory network (used
+// by tests), a TCP implementation (used by the runnable servers), and
+// Faulty, the one fault injector, which wraps either. Both networks
+// satisfy the same interfaces so every protocol is written once.
 //
 // On TCP an Envelope travels as one frame, encoded and decoded by hand
 // in the internal/wirefmt encoding (no reflection, no per-message codec
@@ -38,11 +38,11 @@ type Envelope struct {
 	From string
 	// To is the destination endpoint name.
 	To string
-	// Kind tags the message type (e.g. jointsig.request); multiplexed
+	// Kind tags the message type (e.g. repl.records); multiplexed
 	// protocols dispatch on it.
 	Kind string
 	// Payload is the opaque message body: a binary daemon Command or
-	// Reply, or a JSON protocol message (replication, joint signatures).
+	// Reply, or a replication message.
 	Payload []byte
 }
 
@@ -52,14 +52,8 @@ var (
 	ErrClosed = errors.New("transport: closed")
 	// ErrUnknownPeer indicates a send to an unregistered name.
 	ErrUnknownPeer = errors.New("transport: unknown peer")
-	// ErrNodeDown indicates the destination is failed (failure injection).
-	ErrNodeDown = errors.New("transport: node down")
-	// ErrDropped indicates the message was lost (loss injection).
-	ErrDropped = errors.New("transport: message dropped")
 	// ErrInboxFull indicates the destination's inbox buffer is full: the
 	// receiver is not draining fast enough and the sender must back off.
-	// Distinct from ErrDropped, which is injected fault loss — an inbox
-	// overflow is backpressure, not a lossy link.
 	ErrInboxFull = errors.New("transport: inbox full")
 	// ErrRecvTimeout indicates RecvTimeout expired with no message.
 	ErrRecvTimeout = errors.New("transport: receive timeout")
@@ -81,15 +75,6 @@ type Endpoint interface {
 	Close() error
 }
 
-// Faults configures failure injection on the in-memory network.
-type Faults struct {
-	// Latency delays each delivery (0 = immediate).
-	Latency time.Duration
-	// DropEveryN drops every Nth message when > 0 (deterministic loss,
-	// reproducible in tests; probability-free by design).
-	DropEveryN int
-}
-
 // Memory is the in-memory network.
 type Memory struct {
 	// reg receives delivery metrics (Instrument); nil drops them.
@@ -97,35 +82,23 @@ type Memory struct {
 
 	mu      sync.Mutex
 	inboxes map[string]chan Envelope
-	down    map[string]bool
-	faults  Faults
-	sent    int
-	dropped int
 	closed  bool
 }
 
-// MetricDropped counts messages lost to fault injection (in-memory
-// network only).
-const MetricDropped = "transport_dropped_total"
-
 // MetricInboxFull counts sends refused because the destination inbox was
-// full (in-memory network only). Kept apart from MetricDropped so
-// backpressure is never mistaken for a configured fault plan.
+// full (in-memory network only).
 const MetricInboxFull = "transport_inbox_full_total"
 
 // Instrument injects a metrics registry: deliveries count under
-// transport_frames_total/transport_bytes_total (dir="out") and losses
-// under transport_dropped_total. Call it before traffic flows; nil (the
-// default) disables the accounting.
+// transport_frames_total/transport_bytes_total (dir="out") and refused
+// sends under transport_inbox_full_total. Call it before traffic flows;
+// nil (the default) disables the accounting.
 func (m *Memory) Instrument(reg *obs.Registry) { m.reg = reg }
 
-// NewMemory returns an in-memory network with the given fault plan.
-func NewMemory(faults Faults) *Memory {
-	return &Memory{
-		inboxes: make(map[string]chan Envelope),
-		down:    make(map[string]bool),
-		faults:  faults,
-	}
+// NewMemory returns an empty in-memory network. It injects no faults:
+// wrap its endpoints in Faulty for that.
+func NewMemory() *Memory {
+	return &Memory{inboxes: make(map[string]chan Envelope)}
 }
 
 // Endpoint registers (or re-attaches) the named endpoint. The inbox buffer
@@ -142,35 +115,6 @@ func (m *Memory) Endpoint(name string) Endpoint {
 	return &memEndpoint{net: m, name: name, inbox: ch}
 }
 
-// Fail marks a node as down: sends to it (and from it) error with
-// ErrNodeDown until Recover. This drives the availability experiment E3.
-func (m *Memory) Fail(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.down[name] = true
-}
-
-// Recover brings a failed node back.
-func (m *Memory) Recover(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.down, name)
-}
-
-// Down reports whether the node is failed.
-func (m *Memory) Down(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.down[name]
-}
-
-// Stats returns (sent, dropped) counters.
-func (m *Memory) Stats() (sent, dropped int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sent, m.dropped
-}
-
 // Close shuts the network down; all pending and future Recv calls fail.
 func (m *Memory) Close() {
 	m.mu.Lock()
@@ -185,58 +129,31 @@ func (m *Memory) Close() {
 }
 
 func (m *Memory) send(env Envelope) error {
+	// The inbox send happens under the lock: Close closes the inbox
+	// channels, and sending into a channel concurrently with its close is
+	// a race (and a panic). The send itself is non-blocking, so holding
+	// the lock across it cannot deadlock.
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return ErrClosed
-	}
-	if m.down[env.From] || m.down[env.To] {
-		m.mu.Unlock()
-		return fmt.Errorf("%s → %s: %w", env.From, env.To, ErrNodeDown)
 	}
 	ch, ok := m.inboxes[env.To]
 	if !ok {
 		m.mu.Unlock()
 		return fmt.Errorf("%s: %w", env.To, ErrUnknownPeer)
 	}
-	m.sent++
-	if m.faults.DropEveryN > 0 && m.sent%m.faults.DropEveryN == 0 {
-		m.dropped++
+	select {
+	case ch <- env:
 		m.mu.Unlock()
-		m.reg.Counter(MetricDropped).Inc()
-		return fmt.Errorf("%s → %s: %w", env.From, env.To, ErrDropped)
-	}
-	latency := m.faults.Latency
-	m.mu.Unlock()
-
-	// Delivery re-checks closed under the lock: Close closes the inbox
-	// channels, and sending into a channel concurrently with its close is
-	// a race (and a panic). The inbox send itself is non-blocking, so
-	// holding the lock across it cannot deadlock.
-	deliver := func() error {
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			return ErrClosed
-		}
-		select {
-		case ch <- env:
-			m.mu.Unlock()
-			m.reg.Counter(MetricFrames, "dir", "out").Inc()
-			m.reg.Counter(MetricBytes, "dir", "out").Add(int64(len(env.Payload)))
-			return nil
-		default:
-			m.mu.Unlock()
-			m.reg.Counter(MetricInboxFull).Inc()
-			return fmt.Errorf("%s: %w", env.To, ErrInboxFull)
-		}
-	}
-	if latency > 0 {
-		timer := time.AfterFunc(latency, func() { _ = deliver() })
-		_ = timer
+		m.reg.Counter(MetricFrames, "dir", "out").Inc()
+		m.reg.Counter(MetricBytes, "dir", "out").Add(int64(len(env.Payload)))
 		return nil
+	default:
+		m.mu.Unlock()
+		m.reg.Counter(MetricInboxFull).Inc()
+		return fmt.Errorf("%s: %w", env.To, ErrInboxFull)
 	}
-	return deliver()
 }
 
 type memEndpoint struct {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestMemorySendRecv(t *testing.T) {
-	net := NewMemory(Faults{})
+	net := NewMemory()
 	defer net.Close()
 	a := net.Endpoint("A")
 	b := net.Endpoint("B")
@@ -28,7 +28,7 @@ func TestMemorySendRecv(t *testing.T) {
 }
 
 func TestMemoryUnknownPeer(t *testing.T) {
-	net := NewMemory(Faults{})
+	net := NewMemory()
 	defer net.Close()
 	a := net.Endpoint("A")
 	if err := a.Send("ghost", "k", nil); !errors.Is(err, ErrUnknownPeer) {
@@ -36,58 +36,11 @@ func TestMemoryUnknownPeer(t *testing.T) {
 	}
 }
 
-func TestMemoryFailureInjection(t *testing.T) {
-	net := NewMemory(Faults{})
-	defer net.Close()
-	a := net.Endpoint("A")
-	net.Endpoint("B")
-	net.Fail("B")
-	if !net.Down("B") {
-		t.Fatal("B should be down")
-	}
-	if err := a.Send("B", "k", nil); !errors.Is(err, ErrNodeDown) {
-		t.Errorf("send to downed node: %v", err)
-	}
-	net.Recover("B")
-	if net.Down("B") {
-		t.Fatal("B should be up")
-	}
-	if err := a.Send("B", "k", nil); err != nil {
-		t.Errorf("send after recovery: %v", err)
-	}
-	// A failed sender cannot send either.
-	net.Fail("A")
-	if err := a.Send("B", "k", nil); !errors.Is(err, ErrNodeDown) {
-		t.Errorf("send from downed node: %v", err)
-	}
-}
-
-func TestMemoryDeterministicLoss(t *testing.T) {
-	net := NewMemory(Faults{DropEveryN: 3})
-	defer net.Close()
-	a := net.Endpoint("A")
-	net.Endpoint("B")
-	var drops int
-	for i := 0; i < 9; i++ {
-		if err := a.Send("B", "k", nil); errors.Is(err, ErrDropped) {
-			drops++
-		}
-	}
-	if drops != 3 {
-		t.Errorf("drops = %d, want 3 (every 3rd)", drops)
-	}
-	sent, dropped := net.Stats()
-	if sent != 9 || dropped != 3 {
-		t.Errorf("stats = %d sent, %d dropped", sent, dropped)
-	}
-}
-
 // TestMemoryInboxFullBackpressure: overflowing an undrained inbox is
-// backpressure, not loss — the send fails with ErrInboxFull (never
-// ErrDropped), is counted under transport_inbox_full_total, and leaves
-// the fault-drop counters untouched even though no fault plan is set.
+// backpressure — the send fails with ErrInboxFull and is counted under
+// transport_inbox_full_total.
 func TestMemoryInboxFullBackpressure(t *testing.T) {
-	net := NewMemory(Faults{})
+	net := NewMemory()
 	defer net.Close()
 	reg := obs.NewRegistry()
 	net.Instrument(reg)
@@ -103,60 +56,13 @@ func TestMemoryInboxFullBackpressure(t *testing.T) {
 	if !errors.Is(full, ErrInboxFull) {
 		t.Fatalf("overflowing send = %v, want ErrInboxFull", full)
 	}
-	if errors.Is(full, ErrDropped) {
-		t.Fatal("inbox overflow must not be classified as fault loss")
-	}
 	if got := reg.Counter(MetricInboxFull).Value(); got < 1 {
 		t.Errorf("%s = %d, want >= 1", MetricInboxFull, got)
-	}
-	if got := reg.Counter(MetricDropped).Value(); got != 0 {
-		t.Errorf("%s = %d, want 0 (no fault plan configured)", MetricDropped, got)
-	}
-	if _, dropped := net.Stats(); dropped != 0 {
-		t.Errorf("Stats dropped = %d, want 0", dropped)
-	}
-}
-
-// TestMemoryDropVsInboxFullDistinct: with a fault plan configured, an
-// injected drop still reports ErrDropped and counts under
-// transport_dropped_total — the two failure modes stay separable.
-func TestMemoryDropVsInboxFullDistinct(t *testing.T) {
-	net := NewMemory(Faults{DropEveryN: 1})
-	defer net.Close()
-	reg := obs.NewRegistry()
-	net.Instrument(reg)
-	a := net.Endpoint("A")
-	net.Endpoint("B")
-	if err := a.Send("B", "k", nil); !errors.Is(err, ErrDropped) {
-		t.Fatalf("injected drop = %v, want ErrDropped", err)
-	}
-	if got := reg.Counter(MetricDropped).Value(); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricDropped, got)
-	}
-	if got := reg.Counter(MetricInboxFull).Value(); got != 0 {
-		t.Errorf("%s = %d, want 0", MetricInboxFull, got)
-	}
-}
-
-func TestMemoryLatency(t *testing.T) {
-	net := NewMemory(Faults{Latency: 20 * time.Millisecond})
-	defer net.Close()
-	a := net.Endpoint("A")
-	b := net.Endpoint("B")
-	start := time.Now()
-	if err := a.Send("B", "k", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.RecvTimeout(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Errorf("latency not applied: %v", elapsed)
 	}
 }
 
 func TestMemoryRecvTimeout(t *testing.T) {
-	net := NewMemory(Faults{})
+	net := NewMemory()
 	defer net.Close()
 	b := net.Endpoint("B")
 	if _, err := b.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
@@ -165,7 +71,7 @@ func TestMemoryRecvTimeout(t *testing.T) {
 }
 
 func TestMemoryClose(t *testing.T) {
-	net := NewMemory(Faults{})
+	net := NewMemory()
 	a := net.Endpoint("A")
 	done := make(chan error, 1)
 	go func() {
@@ -183,7 +89,7 @@ func TestMemoryClose(t *testing.T) {
 }
 
 func TestMemoryPayloadCopied(t *testing.T) {
-	net := NewMemory(Faults{})
+	net := NewMemory()
 	defer net.Close()
 	a := net.Endpoint("A")
 	b := net.Endpoint("B")
@@ -202,7 +108,7 @@ func TestMemoryPayloadCopied(t *testing.T) {
 }
 
 func TestMemoryConcurrentSenders(t *testing.T) {
-	net := NewMemory(Faults{})
+	net := NewMemory()
 	defer net.Close()
 	dst := net.Endpoint("dst")
 	const senders, each = 8, 20

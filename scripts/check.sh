@@ -228,12 +228,21 @@ go test -run '^$' -fuzz='^FuzzExpPublic$' -fuzztime=5s ./internal/sharedrsa
 go test -run '^$' -fuzz='^FuzzSignCRT$' -fuzztime=5s ./internal/sharedrsa
 go test -run '^$' -fuzz='^FuzzParseHex$' -fuzztime=5s ./internal/sharedrsa
 
+echo "==> examples (go run each directory under examples/; each exits non-zero on a wrong approval or denial)"
+for d in examples/*/; do
+    if ! out=$(go run "./$d" 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "examples: go run ./$d failed" >&2
+        exit 1
+    fi
+done
+
 echo "==> reproduction record (go run ./cmd/experiments: E1–E8, E11, E12, each shape checked; 15-20s on 2 cores)"
 # Every experiment exits non-zero when the table it prints breaks the
 # paper's shape, so this step fails on a broken claim.
 record=$(go run ./cmd/experiments)
 
-echo "==> docs lint (every CLI flag and replication metric documented)"
+echo "==> docs lint (every CLI flag, metric and error kind documented; every documented metric registered)"
 fail=0
 # Every experiment the command prints has a section in EXPERIMENTS.md,
 # and every section there names its experiment.
@@ -292,10 +301,37 @@ for m in $mux_metrics; do
         fail=1
     fi
 done
-backpressure_metrics=$(grep -ohE '"transport_(inbox_full|dropped|frame_errors)_[a-z_]+"' internal/transport/*.go | tr -d '"' | sort -u)
+backpressure_metrics=$(grep -ohE '"transport_(inbox_full|frame_errors)_[a-z_]+"' internal/transport/*.go | tr -d '"' | sort -u)
 for m in $backpressure_metrics; do
     if ! grep -rq -- "$m" docs/; then
         echo "docs lint: transport metric $m not documented anywhere in docs/" >&2
+        fail=1
+    fi
+done
+# Error taxonomy: every kind a command handler returns (the quoted second
+# value of handle, mutate and Follower.handle) and every label errClass
+# maps a sentinel to is listed in OPERATIONS.md, where operators read
+# daemon_command_errors_total{kind}.
+kinds=$( (grep -ohE '\}, "[a-z_]+"$' internal/daemon/daemon.go internal/daemon/follower.go
+    sed -n '/^func errClass(/,/^}/p' internal/daemon/daemon.go | grep -oE 'return "[a-z_]+"') |
+    grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
+for k in $kinds; do
+    if ! grep -qF "\`$k\`" docs/OPERATIONS.md; then
+        echo "docs lint: error kind $k (internal/daemon) not listed in docs/OPERATIONS.md" >&2
+        fail=1
+    fi
+done
+# Reverse metrics lint: every metric name in the first column of an
+# OPERATIONS.md table is a string literal in non-test code of the root
+# package, internal/ or cmd/ — a row for a metric nothing registers is
+# stale.
+gofiles=$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go'
+    find internal cmd -name '*.go' ! -name '*_test.go')
+names=$(grep -E '^\|' docs/OPERATIONS.md | awk -F'|' '{print $2}' |
+    grep -oE '`[^`]*_[^`]*`' | tr -d '`' | sort -u)
+for n in $names; do
+    if ! grep -qF "\"$n\"" $gofiles; then
+        echo "docs lint: OPERATIONS.md lists $n, but no non-test Go file names it" >&2
         fail=1
     fi
 done
