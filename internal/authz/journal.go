@@ -2,22 +2,27 @@
 // replaying them on startup.
 //
 // Every belief mutation (revocation, identity revocation, group link,
-// re-anchoring) is appended to the attached journal *before* the new
-// snapshot is published — write-ahead in the strict sense: a mutation
-// the caller saw acknowledged is on stable storage. Audit entries are
-// journaled too, on the group-commit path (no fsync wait — decisions are
-// observability, not preconditions).
+// delegation, group-graph link, re-anchoring) is appended to the attached
+// journal *before* the new snapshot is published — write-ahead in the
+// strict sense: a mutation the caller saw acknowledged is on stable
+// storage. Audit entries are journaled too, on the group-commit path (no
+// fsync wait — decisions are observability, not preconditions).
 //
-// Replay applies the records directly to the belief store, mirroring the
-// derivations the live processors ran, rather than re-running the
-// cryptographic verifications: each record was signature-verified when
-// it was first processed and is CRC-protected at rest, and after a full
-// restart the signing keys may have been regenerated (the daemon's
-// authorities hold fresh keys every boot). The revocation matching layer
-// compares principal *names* (logic.BeliefStore's subject aliasing), so
-// a replayed revocation of G_write over {alice, bob} blocks a re-issued
-// certificate with brand-new keys — exactly the Requirement III
-// guarantee a restart must not forget.
+// Replay — crash recovery here, a replication follower through
+// replica.go — runs one function for every belief record (replayRecord):
+// it idealizes the recorded certificate with the pki idealizer the live
+// derivation used, appends one logic.RuleJournaled leaf citing the
+// record's sequence number, and hands the certificate's conclusion to
+// logic.Engine.Install at the record's timestamp, exactly as the live
+// acceptance tail does (mutation.go). Signatures are not re-checked: each
+// record was verified when it was first accepted and is CRC-protected at
+// rest, and after a full restart the signing keys may have been
+// regenerated (the daemon's authorities hold fresh keys every boot). The
+// revocation matching layer compares principal *names*
+// (logic.BeliefStore's subject aliasing), so a replayed revocation of
+// G_write over {alice, bob} blocks a re-issued certificate with
+// brand-new keys — exactly the Requirement III guarantee a restart must
+// not forget.
 
 package authz
 
@@ -296,10 +301,10 @@ func (r ReplayReport) String() string {
 // Replay rebuilds the server's belief state from a recovered record
 // sequence (wal.Open's output). It must run before SetJournal and before
 // the server handles requests. The logical clock is advanced to each
-// record's timestamp, so time-dependent beliefs — revocation effective
-// times, accuracy intervals — reproduce exactly; a replayed revocation
-// therefore denies requests after restart just as it did before the
-// crash.
+// record's timestamp and every belief is installed at that timestamp, so
+// time-dependent beliefs — revocation effective times, accuracy
+// intervals — reproduce exactly; a replayed revocation therefore denies
+// requests after restart just as it did before the crash.
 func (s *Server) Replay(recs []wal.Record, policy ReplayPolicy) (ReplayReport, error) {
 	var rep ReplayReport
 	if s.journalRef() != nil {
@@ -319,49 +324,13 @@ func (s *Server) Replay(recs []wal.Record, policy ReplayPolicy) (ReplayReport, e
 	for i, r := range recs {
 		s.clk.AdvanceTo(r.At)
 		rep.Records++
-		superseded := policy == ReplayBeliefs && i < cut
 		var err error
 		switch r.Type {
 		case wal.TypeAnchors:
 			rep.Anchors++
 			if policy == ReplayExact {
-				err = s.replayMutation(r)
+				err = s.replayRecord(r)
 			}
-		case wal.TypeRevocation:
-			if superseded {
-				rep.Skipped++
-				continue
-			}
-			rep.Revocations++
-			err = s.replayMutation(r)
-		case wal.TypeIdentityRevocation:
-			if superseded {
-				rep.Skipped++
-				continue
-			}
-			rep.IdentityRevocations++
-			err = s.replayMutation(r)
-		case wal.TypeGroupLink:
-			if superseded {
-				rep.Skipped++
-				continue
-			}
-			rep.GroupLinks++
-			err = s.replayMutation(r)
-		case wal.TypeDelegation:
-			if superseded {
-				rep.Skipped++
-				continue
-			}
-			rep.Delegations++
-			err = s.replayMutation(r)
-		case wal.TypeGroupGraphLink:
-			if superseded {
-				rep.Skipped++
-				continue
-			}
-			rep.GroupGraphLinks++
-			err = s.replayMutation(r)
 		case wal.TypeAudit:
 			rep.AuditEntries++
 			var e audit.Entry
@@ -369,7 +338,15 @@ func (s *Server) Replay(recs []wal.Record, policy ReplayPolicy) (ReplayReport, e
 				s.log.Record(e)
 			}
 		default:
-			err = fmt.Errorf("unknown record type %q", r.Type)
+			switch n := rep.count(r.Type); {
+			case n == nil:
+				err = fmt.Errorf("unknown record type %q", r.Type)
+			case i < cut: // superseded (ReplayBeliefs only)
+				rep.Skipped++
+			default:
+				*n++
+				err = s.replayRecord(r)
+			}
 		}
 		if err != nil {
 			return rep, fmt.Errorf("authz: replay record %d (seq %d, %s): %w", i, r.Seq, r.Type, err)
@@ -380,111 +357,82 @@ func (s *Server) Replay(recs []wal.Record, policy ReplayPolicy) (ReplayReport, e
 	return rep, nil
 }
 
-// replayMutation decodes a record into its Mutation variant and applies
-// it with replay semantics — the journal-recovery leg of the unified
-// mutation choke point (mutation.go).
-func (s *Server) replayMutation(r wal.Record) error {
-	m, err := mutationOf(r)
+// count returns the report's counter for a belief-mutation record type,
+// nil for any other type.
+func (r *ReplayReport) count(t wal.Type) *int {
+	switch t {
+	case wal.TypeRevocation:
+		return &r.Revocations
+	case wal.TypeIdentityRevocation:
+		return &r.IdentityRevocations
+	case wal.TypeGroupLink:
+		return &r.GroupLinks
+	case wal.TypeDelegation:
+		return &r.Delegations
+	case wal.TypeGroupGraphLink:
+		return &r.GroupGraphLinks
+	}
+	return nil
+}
+
+// replayRecord applies one recorded mutation — the one replay function.
+// An anchors record re-anchors at its recorded epoch. A belief record is
+// idealized with the live path's pki idealizer; a logic.RuleJournaled
+// leaf stands in for the derivation the certificate passed when first
+// accepted, and logic.Engine.Install concludes from it at the record's
+// timestamp — not at the clock, which on a follower has already moved
+// past the record.
+func (s *Server) replayRecord(r wal.Record) error {
+	if r.Type == wal.TypeAnchors {
+		anchors, epoch, err := decodeAnchors(r.Body)
+		if err != nil {
+			return err
+		}
+		return s.applyReanchor(anchors, &epoch)
+	}
+	cert, err := idealizeRecord(r)
 	if err != nil {
 		return err
 	}
-	return s.applyReplayed(m, r)
-}
-
-// replayRevocation re-records a membership revocation's negative belief,
-// mirroring the derivation the live applyRevocation ran (the
-// certificate was verified then; signatures are not re-checked on
-// replay).
-func (s *Server) replayRevocation(rev pki.Signed[pki.Revocation], r wal.Record) error {
-	return s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
-		sub := pki.SubjectOf(rev.Cert.Subjects, rev.Cert.M)
-		g := logic.G(rev.Cert.Group)
-		neg := logic.Not{F: logic.MemberOf{Who: sub, T: logic.At(rev.Cert.EffectiveAt).On(rev.Cert.Issuer), G: g}}
-		step := eng.Proof().Append(logic.RuleRevocation, nil, neg, r.At,
-			fmt.Sprintf("replayed (wal seq %d): membership of %s in %s revoked effective %s",
-				r.Seq, sub, rev.Cert.Group, rev.Cert.EffectiveAt))
-		eng.Store().Add(neg, r.At, step)
-		eng.Store().Revoke(sub, g, r.At, step)
-		return nil, nil
+	body := certBody(cert)
+	return s.mutate(func(_ *state, eng *logic.Engine) (*wal.Record, error) {
+		leaf := eng.Proof().Append(logic.RuleJournaled, nil, body, r.At, fmt.Sprintf("wal seq %d", r.Seq))
+		_, _, err := eng.Install(body, []int{leaf}, r.At)
+		return nil, err
 	})
 }
 
-// replayIdentityRevocation withdraws a recorded key binding, mirroring
-// applyIdentityRevocation's direct application.
-func (s *Server) replayIdentityRevocation(rev pki.Signed[pki.IdentityRevocation], r wal.Record) error {
-	return s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
-		neg := logic.Not{F: logic.KeySpeaksFor{
-			K:   logic.KeyID(rev.Cert.KeyID),
-			T:   logic.At(rev.Cert.EffectiveAt).On(rev.Cert.Issuer),
-			Who: logic.P(rev.Cert.Subject),
-		}}
-		step := eng.Proof().Append(logic.RuleRevocation, nil, neg, r.At,
-			fmt.Sprintf("replayed (wal seq %d): identity key of %s revoked by %s effective %s",
-				r.Seq, rev.Cert.Subject, rev.Cert.Issuer, rev.Cert.EffectiveAt))
-		eng.Store().Add(neg, r.At, step)
-		eng.Store().RevokeKey(logic.KeyID(rev.Cert.KeyID), rev.Cert.EffectiveAt)
-		return nil, nil
-	})
+// idealizeRecord decodes a belief record's certificate and idealizes it
+// with the pki idealizer its live derivation used.
+func idealizeRecord(r wal.Record) (logic.Signed, error) {
+	switch r.Type {
+	case wal.TypeRevocation:
+		return idealized(r.Body, pki.IdealizeRevocation)
+	case wal.TypeIdentityRevocation:
+		return idealized(r.Body, pki.IdealizeIdentityRevocation)
+	case wal.TypeGroupLink:
+		return idealized(r.Body, pki.IdealizeGroupLink)
+	case wal.TypeDelegation:
+		return idealized(r.Body, pki.IdealizeDelegation)
+	case wal.TypeGroupGraphLink:
+		return idealized(r.Body, pki.IdealizeGroupGraphLink)
+	}
+	return logic.Signed{}, fmt.Errorf("no belief mutation for record type %q", r.Type)
 }
 
-// replayGroupLink re-records an accepted privilege-inheritance belief,
-// mirroring the A3 localization the live derivation concluded with.
-func (s *Server) replayGroupLink(link pki.Signed[pki.GroupLink], r wal.Record) error {
-	return s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
-		f := logic.GroupSpeaksFor{
-			Sub: logic.G(link.Cert.Sub),
-			T:   logic.During(link.Cert.NotBefore, link.Cert.NotAfter).On(link.Cert.Issuer),
-			Sup: logic.G(link.Cert.Sup),
-		}
-		step := eng.Proof().Append("A3 (localized belief)", nil, f, r.At,
-			fmt.Sprintf("replayed (wal seq %d): %s ⇒ %s", r.Seq, link.Cert.Sub, link.Cert.Sup))
-		eng.Store().Add(f, r.At, step)
-		return nil, nil
-	})
+func idealized[T any](body []byte, idealize func(pki.Signed[T]) logic.Signed) (logic.Signed, error) {
+	sc, err := pki.Unmarshal[T](body)
+	if err != nil {
+		return logic.Signed{}, err
+	}
+	return idealize(sc), nil
 }
 
-// replayDelegation re-records an accepted delegation link: the raw link
-// is rebuilt from the recorded certificate and re-composed against the
-// chain beliefs replayed so far (depth decrement, permission and
-// interval intersection), so the store holds exactly the composed
-// delegations the live path produced — including refusals reproducing
-// in the same order.
-func (s *Server) replayDelegation(cert pki.Signed[pki.Delegation], r wal.Record) error {
-	return s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
-		link := pki.DelegationLinkFormula(cert)
-		s1 := eng.Proof().Append(logic.RuleDelegationCert, nil, link, r.At,
-			fmt.Sprintf("replayed (wal seq %d): delegation link to %s in %s", r.Seq, link.To.Name, link.G.Name))
-		if link.Path == "" { // root grant
-			eng.Store().Add(link, r.At, s1)
-			return nil, nil
-		}
-		parent, parentStep, ok := eng.Store().DelegationFor(link.Path, link.G, r.At)
-		if !ok {
-			return nil, fmt.Errorf("no believed chain for delegator %s in %s", link.Path, link.G.Name)
-		}
-		composed, err := logic.DelegationCompose(parent, link)
-		if err != nil {
-			return nil, err
-		}
-		s2 := eng.Proof().Append(logic.RuleDelegationCompose, []int{parentStep, s1}, composed, r.At,
-			fmt.Sprintf("replayed (wal seq %d): chain %s>%s", r.Seq, composed.Path, composed.To.Name))
-		eng.Store().Add(composed, r.At, s2)
-		return nil, nil
-	})
-}
-
-// replayGroupGraphLink re-records an accepted group-graph edge.
-func (s *Server) replayGroupGraphLink(cert pki.Signed[pki.GroupGraphLink], r wal.Record) error {
-	return s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
-		edge := logic.GroupGraphEdge{
-			Sub:   logic.G(cert.Cert.Sub),
-			T:     logic.During(cert.Cert.NotBefore, cert.Cert.NotAfter).On(cert.Cert.Issuer),
-			Depth: cert.Cert.Depth,
-			Sup:   logic.G(cert.Cert.Sup),
-		}
-		step := eng.Proof().Append(logic.RuleGraphEdge, nil, edge, r.At,
-			fmt.Sprintf("replayed (wal seq %d): %s ⇒<%d> %s", r.Seq, cert.Cert.Sub, cert.Cert.Depth, cert.Cert.Sup))
-		eng.Store().Add(edge, r.At, step)
-		return nil, nil
-	})
+// certBody unwraps an idealized certificate ⟦I says_t φ⟧_K to its body φ;
+// nil for any other shape, which Install refuses.
+func certBody(c logic.Signed) logic.Formula {
+	mf, _ := c.X.(logic.MsgFormula)
+	says, _ := mf.F.(logic.Says)
+	body, _ := says.X.(logic.MsgFormula)
+	return body.F
 }

@@ -3,11 +3,16 @@ package authz
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"jointadmin/internal/acl"
 	"jointadmin/internal/audit"
+	"jointadmin/internal/clock"
+	"jointadmin/internal/logic"
 	"jointadmin/internal/wal"
 )
 
@@ -241,4 +246,179 @@ func TestReplayAfterJournalRejected(t *testing.T) {
 	if _, err := srv.Replay(nil, ReplayExact); err == nil {
 		t.Fatal("Replay after SetJournal accepted")
 	}
+}
+
+// beliefView is what a rebuild must reproduce of a server's belief state:
+// its versions, the canonical keys of its decision-relevant beliefs and
+// its revocation index.
+type beliefView struct {
+	epoch, watermark uint64
+	beliefs          []string
+	revocations      []string
+}
+
+func viewOf(s *Server) beliefView {
+	sn := s.Snapshot()
+	v := beliefView{epoch: sn.Epoch, watermark: sn.Watermark}
+	for _, e := range sn.Beliefs() {
+		switch e.F.(type) {
+		case logic.KeySpeaksFor, logic.MemberOf, logic.GroupSpeaksFor, logic.GroupGraphEdge, logic.Delegates, logic.Not:
+			v.beliefs = append(v.beliefs, logic.Key(e.F))
+		}
+	}
+	sort.Strings(v.beliefs)
+	for _, r := range sn.Engine().Store().Revocations() {
+		v.revocations = append(v.revocations, fmt.Sprintf("%s in %s from %s", r.Who, r.G.Name, r.EffectiveAt))
+	}
+	return v
+}
+
+// requireView fails unless got reproduces want.
+func requireView(t *testing.T, how string, got, want beliefView) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s diverges from the live server\nrebuilt: %+v\nlive:    %+v", how, got, want)
+	}
+}
+
+// requireJournaledProof fails unless every step of s's base proof after
+// the anchors' assumptions is a RuleJournaled leaf or a step
+// logic.Engine.Install appended on such leaves (directly, or through the
+// chain step a composition cites), and there are leaves steps of them.
+func requireJournaledProof(t *testing.T, s *Server, how string, leaves int) {
+	t.Helper()
+	installer := map[string]bool{
+		"A3 (localized belief)":     true,
+		logic.RuleGraphEdge:         true,
+		logic.RuleDelegationCert:    true,
+		logic.RuleDelegationCompose: true,
+		logic.RuleRevocation:        true,
+	}
+	rule := make(map[int]string)
+	anchors, seen := true, 0
+	for _, st := range s.Snapshot().Proof().Steps() {
+		rule[st.ID] = st.Rule
+		switch {
+		case st.Rule == logic.RuleAssumption && anchors:
+			continue
+		case st.Rule == logic.RuleJournaled && len(st.Premises) == 0 && strings.HasPrefix(st.Note, "wal seq "):
+			seen++
+		case installer[st.Rule] && len(st.Premises) > 0:
+			for _, p := range st.Premises {
+				if rule[p] != logic.RuleJournaled && !installer[rule[p]] {
+					t.Fatalf("%s: step %d (%s) cites step %d (%s)", how, st.ID, st.Rule, p, rule[p])
+				}
+			}
+		default:
+			t.Fatalf("%s: step %d is neither a journaled leaf nor an installer step: %s", how, st.ID, st)
+		}
+		anchors = false
+	}
+	if seen != leaves {
+		t.Fatalf("%s: %d journaled leaves, want one per replayed belief record (%d)", how, seen, leaves)
+	}
+}
+
+// TestReplayInstallsLiveBeliefs: one journaled live history holding every
+// variant — a group link, a graph edge, a root grant and two chain
+// extensions, a membership revocation, a CRL with two fresh entries, an
+// identity revocation, a re-anchoring, and mutations after it — is
+// rebuilt three ways: crash recovery (Replay, ReplayExact), a replica of
+// the whole log, and a replica of a prefix advanced by ApplyReplicated
+// after its clock has passed the tail, as the follower's applier does.
+// Each must hold the live server's versions, decision-relevant beliefs and
+// revocations, and every step it replayed must be a journaled leaf or
+// what Install concluded from one.
+func TestReplayInstallsLiveBeliefs(t *testing.T) {
+	f := newCacheFixture(t)
+	ctx := context.Background()
+	long := clock.NewInterval(50, 5000)
+	live, _, j := f.journaledServer(t)
+	apply := func(m Mutation) {
+		t.Helper()
+		if err := live.Apply(ctx, m); err != nil {
+			t.Fatalf("apply %s: %v", m.Verb(), err)
+		}
+		f.clk.Tick()
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	link, err := f.est.AA.IssueGroupLink("G3", "G0", long)
+	must(err)
+	apply(GroupLink{Cert: link})
+	edge, err := f.est.AA.IssueGroupGraphLink("G4", "G3", 1, long)
+	must(err)
+	apply(GroupGraphLink{Cert: edge})
+	apply(Delegation{Cert: f.issueDelegation(t, "", "User_E4", "G0", 2, "read,write")})
+	apply(Delegation{Cert: f.issueDelegation(t, "User_E4", "User_E5", "G0", 1, "read")})
+	prefix, atPrefix := len(j.history()), viewOf(live)
+	apply(Delegation{Cert: f.issueDelegation(t, "User_E5", "User_E6", "G0", 0, "read")})
+	ac, err := f.est.AA.IssueThreshold("G1", 1, f.bound("User_D1", "User_D2"), long)
+	must(err)
+	rev, err := f.ra.Revoke(ac, f.clk.Now())
+	must(err)
+	apply(Revocation{Cert: rev})
+	// Two entries the RA records without delivering; the CRL also lists
+	// the delivered revocation, which the server already believes.
+	for _, u := range []string{"User_E7", "User_E8"} {
+		_, err := f.ra.RevokeSubject("G2", f.bound(u)[0], f.clk.Now())
+		must(err)
+	}
+	crl, err := f.ra.PublishCRL()
+	must(err)
+	if applied, err := live.applyCRL(crl); err != nil || applied != 2 {
+		t.Fatalf("CRL applied %d entries (%v), want the 2 fresh ones", applied, err)
+	}
+	f.clk.Tick()
+	idRev, err := f.cas[f.caOf("User_E9")].RevokeIdentity("User_E9", f.clk.Now())
+	must(err)
+	apply(IdentityRevocation{Cert: idRev})
+
+	apply(Reanchor{Anchors: f.anchors(0)})
+	beforeEpoch := len(j.history())
+	link2, err := f.est.AA.IssueGroupLink("G5", "G1", long)
+	must(err)
+	apply(GroupLink{Cert: link2})
+	apply(Delegation{Cert: f.issueDelegation(t, "", "User_D3", "G2", 1, "read")})
+	apply(Delegation{Cert: f.issueDelegation(t, "User_D3", "User_E4", "G2", 0, "read")})
+	rev2, err := f.ra.RevokeSubject("G0", f.bound("User_D1")[0], f.clk.Now())
+	must(err)
+	apply(Revocation{Cert: rev2})
+	apply(f.revokeKeyOf(t, "CA2", "User_D2", f.users["User_D2"].Public()))
+
+	hist, want := j.history(), viewOf(live)
+	leaves := len(hist) - beforeEpoch // belief records after the last anchors
+	if want.epoch != 1 || want.watermark != uint64(leaves) {
+		t.Fatalf("live history ends at epoch %d watermark %d, want 1 and %d", want.epoch, want.watermark, leaves)
+	}
+
+	recovered := NewServer("P", clock.New(0), f.anchors(0), diffStore(t, f.clk), nil)
+	rep, err := recovered.Replay(hist, ReplayExact)
+	must(err)
+	if rep.Anchors != 2 || rep.GroupLinks != 2 || rep.GroupGraphLinks != 1 || rep.Delegations != 5 ||
+		rep.Revocations != 4 || rep.IdentityRevocations != 2 || rep.Skipped != 0 {
+		t.Fatalf("replay report %+v does not cover the history", rep)
+	}
+	requireView(t, "Replay(ReplayExact)", viewOf(recovered), want)
+	requireJournaledProof(t, recovered, "Replay(ReplayExact)", leaves)
+
+	whole, _, err := NewReplica("P", clock.New(0), diffStore(t, f.clk), nil, hist)
+	must(err)
+	requireView(t, "NewReplica(whole log)", viewOf(whole), want)
+	requireJournaledProof(t, whole, "NewReplica(whole log)", leaves)
+
+	fclk := clock.New(0)
+	follower, _, err := NewReplica("P", fclk, diffStore(t, fclk), nil, hist[:prefix])
+	must(err)
+	requireView(t, "NewReplica(prefix)", viewOf(follower), atPrefix)
+	fclk.AdvanceTo(hist[len(hist)-1].At + 10)
+	_, err = follower.ApplyReplicated(hist[prefix:])
+	must(err)
+	requireView(t, "NewReplica(prefix) + ApplyReplicated(rest)", viewOf(follower), want)
+	requireJournaledProof(t, follower, "NewReplica(prefix) + ApplyReplicated(rest)", leaves)
 }

@@ -1,13 +1,17 @@
 // The unified mutation API: every operation that changes the server's
 // belief state — group links, membership and identity revocations, CRLs,
 // re-anchoring, delegations, group-graph links — is a Mutation variant
-// applied through Server.Apply.
-// Apply is the single choke point in front of the snapshot publish, so
-// journaling, metrics and audit run identically no matter where a
-// mutation originates: a live delivery,
-// the daemon, a WAL replay on recovery, or a replication follower
-// (whose Applier feeds shipped records through the same variants via
-// Replay).
+// applied through Server.Apply, the single entry point for live changes
+// (a library caller or the daemon's mutate command).
+//
+// Accepting a certificate has two parts. Derive runs here, on the live
+// path only: the signature check against a trust anchor and the engine's
+// A10 → A22 chain (logic.Engine.VerifyCertificate). Install is
+// logic.Engine.Install, the tail of every acceptance, which turns the
+// certificate's conclusion into a belief. WAL replay and replication
+// (journal.go) re-run only the install, on the recorded certificate's
+// pki idealization — the same one derive used — so a recovered or
+// replicated server holds the beliefs the live one does by construction.
 
 package authz
 
@@ -93,10 +97,6 @@ type GroupGraphLink struct {
 // rebuilding the belief set.
 type Reanchor struct {
 	Anchors TrustAnchors
-	// epoch and exact carry a replayed anchors record's recorded epoch
-	// (restore semantics); live re-anchorings leave them zero.
-	epoch uint64
-	exact bool
 }
 
 func (GroupLink) Verb() string          { return VerbGroupLink }
@@ -133,11 +133,7 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	case GroupGraphLink:
 		return s.applyGroupGraphLink(v.Cert)
 	case Reanchor:
-		if v.exact {
-			s.restoreAt(v.Anchors, v.epoch)
-			return nil
-		}
-		return s.applyReanchor(v.Anchors)
+		return s.applyReanchor(v.Anchors, nil)
 	case nil:
 		return fmt.Errorf("authz: nil mutation")
 	default:
@@ -184,16 +180,9 @@ func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation])
 			return nil, fmt.Errorf("%w: %v", ErrDenied, err)
 		}
 		now := s.clk.Now()
-		neg := logic.Not{F: logic.KeySpeaksFor{
-			K:   logic.KeyID(rev.Cert.KeyID),
-			T:   logic.At(rev.Cert.EffectiveAt).On(rev.Cert.Issuer),
-			Who: logic.P(rev.Cert.Subject),
-		}}
-		step := eng.Proof().Append(logic.RuleRevocation, nil, neg, now,
-			fmt.Sprintf("identity key of %s revoked by %s effective %s",
-				rev.Cert.Subject, rev.Cert.Issuer, rev.Cert.EffectiveAt))
-		eng.Store().Add(neg, now, step)
-		eng.Store().RevokeKey(logic.KeyID(rev.Cert.KeyID), rev.Cert.EffectiveAt)
+		if _, _, err := eng.Install(certBody(pki.IdealizeIdentityRevocation(rev)), nil, now); err != nil {
+			return nil, err
+		}
 		return certRecord(wal.TypeIdentityRevocation, rev, now)
 	})
 	if err != nil {
@@ -343,78 +332,4 @@ func (s *Server) applyGroupGraphLink(cert pki.Signed[pki.GroupGraphLink]) error 
 	}
 	s.reg.Counter(delegation.MetricGraphLinks).Inc()
 	return nil
-}
-
-// mutationOf decodes a belief-mutation WAL record into its Mutation
-// variant, so replay flows through the same sum type as live traffic.
-// Audit records are not mutations and return (nil, nil).
-func mutationOf(r wal.Record) (Mutation, error) {
-	switch r.Type {
-	case wal.TypeAnchors:
-		anchors, epoch, err := decodeAnchors(r.Body)
-		if err != nil {
-			return nil, err
-		}
-		return Reanchor{Anchors: anchors, epoch: epoch, exact: true}, nil
-	case wal.TypeGroupLink:
-		link, err := pki.Unmarshal[pki.GroupLink](r.Body)
-		if err != nil {
-			return nil, err
-		}
-		return GroupLink{Cert: link}, nil
-	case wal.TypeIdentityRevocation:
-		rev, err := pki.Unmarshal[pki.IdentityRevocation](r.Body)
-		if err != nil {
-			return nil, err
-		}
-		return IdentityRevocation{Cert: rev}, nil
-	case wal.TypeRevocation:
-		rev, err := pki.Unmarshal[pki.Revocation](r.Body)
-		if err != nil {
-			return nil, err
-		}
-		return Revocation{Cert: rev}, nil
-	case wal.TypeDelegation:
-		cert, err := pki.Unmarshal[pki.Delegation](r.Body)
-		if err != nil {
-			return nil, err
-		}
-		return Delegation{Cert: cert}, nil
-	case wal.TypeGroupGraphLink:
-		cert, err := pki.Unmarshal[pki.GroupGraphLink](r.Body)
-		if err != nil {
-			return nil, err
-		}
-		return GroupGraphLink{Cert: cert}, nil
-	case wal.TypeAudit:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("no mutation for record type %q", r.Type)
-	}
-}
-
-// applyReplayed applies a replayed mutation: the record was
-// signature-verified when first processed and is CRC-protected at rest,
-// so the belief is re-recorded directly, mirroring the derivation the
-// live path ran (journal.go's package comment explains why signatures
-// are not re-checked). The record supplies the original sequence number
-// and timestamp for the replayed proof steps.
-func (s *Server) applyReplayed(m Mutation, r wal.Record) error {
-	switch v := m.(type) {
-	case Reanchor:
-		s.restoreAt(v.Anchors, v.epoch)
-		return nil
-	case GroupLink:
-		return s.replayGroupLink(v.Cert, r)
-	case IdentityRevocation:
-		return s.replayIdentityRevocation(v.Cert, r)
-	case Revocation:
-		return s.replayRevocation(v.Cert, r)
-	case Delegation:
-		return s.replayDelegation(v.Cert, r)
-	case GroupGraphLink:
-		return s.replayGroupGraphLink(v.Cert, r)
-	default:
-		return fmt.Errorf("no replay for mutation %T", m)
-	}
 }

@@ -33,8 +33,8 @@
 //
 // So mutate (live Apply, WAL replay, ApplyReplicated) hands the current
 // cache to the next snapshot, and only the constructors that change the
-// anchors start an empty one: NewServer, applyReanchor and restoreAt
-// (through which NewReplica and every replayed anchors record go). A put
+// anchors start an empty one: NewServer and applyReanchor (through which
+// NewReplica and every replayed anchors record go too). A put
 // by a request still running on the previous snapshot is sound for the
 // same reason: within an epoch all snapshots share the anchors, so the
 // entry it stores is the one a request on the newest snapshot would
@@ -273,18 +273,23 @@ func (s *Server) publish(next, prev *state) {
 }
 
 // applyReanchor replaces the server's trust anchors — the re-anchoring a
-// coalition rekey (Join/Leave) requires — bumping the key epoch. The belief
-// set is rebuilt from the new anchors and the new epoch starts an empty
-// certificate cache: nothing verified under the old anchors survives. With a
-// journal attached, the new anchors are recorded (and fsynced) before
+// coalition rekey (Join/Leave) requires — and starts a new key epoch. The
+// belief set is rebuilt from the new anchors and the new epoch starts an
+// empty certificate cache: nothing verified under the old anchors
+// survives. A live re-anchoring (recorded == nil) takes the next epoch
+// and, with a journal attached, records the new anchors (fsynced) before
 // the epoch is published; a journal failure leaves the old epoch in
-// place.
-func (s *Server) applyReanchor(anchors TrustAnchors) error {
+// place. A replayed anchors record passes its recorded epoch and journals
+// nothing: the record is already durable.
+func (s *Server) applyReanchor(anchors TrustAnchors, recorded *uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.state.Load()
-	if j := s.journalRef(); j != nil {
-		rec, err := anchorsRecord(anchors, cur.epoch+1, s.clk.Now())
+	epoch := cur.epoch + 1
+	if recorded != nil {
+		epoch = *recorded
+	} else if j := s.journalRef(); j != nil {
+		rec, err := anchorsRecord(anchors, epoch, s.clk.Now())
 		if err != nil {
 			return err
 		}
@@ -292,16 +297,6 @@ func (s *Server) applyReanchor(anchors TrustAnchors) error {
 			return fmt.Errorf("authz: journal re-anchoring: %w", err)
 		}
 	}
-	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), cur.epoch+1, 0, newCertCache()), cur)
+	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), epoch, 0, newCertCache()), cur)
 	return nil
-}
-
-// restoreAt installs recorded trust anchors at their recorded epoch —
-// the replay counterpart of Reanchor (ReplayExact), which never
-// journals: the record being replayed is already durable. Like every
-// anchor change it starts an empty certificate cache.
-func (s *Server) restoreAt(anchors TrustAnchors, epoch uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), epoch, 0, newCertCache()), s.state.Load())
 }

@@ -116,6 +116,9 @@ func TestApplyCRL(t *testing.T) {
 	// The fixture RA is shared across tests, so the CRL may carry
 	// revocations recorded by earlier tests; at least the fresh G_write
 	// revocation must apply.
+	// Each newly revoked entry is its own snapshot (and journal record):
+	// the watermark advances by exactly the number applied.
+	before := server.Snapshot().Watermark
 	applied, err := server.applyCRL(crl)
 	if err != nil {
 		t.Fatal(err)
@@ -123,13 +126,20 @@ func TestApplyCRL(t *testing.T) {
 	if applied < 1 {
 		t.Errorf("applied = %d, want ≥ 1", applied)
 	}
+	if got := server.Snapshot().Watermark - before; got != uint64(applied) {
+		t.Errorf("watermark advanced by %d for %d applied entries", got, applied)
+	}
 	// Re-applying the same CRL is a no-op.
+	before = server.Snapshot().Watermark
 	applied, err = server.applyCRL(crl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if applied != 0 {
 		t.Errorf("re-applied = %d, want 0", applied)
+	}
+	if got := server.Snapshot().Watermark - before; got != 0 {
+		t.Errorf("re-applying the CRL advanced the watermark by %d", got)
 	}
 	f.clk.Tick()
 	if _, err := server.Authorize(context.Background(), f.writeRequest(t, []byte("no"), "User_D1", "User_D2")); err == nil {

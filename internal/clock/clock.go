@@ -146,35 +146,3 @@ func (c *Clock) AdvanceTo(t Time) Time {
 	}
 	return c.now
 }
-
-// SharedClock is a clock shared by the principals of a compound principal.
-// Appendix C: "we assume that the clocks of all principals comprising a
-// compound principal are synchronized"; sharing one clock value realizes
-// that assumption exactly.
-type SharedClock struct {
-	clock   *Clock
-	members []string
-}
-
-// NewShared returns a synchronized clock for the named members.
-func NewShared(start Time, members ...string) *SharedClock {
-	ms := make([]string, len(members))
-	copy(ms, members)
-	return &SharedClock{clock: New(start), members: ms}
-}
-
-// Now returns the synchronized current time.
-func (s *SharedClock) Now() Time { return s.clock.Now() }
-
-// Tick advances the synchronized clock by one.
-func (s *SharedClock) Tick() Time { return s.clock.Tick() }
-
-// Advance moves the synchronized clock forward by d ticks.
-func (s *SharedClock) Advance(d int64) Time { return s.clock.Advance(d) }
-
-// Members returns the names of the principals sharing this clock.
-func (s *SharedClock) Members() []string {
-	out := make([]string, len(s.members))
-	copy(out, s.members)
-	return out
-}

@@ -157,24 +157,6 @@ func TestClockConcurrentTicks(t *testing.T) {
 	}
 }
 
-func TestSharedClockSynchronized(t *testing.T) {
-	sc := NewShared(5, "D1", "D2", "D3")
-	if got := sc.Members(); len(got) != 3 || got[0] != "D1" {
-		t.Fatalf("Members = %v", got)
-	}
-	sc.Tick()
-	sc.Advance(3)
-	if sc.Now() != 9 {
-		t.Errorf("shared clock = %v, want 9", sc.Now())
-	}
-	// Mutating the returned member slice must not affect the clock's copy.
-	ms := sc.Members()
-	ms[0] = "evil"
-	if sc.Members()[0] != "D1" {
-		t.Error("Members leaked internal slice")
-	}
-}
-
 // Property: interval intersection is commutative and contained in both.
 func TestIntervalIntersectProperties(t *testing.T) {
 	f := func(a1, a2, b1, b2 int16) bool {

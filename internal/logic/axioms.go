@@ -61,6 +61,13 @@ const (
 	RuleDelegationCompose = "delegation (chain composition)"
 	RuleDelegationMember  = "delegation (derived membership)"
 	RuleGraphEdge         = "group graph (certificate edge)"
+	// RuleJournaled marks a certificate's conclusion reinstalled from a
+	// write-ahead-log record (recovery or replication): a trust-base leaf
+	// whose grounds are the CRC-protected record and the verification the
+	// certificate passed when it was first accepted. Its note cites the
+	// record's sequence number; Engine.Install concludes from it exactly
+	// as from a live jurisdiction step.
+	RuleJournaled = "journaled (write-ahead-log record)"
 )
 
 // Sentinel errors callers can match on.

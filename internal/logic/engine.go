@@ -314,9 +314,8 @@ func (e *Engine) AcceptGroupLinkCertificate(says Says, saysStep int) (GroupSpeak
 		return GroupSpeaksFor{}, 0, err
 	}
 	s2 := e.proof.Append(RuleA24GroupJuris, []int{saysStep, s1}, located, now, "")
-	s3 := e.proof.Append("A3 (localized belief)", []int{s2}, link, now, "privilege inheritance link")
-	e.store.Add(link, now, s3)
-	return link, s3, nil
+	_, s3, err := e.Install(link, []int{s2}, now)
+	return link, s3, err
 }
 
 // AcceptDelegationCertificate accepts a delegation-link certificate: from
@@ -353,29 +352,11 @@ func (e *Engine) AcceptDelegationCertificate(says Says, saysStep int) (Delegates
 		return Delegates{}, 0, err
 	}
 	s2 := e.proof.Append(RuleA24GroupJuris, []int{saysStep, s1}, located, now, "")
-	s3 := e.proof.Append(RuleDelegationCert, []int{s2}, link, now, "delegation certificate link")
-
-	if link.Path == "" { // root grant: believed as-is
-		e.store.Add(link, now, s3)
-		return link, s3, nil
-	}
-	if e.store.Revoked(P(link.Path), link.G, now) {
-		return Delegates{}, 0, fmt.Errorf("delegation: delegator %s revoked in %s as of %s",
-			link.Path, link.G.Name, now)
-	}
-	parent, parentStep, ok := e.store.DelegationFor(link.Path, link.G, now)
-	if !ok {
-		return Delegates{}, 0, fmt.Errorf("delegation: no believed chain for delegator %s in %s",
-			link.Path, link.G.Name)
-	}
-	composed, err := DelegationCompose(parent, link)
+	f, id, err := e.Install(link, []int{s2}, now)
 	if err != nil {
-		return Delegates{}, 0, fmt.Errorf("delegation: %w", err)
+		return Delegates{}, 0, err
 	}
-	s4 := e.proof.Append(RuleDelegationCompose, []int{parentStep, s3}, composed, now,
-		fmt.Sprintf("chain %s>%s", composed.Path, composed.To.Name))
-	e.store.Add(composed, now, s4)
-	return composed, s4, nil
+	return f.(Delegates), id, nil
 }
 
 // AcceptGroupGraphCertificate accepts a group-graph membership
@@ -403,9 +384,8 @@ func (e *Engine) AcceptGroupGraphCertificate(says Says, saysStep int) (GroupGrap
 		return GroupGraphEdge{}, 0, err
 	}
 	s2 := e.proof.Append(RuleA24GroupJuris, []int{saysStep, s1}, located, now, "")
-	s3 := e.proof.Append(RuleGraphEdge, []int{s2}, edge, now, "group-graph membership edge")
-	e.store.Add(edge, now, s3)
-	return edge, s3, nil
+	_, s3, err := e.Install(edge, []int{s2}, now)
+	return edge, s3, err
 }
 
 // VerifyCertificate runs the full chain receive → A10 → accuracy → accept
@@ -604,9 +584,76 @@ func (e *Engine) ProcessRevocation(says Says, saysStep int) (int, error) {
 		return 0, err
 	}
 	s2 := e.proof.Append(RuleA22Jurisdiction, []int{saysStep, s1}, located, now, "")
-	id := e.proof.Append(RuleRevocation, []int{s2}, neg, now,
-		fmt.Sprintf("membership of %s in %s revoked effective %s", mem.Who, mem.G.Name, now))
-	e.store.Add(neg, now, id)
-	e.store.Revoke(mem.Who, mem.G, now, id)
-	return id, nil
+	_, id, err := e.Install(neg, []int{s2}, now)
+	return id, err
+}
+
+// Install enters an accepted certificate's conclusion f into the belief
+// store at time at: the one place a group link, a group-graph edge, a
+// delegation link or a revocation becomes a belief. premises are the
+// steps f rests on — the jurisdiction step of a live derivation (none for
+// an identity revocation, whose signature check is its whole derivation),
+// or the RuleJournaled leaf of a replayed write-ahead-log record. A
+// delegation chain link is composed with its delegator's believed chain,
+// and refused when the delegator is revoked, holds no chain, or the
+// composition fails; a revocation also enters the revocation index.
+// Install returns the believed formula (the composed chain for a chain
+// link) and its step.
+func (e *Engine) Install(f Formula, premises []int, at clock.Time) (Formula, int, error) {
+	switch b := f.(type) {
+	case GroupSpeaksFor:
+		return f, e.believe("A3 (localized belief)", premises, f, at, "privilege inheritance link"), nil
+	case GroupGraphEdge:
+		return f, e.believe(RuleGraphEdge, premises, f, at, "group-graph membership edge"), nil
+	case Delegates:
+		return e.installDelegation(b, premises, at)
+	case Not:
+		switch neg := b.F.(type) {
+		case MemberOf:
+			id := e.believe(RuleRevocation, premises, f, at,
+				fmt.Sprintf("membership of %s in %s revoked effective %s", neg.Who, neg.G.Name, at))
+			e.store.Revoke(neg.Who, neg.G, at, id)
+			return f, id, nil
+		case KeySpeaksFor:
+			id := e.believe(RuleRevocation, premises, f, at,
+				fmt.Sprintf("identity key of %s revoked by %s effective %s", neg.Who, neg.T.Observer, neg.T.Time()))
+			e.store.RevokeKey(neg.K, neg.T.Time())
+			return f, id, nil
+		}
+	}
+	return nil, 0, fmt.Errorf("install: unsupported belief %T: %w", f, ErrSchemaMismatch)
+}
+
+// installDelegation is Install for a delegation link: a root grant is
+// believed as-is, a chain link as its composition with the delegator's
+// chain.
+func (e *Engine) installDelegation(link Delegates, premises []int, at clock.Time) (Formula, int, error) {
+	s3 := e.proof.Append(RuleDelegationCert, premises, link, at, "delegation certificate link")
+	if link.Path == "" { // root grant: believed as-is
+		e.store.Add(link, at, s3)
+		return link, s3, nil
+	}
+	if e.store.Revoked(P(link.Path), link.G, at) {
+		return nil, 0, fmt.Errorf("delegation: delegator %s revoked in %s as of %s",
+			link.Path, link.G.Name, at)
+	}
+	parent, parentStep, ok := e.store.DelegationFor(link.Path, link.G, at)
+	if !ok {
+		return nil, 0, fmt.Errorf("delegation: no believed chain for delegator %s in %s",
+			link.Path, link.G.Name)
+	}
+	composed, err := DelegationCompose(parent, link)
+	if err != nil {
+		return nil, 0, fmt.Errorf("delegation: %w", err)
+	}
+	return composed, e.believe(RuleDelegationCompose, []int{parentStep, s3}, composed, at,
+		fmt.Sprintf("chain %s>%s", composed.Path, composed.To.Name)), nil
+}
+
+// believe appends one concluding step and enters its conclusion into the
+// store.
+func (e *Engine) believe(rule string, premises []int, f Formula, at clock.Time, note string) int {
+	id := e.proof.Append(rule, premises, f, at, note)
+	e.store.Add(f, at, id)
+	return id
 }

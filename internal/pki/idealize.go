@@ -106,6 +106,23 @@ func IdealizeGroupLink(sc Signed[GroupLink]) logic.Signed {
 	return logic.Sign(logic.AsMessage(says), logic.KeyID(sc.SignerKey))
 }
 
+// IdealizeIdentityRevocation renders the identity revocation certificate
+// as ⟦CA says_tCA ¬(K_P ⇒ t',CA P)⟧_KCA⁻¹: the key binding no longer
+// holds from the effective time t' on.
+func IdealizeIdentityRevocation(sc Signed[IdentityRevocation]) logic.Signed {
+	body := logic.Not{F: logic.KeySpeaksFor{
+		K:   logic.KeyID(sc.Cert.KeyID),
+		T:   logic.At(sc.Cert.EffectiveAt).On(sc.Cert.Issuer),
+		Who: logic.P(sc.Cert.Subject),
+	}}
+	says := logic.Says{
+		Who: logic.P(sc.Cert.Issuer),
+		T:   logic.At(sc.Cert.IssuedAt),
+		X:   logic.AsMessage(body),
+	}
+	return logic.Sign(logic.AsMessage(says), logic.KeyID(sc.SignerKey))
+}
+
 // IdealizeRevocation renders the revocation certificate as
 // ⟦RA says_tRA ¬(CP(m,n) ⇒ t',RA G)⟧_KRA⁻¹ (message 2), or with a single
 // key-bound principal for non-threshold certificates.

@@ -144,8 +144,3 @@ func (t *ThresholdSigner) Public() sharedrsa.PublicKey { return t.ts.Public }
 func (t *ThresholdSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
 	return t.ts.QuorumSign(msg, t.quorum)
 }
-
-// VerifySignature checks an FDH-RSA signature against a public key.
-func VerifySignature(msg []byte, pk sharedrsa.PublicKey, sig sharedrsa.Signature) error {
-	return sharedrsa.Verify(msg, pk, sig)
-}

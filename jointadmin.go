@@ -197,8 +197,11 @@ func (a *Alliance) Revoke(group string, servers ...*Server) error {
 }
 
 // PublishCRL has the revocation authority publish its current certificate
-// revocation list and delivers it to the given servers, folding every
-// listed entry into their belief state in one snapshot.
+// revocation list and delivers it to the given servers. Each server
+// applies every listed entry it does not yet believe revoked as its own
+// membership revocation — one journaled record and one published snapshot
+// per entry — so a CRL replays, on recovery or on a follower, as the
+// revocations it delivered.
 func (a *Alliance) PublishCRL(servers ...*Server) error {
 	crl, err := a.c.RA().PublishCRL()
 	if err != nil {

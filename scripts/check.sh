@@ -155,6 +155,20 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+echo "==> one-idealizer guard (every replayed belief comes from its pki idealizer)"
+# WAL replay and replication install each recorded certificate's
+# conclusion with logic.Engine.Install, from the pki.Idealize* form the
+# live derivation used. A certificate-belief literal built in
+# internal/authz is a hand-written mirror of one of them, free to drift.
+# (freshEngine's anchor KeySpeaksFor assumptions do not match.)
+bad=$(grep -rnE 'logic\.(Not|MemberOf|GroupSpeaksFor|GroupGraphEdge|Delegates)\{' --include='*.go' internal/authz |
+    grep -v '_test\.go:' || true)
+if [ -n "$bad" ]; then
+    echo "one-idealizer guard: certificate belief built outside its pki idealizer:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 echo "==> one-benchmark guard (no second performance harness)"
 # The repository's benchmark is `sh benchmark/run.sh` (BENCHMARK.json,
 # benchmark/README.md); micro-benchmarks are plain `go test -bench` in
