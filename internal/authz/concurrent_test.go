@@ -11,6 +11,7 @@ import (
 
 	"jointadmin/internal/audit"
 	"jointadmin/internal/clock"
+	"jointadmin/internal/logic"
 	"jointadmin/internal/obs"
 	"jointadmin/internal/pki"
 )
@@ -18,10 +19,13 @@ import (
 // TestAuthorizeConcurrentWithMutations is the -race stress test for the
 // snapshot design: many goroutines run Authorize lock-free while belief
 // mutators (group links and revocations of an unrelated group) swap
-// snapshots underneath them and an auditor renders the audit log's stored
-// derivations. Every write must still be approved — the mutations never
-// touch G_write — every approval must read back with its A38 step, and
-// the race detector must stay quiet.
+// snapshots underneath them, an auditor renders the audit log's stored
+// derivations, and a reader lists each published snapshot's beliefs and
+// writes into private forks of it (the engine's ownership rule: a sealed
+// engine is only read or forked, a fork has one owner). Every write must
+// still be approved — the mutations never touch G_write — every approval
+// must read back with its A38 step, no fork's belief may reach a
+// published snapshot, and the race detector must stay quiet.
 func TestAuthorizeConcurrentWithMutations(t *testing.T) {
 	f := newFixture(t)
 	log := audit.NewLog()
@@ -99,9 +103,38 @@ func TestAuthorizeConcurrentWithMutations(t *testing.T) {
 			}
 		}
 	}()
+	forked := make(chan struct{})
+	go func() {
+		defer close(forked)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			sn := server.Snapshot()
+			if len(sn.Beliefs()) == 0 {
+				t.Error("published snapshot holds no beliefs")
+				return
+			}
+			eng := sn.Engine()
+			p := logic.Prop{Name: fmt.Sprintf("fork%d", i)}
+			eng.Assume(p, "private to this fork")
+			if _, ok := eng.Store().Holds(p); !ok {
+				t.Errorf("fork %d lost its own belief", i)
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	close(done)
 	<-audited
+	<-forked
+	for _, e := range server.Snapshot().Beliefs() {
+		if strings.HasPrefix(e.F.String(), "fork") {
+			t.Fatalf("a fork's belief %s reached the published snapshot", e.F)
+		}
+	}
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)

@@ -263,7 +263,7 @@ func viewOf(s *Server) beliefView {
 	for _, e := range sn.Beliefs() {
 		switch e.F.(type) {
 		case logic.KeySpeaksFor, logic.MemberOf, logic.GroupSpeaksFor, logic.GroupGraphEdge, logic.Delegates, logic.Not:
-			v.beliefs = append(v.beliefs, logic.Key(e.F))
+			v.beliefs = append(v.beliefs, e.F.String())
 		}
 	}
 	sort.Strings(v.beliefs)

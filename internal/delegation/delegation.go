@@ -1,13 +1,14 @@
 // Package delegation is the relationship subsystem: bounded-depth
 // delegation chains and group-graph traversal layered on the paper's
-// membership logic. The formula nodes and checked axioms live in
-// internal/logic (Delegates, GroupGraphEdge, DelegationCompose,
-// DelegationMember); this package holds the subsystem's engine-facing
-// surface — permission-set helpers, a pure reachability walk kept as the
-// independent oracle for internal/logic's RelationWalk (which the belief
-// store and the residual compiler both run), the metric names, and the
-// catalog of the eight ReBAC scenarios the suite mirrors (the OpenFGA
-// table: inheritance, guardian traversal, exclusion, wildcard, emergency
+// membership logic. The formula nodes, the checked axioms and the
+// permission-set helpers live in internal/logic (Delegates,
+// GroupGraphEdge, DelegationCompose, DelegationMember, CanonicalPerms,
+// PermsAllow); this package holds the subsystem's engine-facing surface —
+// the chain-link list, a pure reachability walk kept as the independent
+// oracle for internal/logic's RelationWalk (which the belief store and
+// the residual compiler both run), the metric names, and the catalog of
+// the eight ReBAC scenarios the suite mirrors (the OpenFGA table:
+// inheritance, guardian traversal, exclusion, wildcard, emergency
 // context, attenuation, depth exhaustion, mid-chain revocation).
 package delegation
 
@@ -31,12 +32,6 @@ const (
 	// revoked.
 	MetricLinkRevocationDenials = "delegation_link_revocation_denials_total"
 )
-
-// Canonical renders an operation list in canonical permission-set form.
-func Canonical(ops ...string) string { return logic.CanonicalPerms(ops) }
-
-// Allows reports whether the canonical permission set permits op.
-func Allows(perms, op string) bool { return logic.PermsAllow(perms, op) }
 
 // Links returns every principal name whose revocation kills the composed
 // delegation d: the delegators along the path plus the subject itself.

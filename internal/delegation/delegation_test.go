@@ -11,16 +11,16 @@ import (
 )
 
 func TestCanonicalPerms(t *testing.T) {
-	if got := Canonical("write", "read", "read", " write "); got != "read,write" {
-		t.Fatalf("Canonical = %q", got)
+	if got := logic.CanonicalPerms([]string{"write", "read", "read", " write "}); got != "read,write" {
+		t.Fatalf("CanonicalPerms = %q", got)
 	}
-	if got := Canonical("read", "*"); got != logic.PermsAll {
+	if got := logic.CanonicalPerms([]string{"read", "*"}); got != logic.PermsAll {
 		t.Fatalf("wildcard member must collapse the set, got %q", got)
 	}
-	if !Allows("*", "anything") || Allows("*", "") {
+	if !logic.PermsAllow("*", "anything") || logic.PermsAllow("*", "") {
 		t.Fatal("wildcard allow semantics")
 	}
-	if !Allows("read,write", "read") || Allows("read,write", "append") {
+	if !logic.PermsAllow("read,write", "read") || logic.PermsAllow("read,write", "append") {
 		t.Fatal("set allow semantics")
 	}
 }
@@ -60,7 +60,7 @@ func permSubset(a, b string) bool {
 		return false
 	}
 	for _, op := range strings.Split(a, ",") {
-		if !Allows(b, op) {
+		if !logic.PermsAllow(b, op) {
 			return false
 		}
 	}
@@ -86,7 +86,7 @@ func TestChainCompositionInvariants(t *testing.T) {
 				ops = append(ops, op)
 			}
 		}
-		return Canonical(ops...)
+		return logic.CanonicalPerms(ops)
 	}
 	for trial := 0; trial < 200; trial++ {
 		hops := 1 + rng.Intn(5)

@@ -42,14 +42,16 @@ func (e *Engine) Proof() *Proof { return e.proof }
 
 // Fork returns an independent copy of the engine: same owner and clock,
 // cloned belief store and proof. Derivations on the fork never touch the
-// original, which makes a sealed base engine shareable across concurrent
-// evaluations — a mutation forks the published base to derive the next
+// original — a mutation forks the published base to derive the next
 // snapshot, and a request whose certificates are not yet verified forks it
 // to derive them (the per-request counterpart of the Section 4.3 statement
 // lists). Forking a sealed engine is O(1) regardless of how many beliefs
 // and proof steps the base holds: the fork shares the immutable base
 // layers and starts an empty overlay/suffix, so it is an ordinary
 // allocation, not pooled.
+//
+// A fork has exactly one owner, the goroutine that took it: nothing in
+// the engine is locked, so the fork is never shared until it is sealed.
 func (e *Engine) Fork() *Engine {
 	return &Engine{
 		owner: e.owner,
@@ -62,10 +64,15 @@ func (e *Engine) Fork() *Engine {
 // Seal freezes the engine's current beliefs and proof into immutable base
 // layers shared by every subsequent Fork, making Fork O(1). The paper's
 // reading (and NAL's): the principal's base theory is monotone — per-query
-// reasoning extends it but never mutates it — so a sealed base is safe to
-// share across concurrent request evaluations. The engine itself remains
-// usable; later derivations start a fresh overlay and should be sealed
-// again before the engine is shared.
+// reasoning extends it but never mutates it.
+//
+// That reading is the engine's ownership rule, and it replaces any lock:
+// a sealed engine is read-only and may be shared by any number of
+// goroutines, which only read it or Fork it; an unsealed engine or a fork
+// has exactly one owner; and no one appends to a proof after it has
+// reached a Decision or an audit entry. Until its owner shares a sealed
+// engine it may keep deriving; later derivations start a fresh overlay
+// and must be sealed again before the engine is shared.
 func (e *Engine) Seal() *Engine {
 	e.store.Seal()
 	e.proof.Seal()

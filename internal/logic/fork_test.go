@@ -210,8 +210,8 @@ func TestSealFlattensDeepChains(t *testing.T) {
 		t.Errorf("layer depth = %d, want <= %d", d, maxLayerDepth)
 	}
 	for i := 0; i < rounds; i++ {
-		if _, ok := s.Holds(Prop{Name: fmt.Sprintf("r%d", i)}); !ok {
-			t.Errorf("belief r%d lost across flatten", i)
+		if e, ok := s.Holds(Prop{Name: fmt.Sprintf("r%d", i)}); !ok || e.Step != i+1 {
+			t.Errorf("belief r%d lost across flatten (entry %+v)", i, e)
 		}
 		if !s.Revoked(P(fmt.Sprintf("u%d", i)), G("G"), clock.Time(rounds)) {
 			t.Errorf("revocation u%d lost across flatten", i)

@@ -20,7 +20,7 @@ func FormulaEqual(a, b Formula) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return Key(a) == Key(b)
+	return a.String() == b.String()
 }
 
 // ---- F1–F3: propositional and temporal base ----

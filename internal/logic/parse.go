@@ -16,10 +16,10 @@ import (
 // propositions and the propositional connectives, temporal comparisons,
 // the says/said/received/believes/controls/has modalities for principals
 // and compound principals, key- and group-speaks-for (including
-// thresholds and key bindings), freshness,
-// localization, and all message forms. The quantified jurisdiction schemas
-// (KeyJurisdiction etc.) are assumption-only surface forms and are not
-// parsed.
+// thresholds and key bindings), delegation links and group-graph edges,
+// freshness, localization, and all message forms. The quantified
+// jurisdiction schemas (KeyJurisdiction etc.) are assumption-only surface
+// forms and are not parsed.
 //
 // Grammar sketch (whitespace-separated where shown):
 //
@@ -30,8 +30,11 @@ import (
 //	          | time '≤' time
 //	          | 'fresh_'timespec','P message
 //	          | 'Group('G')' 'says_'timespec message
+//	          | 'Group('G')' '⇒<'int'>_'timespec 'Group('G')'
 //	          | subject modality
 //	          | lhs '⇒_'timespec (subject | 'Group('G')')
+//	          | principal 'delegated^'int '{'perms'}' '['path']'
+//	            '⇒_'timespec 'Group('G')'
 //	          | name ('(' name ')')?
 //	modality := ('believes_'|'controls_') timespec formula
 //	          | ('says_'|'said_'|'received_') timespec message
@@ -495,8 +498,26 @@ func (p *parser) formula() (Formula, error) {
 				return nil, err
 			}
 			return GroupSpeaksFor{Sub: g, T: ts, Sup: sup}, nil
+		case p.eat("⇒<"):
+			depth, err := p.intLit()
+			if err != nil {
+				return nil, err
+			}
+			if err := p.expect(">_"); err != nil {
+				return nil, err
+			}
+			ts, err := p.timespec()
+			if err != nil {
+				return nil, err
+			}
+			p.ws()
+			sup, err := p.group()
+			if err != nil {
+				return nil, err
+			}
+			return GroupGraphEdge{Sub: g, T: ts, Depth: depth, Sup: sup}, nil
 		default:
-			return nil, p.errf("expected says_ or ⇒_ after group, found %q", p.rest())
+			return nil, p.errf("expected says_, ⇒_ or ⇒<d>_ after group, found %q", p.rest())
 		}
 	}
 	// Time comparison: "tN ≤ tM" / "∞ ≤ ...".
@@ -714,6 +735,13 @@ func (p *parser) subjectLed() (Formula, error) {
 			return nil, p.errf("left of ⇒ to a subject must be a key id")
 		}
 		return KeySpeaksFor{K: KeyID(pr.Name), T: ts, Who: right}, nil
+	case p.eat("delegated^"):
+		to, ok := sub.(Principal)
+		if !ok {
+			p.pos = save
+			return nil, p.errf("delegation subject must be a principal")
+		}
+		return p.delegates(to)
 	}
 	// No modality: a bare name is a primitive proposition.
 	if pr, ok := sub.(Principal); ok && !pr.IsBound() {
@@ -721,6 +749,53 @@ func (p *parser) subjectLed() (Formula, error) {
 		return p.prop(pr.Name)
 	}
 	return nil, p.errf("expected modality after subject, found %q", p.rest())
+}
+
+// delegates completes "W delegated^d{perms}[path] ⇒_T Group(G)" once
+// "W delegated^" has been read. The permission set and the path are
+// copied verbatim: both are canonical text (CanonicalPerms, ">"-joined
+// names) and neither can contain its closing bracket.
+func (p *parser) delegates(to Principal) (Formula, error) {
+	depth, err := p.intLit()
+	if err != nil {
+		return nil, err
+	}
+	perms, err := p.bracketed("{", "}")
+	if err != nil {
+		return nil, err
+	}
+	path, err := p.bracketed("[", "]")
+	if err != nil {
+		return nil, err
+	}
+	p.ws()
+	if err := p.expect("⇒_"); err != nil {
+		return nil, err
+	}
+	ts, err := p.timespec()
+	if err != nil {
+		return nil, err
+	}
+	p.ws()
+	g, err := p.group()
+	if err != nil {
+		return nil, err
+	}
+	return Delegates{To: to, G: g, Depth: depth, Perms: perms, Path: path, T: ts}, nil
+}
+
+// bracketed reads the text between open and the next close.
+func (p *parser) bracketed(open, close string) (string, error) {
+	if err := p.expect(open); err != nil {
+		return "", err
+	}
+	n := strings.Index(p.src[p.pos:], close)
+	if n < 0 {
+		return "", p.errf("unterminated %s", open)
+	}
+	text := p.src[p.pos : p.pos+n]
+	p.pos += n + len(close)
+	return text, nil
 }
 
 // prop completes a primitive proposition (F1) whose name has been read:

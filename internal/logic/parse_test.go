@@ -50,6 +50,11 @@ func TestParseRoundTripBasics(t *testing.T) {
 		Prop{Name: "residual(G_write)"},
 		And{L: Prop{Name: "a"}, R: Not{F: Prop{Name: "b"}}},
 		AtP(Prop{Name: "x"}, "P", At(1)),
+		Delegates{To: P("B").Bind("Kb"), G: G("G"), Depth: 2, Perms: "read", Path: "A", T: During(1, clock.Infinity)},
+		Delegates{To: P("C"), G: G("G_read"), Depth: 0, Perms: "*", Path: "root>A>B", T: During(3, 9).On("AA")},
+		Delegates{To: P("A"), G: G("G"), Depth: 1, Perms: "read,write", T: At(2)},
+		GroupGraphEdge{Sub: G("A"), T: During(1, 9), Depth: 3, Sup: G("B")},
+		Not{F: GroupGraphEdge{Sub: G("A"), T: At(4).On("AA"), Depth: 0, Sup: G("B")}},
 	}
 	for _, f := range formulas {
 		roundTrip(t, f)

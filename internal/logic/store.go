@@ -1,10 +1,6 @@
 package logic
 
-import (
-	"sync"
-
-	"jointadmin/internal/clock"
-)
+import "jointadmin/internal/clock"
 
 // Entry is one belief held by a principal: a formula, the time it was
 // established on the believer's clock, and the proof step that produced it.
@@ -67,11 +63,11 @@ func (l *storeLayer) chain() []*storeLayer {
 // reading of NAL-style monotone base theories: per-query reasoning
 // extends the principal's beliefs but never mutates them.
 //
-// The store is safe for concurrent use (a coalition server verifies
-// requests from several clients at once); base layers are immutable and
-// read without locking, the overlay is guarded by mu.
+// The store holds no lock; ownership replaces it. A sealed store that has
+// been shared is read-only and may be read from any number of goroutines.
+// An unsealed store, or a clone, has exactly one owner, which alone reads
+// and writes it. Base layers are immutable and shared by every clone.
 type BeliefStore struct {
-	mu   sync.RWMutex
 	base *storeLayer // immutable; nil for a fresh store
 
 	// Overlay state. Maps are allocated lazily so a sealed fork costs one
@@ -89,12 +85,11 @@ func NewBeliefStore() *BeliefStore {
 
 // Seal freezes the store's current contents into the immutable base:
 // the overlay is pushed as a new shared layer (flattening the chain when
-// it grows past maxLayerDepth) and cleared. After Seal, Clone is O(1);
-// the store itself remains writable — later writes start a fresh overlay
-// and simply make the next Seal or Clone proportionally more expensive.
+// it grows past maxLayerDepth) and cleared. After Seal, Clone is O(1).
+// Until the store is shared its owner may keep writing: later writes
+// start a fresh overlay and make the next Seal or Clone proportionally
+// more expensive. Once shared, it is only read.
 func (b *BeliefStore) Seal() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if len(b.entries) == 0 && len(b.revoked) == 0 && len(b.revokedKeys) == 0 {
 		// Nothing new; just flatten an over-deep chain.
 		if b.base != nil && b.base.depth > maxLayerDepth {
@@ -122,7 +117,9 @@ func (b *BeliefStore) Seal() {
 	b.entries, b.index, b.revoked, b.revokedKeys = nil, nil, nil, nil
 }
 
-// flatten collapses a layer chain into a single layer.
+// flatten collapses a layer chain into a single layer. Add keeps a key
+// in at most one layer, so each layer's index carries over shifted by the
+// entries before it; no formula is rendered again.
 func flatten(l *storeLayer) *storeLayer {
 	out := &storeLayer{
 		entries:     make([]Entry, 0, l.size),
@@ -132,10 +129,10 @@ func flatten(l *storeLayer) *storeLayer {
 		size:        l.size,
 	}
 	for _, seg := range l.chain() {
-		for _, e := range seg.entries {
-			out.index[Key(e.F)] = len(out.entries)
-			out.entries = append(out.entries, e)
+		for k, pos := range seg.index {
+			out.index[k] = len(out.entries) + pos
 		}
+		out.entries = append(out.entries, seg.entries...)
 		out.revoked = append(out.revoked, seg.revoked...)
 		for k, t := range seg.revokedKeys {
 			if old, ok := out.revokedKeys[k]; !ok || t < old {
@@ -149,8 +146,6 @@ func flatten(l *storeLayer) *storeLayer {
 // Sealed reports whether every belief lives in the immutable base — i.e.
 // the overlay is empty, so Clone is O(1).
 func (b *BeliefStore) Sealed() bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	return len(b.entries) == 0 && len(b.revoked) == 0 && len(b.revokedKeys) == 0
 }
 
@@ -158,8 +153,6 @@ func (b *BeliefStore) Sealed() bool {
 // revocation (Stubblebine–Wright). KeyFor no longer returns the key at or
 // after t.
 func (b *BeliefStore) RevokeKey(k KeyID, t clock.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.revokedKeys == nil {
 		b.revokedKeys = make(map[KeyID]clock.Time)
 	}
@@ -170,12 +163,6 @@ func (b *BeliefStore) RevokeKey(k KeyID, t clock.Time) {
 
 // KeyRevoked reports whether key k is revoked as of time t.
 func (b *BeliefStore) KeyRevoked(k KeyID, t clock.Time) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.keyRevokedLocked(k, t)
-}
-
-func (b *BeliefStore) keyRevokedLocked(k KeyID, t clock.Time) bool {
 	if at, ok := b.revokedKeys[k]; ok && t >= at {
 		return true
 	}
@@ -191,8 +178,6 @@ func (b *BeliefStore) keyRevokedLocked(k KeyID, t clock.Time) bool {
 // either copy never affect the other. The immutable base is shared, so
 // cloning a sealed store is O(1); only the overlay is copied.
 func (b *BeliefStore) Clone() *BeliefStore {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	c := &BeliefStore{base: b.base}
 	if len(b.entries) > 0 {
 		c.entries = make([]Entry, len(b.entries))
@@ -215,9 +200,9 @@ func (b *BeliefStore) Clone() *BeliefStore {
 	return c
 }
 
-// lookupLocked finds the entry for a canonical key in the overlay or any
+// lookup finds the entry for a canonical key in the overlay or any
 // base layer.
-func (b *BeliefStore) lookupLocked(key string) (Entry, bool) {
+func (b *BeliefStore) lookup(key string) (Entry, bool) {
 	if pos, ok := b.index[key]; ok {
 		return b.entries[pos], true
 	}
@@ -231,13 +216,10 @@ func (b *BeliefStore) lookupLocked(key string) (Entry, bool) {
 
 // Add records the belief f established at time at by proof step step. If an
 // identical formula is already held, the earlier entry is kept and its
-// position returned. The canonical key is computed before the lock is
-// taken, so formula rendering never extends the critical section.
+// position returned.
 func (b *BeliefStore) Add(f Formula, at clock.Time, step int) Entry {
-	key := Key(f)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e, ok := b.lookupLocked(key); ok {
+	key := f.String()
+	if e, ok := b.lookup(key); ok {
 		return e
 	}
 	e := Entry{F: f, At: at, Step: step}
@@ -252,16 +234,11 @@ func (b *BeliefStore) Add(f Formula, at clock.Time, step int) Entry {
 // Holds reports whether the exact formula is believed, and returns its
 // entry.
 func (b *BeliefStore) Holds(f Formula) (Entry, bool) {
-	key := Key(f)
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.lookupLocked(key)
+	return b.lookup(f.String())
 }
 
 // Len returns the number of distinct beliefs.
 func (b *BeliefStore) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	n := len(b.entries)
 	if b.base != nil {
 		n += b.base.size
@@ -269,9 +246,9 @@ func (b *BeliefStore) Len() int {
 	return n
 }
 
-// forEachLocked visits every entry in insertion order (base layers oldest
+// forEach visits every entry in insertion order (base layers oldest
 // first, then the overlay) until fn returns false.
-func (b *BeliefStore) forEachLocked(fn func(Entry) bool) {
+func (b *BeliefStore) forEach(fn func(Entry) bool) {
 	for _, l := range b.base.chain() {
 		for _, e := range l.entries {
 			if !fn(e) {
@@ -288,14 +265,12 @@ func (b *BeliefStore) forEachLocked(fn func(Entry) bool) {
 
 // All returns a copy of every belief entry, in insertion order.
 func (b *BeliefStore) All() []Entry {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	n := len(b.entries)
 	if b.base != nil {
 		n += b.base.size
 	}
 	out := make([]Entry, 0, n)
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		out = append(out, e)
 		return true
 	})
@@ -307,13 +282,11 @@ func (b *BeliefStore) All() []Entry {
 // the authorization protocol to locate statements like statement 16:
 // "K_User_D1 ⇒ [tb,te],CA1 User_D1".
 func (b *BeliefStore) KeyFor(who string, t clock.Time) (KeySpeaksFor, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var (
 		out   KeySpeaksFor
 		found bool
 	)
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		ks, ok := e.F.(KeySpeaksFor)
 		if !ok {
 			return true
@@ -321,7 +294,7 @@ func (b *BeliefStore) KeyFor(who string, t clock.Time) (KeySpeaksFor, bool) {
 		if !ks.T.Covers(t) {
 			return true
 		}
-		if b.keyRevokedLocked(ks.K, t) {
+		if b.KeyRevoked(ks.K, t) {
 			return true
 		}
 		switch s := ks.Who.(type) {
@@ -345,13 +318,11 @@ func (b *BeliefStore) KeyFor(who string, t clock.Time) (KeySpeaksFor, bool) {
 // validity covers t, if one exists and it has not been revoked effective at
 // or before t.
 func (b *BeliefStore) MembershipFor(g Group, t clock.Time) (MemberOf, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var (
 		out   MemberOf
 		found bool
 	)
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		m, ok := e.F.(MemberOf)
 		if !ok || m.G != g {
 			return true
@@ -359,7 +330,7 @@ func (b *BeliefStore) MembershipFor(g Group, t clock.Time) (MemberOf, bool) {
 		if !m.T.Covers(t) {
 			return true
 		}
-		if b.revokedLocked(m.Who, g, t) {
+		if b.Revoked(m.Who, g, t) {
 			return true
 		}
 		out, found = m, true
@@ -374,10 +345,8 @@ func (b *BeliefStore) MembershipFor(g Group, t clock.Time) (MemberOf, bool) {
 // the link steps once per snapshot and re-checks each link's validity
 // term at request time.
 func (b *BeliefStore) GroupLinks() []Entry {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var out []Entry
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		if _, ok := e.F.(GroupSpeaksFor); ok {
 			out = append(out, e)
 		}
@@ -472,15 +441,13 @@ func (b *BeliefStore) EffectiveGroups(g Group, t clock.Time) []Group {
 
 // crossFrom offers w every relation edge leaving sub that is in force at t.
 func (b *BeliefStore) crossFrom(w *RelationWalk, sub Group, t clock.Time) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		if l, ok := e.F.(GroupSpeaksFor); ok && l.Sub == sub && l.T.Covers(t) {
 			w.Cross(l.Sup, false, 0)
 		}
 		return true
 	})
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		if l, ok := e.F.(GroupGraphEdge); ok && l.Sub == sub && l.T.Covers(t) {
 			w.Cross(l.Sup, true, l.Depth)
 		}
@@ -492,10 +459,8 @@ func (b *BeliefStore) crossFrom(w *RelationWalk, sub Group, t clock.Time) {
 // step and validity term intact (the residual compiler re-checks validity
 // at request time, like GroupLinks).
 func (b *BeliefStore) GraphEdges() []Entry {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var out []Entry
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		if _, ok := e.F.(GroupGraphEdge); ok {
 			out = append(out, e)
 		}
@@ -506,10 +471,8 @@ func (b *BeliefStore) GraphEdges() []Entry {
 
 // Delegations returns every believed composed Delegates entry.
 func (b *BeliefStore) Delegations() []Entry {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var out []Entry
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		if _, ok := e.F.(Delegates); ok {
 			out = append(out, e)
 		}
@@ -523,15 +486,13 @@ func (b *BeliefStore) Delegations() []Entry {
 // unrevoked (per-link revocation: revoking any delegator on the path kills
 // the downstream grant).
 func (b *BeliefStore) DelegationsFor(name string, g Group, t clock.Time) []Entry {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var out []Entry
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		d, ok := e.F.(Delegates)
 		if !ok || d.G != g || d.To.Name != name {
 			return true
 		}
-		if !d.T.Covers(t) || b.delegationRevokedLocked(d, t) {
+		if !d.T.Covers(t) || b.delegationRevoked(d, t) {
 			return true
 		}
 		out = append(out, e)
@@ -560,14 +521,14 @@ func (b *BeliefStore) DelegationFor(name string, g Group, t clock.Time) (Delegat
 	return out, step, found
 }
 
-// delegationRevokedLocked reports whether any principal on the chain —
+// delegationRevoked reports whether any principal on the chain —
 // the subject or any delegator on the path — is revoked in d.G as of t.
-func (b *BeliefStore) delegationRevokedLocked(d Delegates, t clock.Time) bool {
-	if b.revokedLocked(d.To, d.G, t) {
+func (b *BeliefStore) delegationRevoked(d Delegates, t clock.Time) bool {
+	if b.Revoked(d.To, d.G, t) {
 		return true
 	}
 	for _, name := range PathNames(d.Path) {
-		if b.revokedLocked(P(name), d.G, t) {
+		if b.Revoked(P(name), d.G, t) {
 			return true
 		}
 	}
@@ -576,10 +537,8 @@ func (b *BeliefStore) delegationRevokedLocked(d Delegates, t clock.Time) bool {
 
 // Schemas returns the jurisdiction schema beliefs matching the predicate.
 func (b *BeliefStore) Schemas(match func(Formula) bool) []Formula {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var out []Formula
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		switch e.F.(type) {
 		case KeyJurisdiction, MembershipJurisdiction, SaysTimeJurisdiction:
 			if match == nil || match(e.F) {
@@ -594,13 +553,11 @@ func (b *BeliefStore) Schemas(match func(Formula) bool) []Formula {
 // KeyJurisdictionFor returns the key-jurisdiction schema held for the named
 // CA, if any.
 func (b *BeliefStore) KeyJurisdictionFor(ca string) (KeyJurisdiction, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var (
 		out   KeyJurisdiction
 		found bool
 	)
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		if kj, ok := e.F.(KeyJurisdiction); ok && kj.CA.Name == ca {
 			out, found = kj, true
 			return false
@@ -613,13 +570,11 @@ func (b *BeliefStore) KeyJurisdictionFor(ca string) (KeyJurisdiction, bool) {
 // MembershipJurisdictionFor returns the membership-jurisdiction schema held
 // for the named authority, if any.
 func (b *BeliefStore) MembershipJurisdictionFor(auth string) (MembershipJurisdiction, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var (
 		out   MembershipJurisdiction
 		found bool
 	)
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		if mj, ok := e.F.(MembershipJurisdiction); ok && mj.AuthorityName == auth {
 			out, found = mj, true
 			return false
@@ -632,13 +587,11 @@ func (b *BeliefStore) MembershipJurisdictionFor(auth string) (MembershipJurisdic
 // SaysTimeJurisdictionFor returns the says-time-jurisdiction schema for the
 // named authority, if any.
 func (b *BeliefStore) SaysTimeJurisdictionFor(auth string) (SaysTimeJurisdiction, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var (
 		out   SaysTimeJurisdiction
 		found bool
 	)
-	b.forEachLocked(func(e Entry) bool {
+	b.forEach(func(e Entry) bool {
 		if sj, ok := e.F.(SaysTimeJurisdiction); ok && sj.Authority.String() == auth {
 			out, found = sj, true
 			return false
@@ -651,8 +604,6 @@ func (b *BeliefStore) SaysTimeJurisdictionFor(auth string) (SaysTimeJurisdiction
 // Revoke records the negative belief ¬(who ⇒ g) effective at t (with upper
 // bound infinity, per the paper's footnote 2).
 func (b *BeliefStore) Revoke(who Subject, g Group, t clock.Time, step int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.revoked = append(b.revoked, Revocation{Who: who, G: g, EffectiveAt: t, Step: step})
 }
 
@@ -660,12 +611,6 @@ func (b *BeliefStore) Revoke(who Subject, g Group, t clock.Time, step int) {
 // Threshold and key decorations on compound principals are ignored when
 // matching: revoking CP(2,3) ⇒ G also blocks the plain CP.
 func (b *BeliefStore) Revoked(who Subject, g Group, t clock.Time) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.revokedLocked(who, g, t)
-}
-
-func (b *BeliefStore) revokedLocked(who Subject, g Group, t clock.Time) bool {
 	match := func(rs []Revocation) bool {
 		for _, r := range rs {
 			if r.G != g || t < r.EffectiveAt {
@@ -690,8 +635,6 @@ func (b *BeliefStore) revokedLocked(who Subject, g Group, t clock.Time) bool {
 
 // Revocations returns a copy of all recorded revocations, oldest first.
 func (b *BeliefStore) Revocations() []Revocation {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var out []Revocation
 	for _, l := range b.base.chain() {
 		out = append(out, l.revoked...)

@@ -1,7 +1,6 @@
 package logic
 
 import (
-	"sync"
 	"testing"
 )
 
@@ -135,27 +134,6 @@ func TestBeliefStoreJurisdictionLookups(t *testing.T) {
 	})
 	if len(onlyKey) != 1 {
 		t.Errorf("filtered Schemas = %d entries, want 1", len(onlyKey))
-	}
-}
-
-func TestBeliefStoreConcurrentAccess(t *testing.T) {
-	s := NewBeliefStore()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				f := Prop{Name: string(rune('a'+i)) + "-" + string(rune('0'+j%10))}
-				s.Add(f, 0, 1)
-				s.Holds(f)
-				s.MembershipFor(G("g"), 0)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if s.Len() == 0 {
-		t.Error("no beliefs recorded")
 	}
 }
 

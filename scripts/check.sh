@@ -169,6 +169,19 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+echo "==> logic ownership guard (internal/logic keeps no shared mutable state)"
+# A sealed engine is read-only and shared; an unsealed engine or a fork
+# has one owner (logic.Engine.Seal). Nothing in internal/logic is locked
+# or memoized process-wide, so a sync or reflect import there is a lock,
+# an atomic or a cache coming back.
+bad=$(grep -lE '"(sync|sync/atomic|reflect)"' internal/logic/*.go |
+    grep -v '_test\.go$' || true)
+if [ -n "$bad" ]; then
+    echo "logic ownership guard: sync, sync/atomic or reflect imported by:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 echo "==> one-benchmark guard (no second performance harness)"
 # The repository's benchmark is `sh benchmark/run.sh` (BENCHMARK.json,
 # benchmark/README.md); micro-benchmarks are plain `go test -bench` in
