@@ -29,12 +29,14 @@
 package authz
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -869,15 +871,17 @@ type signerKey struct {
 }
 
 // verifySigners runs Step 3's checks on either decider, on the request's
-// pooled scratch, with sc.keys filled by Step 1: every component names the
-// request's operation and object, each signer has a verified identity
-// whose key ID is the one the membership certificate binds to it, and each
-// signature parses; then each signature is verified over its component's
-// canonical body, in request order, in the caller's goroutine. The first
-// failing signer is the denial, and a context canceled between two checks
-// surfaces as ctx.Err (an abort, not a denial).
+// pooled scratch, with sc.keys filled by Step 1: every component states
+// the first one's operation, object and payload, byte for byte, each
+// signer has a verified identity whose key ID is the one the membership
+// certificate binds to it, and each signature parses; then each signature
+// is verified over its component's canonical body, in request order, in
+// the caller's goroutine. The first failing signer is the denial, and a
+// context canceled between two checks surfaces as ctx.Err (an abort, not
+// a denial). Once it returns nil, every co-signer signed the same request,
+// which is what lets Step 3 idealize that request once (idealContent).
 func (sc *reqScratch) verifySigners(ctx context.Context, req *AccessRequest) error {
-	op, object := req.Requests[0].Op, req.Requests[0].Object
+	first := &req.Requests[0]
 	sigs := grow(sc.sigs, len(req.Requests))
 	sc.sigs = sigs
 	// All bodies append into one pooled buffer, cut into slices once it
@@ -886,7 +890,7 @@ func (sc *reqScratch) verifySigners(ctx context.Context, req *AccessRequest) err
 	sc.bodyBuf, sc.bodyOff = sc.bodyBuf[:0], sc.bodyOff[:0]
 	for i := range req.Requests {
 		r := &req.Requests[i]
-		if r.Op != op || r.Object != object {
+		if r.Op != first.Op || r.Object != first.Object || !bytes.Equal(r.Payload, first.Payload) {
 			return errors.New("co-signers disagree on the request")
 		}
 		key, ok := sc.signer(req, r.User)
@@ -895,7 +899,7 @@ func (sc *reqScratch) verifySigners(ctx context.Context, req *AccessRequest) err
 		}
 		want, ok := boundKeyID(req, r.User)
 		if !ok {
-			return errors.New(r.User + " is not a subject of the threshold certificate")
+			return errors.New(r.User + " is not a subject of the " + certKind(req) + " certificate")
 		}
 		if string(key.ks.K) != want {
 			return errors.New(r.User + "'s identity key differs from the certificate binding")
@@ -914,7 +918,7 @@ func (sc *reqScratch) verifySigners(ctx context.Context, req *AccessRequest) err
 		r := &req.Requests[i]
 		key, _ := sc.signer(req, r.User)
 		body := sc.bodyBuf[sc.bodyOff[2*i]:sc.bodyOff[2*i+1]]
-		if err := sharedrsa.Verify(body, key.upk, sharedrsa.Signature{S: &sigs[i]}); err != nil {
+		if err := sharedrsa.VerifyWith(body, key.upk, sharedrsa.Signature{S: &sigs[i]}, &sc.verifyBuf); err != nil {
 			return errors.New(r.User + ": request signature invalid")
 		}
 	}
@@ -928,6 +932,7 @@ func (sc *reqScratch) verifySigners(ctx context.Context, req *AccessRequest) err
 func deriveUtterances(eng *logic.Engine, sc *reqScratch, req *AccessRequest, now clock.Time) ([]logic.Says, []int, error) {
 	utterances := make([]logic.Says, len(req.Requests))
 	utterSteps := make([]int, len(req.Requests))
+	content := idealContent(&req.Requests[0])
 	for i := range req.Requests {
 		r := &req.Requests[i]
 		key, _ := sc.signer(req, r.User)
@@ -935,7 +940,7 @@ func deriveUtterances(eng *logic.Engine, sc *reqScratch, req *AccessRequest, now
 		if !ok {
 			return nil, nil, errors.New("no derived key belief for " + r.User)
 		}
-		says, step, err := eng.VerifySignedRequest(signedUtterance(r, key.ks.K), keyBelief)
+		says, step, err := eng.VerifySignedRequest(signedUtterance(logic.P(r.User), r.At, content, key.ks.K), keyBelief)
 		if err != nil {
 			return nil, nil, errors.New("request derivation failed: " + err.Error())
 		}
@@ -945,31 +950,34 @@ func deriveUtterances(eng *logic.Engine, sc *reqScratch, req *AccessRequest, now
 }
 
 // signedUtterance idealizes a request component as its signer's signed
-// utterance ⟦User says_t ("op", object, payload-digest)⟧_K⁻¹, K being the
-// key ID Step 1 verified for the signer.
-func signedUtterance(r *UserRequest, k logic.KeyID) logic.Signed {
-	return logic.Sign(logic.AsMessage(logic.Says{
-		Who: logic.P(r.User),
-		T:   logic.At(r.At),
-		X:   idealContent(r.Op, r.Object, r.Payload),
-	}), k)
+// utterance ⟦who says_at content⟧_K⁻¹, K being the key ID Step 1 verified
+// for the signer and content the request's idealContent.
+func signedUtterance(who logic.Subject, at clock.Time, content logic.Message, k logic.KeyID) logic.Signed {
+	return logic.Sign(logic.AsMessage(logic.Says{Who: who, T: logic.At(at), X: content}), k)
 }
 
-// idealContent renders the request content as the logic message of the
-// protocol ("write" O), extended with a payload digest when present.
-func idealContent(op acl.Permission, object string, payload []byte) logic.Message {
-	items := []logic.Message{
-		logic.Const{Value: string(op)},
-		logic.Const{Value: object},
+// idealContent renders a request component's content as the logic message
+// of the protocol ("write" O), extended with a payload digest when
+// present. Step 3 builds it once per request, from the first component,
+// after verifySigners has checked that every component states the same
+// operation, object and payload.
+func idealContent(r *UserRequest) logic.Message {
+	items := make([]logic.Message, 2, 3)
+	items[0], items[1] = logic.Const{Value: string(r.Op)}, logic.Const{Value: r.Object}
+	if len(r.Payload) > 0 {
+		var buf [len("payload#") + 8]byte
+		digest := strconv.AppendUint(append(buf[:0], "payload#"...), uint64(fold(r.Payload)), 16)
+		items = append(items, logic.Const{Value: string(digest)})
 	}
-	if len(payload) > 0 {
-		items = append(items, logic.Const{Value: fmt.Sprintf("payload#%x", fold(payload))})
-	}
-	return logic.NewTuple(items...)
+	return logic.Tuple{Items: items}
 }
 
-// fold is a tiny stable digest for idealized payload references (the real
-// integrity guarantee is the RSA signature over the full payload).
+// fold is a tiny stable digest that names a payload inside the idealized
+// content. It is not collision resistant: different payloads can fold
+// alike, so the content tells payloads apart only up to it. Co-signers
+// are held to one payload by verifySigners, which compares the payloads
+// byte for byte; each RSA signature binds its signer to its own full
+// payload.
 func fold(b []byte) uint32 {
 	var h uint32 = 2166136261
 	for _, c := range b {

@@ -45,6 +45,9 @@ type reqScratch struct {
 
 	bodyBuf []byte // backing for every co-signer's canonical request body
 	bodyOff []int  // start/end offset pairs into bodyBuf
+	// verifyBuf is the public-exponent kernel's scratch for Step 3's
+	// signature checks (sharedrsa.VerifyWith). It holds no pointers.
+	verifyBuf []big.Word
 
 	// memFP and idFPs are the fingerprints of the request's membership
 	// certificate and of req.Identities, in order (fingerprint).

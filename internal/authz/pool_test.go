@@ -164,28 +164,36 @@ func TestPoolingConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestResidualAllocsReduced pins the pooling win on the warm residual
-// path: with pooling the per-request allocation count must come in
-// under both the unpooled figure and an absolute budget, so a
-// regression that quietly re-introduces garbage fails loudly.
+// warmAllocs decides req once on s, so that its certificates are cached
+// and its residue compiled, then returns the allocations of one further,
+// warm decision, which must approve.
+func warmAllocs(t *testing.T, s *Server, req AccessRequest) float64 {
+	t.Helper()
+	ctx := context.Background()
+	if dec, err := s.Authorize(ctx, req); err != nil || !dec.Allowed {
+		t.Fatalf("warmup: dec=%+v err=%v", dec, err)
+	}
+	return testing.AllocsPerRun(50, func() {
+		if dec, err := s.Authorize(ctx, req); err != nil || !dec.Allowed {
+			t.Fatalf("measured run: dec=%+v err=%v", dec, err)
+		}
+	})
+}
+
+// TestResidualAllocsReduced pins the lean warm approval on the residual
+// path for a 2-signer joint write: with pooling the per-request
+// allocation count must come in under both the unpooled figure and an
+// absolute budget, so a regression that quietly re-introduces garbage
+// fails loudly.
 func TestResidualAllocsReduced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under -race")
 	}
 	f := newFixture(t)
-	ctx := context.Background()
 	measure := func(pool bool) float64 {
 		s := f.newServer(nil)
 		s.SetPooling(pool)
-		req := f.writeRequest(t, []byte("bench"), "User_D1", "User_D2")
-		if dec, err := s.Authorize(ctx, req); err != nil || !dec.Allowed {
-			t.Fatalf("warmup: dec=%+v err=%v", dec, err)
-		}
-		return testing.AllocsPerRun(50, func() {
-			if dec, err := s.Authorize(ctx, req); err != nil || !dec.Allowed {
-				t.Fatalf("measured run: dec=%+v err=%v", dec, err)
-			}
-		})
+		return warmAllocs(t, s, f.writeRequest(t, []byte("bench"), "User_D1", "User_D2"))
 	}
 	pooled := measure(true)
 	plain := measure(false)
@@ -193,14 +201,41 @@ func TestResidualAllocsReduced(t *testing.T) {
 	if pooled >= plain {
 		t.Errorf("pooling does not reduce allocations: pooled=%.0f unpooled=%.0f", pooled, plain)
 	}
-	// Absolute ceiling with headroom over the measured figure (76 for this
-	// 2-signer write); the warm residual path must stay lean even as leaf
-	// checks evolve. A per-request goroutine fan-out, closure or derived
-	// context (12 allocations when there was one) does not fit under it,
-	// nor does a reflective certificate fingerprint (27 allocations for
-	// the three certificates when json.Marshal built it).
-	const budget = 84
+	// Absolute ceiling, at most 10 % over the measured figure (36 for this
+	// 2-signer write; 74 before the proof suffix was reserved once, the
+	// kernel's scratch pooled, the request content built once, A38
+	// compared terms and the reason rendered in one buffer). A per-request
+	// goroutine fan-out, closure or derived context (12 allocations when
+	// there was one) does not fit under it, nor does a reflective
+	// certificate fingerprint (27 allocations for the three certificates
+	// when json.Marshal built it), nor a re-rendered A38 comparison.
+	const budget = 39
 	if pooled > budget {
 		t.Errorf("pooled residual path allocates %.0f/op, budget %d", pooled, budget)
+	}
+}
+
+// TestWarmReadAllocs pins the warm approval of the two read shapes that
+// make most of the benchmark's mix: a 1-of-3 threshold read (A38) and a
+// single-subject selective read (A35). Each budget is at most 10 % over
+// its measured figure.
+func TestWarmReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	f := newFixture(t)
+	for _, c := range []struct {
+		name   string
+		req    AccessRequest
+		budget float64
+	}{
+		{"threshold read", readRequest(t, f, "User_D3"), 26},      // measured 24 (37 before)
+		{"selective read", f.singleReadRequest(t, "User_D3"), 26}, // measured 24 (37 before)
+	} {
+		got := warmAllocs(t, f.newServer(nil), c.req)
+		t.Logf("%s: %.0f allocs/op", c.name, got)
+		if got > c.budget {
+			t.Errorf("warm %s allocates %.0f/op, budget %.0f", c.name, got, c.budget)
+		}
 	}
 }

@@ -274,17 +274,19 @@ func (s *Server) RecompileResiduals() {
 // replay, and cmd/logicproof to print the paper's full derivation.
 func (s *Server) SetResidualsEnabled(on bool) { s.noResidual.Store(!on) }
 
-// spliceResidue splices the snapshot's residue for group onto pr. The
-// caller must have verified a certificate naming group first — found it in
-// st.cache or verified it itself — which is what bounds the memo by
-// verified certificates. Neither failure can happen (the residue is
-// recorded from the base pr descends from); each denies, none switches
-// decider.
-func (s *Server) spliceResidue(st *state, group string, pr *logic.Proof) (*residue, error) {
+// spliceResidue splices the snapshot's residue for group onto pr, having
+// reserved room in pr for the segment and the tail steps the caller
+// appends after it. The caller must have verified a certificate naming
+// group first — found it in st.cache or verified it itself — which is what
+// bounds the memo by verified certificates. Neither failure can happen
+// (the residue is recorded from the base pr descends from); each denies,
+// none switches decider.
+func (s *Server) spliceResidue(st *state, group string, pr *logic.Proof, tail int) (*residue, error) {
 	res := s.residueFor(st, group)
 	if res == nil {
 		return nil, fmt.Errorf("residual compile for %s failed", group)
 	}
+	pr.Grow(res.seg.Len() + tail)
 	if _, err := pr.Splice(res.seg); err != nil {
 		return nil, err
 	}
@@ -318,7 +320,9 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 	now, group := d.now, mc.group
 	pr := st.eng.Proof().Clone()
 	d.proof = pr
-	res, err := s.spliceResidue(st, group, pr)
+	// The tail: a leaf per identity, the membership leaf, a leaf per
+	// co-signer and the statement-25 conclusion.
+	res, err := s.spliceResidue(st, group, pr, len(req.Identities)+1+conclusionSteps(req))
 	if err != nil {
 		return d.deny(group, err.Error())
 	}
@@ -351,7 +355,7 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 		if reason := identityLeafDenial(store, idc, ks, now); reason != "" {
 			return d.deny("", reason)
 		}
-		pr.Append(logic.RuleResidualLeaf, nil, ks, now, e.note)
+		pr.Append(logic.RuleResidualLeaf, nil, e.formula, now, e.note) // ks, as cached
 		keys[i] = signerKey{upk: e.subjectKey, ks: ks}
 	}
 
@@ -417,7 +421,7 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 			return d.deny(group, reason)
 		}
 		memR.mem = mem
-		memR.memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now, memHit.note)
+		memR.memStep = pr.Append(logic.RuleResidualLeaf, nil, memHit.formula, now, memHit.note) // mem, as cached
 	}
 	return s.concludeResidual(d, st, sc, req, memR, res, true)
 }
@@ -434,7 +438,7 @@ func (s *Server) decideCold(d *decision, st *state, sc *reqScratch, req *AccessR
 	if err != nil {
 		return d.fail(memR.group, err)
 	}
-	res, err := s.spliceResidue(st, memR.group, d.proof)
+	res, err := s.spliceResidue(st, memR.group, d.proof, conclusionSteps(req))
 	if err != nil {
 		return d.deny(memR.group, err.Error())
 	}
@@ -457,12 +461,15 @@ func (s *Server) concludeResidual(d *decision, st *state, sc *reqScratch, req *A
 	utterances := grow(sc.utter, len(req.Requests))
 	sc.utter = utterances
 	premises := append(sc.premises[:0], memR.memStep)
+	content := idealContent(&req.Requests[0])
 	for i := range req.Requests {
 		r := &req.Requests[i]
 		key, _ := sc.signer(req, r.User)
 		// The signed form of the utterance, exactly as VerifySignedRequest
 		// records it — A38 consumes it to check each co-signer's bound key.
-		utterances[i] = logic.Says{Who: logic.P(r.User), T: logic.At(r.At), X: signedUtterance(r, key.ks.K)}
+		// The speaker is boxed once for both Says.
+		var who logic.Subject = logic.P(r.User)
+		utterances[i] = logic.Says{Who: who, T: logic.At(r.At), X: signedUtterance(who, r.At, content, key.ks.K)}
 		premises = append(premises, pr.Append(logic.RuleResidualLeaf, nil, utterances[i], now,
 			"signed utterance of "+r.User+" verified against the cached key binding"))
 	}
@@ -483,6 +490,10 @@ func (s *Server) concludeResidual(d *decision, st *state, sc *reqScratch, req *A
 	}
 	return d.approve(gs, res.reachable(group, now), memR.certValidity, derivation)
 }
+
+// conclusionSteps counts the steps concludeResidual appends: one
+// signed-utterance leaf per co-signer and the statement-25 conclusion.
+func conclusionSteps(req *AccessRequest) int { return len(req.Requests) + 1 }
 
 // residualDerivation is what a residual approval's audit entry keeps to
 // render its proof on read: the snapshot's shared base rendering and the

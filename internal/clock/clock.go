@@ -11,6 +11,7 @@ package clock
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -46,7 +47,17 @@ func (t Time) String() string {
 	if t == Infinity {
 		return "∞"
 	}
-	return fmt.Sprintf("t%d", int64(t))
+	var buf [24]byte
+	return string(t.Append(buf[:0]))
+}
+
+// Append appends t's String form to b, for renderers that build a whole
+// line in one buffer.
+func (t Time) Append(b []byte) []byte {
+	if t == Infinity {
+		return append(b, "∞"...)
+	}
+	return strconv.AppendInt(append(b, 't'), int64(t), 10)
 }
 
 // Interval is a closed interval [Begin, End] of times, as in the paper's

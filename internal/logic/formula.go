@@ -7,15 +7,16 @@ import (
 )
 
 // Formula is the formula sort F_Γ of Appendix A (conditions F1–F22). Every
-// node renders injectively via String, which doubles as the structural
-// equality key and the belief-store index.
+// node renders via String, which doubles as the equality key
+// (FormulaEqual) and the belief-store index.
 type Formula interface {
 	formulaNode()
 	// String returns the canonical form of the formula.
 	String() string
 }
 
-// FormulaEqual reports structural equality of two formulas.
+// FormulaEqual reports whether two formulas render alike: it compares
+// their String forms, the same key the belief store indexes by.
 func FormulaEqual(a, b Formula) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -272,9 +273,15 @@ var _ Formula = GroupSays{}
 
 func (GroupSays) formulaNode() {}
 
-// String renders "Group(G) says_T X".
+// String renders "Group(G) says_T X" in one buffer: this is a decision's
+// Reason.
 func (g GroupSays) String() string {
-	return g.G.String() + " says_" + g.T.String() + " " + g.X.String()
+	var buf [256]byte
+	b := g.G.appendTo(buf[:0])
+	b = append(b, " says_"...)
+	b = g.T.appendTo(b)
+	b = append(b, ' ')
+	return string(appendMessage(b, g.X))
 }
 
 // ---- Delegation & relationship extension (SPKI/ReBAC) ----

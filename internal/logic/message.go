@@ -1,7 +1,5 @@
 package logic
 
-import "strings"
-
 // Message is the message sort M_Γ of Appendix A: formulas are messages
 // (M1), primitive terms are messages (M2), and messages are closed under
 // n-ary functions including signing X_{K^-1} and encryption {X}_K (M3).
@@ -21,8 +19,19 @@ var _ Message = Const{}
 
 func (Const) messageNode() {}
 
-// String renders the constant quoted to keep canonical forms injective.
-func (c Const) String() string { return "“" + c.Value + "”" }
+// String renders the constant quoted, “Value”. The quotes separate a
+// constant from its neighbours, but a value may itself contain them, so
+// two different terms can render alike (MessageEqual).
+func (c Const) String() string {
+	var buf [64]byte
+	return string(appendConst(buf[:0], c.Value))
+}
+
+func appendConst(b []byte, v string) []byte {
+	b = append(b, "“"...)
+	b = append(b, v...)
+	return append(b, "”"...)
+}
 
 // Tuple is the n-ary message (X1, ..., Xn).
 type Tuple struct {
@@ -42,11 +51,29 @@ func NewTuple(items ...Message) Tuple {
 
 // String renders "(X1, X2, ...)".
 func (t Tuple) String() string {
-	parts := make([]string, len(t.Items))
-	for i, x := range t.Items {
-		parts[i] = x.String()
+	var buf [128]byte
+	return string(appendMessage(buf[:0], t))
+}
+
+// appendMessage appends m's String form to b. Constants and tuples render
+// in place, so a tuple of constants costs its caller one buffer; any other
+// message appends its own String.
+func appendMessage(b []byte, m Message) []byte {
+	switch v := m.(type) {
+	case Const:
+		return appendConst(b, v.Value)
+	case Tuple:
+		b = append(b, '(')
+		for i, x := range v.Items {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendMessage(b, x)
+		}
+		return append(b, ')')
+	default:
+		return append(b, m.String()...)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // Signed is the digital signature term X_{K^-1}: message X signed with the
@@ -99,12 +126,38 @@ func AsMessage(f Formula) MsgFormula { return MsgFormula{F: f} }
 // String renders the inner formula.
 func (m MsgFormula) String() string { return m.F.String() }
 
-// MessageEqual reports structural equality of two messages.
+// MessageEqual reports whether two messages render alike: it compares
+// their String forms. Two trees of the same constants and tuples always
+// do, so those are compared term by term, rendering nothing; renderings
+// are compared only when the terms differ, since different terms may
+// still render alike (a constant whose value contains ”, “).
 func MessageEqual(a, b Message) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.String() == b.String()
+	return sameTerms(a, b) || a.String() == b.String()
+}
+
+// sameTerms reports whether a and b are the same tree of constants and
+// tuples. False says nothing about any other message.
+func sameTerms(a, b Message) bool {
+	switch x := a.(type) {
+	case Const:
+		y, ok := b.(Const)
+		return ok && x.Value == y.Value
+	case Tuple:
+		y, ok := b.(Tuple)
+		if !ok || len(x.Items) != len(y.Items) {
+			return false
+		}
+		for i := range x.Items {
+			if !sameTerms(x.Items[i], y.Items[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // Submessages returns the set of messages derivable from m by reading

@@ -221,9 +221,19 @@ type Group struct {
 func G(n string) Group { return Group{Name: n} }
 
 // String renders the group name.
-func (g Group) String() string { return "Group(" + g.Name + ")" }
+func (g Group) String() string {
+	var buf [64]byte
+	return string(g.appendTo(buf[:0]))
+}
 
-// SubjectEqual reports structural equality of two subjects.
+func (g Group) appendTo(b []byte) []byte {
+	b = append(b, "Group("...)
+	b = append(b, g.Name...)
+	return append(b, ')')
+}
+
+// SubjectEqual reports whether two subjects render alike: it compares
+// their String forms.
 func SubjectEqual(a, b Subject) bool {
 	if a == nil || b == nil {
 		return a == b

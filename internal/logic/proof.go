@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"jointadmin/internal/clock"
@@ -147,6 +148,11 @@ func (p *Proof) Clone() *Proof {
 	}
 	return c
 }
+
+// Grow reserves room for n more steps in the suffix, so that the next n
+// appends and splices do not reallocate it: a caller that knows how long
+// its derivation will be (the residual decider's warm arm) sizes it once.
+func (p *Proof) Grow(n int) { p.steps = slices.Grow(p.steps, n) }
 
 // Steps returns a copy of the proof lines, in ID order.
 func (p *Proof) Steps() []Step {

@@ -1,10 +1,6 @@
 package logic
 
-import (
-	"fmt"
-
-	"jointadmin/internal/clock"
-)
+import "jointadmin/internal/clock"
 
 // TimeKind distinguishes the three temporal qualifications of the paper:
 // a single time t, a closed interval [t1,t2] ("holds at all times"), and an
@@ -84,19 +80,32 @@ func (ts TimeSpec) Covers(t clock.Time) bool {
 
 // String renders the subscript the way the paper prints it.
 func (ts TimeSpec) String() string {
-	var core string
+	var buf [64]byte
+	return string(ts.appendTo(buf[:0]))
+}
+
+// appendTo appends ts's String form to b.
+func (ts TimeSpec) appendTo(b []byte) []byte {
+	iv := ts.Interval
 	switch ts.Kind {
 	case AtTime:
-		core = ts.Interval.Begin.String()
+		b = iv.Begin.Append(b)
 	case AllOf:
-		core = fmt.Sprintf("[%s,%s]", ts.Interval.Begin, ts.Interval.End)
+		b = appendInterval(b, "[", iv, "]")
 	case SomeOf:
-		core = fmt.Sprintf("⟨%s,%s⟩", ts.Interval.Begin, ts.Interval.End)
+		b = appendInterval(b, "⟨", iv, "⟩")
 	default:
-		core = "?"
+		b = append(b, '?')
 	}
 	if ts.Observer != "" {
-		return core + "," + ts.Observer
+		b = append(append(b, ','), ts.Observer...)
 	}
-	return core
+	return b
+}
+
+// appendInterval appends "left begin,end right".
+func appendInterval(b []byte, left string, iv clock.Interval, right string) []byte {
+	b = iv.Begin.Append(append(b, left...))
+	b = iv.End.Append(append(b, ','))
+	return append(b, right...)
 }

@@ -286,6 +286,32 @@ func TestVerifyAllocs(t *testing.T) {
 	}
 }
 
+// TestVerifyWithReusesScratch: VerifyWith decides exactly as Verify does
+// on good and bad signatures, with a scratch left dirty by a signature
+// under a different key size, and once its scratch has grown it
+// allocates one fewer object than Verify: the kernel's scratch.
+func TestVerifyWithReusesScratch(t *testing.T) {
+	var buf []big.Word
+	for _, bits := range []int{1024, 512} {
+		pk, msg, sig := verifyFixture(t, bits)
+		bad := append([]byte("x"), msg...)
+		for _, m := range [][]byte{msg, bad} {
+			want := Verify(m, pk, sig)
+			if got := VerifyWith(m, pk, sig, &buf); got != want {
+				t.Errorf("%d bits, msg %q: VerifyWith = %v, Verify = %v", bits, m, got, want)
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		plain := testing.AllocsPerRun(100, func() { _ = Verify(msg, pk, sig) })
+		with := testing.AllocsPerRun(100, func() { _ = VerifyWith(msg, pk, sig, &buf) })
+		if with != plain-1 {
+			t.Errorf("%d bits: VerifyWith allocates %.0f/op, Verify %.0f/op; want one fewer", bits, with, plain)
+		}
+	}
+}
+
 var verifyErr error
 
 func BenchmarkVerify(b *testing.B) {

@@ -80,12 +80,32 @@ func Combine(msg []byte, pk PublicKey, partials []PartialSignature, parties int)
 // Verify checks the joint signature: S^e ≡ H(M) (mod N). A key no
 // signature can verify under (see PublicKey.verifiable) is ErrBadSignature.
 func Verify(msg []byte, pk PublicKey, sig Signature) error {
+	return verify(msg, pk, sig, nil)
+}
+
+// VerifyWith is Verify with the kernel's scratch kept in *buf: grown when
+// too short and left there, so a caller that verifies signature after
+// signature (authz's pooled per-request scratch) allocates it once.
+func VerifyWith(msg []byte, pk PublicKey, sig Signature, buf *[]big.Word) error {
+	return verify(msg, pk, sig, buf)
+}
+
+// verify is Verify and VerifyWith; buf, when not nil, holds the scratch.
+func verify(msg []byte, pk PublicKey, sig Signature, buf *[]big.Word) error {
 	if sig.S == nil || !pk.verifiable() {
 		return ErrBadSignature
 	}
 	h := hashToModulus(msg, pk.N)
+	var work []big.Word
+	if buf != nil {
+		need := expPublicWords(len(sig.S.Bits()), len(pk.N.Bits()), false)
+		if len(*buf) < need {
+			*buf = make([]big.Word, need)
+		}
+		work = *buf
+	}
 	var s big.Int
-	if expPublic(&s, sig.S, pk.E, pk.N).Cmp(h) != 0 {
+	if expPublicIn(&s, sig.S, pk.E, pk.N, nil, work).Cmp(h) != 0 {
 		return ErrBadSignature
 	}
 	return nil

@@ -242,6 +242,9 @@ go test -run '^$' -bench='^BenchmarkVerify$' -benchtime=1x -benchmem ./internal/
 echo "==> bench smoke (go test -bench='^BenchmarkSign$' -benchtime=1x ./internal/pki)"
 go test -run '^$' -bench='^BenchmarkSign$' -benchtime=1x -benchmem ./internal/pki
 
+echo "==> bench smoke (go test -bench='^BenchmarkAuthorizeWarm$' -benchtime=1x ./internal/authz)"
+go test -run '^$' -bench='^BenchmarkAuthorizeWarm$' -benchtime=1x -benchmem ./internal/authz
+
 echo "==> wire codec fuzz smoke (5s each: FuzzReadFrame, FuzzDecodeCommand, FuzzDecodeReply)"
 go test -run '^$' -fuzz='^FuzzReadFrame$' -fuzztime=5s ./internal/transport
 go test -run '^$' -fuzz='^FuzzDecodeCommand$' -fuzztime=5s ./internal/daemon
@@ -254,6 +257,9 @@ echo "==> RSA kernel, CRT signer and signature parser fuzz smoke (5s each: FuzzE
 go test -run '^$' -fuzz='^FuzzExpPublic$' -fuzztime=5s ./internal/sharedrsa
 go test -run '^$' -fuzz='^FuzzSignCRT$' -fuzztime=5s ./internal/sharedrsa
 go test -run '^$' -fuzz='^FuzzParseHex$' -fuzztime=5s ./internal/sharedrsa
+
+echo "==> rendering fuzz smoke (5s: FuzzRendering, the append renderers and MessageEqual against the concatenating oracle)"
+go test -run '^$' -fuzz='^FuzzRendering$' -fuzztime=5s ./internal/logic
 
 echo "==> examples (go run each directory under examples/; each exits non-zero on a wrong approval or denial)"
 for d in examples/*/; do
