@@ -53,7 +53,7 @@ func main() {
 	walBatch := flag.Duration("wal-batch", 0, "WAL group-commit fsync window (0 = fsync every append)")
 	auditCap := flag.Int("audit-retention", 0, "cap on in-memory audit entries (0 = default 4096, negative = unbounded; an evicted entry survives only in a writer's WAL, with -data-dir)")
 	replBatch := flag.Int("repl-batch", 64, "writer: max WAL records per shipped replication frame")
-	replHeartbeat := flag.Duration("repl-heartbeat", time.Second, "writer: idle status heartbeat interval per follower (the staleness bound is this plus transport retry latency)")
+	replHeartbeat := flag.Duration("repl-heartbeat", time.Second, "writer: idle status heartbeat interval per follower (the staleness bound is this plus the follower's -repl-resync)")
 	replSnapEvery := flag.Int("repl-snapshot-every", 4096, "writer: re-ship a full snapshot to a follower after this many records (refreshes object content)")
 	replResync := flag.Duration("repl-resync", 3*time.Second, "follower: writer-silence threshold before re-announcing (resync hello)")
 	dedupCap := flag.Int("dedup-cap", 0, "retried-command dedup cache size: completed replies remembered for replay to duplicate command IDs (0 = default 1024)")

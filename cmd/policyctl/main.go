@@ -120,8 +120,7 @@ func splitCSV(s string) []string {
 func run(server string, cmd daemon.Command, timeout time.Duration, topts transport.Options) error {
 	// The mux client correlates the reply by Command.ID: the invocation
 	// gets a unique ID, envelopes answering anything else (duplicates of a
-	// retried frame, strays from an earlier aborted run on the same port)
-	// are shed instead of printed, and an unanswered command is
+	// retried frame) are shed instead of printed, and an unanswered command is
 	// retransmitted under the same ID — the daemon's dedup cache replays
 	// the recorded reply, so a retried mutation is never applied twice.
 	cli, err := daemon.Dial(daemon.ClientConfig{

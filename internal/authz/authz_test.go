@@ -175,15 +175,16 @@ func (f *fixture) thresholdRequest(t testing.TB, ac pki.Signed[pki.ThresholdAttr
 
 func TestFigure2WriteFlow(t *testing.T) {
 	f := newFixture(t)
+	server := f.newServer(nil) // cold: the proof is the paper's derivation, not a cached residue
 	req := f.writeRequest(t, []byte("genome v2"), "User_D1", "User_D2")
-	dec, err := f.server.Authorize(context.Background(), req)
+	dec, err := server.Authorize(context.Background(), req)
 	if err != nil {
 		t.Fatalf("write 2-of-3: %v", err)
 	}
 	if !dec.Allowed || dec.Group != "G_write" {
 		t.Errorf("decision = %+v", dec)
 	}
-	got, err := f.server.Objects().Read("O")
+	got, err := server.Objects().Read("O")
 	if err != nil || string(got) != "genome v2" {
 		t.Errorf("object = %q, %v", got, err)
 	}

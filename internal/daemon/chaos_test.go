@@ -33,7 +33,7 @@ func chaosClient(t *testing.T, client *transport.TCPNode, id string, cmd Command
 	body := EncodeCommand(cmd)
 	deadline := time.Now().Add(20 * time.Second)
 	for attempt := 0; time.Now().Before(deadline); attempt++ {
-		if err := client.Send("coalitiond", "cmd@"+client.Addr(), body); err != nil {
+		if err := client.Send("coalitiond", "cmd", body); err != nil {
 			continue // transport exhausted its retries; go around again
 		}
 		recvBy := time.Now().Add(300 * time.Millisecond)

@@ -2,17 +2,18 @@
 // one shared connection, demultiplexed by Command.ID.
 //
 // The daemon protocol is one binary Command per envelope (codec.go gives
-// the layout field by field) with the binary Reply routed back by sender
-// name, so nothing in the transport orders replies or pairs them with
-// requests — a client that treats "the next envelope"
-// as "my reply" cross-wires the moment a retry duplicates a frame or a
-// second request goes out before the first answer returns. Client fixes
-// the correlation end-to-end: every call carries a unique ID, replies
-// are matched to their waiting caller by that ID, stale envelopes
-// (duplicates of already-answered calls, replies that outlived their
-// deadline) are shed and counted, and unanswered calls are retransmitted
-// under the same ID — safe because the serve pipeline's dedup cache
-// replays the recorded reply instead of re-executing the command.
+// the layout field by field) with the binary Reply written back on the
+// connection the command arrived on, so nothing in the transport orders
+// replies or pairs them with requests — a client that treats "the next
+// envelope" as "my reply" cross-wires the moment a retry duplicates a
+// frame or a second request goes out before the first answer returns.
+// Client fixes the correlation end-to-end: every call carries a unique
+// ID, replies are matched to their waiting caller by that ID, stale
+// envelopes (duplicates of already-answered calls, replies that outlived
+// their deadline) are shed and counted, and unanswered calls are
+// retransmitted under the same ID — safe because the serve pipeline's
+// dedup cache replays the recorded reply instead of re-executing the
+// command.
 
 package daemon
 
@@ -93,7 +94,6 @@ type ClientConfig struct {
 type Client struct {
 	ep       ClientEndpoint
 	server   string
-	kind     string // "cmd" or "cmd@<reply addr>"
 	reg      *obs.Registry
 	resend   time.Duration
 	ownsEP   bool
@@ -108,8 +108,9 @@ type Client struct {
 	err     error // terminal failure; set before cancel()
 }
 
-// Dial opens a TCP node on an ephemeral port, registers the daemon as a
-// peer, and returns a mux client over it. Close releases the node.
+// Dial opens a dial-only TCP node (one connection to the daemon, no
+// listener: replies come back on that connection), registers the daemon
+// as a peer, and returns a mux client over it. Close releases the node.
 func Dial(cfg ClientConfig) (*Client, error) {
 	if cfg.ServerName == "" {
 		cfg.ServerName = "coalitiond"
@@ -117,34 +118,24 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if cfg.Name == "" {
 		cfg.Name = "client"
 	}
-	node, err := transport.ListenTCP(cfg.Name, "127.0.0.1:0", cfg.Transport)
-	if err != nil {
-		return nil, err
-	}
+	node := transport.DialTCP(cfg.Name, cfg.Transport)
 	node.Instrument(cfg.Metrics)
 	node.AddPeer(cfg.ServerName, cfg.ServerAddr)
-	c := NewClient(node, cfg.ServerName, node.Addr(), cfg.Resend, cfg.Metrics)
+	c := NewClient(node, cfg.ServerName, cfg.Resend, cfg.Metrics)
 	c.ownsEP = true
 	return c, nil
 }
 
 // NewClient builds a mux client over an existing endpoint (tests wrap
-// fault injectors or in-memory networks). replyAddr, when non-empty, is
-// advertised to the daemon in the command kind ("cmd@addr") so it can
-// dial back; name-routed transports pass "". The client does not own the
+// fault injectors or in-memory networks). The client does not own the
 // endpoint: Close stops the receiver but leaves the endpoint open.
-func NewClient(ep ClientEndpoint, serverName, replyAddr string, resend time.Duration, reg *obs.Registry) *Client {
-	kind := "cmd"
-	if replyAddr != "" {
-		kind = "cmd@" + replyAddr
-	}
+func NewClient(ep ClientEndpoint, serverName string, resend time.Duration, reg *obs.Registry) *Client {
 	var nb [6]byte
 	cryptorand.Read(nb[:]) //nolint:errcheck // rand.Read never fails
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Client{
 		ep:      ep,
 		server:  serverName,
-		kind:    kind,
 		reg:     reg,
 		resend:  resend,
 		nonce:   hex.EncodeToString(nb[:]),
@@ -250,7 +241,7 @@ func (c *Client) Call(ctx context.Context, cmd Command) (Reply, error) {
 		c.mu.Unlock()
 	}()
 
-	if err := c.ep.Send(c.server, c.kind, body); err != nil {
+	if err := c.ep.Send(c.server, "cmd", body); err != nil {
 		c.reg.Counter(MetricMuxCalls, "outcome", "error").Inc()
 		return Reply{}, fmt.Errorf("daemon: send %s: %w", cmd.Cmd, err)
 	}
@@ -281,7 +272,7 @@ func (c *Client) Call(ctx context.Context, cmd Command) (Reply, error) {
 			// its recorded reply, so a lost request or reply frame heals
 			// without double execution.
 			c.reg.Counter(MetricMuxResends).Inc()
-			if err := c.ep.Send(c.server, c.kind, body); err != nil && !retryableSend(err) {
+			if err := c.ep.Send(c.server, "cmd", body); err != nil && !retryableSend(err) {
 				c.reg.Counter(MetricMuxCalls, "outcome", "error").Inc()
 				return Reply{}, fmt.Errorf("daemon: resend %s: %w", cmd.Cmd, err)
 			}

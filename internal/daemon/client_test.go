@@ -57,7 +57,7 @@ func TestClientConcurrentCallsCorrelate(t *testing.T) {
 	echoServer(t, srv, 3*time.Millisecond)
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", "", 0, reg)
+	c := NewClient(net.Endpoint("cli"), "srv", 0, reg)
 	defer c.Close()
 
 	const goroutines, calls = 8, 20
@@ -104,7 +104,7 @@ func TestClientShedsStaleEnvelopes(t *testing.T) {
 	srv := net.Endpoint("srv")
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", "", 0, reg)
+	c := NewClient(net.Endpoint("cli"), "srv", 0, reg)
 	defer c.Close()
 
 	ghost := EncodeReply(Reply{ID: "ghost", OK: true})
@@ -145,7 +145,7 @@ func TestClientCallTimeout(t *testing.T) {
 	net.Endpoint("srv") // exists but never answers
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", "", 0, reg)
+	c := NewClient(net.Endpoint("cli"), "srv", 0, reg)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -170,7 +170,7 @@ func TestClientConnLostFailsPending(t *testing.T) {
 	net.Endpoint("srv") // never answers
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", "", 0, reg)
+	c := NewClient(net.Endpoint("cli"), "srv", 0, reg)
 	defer c.Close()
 
 	const pending = 3
@@ -232,7 +232,7 @@ func TestClientResendHealsLostRequest(t *testing.T) {
 	}()
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", "", 10*time.Millisecond, reg)
+	c := NewClient(net.Endpoint("cli"), "srv", 10*time.Millisecond, reg)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

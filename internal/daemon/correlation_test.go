@@ -20,14 +20,6 @@ import (
 	"jointadmin/internal/transport"
 )
 
-// memNode adapts an in-memory endpoint to the pipeline's CommandNode:
-// the memory network routes by name, so peer registration is a no-op.
-type memNode struct {
-	transport.Endpoint
-}
-
-func (memNode) AddPeer(name, addr string) {}
-
 // testDaemon builds a daemon on the shared three-domain fixture and
 // serves it from a memory-network endpoint named "coalitiond".
 func testDaemon(t *testing.T, net *transport.Memory, reg *obs.Registry) (*Daemon, context.CancelFunc) {
@@ -42,7 +34,7 @@ func testDaemon(t *testing.T, net *transport.Memory, reg *obs.Registry) (*Daemon
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	node := memNode{net.Endpoint("coalitiond")} // register before clients send
+	node := net.Endpoint("coalitiond") // register before clients send
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -116,7 +108,7 @@ func TestMuxCorrelationUnderDupInjection(t *testing.T) {
 		DupOut: 0.3, DupIn: 0.3,
 		DelayOut: 2 * time.Millisecond, DelayIn: 2 * time.Millisecond,
 	})
-	c := NewClient(ep, "coalitiond", "", 0, reg)
+	c := NewClient(ep, "coalitiond", 0, reg)
 	defer c.Close()
 
 	const goroutines, calls = 8, 15
@@ -184,7 +176,7 @@ func TestRetriedMutationAppliesOnce(t *testing.T) {
 		}
 	}
 
-	c := NewClient(memNode{net.Endpoint("cli")}, "coalitiond", "", 10*time.Millisecond, reg)
+	c := NewClient(net.Endpoint("cli"), "coalitiond", 10*time.Millisecond, reg)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

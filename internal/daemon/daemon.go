@@ -93,8 +93,8 @@ type Config struct {
 	// injected, never global, so embedders and tests own their own.
 	Metrics *obs.Registry
 	// Workers bounds how many commands Serve handles concurrently
-	// (default GOMAXPROCS). Replies are written by a single sender
-	// goroutine, so reordering stays per-client even under retries.
+	// (default GOMAXPROCS). Each worker writes its own reply on the
+	// command's connection.
 	Workers int
 	// DedupCap bounds the ID-keyed recently-answered cache duplicate
 	// commands are replayed from (default DefaultDedupCap).
@@ -649,16 +649,16 @@ func opOf(cmd Command) string {
 
 // Serve answers commands on the endpoint until it closes or the context
 // is canceled, running the shared serve pipeline (pipeline.Serve:
-// bounded worker pool, ID-keyed dedup replay, single reply sender) over
-// Daemon.Handle. Replication frames are intercepted before the command
-// pool: the shipper only registers the follower and signals its stream
-// goroutine.
+// bounded worker pool, ID-keyed dedup replay, replies on the command's
+// connection) over Daemon.Handle. Replication frames are intercepted
+// before the command pool: the shipper only registers the follower and
+// the hello's connection, and signals its stream goroutine.
 //
 // Serve returns the context's error when canceled and nil on a clean
 // listener close; any other transport failure is counted in
 // daemon_serve_errors_total and returned.
 func (d *Daemon) Serve(ctx context.Context, node CommandNode) error {
-	var intercept func(kind string, payload []byte) bool
+	var intercept func(env transport.Envelope) bool
 	if d.replicate && d.wal != nil {
 		shipper := replication.NewShipper(d.wal, node, replication.ShipperOptions{
 			Batch:         d.replBatch,
@@ -676,11 +676,11 @@ func (d *Daemon) Serve(ctx context.Context, node CommandNode) error {
 			Now: d.alliance.Clock().Now,
 		})
 		defer shipper.Close()
-		intercept = func(kind string, payload []byte) bool {
-			if !replication.IsReplication(kind) {
+		intercept = func(env transport.Envelope) bool {
+			if !replication.IsReplication(env.Kind) {
 				return false
 			}
-			shipper.Handle(kind, payload)
+			shipper.Handle(env)
 			return true
 		}
 	}

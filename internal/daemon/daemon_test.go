@@ -199,7 +199,8 @@ func TestDaemonValidation(t *testing.T) {
 }
 
 // TestDaemonOverTCP drives the full client path: a policyctl-shaped client
-// sends a command over TCP with the reply address in the kind field.
+// with no listener sends a command over TCP and reads the reply on the
+// same connection.
 func TestDaemonOverTCP(t *testing.T) {
 	d := newDaemon(t)
 	node, err := transport.ListenTCP("coalitiond", "127.0.0.1:0")
@@ -212,15 +213,12 @@ func TestDaemonOverTCP(t *testing.T) {
 		_ = d.Serve(context.Background(), node)
 	}()
 
-	client, err := transport.ListenTCP("policyctl", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := transport.DialTCP("policyctl")
 	defer client.Close()
 	client.AddPeer("coalitiond", node.Addr())
 
 	body := EncodeCommand(Command{Cmd: "write", Signers: []string{"alice", "bob"}, Data: "over tcp"})
-	if err := client.Send("coalitiond", "cmd@"+client.Addr(), body); err != nil {
+	if err := client.Send("coalitiond", "cmd", body); err != nil {
 		t.Fatal(err)
 	}
 	env, err := client.RecvTimeout(5 * time.Second)
@@ -301,15 +299,16 @@ func TestDaemonStatsWithoutMetrics(t *testing.T) {
 	}
 }
 
-// fakeNode is an in-memory commandNode: a closable stream of envelopes in,
-// a record of replies out.
+// fakeNode is an in-memory CommandNode: a closable stream of envelopes
+// in, a record of replies out. block, when set, may hold a reply until
+// the test lets it go.
 type fakeNode struct {
 	envs    chan transport.Envelope
 	recvErr error // returned once the stream drains (nil → ErrClosed)
+	block   func(env transport.Envelope)
 
 	mu      sync.Mutex
 	replies map[string][]string // sender -> reply payloads
-	peers   map[string]string
 }
 
 func newFakeNode(recvErr error) *fakeNode {
@@ -317,7 +316,6 @@ func newFakeNode(recvErr error) *fakeNode {
 		envs:    make(chan transport.Envelope, 64),
 		recvErr: recvErr,
 		replies: make(map[string][]string),
-		peers:   make(map[string]string),
 	}
 }
 
@@ -336,16 +334,13 @@ func (f *fakeNode) RecvContext(ctx context.Context) (transport.Envelope, error) 
 	}
 }
 
-func (f *fakeNode) AddPeer(name, addr string) {
+func (f *fakeNode) Reply(env transport.Envelope, kind string, payload []byte) error {
+	if f.block != nil {
+		f.block(env)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.peers[name] = addr
-}
-
-func (f *fakeNode) Send(to, kind string, payload []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.replies[to] = append(f.replies[to], string(payload))
+	f.replies[env.From] = append(f.replies[env.From], string(payload))
 	return nil
 }
 
@@ -376,11 +371,7 @@ func TestDaemonServeConcurrent(t *testing.T) {
 	node := newFakeNode(nil)
 	body := EncodeCommand(Command{Cmd: "read", Signers: []string{"carol"}})
 	for i := 0; i < n; i++ {
-		node.envs <- transport.Envelope{
-			From:    fmt.Sprintf("c%d", i),
-			Kind:    fmt.Sprintf("cmd@addr%d", i),
-			Payload: body,
-		}
+		node.envs <- transport.Envelope{From: fmt.Sprintf("c%d", i), Kind: "cmd", Payload: body}
 	}
 	close(node.envs)
 
@@ -422,9 +413,6 @@ func TestDaemonServeConcurrent(t *testing.T) {
 		}
 		if !reply.OK {
 			t.Errorf("client %s reply: %+v", from, reply)
-		}
-		if node.peers[from] != fmt.Sprintf("addr%d", i) {
-			t.Errorf("client %s reply address = %q", from, node.peers[from])
 		}
 	}
 	if got := reg.Counter(MetricServeErrors).Value(); got != 0 {

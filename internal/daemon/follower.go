@@ -67,7 +67,7 @@ type Follower struct {
 }
 
 // NewFollower validates the configuration; the applier is created at
-// Listen time, once the node (and its advertised address) exists.
+// Listen time, once the node exists.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.WriterAddr == "" {
 		return nil, errors.New("daemon: follower requires the writer's address (-follow)")
@@ -97,7 +97,6 @@ func (f *Follower) Listen(addr string) (*transport.TCPNode, error) {
 	node.AddPeer(f.writer, f.cfg.WriterAddr)
 	f.applier = replication.NewApplier(node, replication.ApplierOptions{
 		Follower:       f.name,
-		Addr:           node.Addr(),
 		Writer:         f.writer,
 		ResyncAfter:    f.cfg.ResyncAfter,
 		AuditRetention: auditRetention(f.cfg.AuditRetention),
@@ -115,8 +114,10 @@ func (f *Follower) Metrics() *obs.Registry { return f.reg }
 
 // Serve answers commands and applies replication frames until the
 // context is canceled or the listener closes. Commands run through the
-// shared serve pipeline (worker pool, ID-keyed dedup replay, single
-// reply sender — see pipeline.Serve); replication frames are intercepted
+// shared serve pipeline (worker pool, ID-keyed dedup replay, replies on
+// the command's connection — see pipeline.Serve); replication frames
+// arrive on the connection the follower dialed to the writer, and are
+// intercepted
 // and applied inline in the receive loop, preserving their arrival order
 // (the protocol is sequential; the Authorize path reads the replica
 // through an atomic pointer and never blocks on it).
@@ -142,11 +143,11 @@ func (f *Follower) Serve(ctx context.Context, node CommandNode) error {
 		Workers:  f.workers,
 		DedupCap: f.cfg.DedupCap,
 		Metrics:  f.reg,
-		Intercept: func(kind string, payload []byte) bool {
-			if !replication.IsReplication(kind) {
+		Intercept: func(env transport.Envelope) bool {
+			if !replication.IsReplication(env.Kind) {
 				return false
 			}
-			f.applier.Handle(kind, payload)
+			f.applier.Handle(env.Kind, env.Payload)
 			return true
 		},
 		Tag: "follower",

@@ -1,6 +1,6 @@
 // The wire serve pipeline shared by the writer daemon and the follower:
-// receive loop → bounded worker pool →
-// ID-keyed dedup → single reply sender. Extracting it keeps the
+// receive loop → bounded worker pool → ID-keyed dedup → reply on the
+// command's own connection. Extracting it keeps the
 // request/reply semantics — every reply echoes its Command.ID, duplicate
 // commands replay the recorded answer instead of re-executing — identical
 // across every role that speaks the command protocol.
@@ -12,7 +12,6 @@ import (
 	"errors"
 	"log"
 	"runtime"
-	"strings"
 	"sync"
 
 	"jointadmin/internal/obs"
@@ -20,12 +19,11 @@ import (
 )
 
 // CommandNode is the transport surface the pipeline drives: receive
-// commands, learn reply addresses, send replies. *transport.TCPNode
-// implements it; tests supply fakes.
+// commands, answer each on the connection it arrived on.
+// *transport.TCPNode implements it; tests supply fakes.
 type CommandNode interface {
 	RecvContext(ctx context.Context) (transport.Envelope, error)
-	AddPeer(name, addr string)
-	Send(to, kind string, payload []byte) error
+	Reply(env transport.Envelope, kind string, payload []byte) error
 }
 
 var _ CommandNode = (*transport.TCPNode)(nil)
@@ -58,7 +56,7 @@ type pipelineConfig struct {
 	// Intercept, when set, sees every inbound envelope before the command
 	// path; returning true consumes it (replication frames ride the same
 	// node but bypass the worker pool).
-	Intercept func(kind string, payload []byte) bool
+	Intercept func(env transport.Envelope) bool
 	// Tag prefixes the pipeline's log lines ("daemon", "follower", ...).
 	Tag string
 }
@@ -80,34 +78,24 @@ func newPipeline(cfg pipelineConfig) *pipeline {
 	return &pipeline{cfg: cfg, dedup: newDedupCache(cfg.DedupCap)}
 }
 
-// outbound is one reply routed back to its sender.
-type outbound struct {
-	to   string
-	addr string
-	body []byte
-}
-
 // Serve answers commands on the node until it closes or the context is
-// canceled. The reply address rides in the message kind as "cmd@addr"
-// (clients listening on an ephemeral port advertise it there; clients on
-// a name-routed transport omit it).
+// canceled, each on the connection it arrived on (CommandNode.Reply).
 //
 // Commands are pipelined: the receive loop dispatches each envelope to a
 // bounded worker pool (Workers), so slow authorizations — cold-cache RSA
 // verification — overlap instead of serializing behind one another; the
-// daemon_inflight gauge reports the pool's occupancy.
-// Replies funnel through a single sender goroutine — the transport's
-// per-peer write lock makes concurrent sends safe, but one sender keeps
-// reply order stable per client and keeps retry backoffs for one dead
-// client from tying up worker goroutines — and are routed per sender;
-// replies to different clients may reorder relative to arrival, which
-// the request/reply shape (every Reply echoes its Command.ID) tolerates.
+// daemon_inflight gauge reports the pool's occupancy. Each worker writes
+// its own reply (one write, no dial, no retry), so a client that reads
+// slowly holds up only the worker answering it; replies may reorder
+// relative to arrival, which the request/reply shape (every Reply echoes
+// its Command.ID) tolerates.
 // Duplicate commands — transport retries, client retransmits, injected
 // dups — replay the recorded reply through the dedup cache instead of
 // re-executing the handler; a duplicate that arrives while the original
-// is still in flight waits for its result rather than racing it.
-// On context cancel or listener close the receive loop stops, in-flight
-// commands drain, and queued replies are flushed before Serve returns.
+// is still in flight waits for its result (recorded before the reply is
+// written, so never behind a slow reader) rather than racing it.
+// On context cancel or listener close the receive loop stops and
+// in-flight commands drain, replies written, before Serve returns.
 //
 // Serve returns the context's error when canceled and nil on a clean
 // listener close; any other transport failure is counted in
@@ -118,21 +106,6 @@ func (p *pipeline) Serve(ctx context.Context, node CommandNode) error {
 	}
 	reg := p.cfg.Metrics
 	tasks := make(chan transport.Envelope)
-	replies := make(chan outbound, p.cfg.Workers)
-
-	var senderWG sync.WaitGroup
-	senderWG.Add(1)
-	go func() {
-		defer senderWG.Done()
-		for out := range replies {
-			if out.addr != "" {
-				node.AddPeer(out.to, out.addr)
-			}
-			if err := node.Send(out.to, "reply", out.body); err != nil {
-				log.Printf("%s: reply to %s: %v", p.cfg.Tag, out.to, err)
-			}
-		}
-	}()
 
 	var workerWG sync.WaitGroup
 	for i := 0; i < p.cfg.Workers; i++ {
@@ -140,7 +113,11 @@ func (p *pipeline) Serve(ctx context.Context, node CommandNode) error {
 		go func() {
 			defer workerWG.Done()
 			for env := range tasks {
-				p.serveOne(ctx, env, replies)
+				if body := p.serveOne(ctx, env); body != nil {
+					if err := node.Reply(env, "reply", body); err != nil {
+						log.Printf("%s: reply to %s: %v", p.cfg.Tag, env.From, err)
+					}
+				}
 			}
 		}()
 	}
@@ -160,35 +137,31 @@ func (p *pipeline) Serve(ctx context.Context, node CommandNode) error {
 			}
 			break
 		}
-		if p.cfg.Intercept != nil && p.cfg.Intercept(env.Kind, env.Payload) {
+		if p.cfg.Intercept != nil && p.cfg.Intercept(env) {
 			continue
 		}
 		tasks <- env
 	}
 	close(tasks)
 	workerWG.Wait() // drain in-flight commands
-	close(replies)
-	senderWG.Wait() // flush queued replies
 	return serveErr
 }
 
-// serveOne decodes, dedups, handles and answers a single command under
-// its own request context.
-func (p *pipeline) serveOne(ctx context.Context, env transport.Envelope, replies chan<- outbound) {
+// serveOne decodes, dedups and handles a single command under its own
+// request context and returns the encoded reply, nil when there is none
+// to send (a duplicate abandoned by shutdown).
+func (p *pipeline) serveOne(ctx context.Context, env transport.Envelope) []byte {
 	reg := p.cfg.Metrics
 	cmd, err := DecodeCommand(env.Payload)
 	if err != nil {
-		body := EncodeReply(Reply{Detail: "bad command: " + err.Error()})
-		replies <- outbound{to: env.From, addr: returnAddr(env.Kind), body: body}
-		return
+		return EncodeReply(Reply{Detail: "bad command: " + err.Error()})
 	}
 
 	// Commands without an ID (legacy clients) bypass dedup: there is no
 	// correlation key to replay under, so a retry re-executes — exactly
 	// the pre-mux behavior those clients already tolerate.
 	if cmd.ID == "" {
-		p.execute(ctx, env, cmd, replies)
-		return
+		return p.execute(ctx, cmd)
 	}
 
 	key := dedupKey(env.From, cmd.ID)
@@ -196,38 +169,28 @@ func (p *pipeline) serveOne(ctx context.Context, env transport.Envelope, replies
 	if !leader {
 		// A duplicate: wait for the original's reply (it is being handled
 		// by another worker right now, or already recorded) and replay it
-		// to wherever this copy came from.
+		// on this copy's connection.
 		select {
 		case <-entry.done:
 		case <-ctx.Done():
-			return
+			return nil
 		}
 		reg.Counter(MetricDedupReplays).Inc()
-		replies <- outbound{to: env.From, addr: returnAddr(env.Kind), body: entry.body}
-		return
+		return entry.body
 	}
 
-	body := p.execute(ctx, env, cmd, replies)
+	body := p.execute(ctx, cmd)
 	reg.Counter(MetricDedupEvictions).Add(p.dedup.finish(key, body))
 	reg.Gauge(MetricDedupEntries).Set(int64(p.dedup.size()))
-}
-
-// execute runs the handler for one command, sends the reply, and returns
-// the encoded reply body.
-func (p *pipeline) execute(ctx context.Context, env transport.Envelope, cmd Command, replies chan<- outbound) []byte {
-	reqCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	reply := p.cfg.Handler(reqCtx, cmd)
-	reply.ID = cmd.ID // every reply echoes its command's ID
-	body := EncodeReply(reply)
-	replies <- outbound{to: env.From, addr: returnAddr(env.Kind), body: body}
 	return body
 }
 
-// returnAddr extracts the reply address from "cmd@addr".
-func returnAddr(kind string) string {
-	if i := strings.IndexByte(kind, '@'); i >= 0 {
-		return kind[i+1:]
-	}
-	return ""
+// execute runs the handler for one command and returns the encoded
+// reply, which echoes the command's ID.
+func (p *pipeline) execute(ctx context.Context, cmd Command) []byte {
+	reqCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	reply := p.cfg.Handler(reqCtx, cmd)
+	reply.ID = cmd.ID
+	return EncodeReply(reply)
 }

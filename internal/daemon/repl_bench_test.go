@@ -130,7 +130,7 @@ func benchFleet(b *testing.B, followers int) {
 
 	ask := func(m *fleetMember, id string) error {
 		body := EncodeCommand(Command{ID: id, Cmd: "authorize", Data: signed})
-		if err := m.client.Send(m.f.name, "cmd@"+m.client.Addr(), body); err != nil {
+		if err := m.client.Send(m.f.name, "cmd", body); err != nil {
 			return err
 		}
 		for {

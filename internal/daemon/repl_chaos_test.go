@@ -126,7 +126,7 @@ func askPeer(t *testing.T, client *transport.TCPNode, peer, id string, cmd Comma
 	body := EncodeCommand(cmd)
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		if err := client.Send(peer, "cmd@"+client.Addr(), body); err != nil {
+		if err := client.Send(peer, "cmd", body); err != nil {
 			continue
 		}
 		recvBy := time.Now().Add(300 * time.Millisecond)
@@ -279,7 +279,9 @@ func TestChaosReplicatedFleet(t *testing.T) {
 	f2.stop(t)
 	f2b := startFollower(t, "f2", writerAddr, 13)
 	defer f2b.stop(t)
-	client.AddPeer("f2", f2b.node.Addr())
+	f2client := transport.DialTCP("chaosctl", replTopts(9)) // a fresh node reaches the new f2
+	defer f2client.Close()
+	f2client.AddPeer("f2", f2b.node.Addr())
 	f2b.waitSeq(t, d.wal.Seq(), 15*time.Second)
 	if st := f2b.f.Applier().Status(); st.Snapshots == 0 {
 		t.Errorf("rejoined follower caught up without a snapshot handoff: %+v", st)
@@ -327,8 +329,8 @@ func TestChaosReplicatedFleet(t *testing.T) {
 			t.Fatalf("sign after writer restart failed: %+v", rep)
 		}
 		fr.waitClock(t, d2.alliance.Clock().Now(), 15*time.Second)
-		peer := []string{"f1", "f2"}[i]
-		rep = askPeer(t, client, peer, fmt.Sprintf("r10-%d", i), Command{Cmd: "authorize", Data: rep.Data})
+		peer, via := []string{"f1", "f2"}[i], []*transport.TCPNode{client, f2client}[i]
+		rep = askPeer(t, via, peer, fmt.Sprintf("r10-%d", i), Command{Cmd: "authorize", Data: rep.Data})
 		if !rep.OK {
 			t.Fatalf("authorize on %s after writer restart denied: %+v", peer, rep)
 		}

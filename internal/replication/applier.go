@@ -26,10 +26,8 @@ import (
 
 // ApplierOptions configures the follower side.
 type ApplierOptions struct {
-	// Follower is this node's name (the writer addresses frames to it);
-	// Addr is its listen address, advertised in hello frames.
+	// Follower is this node's name (the writer addresses frames to it).
 	Follower string
-	Addr     string
 	// Writer is the writer node's name (hello frames go to it).
 	Writer string
 	// ResyncAfter is the silence threshold: no frame for this long and
@@ -105,8 +103,8 @@ type Applier struct {
 	helloed   bool
 }
 
-// NewApplier builds the follower endpoint; node must already know (or
-// learn via AddPeer) the writer's address.
+// NewApplier builds the follower endpoint; node must already know the
+// writer's address.
 func NewApplier(node Node, opts ApplierOptions) *Applier {
 	if opts.ResyncAfter <= 0 {
 		opts.ResyncAfter = 3 * time.Second
@@ -175,7 +173,7 @@ func (a *Applier) Run(ctx context.Context) {
 func (a *Applier) hello(resync bool) {
 	a.mu.Lock()
 	full := a.replica.Load() == nil
-	h := helloMsg{Follower: a.opts.Follower, Addr: a.opts.Addr, LastSeq: a.lastSeq, Full: full}
+	h := helloMsg{Follower: a.opts.Follower, LastSeq: a.lastSeq, Full: full}
 	if resync && a.helloed {
 		a.resyncs++
 		a.reg.Counter(MetricResyncs).Inc()

@@ -9,9 +9,9 @@
 // The protocol has four frame kinds, all riding the existing transport
 // as Envelopes whose Kind starts with "repl.":
 //
-//   - hello (follower → writer): announces the follower, its reply
-//     address and the last WAL sequence number it holds; sent on start,
-//     after detected loss, and whenever the writer goes silent.
+//   - hello (follower → writer): announces the follower and the last WAL
+//     sequence number it holds; sent on start, after detected loss, and
+//     whenever the writer goes silent. The frames below answer it.
 //   - snapshot (writer → follower): the full retained record history in
 //     the WAL's own CRC framing plus the exported object store; installs
 //     a complete replica and re-bases the follower's cursor.
@@ -31,9 +31,10 @@
 // (transport.Faulty injects all three in tests). Duplicates are shed by
 // sequence number, gaps force a resync, CRC damage fails closed exactly
 // like mid-log corruption at recovery, and writer restarts are healed by
-// the follower's silence-triggered hello. A follower is at most
-// (heartbeat interval + retry latency) behind an acknowledged mutation —
-// the staleness bound docs/REPLICATION.md derives.
+// the follower's silence-triggered hello, which also heals a lost
+// connection. A follower is at most (heartbeat interval + resync
+// threshold) behind an acknowledged mutation — the staleness bound
+// docs/REPLICATION.md derives.
 package replication
 
 import (
@@ -41,6 +42,7 @@ import (
 
 	"jointadmin/internal/acl"
 	"jointadmin/internal/clock"
+	"jointadmin/internal/transport"
 )
 
 // Envelope kinds of the replication protocol.
@@ -61,16 +63,17 @@ func IsReplication(kind string) bool { return strings.HasPrefix(kind, "repl.") }
 
 // helloMsg is the follower → writer announcement.
 type helloMsg struct {
-	// Follower and Addr name the follower's node and listen address (the
-	// writer AddPeers them to open its return path).
+	// Follower names the follower's node.
 	Follower string `json:"follower"`
-	Addr     string `json:"addr"`
 	// LastSeq is the highest WAL sequence the follower has applied.
 	LastSeq uint64 `json:"lastSeq"`
 	// Full forces a snapshot handoff regardless of LastSeq (fresh
 	// follower — it needs the object store, which tail records never
 	// carry — or one recovering from a failed apply).
 	Full bool `json:"full,omitempty"`
+	// env is the envelope the hello arrived in (not on the wire): the
+	// writer ships on its connection.
+	env transport.Envelope
 }
 
 // snapshotMsg is the writer → follower full-state handoff.
@@ -113,12 +116,16 @@ type statusMsg struct {
 	Clock     clock.Time `json:"clock"`
 }
 
-// Node is the transport surface both sides drive: register a peer's
-// address, send it a frame. *transport.TCPNode implements it (as does
-// the daemon's commandNode surface).
+// Node is the follower's transport surface: send a frame to the writer
+// by name. *transport.TCPNode implements it.
 type Node interface {
-	AddPeer(name, addr string)
 	Send(to, kind string, payload []byte) error
+}
+
+// Replier is the writer's transport surface: answer a hello on the
+// connection it arrived on (*transport.TCPNode, the daemon's CommandNode).
+type Replier interface {
+	Reply(env transport.Envelope, kind string, payload []byte) error
 }
 
 // Writer-side metric names (labels: follower=<name>).
@@ -131,8 +138,8 @@ const (
 	MetricSnapshotsShipped = "repl_snapshots_shipped_total"
 	// MetricHeartbeats counts status heartbeats per follower.
 	MetricHeartbeats = "repl_heartbeats_total"
-	// MetricShipErrors counts failed sends per follower (after the
-	// transport's own retries are exhausted).
+	// MetricShipErrors counts failed sends per follower (a shipped frame
+	// is one write; the follower's resync recovers the stream).
 	MetricShipErrors = "repl_ship_errors_total"
 )
 

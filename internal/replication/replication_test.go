@@ -8,21 +8,22 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"jointadmin"
 	"jointadmin/internal/authz"
 	"jointadmin/internal/obs"
+	"jointadmin/internal/transport"
 	"jointadmin/internal/wal"
 )
 
 // fakeNode records every frame an Applier or Shipper sends, standing in
 // for the TCP transport.
 type fakeNode struct {
-	mu    sync.Mutex
-	peers map[string]string
-	sent  []sentFrame
+	mu   sync.Mutex
+	sent []sentFrame
 }
 
 type sentFrame struct {
@@ -30,19 +31,18 @@ type sentFrame struct {
 	payload  []byte
 }
 
-func newFakeNode() *fakeNode { return &fakeNode{peers: map[string]string{}} }
-
-func (n *fakeNode) AddPeer(name, addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.peers[name] = addr
-}
+func newFakeNode() *fakeNode { return &fakeNode{} }
 
 func (n *fakeNode) Send(to, kind string, payload []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.sent = append(n.sent, sentFrame{to: to, kind: kind, payload: append([]byte(nil), payload...)})
 	return nil
+}
+
+// Reply records an answer as a frame sent to the envelope's sender.
+func (n *fakeNode) Reply(env transport.Envelope, kind string, payload []byte) error {
+	return n.Send(env.From, kind, payload)
 }
 
 // frames returns a copy of the frames sent so far (the shipper's stream
@@ -238,7 +238,7 @@ func mustJSON(t *testing.T, v any) []byte {
 
 func newTestApplier(node Node, reg *obs.Registry) *Applier {
 	return NewApplier(node, ApplierOptions{
-		Follower: "f1", Addr: "127.0.0.1:0", Writer: "coalitiond",
+		Follower: "f1", Writer: "coalitiond",
 		Metrics: reg,
 	})
 }
@@ -515,7 +515,7 @@ func TestShipperSnapshotHandoffAndTail(t *testing.T) {
 	})
 	defer sh.Close()
 
-	sh.Handle(KindHello, mustJSON(t, helloMsg{Follower: "f1", Addr: "127.0.0.1:9", Full: true}))
+	sh.Handle(transport.Envelope{From: "f1", Kind: KindHello, Payload: mustJSON(t, helloMsg{Follower: "f1", Full: true})})
 	node.waitKind(t, KindSnapshot, 1)
 	var snap snapshotMsg
 	for _, f := range node.frames() {
@@ -604,6 +604,9 @@ func cacheCounts(reg *obs.Registry) (hits, misses int64) {
 	return hits, misses
 }
 
+// parityRuns numbers the runs of TestFollowerKeepsCacheAcrossShippedMutations.
+var parityRuns atomic.Int64
+
 // TestFollowerKeepsCacheAcrossShippedMutations is the follower side of
 // the epoch cache: a follower replays shipped records through the same
 // mutate as the writer, so after a shipped link and a shipped revocation
@@ -615,11 +618,16 @@ func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
 	reg := obs.NewRegistry()
 	ap := newTestApplier(newFakeNode(), reg)
 	ctx := context.Background()
+	// The writer is shared across runs in one process (-count): each run
+	// grants, links and revokes groups of its own.
+	run := parityRuns.Add(1)
+	victimGroup := fmt.Sprintf("G_parity_victim%d", run)
+	subGroup := fmt.Sprintf("G_parity_sub%d", run)
 
-	if err := w.a.GrantThreshold("G_parity_victim", 1, "bob"); err != nil {
+	if err := w.a.GrantThreshold(victimGroup, 1, "bob"); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.a.LinkGroups("G_parity_victim", "G_read", w.srv); err != nil {
+	if err := w.a.LinkGroups(victimGroup, "G_read", w.srv); err != nil {
 		t.Fatal(err)
 	}
 	untouched, err := w.a.NewRequest(jointadmin.RequestSpec{
@@ -628,7 +636,7 @@ func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim, err := w.a.NewRequest(jointadmin.RequestSpec{
-		Group: "G_parity_victim", Op: "read", Object: "O", Signers: []string{"bob"}})
+		Group: victimGroup, Op: "read", Object: "O", Signers: []string{"bob"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,8 +676,8 @@ func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
 			t.Fatalf("after shipped %s the untouched request was not decided residually (hits %d -> %d, %d fallbacks)", verb, residual, got, falls)
 		}
 	}
-	ship("link", func() error { return w.a.LinkGroups("G_parity_sub", "G_read", w.srv) })
-	ship("revoke", func() error { return w.a.Revoke("G_parity_victim", w.srv) })
+	ship("link", func() error { return w.a.LinkGroups(subGroup, "G_read", w.srv) })
+	ship("revoke", func() error { return w.a.Revoke(victimGroup, w.srv) })
 
 	st, wst := ap.Status(), w.srv.Authz().Snapshot()
 	if st.Epoch != wst.Epoch || st.Watermark != wst.Watermark {
@@ -682,5 +690,97 @@ func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
 	}
 	if fdec.DeniedStep != wdec.DeniedStep {
 		t.Fatalf("victim denied at %s on the follower, %s on the writer", fdec.DeniedStep, wdec.DeniedStep)
+	}
+}
+
+// TestShipperFollowsLatestHelloConnection runs the shipper over TCP: a
+// follower reconnects on a new connection (same name, fresh dial-only
+// node) and says hello again; from then on every frame goes to the new
+// connection, none to the old, and the writer dials nothing.
+func TestShipperFollowsLatestHelloConnection(t *testing.T) {
+	w := newWriter(t)
+	wreg := obs.NewRegistry()
+	wnode, err := transport.ListenTCP("coalitiond", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wnode.Close()
+	wnode.Instrument(wreg)
+	sh := NewShipper(w.log, wnode, ShipperOptions{Heartbeat: 20 * time.Millisecond,
+		Objects: w.srv.Authz().Objects().Export, Logf: t.Logf})
+	defer sh.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			env, err := wnode.Recv()
+			if err != nil {
+				return
+			}
+			sh.Handle(env)
+		}
+	}()
+	defer func() { wnode.Close(); <-served }()
+
+	follower := func() *transport.TCPNode {
+		n := transport.DialTCP("f1")
+		t.Cleanup(func() { n.Close() })
+		n.AddPeer("coalitiond", wnode.Addr())
+		return n
+	}
+	hello := func(n *transport.TCPNode, h helloMsg) {
+		t.Helper()
+		if err := n.Send("coalitiond", KindHello, mustJSON(t, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// await receives on n until a frame of kind arrives, returning it.
+	await := func(n *transport.TCPNode, kind string) transport.Envelope {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			env, err := n.RecvTimeout(time.Until(deadline))
+			if err != nil {
+				break
+			}
+			if env.Kind == kind {
+				return env
+			}
+		}
+		t.Fatalf("no %s frame", kind)
+		return transport.Envelope{}
+	}
+
+	old := follower()
+	hello(old, helloMsg{Follower: "f1", Full: true})
+	var snap snapshotMsg
+	if err := json.Unmarshal(await(old, KindSnapshot).Payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := follower()
+	hello(fresh, helloMsg{Follower: "f1", LastSeq: snap.LastSeq})
+	await(fresh, KindStatus) // the stream has taken up the new hello
+	w.mutate(t, fmt.Sprintf("reconnect%d", snap.LastSeq))
+	var rm recordsMsg
+	if err := json.Unmarshal(await(fresh, KindRecords).Payload, &rm); err != nil {
+		t.Fatal(err)
+	}
+	if tail, _, _, _ := wal.Scan(rm.Frames); len(tail) == 0 || tail[0].Seq != snap.LastSeq+1 {
+		t.Fatalf("records on the new connection start at %v, want seq %d", tail, snap.LastSeq+1)
+	}
+	for {
+		env, err := old.RecvTimeout(100 * time.Millisecond)
+		if err != nil {
+			break
+		}
+		if env.Kind == KindRecords {
+			t.Fatal("records shipped on the superseded connection")
+		}
+	}
+	for _, m := range wreg.Snapshot().Gauges {
+		if strings.HasPrefix(m.Name, transport.MetricPeerConns) {
+			t.Errorf("writer dialed a connection: %s = %d", m.Name, m.Value)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"jointadmin/internal/acl"
 	"jointadmin/internal/clock"
 	"jointadmin/internal/obs"
+	"jointadmin/internal/transport"
 	"jointadmin/internal/wal"
 )
 
@@ -28,7 +29,7 @@ type ShipperOptions struct {
 	// Heartbeat is the idle status interval; a stream with nothing to
 	// ship sends the writer's head/epoch/watermark this often (default
 	// 1s). The documented staleness bound is Heartbeat plus the
-	// transport's retry latency.
+	// follower's resync threshold.
 	Heartbeat time.Duration
 	// SnapshotEvery re-ships a full snapshot after this many records per
 	// follower (default 4096), refreshing follower object content.
@@ -56,7 +57,7 @@ type ShipperOptions struct {
 // and Close it when serving stops.
 type Shipper struct {
 	log  *wal.Log
-	node Node
+	node Replier
 	opts ShipperOptions
 	reg  *obs.Registry
 
@@ -73,11 +74,13 @@ type stream struct {
 	follower string
 	// hello delivers the latest resync request; capacity 1, newest wins.
 	hello chan helloMsg
+	// to is the latest hello run took up; every frame answers it.
+	to transport.Envelope
 }
 
 // NewShipper builds the writer-side shipper over an open WAL and a
-// send-capable node (the daemon's own command node).
-func NewShipper(log *wal.Log, node Node, opts ShipperOptions) *Shipper {
+// reply-capable node (the daemon's own command node).
+func NewShipper(log *wal.Log, node Replier, opts ShipperOptions) *Shipper {
 	if opts.Batch <= 0 {
 		opts.Batch = 64
 	}
@@ -99,19 +102,17 @@ func NewShipper(log *wal.Log, node Node, opts ShipperOptions) *Shipper {
 // Handle routes one replication envelope (the writer only receives
 // hello frames). Unknown or undecodable frames are logged and dropped —
 // a confused follower resyncs on its own.
-func (s *Shipper) Handle(kind string, payload []byte) {
-	if kind != KindHello {
-		s.opts.Logf("replication: writer ignoring frame kind %s", kind)
+func (s *Shipper) Handle(env transport.Envelope) {
+	if env.Kind != KindHello {
+		s.opts.Logf("replication: writer ignoring frame kind %s", env.Kind)
 		return
 	}
 	var h helloMsg
-	if err := json.Unmarshal(payload, &h); err != nil || h.Follower == "" {
+	if err := json.Unmarshal(env.Payload, &h); err != nil || h.Follower == "" {
 		s.opts.Logf("replication: bad hello: %v", err)
 		return
 	}
-	if h.Addr != "" {
-		s.node.AddPeer(h.Follower, h.Addr)
-	}
+	h.env = env
 	s.mu.Lock()
 	st, ok := s.streams[h.Follower]
 	if !ok {
@@ -159,6 +160,7 @@ func (s *Shipper) run(st *stream) {
 		case <-s.ctx.Done():
 			return
 		case h := <-st.hello:
+			st.to = h.env
 			cursor = h.LastSeq
 			started = true
 			if h.Full || cursor > s.log.Seq() {
@@ -243,9 +245,9 @@ func (s *Shipper) run(st *stream) {
 
 // sendSnapshot ships the full retained history + object store and, on
 // success, returns the follower's new cursor (the snapshot's last
-// sequence). A failed send still advances the cursor — the transport
-// already retried, and the follower's silence-triggered hello re-bases
-// the stream — but a failure to even capture the history does not.
+// sequence). A failed send still advances the cursor — the follower's
+// silence-triggered hello re-bases the stream — but a failure to even
+// capture the history does not.
 func (s *Shipper) sendSnapshot(st *stream) (uint64, bool) {
 	recs, head, err := s.log.History()
 	if err != nil {
@@ -299,15 +301,16 @@ func (s *Shipper) sendStatus(st *stream) {
 	}
 }
 
-// send marshals and transmits one frame; failures are counted, logged
-// and reported to the caller (the transport has already retried).
+// send marshals one frame and writes it on the connection of the
+// stream's latest hello; failures are counted, logged and reported to
+// the caller.
 func (s *Shipper) send(st *stream, kind string, msg any) bool {
 	body, err := json.Marshal(msg)
 	if err != nil {
 		s.opts.Logf("replication: encode %s for %s: %v", kind, st.follower, err)
 		return false
 	}
-	if err := s.node.Send(st.follower, kind, body); err != nil {
+	if err := s.node.Reply(st.to, kind, body); err != nil {
 		s.reg.Counter(MetricShipErrors, "follower", st.follower).Inc()
 		s.opts.Logf("replication: send %s to %s: %v", kind, st.follower, err)
 		return false

@@ -21,7 +21,7 @@ import (
 type Direction int
 
 const (
-	// Outbound faults apply to Send.
+	// Outbound faults apply to Send and Reply.
 	Outbound Direction = 1 << iota
 	// Inbound faults apply to Recv/RecvTimeout/RecvContext.
 	Inbound
@@ -107,15 +107,6 @@ func (f *Faulty) Name() string { return f.inner.Name() }
 // Close closes the wrapped endpoint.
 func (f *Faulty) Close() error { return f.inner.Close() }
 
-// AddPeer forwards peer registration when the wrapped endpoint supports
-// it (TCPNode does), so a Faulty can stand in wherever a reply address
-// must be learned — the daemon's Serve loop in particular.
-func (f *Faulty) AddPeer(name, addr string) {
-	if p, ok := f.inner.(interface{ AddPeer(name, addr string) }); ok {
-		p.AddPeer(name, addr)
-	}
-}
-
 // chance draws one biased coin under the lock.
 func (f *Faulty) chance(p float64) bool {
 	if p <= 0 {
@@ -138,6 +129,16 @@ func (f *Faulty) delay(max time.Duration) time.Duration {
 
 // Send perturbs and forwards one outbound message.
 func (f *Faulty) Send(to, kind string, payload []byte) error {
+	return f.out(func() error { return f.inner.Send(to, kind, payload) })
+}
+
+// Reply perturbs and forwards one answer, exactly as Send.
+func (f *Faulty) Reply(env Envelope, kind string, payload []byte) error {
+	return f.out(func() error { return f.inner.Reply(env, kind, payload) })
+}
+
+// out applies the outbound faults to one delivery.
+func (f *Faulty) out(deliver func() error) error {
 	f.mu.Lock()
 	if f.severed&Outbound != 0 {
 		f.stats.SeveredOut++
@@ -153,12 +154,12 @@ func (f *Faulty) Send(to, kind string, payload []byte) error {
 		f.count(func(s *FaultStats) { s.DelayedOut++ })
 		time.Sleep(d)
 	}
-	if err := f.inner.Send(to, kind, payload); err != nil {
+	if err := deliver(); err != nil {
 		return err
 	}
 	if f.chance(f.plan.DupOut) {
 		f.count(func(s *FaultStats) { s.DuplicatedOut++ })
-		return f.inner.Send(to, kind, payload)
+		return deliver()
 	}
 	return nil
 }

@@ -160,8 +160,9 @@ func TestFaultyRecvContext(t *testing.T) {
 	}
 }
 
-// TestFaultyOverTCP: the wrapper composes with the TCP transport and
-// forwards AddPeer, which the daemon's serve loop depends on.
+// TestFaultyOverTCP: the wrapper composes with the TCP transport, and
+// its Reply reaches the wrapped TCPNode, which answers on the connection
+// the envelope arrived on — the daemon's serve loop depends on it.
 func TestFaultyOverTCP(t *testing.T) {
 	inner, err := ListenTCP("srv", "127.0.0.1:0")
 	if err != nil {
@@ -169,21 +170,25 @@ func TestFaultyOverTCP(t *testing.T) {
 	}
 	srv := NewFaulty(inner, FaultPlan{Seed: 13})
 	defer srv.Close()
-	cli, err := ListenTCP("cli", "127.0.0.1:0")
+	cli := DialTCP("cli")
+	defer cli.Close()
+	cli.AddPeer("srv", inner.Addr())
+
+	if err := cli.Send("srv", "cmd", []byte("ask")); err != nil {
+		t.Fatal(err)
+	}
+	req, err := srv.RecvTimeout(2 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-
-	srv.AddPeer("cli", cli.Addr()) // must reach the wrapped TCPNode
-	if err := srv.Send("cli", "reply", []byte("routed")); err != nil {
+	if err := srv.Reply(req, "reply", []byte("routed")); err != nil {
 		t.Fatal(err)
 	}
 	env, err := cli.RecvTimeout(2 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(env.Payload) != "routed" {
-		t.Errorf("payload = %q", env.Payload)
+	if string(env.Payload) != "routed" || env.From != "srv" {
+		t.Errorf("reply = %+v", env)
 	}
 }

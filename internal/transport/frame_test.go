@@ -242,7 +242,7 @@ func TestFrameAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under -race")
 	}
-	env := Envelope{From: "client-7", To: "follower-1", Kind: "cmd@127.0.0.1:40000", Payload: make([]byte, 2048)}
+	env := Envelope{From: "client-7", To: "follower-1", Kind: "cmd", Payload: make([]byte, 2048)}
 	buf := new([]byte)
 	*buf = mustFrame(t, env) // warm: the buffer has its capacity
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -275,7 +275,7 @@ var benchEnvelope Envelope
 // buffer plus decode through a connection-style buffered reader, for a
 // 2 KB payload (the size of an authorize command).
 func BenchmarkFrameCodec(b *testing.B) {
-	env := Envelope{From: "client-7", To: "follower-1", Kind: "cmd@127.0.0.1:40000", Payload: make([]byte, 2048)}
+	env := Envelope{From: "client-7", To: "follower-1", Kind: "cmd", Payload: make([]byte, 2048)}
 	var buf []byte
 	src := bytes.NewReader(nil)
 	r := bufio.NewReaderSize(src, readBufSize)

@@ -18,23 +18,23 @@ import (
 	"jointadmin/internal/wirefmt"
 )
 
-// TCPNode is a TCP-backed endpoint: it listens on its own address and
-// dials peers on demand (connections are cached per destination). Frames
-// are length-prefixed, hand-encoded Envelopes (the package comment has
-// the layout); each inbound connection is read through its own buffered
-// reader, so a header and its body — or several pipelined frames — cost
-// one read.
-//
-// Connection state is per peer: each peer carries its own lock that
-// serializes dials and frame writes to that destination, so two
-// concurrent Sends to one peer never interleave bytes on the shared
-// connection, and a slow dial to a dead peer never blocks sends to
-// healthy ones (the node-wide lock only guards the peer table itself).
-// Failed writes drop the peer's connection and, governed by Options,
-// are retried with exponential backoff and a fresh dial.
+// TCPNode is a TCP-backed endpoint: it listens on its own address (or,
+// built by DialTCP, nowhere) and dials peers on demand, caching one
+// connection per destination. Frames are length-prefixed, hand-encoded
+// Envelopes (the package comment has the layout). Every connection,
+// dialed or accepted, carries frames both ways: one read loop feeds the
+// inbox through a buffered reader (a header and its body — or several
+// pipelined frames — cost one read), and each frame is one write under
+// the connection's lock. Send reaches a peer by name on the connection
+// this node dialed; Reply answers on the connection an envelope arrived
+// on. A peer's own lock serializes its dials, so a slow dial to a dead
+// peer never blocks other sends. Lock order: node, then peer, then
+// connection; the node lock is never held with the others. A failed Send
+// write drops the connection and is retried under Options with a fresh
+// dial; a failed Reply is not.
 type TCPNode struct {
 	name     string
-	listener net.Listener
+	listener net.Listener // nil on a dial-only node
 	opts     Options
 
 	// met holds the node's metrics registry and the per-frame counter
@@ -49,7 +49,7 @@ type TCPNode struct {
 
 	mu       sync.Mutex
 	peers    map[string]*tcpPeer
-	accepted map[net.Conn]bool
+	accepted map[*tcpConn]bool
 	inbox    chan Envelope
 
 	closeOnce sync.Once
@@ -57,13 +57,19 @@ type TCPNode struct {
 	wg        sync.WaitGroup
 }
 
-// tcpPeer is one destination's connection state. Its lock serializes
-// dialing and frame writes to the peer; it is never held together with
-// the node lock (lock order: node, then peer).
+// tcpPeer is one destination's dialed connection. Its lock serializes
+// dialing and the swap of a failed connection.
 type tcpPeer struct {
 	mu   sync.Mutex
 	addr string
-	conn net.Conn
+	conn *tcpConn
+}
+
+// tcpConn is one connection, dialed or accepted. Its lock makes every
+// frame one uninterrupted write.
+type tcpConn struct {
+	mu sync.Mutex
+	net.Conn
 }
 
 // Transport metric names. Frame/byte counters are labeled dir="in"/"out";
@@ -140,66 +146,66 @@ var _ Endpoint = (*TCPNode)(nil)
 // port; use Addr to learn it). An optional Options value configures
 // deadlines and the retry policy; omitted, the defaults apply.
 func ListenTCP(name, addr string, opts ...Options) (*TCPNode, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
+	}
+	n := newTCPNode(name, l, opts)
+	n.wg.Add(1)
+	go n.acceptLoop()
+	return n, nil
+}
+
+// DialTCP returns a node that listens nowhere: it reads its peers'
+// answers on the connections it dials. Options are as for ListenTCP.
+func DialTCP(name string, opts ...Options) *TCPNode { return newTCPNode(name, nil, opts) }
+
+func newTCPNode(name string, l net.Listener, opts []Options) *TCPNode {
 	var o Options
 	if len(opts) > 0 {
 		o = opts[0]
 	}
 	o = o.withDefaults()
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
 	n := &TCPNode{
 		name:     name,
 		listener: l,
 		opts:     o,
 		rng:      o.newRNG(),
 		peers:    make(map[string]*tcpPeer),
-		accepted: make(map[net.Conn]bool),
+		accepted: make(map[*tcpConn]bool),
 		inbox:    make(chan Envelope, 1024),
 		closed:   make(chan struct{}),
 	}
 	n.met.Store(newNodeMetrics(nil))
-	n.wg.Add(1)
-	go n.acceptLoop()
-	return n, nil
+	return n
 }
 
-// Addr returns the node's listening address.
-func (n *TCPNode) Addr() string { return n.listener.Addr().String() }
+// Addr returns the node's listening address ("" on a dial-only node).
+func (n *TCPNode) Addr() string {
+	if n.listener == nil {
+		return ""
+	}
+	return n.listener.Addr().String()
+}
 
 // Name returns the node's name.
 func (n *TCPNode) Name() string { return n.name }
 
-// AddPeer registers a peer's address for dialing. Re-registering a peer
-// at a new address drops any cached connection to the old one, so a peer
-// that restarts on a fresh ephemeral port (policyctl does this on every
-// invocation) is re-dialed instead of written to over a dead socket.
+// AddPeer registers a peer's address for dialing. The first address
+// registered for a name stays: a node that needs a peer elsewhere is a
+// new node.
 func (n *TCPNode) AddPeer(name, addr string) {
 	n.mu.Lock()
-	p, ok := n.peers[name]
-	if !ok {
-		p = &tcpPeer{addr: addr}
-		n.peers[name] = p
-	}
-	n.mu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.addr == addr {
-		return
-	}
-	p.addr = addr
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-		n.metrics().Gauge(MetricPeerConns, "peer", name).Dec()
+	defer n.mu.Unlock()
+	if _, ok := n.peers[name]; !ok {
+		n.peers[name] = &tcpPeer{addr: addr}
 	}
 }
 
 func (n *TCPNode) acceptLoop() {
 	defer n.wg.Done()
 	for {
-		conn, err := n.listener.Accept()
+		nc, err := n.listener.Accept()
 		if err != nil {
 			select {
 			case <-n.closed:
@@ -208,25 +214,30 @@ func (n *TCPNode) acceptLoop() {
 			}
 			return // listener closed
 		}
+		c := &tcpConn{Conn: nc}
 		n.mu.Lock()
-		n.accepted[conn] = true
+		n.accepted[c] = true
 		n.mu.Unlock()
 		n.metrics().Gauge(MetricAcceptedConns).Inc()
 		n.wg.Add(1)
-		go n.readLoop(conn)
+		go n.readLoop(c, true)
 	}
 }
 
-func (n *TCPNode) readLoop(conn net.Conn) {
+// readLoop feeds c's frames into the inbox until c fails, then closes it,
+// so a later Send on a dead dialed connection fails at once and redials.
+func (n *TCPNode) readLoop(c *tcpConn, accepted bool) {
 	defer n.wg.Done()
 	defer func() {
-		conn.Close()
-		n.mu.Lock()
-		delete(n.accepted, conn)
-		n.mu.Unlock()
-		n.metrics().Gauge(MetricAcceptedConns).Dec()
+		c.Close()
+		if accepted {
+			n.mu.Lock()
+			delete(n.accepted, c)
+			n.mu.Unlock()
+			n.metrics().Gauge(MetricAcceptedConns).Dec()
+		}
 	}()
-	br := bufio.NewReaderSize(conn, readBufSize)
+	br := bufio.NewReaderSize(c, readBufSize)
 	for {
 		env, size, err := readFrame(br)
 		if err != nil {
@@ -235,10 +246,11 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 			// counted and logged, and costs the peer this connection only.
 			if reason := frameErrorReason(err); reason != "" {
 				n.metrics().Counter(MetricFrameErrors, "reason", reason).Inc()
-				log.Printf("transport: %s: dropping connection from %s: %v", n.name, conn.RemoteAddr(), err)
+				log.Printf("transport: %s: dropping connection from %s: %v", n.name, c.RemoteAddr(), err)
 			}
 			return
 		}
+		env.conn = c
 		m := n.met.Load()
 		m.framesIn.Inc()
 		m.bytesIn.Add(int64(size))
@@ -277,9 +289,6 @@ func (n *TCPNode) Send(to, kind string, payload []byte) error {
 		}
 		err := n.sendOnce(to, frame, attempt > 1)
 		if err == nil {
-			m := n.met.Load()
-			m.framesOut.Inc()
-			m.bytesOut.Add(int64(len(frame)))
 			return nil
 		}
 		lastErr = err
@@ -290,11 +299,31 @@ func (n *TCPNode) Send(to, kind string, payload []byte) error {
 	return lastErr
 }
 
+// Reply answers env on the connection it arrived on: one write, with no
+// dial and no retry. An envelope that did not arrive over TCP has no
+// connection to answer on (ErrUnknownPeer).
+func (n *TCPNode) Reply(env Envelope, kind string, payload []byte) error {
+	if env.conn == nil {
+		return fmt.Errorf("reply to %s: %w", env.From, ErrUnknownPeer)
+	}
+	buf := framePool.Get().(*[]byte)
+	defer releaseFrame(buf)
+	frame, err := appendFrame((*buf)[:0], Envelope{From: n.name, To: env.From, Kind: kind, Payload: payload})
+	if err != nil {
+		return fmt.Errorf("transport: encode frame to %s: %w", env.From, err)
+	}
+	*buf = frame
+	if err := n.write(env.conn, env.From, frame); err != nil {
+		return fmt.Errorf("transport: reply to %s: %w", env.From, err)
+	}
+	return nil
+}
+
 // sendOnce performs a single delivery attempt: resolve the peer, dial
-// under the peer's lock if no connection is cached, write the frame
-// under a deadline, and on failure evict the connection it was written
-// to (never a newer one another goroutine dialed — eviction happens
-// under the same per-peer lock the write held).
+// under the peer's lock if no connection is cached, write the frame, and
+// on failure evict the connection it was written to (never a newer one
+// another goroutine dialed — eviction happens under the same per-peer
+// lock the write held).
 func (n *TCPNode) sendOnce(to string, frame []byte, redial bool) error {
 	select {
 	case <-n.closed:
@@ -314,7 +343,7 @@ func (n *TCPNode) sendOnce(to string, frame []byte, redial bool) error {
 		if redial {
 			n.metrics().Counter(MetricRedials, "peer", to).Inc()
 		}
-		conn, err := net.DialTimeout("tcp", p.addr, n.opts.DialTimeout)
+		nc, err := net.DialTimeout("tcp", p.addr, n.opts.DialTimeout)
 		if err != nil {
 			n.metrics().Counter(MetricDialErrors, "peer", to).Inc()
 			return fmt.Errorf("transport: dial %s (%s): %w", to, p.addr, err)
@@ -323,32 +352,44 @@ func (n *TCPNode) sendOnce(to string, frame []byte, redial bool) error {
 		case <-n.closed:
 			// Closed while dialing: Close's sweep may already have run,
 			// so this connection is ours to release.
-			conn.Close()
+			nc.Close()
 			return ErrClosed
 		default:
 		}
-		p.conn = conn
+		p.conn = &tcpConn{Conn: nc}
 		n.metrics().Gauge(MetricPeerConns, "peer", to).Inc()
+		n.wg.Add(1)
+		go n.readLoop(p.conn, false)
 	}
-	conn := p.conn
-	if n.opts.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(n.opts.WriteTimeout))
-	}
-	_, err := conn.Write(frame)
-	if err != nil {
-		conn.Close()
+	if err := n.write(p.conn, to, frame); err != nil {
 		p.conn = nil
 		n.metrics().Gauge(MetricPeerConns, "peer", to).Dec()
-		n.metrics().Counter(MetricSendErrors, "peer", to).Inc()
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			n.metrics().Counter(MetricWriteTimeouts, "peer", to).Inc()
-		}
 		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
-	if n.opts.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Time{})
-	}
 	return nil
+}
+
+// write puts one whole frame on c under its lock and the write deadline;
+// a failed write closes c and is counted against peer.
+func (n *TCPNode) write(c *tcpConn, peer string, frame []byte) error {
+	c.mu.Lock()
+	if n.opts.WriteTimeout > 0 {
+		c.SetWriteDeadline(time.Now().Add(n.opts.WriteTimeout))
+	}
+	_, err := c.Write(frame)
+	c.mu.Unlock()
+	if err == nil {
+		m := n.met.Load()
+		m.framesOut.Inc()
+		m.bytesOut.Add(int64(len(frame)))
+		return nil
+	}
+	c.Close()
+	n.metrics().Counter(MetricSendErrors, "peer", peer).Inc()
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		n.metrics().Counter(MetricWriteTimeouts, "peer", peer).Inc()
+	}
+	return err
 }
 
 // backoff computes the jittered delay before retry n (1-based).
@@ -424,14 +465,16 @@ func (n *TCPNode) RecvContext(ctx context.Context) (Envelope, error) {
 func (n *TCPNode) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.closed)
-		n.listener.Close()
+		if n.listener != nil {
+			n.listener.Close()
+		}
 		n.mu.Lock()
 		peers := make([]*tcpPeer, 0, len(n.peers))
 		for _, p := range n.peers {
 			peers = append(peers, p)
 		}
-		// Close accepted connections too: their readLoops may be blocked
-		// mid-frame and must be unblocked before wg.Wait can return.
+		// Close every connection: its readLoop may be blocked mid-frame
+		// and must be unblocked before wg.Wait can return.
 		for c := range n.accepted {
 			c.Close()
 		}

@@ -15,10 +15,11 @@
 //	         Kind    uvarint(n) n bytes
 //	         Payload uvarint(n) n bytes
 //
-// with nothing after Payload. A connection whose frame breaks this
-// layout — including one that speaks another version of it — is counted
-// (transport_frame_errors_total), logged and closed; there is no
-// negotiation and no fallback decoder. The in-memory network and the
+// with nothing after Payload. An answer goes back on the connection its
+// request came in on (Reply), never to an address named in a frame. A
+// connection whose frame breaks this layout — including one that speaks
+// another version of it — is counted (transport_frame_errors_total),
+// logged and closed; there is no negotiation and no fallback decoder. The in-memory network and the
 // Faulty wrapper pass Envelope values and never frame anything.
 package transport
 
@@ -44,6 +45,8 @@ type Envelope struct {
 	// Payload is the opaque message body: a binary daemon Command or
 	// Reply, or a replication message.
 	Payload []byte
+	// conn is the TCP connection the envelope arrived on; Reply answers on it.
+	conn *tcpConn
 }
 
 // Sentinel errors.
@@ -65,6 +68,8 @@ type Endpoint interface {
 	Name() string
 	// Send routes a message to the named peer.
 	Send(to, kind string, payload []byte) error
+	// Reply answers a received envelope where it came from.
+	Reply(env Envelope, kind string, payload []byte) error
 	// Recv blocks until a message arrives or the endpoint closes.
 	Recv() (Envelope, error)
 	// RecvTimeout is Recv with a deadline.
@@ -170,6 +175,10 @@ func (e *memEndpoint) Send(to, kind string, payload []byte) error {
 	p := make([]byte, len(payload))
 	copy(p, payload)
 	return e.net.send(Envelope{From: e.name, To: to, Kind: kind, Payload: p})
+}
+
+func (e *memEndpoint) Reply(env Envelope, kind string, payload []byte) error {
+	return e.Send(env.From, kind, payload)
 }
 
 func (e *memEndpoint) Recv() (Envelope, error) {

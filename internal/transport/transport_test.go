@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,10 +234,11 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
-// TestTCPPeerReaddress: a peer that restarts on a new ephemeral port (as
-// every policyctl invocation does) must be re-dialed after AddPeer, not
-// written to over the cached dead connection.
-func TestTCPPeerReaddress(t *testing.T) {
+// TestTCPReplyOnArrivalConnection: a dial-only client (no listener, no
+// address) reaches a server, and the server's concurrent replies come
+// back whole on the client's own connection — the server dials nothing.
+// An envelope that did not arrive over TCP has nothing to reply on.
+func TestTCPReplyOnArrivalConnection(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := ListenTCP("srv", "127.0.0.1:0")
 	if err != nil {
@@ -244,37 +246,56 @@ func TestTCPPeerReaddress(t *testing.T) {
 	}
 	defer srv.Close()
 	srv.Instrument(reg)
+	cli := DialTCP("cli")
+	defer cli.Close()
+	if cli.Addr() != "" {
+		t.Fatalf("dial-only node has address %q", cli.Addr())
+	}
+	cli.AddPeer("srv", srv.Addr())
 
-	c1, err := ListenTCP("client", "127.0.0.1:0")
+	if err := cli.Send("srv", "ask", nil); err != nil {
+		t.Fatal(err)
+	}
+	req, err := srv.RecvTimeout(2 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.AddPeer("client", c1.Addr())
-	if err := srv.Send("client", "reply", []byte("one")); err != nil {
-		t.Fatal(err)
+	const writers, each = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				payload := []byte(fmt.Sprintf("%d-%d-%0512d", w, i, 0))
+				if err := srv.Reply(req, "answer", payload); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
 	}
-	if _, err := c1.RecvTimeout(2 * time.Second); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	seen := map[string]bool{}
+	for i := 0; i < writers*each; i++ {
+		env, err := cli.RecvTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if env.From != "srv" || env.To != "cli" || env.Kind != "answer" || len(env.Payload) < 512 {
+			t.Fatalf("reply %d = %+v", i, env)
+		}
+		seen[string(env.Payload)] = true
 	}
-	c1.Close() // the first client goes away...
-
-	c2, err := ListenTCP("client", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	if len(seen) != writers*each {
+		t.Fatalf("%d distinct replies, want %d", len(seen), writers*each)
 	}
-	defer c2.Close()
-	srv.AddPeer("client", c2.Addr()) // ...and comes back on a new port
-	if err := srv.Send("client", "reply", []byte("two")); err != nil {
-		t.Fatalf("send after re-address: %v", err)
+	for _, m := range reg.Snapshot().Gauges {
+		if strings.HasPrefix(m.Name, MetricPeerConns) {
+			t.Errorf("server dialed a connection: %s = %d", m.Name, m.Value)
+		}
 	}
-	env, err := c2.RecvTimeout(2 * time.Second)
-	if err != nil {
-		t.Fatalf("recv after re-address: %v", err)
-	}
-	if string(env.Payload) != "two" {
-		t.Errorf("payload = %q", env.Payload)
-	}
-	if got := reg.Snapshot().CounterValue(`transport_send_errors_total{peer="client"}`); got != 0 {
-		t.Errorf("send errors = %d, want 0 (stale conn must be dropped by AddPeer)", got)
+	if err := srv.Reply(Envelope{From: "cli"}, "answer", nil); !errors.Is(err, ErrUnknownPeer) {
+		t.Errorf("reply without a connection: %v", err)
 	}
 }

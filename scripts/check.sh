@@ -80,6 +80,33 @@ for m in $(grep -hoE '^func \(s \*Server\) Set[A-Za-z]+' internal/authz/*.go | s
     esac
 done
 
+echo "==> one-return-path guard (answers go back on the connection they answer)"
+# Command replies and replication frames go back on the connection their
+# command or hello arrived on (transport Reply). An address carried in a
+# frame (the old "cmd@addr" kind, a hello's address) is a second return
+# path that dials whatever a sender names. Outside internal/transport,
+# only daemon.Dial and Follower.Listen register a peer address, each from
+# its own configuration. (benchmark/ is frozen and may.)
+bad=$(grep -rnE '"cmd@|returnAddr' --include='*.go' . |
+    grep -v -e '_test\.go:' -e '^\./benchmark/' -e '^\./\.bench_build/' || true)
+if [ -n "$bad" ]; then
+    echo "one-return-path guard: a reply address in a frame:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+for hit in $(grep -rn 'AddPeer(' --include='*.go' . |
+    grep -v -e '_test\.go:' -e '^\./internal/transport/' -e '^\./benchmark/' -e '^\./\.bench_build/' |
+    cut -d: -f1,2); do
+    fn=$(head -n "${hit#*:}" "${hit%%:*}" | grep -E '^func ' | tail -n 1)
+    case "$fn" in
+    'func Dial('* | 'func (f *Follower) Listen('*) ;;
+    *)
+        echo "one-return-path guard: AddPeer at $hit, in: $fn" >&2
+        exit 1
+        ;;
+    esac
+done
+
 echo "==> public-exponent guard (one kernel raises to e)"
 # Every S^e mod N — Verify, Combine's trial correction, BatchVerify's
 # product checks — goes through sharedrsa's Montgomery kernel
@@ -198,8 +225,11 @@ fi
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go test ./..."
-go test ./...
+echo "==> go test -count=2 ./..."
+# Every package twice in one process: a test that leaks state through a
+# shared fixture (a group granted and revoked on a package-level writer,
+# a warm server reused as a cold one) fails its second run.
+go test -count=2 ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
