@@ -51,11 +51,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Member is one autonomous domain: its identity CA and enrolled users.
+// Member is one autonomous domain: its identity CA, its enrolled users'
+// keys and the identity certificate the CA holds for each of them.
 type Member struct {
 	Name  string
 	CA    *authority.DomainCA
 	users map[string]*pki.KeyPair
+	ids   map[string]pki.Signed[pki.Identity]
+}
+
+func newMember(name string, ca *authority.DomainCA) *Member {
+	return &Member{Name: name, CA: ca, users: make(map[string]*pki.KeyPair),
+		ids: make(map[string]pki.Signed[pki.Identity])}
+}
+
+// issue has the CA certify user's registered key over validity and holds
+// the certificate for later requests; a failed issuance leaves none held.
+func (m *Member) issue(user string, validity clock.Interval) (pki.Signed[pki.Identity], error) {
+	idc, err := m.CA.IssueIdentity(user, validity)
+	if err != nil {
+		delete(m.ids, user)
+		return idc, err
+	}
+	m.ids[user] = idc
+	return idc, nil
 }
 
 // certRecord tracks a live threshold certificate so it can be revoked and
@@ -123,7 +142,7 @@ func Form(name string, domains []string, cfg Config, clk *clock.Clock) (*Coaliti
 		if err != nil {
 			return nil, err
 		}
-		c.members = append(c.members, &Member{Name: d, CA: ca, users: make(map[string]*pki.KeyPair)})
+		c.members = append(c.members, newMember(d, ca))
 	}
 	if err := c.establishAA(); err != nil {
 		return nil, err
@@ -198,7 +217,9 @@ func (c *Coalition) member(domain string) (*Member, bool) {
 }
 
 // AddUser enrolls a user in a member domain and issues its identity
-// certificate.
+// certificate, which the domain holds for the user's requests
+// (IdentityOf). Enrolling a user again generates a new key and replaces
+// the held certificate with one naming it.
 func (c *Coalition) AddUser(domain, user string, validity clock.Interval) (pki.Signed[pki.Identity], error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -212,7 +233,7 @@ func (c *Coalition) AddUser(domain, user string, validity clock.Interval) (pki.S
 	}
 	m.users[user] = kp
 	m.CA.Register(user, kp.Public())
-	return m.CA.IssueIdentity(user, validity)
+	return m.issue(user, validity)
 }
 
 // UserKey returns a user's key pair (the user-side secret; exposed for
@@ -228,25 +249,39 @@ func (c *Coalition) UserKey(user string) (*pki.KeyPair, error) {
 	return nil, fmt.Errorf("%s: %w", user, ErrUnknownUser)
 }
 
-// IdentityOf issues a fresh identity certificate for an enrolled user.
+// IdentityOf returns the identity certificate the user's domain holds
+// for an enrolled user. A request's freshness is its signed, time-stamped
+// component's, not the certificate's, so one certificate serves every
+// request while it lasts: the CA signs a new one over validity, and the
+// domain holds that instead, only when the held one is not yet valid now
+// or less than half of validity's span remains on it (or none is held —
+// after RevokeUserIdentity). A caller thus gets at least half the span
+// it asks for.
 func (c *Coalition) IdentityOf(user string, validity clock.Interval) (pki.Signed[pki.Identity], error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range c.members {
 		if _, ok := m.users[user]; ok {
-			return m.CA.IssueIdentity(user, validity)
+			now, span := c.clk.Now(), validity.End-validity.Begin
+			if idc, held := m.ids[user]; held && idc.Cert.NotBefore <= now &&
+				idc.Cert.NotAfter-now >= span-span/2 {
+				return idc, nil
+			}
+			return m.issue(user, validity)
 		}
 	}
 	return pki.Signed[pki.Identity]{}, fmt.Errorf("%s: %w", user, ErrUnknownUser)
 }
 
 // RevokeUserIdentity asks the user's domain CA to revoke its key binding
-// effective now.
+// effective now, and drops the certificate the domain held for it: the
+// user's next request carries a newly issued one.
 func (c *Coalition) RevokeUserIdentity(user string) (pki.Signed[pki.IdentityRevocation], error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range c.members {
 		if _, ok := m.users[user]; ok {
+			delete(m.ids, user)
 			return m.CA.RevokeIdentity(user, c.clk.Now())
 		}
 	}
@@ -366,7 +401,7 @@ func (c *Coalition) Join(domain string) (RekeyReport, error) {
 	if err != nil {
 		return RekeyReport{}, err
 	}
-	c.members = append(c.members, &Member{Name: domain, CA: ca, users: make(map[string]*pki.KeyPair)})
+	c.members = append(c.members, newMember(domain, ca))
 	return c.rekey()
 }
 

@@ -147,7 +147,9 @@ func TestFollowerDeniesZeroModulusIdentity(t *testing.T) {
 	co := d.alliance.Coalition()
 	now := d.alliance.Clock().Now()
 	validity := clock.NewInterval(now-1, now.Add(1000))
-	if _, err := co.AddUser("D1", "mallory", validity); err != nil {
+	// Enrolled with an identity certificate that has already expired, so
+	// IdentityOf must issue a new one — over the key zeroed below.
+	if _, err := co.AddUser("D1", "mallory", clock.NewInterval(now-2, now-1)); err != nil {
 		t.Fatal(err)
 	}
 	kp, err := co.UserKey("mallory")

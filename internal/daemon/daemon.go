@@ -154,8 +154,9 @@ const (
 	MetricCommandErrors = "daemon_command_errors_total"
 	// MetricRequestSignSeconds times building and co-signing the access
 	// request of a write, read or sign command (Alliance.NewRequest: the
-	// CAs' fresh identity certificates and the users' request
-	// components), before any decision.
+	// identity certificates the domains hold — a CA signature only when
+	// one is re-issued — and the users' signed request components),
+	// before any decision.
 	MetricRequestSignSeconds = "daemon_request_sign_seconds"
 	// MetricInflight gauges commands currently being handled.
 	MetricInflight = "daemon_inflight"
@@ -626,9 +627,11 @@ func groupFor(op string) string {
 	return "G_read"
 }
 
-// signRequest builds and co-signs cmd's access request for op — fresh
-// identity certificates from the domain CAs and one signed component per
-// signer — and times it into daemon_request_sign_seconds.
+// signRequest builds and co-signs cmd's access request for op — each
+// signer's held identity certificate and one signed component per signer,
+// so repeated requests carry the same certificate bytes and hit the
+// server's verified-certificate cache — and times it into
+// daemon_request_sign_seconds.
 func (d *Daemon) signRequest(cmd Command, op string, payload []byte) (jointadmin.AccessRequest, error) {
 	start := time.Now()
 	req, err := d.alliance.NewRequest(jointadmin.RequestSpec{

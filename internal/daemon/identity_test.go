@@ -1,0 +1,163 @@
+package daemon
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	"jointadmin/internal/authz"
+	"jointadmin/internal/obs"
+)
+
+// TestRepeatedReadsReuseIdentityCertificate: a signer's domain holds the
+// identity certificate it issued, so 1 000 reads by one signer carry the
+// same certificate bytes — the server verifies it at most once and finds
+// it in its verified-certificate cache every other time, evicting
+// nothing.
+func TestRepeatedReadsReuseIdentityCertificate(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := New(Config{Domains: []string{"D1", "D2", "D3"}, Users: []string{"alice", "bob", "carol"}, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		misses = authz.MetricCacheMisses + `{kind="identity"}`
+		hits   = authz.MetricCacheHits + `{kind="identity"}`
+		reads  = 1000
+	)
+	before := reg.Snapshot()
+	ctx := context.Background()
+	for i := 0; i < reads; i++ {
+		if rep := d.Handle(ctx, Command{Cmd: "read", Signers: []string{"carol"}}); !rep.OK {
+			t.Fatalf("read %d: %+v", i, rep)
+		}
+	}
+	after := reg.Snapshot()
+	if n := after.CounterValue(misses) - before.CounterValue(misses); n > 1 {
+		t.Errorf("%d reads by one signer: %s rose by %d, want at most 1", reads, misses, n)
+	}
+	if n := after.CounterValue(hits) - before.CounterValue(hits); n < reads-1 {
+		t.Errorf("%d reads by one signer: %s rose by %d, want at least %d", reads, hits, n, reads-1)
+	}
+	if n := after.CounterValue(authz.MetricCacheInvalidated); n != 0 {
+		t.Errorf("%s = %d, want 0", authz.MetricCacheInvalidated, n)
+	}
+}
+
+// signedBy has the writer sign a read request for signer, as the sign
+// command ships it to followers.
+func signedBy(ctx context.Context, t *testing.T, d *Daemon, signer string) string {
+	t.Helper()
+	rep := d.Handle(ctx, Command{Cmd: "sign", Signers: []string{signer}})
+	if !rep.OK {
+		t.Fatalf("sign for %s: %+v", signer, rep)
+	}
+	return rep.Data
+}
+
+// decide decides a signed request on the writer's server and on the
+// follower's replica, returning both decisions.
+func decide(ctx context.Context, t *testing.T, d *Daemon, f *Follower, body string) (writer, follower authz.Decision) {
+	t.Helper()
+	req, err := authz.DecodeAccessRequest([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, _ = d.server.Request(ctx, req)
+	follower, _ = f.Applier().Replica().Srv.Authorize(ctx, req)
+	return writer, follower
+}
+
+// checkDenied fails the test unless dec is a denial at step for reason.
+func checkDenied(t *testing.T, what string, dec authz.Decision, step, reason string) {
+	t.Helper()
+	if dec.Allowed || dec.DeniedStep != step || dec.Reason != reason {
+		t.Errorf("%s: allowed=%v step=%q reason=%q, want denied at %q with %q",
+			what, dec.Allowed, dec.DeniedStep, dec.Reason, step, reason)
+	}
+}
+
+// TestRevokedIdentityDeniedOnWriterAndFollower: after mutate
+// revoke-identity bob, bob's reads are denied at step 1 on the writer and
+// on a follower — whether the request was signed before the revocation
+// or after it, and however often bob had read before it.
+func TestRevokedIdentityDeniedOnWriterAndFollower(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	d, f, _ := startWriterAndFollower(ctx, t)
+	for i := 0; i < 3; i++ {
+		if rep := d.Handle(ctx, Command{Cmd: "read", Signers: []string{"bob"}}); !rep.OK {
+			t.Fatalf("bob's read %d before the revocation: %+v", i, rep)
+		}
+	}
+	early := signedBy(ctx, t, d, "bob")
+	waitCaughtUp(ctx, t, d, f)
+	if rep := f.Handle(ctx, Command{Cmd: "authorize", Data: early}); !rep.OK {
+		t.Fatalf("bob's signed read before the revocation: %+v", rep)
+	}
+
+	if rep := d.Handle(ctx, Command{Cmd: "mutate", Op: "revoke-identity", Data: "bob"}); !rep.OK {
+		t.Fatalf("revoke-identity bob: %+v", rep)
+	}
+	kp, err := d.alliance.Coalition().UserKey("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reason the cold derivation gives, and the cached path repeats.
+	reason := func() string {
+		return fmt.Sprintf("identity derivation failed: verify certificate: key certificate: key %s revoked as of %s",
+			kp.KeyID(), d.alliance.Clock().Now())
+	}
+	rep := d.Handle(ctx, Command{Cmd: "read", Signers: []string{"bob"}})
+	if want := authz.ErrDenied.Error() + ": " + reason(); rep.OK || rep.Detail != want {
+		t.Errorf("writer read by bob: %+v, want denied with %q", rep, want)
+	}
+	late := signedBy(ctx, t, d, "bob")
+	waitCaughtUp(ctx, t, d, f)
+	for _, tc := range []struct{ name, body string }{{"signed before", early}, {"signed after", late}} {
+		rep := f.Handle(ctx, Command{Cmd: "authorize", Data: tc.body})
+		if want := authz.ErrDenied.Error() + ": " + reason(); rep.OK || rep.Detail != want {
+			t.Errorf("%s the revocation, follower: %+v, want denied with %q", tc.name, rep, want)
+		}
+		w, fl := decide(ctx, t, d, f, tc.body)
+		checkDenied(t, tc.name+" the revocation, writer", w, authz.StepCerts, reason())
+		checkDenied(t, tc.name+" the revocation, follower", fl, authz.StepCerts, reason())
+	}
+	if rep := d.Handle(ctx, Command{Cmd: "read", Signers: []string{"carol"}}); !rep.OK {
+		t.Errorf("carol's read after bob's revocation: %+v", rep)
+	}
+}
+
+// TestPresignedRequestAcrossDynamics: a request signed before a join or a
+// leave carries the outgoing key epoch's group certificate, so after the
+// re-key it is denied at step 2 on the writer and on a follower, while a
+// request signed after it is approved.
+func TestPresignedRequestAcrossDynamics(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	d, f, _ := startWriterAndFollower(ctx, t)
+	for _, ev := range []Command{{Cmd: "join", Domain: "D4"}, {Cmd: "leave", Domain: "D4"}} {
+		oldAA := d.alliance.Coalition().AA().Public().KeyID()
+		pre := signedBy(ctx, t, d, "carol")
+		waitCaughtUp(ctx, t, d, f)
+		if w, fl := decide(ctx, t, d, f, pre); !w.Allowed || !fl.Allowed {
+			t.Fatalf("before %s: writer %+v, follower %+v", ev.Cmd, w, fl)
+		}
+		if rep := d.Handle(ctx, ev); !rep.OK {
+			t.Fatalf("%s: %+v", ev.Cmd, rep)
+		}
+		newAA := d.alliance.Coalition().AA().Public().KeyID()
+		d.Handle(ctx, Command{Cmd: "stats"}) // a tick past the re-issued certificates' notBefore
+		post := signedBy(ctx, t, d, "carol")
+		waitCaughtUp(ctx, t, d, f)
+		reason := fmt.Sprintf("threshold attribute certificate invalid: pki: certificate signature invalid: signed by key %s, verifying with %s",
+			oldAA, newAA)
+		w, fl := decide(ctx, t, d, f, pre)
+		checkDenied(t, "signed before "+ev.Cmd+", writer", w, authz.StepThreshold, reason)
+		checkDenied(t, "signed before "+ev.Cmd+", follower", fl, authz.StepThreshold, reason)
+		if w, fl := decide(ctx, t, d, f, post); !w.Allowed || !fl.Allowed || w.Group != "G_read" || fl.Group != "G_read" {
+			t.Errorf("signed after %s: writer %+v, follower %+v, want both approved via G_read", ev.Cmd, w, fl)
+		}
+	}
+}

@@ -390,6 +390,58 @@ func TestTCPRedialOnWriteFailure(t *testing.T) {
 	}
 }
 
+// TestTCPPeerCloseClearsDialedConn: when the peer closes a connection
+// this node dialed, the connection's read loop drops it from the peer, so
+// the next Send redials and delivers on its first attempt — no failed
+// write on the dead socket, no retry.
+func TestTCPPeerCloseClearsDialedConn(t *testing.T) {
+	reg := obs.NewRegistry()
+	a := DialTCP("A", fastOpts(4))
+	defer a.Close()
+	a.Instrument(reg)
+	b, err := ListenTCP("B", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.AddPeer("B", b.Addr())
+	if err := a.Send("B", "k", []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	env, err := b.RecvTimeout(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const conns = `transport_peer_conns{peer="B"}`
+	if got := reg.Snapshot().GaugeValue(conns); got != 1 {
+		t.Fatalf("%s = %d after the first send, want 1", conns, got)
+	}
+	env.conn.Close() // the server side hangs up
+
+	for deadline := time.Now().Add(2 * time.Second); reg.Snapshot().GaugeValue(conns) != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if err := a.Send("B", "k", []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := b.RecvTimeout(2 * time.Second); err != nil || string(env.Payload) != "two" {
+		t.Fatalf("second frame: %+v, %v", env, err)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		`transport_send_errors_total{peer="B"}`:  0,
+		`transport_send_retries_total{peer="B"}`: 0,
+		`transport_redials_total{peer="B"}`:      1,
+	} {
+		if got := snap.CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := snap.GaugeValue(conns); got != 1 {
+		t.Errorf("%s = %d after the redial, want 1", conns, got)
+	}
+}
+
 // TestTCPSlowDialDoesNotBlockOtherPeers: a dial to a blackholed address
 // must not stall sends to a healthy peer (per-peer locking; the old
 // transport dialed under the node-wide mutex).

@@ -29,9 +29,10 @@ import (
 // this node dialed; Reply answers on the connection an envelope arrived
 // on. A peer's own lock serializes its dials, so a slow dial to a dead
 // peer never blocks other sends. Lock order: node, then peer, then
-// connection; the node lock is never held with the others. A failed Send
-// write drops the connection and is retried under Options with a fresh
-// dial; a failed Reply is not.
+// connection; the node lock is never held with the others. A dialed
+// connection the peer closes is dropped by its read loop, so the next
+// Send dials afresh. A failed Send write drops the connection and is
+// retried under Options with a fresh dial; a failed Reply is not.
 type TCPNode struct {
 	name     string
 	listener net.Listener // nil on a dial-only node
@@ -58,11 +59,14 @@ type TCPNode struct {
 }
 
 // tcpPeer is one destination's dialed connection. Its lock serializes
-// dialing and the swap of a failed connection.
+// dialing and the swap of a failed connection. dropped records that the
+// read loop let go of a connection the peer closed, so the next dial is
+// counted as a redial.
 type tcpPeer struct {
-	mu   sync.Mutex
-	addr string
-	conn *tcpConn
+	mu      sync.Mutex
+	addr    string
+	conn    *tcpConn
+	dropped bool
 }
 
 // tcpConn is one connection, dialed or accepted. Its lock makes every
@@ -94,7 +98,7 @@ const (
 	// later), labeled by peer.
 	MetricSendRetries = "transport_send_retries_total"
 	// MetricRedials counts connections re-dialed after a failed write or
-	// dial, labeled by peer.
+	// dial, or after the peer closed the previous one, labeled by peer.
 	MetricRedials = "transport_redials_total"
 	// MetricWriteTimeouts counts frame writes that exceeded the configured
 	// write deadline, labeled by peer (also counted in send errors).
@@ -220,22 +224,31 @@ func (n *TCPNode) acceptLoop() {
 		n.mu.Unlock()
 		n.metrics().Gauge(MetricAcceptedConns).Inc()
 		n.wg.Add(1)
-		go n.readLoop(c, true)
+		go n.readLoop(c, nil, "")
 	}
 }
 
-// readLoop feeds c's frames into the inbox until c fails, then closes it,
-// so a later Send on a dead dialed connection fails at once and redials.
-func (n *TCPNode) readLoop(c *tcpConn, accepted bool) {
+// readLoop feeds c's frames into the inbox until c fails, then closes it.
+// p is nil for an accepted connection; for one this node dialed to peer,
+// the loop's end also clears p's connection if it is still c, so the next
+// Send dials at once instead of failing a write on a dead socket.
+func (n *TCPNode) readLoop(c *tcpConn, p *tcpPeer, peer string) {
 	defer n.wg.Done()
 	defer func() {
 		c.Close()
-		if accepted {
+		if p == nil {
 			n.mu.Lock()
 			delete(n.accepted, c)
 			n.mu.Unlock()
 			n.metrics().Gauge(MetricAcceptedConns).Dec()
+			return
 		}
+		p.mu.Lock()
+		if p.conn == c {
+			p.conn, p.dropped = nil, true
+			n.metrics().Gauge(MetricPeerConns, "peer", peer).Dec()
+		}
+		p.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(c, readBufSize)
 	for {
@@ -340,8 +353,9 @@ func (n *TCPNode) sendOnce(to string, frame []byte, redial bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.conn == nil {
-		if redial {
+		if redial || p.dropped {
 			n.metrics().Counter(MetricRedials, "peer", to).Inc()
+			p.dropped = false
 		}
 		nc, err := net.DialTimeout("tcp", p.addr, n.opts.DialTimeout)
 		if err != nil {
@@ -359,7 +373,7 @@ func (n *TCPNode) sendOnce(to string, frame []byte, redial bool) error {
 		p.conn = &tcpConn{Conn: nc}
 		n.metrics().Gauge(MetricPeerConns, "peer", to).Inc()
 		n.wg.Add(1)
-		go n.readLoop(p.conn, false)
+		go n.readLoop(p.conn, p, to)
 	}
 	if err := n.write(p.conn, to, frame); err != nil {
 		p.conn = nil

@@ -412,9 +412,10 @@ type RequestSpec struct {
 }
 
 // NewRequest builds the signed wire-form access request for a spec:
-// certificates resolved from the coalition, one signed request component
-// per signer, timestamped now. The result can be submitted directly with
-// Server.Request or shipped over a transport.
+// certificates resolved from the coalition — each signer's identity
+// certificate as its domain holds it (Coalition.IdentityOf) — and one
+// signed request component per signer, timestamped now. The result can
+// be submitted directly with Server.Request or shipped over a transport.
 func (a *Alliance) NewRequest(spec RequestSpec) (AccessRequest, error) {
 	var req AccessRequest
 	if spec.Delegated {
@@ -462,7 +463,9 @@ func (a *Alliance) NewRequest(spec RequestSpec) (AccessRequest, error) {
 }
 
 // attachSigners appends one identity certificate and one signed request
-// component per signer, timestamped now.
+// component per signer. The identity certificate is the one the signer's
+// domain holds, so the CA signs nothing on most requests; the request's
+// freshness is the signed component's timestamp, now.
 func (a *Alliance) attachSigners(req AccessRequest, spec RequestSpec) (AccessRequest, error) {
 	for _, u := range spec.Signers {
 		idc, err := a.c.IdentityOf(u, a.validity())

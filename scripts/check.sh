@@ -107,6 +107,31 @@ for hit in $(grep -rn 'AddPeer(' --include='*.go' . |
     esac
 done
 
+echo "==> one-issuance-point guard (identity certificates are issued at enrolment and held)"
+# A domain issues a user's identity certificate when it enrols the user
+# and holds it for the user's requests (coalition.Member.issue, reached
+# from AddUser and from IdentityOf's re-issue path). A DomainCA
+# IssueIdentity call anywhere else is a per-request mint: a CA signature
+# per signer per request and a never-seen certificate for the server's
+# verified-certificate cache. The load fixture of internal/sim/load
+# issues each principal's certificate once and holds it the same way.
+# (internal/authority and internal/pki define issuance; benchmark/ is
+# frozen and may.)
+for hit in $(grep -rn '\.IssueIdentity(' --include='*.go' . |
+    grep -v -e '_test\.go:' -e '^\./internal/authority/' -e '^\./internal/pki/' \
+        -e '^\./benchmark/' -e '^\./\.bench_build/' |
+    cut -d: -f1,2); do
+    fn=$(head -n "${hit#*:}" "${hit%%:*}" | grep -E '^func ' | tail -n 1)
+    case "${hit%%:*} $fn" in
+    './internal/coalition/coalition.go func (m *Member) issue('* | \
+        './internal/sim/load/load.go func (f *LoadFixture) identityOf('*) ;;
+    *)
+        echo "one-issuance-point guard: IssueIdentity at $hit, in: $fn" >&2
+        exit 1
+        ;;
+    esac
+done
+
 echo "==> public-exponent guard (one kernel raises to e)"
 # Every S^e mod N — Verify, Combine's trial correction, BatchVerify's
 # product checks — goes through sharedrsa's Montgomery kernel
