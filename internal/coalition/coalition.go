@@ -4,13 +4,16 @@
 // outside trusted party), enroll users, and issue threshold attribute
 // certificates. Joins and leaves "would require establishing a new, shared
 // public-key and consequently would require large-scale revocation and
-// re-distribution of certificates" — Rekey implements exactly that and
-// reports its cost (experiment E7).
+// re-distribution of certificates" — Join and Leave implement exactly
+// that and report its cost (experiment E7), in two phases: the keys are
+// generated first, without the coalition's lock (PrepareJoin,
+// PrepareLeave), and Commit then puts the change into effect.
 package coalition
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -31,6 +34,9 @@ var (
 	ErrLastDomains = errors.New("coalition: cannot shrink below two domains")
 	// ErrUnknownUser indicates an unknown coalition user.
 	ErrUnknownUser = errors.New("coalition: unknown user")
+	// ErrRekeyCommitted indicates a second Commit of one prepared join or
+	// leave.
+	ErrRekeyCommitted = errors.New("coalition: rekey already committed")
 )
 
 // Config sizes the coalition's cryptography.
@@ -144,9 +150,11 @@ func Form(name string, domains []string, cfg Config, clk *clock.Clock) (*Coaliti
 		}
 		c.members = append(c.members, newMember(d, ca))
 	}
-	if err := c.establishAA(); err != nil {
+	est, err := c.establish(domains)
+	if err != nil {
 		return nil, err
 	}
+	c.est = est
 	ra, err := authority.NewRA("RA_"+name, cfg.KeyBits, clk)
 	if err != nil {
 		return nil, err
@@ -155,25 +163,13 @@ func Form(name string, domains []string, cfg Config, clk *clock.Clock) (*Coaliti
 	return c, nil
 }
 
-func (c *Coalition) establishAA() error {
-	names := make([]string, len(c.members))
-	for i, m := range c.members {
-		names[i] = m.Name
-	}
-	var (
-		est *authority.EstablishResult
-		err error
-	)
+// establish generates the AA key shared among the named domains. It
+// reads only what Form fixes, so it runs without the lock.
+func (c *Coalition) establish(names []string) (*authority.EstablishResult, error) {
 	if c.cfg.DistributedKeygen {
-		est, err = authority.Establish("AA_"+c.name, names, c.cfg.KeyBits, c.clk)
-	} else {
-		est, err = authority.EstablishWithDealer("AA_"+c.name, names, c.cfg.KeyBits, c.clk)
+		return authority.Establish("AA_"+c.name, names, c.cfg.KeyBits, c.clk)
 	}
-	if err != nil {
-		return err
-	}
-	c.est = est
-	return nil
+	return authority.EstablishWithDealer("AA_"+c.name, names, c.cfg.KeyBits, c.clk)
 }
 
 // Name returns the coalition name.
@@ -388,44 +384,141 @@ func (c *Coalition) Anchors(freshness int64) authz.TrustAnchors {
 	return a
 }
 
+// Rekey is a join or leave whose keys are generated but not yet in
+// effect: PrepareJoin and PrepareLeave make it without holding the
+// coalition's lock, and Commit puts it into effect once. An uncommitted
+// Rekey changes nothing.
+type Rekey struct {
+	join   bool
+	domain string
+	ca     *authority.DomainCA // the joining domain's CA (join only)
+	// names is the membership est's key is shared among: the membership
+	// the change produces from the one prepare saw.
+	names []string
+	// est is the prepared AA key; nil once committed, so no key is
+	// installed twice.
+	est *authority.EstablishResult
+}
+
 // Join admits a new domain: the AA must be re-keyed (a new shared public
 // key among n+1 domains) and every outstanding threshold certificate is
 // revoked and re-issued under the new key.
 func (c *Coalition) Join(domain string) (RekeyReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.member(domain); ok {
-		return RekeyReport{}, fmt.Errorf("%s: %w", domain, ErrDuplicateDomain)
-	}
-	ca, err := authority.NewDomainCA("CA_"+domain, c.cfg.KeyBits, c.clk)
+	r, err := c.PrepareJoin(domain)
 	if err != nil {
 		return RekeyReport{}, err
 	}
-	c.members = append(c.members, newMember(domain, ca))
-	return c.rekey()
+	return c.Commit(r)
 }
 
 // Leave removes a member domain. Its users are dropped from every
 // certificate's subject list (thresholds are clamped to the remaining
 // subject count); then the AA re-keys.
 func (c *Coalition) Leave(domain string) (RekeyReport, error) {
+	r, err := c.PrepareLeave(domain)
+	if err != nil {
+		return RekeyReport{}, err
+	}
+	return c.Commit(r)
+}
+
+// PrepareJoin generates the keys a join of domain needs — its CA key and
+// the AA key shared among the current members and domain — holding the
+// coalition's lock only to read the membership.
+func (c *Coalition) PrepareJoin(domain string) (*Rekey, error) { return c.prepare(true, domain) }
+
+// PrepareLeave generates the AA key shared among the members that stay
+// when domain leaves, holding the coalition's lock only to read the
+// membership.
+func (c *Coalition) PrepareLeave(domain string) (*Rekey, error) { return c.prepare(false, domain) }
+
+func (c *Coalition) prepare(join bool, domain string) (*Rekey, error) {
+	c.mu.Lock()
+	names, err := c.namesAfter(join, domain)
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	r := &Rekey{join: join, domain: domain, names: names}
+	if join {
+		if r.ca, err = authority.NewDomainCA("CA_"+domain, c.cfg.KeyBits, c.clk); err != nil {
+			return nil, err
+		}
+	}
+	if r.est, err = c.establish(names); err != nil {
+		return nil, fmt.Errorf("coalition: rekey: %w", err)
+	}
+	return r, nil
+}
+
+// namesAfter checks a join or leave of domain against the current
+// membership and returns the membership it produces. Caller holds the
+// lock.
+func (c *Coalition) namesAfter(join bool, domain string) ([]string, error) {
+	_, member := c.member(domain)
+	switch {
+	case join && member:
+		return nil, fmt.Errorf("%s: %w", domain, ErrDuplicateDomain)
+	case !join && !member:
+		return nil, fmt.Errorf("%s: %w", domain, ErrUnknownDomain)
+	case !join && len(c.members) <= 2:
+		return nil, ErrLastDomains
+	}
+	var names []string
+	for _, m := range c.members {
+		if m.Name != domain {
+			names = append(names, m.Name)
+		}
+	}
+	if join {
+		names = append(names, domain)
+	}
+	return names, nil
+}
+
+// Commit puts a prepared join or leave into effect: it re-checks the
+// change against the current membership, changes the membership, revokes
+// every outstanding certificate, installs the new AA key and re-issues
+// the certificates under it (the mass revocation and re-distribution of
+// Section 6). Commit is the change's linearization point. When another
+// change committed since r was prepared, r's key is shared among the
+// wrong membership, and Commit generates one for the current membership
+// under the lock instead. A failed keygen changes nothing. A Rekey
+// commits once: a second Commit fails with ErrRekeyCommitted.
+func (c *Coalition) Commit(r *Rekey) (RekeyReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m, ok := c.member(domain)
-	if !ok {
-		return RekeyReport{}, fmt.Errorf("%s: %w", domain, ErrUnknownDomain)
+	if r.est == nil {
+		return RekeyReport{}, ErrRekeyCommitted
 	}
-	if len(c.members) <= 2 {
-		return RekeyReport{}, ErrLastDomains
+	names, err := c.namesAfter(r.join, r.domain)
+	if err != nil {
+		return RekeyReport{}, err
 	}
-	departing := make(map[string]bool, len(m.users))
-	for u := range m.users {
-		departing[u] = true
+	est := r.est
+	if !slices.Equal(names, r.names) {
+		if est, err = c.establish(names); err != nil {
+			return RekeyReport{}, fmt.Errorf("coalition: rekey: %w", err)
+		}
 	}
+	if r.join {
+		c.members = append(c.members, newMember(r.domain, r.ca))
+	} else {
+		c.leave(r.domain)
+	}
+	r.est, r.ca = nil, nil
+	return c.rekey(est)
+}
+
+// leave drops domain from the membership and its users from every
+// certificate's subject list, clamping thresholds to the subjects kept.
+// Caller holds the lock.
+func (c *Coalition) leave(domain string) {
+	m, _ := c.member(domain)
 	for _, rec := range c.certs {
 		var kept []string
 		for _, u := range rec.users {
-			if !departing[u] {
+			if _, departing := m.users[u]; !departing {
 				kept = append(kept, u)
 			}
 		}
@@ -434,19 +527,13 @@ func (c *Coalition) Leave(domain string) (RekeyReport, error) {
 			rec.m = len(kept)
 		}
 	}
-	out := c.members[:0]
-	for _, mm := range c.members {
-		if mm.Name != domain {
-			out = append(out, mm)
-		}
-	}
-	c.members = out
-	return c.rekey()
+	c.members = slices.DeleteFunc(c.members, func(mm *Member) bool { return mm == m })
 }
 
-// rekey establishes a new shared key and performs the mass revocation and
-// re-distribution of Section 6. Caller holds the lock.
-func (c *Coalition) rekey() (RekeyReport, error) {
+// rekey installs est, the new shared key among the current members, and
+// performs the mass revocation and re-distribution of Section 6. Caller
+// holds the lock.
+func (c *Coalition) rekey(est *authority.EstablishResult) (RekeyReport, error) {
 	report := RekeyReport{Domains: len(c.members)}
 
 	// 1. Revoke every outstanding certificate under the old authority.
@@ -459,12 +546,10 @@ func (c *Coalition) rekey() (RekeyReport, error) {
 		report.CertsRevoked++
 	}
 
-	// 2. Establish the new shared key among the current members.
-	if err := c.establishAA(); err != nil {
-		return report, fmt.Errorf("coalition: rekey: %w", err)
-	}
-	if c.est.Keygen != nil {
-		report.KeygenAttempts = c.est.Keygen.Attempts
+	// 2. Install the new shared key.
+	c.est = est
+	if est.Keygen != nil {
+		report.KeygenAttempts = est.Keygen.Attempts
 	}
 	c.epoch++
 	report.Epoch = c.epoch

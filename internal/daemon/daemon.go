@@ -158,6 +158,11 @@ const (
 	// one is re-issued — and the users' signed request components),
 	// before any decision.
 	MetricRequestSignSeconds = "daemon_request_sign_seconds"
+	// MetricRekeySeconds times the two phases of a join or leave, labeled
+	// phase=keygen (generating the joining domain's CA key and the new
+	// shared AA key) or phase=cutover (commit, re-anchor and compaction).
+	// Requests are held for both.
+	MetricRekeySeconds = "daemon_rekey_seconds"
 	// MetricInflight gauges commands currently being handled.
 	MetricInflight = "daemon_inflight"
 	// MetricServeErrors counts Serve loops terminated by a transport
@@ -178,6 +183,8 @@ type Daemon struct {
 	// signSeconds is daemon_request_sign_seconds, resolved once so a
 	// request's observation allocates nothing.
 	signSeconds *obs.Histogram
+	// keygenSeconds and cutoverSeconds are daemon_rekey_seconds' phases.
+	keygenSeconds, cutoverSeconds *obs.Histogram
 
 	// wal is the durable state log (nil without Config.DataDir).
 	wal          *wal.Log
@@ -191,10 +198,12 @@ type Daemon struct {
 	replHeartbeat     time.Duration
 	replSnapshotEvery int
 
-	// dyn gates coalition dynamics (revoke, join, leave — which rewrite
-	// alliance certificates and re-anchor the server) against the request
-	// commands that run concurrently on the worker pool. Request commands
-	// share the read side; dynamics take the write side.
+	// dyn gates coalition dynamics (revoke, mutate, join, leave — which
+	// rewrite alliance certificates and re-anchor the server) against the
+	// request commands that run concurrently on the worker pool. Request
+	// commands share the read side; dynamics take the write side. A join
+	// or leave holds it for both its phases, the keygen and the cut-over
+	// (daemon_rekey_seconds times each).
 	dyn sync.RWMutex
 
 	// handleStarted, when set (tests), runs after a command is counted
@@ -254,7 +263,9 @@ func New(cfg Config) (*Daemon, error) {
 		workers: workers, dedupCap: cfg.DedupCap, transport: cfg.Transport,
 		replicate: cfg.Replicate, replBatch: cfg.ReplBatch,
 		replHeartbeat: cfg.ReplHeartbeat, replSnapshotEvery: cfg.ReplSnapshotEvery,
-		signSeconds: cfg.Metrics.Histogram(MetricRequestSignSeconds, nil)}
+		signSeconds:    cfg.Metrics.Histogram(MetricRequestSignSeconds, nil),
+		keygenSeconds:  cfg.Metrics.Histogram(MetricRekeySeconds, nil, "phase", "keygen"),
+		cutoverSeconds: cfg.Metrics.Histogram(MetricRekeySeconds, nil, "phase", "cutover")}
 	if cfg.DataDir != "" {
 		if err := d.openWAL(cfg); err != nil {
 			return nil, err
@@ -436,6 +447,8 @@ func (d *Daemon) handle(ctx context.Context, cmd Command) (Reply, string) {
 	}
 	a.Clock().Tick()
 	switch cmd.Cmd {
+	case "join", "leave":
+		return d.rekey(cmd)
 	case "write", "read":
 		var payload []byte
 		if cmd.Cmd == "write" {
@@ -489,31 +502,40 @@ func (d *Daemon) handle(ctx context.Context, cmd Command) (Reply, string) {
 			return Reply{Detail: "encode snapshot: " + err.Error()}, "internal"
 		}
 		return Reply{OK: true, Data: string(body)}, ""
-	case "join":
-		report, err := a.Join(cmd.Domain)
-		if err != nil {
-			return Reply{Detail: err.Error()}, errClass(err)
-		}
-		if err := a.Reanchor(srv); err != nil {
-			return Reply{Detail: "re-anchor: " + err.Error()}, "wal"
-		}
-		d.maybeCompact()
-		return Reply{OK: true, Detail: fmt.Sprintf("epoch %d: revoked %d, re-issued %d (server re-anchored)",
-			report.Epoch, report.CertsRevoked, report.CertsReissued)}, ""
-	case "leave":
-		report, err := a.Leave(cmd.Domain)
-		if err != nil {
-			return Reply{Detail: err.Error()}, errClass(err)
-		}
-		if err := a.Reanchor(srv); err != nil {
-			return Reply{Detail: "re-anchor: " + err.Error()}, "wal"
-		}
-		d.maybeCompact()
-		return Reply{OK: true, Detail: fmt.Sprintf("epoch %d: revoked %d, re-issued %d (server re-anchored)",
-			report.Epoch, report.CertsRevoked, report.CertsReissued)}, ""
 	default:
 		return Reply{Detail: "unknown command " + cmd.Cmd}, "unknown_command"
 	}
+}
+
+// rekey runs a join or leave in its two phases, both under the dynamics
+// gate's write side: the keygen (PrepareJoin, PrepareLeave), then the
+// cut-over — commit, re-anchor, compaction. The change takes effect at
+// its commit. The gate covers the keygen too: with requests running
+// beside it, a stream of joins and leaves falls behind the requests
+// between them.
+func (d *Daemon) rekey(cmd Command) (Reply, string) {
+	a := d.alliance
+	prepare := a.PrepareJoin
+	if cmd.Cmd == "leave" {
+		prepare = a.PrepareLeave
+	}
+	start := time.Now()
+	r, err := prepare(cmd.Domain)
+	if err != nil {
+		return Reply{Detail: err.Error()}, errClass(err)
+	}
+	d.keygenSeconds.ObserveSince(start)
+	defer d.cutoverSeconds.ObserveSince(time.Now())
+	report, err := a.Commit(r)
+	if err != nil {
+		return Reply{Detail: err.Error()}, errClass(err)
+	}
+	if err := a.Reanchor(d.server); err != nil {
+		return Reply{Detail: "re-anchor: " + err.Error()}, "wal"
+	}
+	d.maybeCompact()
+	return Reply{OK: true, Detail: fmt.Sprintf("epoch %d: revoked %d, re-issued %d (server re-anchored)",
+		report.Epoch, report.CertsRevoked, report.CertsReissued)}, ""
 }
 
 // mutate dispatches one belief mutation by verb. Verbs mirror the

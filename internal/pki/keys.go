@@ -13,7 +13,6 @@
 package pki
 
 import (
-	"crypto/rand"
 	"crypto/rsa"
 	"fmt"
 	"io"
@@ -30,12 +29,10 @@ type KeyPair struct {
 	key *sharedrsa.CRTKey
 }
 
-// GenerateKeyPair creates a conventional RSA key pair of the given size.
+// GenerateKeyPair creates a conventional RSA key pair of the given size
+// (sharedrsa.GenerateKey; rng nil means crypto/rand.Reader).
 func GenerateKeyPair(bits int, rng io.Reader) (*KeyPair, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	key, err := rsa.GenerateKey(rng, bits)
+	key, err := sharedrsa.GenerateKey(bits, rng)
 	if err != nil {
 		return nil, fmt.Errorf("pki: generate key: %w", err)
 	}

@@ -3,9 +3,11 @@ package sharedrsa
 import (
 	"crypto/rand"
 	"crypto/rsa"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 )
 
 // DealerResult is the outcome of a trusted-dealer key split: the Case I
@@ -35,7 +37,7 @@ func DealerSplit(bits, n int, rng io.Reader) (*DealerResult, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	key, err := rsa.GenerateKey(rng, bits)
+	key, err := GenerateKey(bits, rng)
 	if err != nil {
 		return nil, fmt.Errorf("sharedrsa: dealer keygen: %w", err)
 	}
@@ -64,6 +66,63 @@ func DealerSplit(bits, n int, rng io.Reader) (*DealerResult, error) {
 		PrivateD: d,
 		Phi:      phi,
 	}, nil
+}
+
+// GenerateKey generates a conventional two-prime RSA key of the given
+// size with e = 65537: each prime is a crypto/rand.Prime of half the
+// size, whose top two bits are set, so N has exactly bits bits. From
+// crypto/rand.Reader (rng nil) the two primes are drawn at once, one
+// per goroutine; any other source is read for one prime after the
+// other, since it need not be safe for concurrent use.
+func GenerateKey(bits int, rng io.Reader) (*rsa.PrivateKey, error) {
+	if bits < 16 {
+		return nil, errors.New("sharedrsa: key size too small")
+	}
+	if rng == nil {
+		rng = rand.Reader
+	}
+	e := big.NewInt(65537)
+	one := big.NewInt(1)
+	for {
+		var (
+			p, q       *big.Int
+			pErr, qErr error
+			drawn      sync.WaitGroup
+		)
+		drawP := func() { p, pErr = rand.Prime(rng, bits-bits/2) }
+		if rng == rand.Reader {
+			drawn.Add(1)
+			go func() {
+				defer drawn.Done()
+				drawP()
+			}()
+		} else {
+			drawP()
+		}
+		q, qErr = rand.Prime(rng, bits/2)
+		drawn.Wait()
+		if err := errors.Join(pErr, qErr); err != nil {
+			return nil, err
+		}
+		if p.Cmp(q) == 0 {
+			continue
+		}
+		phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+		d := new(big.Int).ModInverse(e, phi)
+		if d == nil { // e divides p−1 or q−1
+			continue
+		}
+		key := &rsa.PrivateKey{
+			PublicKey: rsa.PublicKey{N: new(big.Int).Mul(p, q), E: int(e.Int64())},
+			D:         d,
+			Primes:    []*big.Int{p, q},
+		}
+		key.Precompute()
+		if err := key.Validate(); err != nil {
+			return nil, err
+		}
+		return key, nil
+	}
 }
 
 // LockBox models the Case I hardware lock box (e.g. the IBM 4758 of the

@@ -325,6 +325,27 @@ func (a *Alliance) Leave(domain string) (coalition.RekeyReport, error) {
 	return a.c.Leave(domain)
 }
 
+// PrepareJoin generates the keys a join of domain needs, without putting
+// it into effect: requests keep being decided under the current epoch
+// until Commit.
+func (a *Alliance) PrepareJoin(domain string) (*coalition.Rekey, error) {
+	return a.c.PrepareJoin(domain)
+}
+
+// PrepareLeave generates the AA key for the members that stay when
+// domain leaves, without putting the leave into effect.
+func (a *Alliance) PrepareLeave(domain string) (*coalition.Rekey, error) {
+	return a.c.PrepareLeave(domain)
+}
+
+// Commit puts a prepared join or leave into effect: the membership
+// changes, every certificate is revoked and re-issued under the new AA
+// key. Servers re-anchor afterwards (Reanchor). PrepareJoin then Commit
+// is Join.
+func (a *Alliance) Commit(r *coalition.Rekey) (coalition.RekeyReport, error) {
+	return a.c.Commit(r)
+}
+
 // Server is a coalition application server with its object store and
 // audit log.
 type Server struct {

@@ -132,6 +132,21 @@ for hit in $(grep -rn '\.IssueIdentity(' --include='*.go' . |
     esac
 done
 
+echo "==> rekey-path guard (a join or leave is a prepare, then a commit)"
+# The daemon runs a join or leave as Alliance.PrepareJoin/PrepareLeave —
+# the keygen — then Alliance.Commit and the re-anchor (Daemon.rekey),
+# timing each phase in daemon_rekey_seconds. Join or Leave (a call or a
+# method value, on the alliance or its coalition) in the daemon or its
+# command would be a second path that fuses the two, and the keygen
+# could then never leave the dynamics gate (ROADMAP item 10(b)).
+bad=$(grep -nE '\.(Join|Leave)\b' internal/daemon/*.go cmd/coalitiond/*.go |
+    grep -v '_test\.go:' | grep -vE '\b(strings|bytes|filepath|path)\.Join\(' || true)
+if [ -n "$bad" ]; then
+    echo "rekey-path guard: Join or Leave in the daemon (use PrepareJoin/PrepareLeave, then Commit):" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 echo "==> public-exponent guard (one kernel raises to e)"
 # Every S^e mod N — Verify, Combine's trial correction, BatchVerify's
 # product checks — goes through sharedrsa's Montgomery kernel
