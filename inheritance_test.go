@@ -29,7 +29,7 @@ func TestPrivilegeInheritance(t *testing.T) {
 	if !dec.Allowed {
 		t.Fatal("not allowed")
 	}
-	got, _ := srv.ReadObject("O")
+	got, _ := srv.Authz().Objects().Read("O")
 	if string(got) != "by admins" {
 		t.Errorf("object = %q", got)
 	}

@@ -3,8 +3,8 @@
 // expressions associated with Object O; ACL_O: {E0, E1, …, En} where each
 // expression Ei = (G, access permissions) for a group G". Setting and
 // updating policy objects is itself an operation mediated by threshold
-// attribute certificates — the Store records versions so that joint
-// administration of the policy objects can be audited.
+// attribute certificates; the Store holds each object's current ACL and
+// content.
 package acl
 
 import (
@@ -33,8 +33,6 @@ const (
 var (
 	// ErrNoObject indicates an unknown object name.
 	ErrNoObject = errors.New("acl: no such object")
-	// ErrDenied indicates the ACL does not grant the permission.
-	ErrDenied = errors.New("acl: permission not granted")
 	// ErrBadEntry indicates a malformed ACL entry.
 	ErrBadEntry = errors.New("acl: malformed entry")
 )
@@ -121,20 +119,6 @@ func (a *ACL) Entries() []Entry {
 	return out
 }
 
-// Groups returns the distinct group names on the ACL, sorted.
-func (a *ACL) Groups() []string {
-	set := make(map[string]bool, len(a.entries))
-	for _, e := range a.entries {
-		set[e.Group] = true
-	}
-	out := make([]string, 0, len(set))
-	for g := range set {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // String renders "{E0, E1, ...}".
 func (a *ACL) String() string {
 	parts := make([]string, len(a.entries))
@@ -144,47 +128,34 @@ func (a *ACL) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// Version is one recorded state of a policy object.
-type Version struct {
-	Seq     int
-	At      clock.Time
-	ACL     *ACL
-	Content []byte
-	// ChangedBy records the group whose authority performed the change
-	// (e.g. G_policy for ACL updates) — the audit trail of joint
-	// administration.
-	ChangedBy string
-}
-
-// Object is a coalition resource with its policy object (ACL), content,
-// and version history.
-type Object struct {
-	Name    string
-	current Version
-	history []Version
+// object is a coalition resource: its policy object (ACL) and content.
+type object struct {
+	acl     *ACL
+	content []byte
 }
 
 // Store holds the coalition server's objects. Safe for concurrent use.
 type Store struct {
 	mu      sync.RWMutex
-	objects map[string]*Object
-	clk     *clock.Clock
+	objects map[string]*object
 }
 
-// NewStore returns an empty object store stamped by the given clock.
-func NewStore(clk *clock.Clock) *Store {
-	return &Store{objects: make(map[string]*Object), clk: clk}
+// NewStore returns an empty object store. The store keeps only each
+// object's current state, so it reads no clock; the parameter stays for
+// the callers that pass theirs.
+func NewStore(*clock.Clock) *Store {
+	return &Store{objects: make(map[string]*object)}
 }
 
-// Create installs a new object with its initial ACL and content.
-func (s *Store) Create(name string, a *ACL, content []byte, by string) error {
+// Create installs a new object with its initial ACL and content. The
+// last argument names the creating authority; the store does not keep it.
+func (s *Store) Create(name string, a *ACL, content []byte, _ string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.objects[name]; ok {
 		return fmt.Errorf("acl: object %q already exists", name)
 	}
-	v := Version{Seq: 1, At: s.clk.Now(), ACL: a, Content: cloneBytes(content), ChangedBy: by}
-	s.objects[name] = &Object{Name: name, current: v, history: []Version{v}}
+	s.objects[name] = &object{acl: a, content: cloneBytes(content)}
 	return nil
 }
 
@@ -196,7 +167,7 @@ func (s *Store) ACLOf(name string) (*ACL, error) {
 	if !ok {
 		return nil, fmt.Errorf("%q: %w", name, ErrNoObject)
 	}
-	return o.current.ACL, nil
+	return o.acl, nil
 }
 
 // Read returns the object content (Step 4 already approved by the caller).
@@ -207,63 +178,35 @@ func (s *Store) Read(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%q: %w", name, ErrNoObject)
 	}
-	return cloneBytes(o.current.Content), nil
+	return cloneBytes(o.content), nil
 }
 
-// Write replaces the object content, recording a new version attributed to
-// the authorizing group.
-func (s *Store) Write(name string, content []byte, by string) error {
+// Write replaces the object content. The last argument names the
+// authorizing group; the store does not keep it.
+func (s *Store) Write(name string, content []byte, _ string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, ok := s.objects[name]
 	if !ok {
 		return fmt.Errorf("%q: %w", name, ErrNoObject)
 	}
-	v := Version{
-		Seq:       o.current.Seq + 1,
-		At:        s.clk.Now(),
-		ACL:       o.current.ACL,
-		Content:   cloneBytes(content),
-		ChangedBy: by,
-	}
-	o.current = v
-	o.history = append(o.history, v)
+	o.content = cloneBytes(content)
 	return nil
 }
 
-// SetACL replaces the object's policy object (ACL), recording a version.
-// This is the "setting and updating of policy objects" operation that
-// joint administration mediates.
-func (s *Store) SetACL(name string, a *ACL, by string) error {
+// SetACL replaces the object's policy object (ACL). This is the "setting
+// and updating of policy objects" operation that joint administration
+// mediates; the last argument names the authorizing group, which the
+// store does not keep.
+func (s *Store) SetACL(name string, a *ACL, _ string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, ok := s.objects[name]
 	if !ok {
 		return fmt.Errorf("%q: %w", name, ErrNoObject)
 	}
-	v := Version{
-		Seq:       o.current.Seq + 1,
-		At:        s.clk.Now(),
-		ACL:       a,
-		Content:   cloneBytes(o.current.Content),
-		ChangedBy: by,
-	}
-	o.current = v
-	o.history = append(o.history, v)
+	o.acl = a
 	return nil
-}
-
-// History returns the version history of the object, oldest first.
-func (s *Store) History(name string) ([]Version, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o, ok := s.objects[name]
-	if !ok {
-		return nil, fmt.Errorf("%q: %w", name, ErrNoObject)
-	}
-	out := make([]Version, len(o.history))
-	copy(out, o.history)
-	return out, nil
 }
 
 // Names returns all object names, sorted.

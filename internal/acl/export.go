@@ -6,10 +6,8 @@ package acl
 
 import "fmt"
 
-// ObjectState is the serializable current state of one object: its name,
-// ACL entries and content. Version history is deliberately not exported
-// — followers serve reads, not provenance queries (the writer keeps the
-// full history).
+// ObjectState is the serializable state of one object: its name, ACL
+// entries and content.
 type ObjectState struct {
 	Name    string  `json:"name"`
 	Entries []Entry `json:"entries"`
@@ -34,9 +32,9 @@ func (s *Store) Export() ([]ObjectState, error) {
 	return out, nil
 }
 
-// Import installs exported object states into a fresh store, attributing
-// the creation to by (a replication applier passes its follower name).
-// Importing over an existing object fails — appliers import into a new
+// Import installs exported object states into a fresh store; by is
+// passed to Create as the creating authority (a replication applier
+// passes its follower name). Importing over an existing object fails — appliers import into a new
 // store and swap it in whole.
 func (s *Store) Import(objs []ObjectState, by string) error {
 	for _, o := range objs {

@@ -153,8 +153,6 @@ type Log struct {
 	max int
 	// sink receives evicted entries (outside the lock).
 	sink func(Entry)
-	// evicted counts entries dropped from memory.
-	evicted int
 }
 
 // NewLog returns an empty log.
@@ -176,7 +174,6 @@ func (l *Log) SetRetention(max int, sink func(Entry)) {
 		for _, e := range dropped {
 			l.unindexLocked(e)
 		}
-		l.evicted += len(dropped)
 		// A fresh array: the old one would pin the dropped entries.
 		all = append([]Entry(nil), all[len(dropped):]...)
 	}
@@ -202,7 +199,6 @@ func (l *Log) Record(e Entry) int {
 		l.unindexLocked(dropped)
 		l.ring[l.head] = e
 		l.head = (l.head + 1) % len(l.ring)
-		l.evicted++
 	} else {
 		l.ring = append(l.ring, e)
 	}
@@ -240,13 +236,6 @@ func (l *Log) orderedLocked() []Entry {
 	return append(append(make([]Entry, 0, len(l.ring)), runs[0]...), runs[1]...)
 }
 
-// Evicted returns how many entries retention has dropped from memory.
-func (l *Log) Evicted() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evicted
-}
-
 // Entries returns a copy of all entries, oldest first.
 func (l *Log) Entries() []Entry {
 	l.mu.Lock()
@@ -256,13 +245,6 @@ func (l *Log) Entries() []Entry {
 		out[i] = rendered(out[i])
 	}
 	return out
-}
-
-// Len returns the number of entries.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ring)
 }
 
 // ByRequestID returns the entry recorded for the given request ID — the

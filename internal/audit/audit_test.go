@@ -13,8 +13,8 @@ func TestLogRecordAndEntries(t *testing.T) {
 		t.Errorf("first seq = %d", seq)
 	}
 	l.Record(Entry{At: 11, Outcome: Denied, Requestor: "mallory", Reason: "threshold not met"})
-	if l.Len() != 2 {
-		t.Errorf("Len = %d", l.Len())
+	if len(l.Entries()) != 2 {
+		t.Errorf("Len = %d", len(l.Entries()))
 	}
 	es := l.Entries()
 	if es[0].Seq != 1 || es[1].Seq != 2 {
@@ -74,8 +74,8 @@ func TestConcurrentRecord(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Len() != 200 {
-		t.Errorf("Len = %d, want 200", l.Len())
+	if len(l.Entries()) != 200 {
+		t.Errorf("Len = %d, want 200", len(l.Entries()))
 	}
 	// Sequence numbers must be unique and dense.
 	seen := make(map[int]bool)

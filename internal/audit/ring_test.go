@@ -17,8 +17,8 @@ func reqEntry(i int) Entry {
 func wantWindow(t *testing.T, l *Log, from, to int) {
 	t.Helper()
 	es := l.Entries()
-	if len(es) != to-from+1 || l.Len() != len(es) {
-		t.Fatalf("Len = %d, Entries = %d; want %d (seq %d..%d)", l.Len(), len(es), to-from+1, from, to)
+	if len(es) != to-from+1 || len(l.Entries()) != len(es) {
+		t.Fatalf("Len = %d, Entries = %d; want %d (seq %d..%d)", len(l.Entries()), len(es), to-from+1, from, to)
 	}
 	for i, e := range es {
 		if e.Seq != from+i || e.RequestID != fmt.Sprintf("P-%06d", from+i) {
@@ -42,8 +42,8 @@ func TestRingWrap(t *testing.T) {
 			wantWindow(t, l, i-4, i)
 		}
 	}
-	if l.Evicted() != 18 || len(sunk) != 18 {
-		t.Fatalf("Evicted = %d, sink calls = %d; want 18", l.Evicted(), len(sunk))
+	if len(sunk) != 18 {
+		t.Fatalf("sink calls = %d; want 18", len(sunk))
 	}
 	for i, seq := range sunk {
 		if seq != i+1 {
@@ -77,8 +77,8 @@ func TestRingSetRetention(t *testing.T) {
 	sunk = nil
 	l.SetRetention(3, sink)
 	wantWindow(t, l, 11, 13)
-	if fmt.Sprint(sunk) != "[6 7 8 9 10]" || l.Evicted() != 10 {
-		t.Fatalf("shrink: sink got %v, Evicted = %d; want seq 6..10 and 10", sunk, l.Evicted())
+	if fmt.Sprint(sunk) != "[6 7 8 9 10]" {
+		t.Fatalf("shrink: sink got %v; want seq 6..10", sunk)
 	}
 	for i := 14; i <= 17; i++ { // wrap the shrunk ring
 		l.Record(reqEntry(i))
@@ -297,8 +297,8 @@ func TestRingConcurrent(t *testing.T) {
 			t.Errorf("seq %d both retained and evicted", e.Seq)
 		}
 	}
-	if total := len(sunk) + l.Len(); total != writers*per || l.Evicted() != len(sunk) {
-		t.Errorf("retained %d + evicted %d = %d (Evicted() %d), want %d", l.Len(), len(sunk), total, l.Evicted(), writers*per)
+	if retained := len(l.Entries()); len(sunk)+retained != writers*per {
+		t.Errorf("retained %d + evicted %d = %d, want %d", retained, len(sunk), retained+len(sunk), writers*per)
 	}
 }
 

@@ -270,9 +270,6 @@ func TestCaseILockBoxAA(t *testing.T) {
 	// Compromise: the attacker forges a certificate that verifies — the
 	// Case I trust liability (E4).
 	evil := aa.Compromise()
-	if !aa.Compromised() {
-		t.Fatal("compromise not recorded")
-	}
 	forged, err := pki.IssueThresholdAttribute(pki.ThresholdAttribute{
 		Issuer: "AA", IssuedAt: clk.Now(), Group: "G_write", M: 1,
 		Subjects:  []pki.BoundSubject{{Name: "Mallory", KeyID: "km"}},

@@ -43,9 +43,6 @@ func max2(n int) int {
 	return n
 }
 
-// Name returns the AA's name.
-func (aa *LockBoxAA) Name() string { return aa.name }
-
 // Public returns the conventional public key.
 func (aa *LockBoxAA) Public() sharedrsa.PublicKey { return aa.box.Public() }
 
@@ -87,9 +84,6 @@ func (aa *LockBoxAA) Compromise() pki.Signer {
 	d := aa.box.Compromise()
 	return stolenKeySigner{pk: aa.box.Public(), d: d}
 }
-
-// Compromised reports whether the lock box has been breached.
-func (aa *LockBoxAA) Compromised() bool { return aa.box.Compromised() }
 
 // stolenKeySigner signs with an exfiltrated private exponent: the
 // attacker's capability after a Case I compromise.
@@ -177,6 +171,3 @@ func (ra *RevocationAuthority) RevokeAttribute(cert pki.Signed[pki.Attribute], e
 func (ra *RevocationAuthority) PublishCRL() (pki.SignedCRL, error) {
 	return ra.registry.Publish(ra.clk.Now())
 }
-
-// PendingRevocations reports how many revocations the next CRL will carry.
-func (ra *RevocationAuthority) PendingRevocations() int { return ra.registry.Len() }

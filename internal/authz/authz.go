@@ -50,15 +50,17 @@ import (
 	"jointadmin/internal/sharedrsa"
 )
 
-// Sentinel errors.
-var (
-	// ErrDenied indicates the request failed a protocol step.
-	ErrDenied = errors.New("authz: access denied")
-	// ErrStale indicates a request timestamp outside the freshness window.
-	ErrStale = errors.New("authz: request not fresh")
-	// ErrMissingIdentity indicates a co-signer without an identity
-	// certificate in the request.
-	ErrMissingIdentity = errors.New("authz: co-signer identity certificate missing")
+// ErrDenied indicates the request failed a protocol step.
+var ErrDenied = errors.New("authz: access denied")
+
+// Denial reasons, quoted in a Decision's Reason (and so in the audit log).
+const (
+	// notFresh ends the reason for a request timestamp outside the
+	// freshness window.
+	notFresh = "authz: request not fresh"
+	// missingIdentity ends the reason for a co-signer without an
+	// identity certificate in the request.
+	missingIdentity = "authz: co-signer identity certificate missing"
 )
 
 // TrustAnchors is the server's initial configuration: the beliefs of
@@ -457,8 +459,8 @@ func freshnessDenial(w int64, reqs []UserRequest, now clock.Time) string {
 			delta = -delta
 		}
 		if delta > w {
-			return fmt.Sprintf("request of %s at %s outside freshness window (now %s): %v",
-				r.User, r.At, now, ErrStale)
+			return fmt.Sprintf("request of %s at %s outside freshness window (now %s): %s",
+				r.User, r.At, now, notFresh)
 		}
 	}
 	return ""
@@ -895,7 +897,7 @@ func (sc *reqScratch) verifySigners(ctx context.Context, req *AccessRequest) err
 		}
 		key, ok := sc.signer(req, r.User)
 		if !ok {
-			return fmt.Errorf("%s: %v", r.User, ErrMissingIdentity)
+			return errors.New(r.User + ": " + missingIdentity)
 		}
 		want, ok := boundKeyID(req, r.User)
 		if !ok {

@@ -373,7 +373,7 @@ func TestCancellationAtEveryPoll(t *testing.T) {
 			if polls > 100 {
 				t.Fatal("request still canceled after 100 context polls")
 			}
-			canceled, entries := counterTotal(reg, MetricCanceled), log.Len()
+			canceled, entries := counterTotal(reg, MetricCanceled), len(log.Entries())
 			dec, err := authorize(&pollContext{Context: context.Background(), left: polls}, req)
 			if err == nil {
 				break
@@ -384,7 +384,7 @@ func TestCancellationAtEveryPoll(t *testing.T) {
 			if got := counterTotal(reg, MetricCanceled); got != canceled+1 {
 				t.Fatalf("canceled at poll %d: counter %d -> %d, want +1", polls, canceled, got)
 			}
-			if got := log.Len(); got != entries {
+			if got := len(log.Entries()); got != entries {
 				t.Fatalf("canceled at poll %d: audit log grew %d -> %d", polls, entries, got)
 			}
 			inCosign = inCosign || dec.DeniedStep == StepCosign

@@ -161,7 +161,7 @@ type wireAnchors struct {
 }
 
 // anchorsBody is the TypeAnchors record body. Epoch is first so
-// wal.Inspect can read it without knowing the full shape.
+// wal.Dump can read it without knowing the full shape.
 type anchorsBody struct {
 	Epoch   uint64      `json:"epoch"`
 	Anchors wireAnchors `json:"anchors"`

@@ -84,7 +84,7 @@ func TestCrashRecoveryExactReplay(t *testing.T) {
 		t.Fatal("pre-crash request approved after revocation")
 	}
 	pre := srv1.Snapshot()
-	preAudit := log1.Len()
+	preAudit := len(log1.Entries())
 	if err := l1.Close(); err != nil { // crash: the process is gone
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func TestCrashRecoveryExactReplay(t *testing.T) {
 	if rep.Revocations != 1 || rep.Anchors != 1 {
 		t.Fatalf("unexpected replay report: %+v", rep)
 	}
-	if log2.Len() != preAudit {
-		t.Fatalf("replayed audit log has %d entries, pre-crash had %d", log2.Len(), preAudit)
+	if len(log2.Entries()) != preAudit {
+		t.Fatalf("replayed audit log has %d entries, pre-crash had %d", len(log2.Entries()), preAudit)
 	}
 	if _, err := srv2.Authorize(context.Background(), req); err == nil {
 		t.Fatal("revoked request approved after crash recovery")
@@ -296,7 +296,7 @@ func requireJournaledProof(t *testing.T, s *Server, how string, leaves int) {
 	}
 	rule := make(map[int]string)
 	anchors, seen := true, 0
-	for _, st := range s.Snapshot().Proof().Steps() {
+	for _, st := range s.Snapshot().Engine().Proof().Steps() {
 		rule[st.ID] = st.Rule
 		switch {
 		case st.Rule == logic.RuleAssumption && anchors:

@@ -106,10 +106,6 @@ type Snapshot struct {
 // Beliefs returns a copy of every belief held in the snapshot.
 func (sn Snapshot) Beliefs() []logic.Entry { return sn.eng.Store().All() }
 
-// Proof returns a copy of the snapshot's base derivation log (initial
-// beliefs plus revocation reasoning).
-func (sn Snapshot) Proof() *logic.Proof { return sn.eng.Proof().Clone() }
-
 // Engine returns a private fork of the snapshot's engine: callers may
 // derive freely without affecting the server.
 func (sn Snapshot) Engine() *logic.Engine { return sn.eng.Fork() }

@@ -24,12 +24,6 @@ type Time int64
 // revocation certificates have an upper bound of infinity" (paper, fn. 2).
 const Infinity Time = 1<<63 - 1
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Add returns the time d ticks after t, saturating at Infinity.
 func (t Time) Add(d int64) Time {
 	if t == Infinity {
@@ -74,21 +68,8 @@ func NewInterval(b, e Time) Interval { return Interval{Begin: b, End: e} }
 // Point returns the degenerate interval [t, t].
 func Point(t Time) Interval { return Interval{Begin: t, End: t} }
 
-// Valid reports whether the interval is non-empty (Begin <= End).
-func (iv Interval) Valid() bool { return iv.Begin <= iv.End }
-
 // Contains reports whether t lies within [Begin, End].
 func (iv Interval) Contains(t Time) bool { return iv.Begin <= t && t <= iv.End }
-
-// ContainsInterval reports whether other is entirely inside iv.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	return iv.Begin <= other.Begin && other.End <= iv.End
-}
-
-// Overlaps reports whether the two intervals share at least one time.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Begin <= other.End && other.Begin <= iv.End
-}
 
 // Intersect returns the common sub-interval and whether it is non-empty.
 func (iv Interval) Intersect(other Interval) (Interval, bool) {

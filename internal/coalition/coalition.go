@@ -116,7 +116,6 @@ type Coalition struct {
 	epoch     int
 	certs     map[string]*certRecord      // by group
 	selective map[string]*selectiveRecord // by group
-	revoked   []pki.Signed[pki.Revocation]
 }
 
 // selectiveRecord tracks a live single-subject attribute certificate
@@ -171,9 +170,6 @@ func (c *Coalition) establish(names []string) (*authority.EstablishResult, error
 	}
 	return authority.EstablishWithDealer("AA_"+c.name, names, c.cfg.KeyBits, c.clk)
 }
-
-// Name returns the coalition name.
-func (c *Coalition) Name() string { return c.name }
 
 // Epoch returns the key epoch (increments on every re-key).
 func (c *Coalition) Epoch() int {
@@ -538,11 +534,9 @@ func (c *Coalition) rekey(est *authority.EstablishResult) (RekeyReport, error) {
 
 	// 1. Revoke every outstanding certificate under the old authority.
 	for _, rec := range c.certs {
-		rev, err := c.ra.Revoke(rec.cert, c.clk.Now())
-		if err != nil {
+		if _, err := c.ra.Revoke(rec.cert, c.clk.Now()); err != nil {
 			return report, fmt.Errorf("coalition: revoke %s: %w", rec.group, err)
 		}
-		c.revoked = append(c.revoked, rev)
 		report.CertsRevoked++
 	}
 
@@ -576,11 +570,9 @@ func (c *Coalition) rekey(est *authority.EstablishResult) (RekeyReport, error) {
 	// 4. Revoke and re-issue the selective (single-subject) certificates
 	// the same way.
 	for g, rec := range c.selective {
-		rev, err := c.ra.RevokeAttribute(rec.cert, c.clk.Now())
-		if err != nil {
+		if _, err := c.ra.RevokeAttribute(rec.cert, c.clk.Now()); err != nil {
 			return report, fmt.Errorf("coalition: revoke selective %s: %w", g, err)
 		}
-		c.revoked = append(c.revoked, rev)
 		report.CertsRevoked++
 		stillMember := false
 		for _, m := range c.members {
@@ -611,14 +603,4 @@ func (c *Coalition) rekey(est *authority.EstablishResult) (RekeyReport, error) {
 		report.IdentityCount += len(m.users)
 	}
 	return report, nil
-}
-
-// Revocations returns all revocation certificates issued by dynamics
-// events (servers consume these to update their belief stores).
-func (c *Coalition) Revocations() []pki.Signed[pki.Revocation] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]pki.Signed[pki.Revocation], len(c.revoked))
-	copy(out, c.revoked)
-	return out
 }

@@ -373,10 +373,6 @@ func (d *Daemon) Listen(addr string) (*transport.TCPNode, error) {
 // Alliance exposes the underlying alliance (tests, dynamics).
 func (d *Daemon) Alliance() *jointadmin.Alliance { return d.alliance }
 
-// Metrics returns the daemon's injected registry (nil when none was
-// configured).
-func (d *Daemon) Metrics() *obs.Registry { return d.reg }
-
 // errClass maps an error to its taxonomy label, keyed on the system's
 // sentinel errors; the daemon_command_errors_total counter is labeled
 // with it.

@@ -538,11 +538,12 @@ func TestAuditRetentionDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 		log := d.server.Audit()
-		for log.Len()+log.Evicted() < defaultAuditRetention+4 {
-			log.Record(audit.Entry{})
+		// Record returns the entry's sequence number: how many entries
+		// the log has taken, evicted ones included.
+		for log.Record(audit.Entry{}) < defaultAuditRetention+4 {
 		}
-		if log.Len() != c.wantLen {
-			t.Errorf("AuditRetention %d: %d entries retained, want %d", c.setting, log.Len(), c.wantLen)
+		if n := len(log.Entries()); n != c.wantLen {
+			t.Errorf("AuditRetention %d: %d entries retained, want %d", c.setting, n, c.wantLen)
 		}
 	}
 	for setting, want := range map[int]int{0: defaultAuditRetention, -1: 0, 7: 7} {

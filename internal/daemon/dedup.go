@@ -36,7 +36,6 @@ type dedupCache struct {
 	cap     int
 	entries map[string]*dedupEntry
 	order   *list.List // completed entry keys, oldest first
-	evicted int64
 }
 
 // newDedupCache builds a cache bounded at cap completed entries;
@@ -80,7 +79,6 @@ func (c *dedupCache) finish(key string, body []byte) (evictedNow int64) {
 			front := c.order.Front()
 			delete(c.entries, front.Value.(string))
 			c.order.Remove(front)
-			c.evicted++
 			evictedNow++
 		}
 	}
@@ -96,13 +94,6 @@ func (c *dedupCache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// evictions reports how many completed entries aged out.
-func (c *dedupCache) evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicted
 }
 
 // dedupKey scopes an ID to its sender: IDs are unique per client

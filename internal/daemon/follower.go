@@ -109,9 +109,6 @@ func (f *Follower) Listen(addr string) (*transport.TCPNode, error) {
 // Applier exposes the replication endpoint (tests, status).
 func (f *Follower) Applier() *replication.Applier { return f.applier }
 
-// Metrics returns the follower's injected registry.
-func (f *Follower) Metrics() *obs.Registry { return f.reg }
-
 // Serve answers commands and applies replication frames until the
 // context is canceled or the listener closes. Commands run through the
 // shared serve pipeline (worker pool, ID-keyed dedup replay, replies on

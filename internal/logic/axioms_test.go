@@ -103,8 +103,8 @@ func TestA8Monotonicity(t *testing.T) {
 
 func TestA9Reduction(t *testing.T) {
 	says := Says{Who: P("AA"), T: At(2), X: Const{Value: "m"}}
-	inner := AtP(says, "P", At(1))
-	outer := AtP(inner, "P", At(5))
+	inner := AtFormula{F: says, P: "P", T: At(1)}
+	outer := AtFormula{F: inner, P: "P", T: At(5)}
 	got, err := A9Reduce(outer)
 	if err != nil {
 		t.Fatalf("A9: %v", err)
@@ -114,23 +114,23 @@ func TestA9Reduction(t *testing.T) {
 		t.Errorf("A9 = %s", got)
 	}
 	// t2 < t1 must fail.
-	bad := AtP(AtP(says, "P", At(9)), "P", At(5))
+	bad := AtFormula{F: AtFormula{F: says, P: "P", T: At(9)}, P: "P", T: At(5)}
 	if _, err := A9Reduce(bad); !errors.Is(err, ErrTimeMismatch) {
 		t.Errorf("A9 with t2<t1: err = %v", err)
 	}
 	// Different locating principals must fail.
-	bad2 := AtP(AtP(says, "Q", At(1)), "P", At(5))
+	bad2 := AtFormula{F: AtFormula{F: says, P: "Q", T: At(1)}, P: "P", T: At(5)}
 	if _, err := A9Reduce(bad2); !errors.Is(err, ErrSchemaMismatch) {
 		t.Errorf("A9 cross-principal: err = %v", err)
 	}
 	// Direct reduction of a localized says-formula (protocol step 8→9).
-	direct := AtP(says, "P", Sometime(0, 4))
+	direct := AtFormula{F: says, P: "P", T: Sometime(0, 4)}
 	got2, err := A9Reduce(direct)
 	if err != nil || !FormulaEqual(got2, says) {
 		t.Errorf("A9 direct = %v, %v", got2, err)
 	}
 	// Non-says inner formulas are not reducible.
-	bad3 := AtP(Prop{Name: "x"}, "P", At(1))
+	bad3 := AtFormula{F: Prop{Name: "x"}, P: "P", T: At(1)}
 	if _, err := A9Reduce(bad3); !errors.Is(err, ErrSchemaMismatch) {
 		t.Errorf("A9 on proposition: err = %v", err)
 	}

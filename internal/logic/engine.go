@@ -28,12 +28,6 @@ func NewEngine(owner string, clk *clock.Clock) *Engine {
 	}
 }
 
-// Owner returns the relying principal's name.
-func (e *Engine) Owner() string { return e.owner }
-
-// Clock returns the engine's local clock.
-func (e *Engine) Clock() *clock.Clock { return e.clk }
-
 // Store exposes the belief store (read access for callers and tests).
 func (e *Engine) Store() *BeliefStore { return e.store }
 
@@ -77,12 +71,6 @@ func (e *Engine) Seal() *Engine {
 	e.store.Seal()
 	e.proof.Seal()
 	return e
-}
-
-// Sealed reports whether the engine's store and proof are fully sealed
-// (Fork is O(1)).
-func (e *Engine) Sealed() bool {
-	return e.store.Sealed() && e.proof.Sealed()
 }
 
 // Replay installs a belief previously derived from a verified certificate

@@ -147,7 +147,7 @@ func TestEngineVerifyThresholdAttributeCertificate(t *testing.T) {
 		t.Errorf("group = %s", mem.G)
 	}
 	cp, ok := mem.Who.(CompoundPrincipal)
-	if !ok || cp.Threshold() != 2 || cp.N() != 3 {
+	if !ok || cp.Threshold() != 2 || len(cp.Members()) != 3 {
 		t.Errorf("subject = %s, want CP'(2,3)", mem.Who)
 	}
 }
@@ -182,7 +182,7 @@ func TestEngineFullWriteAuthorization(t *testing.T) {
 	var utterSteps []int
 	for _, u := range []string{"User_D1", "User_D2"} {
 		req := Sign(AsMessage(Says{Who: P(u), T: At(100), X: writeO}), KeyID("K"+u))
-		key, ok := eng.Store().KeyFor(u, eng.Clock().Now())
+		key, ok := eng.Store().KeyFor(u, fx.clk.Now())
 		if !ok {
 			t.Fatalf("no key belief for %s", u)
 		}
@@ -231,7 +231,7 @@ func TestEngineWriteDeniedWithOneSigner(t *testing.T) {
 	}
 	writeO := NewTuple(Const{Value: "write"}, Const{Value: "O"})
 	req := Sign(AsMessage(Says{Who: P("User_D1"), T: At(100), X: writeO}), "KUser_D1")
-	key, _ := eng.Store().KeyFor("User_D1", eng.Clock().Now())
+	key, _ := eng.Store().KeyFor("User_D1", fx.clk.Now())
 	s, step, err := eng.VerifySignedRequest(req, key)
 	if err != nil {
 		t.Fatal(err)
@@ -248,25 +248,27 @@ func TestEngineRevocationReasoning(t *testing.T) {
 	fx := newFigure1(t)
 	eng := fx.eng
 	aaKey := fx.aaVerifyKey()
-	if _, _, err := eng.VerifyCertificate(fx.acCert, aaKey); err != nil {
+	memF, _, err := eng.VerifyCertificate(fx.acCert, aaKey)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.Store().MembershipFor(G("G_write"), eng.Clock().Now()); !ok {
+	mem := memF.(MemberOf)
+	if _, ok := eng.Store().Holds(mem); !ok || eng.Store().Revoked(mem.Who, mem.G, fx.clk.Now()) {
 		t.Fatal("membership should hold before revocation")
 	}
 
 	// Message 2: RA says ¬(CP'(2,3) ⇒ t',RA G_write), signed by KRA.
-	eng.Clock().Advance(10) // t7
+	fx.clk.Advance(10) // t7
 	revBody := Not{F: MemberOf{Who: fx.cpUsers, T: During(50, 5_000), G: G("G_write")}}
-	revMsg := Sign(AsMessage(Says{Who: P("RA"), T: At(eng.Clock().Now()), X: AsMessage(revBody)}), "KRA")
-	raKey, _ := eng.Store().KeyFor("RA", eng.Clock().Now())
+	revMsg := Sign(AsMessage(Says{Who: P("RA"), T: At(fx.clk.Now()), X: AsMessage(revBody)}), "KRA")
+	raKey, _ := eng.Store().KeyFor("RA", fx.clk.Now())
 	if _, _, err := eng.VerifyCertificate(revMsg, raKey); err != nil {
 		t.Fatalf("revocation message: %v", err)
 	}
 
 	// Statement 26: for t4 ≥ t8 the belief can no longer be obtained.
-	eng.Clock().Advance(1)
-	if _, ok := eng.Store().MembershipFor(G("G_write"), eng.Clock().Now()); ok {
+	fx.clk.Advance(1)
+	if !eng.Store().Revoked(mem.Who, mem.G, fx.clk.Now()) {
 		t.Fatal("membership derivable after revocation (believe-until-revoked violated)")
 	}
 	// Re-presenting the certificate must now be refused.
@@ -310,7 +312,7 @@ func TestEngineReadAuthorizationOneOfThree(t *testing.T) {
 	}
 	readO := NewTuple(Const{Value: "read"}, Const{Value: "O"})
 	req := Sign(AsMessage(Says{Who: P("User_D3"), T: At(100), X: readO}), "KUser_D3")
-	key, _ := eng.Store().KeyFor("User_D3", eng.Clock().Now())
+	key, _ := eng.Store().KeyFor("User_D3", fx.clk.Now())
 	s, step, err := eng.VerifySignedRequest(req, key)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +335,7 @@ func TestEngineRequestSpeakerMismatch(t *testing.T) {
 	// Request body claims User_D2 but is signed with User_D1's key.
 	writeO := Const{Value: "write O"}
 	req := Sign(AsMessage(Says{Who: P("User_D2"), T: At(100), X: writeO}), "KUser_D1")
-	key, _ := eng.Store().KeyFor("User_D1", eng.Clock().Now())
+	key, _ := eng.Store().KeyFor("User_D1", fx.clk.Now())
 	if _, _, err := eng.VerifySignedRequest(req, key); err == nil {
 		t.Fatal("speaker/signature mismatch accepted")
 	}
@@ -347,11 +349,10 @@ func TestEngineAssumeAndProofNumbering(t *testing.T) {
 	if id1 != 1 || id2 != 2 {
 		t.Errorf("step ids = %d, %d", id1, id2)
 	}
-	st, ok := eng.Proof().Step(id2)
-	if !ok || st.Note != "second" {
-		t.Errorf("Step(2) = %+v, %v", st, ok)
+	if st, ok := step(eng.Proof(), id2); !ok || st.Note != "second" {
+		t.Errorf("step 2 = %+v, %v", st, ok)
 	}
-	if _, ok := eng.Proof().Step(99); ok {
-		t.Error("Step(99) should not exist")
+	if _, ok := step(eng.Proof(), 99); ok {
+		t.Error("step 99 should not exist")
 	}
 }

@@ -13,6 +13,12 @@ import (
 	"jointadmin/internal/clock"
 )
 
+// sealed reports whether every belief lives in the store's immutable
+// base: the overlay is empty, so Clone is O(1).
+func sealed(b *BeliefStore) bool {
+	return len(b.entries) == 0 && len(b.revoked) == 0 && len(b.revokedKeys) == 0
+}
+
 // sealedBaseStore builds a store with n base beliefs plus a membership and
 // a bound key, then seals it.
 func sealedBaseStore(t *testing.T, n int) (*BeliefStore, MemberOf, KeySpeaksFor) {
@@ -26,7 +32,7 @@ func sealedBaseStore(t *testing.T, n int) (*BeliefStore, MemberOf, KeySpeaksFor)
 	s.Add(mem, 1, n+1)
 	s.Add(key, 1, n+2)
 	s.Seal()
-	if !s.Sealed() {
+	if !sealed(s) {
 		t.Fatal("store not sealed after Seal")
 	}
 	return s, mem, key
@@ -58,15 +64,15 @@ func TestForkIsolationConcurrent(t *testing.T) {
 			if _, ok := c.Holds(Prop{Name: "base-0"}); !ok {
 				t.Errorf("fork %d lost base belief", i)
 			}
-			if c.Len() != baseN+2+adds {
-				t.Errorf("fork %d: Len = %d, want %d", i, c.Len(), baseN+2+adds)
+			if len(c.All()) != baseN+2+adds {
+				t.Errorf("fork %d: Len = %d, want %d", i, len(c.All()), baseN+2+adds)
 			}
 		}(i)
 	}
 	wg.Wait()
 
 	// The sealed base saw none of it.
-	if got := base.Len(); got != baseN+2 {
+	if got := len(base.All()); got != baseN+2 {
 		t.Errorf("base Len = %d after forks, want %d", got, baseN+2)
 	}
 	if base.Revoked(mem.Who, mem.G, 100) {
@@ -78,10 +84,10 @@ func TestForkIsolationConcurrent(t *testing.T) {
 	if _, ok := base.KeyFor("alice", 100); !ok {
 		t.Error("base lost key belief")
 	}
-	if _, ok := base.MembershipFor(G("G_write"), 100); !ok {
+	if _, ok := base.Holds(mem); !ok {
 		t.Error("base lost membership belief")
 	}
-	if !base.Sealed() {
+	if !sealed(base) {
 		t.Error("base no longer sealed")
 	}
 
@@ -104,16 +110,17 @@ func TestForkIsolationConcurrent(t *testing.T) {
 // concurrent Forks of a sealed engine derive independently, and premise
 // references into the shared proof prefix stay resolvable from each fork.
 func TestForkIsolationEngine(t *testing.T) {
-	eng := NewEngine("P", clock.New(1))
+	clk := clock.New(1)
+	eng := NewEngine("P", clk)
 	baseStep := eng.Assume(Prop{Name: "anchor"}, "initial belief")
 	for i := 0; i < 20; i++ {
 		eng.Assume(Prop{Name: fmt.Sprintf("seed-%d", i)}, "")
 	}
-	eng.Seal()
-	if !eng.Sealed() {
-		t.Fatal("engine not sealed after Seal")
-	}
+	eng.Seal() // that a sealed Fork is O(1) is TestForkSealedAllocsFlat's
 	baseLen := eng.Proof().Len()
+	if baseLen != 21 {
+		t.Fatalf("sealed proof has %d steps, want 21", baseLen)
+	}
 
 	const forks = 8
 	var wg sync.WaitGroup
@@ -123,12 +130,12 @@ func TestForkIsolationEngine(t *testing.T) {
 			defer wg.Done()
 			f := eng.Fork()
 			id := f.Proof().Append("test", []int{baseStep},
-				Prop{Name: fmt.Sprintf("derived-%d", i)}, f.Clock().Now(), "")
+				Prop{Name: fmt.Sprintf("derived-%d", i)}, clk.Now(), "")
 			if id != baseLen+1 {
 				t.Errorf("fork %d: first suffix step id = %d, want %d", i, id, baseLen+1)
 			}
 			// The base premise must resolve through the shared prefix.
-			st, ok := f.Proof().Step(baseStep)
+			st, ok := step(f.Proof(), baseStep)
 			if !ok || !FormulaEqual(st.Conclusion, Prop{Name: "anchor"}) {
 				t.Errorf("fork %d: base step %d unresolved", i, baseStep)
 			}
@@ -141,9 +148,6 @@ func TestForkIsolationEngine(t *testing.T) {
 
 	if got := eng.Proof().Len(); got != baseLen {
 		t.Errorf("base proof grew to %d steps, want %d", got, baseLen)
-	}
-	if !eng.Sealed() {
-		t.Error("base engine no longer sealed")
 	}
 }
 
@@ -174,12 +178,12 @@ func TestForkSealedAllocsFlat(t *testing.T) {
 func TestSealAfterWriteResealing(t *testing.T) {
 	s, mem, _ := sealedBaseStore(t, 4)
 	s.Add(Prop{Name: "late"}, 5, 99)
-	if s.Sealed() {
+	if sealed(s) {
 		t.Fatal("store sealed with non-empty overlay")
 	}
 	fork := s.Clone()
 	s.Seal()
-	if !s.Sealed() {
+	if !sealed(s) {
 		t.Fatal("second Seal left overlay")
 	}
 	if _, ok := s.Holds(Prop{Name: "late"}); !ok {
@@ -188,10 +192,10 @@ func TestSealAfterWriteResealing(t *testing.T) {
 	if _, ok := fork.Holds(Prop{Name: "late"}); !ok {
 		t.Error("fork taken before reseal lost overlay copy")
 	}
-	if _, ok := s.MembershipFor(mem.G, 100); !ok {
+	if _, ok := s.Holds(mem); !ok {
 		t.Error("resealed store lost base membership")
 	}
-	if got := s.Len(); got != 4+2+1 {
+	if got := len(s.All()); got != 4+2+1 {
 		t.Errorf("Len = %d, want 7", got)
 	}
 }

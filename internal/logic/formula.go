@@ -370,9 +370,6 @@ var _ Formula = AtFormula{}
 
 func (AtFormula) formulaNode() {}
 
-// AtP wraps φ as "φ at_P T".
-func AtP(f Formula, p string, t TimeSpec) AtFormula { return AtFormula{F: f, P: p, T: t} }
-
 // String renders "(φ at_P T)".
 func (a AtFormula) String() string {
 	return "(" + a.F.String() + " at_" + a.P + " " + a.T.String() + ")"

@@ -28,7 +28,7 @@ func TestFormulaCanonicalForms(t *testing.T) {
 		{MemberOf{Who: P("Q").Bind("K"), T: At(1), G: G("g")}, "Q|K ⇒_t1 Group(g)"},
 		{GroupSays{G: G("g"), T: At(1), X: Const{Value: "m"}}, "Group(g) says_t1 “m”"},
 		{Fresh{T: At(1), Who: "P", X: Const{Value: "n"}}, "fresh_t1,P “n”"},
-		{AtP(Prop{Name: "x"}, "P", At(1)), "(x at_P t1)"},
+		{AtFormula{F: Prop{Name: "x"}, P: "P", T: At(1)}, "(x at_P t1)"},
 	}
 	for _, tt := range tests {
 		if got := tt.f.String(); got != tt.want {

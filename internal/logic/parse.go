@@ -64,48 +64,6 @@ func ParseFormula(s string) (Formula, error) {
 	return f, nil
 }
 
-// ParseMessage parses the canonical form of a message.
-func ParseMessage(s string) (Message, error) {
-	p := &parser{src: s}
-	m, err := p.message()
-	if err != nil {
-		return nil, err
-	}
-	p.ws()
-	if !p.eof() {
-		return nil, p.errf("trailing input %q", p.rest())
-	}
-	return m, nil
-}
-
-// ParseSubject parses a principal or compound principal.
-func ParseSubject(s string) (Subject, error) {
-	p := &parser{src: s}
-	sub, err := p.subject()
-	if err != nil {
-		return nil, err
-	}
-	p.ws()
-	if !p.eof() {
-		return nil, p.errf("trailing input %q", p.rest())
-	}
-	return sub, nil
-}
-
-// ParseTimeSpec parses a temporal subscript.
-func ParseTimeSpec(s string) (TimeSpec, error) {
-	p := &parser{src: s}
-	ts, err := p.timespec()
-	if err != nil {
-		return TimeSpec{}, err
-	}
-	p.ws()
-	if !p.eof() {
-		return TimeSpec{}, p.errf("trailing input %q", p.rest())
-	}
-	return ts, nil
-}
-
 type parser struct {
 	src string
 	pos int

@@ -44,12 +44,12 @@ func TestParseRoundTripBasics(t *testing.T) {
 		MemberOf{Who: CP(P("A"), P("B")).WithKey("Kcp"), T: At(1), G: G("g")},
 		GroupSays{G: G("G_write"), T: At(6), X: NewTuple(Const{Value: "write"}, Const{Value: "O"})},
 		Fresh{T: At(3), Who: "P", X: Const{Value: "n1"}},
-		AtP(Says{Who: P("AA"), T: At(2), X: Const{Value: "m"}}, "P", Sometime(0, 4)),
+		AtFormula{F: Says{Who: P("AA"), T: At(2), X: Const{Value: "m"}}, P: "P", T: Sometime(0, 4)},
 		Not{F: MemberOf{Who: cp, T: At(7).On("RA"), G: G("G_write")}},
 		Prop{Name: "x"},
 		Prop{Name: "residual(G_write)"},
 		And{L: Prop{Name: "a"}, R: Not{F: Prop{Name: "b"}}},
-		AtP(Prop{Name: "x"}, "P", At(1)),
+		AtFormula{F: Prop{Name: "x"}, P: "P", T: At(1)},
 		Delegates{To: P("B").Bind("Kb"), G: G("G"), Depth: 2, Perms: "read", Path: "A", T: During(1, clock.Infinity)},
 		Delegates{To: P("C"), G: G("G_read"), Depth: 0, Perms: "*", Path: "root>A>B", T: During(3, 9).On("AA")},
 		Delegates{To: P("A"), G: G("G"), Depth: 1, Perms: "read,write", T: At(2)},
@@ -88,11 +88,12 @@ func TestParseMessageForms(t *testing.T) {
 		AsMessage(TimeLE{A: 1, B: 2}),
 	}
 	for _, m := range msgs {
-		got, err := ParseMessage(m.String())
+		f := Said{Who: P("A"), T: At(1), X: m}
+		parsed, err := ParseFormula(f.String())
 		if err != nil {
-			t.Fatalf("parse %q: %v", m.String(), err)
+			t.Fatalf("parse %q: %v", f.String(), err)
 		}
-		if !MessageEqual(got, m) {
+		if got := parsed.(Said).X; !MessageEqual(got, m) {
 			t.Fatalf("round trip changed message: %s vs %s", m, got)
 		}
 	}
@@ -107,11 +108,12 @@ func TestParseSubjectForms(t *testing.T) {
 		CP(P("A"), P("B")).WithKey("Kcp"),
 	}
 	for _, s := range subs {
-		got, err := ParseSubject(s.String())
+		f := MemberOf{Who: s, T: At(1), G: G("g")}
+		parsed, err := ParseFormula(f.String())
 		if err != nil {
-			t.Fatalf("parse %q: %v", s.String(), err)
+			t.Fatalf("parse %q: %v", f.String(), err)
 		}
-		if !SubjectEqual(got, s) {
+		if got := parsed.(MemberOf).Who; !SubjectEqual(got, s) {
 			t.Fatalf("round trip changed subject: %s vs %s", s, got)
 		}
 	}
@@ -126,11 +128,12 @@ func TestParseTimeSpecForms(t *testing.T) {
 		Sometime(2, 4),
 	}
 	for _, ts := range specs {
-		got, err := ParseTimeSpec(ts.String())
+		f := Said{Who: P("A"), T: ts, X: Const{Value: "m"}}
+		parsed, err := ParseFormula(f.String())
 		if err != nil {
-			t.Fatalf("parse %q: %v", ts.String(), err)
+			t.Fatalf("parse %q: %v", f.String(), err)
 		}
-		if got != ts {
+		if got := parsed.(Said).T; got != ts {
 			t.Fatalf("round trip changed spec: %v vs %v", ts, got)
 		}
 	}
@@ -236,7 +239,7 @@ func randomFormula(rng *rand.Rand, depth int) Formula {
 	case 6:
 		return KeySpeaksFor{K: keys[rng.Intn(len(keys))], T: ts(), Who: subj()}
 	default:
-		return AtP(Says{Who: subj(), T: ts(), X: msg(1)}, names[rng.Intn(len(names))], ts())
+		return AtFormula{F: Says{Who: subj(), T: ts(), X: msg(1)}, P: names[rng.Intn(len(names))], T: ts()}
 	}
 }
 

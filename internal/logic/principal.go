@@ -103,9 +103,8 @@ func CP(members ...Principal) CompoundPrincipal {
 	return CompoundPrincipal{members: ms}
 }
 
-// WithThreshold returns the threshold construct CP(m,n). m must satisfy
-// 1 <= m <= n; out-of-range values are clamped into that range, and callers
-// that need validation should use Valid.
+// WithThreshold returns the threshold construct CP(m,n). m should satisfy
+// 1 <= m <= n; it is stored as given, not checked.
 func (c CompoundPrincipal) WithThreshold(m int) CompoundPrincipal {
 	c.threshold = m
 	return c
@@ -124,9 +123,6 @@ func (c CompoundPrincipal) Members() []Principal {
 	return out
 }
 
-// N returns the number of members.
-func (c CompoundPrincipal) N() int { return len(c.members) }
-
 // Threshold returns m of the CP(m,n) construct, or 0 for a plain CP.
 func (c CompoundPrincipal) Threshold() int { return c.threshold }
 
@@ -135,20 +131,6 @@ func (c CompoundPrincipal) Key() KeyID { return c.key }
 
 // IsThreshold reports whether this is a CP(m,n) construct.
 func (c CompoundPrincipal) IsThreshold() bool { return c.threshold > 0 }
-
-// Valid reports whether the compound principal is well-formed: non-empty,
-// distinct members, and 0 <= m <= n.
-func (c CompoundPrincipal) Valid() bool {
-	if len(c.members) == 0 {
-		return false
-	}
-	for i := 1; i < len(c.members); i++ {
-		if c.members[i] == c.members[i-1] {
-			return false
-		}
-	}
-	return c.threshold >= 0 && c.threshold <= len(c.members)
-}
 
 // Contains reports whether p (compared by name, ignoring key bindings) is a
 // member of the compound principal.

@@ -38,7 +38,7 @@ func TestCompoundPrincipalCanonicalOrder(t *testing.T) {
 
 func TestCompoundPrincipalThreshold(t *testing.T) {
 	cp := CP(P("U1").Bind("K1"), P("U2").Bind("K2"), P("U3").Bind("K3")).WithThreshold(2)
-	if !cp.IsThreshold() || cp.Threshold() != 2 || cp.N() != 3 {
+	if !cp.IsThreshold() || cp.Threshold() != 2 || len(cp.Members()) != 3 {
 		t.Fatalf("threshold construct wrong: %s", cp)
 	}
 	if got := cp.String(); got != "{U1|K1,U2|K2,U3|K3}(2,3)" {
@@ -53,27 +53,6 @@ func TestCompoundPrincipalThreshold(t *testing.T) {
 	}
 	if !cp.Contains("U1") || cp.Contains("U9") {
 		t.Error("Contains misbehaves")
-	}
-}
-
-func TestCompoundPrincipalValid(t *testing.T) {
-	tests := []struct {
-		name string
-		cp   CompoundPrincipal
-		want bool
-	}{
-		{"empty", CP(), false},
-		{"plain", CP(P("A"), P("B")), true},
-		{"duplicate", CP(P("A"), P("A")), false},
-		{"threshold ok", CP(P("A"), P("B")).WithThreshold(2), true},
-		{"threshold too big", CP(P("A")).WithThreshold(2), false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.cp.Valid(); got != tt.want {
-				t.Errorf("Valid(%s) = %v, want %v", tt.cp, got, tt.want)
-			}
-		})
 	}
 }
 

@@ -80,9 +80,6 @@ func NewProof(owner string) *Proof {
 	return &Proof{owner: owner}
 }
 
-// Owner returns the deriving principal's name.
-func (p *Proof) Owner() string { return p.owner }
-
 // Append records a step and returns its ID (1-based, matching the paper's
 // numbered statements).
 func (p *Proof) Append(rule string, premises []int, conclusion Formula, at clock.Time, note string) int {
@@ -133,10 +130,6 @@ func flattenProof(seg *proofSeg, n int) *proofSeg {
 	return &proofSeg{steps: steps, start: 1, depth: 1}
 }
 
-// Sealed reports whether every step lives in the immutable prefix (so
-// Clone is O(1)).
-func (p *Proof) Sealed() bool { return len(p.steps) == 0 }
-
 // Clone returns an independent copy of the proof: appends to either copy
 // never affect the other. The sealed prefix is shared, so cloning a sealed
 // proof is O(1); only the suffix is copied.
@@ -162,22 +155,6 @@ func (p *Proof) Steps() []Step {
 	}
 	out = append(out, p.steps...)
 	return out
-}
-
-// Step returns the step with the given ID and whether it exists.
-func (p *Proof) Step(id int) (Step, bool) {
-	if id < 1 || id > p.baseLen+len(p.steps) {
-		return Step{}, false
-	}
-	if id > p.baseLen {
-		return p.steps[id-p.baseLen-1], true
-	}
-	for s := p.base; s != nil; s = s.parent {
-		if id >= s.start {
-			return s.steps[id-s.start], true
-		}
-	}
-	return Step{}, false
 }
 
 // Len returns the number of steps.
@@ -216,13 +193,6 @@ type Segment struct {
 
 // Len returns the number of recorded steps.
 func (g Segment) Len() int { return len(g.steps) }
-
-// Steps returns a copy of the recorded steps, with their original IDs.
-func (g Segment) Steps() []Step {
-	out := make([]Step, len(g.steps))
-	copy(out, g.steps)
-	return out
-}
 
 // Record cuts the steps with ID > from into a Segment. The cut may not
 // reach into the sealed prefix: segments record steps appended by the

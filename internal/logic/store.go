@@ -143,12 +143,6 @@ func flatten(l *storeLayer) *storeLayer {
 	return out
 }
 
-// Sealed reports whether every belief lives in the immutable base — i.e.
-// the overlay is empty, so Clone is O(1).
-func (b *BeliefStore) Sealed() bool {
-	return len(b.entries) == 0 && len(b.revoked) == 0 && len(b.revokedKeys) == 0
-}
-
 // RevokeKey records the negative belief ¬(k ⇒ P) effective at t: identity
 // revocation (Stubblebine–Wright). KeyFor no longer returns the key at or
 // after t.
@@ -237,15 +231,6 @@ func (b *BeliefStore) Holds(f Formula) (Entry, bool) {
 	return b.lookup(f.String())
 }
 
-// Len returns the number of distinct beliefs.
-func (b *BeliefStore) Len() int {
-	n := len(b.entries)
-	if b.base != nil {
-		n += b.base.size
-	}
-	return n
-}
-
 // forEach visits every entry in insertion order (base layers oldest
 // first, then the overlay) until fn returns false.
 func (b *BeliefStore) forEach(fn func(Entry) bool) {
@@ -310,31 +295,6 @@ func (b *BeliefStore) KeyFor(who string, t clock.Time) (KeySpeaksFor, bool) {
 			}
 		}
 		return true
-	})
-	return out, found
-}
-
-// MembershipFor returns a believed MemberOf formula for group g whose
-// validity covers t, if one exists and it has not been revoked effective at
-// or before t.
-func (b *BeliefStore) MembershipFor(g Group, t clock.Time) (MemberOf, bool) {
-	var (
-		out   MemberOf
-		found bool
-	)
-	b.forEach(func(e Entry) bool {
-		m, ok := e.F.(MemberOf)
-		if !ok || m.G != g {
-			return true
-		}
-		if !m.T.Covers(t) {
-			return true
-		}
-		if b.Revoked(m.Who, g, t) {
-			return true
-		}
-		out, found = m, true
-		return false
 	})
 	return out, found
 }
@@ -533,21 +493,6 @@ func (b *BeliefStore) delegationRevoked(d Delegates, t clock.Time) bool {
 		}
 	}
 	return false
-}
-
-// Schemas returns the jurisdiction schema beliefs matching the predicate.
-func (b *BeliefStore) Schemas(match func(Formula) bool) []Formula {
-	var out []Formula
-	b.forEach(func(e Entry) bool {
-		switch e.F.(type) {
-		case KeyJurisdiction, MembershipJurisdiction, SaysTimeJurisdiction:
-			if match == nil || match(e.F) {
-				out = append(out, e.F)
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // KeyJurisdictionFor returns the key-jurisdiction schema held for the named

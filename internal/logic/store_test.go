@@ -23,8 +23,8 @@ func TestBeliefStoreAddAndHolds(t *testing.T) {
 	if e2.At != 3 || e2.Step != 1 {
 		t.Errorf("duplicate add replaced entry: %+v", e2)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
+	if len(s.All()) != 1 {
+		t.Errorf("Len = %d", len(s.All()))
 	}
 }
 
@@ -56,23 +56,17 @@ func TestBeliefStoreMembershipForAndRevocation(t *testing.T) {
 	m := MemberOf{Who: cp, T: During(0, 100), G: G("G_write")}
 	s.Add(m, 1, 1)
 
-	got, ok := s.MembershipFor(G("G_write"), 50)
-	if !ok || !FormulaEqual(got, m) {
-		t.Fatalf("MembershipFor = %v, %v", got, ok)
-	}
-	if _, ok := s.MembershipFor(G("G_read"), 50); ok {
-		t.Error("membership for wrong group returned")
-	}
-	if _, ok := s.MembershipFor(G("G_write"), 101); ok {
-		t.Error("expired membership returned")
+	if got, ok := s.Holds(m); !ok || !FormulaEqual(got.F, m) {
+		t.Fatalf("Holds = %v, %v", got, ok)
 	}
 
-	// Revoke effective at t=60: lookups at 50 still succeed; at 60+ fail.
+	// Revoke effective at t=60: the membership stands at 50 and is
+	// revoked from 60 on.
 	s.Revoke(cp, G("G_write"), 60, 2)
-	if _, ok := s.MembershipFor(G("G_write"), 50); !ok {
+	if s.Revoked(cp, G("G_write"), 50) {
 		t.Error("membership before revocation should hold")
 	}
-	if _, ok := s.MembershipFor(G("G_write"), 60); ok {
+	if !s.Revoked(cp, G("G_write"), 60) {
 		t.Error("membership at revocation time should fail")
 	}
 	if !s.Revoked(cp, G("G_write"), 61) {
@@ -124,16 +118,6 @@ func TestBeliefStoreJurisdictionLookups(t *testing.T) {
 	}
 	if _, ok := s.SaysTimeJurisdictionFor("AA"); !ok {
 		t.Error("SaysTimeJurisdictionFor(AA) missing")
-	}
-	if got := s.Schemas(nil); len(got) != 3 {
-		t.Errorf("Schemas = %d entries, want 3", len(got))
-	}
-	onlyKey := s.Schemas(func(f Formula) bool {
-		_, ok := f.(KeyJurisdiction)
-		return ok
-	})
-	if len(onlyKey) != 1 {
-		t.Errorf("filtered Schemas = %d entries, want 1", len(onlyKey))
 	}
 }
 

@@ -8,7 +8,7 @@ import "jointadmin/internal/clock"
 type TimeKind int
 
 // Temporal qualification kinds (start at 1 per Go style; the zero value is
-// deliberately invalid so that forgotten TimeSpecs are caught by Valid).
+// no kind, so a forgotten TimeSpec covers no time).
 const (
 	AtTime TimeKind = iota + 1
 	AllOf           // [t1, t2]
@@ -44,18 +44,6 @@ func Sometime(b, e clock.Time) TimeSpec {
 func (ts TimeSpec) On(observer string) TimeSpec {
 	ts.Observer = observer
 	return ts
-}
-
-// Valid reports whether the spec has a known kind and a non-empty interval.
-func (ts TimeSpec) Valid() bool {
-	switch ts.Kind {
-	case AtTime:
-		return ts.Interval.Begin == ts.Interval.End
-	case AllOf, SomeOf:
-		return ts.Interval.Valid()
-	default:
-		return false
-	}
 }
 
 // Time returns the point time of an AtTime spec (Begin of the interval for

@@ -21,28 +21,6 @@ func TestTimeSpecConstructors(t *testing.T) {
 	}
 }
 
-func TestTimeSpecValid(t *testing.T) {
-	tests := []struct {
-		name string
-		ts   TimeSpec
-		want bool
-	}{
-		{"zero value", TimeSpec{}, false},
-		{"point", At(5), true},
-		{"interval", During(1, 2), true},
-		{"reversed", During(3, 1), false},
-		{"angle", Sometime(1, 4), true},
-		{"reversed angle", Sometime(4, 1), false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.ts.Valid(); got != tt.want {
-				t.Errorf("Valid(%v) = %v, want %v", tt.ts, got, tt.want)
-			}
-		})
-	}
-}
-
 func TestTimeSpecCovers(t *testing.T) {
 	if !At(5).Covers(5) || At(5).Covers(6) {
 		t.Error("point coverage wrong")

@@ -371,7 +371,7 @@ func TestEvalHasAndBelieves(t *testing.T) {
 	}
 
 	// AtFormula evaluates the inner formula at the named time.
-	at := logic.AtP(logic.Said{Who: logic.P("A"), T: logic.At(7), X: logic.Const{Value: "m"}}, "B", logic.At(9))
+	at := logic.AtFormula{F: logic.Said{Who: logic.P("A"), T: logic.At(7), X: logic.Const{Value: "m"}}, P: "B", T: logic.At(9)}
 	if got, err := Eval(r, 10, at); err != nil || !got {
 		t.Errorf("at-formula = %v, %v", got, err)
 	}

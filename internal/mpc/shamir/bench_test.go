@@ -31,7 +31,7 @@ func BenchmarkReconstruct(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := Reconstruct(shares[:4], testPrime)
+		got, err := Interpolate(shares[:4], big.NewInt(0), testPrime)
 		if err != nil || got.Cmp(secret) != 0 {
 			b.Fatal("reconstruction failed")
 		}

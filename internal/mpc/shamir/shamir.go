@@ -19,11 +19,6 @@ type Share struct {
 	Y *big.Int
 }
 
-// Clone returns a deep copy of the share.
-func (s Share) Clone() Share {
-	return Share{X: new(big.Int).Set(s.X), Y: new(big.Int).Set(s.Y)}
-}
-
 // String renders the share.
 func (s Share) String() string { return fmt.Sprintf("(%v, %v)", s.X, s.Y) }
 
@@ -79,14 +74,6 @@ func eval(coeffs []*big.Int, x, prime *big.Int) *big.Int {
 		y.Mod(y, prime)
 	}
 	return y
-}
-
-// Reconstruct interpolates the secret (the polynomial at 0) from at least
-// k shares via Lagrange interpolation over GF(prime). Passing more shares
-// than the threshold is fine; they must be consistent points of one
-// polynomial of degree < len(shares).
-func Reconstruct(shares []Share, prime *big.Int) (*big.Int, error) {
-	return Interpolate(shares, big.NewInt(0), prime)
 }
 
 // Interpolate evaluates the unique polynomial through the shares at x0.

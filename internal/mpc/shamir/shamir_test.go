@@ -20,7 +20,7 @@ func TestSplitReconstructRoundTrip(t *testing.T) {
 	if len(shares) != 5 {
 		t.Fatalf("len(shares) = %d", len(shares))
 	}
-	got, err := Reconstruct(shares[:3], testPrime)
+	got, err := Interpolate(shares[:3], big.NewInt(0), testPrime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,12 +28,12 @@ func TestSplitReconstructRoundTrip(t *testing.T) {
 		t.Errorf("reconstructed %v, want %v", got, secret)
 	}
 	// Any other 3-subset works too.
-	got2, err := Reconstruct([]Share{shares[0], shares[2], shares[4]}, testPrime)
+	got2, err := Interpolate([]Share{shares[0], shares[2], shares[4]}, big.NewInt(0), testPrime)
 	if err != nil || got2.Cmp(secret) != 0 {
 		t.Errorf("subset reconstruction: %v, %v", got2, err)
 	}
 	// All 5 shares work as well.
-	got3, err := Reconstruct(shares, testPrime)
+	got3, err := Interpolate(shares, big.NewInt(0), testPrime)
 	if err != nil || got3.Cmp(secret) != 0 {
 		t.Errorf("full reconstruction: %v, %v", got3, err)
 	}
@@ -52,7 +52,7 @@ func TestBelowThresholdRevealsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Reconstruct(shares[:2], testPrime)
+		got, err := Interpolate(shares[:2], big.NewInt(0), testPrime)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,14 +85,14 @@ func TestSplitValidation(t *testing.T) {
 }
 
 func TestReconstructValidation(t *testing.T) {
-	if _, err := Reconstruct(nil, testPrime); !errors.Is(err, ErrTooFewShares) {
+	if _, err := Interpolate(nil, big.NewInt(0), testPrime); !errors.Is(err, ErrTooFewShares) {
 		t.Errorf("empty shares: %v", err)
 	}
 	s := Share{X: big.NewInt(1), Y: big.NewInt(2)}
-	if _, err := Reconstruct([]Share{s, s.Clone()}, testPrime); !errors.Is(err, ErrDuplicateX) {
+	if _, err := Interpolate([]Share{s, Share{X: new(big.Int).Set(s.X), Y: new(big.Int).Set(s.Y)}}, big.NewInt(0), testPrime); !errors.Is(err, ErrDuplicateX) {
 		t.Errorf("duplicate x: %v", err)
 	}
-	if _, err := Reconstruct([]Share{s}, nil); !errors.Is(err, ErrBadField) {
+	if _, err := Interpolate([]Share{s}, big.NewInt(0), nil); !errors.Is(err, ErrBadField) {
 		t.Errorf("nil prime: %v", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestAddShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Reconstruct(sum[:2], testPrime)
+	got, err := Interpolate(sum[:2], big.NewInt(0), testPrime)
 	if err != nil || got.Cmp(big.NewInt(123)) != 0 {
 		t.Errorf("sum = %v, %v", got, err)
 	}
@@ -169,7 +169,7 @@ func TestSplitReconstructProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Reconstruct(shares[:k], testPrime)
+		got, err := Interpolate(shares[:k], big.NewInt(0), testPrime)
 		if err != nil {
 			return false
 		}
@@ -197,7 +197,7 @@ func TestAdditiveHomomorphismProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Reconstruct(sum[1:4], testPrime)
+		got, err := Interpolate(sum[1:4], big.NewInt(0), testPrime)
 		if err != nil {
 			return false
 		}

@@ -62,9 +62,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -311,26 +308,6 @@ func (h HistogramValue) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// Merge returns the element-wise sum of two snapshots of the same series
-// layout.
-func (h HistogramValue) Merge(o HistogramValue) (HistogramValue, error) {
-	if len(h.Bounds) != len(o.Bounds) || len(h.Counts) != len(o.Counts) {
-		return HistogramValue{}, fmt.Errorf("obs: merge %s: bucket layouts differ", h.Name)
-	}
-	for i := range h.Bounds {
-		if h.Bounds[i] != o.Bounds[i] {
-			return HistogramValue{}, fmt.Errorf("obs: merge %s: bucket layouts differ", h.Name)
-		}
-	}
-	out := HistogramValue{Name: h.Name, Bounds: h.Bounds, Counts: make([]uint64, len(h.Counts))}
-	for i := range h.Counts {
-		out.Counts[i] = h.Counts[i] + o.Counts[i]
-	}
-	out.Sum = h.Sum + o.Sum
-	out.Count = h.Count + o.Count
-	return out, nil
-}
-
 // Snapshot is a point-in-time copy of a registry, ordered by name, safe to
 // serialize (the daemon's "stats" command ships one as JSON).
 type Snapshot struct {
@@ -362,62 +339,6 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// Merge combines two snapshots: counters and gauges with the same identity
-// add, histograms merge bucket-wise. Use it to aggregate the registries of
-// several servers into coalition-wide totals.
-func (s Snapshot) Merge(o Snapshot) (Snapshot, error) {
-	mergeScalars := func(a, b []MetricValue) []MetricValue {
-		m := make(map[string]int64, len(a)+len(b))
-		for _, v := range a {
-			m[v.Name] += v.Value
-		}
-		for _, v := range b {
-			m[v.Name] += v.Value
-		}
-		out := make([]MetricValue, 0, len(m))
-		for name, v := range m {
-			out = append(out, MetricValue{Name: name, Value: v})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-		return out
-	}
-	hists := make(map[string]HistogramValue, len(s.Histograms)+len(o.Histograms))
-	for _, h := range s.Histograms {
-		hists[h.Name] = h
-	}
-	for _, h := range o.Histograms {
-		if prev, ok := hists[h.Name]; ok {
-			merged, err := prev.Merge(h)
-			if err != nil {
-				return Snapshot{}, err
-			}
-			hists[h.Name] = merged
-		} else {
-			hists[h.Name] = h
-		}
-	}
-	out := Snapshot{
-		Counters: mergeScalars(s.Counters, o.Counters),
-		Gauges:   mergeScalars(s.Gauges, o.Gauges),
-	}
-	for _, h := range hists {
-		out.Histograms = append(out.Histograms, h)
-	}
-	sort.Slice(out.Histograms, func(i, j int) bool { return out.Histograms[i].Name < out.Histograms[j].Name })
-	return out, nil
-}
-
-// GaugeValue returns the named gauge's value in the snapshot (0 when
-// absent). The name must be the full identity including labels.
-func (s Snapshot) GaugeValue(name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
 }
 
 // CounterValue returns the named counter's value in the snapshot (0 when

@@ -77,7 +77,7 @@ func TestConcurrentIncrements(t *testing.T) {
 				// Re-resolving by name on every iteration exercises the
 				// registry map under contention, not just the atomics.
 				r.Counter("c", "worker", "shared").Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Inc()
 				r.Histogram("h", []float64{0.5, 1.5}, "op", "x").Observe(1)
 			}
 		}()
@@ -111,40 +111,6 @@ func TestNilRegistry(t *testing.T) {
 	r.Histogram("h", nil).Observe(1)
 	if s := r.Snapshot(); len(s.Counters) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
-	}
-}
-
-// TestSnapshotMerge verifies multi-server aggregation semantics.
-func TestSnapshotMerge(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("reqs").Add(3)
-	b.Counter("reqs").Add(4)
-	b.Counter("only_b").Inc()
-	a.Histogram("lat", []float64{1, 2}).Observe(0.5)
-	b.Histogram("lat", []float64{1, 2}).Observe(1.5)
-	merged, err := a.Snapshot().Merge(b.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.CounterValue("reqs"); got != 7 {
-		t.Errorf("merged reqs = %d, want 7", got)
-	}
-	if got := merged.CounterValue("only_b"); got != 1 {
-		t.Errorf("merged only_b = %d, want 1", got)
-	}
-	h, ok := merged.HistogramValueOf("lat")
-	if !ok {
-		t.Fatal("merged histogram lat missing")
-	}
-	if h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Errorf("merged histogram = %+v", h)
-	}
-
-	// Conflicting layouts refuse to merge.
-	c := NewRegistry()
-	c.Histogram("lat", []float64{9}).Observe(1)
-	if _, err := a.Snapshot().Merge(c.Snapshot()); err == nil {
-		t.Error("merge of conflicting bucket layouts succeeded")
 	}
 }
 

@@ -1,7 +1,6 @@
 package pki
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -65,24 +64,6 @@ func VerifyCRL(sc SignedCRL, issuerKey sharedrsa.PublicKey) error {
 	return nil
 }
 
-// MarshalCRL serializes a signed CRL.
-func MarshalCRL(sc SignedCRL) ([]byte, error) {
-	b, err := json.Marshal(sc)
-	if err != nil {
-		return nil, fmt.Errorf("pki: marshal crl: %w", err)
-	}
-	return b, nil
-}
-
-// UnmarshalCRL parses a signed CRL.
-func UnmarshalCRL(b []byte) (SignedCRL, error) {
-	var sc SignedCRL
-	if err := json.Unmarshal(b, &sc); err != nil {
-		return SignedCRL{}, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	return sc, nil
-}
-
 // RevocationRegistry accumulates revocation certificates at an authority
 // and publishes monotonically numbered CRLs.
 type RevocationRegistry struct {
@@ -122,11 +103,4 @@ func (r *RevocationRegistry) Publish(at clock.Time) (SignedCRL, error) {
 		return entries[i].Cert.EffectiveAt < entries[j].Cert.EffectiveAt
 	})
 	return IssueCRL(r.issuer, seq, at, entries, r.signer)
-}
-
-// Len returns the number of accumulated revocations.
-func (r *RevocationRegistry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
 }

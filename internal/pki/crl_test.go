@@ -32,22 +32,8 @@ func TestCRLIssueVerifyRoundTrip(t *testing.T) {
 	if err := VerifyCRL(crl, ca.Public()); err != nil {
 		t.Fatal(err)
 	}
-	b, err := MarshalCRL(crl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalCRL(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCRL(back, ca.Public()); err != nil {
-		t.Fatalf("round-tripped crl invalid: %v", err)
-	}
-	if len(back.CRL.Entries) != 2 {
-		t.Errorf("entries = %d", len(back.CRL.Entries))
-	}
-	if _, err := UnmarshalCRL([]byte("{nope")); !errors.Is(err, ErrMalformed) {
-		t.Errorf("broken json: %v", err)
+	if len(crl.CRL.Entries) != 2 {
+		t.Errorf("entries = %d", len(crl.CRL.Entries))
 	}
 }
 
@@ -78,9 +64,6 @@ func TestCRLWrongIssuerKey(t *testing.T) {
 func TestRevocationRegistrySequencing(t *testing.T) {
 	ca, _ := keys(t)
 	reg := NewRevocationRegistry("RA", ca.AsSigner())
-	if reg.Len() != 0 {
-		t.Fatalf("fresh registry len = %d", reg.Len())
-	}
 	reg.Add(sampleRevocation(t, ca, "G_b"))
 	reg.Add(sampleRevocation(t, ca, "G_a"))
 	crl1, err := reg.Publish(200)

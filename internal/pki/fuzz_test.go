@@ -2,12 +2,12 @@ package pki
 
 import (
 	"bytes"
-	"errors"
+	"encoding/json"
 	"testing"
 )
 
-// crlFixture builds a verified, marshaled CRL and the key it verifies
-// under. testing.TB so both tests and fuzz seeding can use it.
+// crlFixture builds a verified CRL, its JSON encoding and the key it
+// verifies under. testing.TB so both tests and fuzz seeding can use it.
 func crlFixture(tb testing.TB) (SignedCRL, []byte, *KeyPair) {
 	tb.Helper()
 	ca, err := GenerateKeyPair(512, nil)
@@ -26,18 +26,23 @@ func crlFixture(tb testing.TB) (SignedCRL, []byte, *KeyPair) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b, err := MarshalCRL(crl)
+	b, err := json.Marshal(crl)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return crl, b, ca
 }
 
-// FuzzCRLUnmarshal: UnmarshalCRL must never panic, and anything it
-// accepts must re-marshal to a stable fixed point (marshal ∘ unmarshal
-// is idempotent — no state is invented or lost by a round trip).
+// FuzzCRLUnmarshal: whatever an encoded CRL is mutated into, VerifyCRL
+// never panics on the decoded result, and accepts it only when the
+// signed payload is byte-identical to the issued CRL's — no input alters
+// what the CRL says and still verifies.
 func FuzzCRLUnmarshal(f *testing.F) {
-	_, valid, _ := crlFixture(f)
+	crl, valid, ca := crlFixture(f)
+	orig, err := payload(tagCRL, crl.CRL)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("{}"))
@@ -47,39 +52,25 @@ func FuzzCRLUnmarshal(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc, err := UnmarshalCRL(data)
-		if err != nil {
-			if !errors.Is(err, ErrMalformed) {
-				t.Fatalf("parse failure outside the malformed class: %v", err)
-			}
+		var sc SignedCRL
+		if json.Unmarshal(data, &sc) != nil || VerifyCRL(sc, ca.Public()) != nil {
 			return
 		}
-		m1, err := MarshalCRL(sc)
-		if err != nil {
-			t.Fatalf("accepted CRL does not re-marshal: %v", err)
-		}
-		sc2, err := UnmarshalCRL(m1)
-		if err != nil {
-			t.Fatalf("own marshaling rejected: %v", err)
-		}
-		m2, err := MarshalCRL(sc2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(m1, m2) {
-			t.Fatalf("round trip not a fixed point:\n%s\nvs\n%s", m1, m2)
+		if p, err := payload(tagCRL, sc.CRL); err != nil || !bytes.Equal(p, orig) {
+			t.Fatalf("altered CRL verifies:\n%s", data)
 		}
 	})
 }
 
-// TestCRLTruncationProperty: every proper prefix of a marshaled CRL is
-// rejected as malformed — a cut-off CRL can never parse as a shorter
-// valid one (which could silently hide revocation entries).
+// TestCRLTruncationProperty: no proper prefix of an encoded CRL decodes
+// to one that verifies — a cut-off CRL can never pass as a shorter valid
+// one (which could silently hide revocation entries).
 func TestCRLTruncationProperty(t *testing.T) {
-	_, valid, _ := crlFixture(t)
+	_, valid, ca := crlFixture(t)
 	for n := 0; n < len(valid); n++ {
-		if _, err := UnmarshalCRL(valid[:n]); !errors.Is(err, ErrMalformed) {
-			t.Fatalf("truncation to %d/%d bytes accepted (err=%v)", n, len(valid), err)
+		var sc SignedCRL
+		if json.Unmarshal(valid[:n], &sc) == nil && VerifyCRL(sc, ca.Public()) == nil {
+			t.Fatalf("truncation to %d/%d bytes verifies", n, len(valid))
 		}
 	}
 }
@@ -100,8 +91,8 @@ func TestCRLBitFlipProperty(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(valid)
 			mut[i] ^= 1 << bit
-			sc, err := UnmarshalCRL(mut)
-			if err != nil {
+			var sc SignedCRL
+			if err := json.Unmarshal(mut, &sc); err != nil {
 				continue // detected at parse
 			}
 			if err := VerifyCRL(sc, ca.Public()); err != nil {

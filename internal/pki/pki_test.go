@@ -264,7 +264,7 @@ func TestKeyInfoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pk.Equal(ca.Public()) {
+	if pk.KeyID() != ca.Public().KeyID() {
 		t.Error("key info round trip changed the key")
 	}
 	for _, bad := range []KeyInfo{
@@ -342,7 +342,7 @@ func TestIdealizeRevocationForm(t *testing.T) {
 
 func TestCompoundOf(t *testing.T) {
 	cp := CompoundOf([]BoundSubject{{Name: "B", KeyID: "kb"}, {Name: "A", KeyID: "ka"}}, 2)
-	if cp.Threshold() != 2 || cp.N() != 2 {
+	if cp.Threshold() != 2 || len(cp.Members()) != 2 {
 		t.Errorf("cp = %s", cp)
 	}
 	k, ok := cp.MemberKey("A")

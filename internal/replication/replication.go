@@ -21,11 +21,14 @@
 //     sequence, epoch and watermark, so an idle follower can both
 //     detect loss (head ahead of its cursor) and export lag gauges.
 //
-// Catch-up decision: a hello below the writer's wal.TailFloor (or with
-// Full set) gets a snapshot, everything else gets the tail from exactly
-// its cursor. The sequence contract is strict — a snapshot's LastSeq
-// names the last record it contains and the first tail record after it
-// is LastSeq+1; the applier rejects any gap and resyncs.
+// Catch-up decision: a hello with Full set, or with a cursor ahead of the
+// writer's head, gets a snapshot, and so does a cursor the writer's
+// wal.Log.ReadFrom refuses with wal.ErrCompacted (the records past it
+// were folded into the on-disk snapshot); everything else gets the tail
+// from exactly its cursor. The sequence contract is strict — a
+// snapshot's LastSeq names the last record it contains and the first
+// tail record after it is LastSeq+1; the applier rejects any gap and
+// resyncs.
 //
 // Failure model: frames may be dropped, duplicated or delayed
 // (transport.Faulty injects all three in tests). Duplicates are shed by

@@ -454,14 +454,14 @@ func TestLagMetricsMonotoneAndReset(t *testing.T) {
 
 	ap.Handle(KindSnapshot, mustJSON(t, snapshotFrom(t, w)))
 	base := ap.Status().LastSeq
-	if got := reg.Snapshot().GaugeValue(MetricLagRecords); got != 0 {
+	if got := reg.Gauge(MetricLagRecords).Value(); got != 0 {
 		t.Fatalf("lag after full install = %d, want 0", got)
 	}
 
 	var prevLag int64
 	for i := uint64(1); i <= 3; i++ {
 		ap.Handle(KindStatus, mustJSON(t, statusMsg{Head: base + i}))
-		lag := reg.Snapshot().GaugeValue(MetricLagRecords)
+		lag := reg.Gauge(MetricLagRecords).Value()
 		if lag < prevLag {
 			t.Fatalf("lag regressed while falling behind: %d after %d", lag, prevLag)
 		}
@@ -472,25 +472,24 @@ func TestLagMetricsMonotoneAndReset(t *testing.T) {
 	}
 	// A delayed heartbeat with an older head must not shrink the lag.
 	ap.Handle(KindStatus, mustJSON(t, statusMsg{Head: base + 1}))
-	if got := reg.Snapshot().GaugeValue(MetricLagRecords); got != prevLag {
+	if got := reg.Gauge(MetricLagRecords).Value(); got != prevLag {
 		t.Fatalf("stale heartbeat moved lag: %d -> %d", prevLag, got)
 	}
 
 	// Catch up for real: make the advertised heads real, then ship the
 	// tail.
-	lastSeqBefore := reg.Snapshot().GaugeValue(MetricLastSeq)
+	lastSeqBefore := reg.Gauge(MetricLastSeq).Value()
 	for i := 0; w.log.Seq() < base+3; i++ {
 		w.mutate(t, fmt.Sprintf("lag%d", i))
 	}
 	ap.Handle(KindRecords, mustJSON(t, recordsFrom(t, w, base)))
-	snap := reg.Snapshot()
-	if got := snap.GaugeValue(MetricLagRecords); got != 0 {
+	if got := reg.Gauge(MetricLagRecords).Value(); got != 0 {
 		t.Fatalf("lag after catch-up = %d, want 0", got)
 	}
-	if got := snap.GaugeValue(MetricLastSeq); got < lastSeqBefore {
+	if got := reg.Gauge(MetricLastSeq).Value(); got < lastSeqBefore {
 		t.Fatalf("repl_last_seq regressed: %d -> %d", lastSeqBefore, got)
 	}
-	if got := snap.GaugeValue(MetricLastSeq); uint64(got) != w.log.Seq() {
+	if got := reg.Gauge(MetricLastSeq).Value(); uint64(got) != w.log.Seq() {
 		t.Fatalf("repl_last_seq = %d, writer head %d", got, w.log.Seq())
 	}
 }
@@ -567,7 +566,7 @@ func TestShipperSnapshotHandoffAndTail(t *testing.T) {
 	if reg.Snapshot().CounterValue(MetricSnapshotsShipped+`{follower="f1"}`) == 0 {
 		t.Fatal("snapshot ship not counted")
 	}
-	if reg.Snapshot().GaugeValue(MetricFollowers) != 1 {
+	if reg.Gauge(MetricFollowers).Value() != 1 {
 		t.Fatal("follower stream not gauged")
 	}
 }

@@ -46,8 +46,8 @@ var crtFixtures = sync.OnceValues(func() (map[int]crtFixture, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pub.Bits() != bits {
-			return nil, fmt.Errorf("crt_keys.txt: %d-bit key labelled %d", pub.Bits(), bits)
+		if pub.N.BitLen() != bits {
+			return nil, fmt.Errorf("crt_keys.txt: %d-bit key labelled %d", pub.N.BitLen(), bits)
 		}
 		out[bits] = crtFixture{key: key, d: d}
 	}

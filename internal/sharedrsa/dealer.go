@@ -134,7 +134,6 @@ type LockBox struct {
 	pk        PublicKey
 	d         *big.Int
 	passwords map[string]bool
-	leaked    bool
 }
 
 // NewLockBox seals the dealer's key behind the given domain passwords.
@@ -167,12 +166,8 @@ func (lb *LockBox) Sign(msg []byte, presented []string) (Signature, error) {
 // single point of trust failure. It returns the exponent; every subsequent
 // signature made with it is indistinguishable from a legitimate one.
 func (lb *LockBox) Compromise() *big.Int {
-	lb.leaked = true
 	return new(big.Int).Set(lb.d)
 }
-
-// Compromised reports whether the lock box has been breached.
-func (lb *LockBox) Compromised() bool { return lb.leaked }
 
 // Public returns the lock box's public key.
 func (lb *LockBox) Public() PublicKey { return lb.pk }

@@ -71,6 +71,3 @@ func (t *Transcript) View(party int) []string {
 	copy(out, v)
 	return out
 }
-
-// Parties returns the number of parties with recorded views.
-func (t *Transcript) Parties() int { return len(t.views) }

@@ -54,11 +54,6 @@ type PublicKey struct {
 	E *big.Int
 }
 
-// Equal reports whether two public keys are identical.
-func (pk PublicKey) Equal(o PublicKey) bool {
-	return pk.N != nil && o.N != nil && pk.N.Cmp(o.N) == 0 && pk.E.Cmp(o.E) == 0
-}
-
 // verifiable reports whether signatures can be checked under pk: an odd
 // modulus of at least 3 (the Montgomery kernel's domain; a zero modulus
 // would divide by zero) and a positive exponent.
@@ -66,9 +61,6 @@ func (pk PublicKey) verifiable() bool {
 	return pk.N != nil && pk.E != nil && pk.N.Sign() > 0 && pk.N.Bit(0) == 1 &&
 		pk.N.BitLen() >= 2 && pk.E.Sign() > 0
 }
-
-// Bits returns the modulus size in bits.
-func (pk PublicKey) Bits() int { return pk.N.BitLen() }
 
 // String renders a short fingerprint of the key.
 func (pk PublicKey) String() string {

@@ -183,15 +183,6 @@ func subsetKey(subset []int) string {
 	return strings.Join(parts, ",")
 }
 
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 func sortedKeys(m map[string][]int) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

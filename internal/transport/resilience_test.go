@@ -413,12 +413,12 @@ func TestTCPPeerCloseClearsDialedConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	const conns = `transport_peer_conns{peer="B"}`
-	if got := reg.Snapshot().GaugeValue(conns); got != 1 {
+	if got := gaugeValue(t, reg, conns); got != 1 {
 		t.Fatalf("%s = %d after the first send, want 1", conns, got)
 	}
 	env.conn.Close() // the server side hangs up
 
-	for deadline := time.Now().Add(2 * time.Second); reg.Snapshot().GaugeValue(conns) != 0 && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(2 * time.Second); gaugeValue(t, reg, conns) != 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	if err := a.Send("B", "k", []byte("two")); err != nil {
@@ -437,7 +437,7 @@ func TestTCPPeerCloseClearsDialedConn(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if got := snap.GaugeValue(conns); got != 1 {
+	if got := gaugeValue(t, reg, conns); got != 1 {
 		t.Errorf("%s = %d after the redial, want 1", conns, got)
 	}
 }

@@ -136,9 +136,3 @@ func Dump(dir string) ([]Record, Info, error) {
 	}
 	return all, info, nil
 }
-
-// Inspect is Dump without the records.
-func Inspect(dir string) (Info, error) {
-	_, info, err := Dump(dir)
-	return info, err
-}

@@ -23,16 +23,6 @@ import (
 // suffix from there. Callers catch up from History instead.
 var ErrCompacted = errors.New("wal: records compacted past requested sequence")
 
-// TailFloor returns the lowest cursor ReadFrom can serve: records with
-// sequence numbers at or below the floor live only in the snapshot.
-// Consumers at or above the floor can follow the log tail; consumers
-// below it must re-bootstrap from History.
-func (l *Log) TailFloor() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tailFloor
-}
-
 // ReadFrom returns up to max records with sequence numbers strictly
 // greater than after, in order, from the live log. It returns
 // ErrCompacted when after is below the tail floor (the suffix is no

@@ -290,19 +290,6 @@ func (l *Log) flush() {
 	}
 }
 
-// Sync forces an immediate flush of everything appended so far.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.syncErr == nil && l.syncedSeq < l.seq {
-		l.fsyncLocked()
-	}
-	return l.syncErr
-}
-
 // Close flushes pending records and closes the log file. A pending
 // group-commit timer is stopped (and its flush subsumed by the close-time
 // fsync) so the callback can never race the closed file.

@@ -287,7 +287,7 @@ func TestInspectAndDump(t *testing.T) {
 	l.Append(Record{Type: TypeAudit, At: 102, Body: body("a")}, true)
 	l.Close()
 
-	info, err := Inspect(dir)
+	_, info, err := Dump(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +304,12 @@ func TestInspectAndDump(t *testing.T) {
 		t.Fatalf("report: %s", s)
 	}
 
-	// Corrupt the middle record; Inspect reports it without failing.
+	// Corrupt the middle record; Dump reports it without failing.
 	data, _ := os.ReadFile(filepath.Join(dir, LogName))
 	first := binary.LittleEndian.Uint32(data)
 	data[headerSize+int(first)+headerSize+2] ^= 0xff
 	os.WriteFile(filepath.Join(dir, LogName), data, 0o644)
-	info, err = Inspect(dir)
+	_, info, err = Dump(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,12 +49,6 @@ import (
 var (
 	// ErrDenied is returned when the authorization protocol denies access.
 	ErrDenied = authz.ErrDenied
-	// ErrStale is returned when a request timestamp falls outside the
-	// server's freshness window.
-	ErrStale = authz.ErrStale
-	// ErrMissingIdentity is returned when a co-signer's identity
-	// certificate is absent from the request.
-	ErrMissingIdentity = authz.ErrMissingIdentity
 	// ErrNoGroup indicates a request against a group with no certificate.
 	ErrNoGroup = errors.New("jointadmin: no certificate issued for group")
 )
@@ -365,9 +359,6 @@ func (a *Alliance) NewServer(name string) (*Server, error) {
 	return &Server{name: name, inner: inner, store: store, log: log}, nil
 }
 
-// Name returns the server name.
-func (s *Server) Name() string { return s.name }
-
 // Audit returns the server's audit log.
 func (s *Server) Audit() *audit.Log { return s.log }
 
@@ -393,13 +384,6 @@ func (s *Server) CreateObject(name string, aclSpec map[string][]string, content 
 		return fmt.Errorf("jointadmin: create %s: %w", name, err)
 	}
 	return nil
-}
-
-// ReadObject returns the object's current content (no authorization — for
-// inspection in examples and tests; access-controlled reads go through
-// Submit).
-func (s *Server) ReadObject(name string) ([]byte, error) {
-	return s.store.Read(name)
 }
 
 // Decision re-exports the authorization decision.

@@ -265,6 +265,13 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+echo "==> public-surface lint (every package-level name and method has a non-test caller or an allow-list reason)"
+# scripts/surface type-checks every module under the root (cmd/,
+# examples/ and benchmark/ count as callers) and fails on a name declared
+# in the root package or internal/ that nothing outside tests names, and
+# on a stale, unknown or reasonless entry in scripts/surface/allow.txt.
+go run ./scripts/surface
+
 echo "==> go test -count=2 ./..."
 # Every package twice in one process: a test that leaks state through a
 # shared fixture (a group granted and revoked on a package-level writer,
