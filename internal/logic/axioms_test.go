@@ -2,6 +2,7 @@ package logic
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"jointadmin/internal/clock"
@@ -336,17 +337,42 @@ func TestA35SelectiveDistribution(t *testing.T) {
 	if !MessageEqual(got.X, content) {
 		t.Errorf("A35 content = %s", got.X)
 	}
-	// Signing with a different key must fail — this is exactly the
-	// unauthorized-privilege-retention problem selective distribution
-	// solves.
-	sWrong := Says{Who: P("Q"), T: At(5), X: Sign(content, "Kother")}
-	if _, err := A35MemberSaysKeyBound(m, key, sWrong); !errors.Is(err, ErrSchemaMismatch) {
-		t.Errorf("A35 wrong key: err = %v", err)
-	}
-	// Certificate for a different key must fail.
-	keyWrong := KeySpeaksFor{K: "Kother", T: During(0, 10), Who: P("Q")}
-	if _, err := A35MemberSaysKeyBound(m, keyWrong, s); !errors.Is(err, ErrSchemaMismatch) {
-		t.Errorf("A35 wrong certificate: err = %v", err)
+	// Each refusal is pinned by its own reason, so a check that a later
+	// one backs up cannot weaken unnoticed. Signing with a different key
+	// is exactly the unauthorized-privilege-retention problem selective
+	// distribution solves.
+	for _, c := range []struct {
+		name string
+		m    MemberOf
+		key  KeySpeaksFor
+		s    Says
+		want string
+		is   error
+	}{
+		{"unbound member", MemberOf{Who: P("Q"), T: During(0, 10), G: G("g")}, key, s,
+			"A35: membership subject must be a key-bound principal", ErrSchemaMismatch},
+		{"compound member", MemberOf{Who: CP(P("Q"), P("R")).WithKey("Kq"), T: During(0, 10), G: G("g")}, key, s,
+			"A35: membership subject must be a key-bound principal", ErrSchemaMismatch},
+		{"certificate for another subject", m, KeySpeaksFor{K: "Kq", T: During(0, 10), Who: P("R")}, s,
+			"A35: key certificate subject R ≠ member Q", ErrSchemaMismatch},
+		{"certificate for another key", m, KeySpeaksFor{K: "Kother", T: During(0, 10), Who: P("Q")}, s,
+			"A35: certificate key Kother ≠ bound key Kq", ErrSchemaMismatch},
+		{"signed with another key", m, key, Says{Who: P("Q"), T: At(5), X: Sign(content, "Kother")},
+			"A35: request not signed with bound key Kq", ErrSchemaMismatch},
+		{"unsigned", m, key, Says{Who: P("Q"), T: At(5), X: content},
+			"A35: request not signed with bound key Kq", ErrSchemaMismatch},
+		{"another speaker", m, key, Says{Who: P("R"), T: At(5), X: Sign(content, "Kq")},
+			"A35: speaker R ≠ member Q", ErrSchemaMismatch},
+		{"expired membership", m, key, Says{Who: P("Q"), T: At(11), X: Sign(content, "Kq")},
+			"does not cover", ErrTimeMismatch},
+		{"utterance of another speaker", m, key, Says{Who: P("Q"), T: At(5),
+			X: Sign(MsgFormula{F: Says{Who: P("R"), T: At(5), X: content}}, "Kq")},
+			"A35: utterance names a different speaker", ErrSchemaMismatch},
+	} {
+		_, err := A35MemberSaysKeyBound(c.m, c.key, c.s)
+		if !errors.Is(err, c.is) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("A35 %s: err = %v, want %q (%v)", c.name, err, c.want, c.is)
+		}
 	}
 }
 
@@ -377,6 +403,13 @@ func TestA36A37CompoundSays(t *testing.T) {
 	skWrong := Says{Who: CP(P("A"), P("B")), T: At(3), X: Sign(Const{Value: "m"}, "Kx")}
 	if _, err := A37CompoundSaysKeyBound(mk, key, skWrong); !errors.Is(err, ErrSchemaMismatch) {
 		t.Errorf("A37 wrong key: err = %v", err)
+	}
+	// A certificate binding Kcp to a compound principal with other
+	// members speaks for them, not for the member.
+	keyOther := KeySpeaksFor{K: "Kcp", T: During(0, 10), Who: CP(P("A"), P("C"))}
+	if _, err := A37CompoundSaysKeyBound(mk, keyOther, sk); !errors.Is(err, ErrSchemaMismatch) ||
+		!strings.Contains(err.Error(), "A37: key certificate subject mismatch") {
+		t.Errorf("A37 certificate for other members: err = %v", err)
 	}
 }
 

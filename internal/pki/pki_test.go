@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"jointadmin/internal/clock"
 	"jointadmin/internal/logic"
 	"jointadmin/internal/sharedrsa"
 )
@@ -180,6 +181,48 @@ func TestThresholdAttributeValidation(t *testing.T) {
 				t.Errorf("err = %v", err)
 			}
 		})
+	}
+}
+
+// TestValidityBoundaries pins the closed ends of a validity window: every
+// Verify* with a window accepts at exactly NotBefore and at exactly
+// NotAfter and refuses one tick outside either end, and issuance accepts
+// a window of one instant.
+func TestValidityBoundaries(t *testing.T) {
+	ca, user := keys(t)
+	signer, subject := ca.AsSigner(), BoundSubject{Name: "User_D1", KeyID: user.KeyID()}
+	for _, w := range []struct{ nb, na clock.Time }{{50, 5000}, {50, 50}} {
+		id, th := identityBody(ca, user), thresholdBody(user)
+		id.NotBefore, id.NotAfter = w.nb, w.na
+		th.NotBefore, th.NotAfter = w.nb, w.na
+		idc, err1 := IssueIdentity(id, signer)
+		atc, err2 := IssueAttribute(Attribute{Issuer: "AA", Group: "G_read", Subject: subject, NotBefore: w.nb, NotAfter: w.na}, signer)
+		thc, err3 := IssueThresholdAttribute(th, signer)
+		glc, err4 := IssueGroupLink(GroupLink{Issuer: "AA", Sub: "G_sub", Sup: "G_write", NotBefore: w.nb, NotAfter: w.na}, signer)
+		dlc, err5 := IssueDelegation(Delegation{Issuer: "AA", Subject: subject, Group: "G_read", Perms: "*", Depth: 1,
+			NotBefore: w.nb, NotAfter: w.na}, signer)
+		ggc, err6 := IssueGroupGraphLink(GroupGraphLink{Issuer: "AA", Sub: "G_sub", Sup: "G_write", Depth: 1,
+			NotBefore: w.nb, NotAfter: w.na}, signer)
+		if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
+			t.Fatalf("issue with validity [%d, %d]: %v", w.nb, w.na, err)
+		}
+		for _, c := range []struct {
+			name   string
+			verify func(clock.Time) error
+		}{
+			{"identity", func(at clock.Time) error { return VerifyIdentity(idc, ca.Public(), at) }},
+			{"attribute", func(at clock.Time) error { return VerifyAttribute(atc, ca.Public(), at) }},
+			{"threshold attribute", func(at clock.Time) error { return VerifyThresholdAttribute(thc, ca.Public(), at) }},
+			{"group link", func(at clock.Time) error { return VerifyGroupLink(glc, ca.Public(), at) }},
+			{"delegation", func(at clock.Time) error { return VerifyDelegation(dlc, ca.Public(), at) }},
+			{"group-graph link", func(at clock.Time) error { return VerifyGroupGraphLink(ggc, ca.Public(), at) }},
+		} {
+			for at, ok := range map[clock.Time]bool{w.nb - 1: false, w.nb: true, w.na: true, w.na + 1: false} {
+				if err := c.verify(at); ok && err != nil || !ok && !errors.Is(err, ErrExpired) {
+					t.Errorf("%s valid [%d, %d] at %d: err = %v", c.name, w.nb, w.na, at, err)
+				}
+			}
+		}
 	}
 }
 

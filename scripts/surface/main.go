@@ -16,6 +16,15 @@
 // in a package the repository builds (error and fmt.Stringer included),
 // or an interface literal in the repository's own code.
 //
+// The same pass enforces the architecture rules, one row each of the
+// table in rules.go. A row has one of four kinds: use (an object, be it a
+// func, method, method value, constant or field, may be used only from,
+// or not from, listed packages, files or functions), import (a package
+// or file may not import a path), literal (composite literals of a type
+// may not appear in a scope) and name (declared names, and markers in
+// comments and string literals, that may not appear). A row's reason is
+// its documentation: a violation prints the row's name and reason.
+//
 // Packages are type-checked from source with go/types; the standard
 // library is read from the export data `go list -export -deps -json`
 // names, so the lint needs nothing outside the Go distribution.
@@ -37,6 +46,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -49,20 +59,21 @@ var categories = map[string]bool{"item": true, "oracle": true, "double": true, "
 var itemRef = regexp.MustCompile(`\bitem [0-9]+`)
 
 func main() {
-	r, err := check(".", filepath.Join("scripts", "surface", "allow.txt"))
+	r, err := check(".", filepath.Join("scripts", "surface", "allow.txt"), nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "surface:", err)
 		os.Exit(2)
 	}
+	r.enforce()
 	for _, v := range r.violations {
 		fmt.Fprintln(os.Stderr, "surface:", v)
 	}
 	if len(r.violations) > 0 {
-		fmt.Fprintf(os.Stderr, "surface: %d violation(s); give each name a non-test caller, delete it, or allow-list it in scripts/surface/allow.txt\n", len(r.violations))
+		fmt.Fprintf(os.Stderr, "surface: %d violation(s); give each name a non-test caller, delete it, or allow-list it in scripts/surface/allow.txt; obey each rule row as its reason says\n", len(r.violations))
 		os.Exit(1)
 	}
-	fmt.Printf("surface: ok: %d names, %d allow-listed; %d exported package-level names are named only in their own package\n",
-		r.checked, r.allowed, len(r.ownOnly))
+	fmt.Printf("surface: ok: %d names, %d allow-listed, %d rule rows; %d exported package-level names are named only in their own package\n",
+		r.checked, r.allowed, len(rules), len(r.ownOnly))
 }
 
 type report struct {
@@ -70,6 +81,9 @@ type report struct {
 	ownOnly    []string // exported package-level names that only their own package names
 	checked    int
 	allowed    int
+	mod        string
+	fset       *token.FileSet
+	units      []unit
 }
 
 // listed is the part of `go list -json` output the lint reads.
@@ -99,8 +113,9 @@ type decl struct {
 }
 
 // check runs the lint over every module under root, reading the
-// allow-list at allow.
-func check(root, allow string) (*report, error) {
+// allow-list at allow. extra maps a file path relative to root to Go
+// source that replaces that file or joins its directory's package.
+func check(root, allow string, extra map[string]string) (*report, error) {
 	mod, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -125,6 +140,7 @@ func check(root, allow string) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
+	abs, _ := filepath.Abs(root)
 
 	fset := token.NewFileSet()
 	exports := map[string]string{}
@@ -151,9 +167,20 @@ func check(root, allow string) (*report, error) {
 		if p.Standard || ld.src[p.ImportPath] != nil {
 			continue
 		}
+		dir, _ := filepath.Rel(abs, p.Dir)
+		names := p.GoFiles
+		for k := range extra {
+			if filepath.Dir(k) == dir && !slices.Contains(names, filepath.Base(k)) {
+				names = append(names[:len(names):len(names)], filepath.Base(k))
+			}
+		}
 		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+		for _, name := range names {
+			var src any
+			if s, ok := extra[filepath.Join(dir, name)]; ok {
+				src = s
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), src, parser.SkipObjectResolution|parser.ParseComments)
 			if err != nil {
 				return nil, err
 			}
@@ -258,6 +285,7 @@ func check(root, allow string) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.mod, r.fset, r.units = mod, fset, all
 	byName := map[string]*decl{}
 	for _, d := range decls {
 		byName[d.name] = d
@@ -370,24 +398,31 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	return l.gc.Import(path)
 }
 
-// display names obj as allow.txt does: the import path relative to the
-// module's internal/ directory (the module path for the root package),
-// then the name, with a method's receiver type between them.
+// display names obj as allow.txt does: its package's pkgName, then the
+// name, with a method's receiver type between them.
 func display(mod string, obj types.Object) string {
-	pkg := obj.Pkg().Path()
-	if pkg != mod {
-		pkg = strings.TrimPrefix(pkg, mod+"/internal/")
-	}
+	pkg := pkgName(mod, obj.Pkg().Path())
 	if fn, ok := obj.(*types.Func); ok {
 		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 			t := recv.Type()
 			if p, ok := t.(*types.Pointer); ok {
 				t = p.Elem()
 			}
-			return pkg + "." + t.(*types.Named).Obj().Name() + "." + obj.Name()
+			if n, ok := t.(*types.Named); ok {
+				return pkg + "." + n.Obj().Name() + "." + obj.Name()
+			}
 		}
 	}
 	return pkg + "." + obj.Name()
+}
+
+// pkgName is an import path relative to the module's internal/ directory
+// (the module path for the root package, the full path elsewhere).
+func pkgName(mod, path string) string {
+	if path == mod {
+		return path
+	}
+	return strings.TrimPrefix(path, mod+"/internal/")
 }
 
 func goList(dir string) ([]listed, error) {
@@ -412,21 +447,13 @@ func goList(dir string) ([]listed, error) {
 
 func modulePath(gomod string) (string, error) {
 	b, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
+	if m := regexp.MustCompile(`(?m)^module\s+(\S+)`).FindSubmatch(b); err == nil && m != nil {
+		return string(m[1]), nil
 	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
-			return f[1], nil
-		}
-	}
-	return "", fmt.Errorf("%s: no module line", gomod)
+	return "", fmt.Errorf("%s: no module line (%v)", gomod, err)
 }
 
-type entry struct {
-	name, category, reason string
-	pos                    string
-}
+type entry struct{ name, category, reason, pos string }
 
 // readAllow parses allow.txt: `name category reason`, one entry a line;
 // blank lines and lines starting with # are skipped. Malformed entries
@@ -445,13 +472,10 @@ func readAllow(path string) (map[string]*entry, *report, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		e := &entry{name: fields[0], pos: fmt.Sprintf("%s:%d", path, n)}
-		if len(fields) > 1 {
-			e.category = fields[1]
-		}
-		if len(fields) > 2 {
-			e.reason = strings.Join(fields[2:], " ")
+		f := strings.Fields(line)
+		e := &entry{name: f[0], pos: fmt.Sprintf("%s:%d", path, n)}
+		if len(f) > 1 {
+			e.category, e.reason = f[1], strings.Join(f[2:], " ")
 		}
 		switch {
 		case !categories[e.category]:
