@@ -14,7 +14,6 @@ package authority
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"sync"
 
 	"jointadmin/internal/clock"
@@ -120,7 +119,9 @@ type DomainAgent struct {
 	down bool
 }
 
-// NewDomainAgent wraps a domain's share. approve may be nil (approve all).
+// NewDomainAgent wraps a domain's share. approve is shown exactly the
+// bytes the coalition is about to sign, a statement's signed form, and
+// may be nil (approve all).
 func NewDomainAgent(name string, share sharedrsa.Share, approve func([]byte) error) *DomainAgent {
 	return &DomainAgent{Name: name, share: share.Clone(), approve: approve}
 }
@@ -166,28 +167,46 @@ func (d *DomainAgent) CoSign(payload []byte, pk sharedrsa.PublicKey) (sharedrsa.
 // dynamics); a deployment would keep it sealed inside the domain.
 func (d *DomainAgent) Share() sharedrsa.Share { return d.share.Clone() }
 
-// consensusSigner is a pki.Signer that implements Case II issuance: every
-// domain must co-sign (n-of-n). It is the cryptographic embodiment of
-// Requirement III.
+// consensusSigner is a pki.Signer that implements Case II issuance, the
+// cryptographic embodiment of Requirement III: each domain co-signs only
+// the bytes it consented to, which are the bytes signed. Without a
+// threshold sharing every domain must co-sign (n-of-n); with one, the
+// quorum is the first m domains that are up and consent (m-of-n).
 type consensusSigner struct {
 	pk      sharedrsa.PublicKey
 	domains []*DomainAgent
+	ts      *sharedrsa.ThresholdShares // nil: n-of-n
+	m       int
 }
 
 var _ pki.Signer = (*consensusSigner)(nil)
 
 func (c *consensusSigner) Public() sharedrsa.PublicKey { return c.pk }
 
-func (c *consensusSigner) Sign(payload []byte) (sharedrsa.Signature, error) {
-	partials := make([]sharedrsa.PartialSignature, 0, len(c.domains))
-	for _, d := range c.domains {
-		p, err := d.CoSign(payload, c.pk)
-		if err != nil {
-			return sharedrsa.Signature{}, err
+func (c *consensusSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
+	if c.ts == nil {
+		partials := make([]sharedrsa.PartialSignature, 0, len(c.domains))
+		for _, d := range c.domains {
+			p, err := d.CoSign(msg, c.pk)
+			if err != nil {
+				return sharedrsa.Signature{}, err
+			}
+			partials = append(partials, p)
 		}
-		partials = append(partials, p)
+		return sharedrsa.Combine(msg, c.pk, partials, len(c.domains))
 	}
-	return sharedrsa.Combine(payload, c.pk, partials, len(c.domains))
+	var quorum []int
+	for i, d := range c.domains {
+		// A down or refusing domain does not join the quorum.
+		if d.Consents(msg) != nil {
+			continue
+		}
+		if quorum = append(quorum, i+1); len(quorum) == c.m {
+			return c.ts.QuorumSign(msg, quorum)
+		}
+	}
+	return sharedrsa.Signature{}, fmt.Errorf("authority: %d domains available, need %d: %w",
+		len(quorum), c.m, sharedrsa.ErrQuorum)
 }
 
 // CoalitionAA is the joint coalition attribute authority (Case II): its
@@ -280,31 +299,12 @@ func (aa *CoalitionAA) EnableThreshold(m int) error {
 	return nil
 }
 
-// signer picks the issuance path: strict n-of-n consensus, or m-of-n
-// quorum over the currently available, consenting domains.
-func (aa *CoalitionAA) signer(payload []byte) (pki.Signer, error) {
+// signer is the issuance path in force: strict n-of-n consensus, or an
+// m-of-n quorum once EnableThreshold has run.
+func (aa *CoalitionAA) signer() pki.Signer {
 	aa.mu.Lock()
-	ts, m := aa.threshold, aa.quorumM
-	aa.mu.Unlock()
-	if ts == nil {
-		return &consensusSigner{pk: aa.pk, domains: aa.domains}, nil
-	}
-	var quorum []int
-	for i, d := range aa.domains {
-		// A down or refusing domain does not join the quorum.
-		if err := d.Consents(payload); err != nil {
-			continue
-		}
-		quorum = append(quorum, i+1)
-		if len(quorum) == m {
-			break
-		}
-	}
-	if len(quorum) < m {
-		return nil, fmt.Errorf("authority: %d domains available, need %d: %w",
-			len(quorum), m, sharedrsa.ErrQuorum)
-	}
-	return pki.NewThresholdSigner(ts, quorum), nil
+	defer aa.mu.Unlock()
+	return &consensusSigner{pk: aa.pk, domains: aa.domains, ts: aa.threshold, m: aa.quorumM}
 }
 
 // IssueThreshold issues a threshold attribute certificate for a group,
@@ -319,24 +319,7 @@ func (aa *CoalitionAA) IssueThreshold(group string, m int, subjects []pki.BoundS
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	s, err := aa.signerForBody(body)
-	if err != nil {
-		return pki.Signed[pki.ThresholdAttribute]{}, err
-	}
-	return pki.IssueThresholdAttribute(body, s)
-}
-
-// signerForBody reconstructs the canonical payload for approval checks.
-func (aa *CoalitionAA) signerForBody(body pki.ThresholdAttribute) (pki.Signer, error) {
-	sc, err := pki.IssueThresholdAttribute(body, unsignedProbe{pk: aa.pk})
-	if err != nil {
-		return nil, err
-	}
-	payload, err := pki.Marshal(sc)
-	if err != nil {
-		return nil, err
-	}
-	return aa.signer(payload)
+	return pki.IssueThresholdAttribute(body, aa.signer())
 }
 
 // IssueAttribute issues a single-subject attribute certificate under the
@@ -350,19 +333,7 @@ func (aa *CoalitionAA) IssueAttribute(group string, subject pki.BoundSubject, va
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	probe, err := pki.IssueAttribute(body, unsignedProbe{pk: aa.pk})
-	if err != nil {
-		return pki.Signed[pki.Attribute]{}, err
-	}
-	payload, err := pki.Marshal(probe)
-	if err != nil {
-		return pki.Signed[pki.Attribute]{}, err
-	}
-	s, err := aa.signer(payload)
-	if err != nil {
-		return pki.Signed[pki.Attribute]{}, err
-	}
-	return pki.IssueAttribute(body, s)
+	return pki.IssueAttribute(body, aa.signer())
 }
 
 // IssueGroupLink issues a privilege-inheritance certificate under the same
@@ -376,19 +347,7 @@ func (aa *CoalitionAA) IssueGroupLink(sub, sup string, validity clock.Interval) 
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	probe, err := pki.IssueGroupLink(body, unsignedProbe{pk: aa.pk})
-	if err != nil {
-		return pki.Signed[pki.GroupLink]{}, err
-	}
-	payload, err := pki.Marshal(probe)
-	if err != nil {
-		return pki.Signed[pki.GroupLink]{}, err
-	}
-	s, err := aa.signer(payload)
-	if err != nil {
-		return pki.Signed[pki.GroupLink]{}, err
-	}
-	return pki.IssueGroupLink(body, s)
+	return pki.IssueGroupLink(body, aa.signer())
 }
 
 // RevokeThreshold issues a revocation certificate for a previously issued
@@ -402,29 +361,5 @@ func (aa *CoalitionAA) RevokeThreshold(cert pki.Signed[pki.ThresholdAttribute], 
 		Subjects:    cert.Cert.Subjects,
 		EffectiveAt: effective,
 	}
-	probe, err := pki.IssueRevocation(body, unsignedProbe{pk: aa.pk})
-	if err != nil {
-		return pki.Signed[pki.Revocation]{}, err
-	}
-	payload, err := pki.Marshal(probe)
-	if err != nil {
-		return pki.Signed[pki.Revocation]{}, err
-	}
-	s, err := aa.signer(payload)
-	if err != nil {
-		return pki.Signed[pki.Revocation]{}, err
-	}
-	return pki.IssueRevocation(body, s)
-}
-
-// unsignedProbe produces a zero signature; used only to materialize the
-// canonical payload a real signer will sign.
-type unsignedProbe struct{ pk sharedrsa.PublicKey }
-
-var _ pki.Signer = unsignedProbe{}
-
-func (u unsignedProbe) Public() sharedrsa.PublicKey { return u.pk }
-
-func (u unsignedProbe) Sign([]byte) (sharedrsa.Signature, error) {
-	return sharedrsa.Signature{S: big.NewInt(1)}, nil
+	return pki.IssueRevocation(body, aa.signer())
 }

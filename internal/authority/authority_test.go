@@ -1,7 +1,9 @@
 package authority
 
 import (
+	"bytes"
 	"errors"
+	"math/big"
 	"sync"
 	"testing"
 
@@ -326,5 +328,76 @@ func TestEstablishValidation(t *testing.T) {
 	}
 	if _, err := assemble("AA", []string{"D1", "D2"}, sharedrsa.PublicKey{}, nil, clock.New(0), nil); err == nil {
 		t.Error("mismatched shares accepted")
+	}
+}
+
+// sigOf keeps an issuance's signature value and error.
+func sigOf[T any](sc pki.Signed[T], err error) (string, error) { return sc.SigS, err }
+
+// TestConsentCoversSignedBytes: in both issuance modes, for every kind the
+// coalition AA issues, each domain is asked to consent to exactly the
+// bytes the returned signature verifies over — consent to a certificate
+// is consent to its signed form, not to some other encoding of it.
+func TestConsentCoversSignedBytes(t *testing.T) {
+	key, err := sharedrsa.DealerSplit(512, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threshold := range []bool{false, true} {
+		mode, quorum := "n-of-n", 3
+		if threshold {
+			mode, quorum = "2-of-3", 2
+		}
+		t.Run(mode, func(t *testing.T) {
+			var seen [][]byte // every approval request, in order
+			domains := make([]*DomainAgent, 3)
+			for i := range domains {
+				domains[i] = NewDomainAgent([]string{"D1", "D2", "D3"}[i], key.Shares[i], func(msg []byte) error {
+					seen = append(seen, bytes.Clone(msg))
+					return nil
+				})
+			}
+			aa := &CoalitionAA{name: "AA", pk: key.Public, domains: domains, clk: clock.New(100)}
+			if threshold {
+				if err := aa.EnableThreshold(2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			validity := clock.NewInterval(50, 5000)
+			subject := pki.BoundSubject{Name: "User_D1", KeyID: "k1"}
+			var th pki.Signed[pki.ThresholdAttribute]
+			for _, c := range []struct {
+				name  string
+				issue func() (string, error)
+			}{
+				{"threshold", func() (sigS string, err error) {
+					th, err = aa.IssueThreshold("G_write", 2, subjects(), validity)
+					return th.SigS, err
+				}},
+				{"attribute", func() (string, error) { return sigOf(aa.IssueAttribute("G_read", subject, validity)) }},
+				{"group link", func() (string, error) { return sigOf(aa.IssueGroupLink("G_sub", "G_write", validity)) }},
+				{"revocation", func() (string, error) { return sigOf(aa.RevokeThreshold(th, 200)) }},
+				{"delegation", func() (string, error) { return sigOf(aa.IssueDelegation("", subject, "G_read", 1, "read", validity)) }},
+				{"group-graph link", func() (string, error) { return sigOf(aa.IssueGroupGraphLink("G_sub", "G_read", 1, validity)) }},
+			} {
+				seen = nil
+				sigS, err := c.issue()
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				sig, ok := new(big.Int).SetString(sigS, 16)
+				if !ok {
+					t.Fatalf("%s: signature %q is not hex", c.name, sigS)
+				}
+				if len(seen) < quorum {
+					t.Errorf("%s: %d consents, want at least %d", c.name, len(seen), quorum)
+				}
+				for i, msg := range seen {
+					if err := sharedrsa.Verify(msg, aa.Public(), sharedrsa.Signature{S: sig}); err != nil {
+						t.Errorf("%s: consent %d was to bytes the signature does not cover: %v", c.name, i+1, err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -168,6 +168,6 @@ func (ra *RevocationAuthority) RevokeAttribute(cert pki.Signed[pki.Attribute], e
 }
 
 // PublishCRL signs and returns the RA's current revocation list.
-func (ra *RevocationAuthority) PublishCRL() (pki.SignedCRL, error) {
+func (ra *RevocationAuthority) PublishCRL() (pki.Signed[pki.CRL], error) {
 	return ra.registry.Publish(ra.clk.Now())
 }

@@ -26,19 +26,7 @@ func (aa *CoalitionAA) IssueDelegation(delegator string, subject pki.BoundSubjec
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	probe, err := pki.IssueDelegation(body, unsignedProbe{pk: aa.pk})
-	if err != nil {
-		return pki.Signed[pki.Delegation]{}, err
-	}
-	payload, err := pki.Marshal(probe)
-	if err != nil {
-		return pki.Signed[pki.Delegation]{}, err
-	}
-	s, err := aa.signer(payload)
-	if err != nil {
-		return pki.Signed[pki.Delegation]{}, err
-	}
-	return pki.IssueDelegation(body, s)
+	return pki.IssueDelegation(body, aa.signer())
 }
 
 // IssueGroupGraphLink issues a group-graph membership certificate
@@ -54,19 +42,7 @@ func (aa *CoalitionAA) IssueGroupGraphLink(sub, sup string, depth int, validity 
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	probe, err := pki.IssueGroupGraphLink(body, unsignedProbe{pk: aa.pk})
-	if err != nil {
-		return pki.Signed[pki.GroupGraphLink]{}, err
-	}
-	payload, err := pki.Marshal(probe)
-	if err != nil {
-		return pki.Signed[pki.GroupGraphLink]{}, err
-	}
-	s, err := aa.signer(payload)
-	if err != nil {
-		return pki.Signed[pki.GroupGraphLink]{}, err
-	}
-	return pki.IssueGroupGraphLink(body, s)
+	return pki.IssueGroupGraphLink(body, aa.signer())
 }
 
 // RevokeSubject issues a revocation certificate withdrawing one bound

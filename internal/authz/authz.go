@@ -96,10 +96,10 @@ type UserRequest struct {
 }
 
 // SignRequest produces a signed request component for a user key pair.
-// The signature is over the component's canonical body: the json.Marshal
-// encoding of its signed fields, produced by the allocation-free encoder
-// in encode.go (byte-equivalence with encoding/json is pinned by test,
-// since signatures are over these exact bytes). A signature that fails
+// The signature is over the component's signed form (appendRequestBody,
+// encode.go): the "request" kind tag, then its user, at, op, object and
+// payload, length-prefixed like every certificate's signed form, so no
+// two components and no certificate share one. A signature that fails
 // its check before release is sharedrsa.ErrSignFault.
 func SignRequest(user string, at clock.Time, op acl.Permission, object string, payload []byte, kp *pki.KeyPair) (UserRequest, error) {
 	r := UserRequest{User: user, At: at, Op: op, Object: object, Payload: payload}
@@ -877,7 +877,7 @@ type signerKey struct {
 // the first one's operation, object and payload, byte for byte, each
 // signer has a verified identity whose key ID is the one the membership
 // certificate binds to it, and each signature parses; then each signature
-// is verified over its component's canonical body, in request order, in
+// is verified over its component's signed form, in request order, in
 // the caller's goroutine. The first failing signer is the denial, and a
 // context canceled between two checks surfaces as ctx.Err (an abort, not
 // a denial). Once it returns nil, every co-signer signed the same request,

@@ -1,22 +1,24 @@
-// Allocation-free JSON encoding for the two hot serializations of the
-// authorize path: the canonical signed request body (hashed and signed
-// on every co-signature, re-encoded on every verification) and the
-// decision wire form the benchmark's in-process workloads encode every
-// decision into (benchmark/inproc.go). Both append into caller-owned
-// buffers and produce output byte-identical to encoding/json over the
-// equivalent struct (including its HTML escaping and base64 []byte
-// convention) — pinned by equivalence tests — because the request body
-// is under RSA signatures: a single divergent byte invalidates every
-// signature ever produced. The decode side is
-// decode.go; the certificate cache keys are not JSON at all (a hash of
-// each certificate's binary fields, pki.Fingerprint).
+// Allocation-free encoding for the two hot serializations of the
+// authorize path, each appending into a caller-owned buffer:
+//
+//   - the signed form of a request component (appendRequestBody), hashed
+//     and signed on every co-signature and re-encoded on every
+//     verification: a wirefmt statement, kind tag first, like every
+//     certificate's signed form (pki.Fingerprint hashes those);
+//   - the decision wire form the benchmark's in-process workloads encode
+//     every decision into (benchmark/inproc.go), byte-identical to
+//     encoding/json over the equivalent struct (including its HTML
+//     escaping and base64 []byte convention), pinned by equivalence tests.
+//
+// The decode side is decode.go.
 
 package authz
 
 import (
 	"encoding/base64"
-	"strconv"
 	"unicode/utf8"
+
+	"jointadmin/internal/wirefmt"
 )
 
 const hexDigits = "0123456789abcdef"
@@ -102,25 +104,22 @@ func appendBase64(dst, b []byte) []byte {
 	return append(dst, '"')
 }
 
-// appendRequestBody appends the canonical signed payload of a
-// UserRequest: the json.Marshal of its user/at/op/object/payload
-// fields, the bytes every request signature has always covered, so
-// existing signatures keep verifying. With a caller-owned dst it allocates only
-// when the buffer must grow.
+// tagRequest is the kind tag of a request component's signed form. No
+// certificate kind uses it, so a user's signature over a request is never
+// a certificate.
+const tagRequest = "request"
+
+// appendRequestBody appends the signed form of a UserRequest: its kind
+// tag, then user, at, op, object and payload, strings and the payload
+// length-prefixed and at as eight big-endian bytes. With a caller-owned
+// dst it allocates only when the buffer must grow.
 func appendRequestBody(dst []byte, r *UserRequest) []byte {
-	dst = append(dst, `{"user":`...)
-	dst = appendJSONString(dst, r.User)
-	dst = append(dst, `,"at":`...)
-	dst = strconv.AppendInt(dst, int64(r.At), 10)
-	dst = append(dst, `,"op":`...)
-	dst = appendJSONString(dst, string(r.Op))
-	dst = append(dst, `,"object":`...)
-	dst = appendJSONString(dst, r.Object)
-	if len(r.Payload) > 0 {
-		dst = append(dst, `,"payload":`...)
-		dst = appendBase64(dst, r.Payload)
-	}
-	return append(dst, '}')
+	dst = wirefmt.AppendString(dst, tagRequest)
+	dst = wirefmt.AppendString(dst, r.User)
+	dst = wirefmt.AppendInt64(dst, int64(r.At))
+	dst = wirefmt.AppendString(dst, string(r.Op))
+	dst = wirefmt.AppendString(dst, r.Object)
+	return wirefmt.AppendBytes(dst, r.Payload)
 }
 
 // AppendDecisionJSON appends the wire encoding of a Decision and

@@ -1,12 +1,17 @@
 package authz
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"math/big"
 	"math/rand"
 	"testing"
 
 	"jointadmin/internal/acl"
-	"jointadmin/internal/clock"
+	"jointadmin/internal/pki"
+	"jointadmin/internal/sharedrsa"
 )
 
 // nastyStrings exercises every escaping branch of appendJSONString.
@@ -22,23 +27,6 @@ var nastyStrings = []string{
 	"invalid \xff\xfe utf8 \x80",
 	"trailing continuation \xc3",
 	"mixed <b>\n\"&\"</b> \u2028\xffend",
-}
-
-// oldRequestBody is the historical json.Marshal encoding the signatures
-// were defined over; appendRequestBody must reproduce it byte for byte.
-func oldRequestBody(t *testing.T, r UserRequest) []byte {
-	t.Helper()
-	b, err := json.Marshal(struct {
-		User    string         `json:"user"`
-		At      clock.Time     `json:"at"`
-		Op      acl.Permission `json:"op"`
-		Object  string         `json:"object"`
-		Payload []byte         `json:"payload,omitempty"`
-	}{r.User, r.At, r.Op, r.Object, r.Payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
@@ -64,25 +52,88 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-func TestAppendRequestBodyMatchesEncodingJSON(t *testing.T) {
-	payloads := [][]byte{nil, {}, []byte("plain"), []byte{0x00, 0xff, 0x3c}, []byte("long payload long payload long payload")}
-	at := []clock.Time{0, 1, 12345, clock.Time(1 << 40)}
-	for _, u := range nastyStrings {
-		for _, p := range payloads {
-			for _, ts := range at {
-				r := UserRequest{User: u, At: ts, Op: acl.Write, Object: "O/" + u, Payload: p}
-				want := oldRequestBody(t, r)
-				if got := appendRequestBody(nil, &r); string(got) != string(want) {
-					t.Fatalf("request body diverges for user %q payload %v:\n got %s\nwant %s", u, p, got, want)
-				}
-				// Appending into a dirty, pre-sized buffer must yield the
-				// same bytes (the pooled-path usage).
-				buf := append(make([]byte, 0, 512), "garbage"...)
-				if got := appendRequestBody(buf[len(buf):], &r); string(got) != string(want) {
-					t.Fatalf("offset append diverges for user %q", u)
-				}
-			}
+// TestRequestBodyInjective: request components whose users differ only
+// in bytes that are not UTF-8 have different signed forms, so a signature
+// over one does not verify as the other. (A JSON encoding maps both
+// invalid bytes to U+FFFD and would sign them alike.)
+func TestRequestBodyInjective(t *testing.T) {
+	kp, err := pki.GenerateKeyPair(512, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := SignRequest("a\xff", 100, acl.Write, "O", []byte("v2"), kp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, ok := new(big.Int).SetString(r.SigS, 16)
+	if !ok {
+		t.Fatalf("signature %q is not hex", r.SigS)
+	}
+	if err := sharedrsa.Verify(appendRequestBody(nil, &r), kp.Public(), sharedrsa.Signature{S: sig}); err != nil {
+		t.Fatal(err)
+	}
+	r.User = "a\xfe"
+	if err := sharedrsa.Verify(appendRequestBody(nil, &r), kp.Public(), sharedrsa.Signature{S: sig}); err == nil {
+		t.Fatalf("request by %q verifies as %q", "a\xff", r.User)
+	}
+}
+
+// recordingSigner keeps the bytes it is asked to sign and signs nothing.
+type recordingSigner struct{ msgs [][]byte }
+
+func (*recordingSigner) Public() sharedrsa.PublicKey {
+	return sharedrsa.PublicKey{N: big.NewInt(101), E: big.NewInt(3)}
+}
+
+func (r *recordingSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
+	r.msgs = append(r.msgs, bytes.Clone(msg))
+	return sharedrsa.Signature{S: big.NewInt(1)}, nil
+}
+
+// TestSignedKindTagsDistinct: the first field of every signed form — the
+// nine certificate and CRL kinds and the request component — is a kind
+// tag that no other kind uses. That is the domain separation that keeps a
+// user's request signature from verifying as a certificate, and one
+// certificate kind from verifying as another.
+func TestSignedKindTagsDistinct(t *testing.T) {
+	rec := &recordingSigner{}
+	sub := pki.BoundSubject{Name: "alice", KeyID: "k-alice"}
+	key := rec.Public()
+	var errs []error
+	keep := func(_ any, err error) { errs = append(errs, err) }
+	keep(pki.IssueIdentity(pki.Identity{Issuer: "CA1", Subject: "alice", SubjectKey: pki.NewKeyInfo(key), KeyID: key.KeyID()}, rec))
+	keep(pki.IssueAttribute(pki.Attribute{Group: "G", Subject: sub}, rec))
+	keep(pki.IssueThresholdAttribute(pki.ThresholdAttribute{Group: "G", M: 1, Subjects: []pki.BoundSubject{sub}}, rec))
+	keep(pki.IssueGroupLink(pki.GroupLink{Sub: "G1", Sup: "G2"}, rec))
+	keep(pki.IssueIdentityRevocation(pki.IdentityRevocation{Subject: "alice", KeyID: "k-alice"}, rec))
+	keep(pki.IssueDelegation(pki.Delegation{Subject: sub, Group: "G", Perms: "*"}, rec))
+	keep(pki.IssueGroupGraphLink(pki.GroupGraphLink{Sub: "G1", Sup: "G2"}, rec))
+	rev, err := pki.IssueRevocation(pki.Revocation{Group: "G", Subjects: []pki.BoundSubject{sub}}, rec)
+	keep(rev, err)
+	reg := pki.NewRevocationRegistry("RA", rec)
+	reg.Add(rev)
+	keep(reg.Publish(1))
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	forms := append(rec.msgs, appendRequestBody(nil, &UserRequest{User: "alice", Op: acl.Read, Object: "O"}))
+	if len(forms) != 10 {
+		t.Fatalf("%d signed forms, want 10", len(forms))
+	}
+	seen := map[string]int{}
+	for i, b := range forms {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n == 0 || uint64(len(b)-k) < n {
+			t.Fatalf("form %d does not start with a tag: %q", i, b)
 		}
+		tag := string(b[k : k+int(n)])
+		if j, dup := seen[tag]; dup {
+			t.Errorf("forms %d and %d share the tag %q", j, i, tag)
+		}
+		seen[tag] = i
+	}
+	if _, ok := seen[tagRequest]; !ok {
+		t.Errorf("no form starts with the request tag %q: %v", tagRequest, seen)
 	}
 }
 

@@ -9,10 +9,10 @@ package authz
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/big"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +24,7 @@ import (
 	"jointadmin/internal/pki"
 	"jointadmin/internal/sharedrsa"
 	"jointadmin/internal/wal"
+	"jointadmin/internal/wirefmt"
 )
 
 // newCacheFixture builds a private copy of the Figure 1 deployment — these
@@ -401,21 +402,27 @@ func runColdRebuildDifferential(t *testing.T, seed int64) {
 }
 
 // signIdentity signs an identity body with ca's key as pki.IssueIdentity
-// would, without its check that KeyID names the subject key.
+// would, without its check that KeyID names the subject key: over the
+// identity's signed form, the "identity" kind tag then every field in
+// order (DESIGN.md §7).
 func signIdentity(t *testing.T, body pki.Identity, ca *pki.KeyPair) pki.Signed[pki.Identity] {
 	t.Helper()
-	payload, err := json.Marshal(struct {
-		T    string       `json:"t"`
-		Body pki.Identity `json:"body"`
-	}{"identity", body})
+	signed := wirefmt.AppendString(nil, "identity")
+	signed = wirefmt.AppendString(signed, body.Issuer)
+	signed = wirefmt.AppendInt64(signed, int64(body.IssuedAt))
+	for _, s := range []string{body.Subject, body.SubjectKey.N, body.SubjectKey.E, body.KeyID} {
+		signed = wirefmt.AppendString(signed, s)
+	}
+	signed = wirefmt.AppendInt64(wirefmt.AppendInt64(signed, int64(body.NotBefore)), int64(body.NotAfter))
+	sig, err := ca.Sign(signed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := ca.Sign(payload)
-	if err != nil {
-		t.Fatal(err)
+	idc := pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: sig.S.Text(16)}
+	if err := pki.VerifyIdentity(idc, ca.Public(), body.NotBefore); err != nil {
+		t.Fatalf("hand-signed identity does not verify: %v", err)
 	}
-	return pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: sig.S.Text(16)}
+	return idc
 }
 
 // TestColdDenialsMatchReplay: every way a request can be denied before
@@ -481,19 +488,22 @@ func TestColdDenialsMatchReplay(t *testing.T) {
 		setup Mutation // applied to both servers first, when set
 		req   AccessRequest
 		step  string
+		cause string // a substring of the denial's reason, when set
 	}{
-		{"empty request", nil, AccessRequest{Threshold: f.writeAC}, StepFreshness},
-		{"untrusted CA", nil, requestBy(identity("CAY", cay, "Mallory_D1", mallory.KeyID(), mallory.Public()), mallory.KeyID(), mallory), StepCerts},
-		{"tampered identity signature", nil, tamperedID, StepCerts},
-		{"identity KeyID mismatch", nil, requestBy(identity("CAX", cax, "Mallory_D1", "kX", mallory.Public()), "kX", mallory), StepCerts},
-		{"zero-modulus key", nil, requestBy(identity("CAX", cax, "Zero_D1", zero.KeyID(), zero), zero.KeyID(), mallory), StepCerts},
-		{"foreign membership issuer", nil, foreign, StepThreshold},
-		{"tampered threshold certificate", nil, tamperedAC, StepThreshold},
-		{"rejected certificate naming a fresh group", nil, freshGroup, StepThreshold},
-		{"tampered single-subject certificate", nil, tamperedSingle, StepThreshold},
-		{"tampered delegation certificate", nil, tamperedDeleg, StepThreshold},
-		{"delegated subject with no chain", nil, unchained, StepThreshold},
-		{"revoked AA key", aaKeyRevoked, f.writeRequest(t, []byte("x"), "User_D1", "User_D2"), StepThreshold},
+		{"empty request", nil, AccessRequest{Threshold: f.writeAC}, StepFreshness, ""},
+		{"untrusted CA", nil, requestBy(identity("CAY", cay, "Mallory_D1", mallory.KeyID(), mallory.Public()), mallory.KeyID(), mallory), StepCerts, "untrusted CA CAY"},
+		{"tampered identity signature", nil, tamperedID, StepCerts, "identity certificate invalid"},
+		{"identity KeyID mismatch", nil, requestBy(identity("CAX", cax, "Mallory_D1", "kX", mallory.Public()), "kX", mallory), StepCerts,
+			"key ID kX does not name the subject key"},
+		{"zero-modulus key", nil, requestBy(identity("CAX", cax, "Zero_D1", zero.KeyID(), zero), zero.KeyID(), mallory), StepCerts,
+			"identity certificate key malformed: pki: malformed certificate: bad modulus"},
+		{"foreign membership issuer", nil, foreign, StepThreshold, ""},
+		{"tampered threshold certificate", nil, tamperedAC, StepThreshold, ""},
+		{"rejected certificate naming a fresh group", nil, freshGroup, StepThreshold, ""},
+		{"tampered single-subject certificate", nil, tamperedSingle, StepThreshold, ""},
+		{"tampered delegation certificate", nil, tamperedDeleg, StepThreshold, ""},
+		{"delegated subject with no chain", nil, unchained, StepThreshold, ""},
+		{"revoked AA key", aaKeyRevoked, f.writeRequest(t, []byte("x"), "User_D1", "User_D2"), StepThreshold, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			setup := newServer
@@ -509,6 +519,9 @@ func TestColdDenialsMatchReplay(t *testing.T) {
 			want, reg := requireServingMatchesReplay(t, setup, tc.req, tc.name)
 			if want.allowed || want.step != tc.step {
 				t.Fatalf("decided %+v, want a denial at %s", want, tc.step)
+			}
+			if !strings.Contains(want.reason, tc.cause) {
+				t.Fatalf("denied for %q, want %q", want.reason, tc.cause)
 			}
 			if _, _, compiles := residualCounts(reg); compiles != 0 {
 				t.Fatalf("a rejected request compiled %d residues", compiles)

@@ -219,8 +219,8 @@ func decodeAnchors(body json.RawMessage) (TrustAnchors, uint64, error) {
 	return a, b.Epoch, nil
 }
 
-// certRecord wraps a signed certificate as a WAL record using its
-// existing deterministic wire encoding.
+// certRecord wraps a signed certificate as a WAL record in its JSON
+// journal form (pki.Marshal).
 func certRecord[T any](typ wal.Type, sc pki.Signed[T], at clock.Time) (*wal.Record, error) {
 	body, err := pki.Marshal(sc)
 	if err != nil {

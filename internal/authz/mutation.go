@@ -68,7 +68,7 @@ type IdentityRevocation struct {
 // CRL submits a signed revocation list; every entry not yet believed
 // revoked is applied as a Revocation.
 type CRL struct {
-	List pki.SignedCRL
+	List pki.Signed[pki.CRL]
 }
 
 // Revocation withdraws a group membership, per a revocation certificate
@@ -200,22 +200,22 @@ func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation])
 // the belief store — the "most recent available revocation information"
 // refresh of Section 4.3. It returns how many entries were newly
 // recorded.
-func (s *Server) applyCRL(crl pki.SignedCRL) (applied int, err error) {
+func (s *Server) applyCRL(crl pki.Signed[pki.CRL]) (applied int, err error) {
 	defer func(start time.Time) { s.observeRevocation("crl", start, err) }(time.Now())
 	anchors := s.state.Load().anchors
 	var issuerKey sharedrsa.PublicKey
-	switch crl.CRL.Issuer {
+	switch crl.Cert.Issuer {
 	case anchors.RAName:
 		issuerKey = anchors.RAKey
 	case anchors.AAName:
 		issuerKey = anchors.AAKey
 	default:
-		return 0, fmt.Errorf("%w: CRL from untrusted issuer %s", ErrDenied, crl.CRL.Issuer)
+		return 0, fmt.Errorf("%w: CRL from untrusted issuer %s", ErrDenied, crl.Cert.Issuer)
 	}
 	if err := pki.VerifyCRL(crl, issuerKey); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrDenied, err)
 	}
-	for _, rev := range crl.CRL.Entries {
+	for _, rev := range crl.Cert.Entries {
 		already := s.state.Load().eng.Store().Revoked(
 			pki.SubjectOf(rev.Cert.Subjects, rev.Cert.M), logic.G(rev.Cert.Group), s.clk.Now())
 		if already {

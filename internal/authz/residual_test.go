@@ -446,3 +446,33 @@ func TestResidueReachableMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestResidueEdgesAreTheWalksEdges: a compiled residue records exactly
+// the edges the relation walk crosses, once each. X is reachable but
+// with its budget spent (A ⇒<0> X), so the walk refuses X ⇒<5> Y and the
+// residue must not record it; B is reached twice, with budget 0 and then
+// 2 (A ⇒<0> B, then A ⇒<3> D ⇒<2> B), so the walk crosses B ⇒ E twice
+// and the residue records it once.
+func TestResidueEdgesAreTheWalksEdges(t *testing.T) {
+	eng := logic.NewEngine("P", clock.New(0))
+	ts := logic.During(0, 1000).On("AA")
+	for i, e := range []struct {
+		sub, sup string
+		depth    int // -1: a plain group link
+	}{{"A", "X", 0}, {"X", "Y", 5}, {"A", "B", 0}, {"A", "D", 3}, {"D", "B", 2}, {"B", "E", -1}} {
+		var f logic.Formula = logic.GroupGraphEdge{Sub: logic.G(e.sub), T: ts, Depth: e.depth, Sup: logic.G(e.sup)}
+		if e.depth < 0 {
+			f = logic.GroupSpeaksFor{Sub: logic.G(e.sub), T: ts, Sup: logic.G(e.sup)}
+		}
+		eng.Store().Add(f, 0, i+1)
+	}
+	eng.Seal()
+	var got []string
+	for _, e := range buildRelIndex(eng).compile("A", 0).edges {
+		got = append(got, e.sub.Name+"⇒"+e.sup.Name)
+	}
+	slices.Sort(got)
+	if want := []string{"A⇒B", "A⇒D", "A⇒X", "B⇒E", "D⇒B"}; !slices.Equal(got, want) {
+		t.Errorf("residue edges %v, want the walk's %v", got, want)
+	}
+}

@@ -2,7 +2,6 @@ package authz
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math/big"
 	"strings"
@@ -117,27 +116,13 @@ func TestIdentityKeyIDMustNameSubjectKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// pki.IssueIdentity refuses this body, so sign its payload directly.
+	// pki.IssueIdentity refuses this body, so sign its signed form directly.
 	body := pki.Identity{Issuer: "CAX", IssuedAt: 60, Subject: "Mallory_D1",
 		SubjectKey: pki.NewKeyInfo(user.Public()), KeyID: "kX", NotBefore: 50, NotAfter: 5000}
 	if _, err := pki.IssueIdentity(body, ca.AsSigner()); !errors.Is(err, pki.ErrMalformed) {
 		t.Fatalf("IssueIdentity accepted a key ID that names no subject key: %v", err)
 	}
-	payload, err := json.Marshal(struct {
-		T    string       `json:"t"`
-		Body pki.Identity `json:"body"`
-	}{"identity", body})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := ca.Sign(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idc := pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: sig.S.Text(16)}
-	if err := pki.VerifyIdentity(idc, ca.Public(), 100); err != nil {
-		t.Fatalf("hand-signed identity does not verify: %v", err)
-	}
+	idc := signIdentity(t, body, ca)
 	ac, err := f.est.AA.IssueThreshold("G_read", 1,
 		[]pki.BoundSubject{{Name: "Mallory_D1", KeyID: "kX"}}, clock.NewInterval(50, 5000))
 	if err != nil {

@@ -110,7 +110,7 @@ func TestApplyCRL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(crl.CRL.Entries) == 0 {
+	if len(crl.Cert.Entries) == 0 {
 		t.Fatal("RA's CRL empty after Revoke")
 	}
 	// The fixture RA is shared across tests, so the CRL may carry
@@ -155,7 +155,7 @@ func TestApplyCRLUntrustedIssuer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crl, err := pki.IssueCRL("EvilRA", 1, f.clk.Now(), nil, rogue.AsSigner())
+	crl, err := pki.NewRevocationRegistry("EvilRA", rogue.AsSigner()).Publish(f.clk.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestApplyCRLUntrustedIssuer(t *testing.T) {
 		t.Fatal("untrusted CRL accepted")
 	}
 	// Right issuer name, wrong key: also refused.
-	crl2, err := pki.IssueCRL("RA", 1, f.clk.Now(), nil, rogue.AsSigner())
+	crl2, err := pki.NewRevocationRegistry("RA", rogue.AsSigner()).Publish(f.clk.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,8 +122,8 @@ func TestJoinRekeysAndReissues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(crl.CRL.Entries) != 2 {
-		t.Errorf("CRL entries = %d, want 2", len(crl.CRL.Entries))
+	if len(crl.Cert.Entries) != 2 {
+		t.Errorf("CRL entries = %d, want 2", len(crl.Cert.Entries))
 	}
 	// The re-issued certificate verifies under the NEW key and not the old.
 	cert, ok := c.Certificate("G_write")

@@ -27,7 +27,7 @@ func observe(t *testing.T, c *Coalition, groups ...string) observables {
 		t.Fatal(err)
 	}
 	o := observables{epoch: c.Epoch(), domains: c.Domains(), certs: make(map[string][]byte),
-		revs: len(crl.CRL.Entries), anchors: c.Anchors(0)}
+		revs: len(crl.Cert.Entries), anchors: c.Anchors(0)}
 	for _, g := range groups {
 		cert, ok := c.Certificate(g)
 		if !ok {

@@ -200,18 +200,36 @@ func TestSealAfterWriteResealing(t *testing.T) {
 	}
 }
 
-// TestSealFlattensDeepChains: repeated mutate/seal cycles must not grow the
-// layer chain without bound — reads stay correct across the flatten.
+// TestSealFlattensDeepChains: repeated mutate/seal cycles, with empty
+// seals between them, must not grow the layer chain of a store or the
+// segment chain of a proof without bound — reads stay correct across the
+// flatten.
 func TestSealFlattensDeepChains(t *testing.T) {
 	s := NewBeliefStore()
+	p := NewProof("P")
 	const rounds = 3 * maxLayerDepth
 	for i := 0; i < rounds; i++ {
 		s.Add(Prop{Name: fmt.Sprintf("r%d", i)}, clock.Time(i), i+1)
 		s.Revoke(P(fmt.Sprintf("u%d", i)), G("G"), clock.Time(i), i+1)
 		s.Seal()
+		s.Seal()
+		p.Append("R", nil, Prop{Name: fmt.Sprintf("r%d", i)}, clock.Time(i), "")
+		p.Seal()
+		p.Seal()
+		if d := s.base.depth; d > maxLayerDepth {
+			t.Fatalf("round %d: layer depth = %d, want <= %d", i, d, maxLayerDepth)
+		}
+		if d := p.base.depth; d > maxLayerDepth {
+			t.Fatalf("round %d: proof segment depth = %d, want <= %d", i, d, maxLayerDepth)
+		}
 	}
-	if d := s.base.depth; d > maxLayerDepth {
-		t.Errorf("layer depth = %d, want <= %d", d, maxLayerDepth)
+	for i, st := range p.Steps() {
+		if st.ID != i+1 || st.Conclusion != (Prop{Name: fmt.Sprintf("r%d", i)}) {
+			t.Errorf("proof step %d lost across flatten: %+v", i+1, st)
+		}
+	}
+	if got := len(p.Steps()); got != rounds {
+		t.Errorf("proof has %d steps, want %d", got, rounds)
 	}
 	for i := 0; i < rounds; i++ {
 		if e, ok := s.Holds(Prop{Name: fmt.Sprintf("r%d", i)}); !ok || e.Step != i+1 {

@@ -102,10 +102,8 @@ func (p *Proof) Append(rule string, premises []int, conclusion Formula, at clock
 // start a fresh suffix. Chains deeper than maxLayerDepth are flattened so
 // lookups never walk more than a constant number of segments.
 func (p *Proof) Seal() {
+	// Nothing new; see BeliefStore.Seal for why base is never too deep.
 	if len(p.steps) == 0 {
-		if p.base != nil && p.base.depth > maxLayerDepth {
-			p.base = flattenProof(p.base, p.baseLen)
-		}
 		return
 	}
 	seg := &proofSeg{parent: p.base, steps: p.steps, start: p.baseLen + 1, depth: 1}

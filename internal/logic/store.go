@@ -90,11 +90,10 @@ func NewBeliefStore() *BeliefStore {
 // start a fresh overlay and make the next Seal or Clone proportionally
 // more expensive. Once shared, it is only read.
 func (b *BeliefStore) Seal() {
+	// Nothing new, and no over-deep base to flatten: base is set only
+	// below, to a layer flattened once deeper than maxLayerDepth, and by
+	// Clone, to a copy of such a layer. Proof.Seal relies on the same.
 	if len(b.entries) == 0 && len(b.revoked) == 0 && len(b.revokedKeys) == 0 {
-		// Nothing new; just flatten an over-deep chain.
-		if b.base != nil && b.base.depth > maxLayerDepth {
-			b.base = flatten(b.base)
-		}
 		return
 	}
 	layer := &storeLayer{

@@ -12,7 +12,7 @@ import (
 // place of k RSA verifications. The per-certificate error taxonomy of
 // VerifyIdentity is preserved: errs[i] is nil exactly when
 // VerifyIdentity(scs[i], issuerKey, at) would succeed, and wraps the
-// same sentinel (ErrBadCertSignature, ErrMalformed, ErrExpired)
+// same sentinel (errBadCertSignature, ErrMalformed, ErrExpired)
 // otherwise — when the batch check fails, the per-item fallback inside
 // BatchVerify attributes the culprit indices.
 //
@@ -28,12 +28,7 @@ func VerifyIdentityBatch(scs []Signed[Identity], issuerKey sharedrsa.PublicKey, 
 		// structurally sound signatures enter the batch.
 		if sc.SignerKey != wantKey {
 			errs[i] = fmt.Errorf("%w: signed by key %s, verifying with %s",
-				ErrBadCertSignature, sc.SignerKey, wantKey)
-			continue
-		}
-		p, err := payload(tagIdentity, sc.Cert)
-		if err != nil {
-			errs[i] = err
+				errBadCertSignature, sc.SignerKey, wantKey)
 			continue
 		}
 		s, ok := newIntFromHex(sc.SigS)
@@ -41,7 +36,7 @@ func VerifyIdentityBatch(scs []Signed[Identity], issuerKey sharedrsa.PublicKey, 
 			errs[i] = fmt.Errorf("%w: bad signature encoding", ErrMalformed)
 			continue
 		}
-		items = append(items, sharedrsa.BatchItem{Msg: p, Sig: sharedrsa.Signature{S: s}})
+		items = append(items, sharedrsa.BatchItem{Msg: appendSigned(nil, sc.Cert), Sig: sharedrsa.Signature{S: s}})
 		origin = append(origin, i)
 	}
 
@@ -49,13 +44,13 @@ func VerifyIdentityBatch(scs []Signed[Identity], issuerKey sharedrsa.PublicKey, 
 	if err != nil {
 		if be, ok := err.(*sharedrsa.BatchError); ok {
 			for j, bi := range be.Bad {
-				errs[origin[bi]] = fmt.Errorf("%w: %v", ErrBadCertSignature, be.Errs[j])
+				errs[origin[bi]] = fmt.Errorf("%w: %v", errBadCertSignature, be.Errs[j])
 			}
 		} else {
 			// Not an attribution (e.g. randomness failure in blinded
 			// mode): no signature was confirmed, fail the whole batch.
 			for _, i := range origin {
-				errs[i] = fmt.Errorf("%w: %v", ErrBadCertSignature, err)
+				errs[i] = fmt.Errorf("%w: %v", errBadCertSignature, err)
 			}
 		}
 	}

@@ -14,8 +14,8 @@ import (
 var (
 	// ErrExpired indicates a certificate outside its validity period.
 	ErrExpired = errors.New("pki: certificate not valid at this time")
-	// ErrBadCertSignature indicates a signature that does not verify.
-	ErrBadCertSignature = errors.New("pki: certificate signature invalid")
+	// errBadCertSignature indicates a signature that does not verify.
+	errBadCertSignature = errors.New("pki: certificate signature invalid")
 	// ErrMalformed indicates a structurally invalid certificate.
 	ErrMalformed = errors.New("pki: malformed certificate")
 )
@@ -125,37 +125,21 @@ type Revocation struct {
 	EffectiveAt clock.Time     `json:"effectiveAt"`
 }
 
-// Signed pairs a certificate body with its signature and the signer's key
-// id. Body is the deterministic payload that was signed.
+// Signed pairs a signed body (a certificate or a CRL) with the signer's
+// key id and the signature, which covers the body's signed form: the
+// length-prefixed binary encoding appendSigned writes, kind tag first,
+// the bytes Fingerprint hashes.
 type Signed[T any] struct {
 	Cert      T      `json:"cert"`
 	SignerKey string `json:"signerKey"` // key id of the verification key
 	SigS      string `json:"sig"`       // signature value, hex
 }
 
-// payload produces the canonical signing payload: JSON with a type tag
-// (encoding/json writes struct fields in declaration order, so the
-// encoding is deterministic).
-func payload(typeTag string, body any) ([]byte, error) {
-	b, err := json.Marshal(struct {
-		T    string `json:"t"`
-		Body any    `json:"body"`
-	}{T: typeTag, Body: body})
+// signBody signs the body's signed form with the signer.
+func signBody[T certBody](body T, signer Signer) (Signed[T], error) {
+	sig, err := signer.Sign(appendSigned(nil, body))
 	if err != nil {
-		return nil, fmt.Errorf("pki: encode payload: %w", err)
-	}
-	return b, nil
-}
-
-// signBody signs a certificate body with the signer.
-func signBody[T any](typeTag string, body T, signer Signer) (Signed[T], error) {
-	p, err := payload(typeTag, body)
-	if err != nil {
-		return Signed[T]{}, err
-	}
-	sig, err := signer.Sign(p)
-	if err != nil {
-		return Signed[T]{}, fmt.Errorf("pki: sign %s: %w", typeTag, err)
+		return Signed[T]{}, fmt.Errorf("pki: sign %T: %w", body, err)
 	}
 	return Signed[T]{
 		Cert:      body,
@@ -164,35 +148,23 @@ func signBody[T any](typeTag string, body T, signer Signer) (Signed[T], error) {
 	}, nil
 }
 
-// verifyBody checks the signature against the expected key.
-func verifyBody[T any](typeTag string, sc Signed[T], pk sharedrsa.PublicKey) error {
+// verifyBody checks the signature over the body's signed form against
+// the expected key.
+func verifyBody[T certBody](sc Signed[T], pk sharedrsa.PublicKey) error {
 	if sc.SignerKey != pk.KeyID() {
 		return fmt.Errorf("%w: signed by key %s, verifying with %s",
-			ErrBadCertSignature, sc.SignerKey, pk.KeyID())
-	}
-	p, err := payload(typeTag, sc.Cert)
-	if err != nil {
-		return err
+			errBadCertSignature, sc.SignerKey, pk.KeyID())
 	}
 	s, ok := newIntFromHex(sc.SigS)
 	if !ok {
 		return fmt.Errorf("%w: bad signature encoding", ErrMalformed)
 	}
-	if err := sharedrsa.Verify(p, pk, sharedrsa.Signature{S: s}); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadCertSignature, err)
+	var buf [1024]byte // as in Fingerprint: the signed form stays on the stack
+	if err := sharedrsa.Verify(appendSigned(buf[:0], sc.Cert), pk, sharedrsa.Signature{S: s}); err != nil {
+		return fmt.Errorf("%w: %v", errBadCertSignature, err)
 	}
 	return nil
 }
-
-// Type tags for the certificate kinds.
-const (
-	tagIdentity       = "identity"
-	tagAttribute      = "attribute"
-	tagThreshold      = "threshold-attribute"
-	tagRevoke         = "revocation"
-	tagIdentityRevoke = "identity-revocation"
-	tagGroupLink      = "group-link"
-)
 
 // IssueGroupLink signs a privilege-inheritance certificate.
 func IssueGroupLink(body GroupLink, signer Signer) (Signed[GroupLink], error) {
@@ -202,12 +174,12 @@ func IssueGroupLink(body GroupLink, signer Signer) (Signed[GroupLink], error) {
 	if body.NotAfter < body.NotBefore {
 		return Signed[GroupLink]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
 	}
-	return signBody(tagGroupLink, body, signer)
+	return signBody(body, signer)
 }
 
 // VerifyGroupLink checks signature and validity.
 func VerifyGroupLink(sc Signed[GroupLink], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(tagGroupLink, sc, issuerKey); err != nil {
+	if err := verifyBody(sc, issuerKey); err != nil {
 		return err
 	}
 	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
@@ -221,12 +193,12 @@ func IssueIdentityRevocation(body IdentityRevocation, signer Signer) (Signed[Ide
 	if body.Subject == "" || body.KeyID == "" {
 		return Signed[IdentityRevocation]{}, fmt.Errorf("%w: missing subject or key", ErrMalformed)
 	}
-	return signBody(tagIdentityRevoke, body, signer)
+	return signBody(body, signer)
 }
 
 // VerifyIdentityRevocation checks the revocation signature (no expiry).
 func VerifyIdentityRevocation(sc Signed[IdentityRevocation], issuerKey sharedrsa.PublicKey) error {
-	return verifyBody(tagIdentityRevoke, sc, issuerKey)
+	return verifyBody(sc, issuerKey)
 }
 
 // IssueIdentity signs an identity certificate. The body's KeyID must be
@@ -245,12 +217,12 @@ func IssueIdentity(body Identity, signer Signer) (Signed[Identity], error) {
 	if !okN || !okE || (sharedrsa.PublicKey{N: n, E: e}).KeyID() != body.KeyID {
 		return Signed[Identity]{}, fmt.Errorf("%w: key ID %q does not name the subject key", ErrMalformed, body.KeyID)
 	}
-	return signBody(tagIdentity, body, signer)
+	return signBody(body, signer)
 }
 
 // VerifyIdentity checks signature and validity at the given time.
 func VerifyIdentity(sc Signed[Identity], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(tagIdentity, sc, issuerKey); err != nil {
+	if err := verifyBody(sc, issuerKey); err != nil {
 		return err
 	}
 	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
@@ -267,12 +239,12 @@ func IssueAttribute(body Attribute, signer Signer) (Signed[Attribute], error) {
 	if body.NotAfter < body.NotBefore {
 		return Signed[Attribute]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
 	}
-	return signBody(tagAttribute, body, signer)
+	return signBody(body, signer)
 }
 
 // VerifyAttribute checks signature and validity.
 func VerifyAttribute(sc Signed[Attribute], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(tagAttribute, sc, issuerKey); err != nil {
+	if err := verifyBody(sc, issuerKey); err != nil {
 		return err
 	}
 	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
@@ -306,12 +278,12 @@ func IssueThresholdAttribute(body ThresholdAttribute, signer Signer) (Signed[Thr
 		}
 		seen[s.Name] = true
 	}
-	return signBody(tagThreshold, body, signer)
+	return signBody(body, signer)
 }
 
 // VerifyThresholdAttribute checks signature and validity.
 func VerifyThresholdAttribute(sc Signed[ThresholdAttribute], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(tagThreshold, sc, issuerKey); err != nil {
+	if err := verifyBody(sc, issuerKey); err != nil {
 		return err
 	}
 	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
@@ -325,16 +297,19 @@ func IssueRevocation(body Revocation, signer Signer) (Signed[Revocation], error)
 	if body.Group == "" || len(body.Subjects) == 0 {
 		return Signed[Revocation]{}, fmt.Errorf("%w: missing group or subjects", ErrMalformed)
 	}
-	return signBody(tagRevoke, body, signer)
+	return signBody(body, signer)
 }
 
 // VerifyRevocation checks the revocation signature (revocations do not
 // expire; footnote 2).
 func VerifyRevocation(sc Signed[Revocation], issuerKey sharedrsa.PublicKey) error {
-	return verifyBody(tagRevoke, sc, issuerKey)
+	return verifyBody(sc, issuerKey)
 }
 
-// Marshal serializes any signed certificate for the wire.
+// Marshal serializes a signed certificate as JSON, the form the WAL
+// journals and replication ships. It is not what the signature covers
+// (the signed form, appendSigned): Unmarshal then a Verify function
+// re-encodes the parsed body.
 func Marshal[T any](sc Signed[T]) ([]byte, error) {
 	b, err := json.Marshal(sc)
 	if err != nil {
@@ -343,7 +318,7 @@ func Marshal[T any](sc Signed[T]) ([]byte, error) {
 	return b, nil
 }
 
-// Unmarshal parses a signed certificate from the wire.
+// Unmarshal parses a signed certificate that Marshal encoded.
 func Unmarshal[T any](b []byte) (Signed[T], error) {
 	var sc Signed[T]
 	if err := json.Unmarshal(b, &sc); err != nil {

@@ -1,7 +1,6 @@
 package pki
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -21,47 +20,16 @@ type CRL struct {
 	Entries  []Signed[Revocation] `json:"entries"`
 }
 
-// SignedCRL is a CRL under the issuer's signature: entries cannot be
-// dropped or injected in transit without detection.
-type SignedCRL struct {
-	CRL       CRL    `json:"crl"`
-	SignerKey string `json:"signerKey"`
-	SigS      string `json:"sig"`
-}
-
-const tagCRL = "crl"
-
-// IssueCRL signs a CRL over the given revocation entries.
-func IssueCRL(issuer string, seq int, at clock.Time, entries []Signed[Revocation], signer Signer) (SignedCRL, error) {
-	body := CRL{Issuer: issuer, IssuedAt: at, Seq: seq, Entries: entries}
-	p, err := payload(tagCRL, body)
-	if err != nil {
-		return SignedCRL{}, err
-	}
-	sig, err := signer.Sign(p)
-	if err != nil {
-		return SignedCRL{}, fmt.Errorf("pki: sign crl: %w", err)
-	}
-	return SignedCRL{CRL: body, SignerKey: signer.Public().KeyID(), SigS: sig.S.Text(16)}, nil
+// issueCRL signs a CRL over the given revocation entries: a
+// Signed[CRL], so entries cannot be dropped or injected in transit
+// without detection.
+func issueCRL(issuer string, seq int, at clock.Time, entries []Signed[Revocation], signer Signer) (Signed[CRL], error) {
+	return signBody(CRL{Issuer: issuer, IssuedAt: at, Seq: seq, Entries: entries}, signer)
 }
 
 // VerifyCRL checks the list signature against the issuer key.
-func VerifyCRL(sc SignedCRL, issuerKey sharedrsa.PublicKey) error {
-	if sc.SignerKey != issuerKey.KeyID() {
-		return fmt.Errorf("%w: crl signed by key %s", ErrBadCertSignature, sc.SignerKey)
-	}
-	p, err := payload(tagCRL, sc.CRL)
-	if err != nil {
-		return err
-	}
-	s, ok := newIntFromHex(sc.SigS)
-	if !ok {
-		return fmt.Errorf("%w: bad crl signature encoding", ErrMalformed)
-	}
-	if err := sharedrsa.Verify(p, issuerKey, sharedrsa.Signature{S: s}); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadCertSignature, err)
-	}
-	return nil
+func VerifyCRL(sc Signed[CRL], issuerKey sharedrsa.PublicKey) error {
+	return verifyBody(sc, issuerKey)
 }
 
 // RevocationRegistry accumulates revocation certificates at an authority
@@ -88,19 +56,19 @@ func (r *RevocationRegistry) Add(rev Signed[Revocation]) {
 }
 
 // Publish signs and returns the current CRL, bumping the sequence number.
-func (r *RevocationRegistry) Publish(at clock.Time) (SignedCRL, error) {
+func (r *RevocationRegistry) Publish(at clock.Time) (Signed[CRL], error) {
 	r.mu.Lock()
 	entries := make([]Signed[Revocation], len(r.entries))
 	copy(entries, r.entries)
 	r.seq++
 	seq := r.seq
 	r.mu.Unlock()
-	// Deterministic order for reproducible payloads.
+	// Deterministic order for a reproducible signed form.
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Cert.Group != entries[j].Cert.Group {
 			return entries[i].Cert.Group < entries[j].Cert.Group
 		}
 		return entries[i].Cert.EffectiveAt < entries[j].Cert.EffectiveAt
 	})
-	return IssueCRL(r.issuer, seq, at, entries, r.signer)
+	return issueCRL(r.issuer, seq, at, entries, r.signer)
 }

@@ -25,38 +25,38 @@ func TestCRLIssueVerifyRoundTrip(t *testing.T) {
 		sampleRevocation(t, ca, "G_write"),
 		sampleRevocation(t, ca, "G_read"),
 	}
-	crl, err := IssueCRL("RA", 1, 150, entries, ca.AsSigner())
+	crl, err := issueCRL("RA", 1, 150, entries, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyCRL(crl, ca.Public()); err != nil {
 		t.Fatal(err)
 	}
-	if len(crl.CRL.Entries) != 2 {
-		t.Errorf("entries = %d", len(crl.CRL.Entries))
+	if len(crl.Cert.Entries) != 2 {
+		t.Errorf("entries = %d", len(crl.Cert.Entries))
 	}
 }
 
 func TestCRLTamperDetected(t *testing.T) {
 	ca, _ := keys(t)
-	crl, err := IssueCRL("RA", 1, 150, []Signed[Revocation]{sampleRevocation(t, ca, "G_write")}, ca.AsSigner())
+	crl, err := issueCRL("RA", 1, 150, []Signed[Revocation]{sampleRevocation(t, ca, "G_write")}, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Dropping an entry (hiding a revocation!) must be detected.
-	crl.CRL.Entries = nil
-	if err := VerifyCRL(crl, ca.Public()); !errors.Is(err, ErrBadCertSignature) {
+	crl.Cert.Entries = nil
+	if err := VerifyCRL(crl, ca.Public()); !errors.Is(err, errBadCertSignature) {
 		t.Fatalf("entry suppression undetected: %v", err)
 	}
 }
 
 func TestCRLWrongIssuerKey(t *testing.T) {
 	ca, user := keys(t)
-	crl, err := IssueCRL("RA", 1, 150, nil, ca.AsSigner())
+	crl, err := issueCRL("RA", 1, 150, nil, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyCRL(crl, user.Public()); !errors.Is(err, ErrBadCertSignature) {
+	if err := VerifyCRL(crl, user.Public()); !errors.Is(err, errBadCertSignature) {
 		t.Fatalf("wrong key: %v", err)
 	}
 }
@@ -70,20 +70,20 @@ func TestRevocationRegistrySequencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if crl1.CRL.Seq != 1 || len(crl1.CRL.Entries) != 2 {
-		t.Errorf("crl1 = seq %d, %d entries", crl1.CRL.Seq, len(crl1.CRL.Entries))
+	if crl1.Cert.Seq != 1 || len(crl1.Cert.Entries) != 2 {
+		t.Errorf("crl1 = seq %d, %d entries", crl1.Cert.Seq, len(crl1.Cert.Entries))
 	}
 	// Entries sorted by group for deterministic payloads.
-	if crl1.CRL.Entries[0].Cert.Group != "G_a" {
-		t.Errorf("entries not sorted: %s first", crl1.CRL.Entries[0].Cert.Group)
+	if crl1.Cert.Entries[0].Cert.Group != "G_a" {
+		t.Errorf("entries not sorted: %s first", crl1.Cert.Entries[0].Cert.Group)
 	}
 	reg.Add(sampleRevocation(t, ca, "G_c"))
 	crl2, err := reg.Publish(300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if crl2.CRL.Seq != 2 || len(crl2.CRL.Entries) != 3 {
-		t.Errorf("crl2 = seq %d, %d entries", crl2.CRL.Seq, len(crl2.CRL.Entries))
+	if crl2.Cert.Seq != 2 || len(crl2.Cert.Entries) != 3 {
+		t.Errorf("crl2 = seq %d, %d entries", crl2.Cert.Seq, len(crl2.Cert.Entries))
 	}
 	if err := VerifyCRL(crl2, ca.Public()); err != nil {
 		t.Fatal(err)

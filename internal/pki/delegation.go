@@ -50,12 +50,6 @@ type GroupGraphLink struct {
 	NotAfter  clock.Time `json:"notAfter"`
 }
 
-// Additional type tags (the base kinds are in certs.go).
-const (
-	tagDelegation     = "delegation"
-	tagGroupGraphLink = "group-graph-link"
-)
-
 // IssueDelegation signs a delegation-link certificate. Names must not
 // contain the chain-path separator '>'.
 func IssueDelegation(body Delegation, signer Signer) (Signed[Delegation], error) {
@@ -80,12 +74,12 @@ func IssueDelegation(body Delegation, signer Signer) (Signed[Delegation], error)
 	if body.NotAfter < body.NotBefore {
 		return Signed[Delegation]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
 	}
-	return signBody(tagDelegation, body, signer)
+	return signBody(body, signer)
 }
 
 // VerifyDelegation checks signature and validity.
 func VerifyDelegation(sc Signed[Delegation], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(tagDelegation, sc, issuerKey); err != nil {
+	if err := verifyBody(sc, issuerKey); err != nil {
 		return err
 	}
 	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
@@ -105,12 +99,12 @@ func IssueGroupGraphLink(body GroupGraphLink, signer Signer) (Signed[GroupGraphL
 	if body.NotAfter < body.NotBefore {
 		return Signed[GroupGraphLink]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
 	}
-	return signBody(tagGroupGraphLink, body, signer)
+	return signBody(body, signer)
 }
 
 // VerifyGroupGraphLink checks signature and validity.
 func VerifyGroupGraphLink(sc Signed[GroupGraphLink], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(tagGroupGraphLink, sc, issuerKey); err != nil {
+	if err := verifyBody(sc, issuerKey); err != nil {
 		return err
 	}
 	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {

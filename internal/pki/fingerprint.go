@@ -2,165 +2,209 @@ package pki
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
+
+	"jointadmin/internal/wirefmt"
 )
 
-// certBody is the set of signed certificate kinds. The union makes a
-// fingerprint of anything else a compile error; the method makes every
-// member bring its own canonical appender.
+// certBody is the set of signed kinds: the certificates and the CRL. The
+// union makes signing or fingerprinting anything else a compile error;
+// the method makes every member bring its own appender of the signed
+// form.
 type certBody interface {
-	Identity | Attribute | ThresholdAttribute | GroupLink | IdentityRevocation | Revocation | Delegation | GroupGraphLink
-	appendFingerprint(dst []byte) []byte
+	Identity | Attribute | ThresholdAttribute | GroupLink | IdentityRevocation | Revocation | Delegation | GroupGraphLink | CRL
+	appendBody(dst []byte) []byte
 }
 
-// Fingerprint returns a stable hex digest identifying a signed certificate:
-// SHA-256 over a length-prefixed binary encoding of the kind tag, every
-// body field in declaration order, the signer key id and the signature
-// value. Every field is self-delimiting and the tag fixes the layout, so
-// two certificates share a fingerprint only if they are the same statement
-// of the same kind signed by the same key — the property SPKI-style
-// verified-certificate caches rely on. The digest is a process-local cache
-// key (and a label in cached proof-step notes); nothing ever parses one
-// back, so the construction is free to change between builds.
-func Fingerprint[T certBody](sc Signed[T]) string {
-	var buf [1024]byte // fits 1024-bit keys; a larger certificate spills to the heap
-	b := buf[:0]
-	// A type switch, not sc.Cert.appendFingerprint: a method call through
-	// the type parameter goes via the generic dictionary, which escape
-	// analysis cannot see through, and buf would move to the heap.
-	switch c := any(sc.Cert).(type) {
+// Kind tags: the first field of each signed form. No two kinds share one,
+// and the request component's tag ("request", internal/authz) is none of
+// them, so a signature over one kind never verifies as another.
+const (
+	tagIdentity       = "identity"
+	tagAttribute      = "attribute"
+	tagThreshold      = "threshold-attribute"
+	tagRevoke         = "revocation"
+	tagIdentityRevoke = "identity-revocation"
+	tagGroupLink      = "group-link"
+	tagDelegation     = "delegation"
+	tagGroupGraphLink = "group-graph-link"
+	tagCRL            = "crl"
+)
+
+// appendSigned appends the signed form of a body: a wirefmt statement of
+// its kind tag, then every field in declaration order, strings and lists
+// length-prefixed, integers and times as eight big-endian bytes. The tag
+// fixes the layout and every variable field is self-delimiting, so two
+// bodies have the same signed form only if they are the same statement of
+// the same kind. Signing, verification and Fingerprint all encode here.
+func appendSigned[T certBody](dst []byte, body T) []byte {
+	// A type switch, not body.appendBody: a method call through the type
+	// parameter goes via the generic dictionary, which escape analysis
+	// cannot see through, and Fingerprint's stack buffer would move to
+	// the heap.
+	switch c := any(body).(type) {
 	case Identity:
-		b = c.appendFingerprint(b)
+		return c.appendBody(dst)
 	case Attribute:
-		b = c.appendFingerprint(b)
+		return c.appendBody(dst)
 	case ThresholdAttribute:
-		b = c.appendFingerprint(b)
+		return c.appendBody(dst)
 	case GroupLink:
-		b = c.appendFingerprint(b)
+		return c.appendBody(dst)
 	case IdentityRevocation:
-		b = c.appendFingerprint(b)
+		return c.appendBody(dst)
 	case Revocation:
-		b = c.appendFingerprint(b)
+		return c.appendBody(dst)
 	case Delegation:
-		b = c.appendFingerprint(b)
+		return c.appendBody(dst)
 	case GroupGraphLink:
-		b = c.appendFingerprint(b)
+		return c.appendBody(dst)
+	case CRL:
+		return c.appendBody(dst)
 	}
-	b = appendFPString(b, sc.SignerKey)
-	b = appendFPString(b, sc.SigS)
+	return dst
+}
+
+// Fingerprint returns a stable hex digest identifying a signed statement:
+// the first 16 bytes of SHA-256 over the bytes its signature covers (the
+// signed form, appendSigned), the signer key id and the signature value,
+// each self-delimiting. Two statements share a fingerprint only if they
+// are the same statement of the same kind signed by the same key — the
+// property SPKI-style verified-certificate caches rely on. The digest is
+// a process-local cache key (and a label in cached proof-step notes) that
+// nothing parses back, but it is not free to change on its own: it hashes
+// the signed form, and that form changes only with the signatures.
+func Fingerprint[T certBody](sc Signed[T]) string {
+	var buf [1024]byte // fits 1024-bit keys; a larger statement spills to the heap
+	b := appendSigned(buf[:0], sc.Cert)
+	b = wirefmt.AppendString(b, sc.SignerKey)
+	b = wirefmt.AppendString(b, sc.SigS)
 	sum := sha256.Sum256(b)
 	var out [32]byte
 	hex.Encode(out[:], sum[:16])
 	return string(out[:])
 }
 
-// appendFPString appends s with its uvarint length prefix.
-func appendFPString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// appendFPInt appends v as eight big-endian bytes (clock.Time and int
+// appendInt appends v as eight big-endian bytes (clock.Time and int
 // alike).
-func appendFPInt[I ~int | ~int64](dst []byte, v I) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(v))
+func appendInt[I ~int | ~int64](dst []byte, v I) []byte {
+	return wirefmt.AppendInt64(dst, int64(v))
 }
 
-func appendFPSubject(dst []byte, s BoundSubject) []byte {
-	return appendFPString(appendFPString(dst, s.Name), s.KeyID)
+func appendSubject(dst []byte, s BoundSubject) []byte {
+	return wirefmt.AppendString(wirefmt.AppendString(dst, s.Name), s.KeyID)
 }
 
-func appendFPSubjects(dst []byte, ss []BoundSubject) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+func appendSubjects(dst []byte, ss []BoundSubject) []byte {
+	dst = wirefmt.AppendCount(dst, len(ss))
 	for _, s := range ss {
-		dst = appendFPSubject(dst, s)
+		dst = appendSubject(dst, s)
 	}
 	return dst
 }
 
-func (c Identity) appendFingerprint(dst []byte) []byte {
-	dst = appendFPString(dst, tagIdentity)
-	dst = appendFPString(dst, c.Issuer)
-	dst = appendFPInt(dst, c.IssuedAt)
-	dst = appendFPString(dst, c.Subject)
-	dst = appendFPString(dst, c.SubjectKey.N)
-	dst = appendFPString(dst, c.SubjectKey.E)
-	dst = appendFPString(dst, c.KeyID)
-	dst = appendFPInt(dst, c.NotBefore)
-	return appendFPInt(dst, c.NotAfter)
+func (c Identity) appendBody(dst []byte) []byte {
+	dst = wirefmt.AppendString(dst, tagIdentity)
+	dst = wirefmt.AppendString(dst, c.Issuer)
+	dst = appendInt(dst, c.IssuedAt)
+	dst = wirefmt.AppendString(dst, c.Subject)
+	dst = wirefmt.AppendString(dst, c.SubjectKey.N)
+	dst = wirefmt.AppendString(dst, c.SubjectKey.E)
+	dst = wirefmt.AppendString(dst, c.KeyID)
+	dst = appendInt(dst, c.NotBefore)
+	return appendInt(dst, c.NotAfter)
 }
 
-func (c Attribute) appendFingerprint(dst []byte) []byte {
-	dst = appendFPString(dst, tagAttribute)
-	dst = appendFPString(dst, c.Issuer)
-	dst = appendFPInt(dst, c.IssuedAt)
-	dst = appendFPString(dst, c.Group)
-	dst = appendFPSubject(dst, c.Subject)
-	dst = appendFPInt(dst, c.NotBefore)
-	return appendFPInt(dst, c.NotAfter)
+func (c Attribute) appendBody(dst []byte) []byte {
+	dst = wirefmt.AppendString(dst, tagAttribute)
+	dst = wirefmt.AppendString(dst, c.Issuer)
+	dst = appendInt(dst, c.IssuedAt)
+	dst = wirefmt.AppendString(dst, c.Group)
+	dst = appendSubject(dst, c.Subject)
+	dst = appendInt(dst, c.NotBefore)
+	return appendInt(dst, c.NotAfter)
 }
 
-func (c ThresholdAttribute) appendFingerprint(dst []byte) []byte {
-	dst = appendFPString(dst, tagThreshold)
-	dst = appendFPString(dst, c.Issuer)
-	dst = appendFPInt(dst, c.IssuedAt)
-	dst = appendFPString(dst, c.Group)
-	dst = appendFPInt(dst, c.M)
-	dst = appendFPSubjects(dst, c.Subjects)
-	dst = appendFPInt(dst, c.NotBefore)
-	return appendFPInt(dst, c.NotAfter)
+func (c ThresholdAttribute) appendBody(dst []byte) []byte {
+	dst = wirefmt.AppendString(dst, tagThreshold)
+	dst = wirefmt.AppendString(dst, c.Issuer)
+	dst = appendInt(dst, c.IssuedAt)
+	dst = wirefmt.AppendString(dst, c.Group)
+	dst = appendInt(dst, c.M)
+	dst = appendSubjects(dst, c.Subjects)
+	dst = appendInt(dst, c.NotBefore)
+	return appendInt(dst, c.NotAfter)
 }
 
-func (c GroupLink) appendFingerprint(dst []byte) []byte {
-	dst = appendFPString(dst, tagGroupLink)
-	dst = appendFPString(dst, c.Issuer)
-	dst = appendFPInt(dst, c.IssuedAt)
-	dst = appendFPString(dst, c.Sub)
-	dst = appendFPString(dst, c.Sup)
-	dst = appendFPInt(dst, c.NotBefore)
-	return appendFPInt(dst, c.NotAfter)
+func (c GroupLink) appendBody(dst []byte) []byte {
+	dst = wirefmt.AppendString(dst, tagGroupLink)
+	dst = wirefmt.AppendString(dst, c.Issuer)
+	dst = appendInt(dst, c.IssuedAt)
+	dst = wirefmt.AppendString(dst, c.Sub)
+	dst = wirefmt.AppendString(dst, c.Sup)
+	dst = appendInt(dst, c.NotBefore)
+	return appendInt(dst, c.NotAfter)
 }
 
-func (c IdentityRevocation) appendFingerprint(dst []byte) []byte {
-	dst = appendFPString(dst, tagIdentityRevoke)
-	dst = appendFPString(dst, c.Issuer)
-	dst = appendFPInt(dst, c.IssuedAt)
-	dst = appendFPString(dst, c.Subject)
-	dst = appendFPString(dst, c.KeyID)
-	return appendFPInt(dst, c.EffectiveAt)
+func (c IdentityRevocation) appendBody(dst []byte) []byte {
+	dst = wirefmt.AppendString(dst, tagIdentityRevoke)
+	dst = wirefmt.AppendString(dst, c.Issuer)
+	dst = appendInt(dst, c.IssuedAt)
+	dst = wirefmt.AppendString(dst, c.Subject)
+	dst = wirefmt.AppendString(dst, c.KeyID)
+	return appendInt(dst, c.EffectiveAt)
 }
 
-func (c Revocation) appendFingerprint(dst []byte) []byte {
-	dst = appendFPString(dst, tagRevoke)
-	dst = appendFPString(dst, c.Issuer)
-	dst = appendFPInt(dst, c.IssuedAt)
-	dst = appendFPString(dst, c.Group)
-	dst = appendFPInt(dst, c.M)
-	dst = appendFPSubjects(dst, c.Subjects)
-	return appendFPInt(dst, c.EffectiveAt)
+func (c Revocation) appendBody(dst []byte) []byte {
+	dst = wirefmt.AppendString(dst, tagRevoke)
+	dst = wirefmt.AppendString(dst, c.Issuer)
+	dst = appendInt(dst, c.IssuedAt)
+	dst = wirefmt.AppendString(dst, c.Group)
+	dst = appendInt(dst, c.M)
+	dst = appendSubjects(dst, c.Subjects)
+	return appendInt(dst, c.EffectiveAt)
 }
 
-func (c Delegation) appendFingerprint(dst []byte) []byte {
-	dst = appendFPString(dst, tagDelegation)
-	dst = appendFPString(dst, c.Issuer)
-	dst = appendFPInt(dst, c.IssuedAt)
-	dst = appendFPString(dst, c.Delegator)
-	dst = appendFPSubject(dst, c.Subject)
-	dst = appendFPString(dst, c.Group)
-	dst = appendFPInt(dst, c.Depth)
-	dst = appendFPString(dst, c.Perms)
-	dst = appendFPInt(dst, c.NotBefore)
-	return appendFPInt(dst, c.NotAfter)
+func (c Delegation) appendBody(dst []byte) []byte {
+	dst = wirefmt.AppendString(dst, tagDelegation)
+	dst = wirefmt.AppendString(dst, c.Issuer)
+	dst = appendInt(dst, c.IssuedAt)
+	dst = wirefmt.AppendString(dst, c.Delegator)
+	dst = appendSubject(dst, c.Subject)
+	dst = wirefmt.AppendString(dst, c.Group)
+	dst = appendInt(dst, c.Depth)
+	dst = wirefmt.AppendString(dst, c.Perms)
+	dst = appendInt(dst, c.NotBefore)
+	return appendInt(dst, c.NotAfter)
 }
 
-func (c GroupGraphLink) appendFingerprint(dst []byte) []byte {
-	dst = appendFPString(dst, tagGroupGraphLink)
-	dst = appendFPString(dst, c.Issuer)
-	dst = appendFPInt(dst, c.IssuedAt)
-	dst = appendFPString(dst, c.Sub)
-	dst = appendFPString(dst, c.Sup)
-	dst = appendFPInt(dst, c.Depth)
-	dst = appendFPInt(dst, c.NotBefore)
-	return appendFPInt(dst, c.NotAfter)
+func (c GroupGraphLink) appendBody(dst []byte) []byte {
+	dst = wirefmt.AppendString(dst, tagGroupGraphLink)
+	dst = wirefmt.AppendString(dst, c.Issuer)
+	dst = appendInt(dst, c.IssuedAt)
+	dst = wirefmt.AppendString(dst, c.Sub)
+	dst = wirefmt.AppendString(dst, c.Sup)
+	dst = appendInt(dst, c.Depth)
+	dst = appendInt(dst, c.NotBefore)
+	return appendInt(dst, c.NotAfter)
+}
+
+// appendBody appends the CRL's fields, each entry as its full fingerprint
+// preimage (signed form, signer key id, signature), so the list signature
+// covers every entry's own signature too. The entry is appended through
+// its concrete method: through appendSigned, every instantiation of that
+// would be recursive, and escape analysis would move Fingerprint's buffer
+// to the heap.
+func (c CRL) appendBody(dst []byte) []byte {
+	dst = wirefmt.AppendString(dst, tagCRL)
+	dst = wirefmt.AppendString(dst, c.Issuer)
+	dst = appendInt(dst, c.IssuedAt)
+	dst = appendInt(dst, c.Seq)
+	dst = wirefmt.AppendCount(dst, len(c.Entries))
+	for _, e := range c.Entries {
+		dst = e.Cert.appendBody(dst)
+		dst = wirefmt.AppendString(dst, e.SignerKey)
+		dst = wirefmt.AppendString(dst, e.SigS)
+	}
+	return dst
 }

@@ -2,16 +2,23 @@ package pki
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"testing"
+
+	"jointadmin/internal/clock"
+	"jointadmin/internal/sharedrsa"
+	"jointadmin/internal/wirefmt"
 )
 
-// TestFingerprintGolden pins one fingerprint per certificate kind. The
+// TestFingerprintGolden pins one fingerprint per signed kind. The
 // verified-certificate cache is keyed by these digests, and cached proof
 // steps quote them as labels ("(fp …)"), so a change of the construction
 // (tag, body fields in declaration order, signer key, signature, each
-// length-prefixed) must show up here. Nothing parses a fingerprint back:
-// the cache is per process, so a new construction invalidates no state.
+// length-prefixed) must show up here. The construction hashes the signed
+// form, so a change here is a change of what every signature covers too.
 func TestFingerprintGolden(t *testing.T) {
 	alice := BoundSubject{Name: "alice", KeyID: "k-alice"}
 	bob := BoundSubject{Name: "bob", KeyID: "k-bob"}
@@ -48,6 +55,12 @@ func TestFingerprintGolden(t *testing.T) {
 		{"group-graph link", Fingerprint(Signed[GroupGraphLink]{
 			Cert:      GroupGraphLink{Issuer: "AA", IssuedAt: 7, Sub: "G_sub", Sup: "G_read", Depth: 2, NotBefore: 10, NotAfter: 900},
 			SignerKey: "k-aa", SigS: "a8"}), "4755d54d259cbed0747ff681d799c080"},
+		{"crl", Fingerprint(Signed[CRL]{
+			Cert: CRL{Issuer: "RA", IssuedAt: 9, Seq: 1, Entries: []Signed[Revocation]{{
+				Cert: Revocation{Issuer: "RA", IssuedAt: 7, Group: "G_write", M: 2,
+					Subjects: []BoundSubject{alice, bob}, EffectiveAt: 8},
+				SignerKey: "k-ra", SigS: "a6"}}},
+			SignerKey: "k-ra", SigS: "a9"}), "2cad1bc821d2d507d2c42eb9504e5627"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: fingerprint %s, want %s", tc.kind, tc.got, tc.want)
@@ -101,8 +114,8 @@ func TestFingerprintInjective(t *testing.T) {
 		n, k := binary.Uvarint(b)
 		return b[k+int(n):]
 	}
-	a := appendFPString(appendFPString(gl.Cert.appendFingerprint(nil), gl.SignerKey), gl.SigS)
-	b := appendFPString(appendFPString(ir.Cert.appendFingerprint(nil), ir.SignerKey), ir.SigS)
+	a := wirefmt.AppendString(wirefmt.AppendString(appendSigned(nil, gl.Cert), gl.SignerKey), gl.SigS)
+	b := wirefmt.AppendString(wirefmt.AppendString(appendSigned(nil, ir.Cert), ir.SignerKey), ir.SigS)
 	if !bytes.Equal(untagged(a), untagged(b)) {
 		t.Fatalf("construction drifted: untagged encodings differ\n%q\n%q", untagged(a), untagged(b))
 	}
@@ -125,5 +138,85 @@ func TestFingerprintAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, fp); allocs > 1 {
 			t.Errorf("Fingerprint(%s) allocates %.0f/op, want at most 1", name, allocs)
 		}
+	}
+}
+
+// recorder signs with a real key and keeps the bytes it was asked to sign.
+type recorder struct {
+	kp   *KeyPair
+	msgs [][]byte
+}
+
+func (r *recorder) Public() sharedrsa.PublicKey { return r.kp.Public() }
+
+func (r *recorder) Sign(msg []byte) (sharedrsa.Signature, error) {
+	r.msgs = append(r.msgs, bytes.Clone(msg))
+	return r.kp.Sign(msg)
+}
+
+// signedOnce checks one statement that rec signed: rec signed once, the
+// statement verifies, and its fingerprint is the first 16 bytes of
+// SHA-256 over exactly the signed bytes, then the signer key id and the
+// signature.
+func signedOnce[T certBody](t *testing.T, rec *recorder, sc Signed[T], issueErr, verifyErr error) {
+	t.Helper()
+	defer func() { rec.msgs = nil }()
+	if issueErr != nil || verifyErr != nil || len(rec.msgs) != 1 {
+		t.Fatalf("%T: issue %v, verify %v, %d signatures", sc.Cert, issueErr, verifyErr, len(rec.msgs))
+	}
+	sum := sha256.Sum256(wirefmt.AppendString(wirefmt.AppendString(rec.msgs[0], sc.SignerKey), sc.SigS))
+	if fp, want := Fingerprint(sc), hex.EncodeToString(sum[:16]); fp != want {
+		t.Errorf("%T: fingerprint %s, want %s over the signed bytes", sc.Cert, fp, want)
+	}
+}
+
+// TestFingerprintHashesSignedBytes signs one statement of each of the nine
+// kinds: the fingerprint and the signature cover one form.
+func TestFingerprintHashesSignedBytes(t *testing.T) {
+	ca, user := keys(t)
+	rec := &recorder{kp: ca}
+	alice := BoundSubject{Name: "alice", KeyID: "k-alice"}
+	bob := BoundSubject{Name: "bob", KeyID: "k-bob"}
+	const at = clock.Time(100)
+
+	id, err := IssueIdentity(identityBody(ca, user), rec)
+	signedOnce(t, rec, id, err, VerifyIdentity(id, ca.Public(), at))
+	attr, err := IssueAttribute(Attribute{Issuer: "AA", IssuedAt: 7, Group: "G_read", Subject: alice, NotBefore: 10, NotAfter: 900}, rec)
+	signedOnce(t, rec, attr, err, VerifyAttribute(attr, ca.Public(), at))
+	th, err := IssueThresholdAttribute(thresholdBody(user), rec)
+	signedOnce(t, rec, th, err, VerifyThresholdAttribute(th, ca.Public(), at))
+	gl, err := IssueGroupLink(GroupLink{Issuer: "AA", IssuedAt: 7, Sub: "G_sub", Sup: "G_write", NotBefore: 10, NotAfter: 900}, rec)
+	signedOnce(t, rec, gl, err, VerifyGroupLink(gl, ca.Public(), at))
+	ir, err := IssueIdentityRevocation(IdentityRevocation{Issuer: "CA1", IssuedAt: 7, Subject: "alice", KeyID: "k-alice", EffectiveAt: 8}, rec)
+	signedOnce(t, rec, ir, err, VerifyIdentityRevocation(ir, ca.Public()))
+	rev, err := IssueRevocation(Revocation{Issuer: "RA", IssuedAt: 7, Group: "G_write", M: 2, Subjects: []BoundSubject{alice, bob}, EffectiveAt: 8}, rec)
+	signedOnce(t, rec, rev, err, VerifyRevocation(rev, ca.Public()))
+	dl, err := IssueDelegation(Delegation{Issuer: "AA", IssuedAt: 7, Delegator: "alice", Subject: bob, Group: "G_read",
+		Depth: 1, Perms: "read", NotBefore: 10, NotAfter: 900}, rec)
+	signedOnce(t, rec, dl, err, VerifyDelegation(dl, ca.Public(), at))
+	gg, err := IssueGroupGraphLink(GroupGraphLink{Issuer: "AA", IssuedAt: 7, Sub: "G_sub", Sup: "G_read", Depth: 2, NotBefore: 10, NotAfter: 900}, rec)
+	signedOnce(t, rec, gg, err, VerifyGroupGraphLink(gg, ca.Public(), at))
+	crl, err := issueCRL("RA", 1, 150, []Signed[Revocation]{rev}, rec)
+	signedOnce(t, rec, crl, err, VerifyCRL(crl, ca.Public()))
+}
+
+// TestSignedFormInjective: two identity certificates whose subjects differ
+// only in bytes that are not UTF-8 have different signed forms, so a
+// signature over one does not verify as the other. (A JSON encoding maps
+// both invalid bytes to U+FFFD and would sign them alike.)
+func TestSignedFormInjective(t *testing.T) {
+	ca, user := keys(t)
+	body := identityBody(ca, user)
+	body.Subject = "a\xff"
+	sc, err := IssueIdentity(body, ca.AsSigner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyIdentity(sc, ca.Public(), 100); err != nil {
+		t.Fatal(err)
+	}
+	sc.Cert.Subject = "a\xfe"
+	if err := VerifyIdentity(sc, ca.Public(), 100); !errors.Is(err, errBadCertSignature) {
+		t.Fatalf("identity for %q verifies as %q: %v", "a\xff", sc.Cert.Subject, err)
 	}
 }

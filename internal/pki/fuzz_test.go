@@ -8,7 +8,7 @@ import (
 
 // crlFixture builds a verified CRL, its JSON encoding and the key it
 // verifies under. testing.TB so both tests and fuzz seeding can use it.
-func crlFixture(tb testing.TB) (SignedCRL, []byte, *KeyPair) {
+func crlFixture(tb testing.TB) (Signed[CRL], []byte, *KeyPair) {
 	tb.Helper()
 	ca, err := GenerateKeyPair(512, nil)
 	if err != nil {
@@ -22,7 +22,7 @@ func crlFixture(tb testing.TB) (SignedCRL, []byte, *KeyPair) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	crl, err := IssueCRL("RA", 1, 150, []Signed[Revocation]{rev}, ca.AsSigner())
+	crl, err := issueCRL("RA", 1, 150, []Signed[Revocation]{rev}, ca.AsSigner())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -35,14 +35,11 @@ func crlFixture(tb testing.TB) (SignedCRL, []byte, *KeyPair) {
 
 // FuzzCRLUnmarshal: whatever an encoded CRL is mutated into, VerifyCRL
 // never panics on the decoded result, and accepts it only when the
-// signed payload is byte-identical to the issued CRL's — no input alters
+// signed form is byte-identical to the issued CRL's — no input alters
 // what the CRL says and still verifies.
 func FuzzCRLUnmarshal(f *testing.F) {
 	crl, valid, ca := crlFixture(f)
-	orig, err := payload(tagCRL, crl.CRL)
-	if err != nil {
-		f.Fatal(err)
-	}
+	orig := appendSigned(nil, crl.Cert)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("{}"))
@@ -52,11 +49,11 @@ func FuzzCRLUnmarshal(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var sc SignedCRL
+		var sc Signed[CRL]
 		if json.Unmarshal(data, &sc) != nil || VerifyCRL(sc, ca.Public()) != nil {
 			return
 		}
-		if p, err := payload(tagCRL, sc.CRL); err != nil || !bytes.Equal(p, orig) {
+		if !bytes.Equal(appendSigned(nil, sc.Cert), orig) {
 			t.Fatalf("altered CRL verifies:\n%s", data)
 		}
 	})
@@ -68,7 +65,7 @@ func FuzzCRLUnmarshal(f *testing.F) {
 func TestCRLTruncationProperty(t *testing.T) {
 	_, valid, ca := crlFixture(t)
 	for n := 0; n < len(valid); n++ {
-		var sc SignedCRL
+		var sc Signed[CRL]
 		if json.Unmarshal(valid[:n], &sc) == nil && VerifyCRL(sc, ca.Public()) == nil {
 			t.Fatalf("truncation to %d/%d bytes verifies", n, len(valid))
 		}
@@ -78,28 +75,24 @@ func TestCRLTruncationProperty(t *testing.T) {
 // TestCRLBitFlipProperty: for every single-bit flip of a marshaled CRL,
 // either parsing fails, or signature verification fails, or the flip was
 // value-preserving (e.g. hex case in the signature) — in which case the
-// signed payload must be byte-identical to the original. No flip may
+// signed form must be byte-identical to the original. No flip may
 // alter what the CRL says and still verify.
 func TestCRLBitFlipProperty(t *testing.T) {
 	crl, valid, ca := crlFixture(t)
-	origPayload, err := payload(tagCRL, crl.CRL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	origSigned := appendSigned(nil, crl.Cert)
 	survivors := 0
 	for i := range valid {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(valid)
 			mut[i] ^= 1 << bit
-			var sc SignedCRL
+			var sc Signed[CRL]
 			if err := json.Unmarshal(mut, &sc); err != nil {
 				continue // detected at parse
 			}
 			if err := VerifyCRL(sc, ca.Public()); err != nil {
 				continue // detected at verification
 			}
-			p, err := payload(tagCRL, sc.CRL)
-			if err != nil || !bytes.Equal(p, origPayload) {
+			if !bytes.Equal(appendSigned(nil, sc.Cert), origSigned) {
 				t.Fatalf("bit %d of byte %d (%q) altered the CRL and still verifies", bit, i, valid[i])
 			}
 			survivors++

@@ -50,9 +50,9 @@ func IdealizeAttribute(sc Signed[Attribute]) logic.Signed {
 	return logic.Sign(logic.AsMessage(says), logic.KeyID(sc.SignerKey))
 }
 
-// CompoundOf builds the logic compound principal CP = {P1|K1, ...}(m,n)
+// compoundOf builds the logic compound principal CP = {P1|K1, ...}(m,n)
 // named by a threshold certificate's subject list.
-func CompoundOf(subjects []BoundSubject, m int) logic.CompoundPrincipal {
+func compoundOf(subjects []BoundSubject, m int) logic.CompoundPrincipal {
 	ps := make([]logic.Principal, len(subjects))
 	for i, s := range subjects {
 		ps[i] = logic.P(s.Name).Bind(logic.KeyID(s.KeyID))
@@ -68,7 +68,7 @@ func CompoundOf(subjects []BoundSubject, m int) logic.CompoundPrincipal {
 // as ⟦AA says_tAA (CP(m,n) ⇒ [tb,te],AA G)⟧_KAA⁻¹ (message 1-3).
 func IdealizeThresholdAttribute(sc Signed[ThresholdAttribute]) logic.Signed {
 	body := logic.MemberOf{
-		Who: CompoundOf(sc.Cert.Subjects, sc.Cert.M),
+		Who: compoundOf(sc.Cert.Subjects, sc.Cert.M),
 		T:   logic.During(sc.Cert.NotBefore, sc.Cert.NotAfter).On(sc.Cert.Issuer),
 		G:   logic.G(sc.Cert.Group),
 	}
@@ -87,7 +87,7 @@ func SubjectOf(subjects []BoundSubject, m int) logic.Subject {
 	if m == 0 && len(subjects) == 1 {
 		return logic.P(subjects[0].Name).Bind(logic.KeyID(subjects[0].KeyID))
 	}
-	return CompoundOf(subjects, m)
+	return compoundOf(subjects, m)
 }
 
 // IdealizeGroupLink renders the privilege-inheritance certificate as

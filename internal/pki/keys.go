@@ -4,9 +4,10 @@
 // Attribute Authority, and time-stamped revocation certificates. Every
 // certificate has two faces kept in exact correspondence:
 //
-//   - a wire form — a deterministically encoded payload carrying a real
-//     RSA-FDH signature (a conventional key for CAs and users, the shared
-//     key of internal/sharedrsa for the coalition AA), and
+//   - a signed form — the kind-tagged, length-prefixed binary encoding
+//     (fingerprint.go) that a real RSA-FDH signature covers (a
+//     conventional key for CAs and users, the shared key of
+//     internal/sharedrsa for the coalition AA), and
 //   - an idealized form — the time-stamped logic message of Section 4.2
 //     (e.g. ⟦CA says_tCA (K ⇒ [tb,te],CA P)⟧_KCA⁻¹) consumed by the
 //     derivation engine of internal/logic.
@@ -90,54 +91,28 @@ func (s keyPairSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
 // AsSigner wraps a conventional key pair as a Signer.
 func (kp *KeyPair) AsSigner() Signer { return keyPairSigner{kp: kp} }
 
-// JointSigner signs with the coalition's distributed private key shares
+// jointSigner signs with the coalition's distributed private key shares
 // (the Case II design): every signature is a run of the joint signature
 // protocol of Section 3.2.
-type JointSigner struct {
+type jointSigner struct {
 	pk     sharedrsa.PublicKey
 	shares []sharedrsa.Share
 }
 
-var _ Signer = (*JointSigner)(nil)
-
 // NewJointSigner wraps a shared key's public half and the member domains'
 // exponent shares.
-func NewJointSigner(pk sharedrsa.PublicKey, shares []sharedrsa.Share) *JointSigner {
+func NewJointSigner(pk sharedrsa.PublicKey, shares []sharedrsa.Share) Signer {
 	ss := make([]sharedrsa.Share, len(shares))
 	for i, s := range shares {
 		ss[i] = s.Clone()
 	}
-	return &JointSigner{pk: pk, shares: ss}
+	return &jointSigner{pk: pk, shares: ss}
 }
 
 // Public returns the shared public key.
-func (j *JointSigner) Public() sharedrsa.PublicKey { return j.pk }
+func (j *jointSigner) Public() sharedrsa.PublicKey { return j.pk }
 
 // Sign runs the joint signature protocol over all shares.
-func (j *JointSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
+func (j *jointSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
 	return sharedrsa.SignJointly(msg, j.pk, j.shares)
-}
-
-// ThresholdSigner signs with an m-of-n threshold sharing and an explicit
-// quorum — used to model reduced-availability signing (Section 3.3).
-type ThresholdSigner struct {
-	ts     *sharedrsa.ThresholdShares
-	quorum []int
-}
-
-var _ Signer = (*ThresholdSigner)(nil)
-
-// NewThresholdSigner wraps threshold shares with the quorum that will sign.
-func NewThresholdSigner(ts *sharedrsa.ThresholdShares, quorum []int) *ThresholdSigner {
-	q := make([]int, len(quorum))
-	copy(q, quorum)
-	return &ThresholdSigner{ts: ts, quorum: q}
-}
-
-// Public returns the shared public key.
-func (t *ThresholdSigner) Public() sharedrsa.PublicKey { return t.ts.Public }
-
-// Sign runs the quorum signing protocol.
-func (t *ThresholdSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
-	return t.ts.QuorumSign(msg, t.quorum)
 }

@@ -113,7 +113,7 @@ func verify(msg []byte, pk PublicKey, sig Signature, buf *[]big.Word) error {
 
 // SignJointly is the whole Section 3.2 flow for an n-of-n sharing whose
 // shares one caller holds: every share's partial, combined and verified.
-// It serves pki.JointSigner and the experiments that model stolen or
+// It serves pki.NewJointSigner and the experiments that model stolen or
 // colluding shares. The coalition AA does not sign through it: its
 // consensus signer collects each domain's partial only after that domain
 // consents (authority.DomainAgent.CoSign).

@@ -1,17 +1,24 @@
-// Package wirefmt is the one binary encoding the request path speaks:
-// transport frames, daemon commands and daemon replies are each a
-// leading version byte followed by fields in a fixed order, every
-// variable-length field prefixed by its length as a uvarint.
+// Package wirefmt is the one binary encoding of the request path and of
+// every signature. Transport frames, daemon commands and daemon replies
+// are messages in it; each certificate kind and the CRL (internal/pki)
+// and each request component (internal/authz) is a statement in it, the
+// bytes its signature covers and its fingerprint hashes. A message is a
+// leading version byte followed by fields in a fixed order; a signed
+// statement has no version byte and starts instead with a string field
+// naming its kind, which no other kind uses. Every variable-length field
+// is prefixed by its length as a uvarint.
 //
-//	message := version(1 byte) field*
-//	field   := uvarint(n) n bytes | single byte | uvarint(count) field*
+//	message   := version(1 byte) field*
+//	statement := kind-tag field*
+//	field     := uvarint(n) n bytes | single byte | 8-byte big-endian int | uvarint(count) field*
 //
 // Encoding appends to a caller-owned slice; decoding walks a byte slice
 // with a Reader. Neither side reflects, keeps state between messages or
 // allocates before a length has been checked against the bytes that
 // actually remain, so a hostile length prefix costs nothing. The field
 // order of each message lives with its type (transport.Envelope,
-// daemon.Command, daemon.Reply); this package only knows fields.
+// daemon.Command, daemon.Reply, the pki certificate bodies,
+// authz.UserRequest); this package only knows fields.
 package wirefmt
 
 import (
@@ -49,6 +56,12 @@ func AppendBytes(b, p []byte) []byte {
 // AppendCount appends the element count of a list (see Reader.Count).
 func AppendCount(b []byte, n int) []byte {
 	return binary.AppendUvarint(b, uint64(n))
+}
+
+// AppendInt64 appends v as eight big-endian bytes, two's complement for
+// a negative v (a clock.Time may be negative).
+func AppendInt64(b []byte, v int64) []byte {
+	return binary.BigEndian.AppendUint64(b, uint64(v))
 }
 
 // AppendBool appends v as a single byte, 0 or 1.

@@ -78,3 +78,21 @@ func TestReaderErrorsStick(t *testing.T) {
 		t.Errorf("a byte after the last field: %v, want ErrMalformed", err)
 	}
 }
+
+// TestAppendInt64: eight big-endian bytes, two's complement for a
+// negative value, so every int64 has its own fixed-width field.
+func TestAppendInt64(t *testing.T) {
+	for _, tc := range []struct {
+		v    int64
+		want []byte
+	}{
+		{0, []byte{0, 0, 0, 0, 0, 0, 0, 0}},
+		{258, []byte{0, 0, 0, 0, 0, 0, 1, 2}},
+		{-1, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
+		{-1 << 63, []byte{0x80, 0, 0, 0, 0, 0, 0, 0}},
+	} {
+		if got := AppendInt64([]byte{7}, tc.v); !bytes.Equal(got, append([]byte{7}, tc.want...)) {
+			t.Errorf("AppendInt64(%d) = %x, want 07%x", tc.v, got, tc.want)
+		}
+	}
+}

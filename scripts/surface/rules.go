@@ -37,6 +37,10 @@ var rules = []rule{
 		reason: "the access-request decoder and the certificate fingerprint run on every request: no reflection, no fmt"},
 	{name: "one-request-parser", kind: "use", what: []string{"encoding/json.Unmarshal", "encoding/json.Decoder.Decode"}, arg: "*authz.AccessRequest",
 		reason: "one parser for the signed request: authz.DecodeAccessRequest; JSON-decoding into an AccessRequest is a second one"},
+	{name: "one-signed-form", kind: "use", what: []string{"encoding/json.Marshal", "encoding/json.NewEncoder"}, in: []string{"pki"},
+		except: []string{"pki.Marshal"},
+		reason: "signed bytes come from the appenders (pki's appendSigned: kind tag first, every field length-prefixed), never from " +
+			"a reflective encoder; pki.Marshal's JSON is the form the WAL journals, which no signature covers"},
 	{name: "one-path/deprecated", kind: "name", marks: []string{"// Deprecated:", "compatibility shim"},
 		reason: "a deprecated wrapper or a compatibility shim is a second entry point to keep tested and documented; delete the old " +
 			"one in the change that adds the new one"},

@@ -79,6 +79,9 @@ func init() { var req authz.AccessRequest; _ = json.Unmarshal(nil, &req) }`},
 		{"one-request-parser", "internal/replication/plant.go", `package replication
 import ("encoding/json"; "jointadmin/internal/authz")
 func init() { p := new(authz.AccessRequest); _ = json.NewDecoder(nil).Decode(p) }`},
+		{"one-signed-form", "internal/pki/plant_json.go", `package pki
+import "encoding/json"
+func init() { b, _ := json.Marshal(Identity{}); _ = b }`},
 		{"one-path/deprecated", "internal/clock/plant.go", "package clock\n\n// Now is a compatibility shim for the old clock.\n"},
 		{"one-path/setters", "internal/authz/plant_setter.go", `package authz
 func (s *Server) SetVerbose(bool) {}
