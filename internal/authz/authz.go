@@ -150,6 +150,11 @@ type Decision struct {
 	Proof *logic.Proof
 	// Data carries read results.
 	Data []byte
+	// Epoch and Watermark are the version of the belief snapshot the
+	// request was decided on (Snapshot's): a follower stamps its reply
+	// with them, and a mutation published while the request ran does not
+	// move them.
+	Epoch, Watermark uint64
 }
 
 // Server is the coalition application server P of Figure 1.
@@ -274,6 +279,9 @@ type decision struct {
 	r   UserRequest
 	tr  *reqTrace
 	now clock.Time
+	// epoch and watermark version the snapshot the request is decided
+	// on; every outcome carries them.
+	epoch, watermark uint64
 	// proof is the derivation every outcome carries: the proof of the
 	// request's engine fork on the replay and on the residual decider's
 	// cold arm, a clone of the snapshot's on its warm arm, and nil before
@@ -303,7 +311,8 @@ func (d *decision) deny(group, reason string) (Decision, error) {
 		Group: group, Reason: reason,
 		RequestID: tr.id, Spans: tr.spans, Derivation: derivation,
 	})
-	return Decision{Allowed: false, Group: group, Reason: reason, DeniedStep: step, RequestID: tr.id, Proof: d.proof},
+	return Decision{Allowed: false, Group: group, Reason: reason, DeniedStep: step, RequestID: tr.id, Proof: d.proof,
+			Epoch: d.epoch, Watermark: d.watermark},
 		fmt.Errorf("%w: %s", ErrDenied, reason)
 }
 
@@ -318,7 +327,8 @@ func (d *decision) abort(err error) (Decision, error) {
 	}
 	tr.end("canceled", err.Error())
 	tr.finishCanceled(step)
-	return Decision{Allowed: false, Reason: err.Error(), DeniedStep: step, RequestID: tr.id},
+	return Decision{Allowed: false, Reason: err.Error(), DeniedStep: step, RequestID: tr.id,
+			Epoch: d.epoch, Watermark: d.watermark},
 		fmt.Errorf("authz: request aborted at %s: %w", step, err)
 }
 
@@ -373,7 +383,7 @@ func (s *Server) authorizeAt(ctx context.Context, st *state, req AccessRequest) 
 	if !oracle {
 		s.hot.residualHits.Inc()
 	}
-	d := decision{s: s, ctx: ctx, tr: s.beginTrace(), now: s.clk.Now()}
+	d := decision{s: s, ctx: ctx, tr: s.beginTrace(), now: s.clk.Now(), epoch: st.epoch, watermark: st.watermark}
 	d.tr.begin(StepFreshness)
 	if err := ctx.Err(); err != nil {
 		return d.abort(err)
@@ -508,7 +518,8 @@ func (d *decision) approve(gs logic.GroupSays, closure []logic.Group, validity c
 		Spans:      d.tr.spans,
 		Derivation: derivation,
 	})
-	return Decision{Allowed: true, Group: group, Reason: reason, RequestID: d.tr.id, Proof: d.proof, Data: data}, nil
+	return Decision{Allowed: true, Group: group, Reason: reason, RequestID: d.tr.id, Proof: d.proof, Data: data,
+		Epoch: d.epoch, Watermark: d.watermark}, nil
 }
 
 // execute performs the approved operation on the object store.

@@ -3,13 +3,16 @@
 // parses on every request. Hand-rolled for the same reason: a reflective
 // decoder resolves every key and field through reflect on every call.
 // Dispatch is by switch, never through a function value, so the decoder,
-// the request and the element buffers all stay on the stack.
+// the request and the element buffers all stay on the stack. The document
+// is a string — the Data of the authorize command that carried it — so
+// the request is parsed where it arrived, with no copy made to parse it.
 
 package authz
 
 import (
 	"encoding/base64"
 	"strconv"
+	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -26,7 +29,9 @@ import (
 // joined, lone surrogates and invalid UTF-8 replaced by U+FFFD), null for
 // any slice, std-base64 payloads — and on it yields a value
 // reflect.DeepEqual to json.Unmarshal's, nil versus empty slices included.
-// Every decoded string owns its memory: nothing aliases data.
+// Every decoded string and slice owns its memory: nothing aliases data,
+// so nothing a decision keeps (its audit entry, its proof, the
+// certificate cache) holds on to the document.
 //
 // It is stricter than encoding/json and fails closed on what only a
 // tampered or hand-mangled request contains: an unknown key, a key that
@@ -36,7 +41,7 @@ import (
 // written as a number array, a top-level null, and any bytes after the
 // object. encoding/json accepts each of these (or silently drops the
 // field); here each is an error.
-func DecodeAccessRequest(data []byte) (AccessRequest, error) {
+func DecodeAccessRequest(data string) (AccessRequest, error) {
 	d := decoder{data: data}
 	var req AccessRequest
 	if err := object(&d, &req); err != nil {
@@ -60,7 +65,7 @@ func (e *decodeError) Error() string {
 
 // decoder is a cursor over one request document.
 type decoder struct {
-	data []byte
+	data string
 	off  int
 }
 
@@ -88,7 +93,7 @@ func (d *decoder) expect(c byte) error {
 
 // literal consumes the keyword word (true, false, null) if it is next.
 func (d *decoder) literal(word string) bool {
-	if d.peek() != word[0] || len(d.data)-d.off < len(word) || string(d.data[d.off:d.off+len(word)]) != word {
+	if d.peek() != word[0] || len(d.data)-d.off < len(word) || d.data[d.off:d.off+len(word)] != word {
 		return false
 	}
 	d.off += len(word)
@@ -96,26 +101,26 @@ func (d *decoder) literal(word string) bool {
 }
 
 // member reads the next member's key and colon of an object, consuming
-// the opening '{' when n is 0 (no member read yet). It returns a nil key
+// the opening '{' when n is 0 (no member read yet). It reports ok false
 // after consuming the closing '}'. Keys are compared verbatim: the
 // request's keys are plain ASCII, so an escape in a key is an error.
-func (d *decoder) member(n int) ([]byte, error) {
+func (d *decoder) member(n int) (key string, ok bool, err error) {
 	if n == 0 {
 		if err := d.expect('{'); err != nil {
-			return nil, err
+			return "", false, err
 		}
 	}
 	switch c := d.peek(); {
 	case c == '}':
 		d.off++
-		return nil, nil
+		return "", false, nil
 	case n > 0 && c != ',':
-		return nil, d.fail("expected ',' or '}' in object")
+		return "", false, d.fail("expected ',' or '}' in object")
 	case n > 0:
 		d.off++
 	}
 	if d.peek() != '"' {
-		return nil, d.fail("expected an object key")
+		return "", false, d.fail("expected an object key")
 	}
 	start := d.off + 1
 	for d.off = start; d.off < len(d.data); d.off++ {
@@ -124,14 +129,14 @@ func (d *decoder) member(n int) ([]byte, error) {
 			key := d.data[start:d.off]
 			d.off++
 			if err := d.expect(':'); err != nil {
-				return nil, err
+				return "", false, err
 			}
-			return key, nil
+			return key, true, nil
 		case c == '\\' || c < 0x20:
-			return nil, d.fail("escaped object key")
+			return "", false, d.fail("escaped object key")
 		}
 	}
-	return nil, d.fail("unterminated object key")
+	return "", false, d.fail("unterminated object key")
 }
 
 // element reports whether element n of an array follows, consuming the
@@ -155,11 +160,11 @@ func (d *decoder) element(n int) (bool, error) {
 	return true, nil
 }
 
-// rawString reads a JSON string and returns its unescaped bytes. They
-// alias data unless the string needed unescaping: callers copy them.
-func (d *decoder) rawString() ([]byte, error) {
+// rawString reads a JSON string and returns it unescaped. It aliases
+// data unless the string needed unescaping: callers that keep it copy it.
+func (d *decoder) rawString() (string, error) {
 	if d.peek() != '"' {
-		return nil, d.fail("expected a string")
+		return "", d.fail("expected a string")
 	}
 	d.off++
 	start := d.off
@@ -173,32 +178,32 @@ func (d *decoder) rawString() ([]byte, error) {
 		case c < utf8.RuneSelf:
 			d.off++
 		default:
-			r, size := utf8.DecodeRune(d.data[d.off:])
+			r, size := utf8.DecodeRuneInString(d.data[d.off:])
 			if r == utf8.RuneError && size == 1 {
 				return d.unescape(start)
 			}
 			d.off += size
 		}
 	}
-	return nil, d.fail("unterminated string")
+	return "", d.fail("unterminated string")
 }
 
 // unescape finishes the string begun at start into a fresh buffer,
 // mirroring encoding/json's unquote; the bytes before d.off are clean.
 // Nothing json.Marshal writes for a request's hex, names and base64
 // needs it, so it is off the common path.
-func (d *decoder) unescape(start int) ([]byte, error) {
+func (d *decoder) unescape(start int) (string, error) {
 	b := append([]byte(nil), d.data[start:d.off]...)
 	for d.off < len(d.data) {
 		c := d.data[d.off]
 		switch {
 		case c == '"':
 			d.off++
-			return b, nil
+			return string(b), nil
 		case c < 0x20:
-			return nil, d.fail("control character in string")
+			return "", d.fail("control character in string")
 		case c >= utf8.RuneSelf:
-			r, size := utf8.DecodeRune(d.data[d.off:])
+			r, size := utf8.DecodeRuneInString(d.data[d.off:])
 			d.off += size
 			b = utf8.AppendRune(b, r)
 			continue
@@ -227,7 +232,7 @@ func (d *decoder) unescape(start int) ([]byte, error) {
 		case 'u':
 			r := d.hex4(d.off)
 			if r < 0 {
-				return nil, d.fail("bad \\u escape")
+				return "", d.fail("bad \\u escape")
 			}
 			d.off += 4
 			if utf16.IsSurrogate(r) {
@@ -242,10 +247,10 @@ func (d *decoder) unescape(start int) ([]byte, error) {
 			b = utf8.AppendRune(b, r)
 		default:
 			d.off -= 2
-			return nil, d.fail("bad escape")
+			return "", d.fail("bad escape")
 		}
 	}
-	return nil, d.fail("unterminated string")
+	return "", d.fail("unterminated string")
 }
 
 // hex4 decodes the four hex digits at off, or returns -1.
@@ -254,7 +259,7 @@ func (d *decoder) hex4(off int) rune {
 		return -1
 	}
 	var r rune
-	for _, c := range d.data[off : off+4] {
+	for _, c := range []byte(d.data[off : off+4]) {
 		switch {
 		case '0' <= c && c <= '9':
 			c -= '0'
@@ -271,9 +276,9 @@ func (d *decoder) hex4(off int) rune {
 }
 
 func (d *decoder) str(dst *string) error {
-	b, err := d.rawString()
+	s, err := d.rawString()
 	if err == nil {
-		*dst = string(b)
+		*dst = strings.Clone(s)
 	}
 	return err
 }
@@ -281,19 +286,19 @@ func (d *decoder) str(dst *string) error {
 // op decodes a permission, sharing the constants' memory for the three
 // an ACL grants.
 func (d *decoder) op(dst *acl.Permission) error {
-	b, err := d.rawString()
+	s, err := d.rawString()
 	if err != nil {
 		return err
 	}
-	switch string(b) {
-	case string(acl.Read):
+	switch acl.Permission(s) {
+	case acl.Read:
 		*dst = acl.Read
-	case string(acl.Write):
+	case acl.Write:
 		*dst = acl.Write
-	case string(acl.Modify):
+	case acl.Modify:
 		*dst = acl.Modify
 	default:
-		*dst = acl.Permission(b)
+		*dst = acl.Permission(strings.Clone(s))
 	}
 	return nil
 }
@@ -369,16 +374,15 @@ func (d *decoder) bytes(dst *[]byte) error {
 		*dst = nil
 		return nil
 	}
-	b, err := d.rawString()
+	s, err := d.rawString()
 	if err != nil {
 		return err
 	}
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(b)))
-	n, err := base64.StdEncoding.Decode(out, b)
+	out, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
 		return d.fail("bad base64 payload")
 	}
-	*dst = out[:n]
+	*dst = out
 	return nil
 }
 
@@ -398,8 +402,8 @@ type objectType interface {
 func object[T objectType](d *decoder, v *T) error {
 	var set uint16
 	for n := 0; ; n++ {
-		key, err := d.member(n)
-		if key == nil {
+		key, ok, err := d.member(n)
+		if !ok {
 			return err
 		}
 		var bit uint16
@@ -430,7 +434,7 @@ func object[T objectType](d *decoder, v *T) error {
 			bit, err = signed(d, v, key)
 		}
 		if err == nil && set&bit != 0 {
-			err = d.fail("duplicate key " + strconv.Quote(string(key)))
+			err = d.fail("duplicate key " + strconv.Quote(key))
 		}
 		if err != nil {
 			return err
@@ -469,12 +473,12 @@ func array[T objectType](d *decoder, dst *[]T) error {
 // The field decoders below decode the value of one member into its
 // field and return the key's bit; an unknown key is an error.
 
-func (d *decoder) unknown(key []byte) (uint16, error) {
-	return 0, d.fail("unknown key " + strconv.Quote(string(key)))
+func (d *decoder) unknown(key string) (uint16, error) {
+	return 0, d.fail("unknown key " + strconv.Quote(key))
 }
 
-func (d *decoder) accessRequest(r *AccessRequest, key []byte) (uint16, error) {
-	switch string(key) {
+func (d *decoder) accessRequest(r *AccessRequest, key string) (uint16, error) {
+	switch key {
 	case "identities":
 		return 1 << 0, array(d, &r.Identities)
 	case "threshold":
@@ -493,8 +497,8 @@ func (d *decoder) accessRequest(r *AccessRequest, key []byte) (uint16, error) {
 	return d.unknown(key)
 }
 
-func (d *decoder) userRequest(r *UserRequest, key []byte) (uint16, error) {
-	switch string(key) {
+func (d *decoder) userRequest(r *UserRequest, key string) (uint16, error) {
+	switch key {
 	case "user":
 		return 1 << 0, d.str(&r.User)
 	case "at":
@@ -511,8 +515,8 @@ func (d *decoder) userRequest(r *UserRequest, key []byte) (uint16, error) {
 	return d.unknown(key)
 }
 
-func signed[C pki.Identity | pki.ThresholdAttribute | pki.Attribute | pki.Delegation](d *decoder, sc *pki.Signed[C], key []byte) (uint16, error) {
-	switch string(key) {
+func signed[C pki.Identity | pki.ThresholdAttribute | pki.Attribute | pki.Delegation](d *decoder, sc *pki.Signed[C], key string) (uint16, error) {
+	switch key {
 	case "cert":
 		return 1 << 0, object(d, &sc.Cert)
 	case "signerKey":
@@ -523,8 +527,8 @@ func signed[C pki.Identity | pki.ThresholdAttribute | pki.Attribute | pki.Delega
 	return d.unknown(key)
 }
 
-func (d *decoder) keyInfo(k *pki.KeyInfo, key []byte) (uint16, error) {
-	switch string(key) {
+func (d *decoder) keyInfo(k *pki.KeyInfo, key string) (uint16, error) {
+	switch key {
 	case "n":
 		return 1 << 0, d.str(&k.N)
 	case "e":
@@ -533,8 +537,8 @@ func (d *decoder) keyInfo(k *pki.KeyInfo, key []byte) (uint16, error) {
 	return d.unknown(key)
 }
 
-func (d *decoder) boundSubject(s *pki.BoundSubject, key []byte) (uint16, error) {
-	switch string(key) {
+func (d *decoder) boundSubject(s *pki.BoundSubject, key string) (uint16, error) {
+	switch key {
 	case "name":
 		return 1 << 0, d.str(&s.Name)
 	case "keyId":
@@ -543,8 +547,8 @@ func (d *decoder) boundSubject(s *pki.BoundSubject, key []byte) (uint16, error) 
 	return d.unknown(key)
 }
 
-func (d *decoder) identity(c *pki.Identity, key []byte) (uint16, error) {
-	switch string(key) {
+func (d *decoder) identity(c *pki.Identity, key string) (uint16, error) {
+	switch key {
 	case "issuer":
 		return 1 << 0, d.str(&c.Issuer)
 	case "issuedAt":
@@ -563,8 +567,8 @@ func (d *decoder) identity(c *pki.Identity, key []byte) (uint16, error) {
 	return d.unknown(key)
 }
 
-func (d *decoder) threshold(c *pki.ThresholdAttribute, key []byte) (uint16, error) {
-	switch string(key) {
+func (d *decoder) threshold(c *pki.ThresholdAttribute, key string) (uint16, error) {
+	switch key {
 	case "issuer":
 		return 1 << 0, d.str(&c.Issuer)
 	case "issuedAt":
@@ -583,8 +587,8 @@ func (d *decoder) threshold(c *pki.ThresholdAttribute, key []byte) (uint16, erro
 	return d.unknown(key)
 }
 
-func (d *decoder) attribute(c *pki.Attribute, key []byte) (uint16, error) {
-	switch string(key) {
+func (d *decoder) attribute(c *pki.Attribute, key string) (uint16, error) {
+	switch key {
 	case "issuer":
 		return 1 << 0, d.str(&c.Issuer)
 	case "issuedAt":
@@ -601,8 +605,8 @@ func (d *decoder) attribute(c *pki.Attribute, key []byte) (uint16, error) {
 	return d.unknown(key)
 }
 
-func (d *decoder) delegation(c *pki.Delegation, key []byte) (uint16, error) {
-	switch string(key) {
+func (d *decoder) delegation(c *pki.Delegation, key string) (uint16, error) {
+	switch key {
 	case "issuer":
 		return 1 << 0, d.str(&c.Issuer)
 	case "issuedAt":

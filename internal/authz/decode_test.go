@@ -50,7 +50,7 @@ func marshal(tb testing.TB, v any) []byte {
 // agreesWithEncodingJSON decodes data both ways and reports a mismatch.
 func agreesWithEncodingJSON(tb testing.TB, data []byte) AccessRequest {
 	tb.Helper()
-	got, err := DecodeAccessRequest(data)
+	got, err := DecodeAccessRequest(string(data))
 	if err != nil {
 		tb.Fatalf("DecodeAccessRequest: %v\ninput: %s", err, data)
 	}
@@ -140,7 +140,7 @@ func TestDecodeAccessRequestRejects(t *testing.T) {
 		{"single quotes", `{'requests':[]}`, false},
 		{"non-whitespace gap", "{\"requests\":\v[]}", false},
 	} {
-		if _, err := DecodeAccessRequest([]byte(tc.data)); err == nil {
+		if _, err := DecodeAccessRequest(tc.data); err == nil {
 			t.Errorf("%s: accepted %q", tc.name, tc.data)
 		}
 		var req AccessRequest
@@ -240,7 +240,7 @@ func genRequest(rng *rand.Rand) AccessRequest {
 func roundTrips(t *testing.T, x AccessRequest) {
 	t.Helper()
 	data := marshal(t, x)
-	got, err := DecodeAccessRequest(data)
+	got, err := DecodeAccessRequest(string(data))
 	if err != nil {
 		t.Fatalf("DecodeAccessRequest(json.Marshal(x)): %v\ninput: %s", err, data)
 	}
@@ -271,7 +271,7 @@ func FuzzDecodeAccessRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{"requests":[{"user":"\ud83d\ude00\ud83d","payload":""}],"identities":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, err := DecodeAccessRequest(data); err == nil {
+		if got, err := DecodeAccessRequest(string(data)); err == nil {
 			var want AccessRequest
 			if err := json.Unmarshal(data, &want); err != nil {
 				t.Fatalf("accepted what encoding/json rejects (%v): %q", err, data)
@@ -335,16 +335,17 @@ func TestDecodeAccessRequestAllocs(t *testing.T) {
 		t.Skip("alloc counts are inflated under -race")
 	}
 	data := marshal(t, requestShapes(t)["threshold write"])
-	req, err := DecodeAccessRequest(data)
+	doc := string(data)
+	req, err := DecodeAccessRequest(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := decodeBudget(reflect.ValueOf(req))
-	allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeAccessRequest(data) })
+	allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeAccessRequest(doc) })
 	if allocs > float64(budget) {
 		t.Errorf("DecodeAccessRequest allocates %.0f/op, budget %d (strings + slices)", allocs, budget)
 	}
-	ours := bytesPerOp(200, func() { _, _ = DecodeAccessRequest(data) })
+	ours := bytesPerOp(200, func() { _, _ = DecodeAccessRequest(doc) })
 	theirs := bytesPerOp(200, func() {
 		var r AccessRequest
 		_ = json.Unmarshal(data, &r)
@@ -356,14 +357,44 @@ func TestDecodeAccessRequestAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeAccessRequestRetainsNoDocument: the decoded request holds on
+// to no byte of the document it was parsed from, so a decision may keep
+// its fields (audit entry, proof, certificate cache) without pinning a
+// request body. The document is padded with 8 MB of JSON whitespace;
+// once it is dead, a collection must free them.
+func TestDecodeAccessRequestRetainsNoDocument(t *testing.T) {
+	data := marshal(t, requestShapes(t)["delegated"])
+	const pad = 8 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var doc strings.Builder
+	doc.Grow(len(data) + pad)
+	doc.Write(data[:1]) // '{', then the whitespace
+	doc.WriteString(strings.Repeat(" ", pad))
+	doc.Write(data[1:])
+	req, err := DecodeAccessRequest(doc.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.Reset()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > pad/2 {
+		t.Errorf("the decoded request keeps %d bytes of its %d-byte document alive", grown, pad+len(data))
+	}
+	runtime.KeepAlive(req)
+}
+
 func BenchmarkDecodeAccessRequest(b *testing.B) {
 	shapes := requestShapes(b)
 	for _, name := range []string{"threshold read", "threshold write"} {
 		data := marshal(b, shapes[name])
+		doc := string(data)
 		b.Run(name+"/single-pass", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := DecodeAccessRequest(data); err != nil {
+				if _, err := DecodeAccessRequest(doc); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,7 +12,7 @@ package clock
 import (
 	"fmt"
 	"strconv"
-	"sync"
+	"sync/atomic"
 )
 
 // Time is a point on some principal's clock. The paper orders times totally
@@ -92,49 +92,53 @@ func (iv Interval) String() string {
 }
 
 // Clock is a monotonically advancing local clock for one principal. The
-// zero value starts at time 0. Clock is safe for concurrent use: protocol
-// goroutines representing the same principal may read it concurrently.
+// zero value starts at time 0. Clock is safe for concurrent use, and
+// reading it takes no lock: it is one atomic word, so every decision can
+// read the time without contending with the others.
 type Clock struct {
-	mu  sync.Mutex
-	now Time
+	now atomic.Int64
 }
 
 // New returns a clock positioned at start.
-func New(start Time) *Clock { return &Clock{now: start} }
+func New(start Time) *Clock {
+	c := &Clock{}
+	c.now.Store(int64(start))
+	return c
+}
 
 // Now returns the current local time.
-func (c *Clock) Now() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Time { return Time(c.now.Load()) }
 
 // Tick advances the clock by one and returns the new time.
-func (c *Clock) Tick() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now++
-	return c.now
-}
+func (c *Clock) Tick() Time { return Time(c.now.Add(1)) }
 
 // Advance moves the clock forward by d ticks (d must be >= 0; negative
 // advances are ignored to preserve monotonicity, the legality condition (a)
-// of Appendix C). It returns the new time.
+// of Appendix C). It returns the new time. Like Time.Add it saturates at
+// Infinity, which makes it a compare-and-swap loop rather than one add:
+// an add near Infinity would wrap the clock around to the past.
 func (c *Clock) Advance(d int64) Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d > 0 {
-		c.now = c.now.Add(d)
+	for {
+		old := c.Now()
+		if d <= 0 {
+			return old
+		}
+		t := old.Add(d)
+		if c.now.CompareAndSwap(int64(old), int64(t)) {
+			return t
+		}
 	}
-	return c.now
 }
 
 // AdvanceTo moves the clock to t if t is later than the current time.
 func (c *Clock) AdvanceTo(t Time) Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
+	for {
+		old := c.Now()
+		if t <= old {
+			return old
+		}
+		if c.now.CompareAndSwap(int64(old), int64(t)) {
+			return t
+		}
 	}
-	return c.now
 }

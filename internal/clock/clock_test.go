@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -152,6 +153,72 @@ func TestClockConcurrentTicks(t *testing.T) {
 	wg.Wait()
 	if got := c.Now(); got != goroutines*ticks {
 		t.Errorf("concurrent ticks lost: got %v, want %d", got, goroutines*ticks)
+	}
+}
+
+// TestClockNeverRunsBackwards: with Tick, Advance and AdvanceTo racing
+// (run it under -race), no goroutine ever reads a time earlier than one
+// it read or set before, each mutator's result is at least what it asked
+// for, and no tick is lost.
+func TestClockNeverRunsBackwards(t *testing.T) {
+	c := New(0)
+	const workers, rounds = 6, 2000
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var seen Time
+			for i := 0; i < rounds; i++ {
+				var got, floor Time
+				switch (w + i) % 4 {
+				case 0:
+					got, floor = c.Tick(), seen+1
+				case 1:
+					got, floor = c.Advance(int64(i%3)), seen
+				case 2:
+					target := seen + Time(i%7)
+					got, floor = c.AdvanceTo(target), target
+				default:
+					got, floor = c.Now(), seen
+				}
+				if got < floor {
+					errs <- fmt.Sprintf("worker %d round %d: read %v after %v (floor %v)", w, i, got, seen, floor)
+					return
+				}
+				seen = got
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	// Every Tick is counted, whatever AdvanceTo and Advance did beside it.
+	ticks := 0
+	for w := 0; w < workers; w++ {
+		for i := 0; i < rounds; i++ {
+			if (w+i)%4 == 0 {
+				ticks++
+			}
+		}
+	}
+	if got := c.Now(); got < Time(ticks) {
+		t.Errorf("clock at %v after %d ticks", got, ticks)
+	}
+}
+
+// TestClockAdvanceSaturates: Advance stops at Infinity instead of
+// wrapping around to the past.
+func TestClockAdvanceSaturates(t *testing.T) {
+	c := New(Infinity - 3)
+	if got := c.Advance(10); got != Infinity {
+		t.Errorf("Advance past Infinity = %v, want Infinity", got)
+	}
+	if got := c.Now(); got != Infinity {
+		t.Errorf("Now = %v after a saturating Advance, want Infinity", got)
 	}
 }
 

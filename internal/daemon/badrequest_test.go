@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,6 +37,15 @@ func malformedRequests(valid string) []struct{ name, data string } {
 // serving over localhost. Both stop when the test ends.
 func startWriterAndFollower(ctx context.Context, t *testing.T) (*Daemon, *Follower, *obs.Registry) {
 	t.Helper()
+	d, f, reg, _ := startFleet(ctx, t)
+	return d, f, reg
+}
+
+// startFleet is startWriterAndFollower, and also returns the function
+// that stops both serve loops and closes their nodes (it runs at the
+// latest when the test ends). The follower's replica stays installed.
+func startFleet(ctx context.Context, t *testing.T) (*Daemon, *Follower, *obs.Registry, func()) {
+	t.Helper()
 	d, err := New(Config{
 		Domains:       []string{"D1", "D2", "D3"},
 		Users:         []string{"alice", "bob", "carol"},
@@ -60,18 +70,22 @@ func startWriterAndFollower(ctx context.Context, t *testing.T) (*Daemon, *Follow
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveCtx, stop := context.WithCancel(ctx)
+	serveCtx, cancel := context.WithCancel(ctx)
 	served := make(chan error, 2)
 	go func() { served <- d.Serve(serveCtx, wnode) }()
 	go func() { served <- f.Serve(serveCtx, fnode) }()
-	t.Cleanup(func() {
-		stop()
-		wnode.Close()
-		fnode.Close()
-		<-served
-		<-served
-	})
-	return d, f, reg
+	var once sync.Once
+	stop := func() {
+		once.Do(func() {
+			cancel()
+			wnode.Close()
+			fnode.Close()
+			<-served
+			<-served
+		})
+	}
+	t.Cleanup(stop)
+	return d, f, reg, stop
 }
 
 // waitCaughtUp waits until f has installed d's state as of d's clock now.

@@ -30,7 +30,7 @@ func chaosPlan(seed int64) transport.FaultPlan {
 func chaosClient(t *testing.T, client *transport.TCPNode, id string, cmd Command) Reply {
 	t.Helper()
 	cmd.ID = id
-	body := EncodeCommand(cmd)
+	body := appendCommand(nil, cmd)
 	deadline := time.Now().Add(20 * time.Second)
 	for attempt := 0; time.Now().Before(deadline); attempt++ {
 		if err := client.Send("coalitiond", "cmd", body); err != nil {
@@ -46,7 +46,7 @@ func chaosClient(t *testing.T, client *transport.TCPNode, id string, cmd Command
 			if err != nil {
 				break
 			}
-			if rep, err := DecodeReply(env.Payload); err == nil && rep.ID == id {
+			if rep, err := decodeReply(env.Payload); err == nil && rep.ID == id {
 				return rep
 			}
 		}

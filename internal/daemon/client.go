@@ -36,32 +36,32 @@ import (
 const (
 	// MetricMuxCalls counts issued calls, labeled outcome=ok|error.
 	MetricMuxCalls = "daemon_mux_calls_total"
-	// MetricMuxInflight gauges calls awaiting their reply.
-	MetricMuxInflight = "daemon_mux_inflight"
-	// MetricMuxStale counts shed envelopes: duplicated replies to calls
+	// metricMuxInflight gauges calls awaiting their reply.
+	metricMuxInflight = "daemon_mux_inflight"
+	// metricMuxStale counts shed envelopes: duplicated replies to calls
 	// already answered, and replies that arrived after their caller gave
 	// up.
-	MetricMuxStale = "daemon_mux_stale_replies_total"
+	metricMuxStale = "daemon_mux_stale_replies_total"
 	// MetricMuxResends counts retransmitted commands (same ID; the
 	// daemon's dedup cache answers duplicates from its recorded reply).
 	MetricMuxResends = "daemon_mux_resends_total"
-	// MetricMuxTimeouts counts calls abandoned by their context deadline.
-	MetricMuxTimeouts = "daemon_mux_timeouts_total"
-	// MetricMuxConnLost counts receiver failures that failed every
+	// metricMuxTimeouts counts calls abandoned by their context deadline.
+	metricMuxTimeouts = "daemon_mux_timeouts_total"
+	// metricMuxConnLost counts receiver failures that failed every
 	// pending call at once.
-	MetricMuxConnLost = "daemon_mux_conn_lost_total"
+	metricMuxConnLost = "daemon_mux_conn_lost_total"
 )
 
-// ErrConnLost reports that the client's shared connection failed with
+// errConnLost reports that the client's shared connection failed with
 // calls in flight; every pending call (and all future ones) fails with
 // an error wrapping it.
-var ErrConnLost = errors.New("daemon: client connection lost")
+var errConnLost = errors.New("daemon: client connection lost")
 
-// ClientEndpoint is the transport surface the client multiplexes over.
+// clientEndpoint is the transport surface the client multiplexes over.
 // *transport.TCPNode, *transport.Faulty and the in-memory endpoints all
 // satisfy it.
-type ClientEndpoint interface {
-	Send(to, kind string, payload []byte) error
+type clientEndpoint interface {
+	SendMessage(to, kind string, m transport.Message) error
 	RecvContext(ctx context.Context) (transport.Envelope, error)
 	Close() error
 }
@@ -79,10 +79,12 @@ type ClientConfig struct {
 	// Transport configures the underlying TCP node's deadlines and retry
 	// policy.
 	Transport transport.Options
-	// Resend retransmits a call's command (same ID) every interval until
-	// its reply arrives or its context expires; 0 disables. Resends are
-	// what let a call survive a lost request or reply frame; the daemon's
-	// dedup cache keeps them exactly-once.
+	// Resend retransmits a call's command (same ID) while its reply is
+	// outstanding: first once Resend has passed since the call was sent,
+	// then every Resend, each within half a Resend of being due, until
+	// the reply arrives or the call's context expires; 0 disables.
+	// Resends are what let a call survive a lost request or reply frame;
+	// the daemon's dedup cache keeps them exactly-once.
 	Resend time.Duration
 	// Metrics receives the daemon_mux_* series; nil drops them.
 	Metrics *obs.Registry
@@ -92,21 +94,63 @@ type ClientConfig struct {
 // use: any number of goroutines may Call at once, all sharing the one
 // underlying connection.
 type Client struct {
-	ep       ClientEndpoint
-	server   string
-	reg      *obs.Registry
-	resend   time.Duration
-	ownsEP   bool
-	nonce    string
-	seq      atomic.Uint64
-	ctx      context.Context // canceled on Close or receiver failure
-	cancel   context.CancelFunc
-	recvered sync.WaitGroup
+	ep      clientEndpoint
+	server  string
+	met     clientMetrics
+	resend  time.Duration
+	ownsEP  bool
+	nonce   string
+	seq     atomic.Uint64
+	ctx     context.Context // canceled on Close or receiver failure
+	cancel  context.CancelFunc
+	running sync.WaitGroup // the receiver and the resend sweep
 
 	mu      sync.Mutex
-	pending map[string]chan Reply
+	pending map[string]*call
 	err     error // terminal failure; set before cancel()
 }
+
+// clientMetrics are the daemon_mux_* series, resolved once per client.
+type clientMetrics struct {
+	inflight                                       *obs.Gauge
+	ok, failed, stale, resends, timeouts, connLost *obs.Counter
+}
+
+func newClientMetrics(reg *obs.Registry) clientMetrics {
+	return clientMetrics{
+		inflight: reg.Gauge(metricMuxInflight),
+		ok:       reg.Counter(MetricMuxCalls, "outcome", "ok"),
+		failed:   reg.Counter(MetricMuxCalls, "outcome", "error"),
+		stale:    reg.Counter(metricMuxStale),
+		resends:  reg.Counter(MetricMuxResends),
+		timeouts: reg.Counter(metricMuxTimeouts),
+		connLost: reg.Counter(metricMuxConnLost),
+	}
+}
+
+// call is one outstanding Call. It is the transport.Message its command
+// is sent as: the command's wire form is appended straight into the
+// outbound frame, on the first send and on every resend.
+type call struct {
+	cmd  Command
+	done chan callResult // buffered (1); written once, by whoever claims the call
+	// sent is when cmd last went out; guarded by Client.mu.
+	sent time.Time
+	// sending is held by the resend sweep while it sends cmd, so Call can
+	// wait a resend out before it returns and the caller's command
+	// (its Signers slice) is read no more.
+	sending sync.Mutex
+}
+
+// callResult is what a claimed call is woken with: its reply, or the
+// resend failure that ended it.
+type callResult struct {
+	reply Reply
+	err   error
+}
+
+// AppendTo implements transport.Message.
+func (cl *call) AppendTo(b []byte) []byte { return appendCommand(b, cl.cmd) }
 
 // Dial opens a dial-only TCP node (one connection to the daemon, no
 // listener: replies come back on that connection), registers the daemon
@@ -121,30 +165,34 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	node := transport.DialTCP(cfg.Name, cfg.Transport)
 	node.Instrument(cfg.Metrics)
 	node.AddPeer(cfg.ServerName, cfg.ServerAddr)
-	c := NewClient(node, cfg.ServerName, cfg.Resend, cfg.Metrics)
+	c := newClient(node, cfg.ServerName, cfg.Resend, cfg.Metrics)
 	c.ownsEP = true
 	return c, nil
 }
 
-// NewClient builds a mux client over an existing endpoint (tests wrap
+// newClient builds a mux client over an existing endpoint (tests wrap
 // fault injectors or in-memory networks). The client does not own the
 // endpoint: Close stops the receiver but leaves the endpoint open.
-func NewClient(ep ClientEndpoint, serverName string, resend time.Duration, reg *obs.Registry) *Client {
+func newClient(ep clientEndpoint, serverName string, resend time.Duration, reg *obs.Registry) *Client {
 	var nb [6]byte
 	cryptorand.Read(nb[:]) //nolint:errcheck // rand.Read never fails
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Client{
 		ep:      ep,
 		server:  serverName,
-		reg:     reg,
+		met:     newClientMetrics(reg),
 		resend:  resend,
 		nonce:   hex.EncodeToString(nb[:]),
 		ctx:     ctx,
 		cancel:  cancel,
-		pending: make(map[string]chan Reply),
+		pending: make(map[string]*call),
 	}
-	c.recvered.Add(1)
+	c.running.Add(1)
 	go c.recvLoop()
+	if resend > 0 {
+		c.running.Add(1)
+		go c.resendLoop()
+	}
 	return c
 }
 
@@ -153,42 +201,108 @@ func (c *Client) nextID() string {
 	return c.nonce + "-" + strconv.FormatUint(c.seq.Add(1), 10)
 }
 
+// claim removes the pending call with the given ID and returns it; the
+// claimer is the one party that writes its result. Nil when no call
+// with that ID is pending (answered already, or given up).
+func (c *Client) claim(id string) *call {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cl := c.pending[id]
+	delete(c.pending, id)
+	return cl
+}
+
+// drop removes cl from the pending calls if it is still there, and
+// reports whether it was: then nothing else can claim it.
+func (c *Client) drop(cl *call) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pending[cl.cmd.ID] != cl {
+		return false
+	}
+	delete(c.pending, cl.cmd.ID)
+	return true
+}
+
 // recvLoop demultiplexes inbound envelopes into per-call channels by
 // Reply.ID until the client closes. A receive failure is terminal: every
-// pending call fails with ErrConnLost, as do all future calls.
+// pending call fails with errConnLost, as do all future calls.
 func (c *Client) recvLoop() {
-	defer c.recvered.Done()
+	defer c.running.Done()
 	for {
 		env, err := c.ep.RecvContext(c.ctx)
 		if err != nil {
 			if c.ctx.Err() == nil {
 				// Not a voluntary Close: the shared connection is gone.
-				c.reg.Counter(MetricMuxConnLost).Inc()
-				c.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
+				c.met.connLost.Inc()
+				c.fail(fmt.Errorf("%w: %v", errConnLost, err))
 			}
 			return
 		}
 		var reply Reply
 		if env.Kind == "reply" {
-			reply, _ = DecodeReply(env.Payload) // undecodable: zero Reply, shed below
+			reply, _ = decodeReply(env.Payload) // undecodable: zero Reply, shed below
 		}
-		if reply.ID == "" {
-			c.reg.Counter(MetricMuxStale).Inc()
-			continue
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[reply.ID]
-		if ok {
+		env.Release() // the reply's strings are its own
+		var cl *call
+		if reply.ID != "" {
 			// Claim the call before delivering so a duplicate arriving
 			// next is shed as stale, never delivered twice.
-			delete(c.pending, reply.ID)
+			cl = c.claim(reply.ID)
 		}
-		c.mu.Unlock()
-		if !ok {
-			c.reg.Counter(MetricMuxStale).Inc()
+		if cl == nil {
+			c.met.stale.Inc()
 			continue
 		}
-		ch <- reply // buffered (1); the claiming recv never blocks
+		cl.done <- callResult{reply: reply} // buffered (1); the claim makes this the only write
+	}
+}
+
+// resendLoop retransmits each pending call whose command has gone
+// unanswered for a whole Resend, sweeping every half Resend (at most once
+// a millisecond) until the client closes: one sweep for all calls
+// instead of a timer per call.
+func (c *Client) resendLoop() {
+	defer c.running.Done()
+	t := time.NewTicker(max(c.resend/2, time.Millisecond))
+	defer t.Stop()
+	var due []*call
+	for {
+		select {
+		case <-c.ctx.Done():
+			return
+		case now := <-t.C:
+			due = due[:0]
+			c.mu.Lock()
+			for _, cl := range c.pending {
+				if now.Sub(cl.sent) >= c.resend {
+					cl.sent = now
+					due = append(due, cl)
+				}
+			}
+			c.mu.Unlock()
+			for _, cl := range due {
+				c.resendOne(cl)
+			}
+			clear(due) // keep no finished call alive until the next sweep
+		}
+	}
+}
+
+// resendOne retransmits cl's command under its ID: the daemon's dedup
+// cache answers a duplicate from its recorded reply, so a lost request or
+// reply frame heals without double execution. A send that fails for good
+// ends the call with that error, unless its reply got there first.
+func (c *Client) resendOne(cl *call) {
+	cl.sending.Lock()
+	defer cl.sending.Unlock()
+	c.met.resends.Inc()
+	err := c.ep.SendMessage(c.server, "cmd", cl)
+	if err == nil || retryableSend(err) {
+		return
+	}
+	if c.drop(cl) {
+		cl.done <- callResult{err: fmt.Errorf("daemon: resend %s: %w", cl.cmd.Cmd, err)}
 	}
 }
 
@@ -221,63 +335,50 @@ func (c *Client) Call(ctx context.Context, cmd Command) (Reply, error) {
 	if cmd.ID == "" {
 		cmd.ID = c.nextID()
 	}
-	body := EncodeCommand(cmd)
-
-	ch := make(chan Reply, 1)
+	cl := &call{cmd: cmd, done: make(chan callResult, 1), sent: time.Now()}
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
 		return Reply{}, err
 	}
-	c.pending[cmd.ID] = ch
+	c.pending[cmd.ID] = cl
 	c.mu.Unlock()
-	inflight := c.reg.Gauge(MetricMuxInflight)
-	inflight.Inc()
-	defer inflight.Dec()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, cmd.ID)
-		c.mu.Unlock()
-	}()
+	c.met.inflight.Inc()
+	defer c.met.inflight.Dec()
+	defer c.forget(cl)
 
-	if err := c.ep.Send(c.server, "cmd", body); err != nil {
-		c.reg.Counter(MetricMuxCalls, "outcome", "error").Inc()
+	if err := c.ep.SendMessage(c.server, "cmd", cl); err != nil {
+		c.met.failed.Inc()
 		return Reply{}, fmt.Errorf("daemon: send %s: %w", cmd.Cmd, err)
 	}
-
-	var resendC <-chan time.Time
-	if c.resend > 0 {
-		t := time.NewTicker(c.resend)
-		defer t.Stop()
-		resendC = t.C
-	}
-	for {
-		select {
-		case reply := <-ch:
-			c.reg.Counter(MetricMuxCalls, "outcome", "ok").Inc()
-			return reply, nil
-		case <-ctx.Done():
-			c.reg.Counter(MetricMuxTimeouts).Inc()
-			c.reg.Counter(MetricMuxCalls, "outcome", "error").Inc()
-			return Reply{}, fmt.Errorf("daemon: call %s [%s]: %w", cmd.Cmd, cmd.ID, ctx.Err())
-		case <-c.ctx.Done():
-			c.reg.Counter(MetricMuxCalls, "outcome", "error").Inc()
-			if err := c.Err(); err != nil {
-				return Reply{}, err
-			}
-			return Reply{}, fmt.Errorf("daemon: call %s [%s]: %w", cmd.Cmd, cmd.ID, transport.ErrClosed)
-		case <-resendC:
-			// Same ID: the daemon's dedup cache answers a duplicate from
-			// its recorded reply, so a lost request or reply frame heals
-			// without double execution.
-			c.reg.Counter(MetricMuxResends).Inc()
-			if err := c.ep.Send(c.server, "cmd", body); err != nil && !retryableSend(err) {
-				c.reg.Counter(MetricMuxCalls, "outcome", "error").Inc()
-				return Reply{}, fmt.Errorf("daemon: resend %s: %w", cmd.Cmd, err)
-			}
+	select {
+	case res := <-cl.done:
+		if res.err != nil {
+			c.met.failed.Inc()
+			return Reply{}, res.err
 		}
+		c.met.ok.Inc()
+		return res.reply, nil
+	case <-ctx.Done():
+		c.met.timeouts.Inc()
+		c.met.failed.Inc()
+		return Reply{}, fmt.Errorf("daemon: call %s [%s]: %w", cmd.Cmd, cmd.ID, ctx.Err())
+	case <-c.ctx.Done():
+		c.met.failed.Inc()
+		if err := c.Err(); err != nil {
+			return Reply{}, err
+		}
+		return Reply{}, fmt.Errorf("daemon: call %s [%s]: %w", cmd.Cmd, cmd.ID, transport.ErrClosed)
 	}
+}
+
+// forget drops cl from the pending calls and waits out a resend of it
+// that is in progress, so nothing reads cl's command once Call returns.
+func (c *Client) forget(cl *call) {
+	c.drop(cl)
+	cl.sending.Lock()
+	cl.sending.Unlock() //nolint:staticcheck // an empty critical section: the wait is the point
 }
 
 // retryableSend reports whether a failed retransmit should keep the call
@@ -286,11 +387,12 @@ func retryableSend(err error) bool {
 	return errors.Is(err, transport.ErrInboxFull)
 }
 
-// Close stops the receiver and fails any pending calls. The underlying
-// node is closed only when the client created it (Dial).
+// Close stops the receiver and the resend sweep and fails any pending
+// calls. The underlying node is closed only when the client created it
+// (Dial).
 func (c *Client) Close() error {
 	c.cancel()
-	c.recvered.Wait()
+	c.running.Wait()
 	if c.ownsEP {
 		return c.ep.Close()
 	}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,11 +31,11 @@ func echoServer(t *testing.T, ep transport.Endpoint, jitter time.Duration) {
 			if err != nil {
 				return
 			}
-			cmd, err := DecodeCommand(env.Payload)
+			cmd, err := decodeCommand(env.Payload)
 			if err != nil {
 				continue
 			}
-			body := EncodeReply(Reply{ID: cmd.ID, OK: true, Detail: "echo:" + cmd.Data})
+			body := encodeReply(Reply{ID: cmd.ID, OK: true, Detail: "echo:" + cmd.Data})
 			mu.Lock()
 			d := time.Duration(rng.Int63n(int64(jitter) + 1))
 			mu.Unlock()
@@ -57,7 +59,7 @@ func TestClientConcurrentCallsCorrelate(t *testing.T) {
 	echoServer(t, srv, 3*time.Millisecond)
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", 0, reg)
+	c := newClient(net.Endpoint("cli"), "srv", 0, reg)
 	defer c.Close()
 
 	const goroutines, calls = 8, 20
@@ -90,7 +92,7 @@ func TestClientConcurrentCallsCorrelate(t *testing.T) {
 	if got := reg.Snapshot().CounterValue(`daemon_mux_calls_total{outcome="ok"}`); got != goroutines*calls {
 		t.Fatalf("ok calls = %d, want %d", got, goroutines*calls)
 	}
-	if got := reg.Gauge(MetricMuxInflight).Value(); got != 0 {
+	if got := reg.Gauge(metricMuxInflight).Value(); got != 0 {
 		t.Fatalf("inflight after drain = %d, want 0", got)
 	}
 }
@@ -104,11 +106,11 @@ func TestClientShedsStaleEnvelopes(t *testing.T) {
 	srv := net.Endpoint("srv")
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", 0, reg)
+	c := newClient(net.Endpoint("cli"), "srv", 0, reg)
 	defer c.Close()
 
-	ghost := EncodeReply(Reply{ID: "ghost", OK: true})
-	noID := EncodeReply(Reply{OK: true})
+	ghost := encodeReply(Reply{ID: "ghost", OK: true})
+	noID := encodeReply(Reply{OK: true})
 	for _, env := range []struct{ kind, body string }{
 		{"reply", string(ghost)},  // no pending call under this ID
 		{"reply", "not a reply"},  // undecodable
@@ -120,7 +122,7 @@ func TestClientShedsStaleEnvelopes(t *testing.T) {
 		}
 	}
 	waitFor(t, time.Second, func() bool {
-		return reg.Counter(MetricMuxStale).Value() == 4
+		return reg.Counter(metricMuxStale).Value() == 4
 	})
 
 	// The client is still healthy: a real call completes.
@@ -145,7 +147,7 @@ func TestClientCallTimeout(t *testing.T) {
 	net.Endpoint("srv") // exists but never answers
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", 0, reg)
+	c := newClient(net.Endpoint("cli"), "srv", 0, reg)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -154,23 +156,23 @@ func TestClientCallTimeout(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-	if got := reg.Counter(MetricMuxTimeouts).Value(); got != 1 {
+	if got := reg.Counter(metricMuxTimeouts).Value(); got != 1 {
 		t.Fatalf("timeouts = %d, want 1", got)
 	}
-	if got := reg.Gauge(MetricMuxInflight).Value(); got != 0 {
+	if got := reg.Gauge(metricMuxInflight).Value(); got != 0 {
 		t.Fatalf("inflight = %d, want 0", got)
 	}
 }
 
 // TestClientConnLostFailsPending: when the shared connection dies with
-// calls in flight, every pending call fails with ErrConnLost — and so do
+// calls in flight, every pending call fails with errConnLost — and so do
 // all future calls, immediately.
 func TestClientConnLostFailsPending(t *testing.T) {
 	net := transport.NewMemory()
 	net.Endpoint("srv") // never answers
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", 0, reg)
+	c := newClient(net.Endpoint("cli"), "srv", 0, reg)
 	defer c.Close()
 
 	const pending = 3
@@ -185,22 +187,22 @@ func TestClientConnLostFailsPending(t *testing.T) {
 		}()
 	}
 	waitFor(t, time.Second, func() bool {
-		return reg.Gauge(MetricMuxInflight).Value() == pending
+		return reg.Gauge(metricMuxInflight).Value() == pending
 	})
 	net.Close() // the connection is gone
 
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if !errors.Is(err, ErrConnLost) {
-			t.Fatalf("pending call err = %v, want ErrConnLost", err)
+		if !errors.Is(err, errConnLost) {
+			t.Fatalf("pending call err = %v, want errConnLost", err)
 		}
 	}
-	if got := reg.Counter(MetricMuxConnLost).Value(); got != 1 {
+	if got := reg.Counter(metricMuxConnLost).Value(); got != 1 {
 		t.Fatalf("conn_lost = %d, want 1", got)
 	}
-	if _, err := c.Call(context.Background(), Command{Cmd: "noop"}); !errors.Is(err, ErrConnLost) {
-		t.Fatalf("post-loss call err = %v, want ErrConnLost", err)
+	if _, err := c.Call(context.Background(), Command{Cmd: "noop"}); !errors.Is(err, errConnLost) {
+		t.Fatalf("post-loss call err = %v, want errConnLost", err)
 	}
 }
 
@@ -218,7 +220,7 @@ func TestClientResendHealsLostRequest(t *testing.T) {
 			if err != nil {
 				return
 			}
-			cmd, err := DecodeCommand(env.Payload)
+			cmd, err := decodeCommand(env.Payload)
 			if err != nil {
 				continue
 			}
@@ -226,13 +228,13 @@ func TestClientResendHealsLostRequest(t *testing.T) {
 			if seen[cmd.ID] < 2 {
 				continue // first copy vanishes
 			}
-			body := EncodeReply(Reply{ID: cmd.ID, OK: true, Detail: "second time"})
+			body := encodeReply(Reply{ID: cmd.ID, OK: true, Detail: "second time"})
 			_ = srv.Send(env.From, "reply", body)
 		}
 	}()
 
 	reg := obs.NewRegistry()
-	c := NewClient(net.Endpoint("cli"), "srv", 10*time.Millisecond, reg)
+	c := newClient(net.Endpoint("cli"), "srv", 10*time.Millisecond, reg)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -246,6 +248,96 @@ func TestClientResendHealsLostRequest(t *testing.T) {
 	}
 	if got := reg.Counter(MetricMuxResends).Value(); got < 1 {
 		t.Fatalf("resends = %d, want >= 1", got)
+	}
+}
+
+// TestClientResendSweepHealsConcurrentCalls: with the first copy of every
+// command lost, one resend sweep heals many calls in flight at once, each
+// under its own ID, and a call that has returned is resent no more (run
+// it under -race).
+func TestClientResendSweepHealsConcurrentCalls(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	srv := net.Endpoint("srv")
+	go func() {
+		seen := make(map[string]int)
+		for {
+			env, err := srv.RecvContext(context.Background())
+			if err != nil {
+				return
+			}
+			cmd, err := decodeCommand(env.Payload)
+			if err != nil {
+				continue
+			}
+			if seen[cmd.ID]++; seen[cmd.ID] < 2 {
+				continue // the first copy of every command vanishes
+			}
+			_ = srv.Send(env.From, "reply", encodeReply(Reply{ID: cmd.ID, OK: true, Detail: cmd.Data}))
+		}
+	}()
+
+	reg := obs.NewRegistry()
+	c := newClient(net.Endpoint("cli"), "srv", 10*time.Millisecond, reg)
+	defer c.Close()
+	const calls = 16
+	var wg sync.WaitGroup
+	for i := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			signers := []string{"alice", "bob"}
+			data := fmt.Sprintf("call %d", i)
+			rep, err := c.Call(ctx, Command{Cmd: "noop", Data: data, Signers: signers})
+			signers[0] = "reused" // the caller owns its command again
+			if err != nil || rep.Detail != data {
+				t.Errorf("call %d: %+v, %v", i, rep, err)
+			}
+		}()
+	}
+	wg.Wait()
+	resends := reg.Counter(MetricMuxResends).Value()
+	if resends < calls {
+		t.Fatalf("resends = %d, want at least one per call (%d)", resends, calls)
+	}
+	time.Sleep(50 * time.Millisecond) // five sweeps with nothing pending
+	if got := reg.Counter(MetricMuxResends).Value(); got != resends {
+		t.Errorf("resends rose from %d to %d with no call pending", resends, got)
+	}
+}
+
+// failingEndpoint sends the first message and refuses every later one.
+type failingEndpoint struct {
+	clientEndpoint
+	sent atomic.Int64
+}
+
+func (f *failingEndpoint) SendMessage(to, kind string, m transport.Message) error {
+	if f.sent.Add(1) == 1 {
+		return f.clientEndpoint.SendMessage(to, kind, m)
+	}
+	return errors.New("link down")
+}
+
+// TestClientResendFailureEndsCall: a resend that fails for good ends its
+// call with that failure, long before the call's deadline.
+func TestClientResendFailureEndsCall(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	net.Endpoint("srv") // answers nothing
+	c := newClient(&failingEndpoint{clientEndpoint: net.Endpoint("cli")}, "srv", 10*time.Millisecond, nil)
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := c.Call(ctx, Command{Cmd: "noop"})
+	if err == nil || !strings.Contains(err.Error(), "resend noop: link down") {
+		t.Fatalf("call error %v, want the resend failure", err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Errorf("the call failed after %v, want about one resend interval", waited)
 	}
 }
 

@@ -15,6 +15,17 @@
 // single-pass and reflection-free; the certificate fingerprints the
 // server then keys its cache by hash a binary encoding of each
 // certificate's fields, not JSON).
+//
+// On the wire path a signed request is copied once on its way from the
+// client to the decision. The mux client appends its command straight
+// into the pooled transport frame (appendCommand through
+// transport.TCPNode.SendMessage); the receiving node reads the frame body
+// into a pooled buffer; decodeCommand copies the fields out of it, Data
+// included, and the serve pipeline hands the buffer back
+// (transport.Envelope.Release); the follower parses that Data string in
+// place. The reply travels the other way the same: the pipeline encodes
+// it once (encodeReply: the dedup cache keeps those bytes for replays),
+// and the client decodes it out of a pooled buffer it releases.
 
 package daemon
 
@@ -24,15 +35,8 @@ import (
 	"jointadmin/internal/wirefmt"
 )
 
-// EncodeCommand returns cmd's wire form.
-func EncodeCommand(cmd Command) []byte {
-	n := len(cmd.ID) + len(cmd.Cmd) + len(cmd.Group) + len(cmd.Object) + len(cmd.Data) + len(cmd.Op) + len(cmd.Domain)
-	for _, s := range cmd.Signers {
-		n += len(s)
-	}
-	// Every length prefix of a message under the 16 MB frame limit fits
-	// in 4 bytes; 8 prefixes, the version and the bool besides Signers.
-	b := make([]byte, 0, n+4*(8+len(cmd.Signers))+2)
+// appendCommand appends cmd's wire form to b.
+func appendCommand(b []byte, cmd Command) []byte {
 	b = append(b, wirefmt.Version)
 	b = wirefmt.AppendString(b, cmd.ID)
 	b = wirefmt.AppendString(b, cmd.Cmd)
@@ -48,10 +52,11 @@ func EncodeCommand(cmd Command) []byte {
 	return wirefmt.AppendString(b, cmd.Domain)
 }
 
-// DecodeCommand parses a command's wire form. It fails — with no partial
-// value — on a truncated message, a length that runs past the message,
-// an unknown version or trailing bytes.
-func DecodeCommand(msg []byte) (Command, error) {
+// decodeCommand parses a command's wire form into strings of its own:
+// nothing in the result aliases msg. It fails — with no partial value —
+// on a truncated message, a length that runs past the message, an
+// unknown version or trailing bytes.
+func decodeCommand(msg []byte) (Command, error) {
 	r := wirefmt.NewReader(msg)
 	cmd := Command{ID: r.String(), Cmd: r.String(), Group: r.String(), Object: r.String(), Data: r.String(), Op: r.String()}
 	if n := r.Count(); n > 0 {
@@ -68,8 +73,9 @@ func DecodeCommand(msg []byte) (Command, error) {
 	return cmd, nil
 }
 
-// EncodeReply returns reply's wire form.
-func EncodeReply(reply Reply) []byte {
+// encodeReply returns reply's wire form in one allocation of its own:
+// the serve pipeline's dedup cache keeps it.
+func encodeReply(reply Reply) []byte {
 	b := make([]byte, 0, len(reply.ID)+len(reply.Detail)+len(reply.Data)+4*3+2)
 	b = append(b, wirefmt.Version)
 	b = wirefmt.AppendString(b, reply.ID)
@@ -78,8 +84,9 @@ func EncodeReply(reply Reply) []byte {
 	return wirefmt.AppendString(b, reply.Data)
 }
 
-// DecodeReply parses a reply's wire form, as strict as DecodeCommand.
-func DecodeReply(msg []byte) (Reply, error) {
+// decodeReply parses a reply's wire form, as strict as decodeCommand and
+// as free of aliases.
+func decodeReply(msg []byte) (Reply, error) {
 	r := wirefmt.NewReader(msg)
 	reply := Reply{ID: r.String(), OK: r.Bool(), Detail: r.String(), Data: r.String()}
 	if err := r.Finish(); err != nil {

@@ -33,7 +33,7 @@ var codecReplies = []Reply{
 
 func TestCommandCodecRoundTrip(t *testing.T) {
 	for _, cmd := range codecCommands {
-		got, err := DecodeCommand(EncodeCommand(cmd))
+		got, err := decodeCommand(appendCommand(nil, cmd))
 		if err != nil {
 			t.Fatalf("%+v: %v", cmd, err)
 		}
@@ -43,7 +43,7 @@ func TestCommandCodecRoundTrip(t *testing.T) {
 	}
 	// An empty, non-nil Signers list has no wire form of its own: it
 	// arrives as nil, which every handler treats alike.
-	got, err := DecodeCommand(EncodeCommand(Command{Cmd: "read", Signers: []string{}}))
+	got, err := decodeCommand(appendCommand(nil, Command{Cmd: "read", Signers: []string{}}))
 	if err != nil || got.Signers != nil || got.Cmd != "read" {
 		t.Errorf("empty Signers: %+v, %v", got, err)
 	}
@@ -51,7 +51,7 @@ func TestCommandCodecRoundTrip(t *testing.T) {
 
 func TestReplyCodecRoundTrip(t *testing.T) {
 	for _, reply := range codecReplies {
-		got, err := DecodeReply(EncodeReply(reply))
+		got, err := decodeReply(encodeReply(reply))
 		if err != nil {
 			t.Fatalf("%+v: %v", reply, err)
 		}
@@ -65,31 +65,31 @@ func TestReplyCodecRoundTrip(t *testing.T) {
 // error with a zero value, and so is a valid encoding with a byte added.
 func TestCodecPrefixProperty(t *testing.T) {
 	for _, cmd := range codecCommands {
-		msg := EncodeCommand(cmd)
+		msg := appendCommand(nil, cmd)
 		for cut := 0; cut < len(msg); cut++ {
-			if got, err := DecodeCommand(msg[:cut]); err == nil || !reflect.DeepEqual(got, Command{}) {
+			if got, err := decodeCommand(msg[:cut]); err == nil || !reflect.DeepEqual(got, Command{}) {
 				t.Fatalf("command prefix %d/%d: %+v, %v", cut, len(msg), got, err)
 			}
 		}
-		if got, err := DecodeCommand(append(msg, 0)); !errors.Is(err, wirefmt.ErrMalformed) || !reflect.DeepEqual(got, Command{}) {
+		if got, err := decodeCommand(append(msg, 0)); !errors.Is(err, wirefmt.ErrMalformed) || !reflect.DeepEqual(got, Command{}) {
 			t.Fatalf("command with a trailing byte: %+v, %v", got, err)
 		}
 	}
 	for _, reply := range codecReplies {
-		msg := EncodeReply(reply)
+		msg := encodeReply(reply)
 		for cut := 0; cut < len(msg); cut++ {
-			if got, err := DecodeReply(msg[:cut]); err == nil || got != (Reply{}) {
+			if got, err := decodeReply(msg[:cut]); err == nil || got != (Reply{}) {
 				t.Fatalf("reply prefix %d/%d: %+v, %v", cut, len(msg), got, err)
 			}
 		}
-		if got, err := DecodeReply(append(msg, 0)); !errors.Is(err, wirefmt.ErrMalformed) || got != (Reply{}) {
+		if got, err := decodeReply(append(msg, 0)); !errors.Is(err, wirefmt.ErrMalformed) || got != (Reply{}) {
 			t.Fatalf("reply with a trailing byte: %+v, %v", got, err)
 		}
 	}
 }
 
 func TestCodecRejects(t *testing.T) {
-	good := EncodeCommand(Command{ID: "id", Cmd: "read", Signers: []string{"carol"}})
+	good := appendCommand(nil, Command{ID: "id", Cmd: "read", Signers: []string{"carol"}})
 	for _, tc := range []struct {
 		name string
 		msg  []byte
@@ -98,39 +98,45 @@ func TestCodecRejects(t *testing.T) {
 		{"JSON command", []byte(`{"id":"x","cmd":"read"}`), wirefmt.ErrVersion},
 		{"version 0", append([]byte{0}, good[1:]...), wirefmt.ErrVersion},
 		{"4 GB ID in 6 bytes", []byte{wirefmt.Version, 0xff, 0xff, 0xff, 0xff, 0x0f}, wirefmt.ErrMalformed},
-		{"a million signers in 1 byte", append(EncodeCommand(Command{})[:7], 0xc0, 0x84, 0x3d, 0), wirefmt.ErrMalformed},
+		{"a million signers in 1 byte", append(appendCommand(nil, Command{})[:7], 0xc0, 0x84, 0x3d, 0), wirefmt.ErrMalformed},
 		{"bool byte 2", append(bytes.Clone(good[:len(good)-2]), 2, 0), wirefmt.ErrMalformed},
 	} {
-		if got, err := DecodeCommand(tc.msg); !errors.Is(err, tc.want) || !reflect.DeepEqual(got, Command{}) {
+		if got, err := decodeCommand(tc.msg); !errors.Is(err, tc.want) || !reflect.DeepEqual(got, Command{}) {
 			t.Errorf("%s: %+v, %v; want %v", tc.name, got, err, tc.want)
 		}
 	}
-	if got, err := DecodeReply([]byte(`{"ok":true}`)); !errors.Is(err, wirefmt.ErrVersion) || got != (Reply{}) {
+	if got, err := decodeReply([]byte(`{"ok":true}`)); !errors.Is(err, wirefmt.ErrVersion) || got != (Reply{}) {
 		t.Errorf("JSON reply: %+v, %v", got, err)
 	}
 }
 
-// TestCodecAllocBudget pins decode at one allocation per non-empty
-// string (plus the Signers slice) and encode at the one buffer.
+// TestCodecAllocBudget pins encoding a command into a caller's buffer at
+// no allocation, encoding a reply at its one buffer, and decoding at one
+// allocation per non-empty string (plus the Signers slice).
 func TestCodecAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under -race")
 	}
 	cmd := Command{ID: "a1b2c3d4e5f6-1234", Cmd: "authorize", Data: strings.Repeat("x", 2048)}
-	msg := EncodeCommand(cmd)
-	if allocs := testing.AllocsPerRun(100, func() { benchBody = EncodeCommand(cmd) }); allocs != 1 {
-		t.Errorf("EncodeCommand allocates %.0f/op, want 1", allocs)
+	msg := appendCommand(nil, cmd)
+	buf := make([]byte, 0, len(msg))
+	if allocs := testing.AllocsPerRun(100, func() { benchBody = appendCommand(buf[:0], cmd) }); allocs != 0 {
+		t.Errorf("appendCommand allocates %.0f/op into a warm buffer, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { benchCommand, _ = DecodeCommand(msg) }); allocs > 3 {
-		t.Errorf("DecodeCommand allocates %.0f/op for 3 non-empty fields, want ≤ 3", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { benchCommand, _ = decodeCommand(msg) }); allocs != 3 {
+		t.Errorf("decodeCommand allocates %.0f/op for 3 non-empty fields, want 3", allocs)
 	}
-	joint := EncodeCommand(Command{ID: "id", Cmd: "write", Data: "v2", Signers: []string{"alice", "bob"}})
-	if allocs := testing.AllocsPerRun(100, func() { benchCommand, _ = DecodeCommand(joint) }); allocs > 6 {
-		t.Errorf("DecodeCommand allocates %.0f/op for 3 fields + 2 signers + their slice, want ≤ 6", allocs)
+	joint := appendCommand(nil, Command{ID: "id", Cmd: "write", Data: "v2", Signers: []string{"alice", "bob"}})
+	if allocs := testing.AllocsPerRun(100, func() { benchCommand, _ = decodeCommand(joint) }); allocs != 6 {
+		t.Errorf("decodeCommand allocates %.0f/op for 3 fields + 2 signers + their slice, want 6", allocs)
 	}
-	reply := EncodeReply(Reply{ID: "a1b2c3d4e5f6-1234", OK: true, Detail: "approved via G_read [f1-000001]", Data: "genome v2"})
-	if allocs := testing.AllocsPerRun(100, func() { benchReply, _ = DecodeReply(reply) }); allocs > 3 {
-		t.Errorf("DecodeReply allocates %.0f/op for 3 non-empty fields, want ≤ 3", allocs)
+	r := Reply{ID: "a1b2c3d4e5f6-1234", OK: true, Detail: "approved via G_read [f1-000001]", Data: "genome v2"}
+	if allocs := testing.AllocsPerRun(100, func() { benchBody = encodeReply(r) }); allocs != 1 {
+		t.Errorf("encodeReply allocates %.0f/op, want 1", allocs)
+	}
+	reply := encodeReply(r)
+	if allocs := testing.AllocsPerRun(100, func() { benchReply, _ = decodeReply(reply) }); allocs != 3 {
+		t.Errorf("decodeReply allocates %.0f/op for 3 non-empty fields, want 3", allocs)
 	}
 }
 
@@ -141,20 +147,22 @@ var (
 )
 
 // BenchmarkCommandCodec is what one authorize call pays for its command
-// and reply on both ends: encode + decode of a command with 2 KB of
-// Data, encode + decode of a short reply.
+// and reply on both ends: a command with 2 KB of Data appended into a
+// reused buffer (the client appends into its pooled frame) and decoded,
+// a short reply encoded and decoded.
 func BenchmarkCommandCodec(b *testing.B) {
 	cmd := Command{ID: "a1b2c3d4e5f6-1234", Cmd: "authorize", Data: strings.Repeat("x", 2048)}
 	reply := Reply{ID: cmd.ID, OK: true, Detail: "approved via G_read [f1-000001] at epoch 0 watermark 12", Data: "genome v2"}
+	var buf []byte
 	b.ReportAllocs()
 	var err error
 	for i := 0; i < b.N; i++ {
-		benchBody = EncodeCommand(cmd)
-		if benchCommand, err = DecodeCommand(benchBody); err != nil {
+		buf = appendCommand(buf[:0], cmd)
+		if benchCommand, err = decodeCommand(buf); err != nil {
 			b.Fatal(err)
 		}
-		benchBody = EncodeReply(reply)
-		if benchReply, err = DecodeReply(benchBody); err != nil {
+		benchBody = encodeReply(reply)
+		if benchReply, err = decodeReply(benchBody); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,13 +170,13 @@ func BenchmarkCommandCodec(b *testing.B) {
 
 func FuzzDecodeCommand(f *testing.F) {
 	for _, cmd := range codecCommands {
-		f.Add(EncodeCommand(cmd))
+		f.Add(appendCommand(nil, cmd))
 	}
 	f.Add([]byte{})
 	f.Add([]byte(`{"id":"x","cmd":"read"}`))
 	f.Add([]byte{wirefmt.Version, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, msg []byte) {
-		cmd, err := DecodeCommand(msg)
+		cmd, err := decodeCommand(msg)
 		if err != nil {
 			if !reflect.DeepEqual(cmd, Command{}) {
 				t.Fatalf("partial value %+v beside error %v", cmd, err)
@@ -183,12 +191,12 @@ func FuzzDecodeCommand(f *testing.F) {
 		if n > len(msg) {
 			t.Fatalf("%d bytes of fields from a %d-byte message", n, len(msg))
 		}
-		again, err := DecodeCommand(EncodeCommand(cmd))
+		again, err := decodeCommand(appendCommand(nil, cmd))
 		if err != nil || !reflect.DeepEqual(again, cmd) {
 			t.Fatalf("accepted command does not round-trip: %+v vs %+v, %v", again, cmd, err)
 		}
 		if len(msg) > 0 {
-			if got, err := DecodeCommand(msg[:len(msg)-1]); err == nil {
+			if got, err := decodeCommand(msg[:len(msg)-1]); err == nil {
 				t.Fatalf("message minus its last byte still decodes: %+v", got)
 			}
 		}
@@ -197,13 +205,13 @@ func FuzzDecodeCommand(f *testing.F) {
 
 func FuzzDecodeReply(f *testing.F) {
 	for _, reply := range codecReplies {
-		f.Add(EncodeReply(reply))
+		f.Add(encodeReply(reply))
 	}
 	f.Add([]byte{})
 	f.Add([]byte(`{"ok":true}`))
 	f.Add([]byte{wirefmt.Version, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, msg []byte) {
-		reply, err := DecodeReply(msg)
+		reply, err := decodeReply(msg)
 		if err != nil {
 			if reply != (Reply{}) {
 				t.Fatalf("partial value %+v beside error %v", reply, err)
@@ -213,11 +221,11 @@ func FuzzDecodeReply(f *testing.F) {
 		if n := len(reply.ID) + len(reply.Detail) + len(reply.Data); n > len(msg) {
 			t.Fatalf("%d bytes of fields from a %d-byte message", n, len(msg))
 		}
-		if again, err := DecodeReply(EncodeReply(reply)); err != nil || again != reply {
+		if again, err := decodeReply(encodeReply(reply)); err != nil || again != reply {
 			t.Fatalf("accepted reply does not round-trip: %+v vs %+v, %v", again, reply, err)
 		}
 		if len(msg) > 0 {
-			if got, err := DecodeReply(msg[:len(msg)-1]); err == nil {
+			if got, err := decodeReply(msg[:len(msg)-1]); err == nil {
 				t.Fatalf("message minus its last byte still decodes: %+v", got)
 			}
 		}

@@ -61,7 +61,7 @@ func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
 
 	naiveCall := func(id string) Reply {
 		t.Helper()
-		if err := ep.Send("coalitiond", "cmd", EncodeCommand(Command{ID: id, Cmd: "audit"})); err != nil {
+		if err := ep.Send("coalitiond", "cmd", appendCommand(nil, Command{ID: id, Cmd: "audit"})); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -71,7 +71,7 @@ func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := DecodeReply(env.Payload)
+		rep, err := decodeReply(env.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestMuxCorrelationUnderDupInjection(t *testing.T) {
 		DupOut: 0.3, DupIn: 0.3,
 		DelayOut: 2 * time.Millisecond, DelayIn: 2 * time.Millisecond,
 	})
-	c := NewClient(ep, "coalitiond", 0, reg)
+	c := newClient(ep, "coalitiond", 0, reg)
 	defer c.Close()
 
 	const goroutines, calls = 8, 15
@@ -153,8 +153,8 @@ func TestMuxCorrelationUnderDupInjection(t *testing.T) {
 	if got := reg.Counter(MetricDedupReplays).Value(); got < 1 {
 		t.Errorf("%s = %d, want >= 1", MetricDedupReplays, got)
 	}
-	if got := reg.Counter(MetricMuxStale).Value(); got < 1 {
-		t.Errorf("%s = %d, want >= 1", MetricMuxStale, got)
+	if got := reg.Counter(metricMuxStale).Value(); got < 1 {
+		t.Errorf("%s = %d, want >= 1", metricMuxStale, got)
 	}
 }
 
@@ -176,7 +176,7 @@ func TestRetriedMutationAppliesOnce(t *testing.T) {
 		}
 	}
 
-	c := NewClient(net.Endpoint("cli"), "coalitiond", 10*time.Millisecond, reg)
+	c := newClient(net.Endpoint("cli"), "coalitiond", 10*time.Millisecond, reg)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -97,7 +97,7 @@ type Config struct {
 	// command's connection.
 	Workers int
 	// DedupCap bounds the ID-keyed recently-answered cache duplicate
-	// commands are replayed from (default DefaultDedupCap).
+	// commands are replayed from (default defaultDedupCap).
 	DedupCap int
 
 	// Transport configures the daemon's TCP resilience — dial and write
@@ -144,30 +144,30 @@ type Config struct {
 
 // Daemon metric names.
 const (
-	// MetricCommands counts handled commands, labeled cmd=<name>.
-	MetricCommands = "daemon_commands_total"
-	// MetricCommandSeconds times command handling, labeled cmd=<name>.
-	MetricCommandSeconds = "daemon_command_seconds"
-	// MetricCommandErrors counts failed commands, labeled cmd=<name> and
+	// metricCommands counts handled commands, labeled cmd=<name>.
+	metricCommands = "daemon_commands_total"
+	// metricCommandSeconds times command handling, labeled cmd=<name>.
+	metricCommandSeconds = "daemon_command_seconds"
+	// metricCommandErrors counts failed commands, labeled cmd=<name> and
 	// kind=<error class>: errClass's label for a sentinel error, or the
 	// handler's own (bad_args, unknown_verb, wal, ...).
-	MetricCommandErrors = "daemon_command_errors_total"
-	// MetricRequestSignSeconds times building and co-signing the access
+	metricCommandErrors = "daemon_command_errors_total"
+	// metricRequestSignSeconds times building and co-signing the access
 	// request of a write, read or sign command (Alliance.NewRequest: the
 	// identity certificates the domains hold — a CA signature only when
 	// one is re-issued — and the users' signed request components),
 	// before any decision.
-	MetricRequestSignSeconds = "daemon_request_sign_seconds"
-	// MetricRekeySeconds times the two phases of a join or leave, labeled
+	metricRequestSignSeconds = "daemon_request_sign_seconds"
+	// metricRekeySeconds times the two phases of a join or leave, labeled
 	// phase=keygen (generating the joining domain's CA key and the new
 	// shared AA key) or phase=cutover (commit, re-anchor and compaction).
 	// Requests are held for both.
-	MetricRekeySeconds = "daemon_rekey_seconds"
-	// MetricInflight gauges commands currently being handled.
-	MetricInflight = "daemon_inflight"
-	// MetricServeErrors counts Serve loops terminated by a transport
+	metricRekeySeconds = "daemon_rekey_seconds"
+	// metricInflight gauges commands currently being handled.
+	metricInflight = "daemon_inflight"
+	// metricServeErrors counts Serve loops terminated by a transport
 	// failure (as opposed to a clean listener close or context cancel).
-	MetricServeErrors = "daemon_serve_errors_total"
+	metricServeErrors = "daemon_serve_errors_total"
 )
 
 // Daemon is the running coalition policy service.
@@ -176,6 +176,7 @@ type Daemon struct {
 	server    *jointadmin.Server
 	object    string
 	reg       *obs.Registry
+	met       *commandMetrics
 	workers   int
 	dedupCap  int
 	transport transport.Options
@@ -260,12 +261,13 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("daemon: replication requires DataDir (the shipper streams the durable log)")
 	}
 	d := &Daemon{alliance: a, server: srv, object: cfg.Object, reg: cfg.Metrics,
+		met:     newCommandMetrics(cfg.Metrics, "write", "read", "revoke", "mutate", "join", "leave", "sign", "audit", "stats"),
 		workers: workers, dedupCap: cfg.DedupCap, transport: cfg.Transport,
 		replicate: cfg.Replicate, replBatch: cfg.ReplBatch,
 		replHeartbeat: cfg.ReplHeartbeat, replSnapshotEvery: cfg.ReplSnapshotEvery,
-		signSeconds:    cfg.Metrics.Histogram(MetricRequestSignSeconds, nil),
-		keygenSeconds:  cfg.Metrics.Histogram(MetricRekeySeconds, nil, "phase", "keygen"),
-		cutoverSeconds: cfg.Metrics.Histogram(MetricRekeySeconds, nil, "phase", "cutover")}
+		signSeconds:    cfg.Metrics.Histogram(metricRequestSignSeconds, nil),
+		keygenSeconds:  cfg.Metrics.Histogram(metricRekeySeconds, nil, "phase", "keygen"),
+		cutoverSeconds: cfg.Metrics.Histogram(metricRekeySeconds, nil, "phase", "cutover")}
 	if cfg.DataDir != "" {
 		if err := d.openWAL(cfg); err != nil {
 			return nil, err
@@ -400,29 +402,69 @@ func errClass(err error) string {
 // context cancels in-flight authorization work; a nil context is treated
 // as context.Background.
 func (d *Daemon) Handle(ctx context.Context, cmd Command) Reply {
-	return observed(ctx, d.reg, cmd, d.handle)
+	return observed(ctx, d.met, cmd, d.handle)
+}
+
+// commandMetrics holds the series observed touches on every command: the
+// in-flight gauge, and the counter and latency histogram of each command
+// a role serves, resolved once, so a command costs no labeled registry
+// lookup. Any other command name (a verb the role refuses, an unknown
+// one) is resolved when it arrives.
+type commandMetrics struct {
+	reg      *obs.Registry
+	inflight *obs.Gauge
+	byName   map[string]commandSeries // read-only after construction
+}
+
+// commandSeries is one command name's counter and latency histogram.
+type commandSeries struct {
+	count   *obs.Counter
+	seconds *obs.Histogram
+}
+
+func newCommandMetrics(reg *obs.Registry, names ...string) *commandMetrics {
+	m := &commandMetrics{reg: reg, inflight: reg.Gauge(metricInflight), byName: make(map[string]commandSeries, len(names))}
+	for _, name := range names {
+		m.byName[name] = m.resolve(name)
+	}
+	return m
+}
+
+func (m *commandMetrics) resolve(name string) commandSeries {
+	return commandSeries{
+		count:   m.reg.Counter(metricCommands, "cmd", name),
+		seconds: m.reg.Histogram(metricCommandSeconds, nil, "cmd", name),
+	}
+}
+
+// of returns the series of the named command.
+func (m *commandMetrics) of(name string) commandSeries {
+	if s, ok := m.byName[name]; ok {
+		return s
+	}
+	return m.resolve(name)
 }
 
 // observed runs one command handler under the daemon metric vocabulary
 // shared by both roles: the in-flight gauge, the per-command counter and
 // latency histogram, and the error-class counter when the reply fails. A
 // nil context is treated as context.Background.
-func observed(ctx context.Context, reg *obs.Registry, cmd Command, handle func(context.Context, Command) (Reply, string)) Reply {
+func observed(ctx context.Context, m *commandMetrics, cmd Command, handle func(context.Context, Command) (Reply, string)) Reply {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inflight := reg.Gauge(MetricInflight)
-	inflight.Inc()
-	defer inflight.Dec()
+	m.inflight.Inc()
+	defer m.inflight.Dec()
 	start := time.Now()
 	reply, errKind := handle(ctx, cmd)
-	reg.Counter(MetricCommands, "cmd", cmd.Cmd).Inc()
-	reg.Histogram(MetricCommandSeconds, nil, "cmd", cmd.Cmd).ObserveSince(start)
+	series := m.of(cmd.Cmd)
+	series.count.Inc()
+	series.seconds.ObserveSince(start)
 	if !reply.OK {
 		if errKind == "" {
 			errKind = "internal"
 		}
-		reg.Counter(MetricCommandErrors, "cmd", cmd.Cmd, "kind", errKind).Inc()
+		m.reg.Counter(metricCommandErrors, "cmd", cmd.Cmd, "kind", errKind).Inc()
 	}
 	return reply
 }
@@ -678,7 +720,7 @@ func opOf(cmd Command) string {
 // Serve returns the context's error when canceled and nil on a clean
 // listener close; any other transport failure is counted in
 // daemon_serve_errors_total and returned.
-func (d *Daemon) Serve(ctx context.Context, node CommandNode) error {
+func (d *Daemon) Serve(ctx context.Context, node commandNode) error {
 	var intercept func(env transport.Envelope) bool
 	if d.replicate && d.wal != nil {
 		shipper := replication.NewShipper(d.wal, node, replication.ShipperOptions{

@@ -217,7 +217,7 @@ func TestDaemonOverTCP(t *testing.T) {
 	defer client.Close()
 	client.AddPeer("coalitiond", node.Addr())
 
-	body := EncodeCommand(Command{Cmd: "write", Signers: []string{"alice", "bob"}, Data: "over tcp"})
+	body := appendCommand(nil, Command{Cmd: "write", Signers: []string{"alice", "bob"}, Data: "over tcp"})
 	if err := client.Send("coalitiond", "cmd", body); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDaemonOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := DecodeReply(env.Payload)
+	reply, err := decodeReply(env.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestDaemonStatsWithoutMetrics(t *testing.T) {
 	}
 }
 
-// fakeNode is an in-memory CommandNode: a closable stream of envelopes
+// fakeNode is an in-memory commandNode: a closable stream of envelopes
 // in, a record of replies out. block, when set, may hold a reply until
 // the test lets it go.
 type fakeNode struct {
@@ -369,7 +369,7 @@ func TestDaemonServeConcurrent(t *testing.T) {
 	}
 
 	node := newFakeNode(nil)
-	body := EncodeCommand(Command{Cmd: "read", Signers: []string{"carol"}})
+	body := appendCommand(nil, Command{Cmd: "read", Signers: []string{"carol"}})
 	for i := 0; i < n; i++ {
 		node.envs <- transport.Envelope{From: fmt.Sprintf("c%d", i), Kind: "cmd", Payload: body}
 	}
@@ -385,7 +385,7 @@ func TestDaemonServeConcurrent(t *testing.T) {
 			t.Fatalf("only %d/%d commands in flight", i, n)
 		}
 	}
-	if got := reg.Gauge(MetricInflight).Value(); got != n {
+	if got := reg.Gauge(metricInflight).Value(); got != n {
 		t.Errorf("daemon_inflight = %d with %d commands held, want %d", got, n, n)
 	}
 	close(release)
@@ -398,7 +398,7 @@ func TestDaemonServeConcurrent(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not drain and exit")
 	}
-	if got := reg.Gauge(MetricInflight).Value(); got != 0 {
+	if got := reg.Gauge(metricInflight).Value(); got != 0 {
 		t.Errorf("daemon_inflight = %d after drain, want 0", got)
 	}
 	for i := 0; i < n; i++ {
@@ -407,7 +407,7 @@ func TestDaemonServeConcurrent(t *testing.T) {
 		if len(rs) != 1 {
 			t.Fatalf("client %s got %d replies, want 1", from, len(rs))
 		}
-		reply, err := DecodeReply([]byte(rs[0]))
+		reply, err := decodeReply([]byte(rs[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func TestDaemonServeConcurrent(t *testing.T) {
 			t.Errorf("client %s reply: %+v", from, reply)
 		}
 	}
-	if got := reg.Counter(MetricServeErrors).Value(); got != 0 {
+	if got := reg.Counter(metricServeErrors).Value(); got != 0 {
 		t.Errorf("serve errors = %d on clean close, want 0", got)
 	}
 }
@@ -436,8 +436,8 @@ func TestDaemonServeMixedDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := newFakeNode(nil)
-	read := EncodeCommand(Command{Cmd: "read", Signers: []string{"carol"}})
-	join := EncodeCommand(Command{Cmd: "join", Domain: "D4"})
+	read := appendCommand(nil, Command{Cmd: "read", Signers: []string{"carol"}})
+	join := appendCommand(nil, Command{Cmd: "join", Domain: "D4"})
 	for i := 0; i < 8; i++ {
 		payload := read
 		if i == 3 {
@@ -454,7 +454,7 @@ func TestDaemonServeMixedDynamics(t *testing.T) {
 		if len(node.replies[from]) != 1 {
 			t.Fatalf("client %s got %d replies, want 1", from, len(node.replies[from]))
 		}
-		reply, err := DecodeReply([]byte(node.replies[from][0]))
+		reply, err := decodeReply([]byte(node.replies[from][0]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +478,7 @@ func TestDaemonServeErrorTaxonomy(t *testing.T) {
 		if err := d.Serve(context.Background(), node); !errors.Is(err, boom) {
 			t.Fatalf("Serve = %v, want %v", err, boom)
 		}
-		if got := reg.Counter(MetricServeErrors).Value(); got != 1 {
+		if got := reg.Counter(metricServeErrors).Value(); got != 1 {
 			t.Errorf("serve errors = %d, want 1", got)
 		}
 	})
@@ -492,7 +492,7 @@ func TestDaemonServeErrorTaxonomy(t *testing.T) {
 		if err := d.Serve(ctx, node); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Serve = %v, want context.Canceled", err)
 		}
-		if got := reg.Counter(MetricServeErrors).Value(); got != 0 {
+		if got := reg.Counter(metricServeErrors).Value(); got != 0 {
 			t.Errorf("serve errors = %d, want 0", got)
 		}
 	})
@@ -505,7 +505,7 @@ func TestDaemonServeErrorTaxonomy(t *testing.T) {
 		if err := d.Serve(context.Background(), node); err != nil {
 			t.Fatalf("Serve = %v, want nil", err)
 		}
-		if got := reg.Counter(MetricServeErrors).Value(); got != 0 {
+		if got := reg.Counter(metricServeErrors).Value(); got != 0 {
 			t.Errorf("serve errors = %d, want 0", got)
 		}
 	})

@@ -15,12 +15,12 @@ import (
 	"sync"
 )
 
-// DefaultDedupCap is the default bound on remembered replies.
-const DefaultDedupCap = 1024
+// defaultDedupCap is the default bound on remembered replies.
+const defaultDedupCap = 1024
 
 // dedupEntry is one command's slot in the cache. done closes when the
 // leader (the first arrival of the ID) has recorded its reply; body is
-// the encoded Reply (EncodeReply) duplicates replay.
+// the encoded Reply (encodeReply) duplicates replay.
 type dedupEntry struct {
 	done chan struct{}
 	body []byte
@@ -39,10 +39,10 @@ type dedupCache struct {
 }
 
 // newDedupCache builds a cache bounded at cap completed entries;
-// cap <= 0 selects DefaultDedupCap.
+// cap <= 0 selects defaultDedupCap.
 func newDedupCache(cap int) *dedupCache {
 	if cap <= 0 {
-		cap = DefaultDedupCap
+		cap = defaultDedupCap
 	}
 	return &dedupCache{
 		cap:     cap,

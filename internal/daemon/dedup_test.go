@@ -5,12 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"jointadmin/internal/obs"
 	"jointadmin/internal/transport"
@@ -123,8 +121,8 @@ func TestPipelineDedupReplaysDuplicates(t *testing.T) {
 		},
 	})
 	node := newFakeNode(nil)
-	body := EncodeCommand(Command{ID: "dup-1", Cmd: "noop"})
-	other := EncodeCommand(Command{ID: "dup-2", Cmd: "noop"})
+	body := appendCommand(nil, Command{ID: "dup-1", Cmd: "noop"})
+	other := appendCommand(nil, Command{ID: "dup-2", Cmd: "noop"})
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: other}
@@ -145,7 +143,7 @@ func TestPipelineDedupReplaysDuplicates(t *testing.T) {
 		t.Fatalf("%s = %d, want 1", MetricDedupReplays, got)
 	}
 	for _, raw := range node.allReplies("cli") {
-		rep, err := DecodeReply([]byte(raw))
+		rep, err := decodeReply([]byte(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +173,7 @@ func TestPipelineConcurrentDuplicateWaitsForLeader(t *testing.T) {
 		},
 	})
 	node := newFakeNode(nil)
-	body := EncodeCommand(Command{ID: "slow-1", Cmd: "noop"})
+	body := appendCommand(nil, Command{ID: "slow-1", Cmd: "noop"})
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- p.Serve(context.Background(), node) }()
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
@@ -209,7 +207,7 @@ func TestPipelineNoIDBypassesDedup(t *testing.T) {
 		},
 	})
 	node := newFakeNode(nil)
-	body := EncodeCommand(Command{Cmd: "noop"})
+	body := appendCommand(nil, Command{Cmd: "noop"})
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	close(node.envs)
@@ -234,19 +232,14 @@ func wireFrame(from, to, kind string, payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
-// readWireFrame reads one transport frame off a raw connection, by the
-// same documented layout, and returns its Payload.
+// readWireFrame reads one transport frame off a raw connection
+// (readRawFrame) and returns its Payload, by the same documented layout.
 func readWireFrame(conn net.Conn) ([]byte, error) {
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a test deadline
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	frame, err := readRawFrame(conn)
+	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(conn, body); err != nil {
-		return nil, err
-	}
-	r := wirefmt.NewReader(body)
+	r := wirefmt.NewReader(frame[4:])
 	for range 3 { // From, To, Kind
 		r.Bytes()
 	}
@@ -290,17 +283,17 @@ func TestPipelineDedupDuplicateSplitAcrossSegments(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		rep, err := DecodeReply(payload)
+		rep, err := decodeReply(payload)
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
 		return rep
 	}
 
-	frameLen := len(wireFrame("cli", "srv", "cmd", EncodeCommand(Command{ID: "split-0", Cmd: "noop"})))
+	frameLen := len(wireFrame("cli", "srv", "cmd", appendCommand(nil, Command{ID: "split-0", Cmd: "noop"})))
 	for i, cut := range []int{2, 9, frameLen - 1} {
 		id := fmt.Sprintf("split-%d", i)
-		frame := wireFrame("cli", "srv", "cmd", EncodeCommand(Command{ID: id, Cmd: "noop"}))
+		frame := wireFrame("cli", "srv", "cmd", appendCommand(nil, Command{ID: id, Cmd: "noop"}))
 		// Segment one: the command and the head of its duplicate.
 		if _, err := conn.Write(append(bytes.Clone(frame), frame[:cut]...)); err != nil {
 			t.Fatal(err)

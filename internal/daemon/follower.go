@@ -36,7 +36,7 @@ type FollowerConfig struct {
 	// Workers bounds concurrent command handling (default GOMAXPROCS).
 	Workers int
 	// DedupCap bounds the ID-keyed recently-answered cache (default
-	// DefaultDedupCap).
+	// defaultDedupCap).
 	DedupCap int
 	// Metrics receives the follower's metrics (replication lag gauges,
 	// authz counters). Optional.
@@ -59,11 +59,16 @@ type Follower struct {
 	name    string
 	writer  string
 	reg     *obs.Registry
+	met     *commandMetrics
 	workers int
 	opts    transport.Options
 
 	applier *replication.Applier
 	cfg     FollowerConfig
+
+	// decided, when set (tests), runs after an authorize command's
+	// decision and before its reply is built.
+	decided func()
 }
 
 // NewFollower validates the configuration; the applier is created at
@@ -83,6 +88,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Follower{name: cfg.Name, writer: cfg.Writer, reg: cfg.Metrics,
+		met:     newCommandMetrics(cfg.Metrics, "authorize", "audit", "stats", "replstatus"),
 		workers: workers, opts: cfg.Transport, cfg: cfg}, nil
 }
 
@@ -118,7 +124,7 @@ func (f *Follower) Applier() *replication.Applier { return f.applier }
 // and applied inline in the receive loop, preserving their arrival order
 // (the protocol is sequential; the Authorize path reads the replica
 // through an atomic pointer and never blocks on it).
-func (f *Follower) Serve(ctx context.Context, node CommandNode) error {
+func (f *Follower) Serve(ctx context.Context, node commandNode) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -145,6 +151,7 @@ func (f *Follower) Serve(ctx context.Context, node CommandNode) error {
 				return false
 			}
 			f.applier.Handle(env.Kind, env.Payload)
+			env.Release() // the applier decodes the frame into values of its own
 			return true
 		},
 		Tag: "follower",
@@ -155,7 +162,7 @@ func (f *Follower) Serve(ctx context.Context, node CommandNode) error {
 // vocabulary (daemon_commands_total etc.), so fleet dashboards aggregate
 // across roles.
 func (f *Follower) Handle(ctx context.Context, cmd Command) Reply {
-	return observed(ctx, f.reg, cmd, f.handle)
+	return observed(ctx, f.met, cmd, f.handle)
 }
 
 // handle dispatches one follower command.
@@ -166,17 +173,21 @@ func (f *Follower) handle(ctx context.Context, cmd Command) (Reply, string) {
 		if rep == nil {
 			return Reply{Detail: "follower not caught up (no replica installed yet)"}, "not_ready"
 		}
-		req, err := authz.DecodeAccessRequest([]byte(cmd.Data))
+		req, err := authz.DecodeAccessRequest(cmd.Data)
 		if err != nil {
 			return Reply{Detail: "bad access request: " + err.Error()}, "bad_request"
 		}
 		dec, err := rep.Srv.Authorize(ctx, req)
+		if f.decided != nil {
+			f.decided()
+		}
 		if err != nil {
 			return Reply{Detail: err.Error()}, errClass(err)
 		}
-		st := f.applier.Status()
+		// The stamp names the snapshot the decision was made on, which a
+		// replication frame applied since cannot move.
 		detail := fmt.Sprintf("approved via %s [%s] at epoch %d watermark %d",
-			dec.Group, dec.RequestID, st.Epoch, st.Watermark)
+			dec.Group, dec.RequestID, dec.Epoch, dec.Watermark)
 		return Reply{OK: true, Detail: detail, Data: string(dec.Data)}, ""
 	case "audit":
 		rep := f.applier.Replica()

@@ -60,7 +60,7 @@ func signedBy(ctx context.Context, t *testing.T, d *Daemon, signer string) strin
 // follower's replica, returning both decisions.
 func decide(ctx context.Context, t *testing.T, d *Daemon, f *Follower, body string) (writer, follower authz.Decision) {
 	t.Helper()
-	req, err := authz.DecodeAccessRequest([]byte(body))
+	req, err := authz.DecodeAccessRequest(body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,27 +18,27 @@ import (
 	"jointadmin/internal/transport"
 )
 
-// CommandNode is the transport surface the pipeline drives: receive
+// commandNode is the transport surface the pipeline drives: receive
 // commands, answer each on the connection it arrived on.
 // *transport.TCPNode implements it; tests supply fakes.
-type CommandNode interface {
+type commandNode interface {
 	RecvContext(ctx context.Context) (transport.Envelope, error)
 	Reply(env transport.Envelope, kind string, payload []byte) error
 }
 
-var _ CommandNode = (*transport.TCPNode)(nil)
+var _ commandNode = (*transport.TCPNode)(nil)
 
 // Dedup metric names.
 const (
 	// MetricDedupReplays counts duplicate commands answered from the
 	// dedup cache instead of re-executed.
 	MetricDedupReplays = "daemon_dedup_replays_total"
-	// MetricDedupEvictions counts completed replies aged out of the
+	// metricDedupEvictions counts completed replies aged out of the
 	// bounded dedup cache.
-	MetricDedupEvictions = "daemon_dedup_evictions_total"
-	// MetricDedupEntries gauges the dedup cache occupancy (in-flight
+	metricDedupEvictions = "daemon_dedup_evictions_total"
+	// metricDedupEntries gauges the dedup cache occupancy (in-flight
 	// commands included).
-	MetricDedupEntries = "daemon_dedup_entries"
+	metricDedupEntries = "daemon_dedup_entries"
 )
 
 // pipelineConfig assembles one serve pipeline.
@@ -49,7 +49,7 @@ type pipelineConfig struct {
 	// Workers bounds concurrent command handling (default GOMAXPROCS).
 	Workers int
 	// DedupCap bounds the remembered-reply cache (default
-	// DefaultDedupCap).
+	// defaultDedupCap).
 	DedupCap int
 	// Metrics receives the dedup counters; nil drops them.
 	Metrics *obs.Registry
@@ -65,6 +65,10 @@ type pipelineConfig struct {
 type pipeline struct {
 	cfg   pipelineConfig
 	dedup *dedupCache
+
+	// The dedup series, resolved once.
+	replays, evictions *obs.Counter
+	entries            *obs.Gauge
 }
 
 // newPipeline builds a pipeline; Serve runs it.
@@ -75,11 +79,14 @@ func newPipeline(cfg pipelineConfig) *pipeline {
 	if cfg.Tag == "" {
 		cfg.Tag = "daemon"
 	}
-	return &pipeline{cfg: cfg, dedup: newDedupCache(cfg.DedupCap)}
+	return &pipeline{cfg: cfg, dedup: newDedupCache(cfg.DedupCap),
+		replays:   cfg.Metrics.Counter(MetricDedupReplays),
+		evictions: cfg.Metrics.Counter(metricDedupEvictions),
+		entries:   cfg.Metrics.Gauge(metricDedupEntries)}
 }
 
 // Serve answers commands on the node until it closes or the context is
-// canceled, each on the connection it arrived on (CommandNode.Reply).
+// canceled, each on the connection it arrived on (commandNode.Reply).
 //
 // Commands are pipelined: the receive loop dispatches each envelope to a
 // bounded worker pool (Workers), so slow authorizations — cold-cache RSA
@@ -100,7 +107,7 @@ func newPipeline(cfg pipelineConfig) *pipeline {
 // Serve returns the context's error when canceled and nil on a clean
 // listener close; any other transport failure is counted in
 // daemon_serve_errors_total and returned.
-func (p *pipeline) Serve(ctx context.Context, node CommandNode) error {
+func (p *pipeline) Serve(ctx context.Context, node commandNode) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -113,7 +120,7 @@ func (p *pipeline) Serve(ctx context.Context, node CommandNode) error {
 		go func() {
 			defer workerWG.Done()
 			for env := range tasks {
-				if body := p.serveOne(ctx, env); body != nil {
+				if body := p.serveOne(ctx, &env); body != nil {
 					if err := node.Reply(env, "reply", body); err != nil {
 						log.Printf("%s: reply to %s: %v", p.cfg.Tag, env.From, err)
 					}
@@ -132,7 +139,7 @@ func (p *pipeline) Serve(ctx context.Context, node CommandNode) error {
 			case errors.Is(err, transport.ErrClosed):
 				serveErr = nil // clean close
 			default:
-				reg.Counter(MetricServeErrors).Inc()
+				reg.Counter(metricServeErrors).Inc()
 				serveErr = err // transport failure
 			}
 			break
@@ -147,14 +154,15 @@ func (p *pipeline) Serve(ctx context.Context, node CommandNode) error {
 	return serveErr
 }
 
-// serveOne decodes, dedups and handles a single command under its own
-// request context and returns the encoded reply, nil when there is none
-// to send (a duplicate abandoned by shutdown).
-func (p *pipeline) serveOne(ctx context.Context, env transport.Envelope) []byte {
-	reg := p.cfg.Metrics
-	cmd, err := DecodeCommand(env.Payload)
+// serveOne decodes, dedups and handles a single command and returns the
+// encoded reply, nil when there is none to send (a duplicate abandoned by
+// shutdown). The envelope's frame buffer goes back to the transport as
+// soon as the command is decoded.
+func (p *pipeline) serveOne(ctx context.Context, env *transport.Envelope) []byte {
+	cmd, err := decodeCommand(env.Payload)
+	env.Release()
 	if err != nil {
-		return EncodeReply(Reply{Detail: "bad command: " + err.Error()})
+		return encodeReply(Reply{Detail: "bad command: " + err.Error()})
 	}
 
 	// Commands without an ID (legacy clients) bypass dedup: there is no
@@ -175,22 +183,22 @@ func (p *pipeline) serveOne(ctx context.Context, env transport.Envelope) []byte 
 		case <-ctx.Done():
 			return nil
 		}
-		reg.Counter(MetricDedupReplays).Inc()
+		p.replays.Inc()
 		return entry.body
 	}
 
 	body := p.execute(ctx, cmd)
-	reg.Counter(MetricDedupEvictions).Add(p.dedup.finish(key, body))
-	reg.Gauge(MetricDedupEntries).Set(int64(p.dedup.size()))
+	p.evictions.Add(p.dedup.finish(key, body))
+	p.entries.Set(int64(p.dedup.size()))
 	return body
 }
 
 // execute runs the handler for one command and returns the encoded
-// reply, which echoes the command's ID.
+// reply, which echoes the command's ID. The handler runs under the serve
+// context itself: a decision runs in the worker's goroutine and leaves
+// nothing behind to cancel.
 func (p *pipeline) execute(ctx context.Context, cmd Command) []byte {
-	reqCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	reply := p.cfg.Handler(reqCtx, cmd)
+	reply := p.cfg.Handler(ctx, cmd)
 	reply.ID = cmd.ID
-	return EncodeReply(reply)
+	return encodeReply(reply)
 }

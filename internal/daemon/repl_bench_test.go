@@ -129,7 +129,7 @@ func benchFleet(b *testing.B, followers int) {
 	signed := rep.Data
 
 	ask := func(m *fleetMember, id string) error {
-		body := EncodeCommand(Command{ID: id, Cmd: "authorize", Data: signed})
+		body := appendCommand(nil, Command{ID: id, Cmd: "authorize", Data: signed})
 		if err := m.client.Send(m.f.name, "cmd", body); err != nil {
 			return err
 		}
@@ -138,7 +138,7 @@ func benchFleet(b *testing.B, followers int) {
 			if err != nil {
 				return err
 			}
-			if r, err := DecodeReply(env.Payload); err == nil && r.ID == id {
+			if r, err := decodeReply(env.Payload); err == nil && r.ID == id {
 				if !r.OK {
 					return fmt.Errorf("authorize denied: %s", r.Detail)
 				}

@@ -123,7 +123,7 @@ func (r *replFollower) waitClock(t *testing.T, at clock.Time, within time.Durati
 func askPeer(t *testing.T, client *transport.TCPNode, peer, id string, cmd Command) Reply {
 	t.Helper()
 	cmd.ID = id
-	body := EncodeCommand(cmd)
+	body := appendCommand(nil, cmd)
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		if err := client.Send(peer, "cmd", body); err != nil {
@@ -139,7 +139,7 @@ func askPeer(t *testing.T, client *transport.TCPNode, peer, id string, cmd Comma
 			if err != nil {
 				break
 			}
-			if rep, err := DecodeReply(env.Payload); err == nil && rep.ID == id {
+			if rep, err := decodeReply(env.Payload); err == nil && rep.ID == id {
 				return rep
 			}
 		}

@@ -74,7 +74,7 @@ func TestReplyIgnoresAddressInKind(t *testing.T) {
 		payload []byte
 		ok      bool
 	}{
-		{EncodeCommand(Command{ID: "p1", Cmd: "read", Signers: []string{"carol"}}), true},
+		{appendCommand(nil, Command{ID: "p1", Cmd: "read", Signers: []string{"carol"}}), true},
 		{[]byte("not a command"), false},
 	} {
 		if err := client.Send("coalitiond", kind, c.payload); err != nil {
@@ -84,7 +84,7 @@ func TestReplyIgnoresAddressInKind(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no reply on the sender's connection: %v", err)
 		}
-		rep, err := DecodeReply(env.Payload)
+		rep, err := decodeReply(env.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,8 +140,8 @@ func TestSameNameClientsGetTheirOwnReplies(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := creg.Counter(MetricMuxStale).Value(); got != 0 {
-		t.Errorf("%s = %d, want 0", MetricMuxStale, got)
+	if got := creg.Counter(metricMuxStale).Value(); got != 0 {
+		t.Errorf("%s = %d, want 0", metricMuxStale, got)
 	}
 	if got := creg.Counter(MetricMuxCalls, "outcome", "ok").Value(); got != clients*callers*calls {
 		t.Errorf("%d calls answered, want %d", got, clients*callers*calls)
@@ -166,8 +166,8 @@ func TestPipelineSlowReplyHoldsNoOneElse(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- p.Serve(context.Background(), node) }()
 
-	node.envs <- transport.Envelope{From: "slow", Kind: "cmd", Payload: EncodeCommand(Command{ID: "s", Cmd: "read"})}
-	node.envs <- transport.Envelope{From: "fast", Kind: "cmd", Payload: EncodeCommand(Command{ID: "f", Cmd: "read"})}
+	node.envs <- transport.Envelope{From: "slow", Kind: "cmd", Payload: appendCommand(nil, Command{ID: "s", Cmd: "read"})}
+	node.envs <- transport.Envelope{From: "fast", Kind: "cmd", Payload: appendCommand(nil, Command{ID: "f", Cmd: "read"})}
 	deadline := time.Now().Add(5 * time.Second)
 	for len(node.allReplies("fast")) == 0 {
 		if time.Now().After(deadline) {

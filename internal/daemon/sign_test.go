@@ -82,7 +82,7 @@ func TestSignFaultRefused(t *testing.T) {
 	if rep := d.Handle(ctx, Command{Cmd: "read", Signers: []string{"alice"}}); !rep.OK {
 		t.Fatalf("alice's read: %+v", rep)
 	}
-	if h, ok := reg.Snapshot().HistogramValueOf(MetricRequestSignSeconds); !ok || h.Count != 2 {
-		t.Errorf("%s observed %+v, want both reads", MetricRequestSignSeconds, h)
+	if h, ok := reg.Snapshot().HistogramValueOf(metricRequestSignSeconds); !ok || h.Count != 2 {
+		t.Errorf("%s observed %+v, want both reads", metricRequestSignSeconds, h)
 	}
 }

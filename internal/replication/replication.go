@@ -126,7 +126,7 @@ type Node interface {
 }
 
 // Replier is the writer's transport surface: answer a hello on the
-// connection it arrived on (*transport.TCPNode, the daemon's CommandNode).
+// connection it arrived on (*transport.TCPNode, the daemon's command node).
 type Replier interface {
 	Reply(env transport.Envelope, kind string, payload []byte) error
 }

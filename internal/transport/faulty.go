@@ -11,6 +11,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"sync"
@@ -132,6 +133,12 @@ func (f *Faulty) Send(to, kind string, payload []byte) error {
 	return f.out(func() error { return f.inner.Send(to, kind, payload) })
 }
 
+// SendMessage perturbs and forwards one self-encoding message, exactly as
+// Send; a duplicate encodes it again.
+func (f *Faulty) SendMessage(to, kind string, m Message) error {
+	return f.out(func() error { return f.inner.SendMessage(to, kind, m) })
+}
+
 // Reply perturbs and forwards one answer, exactly as Send.
 func (f *Faulty) Reply(env Envelope, kind string, payload []byte) error {
 	return f.out(func() error { return f.inner.Reply(env, kind, payload) })
@@ -195,6 +202,7 @@ func (f *Faulty) admit(env Envelope) (Envelope, bool) {
 	f.mu.Unlock()
 	if f.chance(f.plan.DropIn) {
 		f.count(func(s *FaultStats) { s.DroppedIn++ })
+		env.Release()
 		return Envelope{}, false
 	}
 	if d := f.delay(f.plan.DelayIn); d > 0 {
@@ -203,8 +211,12 @@ func (f *Faulty) admit(env Envelope) (Envelope, bool) {
 	}
 	if f.chance(f.plan.DupIn) {
 		f.count(func(s *FaultStats) { s.DuplicatedIn++ })
+		// The duplicate gets a payload of its own: each copy is released
+		// by whoever receives it, and a pooled buffer goes back once.
+		dup := env
+		dup.Payload, dup.buf = bytes.Clone(env.Payload), nil
 		f.mu.Lock()
-		f.pending = append(f.pending, env)
+		f.pending = append(f.pending, dup)
 		f.mu.Unlock()
 	}
 	return env, true

@@ -19,7 +19,7 @@ import (
 // mustFrame encodes one envelope into a frame of its own.
 func mustFrame(t testing.TB, env Envelope) []byte {
 	t.Helper()
-	f, err := appendFrame(nil, env)
+	f, err := appendFrame(nil, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func gobFrame(t testing.TB, env Envelope) []byte {
 }
 
 func readOne(data []byte) (Envelope, int, error) {
-	return readFrame(bufio.NewReader(bytes.NewReader(data)))
+	return readFrame(bufio.NewReader(bytes.NewReader(data)), new(frameNames))
 }
 
 func sameEnvelope(a, b Envelope) bool {
@@ -80,7 +80,7 @@ func TestFrameStream(t *testing.T) {
 	}
 	r := bufio.NewReaderSize(bytes.NewReader(stream), readBufSize)
 	for i := 0; i < 50; i++ {
-		env, _, err := readFrame(r)
+		env, _, err := readFrame(r, new(frameNames))
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -88,7 +88,7 @@ func TestFrameStream(t *testing.T) {
 			t.Fatalf("frame %d: %d payload bytes", i, len(env.Payload))
 		}
 	}
-	if _, _, err := readFrame(r); err != io.EOF {
+	if _, _, err := readFrame(r, new(frameNames)); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 }
@@ -127,7 +127,7 @@ func TestFrameRejects(t *testing.T) {
 }
 
 func TestAppendFrameRefusesOversize(t *testing.T) {
-	_, err := appendFrame(nil, Envelope{Payload: make([]byte, maxFrame)})
+	_, err := appendFrame(nil, Envelope{Payload: make([]byte, maxFrame)}, nil)
 	if !errors.Is(err, errFrameOversize) {
 		t.Fatalf("appendFrame of a %d-byte payload: %v, want errFrameOversize", maxFrame, err)
 	}
@@ -235,9 +235,36 @@ func TestTCPFrameErrorsCountedAndIsolated(t *testing.T) {
 	}
 }
 
+// payloadMessage is a Message whose bytes are a fixed payload.
+type payloadMessage []byte
+
+func (p payloadMessage) AppendTo(b []byte) []byte { return append(b, p...) }
+
+// TestAppendFrameMessageMatchesBytes: a payload a Message appends in
+// place goes on the wire as the same bytes as the payload passed whole,
+// on both sides of every length-prefix width up to the frame limit.
+func TestAppendFrameMessageMatchesBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 2048, 16383, 16384, 1<<21 - 1, 1 << 21} {
+		env := Envelope{From: "client-7", To: "follower-1", Kind: "cmd", Payload: bytes.Repeat([]byte{0xa5}, n)}
+		want := mustFrame(t, env)
+		got, err := appendFrame([]byte("prefix"), Envelope{From: env.From, To: env.To, Kind: env.Kind}, payloadMessage(env.Payload))
+		if err != nil {
+			t.Fatalf("%d-byte message: %v", n, err)
+		}
+		if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
+			t.Fatalf("%d-byte message: frame differs from the bytes form (%d vs %d bytes)", n, len(got)-len("prefix"), len(want))
+		}
+	}
+	if _, err := appendFrame(nil, Envelope{}, payloadMessage(make([]byte, maxFrame))); !errors.Is(err, errFrameOversize) {
+		t.Fatalf("a %d-byte message: %v, want errFrameOversize", maxFrame, err)
+	}
+}
+
 // TestFrameAllocBudget pins the codec's allocations for a 2 KB payload:
-// encoding into a warm pooled buffer allocates nothing, decoding
-// allocates the body and the three names.
+// encoding into a warm pooled buffer allocates nothing, from a byte
+// payload or from a Message, and neither does decoding a connection's
+// next frame once its body buffer is back in the pool and its names
+// repeat.
 func TestFrameAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under -race")
@@ -245,27 +272,64 @@ func TestFrameAllocBudget(t *testing.T) {
 	env := Envelope{From: "client-7", To: "follower-1", Kind: "cmd", Payload: make([]byte, 2048)}
 	buf := new([]byte)
 	*buf = mustFrame(t, env) // warm: the buffer has its capacity
-	if allocs := testing.AllocsPerRun(100, func() {
-		frame, err := appendFrame((*buf)[:0], env)
-		if err != nil {
-			t.Fatal(err)
+	var msg Message = payloadMessage(env.Payload)
+	for _, m := range []Message{nil, msg} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			frame, err := appendFrame((*buf)[:0], env, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*buf = frame
+		}); allocs != 0 {
+			t.Errorf("appendFrame (message %v) allocates %.0f/op into a warm buffer, want 0", m != nil, allocs)
 		}
-		*buf = frame
-	}); allocs != 0 {
-		t.Errorf("appendFrame allocates %.0f/op into a warm buffer, want 0", allocs)
 	}
 
 	frame := mustFrame(t, env)
 	src := bytes.NewReader(frame)
 	r := bufio.NewReaderSize(src, readBufSize)
+	var names frameNames
 	if allocs := testing.AllocsPerRun(100, func() {
 		src.Reset(frame)
 		r.Reset(src)
-		if _, _, err := readFrame(r); err != nil {
+		env, _, err := readFrame(r, &names)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 5 {
-		t.Errorf("readFrame allocates %.0f/op for a 2 KB payload, want ≤ 5", allocs)
+		env.Release()
+	}); allocs != 0 {
+		t.Errorf("readFrame allocates %.0f/op for a released 2 KB frame with repeated names, want 0", allocs)
+	}
+}
+
+// TestReleaseRecyclesBody: a released envelope's body is the next
+// frame's, and an envelope that is never released keeps its bytes.
+func TestReleaseRecyclesBody(t *testing.T) {
+	a := mustFrame(t, Envelope{From: "x", Kind: "k", Payload: []byte("first payload")})
+	b := mustFrame(t, Envelope{From: "x", Kind: "k", Payload: []byte("other payload")})
+	r := bufio.NewReader(bytes.NewReader(append(append(bytes.Clone(a), b...), a...)))
+	var names frameNames
+	kept, _, err := readFrame(r, &names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := readFrame(r, &names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Release()
+	if second.Payload != nil {
+		t.Errorf("Release left Payload %q", second.Payload)
+	}
+	second.Release() // a second Release of the same copy is a no-op
+	if _, _, err := readFrame(r, &names); err != nil {
+		t.Fatal(err)
+	}
+	if string(kept.Payload) != "first payload" {
+		t.Errorf("an unreleased payload changed to %q", kept.Payload)
+	}
+	if kept.From != "x" || kept.Kind != "k" {
+		t.Errorf("names %q/%q", kept.From, kept.Kind)
 	}
 }
 
@@ -273,25 +337,29 @@ var benchEnvelope Envelope
 
 // BenchmarkFrameCodec is one frame round trip, encode into a reused
 // buffer plus decode through a connection-style buffered reader, for a
-// 2 KB payload (the size of an authorize command).
+// 2 KB payload (the size of an authorize command); the decoded body goes
+// back to the pool, as the serve pipeline and the mux client hand theirs
+// back once decoded.
 func BenchmarkFrameCodec(b *testing.B) {
 	env := Envelope{From: "client-7", To: "follower-1", Kind: "cmd", Payload: make([]byte, 2048)}
 	var buf []byte
 	src := bytes.NewReader(nil)
 	r := bufio.NewReaderSize(src, readBufSize)
+	var names frameNames
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame, err := appendFrame(buf[:0], env)
+		frame, err := appendFrame(buf[:0], env, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		buf = frame
 		src.Reset(frame)
 		r.Reset(src)
-		if benchEnvelope, _, err = readFrame(r); err != nil {
+		if benchEnvelope, _, err = readFrame(r, &names); err != nil {
 			b.Fatal(err)
 		}
+		benchEnvelope.Release()
 	}
 	b.SetBytes(int64(len(buf)))
 }

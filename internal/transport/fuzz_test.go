@@ -20,7 +20,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(gobFrame(f, Envelope{From: "a", To: "b", Kind: "k", Payload: []byte("old")}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
-		env, size, err := readFrame(r)
+		env, size, err := readFrame(r, new(frameNames))
 		if err != nil {
 			if !sameEnvelope(env, Envelope{}) || size != 0 {
 				t.Fatalf("partial value %+v (size %d) beside error %v", env, size, err)
@@ -57,7 +57,7 @@ func TestFramePrefixProperty(t *testing.T) {
 			t.Fatalf("prefix of %d/%d bytes: %+v, size %d, err %v", cut, len(frame), env, size, err)
 		}
 		if cut >= frameHeader {
-			if env, err := decodeEnvelope(frame[frameHeader:cut]); err == nil || !sameEnvelope(env, Envelope{}) {
+			if env, err := decodeEnvelope(frame[frameHeader:cut], new(frameNames)); err == nil || !sameEnvelope(env, Envelope{}) {
 				t.Fatalf("body prefix of %d bytes: %+v, err %v", cut-frameHeader, env, err)
 			}
 		}

@@ -251,8 +251,9 @@ func (n *TCPNode) readLoop(c *tcpConn, p *tcpPeer, peer string) {
 		p.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(c, readBufSize)
+	var names frameNames
 	for {
-		env, size, err := readFrame(br)
+		env, size, err := readFrame(br, &names)
 		if err != nil {
 			// A peer that closed or died (EOF, reset, this node closing)
 			// just ends the loop; a frame that breaks the format is
@@ -270,6 +271,7 @@ func (n *TCPNode) readLoop(c *tcpConn, p *tcpPeer, peer string) {
 		select {
 		case n.inbox <- env:
 		case <-n.closed:
+			env.Release()
 			return
 		}
 	}
@@ -282,25 +284,39 @@ func (n *TCPNode) readLoop(c *tcpConn, p *tcpPeer, peer string) {
 // accept does not surface as an error when the peer recovers in time.
 // Sends to unknown peers and sends on a closed node fail immediately.
 func (n *TCPNode) Send(to, kind string, payload []byte) error {
+	return n.send(Envelope{From: n.name, To: to, Kind: kind, Payload: payload}, nil)
+}
+
+// SendMessage is Send for a message that encodes itself: m appends its
+// bytes straight into the pooled frame, once, and every retry resends
+// that frame. The bytes on the wire are those of Send(to, kind,
+// m.AppendTo(nil)).
+func (n *TCPNode) SendMessage(to, kind string, m Message) error {
+	return n.send(Envelope{From: n.name, To: to, Kind: kind}, m)
+}
+
+// send frames env — with m's bytes as the payload when m is set — and
+// delivers it under Send's retry policy.
+func (n *TCPNode) send(env Envelope, m Message) error {
 	// The frame is encoded once, into a pooled buffer that goes back only
-	// when Send returns: every retry resends the same bytes, and the
+	// when send returns: every retry resends the same bytes, and the
 	// caller's payload is not touched again.
 	buf := framePool.Get().(*[]byte)
 	defer releaseFrame(buf)
-	frame, err := appendFrame((*buf)[:0], Envelope{From: n.name, To: to, Kind: kind, Payload: payload})
+	frame, err := appendFrame((*buf)[:0], env, m)
 	if err != nil {
-		return fmt.Errorf("transport: encode frame to %s: %w", to, err)
+		return fmt.Errorf("transport: encode frame to %s: %w", env.To, err)
 	}
 	*buf = frame
 	var lastErr error
 	for attempt := 1; attempt <= n.opts.Attempts; attempt++ {
 		if attempt > 1 {
-			n.metrics().Counter(MetricSendRetries, "peer", to).Inc()
+			n.metrics().Counter(MetricSendRetries, "peer", env.To).Inc()
 			if err := n.sleep(n.backoff(attempt - 1)); err != nil {
 				return err
 			}
 		}
-		err := n.sendOnce(to, frame, attempt > 1)
+		err := n.sendOnce(env.To, frame, attempt > 1)
 		if err == nil {
 			return nil
 		}
@@ -321,7 +337,7 @@ func (n *TCPNode) Reply(env Envelope, kind string, payload []byte) error {
 	}
 	buf := framePool.Get().(*[]byte)
 	defer releaseFrame(buf)
-	frame, err := appendFrame((*buf)[:0], Envelope{From: n.name, To: env.From, Kind: kind, Payload: payload})
+	frame, err := appendFrame((*buf)[:0], Envelope{From: n.name, To: env.From, Kind: kind, Payload: payload}, nil)
 	if err != nil {
 		return fmt.Errorf("transport: encode frame to %s: %w", env.From, err)
 	}
@@ -526,8 +542,12 @@ const (
 
 var errFrameOversize = errors.New("transport: frame exceeds limit")
 
-// framePool recycles outbound frame buffers across Sends.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
+// framePool recycles outbound frame buffers across Sends; bodyPool
+// recycles inbound frame bodies, each handed back by Envelope.Release.
+var (
+	framePool = sync.Pool{New: func() any { return new([]byte) }}
+	bodyPool  = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 func releaseFrame(buf *[]byte) {
 	if cap(*buf) <= maxPooledFrame {
@@ -535,14 +555,34 @@ func releaseFrame(buf *[]byte) {
 	}
 }
 
+func releaseBody(buf *[]byte) { bodyPool.Put(buf) }
+
+// maxLenPrefix is the longest uvarint length prefix a field within the
+// frame limit needs: maxFrame < 2^28.
+const maxLenPrefix = 4
+
 // appendFrame appends env's on-wire frame (length prefix + body) to dst.
-func appendFrame(dst []byte, env Envelope) ([]byte, error) {
+// The payload is env.Payload, or m's bytes when m is set, encoded in
+// place: they go after room for the longest length prefix and move back
+// over what the actual prefix leaves, so both forms put the same bytes
+// on the wire.
+func appendFrame(dst []byte, env Envelope, m Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, wirefmt.Version) // length placeholder
 	dst = wirefmt.AppendString(dst, env.From)
 	dst = wirefmt.AppendString(dst, env.To)
 	dst = wirefmt.AppendString(dst, env.Kind)
-	dst = wirefmt.AppendBytes(dst, env.Payload)
+	if m == nil {
+		dst = wirefmt.AppendBytes(dst, env.Payload)
+	} else {
+		at := len(dst)
+		dst = m.AppendTo(append(dst, 0, 0, 0, 0)) // maxLenPrefix bytes of room
+		if n := len(dst) - at - maxLenPrefix; n <= maxFrame {
+			w := binary.PutUvarint(dst[at:], uint64(n))
+			copy(dst[at+w:], dst[at+maxLenPrefix:])
+			dst = dst[:len(dst)-maxLenPrefix+w]
+		}
+	}
 	size := len(dst) - start - frameHeader
 	if size > maxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", errFrameOversize, size)
@@ -551,10 +591,18 @@ func appendFrame(dst []byte, env Envelope) ([]byte, error) {
 	return dst, nil
 }
 
+// frameNames holds the names of the last frame a connection carried. A
+// peer sends the same From, To and Kind on frame after frame, so
+// readFrame reuses these strings while they repeat instead of allocating
+// three per frame.
+type frameNames struct{ from, to, kind string }
+
 // readFrame reads one frame and reports its size on the wire (header +
-// body). The body is allocated once per frame and never reused, so the
-// envelope's Payload aliases it; the three names are copied out.
-func readFrame(r *bufio.Reader) (Envelope, int, error) {
+// body). A body within maxPooledFrame is read into a pooled buffer that
+// the envelope's Payload aliases, until Envelope.Release hands it back;
+// a larger one is allocated for the frame alone. The three names are
+// strings of their own, or names' when they repeat.
+func readFrame(r *bufio.Reader, names *frameNames) (Envelope, int, error) {
 	hdr, err := r.Peek(frameHeader)
 	if err != nil {
 		return Envelope{}, 0, err
@@ -564,25 +612,54 @@ func readFrame(r *bufio.Reader) (Envelope, int, error) {
 		return Envelope{}, 0, fmt.Errorf("%w: %d bytes", errFrameOversize, size)
 	}
 	r.Discard(frameHeader) //nolint:errcheck // just peeked
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Envelope{}, 0, err
+	var buf *[]byte
+	var body []byte
+	if size <= maxPooledFrame {
+		buf = bodyPool.Get().(*[]byte)
+		if cap(*buf) < int(size) {
+			*buf = make([]byte, size)
+		}
+		body = (*buf)[:size]
+	} else {
+		body = make([]byte, size)
 	}
-	env, err := decodeEnvelope(body)
+	_, err = io.ReadFull(r, body)
+	var env Envelope
+	if err == nil {
+		env, err = decodeEnvelope(body, names)
+	}
 	if err != nil {
+		if buf != nil {
+			releaseBody(buf)
+		}
 		return Envelope{}, 0, err
 	}
+	env.buf = buf
 	return env, frameHeader + int(size), nil
 }
 
-// decodeEnvelope decodes a frame body; env.Payload aliases it.
-func decodeEnvelope(body []byte) (Envelope, error) {
+// decodeEnvelope decodes a frame body; env.Payload aliases it. The names
+// come from names while they repeat, and replace them when they change.
+func decodeEnvelope(body []byte, names *frameNames) (Envelope, error) {
 	r := wirefmt.NewReader(body)
-	env := Envelope{From: r.String(), To: r.String(), Kind: r.String(), Payload: r.Bytes()}
+	from, to, kind := r.Bytes(), r.Bytes(), r.Bytes()
+	env := Envelope{Payload: r.Bytes()}
 	if err := r.Finish(); err != nil {
 		return Envelope{}, err
 	}
+	env.From = reuse(&names.from, from)
+	env.To = reuse(&names.to, to)
+	env.Kind = reuse(&names.kind, kind)
 	return env, nil
+}
+
+// reuse returns *last when it spells b, and otherwise a new string of b,
+// which becomes *last.
+func reuse(last *string, b []byte) string {
+	if string(b) != *last {
+		*last = string(b)
+	}
+	return *last
 }
 
 // frameErrorReason maps a readFrame failure to its MetricFrameErrors

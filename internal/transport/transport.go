@@ -43,10 +43,37 @@ type Envelope struct {
 	// protocols dispatch on it.
 	Kind string
 	// Payload is the opaque message body: a binary daemon Command or
-	// Reply, or a replication message.
+	// Reply, or a replication message. On an envelope a TCPNode read, it
+	// may lie in a pooled buffer that Release hands back.
 	Payload []byte
 	// conn is the TCP connection the envelope arrived on; Reply answers on it.
 	conn *tcpConn
+	// buf is the pooled frame buffer Payload lies in (nil when it owns no
+	// pooled buffer).
+	buf *[]byte
+}
+
+// Release hands the envelope's frame buffer back for the next frame a
+// TCPNode reads, and clears Payload. Call it once the payload has been
+// decoded into values of their own, and only on the one copy of the
+// envelope that still refers to it: a released payload's bytes are
+// overwritten by a later frame. An envelope that is never released costs
+// the garbage collector its buffer, nothing else. Releasing an envelope
+// that holds no pooled buffer only clears Payload.
+func (e *Envelope) Release() {
+	if e.buf != nil {
+		releaseBody(e.buf)
+		e.buf = nil
+	}
+	e.Payload = nil
+}
+
+// Message is a payload that encodes itself. SendMessage has it append
+// its bytes straight into the frame that carries them, so the sender
+// needs no buffer of its own for it.
+type Message interface {
+	// AppendTo appends the message's bytes to b and returns the result.
+	AppendTo(b []byte) []byte
 }
 
 // Sentinel errors.
@@ -68,6 +95,8 @@ type Endpoint interface {
 	Name() string
 	// Send routes a message to the named peer.
 	Send(to, kind string, payload []byte) error
+	// SendMessage is Send for a payload that encodes itself.
+	SendMessage(to, kind string, m Message) error
 	// Reply answers a received envelope where it came from.
 	Reply(env Envelope, kind string, payload []byte) error
 	// Recv blocks until a message arrives or the endpoint closes.
@@ -175,6 +204,10 @@ func (e *memEndpoint) Send(to, kind string, payload []byte) error {
 	p := make([]byte, len(payload))
 	copy(p, payload)
 	return e.net.send(Envelope{From: e.name, To: to, Kind: kind, Payload: p})
+}
+
+func (e *memEndpoint) SendMessage(to, kind string, m Message) error {
+	return e.net.send(Envelope{From: e.name, To: to, Kind: kind, Payload: m.AppendTo(nil)})
 }
 
 func (e *memEndpoint) Reply(env Envelope, kind string, payload []byte) error {

@@ -73,8 +73,8 @@ go test -run '^$' -bench=DelegationDepth -benchtime=1x .
 echo "==> bench smoke (go test -bench=WALAppend -benchtime=1x ./internal/wal)"
 go test -run '^$' -bench=WALAppend -benchtime=1x ./internal/wal
 
-echo "==> bench smoke (go test -bench='FollowerFleet|CommandCodec' -benchtime=1x ./internal/daemon)"
-go test -run '^$' -bench='FollowerFleet|CommandCodec' -benchtime=1x -benchmem ./internal/daemon
+echo "==> bench smoke (go test -bench='FollowerFleet|CommandCodec|WireAuthorize' -benchtime=1x ./internal/daemon)"
+go test -run '^$' -bench='FollowerFleet|CommandCodec|WireAuthorize' -benchtime=1x -benchmem ./internal/daemon
 
 echo "==> bench smoke (go test -bench=FrameCodec -benchtime=1x ./internal/transport)"
 go test -run '^$' -bench=FrameCodec -benchtime=1x -benchmem ./internal/transport
