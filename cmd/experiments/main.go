@@ -58,9 +58,8 @@ func main() {
 }
 
 // seeded is a deterministic random source, so a run repeats its
-// outages and its shared keys: GenerateShared reads it in fixed-width
-// draws only. DealerSplit's keys still differ run to run, because
-// crypto/rand.Prime does not reproduce a prime from a seeded stream.
+// outages and its keys: GenerateShared, GenerateKey and DealerSplit read
+// it in fixed-width draws only.
 func seeded(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // mean runs f reps times and returns the mean duration of one run.

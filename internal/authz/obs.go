@@ -170,13 +170,18 @@ type reqTrace struct {
 }
 
 // beginTrace assigns the next request ID ("P-000007") and starts timing.
+// With a sink, the spans are allocated once, one per traced step.
 func (s *Server) beginTrace() *reqTrace {
-	return &reqTrace{
+	t := &reqTrace{
 		s:    s,
 		id:   s.requestID(),
 		t0:   time.Now(),
 		sink: s.log != nil || s.journalRef() != nil,
 	}
+	if t.sink {
+		t.spans = make([]audit.Span, 0, len(traceSteps))
+	}
+	return t
 }
 
 // requestID renders "<name>-<%06d seq>" without fmt's reflection

@@ -10,10 +10,7 @@
 
 package daemon
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // defaultDedupCap is the default bound on remembered replies.
 const defaultDedupCap = 1024
@@ -26,6 +23,12 @@ type dedupEntry struct {
 	body []byte
 }
 
+// dedupKey scopes an ID to its sender: IDs are unique per client
+// instance (nonce + counter), and the sender keeps two clients that
+// picked the same transport name from colliding across IDs they never
+// saw.
+type dedupKey struct{ from, id string }
+
 // dedupCache is the bounded ID-keyed reply cache. Entries are inserted
 // when a command's first copy is dispatched; only completed entries are
 // evictable (an in-flight entry is pinned by its running leader, and
@@ -34,8 +37,11 @@ type dedupEntry struct {
 type dedupCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*dedupEntry
-	order   *list.List // completed entry keys, oldest first
+	entries map[dedupKey]*dedupEntry
+	// completed is a ring of the completed entries' keys: it grows to
+	// cap, then completed[oldest] is the next to age out.
+	completed []dedupKey
+	oldest    int
 }
 
 // newDedupCache builds a cache bounded at cap completed entries;
@@ -44,18 +50,14 @@ func newDedupCache(cap int) *dedupCache {
 	if cap <= 0 {
 		cap = defaultDedupCap
 	}
-	return &dedupCache{
-		cap:     cap,
-		entries: make(map[string]*dedupEntry),
-		order:   list.New(),
-	}
+	return &dedupCache{cap: cap, entries: make(map[dedupKey]*dedupEntry)}
 }
 
 // begin claims the ID. The first caller per ID is the leader
 // (leader=true): it must execute the command and call finish. Later
 // callers receive the existing entry and leader=false: they wait on
 // entry.done and replay entry.body.
-func (c *dedupCache) begin(key string) (entry *dedupEntry, leader bool) {
+func (c *dedupCache) begin(key dedupKey) (entry *dedupEntry, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
@@ -67,18 +69,19 @@ func (c *dedupCache) begin(key string) (entry *dedupEntry, leader bool) {
 }
 
 // finish records the leader's encoded reply, releases waiting
-// duplicates, and evicts the oldest completed entries beyond cap,
+// duplicates, and evicts the oldest completed entry beyond cap,
 // reporting how many it aged out.
-func (c *dedupCache) finish(key string, body []byte) (evictedNow int64) {
+func (c *dedupCache) finish(key dedupKey, body []byte) (evictedNow int64) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {
 		e.body = body
-		c.order.PushBack(key)
-		for c.order.Len() > c.cap {
-			front := c.order.Front()
-			delete(c.entries, front.Value.(string))
-			c.order.Remove(front)
+		if len(c.completed) < c.cap {
+			c.completed = append(c.completed, key)
+		} else {
+			delete(c.entries, c.completed[c.oldest])
+			c.completed[c.oldest] = key
+			c.oldest = (c.oldest + 1) % c.cap
 			evictedNow++
 		}
 	}
@@ -95,9 +98,3 @@ func (c *dedupCache) size() int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
-
-// dedupKey scopes an ID to its sender: IDs are unique per client
-// instance (nonce + counter), and the sender prefix keeps two clients
-// that picked the same transport name from colliding across IDs they
-// never saw.
-func dedupKey(from, id string) string { return from + "\x00" + id }

@@ -26,11 +26,11 @@ func (f *fakeNode) allReplies(to string) []string {
 // begins receive the leader's recorded body once finish releases them.
 func TestDedupCacheLeaderAndReplay(t *testing.T) {
 	c := newDedupCache(8)
-	e1, leader := c.begin("k1")
+	e1, leader := c.begin(dedupKey{id: "k1"})
 	if !leader {
 		t.Fatal("first begin must lead")
 	}
-	e2, leader := c.begin("k1")
+	e2, leader := c.begin(dedupKey{id: "k1"})
 	if leader {
 		t.Fatal("second begin must not lead")
 	}
@@ -42,45 +42,52 @@ func TestDedupCacheLeaderAndReplay(t *testing.T) {
 		<-e2.done
 		done <- e2.body
 	}()
-	if n := c.finish("k1", []byte("reply-1")); n != 0 {
+	if n := c.finish(dedupKey{id: "k1"}, []byte("reply-1")); n != 0 {
 		t.Fatalf("evictions = %d, want 0", n)
 	}
 	if got := string(<-done); got != "reply-1" {
 		t.Fatalf("replayed body = %q, want reply-1", got)
 	}
 	// A later duplicate (after completion) still replays.
-	e3, leader := c.begin("k1")
+	e3, leader := c.begin(dedupKey{id: "k1"})
 	if leader || string(e3.body) != "reply-1" {
 		t.Fatalf("post-completion begin: leader=%v body=%q", leader, e3.body)
 	}
 }
 
 // TestDedupCacheEviction: the cache stays bounded at cap completed
-// entries, evicting oldest-first; evicted IDs become leaders again
-// (their retries would re-execute — the documented trade-off of a
-// bounded cache).
+// entries, evicting oldest-first across several turns of its ring;
+// evicted IDs become leaders again (their retries would re-execute — the
+// documented trade-off of a bounded cache). An ID is scoped to its
+// sender.
 func TestDedupCacheEviction(t *testing.T) {
 	c := newDedupCache(3)
 	var evicted int64
-	for i := 0; i < 5; i++ {
-		key := fmt.Sprintf("k%d", i)
+	for i := 0; i < 10; i++ {
+		key := dedupKey{from: "cli", id: fmt.Sprintf("k%d", i)}
 		if _, leader := c.begin(key); !leader {
-			t.Fatalf("begin %s: not leader", key)
+			t.Fatalf("begin %s: not leader", key.id)
 		}
-		evicted += c.finish(key, []byte(key))
+		evicted += c.finish(key, []byte(key.id))
 	}
-	if evicted != 2 {
-		t.Fatalf("evictions = %d, want 2", evicted)
+	if evicted != 7 {
+		t.Fatalf("evictions = %d, want 7", evicted)
 	}
 	if got := c.size(); got != 3 {
 		t.Fatalf("size = %d, want 3", got)
 	}
-	// k0 and k1 aged out: their IDs lead again. k4 is still cached.
-	if _, leader := c.begin("k0"); !leader {
+	// k0–k6 aged out: their IDs lead again. k7–k9 are still cached, but
+	// not for another sender.
+	if _, leader := c.begin(dedupKey{from: "cli", id: "k6"}); !leader {
 		t.Fatal("evicted key must lead again")
 	}
-	if e, leader := c.begin("k4"); leader || string(e.body) != "k4" {
-		t.Fatalf("retained key: leader=%v body=%q", leader, e.body)
+	for _, id := range []string{"k7", "k8", "k9"} {
+		if e, leader := c.begin(dedupKey{from: "cli", id: id}); leader || string(e.body) != id {
+			t.Fatalf("retained key %s: leader=%v body=%q", id, leader, e.body)
+		}
+	}
+	if _, leader := c.begin(dedupKey{from: "other", id: "k9"}); !leader {
+		t.Fatal("another sender's ID must lead")
 	}
 }
 
@@ -89,17 +96,17 @@ func TestDedupCacheEviction(t *testing.T) {
 // not finished (waiters would hang forever on a channel nobody closes).
 func TestDedupCacheInflightNotEvicted(t *testing.T) {
 	c := newDedupCache(2)
-	c.begin("inflight") // leader never finishes during the burst
+	c.begin(dedupKey{id: "inflight"}) // leader never finishes during the burst
 	for i := 0; i < 5; i++ {
-		key := fmt.Sprintf("k%d", i)
+		key := dedupKey{id: fmt.Sprintf("k%d", i)}
 		c.begin(key)
 		c.finish(key, nil)
 	}
-	if _, leader := c.begin("inflight"); leader {
+	if _, leader := c.begin(dedupKey{id: "inflight"}); leader {
 		t.Fatal("in-flight entry was evicted by completed-entry pressure")
 	}
-	c.finish("inflight", []byte("late"))
-	if e, leader := c.begin("inflight"); leader || string(e.body) != "late" {
+	c.finish(dedupKey{id: "inflight"}, []byte("late"))
+	if e, leader := c.begin(dedupKey{id: "inflight"}); leader || string(e.body) != "late" {
 		t.Fatalf("after finish: leader=%v body=%q", leader, e.body)
 	}
 }

@@ -172,7 +172,7 @@ func (p *pipeline) serveOne(ctx context.Context, env *transport.Envelope) []byte
 		return p.execute(ctx, cmd)
 	}
 
-	key := dedupKey(env.From, cmd.ID)
+	key := dedupKey{env.From, cmd.ID}
 	entry, leader := p.dedup.begin(key)
 	if !leader {
 		// A duplicate: wait for the original's reply (it is being handled

@@ -81,10 +81,11 @@ func TestWireAuthorizeAllocBudget(t *testing.T) {
 // The budget of TestWireAuthorizeAllocBudget, for a 1-signer read of a
 // ≈1.5 KB request: the one copy of the request (the command's Data), the
 // fields the access-request decoder copies out of it, and the decision
-// with its audit entry, reply and dedup slot.
+// with its audit entry (its spans one allocation), reply and dedup slot
+// (an entry and its done channel).
 const (
-	wireAuthorizeAllocs = 68
-	wireAuthorizeBytes  = 6400
+	wireAuthorizeAllocs = 62
+	wireAuthorizeBytes  = 5800
 )
 
 // readRawFrame reads one whole transport frame, header included, off a

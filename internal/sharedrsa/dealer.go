@@ -69,11 +69,12 @@ func DealerSplit(bits, n int, rng io.Reader) (*DealerResult, error) {
 }
 
 // GenerateKey generates a conventional two-prime RSA key of the given
-// size with e = 65537: each prime is a crypto/rand.Prime of half the
-// size, whose top two bits are set, so N has exactly bits bits. From
+// size with e = 65537: each prime is drawn by searchPrime at half the
+// size, with its top two bits set, so N has exactly bits bits. From
 // crypto/rand.Reader (rng nil) the two primes are drawn at once, one
 // per goroutine; any other source is read for one prime after the
-// other, since it need not be safe for concurrent use.
+// other, since it need not be safe for concurrent use, and a seeded
+// source repeats the key.
 func GenerateKey(bits int, rng io.Reader) (*rsa.PrivateKey, error) {
 	if bits < 16 {
 		return nil, errors.New("sharedrsa: key size too small")
@@ -89,7 +90,7 @@ func GenerateKey(bits int, rng io.Reader) (*rsa.PrivateKey, error) {
 			pErr, qErr error
 			drawn      sync.WaitGroup
 		)
-		drawP := func() { p, pErr = rand.Prime(rng, bits-bits/2) }
+		drawP := func() { p, pErr = searchPrime(bits-bits/2, rng) }
 		if rng == rand.Reader {
 			drawn.Add(1)
 			go func() {
@@ -99,7 +100,7 @@ func GenerateKey(bits int, rng io.Reader) (*rsa.PrivateKey, error) {
 		} else {
 			drawP()
 		}
-		q, qErr = rand.Prime(rng, bits/2)
+		q, qErr = searchPrime(bits/2, rng)
 		drawn.Wait()
 		if err := errors.Join(pErr, qErr); err != nil {
 			return nil, err

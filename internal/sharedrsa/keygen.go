@@ -134,7 +134,7 @@ func GenerateShared(cfg Config) (*Result, error) {
 
 	// Field for the BGW multiplication: comfortably larger than any
 	// candidate N.
-	field, err := sampleFieldPrime(cfg.Bits+16, cfg.Rand)
+	field, err := searchPrime(cfg.Bits+16, cfg.Rand)
 	if err != nil {
 		return nil, fmt.Errorf("sharedrsa: sample BGW field: %w", err)
 	}
@@ -210,27 +210,6 @@ func GenerateShared(cfg Config) (*Result, error) {
 	}
 	return nil, fmt.Errorf("%w after %d attempts (bits=%d, n=%d)",
 		ErrKeygenExhausted, cfg.MaxAttempts, cfg.Bits, n)
-}
-
-// sampleFieldPrime draws a bits-bit prime from rng: fixed-width
-// candidates with the top and low bits set until one passes
-// ProbablyPrime(20). crypto/rand.Prime would do, but it skips a byte of
-// the stream at random, so a seeded Config.Rand would not repeat.
-func sampleFieldPrime(bits int, rng io.Reader) (*big.Int, error) {
-	buf := make([]byte, (bits+7)/8)
-	excess := uint(len(buf)*8 - bits)
-	p := new(big.Int)
-	for {
-		if _, err := io.ReadFull(rng, buf); err != nil {
-			return nil, err
-		}
-		buf[0] &= 0xff >> excess
-		buf[0] |= 0x80 >> excess
-		buf[len(buf)-1] |= 1
-		if p.SetBytes(buf).ProbablyPrime(20) {
-			return p, nil
-		}
-	}
 }
 
 // samplePrimeShares draws every party's additive share of one

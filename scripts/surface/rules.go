@@ -68,11 +68,13 @@ var rules = []rule{
 			"or its coalition, fuses the two, and the keygen could then never leave the dynamics gate (ROADMAP item 10(b))"},
 	{name: "exponent/private", kind: "use", what: []string{"math/big.Int.Exp"},
 		except: []string{"sharedrsa.modExpSigned", "sharedrsa.CombineExact", "sharedrsa.CRTKey.sign", "sharedrsa.BatchVerify",
-			"sharedrsa.biprimal", "sharedrsa.LockBox.Sign", "authority.stolenKeySigner.Sign", "jointadmin/cmd/experiments.canSign"},
+			"sharedrsa.biprimal", "sharedrsa.LockBox.Sign", "authority.stolenKeySigner.Sign", "jointadmin/cmd/experiments.canSign",
+			"sharedrsa.probablyPrime"},
 		reason: "user and domain-CA keys sign through sharedrsa.CRTKey: two half-size exponentiations, checked by the public-" +
 			"exponent kernel before release; a math/big Exp elsewhere is a full-width private-key path that skips the check, " +
 			"unless it is a path that cannot have a CRT form: the shared-key protocols (no party knows φ(N)), keygen's biprime " +
-			"test, the dealer's lock box, Case I's signer, BatchVerify's blinding powers and the experiments' ablation"},
+			"test, the dealer's lock box, Case I's signer, BatchVerify's blinding powers, the experiments' ablation and the prime " +
+			"search's base-2 test (2^(n−1) mod n: an exponent of n−1, no key involved)"},
 	{name: "exponent/public-arg", kind: "use", what: []string{"math/big.Int.Exp"}, arg: "sharedrsa.PublicKey.E",
 		reason: "every S^e mod N (Verify, Combine's trial correction, BatchVerify's product checks) goes through sharedrsa's " +
 			"Montgomery kernel (montgomery.go); a math/big Exp by a public exponent is a second, slower verification path, and " +
@@ -83,6 +85,11 @@ var rules = []rule{
 		reason: "the functions that may call Exp raise to private or trial exponents only; reading a public exponent there is an " +
 			"Exp by e (e := pk.E; x.Exp(m, e, n)); BatchVerify reads pk.E for the kernel and calls Exp, so it is the named hole " +
 			"until ROADMAP item 3 deletes it"},
+	{name: "one-prime-search", kind: "use", what: []string{"crypto/rand.Prime", "math/big.Int.ProbablyPrime"},
+		except: []string{"sharedrsa.probablyPrime", "sharedrsa.Config.withDefaults"},
+		reason: "every prime a key, a CA or the BGW field draws comes from sharedrsa's sieved search (prime.go), whose acceptance " +
+			"step runs the one ProbablyPrime(20) a returned prime must pass; crypto/rand.Prime or another ProbablyPrime loop is a " +
+			"second, slower prime search that a seeded source does not repeat (Config.withDefaults' check that e is prime is not one)"},
 	{name: "one-decider/replay", kind: "use", what: []string{"authz.Server.replay"}, except: []string{"authz.Server.authorizeAt"}, max: 1, frozen: true,
 		reason: "the residual decider decides every request Authorize serves; the 4-step replay is its oracle, entered once, where " +
 			"authorizeAt honours SetResidualsEnabled(false): a second call site is a second serving path"},

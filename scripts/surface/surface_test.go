@@ -103,6 +103,12 @@ func init() { var a *jointadmin.Alliance; _ = a.Join; _ = strings.Join }`},
 			"\th := hashToModulus(msg, pk.N)\n\tvar work", "\te := pk.E\n\t_ = new(big.Int).Exp(sig.S, e, pk.N)\n\th := hashToModulus(msg, pk.N)\n\tvar work")},
 		{"exponent/public-arg", "internal/sharedrsa/batch.go", edit("internal/sharedrsa/batch.go", "t.Exp(it.Sig.S, r, pk.N)", "t.Exp(it.Sig.S, pk.E, pk.N)")},
 		{"exponent/public-read", "internal/sharedrsa/crt.go", edit("internal/sharedrsa/crt.go", "\tm1.Exp(&r, k.dP, k.p)", "\te := k.pub.E\n\tm1.Exp(&r, e, k.p)")},
+		{"one-prime-search", "internal/pki/plant_prime.go", `package pki
+import "crypto/rand"
+func init() { _, _ = rand.Prime(rand.Reader, 64) }`},
+		{"one-prime-search", "internal/sharedrsa/plant_prime.go", `package sharedrsa
+import "math/big"
+func init() { _ = big.NewInt(7).ProbablyPrime }`},
 		{"one-decider/replay", "internal/authz/plant_replay.go", `package authz
 func init() { var srv *Server; _, _ = srv.replay(nil, nil, nil, nil) }`},
 		{"one-decider/replay", "internal/authz/authz.go", edit("internal/authz/authz.go",
