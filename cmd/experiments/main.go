@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"jointadmin/internal/authority"
@@ -168,7 +169,8 @@ func e2JointSignature() error {
 		}
 		fmt.Printf("%d   %v\n", n, sign.Round(time.Microsecond))
 	}
-	fmt.Println("shape: linear in n — one partial exponentiation per domain.")
+	fmt.Println("shape: the work stays linear in n — one partial exponentiation per domain — while")
+	fmt.Printf("the wall time runs ⌈n/GOMAXPROCS⌉ partials deep (GOMAXPROCS=%d).\n", runtime.GOMAXPROCS(0))
 
 	// Ablation (DESIGN.md §5): a Boneh–Franklin key's partials leave a
 	// remainder j ≤ n that Combine searches for; CombineExact is handed it.

@@ -154,15 +154,6 @@ func (d *DomainAgent) Consents(payload []byte) error {
 	return nil
 }
 
-// CoSign produces the domain's partial signature over the payload once
-// Consents approves it.
-func (d *DomainAgent) CoSign(payload []byte, pk sharedrsa.PublicKey) (sharedrsa.PartialSignature, error) {
-	if err := d.Consents(payload); err != nil {
-		return sharedrsa.PartialSignature{}, err
-	}
-	return sharedrsa.PartialSign(payload, pk, d.share)
-}
-
 // Share exposes the domain's share for re-keying flows (coalition
 // dynamics); a deployment would keep it sealed inside the domain.
 func (d *DomainAgent) Share() sharedrsa.Share { return d.share.Clone() }
@@ -170,8 +161,12 @@ func (d *DomainAgent) Share() sharedrsa.Share { return d.share.Clone() }
 // consensusSigner is a pki.Signer that implements Case II issuance, the
 // cryptographic embodiment of Requirement III: each domain co-signs only
 // the bytes it consented to, which are the bytes signed. Without a
-// threshold sharing every domain must co-sign (n-of-n); with one, the
-// quorum is the first m domains that are up and consent (m-of-n).
+// threshold sharing every domain must co-sign (n-of-n): each domain's
+// Consents is asked in domain order, on the caller's goroutine, and only
+// once all have consented do their partials run, concurrently, through
+// sharedrsa.SignJointly; a refusal stops the signature before any
+// exponentiation. With a threshold sharing the quorum is the first m
+// domains that are up and consent (m-of-n).
 type consensusSigner struct {
 	pk      sharedrsa.PublicKey
 	domains []*DomainAgent
@@ -185,15 +180,14 @@ func (c *consensusSigner) Public() sharedrsa.PublicKey { return c.pk }
 
 func (c *consensusSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
 	if c.ts == nil {
-		partials := make([]sharedrsa.PartialSignature, 0, len(c.domains))
-		for _, d := range c.domains {
-			p, err := d.CoSign(msg, c.pk)
-			if err != nil {
+		shares := make([]sharedrsa.Share, len(c.domains))
+		for i, d := range c.domains {
+			if err := d.Consents(msg); err != nil {
 				return sharedrsa.Signature{}, err
 			}
-			partials = append(partials, p)
+			shares[i] = d.share
 		}
-		return sharedrsa.Combine(msg, c.pk, partials, len(c.domains))
+		return sharedrsa.SignJointly(msg, c.pk, shares)
 	}
 	var quorum []int
 	for i, d := range c.domains {

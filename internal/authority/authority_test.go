@@ -292,7 +292,7 @@ func TestCaseIIForgeryRequiresAllDomains(t *testing.T) {
 	payload := []byte("forged certificate payload")
 	var partials []sharedrsa.PartialSignature
 	for _, d := range est.Domains[:2] { // attacker got 2 of 3 shares
-		p, err := d.CoSign(payload, est.AA.Public())
+		p, err := sharedrsa.PartialSign(payload, est.AA.Public(), d.Share())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,6 +396,61 @@ func TestConsentCoversSignedBytes(t *testing.T) {
 					if err := sharedrsa.Verify(msg, aa.Public(), sharedrsa.Signature{S: sig}); err != nil {
 						t.Errorf("%s: consent %d was to bytes the signature does not cover: %v", c.name, i+1, err)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestConsensusStopsAtFirstRefusal: in n-of-n issuance a domain that
+// refuses or is down at index i fails the signature with its own error,
+// the approval hooks of domains 0…i alone are asked, and no partial is
+// computed — the shares after i have no exponent, so computing any of
+// them would fail with a share error instead.
+func TestConsensusStopsAtFirstRefusal(t *testing.T) {
+	key, err := sharedrsa.DealerSplit(512, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"D1", "D2", "D3", "D4"}
+	for _, c := range []struct {
+		name string
+		down bool
+		want string
+	}{
+		{"refuses", false, "D2: authority: domain withheld consent: not this one"},
+		{"down", true, "D2: authority: domain down"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const at = 1
+			asked := make([]int, len(names))
+			domains := make([]*DomainAgent, len(names))
+			for i := range domains {
+				share := key.Shares[i]
+				if i > at {
+					share = sharedrsa.Share{Index: share.Index} // no exponent
+				}
+				domains[i] = &DomainAgent{Name: names[i], share: share, approve: func([]byte) error {
+					asked[i]++
+					if i == at && !c.down {
+						return errors.New("not this one")
+					}
+					return nil
+				}}
+			}
+			domains[at].SetDown(c.down)
+			aa := &CoalitionAA{name: "AA", pk: key.Public, domains: domains, clk: clock.New(100)}
+			_, err := aa.signer().Sign([]byte("threshold attribute payload"))
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("error %v, want %q", err, c.want)
+			}
+			want := []int{1, 1, 0, 0}
+			if c.down {
+				want[at] = 0 // a down domain is never asked
+			}
+			for i := range asked {
+				if asked[i] != want[i] {
+					t.Errorf("domain %s asked %d times, want %d", names[i], asked[i], want[i])
 				}
 			}
 		})

@@ -202,7 +202,7 @@ func NewServer(name string, clk *clock.Clock, anchors TrustAnchors, objects *acl
 		log:     log,
 	}
 	s.buildHotMetrics()
-	s.state.Store(newState(anchors, freshEngine(name, clk, anchors), 0, 0, newCertCache()))
+	s.state.Store(newState(anchors, freshEngine(name, clk, anchors), 0, 0, newCertCache(), nil))
 	return s
 }
 

@@ -394,8 +394,18 @@ func (s *Server) replayRecord(r wal.Record) error {
 	if err != nil {
 		return err
 	}
+	// An identity revocation's certificate is kept, to carry across a
+	// re-anchoring (applyReanchor).
+	var rev *pki.Signed[pki.IdentityRevocation]
+	if r.Type == wal.TypeIdentityRevocation {
+		sc, err := pki.Unmarshal[pki.IdentityRevocation](r.Body)
+		if err != nil {
+			return err
+		}
+		rev = &sc
+	}
 	body := certBody(cert)
-	return s.mutate(func(_ *state, eng *logic.Engine) (*wal.Record, error) {
+	return s.mutateRevokingKey(rev, func(_ *state, eng *logic.Engine) (*wal.Record, error) {
 		leaf := eng.Proof().Append(logic.RuleJournaled, nil, body, r.At, fmt.Sprintf("wal seq %d", r.Seq))
 		_, _, err := eng.Install(body, []int{leaf}, r.At)
 		return nil, err

@@ -171,7 +171,7 @@ func (s *Server) applyGroupLink(link pki.Signed[pki.GroupLink]) error {
 // snapshot.
 func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("identity", start, err) }(time.Now())
-	err = s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
+	err = s.mutateRevokingKey(&rev, func(cur *state, eng *logic.Engine) (*wal.Record, error) {
 		caKey, ok := cur.anchors.CAKeys[rev.Cert.Issuer]
 		if !ok {
 			return nil, fmt.Errorf("%w: identity revocation from untrusted CA %s", ErrDenied, rev.Cert.Issuer)

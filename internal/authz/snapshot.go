@@ -49,6 +49,7 @@ package authz
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"jointadmin/internal/clock"
@@ -77,12 +78,18 @@ type state struct {
 	// belief set (residual.go), keyed by requesting group. They are
 	// invalidated by construction: the next publish starts an empty memo.
 	residues *residueMemo
+	// keyRevs are the identity revocations the belief set holds, in the
+	// order accepted. A re-anchoring keeps those whose CA is still
+	// anchored under the key that signed them (applyReanchor), so the
+	// certificates are kept to verify, install and journal again. Shared
+	// between snapshots: append only to a clipped copy.
+	keyRevs []pki.Signed[pki.IdentityRevocation]
 }
 
 // newState is the one place a snapshot is built: eng must be sealed, cache
 // is the key epoch's (a fresh one exactly when anchors changed), and the
 // residue memo starts empty.
-func newState(anchors TrustAnchors, eng *logic.Engine, epoch, watermark uint64, cache *certCache) *state {
+func newState(anchors TrustAnchors, eng *logic.Engine, epoch, watermark uint64, cache *certCache, keyRevs []pki.Signed[pki.IdentityRevocation]) *state {
 	return &state{
 		anchors:   anchors,
 		eng:       eng,
@@ -90,6 +97,7 @@ func newState(anchors TrustAnchors, eng *logic.Engine, epoch, watermark uint64, 
 		watermark: watermark,
 		cache:     cache,
 		residues:  newResidueMemo(eng),
+		keyRevs:   keyRevs,
 	}
 }
 
@@ -236,6 +244,12 @@ func (s *Server) expiredHit(st *state, fp string, e cachedCert, now clock.Time) 
 // published, so an acknowledged mutation is always on stable storage
 // (write-ahead). A journal failure aborts the mutation.
 func (s *Server) mutate(fn func(cur *state, eng *logic.Engine) (*wal.Record, error)) error {
+	return s.mutateRevokingKey(nil, fn)
+}
+
+// mutateRevokingKey is mutate for an identity revocation, live or
+// replayed: on success rev joins the new snapshot's identity revocations.
+func (s *Server) mutateRevokingKey(rev *pki.Signed[pki.IdentityRevocation], fn func(cur *state, eng *logic.Engine) (*wal.Record, error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.state.Load()
@@ -251,8 +265,12 @@ func (s *Server) mutate(fn func(cur *state, eng *logic.Engine) (*wal.Record, err
 			}
 		}
 	}
+	keyRevs := cur.keyRevs
+	if rev != nil {
+		keyRevs = append(slices.Clip(keyRevs), *rev)
+	}
 	eng.Seal()
-	s.publish(newState(cur.anchors, eng, cur.epoch, cur.watermark+1, cur.cache), cur)
+	s.publish(newState(cur.anchors, eng, cur.epoch, cur.watermark+1, cur.cache, keyRevs), cur)
 	return nil
 }
 
@@ -272,15 +290,43 @@ func (s *Server) publish(next, prev *state) {
 // coalition rekey (Join/Leave) requires — and starts a new key epoch. The
 // belief set is rebuilt from the new anchors and the new epoch starts an
 // empty certificate cache: nothing verified under the old anchors
-// survives. A live re-anchoring (recorded == nil) takes the next epoch
-// and, with a journal attached, records the new anchors (fsynced) before
-// the epoch is published; a journal failure leaves the old epoch in
-// place. A replayed anchors record passes its recorded epoch and journals
-// nothing: the record is already durable.
+// survives, except, on a live re-anchoring, the identity revocations the
+// new anchors carry (TrustAnchors.carries). A rekey changes the AA's key,
+// not the CAs', so a user whose key a CA revoked would otherwise pass
+// again on the identity certificate that CA's key still verifies; the
+// carried revocations are installed into the one snapshot published, so
+// no reader sees the epoch without them. A live re-anchoring (recorded ==
+// nil) takes the next epoch and, with a journal attached, records the new
+// anchors and then each carried revocation (fsynced) before the epoch is
+// published, so a log compacted at the anchors record keeps them; its
+// watermark counts the carried revocations, as a replay of those records
+// does. A journal failure leaves the old epoch in place. A replayed
+// anchors record passes its recorded epoch, carries nothing and journals
+// nothing: the record is already durable, and the revocations the writer
+// carried follow it in the log.
 func (s *Server) applyReanchor(anchors TrustAnchors, recorded *uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.state.Load()
+	var kept []pki.Signed[pki.IdentityRevocation]
+	if recorded == nil {
+		for _, rev := range cur.keyRevs {
+			if anchors.carries(rev) {
+				kept = append(kept, rev)
+			}
+		}
+	}
+	eng := freshEngine(s.name, s.clk, anchors)
+	if len(kept) > 0 {
+		eng = eng.Fork()
+		now := s.clk.Now()
+		for _, rev := range kept {
+			if _, _, err := eng.Install(certBody(pki.IdealizeIdentityRevocation(rev)), nil, now); err != nil {
+				return err
+			}
+		}
+		eng.Seal()
+	}
 	epoch := cur.epoch + 1
 	if recorded != nil {
 		epoch = *recorded
@@ -289,10 +335,41 @@ func (s *Server) applyReanchor(anchors TrustAnchors, recorded *uint64) error {
 		if err != nil {
 			return err
 		}
-		if _, err := j.Append(rec, true); err != nil {
-			return fmt.Errorf("authz: journal re-anchoring: %w", err)
+		recs := []wal.Record{rec}
+		for _, rev := range kept {
+			rec, err := certRecord(wal.TypeIdentityRevocation, rev, s.clk.Now())
+			if err != nil {
+				return err
+			}
+			recs = append(recs, *rec)
+		}
+		for i, rec := range recs {
+			if _, err := j.Append(rec, i == len(recs)-1); err != nil {
+				return fmt.Errorf("authz: journal re-anchoring: %w", err)
+			}
 		}
 	}
-	s.publish(newState(anchors, freshEngine(s.name, s.clk, anchors), epoch, 0, newCertCache()), cur)
+	s.publish(newState(anchors, eng, epoch, uint64(len(kept)), newCertCache(), kept), cur)
 	return nil
+}
+
+// carries reports whether a re-anchoring to a keeps the identity
+// revocation rev: its signature verifies under a's key for its CA, and
+// the key it revokes is not one of a's own. An anchor key is a trust
+// root, asserted again by the anchors that name it: a CA that withdrew its
+// own key is trusted again from the next re-anchoring that names it.
+func (a TrustAnchors) carries(rev pki.Signed[pki.IdentityRevocation]) bool {
+	key, ok := a.CAKeys[rev.Cert.Issuer]
+	if !ok || pki.VerifyIdentityRevocation(rev, key) != nil {
+		return false
+	}
+	if rev.Cert.KeyID == a.AAKey.KeyID() || a.RAName != "" && rev.Cert.KeyID == a.RAKey.KeyID() {
+		return false
+	}
+	for _, k := range a.CAKeys {
+		if rev.Cert.KeyID == k.KeyID() {
+			return false
+		}
+	}
+	return true
 }

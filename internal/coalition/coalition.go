@@ -419,8 +419,9 @@ func (c *Coalition) Leave(domain string) (RekeyReport, error) {
 }
 
 // PrepareJoin generates the keys a join of domain needs — its CA key and
-// the AA key shared among the current members and domain — holding the
-// coalition's lock only to read the membership.
+// the AA key shared among the current members and domain, the two drawn
+// concurrently — holding the coalition's lock only to read the
+// membership. A failure of either key changes nothing.
 func (c *Coalition) PrepareJoin(domain string) (*Rekey, error) { return c.prepare(true, domain) }
 
 // PrepareLeave generates the AA key shared among the members that stay
@@ -436,12 +437,23 @@ func (c *Coalition) prepare(join bool, domain string) (*Rekey, error) {
 		return nil, err
 	}
 	r := &Rekey{join: join, domain: domain, names: names}
+	// A join's two keys are independent draws: the newcomer's CA key is
+	// generated beside the AA key.
+	var caErr error
+	var wg sync.WaitGroup
 	if join {
-		if r.ca, err = authority.NewDomainCA("CA_"+domain, c.cfg.KeyBits, c.clk); err != nil {
-			return nil, err
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.ca, caErr = authority.NewDomainCA("CA_"+domain, c.cfg.KeyBits, c.clk)
+		}()
 	}
-	if r.est, err = c.establish(names); err != nil {
+	r.est, err = c.establish(names)
+	wg.Wait()
+	if caErr != nil {
+		return nil, caErr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("coalition: rekey: %w", err)
 	}
 	return r, nil

@@ -3,11 +3,16 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"jointadmin/internal/acl"
 	"jointadmin/internal/authz"
+	"jointadmin/internal/clock"
+	"jointadmin/internal/logic"
 	"jointadmin/internal/obs"
+	"jointadmin/internal/wal"
 )
 
 // TestRepeatedReadsReuseIdentityCertificate: a signer's domain holds the
@@ -159,5 +164,124 @@ func TestPresignedRequestAcrossDynamics(t *testing.T) {
 		if w, fl := decide(ctx, t, d, f, post); !w.Allowed || !fl.Allowed || w.Group != "G_read" || fl.Group != "G_read" {
 			t.Errorf("signed after %s: writer %+v, follower %+v, want both approved via G_read", ev.Cmd, w, fl)
 		}
+	}
+}
+
+// TestRevokedIdentitySurvivesJoinAndLeave: a join or leave re-keys the AA
+// and re-anchors the server but keeps the domain CAs' keys, so bob's
+// identity certificate still verifies after it; mutate revoke-identity
+// bob must hold across both, on the writer (Handle) and on a follower,
+// while carol's reads pass.
+func TestRevokedIdentitySurvivesJoinAndLeave(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	d, f, _ := startWriterAndFollower(ctx, t)
+	if rep := d.Handle(ctx, Command{Cmd: "mutate", Op: "revoke-identity", Data: "bob"}); !rep.OK {
+		t.Fatalf("revoke-identity bob: %+v", rep)
+	}
+	kp, err := d.alliance.Coalition().UserKey("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []Command{{Cmd: "audit"}, {Cmd: "join", Domain: "D4"}, {Cmd: "leave", Domain: "D4"}} {
+		if rep := d.Handle(ctx, ev); !rep.OK {
+			t.Fatalf("%s: %+v", ev.Cmd, rep)
+		}
+		d.Handle(ctx, Command{Cmd: "stats"}) // a tick past the re-issued certificates' notBefore
+		rep := d.Handle(ctx, Command{Cmd: "read", Signers: []string{"bob"}})
+		if rep.OK || !strings.Contains(rep.Detail, fmt.Sprintf("key %s revoked as of", kp.KeyID())) {
+			t.Errorf("after %s: bob's read on the writer: %+v, want denied for his revoked key", ev.Cmd, rep)
+		}
+		if rep := d.Handle(ctx, Command{Cmd: "read", Signers: []string{"carol"}}); !rep.OK {
+			t.Errorf("after %s: carol's read on the writer: %+v", ev.Cmd, rep)
+		}
+		body := signedBy(ctx, t, d, "bob")
+		waitCaughtUp(ctx, t, d, f)
+		if _, fl := decide(ctx, t, d, f, body); fl.Allowed || fl.DeniedStep != authz.StepCerts {
+			t.Errorf("after %s: bob's read on the follower: allowed=%v step=%q, want denied at %s", ev.Cmd, fl.Allowed, fl.DeniedStep, authz.StepCerts)
+		}
+	}
+}
+
+// TestRevokedIdentitySurvivesCompaction: a join re-anchors the server and
+// the log is compacted at its anchors record; the identity revocation
+// made before it must be in what is left, so a replica of the compacted
+// log denies bob's request, and the daemon reopened on it (fresh keys,
+// ReplayBeliefs) still believes his old key revoked.
+func TestRevokedIdentitySurvivesCompaction(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	cfg.CompactBytes = 1 // compact after every mutation and dynamics command
+	d1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []Command{{Cmd: "mutate", Op: "revoke-identity", Data: "bob"}, {Cmd: "join", Domain: "D4"}} {
+		if rep := d1.Handle(ctx, c); !rep.OK {
+			t.Fatalf("%s: %+v", c.Cmd, rep)
+		}
+	}
+	d1.Handle(ctx, Command{Cmd: "stats"}) // a tick past the re-issued certificates' notBefore
+	body := signedBy(ctx, t, d1, "bob")
+	req, err := authz.DecodeAccessRequest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bobKey := req.Identities[0].Cert.KeyID
+	objs, err := d1.server.Authz().Objects().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := d1.alliance.Clock().Now()
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, recs, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The compaction kept the audit records before the join's anchors,
+	// which hold no belief; a replica starts at the anchors.
+	anchors := -1
+	for i, r := range recs {
+		if r.Type == wal.TypeAnchors {
+			if anchors >= 0 {
+				t.Fatal("the log holds two anchors records: it was not compacted at the join")
+			}
+			anchors = i
+		}
+	}
+	if anchors < 0 {
+		t.Fatal("the log holds no anchors record")
+	}
+	clk := clock.New(0)
+	objects := acl.NewStore(clk)
+	if err := objects.Import(objs, "writer"); err != nil {
+		t.Fatal(err)
+	}
+	replica, _, err := authz.NewReplica("f1", clk, objects, nil, recs[anchors:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.AdvanceTo(now)
+	if dec, _ := replica.Authorize(ctx, req); dec.Allowed || dec.DeniedStep != authz.StepCerts {
+		t.Errorf("replica of the compacted log: bob's read allowed=%v step=%q, want denied at %s", dec.Allowed, dec.DeniedStep, authz.StepCerts)
+	}
+
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer d2.Close()
+	if !d2.server.Authz().Snapshot().Engine().Store().KeyRevoked(logic.KeyID(bobKey), d2.alliance.Clock().Now()) {
+		t.Errorf("the reopened daemon does not believe bob's key %s revoked", bobKey)
+	}
+	if rep := d2.Handle(ctx, Command{Cmd: "read", Signers: []string{"carol"}}); !rep.OK {
+		t.Errorf("carol's read after the reopen: %+v", rep)
 	}
 }

@@ -534,15 +534,6 @@ func exponentShare(zeta, phi, e *big.Int) *big.Int {
 // trialSignature signs and verifies a fixed probe message, validating the
 // exponent shares (and flushing out composite N survivors).
 func trialSignature(pk PublicKey, shares []Share) error {
-	probe := []byte("sharedrsa keygen probe")
-	partials := make([]PartialSignature, len(shares))
-	for i, sh := range shares {
-		p, err := PartialSign(probe, pk, sh)
-		if err != nil {
-			return err
-		}
-		partials[i] = p
-	}
-	_, err := Combine(probe, pk, partials, len(shares))
+	_, err := SignJointly([]byte("sharedrsa keygen probe"), pk, shares)
 	return err
 }

@@ -3,6 +3,8 @@ package sharedrsa
 import (
 	"fmt"
 	"math/big"
+	"runtime"
+	"sync"
 )
 
 // PartialSign computes one party's contribution S_i = H(M)^{d_i} mod N
@@ -113,18 +115,37 @@ func verify(msg []byte, pk PublicKey, sig Signature, buf *[]big.Word) error {
 
 // SignJointly is the whole Section 3.2 flow for an n-of-n sharing whose
 // shares one caller holds: every share's partial, combined and verified.
-// It serves pki.NewJointSigner and the experiments that model stolen or
-// colluding shares. The coalition AA does not sign through it: its
-// consensus signer collects each domain's partial only after that domain
-// consents (authority.DomainAgent.CoSign).
+// Each domain computes its S_i independently of the others, so the
+// partials run on at most GOMAXPROCS goroutines, the caller's among them;
+// they are kept in share order, and when shares fail the error of the
+// lowest-index one is returned. It serves the coalition AA's consensus
+// signer once every domain has consented (authority.consensusSigner),
+// pki.NewJointSigner, keygen's trial signature and the experiments that
+// model stolen or colluding shares.
 func SignJointly(msg []byte, pk PublicKey, shares []Share) (Signature, error) {
 	partials := make([]PartialSignature, len(shares))
-	for i, sh := range shares {
-		p, err := PartialSign(msg, pk, sh)
+	errs := make([]error, len(shares))
+	// Worker w computes the partials w, w+workers, w+2·workers, …
+	workers := min(runtime.GOMAXPROCS(0), len(shares))
+	sign := func(w int) {
+		for i := w; i < len(shares); i += workers {
+			partials[i], errs[i] = PartialSign(msg, pk, shares[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sign(w)
+		}()
+	}
+	sign(0)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return Signature{}, err
 		}
-		partials[i] = p
 	}
 	sig, err := Combine(msg, pk, partials, len(shares))
 	if err != nil {

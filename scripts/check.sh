@@ -79,8 +79,8 @@ go test -run '^$' -bench='FollowerFleet|CommandCodec|WireAuthorize' -benchtime=1
 echo "==> bench smoke (go test -bench=FrameCodec -benchtime=1x ./internal/transport)"
 go test -run '^$' -bench=FrameCodec -benchtime=1x -benchmem ./internal/transport
 
-echo "==> bench smoke (go test -bench='^Benchmark(Verify|GenerateKey)$' -benchtime=1x ./internal/sharedrsa)"
-go test -run '^$' -bench='^Benchmark(Verify|GenerateKey)$' -benchtime=1x -benchmem ./internal/sharedrsa
+echo "==> bench smoke (go test -bench='^Benchmark(Verify|GenerateKey|SignJointly)$' -benchtime=1x ./internal/sharedrsa)"
+go test -run '^$' -bench='^Benchmark(Verify|GenerateKey|SignJointly)$' -benchtime=1x -benchmem ./internal/sharedrsa
 
 echo "==> bench smoke (go test -bench='^BenchmarkSign$' -benchtime=1x ./internal/pki)"
 go test -run '^$' -bench='^BenchmarkSign$' -benchtime=1x -benchmem ./internal/pki

@@ -90,6 +90,12 @@ var rules = []rule{
 		reason: "every prime a key, a CA or the BGW field draws comes from sharedrsa's sieved search (prime.go), whose acceptance " +
 			"step runs the one ProbablyPrime(20) a returned prime must pass; crypto/rand.Prime or another ProbablyPrime loop is a " +
 			"second, slower prime search that a seeded source does not repeat (Config.withDefaults' check that e is prime is not one)"},
+	{name: "one-partial-loop", kind: "use", what: []string{"sharedrsa.PartialSign"},
+		except: []string{"sharedrsa.SignJointly", "jointadmin/cmd/experiments.e2JointSignature"},
+		reason: "a joint signature's partials are computed in one place, sharedrsa.SignJointly: concurrently, in share order, and for " +
+			"the coalition AA only after every domain has consented (authority.consensusSigner asks each Consents first); a " +
+			"PartialSign loop elsewhere is a second, sequential signing path (E2's ablation computes the partials it hands both " +
+			"Combine and CombineExact)"},
 	{name: "one-decider/replay", kind: "use", what: []string{"authz.Server.replay"}, except: []string{"authz.Server.authorizeAt"}, max: 1, frozen: true,
 		reason: "the residual decider decides every request Authorize serves; the 4-step replay is its oracle, entered once, where " +
 			"authorizeAt honours SetResidualsEnabled(false): a second call site is a second serving path"},

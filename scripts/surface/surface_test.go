@@ -109,6 +109,11 @@ func init() { _, _ = rand.Prime(rand.Reader, 64) }`},
 		{"one-prime-search", "internal/sharedrsa/plant_prime.go", `package sharedrsa
 import "math/big"
 func init() { _ = big.NewInt(7).ProbablyPrime }`},
+		{"one-partial-loop", "internal/authority/plant_partial.go", `package authority
+import "jointadmin/internal/sharedrsa"
+func init() {
+	for _, d := range []*DomainAgent{} { _, _ = sharedrsa.PartialSign(nil, sharedrsa.PublicKey{}, d.Share()) }
+}`},
 		{"one-decider/replay", "internal/authz/plant_replay.go", `package authz
 func init() { var srv *Server; _, _ = srv.replay(nil, nil, nil, nil) }`},
 		{"one-decider/replay", "internal/authz/authz.go", edit("internal/authz/authz.go",
