@@ -4,7 +4,7 @@
 // E10 (the §4.3 derivation) are proofs and live in the tests.
 //
 //	go run ./cmd/experiments            # all experiments
-//	go run ./cmd/experiments -only e3   # one of e1–e8, e11, e12
+//	go run ./cmd/experiments -only e3   # one of e1–e8, e11–e13
 package main
 
 import (
@@ -37,10 +37,11 @@ var experiments = []struct {
 	{"e8", e8Collusion},
 	{"e11", e11Observability},
 	{"e12", e12DelegationScenarios},
+	{"e13", e13Membership},
 }
 
 func main() {
-	only := flag.String("only", "", "run a single experiment: e1–e8, e11 or e12")
+	only := flag.String("only", "", "run a single experiment: e1–e8 or e11–e13")
 	flag.Parse()
 	ran := false
 	for _, x := range experiments {

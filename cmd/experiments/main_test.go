@@ -38,6 +38,22 @@ func TestChecksRejectViolations(t *testing.T) {
 		{"re-issued ≠ groups",
 			checkRekey([]rekeyRow{{groups: 8, reissued: 8}}),
 			checkRekey([]rekeyRow{{groups: 8, reissued: 7}})},
+		{"a redistributing join re-issues",
+			checkMembership([]membershipRow{{keygen: "dealer", event: "join", path: "redistribute"}}, nil),
+			checkMembership([]membershipRow{{keygen: "dealer", event: "join", path: "redistribute", reissued: 1}}, nil)},
+		{"a re-key keeps the AA key",
+			checkMembership([]membershipRow{{keygen: "dealer", event: "leave", path: "re-key", reissued: 5, outstanding: 5, anchorsChanged: 1}}, nil),
+			checkMembership([]membershipRow{{keygen: "dealer", event: "leave", path: "re-key", reissued: 5, outstanding: 5}}, nil)},
+		{"a Boneh–Franklin redistribution no cheaper than its re-key",
+			checkMembership([]membershipRow{
+				{keygen: "boneh-franklin", event: "join", path: "redistribute", time: time.Millisecond},
+				{keygen: "boneh-franklin", event: "join", path: "re-key", time: time.Second, anchorsChanged: 1}}, nil),
+			checkMembership([]membershipRow{
+				{keygen: "boneh-franklin", event: "join", path: "redistribute", time: time.Second},
+				{keygen: "boneh-franklin", event: "join", path: "re-key", time: time.Second, anchorsChanged: 1}}, nil)},
+		{"a share past |N| + 72 bits",
+			checkMembership(nil, []shareBoundRow{{modulus: 512, widest: 584}}),
+			checkMembership(nil, []shareBoundRow{{modulus: 512, widest: 585}})},
 		{"lone signer approved",
 			checkOutcomes([]outcome{{request: "lone", want: "denied at step3_cosign", got: "denied at step3_cosign"}}),
 			checkOutcomes([]outcome{{request: "lone", want: "denied at step3_cosign", got: "approved"}})},

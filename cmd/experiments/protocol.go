@@ -205,7 +205,8 @@ func e6Revocation() error {
 
 type rekeyRow struct{ groups, reissued int }
 
-// checkRekey: a join re-issues exactly the certificates outstanding.
+// checkRekey: a re-keying join re-issues exactly the certificates
+// outstanding.
 func checkRekey(rows []rekeyRow) error {
 	for _, r := range rows {
 		if r.reissued != r.groups {
@@ -217,7 +218,7 @@ func checkRekey(rows []rekeyRow) error {
 
 func e7Rekey() error {
 	const joins = 5
-	fmt.Printf("E7 — a domain joins: AA re-key plus re-issue of every outstanding certificate, mean of %d joins (§6)\n", joins)
+	fmt.Printf("E7 — a domain joins while a member is down: AA re-key plus re-issue of every outstanding certificate, mean of %d joins (§6)\n", joins)
 	fmt.Println("groups   join       keygen     cut-over   re-issued")
 	users := []string{"u1", "u2", "u3"}
 	var rows []rekeyRow
@@ -236,11 +237,13 @@ func e7Rekey() error {
 				return err
 			}
 		}
-		// D4 joins and leaves again, so every join re-keys among four
-		// domains. A join is its keygen (prepare) then its cut-over
-		// (commit: revoke, install the key, re-issue).
+		// D4 joins and leaves again. D1 is down for every join, so the
+		// members cannot deal D4 a share (E13) and the join re-keys among
+		// four domains: its keygen (prepare), then its cut-over (commit:
+		// revoke, install the key, re-issue).
 		var keygen, cutover time.Duration
 		for i := 0; i < joins; i++ {
+			a.Coalition().AA().Domains()[0].SetDown(true)
 			start := time.Now()
 			r, err := a.PrepareJoin("D4")
 			if err != nil {
@@ -265,7 +268,7 @@ func e7Rekey() error {
 	fmt.Println("shape: the keygen is one re-key whatever is outstanding (dealer keygen here;")
 	fmt.Println("seconds to minutes distributed, E1) and runs before the cut-over; the cut-over")
 	fmt.Println("grows with the certificates outstanding: a revoke and a joint signature each.")
-	return checked(checkRekey(rows), "every join re-issues exactly the certificates outstanding")
+	return checked(checkRekey(rows), "every re-keying join re-issues exactly the certificates outstanding")
 }
 
 // ---- E11: per-step cost through the metrics registry ----

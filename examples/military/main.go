@@ -2,8 +2,10 @@
 // 2001; Section 3.3 of the paper): a seven-nation coalition jointly owns
 // route-communication plans, uses m-of-n threshold sharing of the AA key
 // for availability under domain outages, and survives coalition dynamics
-// (a nation joining, another withdrawing) through AA re-keying with mass
-// certificate revocation and re-distribution.
+// (a nation joining, another withdrawing): with every nation up, the AA's
+// shares are redistributed under the unchanged key, and only the
+// certificates that named the withdrawing nation's officer are revoked
+// and re-issued.
 //
 //	go run ./examples/military
 package main
@@ -75,13 +77,13 @@ func run() error {
 
 	fmt.Println("\nm-of-n availability under domain outages (Section 3.3): go run ./cmd/experiments -only e3")
 
-	fmt.Println("\n== Coalition dynamics (Section 6 / E7) ==")
+	fmt.Println("\n== Coalition dynamics (Section 6 / E13) ==")
 	report, err := a.Join("NL")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("NL joins: epoch %d, %d certificates revoked, %d re-issued, keygen attempts %d\n",
-		report.Epoch, report.CertsRevoked, report.CertsReissued, report.KeygenAttempts)
+	fmt.Printf("NL joins: epoch %d, %d certificates revoked, %d re-issued, shares redistributed %v\n",
+		report.Epoch, report.CertsRevoked, report.CertsReissued, report.Redistributed)
 	report, err = a.Leave("IT")
 	if err != nil {
 		return err
@@ -89,8 +91,8 @@ func run() error {
 	fmt.Printf("IT withdraws: epoch %d, %d revoked, %d re-issued; its officer is dropped from all certificates\n",
 		report.Epoch, report.CertsRevoked, report.CertsReissued)
 
-	// Servers anchored before the dynamics are stale; a re-anchored
-	// server accepts the re-issued certificates.
+	// A server anchored after the dynamics no longer trusts IT's CA and
+	// accepts the re-issued certificates.
 	srv2, err := a.NewServer("OpsServer2")
 	if err != nil {
 		return err

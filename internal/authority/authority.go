@@ -29,6 +29,10 @@ var (
 	ErrDomainDown = errors.New("authority: domain down")
 	// ErrUnknownUser indicates an identity request for an unregistered user.
 	ErrUnknownUser = errors.New("authority: unknown user")
+	// ErrNotRedistributable indicates a membership change the AA's shares
+	// cannot be redistributed for: a domain holding a share is down, or
+	// the AA issues m-of-n. The caller re-keys instead.
+	ErrNotRedistributable = errors.New("authority: shares cannot be redistributed")
 )
 
 // DomainCA is one autonomous domain's identity certificate authority:
@@ -154,8 +158,9 @@ func (d *DomainAgent) Consents(payload []byte) error {
 	return nil
 }
 
-// Share exposes the domain's share for re-keying flows (coalition
-// dynamics); a deployment would keep it sealed inside the domain.
+// Share exposes the domain's share for experiments that model stolen or
+// redistributed shares; a deployment would keep it sealed inside the
+// domain.
 func (d *DomainAgent) Share() sharedrsa.Share { return d.share.Clone() }
 
 // consensusSigner is a pki.Signer that implements Case II issuance, the
@@ -291,6 +296,62 @@ func (aa *CoalitionAA) EnableThreshold(m int) error {
 	aa.threshold = ts
 	aa.quorumM = m
 	return nil
+}
+
+// Redistribute deals the AA's private key among the named domains
+// without changing the key (sharedrsa.Redistribute): the domains of aa
+// that names omits leave, each dealing its share to the domains that
+// stay, and the names that hold no share join, after the domains that
+// stay, in the order named. Every domain of aa deals, so every one must
+// be up; an m-of-n AA (EnableThreshold) is not redistributed either,
+// since its threshold shares would outlive the change. Both refusals
+// are ErrNotRedistributable, and the caller re-keys. The result is a new
+// n-of-n AA under aa's name and key, whose staying domains keep their
+// approval hooks; aa itself is unchanged.
+func (aa *CoalitionAA) Redistribute(names []string) (*EstablishResult, error) {
+	aa.mu.Lock()
+	threshold := aa.threshold != nil
+	aa.mu.Unlock()
+	if threshold {
+		return nil, fmt.Errorf("%w: m-of-n sharing", ErrNotRedistributable)
+	}
+	named := make(map[string]bool, len(names))
+	for _, n := range names {
+		named[n] = true
+	}
+	held := make(map[string]bool, len(aa.domains))
+	shares := make([]sharedrsa.Share, len(aa.domains))
+	leaving := make([]bool, len(aa.domains))
+	var stay []*DomainAgent
+	for i, d := range aa.domains {
+		if d.Down() {
+			return nil, fmt.Errorf("%w: %s: %w", ErrNotRedistributable, d.Name, ErrDomainDown)
+		}
+		held[d.Name] = true
+		shares[i], leaving[i] = d.share, !named[d.Name]
+		if named[d.Name] {
+			stay = append(stay, d)
+		}
+	}
+	var joining []string
+	for _, n := range names {
+		if !held[n] {
+			joining = append(joining, n)
+		}
+	}
+	dealt, err := sharedrsa.Redistribute(aa.pk, shares, leaving, len(joining), nil)
+	if err != nil {
+		return nil, fmt.Errorf("authority: redistribute %s: %w", aa.name, err)
+	}
+	domains := make([]*DomainAgent, len(dealt))
+	for i, sh := range dealt {
+		if i < len(stay) {
+			domains[i] = NewDomainAgent(stay[i].Name, sh, stay[i].approve)
+		} else {
+			domains[i] = NewDomainAgent(joining[i-len(stay)], sh, nil)
+		}
+	}
+	return &EstablishResult{AA: &CoalitionAA{name: aa.name, pk: aa.pk, domains: domains, clk: aa.clk}, Domains: domains}, nil
 }
 
 // signer is the issuance path in force: strict n-of-n consensus, or an

@@ -456,3 +456,54 @@ func TestConsensusStopsAtFirstRefusal(t *testing.T) {
 		})
 	}
 }
+
+// TestRedistributeKeepsKeyAndRefusesWhatCannotDeal: the AA's shares are
+// dealt among a new membership under the unchanged key — stayers first,
+// in order, with their approval hooks, then newcomers — and an AA with a
+// down domain, or one issuing m-of-n, is refused with
+// ErrNotRedistributable, leaving the caller to re-key.
+func TestRedistributeKeepsKeyAndRefusesWhatCannotDeal(t *testing.T) {
+	est, err := EstablishWithDealer("AA", []string{"D1", "D2", "D3"}, 512, clock.New(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vetoes := 0
+	d2 := est.Domains[1]
+	est.Domains[1] = NewDomainAgent(d2.Name, d2.Share(), func([]byte) error { vetoes++; return errors.New("veto") })
+	est.AA.domains[1] = est.Domains[1]
+	next, err := est.AA.Redistribute([]string{"D1", "D2", "D4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range next.AA.Domains() {
+		names = append(names, d.Name)
+	}
+	if next.AA.Public().KeyID() != est.AA.Public().KeyID() || len(names) != 3 || names[0] != "D1" || names[1] != "D2" || names[2] != "D4" {
+		t.Fatalf("redistributed AA: key changed %v, domains %v", next.AA.Public().KeyID() != est.AA.Public().KeyID(), names)
+	}
+	if _, err := next.AA.IssueThreshold("G", 1, subjects(), clock.NewInterval(50, 5000)); !errors.Is(err, ErrConsentWithheld) || vetoes != 1 {
+		t.Errorf("D2's approval hook after the redistribution: %v, %d vetoes", err, vetoes)
+	}
+	next.Domains[1] = NewDomainAgent("D2", next.Domains[1].Share(), nil)
+	next.AA.domains[1] = next.Domains[1]
+	cert, err := next.AA.IssueThreshold("G", 1, subjects(), clock.NewInterval(50, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pki.VerifyThresholdAttribute(cert, est.AA.Public(), 100); err != nil {
+		t.Errorf("issued by D1, D2 and D4 under the unchanged key: %v", err)
+	}
+
+	next.Domains[2].SetDown(true)
+	if _, err := next.AA.Redistribute([]string{"D1", "D2"}); !errors.Is(err, ErrNotRedistributable) || !errors.Is(err, ErrDomainDown) {
+		t.Errorf("redistribution with D4 down: %v", err)
+	}
+	next.Domains[2].SetDown(false)
+	if err := next.AA.EnableThreshold(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.AA.Redistribute([]string{"D1", "D2"}); !errors.Is(err, ErrNotRedistributable) {
+		t.Errorf("redistribution of an m-of-n AA: %v", err)
+	}
+}

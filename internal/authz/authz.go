@@ -617,23 +617,35 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 		if !ok {
 			return errors.New("no key belief for CA " + idc.Cert.Issuer)
 		}
-		f, _, err := eng.VerifyCertificate(pki.IdealizeIdentity(*idc), caBelief)
+		ideal := pki.IdealizeIdentity(*idc)
+		f, _, err := eng.VerifyCertificate(ideal, caBelief)
 		if err != nil {
-			return errors.New("identity derivation failed: " + err.Error())
+			reason := "identity derivation failed: " + err.Error()
+			// Failed only on the subject key's revocation, a live leaf:
+			// cached like a pass, as verifyMembership does.
+			if ks, ok := certBody(ideal).(logic.KeySpeaksFor); ok && identityLeafDenial(eng.Store(), idc, ks, now) == reason {
+				s.cachePut(st, fps[i], identityEntry(idc, ks, r.upk, fps[i]))
+			}
+			return errors.New(reason)
 		}
 		ks, ok := f.(logic.KeySpeaksFor)
 		if !ok {
 			return errors.New("identity derivation failed: certificate formula is not a key binding")
 		}
-		s.cachePut(st, fps[i], cachedCert{
-			formula:    ks,
-			validity:   clock.NewInterval(idc.Cert.NotBefore, idc.Cert.NotAfter),
-			subjectKey: r.upk,
-			note:       "cached: identity of " + idc.Cert.Subject + " (fp " + fps[i] + ")",
-		})
+		s.cachePut(st, fps[i], identityEntry(idc, ks, r.upk, fps[i]))
 		keys[i] = signerKey{upk: r.upk, ks: ks}
 	}
 	return nil
+}
+
+// identityEntry is the cached verification of identity certificate idc.
+func identityEntry(idc *pki.Signed[pki.Identity], ks logic.KeySpeaksFor, upk sharedrsa.PublicKey, fp string) cachedCert {
+	return cachedCert{
+		formula:    ks,
+		validity:   clock.NewInterval(idc.Cert.NotBefore, idc.Cert.NotAfter),
+		subjectKey: upk,
+		note:       "cached: identity of " + idc.Cert.Subject + " (fp " + fp + ")",
+	}
 }
 
 // subjectKey parses the subject key of an identity certificate whose
@@ -794,19 +806,29 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 	}
 	memF, memStep, err := eng.VerifyCertificate(ideal, aaBelief)
 	if err != nil {
-		return out, errors.New("membership derivation failed: " + err.Error())
+		reason := "membership derivation failed: " + err.Error()
+		// A certificate whose derivation failed only on its membership's
+		// revocation, a live leaf, is cached like one that passed: a
+		// revocation holds for the rest of the epoch, so every hit
+		// denies it with this very reason (membershipLeafDenial) instead
+		// of re-verifying its signature.
+		if mem, ok := certBody(ideal).(logic.MemberOf); ok && membershipLeafDenial(eng.Store(), mc.signerKey, mem, now) == reason {
+			s.cachePut(st, fp, cachedCert{formula: mem, validity: out.certValidity, note: membershipNote(issuedTo, out.group, fp)})
+		}
+		return out, errors.New(reason)
 	}
 	mem, ok := memF.(logic.MemberOf)
 	if !ok {
 		return out, errors.New("membership derivation produced unexpected formula")
 	}
 	out.mem, out.memStep = mem, memStep
-	s.cachePut(st, fp, cachedCert{
-		formula:  mem,
-		validity: out.certValidity,
-		note:     "cached: membership of " + issuedTo + " in " + out.group + " (fp " + fp + ")",
-	})
+	s.cachePut(st, fp, cachedCert{formula: mem, validity: out.certValidity, note: membershipNote(issuedTo, out.group, fp)})
 	return out, nil
+}
+
+// membershipNote is a cached membership verification's proof note.
+func membershipNote(issuedTo, group, fp string) string {
+	return "cached: membership of " + issuedTo + " in " + group + " (fp " + fp + ")"
 }
 
 // verifyDelegatedMembership runs Step 2 for a delegation-backed request

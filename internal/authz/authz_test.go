@@ -132,6 +132,20 @@ func (f *fixture) anchors(freshness int64) TrustAnchors {
 	return anchors
 }
 
+// rekeyedAnchors are f's anchors after a re-key: the same CAs and RA,
+// and a new AA key, under which nothing the fixture's AA signed
+// verifies.
+func (f *fixture) rekeyedAnchors(t *testing.T) TrustAnchors {
+	t.Helper()
+	kp, err := pki.GenerateKeyPair(512, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := f.anchors(0)
+	a.AAKey = kp.Public()
+	return a
+}
+
 // newServerFreshness is newServer with a freshness window in the anchors
 // (anchors are immutable once the server is running).
 func (f *fixture) newServerFreshness(log *audit.Log, freshness int64) *Server {

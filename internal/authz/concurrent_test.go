@@ -213,7 +213,8 @@ func TestCacheNeverServesRevokedCertificate(t *testing.T) {
 }
 
 // TestSnapshotVersioning: watermark advances per mutation, epoch per
-// re-anchoring, and re-anchoring resets derived beliefs.
+// re-anchoring; a re-anchoring carries the beliefs its anchors still
+// verify and drops the rest.
 func TestSnapshotVersioning(t *testing.T) {
 	f := newFixture(t)
 	server := f.newServerFreshness(nil, 0)
@@ -231,15 +232,23 @@ func TestSnapshotVersioning(t *testing.T) {
 	if sn := server.Snapshot(); sn.Epoch != 0 || sn.Watermark != 1 {
 		t.Fatalf("after mutation: %+v", sn)
 	}
-	// Re-anchoring bumps the epoch, resets the watermark, and drops the
-	// derived group-link belief (the belief set is rebuilt from anchors).
+	// Re-anchoring under the same AA key bumps the epoch and carries the
+	// group link, which its watermark counts.
 	nBase := len(server.Snapshot().Beliefs())
 	if err := server.Apply(context.Background(), Reanchor{Anchors: f.anchors(0)}); err != nil {
 		t.Fatal(err)
 	}
+	if sn := server.Snapshot(); sn.Epoch != 1 || sn.Watermark != 1 {
+		t.Fatalf("after re-anchor under the same key: %+v", sn)
+	}
+	// After a re-key it resets the watermark and drops the derived
+	// group-link belief, which the new AA key does not verify.
+	if err := server.Apply(context.Background(), Reanchor{Anchors: f.rekeyedAnchors(t)}); err != nil {
+		t.Fatal(err)
+	}
 	sn := server.Snapshot()
-	if sn.Epoch != 1 || sn.Watermark != 0 {
-		t.Fatalf("after re-anchor: %+v", sn)
+	if sn.Epoch != 2 || sn.Watermark != 0 {
+		t.Fatalf("after re-anchor under a new key: %+v", sn)
 	}
 	if got := len(sn.Beliefs()); got >= nBase {
 		t.Errorf("re-anchored belief count = %d, want < %d (derived beliefs dropped)", got, nBase)

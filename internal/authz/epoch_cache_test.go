@@ -363,9 +363,9 @@ func runColdRebuildDifferential(t *testing.T, seed int64) {
 	for step := 0; step < 36; step++ {
 		m := nextMutation()
 		if step%12 == 11 {
-			// A new key epoch under the same anchors: beliefs and cache start
-			// over (the chain must be installed again), the pool stays valid.
-			installed = 0
+			// A new key epoch under the same anchors: the cache starts over,
+			// every belief carries (the anchors still verify it), and the
+			// pool stays valid.
 			m = Reanchor{Anchors: f.anchors(0)}
 		}
 		// A refused mutation (a depth-exhausted delegation, a CRL with
@@ -781,8 +781,10 @@ func TestOnlyAnchorChangesStartAnEmptyCache(t *testing.T) {
 	if n := replica.state.Load().cache.len(); n != 0 {
 		t.Fatalf("replica starts with %d cached entries", n)
 	}
-	if sn := replica.Snapshot(); sn.Epoch != 1 || sn.Watermark != 0 {
-		t.Fatalf("replica at epoch %d watermark %d, want 1/0", sn.Epoch, sn.Watermark)
+	// The re-anchoring carried the group link, which the same anchors
+	// still verify.
+	if sn := replica.Snapshot(); sn.Epoch != 1 || sn.Watermark != 1 {
+		t.Fatalf("replica at epoch %d watermark %d, want 1/1", sn.Epoch, sn.Watermark)
 	}
 }
 

@@ -57,8 +57,9 @@ type journalBox struct{ j Journal }
 
 // SetJournal attaches the journal: from now on every belief mutation is
 // recorded before it is acknowledged. On a brand-new journal the current
-// anchors and epoch are written first (the genesis record), so recovery
-// always starts from a known trust state. Call after Replay, never
+// anchors and epoch are written first, with the belief certificates the
+// server holds (the genesis record), so recovery always starts from a
+// known trust state. Call after Replay, never
 // before — journaling replayed records would duplicate them.
 func (s *Server) SetJournal(j Journal) error {
 	s.mu.Lock()
@@ -68,7 +69,7 @@ func (s *Server) SetJournal(j Journal) error {
 	}
 	if j.Empty() {
 		st := s.state.Load()
-		rec, err := anchorsRecord(st.anchors, st.epoch, s.clk.Now())
+		rec, err := anchorsRecord(st.anchors, st.epoch, s.clk.Now(), st.held)
 		if err != nil {
 			return err
 		}
@@ -89,8 +90,8 @@ func (s *Server) SetJournal(j Journal) error {
 // belief state keyed to authorities that no longer exist. Rejournal
 // closes that gap: when the last recorded anchors differ from the live
 // ones (compared by AA key fingerprint), it appends a fresh anchors
-// record at the live epoch followed by copies of the belief mutations
-// that survived recovery, so replaying the journal verbatim converges on
+// record at the live epoch carrying the belief certificates that
+// survived recovery, so replaying the journal verbatim converges on
 // exactly the live state. Call it once, after Replay and SetJournal,
 // before serving; recovered is Replay's input.
 func (s *Server) Rejournal(recovered []wal.Record) error {
@@ -109,32 +110,17 @@ func (s *Server) Rejournal(recovered []wal.Record) error {
 	}
 	st := s.state.Load()
 	if cut >= 0 {
-		prev, _, err := decodeAnchors(recovered[cut].Body)
+		prev, _, _, err := decodeAnchors(recovered[cut].Body)
 		if err == nil && prev.AAKey.KeyID() == st.anchors.AAKey.KeyID() {
 			return nil // authorities survived the restart; the journal is already exact
 		}
 	}
-	now := s.clk.Now()
-	pending := make([]wal.Record, 0, len(recovered)-cut)
-	rec, err := anchorsRecord(st.anchors, st.epoch, now)
+	rec, err := anchorsRecord(st.anchors, st.epoch, s.clk.Now(), st.held)
 	if err != nil {
 		return err
 	}
-	pending = append(pending, rec)
-	for i, r := range recovered {
-		if i <= cut {
-			continue // superseded by the recorded re-anchoring
-		}
-		switch r.Type {
-		case wal.TypeRevocation, wal.TypeIdentityRevocation, wal.TypeGroupLink,
-			wal.TypeDelegation, wal.TypeGroupGraphLink:
-			pending = append(pending, wal.Record{Type: r.Type, At: now, Body: r.Body})
-		}
-	}
-	for i, r := range pending {
-		if _, err := j.Append(r, i == len(pending)-1); err != nil {
-			return fmt.Errorf("authz: rejournal %s: %w", r.Type, err)
-		}
+	if _, err := j.Append(rec, true); err != nil {
+		return fmt.Errorf("authz: rejournal anchors: %w", err)
 	}
 	return nil
 }
@@ -161,13 +147,19 @@ type wireAnchors struct {
 }
 
 // anchorsBody is the TypeAnchors record body. Epoch is first so
-// wal.Dump can read it without knowing the full shape.
+// wal.Dump can read it without knowing the full shape. Carried are the
+// belief certificates the re-anchoring carries into its epoch, as the
+// belief records they were journaled as, in the order accepted;
+// a log written before re-anchorings carried them has none, and its
+// carried identity revocations follow the anchors record as records of
+// their own.
 type anchorsBody struct {
-	Epoch   uint64      `json:"epoch"`
-	Anchors wireAnchors `json:"anchors"`
+	Epoch   uint64       `json:"epoch"`
+	Anchors wireAnchors  `json:"anchors"`
+	Carried []wal.Record `json:"carried,omitempty"`
 }
 
-func anchorsRecord(a TrustAnchors, epoch uint64, at clock.Time) (wal.Record, error) {
+func anchorsRecord(a TrustAnchors, epoch uint64, at clock.Time, carried []wal.Record) (wal.Record, error) {
 	w := wireAnchors{
 		AAName:          a.AAName,
 		AAKey:           pki.NewKeyInfo(a.AAKey),
@@ -182,17 +174,17 @@ func anchorsRecord(a TrustAnchors, epoch uint64, at clock.Time) (wal.Record, err
 	if a.RAName != "" {
 		w.RAName, w.RAKey = a.RAName, pki.NewKeyInfo(a.RAKey)
 	}
-	body, err := json.Marshal(anchorsBody{Epoch: epoch, Anchors: w})
+	body, err := json.Marshal(anchorsBody{Epoch: epoch, Anchors: w, Carried: carried})
 	if err != nil {
 		return wal.Record{}, fmt.Errorf("authz: encode anchors record: %w", err)
 	}
 	return wal.Record{Type: wal.TypeAnchors, At: at, Body: body}, nil
 }
 
-func decodeAnchors(body json.RawMessage) (TrustAnchors, uint64, error) {
+func decodeAnchors(body json.RawMessage) (TrustAnchors, uint64, []wal.Record, error) {
 	var b anchorsBody
 	if err := json.Unmarshal(body, &b); err != nil {
-		return TrustAnchors{}, 0, fmt.Errorf("authz: decode anchors record: %w", err)
+		return TrustAnchors{}, 0, nil, fmt.Errorf("authz: decode anchors record: %w", err)
 	}
 	a := TrustAnchors{
 		AAName:          b.Anchors.AAName,
@@ -204,19 +196,19 @@ func decodeAnchors(body json.RawMessage) (TrustAnchors, uint64, error) {
 	}
 	var err error
 	if a.AAKey, err = b.Anchors.AAKey.PublicKey(); err != nil {
-		return TrustAnchors{}, 0, fmt.Errorf("authz: anchors record AA key: %w", err)
+		return TrustAnchors{}, 0, nil, fmt.Errorf("authz: anchors record AA key: %w", err)
 	}
 	for name, ki := range b.Anchors.CAKeys {
 		if a.CAKeys[name], err = ki.PublicKey(); err != nil {
-			return TrustAnchors{}, 0, fmt.Errorf("authz: anchors record CA %s key: %w", name, err)
+			return TrustAnchors{}, 0, nil, fmt.Errorf("authz: anchors record CA %s key: %w", name, err)
 		}
 	}
 	if b.Anchors.RAName != "" {
 		if a.RAKey, err = b.Anchors.RAKey.PublicKey(); err != nil {
-			return TrustAnchors{}, 0, fmt.Errorf("authz: anchors record RA key: %w", err)
+			return TrustAnchors{}, 0, nil, fmt.Errorf("authz: anchors record RA key: %w", err)
 		}
 	}
-	return a, b.Epoch, nil
+	return a, b.Epoch, b.Carried, nil
 }
 
 // certRecord wraps a signed certificate as a WAL record in its JSON
@@ -267,14 +259,17 @@ const (
 	// signing authorities outlive the server process.
 	ReplayExact ReplayPolicy = iota
 	// ReplayBeliefs keeps the server's current (freshly configured)
-	// anchors and applies only the belief mutations recorded after the
-	// last anchors record — matching live semantics, where a re-anchoring
-	// rebuilds the belief set and re-issues certificates. Use when the
-	// whole authority stack restarted with new keys (the daemon).
+	// anchors and applies only the belief mutations the last anchors
+	// record carries and those recorded after it — matching live
+	// semantics, where a re-anchoring rebuilds the belief set from what it
+	// carries. Use when the whole authority stack restarted with new keys
+	// (the daemon).
 	ReplayBeliefs
 )
 
-// ReplayReport summarizes a replay.
+// ReplayReport summarizes a replay. The belief counts count belief
+// records; under ReplayBeliefs the certificates the last anchors record
+// carries are replayed, and counted, as belief records too.
 type ReplayReport struct {
 	Records             int
 	Anchors             int
@@ -311,8 +306,7 @@ func (s *Server) Replay(recs []wal.Record, policy ReplayPolicy) (ReplayReport, e
 		return rep, errors.New("authz: Replay must run before SetJournal")
 	}
 	// Under ReplayBeliefs, mutations before the final anchors record were
-	// superseded by that re-anchoring (live rekeys re-issue certificates
-	// and rebuild beliefs from scratch).
+	// superseded by that re-anchoring, which holds what it carried.
 	cut := -1
 	if policy == ReplayBeliefs {
 		for i, r := range recs {
@@ -328,8 +322,11 @@ func (s *Server) Replay(recs []wal.Record, policy ReplayPolicy) (ReplayReport, e
 		switch r.Type {
 		case wal.TypeAnchors:
 			rep.Anchors++
-			if policy == ReplayExact {
+			switch {
+			case policy == ReplayExact:
 				err = s.replayRecord(r)
+			case i == cut:
+				err = s.replayCarried(r, &rep)
 			}
 		case wal.TypeAudit:
 			rep.AuditEntries++
@@ -357,6 +354,26 @@ func (s *Server) Replay(recs []wal.Record, policy ReplayPolicy) (ReplayReport, e
 	return rep, nil
 }
 
+// replayCarried replays what the anchors record r carried as belief
+// records (ReplayBeliefs: the fresh anchors stand).
+func (s *Server) replayCarried(r wal.Record, rep *ReplayReport) error {
+	_, _, carried, err := decodeAnchors(r.Body)
+	if err != nil {
+		return err
+	}
+	for _, c := range carried {
+		n := rep.count(c.Type)
+		if n == nil {
+			return fmt.Errorf("carried record of type %q", c.Type)
+		}
+		*n++
+		if err := s.replayRecord(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // count returns the report's counter for a belief-mutation record type,
 // nil for any other type.
 func (r *ReplayReport) count(t wal.Type) *int {
@@ -376,40 +393,38 @@ func (r *ReplayReport) count(t wal.Type) *int {
 }
 
 // replayRecord applies one recorded mutation — the one replay function.
-// An anchors record re-anchors at its recorded epoch. A belief record is
-// idealized with the live path's pki idealizer; a logic.RuleJournaled
-// leaf stands in for the derivation the certificate passed when first
-// accepted, and logic.Engine.Install concludes from it at the record's
-// timestamp — not at the clock, which on a follower has already moved
-// past the record.
+// An anchors record re-anchors at its recorded epoch with what it
+// carried. A belief record is installed (installRecord) and held, to
+// carry across a later re-anchoring.
 func (s *Server) replayRecord(r wal.Record) error {
 	if r.Type == wal.TypeAnchors {
-		anchors, epoch, err := decodeAnchors(r.Body)
+		anchors, epoch, carried, err := decodeAnchors(r.Body)
 		if err != nil {
 			return err
 		}
-		return s.applyReanchor(anchors, &epoch)
+		return s.applyReanchor(Reanchor{Anchors: anchors}, &epoch, carried)
 	}
+	return s.mutateHolding(false, func(_ *state, eng *logic.Engine) (*wal.Record, error) {
+		return &r, installRecord(eng, r)
+	})
+}
+
+// installRecord installs a belief record's certificate into eng: it is
+// idealized with the live path's pki idealizer, a logic.RuleJournaled
+// leaf citing the record's sequence number stands in for the derivation
+// the certificate passed when first accepted, and logic.Engine.Install
+// concludes from it at the record's timestamp — not at the clock, which
+// on a follower or after a re-anchoring has already moved past the
+// record.
+func installRecord(eng *logic.Engine, r wal.Record) error {
 	cert, err := idealizeRecord(r)
 	if err != nil {
 		return err
 	}
-	// An identity revocation's certificate is kept, to carry across a
-	// re-anchoring (applyReanchor).
-	var rev *pki.Signed[pki.IdentityRevocation]
-	if r.Type == wal.TypeIdentityRevocation {
-		sc, err := pki.Unmarshal[pki.IdentityRevocation](r.Body)
-		if err != nil {
-			return err
-		}
-		rev = &sc
-	}
 	body := certBody(cert)
-	return s.mutateRevokingKey(rev, func(_ *state, eng *logic.Engine) (*wal.Record, error) {
-		leaf := eng.Proof().Append(logic.RuleJournaled, nil, body, r.At, fmt.Sprintf("wal seq %d", r.Seq))
-		_, _, err := eng.Install(body, []int{leaf}, r.At)
-		return nil, err
-	})
+	leaf := eng.Proof().Append(logic.RuleJournaled, nil, body, r.At, fmt.Sprintf("wal seq %d", r.Seq))
+	_, _, err = eng.Install(body, []int{leaf}, r.At)
+	return err
 }
 
 // idealizeRecord decodes a belief record's certificate and idealizes it

@@ -153,8 +153,9 @@ func TestSetJournalWritesGenesisOnce(t *testing.T) {
 }
 
 // TestReplayBeliefsSkipsSupersededMutations: mutations recorded before
-// the last re-anchoring were cleared by that rekey (certificates are
-// re-issued); ReplayBeliefs must apply only the ones after it.
+// the last re-anchoring that it did not carry were cleared by it (a
+// re-key: the AA's revocation no longer verifies); ReplayBeliefs must
+// apply only what it carried and the ones after it.
 func TestReplayBeliefsSkipsSupersededMutations(t *testing.T) {
 	f := newFixture(t)
 	dir := t.TempDir()
@@ -163,14 +164,14 @@ func TestReplayBeliefsSkipsSupersededMutations(t *testing.T) {
 	if err := srv1.SetJournal(l1); err != nil {
 		t.Fatal(err)
 	}
-	readRev, err := f.ra.Revoke(f.readAC, f.clk.Now())
+	readRev, err := f.est.AA.RevokeThreshold(f.readAC, f.clk.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := srv1.Apply(context.Background(), Revocation{Cert: readRev}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv1.Apply(context.Background(), Reanchor{Anchors: f.anchors(0)}); err != nil { // rekey clears it
+	if err := srv1.Apply(context.Background(), Reanchor{Anchors: f.rekeyedAnchors(t)}); err != nil { // rekey clears it
 		t.Fatal(err)
 	}
 	writeRev, err := f.ra.Revoke(f.writeAC, f.clk.Now())
@@ -380,12 +381,16 @@ func TestReplayInstallsLiveBeliefs(t *testing.T) {
 	apply(IdentityRevocation{Cert: idRev})
 
 	apply(Reanchor{Anchors: f.anchors(0)})
-	// The re-anchoring journals its anchors, then the identity
-	// revocation it carries into the new epoch: a belief record after
-	// the last anchors.
-	beforeEpoch := len(j.history()) - 1
-	if got := j.history()[beforeEpoch-1].Type; got != wal.TypeAnchors {
-		t.Fatalf("the re-anchoring's first record is %s, want %s", got, wal.TypeAnchors)
+	// The re-anchoring journals one record: its anchors and every belief
+	// it carries into the new epoch (the same anchors verify them all).
+	anchorsAt := len(j.history()) - 1
+	if got := j.history()[anchorsAt].Type; got != wal.TypeAnchors {
+		t.Fatalf("the re-anchoring's record is %s, want %s", got, wal.TypeAnchors)
+	}
+	_, _, carried, err := decodeAnchors(j.history()[anchorsAt].Body)
+	must(err)
+	if len(carried) != 9 {
+		t.Fatalf("the re-anchoring carried %d beliefs, want all 9", len(carried))
 	}
 	link2, err := f.est.AA.IssueGroupLink("G5", "G1", long)
 	must(err)
@@ -398,7 +403,7 @@ func TestReplayInstallsLiveBeliefs(t *testing.T) {
 	apply(f.revokeKeyOf(t, "CA2", "User_D2", f.users["User_D2"].Public()))
 
 	hist, want := j.history(), viewOf(live)
-	leaves := len(hist) - beforeEpoch // belief records after the last anchors
+	leaves := len(carried) + len(hist) - anchorsAt - 1 // the epoch's beliefs
 	if want.epoch != 1 || want.watermark != uint64(leaves) {
 		t.Fatalf("live history ends at epoch %d watermark %d, want 1 and %d", want.epoch, want.watermark, leaves)
 	}
@@ -407,7 +412,7 @@ func TestReplayInstallsLiveBeliefs(t *testing.T) {
 	rep, err := recovered.Replay(hist, ReplayExact)
 	must(err)
 	if rep.Anchors != 2 || rep.GroupLinks != 2 || rep.GroupGraphLinks != 1 || rep.Delegations != 5 ||
-		rep.Revocations != 4 || rep.IdentityRevocations != 3 || rep.Skipped != 0 {
+		rep.Revocations != 4 || rep.IdentityRevocations != 2 || rep.Skipped != 0 {
 		t.Fatalf("replay report %+v does not cover the history", rep)
 	}
 	requireView(t, "Replay(ReplayExact)", viewOf(recovered), want)

@@ -93,10 +93,15 @@ type GroupGraphLink struct {
 }
 
 // Reanchor replaces the server's trust anchors — the re-anchoring a
-// coalition rekey (Join/Leave) requires — bumping the key epoch and
-// rebuilding the belief set.
+// coalition join or leave requires — bumping the key epoch and
+// rebuilding the belief set from the new anchors and every held belief
+// certificate they still verify.
 type Reanchor struct {
 	Anchors TrustAnchors
+	// Departed are the bound subjects of users whose domain has left the
+	// coalition: a delegation to one of them is not carried, and neither
+	// is a chain link that extends it.
+	Departed []pki.BoundSubject
 }
 
 func (GroupLink) Verb() string          { return VerbGroupLink }
@@ -133,7 +138,7 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	case GroupGraphLink:
 		return s.applyGroupGraphLink(v.Cert)
 	case Reanchor:
-		return s.applyReanchor(v.Anchors, nil)
+		return s.applyReanchor(v, nil, nil)
 	case nil:
 		return fmt.Errorf("authz: nil mutation")
 	default:
@@ -171,7 +176,7 @@ func (s *Server) applyGroupLink(link pki.Signed[pki.GroupLink]) error {
 // snapshot.
 func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("identity", start, err) }(time.Now())
-	err = s.mutateRevokingKey(&rev, func(cur *state, eng *logic.Engine) (*wal.Record, error) {
+	err = s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
 		caKey, ok := cur.anchors.CAKeys[rev.Cert.Issuer]
 		if !ok {
 			return nil, fmt.Errorf("%w: identity revocation from untrusted CA %s", ErrDenied, rev.Cert.Issuer)

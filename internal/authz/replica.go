@@ -26,21 +26,21 @@ import (
 
 // NewReplica builds a read-only authorization server from a shipped
 // record history (a wal.Log History, or a replication snapshot frame).
-// The first record must be an anchors record — every history starts with
-// the genesis anchors, and a server cannot exist without trust anchors —
-// and the rest is replayed with ReplayExact, so the replica lands on the
-// writer's recorded epoch, watermark and belief set. The clock starts at
-// zero and advances to each record's timestamp during replay; objects
-// arrive separately (they are not belief state), via acl.Store.Import on
-// the provided store.
+// The history must be a state prefix (wal.StateStart): audit records,
+// then the anchors record its state starts at — the genesis, or where a
+// compaction cut — and a server cannot exist without trust anchors. The
+// whole history is replayed with ReplayExact, so the leading audit
+// records land in the audit log and the replica lands on the writer's
+// recorded epoch, watermark and belief set. The clock starts at zero and
+// advances to each record's timestamp during replay; objects arrive
+// separately (they are not belief state), via acl.Store.Import on the
+// provided store.
 func NewReplica(name string, clk *clock.Clock, objects *acl.Store, log *audit.Log, recs []wal.Record) (*Server, ReplayReport, error) {
-	if len(recs) == 0 {
-		return nil, ReplayReport{}, errors.New("authz: replica history is empty")
+	start, err := wal.StateStart(recs)
+	if err != nil {
+		return nil, ReplayReport{}, fmt.Errorf("authz: replica history: %w", err)
 	}
-	if recs[0].Type != wal.TypeAnchors {
-		return nil, ReplayReport{}, fmt.Errorf("authz: replica history starts with %s, want %s (genesis anchors)", recs[0].Type, wal.TypeAnchors)
-	}
-	anchors, _, err := decodeAnchors(recs[0].Body)
+	anchors, _, _, err := decodeAnchors(recs[start].Body)
 	if err != nil {
 		return nil, ReplayReport{}, err
 	}

@@ -48,6 +48,7 @@
 package authz
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -78,18 +79,21 @@ type state struct {
 	// belief set (residual.go), keyed by requesting group. They are
 	// invalidated by construction: the next publish starts an empty memo.
 	residues *residueMemo
-	// keyRevs are the identity revocations the belief set holds, in the
-	// order accepted. A re-anchoring keeps those whose CA is still
-	// anchored under the key that signed them (applyReanchor), so the
-	// certificates are kept to verify, install and journal again. Shared
-	// between snapshots: append only to a clipped copy.
-	keyRevs []pki.Signed[pki.IdentityRevocation]
+	// held are the belief certificates the belief set holds — one record
+	// per accepted group link, graph link, delegation, membership or
+	// identity revocation, as journaled (Seq 0 without a journal) — in
+	// the order accepted. A re-anchoring carries those the new anchors still
+	// verify (applyReanchor), so the certificates are kept to verify,
+	// install and journal again. Mutations are serialized and each one
+	// extends the newest snapshot's list, so a mutation appends in place:
+	// an older snapshot reads only the prefix it was published with.
+	held []wal.Record
 }
 
 // newState is the one place a snapshot is built: eng must be sealed, cache
 // is the key epoch's (a fresh one exactly when anchors changed), and the
 // residue memo starts empty.
-func newState(anchors TrustAnchors, eng *logic.Engine, epoch, watermark uint64, cache *certCache, keyRevs []pki.Signed[pki.IdentityRevocation]) *state {
+func newState(anchors TrustAnchors, eng *logic.Engine, epoch, watermark uint64, cache *certCache, held []wal.Record) *state {
 	return &state{
 		anchors:   anchors,
 		eng:       eng,
@@ -97,14 +101,15 @@ func newState(anchors TrustAnchors, eng *logic.Engine, epoch, watermark uint64, 
 		watermark: watermark,
 		cache:     cache,
 		residues:  newResidueMemo(eng),
-		keyRevs:   keyRevs,
+		held:      held,
 	}
 }
 
 // Snapshot is a read-only view of the server's current belief state,
 // exposed for tests and the proof-trace tooling. Epoch and Watermark
-// version the belief set: Epoch increments on re-anchoring (rekey),
-// Watermark on every processed revocation or group link.
+// version the belief set: Epoch increments on re-anchoring (a join or
+// leave), Watermark on every processed revocation or group link and on
+// every belief a re-anchoring carries.
 type Snapshot struct {
 	Epoch     uint64
 	Watermark uint64
@@ -239,17 +244,19 @@ func (s *Server) expiredHit(st *state, fp string, e cachedCert, now clock.Time) 
 // On error the fork is discarded and the published state is untouched.
 // Mutators are serialized by s.mu; Authorize never takes it.
 //
-// fn may return a WAL record describing the mutation; when a journal is
-// attached the record is written — and fsynced — before the snapshot is
-// published, so an acknowledged mutation is always on stable storage
-// (write-ahead). A journal failure aborts the mutation.
+// fn returns the WAL record of the belief certificate it installed,
+// which the new snapshot holds (state.held). On the live path (journal
+// true) and with a journal attached, the record is written — and fsynced
+// — before the snapshot is published, so an acknowledged mutation is
+// always on stable storage (write-ahead); a journal failure aborts the
+// mutation. Replay passes journal false: its record is already durable.
 func (s *Server) mutate(fn func(cur *state, eng *logic.Engine) (*wal.Record, error)) error {
-	return s.mutateRevokingKey(nil, fn)
+	return s.mutateHolding(true, fn)
 }
 
-// mutateRevokingKey is mutate for an identity revocation, live or
-// replayed: on success rev joins the new snapshot's identity revocations.
-func (s *Server) mutateRevokingKey(rev *pki.Signed[pki.IdentityRevocation], fn func(cur *state, eng *logic.Engine) (*wal.Record, error)) error {
+// mutateHolding is mutate, journaling fn's record only when journal is
+// set.
+func (s *Server) mutateHolding(journal bool, fn func(cur *state, eng *logic.Engine) (*wal.Record, error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.state.Load()
@@ -258,19 +265,15 @@ func (s *Server) mutateRevokingKey(rev *pki.Signed[pki.IdentityRevocation], fn f
 	if err != nil {
 		return err
 	}
-	if rec != nil {
-		if j := s.journalRef(); j != nil {
-			if _, err := j.Append(*rec, true); err != nil {
-				return fmt.Errorf("authz: journal mutation: %w", err)
-			}
+	seq := rec.Seq
+	if j := s.journalRef(); journal && j != nil {
+		if seq, err = j.Append(*rec, true); err != nil {
+			return fmt.Errorf("authz: journal mutation: %w", err)
 		}
 	}
-	keyRevs := cur.keyRevs
-	if rev != nil {
-		keyRevs = append(slices.Clip(keyRevs), *rev)
-	}
 	eng.Seal()
-	s.publish(newState(cur.anchors, eng, cur.epoch, cur.watermark+1, cur.cache, keyRevs), cur)
+	held := append(cur.held, wal.Record{Seq: seq, Type: rec.Type, At: rec.At, Body: rec.Body})
+	s.publish(newState(cur.anchors, eng, cur.epoch, cur.watermark+1, cur.cache, held), cur)
 	return nil
 }
 
@@ -286,90 +289,170 @@ func (s *Server) publish(next, prev *state) {
 	}
 }
 
-// applyReanchor replaces the server's trust anchors — the re-anchoring a
-// coalition rekey (Join/Leave) requires — and starts a new key epoch. The
-// belief set is rebuilt from the new anchors and the new epoch starts an
-// empty certificate cache: nothing verified under the old anchors
-// survives, except, on a live re-anchoring, the identity revocations the
-// new anchors carry (TrustAnchors.carries). A rekey changes the AA's key,
-// not the CAs', so a user whose key a CA revoked would otherwise pass
-// again on the identity certificate that CA's key still verifies; the
-// carried revocations are installed into the one snapshot published, so
-// no reader sees the epoch without them. A live re-anchoring (recorded ==
-// nil) takes the next epoch and, with a journal attached, records the new
-// anchors and then each carried revocation (fsynced) before the epoch is
-// published, so a log compacted at the anchors record keeps them; its
-// watermark counts the carried revocations, as a replay of those records
-// does. A journal failure leaves the old epoch in place. A replayed
-// anchors record passes its recorded epoch, carries nothing and journals
-// nothing: the record is already durable, and the revocations the writer
-// carried follow it in the log.
-func (s *Server) applyReanchor(anchors TrustAnchors, recorded *uint64) error {
+// applyReanchor replaces the server's trust anchors with m.Anchors — the
+// re-anchoring a coalition membership change requires — and starts a new
+// key epoch with an empty certificate cache. The belief set is rebuilt
+// from the new anchors and from every held belief certificate the
+// re-anchoring carries (TrustAnchors.carries): when a cooperative join or
+// leave keeps the AA key, its group links, graph links, delegations and
+// revocations all carry, so nothing granted is lost and nothing revoked
+// comes back; after a re-key, what the old AA key signed no longer
+// verifies and drops. A link or delegation past its validity and a
+// delegation to a user of m.Departed drop too. The carried beliefs are
+// installed into the one snapshot published, so no reader sees the epoch
+// without them, and the anchors record holds them: a live re-anchoring
+// (carried == nil) takes the next epoch, checks what it carries, and with
+// a journal attached records the anchors and the carried certificates as
+// one record (fsynced) before the epoch is published; a log compacted at
+// that record keeps them, and WAL replay, NewReplica and ApplyReplicated
+// pass its recorded epoch and carried list here, which are installed
+// without a second check and journal nothing. A journal failure leaves
+// the old epoch in place. The epoch's watermark counts the carried
+// certificates.
+func (s *Server) applyReanchor(m Reanchor, recorded *uint64, carried []wal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.state.Load()
-	var kept []pki.Signed[pki.IdentityRevocation]
-	if recorded == nil {
-		for _, rev := range cur.keyRevs {
-			if anchors.carries(rev) {
-				kept = append(kept, rev)
+	live := recorded == nil
+	now := s.clk.Now()
+	if live {
+		for _, rec := range cur.held {
+			if m.Anchors.carries(rec, now, m.Departed) {
+				carried = append(carried, rec)
 			}
 		}
 	}
-	eng := freshEngine(s.name, s.clk, anchors)
-	if len(kept) > 0 {
+	eng := freshEngine(s.name, s.clk, m.Anchors)
+	var kept []wal.Record
+	if len(carried) > 0 {
 		eng = eng.Fork()
-		now := s.clk.Now()
-		for _, rev := range kept {
-			if _, _, err := eng.Install(certBody(pki.IdealizeIdentityRevocation(rev)), nil, now); err != nil {
+		for _, rec := range carried {
+			// A chain link whose delegator's chain did not carry has
+			// nothing to compose with: it is not carried either.
+			if err := installRecord(eng, rec); err != nil {
+				if live {
+					continue
+				}
 				return err
 			}
+			kept = append(kept, rec)
 		}
 		eng.Seal()
 	}
 	epoch := cur.epoch + 1
-	if recorded != nil {
+	if !live {
 		epoch = *recorded
 	} else if j := s.journalRef(); j != nil {
-		rec, err := anchorsRecord(anchors, epoch, s.clk.Now())
+		rec, err := anchorsRecord(m.Anchors, epoch, now, kept)
 		if err != nil {
 			return err
 		}
-		recs := []wal.Record{rec}
-		for _, rev := range kept {
-			rec, err := certRecord(wal.TypeIdentityRevocation, rev, s.clk.Now())
-			if err != nil {
-				return err
-			}
-			recs = append(recs, *rec)
-		}
-		for i, rec := range recs {
-			if _, err := j.Append(rec, i == len(recs)-1); err != nil {
-				return fmt.Errorf("authz: journal re-anchoring: %w", err)
-			}
+		if _, err := j.Append(rec, true); err != nil {
+			return fmt.Errorf("authz: journal re-anchoring: %w", err)
 		}
 	}
-	s.publish(newState(anchors, eng, epoch, uint64(len(kept)), newCertCache(), kept), cur)
+	s.publish(newState(m.Anchors, eng, epoch, uint64(len(kept)), newCertCache(), kept), cur)
 	return nil
 }
 
-// carries reports whether a re-anchoring to a keeps the identity
-// revocation rev: its signature verifies under a's key for its CA, and
-// the key it revokes is not one of a's own. An anchor key is a trust
-// root, asserted again by the anchors that name it: a CA that withdrew its
-// own key is trusted again from the next re-anchoring that names it.
-func (a TrustAnchors) carries(rev pki.Signed[pki.IdentityRevocation]) bool {
-	key, ok := a.CAKeys[rev.Cert.Issuer]
-	if !ok || pki.VerifyIdentityRevocation(rev, key) != nil {
-		return false
+// CheckReanchor reports whether the server could record a re-anchoring
+// now. With a journal attached, the anchors record carries the held
+// belief certificates and a record is bounded (wal.MaxRecordBytes). The
+// current anchors' encoding, room for one more domain's key, and every
+// held certificate with its envelope bound the record from above. A
+// coalition change checks this before its commit, which cannot be
+// undone, so a change the server could not follow is refused while
+// nothing has changed yet.
+func (s *Server) CheckReanchor() error {
+	if s.journalRef() == nil {
+		return nil
 	}
-	if rev.Cert.KeyID == a.AAKey.KeyID() || a.RAName != "" && rev.Cert.KeyID == a.RAKey.KeyID() {
-		return false
+	cur := s.state.Load()
+	rec, err := anchorsRecord(cur.anchors, cur.epoch, 0, nil)
+	if err != nil {
+		return err
 	}
-	for _, k := range a.CAKeys {
-		if rev.Cert.KeyID == k.KeyID() {
+	size := len(rec.Body) + joinAllowance + len(cur.held)*heldRecordAllowance
+	for _, r := range cur.held {
+		size += len(r.Body)
+	}
+	if size > wal.MaxRecordBytes {
+		return fmt.Errorf("%w: %d held beliefs may take %d bytes, a record holds %d", errCarryTooLarge, len(cur.held), size, wal.MaxRecordBytes)
+	}
+	return nil
+}
+
+// errCarryTooLarge refuses a re-anchoring whose anchors record could
+// exceed the journal's record bound (CheckReanchor).
+var errCarryTooLarge = errors.New("authz: too many beliefs to carry in one anchors record")
+
+// joinAllowance bounds what a join adds to an anchors record (a domain
+// name and its CA's key), and heldRecordAllowance the envelope of one
+// carried record (seq, type, time).
+const (
+	joinAllowance       = 8 << 10
+	heldRecordAllowance = 128
+)
+
+// carries reports whether a re-anchoring to a at now carries the held
+// belief certificate rec: it is signed by an authority a anchors, and its
+// signature verifies under that authority's key in a — at rec.At, the
+// time it was accepted, for a certificate with a validity interval. A
+// link or delegation whose validity ended before now can affect no
+// decision again (the clock only advances), and a delegation to one of
+// departed — a user of a domain that left — is withdrawn with its
+// domain, so neither is carried; a chain link that extended such a
+// delegation then has nothing to compose with (applyReanchor). An
+// identity revocation additionally must not revoke a key of a's own: an
+// anchor key is a trust root, asserted again by the anchors that name
+// it, so a CA that withdrew its own key is trusted again from the next
+// re-anchoring that names it. A revocation names no end of what it
+// revokes and always carries. A certificate that does not decode is not
+// carried.
+func (a TrustAnchors) carries(rec wal.Record, now clock.Time, departed []pki.BoundSubject) bool {
+	switch rec.Type {
+	case wal.TypeIdentityRevocation:
+		rev, err := pki.Unmarshal[pki.IdentityRevocation](rec.Body)
+		if err != nil {
 			return false
 		}
+		key, ok := a.CAKeys[rev.Cert.Issuer]
+		if !ok || pki.VerifyIdentityRevocation(rev, key) != nil {
+			return false
+		}
+		if rev.Cert.KeyID == a.AAKey.KeyID() || a.RAName != "" && rev.Cert.KeyID == a.RAKey.KeyID() {
+			return false
+		}
+		for _, k := range a.CAKeys {
+			if rev.Cert.KeyID == k.KeyID() {
+				return false
+			}
+		}
+		return true
+	case wal.TypeRevocation:
+		rev, err := pki.Unmarshal[pki.Revocation](rec.Body)
+		if err != nil {
+			return false
+		}
+		switch rev.Cert.Issuer {
+		case a.RAName:
+			return a.RAName != "" && pki.VerifyRevocation(rev, a.RAKey) == nil
+		case a.AAName:
+			return pki.VerifyRevocation(rev, a.AAKey) == nil
+		}
+		return false
+	case wal.TypeGroupLink:
+		link, err := pki.Unmarshal[pki.GroupLink](rec.Body)
+		return err == nil && link.Cert.Issuer == a.AAName && now <= link.Cert.NotAfter &&
+			pki.VerifyGroupLink(link, a.AAKey, rec.At) == nil
+	case wal.TypeDelegation:
+		d, err := pki.Unmarshal[pki.Delegation](rec.Body)
+		return err == nil && d.Cert.Issuer == a.AAName && now <= d.Cert.NotAfter &&
+			!slices.Contains(departed, d.Cert.Subject) && pki.VerifyDelegation(d, a.AAKey, rec.At) == nil
+	case wal.TypeGroupGraphLink:
+		edge, err := pki.Unmarshal[pki.GroupGraphLink](rec.Body)
+		return err == nil && edge.Cert.Issuer == a.AAName && now <= edge.Cert.NotAfter &&
+			pki.VerifyGroupGraphLink(edge, a.AAKey, rec.At) == nil
 	}
-	return true
+	return false
 }

@@ -2,11 +2,16 @@
 // Sections 1–2 and the coalition-dynamics cost model of Section 6: domains
 // form an alliance, establish the joint coalition AA (shared key, no
 // outside trusted party), enroll users, and issue threshold attribute
-// certificates. Joins and leaves "would require establishing a new, shared
-// public-key and consequently would require large-scale revocation and
-// re-distribution of certificates" — Join and Leave implement exactly
-// that and report its cost (experiment E7), in two phases: the keys are
-// generated first, without the coalition's lock (PrepareJoin,
+// certificates. The paper's Section 6 says joins and leaves "would
+// require establishing a new, shared public-key and consequently would
+// require large-scale revocation and re-distribution of certificates".
+// That holds only for a change some domain does not cooperate in: when
+// every domain holding a share is up, Join and Leave redistribute the
+// AA's shares among the new membership under the unchanged key, and only
+// the certificates that named a departing domain's users are revoked and
+// re-issued (experiment E13). Otherwise they re-key as the paper says
+// (experiment E7). Either runs in two phases: the shares or keys are
+// prepared first, without the coalition's lock (PrepareJoin,
 // PrepareLeave), and Commit then puts the change into effect.
 package coalition
 
@@ -26,17 +31,17 @@ import (
 
 // Sentinel errors.
 var (
-	// ErrUnknownDomain indicates an operation naming a non-member domain.
-	ErrUnknownDomain = errors.New("coalition: unknown domain")
-	// ErrDuplicateDomain indicates a join by an existing member.
-	ErrDuplicateDomain = errors.New("coalition: domain already a member")
-	// ErrLastDomains indicates a leave that would destroy the coalition.
-	ErrLastDomains = errors.New("coalition: cannot shrink below two domains")
-	// ErrUnknownUser indicates an unknown coalition user.
-	ErrUnknownUser = errors.New("coalition: unknown user")
-	// ErrRekeyCommitted indicates a second Commit of one prepared join or
+	// errUnknownDomain indicates an operation naming a non-member domain.
+	errUnknownDomain = errors.New("coalition: unknown domain")
+	// errDuplicateDomain indicates a join by an existing member.
+	errDuplicateDomain = errors.New("coalition: domain already a member")
+	// errLastDomains indicates a leave that would destroy the coalition.
+	errLastDomains = errors.New("coalition: cannot shrink below two domains")
+	// errUnknownUser indicates an unknown coalition user.
+	errUnknownUser = errors.New("coalition: unknown user")
+	// errRekeyCommitted indicates a second Commit of one prepared join or
 	// leave.
-	ErrRekeyCommitted = errors.New("coalition: rekey already committed")
+	errRekeyCommitted = errors.New("coalition: rekey already committed")
 )
 
 // Config sizes the coalition's cryptography.
@@ -57,23 +62,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Member is one autonomous domain: its identity CA, its enrolled users'
+// member is one autonomous domain: its identity CA, its enrolled users'
 // keys and the identity certificate the CA holds for each of them.
-type Member struct {
+type member struct {
 	Name  string
 	CA    *authority.DomainCA
 	users map[string]*pki.KeyPair
 	ids   map[string]pki.Signed[pki.Identity]
 }
 
-func newMember(name string, ca *authority.DomainCA) *Member {
-	return &Member{Name: name, CA: ca, users: make(map[string]*pki.KeyPair),
+func newMember(name string, ca *authority.DomainCA) *member {
+	return &member{Name: name, CA: ca, users: make(map[string]*pki.KeyPair),
 		ids: make(map[string]pki.Signed[pki.Identity])}
 }
 
 // issue has the CA certify user's registered key over validity and holds
 // the certificate for later requests; a failed issuance leaves none held.
-func (m *Member) issue(user string, validity clock.Interval) (pki.Signed[pki.Identity], error) {
+func (m *member) issue(user string, validity clock.Interval) (pki.Signed[pki.Identity], error) {
 	idc, err := m.CA.IssueIdentity(user, validity)
 	if err != nil {
 		delete(m.ids, user)
@@ -84,7 +89,7 @@ func (m *Member) issue(user string, validity clock.Interval) (pki.Signed[pki.Ide
 }
 
 // certRecord tracks a live threshold certificate so it can be revoked and
-// re-issued across re-keying events.
+// re-issued across membership changes.
 type certRecord struct {
 	group    string
 	m        int
@@ -93,8 +98,11 @@ type certRecord struct {
 	cert     pki.Signed[pki.ThresholdAttribute]
 }
 
-// RekeyReport is the cost of one coalition-dynamics event (E7).
+// RekeyReport is the cost of one coalition-dynamics event (E7, E13).
 type RekeyReport struct {
+	// Redistributed says which path ran: true when the AA's shares were
+	// redistributed under the unchanged key, false when it re-keyed.
+	Redistributed  bool
 	Epoch          int
 	Domains        int
 	CertsRevoked   int
@@ -110,7 +118,7 @@ type Coalition struct {
 	cfg  Config
 
 	mu        sync.Mutex
-	members   []*Member
+	members   []*member
 	est       *authority.EstablishResult
 	ra        *authority.RevocationAuthority
 	epoch     int
@@ -171,7 +179,9 @@ func (c *Coalition) establish(names []string) (*authority.EstablishResult, error
 	return authority.EstablishWithDealer("AA_"+c.name, names, c.cfg.KeyBits, c.clk)
 }
 
-// Epoch returns the key epoch (increments on every re-key).
+// Epoch returns the membership epoch: it advances by one on every join
+// and every leave, whether the change redistributed the AA's shares or
+// re-keyed the AA.
 func (c *Coalition) Epoch() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -199,7 +209,7 @@ func (c *Coalition) Domains() []string {
 	return out
 }
 
-func (c *Coalition) member(domain string) (*Member, bool) {
+func (c *Coalition) member(domain string) (*member, bool) {
 	for _, m := range c.members {
 		if m.Name == domain {
 			return m, true
@@ -217,7 +227,7 @@ func (c *Coalition) AddUser(domain, user string, validity clock.Interval) (pki.S
 	defer c.mu.Unlock()
 	m, ok := c.member(domain)
 	if !ok {
-		return pki.Signed[pki.Identity]{}, fmt.Errorf("%s: %w", domain, ErrUnknownDomain)
+		return pki.Signed[pki.Identity]{}, fmt.Errorf("%s: %w", domain, errUnknownDomain)
 	}
 	kp, err := pki.GenerateKeyPair(c.cfg.KeyBits, nil)
 	if err != nil {
@@ -238,7 +248,7 @@ func (c *Coalition) UserKey(user string) (*pki.KeyPair, error) {
 			return kp, nil
 		}
 	}
-	return nil, fmt.Errorf("%s: %w", user, ErrUnknownUser)
+	return nil, fmt.Errorf("%s: %w", user, errUnknownUser)
 }
 
 // IdentityOf returns the identity certificate the user's domain holds
@@ -262,7 +272,7 @@ func (c *Coalition) IdentityOf(user string, validity clock.Interval) (pki.Signed
 			return m.issue(user, validity)
 		}
 	}
-	return pki.Signed[pki.Identity]{}, fmt.Errorf("%s: %w", user, ErrUnknownUser)
+	return pki.Signed[pki.Identity]{}, fmt.Errorf("%s: %w", user, errUnknownUser)
 }
 
 // RevokeUserIdentity asks the user's domain CA to revoke its key binding
@@ -277,7 +287,7 @@ func (c *Coalition) RevokeUserIdentity(user string) (pki.Signed[pki.IdentityRevo
 			return m.CA.RevokeIdentity(user, c.clk.Now())
 		}
 	}
-	return pki.Signed[pki.IdentityRevocation]{}, fmt.Errorf("%s: %w", user, ErrUnknownUser)
+	return pki.Signed[pki.IdentityRevocation]{}, fmt.Errorf("%s: %w", user, errUnknownUser)
 }
 
 // subjectsFor resolves user names to bound subjects.
@@ -292,7 +302,7 @@ func (c *Coalition) subjectsFor(users []string) ([]pki.BoundSubject, error) {
 			}
 		}
 		if kp == nil {
-			return nil, fmt.Errorf("%s: %w", u, ErrUnknownUser)
+			return nil, fmt.Errorf("%s: %w", u, errUnknownUser)
 		}
 		out = append(out, pki.BoundSubject{Name: u, KeyID: kp.KeyID()})
 	}
@@ -380,7 +390,7 @@ func (c *Coalition) Anchors(freshness int64) authz.TrustAnchors {
 	return a
 }
 
-// Rekey is a join or leave whose keys are generated but not yet in
+// Rekey is a join or leave whose AA sharing is prepared but not yet in
 // effect: PrepareJoin and PrepareLeave make it without holding the
 // coalition's lock, and Commit puts it into effect once. An uncommitted
 // Rekey changes nothing.
@@ -391,14 +401,18 @@ type Rekey struct {
 	// names is the membership est's key is shared among: the membership
 	// the change produces from the one prepare saw.
 	names []string
-	// est is the prepared AA key; nil once committed, so no key is
+	// from is the AA a redistribution dealt est's shares from; nil when
+	// est is a new key.
+	from *authority.CoalitionAA
+	// est is the prepared AA; nil once committed, so no sharing is
 	// installed twice.
 	est *authority.EstablishResult
 }
 
-// Join admits a new domain: the AA must be re-keyed (a new shared public
-// key among n+1 domains) and every outstanding threshold certificate is
-// revoked and re-issued under the new key.
+// Join admits a new domain. When every member is up, the members deal
+// the newcomer a share of the unchanged AA key and nothing is re-issued;
+// otherwise the AA re-keys among n+1 domains and every outstanding
+// certificate is revoked and re-issued under the new key.
 func (c *Coalition) Join(domain string) (RekeyReport, error) {
 	r, err := c.PrepareJoin(domain)
 	if err != nil {
@@ -407,9 +421,12 @@ func (c *Coalition) Join(domain string) (RekeyReport, error) {
 	return c.Commit(r)
 }
 
-// Leave removes a member domain. Its users are dropped from every
-// certificate's subject list (thresholds are clamped to the remaining
-// subject count); then the AA re-keys.
+// Leave removes a member domain and its CA. Its users are dropped from
+// every certificate's subject list (thresholds are clamped to the
+// remaining subject count). When every member, the departing one
+// included, is up, the departing domain deals its share to the members
+// that stay, and only the certificates that named its users are revoked
+// and re-issued; otherwise the AA re-keys and every certificate is.
 func (c *Coalition) Leave(domain string) (RekeyReport, error) {
 	r, err := c.PrepareLeave(domain)
 	if err != nil {
@@ -418,27 +435,27 @@ func (c *Coalition) Leave(domain string) (RekeyReport, error) {
 	return c.Commit(r)
 }
 
-// PrepareJoin generates the keys a join of domain needs — its CA key and
-// the AA key shared among the current members and domain, the two drawn
-// concurrently — holding the coalition's lock only to read the
-// membership. A failure of either key changes nothing.
+// PrepareJoin prepares what a join of domain needs — its CA key, drawn
+// beside the AA sharing among the current members and domain (reshare)
+// — holding the coalition's lock only to read the membership. A failure
+// of either changes nothing.
 func (c *Coalition) PrepareJoin(domain string) (*Rekey, error) { return c.prepare(true, domain) }
 
-// PrepareLeave generates the AA key shared among the members that stay
-// when domain leaves, holding the coalition's lock only to read the
+// PrepareLeave prepares the AA sharing among the members that stay when
+// domain leaves (reshare), holding the coalition's lock only to read the
 // membership.
 func (c *Coalition) PrepareLeave(domain string) (*Rekey, error) { return c.prepare(false, domain) }
 
 func (c *Coalition) prepare(join bool, domain string) (*Rekey, error) {
 	c.mu.Lock()
 	names, err := c.namesAfter(join, domain)
+	aa := c.est.AA
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	r := &Rekey{join: join, domain: domain, names: names}
-	// A join's two keys are independent draws: the newcomer's CA key is
-	// generated beside the AA key.
+	// The newcomer's CA key is drawn beside the AA sharing.
 	var caErr error
 	var wg sync.WaitGroup
 	if join {
@@ -448,7 +465,11 @@ func (c *Coalition) prepare(join bool, domain string) (*Rekey, error) {
 			r.ca, caErr = authority.NewDomainCA("CA_"+domain, c.cfg.KeyBits, c.clk)
 		}()
 	}
-	r.est, err = c.establish(names)
+	est, redistributed, err := c.reshare(aa, names)
+	if redistributed {
+		r.from = aa
+	}
+	r.est = est
 	wg.Wait()
 	if caErr != nil {
 		return nil, caErr
@@ -459,6 +480,20 @@ func (c *Coalition) prepare(join bool, domain string) (*Rekey, error) {
 	return r, nil
 }
 
+// reshare prepares the AA among names: aa's shares redistributed under
+// the unchanged key when every domain of aa can deal
+// (CoalitionAA.Redistribute, whose trial joint signature under the
+// unchanged key the new shares have passed), otherwise a new key
+// (establish). redistributed says which.
+func (c *Coalition) reshare(aa *authority.CoalitionAA, names []string) (est *authority.EstablishResult, redistributed bool, err error) {
+	est, err = aa.Redistribute(names)
+	if errors.Is(err, authority.ErrNotRedistributable) {
+		est, err = c.establish(names)
+		return est, false, err
+	}
+	return est, err == nil, err
+}
+
 // namesAfter checks a join or leave of domain against the current
 // membership and returns the membership it produces. Caller holds the
 // lock.
@@ -466,11 +501,11 @@ func (c *Coalition) namesAfter(join bool, domain string) ([]string, error) {
 	_, member := c.member(domain)
 	switch {
 	case join && member:
-		return nil, fmt.Errorf("%s: %w", domain, ErrDuplicateDomain)
+		return nil, fmt.Errorf("%s: %w", domain, errDuplicateDomain)
 	case !join && !member:
-		return nil, fmt.Errorf("%s: %w", domain, ErrUnknownDomain)
+		return nil, fmt.Errorf("%s: %w", domain, errUnknownDomain)
 	case !join && len(c.members) <= 2:
-		return nil, ErrLastDomains
+		return nil, errLastDomains
 	}
 	var names []string
 	for _, m := range c.members {
@@ -485,85 +520,73 @@ func (c *Coalition) namesAfter(join bool, domain string) ([]string, error) {
 }
 
 // Commit puts a prepared join or leave into effect: it re-checks the
-// change against the current membership, changes the membership, revokes
-// every outstanding certificate, installs the new AA key and re-issues
-// the certificates under it (the mass revocation and re-distribution of
-// Section 6). Commit is the change's linearization point. When another
-// change committed since r was prepared, r's key is shared among the
-// wrong membership, and Commit generates one for the current membership
-// under the lock instead. A failed keygen changes nothing. A Rekey
-// commits once: a second Commit fails with ErrRekeyCommitted.
+// change against the current membership, changes the membership,
+// installs the prepared AA and revokes and re-issues what the change
+// requires (install). Commit is the change's linearization point. When
+// another change committed since r was prepared, r's sharing is of the
+// wrong membership or dealt from shares no longer held, and Commit
+// prepares one for the current membership under the lock instead. A
+// failed preparation changes nothing. A Rekey commits once: a second
+// Commit fails with errRekeyCommitted.
 func (c *Coalition) Commit(r *Rekey) (RekeyReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if r.est == nil {
-		return RekeyReport{}, ErrRekeyCommitted
+		return RekeyReport{}, errRekeyCommitted
 	}
 	names, err := c.namesAfter(r.join, r.domain)
 	if err != nil {
 		return RekeyReport{}, err
 	}
-	est := r.est
-	if !slices.Equal(names, r.names) {
-		if est, err = c.establish(names); err != nil {
+	est, redistributed := r.est, r.from != nil
+	if !slices.Equal(names, r.names) || redistributed && r.from != c.est.AA {
+		if est, redistributed, err = c.reshare(c.est.AA, names); err != nil {
 			return RekeyReport{}, fmt.Errorf("coalition: rekey: %w", err)
 		}
 	}
+	var departed map[string]*pki.KeyPair
 	if r.join {
 		c.members = append(c.members, newMember(r.domain, r.ca))
 	} else {
-		c.leave(r.domain)
+		m, _ := c.member(r.domain)
+		departed = m.users
+		c.members = slices.DeleteFunc(c.members, func(mm *member) bool { return mm == m })
 	}
 	r.est, r.ca = nil, nil
-	return c.rekey(est)
+	return c.install(est, redistributed, departed)
 }
 
-// leave drops domain from the membership and its users from every
-// certificate's subject list, clamping thresholds to the subjects kept.
-// Caller holds the lock.
-func (c *Coalition) leave(domain string) {
-	m, _ := c.member(domain)
-	for _, rec := range c.certs {
-		var kept []string
-		for _, u := range rec.users {
-			if _, departing := m.users[u]; !departing {
-				kept = append(kept, u)
-			}
-		}
-		rec.users = kept
-		if rec.m > len(kept) {
-			rec.m = len(kept)
-		}
-	}
-	c.members = slices.DeleteFunc(c.members, func(mm *Member) bool { return mm == m })
-}
-
-// rekey installs est, the new shared key among the current members, and
-// performs the mass revocation and re-distribution of Section 6. Caller
-// holds the lock.
-func (c *Coalition) rekey(est *authority.EstablishResult) (RekeyReport, error) {
-	report := RekeyReport{Domains: len(c.members)}
-
-	// 1. Revoke every outstanding certificate under the old authority.
-	for _, rec := range c.certs {
-		if _, err := c.ra.Revoke(rec.cert, c.clk.Now()); err != nil {
-			return report, fmt.Errorf("coalition: revoke %s: %w", rec.group, err)
-		}
-		report.CertsRevoked++
-	}
-
-	// 2. Install the new shared key.
+// install puts est, the AA shared among the current members, into
+// effect and advances the epoch. departed holds the users of a domain
+// that left (nil for a join): they are dropped from every certificate's
+// subject list, clamping thresholds to the subjects kept. A new key (a
+// re-key) is the mass revocation and re-distribution of Section 6:
+// every outstanding certificate is revoked and re-issued under it. Under
+// the unchanged key (redistributed) a certificate stays valid to its
+// end, and only those that named a departed user are revoked and
+// re-issued without them. A certificate left with no subject is revoked
+// and dropped. Caller holds the lock.
+func (c *Coalition) install(est *authority.EstablishResult, redistributed bool, departed map[string]*pki.KeyPair) (RekeyReport, error) {
+	report := RekeyReport{Redistributed: redistributed, Domains: len(c.members)}
 	c.est = est
 	if est.Keygen != nil {
 		report.KeygenAttempts = est.Keygen.Attempts
 	}
 	c.epoch++
 	report.Epoch = c.epoch
+	gone := func(u string) bool { _, ok := departed[u]; return ok }
 
-	// 3. Re-issue every certificate under the new key (dropping groups
-	// whose subject lists emptied).
 	for g, rec := range c.certs {
-		if len(rec.users) == 0 {
+		kept := slices.DeleteFunc(slices.Clone(rec.users), gone)
+		if redistributed && len(kept) == len(rec.users) {
+			continue
+		}
+		if _, err := c.ra.Revoke(rec.cert, c.clk.Now()); err != nil {
+			return report, fmt.Errorf("coalition: revoke %s: %w", g, err)
+		}
+		report.CertsRevoked++
+		rec.users, rec.m = kept, min(rec.m, len(kept))
+		if len(kept) == 0 {
 			delete(c.certs, g)
 			continue
 		}
@@ -579,21 +602,16 @@ func (c *Coalition) rekey(est *authority.EstablishResult) (RekeyReport, error) {
 		report.CertsReissued++
 	}
 
-	// 4. Revoke and re-issue the selective (single-subject) certificates
-	// the same way.
+	// The selective (single-subject) certificates the same way.
 	for g, rec := range c.selective {
+		if redistributed && !gone(rec.user) {
+			continue
+		}
 		if _, err := c.ra.RevokeAttribute(rec.cert, c.clk.Now()); err != nil {
 			return report, fmt.Errorf("coalition: revoke selective %s: %w", g, err)
 		}
 		report.CertsRevoked++
-		stillMember := false
-		for _, m := range c.members {
-			if _, ok := m.users[rec.user]; ok {
-				stillMember = true
-				break
-			}
-		}
-		if !stillMember {
+		if gone(rec.user) {
 			delete(c.selective, g)
 			continue
 		}
@@ -609,7 +627,7 @@ func (c *Coalition) rekey(est *authority.EstablishResult) (RekeyReport, error) {
 		report.CertsReissued++
 	}
 
-	// 5. Count identity certificates that relying servers must refresh
+	// Count identity certificates that relying servers must refresh
 	// trust for (identity CAs persist, but servers re-anchor).
 	for _, m := range c.members {
 		report.IdentityCount += len(m.users)

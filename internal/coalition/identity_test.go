@@ -136,8 +136,8 @@ func TestIdentityOfAfterLeave(t *testing.T) {
 	if _, err := c.Leave("D3"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.IdentityOf(users[2], requestValidity(clk.Now())); !errors.Is(err, ErrUnknownUser) {
-		t.Errorf("IdentityOf(%s) after D3 left: %v, want ErrUnknownUser", users[2], err)
+	if _, err := c.IdentityOf(users[2], requestValidity(clk.Now())); !errors.Is(err, errUnknownUser) {
+		t.Errorf("IdentityOf(%s) after D3 left: %v, want errUnknownUser", users[2], err)
 	}
 	if _, err := c.IdentityOf(users[0], requestValidity(clk.Now())); err != nil {
 		t.Errorf("IdentityOf(%s) after D3 left: %v", users[0], err)

@@ -159,9 +159,10 @@ const (
 	// before any decision.
 	metricRequestSignSeconds = "daemon_request_sign_seconds"
 	// metricRekeySeconds times the two phases of a join or leave, labeled
-	// phase=keygen (generating the joining domain's CA key and the new
-	// shared AA key) or phase=cutover (commit, re-anchor and compaction).
-	// Requests are held for both.
+	// phase=keygen (the prepare: the joining domain's CA key, and the AA's
+	// shares redistributed under its unchanged key — or, when a domain is
+	// down, a new shared AA key) or phase=cutover (commit, re-anchor and
+	// compaction). Requests are held for both.
 	metricRekeySeconds = "daemon_rekey_seconds"
 	// metricInflight gauges commands currently being handled.
 	metricInflight = "daemon_inflight"
@@ -350,7 +351,8 @@ func (d *Daemon) Close() error {
 
 // maybeCompact folds the log into the snapshot once it outgrows the
 // configured bound. Called after dynamics commands (the natural
-// compaction points: a rekey supersedes earlier belief mutations).
+// compaction points: a re-anchoring's record holds every belief it
+// carries, so it supersedes earlier belief mutations).
 func (d *Daemon) maybeCompact() {
 	if d.wal == nil || d.compactBytes <= 0 || d.wal.LogBytes() < d.compactBytes {
 		return
@@ -546,16 +548,22 @@ func (d *Daemon) handle(ctx context.Context, cmd Command) (Reply, string) {
 }
 
 // rekey runs a join or leave in its two phases, both under the dynamics
-// gate's write side: the keygen (PrepareJoin, PrepareLeave), then the
-// cut-over — commit, re-anchor, compaction. The change takes effect at
-// its commit. The gate covers the keygen too: with requests running
-// beside it, a stream of joins and leaves falls behind the requests
-// between them.
+// gate's write side: the prepare (PrepareJoin, PrepareLeave: a share
+// redistribution, or a keygen when a domain is down), then the cut-over
+// — commit, re-anchor, compaction. The change takes effect at its
+// commit. The gate covers the prepare too: with requests running beside
+// it, a stream of joins and leaves falls behind the requests between
+// them. The reply names the epoch and which path ran.
 func (d *Daemon) rekey(cmd Command) (Reply, string) {
 	a := d.alliance
 	prepare := a.PrepareJoin
 	if cmd.Cmd == "leave" {
 		prepare = a.PrepareLeave
+	}
+	// The commit cannot be undone, so a re-anchoring the server could
+	// not record refuses the change before anything is prepared.
+	if err := d.server.Authz().CheckReanchor(); err != nil {
+		return Reply{Detail: "re-anchor: " + err.Error()}, "wal"
 	}
 	start := time.Now()
 	r, err := prepare(cmd.Domain)
@@ -572,8 +580,12 @@ func (d *Daemon) rekey(cmd Command) (Reply, string) {
 		return Reply{Detail: "re-anchor: " + err.Error()}, "wal"
 	}
 	d.maybeCompact()
-	return Reply{OK: true, Detail: fmt.Sprintf("epoch %d: revoked %d, re-issued %d (server re-anchored)",
-		report.Epoch, report.CertsRevoked, report.CertsReissued)}, ""
+	path := "AA re-keyed"
+	if report.Redistributed {
+		path = "shares redistributed"
+	}
+	return Reply{OK: true, Detail: fmt.Sprintf("epoch %d: revoked %d, re-issued %d, %s (server re-anchored)",
+		report.Epoch, report.CertsRevoked, report.CertsReissued, path)}, ""
 }
 
 // mutate dispatches one belief mutation by verb. Verbs mirror the

@@ -134,8 +134,22 @@ func TestRevokedIdentityDeniedOnWriterAndFollower(t *testing.T) {
 	}
 }
 
-// TestPresignedRequestAcrossDynamics: a request signed before a join or a
-// leave carries the outgoing key epoch's group certificate, so after the
+// setDown marks domain's share holder in the writer's AA down: a join
+// or leave it must deal in cannot redistribute the shares, and re-keys.
+func setDown(t *testing.T, d *Daemon, domain string) {
+	t.Helper()
+	for _, da := range d.alliance.Coalition().AA().Domains() {
+		if da.Name == domain {
+			da.SetDown(true)
+			return
+		}
+	}
+	t.Fatalf("no share holder %s", domain)
+}
+
+// TestPresignedRequestAcrossDynamics: a request signed before a
+// re-keying join or leave (a member, or the departing domain, is down)
+// carries the outgoing key epoch's group certificate, so after the
 // re-key it is denied at step 2 on the writer and on a follower, while a
 // request signed after it is approved.
 func TestPresignedRequestAcrossDynamics(t *testing.T) {
@@ -144,6 +158,7 @@ func TestPresignedRequestAcrossDynamics(t *testing.T) {
 	d, f, _ := startWriterAndFollower(ctx, t)
 	for _, ev := range []Command{{Cmd: "join", Domain: "D4"}, {Cmd: "leave", Domain: "D4"}} {
 		oldAA := d.alliance.Coalition().AA().Public().KeyID()
+		setDown(t, d, map[string]string{"join": "D1", "leave": "D4"}[ev.Cmd])
 		pre := signedBy(ctx, t, d, "carol")
 		waitCaughtUp(ctx, t, d, f)
 		if w, fl := decide(ctx, t, d, f, pre); !w.Allowed || !fl.Allowed {
@@ -164,6 +179,31 @@ func TestPresignedRequestAcrossDynamics(t *testing.T) {
 		if w, fl := decide(ctx, t, d, f, post); !w.Allowed || !fl.Allowed || w.Group != "G_read" || fl.Group != "G_read" {
 			t.Errorf("signed after %s: writer %+v, follower %+v, want both approved via G_read", ev.Cmd, w, fl)
 		}
+	}
+}
+
+// TestPresignedRequestAcrossCooperativeDynamics is the redistribution
+// counterpart: a cooperative join or leave of a domain without users
+// keeps the AA key and the group certificates, so a request signed
+// before it is still approved after it, on the writer and on a follower.
+func TestPresignedRequestAcrossCooperativeDynamics(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	d, f, _ := startWriterAndFollower(ctx, t)
+	key := d.alliance.Coalition().AA().Public().KeyID()
+	for _, ev := range []Command{{Cmd: "join", Domain: "D4"}, {Cmd: "leave", Domain: "D4"}} {
+		pre := signedBy(ctx, t, d, "carol")
+		rep := d.Handle(ctx, ev)
+		if !rep.OK || !strings.Contains(rep.Detail, "redistributed") {
+			t.Fatalf("%s: %+v, want a redistribution", ev.Cmd, rep)
+		}
+		waitCaughtUp(ctx, t, d, f)
+		if w, fl := decide(ctx, t, d, f, pre); !w.Allowed || !fl.Allowed {
+			t.Errorf("signed before %s: writer %+v, follower %+v, want both approved", ev.Cmd, w, fl)
+		}
+	}
+	if got := d.alliance.Coalition().AA().Public().KeyID(); got != key {
+		t.Errorf("AA key %s after a cooperative join and leave, want %s", got, key)
 	}
 }
 
@@ -246,25 +286,23 @@ func TestRevokedIdentitySurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The compaction kept the audit records before the join's anchors,
-	// which hold no belief; a replica starts at the anchors.
-	anchors := -1
-	for i, r := range recs {
+	// which hold no belief; the compacted log is a state prefix, which a
+	// replica installs whole.
+	anchors := 0
+	for _, r := range recs {
 		if r.Type == wal.TypeAnchors {
-			if anchors >= 0 {
-				t.Fatal("the log holds two anchors records: it was not compacted at the join")
-			}
-			anchors = i
+			anchors++
 		}
 	}
-	if anchors < 0 {
-		t.Fatal("the log holds no anchors record")
+	if anchors != 1 {
+		t.Fatalf("the log holds %d anchors records: it was not compacted at the join", anchors)
 	}
 	clk := clock.New(0)
 	objects := acl.NewStore(clk)
 	if err := objects.Import(objs, "writer"); err != nil {
 		t.Fatal(err)
 	}
-	replica, _, err := authz.NewReplica("f1", clk, objects, nil, recs[anchors:])
+	replica, _, err := authz.NewReplica("f1", clk, objects, nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,9 +120,16 @@ func verify(msg []byte, pk PublicKey, sig Signature, buf *[]big.Word) error {
 // they are kept in share order, and when shares fail the error of the
 // lowest-index one is returned. It serves the coalition AA's consensus
 // signer once every domain has consented (authority.consensusSigner),
-// pki.NewJointSigner, keygen's trial signature and the experiments that
-// model stolen or colluding shares.
+// pki.NewJointSigner, the trial signatures of keygen and Redistribute,
+// and the experiments that model stolen or colluding shares.
 func SignJointly(msg []byte, pk PublicKey, shares []Share) (Signature, error) {
+	return signJointly(msg, pk, shares, len(shares))
+}
+
+// signJointly is SignJointly with the combiner's correction search
+// bounded by parties (Combine): Redistribute's trial signature searches
+// as far as the sharing it was dealt from needed.
+func signJointly(msg []byte, pk PublicKey, shares []Share, parties int) (Signature, error) {
 	partials := make([]PartialSignature, len(shares))
 	errs := make([]error, len(shares))
 	// Worker w computes the partials w, w+workers, w+2·workers, …
@@ -147,7 +154,7 @@ func SignJointly(msg []byte, pk PublicKey, shares []Share) (Signature, error) {
 			return Signature{}, err
 		}
 	}
-	sig, err := Combine(msg, pk, partials, len(shares))
+	sig, err := Combine(msg, pk, partials, parties)
 	if err != nil {
 		return Signature{}, fmt.Errorf("sharedrsa: joint signature: %w", err)
 	}

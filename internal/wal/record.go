@@ -28,9 +28,10 @@ type Type string
 // system already speaks: pki.Marshal for certificates, JSON for trust
 // anchors and audit entries.
 const (
-	// TypeAnchors records a (re-)anchoring: the server's trust anchors and
-	// the key epoch they establish. Every log begins with one (genesis),
-	// and every Join/Leave rekey appends another.
+	// TypeAnchors records a (re-)anchoring: the server's trust anchors,
+	// the epoch they establish and the beliefs it carries into it. Every
+	// log begins with one (genesis), and every join or leave appends
+	// another.
 	TypeAnchors Type = "anchors"
 	// TypeRevocation records a processed membership revocation
 	// (pki.Signed[pki.Revocation]).

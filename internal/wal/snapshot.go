@@ -166,13 +166,32 @@ func (l *Log) Compact(reduce func([]Record) []Record) error {
 	return nil
 }
 
+// StateStart returns the index of the anchors record a history's state
+// starts at. A state prefix — what every log's History is, compacted or
+// not — is zero or more audit records, then an anchors record (the
+// genesis, or the re-anchoring a compaction cut at), then the records
+// after it; the audit records ahead of the anchors are decision history
+// only. A history of any other shape has no state start.
+func StateStart(recs []Record) (int, error) {
+	for i, r := range recs {
+		switch r.Type {
+		case TypeAudit:
+			continue
+		case TypeAnchors:
+			return i, nil
+		}
+		return 0, fmt.Errorf("wal: history reaches %s at record %d before any %s (not a state prefix)", r.Type, i, TypeAnchors)
+	}
+	return 0, fmt.Errorf("wal: history holds no %s record (not a state prefix)", TypeAnchors)
+}
+
 // CompactPolicy returns the standard reducer for Compact: it keeps every
 // record from the most recent anchors record onward — a re-anchoring
-// rebuilds the belief set from scratch, so earlier belief mutations are
-// superseded (live rekeys re-issue certificates and clear revocations) —
-// plus the newest keepAudit audit records from before that cut, so the
-// decision history is not wholly lost at a rekey (keepAudit < 0 keeps
-// all of them, 0 drops them).
+// holds every belief it carries into its epoch, so earlier belief
+// mutations are superseded — plus the newest keepAudit audit records
+// from before that cut, so the decision history is not wholly lost at a
+// re-anchoring (keepAudit < 0 keeps all of them, 0 drops them). Its
+// output is a state prefix (StateStart).
 func CompactPolicy(keepAudit int) func([]Record) []Record {
 	return func(recs []Record) []Record {
 		cut := 0

@@ -309,33 +309,42 @@ func (a *Alliance) RevokeIdentity(user string, servers ...*Server) error {
 	return nil
 }
 
-// Join admits a new domain, re-keying the AA and re-issuing certificates.
+// Join admits a new domain. When every member is up, the members deal it
+// a share of the unchanged AA key and nothing is re-issued; otherwise the
+// AA re-keys and every certificate is re-issued. The report says which.
 func (a *Alliance) Join(domain string) (coalition.RekeyReport, error) {
 	return a.c.Join(domain)
 }
 
-// Leave removes a domain, re-keying the AA.
+// Leave removes a domain and its CA. When every member, the departing
+// one included, is up, the departing domain deals its share to the
+// members that stay, and only the certificates that named its users are
+// re-issued, without them; otherwise the AA re-keys and every
+// certificate is re-issued. The report says which.
 func (a *Alliance) Leave(domain string) (coalition.RekeyReport, error) {
 	return a.c.Leave(domain)
 }
 
-// PrepareJoin generates the keys a join of domain needs, without putting
-// it into effect: requests keep being decided under the current epoch
-// until Commit.
+// PrepareJoin prepares a join of domain — its CA key, and the AA's shares
+// dealt among the members and domain (or a new AA key when a member is
+// down) — without putting it into effect: requests keep being decided
+// under the current epoch until Commit.
 func (a *Alliance) PrepareJoin(domain string) (*coalition.Rekey, error) {
 	return a.c.PrepareJoin(domain)
 }
 
-// PrepareLeave generates the AA key for the members that stay when
-// domain leaves, without putting the leave into effect.
+// PrepareLeave prepares the AA among the members that stay when domain
+// leaves — its shares redistributed, or a new key when a member is down
+// — without putting the leave into effect.
 func (a *Alliance) PrepareLeave(domain string) (*coalition.Rekey, error) {
 	return a.c.PrepareLeave(domain)
 }
 
 // Commit puts a prepared join or leave into effect: the membership
-// changes, every certificate is revoked and re-issued under the new AA
-// key. Servers re-anchor afterwards (Reanchor). PrepareJoin then Commit
-// is Join.
+// changes, and the certificates the change requires are revoked and
+// re-issued — those that named a departed user after a redistribution,
+// every one after a re-key. Servers re-anchor afterwards (Reanchor).
+// PrepareJoin then Commit is Join.
 func (a *Alliance) Commit(r *coalition.Rekey) (coalition.RekeyReport, error) {
 	return a.c.Commit(r)
 }
@@ -350,8 +359,8 @@ type Server struct {
 }
 
 // NewServer creates a coalition server anchored at the alliance's current
-// key epoch. After Join/Leave, create a new server (or re-anchor) — the
-// paper's dynamics cost includes exactly this re-distribution.
+// membership epoch. After Join/Leave, create a new server (or re-anchor):
+// the anchors name the members' CAs and the AA's key.
 func (a *Alliance) NewServer(name string) (*Server, error) {
 	store := acl.NewStore(a.clk)
 	log := audit.NewLog()
@@ -508,14 +517,35 @@ func (s *Server) Request(ctx context.Context, req AccessRequest) (Decision, erro
 	return s.inner.Authorize(ctx, req)
 }
 
-// Reanchor re-anchors the server at the alliance's current key epoch,
-// re-installing trust anchors after a Join/Leave rekey. The server's
-// derived beliefs and certificate cache are rebuilt from scratch: nothing
-// verified under the old epoch survives. When the server journals its
-// state, the new anchors are durably recorded before the epoch switches;
-// the error reports a journal failure (the old epoch stays published).
+// Reanchor re-anchors the server at the alliance's current membership
+// epoch, re-installing trust anchors after a Join or Leave. The server
+// starts an empty certificate cache and rebuilds its beliefs from the new
+// anchors, carrying every belief whose certificate they still verify:
+// after a redistribution every grant and revocation stays, but for the
+// delegations to users of a domain that left; after a re-key what the
+// old AA key signed drops. When the server journals its
+// state, the new anchors and what they carry are durably recorded in one
+// record before the epoch switches; the error reports a journal failure
+// (the old epoch stays published).
 func (a *Alliance) Reanchor(s *Server) error {
-	return s.inner.Apply(context.Background(), authz.Reanchor{Anchors: a.c.Anchors(a.opts.freshness)})
+	return s.inner.Apply(context.Background(), authz.Reanchor{Anchors: a.c.Anchors(a.opts.freshness), Departed: a.departed()})
+}
+
+// departed lists the delegates no member domain still enrolls under the
+// key their delegation binds: users of a domain that left. A
+// re-anchoring carries no delegation to them, so no chain runs through a
+// departed user even while the AA key stays.
+func (a *Alliance) departed() []pki.BoundSubject {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var out []pki.BoundSubject
+	for _, cert := range a.delegations {
+		sub := cert.Cert.Subject
+		if kp, err := a.c.UserKey(sub.Name); err != nil || kp.Public().KeyID() != sub.KeyID {
+			out = append(out, sub)
+		}
+	}
+	return out
 }
 
 // BoundSubjectsOf lists the subjects bound into the group's certificate —

@@ -43,6 +43,19 @@ func newGeneticsAlliance(t *testing.T) (*Alliance, *Server) {
 	return a, srv
 }
 
+// setDown marks domain's share holder in the alliance's AA down: a join
+// or leave it must deal in cannot redistribute the shares, and re-keys.
+func setDown(t *testing.T, a *Alliance, domain string) {
+	t.Helper()
+	for _, d := range a.Coalition().AA().Domains() {
+		if d.Name == domain {
+			d.SetDown(true)
+			return
+		}
+	}
+	t.Fatalf("no share holder %s", domain)
+}
+
 // spec abbreviates the RequestSpec these tests hand to Submit.
 func spec(group, op, object string, payload []byte, signers ...string) RequestSpec {
 	return RequestSpec{Group: group, Op: op, Object: object, Payload: payload, Signers: signers}
@@ -112,14 +125,29 @@ func TestAuditTrailViaFacade(t *testing.T) {
 
 func TestCoalitionDynamicsViaFacade(t *testing.T) {
 	a, srv := newGeneticsAlliance(t)
+	// A cooperative join keeps the AA key: nothing is re-issued, and a
+	// server anchored before it still accepts the certificates.
 	report, err := a.Join("D4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Epoch != 2 || report.CertsReissued != 2 {
-		t.Errorf("report = %+v", report)
+	if report.Epoch != 2 || !report.Redistributed || report.CertsReissued != 0 {
+		t.Errorf("join report = %+v", report)
 	}
-	// The old server must be re-anchored.
+	if _, err := a.Submit(context.Background(), srv, spec("G_write", "write", "O", []byte("overlap"), "alice", "bob")); err != nil {
+		t.Fatalf("a server anchored before a cooperative join refused its certificates: %v", err)
+	}
+
+	// A leave whose departing domain is down re-keys: both certificates
+	// are re-issued, and the old server must be re-anchored.
+	setDown(t, a, "D4")
+	report, err = a.Leave("D4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Epoch != 3 || report.Domains != 3 || report.Redistributed || report.CertsReissued != 2 {
+		t.Errorf("uncooperative leave report = %+v", report)
+	}
 	if _, err := a.Submit(context.Background(), srv, spec("G_write", "write", "O", []byte("stale"), "alice", "bob")); err == nil {
 		t.Fatal("stale-epoch server accepted new-epoch certificate")
 	}
@@ -133,20 +161,12 @@ func TestCoalitionDynamicsViaFacade(t *testing.T) {
 	if _, err := a.Submit(context.Background(), srv2, spec("G_write", "write", "O", []byte("fresh"), "alice", "bob")); err != nil {
 		t.Fatalf("re-anchored write: %v", err)
 	}
-
-	// Leave: D4 has no users; certificates survive with same subjects.
-	report, err = a.Leave("D4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Epoch != 3 || report.Domains != 3 {
-		t.Errorf("leave report = %+v", report)
-	}
 }
 
 // TestDistributedKeygenViaFacade runs the public API on the dealerless
-// AA key: the domains generate it among themselves (Boneh–Franklin), and
-// re-generate it when a domain joins.
+// AA key: the domains generate it among themselves (Boneh–Franklin),
+// deal a joining domain a share of it, and re-generate it when a domain
+// leaves without dealing its share.
 func TestDistributedKeygenViaFacade(t *testing.T) {
 	a, err := NewAlliance("dealerless", []string{"D1", "D2", "D3"}, WithKeyBits(128), WithDistributedKeygen())
 	if err != nil {
@@ -180,8 +200,18 @@ func TestDistributedKeygenViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !report.Redistributed || report.KeygenAttempts != 0 {
+		t.Errorf("cooperative join report = %+v", report)
+	}
+	if err := a.GrantThreshold("G_write", 2, "alice", "bob", "carol"); err != nil {
+		t.Fatalf("issuance under the redistributed shares: %v", err)
+	}
+	setDown(t, a, "D4")
+	if report, err = a.Leave("D4"); err != nil {
+		t.Fatal(err)
+	}
 	if report.KeygenAttempts == 0 {
-		t.Error("join re-keyed without the distributed generator")
+		t.Error("leave re-keyed without the distributed generator")
 	}
 	if err := a.Reanchor(srv); err != nil {
 		t.Fatal(err)

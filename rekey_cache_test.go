@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// TestRekeyInvalidatesCachedCertificates: a Join/Leave rekey followed by
-// Reanchor must discard everything the server verified under the old key
-// epoch — the identical pre-rekey wire request, warm in the verified-
-// certificate cache, is denied afterwards, while a freshly built request
-// under the new epoch is approved.
+// TestRekeyInvalidatesCachedCertificates: a re-key (here a leave whose
+// departing domain is down) followed by Reanchor must discard everything
+// the server verified under the old key epoch — the identical pre-rekey
+// wire request, warm in the verified-certificate cache, is denied
+// afterwards, while a freshly built request under the new epoch is
+// approved.
 func TestRekeyInvalidatesCachedCertificates(t *testing.T) {
 	a, srv := newGeneticsAlliance(t)
 	ctx := context.Background()
@@ -31,8 +32,9 @@ func TestRekeyInvalidatesCachedCertificates(t *testing.T) {
 		t.Fatalf("warm pre-rekey request: %v", err)
 	}
 
-	if _, err := a.Join("D4"); err != nil {
-		t.Fatalf("join: %v", err)
+	setDown(t, a, "D3")
+	if _, err := a.Leave("D3"); err != nil {
+		t.Fatalf("leave: %v", err)
 	}
 	a.Reanchor(srv)
 
@@ -49,5 +51,38 @@ func TestRekeyInvalidatesCachedCertificates(t *testing.T) {
 	spec.Payload = []byte("epoch 2")
 	if dec, err := a.Submit(ctx, srv, spec); err != nil || !dec.Allowed {
 		t.Fatalf("post-rekey request: %+v, %v", dec, err)
+	}
+}
+
+// TestRedistributionKeepsCachedCertificatesValid is the cooperative
+// counterpart: a join keeps the AA key, so after Reanchor the identical
+// pre-join request is approved again — re-verified in the new epoch's
+// empty cache.
+func TestRedistributionKeepsCachedCertificatesValid(t *testing.T) {
+	a, srv := newGeneticsAlliance(t)
+	ctx := context.Background()
+	req, err := a.NewRequest(RequestSpec{
+		Group: "G_write", Op: "write", Object: "O",
+		Payload: []byte("epoch 1"), Signers: []string{"alice", "bob"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := srv.Request(ctx, req); err != nil {
+			t.Fatalf("pre-join request: %v", err)
+		}
+	}
+	if _, err := a.Join("D4"); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if err := a.Reanchor(srv); err != nil {
+		t.Fatal(err)
+	}
+	if sn := srv.Authz().Snapshot(); sn.Epoch != 1 || sn.Watermark != 0 {
+		t.Fatalf("post-join snapshot = epoch %d, watermark %d", sn.Epoch, sn.Watermark)
+	}
+	if dec, err := srv.Request(ctx, req); err != nil || !dec.Allowed {
+		t.Fatalf("pre-join request after a cooperative join: %+v, %v", dec, err)
 	}
 }

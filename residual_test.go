@@ -154,9 +154,11 @@ func TestResidualCRLInvalidates(t *testing.T) {
 func TestResidualReanchorInvalidates(t *testing.T) {
 	a, srv, reg, req := residualFixture(t)
 	warmResidual(t, srv, reg, req)
-	// A coalition rekey re-anchors the server at a new AA key epoch: the
-	// pre-signed request's certificates no longer verify there.
-	if _, err := a.Join("D4"); err != nil {
+	// A coalition re-key (a leave whose departing domain is down)
+	// re-anchors the server at a new AA key epoch: the pre-signed
+	// request's certificates no longer verify there.
+	setDown(t, a, "D3")
+	if _, err := a.Leave("D3"); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Reanchor(srv); err != nil {
@@ -179,6 +181,32 @@ func TestResidualReanchorInvalidates(t *testing.T) {
 	}
 	if reg.Counter(authz.MetricCacheInvalidated).Value() == 0 {
 		t.Fatal("re-anchoring dropped no cache entries")
+	}
+}
+
+// TestResidualRedistributionReverifies is the cooperative counterpart: a
+// join keeps the AA key, so after the re-anchoring the pre-signed request
+// is approved again by the residual decider's cold arm, which
+// re-verifies its membership certificate in the new epoch's empty cache.
+func TestResidualRedistributionReverifies(t *testing.T) {
+	a, srv, reg, req := residualFixture(t)
+	warmResidual(t, srv, reg, req)
+	if _, err := a.Join("D4"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Reanchor(srv); err != nil {
+		t.Fatal(err)
+	}
+	misses := reg.Counter(authz.MetricCacheMisses, "kind", "attribute").Value()
+	hits := reg.Counter(authz.MetricResidualHits).Value()
+	if dec, err := srv.Request(context.Background(), req); err != nil || !dec.Allowed {
+		t.Fatalf("pre-signed request after a cooperative join: %+v, %v", dec, err)
+	}
+	if after := reg.Counter(authz.MetricCacheMisses, "kind", "attribute").Value(); after != misses+1 {
+		t.Fatalf("decision after re-anchoring: attribute misses %d -> %d, want one", misses, after)
+	}
+	if after := reg.Counter(authz.MetricResidualHits).Value(); after != hits+1 {
+		t.Fatalf("decision after re-anchoring left the residual decider (hits %d -> %d)", hits, after)
 	}
 }
 

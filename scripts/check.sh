@@ -61,6 +61,12 @@ echo "==> transport + replication chaos under race (go test -race -count=2 -run 
 # TestChaosReplicatedFleet (writer + two followers over Faulty links).
 go test -race -count=2 -run Chaos ./internal/daemon/
 
+echo "==> share redistribution properties under race (go test -race -count=2 -run 'Redistribut|Refresh|Cooperative' ./internal/sharedrsa ./internal/coalition)"
+# The dealing function's properties (the key survives seeded join/leave
+# sequences, mixed-epoch shares never combine, shares stay bounded) and
+# the coalition's cooperative join and leave.
+go test -race -count=2 -run 'Redistribut|Refresh|Cooperative' ./internal/sharedrsa ./internal/coalition
+
 echo "==> audit ring under race (go test -race -count=5 ./internal/audit)"
 go test -race -count=5 ./internal/audit
 
@@ -79,8 +85,8 @@ go test -run '^$' -bench='FollowerFleet|CommandCodec|WireAuthorize' -benchtime=1
 echo "==> bench smoke (go test -bench=FrameCodec -benchtime=1x ./internal/transport)"
 go test -run '^$' -bench=FrameCodec -benchtime=1x -benchmem ./internal/transport
 
-echo "==> bench smoke (go test -bench='^Benchmark(Verify|GenerateKey|SignJointly)$' -benchtime=1x ./internal/sharedrsa)"
-go test -run '^$' -bench='^Benchmark(Verify|GenerateKey|SignJointly)$' -benchtime=1x -benchmem ./internal/sharedrsa
+echo "==> bench smoke (go test -bench='^Benchmark(Verify|GenerateKey|SignJointly|Redistribute)$' -benchtime=1x ./internal/sharedrsa)"
+go test -run '^$' -bench='^Benchmark(Verify|GenerateKey|SignJointly|Redistribute)$' -benchtime=1x -benchmem ./internal/sharedrsa
 
 echo "==> bench smoke (go test -bench='^BenchmarkSign$' -benchtime=1x ./internal/pki)"
 go test -run '^$' -bench='^BenchmarkSign$' -benchtime=1x -benchmem ./internal/pki
@@ -113,7 +119,7 @@ for d in examples/*/; do
     fi
 done
 
-echo "==> reproduction record (go run ./cmd/experiments: E1–E8, E11, E12, each shape checked; 15-20s on 2 cores)"
+echo "==> reproduction record (go run ./cmd/experiments: E1–E8, E11–E13, each shape checked; ≈60s on 2 cores)"
 # Every experiment exits non-zero when the table it prints breaks the
 # paper's shape, so this step fails on a broken claim.
 record=$(go run ./cmd/experiments)

@@ -57,8 +57,8 @@ var rules = []rule{
 		reason: "outside internal/transport only daemon.Dial and Follower.Listen register a peer address, each from its own " +
 			"configuration; any other is a return path a frame can name"},
 	{name: "one-issuance-point", kind: "use", what: []string{"*.IssueIdentity"},
-		except: []string{"authority", "pki", "coalition.Member.issue", "sim/load.LoadFixture.identityOf"},
-		reason: "a domain issues a user's identity certificate at enrolment and holds it for the user's requests (coalition.Member." +
+		except: []string{"authority", "pki", "coalition.member.issue", "sim/load.LoadFixture.identityOf"},
+		reason: "a domain issues a user's identity certificate at enrolment and holds it for the user's requests (coalition.member." +
 			"issue, reached from AddUser and IdentityOf's re-issue path; internal/sim/load's fixture issues each principal's once " +
 			"and holds it the same way; internal/authority and internal/pki define issuance); an issuance anywhere else is a " +
 			"per-request mint: a CA signature per signer per request and a never-seen certificate for the verified-certificate cache"},
@@ -91,9 +91,10 @@ var rules = []rule{
 			"step runs the one ProbablyPrime(20) a returned prime must pass; crypto/rand.Prime or another ProbablyPrime loop is a " +
 			"second, slower prime search that a seeded source does not repeat (Config.withDefaults' check that e is prime is not one)"},
 	{name: "one-partial-loop", kind: "use", what: []string{"sharedrsa.PartialSign"},
-		except: []string{"sharedrsa.SignJointly", "jointadmin/cmd/experiments.e2JointSignature"},
-		reason: "a joint signature's partials are computed in one place, sharedrsa.SignJointly: concurrently, in share order, and for " +
-			"the coalition AA only after every domain has consented (authority.consensusSigner asks each Consents first); a " +
+		except: []string{"sharedrsa.signJointly", "jointadmin/cmd/experiments.e2JointSignature"},
+		reason: "a joint signature's partials are computed in one place, sharedrsa.signJointly (SignJointly, and Redistribute's trial " +
+			"signature): concurrently, in share order, and for the coalition AA only after every domain has consented " +
+			"(authority.consensusSigner asks each Consents first); a " +
 			"PartialSign loop elsewhere is a second, sequential signing path (E2's ablation computes the partials it hands both " +
 			"Combine and CombineExact)"},
 	{name: "one-decider/replay", kind: "use", what: []string{"authz.Server.replay"}, except: []string{"authz.Server.authorizeAt"}, max: 1, frozen: true,

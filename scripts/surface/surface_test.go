@@ -94,7 +94,7 @@ var _ = plantHello{}`},
 			"\tnode.Instrument(d.reg)\n", "\tnode.Instrument(d.reg)\n\tnode.AddPeer(\"writer\", addr)\n")},
 		{"one-issuance-point", "internal/coalition/plant.go", `package coalition
 import "jointadmin/internal/clock"
-func init() { var m *Member; _, _ = m.CA.IssueIdentity("mallory", clock.Interval{}) }`},
+func init() { var m *member; _, _ = m.CA.IssueIdentity("mallory", clock.Interval{}) }`},
 		// a.Join is a method value; strings.Join stays clean by its type.
 		{"rekey-path", "internal/daemon/plant_rekey.go", `package daemon
 import ("strings"; "jointadmin")

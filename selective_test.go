@@ -45,11 +45,16 @@ func TestSelectiveSurvivesRekey(t *testing.T) {
 	if err := a.GrantSelective("G_audit", "carol"); err != nil {
 		t.Fatal(err)
 	}
-	report, err := a.Join("D4")
+	if _, err := a.Join("D4"); err != nil {
+		t.Fatal(err)
+	}
+	setDown(t, a, "D4")
+	report, err := a.Leave("D4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 threshold + 1 selective revoked and re-issued.
+	// An uncooperative leave re-keys: 2 threshold + 1 selective revoked
+	// and re-issued.
 	if report.CertsRevoked != 3 || report.CertsReissued != 3 {
 		t.Errorf("report = %+v, want 3 revoked / 3 re-issued", report)
 	}
@@ -64,6 +69,35 @@ func TestSelectiveSurvivesRekey(t *testing.T) {
 	}
 	if _, err := a.Submit(context.Background(), srv, auditRead("G_audit", "carol")); err != nil {
 		t.Fatalf("selective read after rekey: %v", err)
+	}
+}
+
+// TestSelectiveSurvivesRedistribution is the cooperative counterpart: a
+// join keeps the selective certificate as it is, on a server anchored
+// before the join and on one anchored after it.
+func TestSelectiveSurvivesRedistribution(t *testing.T) {
+	a, before := newGeneticsAlliance(t)
+	if err := a.GrantSelective("G_audit", "carol"); err != nil {
+		t.Fatal(err)
+	}
+	report, err := a.Join("D4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.CertsRevoked != 0 || report.CertsReissued != 0 || !report.Redistributed {
+		t.Errorf("report = %+v, want a redistribution revoking and re-issuing nothing", report)
+	}
+	after, err := a.NewServer("P2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range []*Server{before, after} {
+		if err := srv.CreateObject("AuditLog", map[string][]string{"G_audit": {"read"}}, []byte("records")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Submit(context.Background(), srv, auditRead("G_audit", "carol")); err != nil {
+			t.Fatalf("selective read after a cooperative join: %v", err)
+		}
 	}
 }
 
