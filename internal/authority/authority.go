@@ -23,12 +23,12 @@ import (
 
 // Sentinel errors.
 var (
-	// ErrConsentWithheld indicates a domain refused to co-sign.
-	ErrConsentWithheld = errors.New("authority: domain withheld consent")
-	// ErrDomainDown indicates a domain is unavailable for co-signing.
-	ErrDomainDown = errors.New("authority: domain down")
-	// ErrUnknownUser indicates an identity request for an unregistered user.
-	ErrUnknownUser = errors.New("authority: unknown user")
+	// errConsentWithheld indicates a domain refused to co-sign.
+	errConsentWithheld = errors.New("authority: domain withheld consent")
+	// errDomainDown indicates a domain is unavailable for co-signing.
+	errDomainDown = errors.New("authority: domain down")
+	// errUnknownUser indicates an identity request for an unregistered user.
+	errUnknownUser = errors.New("authority: unknown user")
 	// ErrNotRedistributable indicates a membership change the AA's shares
 	// cannot be redistributed for: a domain holding a share is down, or
 	// the AA issues m-of-n. The caller re-keys instead.
@@ -77,7 +77,7 @@ func (ca *DomainCA) IssueIdentity(user string, validity clock.Interval) (pki.Sig
 	upk, ok := ca.users[user]
 	ca.mu.Unlock()
 	if !ok {
-		return pki.Signed[pki.Identity]{}, fmt.Errorf("%s at %s: %w", user, ca.name, ErrUnknownUser)
+		return pki.Signed[pki.Identity]{}, fmt.Errorf("%s at %s: %w", user, ca.name, errUnknownUser)
 	}
 	body := pki.Identity{
 		Issuer:     ca.name,
@@ -98,7 +98,7 @@ func (ca *DomainCA) RevokeIdentity(user string, effective clock.Time) (pki.Signe
 	upk, ok := ca.users[user]
 	ca.mu.Unlock()
 	if !ok {
-		return pki.Signed[pki.IdentityRevocation]{}, fmt.Errorf("%s at %s: %w", user, ca.name, ErrUnknownUser)
+		return pki.Signed[pki.IdentityRevocation]{}, fmt.Errorf("%s at %s: %w", user, ca.name, errUnknownUser)
 	}
 	body := pki.IdentityRevocation{
 		Issuer:      ca.name,
@@ -110,10 +110,10 @@ func (ca *DomainCA) RevokeIdentity(user string, effective clock.Time) (pki.Signe
 	return pki.IssueIdentityRevocation(body, ca.key.AsSigner())
 }
 
-// DomainAgent is one member domain's participation in the coalition AA:
+// domainAgent is one member domain's participation in the coalition AA:
 // it holds the domain's private key share and consults the domain's
 // approval policy before co-signing anything.
-type DomainAgent struct {
+type domainAgent struct {
 	Name string
 	// share and approve are fixed at construction; mu guards down.
 	share   sharedrsa.Share
@@ -123,22 +123,22 @@ type DomainAgent struct {
 	down bool
 }
 
-// NewDomainAgent wraps a domain's share. approve is shown exactly the
+// newDomainAgent wraps a domain's share. approve is shown exactly the
 // bytes the coalition is about to sign, a statement's signed form, and
 // may be nil (approve all).
-func NewDomainAgent(name string, share sharedrsa.Share, approve func([]byte) error) *DomainAgent {
-	return &DomainAgent{Name: name, share: share.Clone(), approve: approve}
+func newDomainAgent(name string, share sharedrsa.Share, approve func([]byte) error) *domainAgent {
+	return &domainAgent{Name: name, share: share.Clone(), approve: approve}
 }
 
 // SetDown injects or clears a failure (experiment E3).
-func (d *DomainAgent) SetDown(down bool) {
+func (d *domainAgent) SetDown(down bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.down = down
 }
 
 // Down reports the failure state.
-func (d *DomainAgent) Down() bool {
+func (d *domainAgent) Down() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.down
@@ -146,13 +146,13 @@ func (d *DomainAgent) Down() bool {
 
 // Consents reports whether the domain is up and its policy approves the
 // payload, without computing a signature.
-func (d *DomainAgent) Consents(payload []byte) error {
+func (d *domainAgent) Consents(payload []byte) error {
 	if d.Down() {
-		return fmt.Errorf("%s: %w", d.Name, ErrDomainDown)
+		return fmt.Errorf("%s: %w", d.Name, errDomainDown)
 	}
 	if d.approve != nil {
 		if err := d.approve(payload); err != nil {
-			return fmt.Errorf("%s: %w: %v", d.Name, ErrConsentWithheld, err)
+			return fmt.Errorf("%s: %w: %v", d.Name, errConsentWithheld, err)
 		}
 	}
 	return nil
@@ -161,7 +161,7 @@ func (d *DomainAgent) Consents(payload []byte) error {
 // Share exposes the domain's share for experiments that model stolen or
 // redistributed shares; a deployment would keep it sealed inside the
 // domain.
-func (d *DomainAgent) Share() sharedrsa.Share { return d.share.Clone() }
+func (d *domainAgent) Share() sharedrsa.Share { return d.share.Clone() }
 
 // consensusSigner is a pki.Signer that implements Case II issuance, the
 // cryptographic embodiment of Requirement III: each domain co-signs only
@@ -174,7 +174,7 @@ func (d *DomainAgent) Share() sharedrsa.Share { return d.share.Clone() }
 // domains that are up and consent (m-of-n).
 type consensusSigner struct {
 	pk      sharedrsa.PublicKey
-	domains []*DomainAgent
+	domains []*domainAgent
 	ts      *sharedrsa.ThresholdShares // nil: n-of-n
 	m       int
 }
@@ -214,7 +214,7 @@ func (c *consensusSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
 type CoalitionAA struct {
 	name    string
 	pk      sharedrsa.PublicKey
-	domains []*DomainAgent
+	domains []*domainAgent
 	clk     *clock.Clock
 
 	mu        sync.Mutex
@@ -225,7 +225,7 @@ type CoalitionAA struct {
 // EstablishResult bundles the outcome of coalition AA establishment.
 type EstablishResult struct {
 	AA      *CoalitionAA
-	Domains []*DomainAgent
+	Domains []*domainAgent
 	// Keygen carries the distributed keygen diagnostics (attempt counts,
 	// transcript) for experiments.
 	Keygen *sharedrsa.Result
@@ -258,9 +258,9 @@ func assemble(name string, domainNames []string, pk sharedrsa.PublicKey, shares 
 	if len(domainNames) != len(shares) {
 		return nil, fmt.Errorf("authority: %d domains but %d shares", len(domainNames), len(shares))
 	}
-	domains := make([]*DomainAgent, len(domainNames))
+	domains := make([]*domainAgent, len(domainNames))
 	for i, dn := range domainNames {
-		domains[i] = NewDomainAgent(dn, shares[i], nil)
+		domains[i] = newDomainAgent(dn, shares[i], nil)
 	}
 	aa := &CoalitionAA{name: name, pk: pk, domains: domains, clk: clk}
 	return &EstablishResult{AA: aa, Domains: domains, Keygen: kg}, nil
@@ -273,8 +273,8 @@ func (aa *CoalitionAA) Name() string { return aa.name }
 func (aa *CoalitionAA) Public() sharedrsa.PublicKey { return aa.pk }
 
 // Domains returns the member domain agents.
-func (aa *CoalitionAA) Domains() []*DomainAgent {
-	out := make([]*DomainAgent, len(aa.domains))
+func (aa *CoalitionAA) Domains() []*domainAgent {
+	out := make([]*domainAgent, len(aa.domains))
 	copy(out, aa.domains)
 	return out
 }
@@ -322,10 +322,10 @@ func (aa *CoalitionAA) Redistribute(names []string) (*EstablishResult, error) {
 	held := make(map[string]bool, len(aa.domains))
 	shares := make([]sharedrsa.Share, len(aa.domains))
 	leaving := make([]bool, len(aa.domains))
-	var stay []*DomainAgent
+	var stay []*domainAgent
 	for i, d := range aa.domains {
 		if d.Down() {
-			return nil, fmt.Errorf("%w: %s: %w", ErrNotRedistributable, d.Name, ErrDomainDown)
+			return nil, fmt.Errorf("%w: %s: %w", ErrNotRedistributable, d.Name, errDomainDown)
 		}
 		held[d.Name] = true
 		shares[i], leaving[i] = d.share, !named[d.Name]
@@ -343,12 +343,12 @@ func (aa *CoalitionAA) Redistribute(names []string) (*EstablishResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("authority: redistribute %s: %w", aa.name, err)
 	}
-	domains := make([]*DomainAgent, len(dealt))
+	domains := make([]*domainAgent, len(dealt))
 	for i, sh := range dealt {
 		if i < len(stay) {
-			domains[i] = NewDomainAgent(stay[i].Name, sh, stay[i].approve)
+			domains[i] = newDomainAgent(stay[i].Name, sh, stay[i].approve)
 		} else {
-			domains[i] = NewDomainAgent(joining[i-len(stay)], sh, nil)
+			domains[i] = newDomainAgent(joining[i-len(stay)], sh, nil)
 		}
 	}
 	return &EstablishResult{AA: &CoalitionAA{name: aa.name, pk: aa.pk, domains: domains, clk: aa.clk}, Domains: domains}, nil

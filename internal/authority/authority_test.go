@@ -49,7 +49,7 @@ func TestDomainCAIssueIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unregistered user: refused.
-	if _, err := ca.IssueIdentity("User_D1", clock.NewInterval(0, 1000)); !errors.Is(err, ErrUnknownUser) {
+	if _, err := ca.IssueIdentity("User_D1", clock.NewInterval(0, 1000)); !errors.Is(err, errUnknownUser) {
 		t.Errorf("unregistered: %v", err)
 	}
 	ca.Register("User_D1", user.Public())
@@ -87,7 +87,7 @@ func TestCaseIIDomainDownBlocksIssuance(t *testing.T) {
 		t.Fatal(err)
 	}
 	est.Domains[1].SetDown(true)
-	if _, err := est.AA.IssueThreshold("G_write", 2, subjects(), clock.NewInterval(50, 5000)); !errors.Is(err, ErrDomainDown) {
+	if _, err := est.AA.IssueThreshold("G_write", 2, subjects(), clock.NewInterval(50, 5000)); !errors.Is(err, errDomainDown) {
 		t.Fatalf("issuance with a down domain: %v", err)
 	}
 	est.Domains[1].SetDown(false)
@@ -102,13 +102,13 @@ func TestCaseIIConsentWithheld(t *testing.T) {
 		t.Fatal(err)
 	}
 	veto := errors.New("against domain policy")
-	domains := []*DomainAgent{
-		NewDomainAgent("D1", res.Shares[0], nil),
-		NewDomainAgent("D2", res.Shares[1], func([]byte) error { return veto }),
-		NewDomainAgent("D3", res.Shares[2], nil),
+	domains := []*domainAgent{
+		newDomainAgent("D1", res.Shares[0], nil),
+		newDomainAgent("D2", res.Shares[1], func([]byte) error { return veto }),
+		newDomainAgent("D3", res.Shares[2], nil),
 	}
 	aa := &CoalitionAA{name: "AA", pk: res.Public, domains: domains, clk: clock.New(100)}
-	if _, err := aa.IssueThreshold("G_write", 2, subjects(), clock.NewInterval(50, 5000)); !errors.Is(err, ErrConsentWithheld) {
+	if _, err := aa.IssueThreshold("G_write", 2, subjects(), clock.NewInterval(50, 5000)); !errors.Is(err, errConsentWithheld) {
 		t.Fatalf("issuance over a veto: %v", err)
 	}
 }
@@ -153,9 +153,9 @@ func TestCaseIIOutageAndVeto(t *testing.T) {
 		down, veto []int // domain indices
 		nOfN, mOfN error // nil: issues a verifying certificate
 	}{
-		{"one down", []int{1}, nil, ErrDomainDown, nil},
-		{"one vetoing", nil, []int{1}, ErrConsentWithheld, nil},
-		{"down and veto below quorum", []int{1}, []int{2}, ErrDomainDown, sharedrsa.ErrQuorum},
+		{"one down", []int{1}, nil, errDomainDown, nil},
+		{"one vetoing", nil, []int{1}, errConsentWithheld, nil},
+		{"down and veto below quorum", []int{1}, []int{2}, errDomainDown, sharedrsa.ErrQuorum},
 	}
 	for _, c := range cases {
 		for _, threshold := range []bool{false, true} {
@@ -168,9 +168,9 @@ func TestCaseIIOutageAndVeto(t *testing.T) {
 				for _, i := range c.veto {
 					approve[i] = veto
 				}
-				domains := make([]*DomainAgent, 3)
+				domains := make([]*domainAgent, 3)
 				for i := range domains {
-					domains[i] = NewDomainAgent([]string{"D1", "D2", "D3"}[i], key.Shares[i], approve[i])
+					domains[i] = newDomainAgent([]string{"D1", "D2", "D3"}[i], key.Shares[i], approve[i])
 				}
 				aa := &CoalitionAA{name: "AA", pk: key.Public, domains: domains, clk: clock.New(100)}
 				if threshold {
@@ -350,9 +350,9 @@ func TestConsentCoversSignedBytes(t *testing.T) {
 		}
 		t.Run(mode, func(t *testing.T) {
 			var seen [][]byte // every approval request, in order
-			domains := make([]*DomainAgent, 3)
+			domains := make([]*domainAgent, 3)
 			for i := range domains {
-				domains[i] = NewDomainAgent([]string{"D1", "D2", "D3"}[i], key.Shares[i], func(msg []byte) error {
+				domains[i] = newDomainAgent([]string{"D1", "D2", "D3"}[i], key.Shares[i], func(msg []byte) error {
 					seen = append(seen, bytes.Clone(msg))
 					return nil
 				})
@@ -424,13 +424,13 @@ func TestConsensusStopsAtFirstRefusal(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			const at = 1
 			asked := make([]int, len(names))
-			domains := make([]*DomainAgent, len(names))
+			domains := make([]*domainAgent, len(names))
 			for i := range domains {
 				share := key.Shares[i]
 				if i > at {
 					share = sharedrsa.Share{Index: share.Index} // no exponent
 				}
-				domains[i] = &DomainAgent{Name: names[i], share: share, approve: func([]byte) error {
+				domains[i] = &domainAgent{Name: names[i], share: share, approve: func([]byte) error {
 					asked[i]++
 					if i == at && !c.down {
 						return errors.New("not this one")
@@ -469,7 +469,7 @@ func TestRedistributeKeepsKeyAndRefusesWhatCannotDeal(t *testing.T) {
 	}
 	vetoes := 0
 	d2 := est.Domains[1]
-	est.Domains[1] = NewDomainAgent(d2.Name, d2.Share(), func([]byte) error { vetoes++; return errors.New("veto") })
+	est.Domains[1] = newDomainAgent(d2.Name, d2.Share(), func([]byte) error { vetoes++; return errors.New("veto") })
 	est.AA.domains[1] = est.Domains[1]
 	next, err := est.AA.Redistribute([]string{"D1", "D2", "D4"})
 	if err != nil {
@@ -482,10 +482,10 @@ func TestRedistributeKeepsKeyAndRefusesWhatCannotDeal(t *testing.T) {
 	if next.AA.Public().KeyID() != est.AA.Public().KeyID() || len(names) != 3 || names[0] != "D1" || names[1] != "D2" || names[2] != "D4" {
 		t.Fatalf("redistributed AA: key changed %v, domains %v", next.AA.Public().KeyID() != est.AA.Public().KeyID(), names)
 	}
-	if _, err := next.AA.IssueThreshold("G", 1, subjects(), clock.NewInterval(50, 5000)); !errors.Is(err, ErrConsentWithheld) || vetoes != 1 {
+	if _, err := next.AA.IssueThreshold("G", 1, subjects(), clock.NewInterval(50, 5000)); !errors.Is(err, errConsentWithheld) || vetoes != 1 {
 		t.Errorf("D2's approval hook after the redistribution: %v, %d vetoes", err, vetoes)
 	}
-	next.Domains[1] = NewDomainAgent("D2", next.Domains[1].Share(), nil)
+	next.Domains[1] = newDomainAgent("D2", next.Domains[1].Share(), nil)
 	next.AA.domains[1] = next.Domains[1]
 	cert, err := next.AA.IssueThreshold("G", 1, subjects(), clock.NewInterval(50, 5000))
 	if err != nil {
@@ -496,7 +496,7 @@ func TestRedistributeKeepsKeyAndRefusesWhatCannotDeal(t *testing.T) {
 	}
 
 	next.Domains[2].SetDown(true)
-	if _, err := next.AA.Redistribute([]string{"D1", "D2"}); !errors.Is(err, ErrNotRedistributable) || !errors.Is(err, ErrDomainDown) {
+	if _, err := next.AA.Redistribute([]string{"D1", "D2"}); !errors.Is(err, ErrNotRedistributable) || !errors.Is(err, errDomainDown) {
 		t.Errorf("redistribution with D4 down: %v", err)
 	}
 	next.Domains[2].SetDown(false)

@@ -9,13 +9,13 @@ import (
 	"jointadmin/internal/sharedrsa"
 )
 
-// LockBoxAA is the Case I coalition attribute authority: a conventional
+// lockBoxAA is the Case I coalition attribute authority: a conventional
 // key pair whose private half lives in a (software-modeled) hardware lock
 // box. The authorization protocol programmed into the AA requires all
 // domain passwords before any private-key operation — but the key itself
 // is a single point of trust failure: Compromise() hands the whole
 // exponent to an attacker (experiment E4).
-type LockBoxAA struct {
+type lockBoxAA struct {
 	name string
 	box  *sharedrsa.LockBox
 	clk  *clock.Clock
@@ -24,12 +24,12 @@ type LockBoxAA struct {
 // EstablishCaseI builds the Case I AA: a dealer generates the key (inside
 // the freshly programmed server, per the paper's narrative) and seals it
 // behind one password per domain.
-func EstablishCaseI(name string, domainPasswords []string, bits int, clk *clock.Clock) (*LockBoxAA, error) {
+func EstablishCaseI(name string, domainPasswords []string, bits int, clk *clock.Clock) (*lockBoxAA, error) {
 	res, err := sharedrsa.DealerSplit(bits, max2(len(domainPasswords)), nil)
 	if err != nil {
 		return nil, fmt.Errorf("authority: establish %s (case I): %w", name, err)
 	}
-	return &LockBoxAA{
+	return &lockBoxAA{
 		name: name,
 		box:  sharedrsa.NewLockBox(res, domainPasswords),
 		clk:  clk,
@@ -44,7 +44,7 @@ func max2(n int) int {
 }
 
 // Public returns the conventional public key.
-func (aa *LockBoxAA) Public() sharedrsa.PublicKey { return aa.box.Public() }
+func (aa *lockBoxAA) Public() sharedrsa.PublicKey { return aa.box.Public() }
 
 // lockBoxSigner adapts the lock box to pki.Signer for a given password
 // presentation.
@@ -63,7 +63,7 @@ func (s lockBoxSigner) Sign(msg []byte) (sharedrsa.Signature, error) {
 
 // IssueThreshold issues a threshold attribute certificate if all domain
 // passwords are presented (the Case I joint cryptographic request).
-func (aa *LockBoxAA) IssueThreshold(passwords []string, group string, m int, subjects []pki.BoundSubject, validity clock.Interval) (pki.Signed[pki.ThresholdAttribute], error) {
+func (aa *lockBoxAA) IssueThreshold(passwords []string, group string, m int, subjects []pki.BoundSubject, validity clock.Interval) (pki.Signed[pki.ThresholdAttribute], error) {
 	body := pki.ThresholdAttribute{
 		Issuer:    aa.name,
 		IssuedAt:  aa.clk.Now(),
@@ -80,7 +80,7 @@ func (aa *LockBoxAA) IssueThreshold(passwords []string, group string, m int, sub
 // that needs no passwords at all. Any certificate it produces verifies
 // exactly like a legitimate one — the repudiable unilateral issuance the
 // paper warns about.
-func (aa *LockBoxAA) Compromise() pki.Signer {
+func (aa *lockBoxAA) Compromise() pki.Signer {
 	d := aa.box.Compromise()
 	return stolenKeySigner{pk: aa.box.Public(), d: d}
 }

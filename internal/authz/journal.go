@@ -10,19 +10,17 @@
 //
 // Replay — crash recovery here, a replication follower through
 // replica.go — runs one function for every belief record (replayRecord):
-// it idealizes the recorded certificate with the pki idealizer the live
-// derivation used, appends one logic.RuleJournaled leaf citing the
-// record's sequence number, and hands the certificate's conclusion to
-// logic.Engine.Install at the record's timestamp, exactly as the live
-// acceptance tail does (mutation.go). Signatures are not re-checked: each
-// record was verified when it was first accepted and is CRC-protected at
-// rest, and after a full restart the signing keys may have been
-// regenerated (the daemon's authorities hold fresh keys every boot). The
-// revocation matching layer compares principal *names*
-// (logic.BeliefStore's subject aliasing), so a replayed revocation of
-// G_write over {alice, bob} blocks a re-issued certificate with
-// brand-new keys — exactly the Requirement III guarantee a restart must
-// not forget.
+// the certificate is read through its kind's row of the belief table
+// (beliefs.go), idealized as the live derivation did, and installed at
+// the record's timestamp (belief.install), exactly as the live acceptance
+// tail does. Signatures are not re-checked: each record was verified
+// when first accepted and is CRC-protected at rest, and after a full
+// restart the signing keys may have been regenerated (the daemon's
+// authorities hold fresh keys every boot). Revocations match principal
+// *names* (logic.BeliefStore's subject aliasing), so a replayed
+// revocation of G_write over {alice, bob} blocks a re-issued certificate
+// with brand-new keys — the Requirement III guarantee a restart must not
+// forget.
 
 package authz
 
@@ -211,16 +209,6 @@ func decodeAnchors(body json.RawMessage) (TrustAnchors, uint64, []wal.Record, er
 	return a, b.Epoch, b.Carried, nil
 }
 
-// certRecord wraps a signed certificate as a WAL record in its JSON
-// journal form (pki.Marshal).
-func certRecord[T any](typ wal.Type, sc pki.Signed[T], at clock.Time) (*wal.Record, error) {
-	body, err := pki.Marshal(sc)
-	if err != nil {
-		return nil, err
-	}
-	return &wal.Record{Type: typ, At: at, Body: body}, nil
-}
-
 // auditRecord wraps an audit entry as a WAL record.
 func auditRecord(e audit.Entry, at clock.Time) (wal.Record, error) {
 	body, err := json.Marshal(e)
@@ -335,13 +323,13 @@ func (s *Server) Replay(recs []wal.Record, policy ReplayPolicy) (ReplayReport, e
 				s.log.Record(e)
 			}
 		default:
-			switch n := rep.count(r.Type); {
-			case n == nil:
+			switch k, ok := beliefKinds[r.Type]; {
+			case !ok:
 				err = fmt.Errorf("unknown record type %q", r.Type)
 			case i < cut: // superseded (ReplayBeliefs only)
 				rep.Skipped++
 			default:
-				*n++
+				*k.tally(&rep)++
 				err = s.replayRecord(r)
 			}
 		}
@@ -362,11 +350,11 @@ func (s *Server) replayCarried(r wal.Record, rep *ReplayReport) error {
 		return err
 	}
 	for _, c := range carried {
-		n := rep.count(c.Type)
-		if n == nil {
+		k, ok := beliefKinds[c.Type]
+		if !ok {
 			return fmt.Errorf("carried record of type %q", c.Type)
 		}
-		*n++
+		*k.tally(rep)++
 		if err := s.replayRecord(c); err != nil {
 			return err
 		}
@@ -374,28 +362,10 @@ func (s *Server) replayCarried(r wal.Record, rep *ReplayReport) error {
 	return nil
 }
 
-// count returns the report's counter for a belief-mutation record type,
-// nil for any other type.
-func (r *ReplayReport) count(t wal.Type) *int {
-	switch t {
-	case wal.TypeRevocation:
-		return &r.Revocations
-	case wal.TypeIdentityRevocation:
-		return &r.IdentityRevocations
-	case wal.TypeGroupLink:
-		return &r.GroupLinks
-	case wal.TypeDelegation:
-		return &r.Delegations
-	case wal.TypeGroupGraphLink:
-		return &r.GroupGraphLinks
-	}
-	return nil
-}
-
 // replayRecord applies one recorded mutation — the one replay function.
 // An anchors record re-anchors at its recorded epoch with what it
-// carried. A belief record is installed (installRecord) and held, to
-// carry across a later re-anchoring.
+// carried. A belief record is decoded through its kind's row, installed
+// (belief.install) and held, to carry across a later re-anchoring.
 func (s *Server) replayRecord(r wal.Record) error {
 	if r.Type == wal.TypeAnchors {
 		anchors, epoch, carried, err := decodeAnchors(r.Body)
@@ -404,60 +374,11 @@ func (s *Server) replayRecord(r wal.Record) error {
 		}
 		return s.applyReanchor(Reanchor{Anchors: anchors}, &epoch, carried)
 	}
-	return s.mutateHolding(false, func(_ *state, eng *logic.Engine) (*wal.Record, error) {
-		return &r, installRecord(eng, r)
+	return s.mutate(false, func(_ *state, eng *logic.Engine) (*wal.Record, error) {
+		b, err := readBelief(r)
+		if err != nil {
+			return nil, err
+		}
+		return &r, b.install(eng, r)
 	})
-}
-
-// installRecord installs a belief record's certificate into eng: it is
-// idealized with the live path's pki idealizer, a logic.RuleJournaled
-// leaf citing the record's sequence number stands in for the derivation
-// the certificate passed when first accepted, and logic.Engine.Install
-// concludes from it at the record's timestamp — not at the clock, which
-// on a follower or after a re-anchoring has already moved past the
-// record.
-func installRecord(eng *logic.Engine, r wal.Record) error {
-	cert, err := idealizeRecord(r)
-	if err != nil {
-		return err
-	}
-	body := certBody(cert)
-	leaf := eng.Proof().Append(logic.RuleJournaled, nil, body, r.At, fmt.Sprintf("wal seq %d", r.Seq))
-	_, _, err = eng.Install(body, []int{leaf}, r.At)
-	return err
-}
-
-// idealizeRecord decodes a belief record's certificate and idealizes it
-// with the pki idealizer its live derivation used.
-func idealizeRecord(r wal.Record) (logic.Signed, error) {
-	switch r.Type {
-	case wal.TypeRevocation:
-		return idealized(r.Body, pki.IdealizeRevocation)
-	case wal.TypeIdentityRevocation:
-		return idealized(r.Body, pki.IdealizeIdentityRevocation)
-	case wal.TypeGroupLink:
-		return idealized(r.Body, pki.IdealizeGroupLink)
-	case wal.TypeDelegation:
-		return idealized(r.Body, pki.IdealizeDelegation)
-	case wal.TypeGroupGraphLink:
-		return idealized(r.Body, pki.IdealizeGroupGraphLink)
-	}
-	return logic.Signed{}, fmt.Errorf("no belief mutation for record type %q", r.Type)
-}
-
-func idealized[T any](body []byte, idealize func(pki.Signed[T]) logic.Signed) (logic.Signed, error) {
-	sc, err := pki.Unmarshal[T](body)
-	if err != nil {
-		return logic.Signed{}, err
-	}
-	return idealize(sc), nil
-}
-
-// certBody unwraps an idealized certificate ⟦I says_t φ⟧_K to its body φ;
-// nil for any other shape, which Install refuses.
-func certBody(c logic.Signed) logic.Formula {
-	mf, _ := c.X.(logic.MsgFormula)
-	says, _ := mf.F.(logic.Says)
-	body, _ := says.X.(logic.MsgFormula)
-	return body.F
 }

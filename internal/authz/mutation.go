@@ -4,9 +4,10 @@
 // applied through Server.Apply, the single entry point for live changes
 // (a library caller or the daemon's mutate command).
 //
-// Accepting a certificate has two parts. Derive runs here, on the live
-// path only: the signature check against a trust anchor and the engine's
-// A10 → A22 chain (logic.Engine.VerifyCertificate). Install is
+// Accepting a certificate has two parts, both read from its kind's row
+// of the belief table (beliefs.go). Derive runs on the live path only:
+// the signature check against a trust anchor and the engine's A10 → A22
+// chain (logic.Engine.VerifyCertificate). Install is
 // logic.Engine.Install, the tail of every acceptance, which turns the
 // certificate's conclusion into a belief. WAL replay and replication
 // (journal.go) re-run only the install, on the recorded certificate's
@@ -25,7 +26,6 @@ import (
 	"jointadmin/internal/delegation"
 	"jointadmin/internal/logic"
 	"jointadmin/internal/pki"
-	"jointadmin/internal/sharedrsa"
 	"jointadmin/internal/wal"
 )
 
@@ -116,7 +116,9 @@ func (Reanchor) Verb() string           { return VerbReanchor }
 // snapshot (journaled first when a journal is attached) with an empty
 // residue memo; the verified-certificate cache is kept unless the
 // mutation is a Reanchor (snapshot.go). It is the single entry point for
-// belief changes.
+// belief changes. A belief certificate is accepted through its kind's row
+// of the belief table (beliefs.go); what stays here per kind is its side
+// effects: audit entries, revocation metrics and the delegation counters.
 func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -125,7 +127,7 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	}
 	switch v := m.(type) {
 	case GroupLink:
-		return s.applyGroupLink(v.Cert)
+		return accept(s, v.Cert, groupLinkBelief, nil)
 	case IdentityRevocation:
 		return s.applyIdentityRevocation(v.Cert)
 	case CRL:
@@ -134,9 +136,25 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	case Revocation:
 		return s.applyRevocation(v.Cert)
 	case Delegation:
-		return s.applyDelegation(v.Cert)
+		// The derivation composes a chain extension with the delegator's
+		// believed chain, refusing it when the delegator's remaining depth
+		// is exhausted, the permission sets are disjoint, or the validity
+		// intervals do not intersect.
+		err := accept(s, v.Cert, delegationBelief, func(_ *logic.Engine, err error) {
+			if errors.Is(err, logic.ErrDepthExhausted) {
+				s.reg.Counter(delegation.MetricDepthExhausted).Inc()
+			}
+		})
+		if err == nil {
+			s.reg.Counter(delegation.MetricChains).Inc()
+		}
+		return err
 	case GroupGraphLink:
-		return s.applyGroupGraphLink(v.Cert)
+		if err := accept(s, v.Cert, graphLinkBelief, nil); err != nil {
+			return err
+		}
+		s.reg.Counter(delegation.MetricGraphLinks).Inc()
+		return nil
 	case Reanchor:
 		return s.applyReanchor(v, nil, nil)
 	case nil:
@@ -146,51 +164,32 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	}
 }
 
-// applyGroupLink verifies and applies a GroupLink mutation; members of
-// Sub then pass Step 4 against ACL entries naming Sup.
-func (s *Server) applyGroupLink(link pki.Signed[pki.GroupLink]) error {
-	return s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
+// accept is the live acceptance of one belief certificate, read as its
+// row reads it: admitted (belief.admit) under the current anchors at the
+// clock's time, then journaled as its kind's record — one pki.Marshal.
+func accept[T any](s *Server, sc pki.Signed[T], read func(pki.Signed[T]) belief, derived func(*logic.Engine, error)) error {
+	b := read(sc)
+	return s.mutate(true, func(cur *state, eng *logic.Engine) (*wal.Record, error) {
 		now := s.clk.Now()
-		if link.Cert.Issuer != cur.anchors.AAName {
-			return nil, fmt.Errorf("%w: group link from untrusted issuer %s", ErrDenied, link.Cert.Issuer)
+		if err := b.admit(cur.anchors, eng, now, derived); err != nil {
+			return nil, err
 		}
-		if err := pki.VerifyGroupLink(link, cur.anchors.AAKey, now); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDenied, err)
+		body, err := pki.Marshal(sc)
+		if err != nil {
+			return nil, err
 		}
-		aaBelief, ok := eng.Store().KeyFor(cur.anchors.AAName, now)
-		if !ok {
-			return nil, fmt.Errorf("%w: no key belief for AA", ErrDenied)
-		}
-		if _, _, err := eng.VerifyCertificate(pki.IdealizeGroupLink(link), aaBelief); err != nil {
-			return nil, fmt.Errorf("%w: group link derivation failed: %v", ErrDenied, err)
-		}
-		return certRecord(wal.TypeGroupLink, link, now)
+		return &wal.Record{Type: b.typ, At: now, Body: body}, nil
 	})
 }
 
-// applyIdentityRevocation verifies and applies an IdentityRevocation
-// mutation: requests signed with the revoked key are denied from the
-// effective time on (identity revocation per Stubblebine–Wright, which
-// the paper defers to): cached verifications of the key's certificates
-// stay, and every hit on them re-checks KeyRevoked against the new
-// snapshot.
+// applyIdentityRevocation accepts an IdentityRevocation: requests signed
+// with the revoked key are denied from the effective time on (identity
+// revocation per Stubblebine–Wright, which the paper defers to): cached
+// verifications of the key's certificates stay, and every hit on them
+// re-checks KeyRevoked against the new snapshot.
 func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("identity", start, err) }(time.Now())
-	err = s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
-		caKey, ok := cur.anchors.CAKeys[rev.Cert.Issuer]
-		if !ok {
-			return nil, fmt.Errorf("%w: identity revocation from untrusted CA %s", ErrDenied, rev.Cert.Issuer)
-		}
-		if err := pki.VerifyIdentityRevocation(rev, caKey); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDenied, err)
-		}
-		now := s.clk.Now()
-		if _, _, err := eng.Install(certBody(pki.IdealizeIdentityRevocation(rev)), nil, now); err != nil {
-			return nil, err
-		}
-		return certRecord(wal.TypeIdentityRevocation, rev, now)
-	})
-	if err != nil {
+	if err = accept(s, rev, identityRevocationBelief, nil); err != nil {
 		return err
 	}
 	s.audit(audit.Entry{
@@ -207,18 +206,8 @@ func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation])
 // recorded.
 func (s *Server) applyCRL(crl pki.Signed[pki.CRL]) (applied int, err error) {
 	defer func(start time.Time) { s.observeRevocation("crl", start, err) }(time.Now())
-	anchors := s.state.Load().anchors
-	var issuerKey sharedrsa.PublicKey
-	switch crl.Cert.Issuer {
-	case anchors.RAName:
-		issuerKey = anchors.RAKey
-	case anchors.AAName:
-		issuerKey = anchors.AAKey
-	default:
-		return 0, fmt.Errorf("%w: CRL from untrusted issuer %s", ErrDenied, crl.Cert.Issuer)
-	}
-	if err := pki.VerifyCRL(crl, issuerKey); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrDenied, err)
+	if err := verifyCRL(s.state.Load().anchors, crl); err != nil {
+		return 0, err
 	}
 	for _, rev := range crl.Cert.Entries {
 		already := s.state.Load().eng.Store().Revoked(
@@ -234,36 +223,18 @@ func (s *Server) applyCRL(crl pki.Signed[pki.CRL]) (applied int, err error) {
 	return applied, nil
 }
 
-// applyRevocation verifies a revocation certificate (from the RA or the
-// AA itself) and records the negative belief in a new snapshot;
+// applyRevocation accepts a revocation certificate (from the RA or the
+// AA itself), recording the negative belief in a new snapshot;
 // subsequent derivations for the revoked membership fail
 // (believe-until-revoked) — cold, and on every hit of a cached
 // verification, which re-checks Revoked against the new snapshot.
 func (s *Server) applyRevocation(rev pki.Signed[pki.Revocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("membership", start, err) }(time.Now())
 	var trace string
-	err = s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
-		var issuerKey sharedrsa.PublicKey
-		switch rev.Cert.Issuer {
-		case cur.anchors.RAName:
-			issuerKey = cur.anchors.RAKey
-		case cur.anchors.AAName:
-			issuerKey = cur.anchors.AAKey
-		default:
-			return nil, fmt.Errorf("%w: revocation from untrusted issuer %s", ErrDenied, rev.Cert.Issuer)
+	err = accept(s, rev, revocationBelief, func(eng *logic.Engine, err error) {
+		if err == nil {
+			trace = eng.Proof().String()
 		}
-		if err := pki.VerifyRevocation(rev, issuerKey); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDenied, err)
-		}
-		keyBelief, ok := eng.Store().KeyFor(rev.Cert.Issuer, s.clk.Now())
-		if !ok {
-			return nil, fmt.Errorf("%w: no key belief for issuer %s", ErrDenied, rev.Cert.Issuer)
-		}
-		if _, _, err := eng.VerifyCertificate(pki.IdealizeRevocation(rev), keyBelief); err != nil {
-			return nil, fmt.Errorf("%w: revocation derivation failed: %v", ErrDenied, err)
-		}
-		trace = eng.Proof().String()
-		return certRecord(wal.TypeRevocation, rev, s.clk.Now())
 	})
 	if err != nil {
 		return err
@@ -274,67 +245,5 @@ func (s *Server) applyRevocation(rev pki.Signed[pki.Revocation]) (err error) {
 		Reason:     fmt.Sprintf("membership revoked effective %s", rev.Cert.EffectiveAt),
 		ProofTrace: trace,
 	})
-	return nil
-}
-
-// applyDelegation verifies and applies a Delegation mutation: the signed
-// link is idealized and accepted through the engine, which composes a
-// chain extension with the delegator's believed chain — refusing when
-// the delegator's remaining depth is exhausted, the permission sets are
-// disjoint, or the validity intervals do not intersect — and stores the
-// root-anchored composed delegation as a belief.
-func (s *Server) applyDelegation(cert pki.Signed[pki.Delegation]) error {
-	err := s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
-		now := s.clk.Now()
-		if cert.Cert.Issuer != cur.anchors.AAName {
-			return nil, fmt.Errorf("%w: delegation from untrusted issuer %s", ErrDenied, cert.Cert.Issuer)
-		}
-		if err := pki.VerifyDelegation(cert, cur.anchors.AAKey, now); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDenied, err)
-		}
-		aaBelief, ok := eng.Store().KeyFor(cur.anchors.AAName, now)
-		if !ok {
-			return nil, fmt.Errorf("%w: no key belief for AA", ErrDenied)
-		}
-		if _, _, err := eng.VerifyCertificate(pki.IdealizeDelegation(cert), aaBelief); err != nil {
-			if errors.Is(err, logic.ErrDepthExhausted) {
-				s.reg.Counter(delegation.MetricDepthExhausted).Inc()
-			}
-			return nil, fmt.Errorf("%w: delegation derivation failed: %v", ErrDenied, err)
-		}
-		return certRecord(wal.TypeDelegation, cert, now)
-	})
-	if err != nil {
-		return err
-	}
-	s.reg.Counter(delegation.MetricChains).Inc()
-	return nil
-}
-
-// applyGroupGraphLink verifies and applies a GroupGraphLink mutation;
-// Step 4's relation walk then crosses the edge, spending one unit of
-// traversal budget and clamping the remainder to the edge's depth bound.
-func (s *Server) applyGroupGraphLink(cert pki.Signed[pki.GroupGraphLink]) error {
-	err := s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
-		now := s.clk.Now()
-		if cert.Cert.Issuer != cur.anchors.AAName {
-			return nil, fmt.Errorf("%w: group-graph link from untrusted issuer %s", ErrDenied, cert.Cert.Issuer)
-		}
-		if err := pki.VerifyGroupGraphLink(cert, cur.anchors.AAKey, now); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDenied, err)
-		}
-		aaBelief, ok := eng.Store().KeyFor(cur.anchors.AAName, now)
-		if !ok {
-			return nil, fmt.Errorf("%w: no key belief for AA", ErrDenied)
-		}
-		if _, _, err := eng.VerifyCertificate(pki.IdealizeGroupGraphLink(cert), aaBelief); err != nil {
-			return nil, fmt.Errorf("%w: group-graph derivation failed: %v", ErrDenied, err)
-		}
-		return certRecord(wal.TypeGroupGraphLink, cert, now)
-	})
-	if err != nil {
-		return err
-	}
-	s.reg.Counter(delegation.MetricGraphLinks).Inc()
 	return nil
 }

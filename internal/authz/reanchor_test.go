@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"jointadmin/internal/clock"
@@ -213,5 +214,132 @@ func TestCheckReanchorBoundsTheAnchorsRecord(t *testing.T) {
 	unjournaled.state.Load().held = st.held
 	if err := unjournaled.CheckReanchor(); err != nil {
 		t.Errorf("without a journal: %v", err)
+	}
+}
+
+// TestAcceptCarryReplayAgreePerKind: for one certificate of each belief
+// kind (and each signer a revocation may have), what Apply accepts under
+// anchors A a re-anchoring to A carries with the same belief, and a
+// replica of the log holds the same belief after the accept and after
+// the re-anchoring. Each carry-only filter drops exactly its own case:
+// past validity the links and the delegation, a departed delegate the
+// delegation, an anchor key the identity revocation that names one. After
+// an AA re-key the AA-signed kinds drop, and the RA- and CA-signed carry.
+func TestAcceptCarryReplayAgreePerKind(t *testing.T) {
+	f := newCacheFixture(t)
+	ctx := context.Background()
+	rekeyed := f.rekeyedAnchors(t)
+	delegate := f.bound("User_E4")
+	type kind struct {
+		name string
+		// issue returns the certificate as a mutation, valid until until
+		// where the kind has a validity interval.
+		issue  func(until clock.Time) Mutation
+		byAA   bool // signed by the AA: a re-key drops it
+		expiry bool // has a validity interval: past it, it drops
+		// dropped by the filter named, under anchors and delegates
+		// that would otherwise carry it.
+		delegation, anchorKey bool
+	}
+	must := func(m Mutation, err error) Mutation {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	kinds := []kind{
+		{name: "revocation by the RA", issue: func(clock.Time) Mutation {
+			rev, err := f.ra.RevokeSubject("G1", f.bound("User_E5")[0], f.clk.Now())
+			return must(Revocation{Cert: rev}, err)
+		}},
+		{name: "revocation by the AA", byAA: true, issue: func(clock.Time) Mutation {
+			rev, err := f.est.AA.RevokeThreshold(f.readAC, f.clk.Now())
+			return must(Revocation{Cert: rev}, err)
+		}},
+		{name: "identity revocation", issue: func(clock.Time) Mutation {
+			rev, err := f.cas[f.caOf("User_E6")].RevokeIdentity("User_E6", f.clk.Now())
+			return must(IdentityRevocation{Cert: rev}, err)
+		}},
+		{name: "identity revocation of an anchor key", anchorKey: true, issue: func(clock.Time) Mutation {
+			return f.revokeKeyOf(t, "CA1", "RA", f.ra.Public())
+		}},
+		{name: "group link", byAA: true, expiry: true, issue: func(until clock.Time) Mutation {
+			link, err := f.est.AA.IssueGroupLink("G3", "G0", clock.NewInterval(50, until))
+			return must(GroupLink{Cert: link}, err)
+		}},
+		{name: "delegation", byAA: true, expiry: true, delegation: true, issue: func(until clock.Time) Mutation {
+			d, err := f.est.AA.IssueDelegation("", delegate[0], "G0", 1, "read", clock.NewInterval(50, until))
+			return must(Delegation{Cert: d}, err)
+		}},
+		{name: "group-graph link", byAA: true, expiry: true, issue: func(until clock.Time) Mutation {
+			edge, err := f.est.AA.IssueGroupGraphLink("G4", "G3", 1, clock.NewInterval(50, until))
+			return must(GroupGraphLink{Cert: edge}, err)
+		}},
+	}
+	replica := func(recs []wal.Record) beliefView {
+		t.Helper()
+		clk := clock.New(0)
+		s, _, err := NewReplica("P", clk, diffStore(t, clk), nil, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return viewOf(s)
+	}
+	// certBeliefs is what v holds beyond a fresh server under anchors:
+	// the certificate beliefs, and the revocation index.
+	certBeliefs := func(v beliefView, anchors TrustAnchors) []string {
+		base := viewOf(NewServer("P", f.clk, anchors, diffStore(t, f.clk), nil)).beliefs
+		out := slices.DeleteFunc(slices.Clone(v.beliefs), func(b string) bool { return slices.Contains(base, b) })
+		return append(out, v.revocations...)
+	}
+	// run accepts k's certificate on a fresh server, lets advance pass on
+	// the clock, re-anchors with m and reports whether the belief was
+	// carried, checking that a carried belief is the one accepted, a
+	// dropped one is gone, and a replica agrees with the live server at
+	// both points.
+	run := func(k kind, until clock.Time, advance int64, m Reanchor) bool {
+		t.Helper()
+		live, _, j := f.journaledServer(t)
+		if err := live.Apply(ctx, k.issue(until)); err != nil {
+			t.Fatalf("%s: Apply under A: %v", k.name, err)
+		}
+		accepted := viewOf(live)
+		if len(certBeliefs(accepted, f.anchors(0))) == 0 {
+			t.Fatalf("%s: Apply accepted it, and the server holds no belief of it", k.name)
+		}
+		requireView(t, k.name+": replica after the accept", replica(j.history()), accepted)
+		f.clk.Advance(advance)
+		if err := live.Apply(ctx, m); err != nil {
+			t.Fatalf("%s: re-anchoring: %v", k.name, err)
+		}
+		after := viewOf(live)
+		requireView(t, k.name+": replica after the re-anchoring", replica(j.history()), after)
+		carried := len(live.state.Load().held) == 1
+		var want []string
+		if carried {
+			want = certBeliefs(accepted, f.anchors(0))
+		}
+		if got := certBeliefs(after, m.Anchors); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: carried=%v, but the re-anchoring holds the certificate beliefs %v, want %v", k.name, carried, got, want)
+		}
+		return carried
+	}
+	for _, k := range kinds {
+		if got, want := run(k, 5000, 1, Reanchor{Anchors: f.anchors(0)}), !k.anchorKey; got != want {
+			t.Errorf("%s: a re-anchoring to the same anchors carried it: %v, want %v", k.name, got, want)
+		}
+		if got, want := run(k, 5000, 1, Reanchor{Anchors: f.anchors(0), Departed: delegate}), !k.anchorKey && !k.delegation; got != want {
+			t.Errorf("%s: with its delegate departed, carried: %v, want %v", k.name, got, want)
+		}
+		if got, want := run(k, 5000, 1, Reanchor{Anchors: rekeyed}), !k.anchorKey && !k.byAA; got != want {
+			t.Errorf("%s: after an AA re-key, carried: %v, want %v", k.name, got, want)
+		}
+	}
+	// Past validity last: the clock only advances.
+	for _, k := range kinds {
+		if got, want := run(k, f.clk.Now().Add(5), 10, Reanchor{Anchors: f.anchors(0)}), !k.anchorKey && !k.expiry; got != want {
+			t.Errorf("%s: past its validity, carried: %v, want %v", k.name, got, want)
+		}
 	}
 }

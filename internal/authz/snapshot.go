@@ -250,13 +250,7 @@ func (s *Server) expiredHit(st *state, fp string, e cachedCert, now clock.Time) 
 // — before the snapshot is published, so an acknowledged mutation is
 // always on stable storage (write-ahead); a journal failure aborts the
 // mutation. Replay passes journal false: its record is already durable.
-func (s *Server) mutate(fn func(cur *state, eng *logic.Engine) (*wal.Record, error)) error {
-	return s.mutateHolding(true, fn)
-}
-
-// mutateHolding is mutate, journaling fn's record only when journal is
-// set.
-func (s *Server) mutateHolding(journal bool, fn func(cur *state, eng *logic.Engine) (*wal.Record, error)) error {
+func (s *Server) mutate(journal bool, fn func(cur *state, eng *logic.Engine) (*wal.Record, error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.state.Load()
@@ -291,24 +285,16 @@ func (s *Server) publish(next, prev *state) {
 
 // applyReanchor replaces the server's trust anchors with m.Anchors — the
 // re-anchoring a coalition membership change requires — and starts a new
-// key epoch with an empty certificate cache. The belief set is rebuilt
-// from the new anchors and from every held belief certificate the
-// re-anchoring carries (TrustAnchors.carries): when a cooperative join or
-// leave keeps the AA key, its group links, graph links, delegations and
-// revocations all carry, so nothing granted is lost and nothing revoked
-// comes back; after a re-key, what the old AA key signed no longer
-// verifies and drops. A link or delegation past its validity and a
-// delegation to a user of m.Departed drop too. The carried beliefs are
-// installed into the one snapshot published, so no reader sees the epoch
-// without them, and the anchors record holds them: a live re-anchoring
-// (carried == nil) takes the next epoch, checks what it carries, and with
-// a journal attached records the anchors and the carried certificates as
-// one record (fsynced) before the epoch is published; a log compacted at
-// that record keeps them, and WAL replay, NewReplica and ApplyReplicated
-// pass its recorded epoch and carried list here, which are installed
-// without a second check and journal nothing. A journal failure leaves
-// the old epoch in place. The epoch's watermark counts the carried
-// certificates.
+// key epoch with an empty certificate cache, its belief set rebuilt from
+// the new anchors and every held belief certificate they carry
+// (TrustAnchors.carries). The carried beliefs are installed into the one
+// snapshot published, so no reader sees the epoch without them. A live
+// re-anchoring (carried == nil) takes the next epoch and, with a journal
+// attached, records the anchors and what it carried as one record
+// (fsynced) before publishing; a journal failure leaves the old epoch in
+// place. WAL replay, NewReplica and ApplyReplicated pass a recorded epoch
+// and carried list, installed without a second check. The epoch's
+// watermark counts the carried certificates.
 func (s *Server) applyReanchor(m Reanchor, recorded *uint64, carried []wal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -316,20 +302,23 @@ func (s *Server) applyReanchor(m Reanchor, recorded *uint64, carried []wal.Recor
 	live := recorded == nil
 	now := s.clk.Now()
 	if live {
-		for _, rec := range cur.held {
-			if m.Anchors.carries(rec, now, m.Departed) {
-				carried = append(carried, rec)
-			}
-		}
+		carried = cur.held
 	}
 	eng := freshEngine(s.name, s.clk, m.Anchors)
 	var kept []wal.Record
 	if len(carried) > 0 {
 		eng = eng.Fork()
 		for _, rec := range carried {
-			// A chain link whose delegator's chain did not carry has
-			// nothing to compose with: it is not carried either.
-			if err := installRecord(eng, rec); err != nil {
+			// Live, a chain link whose delegator's chain did not carry
+			// has nothing to compose with: it is not carried either.
+			b, err := readBelief(rec)
+			if err == nil && live && !m.Anchors.carries(b, rec.At, now, m.Departed) {
+				continue
+			}
+			if err == nil {
+				err = b.install(eng, rec)
+			}
+			if err != nil {
 				if live {
 					continue
 				}
@@ -394,65 +383,38 @@ const (
 	heldRecordAllowance = 128
 )
 
-// carries reports whether a re-anchoring to a at now carries the held
-// belief certificate rec: it is signed by an authority a anchors, and its
-// signature verifies under that authority's key in a — at rec.At, the
-// time it was accepted, for a certificate with a validity interval. A
-// link or delegation whose validity ended before now can affect no
-// decision again (the clock only advances), and a delegation to one of
-// departed — a user of a domain that left — is withdrawn with its
-// domain, so neither is carried; a chain link that extended such a
-// delegation then has nothing to compose with (applyReanchor). An
-// identity revocation additionally must not revoke a key of a's own: an
-// anchor key is a trust root, asserted again by the anchors that name
-// it, so a CA that withdrew its own key is trusted again from the next
-// re-anchoring that names it. A revocation names no end of what it
-// revokes and always carries. A certificate that does not decode is not
-// carried.
-func (a TrustAnchors) carries(rec wal.Record, now clock.Time, departed []pki.BoundSubject) bool {
-	switch rec.Type {
-	case wal.TypeIdentityRevocation:
-		rev, err := pki.Unmarshal[pki.IdentityRevocation](rec.Body)
-		if err != nil {
-			return false
-		}
-		key, ok := a.CAKeys[rev.Cert.Issuer]
-		if !ok || pki.VerifyIdentityRevocation(rev, key) != nil {
-			return false
-		}
-		if rev.Cert.KeyID == a.AAKey.KeyID() || a.RAName != "" && rev.Cert.KeyID == a.RAKey.KeyID() {
-			return false
-		}
-		for _, k := range a.CAKeys {
-			if rev.Cert.KeyID == k.KeyID() {
-				return false
-			}
-		}
-		return true
-	case wal.TypeRevocation:
-		rev, err := pki.Unmarshal[pki.Revocation](rec.Body)
-		if err != nil {
-			return false
-		}
-		switch rev.Cert.Issuer {
-		case a.RAName:
-			return a.RAName != "" && pki.VerifyRevocation(rev, a.RAKey) == nil
-		case a.AAName:
-			return pki.VerifyRevocation(rev, a.AAKey) == nil
-		}
+// carries reports whether a re-anchoring to a at now carries b, a held
+// belief certificate accepted at at: under an unchanged AA key nothing
+// granted is lost and nothing revoked comes back; after a re-key, what
+// the old AA key signed drops. b's row decides first (belief.verify at
+// at), then three carry-only filters drop what can decide nothing under
+// a; a revocation names no end of what it revokes and passes them all.
+func (a TrustAnchors) carries(b belief, at, now clock.Time, departed []pki.BoundSubject) bool {
+	return b.verify(a, at) == nil && !b.pastValidity(now) && !b.departedDelegate(departed) && !b.revokesAnchorKey(a)
+}
+
+// pastValidity: a link or delegation whose validity ended before now can
+// affect no decision again (the clock only advances).
+func (b belief) pastValidity(now clock.Time) bool { return b.notAfter < now }
+
+// departedDelegate: a delegation to one of departed — a user of a domain
+// that left — is withdrawn with its domain; a chain link that extended it
+// then has nothing to compose with (applyReanchor).
+func (b belief) departedDelegate(departed []pki.BoundSubject) bool {
+	return b.typ == wal.TypeDelegation && slices.Contains(departed, b.delegate)
+}
+
+// revokesAnchorKey: an identity revocation of one of a's own keys. An
+// anchor key is a trust root, asserted again by the anchors that name it,
+// so a CA that withdrew its own key is trusted again from the next
+// re-anchoring that names it (DESIGN.md §7).
+func (b belief) revokesAnchorKey(a TrustAnchors) bool {
+	if b.typ != wal.TypeIdentityRevocation {
 		return false
-	case wal.TypeGroupLink:
-		link, err := pki.Unmarshal[pki.GroupLink](rec.Body)
-		return err == nil && link.Cert.Issuer == a.AAName && now <= link.Cert.NotAfter &&
-			pki.VerifyGroupLink(link, a.AAKey, rec.At) == nil
-	case wal.TypeDelegation:
-		d, err := pki.Unmarshal[pki.Delegation](rec.Body)
-		return err == nil && d.Cert.Issuer == a.AAName && now <= d.Cert.NotAfter &&
-			!slices.Contains(departed, d.Cert.Subject) && pki.VerifyDelegation(d, a.AAKey, rec.At) == nil
-	case wal.TypeGroupGraphLink:
-		edge, err := pki.Unmarshal[pki.GroupGraphLink](rec.Body)
-		return err == nil && edge.Cert.Issuer == a.AAName && now <= edge.Cert.NotAfter &&
-			pki.VerifyGroupGraphLink(edge, a.AAKey, rec.At) == nil
 	}
-	return false
+	anchor := b.revokedKey == a.AAKey.KeyID() || a.RAName != "" && b.revokedKey == a.RAKey.KeyID()
+	for _, k := range a.CAKeys {
+		anchor = anchor || b.revokedKey == k.KeyID()
+	}
+	return anchor
 }

@@ -88,14 +88,59 @@ func (m *member) issue(user string, validity clock.Interval) (pki.Signed[pki.Ide
 	return idc, nil
 }
 
-// certRecord tracks a live threshold certificate so it can be revoked and
-// re-issued across membership changes.
-type certRecord struct {
-	group    string
-	m        int
-	users    []string
-	validity clock.Interval
-	cert     pki.Signed[pki.ThresholdAttribute]
+// certKey names a live attribute certificate: a group has at most one
+// threshold and one selective (single-subject, axiom A35) certificate.
+type certKey struct {
+	group     string
+	selective bool
+}
+
+// issued tracks a live attribute certificate the AA issued, so it can be
+// revoked and re-issued across membership changes: an m-of-users
+// threshold certificate, or a selective one for its one user.
+type issued struct {
+	certKey
+	m         int
+	users     []string
+	validity  clock.Interval
+	threshold pki.Signed[pki.ThresholdAttribute]
+	single    pki.Signed[pki.Attribute]
+}
+
+// name is how errors name the certificate.
+func (r *issued) name() string {
+	if r.selective {
+		return "selective " + r.group
+	}
+	return r.group
+}
+
+// revoke has ra revoke the certificate effective at.
+func (r *issued) revoke(ra *authority.RevocationAuthority, at clock.Time) error {
+	var err error
+	if r.selective {
+		_, err = ra.RevokeAttribute(r.single, at)
+	} else {
+		_, err = ra.Revoke(r.threshold, at)
+	}
+	return err
+}
+
+// reissue has aa issue the certificate again over subs, its users bound
+// to their keys; a failed issuance keeps the certificate held.
+func (r *issued) reissue(aa *authority.CoalitionAA, subs []pki.BoundSubject) error {
+	if r.selective {
+		cert, err := aa.IssueAttribute(r.group, subs[0], r.validity)
+		if err == nil {
+			r.single = cert
+		}
+		return err
+	}
+	cert, err := aa.IssueThreshold(r.group, r.m, subs, r.validity)
+	if err == nil {
+		r.threshold = cert
+	}
+	return err
 }
 
 // RekeyReport is the cost of one coalition-dynamics event (E7, E13).
@@ -117,22 +162,12 @@ type Coalition struct {
 	clk  *clock.Clock
 	cfg  Config
 
-	mu        sync.Mutex
-	members   []*member
-	est       *authority.EstablishResult
-	ra        *authority.RevocationAuthority
-	epoch     int
-	certs     map[string]*certRecord      // by group
-	selective map[string]*selectiveRecord // by group
-}
-
-// selectiveRecord tracks a live single-subject attribute certificate
-// (the A35 selective-distribution form).
-type selectiveRecord struct {
-	group    string
-	user     string
-	validity clock.Interval
-	cert     pki.Signed[pki.Attribute]
+	mu      sync.Mutex
+	members []*member
+	est     *authority.EstablishResult
+	ra      *authority.RevocationAuthority
+	epoch   int
+	certs   map[certKey]*issued
 }
 
 // Form establishes a coalition among the named domains: one identity CA
@@ -143,12 +178,11 @@ func Form(name string, domains []string, cfg Config, clk *clock.Clock) (*Coaliti
 		return nil, fmt.Errorf("coalition: at least 2 domains required, got %d", len(domains))
 	}
 	c := &Coalition{
-		name:      name,
-		clk:       clk,
-		cfg:       cfg,
-		certs:     make(map[string]*certRecord),
-		selective: make(map[string]*selectiveRecord),
-		epoch:     1,
+		name:  name,
+		clk:   clk,
+		cfg:   cfg,
+		certs: make(map[certKey]*issued),
+		epoch: 1,
 	}
 	for _, d := range domains {
 		ca, err := authority.NewDomainCA("CA_"+d, cfg.KeyBits, clk)
@@ -324,7 +358,7 @@ func (c *Coalition) IssueThreshold(group string, m int, users []string, validity
 	}
 	us := make([]string, len(users))
 	copy(us, users)
-	c.certs[group] = &certRecord{group: group, m: m, users: us, validity: validity, cert: cert}
+	c.certs[certKey{group, false}] = &issued{certKey: certKey{group, false}, m: m, users: us, validity: validity, threshold: cert}
 	return cert, nil
 }
 
@@ -342,7 +376,7 @@ func (c *Coalition) IssueSelective(group, user string, validity clock.Interval) 
 	if err != nil {
 		return pki.Signed[pki.Attribute]{}, err
 	}
-	c.selective[group] = &selectiveRecord{group: group, user: user, validity: validity, cert: cert}
+	c.certs[certKey{group, true}] = &issued{certKey: certKey{group, true}, m: 1, users: []string{user}, validity: validity, single: cert}
 	return cert, nil
 }
 
@@ -351,22 +385,22 @@ func (c *Coalition) IssueSelective(group, user string, validity clock.Interval) 
 func (c *Coalition) SelectiveCertificate(group string) (pki.Signed[pki.Attribute], bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec, ok := c.selective[group]
+	rec, ok := c.certs[certKey{group, true}]
 	if !ok {
 		return pki.Signed[pki.Attribute]{}, false
 	}
-	return rec.cert, true
+	return rec.single, true
 }
 
 // Certificate returns the live certificate for a group.
 func (c *Coalition) Certificate(group string) (pki.Signed[pki.ThresholdAttribute], bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec, ok := c.certs[group]
+	rec, ok := c.certs[certKey{group, false}]
 	if !ok {
 		return pki.Signed[pki.ThresholdAttribute]{}, false
 	}
-	return rec.cert, true
+	return rec.threshold, true
 }
 
 // Anchors builds the trust configuration for a coalition server at the
@@ -576,54 +610,27 @@ func (c *Coalition) install(est *authority.EstablishResult, redistributed bool, 
 	report.Epoch = c.epoch
 	gone := func(u string) bool { _, ok := departed[u]; return ok }
 
-	for g, rec := range c.certs {
+	for _, rec := range c.certs {
 		kept := slices.DeleteFunc(slices.Clone(rec.users), gone)
 		if redistributed && len(kept) == len(rec.users) {
 			continue
 		}
-		if _, err := c.ra.Revoke(rec.cert, c.clk.Now()); err != nil {
-			return report, fmt.Errorf("coalition: revoke %s: %w", g, err)
+		if err := rec.revoke(c.ra, c.clk.Now()); err != nil {
+			return report, fmt.Errorf("coalition: revoke %s: %w", rec.name(), err)
 		}
 		report.CertsRevoked++
 		rec.users, rec.m = kept, min(rec.m, len(kept))
 		if len(kept) == 0 {
-			delete(c.certs, g)
+			delete(c.certs, rec.certKey)
 			continue
 		}
 		subs, err := c.subjectsFor(rec.users)
 		if err != nil {
 			return report, err
 		}
-		cert, err := c.est.AA.IssueThreshold(rec.group, rec.m, subs, rec.validity)
-		if err != nil {
-			return report, fmt.Errorf("coalition: re-issue %s: %w", rec.group, err)
+		if err := rec.reissue(c.est.AA, subs); err != nil {
+			return report, fmt.Errorf("coalition: re-issue %s: %w", rec.name(), err)
 		}
-		rec.cert = cert
-		report.CertsReissued++
-	}
-
-	// The selective (single-subject) certificates the same way.
-	for g, rec := range c.selective {
-		if redistributed && !gone(rec.user) {
-			continue
-		}
-		if _, err := c.ra.RevokeAttribute(rec.cert, c.clk.Now()); err != nil {
-			return report, fmt.Errorf("coalition: revoke selective %s: %w", g, err)
-		}
-		report.CertsRevoked++
-		if gone(rec.user) {
-			delete(c.selective, g)
-			continue
-		}
-		subs, err := c.subjectsFor([]string{rec.user})
-		if err != nil {
-			return report, err
-		}
-		cert, err := c.est.AA.IssueAttribute(rec.group, subs[0], rec.validity)
-		if err != nil {
-			return report, fmt.Errorf("coalition: re-issue selective %s: %w", g, err)
-		}
-		rec.cert = cert
 		report.CertsReissued++
 	}
 

@@ -16,8 +16,8 @@ import (
 	"jointadmin/internal/clock"
 )
 
-// Info summarizes a data directory's durable state.
-type Info struct {
+// info summarizes a data directory's durable state.
+type info struct {
 	Dir string `json:"dir"`
 
 	SnapshotRecords int    `json:"snapshotRecords"`
@@ -48,10 +48,10 @@ type Info struct {
 
 // Healthy reports whether Open would recover this directory without
 // data loss (a torn tail is recoverable; corruption is not).
-func (in Info) Healthy() bool { return in.Corrupt == "" }
+func (in info) Healthy() bool { return in.Corrupt == "" }
 
 // String renders the info as an operator-facing report.
-func (in Info) String() string {
+func (in info) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "data dir %s\n", in.Dir)
 	fmt.Fprintf(&b, "  snapshot: %d records through seq %d (%d bytes)\n", in.SnapshotRecords, in.SnapshotLastSeq, in.SnapshotBytes)
@@ -78,40 +78,40 @@ func (in Info) String() string {
 
 // Dump reads a data directory without modifying it and returns the
 // recovered record sequence plus its summary. Corruption is reported in
-// Info.Corrupt (with the valid prefix still returned) rather than as an
+// info.Corrupt (with the valid prefix still returned) rather than as an
 // error; the error covers I/O problems only.
-func Dump(dir string) ([]Record, Info, error) {
-	info := Info{Dir: dir, CountsByType: map[Type]int{}, LastEpoch: -1}
+func Dump(dir string) ([]Record, info, error) {
+	in := info{Dir: dir, CountsByType: map[Type]int{}, LastEpoch: -1}
 
 	snapPath := filepath.Join(dir, SnapshotName)
 	snap, err := loadSnapshot(snapPath)
 	if err != nil {
-		if ce, ok := err.(*CorruptError); ok {
-			info.Corrupt = ce.Error()
-			return nil, info, nil
+		if ce, ok := err.(*corruptError); ok {
+			in.Corrupt = ce.Error()
+			return nil, in, nil
 		}
-		return nil, info, err
+		return nil, in, err
 	}
 	if st, err := os.Stat(snapPath); err == nil {
-		info.SnapshotBytes = st.Size()
+		in.SnapshotBytes = st.Size()
 	}
-	info.SnapshotRecords = len(snap.Records)
-	info.SnapshotLastSeq = snap.LastSeq
+	in.SnapshotRecords = len(snap.Records)
+	in.SnapshotLastSeq = snap.LastSeq
 
 	logPath := filepath.Join(dir, LogName)
 	data, err := os.ReadFile(logPath)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, info, fmt.Errorf("wal: read log: %w", err)
+		return nil, in, fmt.Errorf("wal: read log: %w", err)
 	}
-	info.LogBytes = int64(len(data))
+	in.LogBytes = int64(len(data))
 	logRecs, validOff, torn, corrupt := Scan(data)
-	info.LogRecords = len(logRecs)
+	in.LogRecords = len(logRecs)
 	if corrupt != nil {
 		corrupt.Path = logPath
-		info.Corrupt = corrupt.Error()
+		in.Corrupt = corrupt.Error()
 	}
 	if torn != "" {
-		info.TornTail, info.TornOffset, info.TornReason = true, validOff, torn
+		in.TornTail, in.TornOffset, in.TornReason = true, validOff, torn
 	}
 
 	all := make([]Record, 0, len(snap.Records)+len(logRecs))
@@ -121,18 +121,18 @@ func Dump(dir string) ([]Record, Info, error) {
 			all = append(all, r)
 		}
 	}
-	info.Records = len(all)
+	in.Records = len(all)
 	for _, r := range all {
-		info.CountsByType[r.Type]++
-		info.LastSeq, info.LastAt = r.Seq, r.At
+		in.CountsByType[r.Type]++
+		in.LastSeq, in.LastAt = r.Seq, r.At
 		if r.Type == TypeAnchors {
 			var body struct {
 				Epoch uint64 `json:"epoch"`
 			}
 			if json.Unmarshal(r.Body, &body) == nil {
-				info.LastEpoch = int64(body.Epoch)
+				in.LastEpoch = int64(body.Epoch)
 			}
 		}
 	}
-	return all, info, nil
+	return all, in, nil
 }

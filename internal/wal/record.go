@@ -78,16 +78,16 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// CorruptError reports mid-log corruption: a structurally complete frame
+// corruptError reports mid-log corruption: a structurally complete frame
 // that fails its checksum or cannot be decoded. Recovery fails closed on
 // it — truncating past verified-bad data would silently forget state.
-type CorruptError struct {
+type corruptError struct {
 	Path   string // log file path ("" when scanning a byte slice)
 	Offset int64  // byte offset of the corrupt frame
 	Reason string
 }
 
-func (e *CorruptError) Error() string {
+func (e *corruptError) Error() string {
 	where := e.Path
 	if where == "" {
 		where = "wal"
@@ -118,9 +118,9 @@ func encodeFrame(rec Record) ([]byte, error) {
 // expected leftover of a crash mid-append — safe to truncate). Mid-log
 // corruption — a complete frame with a bad checksum, undecodable JSON,
 // an out-of-range length, or a sequence regression — returns a
-// *CorruptError instead: that data was once durable, so recovery must
+// *corruptError instead: that data was once durable, so recovery must
 // not silently drop it.
-func Scan(data []byte) (recs []Record, validOff int64, torn string, corrupt *CorruptError) {
+func Scan(data []byte) (recs []Record, validOff int64, torn string, corrupt *corruptError) {
 	off := 0
 	var lastSeq uint64
 	for off < len(data) {
@@ -133,7 +133,7 @@ func Scan(data []byte) (recs []Record, validOff int64, torn string, corrupt *Cor
 		// appender in one piece, so an absurd value is corruption rather
 		// than a torn write.
 		if length == 0 || length > MaxRecordBytes {
-			return recs, int64(off), "", &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("record length %d out of range", length)}
+			return recs, int64(off), "", &corruptError{Offset: int64(off), Reason: fmt.Sprintf("record length %d out of range", length)}
 		}
 		if rest-headerSize < int(length) {
 			return recs, int64(off), fmt.Sprintf("short payload (%d of %d bytes)", rest-headerSize, length), nil
@@ -141,14 +141,14 @@ func Scan(data []byte) (recs []Record, validOff int64, torn string, corrupt *Cor
 		crc := binary.LittleEndian.Uint32(data[off+4:])
 		payload := data[off+headerSize : off+headerSize+int(length)]
 		if got := crc32.Checksum(payload, crcTable); got != crc {
-			return recs, int64(off), "", &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", crc, got)}
+			return recs, int64(off), "", &corruptError{Offset: int64(off), Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", crc, got)}
 		}
 		var r Record
 		if err := json.Unmarshal(payload, &r); err != nil {
-			return recs, int64(off), "", &CorruptError{Offset: int64(off), Reason: "undecodable record: " + err.Error()}
+			return recs, int64(off), "", &corruptError{Offset: int64(off), Reason: "undecodable record: " + err.Error()}
 		}
 		if r.Seq <= lastSeq {
-			return recs, int64(off), "", &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("sequence regression: %d after %d", r.Seq, lastSeq)}
+			return recs, int64(off), "", &corruptError{Offset: int64(off), Reason: fmt.Sprintf("sequence regression: %d after %d", r.Seq, lastSeq)}
 		}
 		lastSeq = r.Seq
 		recs = append(recs, r)

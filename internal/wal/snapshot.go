@@ -39,17 +39,17 @@ func loadSnapshot(path string) (snapshot, error) {
 		return s, fmt.Errorf("wal: read snapshot: %w", err)
 	}
 	if err := json.Unmarshal(data, &s); err != nil {
-		return s, &CorruptError{Path: path, Reason: "undecodable snapshot: " + err.Error()}
+		return s, &corruptError{Path: path, Reason: "undecodable snapshot: " + err.Error()}
 	}
 	var last uint64
 	for i, r := range s.Records {
 		if r.Seq <= last {
-			return s, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot record %d: sequence regression: %d after %d", i, r.Seq, last)}
+			return s, &corruptError{Path: path, Reason: fmt.Sprintf("snapshot record %d: sequence regression: %d after %d", i, r.Seq, last)}
 		}
 		last = r.Seq
 	}
 	if last > s.LastSeq {
-		return s, &CorruptError{Path: path, Reason: fmt.Sprintf("snapshot lastSeq %d below contained record %d", s.LastSeq, last)}
+		return s, &corruptError{Path: path, Reason: fmt.Sprintf("snapshot lastSeq %d below contained record %d", s.LastSeq, last)}
 	}
 	return s, nil
 }
@@ -162,7 +162,7 @@ func (l *Log) Compact(reduce func([]Record) []Record) error {
 	// The log file is empty now; contiguous tail reads are only possible
 	// for records appended after this point.
 	l.tailFloor = l.seq
-	l.reg.Counter(MetricCompactions).Inc()
+	l.reg.Counter(metricCompactions).Inc()
 	return nil
 }
 

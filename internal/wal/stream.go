@@ -132,7 +132,7 @@ func (l *Log) wakeFollowersLocked() {
 // EncodeFrames renders records in the log's CRC-framed wire format — the
 // same encoding Scan decodes and verifies. The replication shipper uses
 // it so shipped batches carry the log's own integrity protection:
-// corruption in transit (or a buggy peer) surfaces as a *CorruptError at
+// corruption in transit (or a buggy peer) surfaces as a *corruptError at
 // the applier, which fails closed exactly like mid-log corruption at
 // recovery.
 func EncodeFrames(recs []Record) ([]byte, error) {

@@ -180,7 +180,7 @@ func TestNotifyAppendWakes(t *testing.T) {
 
 // TestEncodeFramesRoundTrip checks the shipped wire format is exactly the
 // on-disk format: Scan decodes EncodeFrames output bit-for-bit, and a
-// flipped byte surfaces as a CorruptError (the applier's fail-closed path).
+// flipped byte surfaces as a corruptError (the applier's fail-closed path).
 func TestEncodeFramesRoundTrip(t *testing.T) {
 	l, _, err := Open(t.TempDir(), Options{})
 	if err != nil {

@@ -43,17 +43,17 @@ const (
 
 // Metric names (registered on the injected obs.Registry).
 const (
-	// MetricAppends counts appended records, labeled type=<record type>.
-	MetricAppends = "wal_append_total"
+	// metricAppends counts appended records, labeled type=<record type>.
+	metricAppends = "wal_append_total"
 	// MetricFsyncSeconds times each log fsync.
 	MetricFsyncSeconds = "wal_fsync_seconds"
-	// MetricReplayRecords counts records handed back by Open for replay,
+	// metricReplayRecords counts records handed back by Open for replay,
 	// labeled type=<record type>.
-	MetricReplayRecords = "wal_replay_records"
-	// MetricCompactions counts snapshot compactions.
-	MetricCompactions = "snapshot_compactions_total"
-	// MetricTornTruncations counts torn final records truncated at Open.
-	MetricTornTruncations = "wal_torn_truncations_total"
+	metricReplayRecords = "wal_replay_records"
+	// metricCompactions counts snapshot compactions.
+	metricCompactions = "snapshot_compactions_total"
+	// metricTornTruncations counts torn final records truncated at Open.
+	metricTornTruncations = "wal_torn_truncations_total"
 )
 
 // ErrClosed indicates an operation on a closed log.
@@ -116,7 +116,7 @@ type Log struct {
 // it together with the full recovered record sequence — snapshot records
 // first, then the log's — for the caller to replay. A torn final record
 // is truncated with a warning through Options.Logf; mid-log corruption
-// returns a *CorruptError and no log.
+// returns a *corruptError and no log.
 func Open(dir string, opts Options) (*Log, []Record, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -157,7 +157,7 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 				return nil, nil, fmt.Errorf("wal: sync after truncate: %w", err)
 			}
 		}
-		opts.Metrics.Counter(MetricTornTruncations).Inc()
+		opts.Metrics.Counter(metricTornTruncations).Inc()
 	}
 	// A crash between snapshot rename and log truncate during compaction
 	// leaves log records the snapshot already covers; skip them.
@@ -189,7 +189,7 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 	}
 	l.cond = sync.NewCond(&l.mu)
 	for _, r := range all {
-		l.reg.Counter(MetricReplayRecords, "type", string(r.Type)).Inc()
+		l.reg.Counter(metricReplayRecords, "type", string(r.Type)).Inc()
 	}
 	return l, all, nil
 }
@@ -221,7 +221,7 @@ func (l *Log) Append(rec Record, wait bool) (uint64, error) {
 	l.seq = rec.Seq
 	l.off += int64(len(frame))
 	l.count++
-	l.reg.Counter(MetricAppends, "type", string(rec.Type)).Inc()
+	l.reg.Counter(metricAppends, "type", string(rec.Type)).Inc()
 	l.wakeFollowersLocked()
 
 	switch {

@@ -132,9 +132,9 @@ func TestMidLogCorruptionFailsClosed(t *testing.T) {
 	}
 
 	_, _, err = Open(dir, Options{})
-	ce, ok := err.(*CorruptError)
+	ce, ok := err.(*corruptError)
 	if !ok {
-		t.Fatalf("open over corruption: got %v, want *CorruptError", err)
+		t.Fatalf("open over corruption: got %v, want *corruptError", err)
 	}
 	if ce.Offset != int64(off) {
 		t.Fatalf("corruption offset %d, want %d", ce.Offset, off)
@@ -238,7 +238,7 @@ func TestCompactAndRecover(t *testing.T) {
 		}
 		last = r.Seq
 	}
-	if c := reg.Counter(MetricCompactions).Value(); c != 1 {
+	if c := reg.Counter(metricCompactions).Value(); c != 1 {
 		t.Fatalf("snapshot_compactions_total = %d, want 1", c)
 	}
 }

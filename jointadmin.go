@@ -182,9 +182,15 @@ func (a *Alliance) Revoke(group string, servers ...*Server) error {
 	if err != nil {
 		return fmt.Errorf("jointadmin: revoke %s: %w", group, err)
 	}
+	return deliver("revocation", authz.Revocation{Cert: rev}, servers)
+}
+
+// deliver applies m to each server in turn, stopping at the first that
+// refuses it; what names m in the error.
+func deliver(what string, m authz.Mutation, servers []*Server) error {
 	for _, s := range servers {
-		if err := s.inner.Apply(context.Background(), authz.Revocation{Cert: rev}); err != nil {
-			return fmt.Errorf("jointadmin: deliver revocation to %s: %w", s.name, err)
+		if err := s.inner.Apply(context.Background(), m); err != nil {
+			return fmt.Errorf("jointadmin: deliver %s to %s: %w", what, s.name, err)
 		}
 	}
 	return nil
@@ -201,12 +207,7 @@ func (a *Alliance) PublishCRL(servers ...*Server) error {
 	if err != nil {
 		return fmt.Errorf("jointadmin: publish CRL: %w", err)
 	}
-	for _, s := range servers {
-		if err := s.inner.Apply(context.Background(), authz.CRL{List: crl}); err != nil {
-			return fmt.Errorf("jointadmin: deliver CRL to %s: %w", s.name, err)
-		}
-	}
-	return nil
+	return deliver("CRL", authz.CRL{List: crl}, servers)
 }
 
 // LinkGroups issues a privilege-inheritance certificate (members of sub
@@ -217,12 +218,7 @@ func (a *Alliance) LinkGroups(sub, sup string, servers ...*Server) error {
 	if err != nil {
 		return fmt.Errorf("jointadmin: link %s ⇒ %s: %w", sub, sup, err)
 	}
-	for _, s := range servers {
-		if err := s.inner.Apply(context.Background(), authz.GroupLink{Cert: cert}); err != nil {
-			return fmt.Errorf("jointadmin: deliver group link to %s: %w", s.name, err)
-		}
-	}
-	return nil
+	return deliver("group link", authz.GroupLink{Cert: cert}, servers)
 }
 
 // Delegate issues a bounded-depth delegation-link certificate under full
@@ -242,10 +238,8 @@ func (a *Alliance) Delegate(delegator, subject, group string, depth int, perms [
 	if err != nil {
 		return fmt.Errorf("jointadmin: delegate %s ⇒ %s in %s: %w", delegator, subject, group, err)
 	}
-	for _, s := range servers {
-		if err := s.inner.Apply(context.Background(), authz.Delegation{Cert: cert}); err != nil {
-			return fmt.Errorf("jointadmin: deliver delegation to %s: %w", s.name, err)
-		}
+	if err := deliver("delegation", authz.Delegation{Cert: cert}, servers); err != nil {
+		return err
 	}
 	a.mu.Lock()
 	a.delegations[delegationKey(subject, group)] = cert
@@ -262,12 +256,7 @@ func (a *Alliance) LinkGroupGraph(sub, sup string, depth int, servers ...*Server
 	if err != nil {
 		return fmt.Errorf("jointadmin: graph link %s ⇒ %s: %w", sub, sup, err)
 	}
-	for _, s := range servers {
-		if err := s.inner.Apply(context.Background(), authz.GroupGraphLink{Cert: cert}); err != nil {
-			return fmt.Errorf("jointadmin: deliver graph link to %s: %w", s.name, err)
-		}
-	}
-	return nil
+	return deliver("graph link", authz.GroupGraphLink{Cert: cert}, servers)
 }
 
 // RevokeDelegation asks the revocation authority to withdraw the named
@@ -284,12 +273,7 @@ func (a *Alliance) RevokeDelegation(delegate, group string, servers ...*Server) 
 	if err != nil {
 		return fmt.Errorf("jointadmin: revoke delegation of %s: %w", delegate, err)
 	}
-	for _, s := range servers {
-		if err := s.inner.Apply(context.Background(), authz.Revocation{Cert: rev}); err != nil {
-			return fmt.Errorf("jointadmin: deliver revocation to %s: %w", s.name, err)
-		}
-	}
-	return nil
+	return deliver("revocation", authz.Revocation{Cert: rev}, servers)
 }
 
 // RevokeIdentity withdraws a user's key binding at its domain CA and
@@ -301,12 +285,7 @@ func (a *Alliance) RevokeIdentity(user string, servers ...*Server) error {
 	if err != nil {
 		return fmt.Errorf("jointadmin: revoke identity of %s: %w", user, err)
 	}
-	for _, s := range servers {
-		if err := s.inner.Apply(context.Background(), authz.IdentityRevocation{Cert: rev}); err != nil {
-			return fmt.Errorf("jointadmin: deliver identity revocation to %s: %w", s.name, err)
-		}
-	}
-	return nil
+	return deliver("identity revocation", authz.IdentityRevocation{Cert: rev}, servers)
 }
 
 // Join admits a new domain. When every member is up, the members deal it

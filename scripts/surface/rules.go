@@ -115,6 +115,14 @@ var rules = []rule{
 		reason: "WAL replay and replication install each recorded certificate's conclusion with logic.Engine.Install, from the " +
 			"pki.Idealize* form the live derivation used; a certificate-belief literal built in internal/authz is a hand-written " +
 			"mirror of one of them, free to drift (freshEngine's anchor KeySpeaksFor assumptions are not one)"},
+	{name: "one-belief-table", kind: "use", in: []string{"authz"},
+		what: []string{"pki.VerifyGroupLink", "pki.VerifyDelegation", "pki.VerifyGroupGraphLink", "pki.VerifyRevocation",
+			"pki.VerifyIdentityRevocation", "pki.VerifyCRL", "pki.Unmarshal"},
+		except: []string{"authz/beliefs.go", "authz.Server.verifyDelegatedMembership"},
+		reason: "the live acceptance, a re-anchoring's carry and replay read a belief certificate through its kind's row of the " +
+			"belief table (authz/beliefs.go), which alone decodes one and checks its signature; a decode or check elsewhere is a " +
+			"second reading of a kind, free to drift from the others (verifyDelegatedMembership checks a request's leaf " +
+			"certificate, not a belief)"},
 	{name: "logic-ownership", kind: "import", what: []string{"sync", "sync/atomic", "reflect"}, in: []string{"logic"},
 		reason: "a sealed engine is read-only and shared, and an unsealed engine or a fork has one owner (logic.Engine.Seal); nothing " +
 			"in internal/logic is locked or memoized process-wide, so a sync or reflect import there is a lock, an atomic or a cache coming back"},

@@ -112,7 +112,7 @@ func init() { _ = big.NewInt(7).ProbablyPrime }`},
 		{"one-partial-loop", "internal/authority/plant_partial.go", `package authority
 import "jointadmin/internal/sharedrsa"
 func init() {
-	for _, d := range []*DomainAgent{} { _, _ = sharedrsa.PartialSign(nil, sharedrsa.PublicKey{}, d.Share()) }
+	for _, d := range []*domainAgent{} { _, _ = sharedrsa.PartialSign(nil, sharedrsa.PublicKey{}, d.Share()) }
 }`},
 		{"one-decider/replay", "internal/authz/plant_replay.go", `package authz
 func init() { var srv *Server; _, _ = srv.replay(nil, nil, nil, nil) }`},
@@ -128,6 +128,9 @@ func init() { _ = lg.A36CompoundSays }`},
 		{"one-idealizer", "internal/authz/plant_literal.go", `package authz
 import lg "jointadmin/internal/logic"
 func init() { _ = lg.MemberOf{} }`},
+		{"one-belief-table", "internal/authz/plant_belief.go", `package authz
+import "jointadmin/internal/pki"
+func init() { _, _ = pki.Unmarshal[pki.GroupLink](nil) }`},
 		{"logic-ownership", "internal/logic/plant_sync.go", `package logic; import _ "sync/atomic"`},
 	}
 	extra := map[string]string{}
