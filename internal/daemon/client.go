@@ -57,9 +57,8 @@ const (
 // an error wrapping it.
 var errConnLost = errors.New("daemon: client connection lost")
 
-// clientEndpoint is the transport surface the client multiplexes over.
-// *transport.TCPNode, *transport.Faulty and the in-memory endpoints all
-// satisfy it.
+// clientEndpoint is the transport surface the client multiplexes over:
+// a *transport.TCPNode, or a *transport.Faulty wrapping one.
 type clientEndpoint interface {
 	SendMessage(to, kind string, m transport.Message) error
 	RecvContext(ctx context.Context) (transport.Envelope, error)
@@ -170,8 +169,8 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// newClient builds a mux client over an existing endpoint (tests wrap
-// fault injectors or in-memory networks). The client does not own the
+// newClient builds a mux client over an existing endpoint (tests wrap a
+// dial-only TCP node in a fault injector). The client does not own the
 // endpoint: Close stops the receiver but leaves the endpoint open.
 func newClient(ep clientEndpoint, serverName string, resend time.Duration, reg *obs.Registry) *Client {
 	var nb [6]byte
@@ -291,17 +290,14 @@ func (c *Client) resendLoop() {
 
 // resendOne retransmits cl's command under its ID: the daemon's dedup
 // cache answers a duplicate from its recorded reply, so a lost request or
-// reply frame heals without double execution. A send that fails for good
-// ends the call with that error, unless its reply got there first.
+// reply frame heals without double execution. A send that fails (the
+// node has already retried it under its Options) ends the call with that
+// error, unless its reply got there first.
 func (c *Client) resendOne(cl *call) {
 	cl.sending.Lock()
 	defer cl.sending.Unlock()
 	c.met.resends.Inc()
-	err := c.ep.SendMessage(c.server, "cmd", cl)
-	if err == nil || retryableSend(err) {
-		return
-	}
-	if c.drop(cl) {
+	if err := c.ep.SendMessage(c.server, "cmd", cl); err != nil && c.drop(cl) {
 		cl.done <- callResult{err: fmt.Errorf("daemon: resend %s: %w", cl.cmd.Cmd, err)}
 	}
 }
@@ -379,12 +375,6 @@ func (c *Client) forget(cl *call) {
 	c.drop(cl)
 	cl.sending.Lock()
 	cl.sending.Unlock() //nolint:staticcheck // an empty critical section: the wait is the point
-}
-
-// retryableSend reports whether a failed retransmit should keep the call
-// alive (transient congestion) rather than fail it (closed node).
-func retryableSend(err error) bool {
-	return errors.Is(err, transport.ErrInboxFull)
 }
 
 // Close stops the receiver and the resend sweep and fails any pending

@@ -15,10 +15,26 @@ import (
 	"jointadmin/internal/transport"
 )
 
+// loopback starts a listening server node "srv" and a dial-only client
+// node "cli" that knows its address; both close when the test ends.
+func loopback(t *testing.T) (srv, cli *transport.TCPNode) {
+	t.Helper()
+	srv, err := transport.ListenTCP("srv", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cli = transport.DialTCP("cli")
+	t.Cleanup(func() { cli.Close() })
+	cli.AddPeer("srv", srv.Addr())
+	return srv, cli
+}
+
 // echoServer answers commands on the endpoint with Reply{ID: cmd.ID,
-// Detail: "echo:"+cmd.Data}, optionally jittering delivery order so
-// replies come back out of request order — the situation the mux exists
-// for. It stops when the endpoint closes.
+// Detail: "echo:"+cmd.Data} on the connection each arrived on,
+// optionally jittering delivery order so replies come back out of
+// request order — the situation the mux exists for. It stops when the
+// endpoint closes.
 func echoServer(t *testing.T, ep transport.Endpoint, jitter time.Duration) {
 	t.Helper()
 	go func() {
@@ -40,11 +56,11 @@ func echoServer(t *testing.T, ep transport.Endpoint, jitter time.Duration) {
 			d := time.Duration(rng.Int63n(int64(jitter) + 1))
 			mu.Unlock()
 			wg.Add(1)
-			go func(from string) {
+			go func() {
 				defer wg.Done()
 				time.Sleep(d)
-				_ = ep.Send(from, "reply", body)
-			}(env.From)
+				_ = ep.Reply(env, "reply", body)
+			}()
 		}
 	}()
 }
@@ -53,13 +69,11 @@ func echoServer(t *testing.T, ep transport.Endpoint, jitter time.Duration) {
 // over one connection; replies are jittered out of order, yet every call
 // gets exactly the reply to its own command.
 func TestClientConcurrentCallsCorrelate(t *testing.T) {
-	net := transport.NewMemory()
-	defer net.Close()
-	srv := net.Endpoint("srv")
+	srv, cli := loopback(t)
 	echoServer(t, srv, 3*time.Millisecond)
 
 	reg := obs.NewRegistry()
-	c := newClient(net.Endpoint("cli"), "srv", 0, reg)
+	c := newClient(cli, "srv", 0, reg)
 	defer c.Close()
 
 	const goroutines, calls = 8, 20
@@ -99,34 +113,35 @@ func TestClientConcurrentCallsCorrelate(t *testing.T) {
 
 // TestClientShedsStaleEnvelopes: unsolicited and malformed envelopes —
 // replies to IDs nobody is waiting on, wrong kinds, garbage payloads —
-// are counted and shed without disturbing a live call.
+// arriving ahead of a live call's reply on its connection are counted
+// and shed without disturbing the call.
 func TestClientShedsStaleEnvelopes(t *testing.T) {
-	net := transport.NewMemory()
-	defer net.Close()
-	srv := net.Endpoint("srv")
-
-	reg := obs.NewRegistry()
-	c := newClient(net.Endpoint("cli"), "srv", 0, reg)
-	defer c.Close()
-
+	srv, cli := loopback(t)
 	ghost := encodeReply(Reply{ID: "ghost", OK: true})
 	noID := encodeReply(Reply{OK: true})
-	for _, env := range []struct{ kind, body string }{
-		{"reply", string(ghost)},  // no pending call under this ID
-		{"reply", "not a reply"},  // undecodable
-		{"reply", string(noID)},   // reply without correlation ID
-		{"gossip", string(ghost)}, // wrong kind entirely
-	} {
-		if err := srv.Send("cli", env.kind, []byte(env.body)); err != nil {
-			t.Fatal(err)
+	go func() {
+		env, err := srv.RecvContext(context.Background())
+		if err != nil {
+			return
 		}
-	}
-	waitFor(t, time.Second, func() bool {
-		return reg.Counter(metricMuxStale).Value() == 4
-	})
+		cmd, err := decodeCommand(env.Payload)
+		if err != nil {
+			return
+		}
+		for _, stray := range []struct{ kind, body string }{
+			{"reply", string(ghost)},  // no pending call under this ID
+			{"reply", "not a reply"},  // undecodable
+			{"reply", string(noID)},   // reply without correlation ID
+			{"gossip", string(ghost)}, // wrong kind entirely
+		} {
+			_ = srv.Reply(env, stray.kind, []byte(stray.body))
+		}
+		_ = srv.Reply(env, "reply", encodeReply(Reply{ID: cmd.ID, OK: true, Detail: "echo:" + cmd.Data}))
+	}()
 
-	// The client is still healthy: a real call completes.
-	echoServer(t, srv, 0)
+	reg := obs.NewRegistry()
+	c := newClient(cli, "srv", 0, reg)
+	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	rep, err := c.Call(ctx, Command{Cmd: "noop", Data: "alive"})
@@ -136,18 +151,21 @@ func TestClientShedsStaleEnvelopes(t *testing.T) {
 	if rep.Detail != "echo:alive" {
 		t.Fatalf("reply = %q", rep.Detail)
 	}
+	// The strays came first on the one connection, so the receiver shed
+	// every one of them before it delivered the reply.
+	if got := reg.Counter(metricMuxStale).Value(); got != 4 {
+		t.Fatalf("%s = %d, want 4", metricMuxStale, got)
+	}
 }
 
 // TestClientCallTimeout: a call whose reply never comes fails with its
 // context's error and is counted in daemon_mux_timeouts_total; the
 // pending slot is released.
 func TestClientCallTimeout(t *testing.T) {
-	net := transport.NewMemory()
-	defer net.Close()
-	net.Endpoint("srv") // exists but never answers
+	_, cli := loopback(t) // the server accepts but never answers
 
 	reg := obs.NewRegistry()
-	c := newClient(net.Endpoint("cli"), "srv", 0, reg)
+	c := newClient(cli, "srv", 0, reg)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -164,15 +182,14 @@ func TestClientCallTimeout(t *testing.T) {
 	}
 }
 
-// TestClientConnLostFailsPending: when the shared connection dies with
-// calls in flight, every pending call fails with errConnLost — and so do
-// all future calls, immediately.
+// TestClientConnLostFailsPending: when the client's endpoint closes
+// under it with calls in flight, every pending call fails with
+// errConnLost — and so do all future calls, immediately.
 func TestClientConnLostFailsPending(t *testing.T) {
-	net := transport.NewMemory()
-	net.Endpoint("srv") // never answers
+	_, cli := loopback(t) // the server never answers
 
 	reg := obs.NewRegistry()
-	c := newClient(net.Endpoint("cli"), "srv", 0, reg)
+	c := newClient(cli, "srv", 0, reg)
 	defer c.Close()
 
 	const pending = 3
@@ -189,7 +206,7 @@ func TestClientConnLostFailsPending(t *testing.T) {
 	waitFor(t, time.Second, func() bool {
 		return reg.Gauge(metricMuxInflight).Value() == pending
 	})
-	net.Close() // the connection is gone
+	cli.Close() // the connection is gone
 
 	wg.Wait()
 	close(errs)
@@ -210,9 +227,7 @@ func TestClientConnLostFailsPending(t *testing.T) {
 // of a command still answers — the client retransmits under the same ID
 // until the reply lands.
 func TestClientResendHealsLostRequest(t *testing.T) {
-	net := transport.NewMemory()
-	defer net.Close()
-	srv := net.Endpoint("srv")
+	srv, cli := loopback(t)
 	go func() {
 		seen := make(map[string]int)
 		for {
@@ -229,12 +244,12 @@ func TestClientResendHealsLostRequest(t *testing.T) {
 				continue // first copy vanishes
 			}
 			body := encodeReply(Reply{ID: cmd.ID, OK: true, Detail: "second time"})
-			_ = srv.Send(env.From, "reply", body)
+			_ = srv.Reply(env, "reply", body)
 		}
 	}()
 
 	reg := obs.NewRegistry()
-	c := newClient(net.Endpoint("cli"), "srv", 10*time.Millisecond, reg)
+	c := newClient(cli, "srv", 10*time.Millisecond, reg)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -256,9 +271,7 @@ func TestClientResendHealsLostRequest(t *testing.T) {
 // under its own ID, and a call that has returned is resent no more (run
 // it under -race).
 func TestClientResendSweepHealsConcurrentCalls(t *testing.T) {
-	net := transport.NewMemory()
-	defer net.Close()
-	srv := net.Endpoint("srv")
+	srv, cli := loopback(t)
 	go func() {
 		seen := make(map[string]int)
 		for {
@@ -273,12 +286,12 @@ func TestClientResendSweepHealsConcurrentCalls(t *testing.T) {
 			if seen[cmd.ID]++; seen[cmd.ID] < 2 {
 				continue // the first copy of every command vanishes
 			}
-			_ = srv.Send(env.From, "reply", encodeReply(Reply{ID: cmd.ID, OK: true, Detail: cmd.Data}))
+			_ = srv.Reply(env, "reply", encodeReply(Reply{ID: cmd.ID, OK: true, Detail: cmd.Data}))
 		}
 	}()
 
 	reg := obs.NewRegistry()
-	c := newClient(net.Endpoint("cli"), "srv", 10*time.Millisecond, reg)
+	c := newClient(cli, "srv", 10*time.Millisecond, reg)
 	defer c.Close()
 	const calls = 16
 	var wg sync.WaitGroup
@@ -324,10 +337,8 @@ func (f *failingEndpoint) SendMessage(to, kind string, m transport.Message) erro
 // TestClientResendFailureEndsCall: a resend that fails for good ends its
 // call with that failure, long before the call's deadline.
 func TestClientResendFailureEndsCall(t *testing.T) {
-	net := transport.NewMemory()
-	defer net.Close()
-	net.Endpoint("srv") // answers nothing
-	c := newClient(&failingEndpoint{clientEndpoint: net.Endpoint("cli")}, "srv", 10*time.Millisecond, nil)
+	_, cli := loopback(t) // the server answers nothing
+	c := newClient(&failingEndpoint{clientEndpoint: cli}, "srv", 10*time.Millisecond, nil)
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

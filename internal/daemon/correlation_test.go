@@ -20,28 +20,23 @@ import (
 	"jointadmin/internal/transport"
 )
 
-// testDaemon builds a daemon on the shared three-domain fixture and
-// serves it from a memory-network endpoint named "coalitiond".
-func testDaemon(t *testing.T, net *transport.Memory, reg *obs.Registry) (*Daemon, context.CancelFunc) {
+// testDaemon builds a daemon on the shared three-domain fixture, serves
+// it on a loopback TCP node named "coalitiond" and returns the node's
+// address.
+func testDaemon(t *testing.T, reg *obs.Registry) (*Daemon, string) {
 	t.Helper()
-	d, err := New(Config{
-		Domains:        []string{"D1", "D2", "D3"},
-		Users:          []string{"alice", "bob", "carol"},
-		WriteThreshold: 2,
-		Metrics:        reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	node := net.Endpoint("coalitiond") // register before clients send
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = d.Serve(ctx, node)
-	}()
-	t.Cleanup(func() { cancel(); <-done })
-	return d, cancel
+	d := newDaemonWithRegistry(t, reg)
+	return d, serveOnTCP(t, d).Addr()
+}
+
+// dialDaemon returns a dial-only client node named "cli" that knows the
+// daemon at addr; it closes when the test ends.
+func dialDaemon(t *testing.T, addr string) *transport.TCPNode {
+	t.Helper()
+	cli := transport.DialTCP("cli")
+	t.Cleanup(func() { cli.Close() })
+	cli.AddPeer("coalitiond", addr)
+	return cli
 }
 
 // TestNaiveSingleRecvClientCrossWires demonstrates the bug: under
@@ -51,13 +46,11 @@ func testDaemon(t *testing.T, net *transport.Memory, reg *obs.Registry) (*Daemon
 // and the one it got back disagree. This is exactly the logic policyctl
 // shipped with before the mux client.
 func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
-	net := transport.NewMemory()
-	defer net.Close()
 	reg := obs.NewRegistry()
-	testDaemon(t, net, reg)
+	_, addr := testDaemon(t, reg)
 
 	// Every inbound envelope is delivered twice.
-	ep := transport.NewFaulty(net.Endpoint("cli"), transport.FaultPlan{Seed: 1, DupIn: 1.0})
+	ep := transport.NewFaulty(dialDaemon(t, addr), transport.FaultPlan{Seed: 1, DupIn: 1.0})
 
 	naiveCall := func(id string) Reply {
 		t.Helper()
@@ -98,12 +91,10 @@ func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
 // replies are per-call distinguishable); duplicated commands must be
 // answered from the dedup cache, and duplicated replies shed as stale.
 func TestMuxCorrelationUnderDupInjection(t *testing.T) {
-	net := transport.NewMemory()
-	defer net.Close()
 	reg := obs.NewRegistry()
-	testDaemon(t, net, reg)
+	_, addr := testDaemon(t, reg)
 
-	ep := transport.NewFaulty(net.Endpoint("cli"), transport.FaultPlan{
+	ep := transport.NewFaulty(dialDaemon(t, addr), transport.FaultPlan{
 		Seed:   11,
 		DupOut: 0.3, DupIn: 0.3,
 		DelayOut: 2 * time.Millisecond, DelayIn: 2 * time.Millisecond,
@@ -164,10 +155,8 @@ func TestMuxCorrelationUnderDupInjection(t *testing.T) {
 // daemon_dedup_replays_total), and the daemon's command counter shows a
 // single execution.
 func TestRetriedMutationAppliesOnce(t *testing.T) {
-	net := transport.NewMemory()
-	defer net.Close()
 	reg := obs.NewRegistry()
-	d, _ := testDaemon(t, net, reg)
+	d, addr := testDaemon(t, reg)
 
 	// Hold the mutation long enough for ~10 retransmits.
 	d.handleStarted = func(cmd Command) {
@@ -176,7 +165,7 @@ func TestRetriedMutationAppliesOnce(t *testing.T) {
 		}
 	}
 
-	c := newClient(net.Endpoint("cli"), "coalitiond", 10*time.Millisecond, reg)
+	c := newClient(dialDaemon(t, addr), "coalitiond", 10*time.Millisecond, reg)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

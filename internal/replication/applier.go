@@ -5,13 +5,17 @@
 // boundary mismatch, a replay error — by discarding the frame and
 // resyncing from the writer. The replica is swapped atomically, so the
 // follower daemon's Authorize path reads a consistent belief state
-// lock-free while frames apply.
+// lock-free while frames apply. A snapshot that decodes but does not
+// install asks for nothing at once: the writer would ship the same
+// history straight back, so the next heartbeat (head ahead of the
+// cursor) or the silence tick asks again.
 
 package replication
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +48,8 @@ type ApplierOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Replica is the follower's current read-only serving state.
-type Replica struct {
+// replica is the follower's current read-only serving state.
+type replica struct {
 	// Srv is the replayed authorization server; Authorize on it serves
 	// reads at the replica's watermark.
 	Srv *authz.Server
@@ -80,17 +84,20 @@ type Status struct {
 	// to one heartbeat; a certificate issued at the writer's current
 	// time is not believable here until Clock catches up.
 	Clock clock.Time `json:"clock"`
+	// LastError is why the applier last rejected a frame ("" if it never
+	// has); each rejection also counts in repl_apply_errors_total.
+	LastError string `json:"lastError,omitempty"`
 }
 
 // Applier is the follower-side protocol endpoint. Feed it every
 // "repl.*" envelope via Handle (from one goroutine — the daemon's recv
 // loop); Run drives the hello/resync timer.
 type Applier struct {
-	node Node
+	node node
 	opts ApplierOptions
 	reg  *obs.Registry
 
-	replica atomic.Pointer[Replica]
+	replica atomic.Pointer[replica]
 
 	mu        sync.Mutex
 	lastSeq   uint64
@@ -101,11 +108,12 @@ type Applier struct {
 	resyncs   uint64
 	lastFrame time.Time
 	helloed   bool
+	lastErr   string
 }
 
 // NewApplier builds the follower endpoint; node must already know the
 // writer's address.
-func NewApplier(node Node, opts ApplierOptions) *Applier {
+func NewApplier(node node, opts ApplierOptions) *Applier {
 	if opts.ResyncAfter <= 0 {
 		opts.ResyncAfter = 3 * time.Second
 	}
@@ -120,7 +128,7 @@ func NewApplier(node Node, opts ApplierOptions) *Applier {
 
 // Replica returns the current serving state, nil before the first
 // snapshot installs.
-func (a *Applier) Replica() *Replica { return a.replica.Load() }
+func (a *Applier) Replica() *replica { return a.replica.Load() }
 
 // Status reports the applier's position.
 func (a *Applier) Status() Status {
@@ -133,6 +141,7 @@ func (a *Applier) Status() Status {
 		Watermark: a.watermark,
 		Snapshots: a.snapshots,
 		Resyncs:   a.resyncs,
+		LastError: a.lastErr,
 	}
 	if rep := a.replica.Load(); rep != nil {
 		st.Ready = true
@@ -176,7 +185,7 @@ func (a *Applier) hello(resync bool) {
 	h := helloMsg{Follower: a.opts.Follower, LastSeq: a.lastSeq, Full: full}
 	if resync && a.helloed {
 		a.resyncs++
-		a.reg.Counter(MetricResyncs).Inc()
+		a.reg.Counter(metricResyncs).Inc()
 	}
 	a.helloed = true
 	a.mu.Unlock()
@@ -185,7 +194,7 @@ func (a *Applier) hello(resync bool) {
 		a.opts.Logf("replication: encode hello: %v", err)
 		return
 	}
-	if err := a.node.Send(a.opts.Writer, KindHello, body); err != nil {
+	if err := a.node.Send(a.opts.Writer, kindHello, body); err != nil {
 		a.opts.Logf("replication: hello to %s: %v", a.opts.Writer, err)
 	}
 }
@@ -194,21 +203,21 @@ func (a *Applier) hello(resync bool) {
 // Authorize readers are isolated via the atomic replica pointer.
 func (a *Applier) Handle(kind string, payload []byte) {
 	switch kind {
-	case KindSnapshot:
+	case kindSnapshot:
 		var msg snapshotMsg
 		if err := json.Unmarshal(payload, &msg); err != nil {
 			a.applyError("decode snapshot: %v", err)
 			return
 		}
 		a.applySnapshot(msg)
-	case KindRecords:
+	case kindRecords:
 		var msg recordsMsg
 		if err := json.Unmarshal(payload, &msg); err != nil {
 			a.applyError("decode records: %v", err)
 			return
 		}
 		a.applyRecords(msg)
-	case KindStatus:
+	case kindStatus:
 		var msg statusMsg
 		if err := json.Unmarshal(payload, &msg); err != nil {
 			a.applyError("decode status: %v", err)
@@ -228,7 +237,7 @@ func (a *Applier) applySnapshot(msg snapshotMsg) {
 	a.mu.Unlock()
 	if stale {
 		// A duplicated or delayed handoff we have already passed.
-		a.reg.Counter(MetricStaleFrames).Inc()
+		a.reg.Counter(metricStaleFrames).Inc()
 		return
 	}
 	recs, ok := a.decodeFrames(msg.Frames, "snapshot")
@@ -240,14 +249,12 @@ func (a *Applier) applySnapshot(msg snapshotMsg) {
 		// through its declared LastSeq, or the next tail record would not
 		// be LastSeq+1.
 		a.applyError("snapshot boundary: %d records, declared last seq %d", len(recs), msg.LastSeq)
-		a.hello(true)
 		return
 	}
 	clk := clock.New(msg.Clock)
 	store := acl.NewStore(clk)
 	if err := store.Import(msg.Objects, a.opts.Follower); err != nil {
 		a.applyError("import objects: %v", err)
-		a.hello(true)
 		return
 	}
 	alog := audit.NewLog()
@@ -257,11 +264,10 @@ func (a *Applier) applySnapshot(msg snapshotMsg) {
 	srv, rep, err := authz.NewReplica(a.opts.Follower, clk, store, alog, recs)
 	if err != nil {
 		a.applyError("install snapshot: %v", err)
-		a.hello(true)
 		return
 	}
 	srv.Instrument(a.reg)
-	a.replica.Store(&Replica{Srv: srv, Objects: store, Audit: alog, clk: clk})
+	a.replica.Store(&replica{Srv: srv, Objects: store, Audit: alog, clk: clk})
 	a.mu.Lock()
 	a.lastSeq = msg.LastSeq
 	a.head = max64(msg.Head, msg.LastSeq)
@@ -281,7 +287,7 @@ func (a *Applier) applyRecords(msg recordsMsg) {
 	if rep == nil {
 		// Records before any snapshot: we cannot serve without the object
 		// store, so ask for the full handoff.
-		a.reg.Counter(MetricStaleFrames).Inc()
+		a.reg.Counter(metricStaleFrames).Inc()
 		a.hello(true)
 		return
 	}
@@ -298,14 +304,13 @@ func (a *Applier) applyRecords(msg recordsMsg) {
 		recs = recs[1:]
 	}
 	if len(recs) == 0 {
-		a.reg.Counter(MetricStaleFrames).Inc()
+		a.reg.Counter(metricStaleFrames).Inc()
 		a.updateHead(msg.Head)
 		return
 	}
 	if recs[0].Seq != last+1 {
 		// A gap: something between last and this batch was lost.
-		a.opts.Logf("replication: gap after seq %d (next shipped %d), resyncing", last, recs[0].Seq)
-		a.reg.Counter(MetricApplyErrors).Inc()
+		a.applyError("gap after seq %d (next shipped %d), resyncing", last, recs[0].Seq)
 		a.hello(true)
 		return
 	}
@@ -388,7 +393,7 @@ func (a *Applier) updateHead(head uint64) {
 // countApplied tallies applied records per type.
 func (a *Applier) countApplied(recs []wal.Record) {
 	for _, r := range recs {
-		a.reg.Counter(MetricAppliedRecords, "type", string(r.Type)).Inc()
+		a.reg.Counter(metricAppliedRecords, "type", string(r.Type)).Inc()
 	}
 }
 
@@ -398,20 +403,25 @@ func (a *Applier) publishGauges() {
 	a.mu.Lock()
 	lastSeq, head, epoch, watermark := a.lastSeq, a.head, a.epoch, a.watermark
 	a.mu.Unlock()
-	a.reg.Gauge(MetricLastSeq).Set(int64(lastSeq))
-	a.reg.Gauge(MetricEpoch).Set(int64(epoch))
-	a.reg.Gauge(MetricWatermark).Set(int64(watermark))
+	a.reg.Gauge(metricLastSeq).Set(int64(lastSeq))
+	a.reg.Gauge(metricEpoch).Set(int64(epoch))
+	a.reg.Gauge(metricWatermark).Set(int64(watermark))
 	var lag uint64
 	if head > lastSeq {
 		lag = head - lastSeq
 	}
-	a.reg.Gauge(MetricLagRecords).Set(int64(lag))
+	a.reg.Gauge(metricLagRecords).Set(int64(lag))
 }
 
-// applyError logs and counts a rejected frame.
+// applyError logs and counts a rejected frame, and keeps its reason for
+// Status.
 func (a *Applier) applyError(format string, args ...any) {
-	a.opts.Logf("replication: "+format, args...)
-	a.reg.Counter(MetricApplyErrors).Inc()
+	msg := fmt.Sprintf(format, args...)
+	a.opts.Logf("replication: %s", msg)
+	a.reg.Counter(metricApplyErrors).Inc()
+	a.mu.Lock()
+	a.lastErr = msg
+	a.mu.Unlock()
 }
 
 func max64(a, b uint64) uint64 {

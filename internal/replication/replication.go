@@ -50,14 +50,14 @@ import (
 
 // Envelope kinds of the replication protocol.
 const (
-	// KindHello is the follower's announcement / resync request.
-	KindHello = "repl.hello"
-	// KindSnapshot carries a full history + object-store handoff.
-	KindSnapshot = "repl.snapshot"
-	// KindRecords carries a contiguous WAL tail batch.
-	KindRecords = "repl.records"
-	// KindStatus is the writer's heartbeat.
-	KindStatus = "repl.status"
+	// kindHello is the follower's announcement / resync request.
+	kindHello = "repl.hello"
+	// kindSnapshot carries a full history + object-store handoff.
+	kindSnapshot = "repl.snapshot"
+	// kindRecords carries a contiguous WAL tail batch.
+	kindRecords = "repl.records"
+	// kindStatus is the writer's heartbeat.
+	kindStatus = "repl.status"
 )
 
 // IsReplication reports whether an envelope kind belongs to the
@@ -119,56 +119,56 @@ type statusMsg struct {
 	Clock     clock.Time `json:"clock"`
 }
 
-// Node is the follower's transport surface: send a frame to the writer
+// node is the follower's transport surface: send a frame to the writer
 // by name. *transport.TCPNode implements it.
-type Node interface {
+type node interface {
 	Send(to, kind string, payload []byte) error
 }
 
-// Replier is the writer's transport surface: answer a hello on the
+// replier is the writer's transport surface: answer a hello on the
 // connection it arrived on (*transport.TCPNode, the daemon's command node).
-type Replier interface {
+type replier interface {
 	Reply(env transport.Envelope, kind string, payload []byte) error
 }
 
 // Writer-side metric names (labels: follower=<name>).
 const (
-	// MetricFollowers gauges the follower streams currently registered.
-	MetricFollowers = "repl_followers"
-	// MetricRecordsShipped counts WAL records shipped per follower.
-	MetricRecordsShipped = "repl_records_shipped_total"
-	// MetricSnapshotsShipped counts snapshot handoffs per follower.
-	MetricSnapshotsShipped = "repl_snapshots_shipped_total"
-	// MetricHeartbeats counts status heartbeats per follower.
-	MetricHeartbeats = "repl_heartbeats_total"
-	// MetricShipErrors counts failed sends per follower (a shipped frame
+	// metricFollowers gauges the follower streams currently registered.
+	metricFollowers = "repl_followers"
+	// metricRecordsShipped counts WAL records shipped per follower.
+	metricRecordsShipped = "repl_records_shipped_total"
+	// metricSnapshotsShipped counts snapshot handoffs per follower.
+	metricSnapshotsShipped = "repl_snapshots_shipped_total"
+	// metricHeartbeats counts status heartbeats per follower.
+	metricHeartbeats = "repl_heartbeats_total"
+	// metricShipErrors counts failed sends per follower (a shipped frame
 	// is one write; the follower's resync recovers the stream).
-	MetricShipErrors = "repl_ship_errors_total"
+	metricShipErrors = "repl_ship_errors_total"
 )
 
 // Follower-side metric names.
 const (
-	// MetricAppliedRecords counts applied records, labeled type=<record
+	// metricAppliedRecords counts applied records, labeled type=<record
 	// type>.
-	MetricAppliedRecords = "repl_applied_records_total"
+	metricAppliedRecords = "repl_applied_records_total"
 	// MetricSnapshotsInstalled counts installed snapshot handoffs.
 	MetricSnapshotsInstalled = "repl_snapshots_installed_total"
-	// MetricResyncs counts hello frames sent after the initial one —
+	// metricResyncs counts hello frames sent after the initial one —
 	// loss, gap or silence recoveries.
-	MetricResyncs = "repl_resyncs_total"
-	// MetricStaleFrames counts duplicate or already-covered frames shed
+	metricResyncs = "repl_resyncs_total"
+	// metricStaleFrames counts duplicate or already-covered frames shed
 	// by sequence number.
-	MetricStaleFrames = "repl_stale_frames_total"
-	// MetricApplyErrors counts frames rejected by CRC, boundary or
+	metricStaleFrames = "repl_stale_frames_total"
+	// metricApplyErrors counts frames rejected by CRC, boundary or
 	// replay failure (the applier fails closed and resyncs).
-	MetricApplyErrors = "repl_apply_errors_total"
-	// MetricLastSeq gauges the follower's applied WAL sequence.
-	MetricLastSeq = "repl_last_seq"
-	// MetricEpoch gauges the follower's replayed epoch.
-	MetricEpoch = "repl_epoch"
-	// MetricWatermark gauges the follower's replayed watermark.
-	MetricWatermark = "repl_watermark"
-	// MetricLagRecords gauges writer head minus applied sequence — the
+	metricApplyErrors = "repl_apply_errors_total"
+	// metricLastSeq gauges the follower's applied WAL sequence.
+	metricLastSeq = "repl_last_seq"
+	// metricEpoch gauges the follower's replayed epoch.
+	metricEpoch = "repl_epoch"
+	// metricWatermark gauges the follower's replayed watermark.
+	metricWatermark = "repl_watermark"
+	// metricLagRecords gauges writer head minus applied sequence — the
 	// staleness the follower currently serves reads at.
-	MetricLagRecords = "repl_lag_records"
+	metricLagRecords = "repl_lag_records"
 )

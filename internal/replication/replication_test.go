@@ -19,7 +19,7 @@ import (
 	"jointadmin/internal/wal"
 )
 
-// fakeNode records every frame an Applier or Shipper sends, standing in
+// fakeNode records every frame an Applier or shipper sends, standing in
 // for the TCP transport.
 type fakeNode struct {
 	mu   sync.Mutex
@@ -236,7 +236,7 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-func newTestApplier(node Node, reg *obs.Registry) *Applier {
+func newTestApplier(node node, reg *obs.Registry) *Applier {
 	return NewApplier(node, ApplierOptions{
 		Follower: "f1", Writer: "coalitiond",
 		Metrics: reg,
@@ -252,7 +252,7 @@ func TestApplierFreshFromSnapshot(t *testing.T) {
 	ap := newTestApplier(node, reg)
 
 	snap := snapshotFrom(t, w)
-	ap.Handle(KindSnapshot, mustJSON(t, snap))
+	ap.Handle(kindSnapshot, mustJSON(t, snap))
 
 	rep := ap.Replica()
 	if rep == nil {
@@ -300,7 +300,7 @@ func TestApplierPartialTail(t *testing.T) {
 	if err := w.a.GrantThreshold("G_tail", 1, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	ap.Handle(KindSnapshot, mustJSON(t, snapshotFrom(t, w)))
+	ap.Handle(kindSnapshot, mustJSON(t, snapshotFrom(t, w)))
 	cursor := ap.Status().LastSeq
 
 	// Mutate the writer past the handoff: revoke the group, then ship
@@ -308,7 +308,7 @@ func TestApplierPartialTail(t *testing.T) {
 	if err := w.a.Revoke("G_tail", w.srv); err != nil {
 		t.Fatal(err)
 	}
-	ap.Handle(KindRecords, mustJSON(t, recordsFrom(t, w, cursor)))
+	ap.Handle(kindRecords, mustJSON(t, recordsFrom(t, w, cursor)))
 
 	st := ap.Status()
 	if st.LastSeq != w.log.Seq() || st.Lag != 0 {
@@ -340,11 +340,11 @@ func TestApplierRestartMidStream(t *testing.T) {
 	// Tail records arrive first (the writer still thinks the old
 	// incarnation's cursor is live): the fresh applier must not apply
 	// them — it lacks the object store — and must ask for a full handoff.
-	ap.Handle(KindRecords, mustJSON(t, recordsFrom(t, w, 0)))
+	ap.Handle(kindRecords, mustJSON(t, recordsFrom(t, w, 0)))
 	if ap.Replica() != nil {
 		t.Fatal("replica built from tail records alone")
 	}
-	if got := node.countKind(KindHello); got != 1 {
+	if got := node.countKind(kindHello); got != 1 {
 		t.Fatalf("expected 1 recovery hello, got %d", got)
 	}
 	var h helloMsg
@@ -356,12 +356,67 @@ func TestApplierRestartMidStream(t *testing.T) {
 		t.Fatal("recovery hello after restart should request a full snapshot")
 	}
 	// The handoff the hello provokes restores service.
-	ap.Handle(KindSnapshot, mustJSON(t, snapshotFrom(t, w)))
+	ap.Handle(kindSnapshot, mustJSON(t, snapshotFrom(t, w)))
 	if ap.Replica() == nil || !ap.Status().Ready {
 		t.Fatal("replica not restored by snapshot handoff")
 	}
 	if ap.Status().LastSeq != w.log.Seq() {
 		t.Fatalf("restarted follower at %d, writer at %d", ap.Status().LastSeq, w.log.Seq())
+	}
+}
+
+// TestApplierPacesFailedInstall: a snapshot that decodes but cannot be
+// installed (a belief record ahead of any anchors record) is counted and
+// named in Status.LastError, and asks for nothing at once — the writer
+// would ship the same history straight back. The next status frame asks
+// again, for a full snapshot.
+func TestApplierPacesFailedInstall(t *testing.T) {
+	w := newWriter(t)
+	w.mutate(t, "uninstallable")
+	recs, head, err := w.log.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var beliefs []wal.Record
+	for _, r := range recs {
+		if r.Type != wal.TypeAnchors {
+			beliefs = append(beliefs, r)
+		}
+	}
+	bad := snapshotFrom(t, w)
+	if bad.Frames, err = wal.EncodeFrames(beliefs); err != nil {
+		t.Fatal(err)
+	}
+	bad.LastSeq = beliefs[len(beliefs)-1].Seq
+
+	node := newFakeNode()
+	reg := obs.NewRegistry()
+	ap := newTestApplier(node, reg)
+	ap.Handle(kindSnapshot, mustJSON(t, bad))
+	if ap.Replica() != nil {
+		t.Fatal("a history without anchors installed a replica")
+	}
+	if got := node.countKind(kindHello); got != 0 {
+		t.Fatalf("the failed install sent %d hello(s) at once, want none before the next status frame", got)
+	}
+	if got := reg.Snapshot().CounterValue(metricApplyErrors); got != 1 {
+		t.Fatalf("%s = %d, want 1", metricApplyErrors, got)
+	}
+	if st := ap.Status(); st.Ready || !strings.Contains(st.LastError, "install snapshot") || !strings.Contains(st.LastError, "anchors") {
+		t.Fatalf("status after the failed install = %+v, want not ready and LastError naming the install failure", st)
+	}
+
+	ap.Handle(kindStatus, mustJSON(t, statusMsg{Head: head, Clock: w.a.Clock().Now()}))
+	if got := node.countKind(kindHello); got != 1 {
+		t.Fatalf("hellos after the status frame = %d, want 1", got)
+	}
+	var h helloMsg
+	sent := node.frames()
+	if err := json.Unmarshal(sent[len(sent)-1].payload, &h); err != nil {
+		t.Fatal(err)
+	}
+	if !h.Full {
+		t.Fatal("a follower without a replica must ask for a full snapshot")
 	}
 }
 
@@ -374,26 +429,26 @@ func TestApplierCorruptFrameFailsClosed(t *testing.T) {
 	reg := obs.NewRegistry()
 	ap := newTestApplier(node, reg)
 
-	ap.Handle(KindSnapshot, mustJSON(t, snapshotFrom(t, w)))
+	ap.Handle(kindSnapshot, mustJSON(t, snapshotFrom(t, w)))
 	cursor := ap.Status().LastSeq
 
 	w.mutate(t, "corrupt")
 	msg := recordsFrom(t, w, cursor)
 	msg.Frames[len(msg.Frames)/2] ^= 0xff
-	helloBefore := node.countKind(KindHello)
-	ap.Handle(KindRecords, mustJSON(t, msg))
+	helloBefore := node.countKind(kindHello)
+	ap.Handle(kindRecords, mustJSON(t, msg))
 
 	if got := ap.Status().LastSeq; got != cursor {
 		t.Fatalf("corrupt frame advanced cursor: %d -> %d", cursor, got)
 	}
-	if reg.Snapshot().CounterValue(MetricApplyErrors) == 0 {
+	if reg.Snapshot().CounterValue(metricApplyErrors) == 0 {
 		t.Fatal("corrupt frame not counted as apply error")
 	}
-	if node.countKind(KindHello) != helloBefore+1 {
+	if node.countKind(kindHello) != helloBefore+1 {
 		t.Fatal("corrupt frame did not trigger a resync hello")
 	}
 	// The intact retransmission (what the resync provokes) applies fine.
-	ap.Handle(KindRecords, mustJSON(t, recordsFrom(t, w, cursor)))
+	ap.Handle(kindRecords, mustJSON(t, recordsFrom(t, w, cursor)))
 	if ap.Status().LastSeq != w.log.Seq() {
 		t.Fatal("retransmission after corruption did not apply")
 	}
@@ -408,19 +463,19 @@ func TestApplierGapAndDuplicate(t *testing.T) {
 	reg := obs.NewRegistry()
 	ap := newTestApplier(node, reg)
 
-	ap.Handle(KindSnapshot, mustJSON(t, snapshotFrom(t, w)))
+	ap.Handle(kindSnapshot, mustJSON(t, snapshotFrom(t, w)))
 	cursor := ap.Status().LastSeq
 	w.mutate(t, "gap")
 	tail := recordsFrom(t, w, cursor)
-	ap.Handle(KindRecords, mustJSON(t, tail))
+	ap.Handle(kindRecords, mustJSON(t, tail))
 	applied := ap.Status().LastSeq
 
 	// Duplicate delivery: shed, not re-applied.
-	ap.Handle(KindRecords, mustJSON(t, tail))
+	ap.Handle(kindRecords, mustJSON(t, tail))
 	if ap.Status().LastSeq != applied {
 		t.Fatal("duplicate batch changed the cursor")
 	}
-	if reg.Snapshot().CounterValue(MetricStaleFrames) == 0 {
+	if reg.Snapshot().CounterValue(metricStaleFrames) == 0 {
 		t.Fatal("duplicate batch not counted stale")
 	}
 
@@ -428,16 +483,16 @@ func TestApplierGapAndDuplicate(t *testing.T) {
 	w.mutate(t, "gap2a")
 	w.mutate(t, "gap2b")
 	gap := recordsFrom(t, w, applied+1) // skips the record at applied+1
-	helloBefore := node.countKind(KindHello)
-	errsBefore := reg.Snapshot().CounterValue(MetricApplyErrors)
-	ap.Handle(KindRecords, mustJSON(t, gap))
+	helloBefore := node.countKind(kindHello)
+	errsBefore := reg.Snapshot().CounterValue(metricApplyErrors)
+	ap.Handle(kindRecords, mustJSON(t, gap))
 	if ap.Status().LastSeq != applied {
 		t.Fatal("gapped batch applied")
 	}
-	if node.countKind(KindHello) != helloBefore+1 {
+	if node.countKind(kindHello) != helloBefore+1 {
 		t.Fatal("gap did not trigger a resync hello")
 	}
-	if reg.Snapshot().CounterValue(MetricApplyErrors) != errsBefore+1 {
+	if reg.Snapshot().CounterValue(metricApplyErrors) != errsBefore+1 {
 		t.Fatal("gap not counted as apply error")
 	}
 }
@@ -452,16 +507,16 @@ func TestLagMetricsMonotoneAndReset(t *testing.T) {
 	reg := obs.NewRegistry()
 	ap := newTestApplier(node, reg)
 
-	ap.Handle(KindSnapshot, mustJSON(t, snapshotFrom(t, w)))
+	ap.Handle(kindSnapshot, mustJSON(t, snapshotFrom(t, w)))
 	base := ap.Status().LastSeq
-	if got := reg.Gauge(MetricLagRecords).Value(); got != 0 {
+	if got := reg.Gauge(metricLagRecords).Value(); got != 0 {
 		t.Fatalf("lag after full install = %d, want 0", got)
 	}
 
 	var prevLag int64
 	for i := uint64(1); i <= 3; i++ {
-		ap.Handle(KindStatus, mustJSON(t, statusMsg{Head: base + i}))
-		lag := reg.Gauge(MetricLagRecords).Value()
+		ap.Handle(kindStatus, mustJSON(t, statusMsg{Head: base + i}))
+		lag := reg.Gauge(metricLagRecords).Value()
 		if lag < prevLag {
 			t.Fatalf("lag regressed while falling behind: %d after %d", lag, prevLag)
 		}
@@ -471,25 +526,25 @@ func TestLagMetricsMonotoneAndReset(t *testing.T) {
 		prevLag = lag
 	}
 	// A delayed heartbeat with an older head must not shrink the lag.
-	ap.Handle(KindStatus, mustJSON(t, statusMsg{Head: base + 1}))
-	if got := reg.Gauge(MetricLagRecords).Value(); got != prevLag {
+	ap.Handle(kindStatus, mustJSON(t, statusMsg{Head: base + 1}))
+	if got := reg.Gauge(metricLagRecords).Value(); got != prevLag {
 		t.Fatalf("stale heartbeat moved lag: %d -> %d", prevLag, got)
 	}
 
 	// Catch up for real: make the advertised heads real, then ship the
 	// tail.
-	lastSeqBefore := reg.Gauge(MetricLastSeq).Value()
+	lastSeqBefore := reg.Gauge(metricLastSeq).Value()
 	for i := 0; w.log.Seq() < base+3; i++ {
 		w.mutate(t, fmt.Sprintf("lag%d", i))
 	}
-	ap.Handle(KindRecords, mustJSON(t, recordsFrom(t, w, base)))
-	if got := reg.Gauge(MetricLagRecords).Value(); got != 0 {
+	ap.Handle(kindRecords, mustJSON(t, recordsFrom(t, w, base)))
+	if got := reg.Gauge(metricLagRecords).Value(); got != 0 {
 		t.Fatalf("lag after catch-up = %d, want 0", got)
 	}
-	if got := reg.Gauge(MetricLastSeq).Value(); got < lastSeqBefore {
+	if got := reg.Gauge(metricLastSeq).Value(); got < lastSeqBefore {
 		t.Fatalf("repl_last_seq regressed: %d -> %d", lastSeqBefore, got)
 	}
-	if got := reg.Gauge(MetricLastSeq).Value(); uint64(got) != w.log.Seq() {
+	if got := reg.Gauge(metricLastSeq).Value(); uint64(got) != w.log.Seq() {
 		t.Fatalf("repl_last_seq = %d, writer head %d", got, w.log.Seq())
 	}
 }
@@ -514,11 +569,11 @@ func TestShipperSnapshotHandoffAndTail(t *testing.T) {
 	})
 	defer sh.Close()
 
-	sh.Handle(transport.Envelope{From: "f1", Kind: KindHello, Payload: mustJSON(t, helloMsg{Follower: "f1", Full: true})})
-	node.waitKind(t, KindSnapshot, 1)
+	sh.Handle(transport.Envelope{From: "f1", Kind: kindHello, Payload: mustJSON(t, helloMsg{Follower: "f1", Full: true})})
+	node.waitKind(t, kindSnapshot, 1)
 	var snap snapshotMsg
 	for _, f := range node.frames() {
-		if f.kind == KindSnapshot {
+		if f.kind == kindSnapshot {
 			if err := json.Unmarshal(f.payload, &snap); err != nil {
 				t.Fatal(err)
 			}
@@ -546,13 +601,13 @@ func TestShipperSnapshotHandoffAndTail(t *testing.T) {
 	}
 
 	// A caught-up stream heartbeats...
-	node.waitKind(t, KindStatus, 1)
+	node.waitKind(t, kindStatus, 1)
 	// ...and ships new appends as tail records from exactly LastSeq+1.
 	w.mutate(t, "ship")
-	node.waitKind(t, KindRecords, 1)
+	node.waitKind(t, kindRecords, 1)
 	var rm recordsMsg
 	for _, f := range node.frames() {
-		if f.kind == KindRecords {
+		if f.kind == kindRecords {
 			if err := json.Unmarshal(f.payload, &rm); err != nil {
 				t.Fatal(err)
 			}
@@ -563,10 +618,10 @@ func TestShipperSnapshotHandoffAndTail(t *testing.T) {
 	if len(tail) == 0 || tail[0].Seq != snap.LastSeq+1 {
 		t.Fatalf("first shipped tail seq = %v, want %d", tail, snap.LastSeq+1)
 	}
-	if reg.Snapshot().CounterValue(MetricSnapshotsShipped+`{follower="f1"}`) == 0 {
+	if reg.Snapshot().CounterValue(metricSnapshotsShipped+`{follower="f1"}`) == 0 {
 		t.Fatal("snapshot ship not counted")
 	}
-	if reg.Gauge(MetricFollowers).Value() != 1 {
+	if reg.Gauge(metricFollowers).Value() != 1 {
 		t.Fatal("follower stream not gauged")
 	}
 }
@@ -574,7 +629,7 @@ func TestShipperSnapshotHandoffAndTail(t *testing.T) {
 // TestIsReplication pins the routing predicate the daemon serve loops
 // rely on.
 func TestIsReplication(t *testing.T) {
-	for _, k := range []string{KindHello, KindSnapshot, KindRecords, KindStatus} {
+	for _, k := range []string{kindHello, kindSnapshot, kindRecords, kindStatus} {
 		if !IsReplication(k) {
 			t.Fatalf("IsReplication(%q) = false", k)
 		}
@@ -640,7 +695,7 @@ func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ap.Handle(KindSnapshot, mustJSON(t, snapshotFrom(t, w)))
+	ap.Handle(kindSnapshot, mustJSON(t, snapshotFrom(t, w)))
 	follower := ap.Replica().Srv
 	for _, req := range []authz.AccessRequest{untouched, victim} {
 		if _, err := follower.Authorize(ctx, req); err != nil {
@@ -656,7 +711,7 @@ func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
 		if err := mutate(); err != nil {
 			t.Fatal(err)
 		}
-		ap.Handle(KindRecords, mustJSON(t, recordsFrom(t, w, cursor)))
+		ap.Handle(kindRecords, mustJSON(t, recordsFrom(t, w, cursor)))
 		if ap.Replica().Srv != follower {
 			t.Fatalf("shipped %s replaced the replica", verb)
 		}
@@ -729,7 +784,7 @@ func TestShipperFollowsLatestHelloConnection(t *testing.T) {
 	}
 	hello := func(n *transport.TCPNode, h helloMsg) {
 		t.Helper()
-		if err := n.Send("coalitiond", KindHello, mustJSON(t, h)); err != nil {
+		if err := n.Send("coalitiond", kindHello, mustJSON(t, h)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -753,16 +808,16 @@ func TestShipperFollowsLatestHelloConnection(t *testing.T) {
 	old := follower()
 	hello(old, helloMsg{Follower: "f1", Full: true})
 	var snap snapshotMsg
-	if err := json.Unmarshal(await(old, KindSnapshot).Payload, &snap); err != nil {
+	if err := json.Unmarshal(await(old, kindSnapshot).Payload, &snap); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := follower()
 	hello(fresh, helloMsg{Follower: "f1", LastSeq: snap.LastSeq})
-	await(fresh, KindStatus) // the stream has taken up the new hello
+	await(fresh, kindStatus) // the stream has taken up the new hello
 	w.mutate(t, fmt.Sprintf("reconnect%d", snap.LastSeq))
 	var rm recordsMsg
-	if err := json.Unmarshal(await(fresh, KindRecords).Payload, &rm); err != nil {
+	if err := json.Unmarshal(await(fresh, kindRecords).Payload, &rm); err != nil {
 		t.Fatal(err)
 	}
 	if tail, _, _, _ := wal.Scan(rm.Frames); len(tail) == 0 || tail[0].Seq != snap.LastSeq+1 {
@@ -773,7 +828,7 @@ func TestShipperFollowsLatestHelloConnection(t *testing.T) {
 		if err != nil {
 			break
 		}
-		if env.Kind == KindRecords {
+		if env.Kind == kindRecords {
 			t.Fatal("records shipped on the superseded connection")
 		}
 	}

@@ -1,4 +1,4 @@
-// Writer side: one Shipper per daemon, one stream goroutine per
+// Writer side: one shipper per daemon, one stream goroutine per
 // follower. Each stream tail-follows the WAL from its follower's cursor
 // and pushes records as they land, falling back to a snapshot handoff
 // when the cursor predates the compaction floor (wal.ErrCompacted), the
@@ -52,12 +52,12 @@ type ShipperOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Shipper streams the WAL to registered followers. Create one per
+// shipper streams the WAL to registered followers. Create one per
 // writer with NewShipper, feed it every "repl.*" envelope via Handle,
 // and Close it when serving stops.
-type Shipper struct {
+type shipper struct {
 	log  *wal.Log
-	node Replier
+	node replier
 	opts ShipperOptions
 	reg  *obs.Registry
 
@@ -80,7 +80,7 @@ type stream struct {
 
 // NewShipper builds the writer-side shipper over an open WAL and a
 // reply-capable node (the daemon's own command node).
-func NewShipper(log *wal.Log, node Replier, opts ShipperOptions) *Shipper {
+func NewShipper(log *wal.Log, node replier, opts ShipperOptions) *shipper {
 	if opts.Batch <= 0 {
 		opts.Batch = 64
 	}
@@ -93,7 +93,7 @@ func NewShipper(log *wal.Log, node Replier, opts ShipperOptions) *Shipper {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	s := &Shipper{log: log, node: node, opts: opts, reg: opts.Metrics,
+	s := &shipper{log: log, node: node, opts: opts, reg: opts.Metrics,
 		streams: map[string]*stream{}}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	return s
@@ -102,8 +102,8 @@ func NewShipper(log *wal.Log, node Replier, opts ShipperOptions) *Shipper {
 // Handle routes one replication envelope (the writer only receives
 // hello frames). Unknown or undecodable frames are logged and dropped —
 // a confused follower resyncs on its own.
-func (s *Shipper) Handle(env transport.Envelope) {
-	if env.Kind != KindHello {
+func (s *shipper) Handle(env transport.Envelope) {
+	if env.Kind != kindHello {
 		s.opts.Logf("replication: writer ignoring frame kind %s", env.Kind)
 		return
 	}
@@ -118,7 +118,7 @@ func (s *Shipper) Handle(env transport.Envelope) {
 	if !ok {
 		st = &stream{follower: h.Follower, hello: make(chan helloMsg, 1)}
 		s.streams[h.Follower] = st
-		s.reg.Gauge(MetricFollowers).Set(int64(len(s.streams)))
+		s.reg.Gauge(metricFollowers).Set(int64(len(s.streams)))
 		s.wg.Add(1)
 		go s.run(st)
 	}
@@ -140,7 +140,7 @@ func (s *Shipper) Handle(env transport.Envelope) {
 }
 
 // Close stops every stream and waits for them to exit.
-func (s *Shipper) Close() {
+func (s *shipper) Close() {
 	s.cancel()
 	s.wg.Wait()
 }
@@ -148,7 +148,7 @@ func (s *Shipper) Close() {
 // run is one follower's stream loop: resolve the latest hello into a
 // cursor (snapshot or tail), then follow the log, heartbeating when
 // idle.
-func (s *Shipper) run(st *stream) {
+func (s *shipper) run(st *stream) {
 	defer s.wg.Done()
 	var (
 		cursor        uint64 // last sequence the follower holds
@@ -248,7 +248,7 @@ func (s *Shipper) run(st *stream) {
 // sequence). A failed send still advances the cursor — the follower's
 // silence-triggered hello re-bases the stream — but a failure to even
 // capture the history does not.
-func (s *Shipper) sendSnapshot(st *stream) (uint64, bool) {
+func (s *shipper) sendSnapshot(st *stream) (uint64, bool) {
 	recs, head, err := s.log.History()
 	if err != nil {
 		s.opts.Logf("replication: history for %s: %v", st.follower, err)
@@ -273,45 +273,45 @@ func (s *Shipper) sendSnapshot(st *stream) (uint64, bool) {
 	epoch, watermark := s.state()
 	msg := snapshotMsg{Frames: frames, LastSeq: lastSeq, Objects: objs,
 		Head: head, Epoch: epoch, Watermark: watermark, Clock: s.now()}
-	if s.send(st, KindSnapshot, msg) {
-		s.reg.Counter(MetricSnapshotsShipped, "follower", st.follower).Inc()
+	if s.send(st, kindSnapshot, msg) {
+		s.reg.Counter(metricSnapshotsShipped, "follower", st.follower).Inc()
 	}
 	return lastSeq, true
 }
 
 // sendRecords ships one contiguous tail batch; reports success.
-func (s *Shipper) sendRecords(st *stream, recs []wal.Record) bool {
+func (s *shipper) sendRecords(st *stream, recs []wal.Record) bool {
 	frames, err := wal.EncodeFrames(recs)
 	if err != nil {
 		s.opts.Logf("replication: encode tail for %s: %v", st.follower, err)
 		return false
 	}
-	if !s.send(st, KindRecords, recordsMsg{Frames: frames, Head: s.log.Seq(), Clock: s.now()}) {
+	if !s.send(st, kindRecords, recordsMsg{Frames: frames, Head: s.log.Seq(), Clock: s.now()}) {
 		return false
 	}
-	s.reg.Counter(MetricRecordsShipped, "follower", st.follower).Add(int64(len(recs)))
+	s.reg.Counter(metricRecordsShipped, "follower", st.follower).Add(int64(len(recs)))
 	return true
 }
 
 // sendStatus ships the idle heartbeat.
-func (s *Shipper) sendStatus(st *stream) {
+func (s *shipper) sendStatus(st *stream) {
 	epoch, watermark := s.state()
-	if s.send(st, KindStatus, statusMsg{Head: s.log.Seq(), Epoch: epoch, Watermark: watermark, Clock: s.now()}) {
-		s.reg.Counter(MetricHeartbeats, "follower", st.follower).Inc()
+	if s.send(st, kindStatus, statusMsg{Head: s.log.Seq(), Epoch: epoch, Watermark: watermark, Clock: s.now()}) {
+		s.reg.Counter(metricHeartbeats, "follower", st.follower).Inc()
 	}
 }
 
 // send marshals one frame and writes it on the connection of the
 // stream's latest hello; failures are counted, logged and reported to
 // the caller.
-func (s *Shipper) send(st *stream, kind string, msg any) bool {
+func (s *shipper) send(st *stream, kind string, msg any) bool {
 	body, err := json.Marshal(msg)
 	if err != nil {
 		s.opts.Logf("replication: encode %s for %s: %v", kind, st.follower, err)
 		return false
 	}
 	if err := s.node.Reply(st.to, kind, body); err != nil {
-		s.reg.Counter(MetricShipErrors, "follower", st.follower).Inc()
+		s.reg.Counter(metricShipErrors, "follower", st.follower).Inc()
 		s.opts.Logf("replication: send %s to %s: %v", kind, st.follower, err)
 		return false
 	}
@@ -319,7 +319,7 @@ func (s *Shipper) send(st *stream, kind string, msg any) bool {
 }
 
 // state reports the writer's live versions, zero when unconfigured.
-func (s *Shipper) state() (uint64, uint64) {
+func (s *shipper) state() (uint64, uint64) {
 	if s.opts.State == nil {
 		return 0, 0
 	}
@@ -327,7 +327,7 @@ func (s *Shipper) state() (uint64, uint64) {
 }
 
 // now reports the writer's logical time, zero when unconfigured.
-func (s *Shipper) now() clock.Time {
+func (s *shipper) now() clock.Time {
 	if s.opts.Now == nil {
 		return 0
 	}
@@ -335,7 +335,7 @@ func (s *Shipper) now() clock.Time {
 }
 
 // sleep waits d or until Close.
-func (s *Shipper) sleep(d time.Duration) {
+func (s *shipper) sleep(d time.Duration) {
 	select {
 	case <-s.ctx.Done():
 	case <-time.After(d):

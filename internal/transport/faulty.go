@@ -1,8 +1,9 @@
-// Fault injection over any endpoint.
+// Fault injection over a TCP node.
 //
-// Faulty wraps an Endpoint and perturbs its traffic — dropping, delaying
-// and duplicating messages per direction, and severing whole directions
-// on command — from a seedable random source, so daemon-level
+// Faulty wraps an Endpoint (a TCPNode: a daemon's, a follower's or a
+// client's) and perturbs its traffic — dropping, delaying and
+// duplicating messages per direction, and severing whole directions on
+// command — from a seedable random source, so daemon-level
 // degradation (lost requests, lost replies, dead links mid-protocol) is
 // reproducible in ordinary tests instead of waiting for a flaky network.
 // The wrapper sits above the wire: a dropped Send reports success to the
@@ -55,8 +56,9 @@ type FaultStats struct {
 	SeveredOut, SeveredIn       int
 }
 
-// Faulty is the fault-injecting endpoint wrapper. It is safe for
-// concurrent use to the same degree as the wrapped endpoint.
+// Faulty is the fault-injecting endpoint wrapper, the one way tests
+// perturb the TCP network the daemons deploy. It is safe for concurrent
+// use to the same degree as the wrapped endpoint.
 type Faulty struct {
 	inner Endpoint
 	plan  FaultPlan

@@ -7,18 +7,28 @@ import (
 	"time"
 )
 
-// faultyPair wires two in-memory endpoints with a Faulty wrapper on A.
-func faultyPair(t *testing.T, plan FaultPlan) (*Faulty, Endpoint, *Memory) {
+// faultyPair wires two loopback TCP nodes that know each other's
+// address, with a Faulty wrapper on A; both close when the test ends.
+func faultyPair(t *testing.T, plan FaultPlan) (*Faulty, *TCPNode) {
 	t.Helper()
-	net := NewMemory()
-	t.Cleanup(net.Close)
-	a := NewFaulty(net.Endpoint("A"), plan)
-	b := net.Endpoint("B")
-	return a, b, net
+	inner, err := ListenTCP("A", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewFaulty(inner, plan)
+	t.Cleanup(func() { a.Close() })
+	b, err := ListenTCP("B", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	inner.AddPeer("B", b.Addr())
+	b.AddPeer("A", inner.Addr())
+	return a, b
 }
 
 func TestFaultyPassthrough(t *testing.T) {
-	a, b, _ := faultyPair(t, FaultPlan{Seed: 1})
+	a, b := faultyPair(t, FaultPlan{Seed: 1})
 	if err := a.Send("B", "k", []byte("clean")); err != nil {
 		t.Fatal(err)
 	}
@@ -39,24 +49,21 @@ func TestFaultyPassthrough(t *testing.T) {
 func TestFaultyDropOutDeterministic(t *testing.T) {
 	const n = 200
 	arrived := func(seed int64) int {
-		net := NewMemory()
-		defer net.Close()
-		a := NewFaulty(net.Endpoint("A"), FaultPlan{Seed: seed, DropOut: 0.3})
-		b := net.Endpoint("B")
+		a, b := faultyPair(t, FaultPlan{Seed: seed, DropOut: 0.3})
 		for i := 0; i < n; i++ {
 			if err := a.Send("B", "k", nil); err != nil {
 				t.Fatalf("dropped send errored: %v", err)
 			}
 		}
-		count := 0
-		for {
-			if _, err := b.RecvTimeout(20 * time.Millisecond); err != nil {
-				break
+		// Every send the plan kept arrives, and nothing more.
+		count := n - a.Stats().DroppedOut
+		for i := 0; i < count; i++ {
+			if _, err := b.RecvTimeout(2 * time.Second); err != nil {
+				t.Fatalf("kept send %d of %d: %v", i, count, err)
 			}
-			count++
 		}
-		if s := a.Stats(); s.DroppedOut != n-count {
-			t.Errorf("stats.DroppedOut = %d, want %d", s.DroppedOut, n-count)
+		if _, err := b.RecvTimeout(20 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+			t.Errorf("a dropped send arrived: %v", err)
 		}
 		return count
 	}
@@ -73,9 +80,8 @@ func TestFaultyDropOutDeterministic(t *testing.T) {
 }
 
 func TestFaultyDuplicateIn(t *testing.T) {
-	a, _, net := faultyPair(t, FaultPlan{Seed: 3, DupIn: 1.0})
-	bsend := net.Endpoint("B")
-	if err := bsend.Send("A", "k", []byte("twin")); err != nil {
+	a, b := faultyPair(t, FaultPlan{Seed: 3, DupIn: 1.0})
+	if err := b.Send("A", "k", []byte("twin")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -96,9 +102,8 @@ func TestFaultyDuplicateIn(t *testing.T) {
 }
 
 func TestFaultyDelayIn(t *testing.T) {
-	a, _, net := faultyPair(t, FaultPlan{Seed: 5, DelayIn: 30 * time.Millisecond})
-	bsend := net.Endpoint("B")
-	if err := bsend.Send("A", "k", nil); err != nil {
+	a, b := faultyPair(t, FaultPlan{Seed: 5, DelayIn: 30 * time.Millisecond})
+	if err := b.Send("A", "k", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.RecvTimeout(time.Second); err != nil {
@@ -113,8 +118,7 @@ func TestFaultyDelayIn(t *testing.T) {
 // (success, nothing arrives); a severed inbound direction discards
 // arrivals; healing restores both.
 func TestFaultySeverAndHeal(t *testing.T) {
-	a, b, net := faultyPair(t, FaultPlan{Seed: 9})
-	bsend := net.Endpoint("B")
+	a, b := faultyPair(t, FaultPlan{Seed: 9})
 
 	a.Sever(Outbound)
 	if err := a.Send("B", "k", []byte("lost")); err != nil {
@@ -132,14 +136,14 @@ func TestFaultySeverAndHeal(t *testing.T) {
 	}
 
 	a.Sever(Inbound)
-	if err := bsend.Send("A", "k", []byte("discarded")); err != nil {
+	if err := b.Send("A", "k", []byte("discarded")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.RecvTimeout(30 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
 		t.Errorf("severed inbound delivered: %v", err)
 	}
 	a.Heal(Both)
-	if err := bsend.Send("A", "k", []byte("back")); err != nil {
+	if err := b.Send("A", "k", []byte("back")); err != nil {
 		t.Fatal(err)
 	}
 	if env, err := a.RecvTimeout(time.Second); err != nil || string(env.Payload) != "back" {
@@ -152,7 +156,7 @@ func TestFaultySeverAndHeal(t *testing.T) {
 }
 
 func TestFaultyRecvContext(t *testing.T) {
-	a, _, _ := faultyPair(t, FaultPlan{Seed: 11})
+	a, _ := faultyPair(t, FaultPlan{Seed: 11})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := a.RecvContext(ctx); !errors.Is(err, context.DeadlineExceeded) {

@@ -11,15 +11,25 @@ import (
 	"jointadmin/internal/obs"
 )
 
+// The three TestMemory* tests keep the names they had when this package
+// also carried an in-memory bus. They now run on a dial-only TCP node,
+// the shape every daemon client takes.
+
+// TestMemorySendRecv: a delivered envelope carries the sender's name, the
+// addressee's name, the kind and the payload.
 func TestMemorySendRecv(t *testing.T) {
-	net := NewMemory()
-	defer net.Close()
-	a := net.Endpoint("A")
-	b := net.Endpoint("B")
+	b, err := ListenTCP("B", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a := DialTCP("A")
+	defer a.Close()
+	a.AddPeer("B", b.Addr())
 	if err := a.Send("B", "ping", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	env, err := b.Recv()
+	env, err := b.RecvTimeout(2 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,111 +38,45 @@ func TestMemorySendRecv(t *testing.T) {
 	}
 }
 
+// TestMemoryUnknownPeer: a dial-only node refuses a send to a name it was
+// never given an address for.
 func TestMemoryUnknownPeer(t *testing.T) {
-	net := NewMemory()
-	defer net.Close()
-	a := net.Endpoint("A")
+	a := DialTCP("A")
+	defer a.Close()
 	if err := a.Send("ghost", "k", nil); !errors.Is(err, ErrUnknownPeer) {
 		t.Errorf("send to ghost: %v", err)
 	}
 }
 
-// TestMemoryInboxFullBackpressure: overflowing an undrained inbox is
-// backpressure — the send fails with ErrInboxFull and is counted under
-// transport_inbox_full_total.
-func TestMemoryInboxFullBackpressure(t *testing.T) {
-	net := NewMemory()
-	defer net.Close()
-	reg := obs.NewRegistry()
-	net.Instrument(reg)
-	a := net.Endpoint("A")
-	net.Endpoint("B") // registered but never draining
-	var full error
-	for i := 0; i < 1025; i++ {
-		if err := a.Send("B", "k", nil); err != nil {
-			full = err
-			break
-		}
-	}
-	if !errors.Is(full, ErrInboxFull) {
-		t.Fatalf("overflowing send = %v, want ErrInboxFull", full)
-	}
-	if got := reg.Counter(MetricInboxFull).Value(); got < 1 {
-		t.Errorf("%s = %d, want >= 1", MetricInboxFull, got)
-	}
-}
-
-func TestMemoryRecvTimeout(t *testing.T) {
-	net := NewMemory()
-	defer net.Close()
-	b := net.Endpoint("B")
-	if _, err := b.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
-		t.Errorf("timeout: %v", err)
-	}
-}
-
+// TestMemoryClose: Close wakes a blocked Recv with ErrClosed, a Send after
+// Close fails with ErrClosed even to a known peer, and a second Close is a
+// no-op.
 func TestMemoryClose(t *testing.T) {
-	net := NewMemory()
-	a := net.Endpoint("A")
+	b, err := ListenTCP("B", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a := DialTCP("A")
+	a.AddPeer("B", b.Addr())
 	done := make(chan error, 1)
 	go func() {
 		_, err := a.Recv()
 		done <- err
 	}()
-	net.Close()
-	if err := <-done; !errors.Is(err, ErrClosed) {
-		t.Errorf("recv after close: %v", err)
+	a.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("recv after close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Recv did not unblock on Close")
 	}
-	if err := a.Send("A", "k", nil); !errors.Is(err, ErrClosed) {
+	if err := a.Send("B", "k", nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("send after close: %v", err)
 	}
-	net.Close() // idempotent
-}
-
-func TestMemoryPayloadCopied(t *testing.T) {
-	net := NewMemory()
-	defer net.Close()
-	a := net.Endpoint("A")
-	b := net.Endpoint("B")
-	payload := []byte("original")
-	if err := a.Send("B", "k", payload); err != nil {
-		t.Fatal(err)
-	}
-	payload[0] = 'X'
-	env, err := b.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(env.Payload) != "original" {
-		t.Error("payload aliased caller's buffer")
-	}
-}
-
-func TestMemoryConcurrentSenders(t *testing.T) {
-	net := NewMemory()
-	defer net.Close()
-	dst := net.Endpoint("dst")
-	const senders, each = 8, 20
-	var wg sync.WaitGroup
-	for i := 0; i < senders; i++ {
-		src := net.Endpoint(fmt.Sprintf("s%d", i))
-		wg.Add(1)
-		go func(e Endpoint) {
-			defer wg.Done()
-			for j := 0; j < each; j++ {
-				if err := e.Send("dst", "k", nil); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(src)
-	}
-	wg.Wait()
-	for i := 0; i < senders*each; i++ {
-		if _, err := dst.RecvTimeout(time.Second); err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-	}
+	a.Close() // idempotent
 }
 
 func TestTCPRoundTrip(t *testing.T) {
@@ -231,6 +175,75 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock on Close")
+	}
+}
+
+func TestTCPRecvTimeout(t *testing.T) {
+	b, err := ListenTCP("B", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if _, err := b.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+		t.Errorf("timeout: %v", err)
+	}
+}
+
+// TestTCPPayloadNotAliased: Send is done with the caller's buffer when it
+// returns, so writing to the buffer afterwards changes nothing sent.
+func TestTCPPayloadNotAliased(t *testing.T) {
+	b, err := ListenTCP("B", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a := DialTCP("A")
+	defer a.Close()
+	a.AddPeer("B", b.Addr())
+	payload := []byte("original")
+	if err := a.Send("B", "k", payload); err != nil {
+		t.Fatal(err)
+	}
+	payload[0] = 'X'
+	env, err := b.RecvTimeout(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(env.Payload) != "original" {
+		t.Errorf("payload = %q: Send aliased the caller's buffer", env.Payload)
+	}
+}
+
+// TestTCPConcurrentSenders: many nodes, each on a connection of its own,
+// send to one listener at once, and every frame arrives.
+func TestTCPConcurrentSenders(t *testing.T) {
+	dst, err := ListenTCP("dst", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	const senders, each = 8, 20
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		src := DialTCP(fmt.Sprintf("s%d", i))
+		defer src.Close()
+		src.AddPeer("dst", dst.Addr())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				if err := src.Send("dst", "k", nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < senders*each; i++ {
+		if _, err := dst.RecvTimeout(2 * time.Second); err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
 	}
 }
 

@@ -61,6 +61,12 @@ echo "==> transport + replication chaos under race (go test -race -count=2 -run 
 # TestChaosReplicatedFleet (writer + two followers over Faulty links).
 go test -race -count=2 -run Chaos ./internal/daemon/
 
+echo "==> mux client and fault injector on loopback TCP under race (go test -race -count=2 -run 'Client|Mux|Naive|Retried|Faulty' ./internal/daemon/ ./internal/transport/)"
+# The mux client's correlation, resend and conn-loss tests and the
+# fault injector's drop, duplicate, delay and sever tests, each on real
+# sockets, twice, as the chaos suites run.
+go test -race -count=2 -run 'Client|Mux|Naive|Retried|Faulty' ./internal/daemon/ ./internal/transport/
+
 echo "==> share redistribution properties under race (go test -race -count=2 -run 'Redistribut|Refresh|Cooperative' ./internal/sharedrsa ./internal/coalition)"
 # The dealing function's properties (the key survives seeded join/leave
 # sequences, mixed-epoch shares never combine, shares stay bounded) and
@@ -162,7 +168,7 @@ authz_residual_ internal/authz/obs.go residual
 authz_batch_verify_ internal/authz/obs.go batch-verify
 delegation_ internal/delegation/*.go delegation
 daemon_(mux|dedup)_ internal/daemon/*.go mux/dedup
-transport_(inbox_full|frame_errors)_ internal/transport/*.go transport
+transport_frame_errors_ internal/transport/*.go transport
 EOF
 # Error taxonomy: every kind a command handler returns (the quoted second
 # value of handle, mutate and Follower.handle) and every label errClass
