@@ -606,7 +606,7 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 			if !ok {
 				return errors.New("identity derivation failed: cached formula is not a key binding")
 			}
-			if reason := identityLeafDenial(eng.Store(), idc, ks, now); reason != "" {
+			if reason := identityLeafDenial(eng.Store(), idc, r.hit.formula, now); reason != "" {
 				return errors.New(reason)
 			}
 			eng.Replay(ks, r.hit.note)
@@ -620,13 +620,12 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 		ideal := pki.IdealizeIdentity(*idc)
 		f, _, err := eng.VerifyCertificate(ideal, caBelief)
 		if err != nil {
-			reason := "identity derivation failed: " + err.Error()
 			// Failed only on the subject key's revocation, a live leaf:
 			// cached like a pass, as verifyMembership does.
-			if ks, ok := certBody(ideal).(logic.KeySpeaksFor); ok && identityLeafDenial(eng.Store(), idc, ks, now) == reason {
+			if ks, ok := certBody(ideal).(logic.KeySpeaksFor); ok && errors.Is(err, logic.ErrLeafRevoked) {
 				s.cachePut(st, fps[i], identityEntry(idc, ks, r.upk, fps[i]))
 			}
-			return errors.New(reason)
+			return errors.New("identity derivation failed: " + err.Error())
 		}
 		ks, ok := f.(logic.KeySpeaksFor)
 		if !ok {
@@ -666,33 +665,31 @@ func subjectKey(idc *pki.Signed[pki.Identity]) (sharedrsa.PublicKey, error) {
 }
 
 // identityLeafDenial and membershipLeafDenial check, against one
-// snapshot's store, what a cached verification does not contain: the
-// belief-dependent conditions of the cold derivation, in its order and
-// with its reasons (internal/logic's AcceptKeyCertificate /
-// AcceptMembershipCertificate under VerifyCertificate), so a decision
+// snapshot's store, what a cached verification of a certificate
+// concluding f does not contain: the belief-dependent conditions of its
+// cold derivation, in that order and with its reasons, so a decision
 // reads the same whether its certificates were cached or not — pinned by
 // the cold-rebuild differential test. First the issuer: the cold path
-// looks its key belief up with KeyFor, which skips a key revoked as of
-// now, and the fingerprint pins the certificate's SignerKey to the anchor
-// key it was verified under. Then the subject's own revocation. ""
-// means every leaf holds.
-func identityLeafDenial(store *logic.BeliefStore, idc *pki.Signed[pki.Identity], ks logic.KeySpeaksFor, now clock.Time) string {
+// looks its key belief up with KeyFor, which skips a key revoked at now,
+// and the fingerprint pins the certificate's signer key to the anchor
+// key it was verified under. Then the subject's own revocation, the
+// engine's refusal itself. "" means every leaf holds.
+func identityLeafDenial(store *logic.BeliefStore, idc *pki.Signed[pki.Identity], f logic.Formula, now clock.Time) string {
 	if store.KeyRevoked(logic.KeyID(idc.SignerKey), now) {
 		return "no key belief for CA " + idc.Cert.Issuer
 	}
-	if store.KeyRevoked(ks.K, now) {
-		return fmt.Sprintf("identity derivation failed: verify certificate: key certificate: key %s revoked as of %s", ks.K, now)
+	if err := logic.LeafRefusal(store, f, now); err != nil {
+		return "identity derivation failed: " + err.Error()
 	}
 	return ""
 }
 
-func membershipLeafDenial(store *logic.BeliefStore, signerKey string, mem logic.MemberOf, now clock.Time) string {
+func membershipLeafDenial(store *logic.BeliefStore, signerKey string, f logic.Formula, now clock.Time) string {
 	if store.KeyRevoked(logic.KeyID(signerKey), now) {
 		return "no key belief for AA"
 	}
-	if store.Revoked(mem.Who, mem.G, now) {
-		return fmt.Sprintf("membership derivation failed: verify certificate: attribute certificate: membership of %s in %s revoked as of %s",
-			mem.Who, mem.G.Name, now)
+	if err := logic.LeafRefusal(store, f, now); err != nil {
+		return "membership derivation failed: " + err.Error()
 	}
 	return ""
 }
@@ -775,7 +772,7 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 		if !e.validity.Contains(now) {
 			return out, fmt.Errorf("%s certificate invalid: %v", certKind(req), s.expiredHit(st, fp, e, now))
 		}
-		if reason := membershipLeafDenial(eng.Store(), mc.signerKey, mem, now); reason != "" {
+		if reason := membershipLeafDenial(eng.Store(), mc.signerKey, e.formula, now); reason != "" {
 			return out, errors.New(reason)
 		}
 		out.mem = mem
@@ -806,16 +803,15 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 	}
 	memF, memStep, err := eng.VerifyCertificate(ideal, aaBelief)
 	if err != nil {
-		reason := "membership derivation failed: " + err.Error()
 		// A certificate whose derivation failed only on its membership's
 		// revocation, a live leaf, is cached like one that passed: a
 		// revocation holds for the rest of the epoch, so every hit
-		// denies it with this very reason (membershipLeafDenial) instead
-		// of re-verifying its signature.
-		if mem, ok := certBody(ideal).(logic.MemberOf); ok && membershipLeafDenial(eng.Store(), mc.signerKey, mem, now) == reason {
+		// denies it with this very reason (membershipLeafDenial) instead of
+		// re-verifying its signature.
+		if mem, ok := certBody(ideal).(logic.MemberOf); ok && errors.Is(err, logic.ErrLeafRevoked) {
 			s.cachePut(st, fp, cachedCert{formula: mem, validity: out.certValidity, note: membershipNote(issuedTo, out.group, fp)})
 		}
-		return out, errors.New(reason)
+		return out, errors.New("membership derivation failed: " + err.Error())
 	}
 	mem, ok := memF.(logic.MemberOf)
 	if !ok {
@@ -860,18 +856,12 @@ func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *Ac
 	g := logic.G(c.Group)
 	d, dStep, ok := eng.Store().DelegationFor(c.Subject.Name, g, now)
 	if !ok {
-		// Distinguish a revoked chain link from no chain at all: the former
-		// is the per-link revocation denial the subsystem counts.
-		for _, e := range eng.Store().Delegations() {
+		// No chain: a believed delegation to the subject covering now has a revoked link.
+		revoked := slices.ContainsFunc(eng.Store().Delegations(), func(e logic.Entry) bool {
 			dd := e.F.(logic.Delegates)
-			if dd.To.Name == c.Subject.Name && dd.G == g && dd.T.Covers(now) {
-				s.reg.Counter(delegation.MetricLinkRevocationDenials).Inc()
-				return out, fmt.Errorf("delegation derivation failed: a chain link for %s in %s is revoked as of %s",
-					c.Subject.Name, c.Group, now)
-			}
-		}
-		return out, fmt.Errorf("delegation derivation failed: no believed chain for %s in %s valid at %s",
-			c.Subject.Name, c.Group, now)
+			return dd.To.Name == c.Subject.Name && dd.G == g && dd.T.Covers(now)
+		})
+		return out, errors.New(s.chainDenial(c.Subject.Name, c.Group, revoked, now))
 	}
 	mem, err := logic.DelegationMember(d, string(req.Requests[0].Op), now)
 	if err != nil {
@@ -883,6 +873,16 @@ func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *Ac
 	out.mem, out.memStep = mem, memStep
 	out.certValidity = clock.NewInterval(d.T.Time(), d.T.End())
 	return out, nil
+}
+
+// chainDenial is a delegated request's Step-2 denial on either decider
+// when no believed chain is valid at now, counting a revoked link.
+func (s *Server) chainDenial(subject, group string, linkRevoked bool, now clock.Time) string {
+	if linkRevoked {
+		s.reg.Counter(delegation.MetricLinkRevocationDenials).Inc()
+		return fmt.Sprintf("delegation derivation failed: a chain link for %s in %s is revoked as of %s", subject, group, now)
+	}
+	return fmt.Sprintf("delegation derivation failed: no believed chain for %s in %s valid at %s", subject, group, now)
 }
 
 // certKind names the membership certificate kind in denial reasons, as

@@ -337,3 +337,42 @@ func TestDelegationMetricsCount(t *testing.T) {
 		t.Errorf("%s = %d, want >= 1", delegation.MetricLinkRevocationDenials, got)
 	}
 }
+
+// TestWarmDelegatedHitsCountedAsDelegation: a warm delegated request's
+// leaf-certificate hit is counted under the delegation kind, as the cold
+// arm counts its miss — never as an attribute certificate. A leaf whose
+// subject holds no chain is cached too: its repeats are denied as hits.
+func TestWarmDelegatedHitsCountedAsDelegation(t *testing.T) {
+	f := newFixture(t)
+	srv := f.newServer(audit.NewLog())
+	reg := obs.NewRegistry()
+	srv.Instrument(reg)
+	ctx := context.Background()
+	root := f.issueDelegation(t, "", "User_D2", "G_read", 0, "read")
+	if err := srv.Apply(ctx, Delegation{Cert: root}); err != nil {
+		t.Fatal(err)
+	}
+	unapplied := f.issueDelegation(t, "", "User_D3", "G_read", 0, "read")
+	for i := 0; i < 5; i++ {
+		f.clk.Tick()
+		if _, err := srv.Authorize(ctx, f.delegatedReadRequest(t, "User_D2", root)); err != nil {
+			t.Fatalf("delegated read %d: %v", i, err)
+		}
+		if _, err := srv.Authorize(ctx, f.delegatedReadRequest(t, "User_D3", unapplied)); err == nil {
+			t.Fatalf("delegated read %d approved without a chain", i)
+		}
+	}
+	for _, c := range []struct {
+		metric, kind string
+		want         int64
+	}{
+		{MetricCacheHits, "delegation", 8},
+		{MetricCacheMisses, "delegation", 2},
+		{MetricCacheHits, "attribute", 0},
+		{MetricCacheMisses, "attribute", 0},
+	} {
+		if got := reg.Counter(c.metric, "kind", c.kind).Value(); got != c.want {
+			t.Errorf("%s{kind=%q} = %d, want %d", c.metric, c.kind, got, c.want)
+		}
+	}
+}

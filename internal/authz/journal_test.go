@@ -289,7 +289,7 @@ func requireView(t *testing.T, how string, got, want beliefView) {
 func requireJournaledProof(t *testing.T, s *Server, how string, leaves int) {
 	t.Helper()
 	installer := map[string]bool{
-		"A3 (localized belief)":     true,
+		logic.RuleA3LocalizedBelief: true,
 		logic.RuleGraphEdge:         true,
 		logic.RuleDelegationCert:    true,
 		logic.RuleDelegationCompose: true,

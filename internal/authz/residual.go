@@ -38,6 +38,7 @@ package authz
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -326,7 +327,11 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 	if err != nil {
 		return d.deny(group, err.Error())
 	}
-	s.hot.cacheHitAttribute.Inc()
+	if req.Delegated {
+		s.hot.cacheHitDelegation.Inc()
+	} else {
+		s.hot.cacheHitAttribute.Inc()
+	}
 	s.hot.cacheHitIdentity.Add(int64(len(req.Identities)))
 	if reason := freshnessDenial(st.anchors.FreshnessWindow, req.Requests, now); reason != "" {
 		return d.deny("", reason)
@@ -352,7 +357,7 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 		if !ok {
 			return d.deny("", "identity derivation failed: cached formula is not a key binding")
 		}
-		if reason := identityLeafDenial(store, idc, ks, now); reason != "" {
+		if reason := identityLeafDenial(store, idc, e.formula, now); reason != "" {
 			return d.deny("", reason)
 		}
 		pr.Append(logic.RuleResidualLeaf, nil, e.formula, now, e.note) // ks, as cached
@@ -381,14 +386,9 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 			if !c.T.Covers(now) {
 				continue
 			}
-			linkRevoked := false
-			for _, name := range delegation.Links(*c) {
-				if store.Revoked(logic.P(name), logic.G(group), now) {
-					linkRevoked = true
-					break
-				}
-			}
-			if linkRevoked {
+			if slices.ContainsFunc(delegation.Links(*c), func(name string) bool {
+				return store.Revoked(logic.P(name), logic.G(group), now)
+			}) {
 				revokedSeen = true
 				continue
 			}
@@ -396,13 +396,7 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 			break // deepest first: the chain DelegationFor would pick
 		}
 		if chain == nil {
-			if revokedSeen {
-				s.reg.Counter(delegation.MetricLinkRevocationDenials).Inc()
-				return d.deny(group, fmt.Sprintf("delegation derivation failed: a chain link for %s in %s is revoked as of %s",
-					subject, group, now))
-			}
-			return d.deny(group, fmt.Sprintf("delegation derivation failed: no believed chain for %s in %s valid at %s",
-				subject, group, now))
+			return d.deny(group, s.chainDenial(subject, group, revokedSeen, now))
 		}
 		m, err := logic.DelegationMember(*chain, string(req.Requests[0].Op), now)
 		if err != nil {
@@ -417,7 +411,7 @@ func (s *Server) decideResidual(d *decision, st *state, sc *reqScratch, req *Acc
 		if !ok {
 			return d.deny(group, "membership derivation produced unexpected formula")
 		}
-		if reason := membershipLeafDenial(store, mc.signerKey, mem, now); reason != "" {
+		if reason := membershipLeafDenial(store, mc.signerKey, memHit.formula, now); reason != "" {
 			return d.deny(group, reason)
 		}
 		memR.mem = mem

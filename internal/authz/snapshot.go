@@ -27,7 +27,8 @@
 //     membership, the believed chain and per-link revocation for a
 //     delegation (verifyIdentities, verifyMembership,
 //     verifyDelegatedMembership, decideResidual; identityLeafDenial and
-//     membershipLeafDenial hold the shared checks). A hit therefore
+//     membershipLeafDenial, over logic.LeafRefusal, hold the shared
+//     check). A hit therefore
 //     decides exactly what re-verifying the certificate under that
 //     snapshot would, reason included.
 //

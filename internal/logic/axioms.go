@@ -17,6 +17,7 @@ const (
 	RuleAssumption        = "assumption"
 	RuleReceive           = "receive"
 	RuleA1ModusBelief     = "A1 (belief modus ponens)"
+	RuleA3LocalizedBelief = "A3 (localized belief)"
 	RuleA7Interval        = "A7 (time interval)"
 	RuleA8Monotone        = "A8 (monotonicity)"
 	RuleA9Reduce          = "A9 (reduction)"
@@ -81,6 +82,11 @@ var (
 	// ErrDepthExhausted indicates a delegation chain extended beyond its
 	// delegable depth bound.
 	ErrDepthExhausted = errors.New("delegation depth exhausted")
+	// ErrLeafRevoked marks a certificate refused only on its
+	// believe-until-revoked leaf: its signature and jurisdiction held,
+	// but its subject (a key, a membership, a delegation's subject) is
+	// revoked as of now.
+	ErrLeafRevoked = errors.New("believe-until-revoked leaf revoked")
 )
 
 // A1 is belief modus ponens: P believes φ ∧ P believes (φ ⊃ ψ) ⊢ P believes

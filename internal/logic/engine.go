@@ -206,187 +206,174 @@ func (e *Engine) AcceptCertificateAccuracy(said Said, saidStep int) (Says, int, 
 	return out, s5, nil
 }
 
-// AcceptKeyCertificate completes Step 1 of the authorization protocol for
-// one identity certificate: from "CA says_tCA (K ⇒ [tb,te],CA Q)" and the
-// CA's key jurisdiction, conclude "K ⇒ [tb,te],CA Q" (statement 16).
-func (e *Engine) AcceptKeyCertificate(says Says, saysStep int) (KeySpeaksFor, int, error) {
-	now := e.clk.Now()
-	body, ok := says.X.(MsgFormula)
-	if !ok {
-		return KeySpeaksFor{}, 0, fmt.Errorf("key certificate: body is not a formula: %w", ErrSchemaMismatch)
-	}
-	ksf, ok := body.F.(KeySpeaksFor)
-	if !ok {
-		return KeySpeaksFor{}, 0, fmt.Errorf("key certificate: body is not K ⇒ Q: %w", ErrSchemaMismatch)
-	}
-	ca, ok := says.Who.(Principal)
-	if !ok {
-		return KeySpeaksFor{}, 0, fmt.Errorf("key certificate: issuer is not a simple CA: %w", ErrSchemaMismatch)
-	}
-	kj, ok := e.store.KeyJurisdictionFor(ca.Name)
-	if !ok {
-		return KeySpeaksFor{}, 0, fmt.Errorf("key certificate: no key jurisdiction held for %s", ca.Name)
-	}
-	if e.store.KeyRevoked(ksf.K, now) {
-		return KeySpeaksFor{}, 0, fmt.Errorf("key certificate: key %s revoked as of %s", ksf.K, now)
-	}
-	ctrl := kj.Instantiate(says.T, ksf)
-	s1 := e.proof.Append(RuleInstantiate, []int{saysStep}, ctrl, now,
-		"instantiate key-jurisdiction schema (statement 15)")
-	located, err := A22Jurisdiction(ctrl, says)
-	if err != nil {
-		return KeySpeaksFor{}, 0, err
-	}
-	s2 := e.proof.Append(RuleA22Jurisdiction, []int{saysStep, s1}, located, now, "")
-	// A3-style acceptance: the engine believes the bare formula.
-	s3 := e.proof.Append("A3 (localized belief)", []int{s2}, ksf, now, "statement 16")
-	e.store.Add(ksf, now, s3)
-	return ksf, s3, nil
+// acceptRow is how the engine accepts one certificate body kind once
+// accuracy has concluded "issuer says_t φ" (Steps 1–2, Appendix E
+// statements 15–22). Every kind takes the same chain — instantiate the
+// issuer's jurisdiction over φ, localize φ with A22 (A24–A33 for group
+// membership), believe φ — and its row holds what differs: the noun its
+// refusals start with; the jurisdiction it consults (juris returns the
+// schema's authority or the refusal, the revocation row's also for a
+// negation that is not a membership) and the note instantiating it; its
+// believe-until-revoked leaf, if any; the rule its A22 step cites for a
+// principal issuer and, if different, for a compound one; and the note
+// of the A3 step that believes φ, or "" for Install to believe it.
+type acceptRow struct {
+	noun, schema string
+	juris        func(s *BeliefStore, issuer Subject, f Formula) (Subject, error)
+	leaf         func(s *BeliefStore, f Formula, now clock.Time) error
+	rule, cpRule string
+	a3Note       string
 }
 
-// AcceptMembershipCertificate completes Step 2 for an attribute or
-// threshold attribute certificate: from "AA says_tAA (W ⇒ [tb,te],AA G)"
-// and AA's membership jurisdiction, conclude "W ⇒ [tb,te],AA G" (statement
-// 22). The conclusion is refused if the membership is already revoked as of
-// the current time (believe-until-revoked).
-func (e *Engine) AcceptMembershipCertificate(says Says, saysStep int) (MemberOf, int, error) {
+// The acceptance table: one row per certificate body kind.
+var (
+	keyRow = acceptRow{noun: "key certificate", juris: keyJurisdiction,
+		schema: "instantiate key-jurisdiction schema (statement 15)",
+		leaf: func(s *BeliefStore, f Formula, now clock.Time) error {
+			if k := f.(KeySpeaksFor); s.KeyRevoked(k.K, now) {
+				return leafRevoked(fmt.Sprintf("key %s revoked as of %s", k.K, now))
+			}
+			return nil
+		},
+		rule: RuleA22Jurisdiction, a3Note: "statement 16"}
+	membershipRow = acceptRow{noun: "attribute certificate", juris: membershipJurisdiction,
+		schema: "instantiate membership-jurisdiction schema",
+		leaf: func(s *BeliefStore, f Formula, now clock.Time) error {
+			if m := f.(MemberOf); s.Revoked(m.Who, m.G, now) {
+				return leafRevoked(fmt.Sprintf("membership of %s in %s revoked as of %s", m.Who, m.G.Name, now))
+			}
+			return nil
+		},
+		rule: RuleA24GroupJuris, cpRule: RuleA29GroupJurisCP, a3Note: "statement 22"}
+	groupLinkRow = acceptRow{noun: "group link", juris: membershipJurisdiction,
+		schema: "instantiate membership-jurisdiction schema over group link", rule: RuleA24GroupJuris}
+	delegationRow = acceptRow{noun: "delegation", juris: membershipJurisdiction,
+		schema: "instantiate membership-jurisdiction schema over delegation link",
+		leaf: func(s *BeliefStore, f Formula, now clock.Time) error {
+			if d := f.(Delegates); s.Revoked(d.To, d.G, now) {
+				return leafRevoked(fmt.Sprintf("subject %s revoked in %s as of %s", d.To, d.G.Name, now))
+			}
+			return nil
+		},
+		rule: RuleA24GroupJuris}
+	graphEdgeRow = acceptRow{noun: "group graph", juris: membershipJurisdiction,
+		schema: "instantiate membership-jurisdiction schema over graph edge", rule: RuleA24GroupJuris}
+	revocationRow = acceptRow{noun: "revocation",
+		juris: func(s *BeliefStore, issuer Subject, f Formula) (Subject, error) {
+			if _, ok := f.(Not).F.(MemberOf); !ok {
+				return nil, fmt.Errorf("negated formula is not a membership: %w", ErrSchemaMismatch)
+			}
+			return membershipJurisdiction(s, issuer, f)
+		},
+		schema: "instantiate membership-jurisdiction schema over negation", rule: RuleA22Jurisdiction}
+)
+
+// acceptRowFor returns the row that accepts body f, nil for a kind no
+// certificate carries.
+func acceptRowFor(f Formula) *acceptRow {
+	switch f.(type) {
+	case KeySpeaksFor:
+		return &keyRow
+	case MemberOf:
+		return &membershipRow
+	case GroupSpeaksFor:
+		return &groupLinkRow
+	case Delegates:
+		return &delegationRow
+	case GroupGraphEdge:
+		return &graphEdgeRow
+	case Not:
+		return &revocationRow
+	}
+	return nil
+}
+
+// keyJurisdiction is a simple CA's key jurisdiction (statements 6–11).
+func keyJurisdiction(s *BeliefStore, issuer Subject, _ Formula) (Subject, error) {
+	ca, ok := issuer.(Principal)
+	if !ok {
+		return nil, fmt.Errorf("issuer is not a simple CA: %w", ErrSchemaMismatch)
+	}
+	kj, ok := s.KeyJurisdictionFor(ca.Name)
+	if !ok {
+		return nil, fmt.Errorf("no key jurisdiction held for %s", ca.Name)
+	}
+	return kj.CA, nil
+}
+
+// membershipJurisdiction is the issuer's membership jurisdiction
+// (statements 2–3), which also covers group relations, delegations and
+// revocations.
+func membershipJurisdiction(s *BeliefStore, issuer Subject, _ Formula) (Subject, error) {
+	mj, ok := s.MembershipJurisdictionFor(issuer.String())
+	if !ok {
+		return nil, fmt.Errorf("no membership jurisdiction held for %s", issuer)
+	}
+	return mj.Authority, nil
+}
+
+// leafRevoked is a believe-until-revoked refusal: its text, matching
+// ErrLeafRevoked.
+type leafRevoked string
+
+func (e leafRevoked) Error() string { return string(e) }
+func (leafRevoked) Unwrap() error   { return ErrLeafRevoked }
+
+// LeafRefusal is the believe-until-revoked refusal VerifyCertificate gives
+// a certificate concluding f against store s at now, worded as it words
+// it and matching ErrLeafRevoked; nil when f's subject is unrevoked or
+// f's kind has no such leaf. A decider that cached a certificate's
+// verification re-checks this one belief-dependent leaf with it.
+func LeafRefusal(s *BeliefStore, f Formula, now clock.Time) error {
+	if r := acceptRowFor(f); r != nil && r.leaf != nil {
+		if err := r.leaf(s, f, now); err != nil {
+			return fmt.Errorf("verify certificate: %s: %w", r.noun, err)
+		}
+	}
+	return nil
+}
+
+// accept concludes φ from "issuer says_t φ" by φ's row: statement 16 for
+// a key binding, 22 for a membership, Install's conclusion otherwise (a
+// delegation chain link composed with its delegator's believed chain).
+func (e *Engine) accept(says Says, saysStep int) (Formula, int, error) {
 	now := e.clk.Now()
 	body, ok := says.X.(MsgFormula)
 	if !ok {
-		return MemberOf{}, 0, fmt.Errorf("attribute certificate: body is not a formula: %w", ErrSchemaMismatch)
+		return nil, 0, fmt.Errorf("body is not a formula: %w", ErrSchemaMismatch)
 	}
-	mem, ok := body.F.(MemberOf)
-	if !ok {
-		return MemberOf{}, 0, fmt.Errorf("attribute certificate: body is not W ⇒ G: %w", ErrSchemaMismatch)
+	f := body.F
+	r := acceptRowFor(f)
+	if r == nil {
+		return nil, 0, fmt.Errorf("unsupported body %T: %w", f, ErrSchemaMismatch)
 	}
-	mj, ok := e.store.MembershipJurisdictionFor(says.Who.String())
-	if !ok {
-		return MemberOf{}, 0, fmt.Errorf("attribute certificate: no membership jurisdiction held for %s", says.Who)
+	authority, err := r.juris(e.store, says.Who, f)
+	if err == nil && r.leaf != nil {
+		err = r.leaf(e.store, f, now)
 	}
-	if e.store.Revoked(mem.Who, mem.G, now) {
-		return MemberOf{}, 0, fmt.Errorf("attribute certificate: membership of %s in %s revoked as of %s",
-			mem.Who, mem.G.Name, now)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", r.noun, err)
 	}
-	ctrl := mj.Instantiate(says.T, mem)
-	s1 := e.proof.Append(RuleInstantiate, []int{saysStep}, ctrl, now,
-		"instantiate membership-jurisdiction schema")
+	ctrl := Controls{Who: authority, T: says.T, F: f}
+	s1 := e.proof.Append(RuleInstantiate, []int{saysStep}, ctrl, now, r.schema)
 	located, err := A22Jurisdiction(ctrl, says)
 	if err != nil {
-		return MemberOf{}, 0, err
+		return nil, 0, err
 	}
-	rule := RuleA24GroupJuris
-	if _, isCP := says.Who.(CompoundPrincipal); isCP {
-		rule = RuleA29GroupJurisCP
+	rule := r.rule
+	if _, isCP := says.Who.(CompoundPrincipal); isCP && r.cpRule != "" {
+		rule = r.cpRule
 	}
 	s2 := e.proof.Append(rule, []int{saysStep, s1}, located, now, "")
-	s3 := e.proof.Append("A3 (localized belief)", []int{s2}, mem, now, "statement 22")
-	e.store.Add(mem, now, s3)
-	return mem, s3, nil
-}
-
-// AcceptGroupLinkCertificate accepts a privilege-inheritance certificate:
-// from "AA says (G1 ⇒ G2)" and AA's membership jurisdiction (which covers
-// group relations generally), conclude "G1 ⇒ G2".
-func (e *Engine) AcceptGroupLinkCertificate(says Says, saysStep int) (GroupSpeaksFor, int, error) {
-	now := e.clk.Now()
-	body, ok := says.X.(MsgFormula)
-	if !ok {
-		return GroupSpeaksFor{}, 0, fmt.Errorf("group link: body is not a formula: %w", ErrSchemaMismatch)
+	if r.a3Note == "" {
+		return e.Install(f, []int{s2}, now)
 	}
-	link, ok := body.F.(GroupSpeaksFor)
-	if !ok {
-		return GroupSpeaksFor{}, 0, fmt.Errorf("group link: body is not G1 ⇒ G2: %w", ErrSchemaMismatch)
-	}
-	mj, ok := e.store.MembershipJurisdictionFor(says.Who.String())
-	if !ok {
-		return GroupSpeaksFor{}, 0, fmt.Errorf("group link: no membership jurisdiction held for %s", says.Who)
-	}
-	ctrl := Controls{Who: mj.Authority, T: says.T, F: link}
-	s1 := e.proof.Append(RuleInstantiate, []int{saysStep}, ctrl, now,
-		"instantiate membership-jurisdiction schema over group link")
-	located, err := A22Jurisdiction(ctrl, says)
-	if err != nil {
-		return GroupSpeaksFor{}, 0, err
-	}
-	s2 := e.proof.Append(RuleA24GroupJuris, []int{saysStep, s1}, located, now, "")
-	_, s3, err := e.Install(link, []int{s2}, now)
-	return link, s3, err
-}
-
-// AcceptDelegationCertificate accepts a delegation-link certificate: from
-// "AA says (Q|K delegated^d{π}[delegator] for G)" and AA's membership
-// jurisdiction (delegations are membership-granting statements), conclude
-// the root-anchored composed delegation. A root grant (empty path) is
-// believed directly; a chain link is composed with the believed chain of
-// its delegator — depth decrements, permissions and validity intersect —
-// and acceptance is refused when the delegator's chain is missing, the
-// delegator's depth is exhausted, or the subject is already revoked.
-func (e *Engine) AcceptDelegationCertificate(says Says, saysStep int) (Delegates, int, error) {
-	now := e.clk.Now()
-	body, ok := says.X.(MsgFormula)
-	if !ok {
-		return Delegates{}, 0, fmt.Errorf("delegation: body is not a formula: %w", ErrSchemaMismatch)
-	}
-	link, ok := body.F.(Delegates)
-	if !ok {
-		return Delegates{}, 0, fmt.Errorf("delegation: body is not a delegation link: %w", ErrSchemaMismatch)
-	}
-	mj, ok := e.store.MembershipJurisdictionFor(says.Who.String())
-	if !ok {
-		return Delegates{}, 0, fmt.Errorf("delegation: no membership jurisdiction held for %s", says.Who)
-	}
-	if e.store.Revoked(link.To, link.G, now) {
-		return Delegates{}, 0, fmt.Errorf("delegation: subject %s revoked in %s as of %s",
-			link.To, link.G.Name, now)
-	}
-	ctrl := Controls{Who: mj.Authority, T: says.T, F: link}
-	s1 := e.proof.Append(RuleInstantiate, []int{saysStep}, ctrl, now,
-		"instantiate membership-jurisdiction schema over delegation link")
-	located, err := A22Jurisdiction(ctrl, says)
-	if err != nil {
-		return Delegates{}, 0, err
-	}
-	s2 := e.proof.Append(RuleA24GroupJuris, []int{saysStep, s1}, located, now, "")
-	f, id, err := e.Install(link, []int{s2}, now)
-	if err != nil {
-		return Delegates{}, 0, err
-	}
-	return f.(Delegates), id, nil
-}
-
-// AcceptGroupGraphCertificate accepts a group-graph membership
-// certificate: from "AA says (G1 ⇒<d> G2)" and AA's membership
-// jurisdiction, conclude the bounded graph edge.
-func (e *Engine) AcceptGroupGraphCertificate(says Says, saysStep int) (GroupGraphEdge, int, error) {
-	now := e.clk.Now()
-	body, ok := says.X.(MsgFormula)
-	if !ok {
-		return GroupGraphEdge{}, 0, fmt.Errorf("group graph: body is not a formula: %w", ErrSchemaMismatch)
-	}
-	edge, ok := body.F.(GroupGraphEdge)
-	if !ok {
-		return GroupGraphEdge{}, 0, fmt.Errorf("group graph: body is not G1 ⇒<d> G2: %w", ErrSchemaMismatch)
-	}
-	mj, ok := e.store.MembershipJurisdictionFor(says.Who.String())
-	if !ok {
-		return GroupGraphEdge{}, 0, fmt.Errorf("group graph: no membership jurisdiction held for %s", says.Who)
-	}
-	ctrl := Controls{Who: mj.Authority, T: says.T, F: edge}
-	s1 := e.proof.Append(RuleInstantiate, []int{saysStep}, ctrl, now,
-		"instantiate membership-jurisdiction schema over graph edge")
-	located, err := A22Jurisdiction(ctrl, says)
-	if err != nil {
-		return GroupGraphEdge{}, 0, err
-	}
-	s2 := e.proof.Append(RuleA24GroupJuris, []int{saysStep, s1}, located, now, "")
-	_, s3, err := e.Install(edge, []int{s2}, now)
-	return edge, s3, err
+	return f, e.believe(RuleA3LocalizedBelief, []int{s2}, f, now, r.a3Note), nil
 }
 
 // VerifyCertificate runs the full chain receive → A10 → accuracy → accept
-// for an idealized certificate message, dispatching on the certificate
-// body (key certificate vs membership certificate). issuerKey is the
-// believed verification key of the issuer.
+// for an idealized certificate message. issuerKey is the believed
+// verification key of the issuer.
 func (e *Engine) VerifyCertificate(cert Signed, issuerKey KeySpeaksFor) (Formula, int, error) {
 	rcv, rs := e.Receive(cert, "certificate presented")
 	said, ss, err := e.IdentifyOriginator(issuerKey, rcv, rs)
@@ -395,55 +382,15 @@ func (e *Engine) VerifyCertificate(cert Signed, issuerKey KeySpeaksFor) (Formula
 	}
 	// Re-attach the signature for the accuracy step (A10's second
 	// conjunct), which expects the signed form.
-	saidSigned := Said{Who: said.Who, T: said.T, X: cert}
-	says, as, err := e.AcceptCertificateAccuracy(saidSigned, ss)
+	says, as, err := e.AcceptCertificateAccuracy(Said{Who: said.Who, T: said.T, X: cert}, ss)
 	if err != nil {
 		return nil, 0, fmt.Errorf("verify certificate: %w", err)
 	}
-	body, ok := says.X.(MsgFormula)
-	if !ok {
-		return nil, 0, fmt.Errorf("verify certificate: body is not a formula: %w", ErrSchemaMismatch)
+	f, id, err := e.accept(says, as)
+	if err != nil {
+		return nil, 0, fmt.Errorf("verify certificate: %w", err)
 	}
-	switch body.F.(type) {
-	case KeySpeaksFor:
-		f, id, err := e.AcceptKeyCertificate(says, as)
-		if err != nil {
-			return nil, 0, fmt.Errorf("verify certificate: %w", err)
-		}
-		return f, id, nil
-	case MemberOf:
-		f, id, err := e.AcceptMembershipCertificate(says, as)
-		if err != nil {
-			return nil, 0, fmt.Errorf("verify certificate: %w", err)
-		}
-		return f, id, nil
-	case GroupSpeaksFor:
-		f, id, err := e.AcceptGroupLinkCertificate(says, as)
-		if err != nil {
-			return nil, 0, fmt.Errorf("verify certificate: %w", err)
-		}
-		return f, id, nil
-	case Delegates:
-		f, id, err := e.AcceptDelegationCertificate(says, as)
-		if err != nil {
-			return nil, 0, fmt.Errorf("verify certificate: %w", err)
-		}
-		return f, id, nil
-	case GroupGraphEdge:
-		f, id, err := e.AcceptGroupGraphCertificate(says, as)
-		if err != nil {
-			return nil, 0, fmt.Errorf("verify certificate: %w", err)
-		}
-		return f, id, nil
-	case Not:
-		id, err := e.ProcessRevocation(says, as)
-		if err != nil {
-			return nil, 0, fmt.Errorf("verify certificate: %w", err)
-		}
-		return body.F, id, nil
-	default:
-		return nil, 0, fmt.Errorf("verify certificate: unsupported body %T: %w", body.F, ErrSchemaMismatch)
-	}
+	return f, id, nil
 }
 
 // VerifySignedRequest runs Step 3 for one signed request component: from a
@@ -478,12 +425,11 @@ func (e *Engine) VerifySignedRequest(req Signed, signerKey KeySpeaksFor) (Says, 
 // (A34–A38, DeriveGroupSays) given an established membership and the
 // verified utterances, producing "G says X" (statement 25) with key-bound
 // members' keys looked up in the store. Revocation is re-checked at
-// conclusion time.
+// conclusion time, by the membership row's own leaf.
 func (e *Engine) ConcludeGroupSays(mem MemberOf, memStep int, utterances []Says, utterSteps []int) (GroupSays, int, error) {
 	now := e.clk.Now()
-	if e.store.Revoked(mem.Who, mem.G, now) {
-		return GroupSays{}, 0, fmt.Errorf("group says: membership of %s in %s revoked as of %s",
-			mem.Who, mem.G.Name, now)
+	if err := membershipRow.leaf(e.store, mem, now); err != nil {
+		return GroupSays{}, 0, fmt.Errorf("group says: %w", err)
 	}
 	gs, rule, err := DeriveGroupSays(mem, utterances, now, func(who string) (KeySpeaksFor, bool) {
 		return e.store.KeyFor(who, now)
@@ -548,41 +494,6 @@ func DeriveGroupSays(mem MemberOf, utterances []Says, at clock.Time, keyFor func
 	return GroupSays{}, "", fmt.Errorf("group says: unsupported subject %T: %w", mem.Who, ErrSchemaMismatch)
 }
 
-// ProcessRevocation handles a verified revocation statement "RA says_tRA
-// ¬(W ⇒_t' G)": it records the negative belief so that the membership can
-// no longer be derived for times ≥ now (statement 26 and the
-// believe-until-revoked discussion).
-func (e *Engine) ProcessRevocation(says Says, saysStep int) (int, error) {
-	now := e.clk.Now()
-	body, ok := says.X.(MsgFormula)
-	if !ok {
-		return 0, fmt.Errorf("revocation: body is not a formula: %w", ErrSchemaMismatch)
-	}
-	neg, ok := body.F.(Not)
-	if !ok {
-		return 0, fmt.Errorf("revocation: body is not a negation: %w", ErrSchemaMismatch)
-	}
-	mem, ok := neg.F.(MemberOf)
-	if !ok {
-		return 0, fmt.Errorf("revocation: negated formula is not a membership: %w", ErrSchemaMismatch)
-	}
-	mj, ok := e.store.MembershipJurisdictionFor(says.Who.String())
-	if !ok {
-		return 0, fmt.Errorf("revocation: no membership jurisdiction held for %s", says.Who)
-	}
-	ctrl := mj.Instantiate(says.T, mem)
-	ctrlNeg := Controls{Who: ctrl.Who, T: ctrl.T, F: neg}
-	s1 := e.proof.Append(RuleInstantiate, []int{saysStep}, ctrlNeg, now,
-		"instantiate membership-jurisdiction schema over negation")
-	located, err := A22Jurisdiction(ctrlNeg, says)
-	if err != nil {
-		return 0, err
-	}
-	s2 := e.proof.Append(RuleA22Jurisdiction, []int{saysStep, s1}, located, now, "")
-	_, id, err := e.Install(neg, []int{s2}, now)
-	return id, err
-}
-
 // Install enters an accepted certificate's conclusion f into the belief
 // store at time at: the one place a group link, a group-graph edge, a
 // delegation link or a revocation becomes a belief. premises are the
@@ -597,7 +508,7 @@ func (e *Engine) ProcessRevocation(says Says, saysStep int) (int, error) {
 func (e *Engine) Install(f Formula, premises []int, at clock.Time) (Formula, int, error) {
 	switch b := f.(type) {
 	case GroupSpeaksFor:
-		return f, e.believe("A3 (localized belief)", premises, f, at, "privilege inheritance link"), nil
+		return f, e.believe(RuleA3LocalizedBelief, premises, f, at, "privilege inheritance link"), nil
 	case GroupGraphEdge:
 		return f, e.believe(RuleGraphEdge, premises, f, at, "group-graph membership edge"), nil
 	case Delegates:

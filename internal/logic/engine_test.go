@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -274,6 +275,11 @@ func TestEngineRevocationReasoning(t *testing.T) {
 	// Re-presenting the certificate must now be refused.
 	if _, _, err := eng.VerifyCertificate(fx.acCert, aaKey); err == nil {
 		t.Fatal("revoked certificate re-accepted")
+	}
+	// So is concluding from the membership believed before the revocation.
+	want := fmt.Sprintf("group says: membership of %s in G_write revoked as of %s", mem.Who, fx.clk.Now())
+	if _, _, err := eng.ConcludeGroupSays(mem, 0, nil, nil); err == nil || err.Error() != want {
+		t.Fatalf("conclusion after revocation: err = %v, want %q", err, want)
 	}
 }
 

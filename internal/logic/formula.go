@@ -403,12 +403,6 @@ func (k KeyJurisdiction) String() string {
 	return "(∀t)(∀Q,K,tb,te) " + k.CA.String() + " controls_t (K ⇒_[tb,te]," + k.CA.Name + " Q)"
 }
 
-// Instantiate produces the concrete Controls formula for one certificate
-// body.
-func (k KeyJurisdiction) Instantiate(t TimeSpec, body KeySpeaksFor) Controls {
-	return Controls{Who: k.CA, T: t, F: body}
-}
-
 // MembershipJurisdiction is the schema
 //
 //	(∀t) Auth controls_t (∀G',W',t'b,t'e) W' ⇒_[t'b,t'e],Auth G'
@@ -430,12 +424,6 @@ func (MembershipJurisdiction) formulaNode() {}
 func (m MembershipJurisdiction) String() string {
 	return "(∀t)(∀G,W,tb,te) " + m.Authority.String() + " controls_t (W ⇒_[tb,te]," +
 		m.AuthorityName + " G)"
-}
-
-// Instantiate produces the concrete Controls formula for one membership
-// body.
-func (m MembershipJurisdiction) Instantiate(t TimeSpec, body MemberOf) Controls {
-	return Controls{Who: m.Authority, T: t, F: body}
 }
 
 // SaysTimeJurisdiction is the schema

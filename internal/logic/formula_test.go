@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -51,18 +52,22 @@ func TestSchemaStringsMentionQuantifiers(t *testing.T) {
 }
 
 func TestSchemaInstantiation(t *testing.T) {
-	kj := KeyJurisdiction{CA: P("CA1")}
-	body := KeySpeaksFor{K: "Ku", T: During(1, 9), Who: P("U")}
-	c := kj.Instantiate(At(5), body)
-	if !SubjectEqual(c.Who, P("CA1")) || !FormulaEqual(c.F, body) {
-		t.Errorf("key instantiation = %s", c)
+	// The key and membership schemas instantiate at the authority the
+	// acceptance table's jurisdiction lookup returns.
+	store := NewBeliefStore()
+	store.Add(KeyJurisdiction{CA: P("CA1")}, 0, 1)
+	store.Add(MembershipJurisdiction{Authority: P("AA"), AuthorityName: "AA"}, 0, 2)
+	if who, err := keyJurisdiction(store, P("CA1"), nil); err != nil || !SubjectEqual(who, P("CA1")) {
+		t.Errorf("key jurisdiction = %v, %v", who, err)
 	}
-
-	mj := MembershipJurisdiction{Authority: P("AA"), AuthorityName: "AA"}
-	mem := MemberOf{Who: P("U"), T: During(1, 9), G: G("g")}
-	c2 := mj.Instantiate(At(5), mem)
-	if !FormulaEqual(c2.F, mem) {
-		t.Errorf("membership instantiation = %s", c2)
+	if _, err := keyJurisdiction(store, CP(P("CA1"), P("CA2")), nil); !errors.Is(err, ErrSchemaMismatch) {
+		t.Errorf("compound CA's key jurisdiction: err = %v", err)
+	}
+	if who, err := membershipJurisdiction(store, P("AA"), nil); err != nil || !SubjectEqual(who, P("AA")) {
+		t.Errorf("membership jurisdiction = %v, %v", who, err)
+	}
+	if _, err := membershipJurisdiction(store, P("CA1"), nil); err == nil {
+		t.Error("membership jurisdiction found for CA1")
 	}
 
 	sj := SaysTimeJurisdiction{Authority: P("AA"), Since: 10, Server: "P"}
@@ -121,15 +126,15 @@ func TestEngineErrorPaths(t *testing.T) {
 		t.Error("accuracy without jurisdiction succeeded")
 	}
 
-	// AcceptKeyCertificate with a non-key body.
+	// Acceptance of a body no certificate carries.
 	says := Says{Who: P("CA"), T: At(90), X: AsMessage(Prop{Name: "x"})}
-	if _, _, err := eng.AcceptKeyCertificate(says, 1); err == nil {
-		t.Error("key acceptance of non-key body succeeded")
+	if _, _, err := eng.accept(says, 1); err == nil {
+		t.Error("acceptance of a non-certificate body succeeded")
 	}
 
-	// AcceptMembershipCertificate without jurisdiction.
+	// Membership acceptance without jurisdiction.
 	memSays := Says{Who: P("AA"), T: At(90), X: AsMessage(MemberOf{Who: P("U"), T: During(1, 9), G: G("g")})}
-	if _, _, err := eng.AcceptMembershipCertificate(memSays, 1); err == nil {
+	if _, _, err := eng.accept(memSays, 1); err == nil {
 		t.Error("membership acceptance without jurisdiction succeeded")
 	}
 
@@ -142,9 +147,10 @@ func TestEngineErrorPaths(t *testing.T) {
 		t.Error("unsupported certificate body accepted")
 	}
 
-	// ProcessRevocation with a non-negation body.
-	if _, err := eng.ProcessRevocation(says, 1); err == nil {
-		t.Error("revocation of non-negation succeeded")
+	// Revocation of a negation that is not a membership.
+	negSays := Says{Who: P("CA"), T: At(90), X: AsMessage(Not{F: Prop{Name: "x"}})}
+	if _, _, err := eng.accept(negSays, 1); !errors.Is(err, ErrSchemaMismatch) {
+		t.Errorf("revocation of a non-membership negation: err = %v", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,26 +96,46 @@ type writerFixture struct {
 }
 
 var (
-	writerOnce sync.Once
-	writerVal  *writerFixture
-	writerErr  error
-	writerDir  string
+	allianceOnce sync.Once
+	allianceVal  *jointadmin.Alliance
+	allianceErr  error
 )
 
-// newWriter builds the shared writer fixture once (512-bit keys keep the
-// crypto under a second). Tests that mutate beliefs append to the shared
-// WAL; they must tolerate records left by earlier tests, which the
-// sequence-cursor protocol does by construction.
+// newWriter builds one test's writer: its own server journaling to its
+// own WAL, so every test starts from an empty log. The alliance — its
+// keys (512-bit, to keep the crypto under a second), users and groups —
+// is built once and shared; groups a test grants on it stay granted, but
+// reach no other test's server or WAL.
 func newWriter(t *testing.T) *writerFixture {
 	t.Helper()
-	writerOnce.Do(func() { writerVal, writerErr = buildWriter() })
-	if writerErr != nil {
-		t.Fatal(writerErr)
+	allianceOnce.Do(func() { allianceVal, allianceErr = buildAlliance() })
+	if allianceErr != nil {
+		t.Fatal(allianceErr)
 	}
-	return writerVal
+	a := allianceVal
+	srv, err := a.NewServer("P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = srv.CreateObject("O", map[string][]string{
+		"G_read":  {"read"},
+		"G_write": {"write"},
+	}, []byte("genome v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	if err := srv.Authz().SetJournal(l); err != nil {
+		t.Fatal(err)
+	}
+	return &writerFixture{a: a, srv: srv, log: l}
 }
 
-func buildWriter() (*writerFixture, error) {
+func buildAlliance() (*jointadmin.Alliance, error) {
 	a, err := jointadmin.NewAlliance("AA", []string{"D1", "D2"}, jointadmin.WithKeyBits(512))
 	if err != nil {
 		return nil, err
@@ -136,41 +155,7 @@ func buildWriter() (*writerFixture, error) {
 	if err := a.GrantThreshold("G_write", 2, "alice", "bob"); err != nil {
 		return nil, err
 	}
-	srv, err := a.NewServer("P")
-	if err != nil {
-		return nil, err
-	}
-	err = srv.CreateObject("O", map[string][]string{
-		"G_read":  {"read"},
-		"G_write": {"write"},
-	}, []byte("genome v1"))
-	if err != nil {
-		return nil, err
-	}
-	l, _, err := wal.Open(writerDir, wal.Options{NoSync: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := srv.Authz().SetJournal(l); err != nil {
-		return nil, err
-	}
-	return &writerFixture{a: a, srv: srv, log: l}, nil
-}
-
-func TestMain(m *testing.M) {
-	// The shared writer's WAL needs a directory that outlives any single
-	// test; TestMain owns it.
-	dir, err := os.MkdirTemp("", "repltest")
-	if err != nil {
-		panic(err)
-	}
-	writerDir = dir
-	code := m.Run()
-	if writerVal != nil {
-		writerVal.log.Close()
-	}
-	os.RemoveAll(dir)
-	os.Exit(code)
+	return a, nil
 }
 
 // mutate appends exactly one WAL record on the writer: grant a throwaway
@@ -672,7 +657,7 @@ func TestFollowerKeepsCacheAcrossShippedMutations(t *testing.T) {
 	reg := obs.NewRegistry()
 	ap := newTestApplier(newFakeNode(), reg)
 	ctx := context.Background()
-	// The writer is shared across runs in one process (-count): each run
+	// The alliance is shared across runs in one process (-count): each run
 	// grants, links and revokes groups of its own.
 	run := parityRuns.Add(1)
 	victimGroup := fmt.Sprintf("G_parity_victim%d", run)

@@ -62,7 +62,7 @@ func TestFaultyDropOutDeterministic(t *testing.T) {
 				t.Fatalf("kept send %d of %d: %v", i, count, err)
 			}
 		}
-		if _, err := b.RecvTimeout(20 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+		if _, err := b.RecvTimeout(20 * time.Millisecond); !errors.Is(err, errRecvTimeout) {
 			t.Errorf("a dropped send arrived: %v", err)
 		}
 		return count
@@ -93,7 +93,7 @@ func TestFaultyDuplicateIn(t *testing.T) {
 			t.Errorf("copy %d payload = %q", i, env.Payload)
 		}
 	}
-	if _, err := a.RecvTimeout(30 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+	if _, err := a.RecvTimeout(30 * time.Millisecond); !errors.Is(err, errRecvTimeout) {
 		t.Errorf("third copy: %v, want timeout", err)
 	}
 	if s := a.Stats(); s.DuplicatedIn != 1 {
@@ -124,7 +124,7 @@ func TestFaultySeverAndHeal(t *testing.T) {
 	if err := a.Send("B", "k", []byte("lost")); err != nil {
 		t.Fatalf("severed send must report success (blackhole): %v", err)
 	}
-	if _, err := b.RecvTimeout(30 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+	if _, err := b.RecvTimeout(30 * time.Millisecond); !errors.Is(err, errRecvTimeout) {
 		t.Errorf("severed frame arrived: %v", err)
 	}
 	a.Heal(Outbound)
@@ -139,7 +139,7 @@ func TestFaultySeverAndHeal(t *testing.T) {
 	if err := b.Send("A", "k", []byte("discarded")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.RecvTimeout(30 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+	if _, err := a.RecvTimeout(30 * time.Millisecond); !errors.Is(err, errRecvTimeout) {
 		t.Errorf("severed inbound delivered: %v", err)
 	}
 	a.Heal(Both)

@@ -98,7 +98,7 @@ func TestFrameRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		data   []byte
-		reason string // MetricFrameErrors label; "" for a connection failure
+		reason string // metricFrameErrors label; "" for a connection failure
 	}{
 		{"length prefix beyond the limit", binary.BigEndian.AppendUint32(nil, maxFrame+1), "oversize"},
 		{"plain text", []byte("GET / HTTP/1.1\r\n\r\n"), "oversize"},
@@ -201,8 +201,8 @@ func TestTCPFrameErrorsCountedAndIsolated(t *testing.T) {
 			t.Fatalf("%s: connection still open after the bad frame (read: %v)", tc.name, err)
 		}
 		conn.Close()
-		if got := reg.Counter(MetricFrameErrors, "reason", tc.reason).Value(); got != 1 {
-			t.Errorf("%s: %s{reason=%q} = %d, want 1", tc.name, MetricFrameErrors, tc.reason, got)
+		if got := reg.Counter(metricFrameErrors, "reason", tc.reason).Value(); got != 1 {
+			t.Errorf("%s: %s{reason=%q} = %d, want 1", tc.name, metricFrameErrors, tc.reason, got)
 		}
 		exchange("after " + tc.name)
 	}
@@ -226,12 +226,12 @@ func TestTCPFrameErrorsCountedAndIsolated(t *testing.T) {
 	n.Close() // waits for every read loop, so the counts below are final
 	var total int64
 	for _, c := range reg.Snapshot().Counters {
-		if strings.HasPrefix(c.Name, MetricFrameErrors+"{") {
+		if strings.HasPrefix(c.Name, metricFrameErrors+"{") {
 			total += c.Value
 		}
 	}
 	if total != 3 {
-		t.Errorf("%s over all reasons = %d, want 3 (hang-ups are not frame errors)", MetricFrameErrors, total)
+		t.Errorf("%s over all reasons = %d, want 3 (hang-ups are not frame errors)", metricFrameErrors, total)
 	}
 }
 

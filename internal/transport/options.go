@@ -40,7 +40,7 @@ const (
 	DefaultWriteTimeout = 10 * time.Second
 	DefaultAttempts     = 3
 	DefaultRetryBase    = 25 * time.Millisecond
-	DefaultRetryMax     = time.Second
+	defaultRetryMax     = time.Second
 )
 
 // withDefaults fills unset fields.
@@ -58,7 +58,7 @@ func (o Options) withDefaults() Options {
 		o.RetryBase = DefaultRetryBase
 	}
 	if o.RetryMax <= 0 {
-		o.RetryMax = DefaultRetryMax
+		o.RetryMax = defaultRetryMax
 	}
 	return o
 }

@@ -79,38 +79,38 @@ type tcpConn struct {
 // Transport metric names. Frame/byte counters are labeled dir="in"/"out";
 // per-peer connection gauges and error counters are labeled by peer name.
 const (
-	// MetricFrames counts envelopes moved, labeled dir="in"/"out".
-	MetricFrames = "transport_frames_total"
+	// metricFrames counts envelopes moved, labeled dir="in"/"out".
+	metricFrames = "transport_frames_total"
 	// MetricBytes counts frame payload bytes moved (including the 4-byte
 	// length prefix), labeled dir="in"/"out".
 	MetricBytes = "transport_bytes_total"
 	// MetricDialErrors counts failed dials, labeled by peer.
 	MetricDialErrors = "transport_dial_errors_total"
-	// MetricSendErrors counts failed frame writes, labeled by peer.
-	MetricSendErrors = "transport_send_errors_total"
-	// MetricAcceptErrors counts listener accept failures.
-	MetricAcceptErrors = "transport_accept_errors_total"
+	// metricSendErrors counts failed frame writes, labeled by peer.
+	metricSendErrors = "transport_send_errors_total"
+	// metricAcceptErrors counts listener accept failures.
+	metricAcceptErrors = "transport_accept_errors_total"
 	// MetricPeerConns gauges open dialed connections, labeled by peer.
 	MetricPeerConns = "transport_peer_conns"
-	// MetricAcceptedConns gauges open accepted (inbound) connections.
-	MetricAcceptedConns = "transport_accepted_conns"
+	// metricAcceptedConns gauges open accepted (inbound) connections.
+	metricAcceptedConns = "transport_accepted_conns"
 	// MetricSendRetries counts retried send attempts (attempt 2 and
 	// later), labeled by peer.
 	MetricSendRetries = "transport_send_retries_total"
-	// MetricRedials counts connections re-dialed after a failed write or
+	// metricRedials counts connections re-dialed after a failed write or
 	// dial, or after the peer closed the previous one, labeled by peer.
-	MetricRedials = "transport_redials_total"
-	// MetricWriteTimeouts counts frame writes that exceeded the configured
+	metricRedials = "transport_redials_total"
+	// metricWriteTimeouts counts frame writes that exceeded the configured
 	// write deadline, labeled by peer (also counted in send errors).
-	MetricWriteTimeouts = "transport_write_timeouts_total"
-	// MetricFrameErrors counts inbound connections dropped because a
+	metricWriteTimeouts = "transport_write_timeouts_total"
+	// metricFrameErrors counts inbound connections dropped because a
 	// frame broke the wire format, labeled reason="oversize" (length
 	// prefix beyond the frame limit — what arbitrary bytes usually look
 	// like), "malformed" (a field runs past the frame, or bytes follow
 	// the last field) or "version" (leading byte of another format, e.g.
 	// a peer from before the binary codec). A peer that closes or dies,
 	// even mid-frame, is not a frame error.
-	MetricFrameErrors = "transport_frame_errors_total"
+	metricFrameErrors = "transport_frame_errors_total"
 )
 
 // nodeMetrics is a registry plus the counters every frame touches,
@@ -124,8 +124,8 @@ type nodeMetrics struct {
 func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 	return &nodeMetrics{
 		reg:       reg,
-		framesIn:  reg.Counter(MetricFrames, "dir", "in"),
-		framesOut: reg.Counter(MetricFrames, "dir", "out"),
+		framesIn:  reg.Counter(metricFrames, "dir", "in"),
+		framesOut: reg.Counter(metricFrames, "dir", "out"),
 		bytesIn:   reg.Counter(MetricBytes, "dir", "in"),
 		bytesOut:  reg.Counter(MetricBytes, "dir", "out"),
 	}
@@ -214,7 +214,7 @@ func (n *TCPNode) acceptLoop() {
 			select {
 			case <-n.closed:
 			default:
-				n.metrics().Counter(MetricAcceptErrors).Inc()
+				n.metrics().Counter(metricAcceptErrors).Inc()
 			}
 			return // listener closed
 		}
@@ -222,7 +222,7 @@ func (n *TCPNode) acceptLoop() {
 		n.mu.Lock()
 		n.accepted[c] = true
 		n.mu.Unlock()
-		n.metrics().Gauge(MetricAcceptedConns).Inc()
+		n.metrics().Gauge(metricAcceptedConns).Inc()
 		n.wg.Add(1)
 		go n.readLoop(c, nil, "")
 	}
@@ -240,7 +240,7 @@ func (n *TCPNode) readLoop(c *tcpConn, p *tcpPeer, peer string) {
 			n.mu.Lock()
 			delete(n.accepted, c)
 			n.mu.Unlock()
-			n.metrics().Gauge(MetricAcceptedConns).Dec()
+			n.metrics().Gauge(metricAcceptedConns).Dec()
 			return
 		}
 		p.mu.Lock()
@@ -259,7 +259,7 @@ func (n *TCPNode) readLoop(c *tcpConn, p *tcpPeer, peer string) {
 			// just ends the loop; a frame that breaks the format is
 			// counted and logged, and costs the peer this connection only.
 			if reason := frameErrorReason(err); reason != "" {
-				n.metrics().Counter(MetricFrameErrors, "reason", reason).Inc()
+				n.metrics().Counter(metricFrameErrors, "reason", reason).Inc()
 				log.Printf("transport: %s: dropping connection from %s: %v", n.name, c.RemoteAddr(), err)
 			}
 			return
@@ -330,10 +330,10 @@ func (n *TCPNode) send(env Envelope, m Message) error {
 
 // Reply answers env on the connection it arrived on: one write, with no
 // dial and no retry. An envelope that did not arrive over TCP has no
-// connection to answer on (ErrUnknownPeer).
+// connection to answer on (errUnknownPeer).
 func (n *TCPNode) Reply(env Envelope, kind string, payload []byte) error {
 	if env.conn == nil {
-		return fmt.Errorf("reply to %s: %w", env.From, ErrUnknownPeer)
+		return fmt.Errorf("reply to %s: %w", env.From, errUnknownPeer)
 	}
 	buf := framePool.Get().(*[]byte)
 	defer releaseFrame(buf)
@@ -363,14 +363,14 @@ func (n *TCPNode) sendOnce(to string, frame []byte, redial bool) error {
 	p, known := n.peers[to]
 	n.mu.Unlock()
 	if !known {
-		return fmt.Errorf("%s: %w", to, ErrUnknownPeer)
+		return fmt.Errorf("%s: %w", to, errUnknownPeer)
 	}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.conn == nil {
 		if redial || p.dropped {
-			n.metrics().Counter(MetricRedials, "peer", to).Inc()
+			n.metrics().Counter(metricRedials, "peer", to).Inc()
 			p.dropped = false
 		}
 		nc, err := net.DialTimeout("tcp", p.addr, n.opts.DialTimeout)
@@ -415,9 +415,9 @@ func (n *TCPNode) write(c *tcpConn, peer string, frame []byte) error {
 		return nil
 	}
 	c.Close()
-	n.metrics().Counter(MetricSendErrors, "peer", peer).Inc()
+	n.metrics().Counter(metricSendErrors, "peer", peer).Inc()
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		n.metrics().Counter(MetricWriteTimeouts, "peer", peer).Inc()
+		n.metrics().Counter(metricWriteTimeouts, "peer", peer).Inc()
 	}
 	return err
 }
@@ -448,7 +448,7 @@ func retryable(err error) bool {
 	switch {
 	case err == nil:
 		return false
-	case errors.Is(err, ErrUnknownPeer), errors.Is(err, ErrClosed):
+	case errors.Is(err, errUnknownPeer), errors.Is(err, ErrClosed):
 		return false
 	}
 	return true
@@ -474,7 +474,7 @@ func (n *TCPNode) RecvTimeout(d time.Duration) (Envelope, error) {
 	case <-n.closed:
 		return Envelope{}, ErrClosed
 	case <-timer.C:
-		return Envelope{}, fmt.Errorf("recv after %v: %w", d, ErrRecvTimeout)
+		return Envelope{}, fmt.Errorf("recv after %v: %w", d, errRecvTimeout)
 	}
 }
 
@@ -662,7 +662,7 @@ func reuse(last *string, b []byte) string {
 	return *last
 }
 
-// frameErrorReason maps a readFrame failure to its MetricFrameErrors
+// frameErrorReason maps a readFrame failure to its metricFrameErrors
 // label; "" for failures of the connection rather than of the format.
 func frameErrorReason(err error) string {
 	switch {

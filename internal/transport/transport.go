@@ -77,10 +77,10 @@ type Message interface {
 var (
 	// ErrClosed indicates the endpoint has been closed.
 	ErrClosed = errors.New("transport: closed")
-	// ErrUnknownPeer indicates a send to an unregistered name.
-	ErrUnknownPeer = errors.New("transport: unknown peer")
-	// ErrRecvTimeout indicates RecvTimeout expired with no message.
-	ErrRecvTimeout = errors.New("transport: receive timeout")
+	// errUnknownPeer indicates a send to an unregistered name.
+	errUnknownPeer = errors.New("transport: unknown peer")
+	// errRecvTimeout indicates RecvTimeout expired with no message.
+	errRecvTimeout = errors.New("transport: receive timeout")
 )
 
 // Endpoint is one principal's attachment to the network.

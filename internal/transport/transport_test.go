@@ -43,7 +43,7 @@ func TestMemorySendRecv(t *testing.T) {
 func TestMemoryUnknownPeer(t *testing.T) {
 	a := DialTCP("A")
 	defer a.Close()
-	if err := a.Send("ghost", "k", nil); !errors.Is(err, ErrUnknownPeer) {
+	if err := a.Send("ghost", "k", nil); !errors.Is(err, errUnknownPeer) {
 		t.Errorf("send to ghost: %v", err)
 	}
 }
@@ -151,7 +151,7 @@ func TestTCPUnknownPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Send("nowhere", "k", nil); !errors.Is(err, ErrUnknownPeer) {
+	if err := a.Send("nowhere", "k", nil); !errors.Is(err, errUnknownPeer) {
 		t.Errorf("send to unknown peer: %v", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestTCPRecvTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := b.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+	if _, err := b.RecvTimeout(10 * time.Millisecond); !errors.Is(err, errRecvTimeout) {
 		t.Errorf("timeout: %v", err)
 	}
 }
@@ -308,7 +308,7 @@ func TestTCPReplyOnArrivalConnection(t *testing.T) {
 			t.Errorf("server dialed a connection: %s = %d", m.Name, m.Value)
 		}
 	}
-	if err := srv.Reply(Envelope{From: "cli"}, "answer", nil); !errors.Is(err, ErrUnknownPeer) {
+	if err := srv.Reply(Envelope{From: "cli"}, "answer", nil); !errors.Is(err, errUnknownPeer) {
 		t.Errorf("reply without a connection: %v", err)
 	}
 }

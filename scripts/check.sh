@@ -76,6 +76,12 @@ go test -race -count=2 -run 'Redistribut|Refresh|Cooperative' ./internal/sharedr
 echo "==> audit ring under race (go test -race -count=5 ./internal/audit)"
 go test -race -count=5 ./internal/audit
 
+echo "==> replication under race (go test -race -count=5 ./internal/replication)"
+# Every test builds its own writer server and WAL, so five runs in one
+# process cost five times one and a test that leaks state into the next
+# run fails here.
+go test -race -count=5 ./internal/replication
+
 echo "==> bench smoke (go test -bench=LogRecord -benchtime=1x ./internal/audit)"
 go test -run '^$' -bench=LogRecord -benchtime=1x -benchmem ./internal/audit
 
