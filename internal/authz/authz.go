@@ -190,6 +190,10 @@ type Server struct {
 	// is acknowledged, plus audit entries (journal.go). Stored atomically
 	// because the lock-free Authorize path writes audit records.
 	journal atomic.Pointer[journalBox]
+	// replica is set by NewReplica: a follower decides a write or modify
+	// exactly as the writer would, but only the writer performs it, so
+	// the follower's objects stay the writer's (execute).
+	replica bool
 }
 
 // NewServer configures a server with its trust anchors and object store.
@@ -522,12 +526,18 @@ func (d *decision) approve(gs logic.GroupSays, closure []logic.Group, validity c
 		Epoch: d.epoch, Watermark: d.watermark}, nil
 }
 
-// execute performs the approved operation on the object store.
+// execute performs the approved operation on the object store. A
+// replica reads, and checks a modify's payload as the writer does, but
+// changes nothing: a write it performed would never reach the writer,
+// and the next snapshot would silently revert it.
 func (s *Server) execute(op acl.Permission, object string, payload []byte, group string) ([]byte, error) {
 	switch op {
 	case acl.Read:
 		return s.objects.Read(object)
 	case acl.Write:
+		if s.replica {
+			return nil, nil
+		}
 		return nil, s.objects.Write(object, payload, group)
 	case acl.Modify:
 		var entries []acl.Entry
@@ -535,7 +545,7 @@ func (s *Server) execute(op acl.Permission, object string, payload []byte, group
 			return nil, err
 		}
 		newACL, err := acl.NewACL(entries...)
-		if err != nil {
+		if err != nil || s.replica {
 			return nil, err
 		}
 		return nil, s.objects.SetACL(object, newACL, group)

@@ -34,7 +34,8 @@ import (
 // recorded epoch, watermark and belief set. The clock starts at zero and
 // advances to each record's timestamp during replay; objects arrive
 // separately (they are not belief state), via acl.Store.Import on the
-// provided store.
+// provided store. The replica decides writes and modifies but does not
+// perform them (Server.execute).
 func NewReplica(name string, clk *clock.Clock, objects *acl.Store, log *audit.Log, recs []wal.Record) (*Server, ReplayReport, error) {
 	start, err := wal.StateStart(recs)
 	if err != nil {
@@ -45,6 +46,7 @@ func NewReplica(name string, clk *clock.Clock, objects *acl.Store, log *audit.Lo
 		return nil, ReplayReport{}, err
 	}
 	s := NewServer(name, clk, anchors, objects, log)
+	s.replica = true
 	rep, err := s.Replay(recs, ReplayExact)
 	if err != nil {
 		return nil, rep, err

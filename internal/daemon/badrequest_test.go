@@ -46,6 +46,13 @@ func startWriterAndFollower(ctx context.Context, t *testing.T) (*Daemon, *Follow
 // latest when the test ends). The follower's replica stays installed.
 func startFleet(ctx context.Context, t *testing.T) (*Daemon, *Follower, *obs.Registry, func()) {
 	t.Helper()
+	return serveFleet(ctx, t, newReplicatingWriter(t))
+}
+
+// newReplicatingWriter builds the writer startFleet serves, not yet
+// listening. It closes when the test ends.
+func newReplicatingWriter(t *testing.T) *Daemon {
+	t.Helper()
 	d, err := New(Config{
 		Domains:       []string{"D1", "D2", "D3"},
 		Users:         []string{"alice", "bob", "carol"},
@@ -57,6 +64,12 @@ func startFleet(ctx context.Context, t *testing.T) (*Daemon, *Follower, *obs.Reg
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// serveFleet is startFleet on a writer the caller built.
+func serveFleet(ctx context.Context, t *testing.T, d *Daemon) (*Daemon, *Follower, *obs.Registry, func()) {
+	t.Helper()
 	wnode, err := d.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

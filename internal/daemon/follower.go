@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"jointadmin/internal/acl"
 	"jointadmin/internal/authz"
 	"jointadmin/internal/obs"
 	"jointadmin/internal/replication"
@@ -188,6 +189,11 @@ func (f *Follower) handle(ctx context.Context, cmd Command) (Reply, string) {
 		// replication frame applied since cannot move.
 		detail := fmt.Sprintf("approved via %s [%s] at epoch %d watermark %d",
 			dec.Group, dec.RequestID, dec.Epoch, dec.Watermark)
+		// An approval has at least one component, and its co-signers agree
+		// on the operation.
+		if op := req.Requests[0].Op; op != acl.Read {
+			detail += "; " + string(op) + " not performed: a follower decides it, only the writer performs it"
+		}
 		return Reply{OK: true, Detail: detail, Data: string(dec.Data)}, ""
 	case "audit":
 		rep := f.applier.Replica()

@@ -16,7 +16,6 @@ import (
 const (
 	RuleAssumption        = "assumption"
 	RuleReceive           = "receive"
-	RuleA1ModusBelief     = "A1 (belief modus ponens)"
 	RuleA3LocalizedBelief = "A3 (localized belief)"
 	RuleA7Interval        = "A7 (time interval)"
 	RuleA8Monotone        = "A8 (monotonicity)"
@@ -88,23 +87,6 @@ var (
 	// revoked as of now.
 	ErrLeafRevoked = errors.New("believe-until-revoked leaf revoked")
 )
-
-// A1 is belief modus ponens: P believes φ ∧ P believes (φ ⊃ ψ) ⊢ P believes
-// ψ. (In the engine beliefs are implicit; this pure form operates on the
-// wrapped formulas for tests and the model checker.)
-func A1(bphi, bimp Believes) (Believes, error) {
-	imp, ok := bimp.F.(Implies)
-	if !ok {
-		return Believes{}, fmt.Errorf("A1: second premise is not an implication belief: %w", ErrSchemaMismatch)
-	}
-	if !SubjectEqual(bphi.Who, bimp.Who) || bphi.T != bimp.T {
-		return Believes{}, fmt.Errorf("A1: subjects/times differ: %w", ErrSchemaMismatch)
-	}
-	if !FormulaEqual(bphi.F, imp.L) {
-		return Believes{}, fmt.Errorf("A1: antecedent mismatch: %w", ErrSchemaMismatch)
-	}
-	return Believes{Who: bphi.Who, T: bphi.T, F: imp.R}, nil
-}
 
 // A7Point instantiates an AllOf-qualified formula at a single covered time:
 // from "W op_[t1,t2] ..." conclude "W op_t ..." for t1 ≤ t ≤ t2. It applies
@@ -276,21 +258,6 @@ func A12ReadSigned(r Received) (Received, error) {
 		return Received{}, fmt.Errorf("A12: message is not signed: %w", ErrSchemaMismatch)
 	}
 	return Received{Who: r.Who, T: r.T, X: sig.X}, nil
-}
-
-// A11ReadEncrypted: P received_t {X}_K ∧ P has_t K^-1 ⊢ P received_t X.
-func A11ReadEncrypted(r Received, h Has) (Received, error) {
-	enc, ok := r.X.(Encrypted)
-	if !ok {
-		return Received{}, fmt.Errorf("A11: message is not encrypted: %w", ErrSchemaMismatch)
-	}
-	if !SubjectEqual(r.Who, h.Who) {
-		return Received{}, fmt.Errorf("A11: receiver does not hold the key: %w", ErrSchemaMismatch)
-	}
-	if enc.K != h.K {
-		return Received{}, fmt.Errorf("A11: key %s cannot open {·}%s: %w", h.K, enc.K, ErrSchemaMismatch)
-	}
-	return Received{Who: r.Who, T: r.T, X: enc.X}, nil
 }
 
 // A15SaidComponent: P said_t (X1,...,Xn) ⊢ P said_t Xi.
@@ -503,19 +470,6 @@ func A38Threshold(m MemberOf, signers []Says, at clock.Time) (GroupSays, error) 
 			len(counted), cp.Threshold(), ErrThresholdNotMet)
 	}
 	return GroupSays{G: m.G, T: At(at), X: content}, nil
-}
-
-// GroupInherit is the privilege-inheritance axiom (the extension of
-// Section 4.1): G1 ⇒_t G2 ∧ G1 says_t X ⊃ G2 says_t X.
-func GroupInherit(link GroupSpeaksFor, gs GroupSays) (GroupSays, error) {
-	if link.Sub != gs.G {
-		return GroupSays{}, fmt.Errorf("inherit: link subject %s ≠ speaker %s: %w",
-			link.Sub.Name, gs.G.Name, ErrSchemaMismatch)
-	}
-	if err := membershipCovers(link.T, gs.T.Time()); err != nil {
-		return GroupSays{}, err
-	}
-	return GroupSays{G: link.Sup, T: gs.T, X: gs.X}, nil
 }
 
 // requestContent extracts the common request X from a co-signer's signed

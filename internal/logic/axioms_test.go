@@ -8,31 +8,6 @@ import (
 	"jointadmin/internal/clock"
 )
 
-func TestA1BeliefModusPonens(t *testing.T) {
-	p := P("P")
-	phi := Prop{Name: "x"}
-	psi := Prop{Name: "y"}
-	b1 := Believes{Who: p, T: At(1), F: phi}
-	b2 := Believes{Who: p, T: At(1), F: Implies{L: phi, R: psi}}
-	got, err := A1(b1, b2)
-	if err != nil {
-		t.Fatalf("A1: %v", err)
-	}
-	if !FormulaEqual(got.F, psi) {
-		t.Errorf("A1 conclusion = %s", got.F)
-	}
-	// Mismatched antecedent must fail.
-	b3 := Believes{Who: p, T: At(1), F: Prop{Name: "z"}}
-	if _, err := A1(b3, b2); !errors.Is(err, ErrSchemaMismatch) {
-		t.Errorf("A1 with wrong antecedent: err = %v", err)
-	}
-	// Mismatched time must fail.
-	b4 := Believes{Who: p, T: At(2), F: phi}
-	if _, err := A1(b4, b2); !errors.Is(err, ErrSchemaMismatch) {
-		t.Errorf("A1 with wrong time: err = %v", err)
-	}
-}
-
 func TestA7PointInstantiation(t *testing.T) {
 	ks := KeySpeaksFor{K: "K1", T: During(5, 15), Who: P("Q")}
 	got, err := A7Point(ks, 10)
@@ -191,7 +166,7 @@ func TestA10OriginatorThresholdNamesPlainCP(t *testing.T) {
 	}
 }
 
-func TestA11A12Reading(t *testing.T) {
+func TestA12Reading(t *testing.T) {
 	inner := Const{Value: "m"}
 	rs := Received{Who: P("P"), T: At(1), X: Sign(inner, "K")}
 	got, err := A12ReadSigned(rs)
@@ -202,20 +177,6 @@ func TestA11A12Reading(t *testing.T) {
 		t.Error("A12 on unsigned should fail")
 	}
 
-	re := Received{Who: P("P"), T: At(1), X: Encrypt(inner, "K")}
-	h := Has{Who: P("P"), T: At(1), K: "K"}
-	got2, err := A11ReadEncrypted(re, h)
-	if err != nil || !MessageEqual(got2.X, inner) {
-		t.Errorf("A11: %v %v", got2, err)
-	}
-	hWrong := Has{Who: P("P"), T: At(1), K: "K2"}
-	if _, err := A11ReadEncrypted(re, hWrong); err == nil {
-		t.Error("A11 with wrong key should fail")
-	}
-	hOther := Has{Who: P("Q"), T: At(1), K: "K"}
-	if _, err := A11ReadEncrypted(re, hOther); err == nil {
-		t.Error("A11 with other principal's key should fail")
-	}
 }
 
 func TestA15A17A20Saying(t *testing.T) {

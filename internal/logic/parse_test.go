@@ -271,26 +271,6 @@ func TestParseGroupSpeaksFor(t *testing.T) {
 	}
 }
 
-func TestGroupInheritAxiom(t *testing.T) {
-	link := GroupSpeaksFor{Sub: G("A"), T: During(0, 10), Sup: G("B")}
-	gs := GroupSays{G: G("A"), T: At(5), X: Const{Value: "op"}}
-	got, err := GroupInherit(link, gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.G != G("B") || !MessageEqual(got.X, Const{Value: "op"}) {
-		t.Errorf("inherit = %s", got)
-	}
-	// Mismatched subject group.
-	if _, err := GroupInherit(link, GroupSays{G: G("C"), T: At(5), X: Const{Value: "op"}}); !errors.Is(err, ErrSchemaMismatch) {
-		t.Errorf("mismatched inherit: %v", err)
-	}
-	// Expired link.
-	if _, err := GroupInherit(link, GroupSays{G: G("A"), T: At(50), X: Const{Value: "op"}}); !errors.Is(err, ErrTimeMismatch) {
-		t.Errorf("expired inherit: %v", err)
-	}
-}
-
 // FuzzParseFormula: the parser must never panic, and anything it accepts
 // must re-render and re-parse to the same structure (full idempotence).
 func FuzzParseFormula(f *testing.F) {

@@ -10,12 +10,12 @@ func BenchmarkGenerateRun(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateRun(int64(i), cfg)
+		generateRun(int64(i), cfg)
 	}
 }
 
 func BenchmarkCheckLegal(b *testing.B) {
-	r, _ := GenerateRun(1, DefaultConfig())
+	r, _ := generateRun(1, DefaultConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -26,7 +26,7 @@ func BenchmarkCheckLegal(b *testing.B) {
 }
 
 func BenchmarkEvalKeySpeaksFor(b *testing.B) {
-	r, sc := GenerateRun(1, DefaultConfig())
+	r, sc := generateRun(1, DefaultConfig())
 	f := logic.KeySpeaksFor{K: sc.SharedKey, T: logic.At(r.End - 1), Who: sc.SharedCP}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"jointadmin/internal/clock"
 	"jointadmin/internal/logic"
@@ -10,42 +11,55 @@ import (
 
 // This file is the computational counterpart of Appendix D: the soundness
 // theorem states that every derivation of the logic is valid in the model.
-// We check it by (1) generating random legal runs, (2) sampling axiom
-// instances whose antecedents are true in the run, and (3) verifying the
-// consequents by direct evaluation of the truth conditions. A failure of
-// any instance would be a counterexample to soundness.
+// We check it for the rule functions internal/logic implements, the ones
+// the engine applies: (1) generate random legal runs, (2) sample premises
+// that are true in the run, (3) apply the rule function to them, and (4)
+// evaluate the conclusion it returns by the truth conditions. A false
+// conclusion from true premises is a counterexample to soundness.
 
-// Instance is one sampled axiom instance: antecedent ⊃ consequent,
-// evaluated at time At.
-type Instance struct {
-	Axiom      string
-	Antecedent logic.Formula
-	Consequent logic.Formula
-	At         clock.Time
+// instance is one sampled rule application: premises (their conjunction
+// is the antecedent) and what the rule function returned for them — its
+// conclusion, or its refusal — evaluated at time at.
+type instance struct {
+	rule       string // the Rule* label the engine's proofs record
+	premises   []logic.Formula
+	conclusion logic.Formula
+	refusal    error
+	at         clock.Time
 }
 
 // String renders the instance for failure messages.
-func (in Instance) String() string {
-	return fmt.Sprintf("%s @%s: %s ⊃ %s", in.Axiom, in.At, in.Antecedent, in.Consequent)
+func (in instance) String() string {
+	ps := make([]string, len(in.premises))
+	for i, p := range in.premises {
+		ps[i] = p.String()
+	}
+	return fmt.Sprintf("%s @%s: %s ⊢ %v", in.rule, in.at, strings.Join(ps, " ∧ "), in.conclusion)
 }
 
-// CheckInstance evaluates the instance on the run. It returns vacuous=true
-// when the antecedent is false (the implication holds trivially) and an
-// error when the antecedent holds but the consequent fails — a soundness
-// violation.
-func CheckInstance(r *Run, in Instance) (vacuous bool, err error) {
-	ante, err := Eval(r, in.At, in.Antecedent)
+// checkInstance evaluates the instance on the run. It returns
+// vacuous=true when a premise is false (the instance claims nothing), and
+// an error when every premise holds but the rule refused them — skipping
+// it would let a rule that refuses everything pass unseen — or its
+// conclusion is false: a soundness violation.
+func checkInstance(r *Run, in instance) (vacuous bool, err error) {
+	for _, p := range in.premises {
+		ok, err := Eval(r, in.at, p)
+		if err != nil {
+			return false, fmt.Errorf("%s: premise: %w", in.rule, err)
+		}
+		if !ok {
+			return true, nil
+		}
+	}
+	if in.refusal != nil {
+		return false, fmt.Errorf("%s refused premises that hold: %s: %w", in.rule, in, in.refusal)
+	}
+	ok, err := Eval(r, in.at, in.conclusion)
 	if err != nil {
-		return false, fmt.Errorf("%s: antecedent: %w", in.Axiom, err)
+		return false, fmt.Errorf("%s: conclusion: %w", in.rule, err)
 	}
-	if !ante {
-		return true, nil
-	}
-	cons, err := Eval(r, in.At, in.Consequent)
-	if err != nil {
-		return false, fmt.Errorf("%s: consequent: %w", in.Axiom, err)
-	}
-	if !cons {
+	if !ok {
 		return false, fmt.Errorf("soundness violation: %s", in)
 	}
 	return false, nil
@@ -63,9 +77,9 @@ func DefaultConfig() Config {
 	return Config{Principals: 4, Steps: 40, End: 200}
 }
 
-// Scenario records the ground truth the generator built into a run, from
-// which axiom instances are sampled.
-type Scenario struct {
+// scenario records the ground truth the generator built into a run, from
+// which rule premises are sampled.
+type scenario struct {
 	// KeyOwner maps each key to the subject whose signatures it verifies.
 	KeyOwner map[logic.KeyID]logic.Subject
 	// Group is the group interpreted by the run's authorization relation.
@@ -80,30 +94,25 @@ type Scenario struct {
 	SharedCP logic.CompoundPrincipal
 	// SharedKey is the compound principal's shared public key.
 	SharedKey logic.KeyID
-	// Utterances are (time, content) pairs at which the threshold quorum
+	// Utterances are the times and contents at which a threshold quorum
 	// co-signed the same content.
-	Utterances []Utterance
-	// ControlsUtterances records the authority's spoken formulas for the
-	// A22 jurisdiction instances.
-	ControlsUtterances []ControlsUtterance
+	Utterances []utterance
+	// Spoken records the formulas the authority uttered, for A22.
+	Spoken []utterance
 }
 
-// ControlsUtterance is one formula spoken by the authority trace.
-type ControlsUtterance struct {
-	At   clock.Time
-	Body logic.Formula
-}
-
-// Utterance is one coordinated threshold signing event.
-type Utterance struct {
+// utterance is one coordinated threshold signing (Content, Signers) or
+// one formula the authority spoke (Body).
+type utterance struct {
 	At      clock.Time
 	Content logic.Message
 	Signers []logic.Principal
+	Body    logic.Formula
 }
 
-// GenerateRun builds a pseudo-random legal run exercising every formula
-// class the axioms range over, returning the run and its scenario.
-func GenerateRun(seed int64, cfg Config) (*Run, *Scenario) {
+// generateRun builds a pseudo-random legal run exercising every formula
+// class the sampled rules range over, returning the run and its scenario.
+func generateRun(seed int64, cfg Config) (*Run, *scenario) {
 	rng := rand.New(rand.NewSource(seed))
 	if cfg.Principals < 3 {
 		cfg.Principals = 3
@@ -115,7 +124,7 @@ func GenerateRun(seed int64, cfg Config) (*Run, *Scenario) {
 		cfg.End = clock.Time(cfg.Steps) * 4
 	}
 	r := NewRun(cfg.End)
-	sc := &Scenario{KeyOwner: make(map[logic.KeyID]logic.Subject)}
+	sc := &scenario{KeyOwner: make(map[logic.KeyID]logic.Subject)}
 
 	// Simple principals with their own keys, generated at t=0.
 	names := make([]string, cfg.Principals)
@@ -194,7 +203,7 @@ func GenerateRun(seed int64, cfg Config) (*Run, *Scenario) {
 			for _, m := range quorum {
 				mustSend(r, m.Name, server, logic.Sign(content, m.Key), t, t)
 			}
-			sc.Utterances = append(sc.Utterances, Utterance{At: t, Content: content, Signers: quorum})
+			sc.Utterances = append(sc.Utterances, utterance{At: t, Content: content, Signers: quorum})
 		case 4: // the compound principal speaks with its shared key
 			content := logic.Const{Value: fmt.Sprintf("cp-%d", rng.Intn(50))}
 			mustSend(r, sharedCP.String(), server, logic.Sign(content, sharedKey), t, t+1)
@@ -209,7 +218,7 @@ func GenerateRun(seed int64, cfg Config) (*Run, *Scenario) {
 				body = logic.TimeLE{A: clock.Time(rng.Intn(5)), B: clock.Time(5 + rng.Intn(5))}
 			}
 			mustSend(r, "Auth", server, logic.AsMessage(body), t, t)
-			sc.ControlsUtterances = append(sc.ControlsUtterances, ControlsUtterance{At: t, Body: body})
+			sc.Spoken = append(sc.Spoken, utterance{At: t, Body: body})
 		case 5: // replay: server's mailbox content forwarded by Eve
 			srv := r.Trace(server)
 			if msgs := srv.Msgs(t); len(msgs) > 0 {
@@ -243,297 +252,148 @@ func pickQuorum(rng *rand.Rand, members []logic.Principal, size int) []logic.Pri
 	return out
 }
 
-// Instances samples axiom instances from the run. Instances whose
-// antecedents hold dominate the sample so the check is non-vacuous.
-func Instances(r *Run, sc *Scenario) []Instance {
-	var out []Instance
-	out = append(out, a10Instances(r, sc)...)
-	out = append(out, a12a15a17Instances(r)...)
-	out = append(out, a8Instances(r)...)
-	out = append(out, a20Instances(r)...)
-	out = append(out, membershipInstances(r, sc)...)
-	out = append(out, a38Instances(r, sc)...)
-	out = append(out, freshnessInstances(r, sc)...)
-	out = append(out, a22Instances(r, sc)...)
-	out = append(out, a7HasInstances(r)...)
-	return out
-}
-
-// a22Instances: P controls_t φ ∧ P says_t φ ⊃ φ at_P t — for every formula
-// the authority uttered. Instances where the authority spoke a falsehood
-// have a false antecedent (controls fails) and are vacuous.
-func a22Instances(r *Run, sc *Scenario) []Instance {
-	var out []Instance
-	auth := logic.P("Auth")
-	for _, u := range sc.ControlsUtterances {
-		out = append(out, Instance{
-			Axiom: "A22",
-			Antecedent: logic.And{
-				L: logic.Controls{Who: auth, T: logic.At(u.At), F: u.Body},
-				R: logic.Says{Who: auth, T: logic.At(u.At), X: logic.AsMessage(u.Body)},
-			},
-			Consequent: logic.AtFormula{F: u.Body, P: "Auth", T: logic.At(u.At)},
-			At:         u.At,
-		})
+// instances applies each sampled rule function to premises the run makes
+// true: every send and receive, the group's members' utterances, and the
+// authority's spoken formulas.
+func instances(r *Run, sc *scenario) []instance {
+	var out []instance
+	add := func(rule string, at clock.Time, conclusion logic.Formula, refusal error, premises ...logic.Formula) {
+		out = append(out, instance{rule: rule, premises: premises, conclusion: conclusion, refusal: refusal, at: at})
 	}
-	return out
-}
-
-// a7HasInstances: interval instantiation for said (A7) and monotone key
-// possession (A8c) — from every send and key acquisition.
-func a7HasInstances(r *Run) []Instance {
-	var out []Instance
 	for _, name := range r.Names() {
 		tr := r.Traces[name]
-		subj := namedSubject(r, name)
+		who := namedSubject(r, name)
 		for _, e := range tr.Events {
-			if e.Kind != EventSend {
-				continue
-			}
-			hi := e.At + 5
-			if hi > r.End {
-				continue
-			}
-			out = append(out, Instance{
-				Axiom:      "A7",
-				Antecedent: logic.Said{Who: subj, T: logic.During(e.At, hi), X: e.Msg},
-				Consequent: logic.Said{Who: subj, T: logic.At(e.At + 2), X: e.Msg},
-				At:         hi,
-			})
-		}
-		for k, at := range tr.KeyAcquired {
-			later := at + 9
-			if later > r.End {
-				continue
-			}
-			out = append(out, Instance{
-				Axiom:      "A8c",
-				Antecedent: logic.Has{Who: subj, T: logic.At(at), K: k},
-				Consequent: logic.Has{Who: subj, T: logic.At(later), K: k},
-				At:         later,
-			})
-		}
-	}
-	return out
-}
-
-// a10Instances: K ⇒_{t,Q} W ∧ Q received_t X_{K^-1} ⊃ W said_{t,Q} X — for
-// every receive of a signed message in the run.
-func a10Instances(r *Run, sc *Scenario) []Instance {
-	var out []Instance
-	for _, name := range r.Names() {
-		tr := r.Traces[name]
-		for _, e := range tr.Events {
-			if e.Kind != EventReceive {
-				continue
-			}
-			for _, sub := range logic.Submessages(e.Msg, tr.Keyset(e.At)) {
-				sig, ok := sub.(logic.Signed)
-				if !ok {
-					continue
-				}
-				owner, ok := sc.KeyOwner[sig.K]
-				if !ok {
-					continue
-				}
-				ante := logic.And{
-					L: logic.KeySpeaksFor{K: sig.K, T: logic.At(e.At), Who: owner},
-					R: logic.Received{Who: logic.P(name), T: logic.At(e.At), X: sub},
-				}
-				cons := logic.Said{Who: owner, T: logic.At(e.At), X: sig.X}
-				out = append(out, Instance{Axiom: "A10", Antecedent: ante, Consequent: cons, At: e.At})
-			}
-		}
-	}
-	return out
-}
-
-// a12a15a17Instances: reading and saying decomposition axioms applied to
-// every send/receive in the run.
-func a12a15a17Instances(r *Run) []Instance {
-	var out []Instance
-	for _, name := range r.Names() {
-		tr := r.Traces[name]
-		subj := namedSubject(r, name)
-		for _, e := range tr.Events {
+			at, later := logic.At(e.At), e.At+7
 			switch e.Kind {
 			case EventReceive:
-				if sig, ok := e.Msg.(logic.Signed); ok {
-					out = append(out, Instance{
-						Axiom:      "A12",
-						Antecedent: logic.Received{Who: logic.P(name), T: logic.At(e.At), X: sig},
-						Consequent: logic.Received{Who: logic.P(name), T: logic.At(e.At), X: sig.X},
-						At:         e.At,
-					})
+				rcv := logic.Received{Who: logic.P(name), T: at, X: e.Msg}
+				if later <= r.End {
+					c, err := logic.A8Received(rcv, later)
+					add(logic.RuleA8Monotone, later, c, err, rcv)
+				}
+				if _, ok := e.Msg.(logic.Signed); ok {
+					c, err := logic.A12ReadSigned(rcv)
+					add(logic.RuleA12ReadSigned, e.At, c, err, rcv)
+				}
+				// A10 for every signed submessage the receiver can read,
+				// under the binding of its key to the key's owner.
+				for _, sub := range logic.Submessages(e.Msg, tr.Keyset(e.At)) {
+					sig, ok := sub.(logic.Signed)
+					if !ok || sc.KeyOwner[sig.K] == nil {
+						continue
+					}
+					key := logic.KeySpeaksFor{K: sig.K, T: at, Who: sc.KeyOwner[sig.K]}
+					got := logic.Received{Who: logic.P(name), T: at, X: sig}
+					said, saidSigned, err := logic.A10Originator(key, got)
+					add(logic.RuleA10Originate, e.At, logic.And{L: said, R: saidSigned}, err, key, got)
 				}
 			case EventSend:
-				if tup, ok := e.Msg.(logic.Tuple); ok && len(tup.Items) > 0 {
-					out = append(out, Instance{
-						Axiom:      "A15",
-						Antecedent: logic.Said{Who: subj, T: logic.At(e.At), X: tup},
-						Consequent: logic.Said{Who: subj, T: logic.At(e.At), X: tup.Items[0]},
-						At:         e.At,
-					})
+				says := logic.Says{Who: who, T: at, X: e.Msg}
+				said := logic.A20SaysToSaid(says)
+				add(logic.RuleA20SaysSaid, e.At, said, nil, says)
+				if later <= r.End {
+					c, err := logic.A8Said(said, later)
+					add(logic.RuleA8Monotone, later, c, err, said)
 				}
-				if sig, ok := e.Msg.(logic.Signed); ok {
-					out = append(out, Instance{
-						Axiom:      "A17",
-						Antecedent: logic.Said{Who: subj, T: logic.At(e.At), X: sig},
-						Consequent: logic.Said{Who: subj, T: logic.At(e.At), X: sig.X},
-						At:         e.At,
-					})
+				if hi := e.At + 5; hi <= r.End {
+					span := logic.Said{Who: who, T: logic.During(e.At, hi), X: e.Msg}
+					c, err := logic.A7Point(span, e.At+2)
+					add(logic.RuleA7Interval, hi, c, err, span)
+				}
+				if tup, ok := e.Msg.(logic.Tuple); ok {
+					for i := range tup.Items {
+						c, err := logic.A15SaidComponent(said, i)
+						add(logic.RuleA15SaidPart, e.At, c, err, said)
+					}
+				}
+				if _, ok := e.Msg.(logic.Signed); ok {
+					c, err := logic.A17SaidSigned(said)
+					add(logic.RuleA17SaidSigned, e.At, c, err, said)
+				}
+				// A message is fresh just before its first utterance
+				// (vacuous when it was uttered earlier).
+				if e.At >= 3 {
+					fresh := logic.Fresh{T: logic.At(e.At - 1), Who: name, X: e.Msg}
+					c, err := logic.A21Fresh(fresh, logic.NewTuple(logic.Const{Value: "req"}, e.Msg))
+					add(logic.RuleA21Fresh, e.At-1, c, err, fresh)
+					earlier, err := logic.A8Fresh(fresh, e.At-3)
+					add(logic.RuleA8Monotone, e.At-1, earlier, err, fresh)
 				}
 			}
 		}
 	}
-	return out
-}
 
-// a8Instances: monotonicity of received/said.
-func a8Instances(r *Run) []Instance {
-	var out []Instance
-	for _, name := range r.Names() {
-		tr := r.Traces[name]
-		subj := namedSubject(r, name)
-		for _, e := range tr.Events {
-			later := e.At + 7
-			if later > r.End {
-				continue
+	// Statement 25 through the engine's dispatch (DeriveGroupSays), which
+	// picks A34, A35 or A38 by the membership's subject and names it:
+	// the plain member's utterances, the bound member's utterances signed
+	// with its bound key, and every threshold quorum's co-signatures.
+	groupSays := func(mem logic.MemberOf, at clock.Time, utts []logic.Says, keys ...logic.KeySpeaksFor) {
+		keyFor := func(who string) (logic.KeySpeaksFor, bool) {
+			for _, k := range keys {
+				if k.Who.String() == who {
+					return k, true
+				}
 			}
-			switch e.Kind {
-			case EventReceive:
-				out = append(out, Instance{
-					Axiom:      "A8a",
-					Antecedent: logic.Received{Who: logic.P(name), T: logic.At(e.At), X: e.Msg},
-					Consequent: logic.Received{Who: logic.P(name), T: logic.At(later), X: e.Msg},
-					At:         later,
-				})
-			case EventSend:
-				out = append(out, Instance{
-					Axiom:      "A8b",
-					Antecedent: logic.Said{Who: subj, T: logic.At(e.At), X: e.Msg},
-					Consequent: logic.Said{Who: subj, T: logic.At(later), X: e.Msg},
-					At:         later,
-				})
-			}
+			return logic.KeySpeaksFor{}, false
+		}
+		gs, rule, err := logic.DeriveGroupSays(mem, utts, at, keyFor)
+		premises := []logic.Formula{mem}
+		for _, k := range keys {
+			premises = append(premises, k)
+		}
+		for _, u := range utts {
+			premises = append(premises, u)
+		}
+		add(rule, at, gs, err, premises...)
+	}
+	for _, e := range r.Traces[sc.PlainMember.Name].Events {
+		if e.Kind == EventSend {
+			at := logic.At(e.At)
+			groupSays(logic.MemberOf{Who: sc.PlainMember, T: at, G: sc.Group}, e.At,
+				[]logic.Says{{Who: sc.PlainMember, T: at, X: e.Msg}})
 		}
 	}
-	return out
-}
-
-// a20Instances: says ⊃ said at every send event.
-func a20Instances(r *Run) []Instance {
-	var out []Instance
-	for _, name := range r.Names() {
-		tr := r.Traces[name]
-		subj := namedSubject(r, name)
-		for _, e := range tr.Events {
-			if e.Kind != EventSend {
-				continue
-			}
-			out = append(out, Instance{
-				Axiom:      "A20",
-				Antecedent: logic.Says{Who: subj, T: logic.At(e.At), X: e.Msg},
-				Consequent: logic.Said{Who: subj, T: logic.At(e.At), X: e.Msg},
-				At:         e.At,
-			})
+	bound := sc.BoundMember
+	for _, e := range r.Traces[bound.Name].Events {
+		if sig, ok := e.Msg.(logic.Signed); ok && e.Kind == EventSend && sig.K == bound.Key {
+			at := logic.At(e.At)
+			groupSays(logic.MemberOf{Who: bound, T: at, G: sc.Group}, e.At,
+				[]logic.Says{{Who: bound.Unbound(), T: at, X: sig}},
+				logic.KeySpeaksFor{K: bound.Key, T: at, Who: bound.Unbound()})
 		}
 	}
-	return out
-}
-
-// membershipInstances: A34 for the plain member, A35 for the bound member.
-func membershipInstances(r *Run, sc *Scenario) []Instance {
-	var out []Instance
-	tr := r.Traces[sc.PlainMember.Name]
-	for _, e := range tr.Events {
-		if e.Kind != EventSend {
-			continue
-		}
-		out = append(out, Instance{
-			Axiom: "A34",
-			Antecedent: logic.And{
-				L: logic.MemberOf{Who: sc.PlainMember, T: logic.At(e.At), G: sc.Group},
-				R: logic.Says{Who: sc.PlainMember, T: logic.At(e.At), X: e.Msg},
-			},
-			Consequent: logic.GroupSays{G: sc.Group, T: logic.At(e.At), X: e.Msg},
-			At:         e.At,
-		})
-	}
-	btr := r.Traces[sc.BoundMember.Name]
-	for _, e := range btr.Events {
-		if e.Kind != EventSend {
-			continue
-		}
-		sig, ok := e.Msg.(logic.Signed)
-		if !ok || sig.K != sc.BoundMember.Key {
-			continue
-		}
-		out = append(out, Instance{
-			Axiom: "A35",
-			Antecedent: logic.And{
-				L: logic.MemberOf{Who: sc.BoundMember, T: logic.At(e.At), G: sc.Group},
-				R: logic.And{
-					L: logic.KeySpeaksFor{K: sc.BoundMember.Key, T: logic.At(e.At), Who: sc.BoundMember.Unbound()},
-					R: logic.Says{Who: sc.BoundMember.Unbound(), T: logic.At(e.At), X: sig},
-				},
-			},
-			Consequent: logic.GroupSays{G: sc.Group, T: logic.At(e.At), X: sig.X},
-			At:         e.At,
-		})
-	}
-	return out
-}
-
-// a38Instances: CP(m,n) ⇒ G ∧ m signed utterances of X ⊃ G says X — at
-// every coordinated threshold utterance of the scenario.
-func a38Instances(r *Run, sc *Scenario) []Instance {
-	var out []Instance
 	for _, u := range sc.Utterances {
-		if len(u.Signers) < sc.ThresholdCP.Threshold() {
-			continue
+		at := logic.At(u.At)
+		utts := make([]logic.Says, len(u.Signers))
+		for i, s := range u.Signers {
+			utts[i] = logic.Says{Who: s.Unbound(), T: at, X: logic.Sign(u.Content, s.Key)}
 		}
-		ante := logic.Formula(logic.MemberOf{Who: sc.ThresholdCP, T: logic.At(u.At), G: sc.Group})
-		for _, s := range u.Signers {
-			ante = logic.And{
-				L: ante,
-				R: logic.Says{Who: s.Unbound(), T: logic.At(u.At), X: logic.Sign(u.Content, s.Key)},
-			}
-		}
-		out = append(out, Instance{
-			Axiom:      "A38",
-			Antecedent: ante,
-			Consequent: logic.GroupSays{G: sc.Group, T: logic.At(u.At), X: u.Content},
-			At:         u.At,
-		})
+		groupSays(logic.MemberOf{Who: sc.ThresholdCP, T: at, G: sc.Group}, u.At, utts)
+	}
+
+	// A22 for every formula the authority spoke: when it spoke a
+	// falsehood it does not control it, and the instance is vacuous.
+	auth := logic.P("Auth")
+	for _, u := range sc.Spoken {
+		ctrl := logic.Controls{Who: auth, T: logic.At(u.At), F: u.Body}
+		says := logic.Says{Who: auth, T: logic.At(u.At), X: logic.AsMessage(u.Body)}
+		c, err := logic.A22Jurisdiction(ctrl, says)
+		add(logic.RuleA22Jurisdiction, u.At, c, err, ctrl, says)
 	}
 	return out
-}
-
-// freshnessInstances: A21 — a never-sent nonce is fresh, and any composite
-// containing it is fresh too.
-func freshnessInstances(r *Run, sc *Scenario) []Instance {
-	nonce := logic.Const{Value: "nonce-never-sent"}
-	composite := logic.NewTuple(logic.Const{Value: "req"}, nonce)
-	t := r.End - 1
-	return []Instance{{
-		Axiom:      "A21",
-		Antecedent: logic.Fresh{T: logic.At(t), Who: "Srv", X: nonce},
-		Consequent: logic.Fresh{T: logic.At(t), Who: "Srv", X: composite},
-		At:         t,
-	}}
 }
 
 // CheckSoundness generates a run from the seed, asserts legality, checks
 // every sampled instance, and returns the number of non-vacuous instances
 // checked.
 func CheckSoundness(seed int64, cfg Config) (checked int, err error) {
-	r, sc := GenerateRun(seed, cfg)
+	r, sc := generateRun(seed, cfg)
 	if err := CheckLegal(r); err != nil {
 		return 0, fmt.Errorf("generated run is illegal: %w", err)
 	}
-	for _, in := range Instances(r, sc) {
-		vacuous, err := CheckInstance(r, in)
+	for _, in := range instances(r, sc) {
+		vacuous, err := checkInstance(r, in)
 		if err != nil {
 			return checked, err
 		}

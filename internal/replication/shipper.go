@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -243,8 +244,35 @@ func (s *shipper) run(st *stream) {
 	}
 }
 
-// sendSnapshot ships the full retained history + object store and, on
-// success, returns the follower's new cursor (the snapshot's last
+// handoffAuditBytes bounds the audit-record bodies one snapshot handoff
+// carries. A writer journals an audit record of a few KB per decision,
+// so its whole history outgrows the transport's 16 MiB frame limit
+// after a few thousand decisions, and no follower could install it
+// again. 4 MiB of bodies is under 6 MB once base64-encoded in the frame.
+const handoffAuditBytes = 4 << 20
+
+// handoff is what a snapshot handoff ships of a history (a state prefix,
+// wal.StateStart): every state record, the newest audit records whose
+// bodies fit in handoffAuditBytes, and always the last record, so the
+// handoff ends at the history's last sequence. Older decisions stay in
+// the writer's WAL and audit log.
+func handoff(recs []wal.Record) []wal.Record {
+	out := make([]wal.Record, 0, len(recs))
+	budget := handoffAuditBytes
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Type == wal.TypeAudit && i < len(recs)-1 {
+			if budget -= len(recs[i].Body); budget < 0 {
+				continue
+			}
+		}
+		out = append(out, recs[i])
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// sendSnapshot ships the retained history's handoff + object store and,
+// on success, returns the follower's new cursor (the snapshot's last
 // sequence). A failed send still advances the cursor — the follower's
 // silence-triggered hello re-bases the stream — but a failure to even
 // capture the history does not.
@@ -254,6 +282,7 @@ func (s *shipper) sendSnapshot(st *stream) (uint64, bool) {
 		s.opts.Logf("replication: history for %s: %v", st.follower, err)
 		return 0, false
 	}
+	recs = handoff(recs)
 	frames, err := wal.EncodeFrames(recs)
 	if err != nil {
 		s.opts.Logf("replication: encode history for %s: %v", st.follower, err)

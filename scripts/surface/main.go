@@ -72,8 +72,31 @@ func main() {
 		fmt.Fprintf(os.Stderr, "surface: %d violation(s); give each name a non-test caller, delete it, or allow-list it in scripts/surface/allow.txt; obey each rule row as its reason says\n", len(r.violations))
 		os.Exit(1)
 	}
-	fmt.Printf("surface: ok: %d names, %d allow-listed, %d rule rows; %d exported package-level names are named only in their own package\n",
-		r.checked, r.allowed, len(rules), len(r.ownOnly))
+	fmt.Printf("surface: ok: %d names, %d allow-listed, %d rule rows; %d exported package-level names are named only in their own package (%s)\n",
+		r.checked, r.allowed, len(rules), len(r.ownOnly), byPackage(r.ownOnly))
+}
+
+// byPackage counts names (pkg.Name) per package, most first, as
+// "logic 48, authz 23, …".
+func byPackage(names []string) string {
+	count := map[string]int{}
+	for _, n := range names {
+		pkg, _, _ := strings.Cut(n, ".")
+		count[pkg]++
+	}
+	pkgs := make([]string, 0, len(count))
+	for p := range count {
+		pkgs = append(pkgs, p)
+	}
+	sort.Slice(pkgs, func(i, j int) bool {
+		a, b := pkgs[i], pkgs[j]
+		return count[a] > count[b] || count[a] == count[b] && a < b
+	})
+	parts := make([]string, len(pkgs))
+	for i, p := range pkgs {
+		parts[i] = fmt.Sprintf("%s %d", p, count[p])
+	}
+	return strings.Join(parts, ", ")
 }
 
 type report struct {

@@ -45,6 +45,15 @@ func TestFixture(t *testing.T) {
 	}
 }
 
+// TestByPackage pins the summary line's per-package breakdown: most
+// names first, ties by package name.
+func TestByPackage(t *testing.T) {
+	got := byPackage([]string{"model.Run", "logic.A", "authz.X", "logic.B", "authz.Y.Z", "logic.C"})
+	if want := "logic 3, authz 2, model 1"; got != want {
+		t.Errorf("byPackage = %q, want %q", got, want)
+	}
+}
+
 // TestRules plants, in memory, violations of every rule row in the real
 // packages the rows guard, among them spellings a text grep misses (an
 // aliased import, a receiver not named s, a method value, an exponent
