@@ -360,12 +360,12 @@ func forges(signer pki.Signer, pk sharedrsa.PublicKey, at clock.Time) bool {
 	if signer == nil {
 		return false
 	}
-	cert, err := pki.IssueThresholdAttribute(pki.ThresholdAttribute{
+	cert, err := pki.Issue(pki.ThresholdAttribute{
 		Issuer: "AA", IssuedAt: at, Group: "G_write", M: 1,
 		Subjects:  []pki.BoundSubject{{Name: "Mallory", KeyID: "km"}},
 		NotBefore: 0, NotAfter: at + 1000,
 	}, signer)
-	return err == nil && pki.VerifyThresholdAttribute(cert, pk, at) == nil
+	return err == nil && pki.Verify(cert, pk, at) == nil
 }
 
 func e4TrustLiability() error {

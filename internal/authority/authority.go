@@ -88,7 +88,7 @@ func (ca *DomainCA) IssueIdentity(user string, validity clock.Interval) (pki.Sig
 		NotBefore:  validity.Begin,
 		NotAfter:   validity.End,
 	}
-	return pki.IssueIdentity(body, ca.key.AsSigner())
+	return pki.Issue(body, ca.key.AsSigner())
 }
 
 // RevokeIdentity issues an identity revocation certificate withdrawing a
@@ -107,7 +107,7 @@ func (ca *DomainCA) RevokeIdentity(user string, effective clock.Time) (pki.Signe
 		KeyID:       upk.KeyID(),
 		EffectiveAt: effective,
 	}
-	return pki.IssueIdentityRevocation(body, ca.key.AsSigner())
+	return pki.Issue(body, ca.key.AsSigner())
 }
 
 // domainAgent is one member domain's participation in the coalition AA:
@@ -374,7 +374,7 @@ func (aa *CoalitionAA) IssueThreshold(group string, m int, subjects []pki.BoundS
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	return pki.IssueThresholdAttribute(body, aa.signer())
+	return pki.Issue(body, aa.signer())
 }
 
 // IssueAttribute issues a single-subject attribute certificate under the
@@ -388,7 +388,7 @@ func (aa *CoalitionAA) IssueAttribute(group string, subject pki.BoundSubject, va
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	return pki.IssueAttribute(body, aa.signer())
+	return pki.Issue(body, aa.signer())
 }
 
 // IssueGroupLink issues a privilege-inheritance certificate under the same
@@ -402,7 +402,7 @@ func (aa *CoalitionAA) IssueGroupLink(sub, sup string, validity clock.Interval) 
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	return pki.IssueGroupLink(body, aa.signer())
+	return pki.Issue(body, aa.signer())
 }
 
 // RevokeThreshold issues a revocation certificate for a previously issued
@@ -416,5 +416,5 @@ func (aa *CoalitionAA) RevokeThreshold(cert pki.Signed[pki.ThresholdAttribute], 
 		Subjects:    cert.Cert.Subjects,
 		EffectiveAt: effective,
 	}
-	return pki.IssueRevocation(body, aa.signer())
+	return pki.Issue(body, aa.signer())
 }

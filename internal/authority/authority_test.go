@@ -60,7 +60,7 @@ func TestDomainCAIssueIdentity(t *testing.T) {
 	if sc.Cert.Issuer != "CA1" || sc.Cert.KeyID != user.KeyID() || sc.Cert.IssuedAt != 50 {
 		t.Errorf("cert = %+v", sc.Cert)
 	}
-	if err := pki.VerifyIdentity(sc, ca.Public(), 100); err != nil {
+	if err := pki.Verify(sc, ca.Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -71,7 +71,7 @@ func TestCaseIIConsensusIssuance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, est.AA.Public(), 100); err != nil {
+	if err := pki.Verify(cert, est.AA.Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 	if cert.Cert.M != 2 || len(cert.Cert.Subjects) != 3 {
@@ -127,7 +127,7 @@ func TestCaseIIThresholdModeAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("2-of-3 issuance with one down domain: %v", err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, est.AA.Public(), 100); err != nil {
+	if err := pki.Verify(cert, est.AA.Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 	// Two down domains exceed the tolerance.
@@ -191,7 +191,7 @@ func TestCaseIIOutageAndVeto(t *testing.T) {
 				if err != nil {
 					t.Fatalf("issuance: %v", err)
 				}
-				if err := pki.VerifyThresholdAttribute(cert, aa.Public(), 100); err != nil {
+				if err := pki.Verify(cert, aa.Public(), 100); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -205,7 +205,7 @@ func TestIssueAttributeSingleSubject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyAttribute(cert, est.AA.Public(), 100); err != nil {
+	if err := pki.Verify(cert, est.AA.Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -220,7 +220,7 @@ func TestRevokeThresholdByAA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyRevocation(rev, est.AA.Public()); err != nil {
+	if err := pki.Verify(rev, est.AA.Public(), 200); err != nil {
 		t.Fatal(err)
 	}
 	if rev.Cert.Group != "G_write" || rev.Cert.EffectiveAt != 200 {
@@ -242,7 +242,7 @@ func TestRevocationAuthority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyRevocation(rev, ra.Public()); err != nil {
+	if err := pki.Verify(rev, ra.Public(), 200); err != nil {
 		t.Fatal(err)
 	}
 	if rev.Cert.Issuer != "RA" {
@@ -262,7 +262,7 @@ func TestCaseILockBoxAA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, aa.Public(), 100); err != nil {
+	if err := pki.Verify(cert, aa.Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 	// Missing a password: refused.
@@ -272,7 +272,7 @@ func TestCaseILockBoxAA(t *testing.T) {
 	// Compromise: the attacker forges a certificate that verifies — the
 	// Case I trust liability (E4).
 	evil := aa.Compromise()
-	forged, err := pki.IssueThresholdAttribute(pki.ThresholdAttribute{
+	forged, err := pki.Issue(pki.ThresholdAttribute{
 		Issuer: "AA", IssuedAt: clk.Now(), Group: "G_write", M: 1,
 		Subjects:  []pki.BoundSubject{{Name: "Mallory", KeyID: "km"}},
 		NotBefore: 0, NotAfter: 9999,
@@ -280,7 +280,7 @@ func TestCaseILockBoxAA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(forged, aa.Public(), 100); err != nil {
+	if err := pki.Verify(forged, aa.Public(), 100); err != nil {
 		t.Fatal("forged certificate failed to verify — Case I liability not demonstrated")
 	}
 }
@@ -317,7 +317,7 @@ func TestEstablishDistributedSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, est.AA.Public(), 100); err != nil {
+	if err := pki.Verify(cert, est.AA.Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -491,7 +491,7 @@ func TestRedistributeKeepsKeyAndRefusesWhatCannotDeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, est.AA.Public(), 100); err != nil {
+	if err := pki.Verify(cert, est.AA.Public(), 100); err != nil {
 		t.Errorf("issued by D1, D2 and D4 under the unchanged key: %v", err)
 	}
 

@@ -73,7 +73,7 @@ func (aa *lockBoxAA) IssueThreshold(passwords []string, group string, m int, sub
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	return pki.IssueThresholdAttribute(body, lockBoxSigner{box: aa.box, passwords: passwords})
+	return pki.Issue(body, lockBoxSigner{box: aa.box, passwords: passwords})
 }
 
 // Compromise models the insider/penetration attack: it returns a signer
@@ -140,7 +140,7 @@ func (ra *RevocationAuthority) Revoke(cert pki.Signed[pki.ThresholdAttribute], e
 		Subjects:    cert.Cert.Subjects,
 		EffectiveAt: effective,
 	}
-	rev, err := pki.IssueRevocation(body, ra.key.AsSigner())
+	rev, err := pki.Issue(body, ra.key.AsSigner())
 	if err != nil {
 		return rev, err
 	}
@@ -159,7 +159,7 @@ func (ra *RevocationAuthority) RevokeAttribute(cert pki.Signed[pki.Attribute], e
 		Subjects:    []pki.BoundSubject{cert.Cert.Subject},
 		EffectiveAt: effective,
 	}
-	rev, err := pki.IssueRevocation(body, ra.key.AsSigner())
+	rev, err := pki.Issue(body, ra.key.AsSigner())
 	if err != nil {
 		return rev, err
 	}

@@ -26,7 +26,7 @@ func (aa *CoalitionAA) IssueDelegation(delegator string, subject pki.BoundSubjec
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	return pki.IssueDelegation(body, aa.signer())
+	return pki.Issue(body, aa.signer())
 }
 
 // IssueGroupGraphLink issues a group-graph membership certificate
@@ -42,7 +42,7 @@ func (aa *CoalitionAA) IssueGroupGraphLink(sub, sup string, depth int, validity 
 		NotBefore: validity.Begin,
 		NotAfter:  validity.End,
 	}
-	return pki.IssueGroupGraphLink(body, aa.signer())
+	return pki.Issue(body, aa.signer())
 }
 
 // RevokeSubject issues a revocation certificate withdrawing one bound
@@ -58,7 +58,7 @@ func (ra *RevocationAuthority) RevokeSubject(group string, sub pki.BoundSubject,
 		Subjects:    []pki.BoundSubject{sub},
 		EffectiveAt: effective,
 	}
-	rev, err := pki.IssueRevocation(body, ra.key.AsSigner())
+	rev, err := pki.Issue(body, ra.key.AsSigner())
 	if err != nil {
 		return rev, err
 	}

@@ -596,7 +596,7 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 			if !ok {
 				return errors.New("identity certificate from untrusted CA " + idc.Cert.Issuer)
 			}
-			if err := pki.VerifyIdentity(*idc, caKey, now); err != nil {
+			if err := pki.Verify(*idc, caKey, now); err != nil {
 				return errors.New("identity certificate invalid: " + err.Error())
 			}
 			upk, err := subjectKey(idc)
@@ -627,7 +627,7 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 		if !ok {
 			return errors.New("no key belief for CA " + idc.Cert.Issuer)
 		}
-		ideal := pki.IdealizeIdentity(*idc)
+		ideal := pki.Idealize(*idc)
 		f, _, err := eng.VerifyCertificate(ideal, caBelief)
 		if err != nil {
 			// Failed only on the subject key's revocation, a live leaf:
@@ -796,16 +796,16 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 		issuedTo string
 	)
 	if req.SingleSubject {
-		if err := pki.VerifyAttribute(req.Single, st.anchors.AAKey, now); err != nil {
+		if err := pki.Verify(req.Single, st.anchors.AAKey, now); err != nil {
 			return out, errors.New("attribute certificate invalid: " + err.Error())
 		}
-		ideal, issuedTo = pki.IdealizeAttribute(req.Single), req.Single.Cert.Subject.Name
+		ideal, issuedTo = pki.Idealize(req.Single), req.Single.Cert.Subject.Name
 	} else {
-		if err := pki.VerifyThresholdAttribute(req.Threshold, st.anchors.AAKey, now); err != nil {
+		if err := pki.Verify(req.Threshold, st.anchors.AAKey, now); err != nil {
 			return out, errors.New("threshold attribute certificate invalid: " + err.Error())
 		}
 		c := req.Threshold.Cert
-		ideal, issuedTo = pki.IdealizeThresholdAttribute(req.Threshold), fmt.Sprintf("CP(%d,%d)", c.M, len(c.Subjects))
+		ideal, issuedTo = pki.Idealize(req.Threshold), fmt.Sprintf("CP(%d,%d)", c.M, len(c.Subjects))
 	}
 	aaBelief, ok := eng.Store().KeyFor(st.anchors.AAName, now)
 	if !ok {
@@ -854,11 +854,11 @@ func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *Ac
 		}
 	} else {
 		s.reg.Counter(MetricCacheMisses, "kind", "delegation").Inc()
-		if err := pki.VerifyDelegation(req.Delegation, st.anchors.AAKey, now); err != nil {
+		if err := pki.Verify(req.Delegation, st.anchors.AAKey, now); err != nil {
 			return out, errors.New("delegation certificate invalid: " + err.Error())
 		}
 		s.cachePut(st, fp, cachedCert{
-			formula:  pki.DelegationLinkFormula(req.Delegation),
+			formula:  certBody(pki.Idealize(req.Delegation)),
 			validity: out.certValidity,
 			note:     "cached: delegation leaf for " + c.Subject.Name + " in " + c.Group + " (fp " + fp + ")",
 		})

@@ -3,9 +3,10 @@
 // acceptance (Apply), a re-anchoring's carry (applyReanchor) and replay
 // read a certificate through its kind's row, so they cannot disagree
 // about a kind: its record type and denial noun, its decode, which anchor
-// key may sign it, its signature and validity check, its pki idealizer,
-// and whether acceptance derives it or installs it directly each stand
-// once, here (scripts/surface's one-belief-table row).
+// key may sign it, and whether acceptance derives it or installs it
+// directly each stand once, here, and its signature and validity check
+// and its idealization are its pki row's, read through pki.Verify and
+// pki.Idealize (scripts/surface's one-belief-table rows).
 
 package authz
 
@@ -62,74 +63,50 @@ type beliefKind struct {
 	// revocation from an anchor CA does.
 	derive bool
 	proof  string
-	decode func(body []byte) (belief, error)
+	decode func(typ wal.Type, body []byte) (belief, error)
 	tally  func(*ReplayReport) *int
 }
 
 // beliefKinds is the table, by the record type each kind is journaled as.
 var beliefKinds = map[wal.Type]beliefKind{
 	wal.TypeRevocation: {noun: "revocation", signer: byRAOrAA, derive: true, proof: "revocation",
-		decode: decoded(revocationBelief), tally: func(r *ReplayReport) *int { return &r.Revocations }},
+		decode: decoded[pki.Revocation], tally: func(r *ReplayReport) *int { return &r.Revocations }},
 	wal.TypeIdentityRevocation: {noun: "identity revocation", signer: byIssuingCA,
-		decode: decoded(identityRevocationBelief), tally: func(r *ReplayReport) *int { return &r.IdentityRevocations }},
+		decode: decoded[pki.IdentityRevocation], tally: func(r *ReplayReport) *int { return &r.IdentityRevocations }},
 	wal.TypeGroupLink: {noun: "group link", signer: byAA, derive: true, proof: "group link",
-		decode: decoded(groupLinkBelief), tally: func(r *ReplayReport) *int { return &r.GroupLinks }},
+		decode: decoded[pki.GroupLink], tally: func(r *ReplayReport) *int { return &r.GroupLinks }},
 	wal.TypeDelegation: {noun: "delegation", signer: byAA, derive: true, proof: "delegation",
-		decode: decoded(delegationBelief), tally: func(r *ReplayReport) *int { return &r.Delegations }},
+		decode: decoded[pki.Delegation], tally: func(r *ReplayReport) *int { return &r.Delegations }},
 	wal.TypeGroupGraphLink: {noun: "group-graph link", signer: byAA, derive: true, proof: "group-graph",
-		decode: decoded(graphLinkBelief), tally: func(r *ReplayReport) *int { return &r.GroupGraphLinks }},
+		decode: decoded[pki.GroupGraphLink], tally: func(r *ReplayReport) *int { return &r.GroupGraphLinks }},
 }
 
 // belief is one belief certificate as its row reads it: check verifies
-// the signature and any validity interval (ending notAfter) at at, cert
-// is the pki idealization, and delegate and revokedKey are what the
-// carry-only filters read (snapshot.go).
+// the signature and any validity interval at at (pki.Verify), and cert
+// is the idealization ⟦I says_t φ⟧_K (pki.Idealize), whose issuer I
+// acceptance reads and whose statement φ the carry-only filters read
+// (snapshot.go).
 type belief struct {
-	typ        wal.Type
-	issuer     string
-	check      func(key sharedrsa.PublicKey, at clock.Time) error
-	cert       logic.Signed
-	notAfter   clock.Time
-	delegate   pki.BoundSubject
-	revokedKey string
+	typ    wal.Type
+	issuer string
+	check  func(key sharedrsa.PublicKey, at clock.Time) error
+	cert   logic.Signed
 }
 
-func revocationBelief(sc pki.Signed[pki.Revocation]) belief {
-	return belief{typ: wal.TypeRevocation, issuer: sc.Cert.Issuer, notAfter: clock.Infinity, cert: pki.IdealizeRevocation(sc),
-		check: func(key sharedrsa.PublicKey, _ clock.Time) error { return pki.VerifyRevocation(sc, key) }}
+// beliefOf reads sc, journaled as typ, through its pki row.
+func beliefOf[T pki.Statement](typ wal.Type, sc pki.Signed[T]) belief {
+	cert := pki.Idealize(sc)
+	return belief{typ: typ, issuer: certSays(cert).Who.String(), cert: cert,
+		check: func(key sharedrsa.PublicKey, at clock.Time) error { return pki.Verify(sc, key, at) }}
 }
 
-func identityRevocationBelief(sc pki.Signed[pki.IdentityRevocation]) belief {
-	return belief{typ: wal.TypeIdentityRevocation, issuer: sc.Cert.Issuer, notAfter: clock.Infinity,
-		cert: pki.IdealizeIdentityRevocation(sc), revokedKey: sc.Cert.KeyID,
-		check: func(key sharedrsa.PublicKey, _ clock.Time) error { return pki.VerifyIdentityRevocation(sc, key) }}
-}
-
-func groupLinkBelief(sc pki.Signed[pki.GroupLink]) belief {
-	return belief{typ: wal.TypeGroupLink, issuer: sc.Cert.Issuer, notAfter: sc.Cert.NotAfter, cert: pki.IdealizeGroupLink(sc),
-		check: func(key sharedrsa.PublicKey, at clock.Time) error { return pki.VerifyGroupLink(sc, key, at) }}
-}
-
-func delegationBelief(sc pki.Signed[pki.Delegation]) belief {
-	return belief{typ: wal.TypeDelegation, issuer: sc.Cert.Issuer, notAfter: sc.Cert.NotAfter, cert: pki.IdealizeDelegation(sc),
-		delegate: sc.Cert.Subject,
-		check:    func(key sharedrsa.PublicKey, at clock.Time) error { return pki.VerifyDelegation(sc, key, at) }}
-}
-
-func graphLinkBelief(sc pki.Signed[pki.GroupGraphLink]) belief {
-	return belief{typ: wal.TypeGroupGraphLink, issuer: sc.Cert.Issuer, notAfter: sc.Cert.NotAfter, cert: pki.IdealizeGroupGraphLink(sc),
-		check: func(key sharedrsa.PublicKey, at clock.Time) error { return pki.VerifyGroupGraphLink(sc, key, at) }}
-}
-
-// decoded is a row's decode: pki.Unmarshal, then read.
-func decoded[T any](read func(pki.Signed[T]) belief) func([]byte) (belief, error) {
-	return func(body []byte) (belief, error) {
-		sc, err := pki.Unmarshal[T](body)
-		if err != nil {
-			return belief{}, err
-		}
-		return read(sc), nil
+// decoded is a row's decode: pki.Unmarshal, then beliefOf.
+func decoded[T pki.Statement](typ wal.Type, body []byte) (belief, error) {
+	sc, err := pki.Unmarshal[T](body)
+	if err != nil {
+		return belief{}, err
 	}
+	return beliefOf(typ, sc), nil
 }
 
 // readBelief decodes a belief record through its kind's row.
@@ -138,7 +115,7 @@ func readBelief(r wal.Record) (belief, error) {
 	if !ok {
 		return belief{}, fmt.Errorf("no belief mutation for record type %q", r.Type)
 	}
-	return k.decode(r.Body)
+	return k.decode(r.Type, r.Body)
 }
 
 // verify checks b under a at time at, with the key its row lets sign it.
@@ -186,17 +163,23 @@ func (b belief) install(eng *logic.Engine, r wal.Record) error {
 	return err
 }
 
-// verifyCRL checks a revocation list under a: signed, like its entries,
-// by the RA or the AA.
-func verifyCRL(a TrustAnchors, crl pki.Signed[pki.CRL]) error {
-	return byRAOrAA.verify(a, "CRL", crl.Cert.Issuer, func(key sharedrsa.PublicKey) error { return pki.VerifyCRL(crl, key) })
+// verifyCRL checks a revocation list under a at now: signed, like its
+// entries, by the RA or the AA.
+func verifyCRL(a TrustAnchors, crl pki.Signed[pki.CRL], now clock.Time) error {
+	return byRAOrAA.verify(a, "CRL", crl.Cert.Issuer, func(key sharedrsa.PublicKey) error { return pki.Verify(crl, key, now) })
+}
+
+// certSays unwraps an idealized certificate ⟦I says_t φ⟧_K to I says_t φ;
+// the zero Says for any other shape.
+func certSays(c logic.Signed) logic.Says {
+	mf, _ := c.X.(logic.MsgFormula)
+	says, _ := mf.F.(logic.Says)
+	return says
 }
 
 // certBody unwraps an idealized certificate ⟦I says_t φ⟧_K to its body φ;
 // nil for any other shape, which Install refuses.
 func certBody(c logic.Signed) logic.Formula {
-	mf, _ := c.X.(logic.MsgFormula)
-	says, _ := mf.F.(logic.Says)
-	body, _ := says.X.(logic.MsgFormula)
+	body, _ := certSays(c).X.(logic.MsgFormula)
 	return body.F
 }

@@ -101,14 +101,14 @@ func TestSignedKindTagsDistinct(t *testing.T) {
 	key := rec.Public()
 	var errs []error
 	keep := func(_ any, err error) { errs = append(errs, err) }
-	keep(pki.IssueIdentity(pki.Identity{Issuer: "CA1", Subject: "alice", SubjectKey: pki.NewKeyInfo(key), KeyID: key.KeyID()}, rec))
-	keep(pki.IssueAttribute(pki.Attribute{Group: "G", Subject: sub}, rec))
-	keep(pki.IssueThresholdAttribute(pki.ThresholdAttribute{Group: "G", M: 1, Subjects: []pki.BoundSubject{sub}}, rec))
-	keep(pki.IssueGroupLink(pki.GroupLink{Sub: "G1", Sup: "G2"}, rec))
-	keep(pki.IssueIdentityRevocation(pki.IdentityRevocation{Subject: "alice", KeyID: "k-alice"}, rec))
-	keep(pki.IssueDelegation(pki.Delegation{Subject: sub, Group: "G", Perms: "*"}, rec))
-	keep(pki.IssueGroupGraphLink(pki.GroupGraphLink{Sub: "G1", Sup: "G2"}, rec))
-	rev, err := pki.IssueRevocation(pki.Revocation{Group: "G", Subjects: []pki.BoundSubject{sub}}, rec)
+	keep(pki.Issue(pki.Identity{Issuer: "CA1", Subject: "alice", SubjectKey: pki.NewKeyInfo(key), KeyID: key.KeyID()}, rec))
+	keep(pki.Issue(pki.Attribute{Group: "G", Subject: sub}, rec))
+	keep(pki.Issue(pki.ThresholdAttribute{Group: "G", M: 1, Subjects: []pki.BoundSubject{sub}}, rec))
+	keep(pki.Issue(pki.GroupLink{Sub: "G1", Sup: "G2"}, rec))
+	keep(pki.Issue(pki.IdentityRevocation{Subject: "alice", KeyID: "k-alice"}, rec))
+	keep(pki.Issue(pki.Delegation{Subject: sub, Group: "G", Perms: "*"}, rec))
+	keep(pki.Issue(pki.GroupGraphLink{Sub: "G1", Sup: "G2"}, rec))
+	rev, err := pki.Issue(pki.Revocation{Group: "G", Subjects: []pki.BoundSubject{sub}}, rec)
 	keep(rev, err)
 	reg := pki.NewRevocationRegistry("RA", rec)
 	reg.Add(rev)

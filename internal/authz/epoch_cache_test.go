@@ -401,7 +401,7 @@ func runColdRebuildDifferential(t *testing.T, seed int64) {
 		seed, verbs, approvals, denials, hits, misses, counterTotal(reg, MetricCacheInvalidated))
 }
 
-// signIdentity signs an identity body with ca's key as pki.IssueIdentity
+// signIdentity signs an identity body with ca's key as pki.Issue
 // would, without its check that KeyID names the subject key: over the
 // identity's signed form, the "identity" kind tag then every field in
 // order (DESIGN.md §7).
@@ -419,7 +419,7 @@ func signIdentity(t *testing.T, body pki.Identity, ca *pki.KeyPair) pki.Signed[p
 		t.Fatal(err)
 	}
 	idc := pki.Signed[pki.Identity]{Cert: body, SignerKey: ca.KeyID(), SigS: sig.S.Text(16)}
-	if err := pki.VerifyIdentity(idc, ca.Public(), body.NotBefore); err != nil {
+	if err := pki.Verify(idc, ca.Public(), body.NotBefore); err != nil {
 		t.Fatalf("hand-signed identity does not verify: %v", err)
 	}
 	return idc
@@ -610,7 +610,7 @@ func TestDelegatedHitRechecksLeafValidity(t *testing.T) {
 	for _, residual := range []bool{false, true} {
 		live.SetResidualsEnabled(residual)
 		live.state.Load().cache.put(pki.Fingerprint(presented), cachedCert{
-			formula: pki.DelegationLinkFormula(presented), validity: clock.NewInterval(50, now.Add(5))})
+			formula: certBody(pki.Idealize(presented)), validity: clock.NewInterval(50, now.Add(5))})
 		got := requireColdParity(t, live, f, j, req, fmt.Sprintf("leaf expired, residuals %v", residual))
 		if got.allowed || got.step != StepThreshold {
 			t.Fatalf("expired leaf honored (residuals %v): %+v", residual, got)

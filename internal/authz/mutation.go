@@ -127,7 +127,7 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	}
 	switch v := m.(type) {
 	case GroupLink:
-		return accept(s, v.Cert, groupLinkBelief, nil)
+		return accept(s, wal.TypeGroupLink, v.Cert, nil)
 	case IdentityRevocation:
 		return s.applyIdentityRevocation(v.Cert)
 	case CRL:
@@ -140,7 +140,7 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 		// believed chain, refusing it when the delegator's remaining depth
 		// is exhausted, the permission sets are disjoint, or the validity
 		// intervals do not intersect.
-		err := accept(s, v.Cert, delegationBelief, func(_ *logic.Engine, err error) {
+		err := accept(s, wal.TypeDelegation, v.Cert, func(_ *logic.Engine, err error) {
 			if errors.Is(err, logic.ErrDepthExhausted) {
 				s.reg.Counter(delegation.MetricDepthExhausted).Inc()
 			}
@@ -150,7 +150,7 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 		}
 		return err
 	case GroupGraphLink:
-		if err := accept(s, v.Cert, graphLinkBelief, nil); err != nil {
+		if err := accept(s, wal.TypeGroupGraphLink, v.Cert, nil); err != nil {
 			return err
 		}
 		s.reg.Counter(delegation.MetricGraphLinks).Inc()
@@ -167,8 +167,8 @@ func (s *Server) Apply(ctx context.Context, m Mutation) error {
 // accept is the live acceptance of one belief certificate, read as its
 // row reads it: admitted (belief.admit) under the current anchors at the
 // clock's time, then journaled as its kind's record — one pki.Marshal.
-func accept[T any](s *Server, sc pki.Signed[T], read func(pki.Signed[T]) belief, derived func(*logic.Engine, error)) error {
-	b := read(sc)
+func accept[T pki.Statement](s *Server, typ wal.Type, sc pki.Signed[T], derived func(*logic.Engine, error)) error {
+	b := beliefOf(typ, sc)
 	return s.mutate(true, func(cur *state, eng *logic.Engine) (*wal.Record, error) {
 		now := s.clk.Now()
 		if err := b.admit(cur.anchors, eng, now, derived); err != nil {
@@ -189,7 +189,7 @@ func accept[T any](s *Server, sc pki.Signed[T], read func(pki.Signed[T]) belief,
 // re-checks KeyRevoked against the new snapshot.
 func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("identity", start, err) }(time.Now())
-	if err = accept(s, rev, identityRevocationBelief, nil); err != nil {
+	if err = accept(s, wal.TypeIdentityRevocation, rev, nil); err != nil {
 		return err
 	}
 	s.audit(audit.Entry{
@@ -206,7 +206,7 @@ func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation])
 // recorded.
 func (s *Server) applyCRL(crl pki.Signed[pki.CRL]) (applied int, err error) {
 	defer func(start time.Time) { s.observeRevocation("crl", start, err) }(time.Now())
-	if err := verifyCRL(s.state.Load().anchors, crl); err != nil {
+	if err := verifyCRL(s.state.Load().anchors, crl, s.clk.Now()); err != nil {
 		return 0, err
 	}
 	for _, rev := range crl.Cert.Entries {
@@ -231,7 +231,7 @@ func (s *Server) applyCRL(crl pki.Signed[pki.CRL]) (applied int, err error) {
 func (s *Server) applyRevocation(rev pki.Signed[pki.Revocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("membership", start, err) }(time.Now())
 	var trace string
-	err = accept(s, rev, revocationBelief, func(eng *logic.Engine, err error) {
+	err = accept(s, wal.TypeRevocation, rev, func(eng *logic.Engine, err error) {
 		if err == nil {
 			trace = eng.Proof().String()
 		}

@@ -116,11 +116,11 @@ func TestIdentityKeyIDMustNameSubjectKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// pki.IssueIdentity refuses this body, so sign its signed form directly.
+	// pki.Issue refuses this body, so sign its signed form directly.
 	body := pki.Identity{Issuer: "CAX", IssuedAt: 60, Subject: "Mallory_D1",
 		SubjectKey: pki.NewKeyInfo(user.Public()), KeyID: "kX", NotBefore: 50, NotAfter: 5000}
-	if _, err := pki.IssueIdentity(body, ca.AsSigner()); !errors.Is(err, pki.ErrMalformed) {
-		t.Fatalf("IssueIdentity accepted a key ID that names no subject key: %v", err)
+	if _, err := pki.Issue(body, ca.AsSigner()); !errors.Is(err, pki.ErrMalformed) {
+		t.Fatalf("pki.Issue accepted a key ID that names no subject key: %v", err)
 	}
 	idc := signIdentity(t, body, ca)
 	ac, err := f.est.AA.IssueThreshold("G_read", 1,

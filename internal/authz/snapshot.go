@@ -396,13 +396,24 @@ func (a TrustAnchors) carries(b belief, at, now clock.Time, departed []pki.Bound
 
 // pastValidity: a link or delegation whose validity ended before now can
 // affect no decision again (the clock only advances).
-func (b belief) pastValidity(now clock.Time) bool { return b.notAfter < now }
+func (b belief) pastValidity(now clock.Time) bool {
+	switch f := certBody(b.cert).(type) {
+	case logic.GroupSpeaksFor:
+		return f.T.End() < now
+	case logic.Delegates:
+		return f.T.End() < now
+	case logic.GroupGraphEdge:
+		return f.T.End() < now
+	}
+	return false
+}
 
 // departedDelegate: a delegation to one of departed — a user of a domain
 // that left — is withdrawn with its domain; a chain link that extended it
 // then has nothing to compose with (applyReanchor).
 func (b belief) departedDelegate(departed []pki.BoundSubject) bool {
-	return b.typ == wal.TypeDelegation && slices.Contains(departed, b.delegate)
+	d, ok := certBody(b.cert).(logic.Delegates)
+	return ok && slices.Contains(departed, pki.BoundSubject{Name: d.To.Name, KeyID: string(d.To.Key)})
 }
 
 // revokesAnchorKey: an identity revocation of one of a's own keys. An
@@ -410,12 +421,14 @@ func (b belief) departedDelegate(departed []pki.BoundSubject) bool {
 // so a CA that withdrew its own key is trusted again from the next
 // re-anchoring that names it (DESIGN.md §7).
 func (b belief) revokesAnchorKey(a TrustAnchors) bool {
-	if b.typ != wal.TypeIdentityRevocation {
+	not, _ := certBody(b.cert).(logic.Not)
+	ks, ok := not.F.(logic.KeySpeaksFor)
+	if !ok {
 		return false
 	}
-	anchor := b.revokedKey == a.AAKey.KeyID() || a.RAName != "" && b.revokedKey == a.RAKey.KeyID()
+	anchor := ks.K == logic.KeyID(a.AAKey.KeyID()) || a.RAName != "" && ks.K == logic.KeyID(a.RAKey.KeyID())
 	for _, k := range a.CAKeys {
-		anchor = anchor || b.revokedKey == k.KeyID()
+		anchor = anchor || ks.K == logic.KeyID(k.KeyID())
 	}
 	return anchor
 }

@@ -78,7 +78,7 @@ func TestIssueThresholdTracksCert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, c.AA().Public(), 100); err != nil {
+	if err := pki.Verify(cert, c.AA().Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := c.Certificate("G_write")
@@ -147,10 +147,10 @@ func TestJoinRekeysAndReissues(t *testing.T) {
 	if !ok {
 		t.Fatal("certificate lost in rekey")
 	}
-	if err := pki.VerifyThresholdAttribute(cert, c.AA().Public(), 100); err != nil {
+	if err := pki.Verify(cert, c.AA().Public(), 100); err != nil {
 		t.Errorf("re-issued cert under new key: %v", err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, oldKey, 100); err == nil {
+	if err := pki.Verify(cert, oldKey, 100); err == nil {
 		t.Error("re-issued cert verifies under the old key")
 	}
 	if _, err := c.Join("D4"); !errors.Is(err, errDuplicateDomain) {
@@ -199,10 +199,10 @@ func TestUncooperativeLeaveRekeysAndReissues(t *testing.T) {
 	if !ok {
 		t.Fatal("certificate lost in rekey")
 	}
-	if err := pki.VerifyThresholdAttribute(cert, c.AA().Public(), 100); err != nil {
+	if err := pki.Verify(cert, c.AA().Public(), 100); err != nil {
 		t.Errorf("re-issued cert under new key: %v", err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, oldKey, 100); err == nil {
+	if err := pki.Verify(cert, oldKey, 100); err == nil {
 		t.Error("re-issued cert verifies under the old key")
 	}
 	if _, err := c.Leave("D3"); !errors.Is(err, errUnknownDomain) {
@@ -249,7 +249,7 @@ func TestCooperativeJoinKeepsKeyAndCertificates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, oldKey, 100); err != nil {
+	if err := pki.Verify(cert, oldKey, 100); err != nil {
 		t.Errorf("certificate issued by the four domains: %v", err)
 	}
 	if _, err := c.Join("D4"); !errors.Is(err, errDuplicateDomain) {
@@ -297,7 +297,7 @@ func TestCooperativeLeaveReissuesOnlyDepartedSubjects(t *testing.T) {
 	if len(cert.Cert.Subjects) != 2 || cert.Cert.M != 2 {
 		t.Errorf("G_write re-issued over %d subjects at m=%d, want u1, u2 at 2", len(cert.Cert.Subjects), cert.Cert.M)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, oldKey, 100); err != nil {
+	if err := pki.Verify(cert, oldKey, 100); err != nil {
 		t.Errorf("re-issued G_write under the unchanged key: %v", err)
 	}
 	if got, ok := c.SelectiveCertificate("G_solo_u1"); !ok || got.SigS != solo.SigS {
@@ -459,7 +459,7 @@ func TestDistributedFormSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, c.AA().Public(), 100); err != nil {
+	if err := pki.Verify(cert, c.AA().Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 	// A cooperative join redistributes the Boneh–Franklin shares: no
@@ -474,7 +474,7 @@ func TestDistributedFormSmall(t *testing.T) {
 	if cert, err = c.IssueThreshold("G_read", 1, users, clock.NewInterval(50, 50_000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, c.AA().Public(), 100); err != nil {
+	if err := pki.Verify(cert, c.AA().Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 	// Re-key with the distributed protocol too.
@@ -497,7 +497,7 @@ func TestAccessorsAndSelectiveLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyAttribute(cert, c.AA().Public(), 100); err != nil {
+	if err := pki.Verify(cert, c.AA().Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := c.SelectiveCertificate("G_solo")
@@ -549,7 +549,7 @@ func TestAccessorsAndSelectiveLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("selective certificate dropped in rekey")
 	}
-	if err := pki.VerifyAttribute(fresh, c.AA().Public(), 100); err != nil {
+	if err := pki.Verify(fresh, c.AA().Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -34,7 +34,7 @@ func identityAt(t *testing.T, c *Coalition, clk *clock.Clock, at clock.Time) pki
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyIdentity(idc, caKey(t, c, "D1"), at); err != nil {
+	if err := pki.Verify(idc, caKey(t, c, "D1"), at); err != nil {
 		t.Fatalf("identity at t%d: %v", at, err)
 	}
 	return idc

@@ -130,7 +130,7 @@ func TestCommitAfterConcurrentChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, c.AA().Public(), clk.Now()); err != nil {
+	if err := pki.Verify(cert, c.AA().Public(), clk.Now()); err != nil {
 		t.Errorf("certificate issued after the commit: %v", err)
 	}
 
@@ -226,7 +226,7 @@ func TestCommitAfterConcurrentChangeRedistributes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the five domains' shares do not sign: %v", err)
 	}
-	if err := pki.VerifyThresholdAttribute(cert, key, clk.Now()); err != nil {
+	if err := pki.Verify(cert, key, clk.Now()); err != nil {
 		t.Errorf("certificate issued after the commit, under the unchanged key: %v", err)
 	}
 	if _, err := c.Commit(d4); !errors.Is(err, errRekeyCommitted) {

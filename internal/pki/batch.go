@@ -10,8 +10,8 @@ import (
 // VerifyIdentityBatch verifies k identity certificates issued under one
 // key with a single batched signature check (sharedrsa.BatchVerify) in
 // place of k RSA verifications. The per-certificate error taxonomy of
-// VerifyIdentity is preserved: errs[i] is nil exactly when
-// VerifyIdentity(scs[i], issuerKey, at) would succeed, and wraps the
+// Verify is preserved: errs[i] is nil exactly when
+// Verify(scs[i], issuerKey, at) would succeed, and wraps the
 // same sentinel (errBadCertSignature, ErrMalformed, ErrExpired)
 // otherwise — when the batch check fails, the per-item fallback inside
 // BatchVerify attributes the culprit indices.
@@ -24,7 +24,7 @@ func VerifyIdentityBatch(scs []Signed[Identity], issuerKey sharedrsa.PublicKey, 
 	origin := make([]int, 0, len(scs))
 	wantKey := issuerKey.KeyID()
 	for i, sc := range scs {
-		// Structural stage, mirroring verifyBody's check order: only
+		// Structural stage, mirroring Verify's check order: only
 		// structurally sound signatures enter the batch.
 		if sc.SignerKey != wantKey {
 			errs[i] = fmt.Errorf("%w: signed by key %s, verifying with %s",
@@ -56,14 +56,10 @@ func VerifyIdentityBatch(scs []Signed[Identity], issuerKey sharedrsa.PublicKey, 
 	}
 
 	// Validity windows are per-certificate, checked after the signature
-	// like VerifyIdentity does (a bad signature wins over expiry).
+	// as Verify does (a bad signature wins over expiry).
 	for _, i := range origin {
-		if errs[i] != nil {
-			continue
-		}
-		c := scs[i].Cert
-		if at < c.NotBefore || at > c.NotAfter {
-			errs[i] = fmt.Errorf("%w: %s outside [%s, %s]", ErrExpired, at, c.NotBefore, c.NotAfter)
+		if errs[i] == nil {
+			errs[i] = validAt(scs[i].Cert, at)
 		}
 	}
 	return res, errs

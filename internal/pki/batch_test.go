@@ -22,7 +22,7 @@ func batchCA(t *testing.T, n int) (sharedrsa.PublicKey, []Signed[Identity]) {
 			t.Fatalf("user keygen: %v", err)
 		}
 		ki := NewKeyInfo(ukp.Public())
-		scs[i], err = IssueIdentity(Identity{
+		scs[i], err = Issue(Identity{
 			Issuer: "CA-D1", IssuedAt: 100,
 			Subject: fmt.Sprintf("user-%d", i), SubjectKey: ki,
 			KeyID: ukp.Public().KeyID(), NotBefore: 100, NotAfter: 10_000,
@@ -43,7 +43,7 @@ func errString(err error) string {
 }
 
 // TestVerifyIdentityBatchParity checks that the batched verifier agrees
-// with VerifyIdentity item by item — same accept/reject and same error
+// with Verify item by item — same accept/reject and same error
 // text — across good, tampered, wrong-key and expired certificates.
 func TestVerifyIdentityBatchParity(t *testing.T) {
 	caKey, scs := batchCA(t, 6)
@@ -61,9 +61,9 @@ func TestVerifyIdentityBatchParity(t *testing.T) {
 		t.Fatalf("batch with bad items should have fallen back: %+v", res)
 	}
 	for i, sc := range scs {
-		want := VerifyIdentity(sc, caKey, at)
+		want := Verify(sc, caKey, at)
 		if errString(errs[i]) != errString(want) {
-			t.Errorf("index %d: batch says %q, VerifyIdentity says %q", i, errString(errs[i]), errString(want))
+			t.Errorf("index %d: batch says %q, Verify says %q", i, errString(errs[i]), errString(want))
 		}
 	}
 }

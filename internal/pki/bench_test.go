@@ -32,7 +32,7 @@ func BenchmarkIssueIdentity(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := IssueIdentity(body, ca.AsSigner()); err != nil {
+		if _, err := Issue(body, ca.AsSigner()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,14 +45,14 @@ func BenchmarkVerifyIdentity(b *testing.B) {
 		SubjectKey: NewKeyInfo(user.Public()), KeyID: user.KeyID(),
 		NotBefore: 50, NotAfter: 5000,
 	}
-	sc, err := IssueIdentity(body, ca.AsSigner())
+	sc, err := Issue(body, ca.AsSigner())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := VerifyIdentity(sc, ca.Public(), 100); err != nil {
+		if err := Verify(sc, ca.Public(), 100); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func BenchmarkIssueThresholdJoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := IssueThresholdAttribute(body, joint); err != nil {
+		if _, err := Issue(body, joint); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,13 +89,13 @@ func thresholdBodyBench(user *KeyPair) ThresholdAttribute {
 
 func BenchmarkIdealizeThreshold(b *testing.B) {
 	ca, user := benchKeys(b)
-	sc, err := IssueThresholdAttribute(thresholdBodyBench(user), ca.AsSigner())
+	sc, err := Issue(thresholdBodyBench(user), ca.AsSigner())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = IdealizeThresholdAttribute(sc)
+		_ = Idealize(sc)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/big"
 
 	"jointadmin/internal/clock"
+	"jointadmin/internal/logic"
 	"jointadmin/internal/sharedrsa"
 )
 
@@ -55,6 +56,99 @@ type BoundSubject struct {
 	KeyID string `json:"keyId"`
 }
 
+// certBody is the set of signed kinds, the certificates and the CRL,
+// one row each: the union makes signing, verifying or fingerprinting
+// anything else a compile error, and the methods are what each kind
+// states for itself — its appender of the signed form (fingerprint.go),
+// its issue-time check beyond the validity interval, and its validity
+// interval, if it has one. Everything the kinds share is stated once, in
+// Issue, Verify and Fingerprint.
+type certBody interface {
+	Identity | Attribute | ThresholdAttribute | GroupLink | IdentityRevocation | Revocation | Delegation | GroupGraphLink | CRL
+	appendBody(dst []byte) []byte
+	wellFormed() error
+	// validity is the interval the certificate is valid over; ok is
+	// false for the revocations, which have an upper bound of infinity
+	// (footnote 2), and for the CRL.
+	validity() (v clock.Interval, ok bool)
+}
+
+// Statement is the set of certificate kinds, every signed kind but the
+// CRL: each is idealized (Idealize) as its issuer saying, at its issue
+// time, the statement its own row builds.
+type Statement interface {
+	certBody
+	issued() (issuer string, at clock.Time)
+	statement() logic.Formula
+}
+
+// Signed pairs a signed body (a certificate or a CRL) with the signer's
+// key id and the signature, which covers the body's signed form: the
+// length-prefixed binary encoding appendSigned writes, kind tag first,
+// the bytes Fingerprint hashes.
+type Signed[T any] struct {
+	Cert      T      `json:"cert"`
+	SignerKey string `json:"signerKey"` // key id of the verification key
+	SigS      string `json:"sig"`       // signature value, hex
+}
+
+// Issue signs a body after its issue-time checks: a validity interval
+// that ends before it begins, then the kind's own (wellFormed). Who may
+// sign a kind is the issuing authority's policy (internal/authority): a
+// threshold attribute certificate, say, is Case II only when the signer
+// is the coalition AA's joint signer.
+func Issue[T certBody](body T, signer Signer) (Signed[T], error) {
+	if v, ok := body.validity(); ok && v.End < v.Begin {
+		return Signed[T]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
+	}
+	if err := body.wellFormed(); err != nil {
+		return Signed[T]{}, err
+	}
+	sig, err := signer.Sign(appendSigned(nil, body))
+	if err != nil {
+		return Signed[T]{}, fmt.Errorf("pki: sign %T: %w", body, err)
+	}
+	return Signed[T]{
+		Cert:      body,
+		SignerKey: signer.Public().KeyID(),
+		SigS:      sharedrsa.FormatHex(sig.S),
+	}, nil
+}
+
+// Verify checks the signature over the body's signed form against the
+// issuer's key, then, for a kind with a validity interval, that at lies
+// in it; a bad signature wins over expiry.
+func Verify[T certBody](sc Signed[T], issuerKey sharedrsa.PublicKey, at clock.Time) error {
+	if sc.SignerKey != issuerKey.KeyID() {
+		return fmt.Errorf("%w: signed by key %s, verifying with %s",
+			errBadCertSignature, sc.SignerKey, issuerKey.KeyID())
+	}
+	s, ok := newIntFromHex(sc.SigS)
+	if !ok {
+		return fmt.Errorf("%w: bad signature encoding", ErrMalformed)
+	}
+	var buf [1024]byte // as in Fingerprint: the signed form stays on the stack
+	if err := sharedrsa.Verify(appendSigned(buf[:0], sc.Cert), issuerKey, sharedrsa.Signature{S: s}); err != nil {
+		return fmt.Errorf("%w: %v", errBadCertSignature, err)
+	}
+	return validAt(sc.Cert, at)
+}
+
+// validAt refuses at outside the body's validity interval, if it has one.
+func validAt[T certBody](body T, at clock.Time) error {
+	if v, ok := body.validity(); ok && !v.Contains(at) {
+		return fmt.Errorf("%w: %s outside [%s, %s]", ErrExpired, at, v.Begin, v.End)
+	}
+	return nil
+}
+
+// VerifyIdentity is Verify for an identity certificate, kept for the
+// benchmark's pki.verify_identity_us probe until that probe calls
+// Verify (ROADMAP item 1).
+func VerifyIdentity(sc Signed[Identity], issuerKey sharedrsa.PublicKey, at clock.Time) error {
+	return Verify(sc, issuerKey, at)
+}
+
 // Identity is the body of an identity certificate: the idealized message
 // "CA says_tCA (K_P ⇒ [tb,te],CA P)".
 type Identity struct {
@@ -67,6 +161,36 @@ type Identity struct {
 	NotAfter   clock.Time `json:"notAfter"`
 }
 
+// wellFormed refuses a certificate that binds the subject to one key and
+// names another's ID. The key itself is not judged here: whether it is a
+// usable RSA key is the verifier's question.
+func (c Identity) wellFormed() error {
+	if c.Subject == "" || c.Issuer == "" {
+		return fmt.Errorf("%w: missing subject or issuer", ErrMalformed)
+	}
+	n, okN := newIntFromHex(c.SubjectKey.N)
+	e, okE := newIntFromHex(c.SubjectKey.E)
+	if !okN || !okE || (sharedrsa.PublicKey{N: n, E: e}).KeyID() != c.KeyID {
+		return fmt.Errorf("%w: key ID %q does not name the subject key", ErrMalformed, c.KeyID)
+	}
+	return nil
+}
+
+func (c Identity) validity() (clock.Interval, bool) {
+	return clock.NewInterval(c.NotBefore, c.NotAfter), true
+}
+
+func (c Identity) issued() (string, clock.Time) { return c.Issuer, c.IssuedAt }
+
+// statement is K_P ⇒ [tb,te],CA P.
+func (c Identity) statement() logic.Formula {
+	return logic.KeySpeaksFor{
+		K:   logic.KeyID(c.KeyID),
+		T:   logic.During(c.NotBefore, c.NotAfter).On(c.Issuer),
+		Who: logic.P(c.Subject),
+	}
+}
+
 // Attribute is the body of an attribute certificate granting a single
 // subject membership in a group: "CA' says (P|K ⇒ [tb,te] G)".
 type Attribute struct {
@@ -76,6 +200,28 @@ type Attribute struct {
 	Subject   BoundSubject `json:"subject"`
 	NotBefore clock.Time   `json:"notBefore"`
 	NotAfter  clock.Time   `json:"notAfter"`
+}
+
+func (c Attribute) wellFormed() error {
+	if c.Group == "" || c.Subject.Name == "" {
+		return fmt.Errorf("%w: missing group or subject", ErrMalformed)
+	}
+	return nil
+}
+
+func (c Attribute) validity() (clock.Interval, bool) {
+	return clock.NewInterval(c.NotBefore, c.NotAfter), true
+}
+
+func (c Attribute) issued() (string, clock.Time) { return c.Issuer, c.IssuedAt }
+
+// statement is P|K ⇒ [tb,te],CA' G.
+func (c Attribute) statement() logic.Formula {
+	return logic.MemberOf{
+		Who: logic.P(c.Subject.Name).Bind(logic.KeyID(c.Subject.KeyID)),
+		T:   logic.During(c.NotBefore, c.NotAfter).On(c.Issuer),
+		G:   logic.G(c.Group),
+	}
 }
 
 // ThresholdAttribute is the body of a threshold attribute certificate:
@@ -92,6 +238,41 @@ type ThresholdAttribute struct {
 	NotAfter  clock.Time     `json:"notAfter"`
 }
 
+func (c ThresholdAttribute) wellFormed() error {
+	if c.Group == "" || len(c.Subjects) == 0 {
+		return fmt.Errorf("%w: missing group or subjects", ErrMalformed)
+	}
+	if c.M < 1 || c.M > len(c.Subjects) {
+		return fmt.Errorf("%w: threshold %d of %d out of range", ErrMalformed, c.M, len(c.Subjects))
+	}
+	seen := make(map[string]bool, len(c.Subjects))
+	for _, s := range c.Subjects {
+		if s.Name == "" || s.KeyID == "" {
+			return fmt.Errorf("%w: unbound subject %q", ErrMalformed, s.Name)
+		}
+		if seen[s.Name] {
+			return fmt.Errorf("%w: duplicate subject %q", ErrMalformed, s.Name)
+		}
+		seen[s.Name] = true
+	}
+	return nil
+}
+
+func (c ThresholdAttribute) validity() (clock.Interval, bool) {
+	return clock.NewInterval(c.NotBefore, c.NotAfter), true
+}
+
+func (c ThresholdAttribute) issued() (string, clock.Time) { return c.Issuer, c.IssuedAt }
+
+// statement is CP(m,n) ⇒ [tb,te],AA G (message 1-3).
+func (c ThresholdAttribute) statement() logic.Formula {
+	return logic.MemberOf{
+		Who: compoundOf(c.Subjects, c.M),
+		T:   logic.During(c.NotBefore, c.NotAfter).On(c.Issuer),
+		G:   logic.G(c.Group),
+	}
+}
+
 // GroupLink is the body of a privilege-inheritance certificate: members of
 // Sub inherit the privileges of Sup ("G_sub ⇒ [tb,te] G_sup").
 type GroupLink struct {
@@ -101,6 +282,28 @@ type GroupLink struct {
 	Sup       string     `json:"sup"`
 	NotBefore clock.Time `json:"notBefore"`
 	NotAfter  clock.Time `json:"notAfter"`
+}
+
+func (c GroupLink) wellFormed() error {
+	if c.Sub == "" || c.Sup == "" || c.Sub == c.Sup {
+		return fmt.Errorf("%w: bad group link %q ⇒ %q", ErrMalformed, c.Sub, c.Sup)
+	}
+	return nil
+}
+
+func (c GroupLink) validity() (clock.Interval, bool) {
+	return clock.NewInterval(c.NotBefore, c.NotAfter), true
+}
+
+func (c GroupLink) issued() (string, clock.Time) { return c.Issuer, c.IssuedAt }
+
+// statement is Group(Sub) ⇒ [tb,te],AA Group(Sup).
+func (c GroupLink) statement() logic.Formula {
+	return logic.GroupSpeaksFor{
+		Sub: logic.G(c.Sub),
+		T:   logic.During(c.NotBefore, c.NotAfter).On(c.Issuer),
+		Sup: logic.G(c.Sup),
+	}
 }
 
 // IdentityRevocation is the body of an identity revocation certificate:
@@ -114,6 +317,27 @@ type IdentityRevocation struct {
 	EffectiveAt clock.Time `json:"effectiveAt"`
 }
 
+func (c IdentityRevocation) wellFormed() error {
+	if c.Subject == "" || c.KeyID == "" {
+		return fmt.Errorf("%w: missing subject or key", ErrMalformed)
+	}
+	return nil
+}
+
+func (IdentityRevocation) validity() (clock.Interval, bool) { return clock.Interval{}, false }
+
+func (c IdentityRevocation) issued() (string, clock.Time) { return c.Issuer, c.IssuedAt }
+
+// statement is ¬(K_P ⇒ t',CA P): the key binding no longer holds from
+// the effective time t' on.
+func (c IdentityRevocation) statement() logic.Formula {
+	return logic.Not{F: logic.KeySpeaksFor{
+		K:   logic.KeyID(c.KeyID),
+		T:   logic.At(c.EffectiveAt).On(c.Issuer),
+		Who: logic.P(c.Subject),
+	}}
+}
+
 // Revocation is the body of a revocation certificate: "RA says ¬(CP(m,n) ⇒
 // t' G)". Revocations have an upper bound of infinity (footnote 2).
 type Revocation struct {
@@ -125,191 +349,31 @@ type Revocation struct {
 	EffectiveAt clock.Time     `json:"effectiveAt"`
 }
 
-// Signed pairs a signed body (a certificate or a CRL) with the signer's
-// key id and the signature, which covers the body's signed form: the
-// length-prefixed binary encoding appendSigned writes, kind tag first,
-// the bytes Fingerprint hashes.
-type Signed[T any] struct {
-	Cert      T      `json:"cert"`
-	SignerKey string `json:"signerKey"` // key id of the verification key
-	SigS      string `json:"sig"`       // signature value, hex
-}
-
-// signBody signs the body's signed form with the signer.
-func signBody[T certBody](body T, signer Signer) (Signed[T], error) {
-	sig, err := signer.Sign(appendSigned(nil, body))
-	if err != nil {
-		return Signed[T]{}, fmt.Errorf("pki: sign %T: %w", body, err)
-	}
-	return Signed[T]{
-		Cert:      body,
-		SignerKey: signer.Public().KeyID(),
-		SigS:      sharedrsa.FormatHex(sig.S),
-	}, nil
-}
-
-// verifyBody checks the signature over the body's signed form against
-// the expected key.
-func verifyBody[T certBody](sc Signed[T], pk sharedrsa.PublicKey) error {
-	if sc.SignerKey != pk.KeyID() {
-		return fmt.Errorf("%w: signed by key %s, verifying with %s",
-			errBadCertSignature, sc.SignerKey, pk.KeyID())
-	}
-	s, ok := newIntFromHex(sc.SigS)
-	if !ok {
-		return fmt.Errorf("%w: bad signature encoding", ErrMalformed)
-	}
-	var buf [1024]byte // as in Fingerprint: the signed form stays on the stack
-	if err := sharedrsa.Verify(appendSigned(buf[:0], sc.Cert), pk, sharedrsa.Signature{S: s}); err != nil {
-		return fmt.Errorf("%w: %v", errBadCertSignature, err)
+func (c Revocation) wellFormed() error {
+	if c.Group == "" || len(c.Subjects) == 0 {
+		return fmt.Errorf("%w: missing group or subjects", ErrMalformed)
 	}
 	return nil
 }
 
-// IssueGroupLink signs a privilege-inheritance certificate.
-func IssueGroupLink(body GroupLink, signer Signer) (Signed[GroupLink], error) {
-	if body.Sub == "" || body.Sup == "" || body.Sub == body.Sup {
-		return Signed[GroupLink]{}, fmt.Errorf("%w: bad group link %q ⇒ %q", ErrMalformed, body.Sub, body.Sup)
-	}
-	if body.NotAfter < body.NotBefore {
-		return Signed[GroupLink]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
-	}
-	return signBody(body, signer)
-}
+func (Revocation) validity() (clock.Interval, bool) { return clock.Interval{}, false }
 
-// VerifyGroupLink checks signature and validity.
-func VerifyGroupLink(sc Signed[GroupLink], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(sc, issuerKey); err != nil {
-		return err
-	}
-	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
-		return fmt.Errorf("%w: %s outside [%s, %s]", ErrExpired, at, sc.Cert.NotBefore, sc.Cert.NotAfter)
-	}
-	return nil
-}
+func (c Revocation) issued() (string, clock.Time) { return c.Issuer, c.IssuedAt }
 
-// IssueIdentityRevocation signs an identity revocation certificate.
-func IssueIdentityRevocation(body IdentityRevocation, signer Signer) (Signed[IdentityRevocation], error) {
-	if body.Subject == "" || body.KeyID == "" {
-		return Signed[IdentityRevocation]{}, fmt.Errorf("%w: missing subject or key", ErrMalformed)
-	}
-	return signBody(body, signer)
-}
-
-// VerifyIdentityRevocation checks the revocation signature (no expiry).
-func VerifyIdentityRevocation(sc Signed[IdentityRevocation], issuerKey sharedrsa.PublicKey) error {
-	return verifyBody(sc, issuerKey)
-}
-
-// IssueIdentity signs an identity certificate. The body's KeyID must be
-// the ID of its SubjectKey: a certificate is refused that binds the
-// subject to one key and names another. The key itself is not judged
-// here — whether it is a usable RSA key is the verifier's question.
-func IssueIdentity(body Identity, signer Signer) (Signed[Identity], error) {
-	if body.Subject == "" || body.Issuer == "" {
-		return Signed[Identity]{}, fmt.Errorf("%w: missing subject or issuer", ErrMalformed)
-	}
-	if body.NotAfter < body.NotBefore {
-		return Signed[Identity]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
-	}
-	n, okN := newIntFromHex(body.SubjectKey.N)
-	e, okE := newIntFromHex(body.SubjectKey.E)
-	if !okN || !okE || (sharedrsa.PublicKey{N: n, E: e}).KeyID() != body.KeyID {
-		return Signed[Identity]{}, fmt.Errorf("%w: key ID %q does not name the subject key", ErrMalformed, body.KeyID)
-	}
-	return signBody(body, signer)
-}
-
-// VerifyIdentity checks signature and validity at the given time.
-func VerifyIdentity(sc Signed[Identity], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(sc, issuerKey); err != nil {
-		return err
-	}
-	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
-		return fmt.Errorf("%w: %s outside [%s, %s]", ErrExpired, at, sc.Cert.NotBefore, sc.Cert.NotAfter)
-	}
-	return nil
-}
-
-// IssueAttribute signs a single-subject attribute certificate.
-func IssueAttribute(body Attribute, signer Signer) (Signed[Attribute], error) {
-	if body.Group == "" || body.Subject.Name == "" {
-		return Signed[Attribute]{}, fmt.Errorf("%w: missing group or subject", ErrMalformed)
-	}
-	if body.NotAfter < body.NotBefore {
-		return Signed[Attribute]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
-	}
-	return signBody(body, signer)
-}
-
-// VerifyAttribute checks signature and validity.
-func VerifyAttribute(sc Signed[Attribute], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(sc, issuerKey); err != nil {
-		return err
-	}
-	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
-		return fmt.Errorf("%w: %s outside [%s, %s]", ErrExpired, at, sc.Cert.NotBefore, sc.Cert.NotAfter)
-	}
-	return nil
-}
-
-// IssueThresholdAttribute signs a threshold attribute certificate. The
-// signer must be the coalition AA's joint signer for Case II semantics —
-// that requirement is the coalition authority's policy, enforced in
-// internal/authority.
-func IssueThresholdAttribute(body ThresholdAttribute, signer Signer) (Signed[ThresholdAttribute], error) {
-	if body.Group == "" || len(body.Subjects) == 0 {
-		return Signed[ThresholdAttribute]{}, fmt.Errorf("%w: missing group or subjects", ErrMalformed)
-	}
-	if body.M < 1 || body.M > len(body.Subjects) {
-		return Signed[ThresholdAttribute]{}, fmt.Errorf("%w: threshold %d of %d out of range",
-			ErrMalformed, body.M, len(body.Subjects))
-	}
-	if body.NotAfter < body.NotBefore {
-		return Signed[ThresholdAttribute]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
-	}
-	seen := make(map[string]bool, len(body.Subjects))
-	for _, s := range body.Subjects {
-		if s.Name == "" || s.KeyID == "" {
-			return Signed[ThresholdAttribute]{}, fmt.Errorf("%w: unbound subject %q", ErrMalformed, s.Name)
-		}
-		if seen[s.Name] {
-			return Signed[ThresholdAttribute]{}, fmt.Errorf("%w: duplicate subject %q", ErrMalformed, s.Name)
-		}
-		seen[s.Name] = true
-	}
-	return signBody(body, signer)
-}
-
-// VerifyThresholdAttribute checks signature and validity.
-func VerifyThresholdAttribute(sc Signed[ThresholdAttribute], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(sc, issuerKey); err != nil {
-		return err
-	}
-	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
-		return fmt.Errorf("%w: %s outside [%s, %s]", ErrExpired, at, sc.Cert.NotBefore, sc.Cert.NotAfter)
-	}
-	return nil
-}
-
-// IssueRevocation signs a revocation certificate.
-func IssueRevocation(body Revocation, signer Signer) (Signed[Revocation], error) {
-	if body.Group == "" || len(body.Subjects) == 0 {
-		return Signed[Revocation]{}, fmt.Errorf("%w: missing group or subjects", ErrMalformed)
-	}
-	return signBody(body, signer)
-}
-
-// VerifyRevocation checks the revocation signature (revocations do not
-// expire; footnote 2).
-func VerifyRevocation(sc Signed[Revocation], issuerKey sharedrsa.PublicKey) error {
-	return verifyBody(sc, issuerKey)
+// statement is ¬(CP(m,n) ⇒ t',RA G) (message 2), with a single key-bound
+// principal for a non-threshold certificate.
+func (c Revocation) statement() logic.Formula {
+	return logic.Not{F: logic.MemberOf{
+		Who: SubjectOf(c.Subjects, c.M),
+		T:   logic.At(c.EffectiveAt).On(c.Issuer),
+		G:   logic.G(c.Group),
+	}}
 }
 
 // Marshal serializes a signed certificate as JSON, the form the WAL
 // journals and replication ships. It is not what the signature covers
-// (the signed form, appendSigned): Unmarshal then a Verify function
-// re-encodes the parsed body.
+// (the signed form, appendSigned): Unmarshal then Verify re-encodes the
+// parsed body.
 func Marshal[T any](sc Signed[T]) ([]byte, error) {
 	b, err := json.Marshal(sc)
 	if err != nil {

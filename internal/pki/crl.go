@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"jointadmin/internal/clock"
-	"jointadmin/internal/sharedrsa"
 )
 
 // CRL is a certificate revocation list: the batch distribution channel for
@@ -20,17 +19,9 @@ type CRL struct {
 	Entries  []Signed[Revocation] `json:"entries"`
 }
 
-// issueCRL signs a CRL over the given revocation entries: a
-// Signed[CRL], so entries cannot be dropped or injected in transit
-// without detection.
-func issueCRL(issuer string, seq int, at clock.Time, entries []Signed[Revocation], signer Signer) (Signed[CRL], error) {
-	return signBody(CRL{Issuer: issuer, IssuedAt: at, Seq: seq, Entries: entries}, signer)
-}
+func (CRL) wellFormed() error { return nil }
 
-// VerifyCRL checks the list signature against the issuer key.
-func VerifyCRL(sc Signed[CRL], issuerKey sharedrsa.PublicKey) error {
-	return verifyBody(sc, issuerKey)
-}
+func (CRL) validity() (clock.Interval, bool) { return clock.Interval{}, false }
 
 // RevocationRegistry accumulates revocation certificates at an authority
 // and publishes monotonically numbered CRLs.
@@ -70,5 +61,7 @@ func (r *RevocationRegistry) Publish(at clock.Time) (Signed[CRL], error) {
 		}
 		return entries[i].Cert.EffectiveAt < entries[j].Cert.EffectiveAt
 	})
-	return issueCRL(r.issuer, seq, at, entries, r.signer)
+	// Signed, so entries cannot be dropped or injected in transit
+	// without detection.
+	return Issue(CRL{Issuer: r.issuer, IssuedAt: at, Seq: seq, Entries: entries}, r.signer)
 }

@@ -12,7 +12,7 @@ func sampleRevocation(t *testing.T, ca *KeyPair, group string) Signed[Revocation
 		Subjects:    []BoundSubject{{Name: "u1", KeyID: "k1"}, {Name: "u2", KeyID: "k2"}},
 		EffectiveAt: 100,
 	}
-	sc, err := IssueRevocation(body, ca.AsSigner())
+	sc, err := Issue(body, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +25,11 @@ func TestCRLIssueVerifyRoundTrip(t *testing.T) {
 		sampleRevocation(t, ca, "G_write"),
 		sampleRevocation(t, ca, "G_read"),
 	}
-	crl, err := issueCRL("RA", 1, 150, entries, ca.AsSigner())
+	crl, err := Issue(CRL{Issuer: "RA", IssuedAt: 150, Seq: 1, Entries: entries}, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyCRL(crl, ca.Public()); err != nil {
+	if err := Verify(crl, ca.Public(), 150); err != nil {
 		t.Fatal(err)
 	}
 	if len(crl.Cert.Entries) != 2 {
@@ -39,24 +39,24 @@ func TestCRLIssueVerifyRoundTrip(t *testing.T) {
 
 func TestCRLTamperDetected(t *testing.T) {
 	ca, _ := keys(t)
-	crl, err := issueCRL("RA", 1, 150, []Signed[Revocation]{sampleRevocation(t, ca, "G_write")}, ca.AsSigner())
+	crl, err := Issue(CRL{Issuer: "RA", IssuedAt: 150, Seq: 1, Entries: []Signed[Revocation]{sampleRevocation(t, ca, "G_write")}}, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Dropping an entry (hiding a revocation!) must be detected.
 	crl.Cert.Entries = nil
-	if err := VerifyCRL(crl, ca.Public()); !errors.Is(err, errBadCertSignature) {
+	if err := Verify(crl, ca.Public(), 150); !errors.Is(err, errBadCertSignature) {
 		t.Fatalf("entry suppression undetected: %v", err)
 	}
 }
 
 func TestCRLWrongIssuerKey(t *testing.T) {
 	ca, user := keys(t)
-	crl, err := issueCRL("RA", 1, 150, nil, ca.AsSigner())
+	crl, err := Issue(CRL{Issuer: "RA", IssuedAt: 150, Seq: 1}, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyCRL(crl, user.Public()); !errors.Is(err, errBadCertSignature) {
+	if err := Verify(crl, user.Public(), 150); !errors.Is(err, errBadCertSignature) {
 		t.Fatalf("wrong key: %v", err)
 	}
 }
@@ -85,7 +85,7 @@ func TestRevocationRegistrySequencing(t *testing.T) {
 	if crl2.Cert.Seq != 2 || len(crl2.Cert.Entries) != 3 {
 		t.Errorf("crl2 = seq %d, %d entries", crl2.Cert.Seq, len(crl2.Cert.Entries))
 	}
-	if err := VerifyCRL(crl2, ca.Public()); err != nil {
+	if err := Verify(crl2, ca.Public(), 150); err != nil {
 		t.Fatal(err)
 	}
 }

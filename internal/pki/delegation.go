@@ -6,7 +6,6 @@ import (
 
 	"jointadmin/internal/clock"
 	"jointadmin/internal/logic"
-	"jointadmin/internal/sharedrsa"
 )
 
 // This file defines the delegation-subsystem certificates: bounded-depth
@@ -50,109 +49,68 @@ type GroupGraphLink struct {
 	NotAfter  clock.Time `json:"notAfter"`
 }
 
-// IssueDelegation signs a delegation-link certificate. Names must not
-// contain the chain-path separator '>'.
-func IssueDelegation(body Delegation, signer Signer) (Signed[Delegation], error) {
-	if body.Subject.Name == "" || body.Subject.KeyID == "" {
-		return Signed[Delegation]{}, fmt.Errorf("%w: unbound delegation subject", ErrMalformed)
-	}
-	if body.Group == "" {
-		return Signed[Delegation]{}, fmt.Errorf("%w: delegation without group", ErrMalformed)
-	}
-	if body.Perms == "" {
-		return Signed[Delegation]{}, fmt.Errorf("%w: delegation with empty permission set", ErrMalformed)
-	}
-	if body.Depth < 0 {
-		return Signed[Delegation]{}, fmt.Errorf("%w: negative delegation depth %d", ErrMalformed, body.Depth)
-	}
-	if body.Delegator == body.Subject.Name {
-		return Signed[Delegation]{}, fmt.Errorf("%w: self-delegation by %q", ErrMalformed, body.Delegator)
-	}
-	if strings.Contains(body.Delegator, ">") || strings.Contains(body.Subject.Name, ">") {
-		return Signed[Delegation]{}, fmt.Errorf("%w: principal name contains path separator", ErrMalformed)
-	}
-	if body.NotAfter < body.NotBefore {
-		return Signed[Delegation]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
-	}
-	return signBody(body, signer)
-}
-
-// VerifyDelegation checks signature and validity.
-func VerifyDelegation(sc Signed[Delegation], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(sc, issuerKey); err != nil {
-		return err
-	}
-	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
-		return fmt.Errorf("%w: %s outside [%s, %s]", ErrExpired, at, sc.Cert.NotBefore, sc.Cert.NotAfter)
+func (c Delegation) wellFormed() error {
+	switch {
+	case c.Subject.Name == "" || c.Subject.KeyID == "":
+		return fmt.Errorf("%w: unbound delegation subject", ErrMalformed)
+	case c.Group == "":
+		return fmt.Errorf("%w: delegation without group", ErrMalformed)
+	case c.Perms == "":
+		return fmt.Errorf("%w: delegation with empty permission set", ErrMalformed)
+	case c.Depth < 0:
+		return fmt.Errorf("%w: negative delegation depth %d", ErrMalformed, c.Depth)
+	case c.Delegator == c.Subject.Name:
+		return fmt.Errorf("%w: self-delegation by %q", ErrMalformed, c.Delegator)
+	case strings.Contains(c.Delegator, ">") || strings.Contains(c.Subject.Name, ">"):
+		// Names must not contain the chain-path separator.
+		return fmt.Errorf("%w: principal name contains path separator", ErrMalformed)
 	}
 	return nil
 }
 
-// IssueGroupGraphLink signs a group-graph membership certificate.
-func IssueGroupGraphLink(body GroupGraphLink, signer Signer) (Signed[GroupGraphLink], error) {
-	if body.Sub == "" || body.Sup == "" || body.Sub == body.Sup {
-		return Signed[GroupGraphLink]{}, fmt.Errorf("%w: bad graph link %q ⇒ %q", ErrMalformed, body.Sub, body.Sup)
-	}
-	if body.Depth < 0 {
-		return Signed[GroupGraphLink]{}, fmt.Errorf("%w: negative graph depth %d", ErrMalformed, body.Depth)
-	}
-	if body.NotAfter < body.NotBefore {
-		return Signed[GroupGraphLink]{}, fmt.Errorf("%w: validity interval reversed", ErrMalformed)
-	}
-	return signBody(body, signer)
+func (c Delegation) validity() (clock.Interval, bool) {
+	return clock.NewInterval(c.NotBefore, c.NotAfter), true
 }
 
-// VerifyGroupGraphLink checks signature and validity.
-func VerifyGroupGraphLink(sc Signed[GroupGraphLink], issuerKey sharedrsa.PublicKey, at clock.Time) error {
-	if err := verifyBody(sc, issuerKey); err != nil {
-		return err
-	}
-	if at < sc.Cert.NotBefore || at > sc.Cert.NotAfter {
-		return fmt.Errorf("%w: %s outside [%s, %s]", ErrExpired, at, sc.Cert.NotBefore, sc.Cert.NotAfter)
-	}
-	return nil
-}
+func (c Delegation) issued() (string, clock.Time) { return c.Issuer, c.IssuedAt }
 
-// DelegationLinkFormula returns the raw chain-link formula the
-// certificate idealizes to: Path is the single delegator name ("" for a
-// root grant); chain composition (logic.DelegationCompose) extends it to
-// the full root-anchored path.
-func DelegationLinkFormula(sc Signed[Delegation]) logic.Delegates {
+// statement is the raw chain link P|K delegated^d{perms}[delegator] for
+// [tb,te],AA G: Path is the single delegator name ("" for a root grant);
+// chain composition (logic.DelegationCompose) extends it to the full
+// root-anchored path.
+func (c Delegation) statement() logic.Formula {
 	return logic.Delegates{
-		To:    logic.P(sc.Cert.Subject.Name).Bind(logic.KeyID(sc.Cert.Subject.KeyID)),
-		G:     logic.G(sc.Cert.Group),
-		Depth: sc.Cert.Depth,
-		Perms: sc.Cert.Perms,
-		Path:  sc.Cert.Delegator,
-		T:     logic.During(sc.Cert.NotBefore, sc.Cert.NotAfter).On(sc.Cert.Issuer),
+		To:    logic.P(c.Subject.Name).Bind(logic.KeyID(c.Subject.KeyID)),
+		G:     logic.G(c.Group),
+		Depth: c.Depth,
+		Perms: c.Perms,
+		Path:  c.Delegator,
+		T:     logic.During(c.NotBefore, c.NotAfter).On(c.Issuer),
 	}
 }
 
-// IdealizeDelegation renders the delegation-link certificate as
-// ⟦AA says_tAA (P|K delegated^d{perms}[delegator] for [tb,te],AA G)⟧_KAA⁻¹.
-func IdealizeDelegation(sc Signed[Delegation]) logic.Signed {
-	body := DelegationLinkFormula(sc)
-	says := logic.Says{
-		Who: logic.P(sc.Cert.Issuer),
-		T:   logic.At(sc.Cert.IssuedAt),
-		X:   logic.AsMessage(body),
+func (c GroupGraphLink) wellFormed() error {
+	if c.Sub == "" || c.Sup == "" || c.Sub == c.Sup {
+		return fmt.Errorf("%w: bad graph link %q ⇒ %q", ErrMalformed, c.Sub, c.Sup)
 	}
-	return logic.Sign(logic.AsMessage(says), logic.KeyID(sc.SignerKey))
+	if c.Depth < 0 {
+		return fmt.Errorf("%w: negative graph depth %d", ErrMalformed, c.Depth)
+	}
+	return nil
 }
 
-// IdealizeGroupGraphLink renders the group-graph certificate as
-// ⟦AA says_tAA (Group(Sub) ⇒<d>_[tb,te],AA Group(Sup))⟧_KAA⁻¹.
-func IdealizeGroupGraphLink(sc Signed[GroupGraphLink]) logic.Signed {
-	body := logic.GroupGraphEdge{
-		Sub:   logic.G(sc.Cert.Sub),
-		T:     logic.During(sc.Cert.NotBefore, sc.Cert.NotAfter).On(sc.Cert.Issuer),
-		Depth: sc.Cert.Depth,
-		Sup:   logic.G(sc.Cert.Sup),
+func (c GroupGraphLink) validity() (clock.Interval, bool) {
+	return clock.NewInterval(c.NotBefore, c.NotAfter), true
+}
+
+func (c GroupGraphLink) issued() (string, clock.Time) { return c.Issuer, c.IssuedAt }
+
+// statement is Group(Sub) ⇒<d>_[tb,te],AA Group(Sup).
+func (c GroupGraphLink) statement() logic.Formula {
+	return logic.GroupGraphEdge{
+		Sub:   logic.G(c.Sub),
+		T:     logic.During(c.NotBefore, c.NotAfter).On(c.Issuer),
+		Depth: c.Depth,
+		Sup:   logic.G(c.Sup),
 	}
-	says := logic.Says{
-		Who: logic.P(sc.Cert.Issuer),
-		T:   logic.At(sc.Cert.IssuedAt),
-		X:   logic.AsMessage(body),
-	}
-	return logic.Sign(logic.AsMessage(says), logic.KeyID(sc.SignerKey))
 }

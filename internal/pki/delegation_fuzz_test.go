@@ -14,7 +14,7 @@ func delegationFixture(tb testing.TB) (Signed[Delegation], []byte, *KeyPair) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sc, err := IssueDelegation(Delegation{
+	sc, err := Issue(Delegation{
 		Issuer: "AA", IssuedAt: 100, Delegator: "alice",
 		Subject: BoundSubject{Name: "bob", KeyID: "kb"},
 		Group:   "G_write", Depth: 2, Perms: "read,write",
@@ -98,7 +98,7 @@ func TestDelegationBitFlipProperty(t *testing.T) {
 			if err != nil {
 				continue // detected at parse
 			}
-			if err := VerifyDelegation(sc, aa.Public(), 200); err != nil {
+			if err := Verify(sc, aa.Public(), 200); err != nil {
 				continue // detected at verification
 			}
 			if !bytes.Equal(appendSigned(nil, sc.Cert), origSigned) {

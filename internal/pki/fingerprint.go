@@ -7,15 +7,6 @@ import (
 	"jointadmin/internal/wirefmt"
 )
 
-// certBody is the set of signed kinds: the certificates and the CRL. The
-// union makes signing or fingerprinting anything else a compile error;
-// the method makes every member bring its own appender of the signed
-// form.
-type certBody interface {
-	Identity | Attribute | ThresholdAttribute | GroupLink | IdentityRevocation | Revocation | Delegation | GroupGraphLink | CRL
-	appendBody(dst []byte) []byte
-}
-
 // Kind tags: the first field of each signed form. No two kinds share one,
 // and the request component's tag ("request", internal/authz) is none of
 // them, so a signature over one kind never verifies as another.

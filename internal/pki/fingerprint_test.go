@@ -179,25 +179,25 @@ func TestFingerprintHashesSignedBytes(t *testing.T) {
 	bob := BoundSubject{Name: "bob", KeyID: "k-bob"}
 	const at = clock.Time(100)
 
-	id, err := IssueIdentity(identityBody(ca, user), rec)
-	signedOnce(t, rec, id, err, VerifyIdentity(id, ca.Public(), at))
-	attr, err := IssueAttribute(Attribute{Issuer: "AA", IssuedAt: 7, Group: "G_read", Subject: alice, NotBefore: 10, NotAfter: 900}, rec)
-	signedOnce(t, rec, attr, err, VerifyAttribute(attr, ca.Public(), at))
-	th, err := IssueThresholdAttribute(thresholdBody(user), rec)
-	signedOnce(t, rec, th, err, VerifyThresholdAttribute(th, ca.Public(), at))
-	gl, err := IssueGroupLink(GroupLink{Issuer: "AA", IssuedAt: 7, Sub: "G_sub", Sup: "G_write", NotBefore: 10, NotAfter: 900}, rec)
-	signedOnce(t, rec, gl, err, VerifyGroupLink(gl, ca.Public(), at))
-	ir, err := IssueIdentityRevocation(IdentityRevocation{Issuer: "CA1", IssuedAt: 7, Subject: "alice", KeyID: "k-alice", EffectiveAt: 8}, rec)
-	signedOnce(t, rec, ir, err, VerifyIdentityRevocation(ir, ca.Public()))
-	rev, err := IssueRevocation(Revocation{Issuer: "RA", IssuedAt: 7, Group: "G_write", M: 2, Subjects: []BoundSubject{alice, bob}, EffectiveAt: 8}, rec)
-	signedOnce(t, rec, rev, err, VerifyRevocation(rev, ca.Public()))
-	dl, err := IssueDelegation(Delegation{Issuer: "AA", IssuedAt: 7, Delegator: "alice", Subject: bob, Group: "G_read",
+	id, err := Issue(identityBody(ca, user), rec)
+	signedOnce(t, rec, id, err, Verify(id, ca.Public(), at))
+	attr, err := Issue(Attribute{Issuer: "AA", IssuedAt: 7, Group: "G_read", Subject: alice, NotBefore: 10, NotAfter: 900}, rec)
+	signedOnce(t, rec, attr, err, Verify(attr, ca.Public(), at))
+	th, err := Issue(thresholdBody(user), rec)
+	signedOnce(t, rec, th, err, Verify(th, ca.Public(), at))
+	gl, err := Issue(GroupLink{Issuer: "AA", IssuedAt: 7, Sub: "G_sub", Sup: "G_write", NotBefore: 10, NotAfter: 900}, rec)
+	signedOnce(t, rec, gl, err, Verify(gl, ca.Public(), at))
+	ir, err := Issue(IdentityRevocation{Issuer: "CA1", IssuedAt: 7, Subject: "alice", KeyID: "k-alice", EffectiveAt: 8}, rec)
+	signedOnce(t, rec, ir, err, Verify(ir, ca.Public(), at))
+	rev, err := Issue(Revocation{Issuer: "RA", IssuedAt: 7, Group: "G_write", M: 2, Subjects: []BoundSubject{alice, bob}, EffectiveAt: 8}, rec)
+	signedOnce(t, rec, rev, err, Verify(rev, ca.Public(), at))
+	dl, err := Issue(Delegation{Issuer: "AA", IssuedAt: 7, Delegator: "alice", Subject: bob, Group: "G_read",
 		Depth: 1, Perms: "read", NotBefore: 10, NotAfter: 900}, rec)
-	signedOnce(t, rec, dl, err, VerifyDelegation(dl, ca.Public(), at))
-	gg, err := IssueGroupGraphLink(GroupGraphLink{Issuer: "AA", IssuedAt: 7, Sub: "G_sub", Sup: "G_read", Depth: 2, NotBefore: 10, NotAfter: 900}, rec)
-	signedOnce(t, rec, gg, err, VerifyGroupGraphLink(gg, ca.Public(), at))
-	crl, err := issueCRL("RA", 1, 150, []Signed[Revocation]{rev}, rec)
-	signedOnce(t, rec, crl, err, VerifyCRL(crl, ca.Public()))
+	signedOnce(t, rec, dl, err, Verify(dl, ca.Public(), at))
+	gg, err := Issue(GroupGraphLink{Issuer: "AA", IssuedAt: 7, Sub: "G_sub", Sup: "G_read", Depth: 2, NotBefore: 10, NotAfter: 900}, rec)
+	signedOnce(t, rec, gg, err, Verify(gg, ca.Public(), at))
+	crl, err := Issue(CRL{Issuer: "RA", IssuedAt: 150, Seq: 1, Entries: []Signed[Revocation]{rev}}, rec)
+	signedOnce(t, rec, crl, err, Verify(crl, ca.Public(), at))
 }
 
 // TestSignedFormInjective: two identity certificates whose subjects differ
@@ -208,15 +208,15 @@ func TestSignedFormInjective(t *testing.T) {
 	ca, user := keys(t)
 	body := identityBody(ca, user)
 	body.Subject = "a\xff"
-	sc, err := IssueIdentity(body, ca.AsSigner())
+	sc, err := Issue(body, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyIdentity(sc, ca.Public(), 100); err != nil {
+	if err := Verify(sc, ca.Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 	sc.Cert.Subject = "a\xfe"
-	if err := VerifyIdentity(sc, ca.Public(), 100); !errors.Is(err, errBadCertSignature) {
+	if err := Verify(sc, ca.Public(), 100); !errors.Is(err, errBadCertSignature) {
 		t.Fatalf("identity for %q verifies as %q: %v", "a\xff", sc.Cert.Subject, err)
 	}
 }

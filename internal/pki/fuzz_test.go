@@ -14,7 +14,7 @@ func crlFixture(tb testing.TB) (Signed[CRL], []byte, *KeyPair) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rev, err := IssueRevocation(Revocation{
+	rev, err := Issue(Revocation{
 		Issuer: "RA", IssuedAt: 100, Group: "G_write", M: 2,
 		Subjects:    []BoundSubject{{Name: "u1", KeyID: "k1"}, {Name: "u2", KeyID: "k2"}},
 		EffectiveAt: 100,
@@ -22,7 +22,7 @@ func crlFixture(tb testing.TB) (Signed[CRL], []byte, *KeyPair) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	crl, err := issueCRL("RA", 1, 150, []Signed[Revocation]{rev}, ca.AsSigner())
+	crl, err := Issue(CRL{Issuer: "RA", IssuedAt: 150, Seq: 1, Entries: []Signed[Revocation]{rev}}, ca.AsSigner())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func crlFixture(tb testing.TB) (Signed[CRL], []byte, *KeyPair) {
 	return crl, b, ca
 }
 
-// FuzzCRLUnmarshal: whatever an encoded CRL is mutated into, VerifyCRL
+// FuzzCRLUnmarshal: whatever an encoded CRL is mutated into, Verify
 // never panics on the decoded result, and accepts it only when the
 // signed form is byte-identical to the issued CRL's — no input alters
 // what the CRL says and still verifies.
@@ -50,7 +50,7 @@ func FuzzCRLUnmarshal(f *testing.F) {
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sc Signed[CRL]
-		if json.Unmarshal(data, &sc) != nil || VerifyCRL(sc, ca.Public()) != nil {
+		if json.Unmarshal(data, &sc) != nil || Verify(sc, ca.Public(), 150) != nil {
 			return
 		}
 		if !bytes.Equal(appendSigned(nil, sc.Cert), orig) {
@@ -66,7 +66,7 @@ func TestCRLTruncationProperty(t *testing.T) {
 	_, valid, ca := crlFixture(t)
 	for n := 0; n < len(valid); n++ {
 		var sc Signed[CRL]
-		if json.Unmarshal(valid[:n], &sc) == nil && VerifyCRL(sc, ca.Public()) == nil {
+		if json.Unmarshal(valid[:n], &sc) == nil && Verify(sc, ca.Public(), 150) == nil {
 			t.Fatalf("truncation to %d/%d bytes verifies", n, len(valid))
 		}
 	}
@@ -89,7 +89,7 @@ func TestCRLBitFlipProperty(t *testing.T) {
 			if err := json.Unmarshal(mut, &sc); err != nil {
 				continue // detected at parse
 			}
-			if err := VerifyCRL(sc, ca.Public()); err != nil {
+			if err := Verify(sc, ca.Public(), 150); err != nil {
 				continue // detected at verification
 			}
 			if !bytes.Equal(appendSigned(nil, sc.Cert), origSigned) {

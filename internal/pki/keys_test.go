@@ -50,8 +50,8 @@ func TestKeyPairSignFaultReleasesNothing(t *testing.T) {
 		t.Fatalf("Sign = (%v, %v), want no signature and ErrSignFault", sig.S, err)
 	}
 	_, user := keys(t)
-	if sc, err := IssueIdentity(identityBody(kp, user), kp.AsSigner()); !errors.Is(err, sharedrsa.ErrSignFault) || sc.SigS != "" {
-		t.Fatalf("IssueIdentity = (%q, %v), want no certificate and ErrSignFault", sc.SigS, err)
+	if sc, err := Issue(identityBody(kp, user), kp.AsSigner()); !errors.Is(err, sharedrsa.ErrSignFault) || sc.SigS != "" {
+		t.Fatalf("Issue = (%q, %v), want no certificate and ErrSignFault", sc.SigS, err)
 	}
 }
 

@@ -43,34 +43,34 @@ func identityBody(ca, user *KeyPair) Identity {
 
 func TestIdentityIssueVerify(t *testing.T) {
 	ca, user := keys(t)
-	sc, err := IssueIdentity(identityBody(ca, user), ca.AsSigner())
+	sc, err := Issue(identityBody(ca, user), ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyIdentity(sc, ca.Public(), 100); err != nil {
+	if err := Verify(sc, ca.Public(), 100); err != nil {
 		t.Fatal(err)
 	}
 	// Expired and premature.
-	if err := VerifyIdentity(sc, ca.Public(), 5001); !errors.Is(err, ErrExpired) {
+	if err := Verify(sc, ca.Public(), 5001); !errors.Is(err, ErrExpired) {
 		t.Errorf("expired: %v", err)
 	}
-	if err := VerifyIdentity(sc, ca.Public(), 49); !errors.Is(err, ErrExpired) {
+	if err := Verify(sc, ca.Public(), 49); !errors.Is(err, ErrExpired) {
 		t.Errorf("premature: %v", err)
 	}
 	// Wrong verification key.
-	if err := VerifyIdentity(sc, user.Public(), 100); !errors.Is(err, errBadCertSignature) {
+	if err := Verify(sc, user.Public(), 100); !errors.Is(err, errBadCertSignature) {
 		t.Errorf("wrong key: %v", err)
 	}
 }
 
 func TestIdentityTamperDetected(t *testing.T) {
 	ca, user := keys(t)
-	sc, err := IssueIdentity(identityBody(ca, user), ca.AsSigner())
+	sc, err := Issue(identityBody(ca, user), ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Cert.Subject = "Mallory"
-	if err := VerifyIdentity(sc, ca.Public(), 100); !errors.Is(err, errBadCertSignature) {
+	if err := Verify(sc, ca.Public(), 100); !errors.Is(err, errBadCertSignature) {
 		t.Errorf("tampered subject accepted: %v", err)
 	}
 }
@@ -79,18 +79,18 @@ func TestIdentityValidation(t *testing.T) {
 	ca, user := keys(t)
 	bad := identityBody(ca, user)
 	bad.Subject = ""
-	if _, err := IssueIdentity(bad, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
+	if _, err := Issue(bad, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
 		t.Errorf("empty subject: %v", err)
 	}
 	rev := identityBody(ca, user)
 	rev.NotBefore, rev.NotAfter = 10, 5
-	if _, err := IssueIdentity(rev, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
+	if _, err := Issue(rev, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
 		t.Errorf("reversed validity: %v", err)
 	}
 	// A body binding the subject to one key while naming another's ID.
 	misnamed := identityBody(ca, user)
 	misnamed.KeyID = ca.KeyID()
-	if _, err := IssueIdentity(misnamed, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
+	if _, err := Issue(misnamed, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
 		t.Errorf("key ID of another key: %v", err)
 	}
 }
@@ -105,17 +105,17 @@ func TestAttributeIssueVerify(t *testing.T) {
 		NotBefore: 50,
 		NotAfter:  5000,
 	}
-	sc, err := IssueAttribute(body, ca.AsSigner())
+	sc, err := Issue(body, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAttribute(sc, ca.Public(), 100); err != nil {
+	if err := Verify(sc, ca.Public(), 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAttribute(sc, ca.Public(), 9999); !errors.Is(err, ErrExpired) {
+	if err := Verify(sc, ca.Public(), 9999); !errors.Is(err, ErrExpired) {
 		t.Errorf("expired: %v", err)
 	}
-	if _, err := IssueAttribute(Attribute{Issuer: "AA"}, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
+	if _, err := Issue(Attribute{Issuer: "AA"}, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
 		t.Errorf("missing fields: %v", err)
 	}
 }
@@ -145,16 +145,16 @@ func TestThresholdAttributeJointlySigned(t *testing.T) {
 		t.Fatal(err)
 	}
 	joint := NewJointSigner(res.Public, res.Shares)
-	sc, err := IssueThresholdAttribute(thresholdBody(user), joint)
+	sc, err := Issue(thresholdBody(user), joint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyThresholdAttribute(sc, res.Public, 100); err != nil {
+	if err := Verify(sc, res.Public, 100); err != nil {
 		t.Fatal(err)
 	}
 	// Tampering with the threshold is detected.
 	sc.Cert.M = 1
-	if err := VerifyThresholdAttribute(sc, res.Public, 100); !errors.Is(err, errBadCertSignature) {
+	if err := Verify(sc, res.Public, 100); !errors.Is(err, errBadCertSignature) {
 		t.Errorf("tampered threshold accepted: %v", err)
 	}
 }
@@ -177,7 +177,7 @@ func TestThresholdAttributeValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			body := thresholdBody(user)
 			tc.mut(&body)
-			if _, err := IssueThresholdAttribute(body, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
+			if _, err := Issue(body, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
 				t.Errorf("err = %v", err)
 			}
 		})
@@ -185,7 +185,7 @@ func TestThresholdAttributeValidation(t *testing.T) {
 }
 
 // TestValidityBoundaries pins the closed ends of a validity window: every
-// Verify* with a window accepts at exactly NotBefore and at exactly
+// kind with a window accepts at exactly NotBefore and at exactly
 // NotAfter and refuses one tick outside either end, and issuance accepts
 // a window of one instant.
 func TestValidityBoundaries(t *testing.T) {
@@ -195,13 +195,13 @@ func TestValidityBoundaries(t *testing.T) {
 		id, th := identityBody(ca, user), thresholdBody(user)
 		id.NotBefore, id.NotAfter = w.nb, w.na
 		th.NotBefore, th.NotAfter = w.nb, w.na
-		idc, err1 := IssueIdentity(id, signer)
-		atc, err2 := IssueAttribute(Attribute{Issuer: "AA", Group: "G_read", Subject: subject, NotBefore: w.nb, NotAfter: w.na}, signer)
-		thc, err3 := IssueThresholdAttribute(th, signer)
-		glc, err4 := IssueGroupLink(GroupLink{Issuer: "AA", Sub: "G_sub", Sup: "G_write", NotBefore: w.nb, NotAfter: w.na}, signer)
-		dlc, err5 := IssueDelegation(Delegation{Issuer: "AA", Subject: subject, Group: "G_read", Perms: "*", Depth: 1,
+		idc, err1 := Issue(id, signer)
+		atc, err2 := Issue(Attribute{Issuer: "AA", Group: "G_read", Subject: subject, NotBefore: w.nb, NotAfter: w.na}, signer)
+		thc, err3 := Issue(th, signer)
+		glc, err4 := Issue(GroupLink{Issuer: "AA", Sub: "G_sub", Sup: "G_write", NotBefore: w.nb, NotAfter: w.na}, signer)
+		dlc, err5 := Issue(Delegation{Issuer: "AA", Subject: subject, Group: "G_read", Perms: "*", Depth: 1,
 			NotBefore: w.nb, NotAfter: w.na}, signer)
-		ggc, err6 := IssueGroupGraphLink(GroupGraphLink{Issuer: "AA", Sub: "G_sub", Sup: "G_write", Depth: 1,
+		ggc, err6 := Issue(GroupGraphLink{Issuer: "AA", Sub: "G_sub", Sup: "G_write", Depth: 1,
 			NotBefore: w.nb, NotAfter: w.na}, signer)
 		if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
 			t.Fatalf("issue with validity [%d, %d]: %v", w.nb, w.na, err)
@@ -210,12 +210,12 @@ func TestValidityBoundaries(t *testing.T) {
 			name   string
 			verify func(clock.Time) error
 		}{
-			{"identity", func(at clock.Time) error { return VerifyIdentity(idc, ca.Public(), at) }},
-			{"attribute", func(at clock.Time) error { return VerifyAttribute(atc, ca.Public(), at) }},
-			{"threshold attribute", func(at clock.Time) error { return VerifyThresholdAttribute(thc, ca.Public(), at) }},
-			{"group link", func(at clock.Time) error { return VerifyGroupLink(glc, ca.Public(), at) }},
-			{"delegation", func(at clock.Time) error { return VerifyDelegation(dlc, ca.Public(), at) }},
-			{"group-graph link", func(at clock.Time) error { return VerifyGroupGraphLink(ggc, ca.Public(), at) }},
+			{"identity", func(at clock.Time) error { return Verify(idc, ca.Public(), at) }},
+			{"attribute", func(at clock.Time) error { return Verify(atc, ca.Public(), at) }},
+			{"threshold attribute", func(at clock.Time) error { return Verify(thc, ca.Public(), at) }},
+			{"group link", func(at clock.Time) error { return Verify(glc, ca.Public(), at) }},
+			{"delegation", func(at clock.Time) error { return Verify(dlc, ca.Public(), at) }},
+			{"group-graph link", func(at clock.Time) error { return Verify(ggc, ca.Public(), at) }},
 		} {
 			for at, ok := range map[clock.Time]bool{w.nb - 1: false, w.nb: true, w.na: true, w.na + 1: false} {
 				if err := c.verify(at); ok && err != nil || !ok && !errors.Is(err, ErrExpired) {
@@ -250,16 +250,16 @@ func TestThresholdSignerQuorum(t *testing.T) {
 	}
 	// A 2-party quorum signs successfully.
 	signer := quorumSigner{ts, []int{1, 3}}
-	sc, err := IssueThresholdAttribute(thresholdBody(user), signer)
+	sc, err := Issue(thresholdBody(user), signer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyThresholdAttribute(sc, res.Public, 100); err != nil {
+	if err := Verify(sc, res.Public, 100); err != nil {
 		t.Fatal(err)
 	}
 	// A 1-party quorum cannot.
 	starved := quorumSigner{ts, []int{2}}
-	if _, err := IssueThresholdAttribute(thresholdBody(user), starved); err == nil {
+	if _, err := Issue(thresholdBody(user), starved); err == nil {
 		t.Fatal("below-quorum signer issued a certificate")
 	}
 }
@@ -274,25 +274,25 @@ func TestRevocationIssueVerify(t *testing.T) {
 		Subjects:    thresholdBody(user).Subjects,
 		EffectiveAt: 200,
 	}
-	sc, err := IssueRevocation(body, ca.AsSigner())
+	sc, err := Issue(body, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyRevocation(sc, ca.Public()); err != nil {
+	if err := Verify(sc, ca.Public(), 200); err != nil {
 		t.Fatal(err)
 	}
 	sc.Cert.Group = "G_read"
-	if err := VerifyRevocation(sc, ca.Public()); !errors.Is(err, errBadCertSignature) {
+	if err := Verify(sc, ca.Public(), 200); !errors.Is(err, errBadCertSignature) {
 		t.Errorf("tampered revocation accepted: %v", err)
 	}
-	if _, err := IssueRevocation(Revocation{Issuer: "RA"}, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
+	if _, err := Issue(Revocation{Issuer: "RA"}, ca.AsSigner()); !errors.Is(err, ErrMalformed) {
 		t.Errorf("empty revocation: %v", err)
 	}
 }
 
 func TestMarshalRoundTrip(t *testing.T) {
 	ca, user := keys(t)
-	sc, err := IssueIdentity(identityBody(ca, user), ca.AsSigner())
+	sc, err := Issue(identityBody(ca, user), ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyIdentity(back, ca.Public(), 100); err != nil {
+	if err := Verify(back, ca.Public(), 100); err != nil {
 		t.Fatalf("round-tripped certificate invalid: %v", err)
 	}
 	if _, err := Unmarshal[Identity]([]byte("{broken")); !errors.Is(err, ErrMalformed) {
@@ -348,11 +348,11 @@ func TestKeyInfoRoundTrip(t *testing.T) {
 
 func TestIdealizeIdentityForm(t *testing.T) {
 	ca, user := keys(t)
-	sc, err := IssueIdentity(identityBody(ca, user), ca.AsSigner())
+	sc, err := Issue(identityBody(ca, user), ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := IdealizeIdentity(sc)
+	ideal := Idealize(sc)
 	if string(ideal.K) != ca.KeyID() {
 		t.Errorf("idealized signature key = %s, want CA key", ideal.K)
 	}
@@ -366,11 +366,11 @@ func TestIdealizeIdentityForm(t *testing.T) {
 
 func TestIdealizeThresholdForm(t *testing.T) {
 	ca, user := keys(t)
-	sc, err := IssueThresholdAttribute(thresholdBody(user), ca.AsSigner())
+	sc, err := Issue(thresholdBody(user), ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := IdealizeThresholdAttribute(sc)
+	ideal := Idealize(sc)
 	s := ideal.String()
 	for _, frag := range []string{"AA says_t95", "(2,3)", "Group(G_write)"} {
 		if !strings.Contains(s, frag) {
@@ -385,11 +385,11 @@ func TestIdealizeRevocationForm(t *testing.T) {
 		Issuer: "RA", IssuedAt: 200, Group: "G_write", M: 2,
 		Subjects: thresholdBody(user).Subjects, EffectiveAt: 201,
 	}
-	sc, err := IssueRevocation(body, ca.AsSigner())
+	sc, err := Issue(body, ca.AsSigner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := IdealizeRevocation(sc)
+	ideal := Idealize(sc)
 	if !strings.Contains(ideal.String(), "¬") {
 		t.Errorf("revocation idealization lacks negation: %s", ideal)
 	}

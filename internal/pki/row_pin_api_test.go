@@ -7,77 +7,34 @@ import (
 )
 
 // The three entry points TestRowPinGolden reaches the package through:
-// each kind's own Issue*, Verify* and Idealize* function.
+// Issue, Verify and Idealize.
 
-func pinIssue[T certBody](body T, signer Signer) (Signed[T], error) {
-	var sc any
-	var err error
-	switch b := any(body).(type) {
-	case Identity:
-		sc, err = IssueIdentity(b, signer)
-	case Attribute:
-		sc, err = IssueAttribute(b, signer)
-	case ThresholdAttribute:
-		sc, err = IssueThresholdAttribute(b, signer)
-	case GroupLink:
-		sc, err = IssueGroupLink(b, signer)
-	case IdentityRevocation:
-		sc, err = IssueIdentityRevocation(b, signer)
-	case Revocation:
-		sc, err = IssueRevocation(b, signer)
-	case Delegation:
-		sc, err = IssueDelegation(b, signer)
-	case GroupGraphLink:
-		sc, err = IssueGroupGraphLink(b, signer)
-	case CRL:
-		sc, err = issueCRL(b.Issuer, b.Seq, b.IssuedAt, b.Entries, signer)
-	}
-	return sc.(Signed[T]), err
-}
+func pinIssue[T certBody](body T, signer Signer) (Signed[T], error) { return Issue(body, signer) }
 
 func pinVerify[T certBody](sc Signed[T], key sharedrsa.PublicKey, at clock.Time) error {
-	switch c := any(sc).(type) {
-	case Signed[Identity]:
-		return VerifyIdentity(c, key, at)
-	case Signed[Attribute]:
-		return VerifyAttribute(c, key, at)
-	case Signed[ThresholdAttribute]:
-		return VerifyThresholdAttribute(c, key, at)
-	case Signed[GroupLink]:
-		return VerifyGroupLink(c, key, at)
-	case Signed[IdentityRevocation]:
-		return VerifyIdentityRevocation(c, key)
-	case Signed[Revocation]:
-		return VerifyRevocation(c, key)
-	case Signed[Delegation]:
-		return VerifyDelegation(c, key, at)
-	case Signed[GroupGraphLink]:
-		return VerifyGroupGraphLink(c, key, at)
-	case Signed[CRL]:
-		return VerifyCRL(c, key)
-	}
-	panic("unreachable")
+	return Verify(sc, key, at)
 }
 
-// pinIdealize reports false for the CRL, which has no idealized form.
+// pinIdealize reports false for the CRL, which has no idealized form
+// (it is no Statement).
 func pinIdealize[T certBody](sc Signed[T]) (logic.Signed, bool) {
 	switch c := any(sc).(type) {
 	case Signed[Identity]:
-		return IdealizeIdentity(c), true
+		return Idealize(c), true
 	case Signed[Attribute]:
-		return IdealizeAttribute(c), true
+		return Idealize(c), true
 	case Signed[ThresholdAttribute]:
-		return IdealizeThresholdAttribute(c), true
+		return Idealize(c), true
 	case Signed[GroupLink]:
-		return IdealizeGroupLink(c), true
+		return Idealize(c), true
 	case Signed[IdentityRevocation]:
-		return IdealizeIdentityRevocation(c), true
+		return Idealize(c), true
 	case Signed[Revocation]:
-		return IdealizeRevocation(c), true
+		return Idealize(c), true
 	case Signed[Delegation]:
-		return IdealizeDelegation(c), true
+		return Idealize(c), true
 	case Signed[GroupGraphLink]:
-		return IdealizeGroupGraphLink(c), true
+		return Idealize(c), true
 	}
 	return logic.Signed{}, false
 }

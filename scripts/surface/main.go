@@ -14,7 +14,9 @@
 // method also counts as called when its type, or a pointer to it,
 // implements an interface that declares the method: any named interface
 // in a package the repository builds (error and fmt.Stringer included),
-// or an interface literal in the repository's own code.
+// or an interface literal in the repository's own code. A constraint
+// counts as such an interface: a generic function calls the method of
+// each member of its type set through it.
 //
 // The same pass enforces the architecture rules, one row each of the
 // table in rules.go. A row has one of four kinds: use (an object, be it a
@@ -210,9 +212,10 @@ func check(root, allow string, extra map[string]string) (*report, error) {
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:     map[ast.Expr]types.TypeAndValue{},
+			Defs:      map[*ast.Ident]types.Object{},
+			Uses:      map[*ast.Ident]types.Object{},
+			Instances: map[*ast.Ident]types.Instance{},
 		}
 		tp, err := (&types.Config{Importer: ld}).Check(p.ImportPath, fset, files, info)
 		if err != nil {
@@ -351,7 +354,7 @@ func interfaces(ld *loader, exports map[string]string, all []unit) map[string][]
 	out := map[string][]*types.Interface{}
 	note := func(t types.Type) {
 		it, ok := t.Underlying().(*types.Interface)
-		if !ok || seen[it] || !it.IsMethodSet() {
+		if !ok || seen[it] {
 			return
 		}
 		if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > 0 {

@@ -19,6 +19,7 @@ type rule struct {
 	kind   string   // "use", "import", "literal" or "name"
 	what   []string // objects, import paths, literal types or declared names
 	arg    string   // use: only calls with an argument of this type, or that reads this object
+	targs  []string // use: of a generic function, only instances with one of these type arguments
 	marks  []string // name: text refused in comments and string literals
 	in     []string // the packages, files (pkg/file.go) or functions it holds in; none: all
 	except []string // where it does not; with max, where at most max uses may stand
@@ -56,11 +57,12 @@ var rules = []rule{
 	{name: "one-return-path/add-peer", kind: "use", what: []string{"*.AddPeer"}, except: []string{"transport", "daemon.Dial", "daemon.Follower.Listen"},
 		reason: "outside internal/transport only daemon.Dial and Follower.Listen register a peer address, each from its own " +
 			"configuration; any other is a return path a frame can name"},
-	{name: "one-issuance-point", kind: "use", what: []string{"*.IssueIdentity"},
+	{name: "one-issuance-point", kind: "use", what: []string{"*.IssueIdentity", "pki.Issue"}, targs: []string{"pki.Identity"},
 		except: []string{"authority", "pki", "coalition.member.issue", "sim/load.LoadFixture.identityOf"},
 		reason: "a domain issues a user's identity certificate at enrolment and holds it for the user's requests (coalition.member." +
 			"issue, reached from AddUser and IdentityOf's re-issue path; internal/sim/load's fixture issues each principal's once " +
-			"and holds it the same way; internal/authority and internal/pki define issuance); an issuance anywhere else is a " +
+			"and holds it the same way; internal/authority and internal/pki define issuance, pki.Issue of a pki.Identity); an " +
+			"issuance anywhere else is a " +
 			"per-request mint: a CA signature per signer per request and a never-seen certificate for the verified-certificate cache"},
 	{name: "rekey-path", kind: "use", what: []string{"*.*.Join", "*.*.Leave"}, in: []string{"daemon", "jointadmin/cmd/coalitiond"},
 		reason: "the daemon runs a join or leave as PrepareJoin/PrepareLeave (the keygen), then Alliance.Commit and the re-anchor " +
@@ -113,16 +115,19 @@ var rules = []rule{
 	{name: "one-idealizer", kind: "literal", in: []string{"authz"},
 		what: []string{"logic.Not", "logic.MemberOf", "logic.GroupSpeaksFor", "logic.GroupGraphEdge", "logic.Delegates"},
 		reason: "WAL replay and replication install each recorded certificate's conclusion with logic.Engine.Install, from the " +
-			"pki.Idealize* form the live derivation used; a certificate-belief literal built in internal/authz is a hand-written " +
+			"pki.Idealize form the live derivation used; a certificate-belief literal built in internal/authz is a hand-written " +
 			"mirror of one of them, free to drift (freshEngine's anchor KeySpeaksFor assumptions are not one)"},
-	{name: "one-belief-table", kind: "use", in: []string{"authz"},
-		what: []string{"pki.VerifyGroupLink", "pki.VerifyDelegation", "pki.VerifyGroupGraphLink", "pki.VerifyRevocation",
-			"pki.VerifyIdentityRevocation", "pki.VerifyCRL", "pki.Unmarshal"},
+	{name: "one-belief-table/verify", kind: "use", what: []string{"pki.Verify"}, in: []string{"authz"},
+		targs:  []string{"pki.GroupLink", "pki.Delegation", "pki.GroupGraphLink", "pki.Revocation", "pki.IdentityRevocation", "pki.CRL"},
 		except: []string{"authz/beliefs.go", "authz.Server.verifyDelegatedMembership"},
 		reason: "the live acceptance, a re-anchoring's carry and replay read a belief certificate through its kind's row of the " +
-			"belief table (authz/beliefs.go), which alone decodes one and checks its signature; a decode or check elsewhere is a " +
-			"second reading of a kind, free to drift from the others (verifyDelegatedMembership checks a request's leaf " +
-			"certificate, not a belief)"},
+			"belief table (authz/beliefs.go), which alone checks its signature, and a revocation list is checked there too; a " +
+			"check elsewhere is a second reading of a kind, free to drift from the others (verifyDelegatedMembership checks a " +
+			"request's leaf certificate, not a belief)"},
+	{name: "one-belief-table/decode", kind: "use", what: []string{"pki.Unmarshal"}, in: []string{"authz"},
+		except: []string{"authz/beliefs.go", "authz.Server.verifyDelegatedMembership"},
+		reason: "a belief certificate is decoded by its kind's row of the belief table (authz/beliefs.go) alone, for the live " +
+			"acceptance, a re-anchoring's carry and replay alike; a decode elsewhere is a second reading of a kind"},
 	{name: "logic-ownership", kind: "import", what: []string{"sync", "sync/atomic", "reflect"}, in: []string{"logic"},
 		reason: "a sealed engine is read-only and shared, and an unsealed engine or a fork has one owner (logic.Engine.Seal); nothing " +
 			"in internal/logic is locked or memoized process-wide, so a sync or reflect import there is a lock, an atomic or a cache coming back"},
@@ -208,10 +213,21 @@ func (r *report) enforce() {
 			})
 			return hit
 		}
-		see := func(kind, what string, at place, pos token.Pos, call *ast.CallExpr) {
+		// typeArgs lists the type arguments id instantiates a generic
+		// function or type with; none for any other identifier.
+		typeArgs := func(id *ast.Ident) (out []string) {
+			if inst, ok := c.info.Instances[id]; ok {
+				for i := range inst.TypeArgs.Len() {
+					out = append(out, types.TypeString(inst.TypeArgs.At(i), qual))
+				}
+			}
+			return out
+		}
+		see := func(kind, what string, at place, pos token.Pos, call *ast.CallExpr, targs []string) {
 			for i, rl := range rules {
 				if rl.kind == kind && what != "" && match(rl.what, what) &&
-					(rl.arg == "" || call != nil && slices.ContainsFunc(call.Args, func(a ast.Expr) bool { return reads(a, rl.arg) })) {
+					(rl.arg == "" || call != nil && slices.ContainsFunc(call.Args, func(a ast.Expr) bool { return reads(a, rl.arg) })) &&
+					(len(rl.targs) == 0 || len(targs) == 0 || slices.ContainsFunc(targs, func(t string) bool { return match(rl.targs, t) })) {
 					refuse(&rules[i], at, pos, kind+" "+what)
 				}
 			}
@@ -221,7 +237,7 @@ func (r *report) enforce() {
 			at.file = at.pkg + "/" + path.Base(r.fset.File(f.Pos()).Name())
 			for _, imp := range f.Imports {
 				p, _ := strconv.Unquote(imp.Path.Value)
-				see("import", p, at, imp.Pos(), nil)
+				see("import", p, at, imp.Pos(), nil, nil)
 			}
 			for _, g := range f.Comments {
 				for _, cm := range g.List {
@@ -243,10 +259,10 @@ func (r *report) enforce() {
 							calls[fun.Sel] = n
 						}
 					case *ast.Ident:
-						see("use", name(c.info.Uses[n]), at, n.Pos(), calls[n])
-						see("name", name(c.info.Defs[n]), at, n.Pos(), nil)
+						see("use", name(c.info.Uses[n]), at, n.Pos(), calls[n], typeArgs(n))
+						see("name", name(c.info.Defs[n]), at, n.Pos(), nil, nil)
 					case *ast.CompositeLit:
-						see("literal", types.TypeString(c.info.TypeOf(n), qual), at, n.Pos(), nil)
+						see("literal", types.TypeString(c.info.TypeOf(n), qual), at, n.Pos(), nil, nil)
 					case *ast.BasicLit:
 						if n.Kind == token.STRING {
 							mark(n.Value, at, n.Pos())

@@ -104,6 +104,11 @@ var _ = plantHello{}`},
 		{"one-issuance-point", "internal/coalition/plant.go", `package coalition
 import "jointadmin/internal/clock"
 func init() { var m *member; _, _ = m.CA.IssueIdentity("mallory", clock.Interval{}) }`},
+		// pki.Issue mints an identity certificate only when it signs an
+		// Identity.
+		{"one-issuance-point", "internal/daemon/plant_issue.go", `package daemon
+import "jointadmin/internal/pki"
+func init() { _, _ = pki.Issue(pki.Identity{}, nil); _, _ = pki.Issue(pki.Attribute{}, nil) }`},
 		// a.Join is a method value; strings.Join stays clean by its type.
 		{"rekey-path", "internal/daemon/plant_rekey.go", `package daemon
 import ("strings"; "jointadmin")
@@ -137,9 +142,18 @@ func init() { _ = lg.A36CompoundSays }`},
 		{"one-idealizer", "internal/authz/plant_literal.go", `package authz
 import lg "jointadmin/internal/logic"
 func init() { _ = lg.MemberOf{} }`},
-		{"one-belief-table", "internal/authz/plant_belief.go", `package authz
+		// An identity or attribute certificate is a request's, and
+		// authz.go verifies it: only the belief kinds' and the CRL's
+		// verification is the table's.
+		{"one-belief-table/verify", "internal/authz/plant_verify.go", `package authz
+import ("jointadmin/internal/pki"; "jointadmin/internal/sharedrsa")
+func init() {
+	_ = pki.Verify(pki.Signed[pki.CRL]{}, sharedrsa.PublicKey{}, 0)
+	_ = pki.Verify(pki.Signed[pki.Identity]{}, sharedrsa.PublicKey{}, 0)
+}`},
+		{"one-belief-table/decode", "internal/authz/plant_belief.go", `package authz
 import "jointadmin/internal/pki"
-func init() { _, _ = pki.Unmarshal[pki.GroupLink](nil) }`},
+func init() { _, _ = pki.Unmarshal[pki.Identity](nil) }`},
 		{"logic-ownership", "internal/logic/plant_sync.go", `package logic; import _ "sync/atomic"`},
 	}
 	extra := map[string]string{}
