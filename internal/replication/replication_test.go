@@ -823,3 +823,68 @@ func TestShipperFollowsLatestHelloConnection(t *testing.T) {
 		}
 	}
 }
+
+// TestShipperBoundsTailBatchBytes: 24 audit records of 1 MiB each land
+// behind a follower's cursor. One batch of them would be a frame of
+// 32 MiB once base64-encoded, over the transport's 16 MiB limit, so the
+// shipper trims each batch to tailBatchBytes of bodies, and the
+// follower reaches the head within a few heartbeats. (The follower says
+// hello after the appends, so the stream reads all 24 at once instead
+// of as they land.)
+func TestShipperBoundsTailBatchBytes(t *testing.T) {
+	w := newWriter(t)
+	const heartbeat = 500 * time.Millisecond
+	wnode, err := transport.ListenTCP("coalitiond", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wnode.Close()
+	sh := NewShipper(w.log, wnode, ShipperOptions{Heartbeat: heartbeat,
+		Objects: w.srv.Authz().Objects().Export, Logf: t.Logf})
+	defer sh.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			env, err := wnode.Recv()
+			if err != nil {
+				return
+			}
+			sh.Handle(env)
+		}
+	}()
+	defer func() { wnode.Close(); <-served }()
+
+	got := w.log.Seq()
+	for i := range 24 {
+		body := []byte(`"` + strings.Repeat(string(rune('a'+i)), 1<<20) + `"`) // a JSON string, as record bodies are JSON
+		if _, err := w.log.Append(wal.Record{Type: wal.TypeAudit, Body: body}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := transport.DialTCP("f1")
+	defer f.Close()
+	f.AddPeer("coalitiond", wnode.Addr())
+	if err := f.Send("coalitiond", kindHello, mustJSON(t, helloMsg{Follower: "f1", LastSeq: got})); err != nil {
+		t.Fatal(err)
+	}
+	head := w.log.Seq()
+	for deadline := time.Now().Add(20 * heartbeat); got < head; {
+		env, err := f.RecvTimeout(time.Until(deadline))
+		if err != nil {
+			t.Fatalf("follower at seq %d of %d after 20 heartbeats: %v", got, head, err)
+		}
+		if env.Kind != kindRecords {
+			continue
+		}
+		var rm recordsMsg
+		if err := json.Unmarshal(env.Payload, &rm); err != nil {
+			t.Fatal(err)
+		}
+		recs, _, torn, corrupt := wal.Scan(rm.Frames)
+		if corrupt != nil || torn != "" || len(recs) == 0 || recs[0].Seq != got+1 {
+			t.Fatalf("tail batch after seq %d: %d records, torn %q, corrupt %v", got, len(recs), torn, corrupt)
+		}
+		got = recs[len(recs)-1].Seq
+	}
+}

@@ -220,6 +220,7 @@ func (s *shipper) run(st *stream) {
 			continue
 		}
 		if len(recs) > 0 {
+			recs = tailBatch(recs)
 			if s.sendRecords(st, recs) {
 				cursor = recs[len(recs)-1].Seq
 				sinceSnapshot += len(recs)
@@ -269,6 +270,27 @@ func handoff(recs []wal.Record) []wal.Record {
 	}
 	slices.Reverse(out)
 	return out
+}
+
+// tailBatchBytes bounds the record bodies one tail batch carries, as
+// handoffAuditBytes bounds a handoff's: Batch records of a few hundred
+// KB each, base64-encoded in the frame, would outgrow the transport's
+// 16 MiB frame limit, and the same batch would be read and refused again
+// on every retry.
+const tailBatchBytes = 4 << 20
+
+// tailBatch is the longest prefix of recs, a tail read, whose bodies fit
+// in tailBatchBytes, and never less than its first record: a record too
+// large for a frame on its own fails its send, and is counted in
+// repl_ship_errors_total.
+func tailBatch(recs []wal.Record) []wal.Record {
+	budget := tailBatchBytes
+	for i, r := range recs {
+		if budget -= len(r.Body); budget < 0 && i > 0 {
+			return recs[:i]
+		}
+	}
+	return recs
 }
 
 // sendSnapshot ships the retained history's handoff + object store and,
