@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"jointadmin/internal/clock"
@@ -19,12 +20,16 @@ import (
 
 // instance is one sampled rule application: premises (their conjunction
 // is the antecedent) and what the rule function returned for them — its
-// conclusion, or its refusal — evaluated at time at.
+// conclusion, or its refusal — evaluated at time at. A mustRefuse
+// instance's premises hold but miss a side condition of the rule (a
+// quorum one co-signer short, a request signed under a key other than
+// the bound one): the rule must refuse it whatever the run makes true.
 type instance struct {
 	rule       string // the Rule* label the engine's proofs record
 	premises   []logic.Formula
 	conclusion logic.Formula
 	refusal    error
+	mustRefuse bool
 	at         clock.Time
 }
 
@@ -41,7 +46,10 @@ func (in instance) String() string {
 // vacuous=true when a premise is false (the instance claims nothing), and
 // an error when every premise holds but the rule refused them — skipping
 // it would let a rule that refuses everything pass unseen — or its
-// conclusion is false: a soundness violation.
+// conclusion is false: a soundness violation. A mustRefuse instance fails
+// instead when the rule concludes anything: a rule that ignores a side
+// condition is unsound even where the run happens to make its conclusion
+// true.
 func checkInstance(r *Run, in instance) (vacuous bool, err error) {
 	for _, p := range in.premises {
 		ok, err := Eval(r, in.at, p)
@@ -51,6 +59,12 @@ func checkInstance(r *Run, in instance) (vacuous bool, err error) {
 		if !ok {
 			return true, nil
 		}
+	}
+	if in.mustRefuse {
+		if in.refusal == nil {
+			return false, fmt.Errorf("soundness violation: %s concluded from premises that miss a side condition: %s", in.rule, in)
+		}
+		return false, nil
 	}
 	if in.refusal != nil {
 		return false, fmt.Errorf("%s refused premises that hold: %s: %w", in.rule, in, in.refusal)
@@ -86,6 +100,8 @@ type scenario struct {
 	Group logic.Group
 	// BoundMember is an authorized key-bound principal.
 	BoundMember logic.Principal
+	// OtherKey is a second key of BoundMember's, not the bound one.
+	OtherKey logic.KeyID
 	// PlainMember is an authorized unbound principal.
 	PlainMember logic.Principal
 	// ThresholdCP is the authorized threshold compound principal.
@@ -156,6 +172,9 @@ func generateRun(seed int64, cfg Config) (*Run, *scenario) {
 	sc.Group = g
 	sc.PlainMember = logic.P(names[0])
 	sc.BoundMember = logic.P(names[1]).Bind("K2")
+	sc.OtherKey = "K2x"
+	r.Generate(names[1], sc.OtherKey, 0)
+	sc.KeyOwner[sc.OtherKey] = logic.P(names[1])
 	boundMembers := make([]logic.Principal, 3)
 	for i := 0; i < 3; i++ {
 		boundMembers[i] = logic.P(names[i]).Bind(logic.KeyID(fmt.Sprintf("K%d", i+1)))
@@ -193,10 +212,12 @@ func generateRun(seed int64, cfg Config) (*Run, *scenario) {
 		case 1: // plain member utters for the group
 			content := logic.Const{Value: fmt.Sprintf("order-%d", rng.Intn(50))}
 			mustSend(r, sc.PlainMember.Name, server, content, t, t)
-		case 2: // bound member utters, signed with its bound key
+		case 2: // bound member utters, signed with its bound key and with its other one
 			content := logic.Const{Value: fmt.Sprintf("order-%d", rng.Intn(50))}
 			mustSend(r, sc.BoundMember.Name, server,
 				logic.Sign(content, sc.BoundMember.Key), t, t)
+			mustSend(r, sc.BoundMember.Name, server,
+				logic.Sign(content, sc.OtherKey), t, t)
 		case 3: // threshold quorum co-signs the same content at time t
 			content := logic.Const{Value: fmt.Sprintf("joint-%d", rng.Intn(50))}
 			quorum := pickQuorum(rng, boundMembers, 2+rng.Intn(2))
@@ -254,12 +275,14 @@ func pickQuorum(rng *rand.Rand, members []logic.Principal, size int) []logic.Pri
 
 // instances applies each sampled rule function to premises the run makes
 // true: every send and receive, the group's members' utterances, and the
-// authority's spoken formulas.
+// authority's spoken formulas; and, as mustRefuse instances, to member
+// utterances that miss a side condition of their rule.
 func instances(r *Run, sc *scenario) []instance {
 	var out []instance
 	add := func(rule string, at clock.Time, conclusion logic.Formula, refusal error, premises ...logic.Formula) {
 		out = append(out, instance{rule: rule, premises: premises, conclusion: conclusion, refusal: refusal, at: at})
 	}
+	mustRefuse := func() { out[len(out)-1].mustRefuse = true }
 	for _, name := range r.Names() {
 		tr := r.Traces[name]
 		who := namedSubject(r, name)
@@ -327,7 +350,10 @@ func instances(r *Run, sc *scenario) []instance {
 	// Statement 25 through the engine's dispatch (DeriveGroupSays), which
 	// picks A34, A35 or A38 by the membership's subject and names it:
 	// the plain member's utterances, the bound member's utterances signed
-	// with its bound key, and every threshold quorum's co-signatures.
+	// with its bound key, and every threshold quorum's co-signatures. The
+	// bound member's utterances signed with its other key, and each
+	// quorum with one co-signer dropped that leaves it short of the
+	// threshold, must be refused.
 	groupSays := func(mem logic.MemberOf, at clock.Time, utts []logic.Says, keys ...logic.KeySpeaksFor) {
 		keyFor := func(who string) (logic.KeySpeaksFor, bool) {
 			for _, k := range keys {
@@ -356,20 +382,30 @@ func instances(r *Run, sc *scenario) []instance {
 	}
 	bound := sc.BoundMember
 	for _, e := range r.Traces[bound.Name].Events {
-		if sig, ok := e.Msg.(logic.Signed); ok && e.Kind == EventSend && sig.K == bound.Key {
+		if sig, ok := e.Msg.(logic.Signed); ok && e.Kind == EventSend {
 			at := logic.At(e.At)
 			groupSays(logic.MemberOf{Who: bound, T: at, G: sc.Group}, e.At,
 				[]logic.Says{{Who: bound.Unbound(), T: at, X: sig}},
 				logic.KeySpeaksFor{K: bound.Key, T: at, Who: bound.Unbound()})
+			if sig.K != bound.Key {
+				mustRefuse()
+			}
 		}
 	}
 	for _, u := range sc.Utterances {
 		at := logic.At(u.At)
+		mem := logic.MemberOf{Who: sc.ThresholdCP, T: at, G: sc.Group}
 		utts := make([]logic.Says, len(u.Signers))
 		for i, s := range u.Signers {
 			utts[i] = logic.Says{Who: s.Unbound(), T: at, X: logic.Sign(u.Content, s.Key)}
 		}
-		groupSays(logic.MemberOf{Who: sc.ThresholdCP, T: at, G: sc.Group}, u.At, utts)
+		groupSays(mem, u.At, utts)
+		for i := range utts {
+			groupSays(mem, u.At, slices.Delete(slices.Clone(utts), i, i+1))
+			if len(utts)-1 < sc.ThresholdCP.Threshold() {
+				mustRefuse()
+			}
+		}
 	}
 
 	// A22 for every formula the authority spoke: when it spoke a

@@ -65,9 +65,10 @@ func TestSoundnessQuick(t *testing.T) {
 
 // TestSoundnessPerAxiomCoverage checks the sampler applies every sampled
 // rule function non-vacuously, keyed by the Rule* label the engine's
-// proofs record, and applies no other.
+// proofs record, and applies no other; and that A35 and A38 are offered
+// premises they must refuse.
 func TestSoundnessPerAxiomCoverage(t *testing.T) {
-	byRule := make(map[string]int)
+	byRule, refusals := make(map[string]int), make(map[string]int)
 	for seed := int64(0); seed < 40; seed++ {
 		r, sc := generateRun(seed, DefaultConfig())
 		for _, in := range instances(r, sc) {
@@ -77,6 +78,9 @@ func TestSoundnessPerAxiomCoverage(t *testing.T) {
 			}
 			if !vac {
 				byRule[in.rule]++
+			}
+			if !vac && in.mustRefuse {
+				refusals[in.rule]++
 			}
 		}
 	}
@@ -93,6 +97,11 @@ func TestSoundnessPerAxiomCoverage(t *testing.T) {
 	}
 	for rule, n := range byRule {
 		t.Errorf("rule %s applied %d times, but is not on the sampled list", rule, n)
+	}
+	for _, rule := range []string{logic.RuleA35GroupSaysKey, logic.RuleA38Threshold} {
+		if refusals[rule] == 0 {
+			t.Errorf("rule %s never offered premises it must refuse", rule)
+		}
 	}
 }
 
@@ -135,7 +144,9 @@ func plantRun(t *testing.T) *Run {
 // sampled rule family, each on premises that hold, and requires the
 // checker to report it — the checker must be able to fail, otherwise
 // TestSoundnessAxiomsValid proves nothing. The A10 row plants a forged
-// signature in the run instead.
+// signature in the run instead, and the last row a conclusion the rule
+// should have refused: the run makes it true, and the checker must still
+// report it.
 func TestCheckInstanceDetectsViolation(t *testing.T) {
 	forgedRun := NewRun(100)
 	forgedRun.Generate("A", "Ka", 0)
@@ -227,6 +238,14 @@ func TestCheckInstanceDetectsViolation(t *testing.T) {
 				logic.Says{Who: a, T: at(11), X: logic.Sign(logic.Const{Value: "k"}, "Ka")},
 			},
 			conclusion: logic.GroupSays{G: logic.G("Gt"), T: at(11), X: logic.Const{Value: "k"}},
+		}},
+		{"A38: a quorum one co-signer short concluded, though the group says it", r, instance{
+			rule: logic.RuleA38Threshold, at: 9, mustRefuse: true,
+			premises: []logic.Formula{
+				logic.MemberOf{Who: cp, T: at(9), G: logic.G("Gt")},
+				logic.Says{Who: a, T: at(9), X: logic.Sign(logic.Const{Value: "j"}, "Ka")},
+			},
+			conclusion: logic.GroupSays{G: logic.G("Gt"), T: at(9), X: logic.Const{Value: "j"}},
 		}},
 	}
 	for _, tc := range cases {
