@@ -827,13 +827,14 @@ func TestShipperFollowsLatestHelloConnection(t *testing.T) {
 // TestShipperBoundsTailBatchBytes: 24 audit records of 1 MiB each land
 // behind a follower's cursor. One batch of them would be a frame of
 // 32 MiB once base64-encoded, over the transport's 16 MiB limit, so the
-// shipper trims each batch to tailBatchBytes of bodies, and the
-// follower reaches the head within a few heartbeats. (The follower says
+// shipper trims each batch to tailBatchBytes of encoded frames, and the
+// follower reaches the head within twenty heartbeats, a bound with room
+// for a loaded machine: unloaded it takes under two. (The follower says
 // hello after the appends, so the stream reads all 24 at once instead
 // of as they land.)
 func TestShipperBoundsTailBatchBytes(t *testing.T) {
 	w := newWriter(t)
-	const heartbeat = 500 * time.Millisecond
+	const heartbeat = time.Second
 	wnode, err := transport.ListenTCP("coalitiond", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -220,10 +220,9 @@ func (s *shipper) run(st *stream) {
 			continue
 		}
 		if len(recs) > 0 {
-			recs = tailBatch(recs)
-			if s.sendRecords(st, recs) {
-				cursor = recs[len(recs)-1].Seq
-				sinceSnapshot += len(recs)
+			if n, ok := s.sendRecords(st, recs); ok {
+				cursor = recs[n-1].Seq
+				sinceSnapshot += n
 			} else {
 				s.sleep(s.opts.Heartbeat)
 			}
@@ -272,26 +271,12 @@ func handoff(recs []wal.Record) []wal.Record {
 	return out
 }
 
-// tailBatchBytes bounds the record bodies one tail batch carries, as
-// handoffAuditBytes bounds a handoff's: Batch records of a few hundred
-// KB each, base64-encoded in the frame, would outgrow the transport's
-// 16 MiB frame limit, and the same batch would be read and refused again
-// on every retry.
-const tailBatchBytes = 4 << 20
-
-// tailBatch is the longest prefix of recs, a tail read, whose bodies fit
-// in tailBatchBytes, and never less than its first record: a record too
-// large for a frame on its own fails its send, and is counted in
-// repl_ship_errors_total.
-func tailBatch(recs []wal.Record) []wal.Record {
-	budget := tailBatchBytes
-	for i, r := range recs {
-		if budget -= len(r.Body); budget < 0 && i > 0 {
-			return recs[:i]
-		}
-	}
-	return recs
-}
+// tailBatchBytes bounds the encoded frames one tail batch carries, as
+// handoffAuditBytes bounds a handoff: Batch records of a few hundred KB
+// each would outgrow the transport's 16 MiB frame limit, and the same
+// batch would be read and refused again on every retry. 8 MiB of frames
+// is under 11 MiB once base64-encoded in the frame.
+const tailBatchBytes = 8 << 20
 
 // sendSnapshot ships the retained history's handoff + object store and,
 // on success, returns the follower's new cursor (the snapshot's last
@@ -330,18 +315,30 @@ func (s *shipper) sendSnapshot(st *stream) (uint64, bool) {
 	return lastSeq, true
 }
 
-// sendRecords ships one contiguous tail batch; reports success.
-func (s *shipper) sendRecords(st *stream, recs []wal.Record) bool {
-	frames, err := wal.EncodeFrames(recs)
-	if err != nil {
-		s.opts.Logf("replication: encode tail for %s: %v", st.follower, err)
-		return false
+// sendRecords ships one contiguous tail batch: the longest prefix of
+// recs whose encoded frames fit in tailBatchBytes, and never less than
+// the first record (one too large for a frame on its own fails its send,
+// counted in repl_ship_errors_total). It reports how many records it
+// shipped.
+func (s *shipper) sendRecords(st *stream, recs []wal.Record) (int, bool) {
+	var frames []byte
+	n := 0
+	for ; n < len(recs); n++ {
+		f, err := wal.EncodeFrames(recs[n : n+1])
+		if err != nil {
+			s.opts.Logf("replication: encode tail for %s: %v", st.follower, err)
+			return 0, false
+		}
+		if n > 0 && len(frames)+len(f) > tailBatchBytes {
+			break
+		}
+		frames = append(frames, f...)
 	}
 	if !s.send(st, kindRecords, recordsMsg{Frames: frames, Head: s.log.Seq(), Clock: s.now()}) {
-		return false
+		return 0, false
 	}
-	s.reg.Counter(metricRecordsShipped, "follower", st.follower).Add(int64(len(recs)))
-	return true
+	s.reg.Counter(metricRecordsShipped, "follower", st.follower).Add(int64(n))
+	return n, true
 }
 
 // sendStatus ships the idle heartbeat.
