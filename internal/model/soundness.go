@@ -282,7 +282,6 @@ func instances(r *Run, sc *scenario) []instance {
 	add := func(rule string, at clock.Time, conclusion logic.Formula, refusal error, premises ...logic.Formula) {
 		out = append(out, instance{rule: rule, premises: premises, conclusion: conclusion, refusal: refusal, at: at})
 	}
-	mustRefuse := func() { out[len(out)-1].mustRefuse = true }
 	for _, name := range r.Names() {
 		tr := r.Traces[name]
 		who := namedSubject(r, name)
@@ -354,7 +353,7 @@ func instances(r *Run, sc *scenario) []instance {
 	// bound member's utterances signed with its other key, and each
 	// quorum with one co-signer dropped that leaves it short of the
 	// threshold, must be refused.
-	groupSays := func(mem logic.MemberOf, at clock.Time, utts []logic.Says, keys ...logic.KeySpeaksFor) {
+	groupSays := func(mem logic.MemberOf, at clock.Time, mustRefuse bool, utts []logic.Says, keys ...logic.KeySpeaksFor) {
 		keyFor := func(who string) (logic.KeySpeaksFor, bool) {
 			for _, k := range keys {
 				if k.Who.String() == who {
@@ -371,12 +370,12 @@ func instances(r *Run, sc *scenario) []instance {
 		for _, u := range utts {
 			premises = append(premises, u)
 		}
-		add(rule, at, gs, err, premises...)
+		out = append(out, instance{rule: rule, premises: premises, conclusion: gs, refusal: err, mustRefuse: mustRefuse, at: at})
 	}
 	for _, e := range r.Traces[sc.PlainMember.Name].Events {
 		if e.Kind == EventSend {
 			at := logic.At(e.At)
-			groupSays(logic.MemberOf{Who: sc.PlainMember, T: at, G: sc.Group}, e.At,
+			groupSays(logic.MemberOf{Who: sc.PlainMember, T: at, G: sc.Group}, e.At, false,
 				[]logic.Says{{Who: sc.PlainMember, T: at, X: e.Msg}})
 		}
 	}
@@ -384,12 +383,9 @@ func instances(r *Run, sc *scenario) []instance {
 	for _, e := range r.Traces[bound.Name].Events {
 		if sig, ok := e.Msg.(logic.Signed); ok && e.Kind == EventSend {
 			at := logic.At(e.At)
-			groupSays(logic.MemberOf{Who: bound, T: at, G: sc.Group}, e.At,
+			groupSays(logic.MemberOf{Who: bound, T: at, G: sc.Group}, e.At, sig.K != bound.Key,
 				[]logic.Says{{Who: bound.Unbound(), T: at, X: sig}},
 				logic.KeySpeaksFor{K: bound.Key, T: at, Who: bound.Unbound()})
-			if sig.K != bound.Key {
-				mustRefuse()
-			}
 		}
 	}
 	for _, u := range sc.Utterances {
@@ -399,12 +395,9 @@ func instances(r *Run, sc *scenario) []instance {
 		for i, s := range u.Signers {
 			utts[i] = logic.Says{Who: s.Unbound(), T: at, X: logic.Sign(u.Content, s.Key)}
 		}
-		groupSays(mem, u.At, utts)
+		groupSays(mem, u.At, false, utts)
 		for i := range utts {
-			groupSays(mem, u.At, slices.Delete(slices.Clone(utts), i, i+1))
-			if len(utts)-1 < sc.ThresholdCP.Threshold() {
-				mustRefuse()
-			}
+			groupSays(mem, u.At, len(utts)-1 < sc.ThresholdCP.Threshold(), slices.Delete(slices.Clone(utts), i, i+1))
 		}
 	}
 
