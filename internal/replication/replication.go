@@ -102,7 +102,8 @@ type snapshotMsg struct {
 
 // recordsMsg is one shipped WAL tail batch.
 type recordsMsg struct {
-	// Frames holds a contiguous run of records, CRC-framed.
+	// Frames holds a contiguous run of records, CRC-framed, exactly as
+	// the writer's log stores them (wal.Log.ReadFrom).
 	Frames []byte `json:"frames"`
 	// Head is the writer's last assigned sequence at send time, for lag
 	// accounting.

@@ -201,7 +201,7 @@ func snapshotFrom(t *testing.T, w *writerFixture) snapshotMsg {
 // records message.
 func recordsFrom(t *testing.T, w *writerFixture, after uint64) recordsMsg {
 	t.Helper()
-	recs, err := w.log.ReadFrom(after, 0)
+	recs, _, err := w.log.ReadFrom(after, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

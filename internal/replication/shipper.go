@@ -202,7 +202,7 @@ func (s *shipper) run(st *stream) {
 			continue
 		}
 		notify := s.log.NotifyAppend()
-		recs, err := s.log.ReadFrom(cursor, s.opts.Batch)
+		recs, frames, err := s.log.ReadFrom(cursor, s.opts.Batch, tailBatchBytes)
 		switch {
 		case errors.Is(err, wal.ErrCompacted):
 			// The tail past the cursor was folded into the snapshot.
@@ -220,9 +220,9 @@ func (s *shipper) run(st *stream) {
 			continue
 		}
 		if len(recs) > 0 {
-			if n, ok := s.sendRecords(st, recs); ok {
-				cursor = recs[n-1].Seq
-				sinceSnapshot += n
+			if s.sendRecords(st, len(recs), frames) {
+				cursor = recs[len(recs)-1].Seq
+				sinceSnapshot += len(recs)
 			} else {
 				s.sleep(s.opts.Heartbeat)
 			}
@@ -271,11 +271,12 @@ func handoff(recs []wal.Record) []wal.Record {
 	return out
 }
 
-// tailBatchBytes bounds the encoded frames one tail batch carries, as
-// handoffAuditBytes bounds a handoff: Batch records of a few hundred KB
-// each would outgrow the transport's 16 MiB frame limit, and the same
-// batch would be read and refused again on every retry. 8 MiB of frames
-// is under 11 MiB once base64-encoded in the frame.
+// tailBatchBytes bounds the frames one tail batch carries (the byte
+// bound of wal.Log.ReadFrom), as handoffAuditBytes bounds a handoff:
+// Batch records of a few hundred KB each would outgrow the transport's
+// 16 MiB frame limit, and the same batch would be read and refused
+// again on every retry. 8 MiB of frames is under 11 MiB once
+// base64-encoded in the frame.
 const tailBatchBytes = 8 << 20
 
 // sendSnapshot ships the retained history's handoff + object store and,
@@ -315,30 +316,16 @@ func (s *shipper) sendSnapshot(st *stream) (uint64, bool) {
 	return lastSeq, true
 }
 
-// sendRecords ships one contiguous tail batch: the longest prefix of
-// recs whose encoded frames fit in tailBatchBytes, and never less than
-// the first record (one too large for a frame on its own fails its send,
-// counted in repl_ship_errors_total). It reports how many records it
-// shipped.
-func (s *shipper) sendRecords(st *stream, recs []wal.Record) (int, bool) {
-	var frames []byte
-	n := 0
-	for ; n < len(recs); n++ {
-		f, err := wal.EncodeFrames(recs[n : n+1])
-		if err != nil {
-			s.opts.Logf("replication: encode tail for %s: %v", st.follower, err)
-			return 0, false
-		}
-		if n > 0 && len(frames)+len(f) > tailBatchBytes {
-			break
-		}
-		frames = append(frames, f...)
-	}
+// sendRecords ships one contiguous tail batch of n records: their frames
+// as the log stores them, which wal.Log.ReadFrom bounds by
+// tailBatchBytes but never below the first record (one too large for a
+// frame on its own fails its send, counted in repl_ship_errors_total).
+func (s *shipper) sendRecords(st *stream, n int, frames []byte) bool {
 	if !s.send(st, kindRecords, recordsMsg{Frames: frames, Head: s.log.Seq(), Clock: s.now()}) {
-		return 0, false
+		return false
 	}
 	s.reg.Counter(metricRecordsShipped, "follower", st.follower).Add(int64(n))
-	return n, true
+	return true
 }
 
 // sendStatus ships the idle heartbeat.

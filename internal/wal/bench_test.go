@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,4 +75,33 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkReadFromTail measures the shipper's steady-state read: one
+// record past the cursor, at the head of a log of 10², 10³ and 10⁴
+// audit-sized (≈4 KB) records.
+func BenchmarkReadFromTail(b *testing.B) {
+	audit := body(strings.Repeat("a", 4<<10))
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			l, _, err := Open(b.TempDir(), Options{NoSync: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			for i := range n {
+				if _, err := l.Append(Record{Type: TypeAudit, At: clock.Time(i), Body: audit}, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			head := l.Seq()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if recs, _, err := l.ReadFrom(head-1, 1, 0); err != nil || len(recs) != 1 {
+					b.Fatalf("ReadFrom(%d, 1) = %d records, %v", head-1, len(recs), err)
+				}
+			}
+		})
+	}
 }

@@ -95,6 +95,12 @@ func (e *corruptError) Error() string {
 	return fmt.Sprintf("wal: corrupt record in %s at offset %d: %s", where, e.Offset, e.Reason)
 }
 
+// badChecksum reports the frame at off whose payload's CRC-32C, got, is
+// not the stored one.
+func badChecksum(off int64, stored, got uint32) *corruptError {
+	return &corruptError{Offset: off, Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", stored, got)}
+}
+
 // encodeFrame renders a record as one frame. The record is marshaled as
 // given; the caller assigns Seq first.
 func encodeFrame(rec Record) ([]byte, error) {
@@ -141,7 +147,7 @@ func Scan(data []byte) (recs []Record, validOff int64, torn string, corrupt *cor
 		crc := binary.LittleEndian.Uint32(data[off+4:])
 		payload := data[off+headerSize : off+headerSize+int(length)]
 		if got := crc32.Checksum(payload, crcTable); got != crc {
-			return recs, int64(off), "", &corruptError{Offset: int64(off), Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", crc, got)}
+			return recs, int64(off), "", badChecksum(int64(off), crc, got)
 		}
 		var r Record
 		if err := json.Unmarshal(payload, &r); err != nil {

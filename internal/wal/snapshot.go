@@ -158,6 +158,7 @@ func (l *Log) Compact(reduce func([]Record) []Record) error {
 		}
 	}
 	l.off = 0
+	l.frames = l.frames[:0]
 	l.count = len(all)
 	// The log file is empty now; contiguous tail reads are only possible
 	// for records appended after this point.
