@@ -2,9 +2,14 @@ package authz
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"jointadmin/internal/acl"
+	"jointadmin/internal/audit"
+	"jointadmin/internal/clock"
+	"jointadmin/internal/pki"
+	"jointadmin/internal/wal"
 )
 
 // BenchmarkAuthorizeWarm times one warm approval on the residual decider —
@@ -38,3 +43,64 @@ func BenchmarkAuthorizeWarm(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkApplyRevocation times one RA membership revocation on a
+// journaled server that first accepted 0, 100 or 1 000 unrelated group
+// links: the revocation's audit entry — rendered, encoded and journaled
+// once per revocation — must not grow with that history; audit-B/op is
+// the journaled audit record's size. Every iteration applies the
+// revocation to the same published state.
+func BenchmarkApplyRevocation(b *testing.B) {
+	f := newFixture(b)
+	rev, err := f.ra.Revoke(f.writeAC, f.clk.Now())
+	if err != nil {
+		b.Fatal(err)
+	}
+	links := make([]pki.Signed[pki.GroupLink], 1000)
+	for i := range links {
+		if links[i], err = f.est.AA.IssueGroupLink(fmt.Sprintf("G_hist%d", i), "G_read", clock.NewInterval(50, 5000)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for _, prior := range []int{0, 100, 1000} {
+		s := f.newServer(audit.NewLog())
+		j := &sizeJournal{}
+		if err := s.SetJournal(j); err != nil {
+			b.Fatal(err)
+		}
+		for _, l := range links[:prior] {
+			if err := s.Apply(ctx, GroupLink{Cert: l}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		base := s.state.Load()
+		b.Run(fmt.Sprintf("links=%d", prior), func(b *testing.B) {
+			j.auditBytes = 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := s.Apply(ctx, Revocation{Cert: rev}); err != nil {
+					b.Fatal(err)
+				}
+				s.state.Store(base)
+			}
+			b.ReportMetric(float64(j.auditBytes)/float64(b.N), "audit-B/op")
+		})
+	}
+}
+
+// sizeJournal discards what it is given, counting its audit bytes.
+type sizeJournal struct {
+	n          uint64
+	auditBytes int
+}
+
+func (j *sizeJournal) Append(rec wal.Record, _ bool) (uint64, error) {
+	if rec.Type == wal.TypeAudit {
+		j.auditBytes += len(rec.Body)
+	}
+	j.n++
+	return j.n, nil
+}
+
+func (j *sizeJournal) Empty() bool { return j.n == 0 }

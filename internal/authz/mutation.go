@@ -230,10 +230,13 @@ func (s *Server) applyCRL(crl pki.Signed[pki.CRL]) (applied int, err error) {
 // verification, which re-checks Revoked against the new snapshot.
 func (s *Server) applyRevocation(rev pki.Signed[pki.Revocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("membership", start, err) }(time.Now())
-	var trace string
+	// The entry keeps the revocation's own derivation — the steps its
+	// acceptance appended and what they cite — not the server's whole
+	// proof, and renders it when read (or journaled), outside s.mu.
+	var derivation logic.Derivation
 	err = accept(s, wal.TypeRevocation, rev, func(eng *logic.Engine, err error) {
 		if err == nil {
-			trace = eng.Proof().String()
+			derivation = eng.Proof().Justification()
 		}
 	})
 	if err != nil {
@@ -243,7 +246,7 @@ func (s *Server) applyRevocation(rev pki.Signed[pki.Revocation]) (err error) {
 		At: s.clk.Now(), Outcome: audit.RevocationRecorded, Server: s.name,
 		Requestor: rev.Cert.Issuer, Group: rev.Cert.Group,
 		Reason:     fmt.Sprintf("membership revoked effective %s", rev.Cert.EffectiveAt),
-		ProofTrace: trace,
+		Derivation: derivation,
 	})
 	return nil
 }

@@ -165,17 +165,76 @@ func (p *Proof) String() string {
 	fmt.Fprintf(&b, "Derivation at %s:\n", p.owner)
 	for _, seg := range p.base.chain() {
 		for _, s := range seg.steps {
-			b.WriteString("  ")
-			b.WriteString(s.String())
-			b.WriteByte('\n')
+			writeLine(&b, s)
 		}
 	}
 	for _, s := range p.steps {
-		b.WriteString("  ")
-		b.WriteString(s.String())
-		b.WriteByte('\n')
+		writeLine(&b, s)
 	}
 	return b.String()
+}
+
+// writeLine renders s as one indented line of a derivation.
+func writeLine(b *strings.Builder, s Step) {
+	b.WriteString("  ")
+	b.WriteString(s.String())
+	b.WriteByte('\n')
+}
+
+// Derivation is the part of a proof one conclusion rests on: a subset of
+// its steps, closed under premises, with their original IDs, in ID order.
+// It holds copies of the steps it keeps and nothing else of the proof.
+type Derivation struct {
+	owner string
+	steps []Step
+}
+
+// String renders the derivation as Proof.String renders the whole proof:
+// the same header and lines, without the steps no kept step cites.
+func (d Derivation) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Derivation at %s:\n", d.owner)
+	for _, s := range d.steps {
+		writeLine(&b, s)
+	}
+	return b.String()
+}
+
+// Justification returns the derivation of what the suffix concluded: the
+// suffix's steps and every step they cite, transitively. Each premise
+// still resolves to a line of it, so it is a complete derivation of the
+// suffix's conclusions, however long the sealed prefix it draws on. It
+// reads only the steps it keeps: a cited step is looked up in its segment
+// by ID (a chain of at most maxLayerDepth segments).
+func (p *Proof) Justification() Derivation {
+	keep := slices.Clone(p.steps)
+	seen := make(map[int]bool, 2*len(keep))
+	for _, s := range keep {
+		seen[s.ID] = true
+	}
+	for i := 0; i < len(keep); i++ {
+		for _, id := range keep[i].Premises {
+			if !seen[id] {
+				seen[id] = true
+				keep = append(keep, p.step(id))
+			}
+		}
+	}
+	slices.SortFunc(keep, func(a, b Step) int { return a.ID - b.ID })
+	return Derivation{owner: p.owner, steps: keep}
+}
+
+// step returns the step with the given ID, which must be one of the
+// proof's.
+func (p *Proof) step(id int) Step {
+	if id > p.baseLen {
+		return p.steps[id-p.baseLen-1]
+	}
+	seg := p.base
+	for seg.start > id {
+		seg = seg.parent
+	}
+	return seg.steps[id-seg.start]
 }
 
 // Segment is a self-contained run of recorded proof steps, cut from a
@@ -254,9 +313,7 @@ func (p *Proof) StringFrom(after int) string {
 	var b strings.Builder
 	line := func(s Step) {
 		if s.ID > after {
-			b.WriteString("  ")
-			b.WriteString(s.String())
-			b.WriteByte('\n')
+			writeLine(&b, s)
 		}
 	}
 	for _, seg := range p.base.chain() {

@@ -128,6 +128,12 @@ var rules = []rule{
 		except: []string{"authz/beliefs.go", "authz.Server.verifyDelegatedMembership"},
 		reason: "a belief certificate is decoded by its kind's row of the belief table (authz/beliefs.go) alone, for the live " +
 			"acceptance, a re-anchoring's carry and replay alike; a decode elsewhere is a second reading of a kind"},
+	{name: "whole-proof-render", kind: "use", what: []string{"logic.Proof.String"}, in: []string{"authz"},
+		except: []string{"authz.newResidueMemo"},
+		reason: "a whole proof's rendering grows with the server's history: internal/authz renders one whole only for the snapshot's " +
+			"shared base, once per snapshot on first need (newResidueMemo's baseTrace); a decision's audit entry keeps its proof for " +
+			"the log to render when read, and a revocation's keeps its own derivation (logic.Proof.Justification), not every step " +
+			"since the key epoch began"},
 	{name: "logic-ownership", kind: "import", what: []string{"sync", "sync/atomic", "reflect"}, in: []string{"logic"},
 		reason: "a sealed engine is read-only and shared, and an unsealed engine or a fork has one owner (logic.Engine.Seal); nothing " +
 			"in internal/logic is locked or memoized process-wide, so a sync or reflect import there is a lock, an atomic or a cache coming back"},

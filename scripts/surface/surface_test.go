@@ -154,6 +154,10 @@ func init() {
 		{"one-belief-table/decode", "internal/authz/plant_belief.go", `package authz
 import "jointadmin/internal/pki"
 func init() { _, _ = pki.Unmarshal[pki.Identity](nil) }`},
+		// A method value renders as surely as a call.
+		{"whole-proof-render", "internal/authz/plant_render.go", `package authz
+import "jointadmin/internal/logic"
+func init() { var eng *logic.Engine; render := eng.Proof().String; _ = render }`},
 		{"logic-ownership", "internal/logic/plant_sync.go", `package logic; import _ "sync/atomic"`},
 	}
 	extra := map[string]string{}
