@@ -14,8 +14,10 @@
 // (beliefs.go), idealized as the live derivation did, and installed at
 // the record's timestamp (belief.install), exactly as the live acceptance
 // tail does. Signatures are not re-checked: each record was verified
-// when first accepted and is CRC-protected at rest, and after a full
-// restart the signing keys may have been regenerated (the daemon's
+// when first accepted and is CRC-protected at rest, in the WAL's log
+// and its snapshot alike (one frame format, checked by wal.Scan
+// wherever it is read), and after a full restart the signing keys may
+// have been regenerated (the daemon's
 // authorities hold fresh keys every boot). Revocations match principal
 // *names* (logic.BeliefStore's subject aliasing), so a replayed
 // revocation of G_write over {alice, bob} blocks a re-issued certificate

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -169,5 +170,55 @@ func TestDaemonCompactionAcrossRestart(t *testing.T) {
 	}
 	if r := d2.Handle(ctx, Command{Cmd: "read", Signers: []string{"carol"}}); !r.OK {
 		t.Fatalf("post-restart read: %+v", r)
+	}
+}
+
+// TestSnapshotEditFailsClosed: replay skips signature checks because
+// every record is checksummed at rest, the compacted ones included. An
+// edit of a compacted revocation's body in the snapshot — G_write
+// renamed, so the revocation would name no group the write uses — must
+// stop the restart, as the same edit in the log does, rather than let
+// the revoked write through.
+func TestSnapshotEditFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	cfg.CompactBytes = 1 // the revocation lands in the snapshot
+	d1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if r := d1.Handle(ctx, Command{Cmd: "revoke"}); !r.OK {
+		t.Fatalf("revoke: %+v", r)
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, wal.SnapshotName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev := bytes.Index(data, []byte(`"type":"revocation"`))
+	if rev < 0 {
+		t.Fatal("the snapshot holds no revocation record")
+	}
+	g := bytes.Index(data[rev:], []byte("G_write"))
+	if g < 0 {
+		t.Fatal("the snapshot's revocation record does not name G_write")
+	}
+	copy(data[rev+g:], "G_wrhte")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := New(cfg)
+	if err == nil {
+		defer d2.Close()
+		r := d2.Handle(ctx, Command{Cmd: "write", Signers: []string{"alice", "bob"}, Data: "v2"})
+		t.Fatalf("daemon started over an edited snapshot; the revoked alice+bob write got %+v", r)
+	}
+	if !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("refusal does not name the corruption: %v", err)
 	}
 }

@@ -81,8 +81,9 @@ type helloMsg struct {
 
 // snapshotMsg is the writer → follower full-state handoff.
 type snapshotMsg struct {
-	// Frames is the full retained record history, CRC-framed exactly as
-	// on disk (wal.EncodeFrames / wal.Scan).
+	// Frames is the retained record history's handoff, its frames copied
+	// as the writer's snapshot and log store them (wal.Log.HistoryFrames);
+	// the follower's wal.Scan checks each one.
 	Frames []byte `json:"frames"`
 	// LastSeq is the sequence number of the last record in Frames; the
 	// first tail record shipped after this snapshot is LastSeq+1.

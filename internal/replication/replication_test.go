@@ -176,11 +176,7 @@ func (w *writerFixture) mutate(t *testing.T, tag string) {
 // message the shipper would send.
 func snapshotFrom(t *testing.T, w *writerFixture) snapshotMsg {
 	t.Helper()
-	recs, head, err := w.log.History()
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, err := wal.EncodeFrames(recs)
+	recs, frames, head, err := w.log.HistoryFrames(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +197,7 @@ func snapshotFrom(t *testing.T, w *writerFixture) snapshotMsg {
 // records message.
 func recordsFrom(t *testing.T, w *writerFixture, after uint64) recordsMsg {
 	t.Helper()
-	recs, _, err := w.log.ReadFrom(after, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, err := wal.EncodeFrames(recs)
+	_, frames, err := w.log.ReadFrom(after, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,21 +350,20 @@ func TestApplierRestartMidStream(t *testing.T) {
 func TestApplierPacesFailedInstall(t *testing.T) {
 	w := newWriter(t)
 	w.mutate(t, "uninstallable")
-	recs, head, err := w.log.History()
+	beliefs, frames, head, err := w.log.HistoryFrames(func(recs []wal.Record) []wal.Record {
+		var beliefs []wal.Record
+		for _, r := range recs {
+			if r.Type != wal.TypeAnchors {
+				beliefs = append(beliefs, r)
+			}
+		}
+		return beliefs
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var beliefs []wal.Record
-	for _, r := range recs {
-		if r.Type != wal.TypeAnchors {
-			beliefs = append(beliefs, r)
-		}
-	}
 	bad := snapshotFrom(t, w)
-	if bad.Frames, err = wal.EncodeFrames(beliefs); err != nil {
-		t.Fatal(err)
-	}
-	bad.LastSeq = beliefs[len(beliefs)-1].Seq
+	bad.Frames, bad.LastSeq = frames, beliefs[len(beliefs)-1].Seq
 
 	node := newFakeNode()
 	reg := obs.NewRegistry()

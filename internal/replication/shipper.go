@@ -285,15 +285,9 @@ const tailBatchBytes = 8 << 20
 // silence-triggered hello re-bases the stream — but a failure to even
 // capture the history does not.
 func (s *shipper) sendSnapshot(st *stream) (uint64, bool) {
-	recs, head, err := s.log.History()
+	recs, frames, head, err := s.log.HistoryFrames(handoff)
 	if err != nil {
 		s.opts.Logf("replication: history for %s: %v", st.follower, err)
-		return 0, false
-	}
-	recs = handoff(recs)
-	frames, err := wal.EncodeFrames(recs)
-	if err != nil {
-		s.opts.Logf("replication: encode history for %s: %v", st.follower, err)
 		return 0, false
 	}
 	var objs []acl.ObjectState

@@ -105,3 +105,64 @@ func BenchmarkReadFromTail(b *testing.B) {
 		})
 	}
 }
+
+// auditLog opens a log in a fresh directory holding n audit-sized (≈4 KB)
+// records, the first half compacted into the snapshot when split is set.
+func auditLog(b *testing.B, n int, split bool) *Log {
+	b.Helper()
+	l, _, err := Open(b.TempDir(), Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	audit := body(strings.Repeat("a", 4<<10))
+	for i := range n {
+		if split && i == n/2 {
+			if err := l.Compact(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := l.Append(Record{Type: TypeAudit, At: clock.Time(i), Body: audit}, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return l
+}
+
+// BenchmarkCompact measures one compaction of a retained history of 10²,
+// 10³ and 10⁴ audit-sized records: read the snapshot and the log, write
+// the new snapshot, truncate the log. Every iteration after the first
+// compacts the snapshot the one before it wrote.
+func BenchmarkCompact(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			l := auditLog(b, n, false)
+			defer l.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := l.Compact(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHistory measures the snapshot handoff's read of a retained
+// history of 10², 10³ and 10⁴ audit-sized records, half of them in the
+// snapshot and half in the log.
+func BenchmarkHistory(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			l := auditLog(b, n, true)
+			defer l.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if recs, _, err := l.History(); err != nil || len(recs) != n {
+					b.Fatalf("History = %d records, %v", len(recs), err)
+				}
+			}
+		})
+	}
+}

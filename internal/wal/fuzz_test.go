@@ -1,6 +1,7 @@
 // Fuzz and property tests for the frame format: whatever bytes land on
-// disk, Scan must classify them as a valid prefix, a torn tail, or
-// corruption — never accept altered data and never panic.
+// disk, in the log or the snapshot, Scan must classify them as a valid
+// prefix, a torn tail, or corruption — never accept altered data and
+// never panic.
 package wal
 
 import (
@@ -26,6 +27,10 @@ func frames(t testing.TB, n int) []byte {
 	return buf.Bytes()
 }
 
+// FuzzFrameScan feeds Scan arbitrary bytes. Scan is the only decoder of
+// durable bytes — the log, the snapshot (which stores the same frames)
+// and the frames a follower is shipped — so this covers the snapshot's
+// decoder too.
 func FuzzFrameScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frames(f, 1))

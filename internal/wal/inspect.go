@@ -8,8 +8,6 @@ package wal
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -83,46 +81,19 @@ func (in info) String() string {
 func Dump(dir string) ([]Record, info, error) {
 	in := info{Dir: dir, CountsByType: map[Type]int{}, LastEpoch: -1}
 
-	snapPath := filepath.Join(dir, SnapshotName)
-	snap, err := loadSnapshot(snapPath)
-	if err != nil {
-		if ce, ok := err.(*corruptError); ok {
-			in.Corrupt = ce.Error()
-			return nil, in, nil
-		}
+	h, err := readHistory(dir)
+	if ce, ok := err.(*corruptError); ok {
+		in.Corrupt = ce.Error()
+	} else if err != nil {
 		return nil, in, err
 	}
-	if st, err := os.Stat(snapPath); err == nil {
-		in.SnapshotBytes = st.Size()
+	in.SnapshotRecords, in.SnapshotLastSeq, in.SnapshotBytes = len(h.snap.recs), lastSeq(h.snap.recs), h.snap.size
+	in.LogRecords, in.LogBytes = len(h.log.recs), h.log.size
+	if h.log.torn != "" {
+		in.TornTail, in.TornOffset, in.TornReason = true, h.log.valid, h.log.torn
 	}
-	in.SnapshotRecords = len(snap.Records)
-	in.SnapshotLastSeq = snap.LastSeq
-
-	logPath := filepath.Join(dir, LogName)
-	data, err := os.ReadFile(logPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, in, fmt.Errorf("wal: read log: %w", err)
-	}
-	in.LogBytes = int64(len(data))
-	logRecs, validOff, torn, corrupt := Scan(data)
-	in.LogRecords = len(logRecs)
-	if corrupt != nil {
-		corrupt.Path = logPath
-		in.Corrupt = corrupt.Error()
-	}
-	if torn != "" {
-		in.TornTail, in.TornOffset, in.TornReason = true, validOff, torn
-	}
-
-	all := make([]Record, 0, len(snap.Records)+len(logRecs))
-	all = append(all, snap.Records...)
-	for _, r := range logRecs {
-		if r.Seq > snap.LastSeq {
-			all = append(all, r)
-		}
-	}
-	in.Records = len(all)
-	for _, r := range all {
+	in.Records = len(h.recs)
+	for _, r := range h.recs {
 		in.CountsByType[r.Type]++
 		in.LastSeq, in.LastAt = r.Seq, r.At
 		if r.Type == TypeAnchors {
@@ -134,5 +105,5 @@ func Dump(dir string) ([]Record, info, error) {
 			}
 		}
 	}
-	return all, in, nil
+	return h.recs, in, nil
 }

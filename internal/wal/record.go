@@ -1,6 +1,6 @@
 // Record types and the on-disk frame format.
 //
-// Every record is stored as one frame:
+// Every record is stored as one frame, in the log and the snapshot alike:
 //
 //	u32 LE payload length | u32 LE CRC-32C of payload | payload (JSON Record)
 //
@@ -82,7 +82,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // that fails its checksum or cannot be decoded. Recovery fails closed on
 // it — truncating past verified-bad data would silently forget state.
 type corruptError struct {
-	Path   string // log file path ("" when scanning a byte slice)
+	Path   string // the log's or the snapshot's path ("" for a byte slice)
 	Offset int64  // byte offset of the corrupt frame
 	Reason string
 }
@@ -118,8 +118,9 @@ func encodeFrame(rec Record) ([]byte, error) {
 	return frame, nil
 }
 
-// Scan parses a framed record stream. It returns the records of the
-// valid prefix, the offset where parsing stopped, and a non-empty torn
+// Scan parses a framed record stream: the log, the snapshot or shipped
+// frames, whose only decoder it is. It returns the records of the valid
+// prefix, the offset where parsing stopped, and a non-empty torn
 // reason when the stream ends in a partially written final frame (the
 // expected leftover of a crash mid-append — safe to truncate). Mid-log
 // corruption — a complete frame with a bad checksum, undecodable JSON,

@@ -1,90 +1,165 @@
-// Snapshot persistence and log compaction.
+// Snapshot persistence, log compaction, and the one reader of a data
+// directory's retained history.
 //
-// A snapshot is the compacted prefix of the record sequence, stored as
-// one JSON document and replaced atomically: the new snapshot is written
-// to a temporary file, fsynced, renamed over the old one, and the
-// directory is fsynced. A crash during compaction therefore leaves
-// either the old snapshot (rename not reached) or the new one; log
-// records the new snapshot already covers are skipped at Open by their
+// A snapshot is the compacted prefix of the record sequence, stored the
+// way the log stores records: the retained records' CRC-framed frames,
+// copied as stored and never re-encoded, so Scan checks every one of
+// them as it checks the log's. It is replaced atomically: the new
+// snapshot is written to a temporary file, fsynced, renamed over the old
+// one, and the directory is fsynced. A crash during compaction therefore
+// leaves either the old snapshot (rename not reached) or the new one,
+// and a torn snapshot is corruption, not a crash's leftover. The
+// snapshot's last sequence number is its last record's, always the
+// log's head at compaction; log records at or below it are leftovers of
+// a compaction cut short before the log's truncation, skipped by their
 // sequence numbers.
 
 package wal
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
-// snapshot is the on-disk compacted state.
-type snapshot struct {
-	// LastSeq is the highest sequence number the snapshot covers; log
-	// records at or below it are stale leftovers of an interrupted
-	// compaction.
-	LastSeq uint64 `json:"lastSeq"`
-	// Records is the retained record sequence, ascending by Seq.
-	Records []Record `json:"records"`
+// segment is one file of a data directory as Scan read it.
+type segment struct {
+	recs   []Record
+	frames [][]byte // frames[i] is recs[i]'s frame as stored
+	size   int64    // the file's length
+	valid  int64    // end of the valid prefix
+	torn   string   // why the file ends in a partial frame; "" if it does not
 }
 
-// loadSnapshot reads a snapshot file; a missing file is an empty
-// snapshot, an unreadable one fails closed.
-func loadSnapshot(path string) (snapshot, error) {
-	var s snapshot
+// readSegment reads and scans the file at path; a missing file is an
+// empty segment. Corruption returns a *corruptError naming the file,
+// with the segment read before it.
+func readSegment(path string) (segment, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return s, nil
+		return segment{}, nil
 	}
 	if err != nil {
-		return s, fmt.Errorf("wal: read snapshot: %w", err)
+		return segment{}, fmt.Errorf("wal: read %s: %w", path, err)
 	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, &corruptError{Path: path, Reason: "undecodable snapshot: " + err.Error()}
+	s := segment{size: int64(len(data))}
+	var corrupt *corruptError
+	s.recs, s.valid, s.torn, corrupt = Scan(data)
+	s.frames = make([][]byte, len(s.recs))
+	for i, off := 0, 0; i < len(s.recs); i++ {
+		end := off + headerSize + int(binary.LittleEndian.Uint32(data[off:]))
+		s.frames[i] = data[off:end:end]
+		off = end
 	}
-	var last uint64
-	for i, r := range s.Records {
-		if r.Seq <= last {
-			return s, &corruptError{Path: path, Reason: fmt.Sprintf("snapshot record %d: sequence regression: %d after %d", i, r.Seq, last)}
-		}
-		last = r.Seq
-	}
-	if last > s.LastSeq {
-		return s, &corruptError{Path: path, Reason: fmt.Sprintf("snapshot lastSeq %d below contained record %d", s.LastSeq, last)}
+	if corrupt != nil {
+		corrupt.Path = path
+		return s, corrupt
 	}
 	return s, nil
 }
 
-// saveSnapshot writes a snapshot atomically (temp file + fsync + rename
-// + directory fsync).
-func saveSnapshot(dir string, s snapshot, nosync bool) error {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("wal: encode snapshot: %w", err)
+// history is a data directory's retained record sequence: the snapshot's
+// records, then the log's records past the snapshot's last sequence
+// number, each beside its frame as stored.
+type history struct {
+	snap, log segment
+	recs      []Record
+	frames    [][]byte
+}
+
+// readHistory reads dir's retained history: Open, Compact, History,
+// HistoryFrames and Dump all read a data directory through it. Corruption
+// in either file, a torn snapshot included (it is written whole or not
+// at all), returns a *corruptError naming the file, with the history read
+// before it. A torn log tail is left in h.log.torn for the caller.
+func readHistory(dir string) (h history, err error) {
+	// snapshot.json is the snapshot of before snapshots were framed: a
+	// JSON document without checksums, refused rather than migrated.
+	old := filepath.Join(dir, "snapshot.json")
+	if _, err := os.Stat(old); err == nil {
+		return h, fmt.Errorf("wal: %s is a snapshot in the format before CRC-framed snapshots, which this build does not read; "+
+			"recover from a fresh data directory (docs/OPERATIONS.md)", old)
 	}
+	path := filepath.Join(dir, SnapshotName)
+	h.snap, err = readSegment(path)
+	h.recs, h.frames = h.snap.recs, h.snap.frames
+	if err != nil {
+		return h, err
+	}
+	if h.snap.torn != "" {
+		return h, &corruptError{Path: path, Offset: h.snap.valid, Reason: "torn snapshot: " + h.snap.torn}
+	}
+	floor := lastSeq(h.snap.recs)
+	h.log, err = readSegment(filepath.Join(dir, LogName))
+	for i, r := range h.log.recs {
+		if r.Seq > floor {
+			h.recs = append(h.recs, r)
+			h.frames = append(h.frames, h.log.frames[i])
+		}
+	}
+	return h, err
+}
+
+// lastSeq is the sequence number of the last of recs, 0 for none.
+func lastSeq(recs []Record) uint64 {
+	if n := len(recs); n > 0 {
+		return recs[n-1].Seq
+	}
+	return 0
+}
+
+// keep applies reduce (nil keeps everything) to a copy of the retained
+// records and returns the records it kept with their frames as stored,
+// end to end. reduce must return records of its argument in their order;
+// they are matched by Seq, and any other field it changes is not stored.
+func (h history) keep(reduce func([]Record) []Record) ([]Record, []byte, error) {
+	kept := h.recs
+	if reduce != nil {
+		kept = reduce(slices.Clone(h.recs))
+	}
+	idx := make([]int, 0, len(kept))
+	size, i := 0, 0
+	for _, r := range kept {
+		for i < len(h.recs) && h.recs[i].Seq < r.Seq {
+			i++
+		}
+		if i == len(h.recs) || h.recs[i].Seq != r.Seq {
+			return nil, nil, fmt.Errorf("wal: kept record %d is not a retained record in sequence order", r.Seq)
+		}
+		idx = append(idx, i)
+		size += len(h.frames[i])
+		i++
+	}
+	frames := make([]byte, 0, size)
+	for _, i := range idx {
+		frames = append(frames, h.frames[i]...)
+	}
+	return kept, frames, nil
+}
+
+// saveSnapshot writes a snapshot's frames atomically (temp file + fsync
+// + rename + directory fsync).
+func saveSnapshot(dir string, frames []byte, nosync bool) error {
 	tmp := filepath.Join(dir, SnapshotName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create snapshot temp: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	_, err = f.Write(frames)
+	if err == nil && !nosync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, SnapshotName))
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-	if !nosync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("wal: sync snapshot: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, SnapshotName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: rename snapshot: %w", err)
 	}
 	if !nosync {
 		// Persist the rename itself; best-effort where directories cannot
@@ -97,11 +172,14 @@ func saveSnapshot(dir string, s snapshot, nosync bool) error {
 	return nil
 }
 
-// Compact folds the entire recovered record sequence into the snapshot
+// Compact folds the entire retained record sequence into the snapshot
 // file and truncates the log, bounding recovery time and disk use.
-// reduce selects which records the snapshot retains (nil keeps all);
-// records it drops are gone from future recoveries, so reducers must
-// keep everything replay still needs — see CompactPolicy.
+// reduce selects which records the snapshot retains (nil keeps all),
+// as HistoryFrames' keep does; records it drops are gone from future
+// recoveries, so reducers must keep everything replay still needs — see
+// CompactPolicy. The snapshot's last record is its last sequence number,
+// so a reducer that drops the head record fails the compaction, with no
+// file touched: Open would hand out its sequence number again.
 func (l *Log) Compact(reduce func([]Record) []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -117,34 +195,22 @@ func (l *Log) Compact(reduce func([]Record) []Record) error {
 			return fmt.Errorf("wal: fsync before compaction: %w", l.syncErr)
 		}
 	}
-	snap, err := loadSnapshot(filepath.Join(l.dir, SnapshotName))
+	h, err := readHistory(l.dir)
 	if err != nil {
 		return err
 	}
-	data := make([]byte, l.off)
-	if _, err := l.f.ReadAt(data, 0); err != nil {
-		return fmt.Errorf("wal: read log for compaction: %w", err)
+	if h.log.torn != "" {
+		// Cannot happen: a failed append stops the log above.
+		return fmt.Errorf("wal: log tail torn during compaction: %s", h.log.torn)
 	}
-	logRecs, _, torn, corrupt := Scan(data)
-	if corrupt != nil {
-		corrupt.Path = l.path
-		return corrupt
+	kept, frames, err := h.keep(reduce)
+	if err != nil {
+		return err
 	}
-	if torn != "" {
-		// Cannot happen: l.off only ever covers fully written frames.
-		return fmt.Errorf("wal: log tail torn during compaction: %s", torn)
+	if last := lastSeq(kept); last != l.seq {
+		return fmt.Errorf("wal: compaction reducer dropped the head record %d (its last kept record is %d)", l.seq, last)
 	}
-	all := make([]Record, 0, len(snap.Records)+len(logRecs))
-	all = append(all, snap.Records...)
-	for _, r := range logRecs {
-		if r.Seq > snap.LastSeq {
-			all = append(all, r)
-		}
-	}
-	if reduce != nil {
-		all = reduce(all)
-	}
-	if err := saveSnapshot(l.dir, snapshot{LastSeq: l.seq, Records: all}, l.opts.NoSync); err != nil {
+	if err := saveSnapshot(l.dir, frames, l.opts.NoSync); err != nil {
 		return err
 	}
 	if err := l.f.Truncate(0); err != nil {
@@ -159,7 +225,7 @@ func (l *Log) Compact(reduce func([]Record) []Record) error {
 	}
 	l.off = 0
 	l.frames = l.frames[:0]
-	l.count = len(all)
+	l.count = len(kept)
 	// The log file is empty now; contiguous tail reads are only possible
 	// for records appended after this point.
 	l.tailFloor = l.seq

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -103,14 +102,13 @@ type framePos struct {
 	off int64
 }
 
-// indexFrames indexes the frames of data, a log prefix Scan decoded
-// into recs without corruption or a torn tail.
-func indexFrames(data []byte, recs []Record) []framePos {
+// indexFrames indexes a log file's frames, each beside its record.
+func indexFrames(frames [][]byte, recs []Record) []framePos {
 	idx := make([]framePos, len(recs))
-	off := 0
+	var off int64
 	for i, r := range recs {
-		idx[i] = framePos{seq: r.Seq, off: int64(off)}
-		off += headerSize + int(binary.LittleEndian.Uint32(data[off:]))
+		idx[i] = framePos{seq: r.Seq, off: off}
+		off += int64(len(frames[i]))
 	}
 	return idx
 }
@@ -184,27 +182,36 @@ func (l *Log) History() ([]Record, uint64, error) {
 	if l.closed {
 		return nil, 0, ErrClosed
 	}
-	snap, err := loadSnapshot(filepath.Join(l.dir, SnapshotName))
+	h, err := readHistory(l.dir)
 	if err != nil {
 		return nil, 0, err
 	}
-	data := make([]byte, l.off)
-	if _, err := l.f.ReadAt(data, 0); err != nil {
-		return nil, 0, fmt.Errorf("wal: read log for history: %w", err)
+	return h.recs, l.seq, nil
+}
+
+// HistoryFrames returns the records keep selects from the retained
+// history (nil keeps them all; keep's contract is Compact's reduce's),
+// their frames end to end exactly as the snapshot and the log store
+// them, and the head sequence number, as History does. The replication
+// shipper's snapshot handoff ships these frames, so every shipped record
+// carries the checksum it was written with: damage in transit (or a
+// buggy peer) surfaces as a *corruptError at the applier's Scan, which
+// fails closed exactly like corruption at recovery.
+func (l *Log) HistoryFrames(keep func([]Record) []Record) ([]Record, []byte, uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, nil, 0, ErrClosed
 	}
-	logRecs, _, _, corrupt := Scan(data)
-	if corrupt != nil {
-		corrupt.Path = l.path
-		return nil, 0, corrupt
+	h, err := readHistory(l.dir)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	all := make([]Record, 0, len(snap.Records)+len(logRecs))
-	all = append(all, snap.Records...)
-	for _, r := range logRecs {
-		if r.Seq > snap.LastSeq {
-			all = append(all, r)
-		}
+	recs, frames, err := h.keep(keep)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	return all, l.seq, nil
+	return recs, frames, l.seq, nil
 }
 
 // NotifyAppend returns a channel that is closed by the next Append (or
@@ -233,24 +240,4 @@ func (l *Log) wakeFollowersLocked() {
 		close(l.notify)
 		l.notify = nil
 	}
-}
-
-// EncodeFrames renders records in the log's CRC-framed wire format — the
-// same encoding Scan decodes and verifies. The replication shipper uses
-// it for the snapshot handoff, whose records are not all in the log
-// file (tail batches ship ReadFrom's frames as stored), so shipped
-// records carry the log's own integrity protection either way:
-// corruption in transit (or a buggy peer) surfaces as a *corruptError at
-// the applier, which fails closed exactly like mid-log corruption at
-// recovery.
-func EncodeFrames(recs []Record) ([]byte, error) {
-	var out []byte
-	for _, r := range recs {
-		frame, err := encodeFrame(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, frame...)
-	}
-	return out, nil
 }

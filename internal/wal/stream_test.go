@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -184,21 +185,22 @@ func TestNotifyAppendWakes(t *testing.T) {
 	}
 }
 
-// TestEncodeFramesRoundTrip checks the shipped wire format is exactly the
-// on-disk format: Scan decodes EncodeFrames output bit-for-bit, and a
-// flipped byte surfaces as a corruptError (the applier's fail-closed path).
-func TestEncodeFramesRoundTrip(t *testing.T) {
+// TestHistoryFramesRoundTrip checks the handoff ships the stored frames:
+// Scan decodes HistoryFrames' output, from the snapshot and the log, to
+// exactly its records, and a flipped byte surfaces as a corruptError
+// (the applier's fail-closed path).
+func TestHistoryFramesRoundTrip(t *testing.T) {
 	l, _, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	appendN(t, l, 3, TypeRevocation)
-	recs, _, err := l.ReadFrom(0, 0, 0)
-	if err != nil {
+	if err := l.Compact(nil); err != nil {
 		t.Fatal(err)
 	}
-	frames, err := EncodeFrames(recs)
+	appendN(t, l, 2, TypeAudit)
+	recs, frames, head, err := l.HistoryFrames(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +208,8 @@ func TestEncodeFramesRoundTrip(t *testing.T) {
 	if corrupt != nil || torn != "" {
 		t.Fatalf("round trip failed: corrupt=%v torn=%q", corrupt, torn)
 	}
-	if len(got) != 3 || got[0].Seq != 1 || got[2].Seq != 3 {
-		t.Fatalf("round trip records wrong: %+v", got)
+	if len(got) != 5 || head != 5 || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("round trip records %v (head %d), HistoryFrames returned %v", seqs(got), head, seqs(recs))
 	}
 	// Damage one payload byte: the CRC must catch it.
 	bad := append([]byte(nil), frames...)

@@ -76,14 +76,14 @@ func oracleByteBound(recs []Record, maxBytes int, frame func(Record) []byte) []R
 // bound of the differential test.
 func checkTail(t *testing.T, l *Log, step string) {
 	t.Helper()
-	// EncodeFrames of a batch is its records' frames end to end, so each
+	// A batch's frames are its records' encodeFrame end to end, so each
 	// record is encoded once per check.
 	encoded := map[uint64][]byte{}
 	frame := func(r Record) []byte {
 		f, ok := encoded[r.Seq]
 		if !ok {
 			var err error
-			if f, err = EncodeFrames([]Record{r}); err != nil {
+			if f, err = encodeFrame(r); err != nil {
 				t.Fatal(err)
 			}
 			encoded[r.Seq] = f
@@ -121,10 +121,124 @@ func checkTail(t *testing.T, l *Log, step string) {
 					enc = append(enc, frame(r)...)
 				}
 				if !bytes.Equal(frames, enc) {
-					t.Fatalf("%s: ReadFrom(%d, %d, %d): frames (%d bytes) differ from EncodeFrames of its records (%d bytes)", step, after, max, maxBytes, len(frames), len(enc))
+					t.Fatalf("%s: ReadFrom(%d, %d, %d): frames (%d bytes) differ from encodeFrame of its records (%d bytes)", step, after, max, maxBytes, len(frames), len(enc))
 				}
 			}
 		}
+	}
+}
+
+// oracleHistory is the assembly of a data directory that Open, Compact,
+// History and Dump each carried a copy of before they shared one reader,
+// kept as the reference they are checked against: the snapshot's
+// records, then the log's records above the snapshot's last sequence
+// number.
+func oracleHistory(t *testing.T, dir string) []Record {
+	t.Helper()
+	read := func(name string) []Record {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if os.IsNotExist(err) {
+			return nil
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, _, corrupt := Scan(data)
+		if corrupt != nil {
+			t.Fatal(corrupt)
+		}
+		return recs
+	}
+	all := read(SnapshotName)
+	var last uint64
+	if n := len(all); n > 0 {
+		last = all[n-1].Seq
+	}
+	for _, r := range read(LogName) {
+		if r.Seq > last {
+			all = append(all, r)
+		}
+	}
+	return all
+}
+
+// sameRecords reports whether got and want hold the same records (nil
+// and empty alike).
+func sameRecords(got, want []Record) bool {
+	return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
+}
+
+// checkHistory compares every reader of the data directory against the
+// oracle assembly: History's records and head, HistoryFrames' records
+// and frames (encodeFrame of each record, byte for byte), for the whole
+// history and for a handoff-like selection, Dump's records, and the
+// records Open recovers from a copy of the directory.
+func checkHistory(t *testing.T, l *Log, dir, step string) {
+	t.Helper()
+	want := oracleHistory(t, dir)
+	if n := len(want); n > 0 && want[n-1].Seq != l.Seq() {
+		t.Fatalf("%s: the oracle history ends at %d, the log's head is %d", step, want[n-1].Seq, l.Seq())
+	}
+	recs, head, err := l.History()
+	if err != nil || head != l.Seq() || !sameRecords(recs, want) {
+		t.Fatalf("%s: History = %v head %d (%v), oracle %v head %d", step, seqs(recs), head, err, seqs(want), l.Seq())
+	}
+	// Every third record and the head, as the handoff keeps state records
+	// and the last one.
+	sparse := func(recs []Record) []Record {
+		var out []Record
+		for i, r := range recs {
+			if i%3 == 0 || i == len(recs)-1 {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	for _, keep := range []func([]Record) []Record{nil, sparse} {
+		w := want
+		if keep != nil {
+			w = sparse(want)
+		}
+		kept, frames, head, err := l.HistoryFrames(keep)
+		if err != nil || head != l.Seq() || !sameRecords(kept, w) {
+			t.Fatalf("%s: HistoryFrames = %v head %d (%v), oracle %v", step, seqs(kept), head, err, seqs(w))
+		}
+		var enc []byte
+		for _, r := range w {
+			f, err := encodeFrame(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc = append(enc, f...)
+		}
+		if !bytes.Equal(frames, enc) {
+			t.Fatalf("%s: HistoryFrames' frames (%d bytes) differ from encodeFrame of its records (%d bytes)", step, len(frames), len(enc))
+		}
+	}
+	dumped, info, err := Dump(dir)
+	if err != nil || !info.Healthy() || !sameRecords(dumped, want) {
+		t.Fatalf("%s: Dump = %v (%v, %q), oracle %v", step, seqs(dumped), err, info.Corrupt, seqs(want))
+	}
+	cp := t.TempDir()
+	for _, name := range []string{SnapshotName, LogName} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopened, recovered, err := Open(cp, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", step, err)
+	}
+	reopened.Close()
+	if !sameRecords(recovered, want) {
+		t.Fatalf("%s: a reopen recovers %v, oracle %v", step, seqs(recovered), seqs(want))
 	}
 }
 
@@ -141,7 +255,8 @@ func seqs(recs []Record) []uint64 {
 // Open, and compactions cut short between the snapshot's rename and the
 // log's truncation, which leave records at or below the snapshot's
 // LastSeq in the file — and after every step checks ReadFrom against the
-// whole-log scan it replaced.
+// whole-log scan it replaced, and every reader of the data directory
+// against the snapshot-then-log assembly (checkHistory).
 func TestReadFromMatchesOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -228,6 +343,7 @@ func TestReadFromMatchesOracle(t *testing.T) {
 					l = open()
 				}
 				checkTail(t, l, fmt.Sprintf("step %d (%s)", step, what))
+				checkHistory(t, l, dir, fmt.Sprintf("step %d (%s)", step, what))
 			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package wal is the durable record of coalition belief state: an
 // append-only, CRC-framed, fsync-batched write-ahead log plus an atomic
-// snapshot for compaction.
+// snapshot for compaction, framed the same way.
 //
 // The paper's guarantees hinge on time-stamped distribution and
 // revocation of certificates that servers "believe until revoked"
@@ -37,8 +37,9 @@ import (
 const (
 	// LogName is the append-only record file.
 	LogName = "wal.log"
-	// SnapshotName is the compacted-state file (written atomically).
-	SnapshotName = "snapshot.json"
+	// SnapshotName is the compacted-state file: the retained records'
+	// frames, as the log stores them, written atomically.
+	SnapshotName = "snapshot.wal"
 )
 
 // Metric names (registered on the injected obs.Registry).
@@ -123,8 +124,10 @@ type Log struct {
 // Open opens (creating if needed) the write-ahead log in dir and returns
 // it together with the full recovered record sequence — snapshot records
 // first, then the log's — for the caller to replay. A torn final record
-// is truncated with a warning through Options.Logf; mid-log corruption
-// returns a *corruptError and no log.
+// of the log is truncated with a warning through Options.Logf;
+// corruption in the log or the snapshot returns a *corruptError and no
+// log. A directory that still holds a snapshot.json, the JSON snapshot
+// of before snapshots were framed, is refused with an error naming it.
 func Open(dir string, opts Options) (*Log, []Record, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -132,7 +135,7 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: create data dir: %w", err)
 	}
-	snap, err := loadSnapshot(filepath.Join(dir, SnapshotName))
+	h, err := readHistory(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -141,21 +144,10 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open log: %w", err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: read log: %w", err)
-	}
-	recs, validOff, torn, corrupt := Scan(data)
-	if corrupt != nil {
-		f.Close()
-		corrupt.Path = path
-		return nil, nil, corrupt
-	}
-	if torn != "" {
+	if h.log.torn != "" {
 		opts.Logf("wal: torn final record in %s at offset %d (%s): truncating %d bytes",
-			path, validOff, torn, int64(len(data))-validOff)
-		if err := f.Truncate(validOff); err != nil {
+			path, h.log.valid, h.log.torn, h.log.size-h.log.valid)
+		if err := f.Truncate(h.log.valid); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("wal: truncate torn record: %w", err)
 		}
@@ -167,43 +159,27 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 		}
 		opts.Metrics.Counter(metricTornTruncations).Inc()
 	}
-	// Index before the filter below reuses recs' array.
-	frames := indexFrames(data, recs)
-	// A crash between snapshot rename and log truncate during compaction
-	// leaves log records the snapshot already covers; skip them (the
-	// frame index keeps them: they are still in the file).
-	kept := recs[:0]
-	for _, r := range recs {
-		if r.Seq > snap.LastSeq {
-			kept = append(kept, r)
-		}
-	}
-	all := make([]Record, 0, len(snap.Records)+len(kept))
-	all = append(all, snap.Records...)
-	all = append(all, kept...)
-
-	last := snap.LastSeq
-	if n := len(kept); n > 0 {
-		last = kept[n-1].Seq
-	}
+	last := lastSeq(h.recs)
 	l := &Log{
 		dir:       dir,
 		path:      path,
 		opts:      opts,
 		reg:       opts.Metrics,
 		f:         f,
-		off:       validOff,
+		off:       h.log.valid,
 		seq:       last,
 		syncedSeq: last,
-		count:     len(all),
-		tailFloor: snap.LastSeq,
-		frames:    frames,
+		count:     len(h.recs),
+		tailFloor: lastSeq(h.snap.recs),
+		// The index holds every frame in the file, those a compaction cut
+		// short left at or below the snapshot's last record included.
+		frames: indexFrames(h.log.frames, h.log.recs),
 	}
 	l.cond = sync.NewCond(&l.mu)
-	for _, r := range all {
+	for _, r := range h.recs {
 		l.reg.Counter(metricReplayRecords, "type", string(r.Type)).Inc()
 	}
-	return l, all, nil
+	return l, h.recs, nil
 }
 
 // Append assigns the record its sequence number, frames it, and writes

@@ -134,6 +134,14 @@ var rules = []rule{
 			"shared base, once per snapshot on first need (newResidueMemo's baseTrace); a decision's audit entry keeps its proof for " +
 			"the log to render when read, and a revocation's keeps its own derivation (logic.Proof.Justification), not every step " +
 			"since the key epoch began"},
+	{name: "one-frame-format/json", kind: "use", what: []string{"encoding/json.Marshal", "encoding/json.Unmarshal"}, in: []string{"wal"},
+		except: []string{"wal.encodeFrame", "wal.Scan", "wal.Dump"},
+		reason: "the log and the snapshot store one format, CRC-framed records: encodeFrame is its only encoder and Scan, which " +
+			"checks every frame, its only decoder (Dump's epoch peek reads a record Scan decoded); a JSON document elsewhere in " +
+			"internal/wal is a second format at rest, with no checksum for replay's skipped signature checks to stand on"},
+	{name: "one-frame-format/encode", kind: "use", what: []string{"wal.encodeFrame"}, except: []string{"wal.Log.Append"},
+		reason: "a record is encoded once, when Append writes it; compaction and the snapshot handoff copy its stored frame, and " +
+			"a second encoding would be a second byte string for the same record (ROADMAP item 24)"},
 	{name: "logic-ownership", kind: "import", what: []string{"sync", "sync/atomic", "reflect"}, in: []string{"logic"},
 		reason: "a sealed engine is read-only and shared, and an unsealed engine or a fork has one owner (logic.Engine.Seal); nothing " +
 			"in internal/logic is locked or memoized process-wide, so a sync or reflect import there is a lock, an atomic or a cache coming back"},

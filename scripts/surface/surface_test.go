@@ -158,6 +158,11 @@ func init() { _, _ = pki.Unmarshal[pki.Identity](nil) }`},
 		{"whole-proof-render", "internal/authz/plant_render.go", `package authz
 import "jointadmin/internal/logic"
 func init() { var eng *logic.Engine; render := eng.Proof().String; _ = render }`},
+		{"one-frame-format/json", "internal/wal/plant_json.go", `package wal
+import "encoding/json"
+func init() { _, _ = json.Marshal(Record{}) }`},
+		{"one-frame-format/encode", "internal/wal/plant_encode.go", `package wal
+func init() { _, _ = encodeFrame(Record{}) }`},
 		{"logic-ownership", "internal/logic/plant_sync.go", `package logic; import _ "sync/atomic"`},
 	}
 	extra := map[string]string{}
