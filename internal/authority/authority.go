@@ -57,6 +57,13 @@ func NewDomainCA(name string, bits int, clk *clock.Clock) (*DomainCA, error) {
 	return &DomainCA{name: name, key: kp, clk: clk, users: make(map[string]sharedrsa.PublicKey)}, nil
 }
 
+// Readmit returns the CA under ca's name and key with an empty user
+// registry: a domain's CA as its domain rejoins a coalition it left, its
+// users to be enrolled again. ca itself is unchanged.
+func (ca *DomainCA) Readmit() *DomainCA {
+	return &DomainCA{name: ca.name, key: ca.key, clk: ca.clk, users: make(map[string]sharedrsa.PublicKey)}
+}
+
 // Name returns the CA's name.
 func (ca *DomainCA) Name() string { return ca.name }
 

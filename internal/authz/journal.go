@@ -5,8 +5,14 @@
 // delegation, group-graph link, re-anchoring) is appended to the attached
 // journal *before* the new snapshot is published — write-ahead in the
 // strict sense: a mutation the caller saw acknowledged is on stable
-// storage. Audit entries are journaled too, on the group-commit path (no
-// fsync wait — decisions are observability, not preconditions).
+// storage. Audit entries are journaled too, with wait=false: nothing
+// waits on them, so with a group-commit window (wal.Options.BatchWindow
+// > 0) an audit append returns before its flush. With no window — the
+// daemon's and coalitiond's default — wal.Log.Append fsyncs every record
+// inline, under the log's lock, whatever wait says: an audit append then
+// costs its caller an fsync like any record, and the acknowledgement of
+// a mutation that records an audit entry (a revocation does) waits for
+// two, its record's and its entry's.
 //
 // Replay — crash recovery here, a replication follower through
 // replica.go — runs one function for every belief record (replayRecord):
@@ -221,9 +227,10 @@ func auditRecord(e audit.Entry, at clock.Time) (wal.Record, error) {
 }
 
 // audit records an entry in the in-memory audit log and, when a journal
-// is attached, appends it as a WAL audit record on the group-commit path
-// (wait=false). The WAL keeps text, so a journaled entry's derivation is
-// rendered here, once, for both.
+// is attached, appends it as a WAL audit record with wait=false, which
+// skips the wait for a group-commit flush but not the inline fsync of a
+// log with no batch window (see the file comment). The WAL keeps text,
+// so a journaled entry's derivation is rendered here, once, for both.
 func (s *Server) audit(e audit.Entry) {
 	j := s.journalRef()
 	if j != nil && e.Derivation != nil {

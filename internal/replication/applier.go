@@ -85,7 +85,8 @@ type Status struct {
 	// time is not believable here until Clock catches up.
 	Clock clock.Time `json:"clock"`
 	// LastError is why the applier last rejected a frame ("" if it never
-	// has); each rejection also counts in repl_apply_errors_total.
+	// has); each rejection also counts in repl_apply_errors_total under
+	// its reason.
 	LastError string `json:"lastError,omitempty"`
 }
 
@@ -206,21 +207,21 @@ func (a *Applier) Handle(kind string, payload []byte) {
 	case kindSnapshot:
 		var msg snapshotMsg
 		if err := json.Unmarshal(payload, &msg); err != nil {
-			a.applyError("decode snapshot: %v", err)
+			a.applyError(reasonDecode, "decode snapshot: %v", err)
 			return
 		}
 		a.applySnapshot(msg)
 	case kindRecords:
 		var msg recordsMsg
 		if err := json.Unmarshal(payload, &msg); err != nil {
-			a.applyError("decode records: %v", err)
+			a.applyError(reasonDecode, "decode records: %v", err)
 			return
 		}
 		a.applyRecords(msg)
 	case kindStatus:
 		var msg statusMsg
 		if err := json.Unmarshal(payload, &msg); err != nil {
-			a.applyError("decode status: %v", err)
+			a.applyError(reasonDecode, "decode status: %v", err)
 			return
 		}
 		a.applyStatus(msg)
@@ -248,13 +249,13 @@ func (a *Applier) applySnapshot(msg snapshotMsg) {
 		// Boundary mismatch: the handoff must contain exactly the records
 		// through its declared LastSeq, or the next tail record would not
 		// be LastSeq+1.
-		a.applyError("snapshot boundary: %d records, declared last seq %d", len(recs), msg.LastSeq)
+		a.applyError(reasonBoundary, "snapshot boundary: %d records, declared last seq %d", len(recs), msg.LastSeq)
 		return
 	}
 	clk := clock.New(msg.Clock)
 	store := acl.NewStore(clk)
 	if err := store.Import(msg.Objects, a.opts.Follower); err != nil {
-		a.applyError("import objects: %v", err)
+		a.applyError(reasonObjects, "import objects: %v", err)
 		return
 	}
 	alog := audit.NewLog()
@@ -263,7 +264,7 @@ func (a *Applier) applySnapshot(msg snapshotMsg) {
 	}
 	srv, rep, err := authz.NewReplica(a.opts.Follower, clk, store, alog, recs)
 	if err != nil {
-		a.applyError("install snapshot: %v", err)
+		a.applyError(reasonInstall, "install snapshot: %v", err)
 		return
 	}
 	srv.Instrument(a.reg)
@@ -310,13 +311,13 @@ func (a *Applier) applyRecords(msg recordsMsg) {
 	}
 	if recs[0].Seq != last+1 {
 		// A gap: something between last and this batch was lost.
-		a.applyError("gap after seq %d (next shipped %d), resyncing", last, recs[0].Seq)
+		a.applyError(reasonGap, "gap after seq %d (next shipped %d), resyncing", last, recs[0].Seq)
 		a.hello(true)
 		return
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Seq != recs[i-1].Seq+1 {
-			a.applyError("non-contiguous batch: seq %d after %d", recs[i].Seq, recs[i-1].Seq)
+			a.applyError(reasonOrder, "non-contiguous batch: seq %d after %d", recs[i].Seq, recs[i-1].Seq)
 			a.hello(true)
 			return
 		}
@@ -325,7 +326,7 @@ func (a *Applier) applyRecords(msg recordsMsg) {
 	if err != nil {
 		// A half-applied batch leaves the replica suspect; rebuild it
 		// from a fresh snapshot rather than serve doubtful beliefs.
-		a.applyError("apply batch at seq %d: %v", recs[0].Seq, err)
+		a.applyError(reasonApply, "apply batch at seq %d: %v", recs[0].Seq, err)
 		a.replica.Store(nil)
 		a.hello(true)
 		return
@@ -361,12 +362,12 @@ func (a *Applier) applyStatus(msg statusMsg) {
 func (a *Applier) decodeFrames(frames []byte, what string) ([]wal.Record, bool) {
 	recs, _, torn, corrupt := wal.Scan(frames)
 	if corrupt != nil {
-		a.applyError("corrupt shipped %s: %v", what, corrupt)
+		a.applyError(reasonCorrupt, "corrupt shipped %s: %v", what, corrupt)
 		a.hello(true)
 		return nil, false
 	}
 	if torn != "" {
-		a.applyError("truncated shipped %s: %s", what, torn)
+		a.applyError(reasonTorn, "truncated shipped %s: %s", what, torn)
 		a.hello(true)
 		return nil, false
 	}
@@ -413,12 +414,26 @@ func (a *Applier) publishGauges() {
 	a.reg.Gauge(metricLagRecords).Set(int64(lag))
 }
 
-// applyError logs and counts a rejected frame, and keeps its reason for
-// Status.
-func (a *Applier) applyError(format string, args ...any) {
+// The reasons a frame is rejected for, one per check: the reason label
+// of repl_apply_errors_total.
+const (
+	reasonDecode   = "decode"   // a frame's envelope does not decode
+	reasonBoundary = "boundary" // a snapshot's records do not end at its LastSeq
+	reasonObjects  = "objects"  // a snapshot's object store does not import
+	reasonInstall  = "install"  // a snapshot's records do not build a replica
+	reasonGap      = "gap"      // a batch does not start right after the replica
+	reasonOrder    = "order"    // a batch's records are not contiguous
+	reasonApply    = "apply"    // a batch does not apply to the replica
+	reasonCorrupt  = "corrupt"  // a shipped frame fails its CRC
+	reasonTorn     = "torn"     // shipped frames end mid-frame
+)
+
+// applyError logs a rejected frame, counts it under its reason (one of
+// the reason constants), and keeps its message for Status.
+func (a *Applier) applyError(reason, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	a.opts.Logf("replication: %s", msg)
-	a.reg.Counter(metricApplyErrors).Inc()
+	a.reg.Counter(metricApplyErrors, "reason", reason).Inc()
 	a.mu.Lock()
 	a.lastErr = msg
 	a.mu.Unlock()

@@ -162,7 +162,8 @@ const (
 	// by sequence number.
 	metricStaleFrames = "repl_stale_frames_total"
 	// metricApplyErrors counts frames rejected by CRC, boundary or
-	// replay failure (the applier fails closed and resyncs).
+	// replay failure (the applier fails closed and resyncs), labelled
+	// by reason (applyError).
 	metricApplyErrors = "repl_apply_errors_total"
 	// metricLastSeq gauges the follower's applied WAL sequence.
 	metricLastSeq = "repl_last_seq"

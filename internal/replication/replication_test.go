@@ -213,6 +213,11 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
+// applyErrors reads repl_apply_errors_total for one reason.
+func applyErrors(reg *obs.Registry, reason string) int64 {
+	return reg.Snapshot().CounterValue(fmt.Sprintf("%s{reason=%q}", metricApplyErrors, reason))
+}
+
 func newTestApplier(node node, reg *obs.Registry) *Applier {
 	return NewApplier(node, ApplierOptions{
 		Follower: "f1", Writer: "coalitiond",
@@ -375,8 +380,8 @@ func TestApplierPacesFailedInstall(t *testing.T) {
 	if got := node.countKind(kindHello); got != 0 {
 		t.Fatalf("the failed install sent %d hello(s) at once, want none before the next status frame", got)
 	}
-	if got := reg.Snapshot().CounterValue(metricApplyErrors); got != 1 {
-		t.Fatalf("%s = %d, want 1", metricApplyErrors, got)
+	if got := applyErrors(reg, reasonInstall); got != 1 {
+		t.Fatalf("%s{reason=%q} = %d, want 1", metricApplyErrors, reasonInstall, got)
 	}
 	if st := ap.Status(); st.Ready || !strings.Contains(st.LastError, "install snapshot") || !strings.Contains(st.LastError, "anchors") {
 		t.Fatalf("status after the failed install = %+v, want not ready and LastError naming the install failure", st)
@@ -417,7 +422,7 @@ func TestApplierCorruptFrameFailsClosed(t *testing.T) {
 	if got := ap.Status().LastSeq; got != cursor {
 		t.Fatalf("corrupt frame advanced cursor: %d -> %d", cursor, got)
 	}
-	if reg.Snapshot().CounterValue(metricApplyErrors) == 0 {
+	if applyErrors(reg, reasonCorrupt) == 0 {
 		t.Fatal("corrupt frame not counted as apply error")
 	}
 	if node.countKind(kindHello) != helloBefore+1 {
@@ -460,7 +465,7 @@ func TestApplierGapAndDuplicate(t *testing.T) {
 	w.mutate(t, "gap2b")
 	gap := recordsFrom(t, w, applied+1) // skips the record at applied+1
 	helloBefore := node.countKind(kindHello)
-	errsBefore := reg.Snapshot().CounterValue(metricApplyErrors)
+	errsBefore := applyErrors(reg, reasonGap)
 	ap.Handle(kindRecords, mustJSON(t, gap))
 	if ap.Status().LastSeq != applied {
 		t.Fatal("gapped batch applied")
@@ -468,7 +473,7 @@ func TestApplierGapAndDuplicate(t *testing.T) {
 	if node.countKind(kindHello) != helloBefore+1 {
 		t.Fatal("gap did not trigger a resync hello")
 	}
-	if reg.Snapshot().CounterValue(metricApplyErrors) != errsBefore+1 {
+	if applyErrors(reg, reasonGap) != errsBefore+1 {
 		t.Fatal("gap not counted as apply error")
 	}
 }

@@ -113,6 +113,10 @@ func init() { _, _ = pki.Issue(pki.Identity{}, nil); _, _ = pki.Issue(pki.Attrib
 		{"rekey-path", "internal/daemon/plant_rekey.go", `package daemon
 import ("strings"; "jointadmin")
 func init() { var a *jointadmin.Alliance; _ = a.Join; _ = strings.Join }`},
+		// A CA made in any function of the coalition but domainCA.
+		{"one-ca-keygen", "internal/coalition/coalition.go", edit("internal/coalition/coalition.go",
+			"\tr := &Rekey{join: join, domain: domain, names: names}\n",
+			"\tr := &Rekey{join: join, domain: domain, names: names}\n\t_, _ = authority.NewDomainCA(\"CA_\"+domain, c.cfg.KeyBits, c.clk)\n")},
 		{"exponent/private", "internal/sharedrsa/sign.go", edit("internal/sharedrsa/sign.go",
 			"\th := hashToModulus(msg, pk.N)\n\tvar work", "\te := pk.E\n\t_ = new(big.Int).Exp(sig.S, e, pk.N)\n\th := hashToModulus(msg, pk.N)\n\tvar work")},
 		{"exponent/public-arg", "internal/sharedrsa/batch.go", edit("internal/sharedrsa/batch.go", "t.Exp(it.Sig.S, r, pk.N)", "t.Exp(it.Sig.S, pk.E, pk.N)")},
