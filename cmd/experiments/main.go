@@ -170,8 +170,8 @@ func e2JointSignature() error {
 		}
 		fmt.Printf("%d   %v\n", n, sign.Round(time.Microsecond))
 	}
-	fmt.Println("shape: the work stays linear in n — one partial exponentiation per domain — while")
-	fmt.Printf("the wall time runs ⌈n/GOMAXPROCS⌉ partials deep (GOMAXPROCS=%d).\n", runtime.GOMAXPROCS(0))
+	fmt.Println("shape: the work stays linear in n — one table of H(M)'s powers, then one evaluation")
+	fmt.Printf("per domain — while the evaluations run ⌈n/GOMAXPROCS⌉ deep (GOMAXPROCS=%d).\n", runtime.GOMAXPROCS(0))
 
 	// Ablation (DESIGN.md §5): a Boneh–Franklin key's partials leave a
 	// remainder j ≤ n that Combine searches for; CombineExact is handed it.

@@ -110,6 +110,14 @@ type issued struct {
 	validity  clock.Interval
 	threshold pki.Signed[pki.ThresholdAttribute]
 	single    pki.Signed[pki.Attribute]
+	// displaced holds the live certificates earlier grants of the same
+	// key issued and a re-grant superseded. A re-grant revokes nothing
+	// (grants are monotone), so they stay live until the group's
+	// revocation (RevokeGroup) or a membership change revokes them.
+	displaced []*issued
+	// revoked says RevokeGroup revoked the certificate: a re-grant
+	// does not count it among the live ones it displaces.
+	revoked bool
 }
 
 // name is how errors name the certificate.
@@ -121,14 +129,55 @@ func (r *issued) name() string {
 }
 
 // revoke has ra revoke the certificate effective at.
-func (r *issued) revoke(ra *authority.RevocationAuthority, at clock.Time) error {
-	var err error
+func (r *issued) revoke(ra *authority.RevocationAuthority, at clock.Time) (pki.Signed[pki.Revocation], error) {
 	if r.selective {
-		_, err = ra.RevokeAttribute(r.single, at)
-	} else {
-		_, err = ra.Revoke(r.threshold, at)
+		return ra.RevokeAttribute(r.single, at)
 	}
-	return err
+	return ra.Revoke(r.threshold, at)
+}
+
+// track records rec as the live certificate of its key; the record it
+// replaces, and whatever that one displaced, become rec's displaced
+// certificates. Caller holds the lock.
+func (c *Coalition) track(rec *issued) {
+	if old, ok := c.certs[rec.certKey]; ok {
+		rec.displaced = old.displaced
+		if !old.revoked {
+			rec.displaced = append(rec.displaced, old)
+		}
+		old.displaced = nil
+	}
+	c.certs[rec.certKey] = rec
+}
+
+// RevokeGroup has the revocation authority revoke, effective now, the
+// group's threshold certificate, or its selective one when it has none,
+// together with every live certificate of that kind a re-grant of the
+// group displaced. It returns the revocations, the tracked certificate's
+// first; none when the group has no certificate. The tracked certificate
+// is revoked again by each call, as the revocation may be meant for
+// other servers; a displaced one only by the first, and a server that
+// missed it learns it from the CRL.
+func (c *Coalition) RevokeGroup(group string) ([]pki.Signed[pki.Revocation], error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec, ok := c.certs[certKey{group, false}]
+	if !ok {
+		if rec, ok = c.certs[certKey{group, true}]; !ok {
+			return nil, nil
+		}
+	}
+	at := c.clk.Now()
+	var revs []pki.Signed[pki.Revocation]
+	for _, r := range append([]*issued{rec}, rec.displaced...) {
+		rev, err := r.revoke(c.ra, at)
+		if err != nil {
+			return nil, fmt.Errorf("coalition: revoke %s: %w", r.name(), err)
+		}
+		revs = append(revs, rev)
+	}
+	rec.displaced, rec.revoked = nil, true
+	return revs, nil
 }
 
 // reissue has aa issue the certificate again over subs, its users bound
@@ -397,7 +446,7 @@ func (c *Coalition) IssueThreshold(group string, m int, users []string, validity
 	us := make([]string, len(users))
 	copy(us, users)
 	c.named(us)
-	c.certs[certKey{group, false}] = &issued{certKey: certKey{group, false}, m: m, users: us, validity: validity, threshold: cert}
+	c.track(&issued{certKey: certKey{group, false}, m: m, users: us, validity: validity, threshold: cert})
 	return cert, nil
 }
 
@@ -416,7 +465,7 @@ func (c *Coalition) IssueSelective(group, user string, validity clock.Interval) 
 		return pki.Signed[pki.Attribute]{}, err
 	}
 	c.named([]string{user})
-	c.certs[certKey{group, true}] = &issued{certKey: certKey{group, true}, m: 1, users: []string{user}, validity: validity, single: cert}
+	c.track(&issued{certKey: certKey{group, true}, m: 1, users: []string{user}, validity: validity, single: cert})
 	return cert, nil
 }
 
@@ -657,7 +706,8 @@ func (c *Coalition) Commit(r *Rekey) (RekeyReport, error) {
 // the unchanged key (redistributed) a certificate stays valid to its
 // end, and only those that named a departed user are revoked and
 // re-issued without them. A certificate left with no subject is revoked
-// and dropped. Caller holds the lock.
+// and dropped. A certificate a re-grant displaced is revoked in the
+// same cases, and not re-issued. Caller holds the lock.
 func (c *Coalition) install(est *authority.EstablishResult, redistributed bool, departed map[string]*pki.KeyPair) (RekeyReport, error) {
 	report := RekeyReport{Redistributed: redistributed, Domains: len(c.members)}
 	c.est = est
@@ -670,10 +720,26 @@ func (c *Coalition) install(est *authority.EstablishResult, redistributed bool, 
 
 	for _, rec := range c.certs {
 		kept := slices.DeleteFunc(slices.Clone(rec.users), gone)
+		// A displaced certificate is revoked, never re-issued, where
+		// its record would be revoked: at a re-key, or when it names a
+		// departed user; and with a record that is dropped, so that
+		// none is left live and untracked.
+		var live []*issued
+		for _, d := range rec.displaced {
+			if redistributed && len(kept) > 0 && !slices.ContainsFunc(d.users, gone) {
+				live = append(live, d)
+				continue
+			}
+			if _, err := d.revoke(c.ra, c.clk.Now()); err != nil {
+				return report, fmt.Errorf("coalition: revoke displaced %s: %w", d.name(), err)
+			}
+			report.CertsRevoked++
+		}
+		rec.displaced = live
 		if redistributed && len(kept) == len(rec.users) {
 			continue
 		}
-		if err := rec.revoke(c.ra, c.clk.Now()); err != nil {
+		if _, err := rec.revoke(c.ra, c.clk.Now()); err != nil {
 			return report, fmt.Errorf("coalition: revoke %s: %w", rec.name(), err)
 		}
 		report.CertsRevoked++
@@ -689,6 +755,7 @@ func (c *Coalition) install(est *authority.EstablishResult, redistributed bool, 
 		if err := rec.reissue(c.est.AA, subs); err != nil {
 			return report, fmt.Errorf("coalition: re-issue %s: %w", rec.name(), err)
 		}
+		rec.revoked = false
 		report.CertsReissued++
 	}
 

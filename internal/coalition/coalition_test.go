@@ -567,3 +567,52 @@ func TestLeaveDropsSelectiveOfDepartingUser(t *testing.T) {
 		t.Error("selective certificate of departed user survived")
 	}
 }
+
+// TestMembershipChangeRevokesDisplaced: certificates a re-grant displaced
+// stay live under the unchanged key until the group's revocation or a
+// membership change revokes them — a leave the one naming a departed
+// user, a re-key the rest — and none is re-issued. A certificate is
+// displaced only while live: the group's revocation drops those it
+// revoked, and a re-grant after it displaces nothing.
+func TestMembershipChangeRevokesDisplaced(t *testing.T) {
+	c, _ := formCoalition(t)
+	enrollThree(t, c) // u1→D1, u2→D2, u3→D3
+	validity := clock.NewInterval(50, 50_000)
+	grant := func(users ...string) {
+		t.Helper()
+		for _, u := range users {
+			if _, err := c.IssueThreshold("G_x", 1, []string{u}, validity); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	revoked := func(want int) {
+		t.Helper()
+		revs, err := c.RevokeGroup("G_x")
+		if err != nil || len(revs) != want {
+			t.Fatalf("RevokeGroup(G_x): %d revocations, %v; want %d", len(revs), err, want)
+		}
+	}
+	grant("u3", "u1", "u2")
+	report, err := c.Leave("D3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Redistributed || report.CertsRevoked != 1 || report.CertsReissued != 0 {
+		t.Errorf("leave of D3: %+v, want redistributed, 1 revoked (u3's displaced grant), none re-issued", report)
+	}
+	down(t, c, "D2")
+	if report, err = c.Join("D4"); err != nil {
+		t.Fatal(err)
+	}
+	if report.Redistributed || report.CertsRevoked != 2 || report.CertsReissued != 1 {
+		t.Errorf("re-key: %+v, want 2 revoked (G_x and u1's displaced grant), 1 re-issued", report)
+	}
+	if cert, ok := c.Certificate("G_x"); !ok || len(cert.Cert.Subjects) != 1 {
+		t.Errorf("G_x after the re-key: %v, want the re-issued grant to u2", ok)
+	}
+	revoked(1)
+	grant("u1", "u2")
+	revoked(2)
+	revoked(1)
+}

@@ -204,8 +204,12 @@ type Daemon struct {
 	// rewrite alliance certificates and re-anchor the server) against the
 	// request commands that run concurrently on the worker pool. Request
 	// commands share the read side; dynamics take the write side. A join
-	// or leave holds it for both its phases, the keygen and the cut-over
-	// (daemon_rekey_seconds times each).
+	// or leave holds it for both its phases, the prepare and the cut-over
+	// (daemon_rekey_seconds times each). The prepare is usually a share
+	// redistribution under the unchanged AA key, its trial signature
+	// included, with no RSA keygen: a rejoin re-admits the CA key its
+	// domain held. A new CA key is drawn only for a domain the coalition
+	// keeps none for, and a new AA key only when a domain is down.
 	dyn sync.RWMutex
 
 	// handleStarted, when set (tests), runs after a command is counted

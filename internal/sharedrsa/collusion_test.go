@@ -46,7 +46,7 @@ func coalitionCanSign(res *Result, h *big.Int, size int) bool {
 	e := res.Public.E
 	n := res.Public.N
 	for j := 0; j <= len(res.Views); j++ {
-		s, err := modExpSigned(h, new(big.Int).Add(d, big.NewInt(int64(j))), n)
+		s, err := expSigned(h, new(big.Int).Add(d, big.NewInt(int64(j))), n)
 		if err != nil {
 			return false
 		}

@@ -17,7 +17,8 @@ var ErrSignFault = errors.New("sharedrsa: CRT signature failed its public-expone
 // N = p·q, dP = d mod (p−1), dQ = d mod (q−1) and qInv = q⁻¹ mod p. The
 // full private exponent d is not kept. Users and domain CAs hold such
 // keys; the coalition's shared keys have no CRT form, because no party
-// knows φ(N), and PartialSign raises to its share of d on math/big.
+// knows φ(N), and their partials are full-width (partials, on the
+// Montgomery kernel from one power table per signature).
 type CRTKey struct {
 	pub                PublicKey
 	p, q, dP, dQ, qInv *big.Int

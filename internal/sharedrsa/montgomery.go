@@ -8,8 +8,9 @@ import (
 // expPublic sets z = x**e mod n and returns z. It is the package's only
 // exponentiation by a public exponent — Verify, Combine's trial
 // correction, BatchVerify's product checks and CRTKey.Sign's check before
-// release; private exponents (PartialSign, keygen, the dealer, the CRT
-// halves) stay on math/big.
+// release. A shared key's partials run on the same products and REDC
+// from a table of H(M)'s powers (partial.go); the other private
+// exponents (keygen, the dealer, the CRT halves) stay on math/big.
 //
 // math/big's Exp takes its Montgomery path only for exponents of more
 // than one word; for e = 65537 it reduces every one of its 17 products by

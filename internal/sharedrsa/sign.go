@@ -3,40 +3,7 @@ package sharedrsa
 import (
 	"fmt"
 	"math/big"
-	"runtime"
-	"sync"
 )
-
-// PartialSign computes one party's contribution S_i = H(M)^{d_i} mod N
-// (Section 3.2: "each of the co-signers then apply their corresponding
-// private key shares d_i to compute S_i = M^{d_i} mod N"). Negative shares
-// (which arise from the floor-division sharing of d) are applied through
-// the modular inverse of H(M).
-func PartialSign(msg []byte, pk PublicKey, sh Share) (PartialSignature, error) {
-	if sh.D == nil {
-		return PartialSignature{}, fmt.Errorf("sharedrsa: share %d has no exponent", sh.Index)
-	}
-	h := hashToModulus(msg, pk.N)
-	v, err := modExpSigned(h, sh.D, pk.N)
-	if err != nil {
-		return PartialSignature{}, fmt.Errorf("sharedrsa: partial sign (party %d): %w", sh.Index, err)
-	}
-	return PartialSignature{Index: sh.Index, V: v}, nil
-}
-
-// modExpSigned computes base^exp mod n for possibly negative exp.
-func modExpSigned(base, exp, n *big.Int) (*big.Int, error) {
-	if exp.Sign() >= 0 {
-		return new(big.Int).Exp(base, exp, n), nil
-	}
-	inv := new(big.Int).ModInverse(base, n)
-	if inv == nil {
-		// gcd(base, N) > 1: astronomically unlikely for a hash; would
-		// incidentally factor N.
-		return nil, fmt.Errorf("hash shares a factor with the modulus")
-	}
-	return inv.Exp(inv, new(big.Int).Neg(exp), n), nil
-}
 
 // Combine implements the requestor side of the joint signature protocol:
 // it multiplies the partial signatures, S = ∏ S_i mod N, and fixes the
@@ -115,13 +82,13 @@ func verify(msg []byte, pk PublicKey, sig Signature, buf *[]big.Word) error {
 
 // SignJointly is the whole Section 3.2 flow for an n-of-n sharing whose
 // shares one caller holds: every share's partial, combined and verified.
-// Each domain computes its S_i independently of the others, so the
-// partials run on at most GOMAXPROCS goroutines, the caller's among them;
-// they are kept in share order, and when shares fail the error of the
-// lowest-index one is returned. It serves the coalition AA's consensus
-// signer once every domain has consented (authority.consensusSigner),
-// pki.NewJointSigner, the trial signatures of keygen and Redistribute,
-// and the experiments that model stolen or colluding shares.
+// The partials share one table of H(M)'s powers, and their evaluations
+// run on at most GOMAXPROCS goroutines (partials); when shares fail the
+// error of the lowest-index one is returned. It serves the coalition
+// AA's consensus signer once every domain has consented
+// (authority.consensusSigner), pki.NewJointSigner, the trial signatures
+// of keygen and Redistribute, and the experiments that model stolen or
+// colluding shares.
 func SignJointly(msg []byte, pk PublicKey, shares []Share) (Signature, error) {
 	return signJointly(msg, pk, shares, len(shares))
 }
@@ -130,31 +97,11 @@ func SignJointly(msg []byte, pk PublicKey, shares []Share) (Signature, error) {
 // bounded by parties (Combine): Redistribute's trial signature searches
 // as far as the sharing it was dealt from needed.
 func signJointly(msg []byte, pk PublicKey, shares []Share, parties int) (Signature, error) {
-	partials := make([]PartialSignature, len(shares))
-	errs := make([]error, len(shares))
-	// Worker w computes the partials w, w+workers, w+2·workers, …
-	workers := min(runtime.GOMAXPROCS(0), len(shares))
-	sign := func(w int) {
-		for i := w; i < len(shares); i += workers {
-			partials[i], errs[i] = PartialSign(msg, pk, shares[i])
-		}
+	ps, err := partials(msg, pk, shares)
+	if err != nil {
+		return Signature{}, err
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sign(w)
-		}()
-	}
-	sign(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Signature{}, err
-		}
-	}
-	sig, err := Combine(msg, pk, partials, parties)
+	sig, err := Combine(msg, pk, ps, parties)
 	if err != nil {
 		return Signature{}, fmt.Errorf("sharedrsa: joint signature: %w", err)
 	}

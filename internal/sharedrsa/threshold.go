@@ -126,16 +126,16 @@ func (ts *ThresholdShares) QuorumSign(msg []byte, quorum []int) (Signature, erro
 		}
 		acc.Add(acc, ts.holdings[server][key])
 	}
-	partials := make([]PartialSignature, 0, len(assigned))
-	h := hashToModulus(msg, ts.Public.N)
+	shares := make([]Share, 0, len(assigned))
 	for p, exp := range assigned {
-		v, err := modExpSigned(h, exp, ts.Public.N)
-		if err != nil {
-			return Signature{}, fmt.Errorf("sharedrsa: quorum partial (party %d): %w", p, err)
-		}
-		partials = append(partials, PartialSignature{Index: p, V: v})
+		shares = append(shares, Share{Index: p, D: exp})
 	}
-	sig, err := Combine(msg, ts.Public, partials, ts.N)
+	sort.Slice(shares, func(i, j int) bool { return shares[i].Index < shares[j].Index })
+	ps, err := partials(msg, ts.Public, shares)
+	if err != nil {
+		return Signature{}, fmt.Errorf("sharedrsa: quorum partial: %w", err)
+	}
+	sig, err := Combine(msg, ts.Public, ps, ts.N)
 	if err != nil {
 		return Signature{}, fmt.Errorf("sharedrsa: quorum sign: %w", err)
 	}

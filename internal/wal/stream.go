@@ -32,11 +32,15 @@ var ErrCompacted = errors.New("wal: records compacted past requested sequence")
 
 // ReadFrom returns the records with sequence numbers strictly greater
 // than after, in order, from the live log, together with their frames
-// exactly as the log stores them. The batch holds at most max records
-// and at most maxBytes bytes of frames, but never less than the first
-// record past after; max or maxBytes <= 0 leaves that bound off. It
-// returns ErrCompacted when after is below the tail floor (the suffix is
-// no longer contiguous in the log file) and ErrClosed on a closed log.
+// exactly as the log stores them. Only records on stable storage are
+// returned: a record appended inside a group-commit window is not read
+// before its fsync, since a crash could still lose it and the writer
+// would then assign its sequence number to another record. The batch
+// holds at most max records and at most maxBytes bytes of frames, but
+// never less than the first record past after; max or maxBytes <= 0
+// leaves that bound off. It returns ErrCompacted when after is below the
+// tail floor (the suffix is no longer contiguous in the log file) and
+// ErrClosed on a closed log.
 // An empty result with a nil error means the caller is caught up;
 // follow NotifyAppend to block for more.
 //
@@ -54,14 +58,14 @@ func (l *Log) ReadFrom(after uint64, max, maxBytes int) ([]Record, []byte, error
 	if after < l.tailFloor {
 		return nil, nil, fmt.Errorf("%w: cursor %d below tail floor %d", ErrCompacted, after, l.tailFloor)
 	}
-	if after >= l.seq {
+	if after >= l.syncedSeq {
 		return nil, nil, nil
 	}
 	first, _ := slices.BinarySearchFunc(l.frames, after+1, func(f framePos, seq uint64) int {
 		return cmp.Compare(f.seq, seq)
 	})
 	end := first + 1
-	for end < len(l.frames) && (max <= 0 || end-first < max) &&
+	for end < len(l.frames) && l.frames[end].seq <= l.syncedSeq && (max <= 0 || end-first < max) &&
 		(maxBytes <= 0 || l.frameOff(end+1)-l.frames[first].off <= int64(maxBytes)) {
 		end++
 	}
@@ -196,7 +200,8 @@ func (l *Log) History() ([]Record, uint64, error) {
 // shipper's snapshot handoff ships these frames, so every shipped record
 // carries the checksum it was written with: damage in transit (or a
 // buggy peer) surfaces as a *corruptError at the applier's Scan, which
-// fails closed exactly like corruption at recovery.
+// fails closed exactly like corruption at recovery. As ReadFrom, it
+// leaves out the records not yet on stable storage.
 func (l *Log) HistoryFrames(keep func([]Record) []Record) ([]Record, []byte, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -207,6 +212,11 @@ func (l *Log) HistoryFrames(keep func([]Record) []Record) ([]Record, []byte, uin
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	n := len(h.recs)
+	for n > 0 && h.recs[n-1].Seq > l.syncedSeq {
+		n--
+	}
+	h.recs, h.frames = h.recs[:n], h.frames[:n]
 	recs, frames, err := h.keep(keep)
 	if err != nil {
 		return nil, nil, 0, err
@@ -214,11 +224,12 @@ func (l *Log) HistoryFrames(keep func([]Record) []Record) ([]Record, []byte, uin
 	return recs, frames, l.seq, nil
 }
 
-// NotifyAppend returns a channel that is closed by the next Append (or
-// by Close). The tail-follow pattern is: grab the channel, ReadFrom; if
-// that returned nothing, block on the channel and retry. Grabbing before
-// reading closes the race where a record lands between the empty read
-// and the wait.
+// NotifyAppend returns a channel that is closed when the next records
+// reach stable storage — at their fsync, or at their Append under
+// NoSync — or by Close. The tail-follow pattern is: grab the channel,
+// ReadFrom; if that returned nothing, block on the channel and retry.
+// Grabbing before reading closes the race where a record lands between
+// the empty read and the wait.
 func (l *Log) NotifyAppend() <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -237,3 +237,71 @@ func TestReadFromClosed(t *testing.T) {
 		t.Fatalf("History on closed log: %v, want ErrClosed", err)
 	}
 }
+
+// TestReadFromStopsAtSynced: under a group-commit window, a record
+// appended without waiting is not shipped before its fsync — neither
+// ReadFrom nor HistoryFrames returns it, and NotifyAppend does not fire
+// — since a crash before the flush would lose it and the writer would
+// hand its sequence number out again. The flush makes it readable and
+// wakes the follower.
+func TestReadFromStopsAtSynced(t *testing.T) {
+	const window = 50 * time.Millisecond
+	l, _, err := Open(t.TempDir(), Options{BatchWindow: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 2, TypeRevocation)
+	var seq uint64
+	// An attempt the scheduler stretches past the window proves
+	// nothing: its record may be flushed before it is read.
+	for attempt := 0; seq == 0; attempt++ {
+		if attempt == 5 {
+			t.Fatalf("no unwaited append was read back within the %v window in 5 attempts", window)
+		}
+		cursor := l.Seq()
+		notify := l.NotifyAppend()
+		start := time.Now()
+		s, err := l.Append(Record{Type: TypeRevocation, At: 200, Body: body("unsynced")}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, rerr := l.ReadFrom(cursor, 0, 0)
+		hist, _, head, herr := l.HistoryFrames(nil)
+		woken := false
+		select {
+		case <-notify:
+			woken = true
+		default:
+		}
+		if time.Since(start) >= window {
+			<-notify
+			continue
+		}
+		if rerr != nil || herr != nil {
+			t.Fatal(rerr, herr)
+		}
+		if len(recs) != 0 {
+			t.Fatalf("ReadFrom(%d) returned %v before the flush", cursor, seqs(recs))
+		}
+		if last := hist[len(hist)-1].Seq; last != cursor || head != s {
+			t.Fatalf("HistoryFrames before the flush: last record %d, head %d; want %d, %d", last, head, cursor, s)
+		}
+		if woken {
+			t.Fatal("NotifyAppend fired before the flush")
+		}
+		select {
+		case <-notify:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the flush did not wake NotifyAppend")
+		}
+		recs, _, err = l.ReadFrom(cursor, 0, 0)
+		if err != nil || len(recs) != 1 || recs[0].Seq != s {
+			t.Fatalf("ReadFrom(%d) after the flush: %v, %v; want record %d", cursor, seqs(recs), err, s)
+		}
+		seq = s
+	}
+	if hist, _, _, err := l.HistoryFrames(nil); err != nil || hist[len(hist)-1].Seq != seq {
+		t.Fatalf("HistoryFrames after the flush ends at %v, %v; want %d", seqs(hist), err, seq)
+	}
+}

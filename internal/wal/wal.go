@@ -116,7 +116,8 @@ type Log struct {
 	// Append extends it and Compact clears it. ReadFrom finds and bounds
 	// its batch in it before reading a byte.
 	frames []framePos
-	// notify is closed (and replaced lazily) on every append, waking
+	// notify is closed (and replaced lazily) whenever records reach
+	// stable storage — every fsync, every append under NoSync — waking
 	// tail-followers blocked in NotifyAppend. nil until someone asks.
 	notify chan struct{}
 }
@@ -211,11 +212,11 @@ func (l *Log) Append(rec Record, wait bool) (uint64, error) {
 	l.off += int64(len(frame))
 	l.count++
 	l.reg.Counter(metricAppends, "type", string(rec.Type)).Inc()
-	l.wakeFollowersLocked()
 
 	switch {
 	case l.opts.NoSync:
 		l.syncedSeq = l.seq
+		l.wakeFollowersLocked()
 	case l.opts.BatchWindow <= 0:
 		l.fsyncLocked()
 	default:
@@ -238,8 +239,8 @@ func (l *Log) Append(rec Record, wait bool) (uint64, error) {
 	return rec.Seq, nil
 }
 
-// fsyncLocked flushes the log file and wakes every waiter. Called with
-// l.mu held.
+// fsyncLocked flushes the log file and wakes every waiter, tail-followers
+// included: what it flushed is now theirs to read. Called with l.mu held.
 func (l *Log) fsyncLocked() {
 	start := time.Now()
 	err := l.f.Sync()
@@ -251,6 +252,7 @@ func (l *Log) fsyncLocked() {
 	}
 	l.stopFlushTimer()
 	l.cond.Broadcast()
+	l.wakeFollowersLocked()
 }
 
 // stopFlushTimer cancels any pending group-commit timer and clears the

@@ -165,24 +165,23 @@ func (a *Alliance) GrantSelective(group, user string) error {
 }
 
 // Revoke asks the revocation authority to revoke the group's certificate
-// (threshold or selective) effective now and delivers the revocation to
-// the given servers.
+// (threshold or selective), and every one of that kind a re-grant of the
+// group displaced, effective now, and delivers the revocations to the
+// given servers.
 func (a *Alliance) Revoke(group string, servers ...*Server) error {
-	var (
-		rev pki.Signed[pki.Revocation]
-		err error
-	)
-	if cert, ok := a.c.Certificate(group); ok {
-		rev, err = a.c.RA().Revoke(cert, a.clk.Now())
-	} else if single, ok := a.c.SelectiveCertificate(group); ok {
-		rev, err = a.c.RA().RevokeAttribute(single, a.clk.Now())
-	} else {
-		return fmt.Errorf("%w: %s", ErrNoGroup, group)
-	}
+	revs, err := a.c.RevokeGroup(group)
 	if err != nil {
 		return fmt.Errorf("jointadmin: revoke %s: %w", group, err)
 	}
-	return deliver("revocation", authz.Revocation{Cert: rev}, servers)
+	if len(revs) == 0 {
+		return fmt.Errorf("%w: %s", ErrNoGroup, group)
+	}
+	for _, rev := range revs {
+		if err := deliver("revocation", authz.Revocation{Cert: rev}, servers); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // deliver applies m to each server in turn, stopping at the first that

@@ -114,8 +114,9 @@ go test -run '^$' -fuzz='^FuzzDecodeReply$' -fuzztime=5s ./internal/daemon
 echo "==> access-request decoder fuzz smoke (5s: FuzzDecodeAccessRequest, differential against encoding/json)"
 go test -run '^$' -fuzz='^FuzzDecodeAccessRequest$' -fuzztime=5s ./internal/authz
 
-echo "==> RSA kernel, CRT signer and signature parser fuzz smoke (5s each: FuzzExpPublic against big.Int.Exp, FuzzSignCRT against Exp(h, d, N), FuzzParseHex against SetString)"
+echo "==> RSA kernel, joint-signature partials, CRT signer and signature parser fuzz smoke (5s each: FuzzExpPublic against big.Int.Exp, FuzzPartials against Exp(h, d_i, N), FuzzSignCRT against Exp(h, d, N), FuzzParseHex against SetString)"
 go test -run '^$' -fuzz='^FuzzExpPublic$' -fuzztime=5s ./internal/sharedrsa
+go test -run '^$' -fuzz='^FuzzPartials$' -fuzztime=5s ./internal/sharedrsa
 go test -run '^$' -fuzz='^FuzzSignCRT$' -fuzztime=5s ./internal/sharedrsa
 go test -run '^$' -fuzz='^FuzzParseHex$' -fuzztime=5s ./internal/sharedrsa
 

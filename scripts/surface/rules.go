@@ -76,22 +76,24 @@ var rules = []rule{
 			"(internal/sim/load's fixture makes its own three); a NewDomainCA elsewhere is a second CA for a domain, an RSA " +
 			"keygen on a join that needs none, and a key whose revocations no rule keeps from being re-admitted"},
 	{name: "exponent/private", kind: "use", what: []string{"math/big.Int.Exp"},
-		except: []string{"sharedrsa.modExpSigned", "sharedrsa.CombineExact", "sharedrsa.CRTKey.sign", "sharedrsa.BatchVerify",
+		except: []string{"sharedrsa.CombineExact", "sharedrsa.CRTKey.sign", "sharedrsa.BatchVerify",
 			"sharedrsa.biprimal", "sharedrsa.LockBox.Sign", "authority.stolenKeySigner.Sign", "jointadmin/cmd/experiments.canSign",
 			"sharedrsa.probablyPrime"},
 		reason: "user and domain-CA keys sign through sharedrsa.CRTKey: two half-size exponentiations, checked by the public-" +
-			"exponent kernel before release; a math/big Exp elsewhere is a full-width private-key path that skips the check, " +
-			"unless it is a path that cannot have a CRT form: the shared-key protocols (no party knows φ(N)), keygen's biprime " +
-			"test, the dealer's lock box, Case I's signer, BatchVerify's blinding powers, the experiments' ablation and the prime " +
-			"search's base-2 test (2^(n−1) mod n: an exponent of n−1, no key involved)"},
+			"exponent kernel before release; a shared key's partials H(M)^d_i run on the Montgomery kernel, from one power " +
+			"table per signature (sharedrsa.partials); a math/big Exp elsewhere is a full-width private-key path that skips " +
+			"the check, or a share raised on a second path, unless it cannot be either: keygen's biprime test, the dealer's " +
+			"lock box, Case I's signer, BatchVerify's blinding powers, CombineExact's H^k, the experiments' ablation and the " +
+			"prime search's base-2 test (2^(n−1) mod n: an exponent of n−1, no key involved)"},
 	{name: "exponent/public-arg", kind: "use", what: []string{"math/big.Int.Exp"}, arg: "sharedrsa.PublicKey.E",
 		reason: "every S^e mod N (Verify, Combine's trial correction, BatchVerify's product checks) goes through sharedrsa's " +
 			"Montgomery kernel (montgomery.go); a math/big Exp by a public exponent is a second, slower verification path, and " +
 			"the commands and examples verify with sharedrsa.Verify too"},
 	{name: "exponent/public-read", kind: "use", what: []string{"sharedrsa.PublicKey.E"},
-		in: []string{"sharedrsa.modExpSigned", "sharedrsa.CombineExact", "sharedrsa.CRTKey.sign", "sharedrsa.biprimal",
+		in: []string{"sharedrsa.CombineExact", "sharedrsa.CRTKey.sign", "sharedrsa.biprimal",
 			"sharedrsa.LockBox.Sign", "authority.stolenKeySigner.Sign", "jointadmin/cmd/experiments.canSign"},
-		reason: "the functions that may call Exp raise to private or trial exponents only; reading a public exponent there is an " +
+		reason: "the functions that may call Exp raise to private or trial exponents only (a shared key's partials are not " +
+			"among them: they run on the Montgomery kernel); reading a public exponent there is an " +
 			"Exp by e (e := pk.E; x.Exp(m, e, n)); BatchVerify reads pk.E for the kernel and calls Exp, so it is the named hole " +
 			"until ROADMAP item 3 deletes it"},
 	{name: "one-prime-search", kind: "use", what: []string{"crypto/rand.Prime", "math/big.Int.ProbablyPrime"},
@@ -100,12 +102,12 @@ var rules = []rule{
 			"step runs the one ProbablyPrime(20) a returned prime must pass; crypto/rand.Prime or another ProbablyPrime loop is a " +
 			"second, slower prime search that a seeded source does not repeat (Config.withDefaults' check that e is prime is not one)"},
 	{name: "one-partial-loop", kind: "use", what: []string{"sharedrsa.PartialSign"},
-		except: []string{"sharedrsa.signJointly", "jointadmin/cmd/experiments.e2JointSignature"},
-		reason: "a joint signature's partials are computed in one place, sharedrsa.signJointly (SignJointly, and Redistribute's trial " +
-			"signature): concurrently, in share order, and for the coalition AA only after every domain has consented " +
-			"(authority.consensusSigner asks each Consents first); a " +
-			"PartialSign loop elsewhere is a second, sequential signing path (E2's ablation computes the partials it hands both " +
-			"Combine and CombineExact)"},
+		except: []string{"jointadmin/cmd/experiments.e2JointSignature"},
+		reason: "a joint signature's partials are computed in one place, sharedrsa.partials (signJointly, for SignJointly and " +
+			"Redistribute's trial signature, and QuorumSign): from one table of H(M)'s powers, concurrently, in share order, " +
+			"and for the coalition AA only after every domain has consented (authority.consensusSigner asks each Consents " +
+			"first); a PartialSign loop elsewhere is a second, sequential signing path that builds a table per share (E2's " +
+			"ablation computes the partials it hands both Combine and CombineExact)"},
 	{name: "one-decider/replay", kind: "use", what: []string{"authz.Server.replay"}, except: []string{"authz.Server.authorizeAt"}, max: 1, frozen: true,
 		reason: "the residual decider decides every request Authorize serves; the 4-step replay is its oracle, entered once, where " +
 			"authorizeAt honours SetResidualsEnabled(false): a second call site is a second serving path"},

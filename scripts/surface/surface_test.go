@@ -119,6 +119,9 @@ func init() { var a *jointadmin.Alliance; _ = a.Join; _ = strings.Join }`},
 			"\tr := &Rekey{join: join, domain: domain, names: names}\n\t_, _ = authority.NewDomainCA(\"CA_\"+domain, c.cfg.KeyBits, c.clk)\n")},
 		{"exponent/private", "internal/sharedrsa/sign.go", edit("internal/sharedrsa/sign.go",
 			"\th := hashToModulus(msg, pk.N)\n\tvar work", "\te := pk.E\n\t_ = new(big.Int).Exp(sig.S, e, pk.N)\n\th := hashToModulus(msg, pk.N)\n\tvar work")},
+		// A share raised on math/big beside the power table.
+		{"exponent/private", "internal/sharedrsa/partial.go", edit("internal/sharedrsa/partial.go",
+			"\tps, err := partials(msg, pk, []Share{sh})\n", "\t_ = new(big.Int).Exp(hashToModulus(msg, pk.N), sh.D, pk.N)\n\tps, err := partials(msg, pk, []Share{sh})\n")},
 		{"exponent/public-arg", "internal/sharedrsa/batch.go", edit("internal/sharedrsa/batch.go", "t.Exp(it.Sig.S, r, pk.N)", "t.Exp(it.Sig.S, pk.E, pk.N)")},
 		{"exponent/public-read", "internal/sharedrsa/crt.go", edit("internal/sharedrsa/crt.go", "\tm1.Exp(&r, k.dP, k.p)", "\te := k.pub.E\n\tm1.Exp(&r, e, k.p)")},
 		{"one-prime-search", "internal/pki/plant_prime.go", `package pki
