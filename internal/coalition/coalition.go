@@ -116,7 +116,8 @@ type issued struct {
 	// revocation (RevokeGroup) or a membership change revokes them.
 	displaced []*issued
 	// revoked says RevokeGroup revoked the certificate: a re-grant
-	// does not count it among the live ones it displaces.
+	// does not count it among the live ones it displaces, and a
+	// membership change neither revokes nor re-issues it.
 	revoked bool
 }
 
@@ -707,7 +708,9 @@ func (c *Coalition) Commit(r *Rekey) (RekeyReport, error) {
 // end, and only those that named a departed user are revoked and
 // re-issued without them. A certificate left with no subject is revoked
 // and dropped. A certificate a re-grant displaced is revoked in the
-// same cases, and not re-issued. Caller holds the lock.
+// same cases, and not re-issued. A certificate RevokeGroup revoked is
+// neither: it stays revoked and tracked, for RevokeGroup to revoke again.
+// Caller holds the lock.
 func (c *Coalition) install(est *authority.EstablishResult, redistributed bool, departed map[string]*pki.KeyPair) (RekeyReport, error) {
 	report := RekeyReport{Redistributed: redistributed, Domains: len(c.members)}
 	c.est = est
@@ -719,6 +722,9 @@ func (c *Coalition) install(est *authority.EstablishResult, redistributed bool, 
 	gone := func(u string) bool { _, ok := departed[u]; return ok }
 
 	for _, rec := range c.certs {
+		if rec.revoked {
+			continue
+		}
 		kept := slices.DeleteFunc(slices.Clone(rec.users), gone)
 		// A displaced certificate is revoked, never re-issued, where
 		// its record would be revoked: at a re-key, or when it names a
@@ -755,7 +761,6 @@ func (c *Coalition) install(est *authority.EstablishResult, redistributed bool, 
 		if err := rec.reissue(c.est.AA, subs); err != nil {
 			return report, fmt.Errorf("coalition: re-issue %s: %w", rec.name(), err)
 		}
-		rec.revoked = false
 		report.CertsReissued++
 	}
 

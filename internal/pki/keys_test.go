@@ -71,11 +71,12 @@ func TestKeyPairSignAllocs(t *testing.T) {
 	}
 }
 
-// signAllocBudget is the 45 measured — all but a handful inside math/big's
-// two half-size Exp calls; the rest are the hash, the signer's scratch and
-// the signature — plus one for the rare h mod p shorter than p, which Exp
-// pads with a copy.
-const signAllocBudget = 46
+// signAllocBudget is the 5 measured — the hash's Int and its words, the
+// signer's one scratch buffer, the signature, and the word buffer of
+// math/big's long division by p, q and in Garner's step; a 512-bit key's
+// halves run on the four-word kernel, which allocates nothing (45 when
+// they ran on math/big's Exp) — plus one.
+const signAllocBudget = 6
 
 var signSink sharedrsa.Signature
 

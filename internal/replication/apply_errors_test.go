@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -53,8 +54,12 @@ func TestApplierCountsEachRejectionReason(t *testing.T) {
 	short.LastSeq++
 	twice := snap
 	twice.Objects = append(append(twice.Objects[:0:0], snap.Objects...), snap.Objects...)
+	// A frame is a 4-byte little-endian payload length and a 4-byte CRC,
+	// then the payload. One byte flipped inside the first frame's payload
+	// fails its CRC, whatever the records' sizes; a flip in a length field
+	// would read as a torn or an oversized frame instead.
 	corrupt := append([]byte(nil), tail.Frames...)
-	corrupt[len(corrupt)/2] ^= 0xff
+	corrupt[8+binary.LittleEndian.Uint32(corrupt)/2] ^= 0xff
 
 	type frame struct {
 		kind    string

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"os"
 	"strings"
 	"sync"
@@ -84,24 +85,56 @@ func FuzzSignCRT(f *testing.F) {
 	})
 }
 
+// nearTopFixture is a 512-bit key whose primes are the two largest below
+// 2^256 with e = 65537 coprime to p − 1: every word of each half's
+// modulus is 2^64 − 1 but the lowest, so the four-word kernel's carry
+// word and final subtraction are taken as often as they can be.
+var nearTopFixture = sync.OnceValues(func() (crtFixture, error) {
+	one, e := big.NewInt(1), big.NewInt(65537)
+	var primes []*big.Int
+	for c := new(big.Int).Sub(new(big.Int).Lsh(one, 256), one); len(primes) < 2; c = new(big.Int).Sub(c, big.NewInt(2)) {
+		pm1 := new(big.Int).Sub(c, one)
+		if c.ProbablyPrime(20) && new(big.Int).GCD(nil, nil, e, pm1).Cmp(one) == 0 {
+			primes = append(primes, c)
+		}
+	}
+	p, q := primes[0], primes[1]
+	pm1, qm1 := new(big.Int).Sub(p, one), new(big.Int).Sub(q, one)
+	d := new(big.Int).ModInverse(e, new(big.Int).Mul(pm1, qm1))
+	key, err := NewCRTKey(PublicKey{N: new(big.Int).Mul(p, q), E: e}, primes,
+		new(big.Int).Mod(d, pm1), new(big.Int).Mod(d, qm1), new(big.Int).ModInverse(q, p))
+	return crtFixture{key: key, d: d}, err
+})
+
 // TestSignCRTEdgeBases covers the bases no message hashes to in practice:
-// multiples of a prime (one half is 0), one-word values, and N − 1.
+// multiples of a prime (one half is 0), one-word values, and N − 1, on
+// every fixture and on the key whose primes sit just below 2^256.
 func TestSignCRTEdgeBases(t *testing.T) {
+	fixtures := map[string]crtFixture{}
 	for bits, fx := range crtKeys(t) {
+		fixtures[fmt.Sprint(bits)] = fx
+	}
+	nearTop, err := nearTopFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures["512 near 2^256"] = nearTop
+	for bits, fx := range fixtures {
 		k, one := fx.key, big.NewInt(1)
 		for name, h := range map[string]*big.Int{
-			"1":   one,
-			"2":   big.NewInt(2),
-			"p":   k.p,
-			"q":   k.q,
-			"p+1": new(big.Int).Add(k.p, one),
-			"2q":  new(big.Int).Lsh(k.q, 1),
-			"N-1": new(big.Int).Sub(k.pub.N, one),
+			"1":    one,
+			"2":    big.NewInt(2),
+			"p":    k.p,
+			"q":    k.q,
+			"p+1":  new(big.Int).Add(k.p, one),
+			"2q":   new(big.Int).Lsh(k.q, 1),
+			"N-1":  new(big.Int).Sub(k.pub.N, one),
+			"H(M)": hashToModulus([]byte("edge"), k.pub.N),
 		} {
 			var s big.Int
 			k.sign(&s, h)
 			if want := new(big.Int).Exp(h, fx.d, k.pub.N); s.Cmp(want) != 0 {
-				t.Errorf("%d bits, h = %s: CRT %v, Exp %v", bits, name, &s, want)
+				t.Errorf("%s bits, h = %s: CRT %v, Exp %v", bits, name, &s, want)
 			}
 		}
 	}
@@ -153,5 +186,24 @@ func TestNewCRTKeyRefusesMalformed(t *testing.T) {
 	}
 	if _, err := NewCRTKey(PublicKey{N: big.NewInt(0), E: k.pub.E}, []*big.Int{k.p, k.q}, k.dP, k.dQ, k.qInv); err == nil {
 		t.Error("zero modulus: accepted")
+	}
+}
+
+// TestCRTKernelSelection: the halves of a key whose primes are four
+// 64-bit words run on the four-word kernel, larger ones on math/big.
+func TestCRTKernelSelection(t *testing.T) {
+	nearTop, err := nearTopFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"512": bits.UintSize == 64, "512 near 2^256": bits.UintSize == 64, "1024": false, "2048": false}
+	keys := map[string]*CRTKey{"512 near 2^256": nearTop.key}
+	for n, fx := range crtKeys(t) {
+		keys[fmt.Sprint(n)] = fx.key
+	}
+	for name, k := range keys {
+		if got := k.mp != nil && k.mq != nil; got != want[name] {
+			t.Errorf("%s bits: four-word kernel %v, want %v", name, got, want[name])
+		}
 	}
 }

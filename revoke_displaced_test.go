@@ -76,3 +76,78 @@ func TestRevokeCoversDisplacedGrant(t *testing.T) {
 		})
 	}
 }
+
+// TestRekeyLeavesRevokedGroupRevoked: a group revoked with Revoke is
+// neither revoked again nor re-issued when a join with a domain down
+// re-keys the AA; a live group is both. dave's read under G_x, built
+// before the revocation or after the re-key, stays denied once the server
+// re-anchors — for a threshold grant and for a selective one.
+func TestRekeyLeavesRevokedGroupRevoked(t *testing.T) {
+	for _, selective := range []bool{false, true} {
+		name := map[bool]string{false: "threshold", true: "selective"}[selective]
+		t.Run(name, func(t *testing.T) {
+			a, err := NewAlliance("revoked-rekey", []string{"D1", "D2", "D3"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.EnrollUser("D1", "dave"); err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range []string{"G_x", "G_y"} {
+				if selective {
+					err = a.GrantSelective(g, "dave")
+				} else {
+					err = a.GrantThreshold(g, 1, "dave")
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := a.NewServer("P")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.CreateObject("O", map[string][]string{"G_x": {"read"}, "G_y": {"read"}}, []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			a.Clock().Tick()
+			before, err := a.NewRequest(spec("G_x", "read", "O", nil, "dave"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Revoke("G_x", srv); err != nil {
+				t.Fatal(err)
+			}
+
+			setDown(t, a, "D2")
+			report, err := a.Join("D4")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Redistributed || report.CertsRevoked != 1 || report.CertsReissued != 1 {
+				t.Errorf("re-key: %+v, want 1 revoked and 1 re-issued (G_y only)", report)
+			}
+			if err := a.Reanchor(srv); err != nil {
+				t.Fatal(err)
+			}
+			a.Clock().Tick()
+			after, err := a.NewRequest(spec("G_x", "read", "O", nil, "dave"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for which, req := range map[string]AccessRequest{"before the revocation": before, "after the re-key": after} {
+				if dec, err := srv.Request(ctx, req); !errors.Is(err, ErrDenied) {
+					t.Errorf("dave's G_x read built %s: %+v, %v; want denied", which, dec, err)
+				}
+			}
+			ys, err := a.NewRequest(spec("G_y", "read", "O", nil, "dave"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec, err := srv.Request(ctx, ys); err != nil || !dec.Allowed {
+				t.Errorf("dave's G_y read after the re-key: %+v, %v; want approved", dec, err)
+			}
+		})
+	}
+}
